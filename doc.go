@@ -125,6 +125,15 @@
 // dispatch overhead (the BenchmarkStepWorkers* names carry the GOMAXPROCS
 // suffix, so artifacts record which case they measured).
 //
+// Underneath both backends the FP32 inner loops (axpy behind MatMul and
+// MatMulATBAcc, Dot behind MatMulABT and MatMulABTStream) run AVX assembly
+// on amd64, chosen from CPUID with no knob, and the portable Go loops
+// elsewhere. The Go loops define the arithmetic — which products, added in
+// which order, each multiply and add rounded separately, never fused — and
+// the assembly reproduces it bit for bit (TestFP32AsmMatchesGo), so the
+// kernels change wall-clock only: axpy goes eight lanes wide, the Dot
+// family keeps its four-partial order and blocks over outputs instead.
+//
 // # Gradient compression: top-k error feedback, 8-bit quantization
 //
 // internal/compress multiplies the wire savings of §III-A and §III-C on

@@ -24,7 +24,8 @@ type Backend interface {
 	MatMulATBAcc(dst, a, b *Matrix)
 	// MatMulABT computes dst = a @ bᵀ.
 	MatMulABT(dst, a, b *Matrix)
-	// MatMulABTStream computes dst = a @ bᵀ with two-row blocking.
+	// MatMulABTStream computes dst = a @ bᵀ under the name the serving path
+	// calls (the same kernel as MatMulABT).
 	MatMulABTStream(dst, a, b *Matrix)
 	// MatMulABTStreamQ8 computes dst = a @ dequant(b)ᵀ against int8 weights
 	// (the quantized serving hot path; see the package function).
@@ -136,7 +137,6 @@ const (
 	kkMatMul kernelKind = iota
 	kkATBAcc
 	kkABT
-	kkABTStream
 	kkABTStreamQ8
 	kkMatVecQ8
 )
@@ -231,14 +231,23 @@ func (j *parallelJob) claim() {
 
 // bound returns tile boundary t. Boundaries depend only on (units, tiles),
 // never on scheduling — the determinism the bit-identity contract needs.
-// Stream row tiles align to even starts so dot2's two-row blocking keeps its
-// pairing (values would be identical anyway; see matMulABTStreamRows).
+// a@bᵀ row tiles align to even starts so the two-row blocking keeps its
+// pairing (values would be identical anyway; see matMulABTRange).
 func (j *parallelJob) bound(t int) int {
 	v := t * j.units / j.tiles
-	if (j.kind == kkABTStream || j.kind == kkABTStreamQ8) && !j.byCols && t > 0 && t < j.tiles {
+	if (j.kind == kkABT || j.kind == kkABTStreamQ8) && !j.byCols && t > 0 && t < j.tiles {
 		v &^= 1
 	}
 	return v
+}
+
+// span is the FP32 kernels' tile: [lo, hi) of the tiled axis of dst and all
+// of the other axis.
+func (j *parallelJob) span(lo, hi int) span {
+	if j.byCols {
+		return span{0, j.dst.Rows, lo, hi}
+	}
+	return span{lo, hi, 0, j.dst.Cols}
 }
 
 func (j *parallelJob) runTile(t int) {
@@ -248,29 +257,11 @@ func (j *parallelJob) runTile(t int) {
 	}
 	switch j.kind {
 	case kkMatMul:
-		if j.byCols {
-			matMulCols(j.dst, j.a, j.b, lo, hi)
-		} else {
-			matMulRows(j.dst, j.a, j.b, lo, hi)
-		}
+		matMulRange(j.dst, j.a, j.b, j.span(lo, hi))
 	case kkATBAcc:
-		if j.byCols {
-			matMulATBAccCols(j.dst, j.a, j.b, lo, hi)
-		} else {
-			matMulATBAccRows(j.dst, j.a, j.b, lo, hi)
-		}
+		matMulATBAccRange(j.dst, j.a, j.b, j.span(lo, hi))
 	case kkABT:
-		if j.byCols {
-			matMulABTCols(j.dst, j.a, j.b, lo, hi)
-		} else {
-			matMulABTRows(j.dst, j.a, j.b, lo, hi)
-		}
-	case kkABTStream:
-		if j.byCols {
-			matMulABTStreamCols(j.dst, j.a, j.b, lo, hi)
-		} else {
-			matMulABTStreamRows(j.dst, j.a, j.b, lo, hi)
-		}
+		matMulABTRange(j.dst, j.a, j.b, j.span(lo, hi))
 	case kkABTStreamQ8:
 		if j.byCols {
 			matMulABTStreamQ8Cols(j.dst, j.a, j.qb, lo, hi)
@@ -352,7 +343,7 @@ func (p *Parallel) serialCutoff(m, k, n int) bool {
 func (p *Parallel) MatMul(dst, a, b *Matrix) {
 	checkMatMul(dst, a, b)
 	if p.serialCutoff(a.Rows, a.Cols, b.Cols) {
-		matMulRows(dst, a, b, 0, a.Rows)
+		matMulRange(dst, a, b, whole(dst))
 		return
 	}
 	p.dispatch(kkMatMul, dst, a, b, a.Rows, b.Cols)
@@ -369,7 +360,7 @@ func (p *Parallel) MatMulATB(dst, a, b *Matrix) {
 func (p *Parallel) MatMulATBAcc(dst, a, b *Matrix) {
 	checkMatMulATB(dst, a, b)
 	if p.serialCutoff(a.Cols, a.Rows, b.Cols) {
-		matMulATBAccRows(dst, a, b, 0, a.Cols)
+		matMulATBAccRange(dst, a, b, whole(dst))
 		return
 	}
 	p.dispatch(kkATBAcc, dst, a, b, a.Cols, b.Cols)
@@ -379,21 +370,14 @@ func (p *Parallel) MatMulATBAcc(dst, a, b *Matrix) {
 func (p *Parallel) MatMulABT(dst, a, b *Matrix) {
 	checkMatMulABT(dst, a, b)
 	if p.serialCutoff(a.Rows, a.Cols, b.Rows) {
-		matMulABTRows(dst, a, b, 0, a.Rows)
+		matMulABTRange(dst, a, b, whole(dst))
 		return
 	}
 	p.dispatch(kkABT, dst, a, b, a.Rows, b.Rows)
 }
 
 // MatMulABTStream implements Backend.
-func (p *Parallel) MatMulABTStream(dst, a, b *Matrix) {
-	checkMatMulABT(dst, a, b)
-	if p.serialCutoff(a.Rows, a.Cols, b.Rows) {
-		matMulABTStreamRows(dst, a, b, 0, a.Rows)
-		return
-	}
-	p.dispatch(kkABTStream, dst, a, b, a.Rows, b.Rows)
-}
+func (p *Parallel) MatMulABTStream(dst, a, b *Matrix) { p.MatMulABT(dst, a, b) }
 
 // MatMulABTStreamQ8 implements Backend. The cutoff judges the same
 // fused-multiply-add count as the FP32 kernels — the int8 path does the same

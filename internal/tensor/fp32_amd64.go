@@ -1,0 +1,31 @@
+//go:build amd64
+
+package tensor
+
+// useFP32Asm gates the AVX kernels behind axpy, axpyRun, AddInPlace and the
+// Dot family. It is set once from CPUID; tests clear it to run the portable
+// kernels on the same host.
+var useFP32Asm = cpuHasAVX()
+
+// cpuHasAVX reports AVX with OS-enabled YMM state (CPUID.1:ECX bits 27 and
+// 28, XCR0 bits 1 and 2).
+func cpuHasAVX() bool
+
+// The kernels below are the portable *Go functions of tensor.go in AVX
+// assembly, bit-identical by construction (TestFP32AsmMatchesGo). They take
+// raw pointers: the Go wrappers bound every operand first.
+
+//go:noescape
+func addAVX(dst, src *float32, n int)
+
+//go:noescape
+func axpyAVX(alpha float32, dst, src *float32, n int)
+
+//go:noescape
+func axpyRunAVX(dst *float32, n int, a *float32, astride int, b *float32, bstride, k int) int
+
+//go:noescape
+func dotRows1AVX(dst *float32, n int, a, b *float32, k int)
+
+//go:noescape
+func dotRows2AVX(dst0, dst1 *float32, n int, a0, a1, b *float32, k int)

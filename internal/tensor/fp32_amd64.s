@@ -1,0 +1,540 @@
+//go:build amd64
+
+#include "textflag.h"
+
+// FP32 kernels. Every routine performs exactly the multiplies and adds of its
+// portable twin in tensor.go, in the same order per output element, each one
+// rounded separately (VMULPS then VADDPS, never FMA). Operand order is fixed
+// too — running value first in every add, multiplier (a) first in every
+// multiply — so the routines agree with one another on NaN payloads. Every
+// routine ends with VZEROUPPER: qdotSSE41 is legacy-encoded SSE.
+
+// func cpuHasAVX() bool
+//
+// CPUID.1:ECX bit 28 (AVX) and bit 27 (OSXSAVE), then XCR0 bits 1 and 2: the
+// OS saves XMM and YMM state across context switches.
+TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
+	MOVL	$1, AX
+	XORL	CX, CX
+	CPUID
+	ANDL	$0x18000000, CX
+	CMPL	CX, $0x18000000
+	JNE	noAVX
+	XORL	CX, CX
+	XGETBV
+	ANDL	$6, AX
+	CMPL	AX, $6
+	JNE	noAVX
+	MOVB	$1, ret+0(FP)
+	RET
+noAVX:
+	MOVB	$0, ret+0(FP)
+	RET
+
+// func addAVX(dst, src *float32, n int)
+//
+// dst[i] += src[i].
+TEXT ·addAVX(SB), NOSPLIT, $0-24
+	MOVQ	dst+0(FP), DI
+	MOVQ	src+8(FP), SI
+	MOVQ	n+16(FP), CX
+add32:
+	CMPQ	CX, $32
+	JL	add8
+	VMOVUPS	(DI), Y0
+	VMOVUPS	32(DI), Y1
+	VMOVUPS	64(DI), Y2
+	VMOVUPS	96(DI), Y3
+	VADDPS	(SI), Y0, Y0
+	VADDPS	32(SI), Y1, Y1
+	VADDPS	64(SI), Y2, Y2
+	VADDPS	96(SI), Y3, Y3
+	VMOVUPS	Y0, (DI)
+	VMOVUPS	Y1, 32(DI)
+	VMOVUPS	Y2, 64(DI)
+	VMOVUPS	Y3, 96(DI)
+	ADDQ	$128, DI
+	ADDQ	$128, SI
+	SUBQ	$32, CX
+	JMP	add32
+add8:
+	CMPQ	CX, $8
+	JL	add1
+	VMOVUPS	(DI), Y0
+	VADDPS	(SI), Y0, Y0
+	VMOVUPS	Y0, (DI)
+	ADDQ	$32, DI
+	ADDQ	$32, SI
+	SUBQ	$8, CX
+	JMP	add8
+add1:
+	TESTQ	CX, CX
+	JLE	addDone
+	VMOVSS	(DI), X0
+	VADDSS	(SI), X0, X0
+	VMOVSS	X0, (DI)
+	ADDQ	$4, DI
+	ADDQ	$4, SI
+	DECQ	CX
+	JMP	add1
+addDone:
+	VZEROUPPER
+	RET
+
+// AXPY8(off, prod, acc): acc += Y15 * src[off:off+8], Y15 the broadcast
+// multiplier, SI the source cursor.
+#define AXPY8(off, prod, acc) \
+	VMULPS	off(SI), Y15, prod; \
+	VADDPS	prod, acc, acc
+
+// func axpyAVX(alpha float32, dst, src *float32, n int)
+//
+// dst[i] += alpha * src[i], no test on alpha (0·Inf must still reach dst).
+TEXT ·axpyAVX(SB), NOSPLIT, $0-32
+	VBROADCASTSS	alpha+0(FP), Y15
+	MOVQ	dst+8(FP), DI
+	MOVQ	src+16(FP), SI
+	MOVQ	n+24(FP), CX
+axpy32:
+	CMPQ	CX, $32
+	JL	axpy8
+	VMOVUPS	(DI), Y0
+	VMOVUPS	32(DI), Y1
+	VMOVUPS	64(DI), Y2
+	VMOVUPS	96(DI), Y3
+	AXPY8(0, Y8, Y0)
+	AXPY8(32, Y9, Y1)
+	AXPY8(64, Y10, Y2)
+	AXPY8(96, Y11, Y3)
+	VMOVUPS	Y0, (DI)
+	VMOVUPS	Y1, 32(DI)
+	VMOVUPS	Y2, 64(DI)
+	VMOVUPS	Y3, 96(DI)
+	ADDQ	$128, DI
+	ADDQ	$128, SI
+	SUBQ	$32, CX
+	JMP	axpy32
+axpy8:
+	CMPQ	CX, $8
+	JL	axpy1
+	VMOVUPS	(DI), Y0
+	AXPY8(0, Y8, Y0)
+	VMOVUPS	Y0, (DI)
+	ADDQ	$32, DI
+	ADDQ	$32, SI
+	SUBQ	$8, CX
+	JMP	axpy8
+axpy1:
+	TESTQ	CX, CX
+	JLE	axpyDone
+	VMOVSS	(DI), X0
+	VMULSS	(SI), X15, X8
+	VADDSS	X8, X0, X0
+	VMOVSS	X0, (DI)
+	ADDQ	$4, DI
+	ADDQ	$4, SI
+	DECQ	CX
+	JMP	axpy1
+axpyDone:
+	VZEROUPPER
+	RET
+
+// RUNSTEP opens one k step of axpyRunAVX: leave the loop at the end of the
+// run (R13 == R10), or cut the run short at a ±0 multiplier (bits<<1 == 0),
+// else broadcast the multiplier into Y15.
+#define RUNSTEP(done, zero) \
+	CMPQ	R13, R10; \
+	JGE	done; \
+	MOVL	(R11), DX; \
+	ADDL	DX, DX; \
+	JZ	zero; \
+	VBROADCASTSS	(R11), Y15
+
+// RUNNEXT closes the k step: next multiplier, next b row.
+#define RUNNEXT(loop) \
+	ADDQ	R8, R11; \
+	ADDQ	R9, SI; \
+	INCQ	R13; \
+	JMP	loop
+
+// func axpyRunAVX(dst *float32, n int, a *float32, astride int, b *float32, bstride, k int) int
+//
+// For kk = 0, 1, ... < k: stop if a[kk*astride] is ±0, else
+// dst[0:n] += a[kk*astride] * b[kk*bstride : kk*bstride+n]. Returns the
+// number of steps taken. The n columns are walked in blocks of 64, 32, 8 and
+// 1 whose running sums stay in registers across the whole run, so dst is
+// read and written once per call instead of once per step; per element the
+// adds are the same ones, in the same ascending-k order, as k axpy calls.
+// The first block to meet a zero multiplier shortens the run for the blocks
+// after it (they would meet the same zero).
+TEXT ·axpyRunAVX(SB), NOSPLIT, $0-64
+	MOVQ	dst+0(FP), DI
+	MOVQ	n+8(FP), CX
+	MOVQ	a+16(FP), AX
+	MOVQ	astride+24(FP), R8
+	MOVQ	b+32(FP), BX
+	MOVQ	bstride+40(FP), R9
+	MOVQ	k+48(FP), R10
+	SHLQ	$2, R8
+	SHLQ	$2, R9
+
+run64:
+	CMPQ	CX, $64
+	JL	run32
+	VMOVUPS	(DI), Y0
+	VMOVUPS	32(DI), Y1
+	VMOVUPS	64(DI), Y2
+	VMOVUPS	96(DI), Y3
+	VMOVUPS	128(DI), Y4
+	VMOVUPS	160(DI), Y5
+	VMOVUPS	192(DI), Y6
+	VMOVUPS	224(DI), Y7
+	MOVQ	AX, R11
+	MOVQ	BX, SI
+	XORQ	R13, R13
+run64k:
+	RUNSTEP(run64done, run64zero)
+	AXPY8(0, Y8, Y0)
+	AXPY8(32, Y9, Y1)
+	AXPY8(64, Y10, Y2)
+	AXPY8(96, Y11, Y3)
+	AXPY8(128, Y12, Y4)
+	AXPY8(160, Y13, Y5)
+	AXPY8(192, Y14, Y6)
+	AXPY8(224, Y8, Y7)
+	RUNNEXT(run64k)
+run64zero:
+	MOVQ	R13, R10
+run64done:
+	VMOVUPS	Y0, (DI)
+	VMOVUPS	Y1, 32(DI)
+	VMOVUPS	Y2, 64(DI)
+	VMOVUPS	Y3, 96(DI)
+	VMOVUPS	Y4, 128(DI)
+	VMOVUPS	Y5, 160(DI)
+	VMOVUPS	Y6, 192(DI)
+	VMOVUPS	Y7, 224(DI)
+	ADDQ	$256, DI
+	ADDQ	$256, BX
+	SUBQ	$64, CX
+	JMP	run64
+
+run32:
+	CMPQ	CX, $32
+	JL	run8
+	VMOVUPS	(DI), Y0
+	VMOVUPS	32(DI), Y1
+	VMOVUPS	64(DI), Y2
+	VMOVUPS	96(DI), Y3
+	MOVQ	AX, R11
+	MOVQ	BX, SI
+	XORQ	R13, R13
+run32k:
+	RUNSTEP(run32done, run32zero)
+	AXPY8(0, Y8, Y0)
+	AXPY8(32, Y9, Y1)
+	AXPY8(64, Y10, Y2)
+	AXPY8(96, Y11, Y3)
+	RUNNEXT(run32k)
+run32zero:
+	MOVQ	R13, R10
+run32done:
+	VMOVUPS	Y0, (DI)
+	VMOVUPS	Y1, 32(DI)
+	VMOVUPS	Y2, 64(DI)
+	VMOVUPS	Y3, 96(DI)
+	ADDQ	$128, DI
+	ADDQ	$128, BX
+	SUBQ	$32, CX
+	JMP	run32
+
+run8:
+	CMPQ	CX, $8
+	JL	run1
+	VMOVUPS	(DI), Y0
+	MOVQ	AX, R11
+	MOVQ	BX, SI
+	XORQ	R13, R13
+run8k:
+	RUNSTEP(run8done, run8zero)
+	AXPY8(0, Y8, Y0)
+	RUNNEXT(run8k)
+run8zero:
+	MOVQ	R13, R10
+run8done:
+	VMOVUPS	Y0, (DI)
+	ADDQ	$32, DI
+	ADDQ	$32, BX
+	SUBQ	$8, CX
+	JMP	run8
+
+run1:
+	TESTQ	CX, CX
+	JLE	runRet
+	VMOVSS	(DI), X0
+	MOVQ	AX, R11
+	MOVQ	BX, SI
+	XORQ	R13, R13
+run1k:
+	RUNSTEP(run1done, run1zero)
+	VMULSS	(SI), X15, X8
+	VADDSS	X8, X0, X0
+	RUNNEXT(run1k)
+run1zero:
+	MOVQ	R13, R10
+run1done:
+	VMOVSS	X0, (DI)
+	ADDQ	$4, DI
+	ADDQ	$4, BX
+	DECQ	CX
+	JMP	run1
+
+runRet:
+	MOVQ	R10, ret+56(FP)
+	VZEROUPPER
+	RET
+
+// The Dot family keeps the canonical order of Dot in tensor.go: per output,
+// partial j sums the products at indices i ≡ j (mod 4) — the four lanes of
+// one 128-bit accumulator — the partials combine as (s0+s1)+(s2+s3), which is
+// what two rounds of VHADDPS compute, and the len%4 tail is added one
+// product at a time. A single such sum is bound by the latency of its add
+// chain, so the speed comes from computing several outputs at once: four b
+// rows share each load of a, and dotRows2AVX carries a second a row in the
+// upper 128-bit lane of the same registers.
+//
+// Both routines walk b by two cursors: BX is the first row of the current
+// group of four plus the byte offset into the row, and the other three rows
+// are (BX)(R9*1), (BX)(R9*2), (BX)(R12*1) with R9 the row length in bytes and
+// R12 three times that.
+
+// func dotRows1AVX(dst *float32, n int, a, b *float32, k int)
+//
+// dst[j] = Dot(a[0:k], b[j*k : (j+1)*k]) for j in [0, n).
+TEXT ·dotRows1AVX(SB), NOSPLIT, $0-40
+	MOVQ	dst+0(FP), DI
+	MOVQ	n+8(FP), CX
+	MOVQ	a+16(FP), AX
+	MOVQ	b+24(FP), R8
+	MOVQ	k+32(FP), R10
+	MOVQ	R10, R9
+	SHLQ	$2, R9
+	LEAQ	(R9)(R9*2), R12
+	MOVQ	R10, R11           // R11 = bytes in the 4-wide prefix of a row
+	ANDQ	$-4, R11
+	SHLQ	$2, R11
+	SHLQ	$2, R10            // R10 = bytes in a row
+
+d1col4:
+	CMPQ	CX, $4
+	JL	d1col1
+	VXORPS	X0, X0, X0
+	VXORPS	X1, X1, X1
+	VXORPS	X2, X2, X2
+	VXORPS	X3, X3, X3
+	MOVQ	R8, BX
+	XORQ	SI, SI
+d1col4k:
+	CMPQ	SI, R11
+	JGE	d1col4sum
+	VMOVUPS	(AX)(SI*1), X8
+	VMULPS	(BX), X8, X4
+	VADDPS	X4, X0, X0
+	VMULPS	(BX)(R9*1), X8, X5
+	VADDPS	X5, X1, X1
+	VMULPS	(BX)(R9*2), X8, X6
+	VADDPS	X6, X2, X2
+	VMULPS	(BX)(R12*1), X8, X7
+	VADDPS	X7, X3, X3
+	ADDQ	$16, SI
+	ADDQ	$16, BX
+	JMP	d1col4k
+d1col4sum:
+	VHADDPS	X1, X0, X0
+	VHADDPS	X3, X2, X2
+	VHADDPS	X2, X0, X0         // lane j: (s0+s1)+(s2+s3) of column j
+d1col4tail:
+	CMPQ	SI, R10
+	JGE	d1col4done
+	VBROADCASTSS	(AX)(SI*1), X8
+	VMOVSS	(BX), X4
+	VINSERTPS	$0x10, (BX)(R9*1), X4, X4
+	VINSERTPS	$0x20, (BX)(R9*2), X4, X4
+	VINSERTPS	$0x30, (BX)(R12*1), X4, X4
+	VMULPS	X4, X8, X4
+	VADDPS	X4, X0, X0
+	ADDQ	$4, SI
+	ADDQ	$4, BX
+	JMP	d1col4tail
+d1col4done:
+	VMOVUPS	X0, (DI)
+	ADDQ	$16, DI
+	LEAQ	(R8)(R9*4), R8
+	SUBQ	$4, CX
+	JMP	d1col4
+
+d1col1:
+	TESTQ	CX, CX
+	JLE	d1ret
+	VXORPS	X0, X0, X0
+	MOVQ	R8, BX
+	XORQ	SI, SI
+d1col1k:
+	CMPQ	SI, R11
+	JGE	d1col1sum
+	VMOVUPS	(AX)(SI*1), X8
+	VMULPS	(BX), X8, X4
+	VADDPS	X4, X0, X0
+	ADDQ	$16, SI
+	ADDQ	$16, BX
+	JMP	d1col1k
+d1col1sum:
+	VHADDPS	X0, X0, X0
+	VHADDPS	X0, X0, X0
+d1col1tail:
+	CMPQ	SI, R10
+	JGE	d1col1done
+	VMOVSS	(AX)(SI*1), X8
+	VMULSS	(BX), X8, X4
+	VADDSS	X4, X0, X0
+	ADDQ	$4, SI
+	ADDQ	$4, BX
+	JMP	d1col1tail
+d1col1done:
+	VMOVSS	X0, (DI)
+	ADDQ	$4, DI
+	ADDQ	R9, R8
+	DECQ	CX
+	JMP	d1col1
+
+d1ret:
+	VZEROUPPER
+	RET
+
+// func dotRows2AVX(dst0, dst1 *float32, n int, a0, a1, b *float32, k int)
+//
+// dst0[j] = Dot(a0, b row j) and dst1[j] = Dot(a1, b row j) for j in [0, n).
+// Lower 128-bit lanes hold a0's sums, upper lanes a1's: Y8 is
+// a0[i:i+4] | a1[i:i+4], each b load is broadcast to both lanes, and
+// VHADDPS works within each lane, so both rows go through the canonical
+// combine at once.
+TEXT ·dotRows2AVX(SB), NOSPLIT, $0-56
+	MOVQ	dst0+0(FP), DI
+	MOVQ	dst1+8(FP), DX
+	MOVQ	n+16(FP), CX
+	MOVQ	a0+24(FP), AX
+	MOVQ	a1+32(FP), R13
+	MOVQ	b+40(FP), R8
+	MOVQ	k+48(FP), R10
+	MOVQ	R10, R9
+	SHLQ	$2, R9
+	LEAQ	(R9)(R9*2), R12
+	MOVQ	R10, R11
+	ANDQ	$-4, R11
+	SHLQ	$2, R11
+	SHLQ	$2, R10
+
+d2col4:
+	CMPQ	CX, $4
+	JL	d2col1
+	VXORPS	Y0, Y0, Y0
+	VXORPS	Y1, Y1, Y1
+	VXORPS	Y2, Y2, Y2
+	VXORPS	Y3, Y3, Y3
+	MOVQ	R8, BX
+	XORQ	SI, SI
+d2col4k:
+	CMPQ	SI, R11
+	JGE	d2col4sum
+	VMOVUPS	(AX)(SI*1), X8
+	VINSERTF128	$1, (R13)(SI*1), Y8, Y8
+	VBROADCASTF128	(BX), Y4
+	VMULPS	Y4, Y8, Y4
+	VADDPS	Y4, Y0, Y0
+	VBROADCASTF128	(BX)(R9*1), Y5
+	VMULPS	Y5, Y8, Y5
+	VADDPS	Y5, Y1, Y1
+	VBROADCASTF128	(BX)(R9*2), Y6
+	VMULPS	Y6, Y8, Y6
+	VADDPS	Y6, Y2, Y2
+	VBROADCASTF128	(BX)(R12*1), Y7
+	VMULPS	Y7, Y8, Y7
+	VADDPS	Y7, Y3, Y3
+	ADDQ	$16, SI
+	ADDQ	$16, BX
+	JMP	d2col4k
+d2col4sum:
+	VHADDPS	Y1, Y0, Y0
+	VHADDPS	Y3, Y2, Y2
+	VHADDPS	Y2, Y0, Y0
+d2col4tail:
+	CMPQ	SI, R10
+	JGE	d2col4done
+	VBROADCASTSS	(AX)(SI*1), X8
+	VBROADCASTSS	(R13)(SI*1), X9
+	VINSERTF128	$1, X9, Y8, Y8
+	VMOVSS	(BX), X4
+	VINSERTPS	$0x10, (BX)(R9*1), X4, X4
+	VINSERTPS	$0x20, (BX)(R9*2), X4, X4
+	VINSERTPS	$0x30, (BX)(R12*1), X4, X4
+	VINSERTF128	$1, X4, Y4, Y4
+	VMULPS	Y4, Y8, Y4
+	VADDPS	Y4, Y0, Y0
+	ADDQ	$4, SI
+	ADDQ	$4, BX
+	JMP	d2col4tail
+d2col4done:
+	VMOVUPS	X0, (DI)
+	VEXTRACTF128	$1, Y0, (DX)
+	ADDQ	$16, DI
+	ADDQ	$16, DX
+	LEAQ	(R8)(R9*4), R8
+	SUBQ	$4, CX
+	JMP	d2col4
+
+d2col1:
+	TESTQ	CX, CX
+	JLE	d2ret
+	VXORPS	Y0, Y0, Y0
+	MOVQ	R8, BX
+	XORQ	SI, SI
+d2col1k:
+	CMPQ	SI, R11
+	JGE	d2col1sum
+	VMOVUPS	(AX)(SI*1), X8
+	VINSERTF128	$1, (R13)(SI*1), Y8, Y8
+	VBROADCASTF128	(BX), Y4
+	VMULPS	Y4, Y8, Y4
+	VADDPS	Y4, Y0, Y0
+	ADDQ	$16, SI
+	ADDQ	$16, BX
+	JMP	d2col1k
+d2col1sum:
+	VHADDPS	Y0, Y0, Y0
+	VHADDPS	Y0, Y0, Y0
+	VEXTRACTF128	$1, Y0, X1     // X0 = a0's sum, X1 = a1's
+d2col1tail:
+	CMPQ	SI, R10
+	JGE	d2col1done
+	VMOVSS	(BX), X4
+	VMOVSS	(AX)(SI*1), X8
+	VMULSS	X4, X8, X5
+	VADDSS	X5, X0, X0
+	VMOVSS	(R13)(SI*1), X9
+	VMULSS	X4, X9, X6
+	VADDSS	X6, X1, X1
+	ADDQ	$4, SI
+	ADDQ	$4, BX
+	JMP	d2col1tail
+d2col1done:
+	VMOVSS	X0, (DI)
+	VMOVSS	X1, (DX)
+	ADDQ	$4, DI
+	ADDQ	$4, DX
+	ADDQ	R9, R8
+	DECQ	CX
+	JMP	d2col1
+
+d2ret:
+	VZEROUPPER
+	RET

@@ -1,0 +1,25 @@
+//go:build !amd64
+
+package tensor
+
+// useFP32Asm: no assembly kernels on this architecture; the portable Go
+// kernels, which define the canonical accumulation order, always run.
+var useFP32Asm = false
+
+func addAVX(dst, src *float32, n int) { panic("tensor: addAVX unavailable on this architecture") }
+
+func axpyAVX(alpha float32, dst, src *float32, n int) {
+	panic("tensor: axpyAVX unavailable on this architecture")
+}
+
+func axpyRunAVX(dst *float32, n int, a *float32, astride int, b *float32, bstride, k int) int {
+	panic("tensor: axpyRunAVX unavailable on this architecture")
+}
+
+func dotRows1AVX(dst *float32, n int, a, b *float32, k int) {
+	panic("tensor: dotRows1AVX unavailable on this architecture")
+}
+
+func dotRows2AVX(dst0, dst1 *float32, n int, a0, a1, b *float32, k int) {
+	panic("tensor: dotRows2AVX unavailable on this architecture")
+}

@@ -2,13 +2,35 @@
 // language-model layers are built on: row-major matrices, matmul with
 // optional transposes, row gather/scatter-add (the embedding forward and
 // backward primitives of §II-A), and the elementwise activations LSTM and
-// RHN cells need.
+// RHN cells need. It builds offline from the standard library alone — no
+// external BLAS.
 //
-// Everything is plain Go over flat slices — no assembly, no external BLAS —
-// because the module must build offline from the standard library alone.
-// The kernels are written cache-friendly (ikj matmul loop order, row-major
-// contiguous access) which is enough for the laptop-scale training runs the
-// reproduction performs.
+// Every kernel is defined by a portable Go loop, and that loop fixes the
+// arithmetic: which products are formed, in which order they are added, and
+// that each multiply and each add is rounded on its own (never fused into an
+// FMA, which would change the rounding). The repository's contracts —
+// Serial vs Parallel, checkpoint resume, served vs sequential decode — are
+// stated in exact bits and rest on that definition:
+//
+//   - axpy family (axpyGo, axpyRunGo, addGo; behind MatMul, MatMulATBAcc,
+//     Axpy, AddInPlace, ScatterAddRows): elementwise dst[i] += alpha·src[i],
+//     rows added in ascending k. A zero multiplier's row is skipped only if
+//     the whole row is finite, so NaN/Inf still propagate and signed zeros
+//     survive.
+//   - Dot family (dotGo, dot2Go; behind Dot, MatMulABT, MatMulABTStream):
+//     four strided partials (partial j sums the products at indices i ≡ j
+//     mod 4), combined as (s0+s1)+(s2+s3), then a sequential tail.
+//   - qdot (qdotGo; behind the int8 kernels of qmatrix.go): sixteen strided
+//     partials per chunk, a fixed combine tree, one scale per chunk.
+//
+// On amd64 each of these has an assembly twin, chosen once at start-up from
+// CPUID (AVX with OS-enabled YMM state for the FP32 kernels of
+// fp32_amd64.s, SSE4.1 for qdot_amd64.s), that performs the same operations
+// in the same order: axpy goes eight lanes wide because it is elementwise;
+// the Dot family keeps its four partials as the four lanes of one 128-bit
+// accumulator and gets its speed from computing several outputs per pass
+// instead. TestFP32AsmMatchesGo and TestQdotAsmMatchesGo hold the twins to
+// the Go definitions bit for bit; other architectures run the Go loops.
 package tensor
 
 import (
@@ -87,12 +109,19 @@ func (m *Matrix) RandomizeUniform(r *rng.RNG, bound float64) {
 }
 
 // MatMul computes dst = a @ b. Shapes: a is m x k, b is k x n, dst is m x n.
-// dst must not alias a or b. The kernel uses ikj order so the inner loop
-// streams both b and dst rows sequentially.
+// dst must not alias a or b. Each dst row is built by adding a's multipliers
+// times b's rows in ascending k, so b and dst are both read along rows.
 func MatMul(dst, a, b *Matrix) {
 	checkMatMul(dst, a, b)
-	matMulRows(dst, a, b, 0, a.Rows)
+	matMulRange(dst, a, b, whole(dst))
 }
+
+// span is a block of an output matrix, rows [rlo, rhi) × columns [clo, chi):
+// what one call of a range kernel computes. The package functions pass the
+// whole matrix, the Parallel backend one tile each.
+type span struct{ rlo, rhi, clo, chi int }
+
+func whole(m *Matrix) span { return span{0, m.Rows, 0, m.Cols} }
 
 func checkMatMul(dst, a, b *Matrix) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
@@ -101,53 +130,42 @@ func checkMatMul(dst, a, b *Matrix) {
 	}
 }
 
-// matMulRows is the MatMul kernel over dst rows [lo, hi). Each output row
-// depends only on a's matching row, so any row partition computes every
-// element with exactly the serial pass's operations in the same order.
-//
-// The aik == 0 skip saves the axpy for sparse multipliers (dropout-masked
-// gradients), but IEEE 0×Inf and 0×NaN are NaN, not 0 — skipping a poisoned
-// b row would silently erase a diverged activation. The skip therefore also
-// requires the b row to be finite; the finiteness scan only runs on the
-// skip path, so fully dense inputs pay nothing.
-func matMulRows(dst, a, b *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		ar := a.Row(i)
-		dr := dst.Row(i)
+// matMulRange is the MatMul kernel over one span of dst. Each output element
+// depends only on a's matching row and b's matching column and accumulates
+// over k in ascending order whatever the span, so any partition of rows or
+// columns computes every element with exactly the serial pass's operations
+// in the same order.
+func matMulRange(dst, a, b *Matrix, s span) {
+	for i := s.rlo; i < s.rhi; i++ {
+		dr := dst.Data[i*dst.Cols+s.clo : i*dst.Cols+s.chi]
 		for j := range dr {
 			dr[j] = 0
 		}
-		for k := 0; k < a.Cols; k++ {
-			aik := ar[k]
-			br := b.Row(k)
-			if aik == 0 && allFinite(br) {
-				continue
-			}
-			axpy(aik, dr, br)
-		}
+		mulAddRows(dr, a.Data, i*a.Cols, 1, b, s.clo)
 	}
 }
 
-// matMulCols is the MatMul kernel over dst columns [lo, hi), the tiling used
-// when a has too few rows to split (a batch-1 backward). Every dst element
-// accumulates over k in ascending order exactly as in matMulRows, just
-// restricted to a column range, so the two tilings are bit-identical. The
-// skip's finiteness test always scans the full b row — the tile must make
-// the same skip decision the serial kernel would.
-func matMulCols(dst, a, b *Matrix, lo, hi int) {
-	for i := 0; i < a.Rows; i++ {
-		ar := a.Row(i)
-		dr := dst.Row(i)[lo:hi]
-		for j := range dr {
-			dr[j] = 0
+// mulAddRows is the inner product-by-rows loop MatMul and MatMulATBAcc share:
+// dr[j] += Σ_k m[m0+k·ms] · b[k][clo+j] for k ascending over b's rows.
+//
+// A zero multiplier's step is skipped, which saves the axpy for sparse
+// multipliers (dropout-masked gradients), but IEEE 0×Inf and 0×NaN are NaN,
+// not 0 — skipping a poisoned b row would silently erase a diverged
+// activation. The skip therefore also requires the whole b row (not just the
+// columns of this range: a tile must decide as the serial kernel would) to be
+// finite; the finiteness scan only runs when a multiplier is zero, so fully
+// dense inputs pay nothing.
+func mulAddRows(dr, m []float32, m0, ms int, b *Matrix, clo int) {
+	if len(dr) == 0 {
+		return
+	}
+	for k := 0; k < b.Rows; k++ {
+		k += axpyRun(dr, m[m0+k*ms:], ms, b.Data[k*b.Cols+clo:], b.Cols, b.Rows-k)
+		if k == b.Rows {
+			return
 		}
-		for k := 0; k < a.Cols; k++ {
-			aik := ar[k]
-			br := b.Row(k)
-			if aik == 0 && allFinite(br) {
-				continue
-			}
-			axpy(aik, dr, br[lo:hi])
+		if br := b.Row(k); !allFinite(br) {
+			axpy(m[m0+k*ms], dr, br[clo:clo+len(dr)])
 		}
 	}
 }
@@ -167,7 +185,7 @@ func MatMulATB(dst, a, b *Matrix) {
 // the dominant memory traffic of weight-gradient accumulation.
 func MatMulATBAcc(dst, a, b *Matrix) {
 	checkMatMulATB(dst, a, b)
-	matMulATBAccRows(dst, a, b, 0, a.Cols)
+	matMulATBAccRange(dst, a, b, whole(dst))
 }
 
 func checkMatMulATB(dst, a, b *Matrix) {
@@ -177,57 +195,16 @@ func checkMatMulATB(dst, a, b *Matrix) {
 	}
 }
 
-// matMulATBAccRows is the MatMulATBAcc kernel over dst rows [lo, hi) — that
-// is, over a's columns. dst row i accumulates a[k][i]·b.Row(k) for k in
-// ascending order, and that per-row accumulation order is independent of how
-// the i range is partitioned, so any row tiling is bit-identical to the
-// serial pass with no reduction step and no atomics. (Partitioning over k
-// instead — per-worker accumulators plus a final reduce — would regroup the
-// float adds and change low bits, which is why the parallel backend tiles
-// the output rows.)
-//
-// As in matMulRows, the zero-multiplier skip also requires the b row to be
-// finite so NaN/Inf poison propagates; brFinite memoizes the scan per k.
-func matMulATBAccRows(dst, a, b *Matrix, lo, hi int) {
-	for k := 0; k < a.Rows; k++ {
-		ar := a.Row(k)
-		br := b.Row(k)
-		brChecked, brFinite := false, false
-		for i := lo; i < hi; i++ {
-			aki := ar[i]
-			if aki == 0 {
-				if !brChecked {
-					brChecked, brFinite = true, allFinite(br)
-				}
-				if brFinite {
-					continue
-				}
-			}
-			axpy(aki, dst.Row(i), br)
-		}
-	}
-}
-
-// matMulATBAccCols is the MatMulATBAcc kernel over dst columns [lo, hi),
-// used when aᵀ has too few rows to split. Element-wise identical to the row
-// tiling (same ascending-k accumulation per element, finiteness judged on
-// the full b row).
-func matMulATBAccCols(dst, a, b *Matrix, lo, hi int) {
-	for k := 0; k < a.Rows; k++ {
-		ar := a.Row(k)
-		br := b.Row(k)
-		brChecked, brFinite := false, false
-		for i, aki := range ar {
-			if aki == 0 {
-				if !brChecked {
-					brChecked, brFinite = true, allFinite(br)
-				}
-				if brFinite {
-					continue
-				}
-			}
-			axpy(aki, dst.Row(i)[lo:hi], br[lo:hi])
-		}
+// matMulATBAccRange is the MatMulATBAcc kernel over one span of dst (dst
+// rows are a's columns). dst row i accumulates a[k][i]·b.Row(k) for k in
+// ascending order, and that per-element order is independent of how the
+// output is partitioned, so any tiling is bit-identical to the serial pass
+// with no reduction step and no atomics. (Partitioning over k instead —
+// per-worker accumulators plus a final reduce — would regroup the float adds
+// and change low bits, which is why the parallel backend tiles the output.)
+func matMulATBAccRange(dst, a, b *Matrix, s span) {
+	for i := s.rlo; i < s.rhi; i++ {
+		mulAddRows(dst.Data[i*dst.Cols+s.clo:i*dst.Cols+s.chi], a.Data, i, a.Cols, b, s.clo)
 	}
 }
 
@@ -256,7 +233,7 @@ func allFinite(x []float32) bool {
 // output-embedding logits (hidden @ embeddingᵀ).
 func MatMulABT(dst, a, b *Matrix) {
 	checkMatMulABT(dst, a, b)
-	matMulABTRows(dst, a, b, 0, a.Rows)
+	matMulABTRange(dst, a, b, whole(dst))
 }
 
 func checkMatMulABT(dst, a, b *Matrix) {
@@ -266,98 +243,89 @@ func checkMatMulABT(dst, a, b *Matrix) {
 	}
 }
 
-// matMulABTRows is the MatMulABT kernel over dst rows [lo, hi). Every
-// element is an independent full-length Dot, so any partition of rows or
-// columns is trivially bit-identical to the serial pass.
-func matMulABTRows(dst, a, b *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		ar := a.Row(i)
-		dr := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			dr[j] = Dot(ar, b.Row(j))
+// MatMulABTStream computes dst = a @ bᵀ, the batched-inference product: a
+// is the B×D batch of activations, b a weight or embedding matrix shared by
+// the whole batch. It is MatMulABT under the name the serving path calls.
+// Every element is one Dot in the canonical order, so a batch row computes
+// the same bits it would in a batch of one — the serving layer's
+// correctness contract.
+func MatMulABTStream(dst, a, b *Matrix) { MatMulABT(dst, a, b) }
+
+// matMulABTRange is the MatMulABT kernel over one span of dst (dst columns
+// are b's rows). Every element is an independent full-length Dot, so any
+// partition of rows or columns is trivially bit-identical to the serial
+// pass. a's rows are taken two at a time so each loaded b element feeds two
+// outputs; the pairing never changes a value (dot2Go computes each row
+// exactly as dotGo would), only how fast it arrives.
+func matMulABTRange(dst, a, b *Matrix, s span) {
+	k, n := a.Cols, dst.Cols
+	// All of a's rows visit one block of b rows before the next block is
+	// touched, so a tall b (the V×D embedding) streams from memory once per
+	// call instead of once per pair of a rows. One pair needs no blocks.
+	block := s.chi - s.clo
+	if s.rhi-s.rlo > 2 {
+		block = abtBlockFloats / (k + 1) &^ 3
+	}
+	if block < 4 {
+		block = 4
+	}
+	for c := s.clo; c < s.chi; c += block {
+		ce := c + block
+		if ce > s.chi {
+			ce = s.chi
+		}
+		bb := b.Data[c*k : ce*k]
+		i := s.rlo
+		for ; i+2 <= s.rhi; i += 2 {
+			dotRows2(dst.Data[i*n+c:i*n+ce], dst.Data[(i+1)*n+c:(i+1)*n+ce],
+				a.Data[i*k:(i+1)*k], a.Data[(i+1)*k:(i+2)*k], bb)
+		}
+		if i < s.rhi {
+			dotRows1(dst.Data[i*n+c:i*n+ce], a.Data[i*k:(i+1)*k], bb)
 		}
 	}
 }
 
-// matMulABTCols is the MatMulABT kernel over dst columns [lo, hi) — b rows
-// lo..hi — used when a has too few rows to split (a small serving batch
-// against a V×D embedding).
-func matMulABTCols(dst, a, b *Matrix, lo, hi int) {
-	for i := 0; i < a.Rows; i++ {
-		ar := a.Row(i)
-		dr := dst.Row(i)
-		for j := lo; j < hi; j++ {
-			dr[j] = Dot(ar, b.Row(j))
-		}
+// abtBlockFloats sizes matMulABTRange's block of b rows: 16 KiB of float32,
+// a third of a 48 KiB L1 data cache, leaving room for a's rows and dst.
+const abtBlockFloats = 4096
+
+// dotRows1 computes d[j] = Dot(a, row j of b), b holding len(d) rows of
+// len(a) elements back to back.
+func dotRows1(d, a, b []float32) {
+	k := len(a)
+	b = b[:len(d)*k]
+	if useFP32Asm && len(b) > 0 {
+		dotRows1AVX(&d[0], len(d), &a[0], &b[0], k)
+		return
+	}
+	for j := range d {
+		d[j] = dotGo(a, b[j*k:(j+1)*k])
 	}
 }
 
-// MatMulABTStream computes dst = a @ bᵀ exactly like MatMulABT but blocks
-// a's rows two at a time, so each loaded b element feeds two output rows.
-// This is the batched-inference kernel: a is the B×D batch of activations,
-// b a weight or embedding matrix shared by the whole batch, and the row
-// blocking is where batched serving earns its throughput — the per-row Dot
-// is load-port bound (two loads per multiply-add), while dot2 amortizes
-// the b loads across the pair (two-row blocking measures ~40% faster here;
-// wider blocks spill float registers and lose it again). Every output
-// element is accumulated in exactly Dot's order (four strided partials,
-// pairwise combine, sequential tail), so results are bit-identical to
-// MatMulABT — and a batch row computes the same bits it would in a batch
-// of one, the serving layer's correctness contract.
-func MatMulABTStream(dst, a, b *Matrix) {
-	checkMatMulABT(dst, a, b)
-	matMulABTStreamRows(dst, a, b, 0, a.Rows)
-}
-
-// matMulABTStreamRows is the MatMulABTStream kernel over dst rows [lo, hi).
-// Because dot2 computes each row's result bit-identically to Dot, the
-// pairing of a's rows never changes any value — any row range produces the
-// same bits as MatMulABT. (The parallel backend still aligns tile starts to
-// even rows so the two-row blocking keeps its throughput.)
-func matMulABTStreamRows(dst, a, b *Matrix, lo, hi int) {
-	n := dst.Cols
-	i := lo
-	for ; i+2 <= hi; i += 2 {
-		a0, a1 := a.Row(i), a.Row(i+1)
-		d0, d1 := dst.Row(i), dst.Row(i+1)
-		for j := 0; j < n; j++ {
-			d0[j], d1[j] = dot2(a0, a1, b.Row(j))
-		}
+// dotRows2 is dotRows1 for two a rows at once: d0[j] = Dot(a0, row j of b),
+// d1[j] = Dot(a1, row j of b).
+func dotRows2(d0, d1, a0, a1, b []float32) {
+	k := len(a0)
+	d1 = d1[:len(d0)]
+	a1 = a1[:k]
+	b = b[:len(d0)*k]
+	if useFP32Asm && len(b) > 0 {
+		dotRows2AVX(&d0[0], &d1[0], len(d0), &a0[0], &a1[0], &b[0], k)
+		return
 	}
-	if i < hi {
-		ar := a.Row(i)
-		dr := dst.Row(i)
-		for j := 0; j < n; j++ {
-			dr[j] = Dot(ar, b.Row(j))
-		}
+	for j := range d0 {
+		d0[j], d1[j] = dot2Go(a0, a1, b[j*k:(j+1)*k])
 	}
 }
 
-// matMulABTStreamCols is the MatMulABTStream kernel over dst columns
-// [lo, hi): the full two-row blocking over a, restricted to b rows lo..hi.
-func matMulABTStreamCols(dst, a, b *Matrix, lo, hi int) {
-	i := 0
-	for ; i+2 <= a.Rows; i += 2 {
-		a0, a1 := a.Row(i), a.Row(i+1)
-		d0, d1 := dst.Row(i), dst.Row(i+1)
-		for j := lo; j < hi; j++ {
-			d0[j], d1[j] = dot2(a0, a1, b.Row(j))
-		}
-	}
-	if i < a.Rows {
-		ar := a.Row(i)
-		dr := dst.Row(i)
-		for j := lo; j < hi; j++ {
-			dr[j] = Dot(ar, b.Row(j))
-		}
-	}
-}
-
-// dot2 computes two inner products against one shared vector, loading each
-// b element once for both rows. Per row the arithmetic is exactly Dot's —
+// dot2Go computes two inner products against one shared vector, loading each
+// b element once for both rows. Per row the arithmetic is exactly dotGo's —
 // same four strided accumulators, same combine, same tail order — so each
-// result is bit-identical to calling Dot on that row alone.
-func dot2(a0, a1, b []float32) (r0, r1 float32) {
+// result is bit-identical to calling Dot on that row alone. It is the
+// portable definition dotRows2AVX is held to.
+func dot2Go(a0, a1, b []float32) (r0, r1 float32) {
 	a0 = a0[:len(b)]
 	a1 = a1[:len(b)]
 	var s00, s01, s02, s03 float32
@@ -388,6 +356,15 @@ func AddInPlace(dst, src []float32) {
 	if len(dst) != len(src) {
 		panic("tensor: AddInPlace length mismatch")
 	}
+	if useFP32Asm && len(dst) > 0 {
+		addAVX(&dst[0], &src[0], len(dst))
+		return
+	}
+	addGo(dst, src)
+}
+
+// addGo is the portable AddInPlace kernel.
+func addGo(dst, src []float32) {
 	for i, v := range src {
 		dst[i] += v
 	}
@@ -401,9 +378,21 @@ func Axpy(alpha float32, dst, src []float32) {
 	axpy(alpha, dst, src)
 }
 
-// axpy is the unchecked, 4-way unrolled kernel behind Axpy and the matmul
-// inner loops (callers guarantee equal lengths).
+// axpy is the unchecked kernel behind Axpy and the matmul zero-multiplier
+// path: dst[i] += alpha·src[i], one multiply and one add per element, each
+// rounded (never fused). src must be at least as long as dst.
 func axpy(alpha float32, dst, src []float32) {
+	src = src[:len(dst)]
+	if useFP32Asm && len(dst) > 0 {
+		axpyAVX(alpha, &dst[0], &src[0], len(dst))
+		return
+	}
+	axpyGo(alpha, dst, src)
+}
+
+// axpyGo is the portable axpy kernel, 4-way unrolled. Elementwise, so the
+// vector kernel's width changes nothing.
+func axpyGo(alpha float32, dst, src []float32) {
 	n := len(dst) &^ 3
 	for i := 0; i < n; i += 4 {
 		dst[i] += alpha * src[i]
@@ -416,6 +405,34 @@ func axpy(alpha float32, dst, src []float32) {
 	}
 }
 
+// axpyRun adds a run of scaled rows into dst: for kk = 0, 1, … < k it stops
+// at the first multiplier a[kk·as] that is ±0 and otherwise does
+// dst += a[kk·as] · b[kk·bs : kk·bs+len(dst)]. It returns the number of rows
+// added, so the caller can judge the zero step and resume after it. One call
+// per run instead of one axpy per row is what lets the vector kernel keep
+// dst in registers across the run.
+func axpyRun(dst, a []float32, as int, b []float32, bs, k int) int {
+	if useFP32Asm && len(dst) > 0 && k > 0 {
+		_ = a[(k-1)*as]
+		_ = b[(k-1)*bs+len(dst)-1]
+		return axpyRunAVX(&dst[0], len(dst), &a[0], as, &b[0], bs, k)
+	}
+	return axpyRunGo(dst, a, as, b, bs, k)
+}
+
+// axpyRunGo is the portable axpyRun kernel: per element of dst, the same
+// multiplies and adds as axpyRunAVX in the same ascending order.
+func axpyRunGo(dst, a []float32, as int, b []float32, bs, k int) int {
+	for kk := 0; kk < k; kk++ {
+		alpha := a[kk*as]
+		if alpha == 0 {
+			return kk
+		}
+		axpyGo(alpha, dst, b[kk*bs:kk*bs+len(dst)])
+	}
+	return k
+}
+
 // Scale multiplies every element by alpha.
 func Scale(x []float32, alpha float32) {
 	for i := range x {
@@ -423,14 +440,25 @@ func Scale(x []float32, alpha float32) {
 	}
 }
 
-// Dot returns the inner product of a and b. Four independent accumulators
-// break the floating-point add latency chain that serializes the naive
-// loop, which is what lets the backward passes' a@bᵀ products run at
-// memory speed instead of FLOP-latency speed.
+// Dot returns the inner product of a and b in the canonical order every
+// a@bᵀ kernel in the package reproduces (see dotGo).
 func Dot(a, b []float32) float32 {
 	if len(a) != len(b) {
 		panic("tensor: Dot length mismatch")
 	}
+	var r [1]float32
+	dotRows1(r[:], a, b)
+	return r[0]
+}
+
+// dotGo is the portable Dot kernel and the canonical definition of the
+// accumulation order: four strided partials (partial j sums the products at
+// indices i ≡ j mod 4 — the four lanes of one 128-bit register), combined as
+// (s0+s1)+(s2+s3), then a sequential tail over the last len%4 products. The
+// four independent partials break the floating-point add latency chain that
+// serializes the naive loop.
+func dotGo(a, b []float32) float32 {
+	b = b[:len(a)]
 	var s0, s1, s2, s3 float32
 	n := len(a) &^ 3
 	for i := 0; i < n; i += 4 {

@@ -286,16 +286,6 @@ func TestMatMulABTStreamBitIdentical(t *testing.T) {
 	}
 }
 
-func BenchmarkMatMul64(b *testing.B) {
-	r := rng.New(1)
-	a, m := randMatrix(r, 64, 64), randMatrix(r, 64, 64)
-	dst := NewMatrix(64, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMul(dst, a, m)
-	}
-}
-
 func BenchmarkScatterAdd(b *testing.B) {
 	r := rng.New(2)
 	dst := NewMatrix(1000, 64)

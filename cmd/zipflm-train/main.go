@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"time"
@@ -83,6 +84,10 @@ func main() {
 		profEvery = flag.Duration("profile-interval", 30*time.Second, "continuous-profiling capture interval (with -profile-dir)")
 	)
 	flag.Parse()
+	if f := float32(*scale); *fp16 && !(f > 0 && f <= math.MaxFloat32) {
+		fmt.Fprintf(os.Stderr, "zipflm-train: -scale %v: the FP16 compression-scaling factor must be positive and finite as a float32\n", *scale)
+		os.Exit(2)
+	}
 
 	stream, vocab, vv, err := loadStream(*input, *synthetic, *level, *vocabSize, *seed)
 	if err != nil {

@@ -134,6 +134,18 @@
 // kernels change wall-clock only: axpy goes eight lanes wide, the Dot
 // family keeps its four-partial order and blocks over outputs instead.
 //
+// The dense-gradient path after backward follows the same rule. The FP16
+// wire (half.Scaler.RoundTrip) is defined by the portable FromFloat32 and
+// ToFloat32 and runs as an F16C kernel — scale, clamp to ±65504, convert
+// round-to-nearest-even, convert back, unscale, NaN canonicalised — that
+// TestRoundTripAsmMatchesGo holds to the definition on every half and
+// every rounding boundary. The ring's per-hop reduction and SGD are
+// tensor.AddInPlace and tensor.Axpy. Adam's inner loop is an AVX float64
+// kernel performing the Go loop's operations one for one
+// (TestAdamAsmMatchesGo), and the trainer applies each rank's optimizer on
+// that rank's goroutine, still only after every rank's exchange succeeded.
+// internal/cpu is the single CPUID probe behind all of these gates.
+//
 // # Gradient compression: top-k error feedback, 8-bit quantization
 //
 // internal/compress multiplies the wire savings of §III-A and §III-C on

@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"zipflm/internal/telemetry"
+	"zipflm/internal/tensor"
 )
 
 // Wire models a lossy wire precision for float payloads. Every synchronous
@@ -400,9 +401,7 @@ func (c *Comm) ringAllReduce(ring []chan []float32, rank int, parts [][]float32,
 			if len(in) != len(dst) {
 				panic(fmt.Sprintf("collective: ring chunk mismatch %d != %d", len(in), len(dst)))
 			}
-			for i, v := range in {
-				dst[i] += v
-			}
+			tensor.AddInPlace(dst, in)
 		}
 	}
 	// After scatter-reduce this rank owns the fully reduced chunk

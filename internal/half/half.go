@@ -1,12 +1,19 @@
-// Package half implements IEEE-754 binary16 ("FP16") conversion in software,
-// plus the compression-scaling scheme of §III-C of the paper: before
-// down-casting a gradient tensor for the wire, multiply by a scale factor F
-// so small magnitudes do not flush to zero in the narrower exponent range;
-// divide by F after up-casting on the receiving end.
+// Package half implements IEEE-754 binary16 ("FP16") conversion, plus the
+// compression-scaling scheme of §III-C of the paper: before down-casting a
+// gradient tensor for the wire, multiply by a scale factor F so small
+// magnitudes do not flush to zero in the narrower exponent range; divide by
+// F after up-casting on the receiving end.
 //
-// The bit-exact rounding here (round-to-nearest-even, gradual underflow to
-// subnormals, saturation handling for overflow) means accuracy-loss
-// experiments behave like real FP16 hardware.
+// FromFloat32 and ToFloat32 are the definition, in portable integer code:
+// round-to-nearest-even, gradual underflow to subnormals, overflow to ±Inf,
+// every NaN to the quiet NaN 0x7e00 carrying the input's sign (0x7fc00000
+// plus sign coming back). Scaler.RoundTrip, the one bulk path, is built on
+// them and has an F16C twin (VCVTPS2PH/VCVTPH2PS, eight elements at a time)
+// chosen from CPUID and bit-identical to the portable loop on every input
+// (TestRoundTripAsmMatchesGo). Both saturate: a scaled value past the FP16
+// range, ±Inf included, crosses the wire as ±65504, so the clamp comes
+// before the conversion; and both canonicalise NaN as above, which the
+// hardware conversion alone would not (it keeps the top payload bits).
 package half
 
 import "math"
@@ -117,31 +124,6 @@ func (h Float16) IsInf() bool {
 	return h&f16ExpMask == f16ExpMask && h&f16FracMask == 0
 }
 
-// Compress converts src to FP16, writing into dst (which must be the same
-// length). It returns dst for chaining. This is the down-cast half of the
-// paper's compression step; communication then moves 2 bytes per element
-// instead of 4.
-func Compress(dst []Float16, src []float32) []Float16 {
-	if len(dst) != len(src) {
-		panic("half: Compress length mismatch")
-	}
-	for i, f := range src {
-		dst[i] = FromFloat32(f)
-	}
-	return dst
-}
-
-// Decompress converts FP16 values back to float32 into dst (same length).
-func Decompress(dst []float32, src []Float16) []float32 {
-	if len(dst) != len(src) {
-		panic("half: Decompress length mismatch")
-	}
-	for i, h := range src {
-		dst[i] = h.ToFloat32()
-	}
-	return dst
-}
-
 // Scaler implements compression-scaling (§III-C): multiply by F before the
 // down-cast, divide by F after the up-cast. F is typically a power of two
 // (256, 512, 1024) so scaling is exact in binary floating point.
@@ -151,35 +133,13 @@ type Scaler struct {
 }
 
 // NewScaler returns a Scaler with the given factor. Factor 1 disables
-// scaling. Panics on non-positive factors.
+// scaling. Panics unless the factor is positive and finite (NaN fails every
+// comparison, so the test is written as the accepted range).
 func NewScaler(factor float32) *Scaler {
-	if factor <= 0 {
-		panic("half: non-positive scale factor")
+	if !(factor > 0 && factor <= math.MaxFloat32) {
+		panic("half: scale factor must be positive and finite")
 	}
 	return &Scaler{Factor: factor}
-}
-
-// CompressScaled writes FromFloat32(src[i]*Factor) into dst.
-func (s *Scaler) CompressScaled(dst []Float16, src []float32) []Float16 {
-	if len(dst) != len(src) {
-		panic("half: CompressScaled length mismatch")
-	}
-	for i, f := range src {
-		dst[i] = FromFloat32(f * s.Factor)
-	}
-	return dst
-}
-
-// DecompressScaled writes src[i].ToFloat32()/Factor into dst.
-func (s *Scaler) DecompressScaled(dst []float32, src []Float16) []float32 {
-	if len(dst) != len(src) {
-		panic("half: DecompressScaled length mismatch")
-	}
-	inv := 1 / s.Factor
-	for i, h := range src {
-		dst[i] = h.ToFloat32() * inv
-	}
-	return dst
 }
 
 // RoundTrip applies compress-then-decompress in place, simulating what a
@@ -188,8 +148,18 @@ func (s *Scaler) DecompressScaled(dst []float32, src []Float16) []float32 {
 // production loss-scaling stacks apply.
 func (s *Scaler) RoundTrip(x []float32) {
 	inv := 1 / s.Factor
+	if n := len(x) &^ 7; useF16C && n > 0 {
+		roundTripF16C(&x[0], n, s.Factor, inv)
+		x = x[n:]
+	}
+	roundTripGo(x, s.Factor, inv)
+}
+
+// roundTripGo is the portable RoundTrip kernel and the definition the F16C
+// kernel is held to; it also finishes the last len(x)%8 elements after it.
+func roundTripGo(x []float32, factor, inv float32) {
 	for i, f := range x {
-		h := FromFloat32(f * s.Factor)
+		h := FromFloat32(f * factor)
 		if h.IsInf() {
 			h = MaxFiniteWithSign(h)
 		}

@@ -123,34 +123,21 @@ func TestRoundToNearestEven(t *testing.T) {
 	}
 }
 
-func TestCompressDecompress(t *testing.T) {
-	src := []float32{0, 1, -2.5, 1000, 1e-4}
-	h := make([]Float16, len(src))
-	out := make([]float32, len(src))
-	Decompress(out, Compress(h, src))
-	for i := range src {
-		if math.Abs(float64(out[i]-src[i])) > math.Abs(float64(src[i]))/1024 {
-			t.Errorf("element %d: %v -> %v", i, src[i], out[i])
-		}
-	}
-}
-
-func TestCompressLengthMismatchPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { Compress(make([]Float16, 1), make([]float32, 2)) },
-		func() { Decompress(make([]float32, 2), make([]Float16, 1)) },
-		func() { NewScaler(1).CompressScaled(make([]Float16, 1), make([]float32, 2)) },
-		func() { NewScaler(1).DecompressScaled(make([]float32, 1), make([]Float16, 2)) },
-		func() { NewScaler(0) },
-	} {
+// TestNewScalerRejectsBadFactors: zero, negative and non-finite factors all
+// panic (NaN compares false with everything, so "factor <= 0" let it in).
+func TestNewScalerRejectsBadFactors(t *testing.T) {
+	for _, f := range []float32{0, -1, float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Error("expected panic")
+					t.Errorf("NewScaler(%v) did not panic", f)
 				}
 			}()
-			f()
+			NewScaler(f)
 		}()
+	}
+	if s := NewScaler(math.MaxFloat32); s.Factor != math.MaxFloat32 {
+		t.Errorf("NewScaler(MaxFloat32) = %v", s.Factor)
 	}
 }
 
@@ -226,15 +213,27 @@ func BenchmarkFromFloat32(b *testing.B) {
 	}
 }
 
-func BenchmarkCompress1K(b *testing.B) {
-	src := make([]float32, 1024)
-	for i := range src {
-		src[i] = float32(i) * 0.001
+// BenchmarkRoundTrip times the wire simulation on a 64 Ki-element tensor, on
+// the F16C kernel (where the host has it) and on the portable loop.
+func BenchmarkRoundTrip(b *testing.B) {
+	x := make([]float32, 1<<16)
+	r := rng.New(3)
+	for i := range x {
+		x[i] = float32(r.NormFloat64()) * 0.01
 	}
-	dst := make([]Float16, 1024)
-	b.SetBytes(4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Compress(dst, src)
+	s := NewScaler(256)
+	for _, asm := range []bool{true, false} {
+		name := "go"
+		if asm {
+			name = "asm"
+		}
+		b.Run(name, func(b *testing.B) {
+			withF16C(asm, func() {
+				b.SetBytes(int64(4 * len(x)))
+				for i := 0; i < b.N; i++ {
+					s.RoundTrip(x)
+				}
+			})
+		})
 	}
 }

@@ -1,0 +1,209 @@
+package optim
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"zipflm/internal/model"
+	"zipflm/internal/rng"
+)
+
+// withAdamAsm runs fn with the assembly gate forced off (on=false) or left as
+// CPUID set it (on=true; a host without AVX stays portable).
+func withAdamAsm(on bool, fn func()) {
+	old := useAdamAsm
+	useAdamAsm = on && old
+	defer func() { useAdamAsm = old }()
+	fn()
+}
+
+// Bit equality, except that any NaN equals any NaN: which operand's payload
+// survives an x86 operation on two NaNs depends on operand order, which is
+// the Go compiler's choice in the portable loops (as in TestFP32AsmMatchesGo).
+func same32(x, y float32) bool {
+	return math.Float32bits(x) == math.Float32bits(y) || (x != x && y != y)
+}
+
+func same64(x, y float64) bool {
+	return math.Float64bits(x) == math.Float64bits(y) || (x != x && y != y)
+}
+
+var (
+	negZero32 = float32(math.Copysign(0, -1))
+	specials  = []float32{
+		0, negZero32, 1e-40, -3e-42, math.SmallestNonzeroFloat32,
+		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), math.MaxFloat32, -math.MaxFloat32,
+	}
+)
+
+// optimVec returns n values; with special set about one in five is ±0, a
+// denormal, ±Inf, NaN or ±MaxFloat32.
+func optimVec(r *rng.RNG, n int, scale float64, special bool) []float32 {
+	x := make([]float32, n)
+	for i := range x {
+		x[i] = float32(r.NormFloat64() * scale)
+		if special && r.Intn(5) == 0 {
+			x[i] = specials[r.Intn(len(specials))]
+		}
+	}
+	return x
+}
+
+// TestAdamAsmMatchesGo holds the AVX Adam kernel to the portable loop bit for
+// bit: parameters and both moments, over several consecutive steps so the
+// moments the kernel wrote are the ones it reads next. Each case starts both
+// optimizers from the same snapshot at step t0 (t0 = 0 also covers v = 0 and
+// the lazily created moments; a large t0 the bias corrections near 1).
+// Skipped where the asm does not run.
+func TestAdamAsmMatchesGo(t *testing.T) {
+	if !useAdamAsm {
+		t.Skip("no AVX Adam kernel on this build or host")
+	}
+	r := rng.New(41)
+	lengths := []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 64, 67, 129, 1001}
+	for _, n := range lengths {
+		for _, wd := range []float64{0, 1e-5, 0.1} {
+			for _, t0 := range []int{0, 1, 2, 100000} {
+				for _, special := range []bool{false, true} {
+					ctx := fmt.Sprintf("n=%d wd=%v t0=%d special=%v", n, wd, t0, special)
+					value := optimVec(r, n, 1, special)
+					start := State{Kind: "adam", T: t0, Names: []string{"p"},
+						M: [][]float64{make([]float64, n)}, V: [][]float64{make([]float64, n)}}
+					if t0 > 0 {
+						for i := 0; i < n; i++ {
+							start.M[0][i] = r.NormFloat64() * 1e-3
+							if r.Intn(4) > 0 { // keep some v exactly 0 under a nonzero m
+								start.V[0][i] = r.Float64() * 1e-6
+							}
+						}
+					}
+					type side struct {
+						a     *Adam
+						value []float32
+					}
+					sides := [2]side{}
+					for i := range sides {
+						sides[i] = side{NewAdam(wd), append([]float32(nil), value...)}
+						if t0 > 0 {
+							if err := sides[i].a.Restore(start); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					for step := 0; step < 3; step++ {
+						grad := optimVec(r, n, 0.05, special)
+						lr := float32(1e-3 * (1 + r.Float64()))
+						for i, s := range sides {
+							p := []model.Param{{Name: "p", Value: s.value, Grad: append([]float32(nil), grad...)}}
+							withAdamAsm(i == 0, func() { s.a.Step(p, lr) })
+						}
+						asm, ref := sides[0], sides[1]
+						for i := 0; i < n; i++ {
+							if !same32(asm.value[i], ref.value[i]) {
+								t.Fatalf("%s step %d: value[%d] (g=%v): asm %v (%#08x) != go %v (%#08x)", ctx, step, i, grad[i],
+									asm.value[i], math.Float32bits(asm.value[i]), ref.value[i], math.Float32bits(ref.value[i]))
+							}
+							if !same64(asm.a.m["p"][i], ref.a.m["p"][i]) || !same64(asm.a.v["p"][i], ref.a.v["p"][i]) {
+								t.Fatalf("%s step %d: moments[%d] (g=%v): asm m=%v v=%v != go m=%v v=%v", ctx, step, i, grad[i],
+									asm.a.m["p"][i], asm.a.v["p"][i], ref.a.m["p"][i], ref.a.v["p"][i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAdamStepBounds: moments shorter than the gradient (a checkpoint from a
+// different shape) must panic in Go before the kernel gets raw pointers.
+func TestAdamStepBounds(t *testing.T) {
+	for _, asm := range []bool{true, false} {
+		withAdamAsm(asm, func() {
+			a := NewAdam(0)
+			if err := a.Restore(State{Kind: "adam", T: 1, Names: []string{"p"},
+				M: [][]float64{make([]float64, 6)}, V: [][]float64{make([]float64, 6)}}); err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Errorf("asm=%v: Step over short moments did not panic", asm)
+				}
+			}()
+			a.Step([]model.Param{{Name: "p", Value: make([]float32, 8), Grad: make([]float32, 8)}}, 0.1)
+		})
+	}
+}
+
+// TestAdamStepZeroAlloc: once the first call has created the moments, a step
+// allocates nothing on either path.
+func TestAdamStepZeroAlloc(t *testing.T) {
+	for _, asm := range []bool{true, false} {
+		withAdamAsm(asm, func() {
+			a := NewAdam(1e-5)
+			p := []model.Param{
+				{Name: "w", Value: make([]float32, 1003), Grad: make([]float32, 1003)},
+				{Name: "b", Value: make([]float32, 3), Grad: make([]float32, 3)},
+			}
+			a.Step(p, 0.01)
+			if n := testing.AllocsPerRun(20, func() { a.Step(p, 0.01) }); n != 0 {
+				t.Errorf("asm=%v: Adam.Step allocates %v times per call", asm, n)
+			}
+		})
+	}
+}
+
+// TestSGDMatchesSubtractLoop pins SGD.Step, now v += (−lr)·g on tensor.Axpy,
+// to the loop it replaced, v −= lr·g, bit for bit — signed zeros, denormals,
+// infinities and NaN included, at lengths that reach every block of the
+// vector kernel and its scalar tail.
+func TestSGDMatchesSubtractLoop(t *testing.T) {
+	r := rng.New(43)
+	lrs := []float32{0.2, 1e-3, 0, negZero32, 1e-40, float32(math.Inf(1))}
+	for _, n := range []int{0, 1, 3, 4, 7, 8, 9, 31, 32, 33, 70, 513} {
+		for _, lr := range lrs {
+			value, grad := optimVec(r, n, 1, true), optimVec(r, n, 0.05, true)
+			// Every special against every special, not only by chance.
+			for _, v := range specials {
+				for _, g := range specials {
+					value, grad = append(value, v), append(grad, g)
+				}
+			}
+			want := append([]float32(nil), value...)
+			for i, g := range grad {
+				want[i] -= lr * g
+			}
+			SGD{}.Step([]model.Param{{Name: "p", Value: value, Grad: grad}}, lr)
+			for i := range want {
+				if !same32(value[i], want[i]) {
+					t.Fatalf("n=%d lr=%v element %d (g=%v): axpy %v (%#08x) != loop %v (%#08x)", n, lr, i, grad[i],
+						value[i], math.Float32bits(value[i]), want[i], math.Float32bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkAdamStep times one step over a char-LM-sized dense parameter set
+// on the AVX kernel (where the host has it) and on the portable loop.
+func BenchmarkAdamStep(b *testing.B) {
+	r := rng.New(5)
+	p := []model.Param{{Name: "w", Value: optimVec(r, 1<<16, 1, false), Grad: optimVec(r, 1<<16, 0.05, false)}}
+	for _, asm := range []bool{true, false} {
+		name := "go"
+		if asm {
+			name = "asm"
+		}
+		b.Run(name, func(b *testing.B) {
+			withAdamAsm(asm, func() {
+				a := NewAdam(1e-5)
+				a.Step(p, 1e-3)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					a.Step(p, 1e-3)
+				}
+			})
+		})
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"sort"
 
 	"zipflm/internal/model"
+	"zipflm/internal/tensor"
 )
 
 // Optimizer updates dense parameters from their accumulated gradients.
@@ -103,9 +104,8 @@ type SGD struct{}
 // Step implements Optimizer.
 func (SGD) Step(params []model.Param, lr float32) {
 	for _, p := range params {
-		for i, g := range p.Grad {
-			p.Value[i] -= lr * g
-		}
+		// v − lr·g as v + (−lr)·g: the same IEEE result, on the AXPY kernel.
+		tensor.Axpy(-lr, p.Value, p.Grad)
 	}
 }
 
@@ -131,11 +131,21 @@ func NewAdam(weightDecay float64) *Adam {
 	}
 }
 
+// adamConsts are one step's loop invariants, in the order adamAVX loads them.
+type adamConsts struct {
+	beta1, omb1, beta2, omb2 float64 // omb = one minus beta
+	bc1, bc2                 float64 // bias corrections 1-beta^t
+	eps, wd                  float64
+}
+
 // Step implements Optimizer.
 func (a *Adam) Step(params []model.Param, lr float32) {
 	a.t++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	k := adamConsts{
+		a.Beta1, 1 - a.Beta1, a.Beta2, 1 - a.Beta2,
+		1 - math.Pow(a.Beta1, float64(a.t)), 1 - math.Pow(a.Beta2, float64(a.t)),
+		a.Eps, a.WeightDecay,
+	}
 	for _, p := range params {
 		m := a.m[p.Name]
 		if m == nil {
@@ -144,15 +154,27 @@ func (a *Adam) Step(params []model.Param, lr float32) {
 			a.v[p.Name] = make([]float64, len(p.Value))
 		}
 		v := a.v[p.Name]
-		for i, g64 := range p.Grad {
-			g := float64(g64)
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
-			mHat := m[i] / bc1
-			vHat := v[i] / bc2
-			upd := mHat/(math.Sqrt(vHat)+a.Eps) + a.WeightDecay*float64(p.Value[i])
-			p.Value[i] -= lr * float32(upd)
+		n := 0
+		if useAdamAsm && len(p.Grad) >= 4 {
+			n = len(p.Grad) &^ 3
+			_, _, _ = p.Value[n-1], m[n-1], v[n-1]
+			adamAVX(&p.Value[0], &p.Grad[0], &m[0], &v[0], n, &k, lr)
 		}
+		adamGo(p.Value[n:], p.Grad[n:], m[n:], v[n:], &k, lr)
+	}
+}
+
+// adamGo is the portable Adam kernel and the definition the AVX kernel is
+// held to; it also finishes the last len(grad)%4 elements after it.
+func adamGo(value, grad []float32, m, v []float64, k *adamConsts, lr float32) {
+	for i, g32 := range grad {
+		g := float64(g32)
+		m[i] = k.beta1*m[i] + k.omb1*g
+		v[i] = k.beta2*v[i] + k.omb2*g*g
+		mHat := m[i] / k.bc1
+		vHat := v[i] / k.bc2
+		upd := mHat/(math.Sqrt(vHat)+k.eps) + k.wd*float64(value[i])
+		value[i] -= lr * float32(upd)
 	}
 }
 

@@ -2,14 +2,12 @@
 
 package tensor
 
+import "zipflm/internal/cpu"
+
 // useFP32Asm gates the AVX kernels behind axpy, axpyRun, AddInPlace and the
 // Dot family. It is set once from CPUID; tests clear it to run the portable
 // kernels on the same host.
-var useFP32Asm = cpuHasAVX()
-
-// cpuHasAVX reports AVX with OS-enabled YMM state (CPUID.1:ECX bits 27 and
-// 28, XCR0 bits 1 and 2).
-func cpuHasAVX() bool
+var useFP32Asm = cpu.AVX
 
 // The kernels below are the portable *Go functions of tensor.go in AVX
 // assembly, bit-identical by construction (TestFP32AsmMatchesGo). They take

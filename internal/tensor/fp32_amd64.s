@@ -9,28 +9,6 @@
 // multiply — so the routines agree with one another on NaN payloads. Every
 // routine ends with VZEROUPPER: qdotSSE41 is legacy-encoded SSE.
 
-// func cpuHasAVX() bool
-//
-// CPUID.1:ECX bit 28 (AVX) and bit 27 (OSXSAVE), then XCR0 bits 1 and 2: the
-// OS saves XMM and YMM state across context switches.
-TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
-	MOVL	$1, AX
-	XORL	CX, CX
-	CPUID
-	ANDL	$0x18000000, CX
-	CMPL	CX, $0x18000000
-	JNE	noAVX
-	XORL	CX, CX
-	XGETBV
-	ANDL	$6, AX
-	CMPL	AX, $6
-	JNE	noAVX
-	MOVB	$1, ret+0(FP)
-	RET
-noAVX:
-	MOVB	$0, ret+0(FP)
-	RET
-
 // func addAVX(dst, src *float32, n int)
 //
 // dst[i] += src[i].

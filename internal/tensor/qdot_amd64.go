@@ -2,13 +2,12 @@
 
 package tensor
 
+import "zipflm/internal/cpu"
+
 // useQdotAsm gates the SSE4.1 qdot kernel. PMOVSXBD (int8→int32 in
 // registers) is the one instruction past the amd64 baseline, so the gate is
 // a CPUID check; everything else in the kernel is SSE2.
-var useQdotAsm = cpuHasSSE41()
-
-// cpuHasSSE41 reports SSE4.1 support (CPUID.1:ECX bit 19).
-func cpuHasSSE41() bool
+var useQdotAsm = cpu.SSE41
 
 // qdotSSE41 is qdotGo in SSE4.1 assembly: the same sixteen partials (four
 // vector accumulators), the same combine tree, the same sequential tail and

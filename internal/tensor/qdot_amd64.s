@@ -2,16 +2,6 @@
 
 #include "textflag.h"
 
-// func cpuHasSSE41() bool
-TEXT ·cpuHasSSE41(SB), NOSPLIT, $0-1
-	MOVL	$1, AX
-	XORL	CX, CX
-	CPUID
-	SHRL	$19, CX
-	ANDL	$1, CX
-	MOVB	CX, ret+0(FP)
-	RET
-
 // func qdotSSE41(a *float32, codes *int8, scales *float32, n, chunk int) float32
 //
 // qdotGo's arithmetic, vectorized without reordering it: the sixteen strided

@@ -1079,10 +1079,12 @@ func (t *Trainer) trainStep(step int, lrNow float64, seeds []uint64) (stepStats,
 
 	// Dense optimizer step: every rank applies the identical averaged
 	// gradient through its own optimizer instance, keeping replicas (and
-	// any Adam state) bit-identical.
-	for rank := 0; rank < g; rank++ {
+	// any Adam state) bit-identical. Its own fan-out, after the errs check,
+	// so no rank's optimizer moves unless every rank's exchange succeeded.
+	_ = t.clu.Run(func(rank int, _ *cluster.Device) error {
 		t.opts[rank].Step(t.models[rank].DenseParams(), lr)
-	}
+		return nil
+	})
 
 	agg.inUnique = inStats[0].UniqueGlobal
 	agg.outUnique = outStats[0].UniqueGlobal

@@ -1,7 +1,10 @@
 package trainer
 
 import (
+	"errors"
 	"math"
+	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"zipflm/internal/collective"
@@ -263,5 +266,72 @@ func TestWireBytesTracked(t *testing.T) {
 	}
 	if res.Stats.AvgInputUnique() <= 0 {
 		t.Error("input unique counts not tracked")
+	}
+}
+
+// failOnRank completes the wrapped exchange on every rank — so no peer is
+// left waiting in a collective — and then, once armed, reports an error on
+// one rank only: the other ranks of that step have nothing wrong with them.
+type failOnRank struct {
+	core.Exchanger
+	rank  int
+	armed *atomic.Bool
+}
+
+func (f failOnRank) Exchange(ctx *core.Ctx, grad core.SparseGrad) (core.Update, core.Stats, error) {
+	upd, st, err := f.Exchanger.Exchange(ctx, grad)
+	if err == nil && f.armed.Load() && ctx.Rank == f.rank {
+		err = errors.New("injected exchange failure")
+	}
+	return upd, st, err
+}
+
+// TestAbortedStepLeavesOptimizersUntouched: the optimizer step is its own
+// per-rank fan-out, and it must stay behind the check that every rank's
+// exchange succeeded. When one rank's exchange fails, no rank — not the
+// failing one, not its healthy peers — may advance its Adam step count or
+// moments, or move a dense parameter.
+func TestAbortedStepLeavesOptimizersUntouched(t *testing.T) {
+	for _, overlap := range []bool{false, true} {
+		train, valid := smallData(60, 8000, 9)
+		armed := new(atomic.Bool)
+		cfg := smallConfig(3, failOnRank{core.UniqueExchange{}, 1, armed})
+		cfg.Overlap = overlap
+		cfg.NewOptimizer = func() optim.Optimizer { return optim.NewAdam(1e-5) }
+		tr, err := New(cfg, train, valid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Steps(2); err != nil {
+			t.Fatal(err)
+		}
+		type rankState struct {
+			opt   optim.State
+			dense [][]float32
+		}
+		capture := func() []rankState {
+			out := make([]rankState, cfg.Ranks)
+			for r := range out {
+				out[r].opt = tr.opts[r].(optim.Snapshotter).Snapshot()
+				for _, p := range tr.models[r].DenseParams() {
+					out[r].dense = append(out[r].dense, append([]float32(nil), p.Value...))
+				}
+			}
+			return out
+		}
+		before := capture()
+		if before[0].opt.T != 2 || len(before[0].opt.M) == 0 {
+			t.Fatalf("overlap=%v: expected Adam state after 2 steps, got T=%d with %d moments", overlap, before[0].opt.T, len(before[0].opt.M))
+		}
+		armed.Store(true)
+		if err := tr.Steps(1); err == nil {
+			t.Fatalf("overlap=%v: expected the injected exchange failure to abort the step", overlap)
+		}
+		for r, after := range capture() {
+			if !reflect.DeepEqual(before[r], after) {
+				t.Errorf("overlap=%v: rank %d optimizer state or dense parameters moved in an aborted step (T %d -> %d)",
+					overlap, r, before[r].opt.T, after.opt.T)
+			}
+		}
 	}
 }

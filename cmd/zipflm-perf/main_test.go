@@ -163,7 +163,7 @@ func TestParseTest2JSONAndReport(t *testing.T) {
 	if code := run([]string{filepath.Join("..", "..", "BENCH_serving.json")}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
-	if !strings.Contains(out.String(), "serving/sequential/tok/s") {
+	if !strings.Contains(out.String(), "serving/sequential/throughput tok/s") {
 		t.Errorf("zipflm-bench report not parsed:\n%s", out.String())
 	}
 }

@@ -65,11 +65,15 @@
 // loosening any determinism contract. LM.Quantize builds a serving replica
 // whose output embedding and recurrent weights are stored as per-chunk
 // scaled int8 (tensor.QMatrix, the same round-to-nearest grid as
-// compress.Quant8); the MatMulABTStreamQ8/MatVecQ8 kernels dequantize
-// in-register, on amd64 through an SSE4.1 assembly inner loop whose
-// accumulation order is exactly the portable definition's, so quantized
-// results are bit-identical across Serial, Parallel, worker counts, and
-// the asm/Go boundary. Speculative decoding (model.SpecDecoder,
+// compress.Quant8); one kernel, MatMulABTStreamQ8, takes every batch size
+// and dequantizes in-register, on amd64 with AVX2 through assembly that
+// converts each code once for four activation rows and whose accumulation
+// order is exactly the portable definition's (which older amd64 and other
+// architectures run), so quantized results are bit-identical across
+// Serial, Parallel, worker counts, and the asm/Go boundary. After each
+// batched step the serving batcher samples the sequences side by side on
+// the same worker pool (tensor.Backend.For); every sequence owns its RNG,
+// so that changes no token either. Speculative decoding (model.SpecDecoder,
 // serve.Config.Draft) has a small same-vocabulary draft propose k greedy
 // lookahead tokens which the target verifies in one batched Stepper step,
 // rolling back at the first mismatch; every emitted token is sampled from

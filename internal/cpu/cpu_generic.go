@@ -4,7 +4,7 @@ package cpu
 
 // No assembly kernels exist for this architecture, so no feature is reported.
 const (
-	SSE41 = false
-	AVX   = false
-	F16C  = false
+	AVX  = false
+	F16C = false
+	AVX2 = false
 )

@@ -2,14 +2,14 @@ package cpu
 
 import "testing"
 
-// TestFeatureImplications: F16C is only reported with AVX, and every amd64
-// CPU the OS lets reach AVX has SSE4.1.
+// TestFeatureImplications: F16C and AVX2 are only reported with AVX (both are
+// VEX-encoded and need the OS to save YMM state).
 func TestFeatureImplications(t *testing.T) {
 	if F16C && !AVX {
 		t.Error("F16C reported without AVX")
 	}
-	if AVX && !SSE41 {
-		t.Error("AVX reported without SSE4.1")
+	if AVX2 && !AVX {
+		t.Error("AVX2 reported without AVX")
 	}
-	t.Logf("SSE41=%v AVX=%v F16C=%v", SSE41, AVX, F16C)
+	t.Logf("AVX=%v F16C=%v AVX2=%v", AVX, F16C, AVX2)
 }

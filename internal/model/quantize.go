@@ -16,19 +16,15 @@ import "zipflm/internal/tensor"
 // FP32 — it is gathered, never multiplied, so quantizing it would cost
 // accuracy and buy no bandwidth on the matmul path.
 
-// qmul computes dst = x·Wᵀ on the quantized kernels when qw is non-nil and
-// the FP32 stream kernel otherwise. Batch-1 inputs route through MatVecQ8;
-// the two q8 kernels are bit-identical per row (the tensor package's
-// TestQ8KernelBitIdentity contract), so the routing never changes results.
+// qmul computes dst = x·Wᵀ on the quantized kernel when qw is non-nil and
+// the FP32 stream kernel otherwise. Either kernel computes a row of x to the
+// same bits whatever the batch around it, a batch of one included.
 func qmul(be tensor.Backend, dst, x *tensor.Matrix, w *tensor.Matrix, qw *tensor.QMatrix) {
-	switch {
-	case qw == nil:
+	if qw == nil {
 		be.MatMulABTStream(dst, x, w)
-	case x.Rows == 1:
-		be.MatVecQ8(dst.Row(0), qw, x.Row(0))
-	default:
-		be.MatMulABTStreamQ8(dst, x, qw)
+		return
 	}
+	be.MatMulABTStreamQ8(dst, x, qw)
 }
 
 // quantizeWeights builds the Linear layer's int8 shadow.

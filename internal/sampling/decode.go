@@ -78,13 +78,15 @@ func (d *Decoder) Sample(logits []float32, opts DecodeOpts, r *rng.RNG) int {
 		opts.TopK = 0 // a cut wider than the vocabulary restricts nothing
 	}
 	if opts.Temperature == 0 {
-		bi, bv := 0, logits[0]
-		for i, v := range logits {
-			if v > bv {
-				bi, bv = i, v
-			}
-		}
-		return bi
+		return argmax(logits)
+	}
+	if math.IsInf(float64(float32(1/opts.Temperature)), 1) {
+		// A temperature so small (below ≈2.9e-39) that 1/T overflows float32
+		// would scale the logits to ±Inf and NaN and the softmax to NaN;
+		// its limit is the greedy choice. The variate is drawn all the same:
+		// a positive temperature always costs the caller's RNG exactly one.
+		r.Float64()
+		return argmax(logits)
 	}
 
 	// Pure top-k never needs the full softmax or a full sort: selection on
@@ -153,6 +155,17 @@ func (d *Decoder) Sample(logits []float32, opts DecodeOpts, r *rng.RNG) int {
 		}
 	}
 	return d.idx[m-1] // numerical tail
+}
+
+// argmax returns the index of the largest logit, the first one on ties.
+func argmax(logits []float32) int {
+	bi, bv := 0, logits[0]
+	for i, v := range logits {
+		if v > bv {
+			bi, bv = i, v
+		}
+	}
+	return bi
 }
 
 // sampleTopK draws from the k most probable tokens: a k-bounded min-heap

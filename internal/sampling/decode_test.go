@@ -126,16 +126,6 @@ func TestTopKWiderThanVocab(t *testing.T) {
 	}
 }
 
-func argmax(x []float32) int {
-	bi := 0
-	for i, v := range x {
-		if v > x[bi] {
-			bi = i
-		}
-	}
-	return bi
-}
-
 // TestTopPRestrictsSupport: a tiny nucleus over a peaked distribution keeps
 // draws at the head.
 func TestTopPRestrictsSupport(t *testing.T) {
@@ -148,5 +138,37 @@ func TestTopPRestrictsSupport(t *testing.T) {
 		if got := d.Sample(logits, DecodeOpts{Temperature: 1, TopP: 0.5}, r); got != 7 {
 			t.Fatalf("nucleus draw escaped the head: %d", got)
 		}
+	}
+}
+
+// TestSampleTinyTemperature is the regression test for temperatures whose
+// reciprocal overflows float32: the scaled logits used to become ±Inf and
+// NaN, the softmax NaN, and the CDF walk fell through to the last candidate
+// (the last vocabulary id on the plain and top-p paths). Such a temperature
+// is greedy in the limit, on every path, and still draws its one variate;
+// 1e-38, whose reciprocal is representable, takes the ordinary path to the
+// same token.
+func TestSampleTinyTemperature(t *testing.T) {
+	logits := []float32{0.1, 2.5, -1, 0, 0.7}
+	d := NewDecoder(len(logits))
+	for _, temp := range []float64{1e-38, 1e-40, 1e-300} {
+		for name, opts := range map[string]DecodeOpts{
+			"plain": {Temperature: temp},
+			"top-k": {Temperature: temp, TopK: 3},
+			"top-p": {Temperature: temp, TopP: 0.9},
+		} {
+			r, ref := rng.New(5), rng.New(5)
+			if got := d.Sample(logits, opts, r); got != 1 {
+				t.Errorf("T=%g %s: sampled id %d, want the argmax 1", temp, name, got)
+			}
+			ref.Float64()
+			if r.Uint64() != ref.Uint64() {
+				t.Errorf("T=%g %s: Sample did not draw exactly one variate", temp, name)
+			}
+		}
+	}
+	// Ties go to the first index, as at temperature 0.
+	if got := d.Sample([]float32{1, 3, 3, 0, 3}, DecodeOpts{Temperature: 1e-40}, rng.New(1)); got != 1 {
+		t.Errorf("tied logits at T=1e-40: sampled id %d, want 1", got)
 	}
 }

@@ -69,10 +69,20 @@ type worker struct {
 	version uint64       // weights generation of w.m (worker-goroutine owned)
 	pending atomic.Pointer[pendingModel]
 	stepper *model.Stepper
-	dec     *sampling.Decoder
 	active  []*seq
 	ids     []int
 	states  []*model.GenState
+
+	// Sampling fan-out of step: the sequences emitting this step draw their
+	// tokens side by side on the backend's workers, sequence emit[j] from row
+	// emit[j] of lg with decoder decs[j] into drawn[j]. Each sequence owns
+	// its RNG and each slot its decoder scratch, so what is drawn does not
+	// depend on who draws it. The serial paths (admit, stepSpec) use decs[0].
+	decs       []*sampling.Decoder
+	lg         *tensor.Matrix
+	emit       []int
+	drawn      []int
+	sampleSlot func(j int) // w.sample, bound once so step allocates nothing
 
 	// Speculative decoding machinery (nil/empty without Config.Draft).
 	// Layout per verify round: sequence i claims rows bases[i] ..
@@ -109,10 +119,16 @@ func newWorker(s *Server, m, draft *model.LM) *worker {
 		arch:    m.Cfg,
 		version: 1,
 		stepper: m.NewStepper(stMax),
-		dec:     sampling.NewDecoder(m.Cfg.Vocab),
 		ids:     make([]int, s.cfg.MaxBatch),
 		states:  make([]*model.GenState, s.cfg.MaxBatch),
+		decs:    make([]*sampling.Decoder, s.cfg.MaxBatch),
+		emit:    make([]int, s.cfg.MaxBatch),
+		drawn:   make([]int, s.cfg.MaxBatch),
 	}
+	for i := range w.decs {
+		w.decs[i] = sampling.NewDecoder(m.Cfg.Vocab)
+	}
+	w.sampleSlot = w.sample
 	if draft != nil {
 		k := s.cfg.DraftK
 		w.draft = draft
@@ -324,7 +340,7 @@ func (w *worker) admit(t *task) {
 		q.fed = len(req.Prompt)
 		t.prefix = true
 		q.prefillEnd = q.admitted // prefill skipped via the prefix cache
-		q.out = append(q.out, w.dec.Sample(pe.logits, req.Opts, q.r))
+		q.out = append(q.out, w.decs[0].Sample(pe.logits, req.Opts, q.r))
 		if len(q.out) == req.N {
 			w.traceRetire(q)
 			t.done <- taskDone{tokens: q.out, version: w.version}
@@ -385,8 +401,8 @@ func (w *worker) prefixLookup(prompt []int) (any, bool) {
 }
 
 // step advances every active sequence one token: one batched forward, then
-// per-sequence sampling and retirement. Sequences whose deadline passed are
-// abandoned first — a dead caller must not keep occupying a batch slot.
+// sampling and retirement. Sequences whose deadline passed are abandoned
+// first — a dead caller must not keep occupying a batch slot.
 func (w *worker) step() {
 	w.expire(time.Now())
 	if len(w.active) == 0 {
@@ -397,7 +413,7 @@ func (w *worker) step() {
 		w.ids[i] = q.nextInput()
 		w.states[i] = q.state
 	}
-	lg := w.stepper.Step(w.ids[:b], w.states[:b])
+	w.lg = w.stepper.Step(w.ids[:b], w.states[:b])
 	w.s.stats.onBatchStep(b)
 	if w.draft != nil {
 		// Advance the draft on the same tokens so both models have always
@@ -409,29 +425,45 @@ func (w *worker) step() {
 		w.s.stats.onDraftSteps(b)
 	}
 
-	n := 0
-	for i := 0; i < b; i++ {
-		q := w.active[i]
+	// Bookkeeping, in slot order: who emits this step, and the prefix
+	// snapshot of a prompt that just finished.
+	ne := 0
+	for i, q := range w.active {
 		q.fed++
 		p := len(q.t.req.Prompt)
-		if q.fed >= p {
-			row := lg.Row(i)
-			if q.fed == p {
-				if w.s.tracer != nil {
-					q.prefillEnd = time.Now()
-				}
-				// Prompt just finished: snapshot for future requests
-				// sharing it (state and logits are copied, so later
-				// mutation of the live sequence cannot corrupt it).
-				if w.s.prefix != nil {
-					w.s.prefix.put(prefixKey(q.t.req.Prompt), &prefixEntry{
-						state:   q.state.Clone(),
-						logits:  append([]float32(nil), row...),
-						version: w.version,
-					})
-				}
+		if q.fed < p {
+			continue
+		}
+		w.emit[ne] = i
+		ne++
+		if q.fed == p {
+			if w.s.tracer != nil {
+				q.prefillEnd = time.Now()
 			}
-			q.out = append(q.out, w.dec.Sample(row, q.t.req.Opts, q.r))
+			// Snapshot for future requests sharing the prompt (state and
+			// logits are copied, so later mutation of the live sequence
+			// cannot corrupt it).
+			if w.s.prefix != nil {
+				w.s.prefix.put(prefixKey(q.t.req.Prompt), &prefixEntry{
+					state:   q.state.Clone(),
+					logits:  append([]float32(nil), w.lg.Row(i)...),
+					version: w.version,
+				})
+			}
+		}
+	}
+
+	// Sampling is per-sequence work batching cannot amortize — a softmax
+	// over the vocabulary each — so the emitters draw on every worker of the
+	// backend at once.
+	w.m.Backend().For(ne, w.sampleSlot)
+
+	// Append and retire, in slot order again.
+	n, j := 0, 0
+	for _, q := range w.active {
+		if q.fed >= len(q.t.req.Prompt) {
+			q.out = append(q.out, w.drawn[j])
+			j++
 			if len(q.out) == q.t.req.N {
 				w.traceRetire(q)
 				q.t.done <- taskDone{tokens: q.out, version: w.version}
@@ -445,6 +477,13 @@ func (w *worker) step() {
 		w.active[i] = nil
 	}
 	w.active = w.active[:n]
+}
+
+// sample draws emitter j's token for this step (see the worker fields).
+func (w *worker) sample(j int) {
+	i := w.emit[j]
+	q := w.active[i]
+	w.drawn[j] = w.decs[j].Sample(w.lg.Row(i), q.t.req.Opts, q.r)
 }
 
 // argmaxSpec returns the index of the largest logit, first index winning
@@ -544,7 +583,7 @@ func (w *worker) stepSpec() {
 		j := w.jBuf[i]
 		mismatch, emitted := -1, 0
 		for t := 0; t < j; t++ {
-			next := w.dec.Sample(lg.Row(w.bases[i]+t), q.t.req.Opts, q.r)
+			next := w.decs[0].Sample(lg.Row(w.bases[i]+t), q.t.req.Opts, q.r)
 			q.out = append(q.out, next)
 			emitted++
 			if t+1 < j && next != w.feeds[i][t+1] {

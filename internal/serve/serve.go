@@ -93,7 +93,8 @@ type Config struct {
 	Workers int
 	// ComputeWorkers selects the tensor backend each replica computes with:
 	// > 1 tiles every forward-step matmul across that many goroutines (one
-	// shared tensor.Parallel for the whole server). 0 keeps the process
+	// shared tensor.Parallel for the whole server) and has them sample the
+	// batch's sequences side by side after each step. 0 keeps the process
 	// default (tensor.Default, which honors ZIPFLM_WORKERS); 1 forces the
 	// serial reference. Responses are bit-identical at every setting — the
 	// backend contract — so this is purely a latency/throughput knob.

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -84,6 +86,77 @@ func TestComputeWorkersBitIdentical(t *testing.T) {
 			}
 			check("post-reload")
 			s.Close()
+		}
+	}
+}
+
+// TestServeParallelSamplingBitIdentical is the contract of the sampling
+// fan-out: with the batch's sequences drawing their tokens side by side on
+// the backend's workers — greedy, temperature, top-k and top-p requests of
+// different lengths sharing one batch — every response is still what
+// sequential generation gives, on FP32 and on int8 weights, at every worker
+// count; and both caches end up holding exactly what the serial batcher would
+// have put there (one entry per request, each answering correctly).
+func TestServeParallelSamplingBitIdentical(t *testing.T) {
+	m := lstmModel()
+	for _, quantized := range []bool{false, true} {
+		ref := m
+		if quantized {
+			ref = m.Quantize()
+		}
+		reqs := raggedRequests(m.Cfg.Vocab, 32, 500)
+		for i := range reqs {
+			reqs[i].Prompt[0] = i // unique prompts: cache traffic cannot depend on timing
+		}
+		for _, computeWorkers := range []int{1, 2, 4} {
+			tag := fmt.Sprintf("quantized=%v compute=%d", quantized, computeWorkers)
+			s := New(m, Config{MaxBatch: 8, ComputeWorkers: computeWorkers, Quantized: quantized,
+				QueueDepth: 64, CacheEntries: 64, PrefixEntries: 64})
+			submitAll(t, s, ref, reqs, tag)
+			snap := s.Stats()
+			if snap.ResultEntries != len(reqs) || snap.PrefixEntries != len(reqs) || snap.PrefixHits != 0 || snap.ResultHits != 0 {
+				t.Fatalf("%s: caches hold %d results and %d prefixes after %d hits and %d hits, want %d, %d, 0, 0",
+					tag, snap.ResultEntries, snap.PrefixEntries, snap.ResultHits, snap.PrefixHits, len(reqs), len(reqs))
+			}
+			for i, req := range reqs {
+				// The same request again is a result hit; under another seed
+				// it restarts from the prefix snapshot the batch left.
+				again, err := s.Submit(req)
+				if err != nil || !again.CacheHit || !slices.Equal(again.Tokens, reference(ref, req)) {
+					t.Fatalf("%s req %d: resubmission %+v (%v), want a result-cache hit with the sequential tokens", tag, i, again, err)
+				}
+				req.Seed += 1000
+				fresh, err := s.Submit(req)
+				if err != nil || !fresh.PrefixHit || !slices.Equal(fresh.Tokens, reference(ref, req)) {
+					t.Fatalf("%s req %d: reseeded %+v (%v), want a prefix-cache hit with the sequential tokens", tag, i, fresh, err)
+				}
+			}
+			s.Close()
+		}
+	}
+}
+
+// TestStepZeroAlloc: a steady-state decode step — forward, sampling fan-out,
+// append — allocates nothing, on the serial and on the tiled backend.
+func TestStepZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted under the race detector")
+	}
+	for _, computeWorkers := range []int{1, 4} {
+		s := New(lstmModel(), Config{MaxBatch: 8, ComputeWorkers: computeWorkers, Quantized: true})
+		s.Close() // the batcher goroutine is gone; drive its worker by hand
+		w := s.workers[0]
+		for i := 0; i < 8; i++ {
+			opts := sampling.DecodeOpts{Temperature: 0.8, TopK: 5 * (i % 2)}
+			w.admit(&task{req: Request{Prompt: []int{i, i + 1}, N: 1 << 12, Opts: opts, Seed: uint64(i)}, done: make(chan taskDone, 1)})
+		}
+		w.step()
+		w.step() // every sequence is past its prompt
+		if allocs := testing.AllocsPerRun(100, w.step); allocs != 0 {
+			t.Errorf("compute=%d: %v allocations per decode step, want 0", computeWorkers, allocs)
+		}
+		if got := len(w.active[0].out); got < 100 {
+			t.Fatalf("compute=%d: measured steps emitted only %d tokens", computeWorkers, got)
 		}
 	}
 }

@@ -30,8 +30,12 @@ type Backend interface {
 	// MatMulABTStreamQ8 computes dst = a @ dequant(b)ᵀ against int8 weights
 	// (the quantized serving hot path; see the package function).
 	MatMulABTStreamQ8(dst, a *Matrix, b *QMatrix)
-	// MatVecQ8 computes dst = dequant(q) @ x (single-sequence decode).
-	MatVecQ8(dst []float32, q *QMatrix, x []float32)
+	// For calls fn(i) once for every i in [0, n), on the backend's workers
+	// when it has several, and returns when all calls have. The calls must
+	// be independent of one another and must not use the backend; a panic
+	// in one is raised again on the caller. The serving batcher samples its
+	// sequences through this.
+	For(n int, fn func(i int))
 	// Workers reports the tiling width (1 for the serial reference).
 	Workers() int
 }
@@ -58,8 +62,12 @@ func (Serial) MatMulABTStream(dst, a, b *Matrix) { MatMulABTStream(dst, a, b) }
 // MatMulABTStreamQ8 implements Backend.
 func (Serial) MatMulABTStreamQ8(dst, a *Matrix, b *QMatrix) { MatMulABTStreamQ8(dst, a, b) }
 
-// MatVecQ8 implements Backend.
-func (Serial) MatVecQ8(dst []float32, q *QMatrix, x []float32) { MatVecQ8(dst, q, x) }
+// For implements Backend.
+func (Serial) For(n int, fn func(i int)) {
+	for i := 0; i < n; i++ {
+		fn(i)
+	}
+}
 
 // Workers implements Backend.
 func (Serial) Workers() int { return 1 }
@@ -138,7 +146,7 @@ const (
 	kkATBAcc
 	kkABT
 	kkABTStreamQ8
-	kkMatVecQ8
+	kkFor
 )
 
 // parallelJob is the state shared with the helper goroutines. The helpers
@@ -156,14 +164,20 @@ type parallelJob struct {
 	quit chan struct{}
 	once sync.Once // guards close(quit): Close and the GC cleanup may both run
 
+	tileWork
+	byCols bool
+	units  int // rows, columns or For indices being tiled
+	tiles  int
+	next   atomic.Int64        // tile claim counter
+	failed atomic.Pointer[any] // first panic out of a tile, re-raised by dispatch
+}
+
+// tileWork is what one dispatch computes: a kernel and its operands.
+type tileWork struct {
 	kind      kernelKind
 	dst, a, b *Matrix
-	qb        *QMatrix  // quantized operand (kkABTStreamQ8, kkMatVecQ8)
-	yv, xv    []float32 // vector operands (kkMatVecQ8)
-	byCols    bool
-	units     int // rows or columns being tiled
-	tiles     int
-	next      atomic.Int64 // tile claim counter
+	qb        *QMatrix    // b for kkABTStreamQ8
+	fn        func(i int) // kkFor
 }
 
 // NewParallel returns a backend tiling across n workers (helper goroutines
@@ -218,8 +232,17 @@ func (j *parallelJob) run() {
 }
 
 // claim executes tiles until the counter exhausts. The caller participates
-// too, so a late-scheduled helper costs nothing but its own idle time.
+// too, so a late-scheduled helper costs nothing but its own idle time. A
+// panic in a tile ends the call's remaining tiles and is kept for dispatch,
+// so a helper is never lost to one and the caller sees it.
 func (j *parallelJob) claim() {
+	defer func() {
+		if r := recover(); r != nil {
+			j.next.Store(int64(j.tiles))
+			first := r // declared here so only a panic allocates
+			j.failed.CompareAndSwap(nil, &first)
+		}
+	}()
 	for {
 		t := int(j.next.Add(1)) - 1
 		if t >= j.tiles {
@@ -231,17 +254,17 @@ func (j *parallelJob) claim() {
 
 // bound returns tile boundary t. Boundaries depend only on (units, tiles),
 // never on scheduling — the determinism the bit-identity contract needs.
-// a@bᵀ row tiles align to even starts so the two-row blocking keeps its
+// FP32 a@bᵀ row tiles align to even starts so the two-row blocking keeps its
 // pairing (values would be identical anyway; see matMulABTRange).
 func (j *parallelJob) bound(t int) int {
 	v := t * j.units / j.tiles
-	if (j.kind == kkABT || j.kind == kkABTStreamQ8) && !j.byCols && t > 0 && t < j.tiles {
+	if j.kind == kkABT && !j.byCols && t > 0 && t < j.tiles {
 		v &^= 1
 	}
 	return v
 }
 
-// span is the FP32 kernels' tile: [lo, hi) of the tiled axis of dst and all
+// span is the matmul kernels' tile: [lo, hi) of the tiled axis of dst and all
 // of the other axis.
 func (j *parallelJob) span(lo, hi int) span {
 	if j.byCols {
@@ -263,72 +286,45 @@ func (j *parallelJob) runTile(t int) {
 	case kkABT:
 		matMulABTRange(j.dst, j.a, j.b, j.span(lo, hi))
 	case kkABTStreamQ8:
-		if j.byCols {
-			matMulABTStreamQ8Cols(j.dst, j.a, j.qb, lo, hi)
-		} else {
-			matMulABTStreamQ8Rows(j.dst, j.a, j.qb, lo, hi)
-		}
-	case kkMatVecQ8:
-		matVecQ8Range(j.yv, j.qb, j.xv, lo, hi)
+		matMulABTQ8Range(j.dst, j.a, j.qb, j.span(lo, hi))
+	case kkFor:
+		j.fn(lo)
 	}
 }
 
-// dispatch fans one kernel call across the workers and returns when every
-// tile has finished. Zero allocations: the job struct is reused, tokens ride
+// dispatch fans one call across the workers and returns when every tile has
+// finished: one contiguous tile per worker of the larger output axis (so
+// batch-1 shapes still spread), or one tile per index for kkFor, whose calls
+// cost unevenly. Zero allocations: the job struct is reused, tokens ride
 // preallocated buffered channels.
-func (p *Parallel) dispatch(kind kernelKind, dst, a, b *Matrix, rows, cols int) {
+func (p *Parallel) dispatch(w tileWork, rows, cols int) {
 	j := p.job
 	p.mu.Lock()
-	j.kind, j.dst, j.a, j.b = kind, dst, a, b
-	// Tile the larger output axis, so batch-1 shapes still spread.
+	defer p.mu.Unlock()
+	j.tileWork = w
 	j.byCols, j.units = false, rows
 	if cols > rows {
 		j.byCols, j.units = true, cols
 	}
-	j.tiles = p.workers
-	if j.tiles > j.units {
-		j.tiles = j.units
+	j.tiles = j.units
+	if w.kind != kkFor {
+		j.tiles = min(p.workers, j.units)
 	}
+	helpers := min(p.workers, j.tiles) - 1
 	j.next.Store(0)
-	for i := 0; i < p.workers-1; i++ {
+	for i := 0; i < helpers; i++ {
 		j.wake <- struct{}{}
 	}
 	j.claim()
-	for i := 0; i < p.workers-1; i++ {
+	for i := 0; i < helpers; i++ {
 		<-j.ack
 	}
-	// Helpers are parked again; drop matrix references so a long-lived
-	// backend does not pin its last operands.
-	j.dst, j.a, j.b = nil, nil, nil
-	p.mu.Unlock()
-}
-
-// dispatchQ8 mirrors dispatch for the quantized kernels, carrying the
-// QMatrix operand (and, for MatVecQ8, the vector operands) in dedicated job
-// fields. Same lifecycle discipline, same zero-allocation guarantee.
-func (p *Parallel) dispatchQ8(kind kernelKind, dst, a *Matrix, qb *QMatrix, yv, xv []float32, rows, cols int) {
-	j := p.job
-	p.mu.Lock()
-	j.kind, j.dst, j.a, j.b = kind, dst, a, nil
-	j.qb, j.yv, j.xv = qb, yv, xv
-	j.byCols, j.units = false, rows
-	if cols > rows {
-		j.byCols, j.units = true, cols
+	// Helpers are parked again; drop the operands so a long-lived backend
+	// does not pin the last call's.
+	j.tileWork = tileWork{}
+	if r := j.failed.Swap(nil); r != nil {
+		panic(*r)
 	}
-	j.tiles = p.workers
-	if j.tiles > j.units {
-		j.tiles = j.units
-	}
-	j.next.Store(0)
-	for i := 0; i < p.workers-1; i++ {
-		j.wake <- struct{}{}
-	}
-	j.claim()
-	for i := 0; i < p.workers-1; i++ {
-		<-j.ack
-	}
-	j.dst, j.a, j.qb, j.yv, j.xv = nil, nil, nil, nil, nil
-	p.mu.Unlock()
 }
 
 // serialCutoff reports whether the call is too small to tile: below the
@@ -346,7 +342,7 @@ func (p *Parallel) MatMul(dst, a, b *Matrix) {
 		matMulRange(dst, a, b, whole(dst))
 		return
 	}
-	p.dispatch(kkMatMul, dst, a, b, a.Rows, b.Cols)
+	p.dispatch(tileWork{kind: kkMatMul, dst: dst, a: a, b: b}, a.Rows, b.Cols)
 }
 
 // MatMulATB implements Backend.
@@ -363,7 +359,7 @@ func (p *Parallel) MatMulATBAcc(dst, a, b *Matrix) {
 		matMulATBAccRange(dst, a, b, whole(dst))
 		return
 	}
-	p.dispatch(kkATBAcc, dst, a, b, a.Cols, b.Cols)
+	p.dispatch(tileWork{kind: kkATBAcc, dst: dst, a: a, b: b}, a.Cols, b.Cols)
 }
 
 // MatMulABT implements Backend.
@@ -373,7 +369,7 @@ func (p *Parallel) MatMulABT(dst, a, b *Matrix) {
 		matMulABTRange(dst, a, b, whole(dst))
 		return
 	}
-	p.dispatch(kkABT, dst, a, b, a.Rows, b.Rows)
+	p.dispatch(tileWork{kind: kkABT, dst: dst, a: a, b: b}, a.Rows, b.Rows)
 }
 
 // MatMulABTStream implements Backend.
@@ -385,23 +381,18 @@ func (p *Parallel) MatMulABTStream(dst, a, b *Matrix) { p.MatMulABT(dst, a, b) }
 func (p *Parallel) MatMulABTStreamQ8(dst, a *Matrix, b *QMatrix) {
 	checkMatMulABTQ8(dst, a, b)
 	if p.serialCutoff(a.Rows, a.Cols, b.Rows) {
-		matMulABTStreamQ8Rows(dst, a, b, 0, a.Rows)
+		matMulABTQ8Range(dst, a, b, whole(dst))
 		return
 	}
-	p.dispatchQ8(kkABTStreamQ8, dst, a, b, nil, nil, a.Rows, b.Rows)
+	p.dispatch(tileWork{kind: kkABTStreamQ8, dst: dst, a: a, qb: b}, a.Rows, b.Rows)
 }
 
-// MatVecQ8 implements Backend, tiling the output elements (q's rows). Each
-// element is an independent qdot, so the partition is trivially bit-identical
-// to the serial pass.
-func (p *Parallel) MatVecQ8(dst []float32, q *QMatrix, x []float32) {
-	if len(x) != q.Cols || len(dst) != q.Rows {
-		MatVecQ8(dst, q, x) // delegate the panic message
+// For implements Backend: the calls are claimed one index at a time by as
+// many workers as there are indices to share.
+func (p *Parallel) For(n int, fn func(i int)) {
+	if p.workers == 1 || n <= 1 {
+		Serial{}.For(n, fn)
 		return
 	}
-	if p.serialCutoff(1, q.Cols, q.Rows) {
-		matVecQ8Range(dst, q, x, 0, q.Rows)
-		return
-	}
-	p.dispatchQ8(kkMatVecQ8, nil, nil, q, dst, x, q.Rows, 0)
+	p.dispatch(tileWork{kind: kkFor, fn: fn}, n, 0)
 }

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"zipflm/internal/rng"
@@ -236,6 +237,53 @@ func TestParallelDispatchZeroAlloc(t *testing.T) {
 	for name, fn := range kernels {
 		if allocs := testing.AllocsPerRun(50, fn); allocs != 0 {
 			t.Errorf("%s: %v allocations per call through the parallel backend, want 0", name, allocs)
+		}
+	}
+}
+
+// TestBackendFor is For's contract at every worker count: each index gets
+// exactly one call, all of them before For returns; a panic in a call comes
+// back to the caller (from whichever goroutine ran it) and leaves the backend
+// usable; and once the helpers exist a For allocates nothing.
+func TestBackendFor(t *testing.T) {
+	for _, workers := range []int{1, 2, 4, 9} {
+		be := New(workers)
+		for _, n := range []int{0, 1, 2, 7, 8, 33} {
+			calls := make([]int, n) // index i is written only by the call for i
+			be.For(n, func(i int) { calls[i]++ })
+			for i, c := range calls {
+				if c != 1 {
+					t.Fatalf("workers=%d n=%d: index %d called %d times", workers, n, i, c)
+				}
+			}
+			for bad := 0; bad < n; bad += 3 {
+				func() {
+					defer func() {
+						if v := recover(); v != fmt.Sprint("boom ", bad) {
+							t.Fatalf("workers=%d n=%d: For recovered %v, want the panic of index %d", workers, n, v, bad)
+						}
+					}()
+					be.For(n, func(i int) {
+						if i == bad {
+							panic(fmt.Sprint("boom ", i))
+						}
+					})
+				}()
+			}
+			var sum atomic.Int64
+			be.For(n, func(i int) { sum.Add(int64(i)) })
+			if want := int64(n * (n - 1) / 2); sum.Load() != want {
+				t.Fatalf("workers=%d n=%d: after a panic, For summed %d, want %d", workers, n, sum.Load(), want)
+			}
+		}
+		if p, ok := be.(*Parallel); ok {
+			if !raceEnabled {
+				fn := func(i int) {}
+				if allocs := testing.AllocsPerRun(50, func() { p.For(8, fn) }); allocs != 0 {
+					t.Errorf("workers=%d: %v allocations per For, want 0", workers, allocs)
+				}
+			}
+			p.Close()
 		}
 	}
 }

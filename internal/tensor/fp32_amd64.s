@@ -7,7 +7,7 @@
 // rounded separately (VMULPS then VADDPS, never FMA). Operand order is fixed
 // too — running value first in every add, multiplier (a) first in every
 // multiply — so the routines agree with one another on NaN payloads. Every
-// routine ends with VZEROUPPER: qdotSSE41 is legacy-encoded SSE.
+// routine ends with VZEROUPPER: the Go code around them is legacy-encoded SSE.
 
 // func addAVX(dst, src *float32, n int)
 //

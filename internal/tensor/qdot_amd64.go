@@ -4,14 +4,18 @@ package tensor
 
 import "zipflm/internal/cpu"
 
-// useQdotAsm gates the SSE4.1 qdot kernel. PMOVSXBD (int8→int32 in
-// registers) is the one instruction past the amd64 baseline, so the gate is
-// a CPUID check; everything else in the kernel is SSE2.
-var useQdotAsm = cpu.SSE41
+// useQdotAsm gates the AVX2 int8 kernels behind qdotRows (VPMOVSXBD on a YMM
+// register is the AVX2 instruction; the rest is AVX). It is set once from
+// CPUID; tests clear it to run the portable qdotGo on the same host, which is
+// also what amd64 without AVX2 runs.
+var useQdotAsm = cpu.AVX2
 
-// qdotSSE41 is qdotGo in SSE4.1 assembly: the same sixteen partials (four
-// vector accumulators), the same combine tree, the same sequential tail and
-// per-chunk scaling — bit-identical by construction, four lanes per cycle in
-// practice. n is len(codes); a must hold at least n elements and scales one
-// per chunk.
-func qdotSSE41(a *float32, codes *int8, scales *float32, n, chunk int) float32
+// The kernels are qdotGo in assembly, one call per block of outputs,
+// bit-identical by construction (TestQ8AsmMatchesGo). They take raw pointers:
+// qdotRows bounds every operand first.
+
+//go:noescape
+func q8Rows4AVX2(dst *float32, dstStride int, a *float32, codes *int8, scales *float32, n, k, chunk int)
+
+//go:noescape
+func q8Rows1AVX2(dst, a *float32, codes *int8, scales *float32, n, k, chunk int)

@@ -2,10 +2,14 @@
 
 package tensor
 
-// useQdotAsm: no assembly kernel on this architecture; qdot always runs the
-// portable qdotGo, which defines the canonical accumulation order.
-const useQdotAsm = false
+// useQdotAsm: no assembly kernels on this architecture; the portable qdotGo,
+// which defines the canonical accumulation order, always runs.
+var useQdotAsm = false
 
-func qdotSSE41(a *float32, codes *int8, scales *float32, n, chunk int) float32 {
-	panic("tensor: qdotSSE41 unavailable on this architecture")
+func q8Rows4AVX2(dst *float32, dstStride int, a *float32, codes *int8, scales *float32, n, k, chunk int) {
+	panic("tensor: q8Rows4AVX2 unavailable on this architecture")
+}
+
+func q8Rows1AVX2(dst, a *float32, codes *int8, scales *float32, n, k, chunk int) {
+	panic("tensor: q8Rows1AVX2 unavailable on this architecture")
 }

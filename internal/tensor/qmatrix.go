@@ -144,82 +144,80 @@ func checkMatMulABTQ8(dst, a *Matrix, b *QMatrix) {
 		panic(fmt.Sprintf("tensor: MatMulABTStreamQ8 shape mismatch (%dx%d)@(%dx%d)T->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
+	if b.Chunk <= 0 {
+		panic(fmt.Sprintf("tensor: MatMulABTStreamQ8 needs a positive chunk, got %d", b.Chunk))
+	}
 }
 
 // MatMulABTStreamQ8 computes dst = a @ dequant(b)ᵀ without materializing the
-// dequantized matrix: the quantized serving analogue of MatMulABTStream. Each
-// output element is one qdot — per chunk, sixteen strided int8→float32
-// partials, the fixed combine tree, sequential tail, then one multiply by
-// the chunk scale into a running total in ascending chunk order. That order
-// is a pure function of the shapes, independent of tiling, so every backend
-// and worker count computes identical bits (the same disjoint-output
-// argument as the FP32 stream kernel).
+// dequantized matrix: the quantized serving analogue of MatMulABTStream, for
+// any number of a rows (a single-sequence decode step is the one-row case).
+// Each output element is one qdot (see qdotGo), whose order is a pure function
+// of the shapes, independent of tiling, so every backend and worker count
+// computes identical bits (the same disjoint-output argument as the FP32
+// stream kernel).
 func MatMulABTStreamQ8(dst, a *Matrix, b *QMatrix) {
 	checkMatMulABTQ8(dst, a, b)
-	matMulABTStreamQ8Rows(dst, a, b, 0, a.Rows)
+	matMulABTQ8Range(dst, a, b, whole(dst))
 }
 
-// matMulABTStreamQ8Rows is the kernel over dst rows [lo, hi). Every element
-// is an independent qdot, so any row range matches the serial pass.
-func matMulABTStreamQ8Rows(dst, a *Matrix, b *QMatrix, lo, hi int) {
-	n := dst.Cols
-	for i := lo; i < hi; i++ {
-		ar := a.Row(i)
-		dr := dst.Row(i)
-		for j := 0; j < n; j++ {
-			dr[j] = qdot(ar, b.Row(j), b.RowScales(j), b.Chunk)
+// matMulABTQ8Range is the q8 kernel over one span of dst (dst columns are b's
+// rows). Every element is an independent qdot, so any partition of rows or
+// columns matches the serial pass.
+func matMulABTQ8Range(dst, a *Matrix, b *QMatrix, s span) {
+	k, n, cpr, rows := a.Cols, dst.Cols, b.ChunksPerRow(), s.rhi-s.rlo
+	if rows == 0 {
+		return
+	}
+	// As in matMulABTRange, all of a's rows visit one L1-sized block of b
+	// rows (codes and scales) before the next block is touched, so b streams
+	// from memory once per call however many passes a's rows make.
+	block := s.chi - s.clo
+	if rows > 1 {
+		block = max(1, q8BlockBytes/(k+4*cpr+1))
+	}
+	for c := s.clo; c < s.chi; c += block {
+		ce := min(c+block, s.chi)
+		qdotRows(dst.Data[s.rlo*n+c:(s.rhi-1)*n+ce], n, a.Data[s.rlo*k:s.rhi*k], rows,
+			b.Data[c*k:ce*k], b.Scales[c*cpr:ce*cpr], b.Chunk)
+	}
+}
+
+// q8BlockBytes sizes matMulABTQ8Range's block of b rows: 16 KiB of codes and
+// scales, the same third of L1 as abtBlockFloats.
+const q8BlockBytes = 16 << 10
+
+// qdotRows computes d[r*ds+j] = qdot(row r of a, row j of codes) for a's rows
+// (≥ 1) rows and the rows of codes that fit d's last row — len(a)/rows
+// elements each, their chunk scales back to back in scales. qdot is
+// dot(a, dequant(codes)) chunk by chunk: one byte loaded per weight instead of
+// four, one scale multiply per chunk instead of one per element. qdotGo
+// defines it and is what hosts without the assembly run. On amd64 with AVX2
+// the kernels of qdot_amd64.s do the same arithmetic in the same order eight
+// lanes at a time, bit-identical by construction (TestQ8AsmMatchesGo holds
+// them to that), and take a's rows four at a time so each code is converted
+// once for four outputs; the 1-row routine serves batch-1 decode and the rows
+// left over. The grouping never changes a value, only how fast it arrives.
+func qdotRows(d []float32, ds int, a []float32, rows int, codes []int8, scales []float32, chunk int) {
+	k, n := len(a)/rows, len(d)-(rows-1)*ds
+	cpr := (k + chunk - 1) / chunk
+	a, codes, scales = a[:rows*k], codes[:n*k], scales[:n*cpr]
+	asm, r := useQdotAsm && len(codes) > 0, 0
+	if asm {
+		for ; r+4 <= rows; r += 4 {
+			q8Rows4AVX2(&d[r*ds], ds, &a[r*k], &codes[0], &scales[0], n, k, chunk)
 		}
 	}
-}
-
-// matMulABTStreamQ8Cols is the kernel over dst columns [lo, hi) — b rows
-// lo..hi — the tiling used when a has too few rows to split (the batch-1
-// decode against a V×D embedding).
-func matMulABTStreamQ8Cols(dst, a *Matrix, b *QMatrix, lo, hi int) {
-	for i := 0; i < a.Rows; i++ {
-		ar := a.Row(i)
-		dr := dst.Row(i)
-		for j := lo; j < hi; j++ {
-			dr[j] = qdot(ar, b.Row(j), b.RowScales(j), b.Chunk)
+	for ; r < rows; r++ {
+		dr, ar := d[r*ds:r*ds+n], a[r*k:(r+1)*k]
+		if asm {
+			q8Rows1AVX2(&dr[0], &ar[0], &codes[0], &scales[0], n, k, chunk)
+			continue
+		}
+		for j := range dr {
+			dr[j] = qdotGo(ar, codes[j*k:(j+1)*k], scales[j*cpr:(j+1)*cpr], chunk)
 		}
 	}
-}
-
-// MatVecQ8 computes dst = dequant(q) @ x — the single-sequence decode fast
-// path (one activation row against a quantized weight or embedding matrix).
-// dst[j] is qdot(x, q.Row(j)), exactly the value MatMulABTStreamQ8 computes
-// for a one-row a, so switching between the two never changes bits.
-func MatVecQ8(dst []float32, q *QMatrix, x []float32) {
-	if len(x) != q.Cols || len(dst) != q.Rows {
-		panic(fmt.Sprintf("tensor: MatVecQ8 shape mismatch (%dx%d)@%d->%d",
-			q.Rows, q.Cols, len(x), len(dst)))
-	}
-	matVecQ8Range(dst, q, x, 0, q.Rows)
-}
-
-// matVecQ8Range is the MatVecQ8 kernel over output elements [lo, hi). Each
-// element is an independent qdot, so any partition is trivially bit-identical
-// to the serial pass.
-func matVecQ8Range(dst []float32, q *QMatrix, x []float32, lo, hi int) {
-	for j := lo; j < hi; j++ {
-		dst[j] = qdot(x, q.Row(j), q.RowScales(j), q.Chunk)
-	}
-}
-
-// qdot computes dot(a, dequant(codes)) chunk by chunk: each chunk sum is
-// accumulated in the canonical sixteen-partial order (see qdotGo), scaled
-// once, and added to the running total in ascending chunk order. One byte
-// loaded per weight instead of four, one scale multiply per chunk instead of
-// one per element. On amd64 with SSE4.1 an assembly kernel runs the same
-// arithmetic four lanes at a time — the sixteen partials are exactly four
-// vector accumulators — converting int8→float32 in registers; qdotGo is the
-// portable reference, and the two are bit-identical by construction
-// (TestQdotAsmMatchesGo holds the asm to that).
-func qdot(a []float32, codes []int8, scales []float32, chunk int) float32 {
-	if useQdotAsm && len(codes) > 0 {
-		return qdotSSE41(&a[0], &codes[0], &scales[0], len(codes), chunk)
-	}
-	return qdotGo(a, codes, scales, chunk)
 }
 
 // qdotGo is the portable qdot kernel and the canonical definition of the
@@ -242,7 +240,8 @@ func qdotGo(a []float32, codes []int8, scales []float32, chunk int) float32 {
 
 // qdotChunkGo computes one chunk's unscaled sum in the canonical order. The
 // group structure (four partials per group, four groups per 16-wide block)
-// mirrors the four SSE accumulators lane for lane.
+// mirrors the two YMM accumulators of the assembly kernels: p[0..7] are the
+// lanes of one, p[8..15] of the other, and c[j] adds the four 128-bit halves.
 func qdotChunkGo(ac []float32, qc []int8) float32 {
 	var p [16]float32
 	n := len(qc) &^ 15

@@ -20,17 +20,19 @@
 //   - Dot family (dotGo, dot2Go; behind Dot, MatMulABT, MatMulABTStream):
 //     four strided partials (partial j sums the products at indices i ≡ j
 //     mod 4), combined as (s0+s1)+(s2+s3), then a sequential tail.
-//   - qdot (qdotGo; behind the int8 kernels of qmatrix.go): sixteen strided
+//   - qdot (qdotGo; behind the int8 kernel of qmatrix.go): sixteen strided
 //     partials per chunk, a fixed combine tree, one scale per chunk.
 //
 // On amd64 each of these has an assembly twin, chosen once at start-up from
 // CPUID (AVX with OS-enabled YMM state for the FP32 kernels of
-// fp32_amd64.s, SSE4.1 for qdot_amd64.s), that performs the same operations
-// in the same order: axpy goes eight lanes wide because it is elementwise;
-// the Dot family keeps its four partials as the four lanes of one 128-bit
-// accumulator and gets its speed from computing several outputs per pass
-// instead. TestFP32AsmMatchesGo and TestQdotAsmMatchesGo hold the twins to
-// the Go definitions bit for bit; other architectures run the Go loops.
+// fp32_amd64.s, AVX2 for the int8 kernels of qdot_amd64.s; an older amd64
+// runs the Go loops), that performs the same operations in the same order:
+// axpy goes eight lanes wide because it is elementwise; the Dot family keeps
+// its four partials as the four lanes of one 128-bit accumulator, qdot its
+// sixteen as two YMM accumulators (p[0..7] and p[8..15]), and both get their
+// speed from computing several outputs per pass instead. TestFP32AsmMatchesGo
+// and TestQ8AsmMatchesGo hold the twins to the Go definitions bit for bit;
+// other architectures run the Go loops.
 package tensor
 
 import (

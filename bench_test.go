@@ -199,8 +199,8 @@ func benchStep(b *testing.B, ranks int, overlap bool) {
 // then per-tensor dense ring all-reduce, then the sparse exchange.
 func BenchmarkStepSync8(b *testing.B) { benchStep(b, 8, false) }
 
-// BenchmarkStepOverlap8 is the same step with the bucketed asynchronous
-// dense reduction overlapping backprop and the sparse exchange.
+// BenchmarkStepOverlap8 is the same step with the dense reduction issued
+// per layer on the side lane, overlapping backprop and the sparse exchange.
 func BenchmarkStepOverlap8(b *testing.B) { benchStep(b, 8, true) }
 
 // BenchmarkStepSync2 / BenchmarkStepOverlap2 pin the small-cluster end.

@@ -21,20 +21,25 @@
 //     and are recycled across steps. testing.AllocsPerRun guards both
 //     paths against regression.
 //
-//   - Comm.AllReduceAsync adds a Horovod/DDP-style bucket queue: tensors
-//     submitted as backpropagation produces them coalesce into
-//     deterministic buckets (closed by cumulative size, a wire-precision
-//     change, or FlushAsync) and reduce on a dedicated channel set while
-//     the submitting rank keeps computing. Because buckets chunk each
-//     member tensor with exactly the synchronous bounds, reduced values
-//     and Stats byte accounting are bit-identical to per-tensor AllReduce
-//     calls — asserted by the tests.
+//   - A communicator has two lanes — two complete sets of ring channels,
+//     barrier, blackboards, counters and optional cost model. Comm.Side
+//     is the same communicator on its second lane, so every collective
+//     (fused ring all-reduce, compressed all-reduce, gathers) can run
+//     there concurrently with the primary lane, already priced, traced and
+//     counted. Comm.AllReduceParts reduces a list of tensors in one ring
+//     pass, chunking each member with exactly the single-tensor bounds, so
+//     reduced values and Stats byte accounting are bit-identical to
+//     per-tensor AllReduce calls — asserted by the tests.
 //
-//   - trainer.Config.Overlap threads the async path through the training
-//     step: a backward hook starts reducing a dense layer the moment that
-//     layer finishes backpropagating, and the sparse §III-A exchange then
-//     runs with the dense rings still in flight. Replicas stay
-//     bit-identical to the synchronous mode; only wall-clock changes.
+//   - trainer.Config.Overlap is those two put together: the trainer has
+//     one dense-gradient function, and in overlap mode a per-rank worker
+//     calls it on the side lane — a backward hook hands over a dense layer
+//     the moment it finishes backpropagating, and the sparse §III-A
+//     exchange then runs on the primary lane with the dense rings still in
+//     flight. Replicas stay bit-identical to the synchronous mode, and
+//     because it is the same function, overlap composes with gradient
+//     compression and with the virtual clock (which prices the side lane
+//     as its own timeline: critical path, not sum).
 //     The exchange engines themselves reuse per-rank core.Workspace
 //     scratch (dedup maps, locally-reduced rows) across steps.
 //

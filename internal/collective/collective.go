@@ -15,12 +15,19 @@
 // the sender never rewrites a chunk before its receiver has consumed it),
 // so there is no payload staging at all, guarded by testing.AllocsPerRun
 // in the tests. Blackboard stash buffers for the gather/broadcast paths
-// come from a communicator-wide sync.Pool arena and are recycled across
-// operations. See also AllReduceAsync (async.go) for the bucketed,
-// overlap-capable variant of the same ring.
+// come from a sync.Pool arena and are recycled across operations.
 //
 // Gathers use a shared blackboard with two barriers; their per-rank traffic
 // is accounted with the standard ring-allgather volume (G−1)/G·G·bytes.
+//
+// A communicator has two lanes — two complete sets of ring channels,
+// barrier, blackboards, counters and optional cost model. Comm.Side returns
+// the same communicator on its second lane: every collective runs there
+// unchanged and concurrently with whatever the primary lane is doing, which
+// is all that overlapping communication with compute needs (the trainer
+// issues the dense reductions from a per-rank worker on the side lane while
+// the rank goroutines keep backpropagating and run the sparse exchange on
+// the primary).
 //
 // Every operation optionally runs with FP16 wire compression (§III-C): the
 // payload is down-cast before each hop and up-cast after, halving measured
@@ -30,19 +37,18 @@ package collective
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"zipflm/internal/telemetry"
 	"zipflm/internal/tensor"
 )
 
-// Wire models a lossy wire precision for float payloads. Every synchronous
-// collective (and every async bucket) optionally round-trips its payload
-// through a Wire at the points the data crosses the simulated interconnect,
-// and accounts wire bytes through WireBytes instead of assuming 4 bytes per
-// element. half.Scaler (FP16 compression-scaling, §III-C) and
-// compress.Quant8 (8-bit per-chunk stochastic quantization) both implement
-// it; a nil Wire keeps FP32 on the wire.
+// Wire models a lossy wire precision for float payloads. Every float
+// collective optionally round-trips its payload through a Wire at the points
+// the data crosses the simulated interconnect, and accounts wire bytes
+// through WireBytes instead of assuming 4 bytes per element. half.Scaler
+// (FP16 compression-scaling, §III-C) and compress.Quant8 (8-bit per-chunk
+// stochastic quantization) both implement it; a nil Wire keeps FP32 on the
+// wire.
 //
 // Callers must pass a nil interface — not a typed nil pointer wrapped in the
 // interface — to mean "no compression".
@@ -64,74 +70,152 @@ func wireSize(wire Wire, n int) int64 {
 	return int64(wire.WireBytes(n))
 }
 
-// Comm coordinates collectives across g ranks. One Comm is shared by all
-// rank goroutines; each method is called by every rank with its own rank id
-// and returns only when the collective completes on that rank.
+// Comm coordinates collectives across g ranks on one lane. One Comm is
+// shared by all rank goroutines; each method is called by every rank with
+// its own rank id and returns only when the collective completes on that
+// rank. On one lane a rank's calls must be serialized and matched by every
+// other rank in the same order; the two lanes of a communicator (see Side)
+// are independent of each other.
 type Comm struct {
+	*shared
+	*lane
+	// side is this communicator on its second lane; nil on that sibling
+	// itself.
+	side *Comm
+}
+
+// shared is what both lanes of a communicator have in common.
+type shared struct {
 	g int
 
-	// ring[r] is the channel rank (r-1+g)%g uses to send to rank r for
-	// synchronous collectives. asyncRing is the same topology reserved for
-	// the bucketed AllReduceAsync path, so an in-flight async bucket can
-	// never interleave its hops with a synchronous ring operation. Hops
-	// carry chunk subslices directly (zero-copy; see ringAllReduce).
-	ring      []chan []float32
-	asyncRing []chan []float32
-
-	// buf / intBuf / byteBuf pool float32, int and byte blackboard stash
-	// buffers, recycled once their collective completes, which keeps the
-	// gather/broadcast paths allocation-free apart from the caller-owned
-	// result copies.
-	buf     sync.Pool
-	intBuf  sync.Pool
-	byteBuf sync.Pool
-
-	// blackboard for gather/broadcast style ops. Entries are pooled
-	// buffers owned by the writing rank; a rank recycles its previous
-	// entry the next time it stashes (by then the prior collective's
-	// closing barrier guarantees no reader still holds it).
-	mu     sync.Mutex
-	intsBB []*[]int
-	f32BB  []*[]float32
-	byteBB []*[]byte
-
-	// barrier closes every synchronous collective; asyncBarrier closes
-	// every async bucket (bucket k on one rank pairs with bucket k on
-	// every other, since bucketing is deterministic). The closing barrier
-	// is what makes the zero-copy ring sound: a rank's chunks are aliased
-	// by in-flight messages until every rank's pass completes, so no
-	// operation returns — and no caller may rewrite its buffer — before
-	// then.
-	barrier      *Barrier
-	asyncBarrier *Barrier
-
-	// stats counts synchronous collectives; asyncStats counts
-	// AllReduceAsync buckets. They are kept apart so a phase can
-	// snapshot-difference its own synchronous traffic (the §III-A
-	// exchange cost) without racing against bucket runners that post at
-	// arbitrary times; RankStats/MaxStats report the merged totals.
-	stats      []Stats // per-rank
-	asyncStats []Stats // per-rank
-
-	// async bucket queues, one per rank (async.go).
-	async       []asyncQueue
-	bucketElems int
-
-	// cost, when non-nil, prices every synchronous collective onto the
-	// participating ranks' virtual clocks (cost.go). nil keeps the hot
-	// paths on the exact pre-simulation code path.
-	cost *CostModel
+	// mu guards the blackboard slots and the Stats counters of both lanes.
+	mu sync.Mutex
 
 	// tel, when non-nil, posts per-operation calls/bytes/durations to a
 	// telemetry registry (telemetry.go). Purely observational: nil keeps
 	// every operation on the exact uninstrumented code path.
 	tel *commTelemetry
 
-	// trace, when non-nil, records one span per synchronous collective per
-	// rank (cat "collective", tid = rank), stamped with wall time and the
-	// rank's virtual clock — the per-op detail the critical-path analyzer
-	// attributes wire time from. Purely observational, like tel.
+	// trace, when non-nil, records one span per collective per rank (cat
+	// "collective"), stamped with wall time and the rank's virtual clock on
+	// the lane the operation ran on — the per-op detail the critical-path
+	// analyzer attributes wire time from. Purely observational, like tel.
 	trace *telemetry.Tracer
+}
+
+// lane is one independent set of everything a collective touches, so
+// operations on different lanes can never interleave their hops, share a
+// barrier generation or race on a counter.
+type lane struct {
+	// ring[r] is the channel rank (r-1+g)%g uses to send to rank r. Hops
+	// carry chunk subslices directly (zero-copy; see ringAllReduce).
+	ring []chan []float32
+
+	// barrier closes every collective. The closing barrier is what makes
+	// the zero-copy ring sound: a rank's chunks are aliased by in-flight
+	// messages until every rank's pass completes, so no operation returns —
+	// and no caller may rewrite its buffer — before then.
+	barrier *Barrier
+
+	// Blackboards for the gather/broadcast style operations, one per
+	// payload type.
+	ints   blackboard[int]
+	floats blackboard[float32]
+	bytes  blackboard[byte]
+
+	// stats counts this lane's traffic, per rank.
+	stats []Stats
+
+	// cost, when non-nil, prices every collective on this lane onto the
+	// participating ranks' virtual clocks (cost.go). nil keeps the hot
+	// paths on the exact pre-simulation code path.
+	cost *CostModel
+
+	// track is the trace tid of rank 0 on this lane: 0 on the primary, g on
+	// the side lane, so a rank's concurrent lanes never share a track.
+	track int
+}
+
+func newLane(g, track int) *lane {
+	l := &lane{
+		ring:    make([]chan []float32, g),
+		barrier: NewBarrier(g),
+		ints:    blackboard[int]{slots: make([]*[]int, g)},
+		floats:  blackboard[float32]{slots: make([]*[]float32, g)},
+		bytes:   blackboard[byte]{slots: make([]*[]byte, g)},
+		stats:   make([]Stats, g),
+		track:   track,
+	}
+	for i := range l.ring {
+		l.ring[i] = make(chan []float32, 1)
+	}
+	return l
+}
+
+// blackboard is one lane's publish-and-read board for one payload type:
+// each rank stashes a pooled copy of its payload in its own slot, a barrier
+// later every rank reads all slots, and a closing barrier keeps a rank from
+// stashing again while a peer still reads. Stash buffers come from the
+// board's arena and go back to it when their owner stashes next, which keeps
+// the gather/broadcast paths allocation-free apart from the caller-owned
+// result copies.
+type blackboard[T any] struct {
+	pool  sync.Pool
+	slots []*[]T
+}
+
+// stash publishes a copy of local as rank's entry and returns the copy (so
+// a lossy wire can be applied to it before the opening barrier). The rank's
+// previous entry is recycled: the previous collective's closing barrier
+// means no reader still holds it. The copy allocates only when the arena
+// has nothing large enough (start-up, or a new high-water payload size).
+func (b *blackboard[T]) stash(mu *sync.Mutex, rank int, local []T) []T {
+	p, ok := b.pool.Get().(*[]T)
+	if ok && p != nil && cap(*p) >= len(local) {
+		*p = (*p)[:len(local)]
+	} else {
+		s := make([]T, len(local))
+		p = &s
+	}
+	copy(*p, local)
+	mu.Lock()
+	if old := b.slots[rank]; old != nil {
+		b.pool.Put(old)
+	}
+	b.slots[rank] = p
+	mu.Unlock()
+	return *p
+}
+
+// entry returns rank's published payload (nil when it never stashed). It
+// stays valid until the owner stashes again. The caller holds the mutex.
+func (b *blackboard[T]) entry(rank int) []T {
+	if p := b.slots[rank]; p != nil {
+		return *p
+	}
+	return nil
+}
+
+// gather returns caller-owned copies of every rank's entry, in rank order.
+// The caller holds the mutex.
+func (b *blackboard[T]) gather() [][]T {
+	out := make([][]T, len(b.slots))
+	for r := range out {
+		src := b.entry(r)
+		out[r] = make([]T, len(src))
+		copy(out[r], src)
+	}
+	return out
+}
+
+// volume sums and maximizes the wire sizes of per-rank payloads.
+func volume[T any](payloads [][]T, size func(n int) int64) (total, largest int64) {
+	for _, p := range payloads {
+		b := size(len(p))
+		total += b
+		largest = max(largest, b)
+	}
+	return total, largest
 }
 
 // Stats tallies traffic a single rank has sent, by operation.
@@ -169,83 +253,72 @@ func (s Stats) Sub(o Stats) Stats {
 	}
 }
 
-// New returns a communicator for g ranks.
+// New returns a communicator for g ranks. Both lanes are built here, never
+// on first use: ranks reach Side concurrently.
 func New(g int) *Comm {
 	if g <= 0 {
 		panic("collective: need at least one rank")
 	}
-	c := &Comm{
-		g:            g,
-		ring:         make([]chan []float32, g),
-		asyncRing:    make([]chan []float32, g),
-		intsBB:       make([]*[]int, g),
-		f32BB:        make([]*[]float32, g),
-		byteBB:       make([]*[]byte, g),
-		barrier:      NewBarrier(g),
-		asyncBarrier: NewBarrier(g),
-		stats:        make([]Stats, g),
-		asyncStats:   make([]Stats, g),
-		async:        make([]asyncQueue, g),
-		bucketElems:  DefaultBucketBytes / 4,
-	}
-	for i := range c.ring {
-		c.ring[i] = make(chan []float32, 1)
-		c.asyncRing[i] = make(chan []float32, 1)
-	}
+	sh := &shared{g: g}
+	c := &Comm{shared: sh, lane: newLane(g, 0)}
+	c.side = &Comm{shared: sh, lane: newLane(g, g)}
 	return c
 }
 
 // Size returns the number of ranks.
 func (c *Comm) Size() int { return c.g }
 
-// RankStats returns a copy of the traffic counters for one rank,
-// synchronous and asynchronous traffic merged.
-func (c *Comm) RankStats(rank int) Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// Side returns this communicator on its second lane: the same ranks,
+// telemetry and tracer, but its own ring, barrier, blackboards, counters
+// and cost model (AttachCost applies to the lane it is called on), so a
+// collective issued on Side() runs concurrently with — and never
+// interleaves with — one issued on c by the same ranks. Its spans go on
+// trace tracks Size()+rank. The side lane has no further sibling: Side of
+// the returned communicator is nil.
+func (c *Comm) Side() *Comm { return c.side }
+
+// rankStats returns rank's counters, the side lane's included when c is the
+// primary. The caller holds the mutex.
+func (c *Comm) rankStats(rank int) Stats {
 	s := c.stats[rank]
-	s.Add(c.asyncStats[rank])
+	if c.side != nil {
+		s.Add(c.side.stats[rank])
+	}
 	return s
 }
 
-// SyncStats returns one rank's counters for synchronous collectives only,
-// excluding AllReduceAsync buckets. Phase accounting (e.g. an exchange
-// engine differencing its own wire cost) uses this so concurrently
-// in-flight async buckets — which post their bytes at arbitrary times —
-// cannot leak into the window.
-func (c *Comm) SyncStats(rank int) Stats {
+// RankStats returns a copy of the traffic counters for one rank. On the
+// primary communicator that is the traffic of both lanes.
+func (c *Comm) RankStats(rank int) Stats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.rankStats(rank)
+}
+
+// LaneStats returns one rank's counters for this lane only. Phase
+// accounting (an exchange engine differencing its own wire cost) uses this
+// so operations in flight on the other lane — which post their bytes at
+// arbitrary times — cannot leak into the window.
+func (c *Comm) LaneStats(rank int) Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats[rank]
 }
 
-// MaxStats returns, per field, the maximum over ranks — the per-GPU traffic
-// figure the paper's complexity bounds describe.
+// MaxStats returns, per field, the maximum over ranks of RankStats — the
+// per-GPU traffic figure the paper's complexity bounds describe.
 func (c *Comm) MaxStats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var m Stats
 	for r := range c.stats {
-		s := c.stats[r]
-		s.Add(c.asyncStats[r])
-		if s.AllReduceBytes > m.AllReduceBytes {
-			m.AllReduceBytes = s.AllReduceBytes
-		}
-		if s.AllGatherBytes > m.AllGatherBytes {
-			m.AllGatherBytes = s.AllGatherBytes
-		}
-		if s.BroadcastBytes > m.BroadcastBytes {
-			m.BroadcastBytes = s.BroadcastBytes
-		}
-		if s.AllReduceCalls > m.AllReduceCalls {
-			m.AllReduceCalls = s.AllReduceCalls
-		}
-		if s.AllGatherCalls > m.AllGatherCalls {
-			m.AllGatherCalls = s.AllGatherCalls
-		}
-		if s.BroadcastCalls > m.BroadcastCalls {
-			m.BroadcastCalls = s.BroadcastCalls
-		}
+		s := c.rankStats(r)
+		m.AllReduceCalls = max(m.AllReduceCalls, s.AllReduceCalls)
+		m.AllReduceBytes = max(m.AllReduceBytes, s.AllReduceBytes)
+		m.AllGatherCalls = max(m.AllGatherCalls, s.AllGatherCalls)
+		m.AllGatherBytes = max(m.AllGatherBytes, s.AllGatherBytes)
+		m.BroadcastCalls = max(m.BroadcastCalls, s.BroadcastCalls)
+		m.BroadcastBytes = max(m.BroadcastBytes, s.BroadcastBytes)
 	}
 	return m
 }
@@ -268,69 +341,6 @@ func (c *Comm) Barrier() {
 	}
 }
 
-// getBuf checks a float32 buffer of length n out of the arena, allocating
-// only when the pool has nothing large enough (start-up, or a new high-water
-// payload size).
-func (c *Comm) getBuf(n int) *[]float32 {
-	if p, ok := c.buf.Get().(*[]float32); ok && p != nil {
-		if cap(*p) >= n {
-			*p = (*p)[:n]
-			return p
-		}
-	}
-	s := make([]float32, n)
-	return &s
-}
-
-// putBuf returns a buffer to the arena.
-func (c *Comm) putBuf(p *[]float32) { c.buf.Put(p) }
-
-// getIntBuf / putIntBuf are the int-payload arena used by the index
-// blackboard.
-func (c *Comm) getIntBuf(n int) *[]int {
-	if p, ok := c.intBuf.Get().(*[]int); ok && p != nil {
-		if cap(*p) >= n {
-			*p = (*p)[:n]
-			return p
-		}
-	}
-	s := make([]int, n)
-	return &s
-}
-
-func (c *Comm) putIntBuf(p *[]int) { c.intBuf.Put(p) }
-
-// stashInts publishes a copy of local as rank's blackboard entry, recycling
-// the rank's previous entry into the arena (safe: the previous collective's
-// closing barrier means no reader still holds it).
-func (c *Comm) stashInts(rank int, local []int) {
-	p := c.getIntBuf(len(local))
-	copy(*p, local)
-	c.mu.Lock()
-	if old := c.intsBB[rank]; old != nil {
-		c.putIntBuf(old)
-	}
-	c.intsBB[rank] = p
-	c.mu.Unlock()
-}
-
-// stashFloats is the float32 counterpart of stashInts; when wire is non-nil
-// the stashed copy is FP16 round-tripped (the payload crosses the wire once
-// in half precision).
-func (c *Comm) stashFloats(rank int, local []float32, wire Wire) {
-	p := c.getBuf(len(local))
-	copy(*p, local)
-	if wire != nil {
-		wire.RoundTrip(*p)
-	}
-	c.mu.Lock()
-	if old := c.f32BB[rank]; old != nil {
-		c.putBuf(old)
-	}
-	c.f32BB[rank] = p
-	c.mu.Unlock()
-}
-
 // chunkRange returns the [lo,hi) bounds of chunk i when n elements are split
 // into g nearly equal contiguous chunks (the first n%g chunks are one
 // element longer). Pure arithmetic — no allocation on the ring hot path.
@@ -344,22 +354,12 @@ func chunkRange(n, g, i int) (lo, hi int) {
 	return lo, hi
 }
 
-// addAllReduceStats records calls ring operations totalling bytes on rank.
-func (c *Comm) addAllReduceStats(rank int, calls, bytes int64) {
-	c.mu.Lock()
-	st := &c.stats[rank]
-	st.AllReduceCalls += calls
-	st.AllReduceBytes += bytes
-	c.mu.Unlock()
-}
-
 // ringAllReduce runs one ring all-reduce over the logical collection of
-// parts, on the given channel set. Each part is chunked independently with
-// the exact bounds the single-tensor path uses and each (hop, part) pair is
-// exchanged as its own message, so both the reduced values (addition order,
-// FP16 rounding points) and the byte accounting are bit-identical whether
-// tensors travel alone through AllReduce or fused in an AllReduceAsync
-// bucket. Returns the bytes this rank put on the wire.
+// parts. Each part is chunked independently with the exact bounds a lone
+// tensor gets and each (hop, part) pair is exchanged as its own message, so
+// both the reduced values (addition order, FP16 rounding points) and the
+// byte accounting are bit-identical whether tensors travel alone or fused
+// in one pass. Returns the bytes this rank put on the wire.
 //
 // The exchange is zero-copy: hops send the chunk subslice itself, not a
 // buffer copy, so the ring path performs zero allocations and no payload
@@ -371,8 +371,8 @@ func (c *Comm) addAllReduceStats(rank int, calls, bytes int64) {
 // *before* sending; the unrounded partial sum is dead at that point —
 // every scatter-sent chunk is later overwritten wholesale by the
 // all-gather phase.)
-func (c *Comm) ringAllReduce(ring []chan []float32, rank int, parts [][]float32, wire Wire) int64 {
-	g := c.g
+func (c *Comm) ringAllReduce(rank int, parts [][]float32, wire Wire) int64 {
+	g, ring := c.g, c.ring
 	if g == 1 {
 		return 0
 	}
@@ -457,139 +457,94 @@ func (c *Comm) ringAllReduce(ring []chan []float32, rank int, parts [][]float32,
 // return no peer still reads this rank's buffer, so the caller may mutate
 // x immediately.
 func (c *Comm) AllReduce(rank int, x []float32, wire Wire) {
-	var t0 time.Time
-	var v0 float64
-	if c.tel != nil || c.trace != nil {
-		t0 = time.Now()
-		v0 = c.clockNow(rank)
-	}
-	var parts [1][]float32
-	parts[0] = x
-	bytes := c.ringAllReduce(c.ring, rank, parts[:], wire)
+	parts := [1][]float32{x}
+	c.AllReduceParts(rank, parts[:], wire)
+}
+
+// AllReduceParts all-reduces every tensor of parts in one fused ring pass
+// (all ranks must pass the same sequence of lengths). Values, Stats —
+// len(parts) calls and each tensor's own bytes — and telemetry counts are
+// bit-identical to one AllReduce per tensor; what fusing saves is ring
+// latency, so the cost model prices a single ring over the tensors' summed
+// chunk bytes and the trace shows a single span.
+func (c *Comm) AllReduceParts(rank int, parts [][]float32, wire Wire) {
+	t0, v0 := c.opStart(rank)
+	bytes := c.ringAllReduce(rank, parts, wire)
 	if c.g > 1 {
 		c.barrier.Wait()
 	}
 	c.charge(rank, func(cm *CostModel) {
-		chunk := (len(x) + c.g - 1) / c.g
-		cm.Charge(cm.Link.RingAllReduceSecondsBytes(c.g, wireSize(wire, chunk)))
+		var chunkBytes int64
+		for _, p := range parts {
+			chunkBytes += wireSize(wire, (len(p)+c.g-1)/c.g)
+		}
+		cm.Charge(cm.Link.RingAllReduceSecondsBytes(c.g, chunkBytes))
 	})
-	c.addAllReduceStats(rank, 1, bytes)
-	if c.tel != nil {
-		c.tel.record("allreduce", wireLabel(wire), 1, bytes, int64(time.Since(t0)))
-	}
-	c.traceOp("allreduce", rank, t0, v0)
+	c.mu.Lock()
+	c.stats[rank].AllReduceCalls += int64(len(parts))
+	c.stats[rank].AllReduceBytes += bytes
+	c.mu.Unlock()
+	c.opEnd("allreduce", wireLabel(wire), rank, int64(len(parts)), bytes, t0, v0)
+}
+
+// allGather completes a blackboard all-gather whose payload rank has just
+// stashed on b: every rank receives caller-owned copies of the per-rank
+// (possibly different-length) payloads in rank order. Accounting is the
+// standard ring all-gather volume, (G−1)/G of the payloads' total wire size,
+// and the cost model prices the ring at the largest payload.
+func allGather[T any](c *Comm, b *blackboard[T], rank int, size func(n int) int64) (out [][]T, bytes int64) {
+	c.barrier.Wait()
+	c.mu.Lock()
+	out = b.gather()
+	total, largest := volume(out, size)
+	bytes = total * int64(c.g-1) / int64(c.g)
+	c.stats[rank].AllGatherCalls++
+	c.stats[rank].AllGatherBytes += bytes
+	c.mu.Unlock()
+	c.barrier.Wait()
+	c.charge(rank, func(cm *CostModel) {
+		cm.Charge(cm.Link.RingAllGatherSeconds(c.g, largest))
+	})
+	return out, bytes
 }
 
 // AllGatherInts gathers each rank's (possibly different-length) int slice;
 // every rank receives the per-rank slices in rank order. This is the cheap
-// Θ(G·K) index gather of §III-A step 3. The returned inner slices are
-// copies owned by the caller (the blackboard stash itself is pooled).
+// Θ(G·K) index gather of §III-A step 3, with indices on the wire as int32
+// (4 bytes) as real stacks do. The returned inner slices are copies owned
+// by the caller (the blackboard stash itself is pooled).
 func (c *Comm) AllGatherInts(rank int, local []int) [][]int {
-	var t0 time.Time
-	var v0 float64
-	if c.tel != nil || c.trace != nil {
-		t0 = time.Now()
-		v0 = c.clockNow(rank)
-	}
-	c.stashInts(rank, local)
-	c.barrier.Wait()
-
-	out := make([][]int, c.g)
-	var totalElems, maxElems int
-	c.mu.Lock()
-	for r, s := range c.intsBB {
-		var src []int
-		if s != nil {
-			src = *s
-		}
-		cp := make([]int, len(src))
-		copy(cp, src)
-		out[r] = cp
-		totalElems += len(src)
-		if len(src) > maxElems {
-			maxElems = len(src)
-		}
-	}
-	// Ring all-gather volume per rank: (G−1)/G of the total payload,
-	// with indices on the wire as int32 (4 bytes) as real stacks do.
-	bytes := int64(4*totalElems) * int64(c.g-1) / int64(c.g)
-	c.stats[rank].AllGatherCalls++
-	c.stats[rank].AllGatherBytes += bytes
-	c.mu.Unlock()
-	c.barrier.Wait()
-	c.charge(rank, func(cm *CostModel) {
-		cm.Charge(cm.Link.RingAllGatherSeconds(c.g, int64(4*maxElems)))
-	})
-	if c.tel != nil {
-		c.tel.record("allgather_ints", "int32", 1, bytes, int64(time.Since(t0)))
-	}
-	c.traceOp("allgather_ints", rank, t0, v0)
+	t0, v0 := c.opStart(rank)
+	c.ints.stash(&c.mu, rank, local)
+	out, bytes := allGather(c, &c.ints, rank, func(n int) int64 { return int64(4 * n) })
+	c.opEnd("allgather_ints", "int32", rank, 1, bytes, t0, v0)
 	return out
 }
 
 // AllGatherFloats gathers each rank's float32 slice to every rank, FP32 or
-// FP16 on the wire. This is the expensive baseline exchange of §II-B: the
-// result materializes G dense gradient blocks on every rank.
+// FP16 on the wire (the stashed copy crosses the wire once). This is the
+// expensive baseline exchange of §II-B: the result materializes G dense
+// gradient blocks on every rank.
 func (c *Comm) AllGatherFloats(rank int, local []float32, wire Wire) [][]float32 {
-	var t0 time.Time
-	var v0 float64
-	if c.tel != nil || c.trace != nil {
-		t0 = time.Now()
-		v0 = c.clockNow(rank)
+	t0, v0 := c.opStart(rank)
+	if stashed := c.floats.stash(&c.mu, rank, local); wire != nil {
+		wire.RoundTrip(stashed)
 	}
-	c.stashFloats(rank, local, wire)
-	c.barrier.Wait()
-
-	out := make([][]float32, c.g)
-	var totalBytes, maxBytes int64
-	c.mu.Lock()
-	for r, s := range c.f32BB {
-		var src []float32
-		if s != nil {
-			src = *s
-		}
-		cp := make([]float32, len(src))
-		copy(cp, src)
-		out[r] = cp
-		b := wireSize(wire, len(src))
-		totalBytes += b
-		if b > maxBytes {
-			maxBytes = b
-		}
-	}
-	bytes := totalBytes * int64(c.g-1) / int64(c.g)
-	c.stats[rank].AllGatherCalls++
-	c.stats[rank].AllGatherBytes += bytes
-	c.mu.Unlock()
-	c.barrier.Wait()
-	c.charge(rank, func(cm *CostModel) {
-		cm.Charge(cm.Link.RingAllGatherSeconds(c.g, maxBytes))
-	})
-	if c.tel != nil {
-		c.tel.record("allgather_floats", wireLabel(wire), 1, bytes, int64(time.Since(t0)))
-	}
-	c.traceOp("allgather_floats", rank, t0, v0)
+	out, bytes := allGather(c, &c.floats, rank, func(n int) int64 { return wireSize(wire, n) })
+	c.opEnd("allgather_floats", wireLabel(wire), rank, 1, bytes, t0, v0)
 	return out
 }
 
 // Broadcast distributes root's buffer to every rank (into each rank's x,
 // which must have the root's length).
 func (c *Comm) Broadcast(rank, root int, x []float32) {
-	var t0 time.Time
-	var v0 float64
-	if c.tel != nil || c.trace != nil {
-		t0 = time.Now()
-		v0 = c.clockNow(rank)
-	}
+	t0, v0 := c.opStart(rank)
 	if rank == root {
-		c.stashFloats(root, x, nil)
+		c.floats.stash(&c.mu, root, x)
 	}
 	c.barrier.Wait()
 	c.mu.Lock()
-	var src []float32
-	if p := c.f32BB[root]; p != nil {
-		src = *p
-	}
+	src := c.floats.entry(root)
 	c.mu.Unlock()
 	if len(src) != len(x) {
 		panic(fmt.Sprintf("collective: Broadcast length mismatch on rank %d: %d != %d", rank, len(x), len(src)))
@@ -597,26 +552,21 @@ func (c *Comm) Broadcast(rank, root int, x []float32) {
 	if rank != root {
 		copy(x, src)
 	}
-	c.mu.Lock()
-	c.stats[rank].BroadcastCalls++
+	var bytes int64
 	if rank == root {
 		// Tree broadcast: root sends ~1 copy per subtree; account
 		// the standard log-tree per-rank volume of one payload.
-		c.stats[rank].BroadcastBytes += int64(4 * len(x))
+		bytes = int64(4 * len(x))
 	}
+	c.mu.Lock()
+	c.stats[rank].BroadcastCalls++
+	c.stats[rank].BroadcastBytes += bytes
 	c.mu.Unlock()
 	c.barrier.Wait()
 	c.charge(rank, func(cm *CostModel) {
 		cm.Charge(cm.Link.TreeBroadcastSeconds(c.g, int64(4*len(x))))
 	})
-	if c.tel != nil {
-		var bytes int64
-		if rank == root {
-			bytes = int64(4 * len(x))
-		}
-		c.tel.record("broadcast", "fp32", 1, bytes, int64(time.Since(t0)))
-	}
-	c.traceOp("broadcast", rank, t0, v0)
+	c.opEnd("broadcast", "fp32", rank, 1, bytes, t0, v0)
 }
 
 // AgreeAllOK is a control-plane consensus: every rank reports a boolean and
@@ -629,12 +579,12 @@ func (c *Comm) AgreeAllOK(rank int, ok bool) bool {
 	if ok {
 		vote[0] = 1
 	}
-	c.stashInts(rank, vote[:])
+	c.ints.stash(&c.mu, rank, vote[:])
 	c.barrier.Wait()
 	all := true
 	c.mu.Lock()
-	for _, s := range c.intsBB {
-		if s == nil || len(*s) != 1 || (*s)[0] == 0 {
+	for r := range c.ints.slots {
+		if s := c.ints.entry(r); len(s) != 1 || s[0] == 0 {
 			all = false
 		}
 	}

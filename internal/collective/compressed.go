@@ -1,9 +1,6 @@
 package collective
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // This file is the compressed collective path the gradient-compression
 // subsystem (internal/compress) rides on. Sparsifying compressors (top-k
@@ -34,35 +31,6 @@ type Decoder interface {
 	DecodeAdd(acc []float32, payload []byte) error
 }
 
-// stashBytes publishes a copy of local as rank's byte-blackboard entry,
-// recycling the rank's previous entry into the arena (safe: the previous
-// collective's closing barrier means no reader still holds it).
-func (c *Comm) stashBytes(rank int, local []byte) {
-	p := c.getByteBuf(len(local))
-	copy(*p, local)
-	c.mu.Lock()
-	if old := c.byteBB[rank]; old != nil {
-		c.putByteBuf(old)
-	}
-	c.byteBB[rank] = p
-	c.mu.Unlock()
-}
-
-// getByteBuf / putByteBuf are the byte-payload arena backing the compressed
-// blackboard, mirroring getBuf/getIntBuf.
-func (c *Comm) getByteBuf(n int) *[]byte {
-	if p, ok := c.byteBuf.Get().(*[]byte); ok && p != nil {
-		if cap(*p) >= n {
-			*p = (*p)[:n]
-			return p
-		}
-	}
-	s := make([]byte, n)
-	return &s
-}
-
-func (c *Comm) putByteBuf(p *[]byte) { c.byteBuf.Put(p) }
-
 // AllGatherBytes gathers each rank's (possibly different-length) opaque
 // payload; every rank receives the per-rank payloads in rank order. Wire
 // accounting is the standard ring all-gather volume of the actual payload
@@ -70,43 +38,10 @@ func (c *Comm) putByteBuf(p *[]byte) { c.byteBuf.Put(p) }
 // compressed gather) builds on. The returned inner slices are copies owned
 // by the caller.
 func (c *Comm) AllGatherBytes(rank int, local []byte) [][]byte {
-	var t0 time.Time
-	var v0 float64
-	if c.tel != nil || c.trace != nil {
-		t0 = time.Now()
-		v0 = c.clockNow(rank)
-	}
-	c.stashBytes(rank, local)
-	c.barrier.Wait()
-
-	out := make([][]byte, c.g)
-	var total, max int64
-	c.mu.Lock()
-	for r, s := range c.byteBB {
-		var src []byte
-		if s != nil {
-			src = *s
-		}
-		cp := make([]byte, len(src))
-		copy(cp, src)
-		out[r] = cp
-		total += int64(len(src))
-		if int64(len(src)) > max {
-			max = int64(len(src))
-		}
-	}
-	bytes := total * int64(c.g-1) / int64(c.g)
-	c.stats[rank].AllGatherCalls++
-	c.stats[rank].AllGatherBytes += bytes
-	c.mu.Unlock()
-	c.barrier.Wait()
-	c.charge(rank, func(cm *CostModel) {
-		cm.Charge(cm.Link.RingAllGatherSeconds(c.g, max))
-	})
-	if c.tel != nil {
-		c.tel.record("allgather_bytes", "bytes", 1, bytes, int64(time.Since(t0)))
-	}
-	c.traceOp("allgather_bytes", rank, t0, v0)
+	t0, v0 := c.opStart(rank)
+	c.bytes.stash(&c.mu, rank, local)
+	out, bytes := allGather(c, &c.bytes, rank, func(n int) int64 { return int64(n) })
+	c.opEnd("allgather_bytes", "bytes", rank, 1, bytes, t0, v0)
 	return out
 }
 
@@ -124,34 +59,22 @@ func (c *Comm) AllGatherBytes(rank int, local []byte) [][]byte {
 // ratio below one shows up directly as fewer wire bytes and less simulated
 // communication time.
 func (c *Comm) AllReduceCompressed(rank int, x []float32, payload []byte, dec Decoder) error {
-	var t0 time.Time
-	var v0 float64
-	if c.tel != nil || c.trace != nil {
-		t0 = time.Now()
-		v0 = c.clockNow(rank)
-	}
-	c.stashBytes(rank, payload)
+	t0, v0 := c.opStart(rank)
+	c.bytes.stash(&c.mu, rank, payload)
 	c.barrier.Wait()
 
-	// Snapshot the payload pointers; entries stay valid until their owner
+	// Snapshot the payload slices; entries stay valid until their owner
 	// stashes again, which the closing barrier below forbids until every
 	// rank is done decoding.
 	payloads := make([][]byte, c.g)
-	var total, max int64
 	c.mu.Lock()
-	for r, s := range c.byteBB {
-		if s != nil {
-			payloads[r] = *s
-		}
-		total += int64(len(payloads[r]))
-		if int64(len(payloads[r])) > max {
-			max = int64(len(payloads[r]))
-		}
+	for r := range payloads {
+		payloads[r] = c.bytes.entry(r)
 	}
+	total, largest := volume(payloads, func(n int) int64 { return int64(n) })
 	bytes := total * int64(c.g-1) / int64(c.g)
-	st := &c.stats[rank]
-	st.AllReduceCalls++
-	st.AllReduceBytes += bytes
+	c.stats[rank].AllReduceCalls++
+	c.stats[rank].AllReduceBytes += bytes
 	c.mu.Unlock()
 
 	// Decode-and-sum in rank order: same payloads, same order, same float
@@ -168,11 +91,8 @@ func (c *Comm) AllReduceCompressed(rank int, x []float32, payload []byte, dec De
 		c.barrier.Wait()
 	}
 	c.charge(rank, func(cm *CostModel) {
-		cm.Charge(cm.Link.RingAllGatherSeconds(c.g, max))
+		cm.Charge(cm.Link.RingAllGatherSeconds(c.g, largest))
 	})
-	if c.tel != nil {
-		c.tel.record("allreduce_compressed", "bytes", 1, bytes, int64(time.Since(t0)))
-	}
-	c.traceOp("allreduce_compressed", rank, t0, v0)
+	c.opEnd("allreduce_compressed", "bytes", rank, 1, bytes, t0, v0)
 	return err
 }

@@ -8,10 +8,10 @@ import (
 	"zipflm/internal/vclock"
 )
 
-// CostModel attaches virtual time to a communicator: every synchronous
-// collective synchronizes the participating ranks' clocks to their maximum
-// and advances them together by the operation's α–β duration on the given
-// link (a ring hop costs α + chunkBytes/β, a barrier costs the
+// CostModel attaches virtual time to one lane of a communicator: every
+// collective on that lane synchronizes the participating ranks' clocks to
+// their maximum and advances them together by the operation's α–β duration
+// on the given link (a ring hop costs α + chunkBytes/β, a barrier costs the
 // synchronization alone). Charging happens between two barrier waits, with
 // every rank quiesced, so virtual times are bit-reproducible regardless of
 // goroutine scheduling.
@@ -20,11 +20,14 @@ import (
 // the only cost is one nil check per collective, guarded by the
 // BenchmarkStep* benches.
 //
-// The model covers the synchronous collectives only. AllReduceAsync buckets
-// deliberately bypass it: overlapped communication hides behind compute, so
-// a single serialized per-rank clock would mis-price it, and bucket runners
-// complete at scheduler-dependent times, which would break reproducibility.
-// Simulated-time experiments therefore run the synchronous path.
+// Lanes that run concurrently need clocks of their own: a clock is only ever
+// touched by its owner or inside a barriered charge of the one lane it is
+// attached to. A caller overlapping side-lane collectives with compute gives
+// the side lane per-rank lane clocks, advances each to the time its payload
+// became ready before issuing the operation, and folds the lane clock back
+// into the rank's device clock when it joins (trainer.Config.Overlap does
+// exactly that) — the step is then the max-style critical path of the two
+// timelines, not their sum.
 type CostModel struct {
 	// Link is the α–β cost of the fabric this communicator's collectives
 	// traverse (PCIe for an intra-node group, InfiniBand for a ring that
@@ -55,8 +58,9 @@ func (cm *CostModel) elect(g int) bool {
 	return (cm.arrivals.Add(1)-1)%int64(g) == 0
 }
 
-// AttachCost installs a cost model on the communicator. Passing nil
-// detaches it. Must not be called while collectives are in flight.
+// AttachCost installs a cost model on this lane of the communicator (the
+// other lane is unaffected). Passing nil detaches it. Must not be called
+// while collectives are in flight.
 func (c *Comm) AttachCost(cm *CostModel) {
 	if cm != nil && len(cm.Clocks) != c.g {
 		panic(fmt.Sprintf("collective: cost model has %d clocks for %d ranks", len(cm.Clocks), c.g))

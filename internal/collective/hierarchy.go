@@ -92,20 +92,18 @@ func (h *Hierarchy) IntraNodeBytes() int64 {
 	return m
 }
 
-// BroadcastInts distributes root's int slice to every rank of the
-// communicator; non-root ranks receive a fresh copy (sizes need not be
-// known in advance). The blackboard stash is pooled.
-func (c *Comm) BroadcastInts(rank, root int, x []int) []int {
+// broadcastVar distributes root's slice to every rank of the communicator
+// over blackboard b; every rank (the root included) receives a fresh copy,
+// so sizes need not be known in advance. The blackboard stash is pooled.
+// Both payload types travel as 4-byte elements.
+func broadcastVar[T any](c *Comm, b *blackboard[T], rank, root int, x []T) []T {
 	if rank == root {
-		c.stashInts(root, x)
+		b.stash(&c.mu, root, x)
 	}
 	c.barrier.Wait()
 	c.mu.Lock()
-	var src []int
-	if p := c.intsBB[root]; p != nil {
-		src = *p
-	}
-	out := make([]int, len(src))
+	src := b.entry(root)
+	out := make([]T, len(src))
 	copy(out, src)
 	c.stats[rank].BroadcastCalls++
 	if rank == root {
@@ -119,29 +117,14 @@ func (c *Comm) BroadcastInts(rank, root int, x []int) []int {
 	return out
 }
 
-// BroadcastFloatsVar distributes root's float32 slice to every rank,
-// returning a fresh copy on every rank (length follows the root's slice).
-// The blackboard stash is pooled.
+// BroadcastInts distributes root's int slice to every rank of the
+// communicator; every rank receives a fresh copy whose length follows the
+// root's slice.
+func (c *Comm) BroadcastInts(rank, root int, x []int) []int {
+	return broadcastVar(c, &c.ints, rank, root, x)
+}
+
+// BroadcastFloatsVar is the float32 counterpart of BroadcastInts.
 func (c *Comm) BroadcastFloatsVar(rank, root int, x []float32) []float32 {
-	if rank == root {
-		c.stashFloats(root, x, nil)
-	}
-	c.barrier.Wait()
-	c.mu.Lock()
-	var src []float32
-	if p := c.f32BB[root]; p != nil {
-		src = *p
-	}
-	out := make([]float32, len(src))
-	copy(out, src)
-	c.stats[rank].BroadcastCalls++
-	if rank == root {
-		c.stats[rank].BroadcastBytes += int64(4 * len(x))
-	}
-	c.mu.Unlock()
-	c.barrier.Wait()
-	c.charge(rank, func(cm *CostModel) {
-		cm.Charge(cm.Link.TreeBroadcastSeconds(c.g, int64(4*len(out))))
-	})
-	return out
+	return broadcastVar(c, &c.floats, rank, root, x)
 }

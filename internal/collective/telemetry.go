@@ -43,10 +43,11 @@ type commTelemetry struct {
 	ops map[opKey]*opInst
 }
 
-// AttachTelemetry wires the communicator's collectives into reg: per
-// operation and wire format, a call counter, a wire-byte counter, and a
-// wall-duration histogram (zipflm_collective_calls_total / _bytes_total /
-// _seconds, labelled op= and wire=). Counters tally per rank, like Stats.
+// AttachTelemetry wires the communicator's collectives, on both lanes, into
+// reg: per operation and wire format, a call counter, a wire-byte counter,
+// and a wall-duration histogram (zipflm_collective_calls_total /
+// _bytes_total / _seconds, labelled op= and wire=). Counters tally per rank,
+// like Stats.
 // Attach before the first collective; a nil reg detaches. Telemetry only
 // observes — reduced values, Stats accounting, and virtual-clock charges
 // are bit-identical with or without it.
@@ -58,20 +59,22 @@ func (c *Comm) AttachTelemetry(reg *telemetry.Registry) {
 	c.tel = &commTelemetry{reg: reg, ops: make(map[opKey]*opInst)}
 }
 
-// AttachTrace wires the communicator's synchronous collectives into a span
-// tracer: every operation emits one span per rank (cat "collective", tid =
-// rank) whose virtual-clock duration covers the rank's whole participation
-// — wire time plus barrier wait — read from the attached cost model's
-// clocks (zero without AttachCost). Async buckets are not traced: they
-// complete at scheduler-dependent times the virtual clock deliberately
-// does not price. nil detaches. Purely observational, like AttachTelemetry.
+// AttachTrace wires the communicator's collectives, on both lanes, into a
+// span tracer: every operation emits one span per rank (cat "collective";
+// tid = rank on the primary lane, Size()+rank on the side lane, so no track
+// ever holds overlapping spans) whose virtual-clock duration covers the
+// rank's whole participation — wire time plus barrier wait — read from the
+// clocks of the cost model attached to the lane the operation ran on (zero
+// without AttachCost). nil detaches. Purely observational, like
+// AttachTelemetry.
 func (c *Comm) AttachTrace(tr *telemetry.Tracer) {
 	c.trace = tr
 }
 
-// clockNow reads rank's virtual clock (0 without a cost model). Safe at
-// operation entry and after the closing charge: clocks are only written by
-// the cost model's charge section, which every rank is barriered around.
+// clockNow reads rank's virtual clock on this lane (0 without a cost
+// model). Safe at operation entry and after the closing charge: the clocks
+// are only written by their owner between operations or by the cost model's
+// charge section, which every rank is barriered around.
 func (c *Comm) clockNow(rank int) float64 {
 	if c.cost == nil || rank >= len(c.cost.Clocks) {
 		return 0
@@ -79,12 +82,26 @@ func (c *Comm) clockNow(rank int) float64 {
 	return c.cost.Clocks[rank].Now()
 }
 
-// traceOp emits one completed collective span for rank.
-func (c *Comm) traceOp(op string, rank int, t0 time.Time, v0 float64) {
-	if c.trace == nil {
-		return
+// opStart samples the wall clock and rank's virtual clock at operation
+// entry when telemetry or a tracer observes the communicator.
+func (c *Comm) opStart(rank int) (t0 time.Time, v0 float64) {
+	if c.tel != nil || c.trace != nil {
+		t0 = time.Now()
+		v0 = c.clockNow(rank)
 	}
-	c.trace.Span("collective", op, rank, t0, time.Since(t0), v0, c.clockNow(rank)-v0)
+	return t0, v0
+}
+
+// opEnd posts one completed operation — calls logical calls moving bytes
+// over the wire in the format label names — to telemetry and as one trace
+// span for rank.
+func (c *Comm) opEnd(op, label string, rank int, calls, bytes int64, t0 time.Time, v0 float64) {
+	if c.tel != nil {
+		c.tel.record(op, label, calls, bytes, int64(time.Since(t0)))
+	}
+	if c.trace != nil {
+		c.trace.Span("collective", op, c.track+rank, t0, time.Since(t0), v0, c.clockNow(rank)-v0)
+	}
 }
 
 // inst returns the cached instrument set for (op, wire).

@@ -93,8 +93,10 @@ func TestTelemetryWireLabels(t *testing.T) {
 	}
 }
 
-// TestTelemetryAsyncAndGather covers the async bucket path and the gathers.
-func TestTelemetryAsyncAndGather(t *testing.T) {
+// TestTelemetrySideLaneAndGather: the side lane posts into the same
+// registry under the same operation names — a fused pass counts one call
+// per tensor, like Stats — and the gathers are covered too.
+func TestTelemetrySideLaneAndGather(t *testing.T) {
 	const g = 2
 	reg := telemetry.NewRegistry()
 	c := New(g)
@@ -105,21 +107,19 @@ func TestTelemetryAsyncAndGather(t *testing.T) {
 		xs[r] = make([]float32, 32)
 	}
 	runRanks(g, func(rank int) {
-		p := c.AllReduceAsync(rank, xs[rank], nil)
-		c.FlushAsync(rank)
-		p.Wait()
+		c.Side().AllReduceParts(rank, [][]float32{xs[rank][:20], xs[rank][20:]}, nil)
 		c.AllGatherInts(rank, []int{rank})
 		c.AllGatherFloats(rank, xs[rank][:4], nil)
 	})
 
-	for _, op := range []string{"allreduce_async", "allgather_ints", "allgather_floats"} {
+	for op, want := range map[string]int64{"allreduce": 2 * g, "allgather_ints": g, "allgather_floats": g} {
 		wire := "fp32"
 		if op == "allgather_ints" {
 			wire = "int32"
 		}
 		name := telemetry.Label(telemetry.Label("zipflm_collective_calls_total", "op", op), "wire", wire)
-		if got := reg.Counter(name).Value(); got != g {
-			t.Errorf("%s calls = %d, want %d", op, got, g)
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s calls = %d, want %d", op, got, want)
 		}
 	}
 }

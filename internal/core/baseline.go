@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"zipflm/internal/tensor"
-)
+import "zipflm/internal/tensor"
 
 // BaselineAllGather is the state-of-the-art exchange the paper scales
 // against (§II-B): every rank gathers every other rank's dense K×D gradient
@@ -27,7 +23,7 @@ func (BaselineAllGather) Exchange(ctx *Ctx, grad SparseGrad) (Update, Stats, err
 	d := grad.Rows.Cols
 
 	stats := Stats{Tokens: k}
-	before := ctx.Comm.SyncStats(ctx.Rank)
+	before := ctx.Comm.LaneStats(ctx.Rank)
 	simBefore := ctx.simNow()
 
 	// Scratch: G dense gradient blocks land on this rank (§II-B: "the
@@ -47,17 +43,8 @@ func (BaselineAllGather) Exchange(ctx *Ctx, grad SparseGrad) (Update, Stats, err
 
 	// Local scatter-add of all G·K token rows. Duplicate words collide on
 	// the same accumulator row — the very serialization §III-A eliminates.
+	order := globalUnique(ctx.WS, allIdx)
 	pos := ctx.WS.scratchRowMap()
-	var order []int
-	for _, idxs := range allIdx {
-		for _, w := range idxs {
-			if _, ok := pos[w]; !ok {
-				pos[w] = 0
-				order = append(order, w)
-			}
-		}
-	}
-	sort.Ints(order)
 	for i, w := range order {
 		pos[w] = i
 	}
@@ -69,17 +56,14 @@ func (BaselineAllGather) Exchange(ctx *Ctx, grad SparseGrad) (Update, Stats, err
 		}
 	}
 
-	stats.UniqueLocal = countUnique(grad.Indices)
+	// globalUnique is done with the workspace's pos map; count U_i on it.
+	seen := ctx.WS.scratchPosMap()
+	for _, w := range grad.Indices {
+		seen[w] = 0
+	}
+	stats.UniqueLocal = len(seen)
 	stats.UniqueGlobal = len(order)
-	stats.WireBytes = ctx.Comm.SyncStats(ctx.Rank).Sub(before).Total()
+	stats.WireBytes = ctx.Comm.LaneStats(ctx.Rank).Sub(before).Total()
 	stats.SimSeconds = ctx.simNow() - simBefore
 	return Update{Indices: order, Rows: acc}, stats, nil
-}
-
-func countUnique(idx []int) int {
-	seen := make(map[int]struct{}, len(idx))
-	for _, w := range idx {
-		seen[w] = struct{}{}
-	}
-	return len(seen)
 }

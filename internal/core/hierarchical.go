@@ -54,10 +54,10 @@ func (h HierarchicalExchange) Exchange(ctx *Ctx, grad SparseGrad) (Update, Stats
 	leaders := h.Hier.Leaders()
 	groupID, _ := h.Hier.GroupOf(ctx.Rank)
 
-	before := group.SyncStats(groupRank)
+	before := group.LaneStats(groupRank)
 	beforeLead := collective.Stats{}
 	if h.Hier.IsLeader(ctx.Rank) {
-		beforeLead = leaders.SyncStats(groupID)
+		beforeLead = leaders.LaneStats(groupID)
 	}
 
 	// Phase 1 — intra-node unique reduce (steps 1–6 of §III-A at node
@@ -107,9 +107,9 @@ func (h HierarchicalExchange) Exchange(ctx *Ctx, grad SparseGrad) (Update, Stats
 	mOut := tensor.NewMatrixFrom(len(globalIdx), d, rowPayload)
 
 	stats.UniqueGlobal = len(globalIdx)
-	wire := group.SyncStats(groupRank).Sub(before).Total()
+	wire := group.LaneStats(groupRank).Sub(before).Total()
 	if h.Hier.IsLeader(ctx.Rank) {
-		wire += leaders.SyncStats(groupID).Sub(beforeLead).Total()
+		wire += leaders.LaneStats(groupID).Sub(beforeLead).Total()
 	}
 	stats.WireBytes = wire
 	stats.SimSeconds = ctx.simNow() - simBefore

@@ -23,7 +23,7 @@ func (UniqueExchange) Exchange(ctx *Ctx, grad SparseGrad) (Update, Stats, error)
 	k := len(grad.Indices)
 	d := grad.Rows.Cols
 	stats := Stats{Tokens: k}
-	before := ctx.Comm.SyncStats(ctx.Rank)
+	before := ctx.Comm.LaneStats(ctx.Rank)
 	simBefore := ctx.simNow()
 
 	// Steps 1–2: locally unique indices Ĵ and locally reduced gradients Δ̂
@@ -72,7 +72,7 @@ func (UniqueExchange) Exchange(ctx *Ctx, grad SparseGrad) (Update, Stats, error)
 	ctx.Comm.AllReduce(ctx.Rank, m.Data, ctx.Wire)
 
 	// Step 7 is the caller's Update.Apply: conflict-free, one row per word.
-	stats.WireBytes = ctx.Comm.SyncStats(ctx.Rank).Sub(before).Total()
+	stats.WireBytes = ctx.Comm.LaneStats(ctx.Rank).Sub(before).Total()
 	stats.SimSeconds = ctx.simNow() - simBefore
 	// Peak scratch: local reduced + gathered indices + M, all live at the
 	// ALLREDUCE.

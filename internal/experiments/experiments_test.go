@@ -33,8 +33,10 @@ func TestUnknownExperiment(t *testing.T) {
 }
 
 // TestOverlapExperiment regenerates the overlap ablation and checks its
-// invariant: the overlapped path must move exactly the bytes the
-// synchronous path moves (the table flags any divergence with "NO").
+// invariants: the overlapped path must move exactly the bytes the
+// synchronous path moves (the table flags any divergence with "NO"), and
+// its predicted step must not exceed the synchronous one (the report warns
+// about either).
 func TestOverlapExperiment(t *testing.T) {
 	rep, err := Run("overlap", quickOpts())
 	if err != nil {
@@ -42,10 +44,12 @@ func TestOverlapExperiment(t *testing.T) {
 	}
 	out := rep.String()
 	if strings.Contains(out, "NO (") || strings.Contains(out, "WARNING") {
-		t.Errorf("wire bytes diverged between sync and overlapped reduction:\n%s", out)
+		t.Errorf("overlap changed the wire bytes or predicted a slower step:\n%s", out)
 	}
-	if !strings.Contains(out, "speedup") {
-		t.Errorf("missing speedup summary:\n%s", out)
+	for _, want := range []string{"speedup", "pred sync ms/step", "pred overlap ms/step", "predicted"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q:\n%s", want, out)
+		}
 	}
 }
 

@@ -2,11 +2,14 @@ package trainer
 
 import (
 	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"zipflm/internal/collective"
 	"zipflm/internal/core"
 	"zipflm/internal/corpus"
+	"zipflm/internal/perfmodel"
 	"zipflm/internal/sampling"
 )
 
@@ -152,5 +155,37 @@ func TestHierarchicalExchangeTraining(t *testing.T) {
 	}
 	if maxDiff > 1e-3 {
 		t.Errorf("hierarchical and flat training diverged by %v", maxDiff)
+	}
+}
+
+// TestNewRejectsMismatchedHierarchy: a hierarchy built for a different rank
+// count must be refused up front, with or without the virtual clock — run
+// anyway, the leaders' barrier waits for groups that do not exist and the
+// first step never returns (hence the deadline).
+func TestNewRejectsMismatchedHierarchy(t *testing.T) {
+	train, valid := smallData(60, 4000, 4)
+	hw := perfmodel.TitanX()
+	for name, hardware := range map[string]*perfmodel.Hardware{"plain": nil, "hardware": &hw} {
+		t.Run(name, func(t *testing.T) {
+			cfg := smallConfig(4, core.HierarchicalExchange{Hier: collective.NewHierarchy(8, 2)})
+			cfg.Model.Sampled = 10
+			cfg.Hardware = hardware
+			done := make(chan error, 1)
+			go func() {
+				tr, err := New(cfg, train, valid)
+				if err == nil {
+					err = tr.Steps(1)
+				}
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), "hierarchy spans 8 ranks") {
+					t.Fatalf("want the rank-count mismatch reported by New, got %v", err)
+				}
+			case <-time.After(20 * time.Second):
+				t.Fatal("New accepted a hierarchy of 8 ranks for a cluster of 4 and the step deadlocked")
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"zipflm/internal/collective"
+	"zipflm/internal/compress"
 	"zipflm/internal/core"
 	"zipflm/internal/half"
 	"zipflm/internal/model"
@@ -11,7 +12,7 @@ import (
 )
 
 // runPair trains the same workload twice — synchronous dense reduction vs
-// the overlapped bucketed path — and returns both trainers after identical
+// the overlapped side-lane path — and returns both trainers after identical
 // step counts.
 func runPair(t *testing.T, cfg Config, train, valid []int, steps int) (syncTr, overlapTr *Trainer) {
 	t.Helper()
@@ -60,12 +61,13 @@ func requireIdenticalModels(t *testing.T, tag string, a, b *model.LM) {
 	}
 }
 
-// TestOverlapBitIdenticalToSync is the acceptance test of the overlap
-// tentpole: the bucketed asynchronous dense reduction must change nothing
-// but wall-clock. Across cluster sizes, softmax modes, FP16 wire, and
-// exchange engines, the overlapped run produces bit-identical model
-// replicas (every rank in sync, and rank 0 equal to the synchronous run's
-// rank 0) and bit-identical per-rank wire-byte counters.
+// TestOverlapBitIdenticalToSync is the acceptance test of overlap mode:
+// reducing dense gradients from a side-lane worker, one fused pass per
+// layer, must change nothing but wall-clock. Across cluster sizes, softmax
+// modes, FP16 wire, exchange engines and a compressed run, the overlapped
+// run produces bit-identical model replicas (every rank in sync, and rank 0
+// equal to the synchronous run's rank 0) and bit-identical per-rank
+// wire-byte counters.
 func TestOverlapBitIdenticalToSync(t *testing.T) {
 	train, valid := smallData(60, 12000, 9)
 	cases := []struct {
@@ -73,13 +75,14 @@ func TestOverlapBitIdenticalToSync(t *testing.T) {
 		ranks   int
 		sampled int
 		fp16    bool
-		bucket  int64
+		topk    bool
 		ex      core.Exchanger
 	}{
 		{name: "g2-full-softmax", ranks: 2},
 		{name: "g3-sampled", ranks: 3, sampled: 12},
 		{name: "g4-sampled-fp16", ranks: 4, sampled: 12, fp16: true},
-		{name: "g4-full-fp16-tinybuckets", ranks: 4, fp16: true, bucket: 256},
+		{name: "g4-full-fp16", ranks: 4, fp16: true},
+		{name: "g3-full-topk", ranks: 3, topk: true},
 		{name: "g2-baseline-engine", ranks: 2, sampled: 12, ex: core.BaselineAllGather{}},
 		{name: "g4-hier-engine", ranks: 4, sampled: 12},
 		{name: "g1-degenerate", ranks: 1, sampled: 12},
@@ -88,9 +91,11 @@ func TestOverlapBitIdenticalToSync(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := smallConfig(tc.ranks, tc.ex)
 			cfg.Model.Sampled = tc.sampled
-			cfg.BucketBytes = tc.bucket
 			if tc.fp16 {
 				cfg.Wire = half.NewScaler(512)
+			}
+			if tc.topk {
+				cfg.Compress = &compress.Config{Method: compress.MethodTopK, Ratio: 0.05, MinElems: 1}
 			}
 			if tc.name == "g4-hier-engine" {
 				cfg.Exchange = core.HierarchicalExchange{Hier: collective.NewHierarchy(tc.ranks, 2)}
@@ -133,11 +138,12 @@ func TestOverlapConverges(t *testing.T) {
 }
 
 // TestOverlapOOMAbortDrainsAsync: when the sparse exchange aborts (peer
-// OOM), the overlap path must still drain its async handles before the
-// step returns — otherwise bucket runners would keep reading the model's
-// gradient tensors (zero-copy aliases) behind the aborted step. The
-// -race CI job is what gives this test its teeth; functionally the step
-// must fail cleanly and keep failing, not hang or corrupt.
+// OOM), the overlap path must still drain its side-lane worker before the
+// step returns — otherwise peers' ring hops would keep reading the model's
+// gradient tensors (zero-copy aliases) behind the aborted step, and the
+// worker goroutine would outlive it. The -race CI job is what gives this
+// test its teeth; functionally the step must fail cleanly and keep
+// failing, not hang or corrupt.
 func TestOverlapOOMAbortDrainsAsync(t *testing.T) {
 	train, valid := smallData(60, 8000, 6)
 	cfg := smallConfig(3, core.BaselineAllGather{})
@@ -152,7 +158,7 @@ func TestOverlapOOMAbortDrainsAsync(t *testing.T) {
 		t.Fatal("expected an OOM abort from the baseline exchange")
 	}
 	// A second attempt on the same trainer must fail the same way — no
-	// deadlock against leftover bucket state, no corrupted queue.
+	// deadlock against a leftover worker, no half-finished side-lane ring.
 	if err := tr.Steps(1); err == nil {
 		t.Fatal("expected the retry to abort as well")
 	}

@@ -6,6 +6,7 @@ import (
 
 	"zipflm/internal/ckpt"
 	"zipflm/internal/collective"
+	"zipflm/internal/compress"
 	"zipflm/internal/core"
 	"zipflm/internal/half"
 	"zipflm/internal/optim"
@@ -26,7 +27,7 @@ func addStats(a, b collective.Stats) collective.Stats {
 // must be bit-identical to an uninterrupted 2k-step run — replicas, every
 // rank's wire-byte counters, and validation loss — across the full
 // {SGD, Adam} × {baseline, unique, hierarchical} × {FP32, FP16} ×
-// {sync, overlap} matrix.
+// {sync, overlap} matrix, plus overlap × {compress, hardware, both}.
 func TestResumeBitIdentical(t *testing.T) {
 	// Small stream so the 2k steps cross an epoch boundary: the LR-decay
 	// position (lr, nextDecay) then has to survive the checkpoint too.
@@ -37,11 +38,9 @@ func TestResumeBitIdentical(t *testing.T) {
 		for _, eng := range []string{"baseline", "unique", "hierarchical"} {
 			for _, fp16 := range []bool{false, true} {
 				for _, overlap := range []bool{false, true} {
-					name := fmt.Sprintf("%s-%s-fp32-sync", opt, eng)
+					name := fmt.Sprintf("%s-%s-fp32", opt, eng)
 					if fp16 {
 						name = fmt.Sprintf("%s-%s-fp16", opt, eng)
-					} else {
-						name = fmt.Sprintf("%s-%s-fp32", opt, eng)
 					}
 					if overlap {
 						name += "-overlap"
@@ -72,6 +71,32 @@ func TestResumeBitIdentical(t *testing.T) {
 					})
 				}
 			}
+		}
+		// The cells New used to reject: overlap with compression (whose
+		// per-rank residuals ride the checkpoint), with the virtual clock
+		// (whose lane clocks do not — they rejoin the device clocks every
+		// step), and with both.
+		for _, cell := range []string{"topk", "hardware", "topk-hardware"} {
+			t.Run(fmt.Sprintf("%s-unique-fp32-overlap-%s", opt, cell), func(t *testing.T) {
+				cfg := smallConfig(4, core.UniqueExchange{})
+				cfg.Model.Sampled = 12
+				cfg.LRDecay = 0.9
+				cfg.SeedStrategy = sampling.ZipfFreq
+				cfg.Overlap = true
+				if cell != "hardware" {
+					cfg.Compress = &compress.Config{Method: compress.MethodTopK, Ratio: 0.05, Momentum: 0.9, MinElems: 1}
+				}
+				if cell != "topk" {
+					hw := perfmodel.TitanX()
+					cfg.Hardware = &hw
+					cfg.SimFLOPsPerStep = 1e9
+					cfg.SimAchievedFrac = 0.4
+				}
+				if opt == "adam" {
+					cfg.NewOptimizer = func() optim.Optimizer { return optim.NewAdam(1e-5) }
+				}
+				assertResumeBitIdentical(t, cfg, train, valid, leg)
+			})
 		}
 	}
 }

@@ -93,27 +93,30 @@ type Config struct {
 	DeviceCapacity int64
 	// ClipNorm, when > 0, clips each dense gradient tensor's L2 norm.
 	ClipNorm float64
-	// Overlap enables the bucketed asynchronous dense-gradient reduction:
-	// each dense layer's ring all-reduce starts the moment its backward
-	// pass completes, overlapping communication of layer L with
-	// backpropagation of layer L−1 and with the sparse embedding exchange.
-	// Gradients, wire bytes, and replicas are bit-identical to the
-	// synchronous path (tested); only wall-clock changes.
+	// Overlap takes the dense-gradient reduction off the step's critical
+	// path: a per-rank worker issues each dense layer's all-reduce on the
+	// communicator's side lane the moment that layer's backward pass
+	// completes, overlapping communication of layer L with backpropagation
+	// of layer L−1 and with the sparse embedding exchange on the primary
+	// lane. The worker calls the same dense-gradient function the
+	// synchronous mode calls, so Overlap composes with Wire, Compress and
+	// Hardware. Gradients, wire bytes, and replicas are bit-identical to the
+	// synchronous path (tested; see Compress for the one exception).
 	Overlap bool
-	// BucketBytes overrides the async bucket-close threshold
-	// (collective.DefaultBucketBytes when 0). Only meaningful with
-	// Overlap.
-	BucketBytes int64
 	// Hardware, when non-nil, threads the virtual clock through the run:
-	// every synchronous collective advances the participating ranks'
-	// clocks by α + bytes/β on the profile's ring link, per-step compute
-	// advances each rank by SimFLOPsPerStep ÷ achieved FLOP/s, and the
-	// embedding updates advance by their read-modify-write bytes ÷ MemBW.
-	// StepStats then carries the predicted wall-clock decomposition next
-	// to the measured one. nil (the default) leaves every hot path on the
-	// exact pre-simulation code path. The clock prices synchronous
-	// collectives only, so New rejects Hardware combined with Overlap
-	// (async buckets bypass the cost model and would read as free).
+	// every collective advances the participating ranks' clocks by
+	// α + bytes/β on the profile's ring link, per-step compute advances
+	// each rank by SimFLOPsPerStep ÷ achieved FLOP/s, and the embedding
+	// updates advance by their read-modify-write bytes ÷ MemBW. StepStats
+	// then carries the predicted wall-clock decomposition next to the
+	// measured one. nil (the default) leaves every hot path on the exact
+	// pre-simulation code path. With Overlap the side lane is priced on
+	// per-rank lane clocks beside the device clocks: a layer's reduction
+	// starts no earlier than the virtual time its gradients were ready (the
+	// compute charge is split at the backward hooks to say when that is)
+	// and the rank's clock joins its lane clock when the step drains, so
+	// the predicted step is the critical path of compute and communication,
+	// not their sum.
 	Hardware *perfmodel.Hardware
 	// SimFLOPsPerStep is the modeled per-rank compute per step charged to
 	// the virtual clock (0 = communication/update-only simulation). Only
@@ -139,8 +142,9 @@ type Config struct {
 	// Faults injects rank failures at simulated times: after any step
 	// whose virtual clock crosses a scheduled failure, the trainer rolls
 	// every replica back to the last checkpoint (or the initial state) and
-	// replays. Requires Hardware — without the virtual clock "when a rank
-	// dies" is undefined.
+	// replays. The schedule is in virtual seconds, so it needs Hardware; New
+	// rejects Faults without it as malformed input — a failure time means
+	// nothing without a clock to read it against.
 	Faults *ckpt.FaultPlan
 	// SimCheckpointSeconds is the modeled wall-clock cost of writing one
 	// checkpoint at paper scale (state bytes ÷ storage bandwidth), charged
@@ -157,10 +161,13 @@ type Config struct {
 	// or 8-bit per-chunk quantization on the ring wire, per the config's
 	// policy. Composes with any Exchange engine and with the FP16 Wire
 	// (top-k values then travel as FP16 too); the residual state is
-	// carried through checkpoints so resumed runs stay bit-identical. New
-	// rejects Compress combined with Overlap — the async bucket queue
-	// bypasses the compressed path, so a combined run would silently train
-	// uncompressed.
+	// carried through checkpoints so resumed runs stay bit-identical. With
+	// Overlap the tensors reach the engine in backward order (projection,
+	// RNN, output embedding) rather than DenseParams order: top-k (per-tensor
+	// carry) and deterministic q8 do not depend on call order and equal the
+	// synchronous run bitwise; stochastic q8 draws from one per-rank stream
+	// in call order, so an overlapped run is reproducible and resume-exact
+	// but not equal to its synchronous twin.
 	Compress *compress.Config
 	// Telemetry, when non-nil, publishes the trainer's step/phase metrics
 	// (and the communicator's and checkpoint store's) into the registry.
@@ -279,6 +286,9 @@ type Trainer struct {
 	// is nil): the per-rank error-feedback residuals and quantizer
 	// streams.
 	cmp []*compress.Engine
+	// laneClocks are the per-rank virtual clocks of the communicator's side
+	// lane (nil unless both Overlap and Hardware are set).
+	laneClocks []*vclock.Clock
 	// ckptDir is the on-disk store (nil without Config.CheckpointDir);
 	// lastCkpt is the newest captured state — the fault-rollback target.
 	ckptDir  *ckpt.Dir
@@ -329,14 +339,20 @@ func New(cfg Config, train, valid []int) (*Trainer, error) {
 	if perRank < need {
 		return nil, fmt.Errorf("trainer: shard of %d tokens below one batch (%d)", perRank, need)
 	}
+	hx, _ := cfg.Exchange.(core.HierarchicalExchange)
+	if hx.Hier != nil && hx.Hier.G != cfg.Ranks {
+		return nil, fmt.Errorf("trainer: hierarchy spans %d ranks but cluster has %d", hx.Hier.G, cfg.Ranks)
+	}
+	if cfg.Faults != nil && cfg.Hardware == nil {
+		// Input validation, not a missing feature: the failure schedule is
+		// written in virtual seconds and only Hardware gives the run a clock.
+		return nil, fmt.Errorf("trainer: Faults need Hardware — failure times are defined on the virtual clock")
+	}
 	t := &Trainer{
 		cfg:   cfg,
 		clu:   cluster.New(cfg.Ranks, cfg.DeviceCapacity),
 		comm:  collective.New(cfg.Ranks),
 		valid: valid,
-	}
-	if cfg.BucketBytes > 0 {
-		t.comm.SetBucketBytes(cfg.BucketBytes)
 	}
 	if cfg.Telemetry != nil {
 		t.tel = newTrainerTelemetry(cfg.Telemetry)
@@ -347,27 +363,23 @@ func New(cfg Config, train, valid []int) (*Trainer, error) {
 		t.comm.AttachTrace(cfg.Trace)
 	}
 	if cfg.Hardware != nil {
-		if cfg.Overlap {
-			// The virtual clock prices synchronous collectives only;
-			// async buckets complete at scheduler-dependent times and
-			// deliberately bypass the cost model (collective.CostModel),
-			// so a combined run would report dense communication as free.
-			return nil, fmt.Errorf("trainer: Hardware (virtual clock) cannot price Overlap mode; run the simulation synchronously")
-		}
 		// Thread the virtual clock: the flat communicator's ring runs on
 		// PCIe while the cluster fits in one node, on the InfiniBand
 		// boundary once it spans nodes (Table II).
-		t.comm.AttachCost(&collective.CostModel{
-			Link:   cfg.Hardware.RingLink(cfg.Ranks),
-			Clocks: t.clu.Clocks(),
-		})
+		link := cfg.Hardware.RingLink(cfg.Ranks)
+		t.comm.AttachCost(&collective.CostModel{Link: link, Clocks: t.clu.Clocks()})
+		if cfg.Overlap {
+			// The side lane shares the fabric but keeps its own timeline.
+			t.laneClocks = make([]*vclock.Clock, cfg.Ranks)
+			for r := range t.laneClocks {
+				t.laneClocks[r] = new(vclock.Clock)
+			}
+			t.comm.Side().AttachCost(&collective.CostModel{Link: link, Clocks: t.laneClocks})
+		}
 		// A hierarchical exchange routes its collectives through the
 		// hierarchy's own communicators; price them with the topology's
 		// fabric split (groups on PCIe, leaders on InfiniBand).
-		if hx, ok := cfg.Exchange.(core.HierarchicalExchange); ok && hx.Hier != nil {
-			if hx.Hier.G != cfg.Ranks {
-				return nil, fmt.Errorf("trainer: hierarchy spans %d ranks but cluster has %d", hx.Hier.G, cfg.Ranks)
-			}
+		if hx.Hier != nil {
 			hx.Hier.AttachCost(cfg.Hardware.IntraLink(), cfg.Hardware.InterLink(), t.clu.Clocks())
 		}
 	}
@@ -399,14 +411,6 @@ func New(cfg Config, train, valid []int) (*Trainer, error) {
 		t.shards[r] = train[r*perRank : (r+1)*perRank]
 	}
 	if cfg.Compress != nil {
-		if cfg.Overlap {
-			// The async bucket queue reduces raw tensors on its own ring;
-			// gradients routed through it would skip the compressors and
-			// their error-feedback accounting entirely, so a combined run
-			// would look configured-but-uncompressed. Mirror the
-			// Hardware+Overlap guard and fail loudly instead.
-			return nil, fmt.Errorf("trainer: Compress cannot combine with Overlap — async buckets bypass the compressed path; run synchronously")
-		}
 		cc, err := cfg.Compress.Validate()
 		if err != nil {
 			return nil, fmt.Errorf("trainer: %w", err)
@@ -423,9 +427,6 @@ func New(cfg Config, train, valid []int) (*Trainer, error) {
 	}
 	t.lr = cfg.LR
 	t.nextDecay = t.StepsPerEpoch()
-	if cfg.Faults != nil && cfg.Hardware == nil {
-		return nil, fmt.Errorf("trainer: Faults need Hardware — failure times are defined on the virtual clock")
-	}
 	if cfg.CheckpointDir != "" {
 		dir, err := ckpt.NewDir(cfg.CheckpointDir, cfg.CheckpointKeepLast, cfg.CheckpointKeepEvery)
 		if err != nil {
@@ -848,22 +849,121 @@ type stepStats struct {
 	simStart, simAfterCompute float64
 }
 
+// denseJob is one batch of dense gradients handed to a rank's side-lane
+// worker: the tensors, and the time on the producing rank's device clock at
+// which they held their final values (zero without Hardware).
+type denseJob struct {
+	params  []model.Param
+	readyAt float64
+}
+
+// denseWorker is one rank's side-lane reducer for one overlapped step: a
+// goroutine that reduces the jobs sent to it, in order, while the rank's own
+// goroutine keeps backpropagating and runs the sparse exchange. It lives
+// for one step — startDenseWorker to drain — so a Trainer owns no
+// goroutines between steps.
+type denseWorker struct {
+	jobs chan denseJob
+	done chan struct{}
+	// clock is the rank's side-lane virtual clock (nil without Hardware).
+	clock *vclock.Clock
+	// err is the first reduceDense failure; the worker writes it, drain
+	// reads it after done.
+	err error
+}
+
+// startDenseWorker launches rank's worker for one step. Every rank sends
+// the same jobs in the same order, which is what matches the workers'
+// side-lane collectives up; after a failure (symmetric across ranks, like
+// every collective error) the remaining jobs are discarded.
+func (t *Trainer) startDenseWorker(rank int) *denseWorker {
+	w := &denseWorker{
+		// One job per dense layer plus the output embedding: sends never
+		// block the backward pass.
+		jobs: make(chan denseJob, len(t.models[rank].DenseLayers())+1),
+		done: make(chan struct{}),
+	}
+	if t.laneClocks != nil {
+		w.clock = t.laneClocks[rank]
+	}
+	go func() {
+		defer close(w.done)
+		for j := range w.jobs {
+			if w.err != nil {
+				continue
+			}
+			if w.clock != nil {
+				// The lane is free at its own clock; the payload exists from
+				// readyAt. The collective's charge then max-syncs the ranks.
+				w.clock.AdvanceTo(j.readyAt)
+			}
+			w.err = t.reduceDense(t.comm.Side(), rank, j.params)
+		}
+	}()
+	return w
+}
+
+// drain closes the worker's queue and waits until every job has fully
+// reduced, then joins the lane's virtual timeline into the rank's device
+// clock. It must run on every exit path of the step: until the worker's
+// last collective closes, peer ranks' ring hops still read aliases of this
+// rank's gradient tensors (zero-copy), so returning earlier would leave
+// dangling readers behind an aborted step. A nil worker (synchronous mode)
+// has nothing to drain.
+func (w *denseWorker) drain(dev *cluster.Device) error {
+	if w == nil {
+		return nil
+	}
+	close(w.jobs)
+	<-w.done
+	if w.clock != nil {
+		dev.Clock.AdvanceTo(w.clock.Now())
+	}
+	return w.err
+}
+
+// reduceDense all-reduces the dense gradients ps across ranks on lane c —
+// the one dense-gradient path of both modes. With Compress each named
+// tensor goes through the rank's compression engine, which routes it per
+// policy (base wire, quantized ring, or top-k with error feedback);
+// otherwise the tensors travel in one fused ring pass on the run's wire.
+func (t *Trainer) reduceDense(c *collective.Comm, rank int, ps []model.Param) error {
+	if t.cmp != nil {
+		for _, p := range ps {
+			if err := t.cmp[rank].AllReduce(c, rank, p.Name, p.Grad); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// Stack-backed for every layer the models have (LSTM 3 tensors, RHN
+	// 2+4·depth); append spills to the heap beyond that.
+	var buf [24][]float32
+	parts := buf[:0]
+	for _, p := range ps {
+		parts = append(parts, p.Grad)
+	}
+	c.AllReduceParts(rank, parts, t.cfg.Wire)
+	return nil
+}
+
 // trainStep executes one synchronous step across all ranks.
 //
-// With cfg.Overlap, dense-gradient ring reductions run asynchronously on
-// the communicator's bucket queue: a layer's all-reduce is submitted by a
-// backward hook the moment the layer finishes backpropagating (overlapping
-// the reduction of layer L with the backprop of layer L−1), the bucket is
-// flushed at the start of phase 2, and the sparse embedding exchange then
-// proceeds while the dense rings are still in flight (the async ring and
-// the synchronous collectives use disjoint channel sets). Both modes apply
-// bit-identical arithmetic in the same per-tensor order, so replicas and
-// wire-byte counters match exactly between them.
+// Both modes reduce dense gradients through reduceDense; cfg.Overlap decides
+// only when and on which lane. Synchronous mode calls it in phase 2 on the
+// primary lane, one tensor at a time. Overlap mode calls it from each rank's
+// denseWorker on the side lane: a backward hook hands a layer over the
+// moment it finishes backpropagating (overlapping the reduction of layer L
+// with the backprop of layer L−1), phase 2 hands over the full-softmax
+// output gradient, and the sparse embedding exchange then proceeds on the
+// primary lane while the dense reductions are still in flight. Both modes
+// apply bit-identical arithmetic to each tensor, so replicas and wire-byte
+// counters match exactly between them.
 func (t *Trainer) trainStep(step int, lrNow float64, seeds []uint64) (stepStats, error) {
 	g := t.cfg.Ranks
 	results := make([]model.StepResult, g)
 	samplers := make([]sampling.CandidateSampler, g)
-	pendings := make([][]*collective.Pending, g)
+	workers := make([]*denseWorker, g)
 	var agg stepStats
 
 	sim := t.cfg.Hardware
@@ -874,7 +974,7 @@ func (t *Trainer) trainStep(step int, lrNow float64, seeds []uint64) (stepStats,
 	// Phase 1 (parallel): forward/backward on every rank, with dense
 	// reductions streaming out mid-backprop in Overlap mode.
 	phaseStart := time.Now()
-	err := t.clu.Run(func(rank int, dev *cluster.Device) error {
+	_ = t.clu.Run(func(rank int, dev *cluster.Device) error {
 		var cT0 time.Time
 		var cV0 float64
 		if t.cfg.Trace != nil {
@@ -897,34 +997,53 @@ func (t *Trainer) trainStep(step int, lrNow float64, seeds []uint64) (stepStats,
 		}
 		samplers[rank] = sampler
 		inputs, targets := t.batchAt(t.shards[rank], step)
+
+		// The forward/backward pass: modeled FLOPs at the workload's
+		// achieved fraction of peak, charged to this rank's clock. The
+		// synchronous mode charges them in one lump after the pass. Overlap
+		// mode has to say when each layer's gradients were ready, so it
+		// walks the clock to the same end point in stages: the forward pass
+		// is a third of the FLOPs, and the backward two thirds have
+		// progressed by the finished layers' share of the dense parameters.
+		flops := int64(t.cfg.SimFLOPsPerStep)
+		var start, lump float64
+		if sim != nil && flops > 0 {
+			start = dev.Clock.Now()
+			lump = sim.ComputeSeconds(float64(flops), t.cfg.SimAchievedFrac)
+		}
 		var hook model.BackwardHook
 		if t.cfg.Overlap {
+			w := t.startDenseWorker(rank)
+			workers[rank] = w
+			var total, ready int
+			if lump > 0 {
+				total = model.NumParams(m.DenseLayers()...)
+			}
 			hook = func(layer model.Layer) {
-				for _, p := range layer.Params() {
-					pendings[rank] = append(pendings[rank],
-						t.comm.AllReduceAsync(rank, p.Grad, t.cfg.Wire))
+				ps := layer.Params()
+				if total > 0 {
+					for _, p := range ps {
+						ready += len(p.Grad)
+					}
+					dev.Clock.AdvanceTo(start + lump*(1+2*float64(ready)/float64(total))/3)
 				}
-				// Flush per layer so the layer's reduction genuinely
-				// starts now, overlapping the next layer's backward —
-				// the bucket threshold then only splits layers larger
-				// than one bucket.
-				t.comm.FlushAsync(rank)
+				w.jobs <- denseJob{params: ps, readyAt: dev.Clock.Now()}
 			}
 		}
 		results[rank] = m.ForwardBackwardHooked(inputs, targets, sampler, hook)
-		if sim != nil && t.cfg.SimFLOPsPerStep > 0 {
-			// The forward/backward pass: modeled FLOPs at the workload's
-			// achieved fraction of peak, charged to this rank's clock.
-			dev.AdvanceCompute(int64(t.cfg.SimFLOPsPerStep), *sim, t.cfg.SimAchievedFrac)
+		if lump > 0 {
+			if t.cfg.Overlap {
+				dev.AddFLOPs(flops)
+				dev.Clock.AdvanceTo(start + lump)
+			} else {
+				dev.AdvanceCompute(flops, *sim, t.cfg.SimAchievedFrac)
+			}
 		}
 		if tr := t.cfg.Trace; tr != nil {
 			tr.Span("rank", "compute", rank, cT0, time.Since(cT0), cV0, dev.Clock.Now()-cV0)
 		}
 		return nil
 	})
-	if err != nil {
-		return agg, err
-	}
 	agg.computeTime = time.Since(phaseStart)
 	if sim != nil {
 		agg.simAfterCompute = t.clu.MaxClock()
@@ -950,65 +1069,36 @@ func (t *Trainer) trainStep(step int, lrNow float64, seeds []uint64) (stepStats,
 		ctx := &core.Ctx{Rank: rank, Comm: t.comm, Dev: dev, Wire: t.cfg.Wire, WS: t.ws[rank]}
 		outDense := t.cfg.Model.Sampled == 0
 		outGrad := results[rank].OutputGrad
+		w := workers[rank]
 
-		// Dense gradients: ring all-reduce. Synchronous mode reduces here;
-		// Overlap mode already queued the layer gradients during backprop
-		// and only needs to queue the full-softmax output gradient (a
-		// dense V×D block that all-reduces like an RNN parameter) and
-		// flush, leaving the rings to run under the sparse exchange below.
-		if t.cfg.Overlap {
-			if outDense {
-				pendings[rank] = append(pendings[rank],
-					t.comm.AllReduceAsync(rank, outGrad.Rows.Data, t.cfg.Wire))
-			}
-			t.comm.FlushAsync(rank)
-		} else if t.cmp != nil {
-			// Compressed dense path: each named tensor goes through the
-			// rank's compression engine, which routes it per policy —
-			// base wire, quantized ring, or top-k with error feedback.
-			// The full-softmax output-embedding gradient is dense here
-			// but embedding-shaped, so its name opts it into the policy's
-			// Zipf-derived embedding ratio.
-			for _, p := range m.DenseParams() {
-				if err := t.cmp[rank].AllReduce(t.comm, rank, p.Name, p.Grad); err != nil {
+		// Dense gradients. The full-softmax output gradient is a dense V×D
+		// block that all-reduces like an RNN parameter; it is
+		// embedding-shaped, so its name opts it into a compression policy's
+		// Zipf-derived embedding ratio. Overlap mode queued the layers during
+		// backprop and only adds that block here, leaving the side lane to
+		// run under the sparse exchange below; synchronous mode reduces
+		// everything now.
+		var outemb []model.Param
+		if outDense {
+			outemb = []model.Param{{Name: "outemb", Grad: outGrad.Rows.Data}}
+		}
+		if w == nil {
+			for _, p := range append(m.DenseParams(), outemb...) {
+				if err := t.reduceDense(t.comm, rank, []model.Param{p}); err != nil {
 					errs[rank] = err
 					return nil
 				}
 			}
-			if outDense {
-				if err := t.cmp[rank].AllReduce(t.comm, rank, "outemb", outGrad.Rows.Data); err != nil {
-					errs[rank] = err
-					return nil
-				}
-			}
-		} else {
-			for _, p := range m.DenseParams() {
-				t.comm.AllReduce(rank, p.Grad, t.cfg.Wire)
-			}
-			if outDense {
-				t.comm.AllReduce(rank, outGrad.Rows.Data, t.cfg.Wire)
-			}
+		} else if outDense {
+			w.jobs <- denseJob{params: outemb, readyAt: dev.Clock.Now()}
 		}
 
-		// drain blocks until every async bucket this rank submitted has
-		// fully reduced. It must run on EVERY exit path below: until the
-		// handles release, peer ranks' bucket runners still read aliases
-		// of this rank's gradient tensors (zero-copy hops), so returning
-		// with pendings in flight would leave dangling readers behind an
-		// aborted step.
-		drain := func() {
-			for _, p := range pendings[rank] {
-				p.Wait()
-			}
-		}
-
-		// Input embedding: the §III exchange (blackboard gathers plus the
-		// synchronous ring, both disjoint from the async ring, so in
-		// Overlap mode this runs concurrently with the dense reductions).
+		// Input embedding: the §III exchange (on the primary lane, so in
+		// Overlap mode it runs concurrently with the dense reductions).
 		upd, st, err := t.cfg.Exchange.Exchange(ctx, results[rank].InputGrad)
 		if err != nil {
 			errs[rank] = err
-			drain()
+			_ = w.drain(dev) // the exchange failure is the one reported
 			return nil
 		}
 		inStats[rank] = st
@@ -1021,16 +1111,19 @@ func (t *Trainer) trainStep(step int, lrNow float64, seeds []uint64) (stepStats,
 			updOut, stOut, err = t.cfg.Exchange.Exchange(ctx, outGrad)
 			if err != nil {
 				errs[rank] = err
-				drain()
+				_ = w.drain(dev) // as above
 				return nil
 			}
 			outStats[rank] = stOut
 		}
 
-		// Drain the async queue, then post-process: averaging, clipping
+		// Wait for the side lane, then post-process: averaging, clipping
 		// and the embedding updates apply the same arithmetic to the same
 		// tensors in both modes.
-		drain()
+		if err := w.drain(dev); err != nil {
+			errs[rank] = err
+			return nil
+		}
 		if tr := t.cfg.Trace; tr != nil {
 			// The exchange span closes once every collective this rank
 			// joined has completed — its virtual duration is wire time

@@ -155,6 +155,21 @@
 // that rank's goroutine, still only after every rank's exchange succeeded.
 // internal/cpu is the single CPUID probe behind all of these gates.
 //
+// The activations are the one place where the arithmetic is this
+// repository's own rather than the platform's. exp, tanh and the logistic
+// sigmoid are defined in internal/tensor (trans.go) as float32 functions —
+// Cody–Waite range reduction, a fixed polynomial, every product rounded
+// before it is added, no libm and no FMA — with error bounds against
+// float64 checked over all 2³² inputs (exp within 1 ulp, tanh 1.5, sigmoid
+// 2.5 and monotone) and defined results at ±Inf, NaN, overflow and
+// underflow. An AVX2 kernel per function repeats the definition eight lanes
+// at a time (TestTransAsmMatchesGo). Each recurrent cell is one fused gate
+// function making vector passes over the contiguous pre-activation row,
+// shared by training and serving, and every softmax — full, sampled, the
+// decoder's — exponentiates each logit once and sums in a fixed lane-striped
+// order, so activations are the same bits at every worker count, batch size
+// and architecture. README "Numerics" has the details.
+//
 // # Gradient compression: top-k error feedback, 8-bit quantization
 //
 // internal/compress multiplies the wire savings of §III-A and §III-C on

@@ -31,9 +31,9 @@ type LSTM struct {
 	be tensor.Backend
 
 	// forward caches, one entry per timestep
-	xs, hs, cs      []*tensor.Matrix // inputs, hidden states, cell states
-	gi, gf, gg, go_ []*tensor.Matrix // post-activation gates
-	h0, c0          *tensor.Matrix
+	xs, hs, cs []*tensor.Matrix // inputs, hidden states, cell states
+	zs, tcs    []*tensor.Matrix // post-activation gates [i|f|g|o] (B×4H), tanh(c)
+	h0, c0     *tensor.Matrix
 
 	// stateful training (see state.go)
 	carry   bool
@@ -62,6 +62,29 @@ func NewLSTM(in, hidden int, r *rng.RNG) *LSTM {
 
 func (l *LSTM) setBackend(be tensor.Backend) { l.be = be }
 
+// gates is the cell: one row's pre-activations to its gates and new state, in
+// vector passes over the contiguous [i|f|g|o] row. z holds x·Wxᵀ and becomes
+// the post-activation gates (what Backward reads): z += zh + b, σ over [i|f],
+// tanh over g, σ over o; then c = f⊙cPrev + i⊙g (each product rounded, no
+// FMA), tc = tanh(c), h = o⊙tc. Forward and stepInfer both step through
+// here, so training and serving compute the same bits; c may be cPrev.
+func (l *LSTM) gates(z, zh, cPrev, c, tc, h []float32) {
+	hd := l.Hidden
+	tensor.AddInPlace(z, zh)
+	tensor.AddInPlace(z, l.B)
+	tensor.Sigmoid(z[:2*hd], z[:2*hd])
+	tensor.Tanh(z[2*hd:3*hd], z[2*hd:3*hd])
+	tensor.Sigmoid(z[3*hd:], z[3*hd:])
+	i, f, g, o := z[:hd], z[hd:2*hd], z[2*hd:3*hd], z[3*hd:]
+	for j := range c {
+		c[j] = float32(f[j]*cPrev[j]) + float32(i[j]*g[j])
+	}
+	tensor.Tanh(tc, c)
+	for j := range h {
+		h[j] = o[j] * tc[j]
+	}
+}
+
 // Forward runs the layer over xs (T matrices of B×In), starting from zero
 // initial state, and returns the T hidden states (B×H each).
 func (l *LSTM) Forward(xs []*tensor.Matrix) []*tensor.Matrix {
@@ -75,47 +98,24 @@ func (l *LSTM) Forward(xs []*tensor.Matrix) []*tensor.Matrix {
 	l.xs = xs
 	l.hs = make([]*tensor.Matrix, t)
 	l.cs = make([]*tensor.Matrix, t)
-	l.gi = make([]*tensor.Matrix, t)
-	l.gf = make([]*tensor.Matrix, t)
-	l.gg = make([]*tensor.Matrix, t)
-	l.go_ = make([]*tensor.Matrix, t)
+	l.zs = make([]*tensor.Matrix, t)
+	l.tcs = make([]*tensor.Matrix, t)
 	l.h0, l.c0 = initialState(l.carry, l.carried, batch, h, true)
 
 	hPrev, cPrev := l.h0, l.c0
-	zx := tensor.NewMatrix(batch, 4*h)
 	zh := tensor.NewMatrix(batch, 4*h)
 	for step := 0; step < t; step++ {
 		// z = x Wxᵀ + h_prev Whᵀ + b
-		l.be.MatMulABT(zx, xs[step], l.Wx)
+		z := tensor.NewMatrix(batch, 4*h)
+		l.be.MatMulABT(z, xs[step], l.Wx)
 		l.be.MatMulABT(zh, hPrev, l.Wh)
-		gi := tensor.NewMatrix(batch, h)
-		gf := tensor.NewMatrix(batch, h)
-		gg := tensor.NewMatrix(batch, h)
-		gout := tensor.NewMatrix(batch, h)
 		ht := tensor.NewMatrix(batch, h)
 		ct := tensor.NewMatrix(batch, h)
+		tc := tensor.NewMatrix(batch, h)
 		for b := 0; b < batch; b++ {
-			zxr, zhr := zx.Row(b), zh.Row(b)
-			cpr := cPrev.Row(b)
-			for j := 0; j < h; j++ {
-				zi := float64(zxr[j] + zhr[j] + l.B[j])
-				zf := float64(zxr[h+j] + zhr[h+j] + l.B[h+j])
-				zg := float64(zxr[2*h+j] + zhr[2*h+j] + l.B[2*h+j])
-				zo := float64(zxr[3*h+j] + zhr[3*h+j] + l.B[3*h+j])
-				i := 1 / (1 + math.Exp(-zi))
-				f := 1 / (1 + math.Exp(-zf))
-				g := math.Tanh(zg)
-				o := 1 / (1 + math.Exp(-zo))
-				c := f*float64(cpr[j]) + i*g
-				gi.Row(b)[j] = float32(i)
-				gf.Row(b)[j] = float32(f)
-				gg.Row(b)[j] = float32(g)
-				gout.Row(b)[j] = float32(o)
-				ct.Row(b)[j] = float32(c)
-				ht.Row(b)[j] = float32(o * math.Tanh(c))
-			}
+			l.gates(z.Row(b), zh.Row(b), cPrev.Row(b), ct.Row(b), tc.Row(b), ht.Row(b))
 		}
-		l.gi[step], l.gf[step], l.gg[step], l.go_[step] = gi, gf, gg, gout
+		l.zs[step], l.tcs[step] = z, tc
 		l.hs[step], l.cs[step] = ht, ct
 		hPrev, cPrev = ht, ct
 	}
@@ -151,28 +151,25 @@ func (l *LSTM) Backward(dhs []*tensor.Matrix) []*tensor.Matrix {
 			cPrev = l.cs[step-1]
 			hPrev = l.hs[step-1]
 		}
-		gi, gf, gg, gout := l.gi[step], l.gf[step], l.gg[step], l.go_[step]
-		ct := l.cs[step]
-
 		for b := 0; b < batch; b++ {
 			dhr := dhs[step].Row(b)
 			dhn := dhNext.Row(b)
 			dcn := dcNext.Row(b)
 			dzr := dz.Row(b)
+			zr, tcr, cpr := l.zs[step].Row(b), l.tcs[step].Row(b), cPrev.Row(b)
 			for j := 0; j < h; j++ {
 				dh := float64(dhr[j] + dhn[j])
-				c := float64(ct.Row(b)[j])
-				tc := math.Tanh(c)
-				i := float64(gi.Row(b)[j])
-				f := float64(gf.Row(b)[j])
-				g := float64(gg.Row(b)[j])
-				o := float64(gout.Row(b)[j])
+				tc := float64(tcr[j])
+				i := float64(zr[j])
+				f := float64(zr[h+j])
+				g := float64(zr[2*h+j])
+				o := float64(zr[3*h+j])
 
 				do := dh * tc
 				dc := float64(dcn[j]) + dh*o*(1-tc*tc)
 				di := dc * g
 				dg := dc * i
-				df := dc * float64(cPrev.Row(b)[j])
+				df := dc * float64(cpr[j])
 
 				dzr[j] = float32(di * i * (1 - i))
 				dzr[h+j] = float32(df * f * (1 - f))
@@ -203,32 +200,17 @@ func (l *LSTM) Backward(dhs []*tensor.Matrix) []*tensor.Matrix {
 // stepInfer advances one inference timestep in place: x is the B×In input,
 // h and c the B×H recurrent state (updated to the new state), zx and zh B×4H
 // scratch. No backward caches are written and nothing is allocated, so the
-// serving hot loop can call it per token at zero cost beyond the math. The
-// per-element arithmetic is exactly Forward's (same float64 intermediate
-// precision, same order), and every row depends only on that row's input
-// and state, so a batched step is bit-identical to B independent
+// serving hot loop can call it per token at zero cost beyond the math. Every
+// row goes through gates exactly as in Forward and depends only on that
+// row's input and state, so a batched step is bit-identical to B independent
 // single-sequence steps.
 func (l *LSTM) stepInfer(x, h, c, zx, zh *tensor.Matrix) {
-	batch := x.Rows
-	hd := l.Hidden
 	qmul(l.be, zx, x, l.Wx, l.qwx)
 	qmul(l.be, zh, h, l.Wh, l.qwh)
-	for b := 0; b < batch; b++ {
-		zxr, zhr := zx.Row(b), zh.Row(b)
-		hr, cr := h.Row(b), c.Row(b)
-		for j := 0; j < hd; j++ {
-			zi := float64(zxr[j] + zhr[j] + l.B[j])
-			zf := float64(zxr[hd+j] + zhr[hd+j] + l.B[hd+j])
-			zg := float64(zxr[2*hd+j] + zhr[2*hd+j] + l.B[2*hd+j])
-			zo := float64(zxr[3*hd+j] + zhr[3*hd+j] + l.B[3*hd+j])
-			i := 1 / (1 + math.Exp(-zi))
-			f := 1 / (1 + math.Exp(-zf))
-			g := math.Tanh(zg)
-			o := 1 / (1 + math.Exp(-zo))
-			cNew := f*float64(cr[j]) + i*g
-			cr[j] = float32(cNew)
-			hr[j] = float32(o * math.Tanh(cNew))
-		}
+	for b := 0; b < x.Rows; b++ {
+		zhr, cr := zh.Row(b), c.Row(b)
+		// zh is spent once gates has added it in: its head holds tanh(c).
+		l.gates(zx.Row(b), zhr, cr, cr, zhr[:l.Hidden], h.Row(b))
 	}
 }
 

@@ -99,6 +99,26 @@ func NewRHN(in, hidden, depth int, r *rng.RNG) *RHN {
 
 func (l *RHN) setBackend(be tensor.Backend) { l.be = be }
 
+// gates is micro-layer d of the cell for one row, in vector passes: zh and
+// zt hold s·Rhᵀ and s·Rtᵀ and become h_l and t_l (what Backward reads) —
+// bias added, then the input projections xh, xt (nil past the first
+// micro-layer), tanh and σ in place — and sNext = h⊙t + s⊙(1−t), each
+// product rounded (no FMA). Forward and stepInfer both step through here, so
+// training and serving compute the same bits; sNext may be s.
+func (l *RHN) gates(d int, zh, zt, xh, xt, s, sNext []float32) {
+	tensor.AddInPlace(zh, l.Bh[d])
+	tensor.AddInPlace(zt, l.Bt[d])
+	if xh != nil {
+		tensor.AddInPlace(zh, xh)
+		tensor.AddInPlace(zt, xt)
+	}
+	tensor.Tanh(zh, zh)
+	tensor.Sigmoid(zt, zt)
+	for j := range sNext {
+		sNext[j] = float32(zh[j]*zt[j]) + float32(s[j]*float32(1-zt[j]))
+	}
+}
+
 // Forward runs the layer over xs (T matrices of B×In) from a zero initial
 // state, returning the T output states (B×H each).
 func (l *RHN) Forward(xs []*tensor.Matrix) []*tensor.Matrix {
@@ -119,8 +139,6 @@ func (l *RHN) Forward(xs []*tensor.Matrix) []*tensor.Matrix {
 
 	zxh := tensor.NewMatrix(batch, h)
 	zxt := tensor.NewMatrix(batch, h)
-	zrh := tensor.NewMatrix(batch, h)
-	zrt := tensor.NewMatrix(batch, h)
 	for step := 0; step < t; step++ {
 		l.be.MatMulABT(zxh, xs[step], l.Wh)
 		l.be.MatMulABT(zxt, xs[step], l.Wt)
@@ -130,30 +148,17 @@ func (l *RHN) Forward(xs []*tensor.Matrix) []*tensor.Matrix {
 		states[0] = sPrev
 		s := sPrev
 		for d := 0; d < l.Depth; d++ {
-			l.be.MatMulABT(zrh, s, l.Rh[d])
-			l.be.MatMulABT(zrt, s, l.Rt[d])
 			hg := tensor.NewMatrix(batch, h)
 			tg := tensor.NewMatrix(batch, h)
+			l.be.MatMulABT(hg, s, l.Rh[d])
+			l.be.MatMulABT(tg, s, l.Rt[d])
 			sNext := tensor.NewMatrix(batch, h)
 			for b := 0; b < batch; b++ {
 				var xh, xt []float32
 				if d == 0 {
 					xh, xt = zxh.Row(b), zxt.Row(b)
 				}
-				sr := s.Row(b)
-				for j := 0; j < h; j++ {
-					zh := float64(zrh.Row(b)[j] + l.Bh[d][j])
-					zt := float64(zrt.Row(b)[j] + l.Bt[d][j])
-					if d == 0 {
-						zh += float64(xh[j])
-						zt += float64(xt[j])
-					}
-					hv := math.Tanh(zh)
-					tv := 1 / (1 + math.Exp(-zt))
-					hg.Row(b)[j] = float32(hv)
-					tg.Row(b)[j] = float32(tv)
-					sNext.Row(b)[j] = float32(hv*tv + float64(sr[j])*(1-tv))
-				}
+				l.gates(d, hg.Row(b), tg.Row(b), xh, xt, s.Row(b), sNext.Row(b))
 			}
 			hs[d], ts[d] = hg, tg
 			states[d+1] = sNext
@@ -249,12 +254,10 @@ func (l *RHN) Backward(dhs []*tensor.Matrix) []*tensor.Matrix {
 // stepInfer advances one inference timestep in place: x is the B×In input,
 // s the B×H recurrent state (updated through all Depth micro-layers), and
 // zxh/zxt/zrh/zrt are B×H scratch. Like the LSTM counterpart it writes no
-// backward caches, allocates nothing, repeats Forward's arithmetic exactly,
-// and keeps every row independent so batched and single-sequence stepping
-// are bit-identical.
+// backward caches, allocates nothing, runs every row through gates exactly
+// as Forward does, and keeps every row independent so batched and
+// single-sequence stepping are bit-identical.
 func (l *RHN) stepInfer(x, s, zxh, zxt, zrh, zrt *tensor.Matrix) {
-	batch := x.Rows
-	h := l.Hidden
 	qmul(l.be, zxh, x, l.Wh, l.qwh)
 	qmul(l.be, zxt, x, l.Wt, l.qwt)
 	for d := 0; d < l.Depth; d++ {
@@ -264,23 +267,12 @@ func (l *RHN) stepInfer(x, s, zxh, zxt, zrh, zrt *tensor.Matrix) {
 		}
 		qmul(l.be, zrh, s, l.Rh[d], qrh)
 		qmul(l.be, zrt, s, l.Rt[d], qrt)
-		for b := 0; b < batch; b++ {
+		for b := 0; b < x.Rows; b++ {
 			var xh, xt []float32
 			if d == 0 {
 				xh, xt = zxh.Row(b), zxt.Row(b)
 			}
-			sr := s.Row(b)
-			for j := 0; j < h; j++ {
-				zh := float64(zrh.Row(b)[j] + l.Bh[d][j])
-				zt := float64(zrt.Row(b)[j] + l.Bt[d][j])
-				if d == 0 {
-					zh += float64(xh[j])
-					zt += float64(xt[j])
-				}
-				hv := math.Tanh(zh)
-				tv := 1 / (1 + math.Exp(-zt))
-				sr[j] = float32(hv*tv + float64(sr[j])*(1-tv))
-			}
+			l.gates(d, zrh.Row(b), zrt.Row(b), xh, xt, s.Row(b), s.Row(b))
 		}
 	}
 }

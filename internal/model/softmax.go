@@ -45,16 +45,11 @@ func FullSoftmaxLoss(be tensor.Backend, h *tensor.Matrix, outEmb *tensor.Matrix,
 			panic(fmt.Sprintf("model: target %d outside vocabulary %d", target, v))
 		}
 		row := logits.Row(b)
-		lse := tensor.LogSumExpRow(row)
-		lossSum += lse - float64(row[target])
-		if computeGrad {
-			dr := dlogits.Row(b)
-			for j, l := range row {
-				p := float32(math.Exp(float64(l) - lse))
-				dr[j] = p * invCount
-			}
-			dr[target] -= invCount
+		if !computeGrad {
+			lossSum += tensor.LogSumExpRow(row) - float64(row[target])
+			continue
 		}
+		lossSum += crossEntropyRow(dlogits.Row(b), row, target, invCount)
 	}
 	if !computeGrad {
 		return lossSum, count, nil, nil
@@ -64,6 +59,19 @@ func FullSoftmaxLoss(be tensor.Backend, h *tensor.Matrix, outEmb *tensor.Matrix,
 	dEmb = tensor.NewMatrix(v, h.Cols)
 	be.MatMulATB(dEmb, dlogits, h)
 	return lossSum, count, dh, dEmb
+}
+
+// crossEntropyRow is one token of either softmax: it returns the row's
+// cross-entropy log Σ exp(row) − row[target] in nats and fills dr with the
+// gradient of the mean loss with respect to the logits, (softmax(row) −
+// onehot(target))·invCount. Each logit is exponentiated once: the numerators
+// go to dr, and their lane-striped sum both normalizes them and gives the
+// log-sum-exp (tensor.ExpSumRow; the value tensor.LogSumExpRow returns).
+func crossEntropyRow(dr, row []float32, target int, invCount float32) float64 {
+	maxV, sum := tensor.ExpSumRow(dr, row)
+	tensor.Scale(dr, invCount/sum)
+	dr[target] -= invCount
+	return float64(maxV) + math.Log(float64(sum)) - float64(row[target])
 }
 
 // SampledSoftmaxResult carries what a sampled-softmax step produces.
@@ -126,15 +134,7 @@ func SampledSoftmaxLoss(be tensor.Backend, h *tensor.Matrix, outEmb *tensor.Matr
 		if !ok {
 			panic("model: target missing from candidate set")
 		}
-		row := logits.Row(b)
-		lse := tensor.LogSumExpRow(row)
-		res.LossSum += lse - float64(row[pos])
-		dr := dlogits.Row(b)
-		for j, l := range row {
-			p := float32(math.Exp(float64(l) - lse))
-			dr[j] = p * invCount
-		}
-		dr[pos] -= invCount
+		res.LossSum += crossEntropyRow(dlogits.Row(b), logits.Row(b), pos, invCount)
 	}
 
 	res.DH = tensor.NewMatrix(h.Rows, h.Cols)

@@ -124,19 +124,6 @@ func (sd *SpecDecoder) K() int { return sd.k }
 // Stats returns cumulative counters across every Generate call.
 func (sd *SpecDecoder) Stats() SpecStats { return sd.stats }
 
-// argmaxRow returns the index of the largest logit, first index winning
-// ties — exactly sampling.Decoder's greedy rule, and RNG-free, which is what
-// keeps the target's variate schedule sequential.
-func argmaxRow(lg []float32) int {
-	bi, bv := 0, lg[0]
-	for i, v := range lg {
-		if v > bv {
-			bi, bv = i, v
-		}
-	}
-	return bi
-}
-
 // Generate is a drop-in replacement for LM.GenerateOpts on the target model:
 // same arguments, bitwise-identical output, fewer target logits products
 // when the draft guesses well.
@@ -182,7 +169,7 @@ func (sd *SpecDecoder) Generate(prompt []int, n int, opts sampling.DecodeOpts, r
 			sd.ids[0] = sd.feed[i-1]
 			dlg := sd.dst.Step(sd.ids, sd.dStates)
 			sd.dSnaps[i-1].CopyFrom(sd.dState)
-			sd.feed[i] = argmaxRow(dlg.Row(0))
+			sd.feed[i] = sampling.Argmax(dlg.Row(0))
 			sd.stats.DraftSteps++
 		}
 

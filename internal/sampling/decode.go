@@ -66,7 +66,9 @@ func NewDecoder(vocab int) *Decoder {
 // Sample draws one token id from softmax(logits/temperature), restricted by
 // the top-k/top-p filters. It is deterministic given r, draws at most one
 // variate from r per call (exactly one unless temperature is 0), and leaves
-// logits untouched.
+// logits untouched. Logits with no distribution to draw from — a NaN among
+// them, or nothing but −Inf — fall back to Argmax, the variate still drawn;
+// +Inf logits share the whole mass (tensor.ExpSumRow).
 func (d *Decoder) Sample(logits []float32, opts DecodeOpts, r *rng.RNG) int {
 	if len(logits) != len(d.probs) {
 		panic(fmt.Sprintf("sampling: Decoder sized for %d logits, got %d", len(d.probs), len(logits)))
@@ -78,7 +80,7 @@ func (d *Decoder) Sample(logits []float32, opts DecodeOpts, r *rng.RNG) int {
 		opts.TopK = 0 // a cut wider than the vocabulary restricts nothing
 	}
 	if opts.Temperature == 0 {
-		return argmax(logits)
+		return Argmax(logits)
 	}
 	if math.IsInf(float64(float32(1/opts.Temperature)), 1) {
 		// A temperature so small (below ≈2.9e-39) that 1/T overflows float32
@@ -86,7 +88,7 @@ func (d *Decoder) Sample(logits []float32, opts DecodeOpts, r *rng.RNG) int {
 		// its limit is the greedy choice. The variate is drawn all the same:
 		// a positive temperature always costs the caller's RNG exactly one.
 		r.Float64()
-		return argmax(logits)
+		return Argmax(logits)
 	}
 
 	// Pure top-k never needs the full softmax or a full sort: selection on
@@ -103,7 +105,11 @@ func (d *Decoder) Sample(logits []float32, opts DecodeOpts, r *rng.RNG) int {
 	for i, v := range logits {
 		d.probs[i] = v * inv
 	}
-	tensor.SoftmaxRow(d.probs)
+	if !(tensor.SoftmaxRow(d.probs) > 0) {
+		// NaN (a NaN logit) or 0 (nothing but −Inf): no distribution.
+		r.Float64()
+		return Argmax(logits)
+	}
 
 	if !opts.restricted() {
 		// Unrestricted: inverse-CDF walk over the full distribution.
@@ -157,11 +163,14 @@ func (d *Decoder) Sample(logits []float32, opts DecodeOpts, r *rng.RNG) int {
 	return d.idx[m-1] // numerical tail
 }
 
-// argmax returns the index of the largest logit, the first one on ties.
-func argmax(logits []float32) int {
+// Argmax returns the index of the largest logit, the first one on ties: the
+// greedy rule of Sample at temperature 0, and the RNG-free proposal rule of
+// speculative decoding (which must not disturb a request's variate
+// schedule). A NaN logit never wins; a row of nothing else returns 0.
+func Argmax(logits []float32) int {
 	bi, bv := 0, logits[0]
 	for i, v := range logits {
-		if v > bv {
+		if v > bv || (bv != bv && v == v) {
 			bi, bv = i, v
 		}
 	}
@@ -184,8 +193,10 @@ func (d *Decoder) sampleTopK(logits []float32, opts DecodeOpts, r *rng.RNG) int 
 		siftWorst(idx, logits, i)
 	}
 	for id := k; id < len(logits); id++ {
-		// Keep id if it beats the worst kept candidate (the heap root).
-		if logitWorse(logits, idx[0], id) {
+		// Keep id if it beats the worst kept candidate (the heap root) — or
+		// is NaN, which no comparison would ever let in: it has to reach the
+		// softmax below for the row to be refused wherever the NaN sits.
+		if v := logits[id]; v != v || logitWorse(logits, idx[0], id) {
 			idx[0] = id
 			siftWorst(idx, logits, 0)
 		}
@@ -196,7 +207,10 @@ func (d *Decoder) sampleTopK(logits []float32, opts DecodeOpts, r *rng.RNG) int 
 	for i, id := range idx {
 		probs[i] = logits[id] * inv
 	}
-	tensor.SoftmaxRow(probs)
+	if !(tensor.SoftmaxRow(probs) > 0) {
+		r.Float64()
+		return Argmax(logits)
+	}
 	u := r.Float64()
 	var cum float64
 	for i, p := range probs {

@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -120,8 +121,8 @@ func TestTopKWiderThanVocab(t *testing.T) {
 			}
 		}
 		// Greedy with an oversized k stays argmax.
-		if got := NewDecoder(v).Sample(logits, DecodeOpts{TopK: k}, rng.New(1)); got != argmax(logits) {
-			t.Fatalf("k=%d greedy drew %d, argmax is %d", k, got, argmax(logits))
+		if got := NewDecoder(v).Sample(logits, DecodeOpts{TopK: k}, rng.New(1)); got != Argmax(logits) {
+			t.Fatalf("k=%d greedy drew %d, argmax is %d", k, got, Argmax(logits))
 		}
 	}
 }
@@ -170,5 +171,73 @@ func TestSampleTinyTemperature(t *testing.T) {
 	// Ties go to the first index, as at temperature 0.
 	if got := d.Sample([]float32{1, 3, 3, 0, 3}, DecodeOpts{Temperature: 1e-40}, rng.New(1)); got != 1 {
 		t.Errorf("tied logits at T=1e-40: sampled id %d, want 1", got)
+	}
+}
+
+// TestArgmax pins the one greedy rule: first index on ties, and a NaN logit
+// never wins.
+func TestArgmax(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	for _, c := range []struct {
+		logits []float32
+		want   int
+	}{
+		{[]float32{0.1, 2.5, -1}, 1},
+		{[]float32{1, 3, 3, 0, 3}, 1},
+		{[]float32{-inf, -inf}, 0},
+		{[]float32{0, inf, inf}, 1},
+		{[]float32{nan, -4, 7, 7}, 2},
+		{[]float32{5, nan, 2}, 0},
+		{[]float32{nan, nan}, 0},
+	} {
+		if got := Argmax(c.logits); got != c.want {
+			t.Errorf("Argmax(%v) = %d, want %d", c.logits, got, c.want)
+		}
+	}
+}
+
+// TestSampleNonFiniteLogits: logits that define no distribution (a NaN, or
+// nothing but −Inf) fall back to Argmax on every path and still cost the
+// caller's RNG exactly one variate — they used to return the last candidate
+// off the end of a NaN CDF; a +Inf logit takes the whole mass, and several
+// share it.
+func TestSampleNonFiniteLogits(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	paths := map[string]DecodeOpts{
+		"plain": {Temperature: 0.9},
+		"top-k": {Temperature: 0.9, TopK: 3},
+		"top-p": {Temperature: 0.9, TopP: 0.9},
+	}
+	for _, c := range []struct {
+		name   string
+		logits []float32
+		want   map[int]bool
+	}{
+		{"NaN", []float32{0.1, nan, 2.5, 0, 0.7}, map[int]bool{2: true}},
+		{"NaN first", []float32{nan, 0.1, 2.5, 0, 0.7}, map[int]bool{2: true}},
+		{"NaN last", []float32{0.1, 2.5, 0, 0.7, nan}, map[int]bool{1: true}},
+		{"all -Inf", []float32{-inf, -inf, -inf, -inf, -inf}, map[int]bool{0: true}},
+		{"+Inf wins", []float32{0.1, 2.5, inf, 0, 0.7}, map[int]bool{2: true}},
+		{"+Infs share", []float32{inf, 2.5, -inf, inf, 0.7}, map[int]bool{0: true, 3: true}},
+	} {
+		for path, opts := range paths {
+			d := NewDecoder(len(c.logits))
+			seen := map[int]bool{}
+			for trial := 0; trial < 40; trial++ {
+				r, ref := rng.New(uint64(trial)), rng.New(uint64(trial))
+				got := d.Sample(c.logits, opts, r)
+				if !c.want[got] {
+					t.Fatalf("%s %s: sampled id %d, want one of %v", c.name, path, got, c.want)
+				}
+				seen[got] = true
+				ref.Float64()
+				if r.Uint64() != ref.Uint64() {
+					t.Fatalf("%s %s: Sample did not draw exactly one variate", c.name, path)
+				}
+			}
+			if len(seen) != len(c.want) {
+				t.Errorf("%s %s: 40 draws reached %v, want all of %v", c.name, path, seen, c.want)
+			}
+		}
 	}
 }

@@ -486,19 +486,6 @@ func (w *worker) sample(j int) {
 	w.drawn[j] = w.decs[j].Sample(w.lg.Row(i), q.t.req.Opts, q.r)
 }
 
-// argmaxSpec returns the index of the largest logit, first index winning
-// ties — sampling.Decoder's greedy rule, and RNG-free, so draft proposals
-// never disturb a request's private variate schedule.
-func argmaxSpec(lg []float32) int {
-	bi, bv := 0, lg[0]
-	for i, v := range lg {
-		if v > bv {
-			bi, bv = i, v
-		}
-	}
-	return bi
-}
-
 // stepSpec advances every active sequence up to DraftK+1 tokens in one
 // speculative round: the draft proposes per-sequence lookaheads (batched
 // across sequences), the target runs the cheap serial cell steps per
@@ -552,7 +539,7 @@ func (w *worker) stepSpec() {
 		for bi := 0; bi < n; bi++ {
 			i := w.rowsBuf[bi]
 			w.dSnaps[i][t-1].CopyFrom(w.active[i].dstate)
-			w.feeds[i][t] = argmaxSpec(dlg.Row(bi))
+			w.feeds[i][t] = sampling.Argmax(dlg.Row(bi))
 		}
 		w.s.stats.onDraftSteps(n)
 	}

@@ -20,6 +20,9 @@ func addAVX(dst, src *float32, n int)
 func axpyAVX(alpha float32, dst, src *float32, n int)
 
 //go:noescape
+func scaleAVX(x *float32, n int, alpha float32)
+
+//go:noescape
 func axpyRunAVX(dst *float32, n int, a *float32, astride int, b *float32, bstride, k int) int
 
 //go:noescape

@@ -117,6 +117,47 @@ axpyDone:
 	VZEROUPPER
 	RET
 
+// func scaleAVX(x *float32, n int, alpha float32)
+//
+// x[i] *= alpha.
+TEXT ·scaleAVX(SB), NOSPLIT, $0-20
+	MOVQ	x+0(FP), DI
+	MOVQ	n+8(FP), CX
+	VBROADCASTSS	alpha+16(FP), Y15
+scale32:
+	CMPQ	CX, $32
+	JL	scale8
+	VMULPS	(DI), Y15, Y0
+	VMULPS	32(DI), Y15, Y1
+	VMULPS	64(DI), Y15, Y2
+	VMULPS	96(DI), Y15, Y3
+	VMOVUPS	Y0, (DI)
+	VMOVUPS	Y1, 32(DI)
+	VMOVUPS	Y2, 64(DI)
+	VMOVUPS	Y3, 96(DI)
+	ADDQ	$128, DI
+	SUBQ	$32, CX
+	JMP	scale32
+scale8:
+	CMPQ	CX, $8
+	JL	scale1
+	VMULPS	(DI), Y15, Y0
+	VMOVUPS	Y0, (DI)
+	ADDQ	$32, DI
+	SUBQ	$8, CX
+	JMP	scale8
+scale1:
+	TESTQ	CX, CX
+	JLE	scaleDone
+	VMULSS	(DI), X15, X0
+	VMOVSS	X0, (DI)
+	ADDQ	$4, DI
+	DECQ	CX
+	JMP	scale1
+scaleDone:
+	VZEROUPPER
+	RET
+
 // RUNSTEP opens one k step of axpyRunAVX: leave the loop at the end of the
 // run (R13 == R10), or cut the run short at a ±0 multiplier (bits<<1 == 0),
 // else broadcast the multiplier into Y15.

@@ -12,6 +12,10 @@ func axpyAVX(alpha float32, dst, src *float32, n int) {
 	panic("tensor: axpyAVX unavailable on this architecture")
 }
 
+func scaleAVX(x *float32, n int, alpha float32) {
+	panic("tensor: scaleAVX unavailable on this architecture")
+}
+
 func axpyRunAVX(dst *float32, n int, a *float32, astride int, b *float32, bstride, k int) int {
 	panic("tensor: axpyRunAVX unavailable on this architecture")
 }

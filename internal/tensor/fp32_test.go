@@ -119,6 +119,13 @@ func TestFP32AsmMatchesGo(t *testing.T) {
 					actx := fmt.Sprintf("%s axpy alpha=%v", ctx, alpha)
 					sameFloats(t, actx, got.v, want)
 					got.check(t, actx)
+
+					got, want = newGuarded(dst), cloneVec(dst)
+					Scale(got.v, alpha)
+					scaleGo(want, alpha)
+					actx = fmt.Sprintf("%s Scale alpha=%v", ctx, alpha)
+					sameFloats(t, actx, got.v, want)
+					got.check(t, actx)
 				}
 
 				if g, w := Dot(dst, src), dotGo(dst, src); !sameFloat(g, w) {
@@ -207,6 +214,7 @@ func TestFP32WrapperBounds(t *testing.T) {
 	// Empty operands are legal and must not panic.
 	axpy(1, nil, nil)
 	AddInPlace(nil, nil)
+	Scale(nil, 2)
 	if Dot(nil, nil) != 0 {
 		t.Error("Dot of empty vectors must be 0")
 	}

@@ -1,9 +1,9 @@
 // Package tensor provides the dense float32 linear-algebra kernels the
 // language-model layers are built on: row-major matrices, matmul with
 // optional transposes, row gather/scatter-add (the embedding forward and
-// backward primitives of §II-A), and the elementwise activations LSTM and
-// RHN cells need. It builds offline from the standard library alone — no
-// external BLAS.
+// backward primitives of §II-A), and the transcendentals the LSTM/RHN gates
+// and every softmax are made of. It builds offline from the standard library
+// alone — no external BLAS, and no libm on any hot path.
 //
 // Every kernel is defined by a portable Go loop, and that loop fixes the
 // arithmetic: which products are formed, in which order they are added, and
@@ -22,17 +22,28 @@
 //     mod 4), combined as (s0+s1)+(s2+s3), then a sequential tail.
 //   - qdot (qdotGo; behind the int8 kernel of qmatrix.go): sixteen strided
 //     partials per chunk, a fixed combine tree, one scale per chunk.
+//   - exp, tanh, sigmoid (exp32, tanh32, sigmoid32 of trans.go; behind Tanh,
+//     Sigmoid, ExpSumRow, SoftmaxRow, LogSumExpRow): float32 throughout, a
+//     Cody–Waite range reduction and a fixed polynomial, with stated error
+//     bounds against float64 and defined results at ±Inf, NaN, overflow and
+//     underflow. These are this package's own functions, not libm's: the
+//     values differ from math.Exp's in the last place or two, and are the
+//     same on every architecture and at every vector width. The softmax sum
+//     (expSum) runs over eight strided partials, a fixed combine tree and a
+//     sequential tail.
 //
 // On amd64 each of these has an assembly twin, chosen once at start-up from
 // CPUID (AVX with OS-enabled YMM state for the FP32 kernels of
-// fp32_amd64.s, AVX2 for the int8 kernels of qdot_amd64.s; an older amd64
-// runs the Go loops), that performs the same operations in the same order:
-// axpy goes eight lanes wide because it is elementwise; the Dot family keeps
-// its four partials as the four lanes of one 128-bit accumulator, qdot its
-// sixteen as two YMM accumulators (p[0..7] and p[8..15]), and both get their
-// speed from computing several outputs per pass instead. TestFP32AsmMatchesGo
-// and TestQ8AsmMatchesGo hold the twins to the Go definitions bit for bit;
-// other architectures run the Go loops.
+// fp32_amd64.s, AVX2 for the int8 kernels of qdot_amd64.s and the
+// transcendentals of trans_amd64.s; an older amd64 runs the Go loops), that
+// performs the same operations in the same order: axpy, Scale and the
+// transcendentals go eight lanes wide because they are elementwise; the Dot
+// family keeps its four partials as the four lanes of one 128-bit
+// accumulator, qdot its sixteen as two YMM accumulators (p[0..7] and
+// p[8..15]) and expSum its eight as one; Dot and qdot get their speed from
+// computing several outputs per pass instead. TestFP32AsmMatchesGo,
+// TestQ8AsmMatchesGo and TestTransAsmMatchesGo hold the twins to the Go
+// definitions bit for bit; other architectures run the Go loops.
 package tensor
 
 import (
@@ -437,6 +448,15 @@ func axpyRunGo(dst, a []float32, as int, b []float32, bs, k int) int {
 
 // Scale multiplies every element by alpha.
 func Scale(x []float32, alpha float32) {
+	if useFP32Asm && len(x) > 0 {
+		scaleAVX(&x[0], len(x), alpha)
+		return
+	}
+	scaleGo(x, alpha)
+}
+
+// scaleGo is the portable Scale kernel.
+func scaleGo(x []float32, alpha float32) {
 	for i := range x {
 		x[i] *= alpha
 	}
@@ -509,68 +529,6 @@ func ScatterAddRows(dst, src *Matrix, idx []int) {
 	for i, j := range idx {
 		AddInPlace(dst.Row(j), src.Row(i))
 	}
-}
-
-// Sigmoid computes 1/(1+e^-x) elementwise into dst.
-func Sigmoid(dst, src []float32) {
-	if len(dst) != len(src) {
-		panic("tensor: Sigmoid length mismatch")
-	}
-	for i, v := range src {
-		dst[i] = float32(1 / (1 + math.Exp(-float64(v))))
-	}
-}
-
-// Tanh computes tanh elementwise into dst.
-func Tanh(dst, src []float32) {
-	if len(dst) != len(src) {
-		panic("tensor: Tanh length mismatch")
-	}
-	for i, v := range src {
-		dst[i] = float32(math.Tanh(float64(v)))
-	}
-}
-
-// SoftmaxRow normalizes a single logit vector into a probability
-// distribution in place, using the max-subtraction trick for stability.
-func SoftmaxRow(x []float32) {
-	if len(x) == 0 {
-		return
-	}
-	maxV := x[0]
-	for _, v := range x[1:] {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	var sum float64
-	for i, v := range x {
-		e := math.Exp(float64(v - maxV))
-		x[i] = float32(e)
-		sum += e
-	}
-	inv := float32(1 / sum)
-	for i := range x {
-		x[i] *= inv
-	}
-}
-
-// LogSumExpRow returns log(sum(exp(x))) computed stably.
-func LogSumExpRow(x []float32) float64 {
-	if len(x) == 0 {
-		return math.Inf(-1)
-	}
-	maxV := x[0]
-	for _, v := range x[1:] {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	var sum float64
-	for _, v := range x {
-		sum += math.Exp(float64(v - maxV))
-	}
-	return float64(maxV) + math.Log(sum)
 }
 
 // ClipL2 rescales x in place so its L2 norm does not exceed maxNorm, and

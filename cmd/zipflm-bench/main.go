@@ -106,22 +106,15 @@ func main() {
 	if *tracePath != "" {
 		opts.Trace = telemetry.NewTracer(0)
 	}
-	if *flightCap > 0 {
-		opts.Flight = telemetry.NewFlight(*flightCap)
-		defer opts.Flight.ArmSIGQUIT()()
+	flight, stopFlight := telemetry.StartFlight(*flightCap)
+	defer stopFlight()
+	prof, stopProfiler, err := telemetry.StartProfiler("zipflm-bench", *profileDir, 0)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "zipflm-bench: %v\n", err)
+		os.Exit(1)
 	}
-	if *profileDir != "" {
-		prof, err := telemetry.NewProfiler(telemetry.ProfilerConfig{Dir: *profileDir, Heap: true})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "zipflm-bench: %v\n", err)
-			os.Exit(1)
-		}
-		opts.Profile = prof
-		defer func() {
-			prof.Stop()
-			fmt.Fprintf(os.Stderr, "zipflm-bench: wrote %d profile(s) to %s\n", len(prof.Manifest()), prof.Dir())
-		}()
-	}
+	defer stopProfiler()
+	opts.Flight, opts.Profile = flight, prof
 	ids := experiments.IDs()
 	if *exp != "all" {
 		// Validate every requested id before running anything, so a typo
@@ -179,18 +172,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "zipflm-bench: wrote %d report(s) to %s\n", len(out.Reports), *jsonPath)
 	}
 	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "zipflm-bench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := opts.Trace.WriteChromeTrace(f); err != nil {
-			f.Close()
+		if err := opts.Trace.WriteFile(*tracePath); err != nil {
 			fmt.Fprintf(os.Stderr, "zipflm-bench: writing %s: %v\n", *tracePath, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "zipflm-bench: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "zipflm-bench: wrote %d trace events to %s\n", opts.Trace.Len(), *tracePath)

@@ -135,11 +135,8 @@ func main() {
 		tracer = telemetry.NewTracer(0)
 		reg.ObserveTracer(tracer)
 	}
-	var flight *telemetry.Flight
-	if *flightCap > 0 {
-		flight = telemetry.NewFlight(*flightCap)
-		defer flight.ArmSIGQUIT()()
-	}
+	flight, stopFlight := telemetry.StartFlight(*flightCap)
+	defer stopFlight()
 	srv := serve.New(m, serve.Config{
 		Workers:         *workers,
 		ComputeWorkers:  *computeW,
@@ -158,7 +155,17 @@ func main() {
 		SLOAvailability: *sloAvail,
 	})
 	defer srv.Close()
-	defer writeTrace(tracer, *tracePath)
+	defer func() {
+		// Runs on shutdown, after the serve layer drained.
+		if tracer == nil {
+			return
+		}
+		if err := tracer.WriteFile(*tracePath); err != nil {
+			fmt.Fprintf(os.Stderr, "zipflm-serve: trace: %v\n", err)
+			return
+		}
+		fmt.Fprintf(os.Stderr, "zipflm-serve: wrote %d trace events to %s\n", tracer.Len(), *tracePath)
+	}()
 
 	// The performance observatory: periodic registry sampling into a ring
 	// (served at /metrics/history), scheduled pprof capture, and the live
@@ -169,19 +176,13 @@ func main() {
 		history = telemetry.NewHistory(reg, telemetry.HistoryConfig{Capacity: *histCap, Interval: *histEvery})
 		defer history.Start()()
 	}
-	if *profDir != "" {
-		prof, err := telemetry.NewProfiler(telemetry.ProfilerConfig{Dir: *profDir, Interval: *profEvery, Heap: true})
-		if err != nil {
-			fatal(err)
-		}
-		prof.Start()
-		defer prof.Stop()
-		fmt.Fprintf(os.Stderr, "zipflm-serve: profiling to %s every %s\n", *profDir, *profEvery)
+	_, stopProfiler, err := telemetry.StartProfiler("zipflm-serve", *profDir, *profEvery)
+	if err != nil {
+		fatal(err)
 	}
+	defer stopProfiler()
 	if *dashboard {
-		stopDash := make(chan struct{})
-		defer close(stopDash)
-		go dash.Run(os.Stdout, "zipflm-serve "+*addr, time.Second, dash.DefaultWidth, true, reg.Snapshot, stopDash)
+		defer dash.Start(os.Stdout, "zipflm-serve "+*addr, reg.Snapshot)()
 	}
 
 	if *debugAddr != "" {
@@ -189,7 +190,8 @@ func main() {
 		// main listener never serves — profiling stays on its own port.
 		go func() {
 			fmt.Fprintf(os.Stderr, "zipflm-serve: pprof on %s/debug/pprof/\n", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, nil); err != nil {
+			lis := &http.Server{Addr: *debugAddr, ReadHeaderTimeout: readHeaderTimeout}
+			if err := lis.ListenAndServe(); err != nil {
 				fmt.Fprintf(os.Stderr, "zipflm-serve: debug listener: %v\n", err)
 			}
 		}()
@@ -215,6 +217,52 @@ func main() {
 		go watchLoop(srv, weights, d, *watch, stopWatch)
 	}
 
+	mode := "fp32"
+	if *quantized {
+		mode = "int8"
+	}
+	if draft != nil {
+		mode += fmt.Sprintf(", speculative k=%d", *draftK)
+	}
+	fmt.Fprintf(os.Stderr, "zipflm-serve: listening on %s (vocab %d, %d workers × batch %d, queue %d, %s)\n",
+		*addr, m.Cfg.Vocab, *workers, *maxBatch, *queue, mode)
+
+	// Graceful shutdown: stop admitting, drain in-flight generations
+	// through the serve layer's ErrShutdown path (handlers answer their
+	// callers with clean 503s), then let the HTTP server finish writing
+	// those responses and exit 0.
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           newMux(srv, vocab, weights, reg, history, build),
+		ReadHeaderTimeout: readHeaderTimeout,
+	}
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		sig := <-sigs
+		fmt.Fprintf(os.Stderr, "zipflm-serve: %v: draining in-flight requests\n", sig)
+		srv.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+		defer cancel()
+		httpSrv.Shutdown(ctx)
+	}()
+	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+		fatal(err)
+	}
+	fmt.Fprintln(os.Stderr, "zipflm-serve: drained, clean shutdown")
+}
+
+// Limits on what one client can make the listeners hold: a request body
+// is cut off at maxBodyBytes (413) before any of it is decoded, and a
+// client gets readHeaderTimeout to finish sending its request headers.
+const (
+	maxBodyBytes      = 1 << 20
+	readHeaderTimeout = 10 * time.Second
+)
+
+// newMux routes the HTTP API onto the server. history may be nil
+// (-history 0).
+func newMux(srv *serve.Server, vocab *corpus.Vocabulary, weights *weightsInfo, reg *telemetry.Registry, history *telemetry.History, build telemetry.BuildInfo) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
@@ -239,36 +287,23 @@ func main() {
 	mux.HandleFunc("/v1/reload", func(w http.ResponseWriter, r *http.Request) {
 		handleReload(w, r, srv, weights)
 	})
+	return mux
+}
 
-	mode := "fp32"
-	if *quantized {
-		mode = "int8"
+// decodeBody decodes a JSON request body of at most maxBodyBytes into v,
+// answering 413 or 400 itself when it cannot.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes), http.StatusRequestEntityTooLarge)
+	default:
+		http.Error(w, "bad json: "+err.Error(), http.StatusBadRequest)
 	}
-	if draft != nil {
-		mode += fmt.Sprintf(", speculative k=%d", *draftK)
-	}
-	fmt.Fprintf(os.Stderr, "zipflm-serve: listening on %s (vocab %d, %d workers × batch %d, queue %d, %s)\n",
-		*addr, m.Cfg.Vocab, *workers, *maxBatch, *queue, mode)
-
-	// Graceful shutdown: stop admitting, drain in-flight generations
-	// through the serve layer's ErrShutdown path (handlers answer their
-	// callers with clean 503s), then let the HTTP server finish writing
-	// those responses and exit 0.
-	httpSrv := &http.Server{Addr: *addr, Handler: mux}
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		sig := <-sigs
-		fmt.Fprintf(os.Stderr, "zipflm-serve: %v: draining in-flight requests\n", sig)
-		srv.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		defer cancel()
-		httpSrv.Shutdown(ctx)
-	}()
-	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fatal(err)
-	}
-	fmt.Fprintln(os.Stderr, "zipflm-serve: drained, clean shutdown")
+	return false
 }
 
 // loadWeights loads serving weights from a bare model checkpoint, a
@@ -328,6 +363,7 @@ func (wi *weightsInfo) get() (string, int, time.Time) {
 // step appears — the serving side of continuous training.
 func watchLoop(srv *serve.Server, weights *weightsInfo, d *ckpt.Dir, every time.Duration, stop <-chan struct{}) {
 	_, lastStep, _ := weights.get()
+	lastFailure := "" // an unreadable checkpoint stays on disk: report it once, not every poll
 	ticker := time.NewTicker(every)
 	defer ticker.Stop()
 	for {
@@ -337,20 +373,27 @@ func watchLoop(srv *serve.Server, weights *weightsInfo, d *ckpt.Dir, every time.
 		case <-ticker.C:
 		}
 		st, err := d.Latest()
-		if err != nil || st.Step <= lastStep {
+		if errors.Is(err, ckpt.ErrEmpty) || (err == nil && st.Step <= lastStep) {
 			continue
 		}
-		m, err := st.LM()
+		var m *model.LM
+		if err == nil {
+			m, err = st.LM()
+		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "zipflm-serve: watch: checkpoint step %d unreadable: %v\n", st.Step, err)
+			if msg := err.Error(); msg != lastFailure {
+				lastFailure = msg
+				srv.ReloadFailed(fmt.Errorf("watch: %w", err))
+				fmt.Fprintf(os.Stderr, "zipflm-serve: watch: newest checkpoint unreadable: %v\n", err)
+			}
 			continue
 		}
+		lastStep = st.Step // a rejected step is not retried: the same file would be rejected again
 		v, err := srv.Reload(m)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "zipflm-serve: watch: reload rejected: %v\n", err)
 			continue
 		}
-		lastStep = st.Step
 		weights.set(d.Path(), st.Step)
 		fmt.Fprintf(os.Stderr, "zipflm-serve: hot-reloaded checkpoint step %d (weights v%d)\n", st.Step, v)
 	}
@@ -384,8 +427,7 @@ func handleGenerate(w http.ResponseWriter, r *http.Request, srv *serve.Server, v
 		return
 	}
 	var in genRequest
-	if err := json.NewDecoder(r.Body).Decode(&in); err != nil {
-		http.Error(w, "bad json: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &in) {
 		return
 	}
 	prompt := in.PromptIDs
@@ -459,11 +501,8 @@ func handleReload(w http.ResponseWriter, r *http.Request, srv *serve.Server, wei
 		return
 	}
 	var in reloadRequest
-	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&in); err != nil {
-			http.Error(w, "bad json: "+err.Error(), http.StatusBadRequest)
-			return
-		}
+	if r.ContentLength != 0 && !decodeBody(w, r, &in) {
+		return
 	}
 	source, _, _ := weights.get()
 	if in.Path != "" {
@@ -471,12 +510,14 @@ func handleReload(w http.ResponseWriter, r *http.Request, srv *serve.Server, wei
 	}
 	m, step, err := loadWeights(source)
 	if err != nil {
+		srv.ReloadFailed(err)
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	var draft *model.LM
 	if in.DraftPath != "" {
 		if draft, _, err = loadWeights(in.DraftPath); err != nil {
+			srv.ReloadFailed(fmt.Errorf("draft: %w", err))
 			http.Error(w, "draft: "+err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -566,25 +607,6 @@ func runLoadgen(srv *serve.Server, m *model.LM, requests, clients, tokens int, z
 		fmt.Sprintf("%.0f", 100*snap.HitRate()),
 	)
 	fmt.Print(tab)
-}
-
-// writeTrace dumps the per-request spans collected over the server's
-// lifetime (runs on shutdown, after the serve layer drained).
-func writeTrace(tracer *telemetry.Tracer, path string) {
-	if tracer == nil || path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "zipflm-serve: trace: %v\n", err)
-		return
-	}
-	defer f.Close()
-	if err := tracer.WriteChromeTrace(f); err != nil {
-		fmt.Fprintf(os.Stderr, "zipflm-serve: trace: %v\n", err)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "zipflm-serve: wrote %d trace events to %s\n", tracer.Len(), path)
 }
 
 func fatal(err error) {

@@ -1,0 +1,227 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"zipflm/internal/model"
+	"zipflm/internal/serve"
+	"zipflm/internal/telemetry"
+)
+
+// The HTTP boundary, driven through the mux the command serves: every way
+// a client can get a request wrong is answered with the right status before
+// it costs a batch slot, and a reload that fails leaves the served weights,
+// their version and the generated tokens exactly as they were — counted
+// and recorded, not just printed.
+
+const testVocab = 150
+
+func testArch(hidden int) model.Config {
+	return model.Config{Vocab: testVocab, Dim: 16, Hidden: hidden, RNN: model.KindLSTM, Seed: 9}
+}
+
+type api struct {
+	*httptest.Server
+	reg    *telemetry.Registry
+	flight *telemetry.Flight
+}
+
+// newAPI serves a fresh random model with no vocabulary file behind newMux.
+func newAPI(t *testing.T) *api {
+	t.Helper()
+	reg := telemetry.NewRegistry()
+	flight := telemetry.NewFlight(16)
+	flight.SetSink(nil)
+	srv := serve.New(model.NewLM(testArch(24)), serve.Config{
+		Workers: 1, MaxBatch: 4, Telemetry: reg, Flight: flight,
+	})
+	weights := &weightsInfo{source: "memory", step: -1}
+	ts := httptest.NewServer(newMux(srv, nil, weights, reg, nil, telemetry.CollectBuildInfo()))
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	return &api{Server: ts, reg: reg, flight: flight}
+}
+
+// post sends body to path and returns the status and the response body.
+func (a *api) post(t *testing.T, path, body string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(a.URL+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, buf.Bytes()
+}
+
+// generate posts a request that must succeed and returns the response.
+func (a *api) generate(t *testing.T, body string) genResponse {
+	t.Helper()
+	status, raw := a.post(t, "/v1/generate", body)
+	if status != http.StatusOK {
+		t.Fatalf("generate %s: status %d: %s", body, status, raw)
+	}
+	var out genResponse
+	if err := json.Unmarshal(raw, &out); err != nil {
+		t.Fatalf("generate %s: %v in %s", body, err, raw)
+	}
+	return out
+}
+
+func TestGenerateRejectsBadRequests(t *testing.T) {
+	a := newAPI(t)
+	ids := make([]string, maxBodyBytes/2)
+	for i := range ids {
+		ids[i] = "1"
+	}
+	oversized := `{"prompt_ids":[` + strings.Join(ids, ",") + `],"n":4}`
+
+	for name, tc := range map[string]struct {
+		body string
+		want int
+	}{
+		"malformed json":         {`{"prompt_ids":[1,2`, http.StatusBadRequest},
+		"wrong field type":       {`{"prompt_ids":"1 2 3"}`, http.StatusBadRequest},
+		"oversized body":         {oversized, http.StatusRequestEntityTooLarge},
+		"empty prompt":           {`{"n":4}`, http.StatusBadRequest},
+		"id at vocabulary size":  {fmt.Sprintf(`{"prompt_ids":[1,%d],"n":4}`, testVocab), http.StatusBadRequest},
+		"negative id":            {`{"prompt_ids":[-1],"n":4}`, http.StatusBadRequest},
+		"negative n":             {`{"prompt_ids":[1],"n":-3}`, http.StatusBadRequest},
+		"n over the limit":       {`{"prompt_ids":[1],"n":4097}`, http.StatusBadRequest},
+		"negative temperature":   {`{"prompt_ids":[1],"n":4,"temperature":-0.5}`, http.StatusBadRequest},
+		"text prompt, no -vocab": {`{"prompt":"the cat","n":4}`, http.StatusBadRequest},
+		"deadline mid-flight":    {`{"prompt_ids":[1],"n":4096,"timeout_ms":1}`, http.StatusGatewayTimeout},
+	} {
+		if got, raw := a.post(t, "/v1/generate", tc.body); got != tc.want {
+			t.Errorf("%s: status %d, want %d (%s)", name, got, tc.want, bytes.TrimSpace(raw))
+		}
+	}
+	for _, path := range []string{"/v1/generate", "/v1/reload"} {
+		resp, err := http.Get(a.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("GET %s: status %d, want 405", path, resp.StatusCode)
+		}
+	}
+	// Nothing above reached a batch slot except the request that expired in one.
+	var stats struct{ Accepted, Completed int64 }
+	a.stats(t, &stats)
+	if stats.Accepted != 1 || stats.Completed != 0 {
+		t.Errorf("rejected requests were admitted: accepted %d, completed %d", stats.Accepted, stats.Completed)
+	}
+}
+
+// stats decodes GET /v1/stats into v.
+func (a *api) stats(t *testing.T, v any) {
+	t.Helper()
+	resp, err := http.Get(a.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatalf("/v1/stats: %v", err)
+	}
+}
+
+func TestGenerateDefaultsAndTinyTemperature(t *testing.T) {
+	a := newAPI(t)
+	if got := len(a.generate(t, `{"prompt_ids":[3,1,4]}`).Tokens); got != 24 {
+		t.Errorf("omitted n generated %d tokens, want 24", got)
+	}
+	// A temperature too small to divide by (it is denormal as a float32 and
+	// its reciprocal overflows) must decode greedily, like temperature 0 —
+	// the bug PR 14 found by accident.
+	greedy := a.generate(t, `{"prompt_ids":[3,1,4],"n":12,"temperature":0,"seed":1}`)
+	tiny := a.generate(t, `{"prompt_ids":[3,1,4],"n":12,"temperature":1e-39,"seed":2}`)
+	if !reflect.DeepEqual(greedy.Tokens, tiny.Tokens) {
+		t.Errorf("temperature 1e-39 decoded %v, temperature 0 decoded %v", tiny.Tokens, greedy.Tokens)
+	}
+
+	var stats struct {
+		Completed      int64  `json:"completed"`
+		Tokens         int64  `json:"tokens"`
+		WeightsVersion uint64 `json:"weights_version"`
+		Checkpoint     struct{ Source string }
+	}
+	a.stats(t, &stats)
+	if stats.Completed != 3 || stats.Tokens != 24+12+12 || stats.WeightsVersion != 1 || stats.Checkpoint.Source != "memory" {
+		t.Errorf("/v1/stats after three generations: %+v", stats)
+	}
+}
+
+func TestFailedReloadsChangeNothingAndAreCounted(t *testing.T) {
+	a := newAPI(t)
+	const gen = `{"prompt_ids":[3,1,4],"n":10,"temperature":0.8,"seed":7}`
+	before := a.generate(t, gen)
+
+	dir := t.TempDir()
+	mismatched := filepath.Join(dir, "wider.ckpt")
+	f, err := os.Create(mismatched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := model.NewLM(testArch(32)).Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if status, raw := a.post(t, "/v1/reload", fmt.Sprintf(`{"path":%q}`, filepath.Join(dir, "missing.ckpt"))); status != http.StatusBadRequest {
+		t.Errorf("reload of a missing path: status %d, want 400 (%s)", status, raw)
+	}
+	if status, raw := a.post(t, "/v1/reload", fmt.Sprintf(`{"path":%q}`, mismatched)); status != http.StatusConflict {
+		t.Errorf("reload of a wider architecture: status %d, want 409 (%s)", status, raw)
+	}
+
+	after := a.generate(t, gen)
+	if after.WeightsVersion != before.WeightsVersion || !reflect.DeepEqual(after.Tokens, before.Tokens) {
+		t.Errorf("failed reloads changed what is served: v%d %v, was v%d %v",
+			after.WeightsVersion, after.Tokens, before.WeightsVersion, before.Tokens)
+	}
+	var stats struct {
+		WeightsVersion uint64 `json:"weights_version"`
+		Reloads        int64  `json:"reloads"`
+	}
+	a.stats(t, &stats)
+	if stats.WeightsVersion != 1 || stats.Reloads != 0 {
+		t.Errorf("/v1/stats after two failed reloads: %+v", stats)
+	}
+
+	// Both failures are on /metrics and in the flight ring, each with its cause.
+	resp, err := http.Get(a.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var metrics bytes.Buffer
+	metrics.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(metrics.String(), "\nzipflm_serve_reload_failures_total 2\n") {
+		t.Errorf("/metrics does not count two reload failures:\n%s", metrics.String())
+	}
+	var ring bytes.Buffer
+	a.flight.Dump(&ring)
+	for _, cause := range []string{"missing.ckpt", "does not match serving"} {
+		if !strings.Contains(ring.String(), cause) {
+			t.Errorf("flight ring lacks the %q failure:\n%s", cause, ring.String())
+		}
+	}
+}

@@ -189,14 +189,16 @@ func main() {
 			cfg.Telemetry.ObserveTracer(tracer)
 		}
 	}
-	if *flightCap > 0 {
-		cfg.Flight = telemetry.NewFlight(*flightCap)
-		defer cfg.Flight.ArmSIGQUIT()()
-	}
+	var stopFlight func()
+	cfg.Flight, stopFlight = telemetry.StartFlight(*flightCap)
+	defer stopFlight()
 	if *metricsAt != "" {
 		go func() {
 			fmt.Fprintf(os.Stderr, "zipflm-train: metrics on http://%s/metrics\n", *metricsAt)
-			if err := http.ListenAndServe(*metricsAt, telemetry.Handler(cfg.Telemetry)); err != nil {
+			// ReadHeaderTimeout: a client that never finishes its request
+			// line must not hold a connection for the whole training run.
+			lis := &http.Server{Addr: *metricsAt, Handler: telemetry.Handler(cfg.Telemetry), ReadHeaderTimeout: 10 * time.Second}
+			if err := lis.ListenAndServe(); err != nil {
 				fmt.Fprintf(os.Stderr, "zipflm-train: metrics listener: %v\n", err)
 			}
 		}()
@@ -230,20 +232,14 @@ func main() {
 			fmt.Fprintf(os.Stderr, "zipflm-train: wrote %d history samples to %s\n", history.Len(), *histPath)
 		}()
 	}
-	if *profDir != "" {
-		prof, err := telemetry.NewProfiler(telemetry.ProfilerConfig{Dir: *profDir, Interval: *profEvery, Heap: true})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "zipflm-train: %v\n", err)
-			os.Exit(1)
-		}
-		prof.Start()
-		defer prof.Stop()
-		fmt.Fprintf(os.Stderr, "zipflm-train: profiling to %s every %s\n", *profDir, *profEvery)
+	_, stopProfiler, err := telemetry.StartProfiler("zipflm-train", *profDir, *profEvery)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "zipflm-train: %v\n", err)
+		os.Exit(1)
 	}
+	defer stopProfiler()
 	if *dashboard {
-		stopDash := make(chan struct{})
-		defer close(stopDash)
-		go dash.Run(os.Stderr, "zipflm-train", time.Second, dash.DefaultWidth, true, cfg.Telemetry.Snapshot, stopDash)
+		defer dash.Start(os.Stderr, "zipflm-train", cfg.Telemetry.Snapshot)()
 	}
 
 	var tr *trainer.Trainer
@@ -270,17 +266,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "zipflm-train: %v\n", err)
-			os.Exit(1)
-		}
-		if err := tracer.WriteChromeTrace(f); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "zipflm-train: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
+		if err := tracer.WriteFile(*tracePath); err != nil {
 			fmt.Fprintf(os.Stderr, "zipflm-train: %v\n", err)
 			os.Exit(1)
 		}

@@ -224,5 +224,20 @@
 // lock-free ring of pre-rendered log/slog records — the last N anomalies
 // — dumped on trainer fault rollback, serve overload shed, or SIGQUIT.
 // All three inherit the layer's contract: the bit-identity suites run
-// with tracing, SLOs and flight recording enabled simultaneously.
+// with tracing, SLOs and flight recording enabled simultaneously. A reload
+// the serving layer could not install — unreadable source, unparseable
+// checkpoint, mismatched architecture — is counted
+// (zipflm_serve_reload_failures_total) and recorded in the ring with its
+// cause. Each command starts and stops an observer through one helper
+// (Tracer.WriteFile, telemetry.StartFlight, telemetry.StartProfiler,
+// dash.Start); telemetry.History samples the registry into a ring and dumps
+// it as JSON, leaving rates and windows to the reader of the dump.
+//
+// # The export rule
+//
+// Nothing under internal/ is exported without a reader: an exported name
+// must be referenced by non-test code of some package in either module, or
+// by the tests of a different package. TestExportsHaveReaders
+// (exports_test.go) checks it with go list -export and go/types; README
+// "The export rule" has the details.
 package zipflm

@@ -84,7 +84,7 @@ func main() {
 		tracer.Len(), vCompute, res.Stats.SimComputeSeconds,
 		vCompute == res.Stats.SimComputeSeconds)
 
-	if err := writeTrace(tracer, "trace.json"); err != nil {
+	if err := tracer.WriteFile("trace.json"); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("wrote trace.json — open it in chrome://tracing or https://ui.perfetto.dev")
@@ -151,16 +151,4 @@ func main() {
 	for _, st := range snap.SLO {
 		fmt.Println(st.String())
 	}
-}
-
-func writeTrace(tr *telemetry.Tracer, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

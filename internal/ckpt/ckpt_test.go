@@ -233,13 +233,13 @@ func TestDirLatestEmpty(t *testing.T) {
 func TestPoissonFaultPlanDeterministicAndSpaced(t *testing.T) {
 	a := PoissonFaultPlan(11, 8, 100, 10_000)
 	b := PoissonFaultPlan(11, 8, 100, 10_000)
-	if a.Len() == 0 {
+	if len(a.events) == 0 {
 		t.Fatal("no faults drawn over 100 MTBFs")
 	}
-	if a.Len() != b.Len() {
-		t.Fatalf("same seed drew %d vs %d faults", a.Len(), b.Len())
+	if len(a.events) != len(b.events) {
+		t.Fatalf("same seed drew %d vs %d faults", len(a.events), len(b.events))
 	}
-	for i := 0; i < a.Len(); i++ {
+	for i := 0; i < len(a.events); i++ {
 		fa, _ := a.Next(math.Inf(1))
 		fb, _ := b.Next(math.Inf(1))
 		if fa != fb {
@@ -250,7 +250,7 @@ func TestPoissonFaultPlanDeterministicAndSpaced(t *testing.T) {
 		}
 	}
 	// Mean inter-arrival within 3σ of the MTBF (σ ≈ M/√n for exponentials).
-	mean := 10_000 / float64(a.Len())
+	mean := 10_000 / float64(len(a.events))
 	if mean < 60 || mean > 160 {
 		t.Errorf("mean inter-arrival %.1f far from MTBF 100", mean)
 	}
@@ -272,11 +272,11 @@ func TestFaultPlanCursor(t *testing.T) {
 	if _, ok := p.Next(6); ok {
 		t.Fatal("t=9 fault must stay queued")
 	}
-	if p.Injected() != 2 {
-		t.Fatalf("injected %d", p.Injected())
+	if p.next != 2 {
+		t.Fatalf("injected %d", p.next)
 	}
 	p.Reset()
-	if p.Injected() != 0 {
+	if p.next != 0 {
 		t.Fatal("Reset must rewind the cursor")
 	}
 }

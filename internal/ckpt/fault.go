@@ -71,12 +71,6 @@ func (p *FaultPlan) Next(now float64) (Fault, bool) {
 	return f, true
 }
 
-// Injected returns how many faults have been consumed.
-func (p *FaultPlan) Injected() int { return p.next }
-
-// Len returns the total number of scheduled faults.
-func (p *FaultPlan) Len() int { return len(p.events) }
-
 // Reset rewinds the consumption cursor so the same plan can replay another
 // run.
 func (p *FaultPlan) Reset() { p.next = 0 }

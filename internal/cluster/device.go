@@ -17,14 +17,6 @@ import (
 	"zipflm/internal/vclock"
 )
 
-// Titan X profile from Table II.
-const (
-	// TitanXMemoryBytes is the usable device memory (12 GB HBM2).
-	TitanXMemoryBytes = 12 << 30
-	// TitanXPeakFLOPS is the FP32 peak (6.1 TFLOP/s).
-	TitanXPeakFLOPS = 6.1e12
-)
-
 // ErrOutOfMemory is returned when an allocation exceeds device capacity.
 // It mirrors the "*" entries (out of GPU memory) in Tables III and IV.
 type ErrOutOfMemory struct {
@@ -131,13 +123,6 @@ func (d *Device) Peak() int64 {
 	return d.peak
 }
 
-// ResetPeak sets the high-water mark back to the current live bytes.
-func (d *Device) ResetPeak() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.peak = d.live
-}
-
 // AddFLOPs accumulates n floating-point operations on this device.
 func (d *Device) AddFLOPs(n int64) {
 	if n < 0 {
@@ -146,13 +131,6 @@ func (d *Device) AddFLOPs(n int64) {
 	d.mu.Lock()
 	d.flops += n
 	d.mu.Unlock()
-}
-
-// FLOPs returns the accumulated operation count.
-func (d *Device) FLOPs() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.flops
 }
 
 // Cluster is a fixed set of devices executed as one goroutine per rank.
@@ -171,9 +149,6 @@ func New(g int, capacity int64) *Cluster {
 	}
 	return c
 }
-
-// Size returns the number of devices.
-func (c *Cluster) Size() int { return len(c.Devices) }
 
 // Run executes fn concurrently on every rank and waits for all to finish.
 // The first non-nil error (by rank order) is returned; other ranks still run
@@ -224,13 +199,4 @@ func (c *Cluster) MaxPeak() int64 {
 		}
 	}
 	return m
-}
-
-// TotalFLOPs sums the FLOP counters across devices.
-func (c *Cluster) TotalFLOPs() int64 {
-	var t int64
-	for _, d := range c.Devices {
-		t += d.FLOPs()
-	}
-	return t
 }

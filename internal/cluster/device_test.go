@@ -23,10 +23,6 @@ func TestAllocFreePeak(t *testing.T) {
 	if d.Live() != 400 || d.Peak() != 900 {
 		t.Fatalf("after free: live=%d peak=%d, want 400/900", d.Live(), d.Peak())
 	}
-	d.ResetPeak()
-	if d.Peak() != 400 {
-		t.Fatalf("ResetPeak: peak=%d, want 400", d.Peak())
-	}
 }
 
 func TestOOM(t *testing.T) {
@@ -91,8 +87,8 @@ func TestFLOPCounter(t *testing.T) {
 	d := NewDevice(0, 0)
 	d.AddFLOPs(100)
 	d.AddFLOPs(23)
-	if d.FLOPs() != 123 {
-		t.Errorf("FLOPs = %d, want 123", d.FLOPs())
+	if d.flops != 123 {
+		t.Errorf("FLOPs = %d, want 123", d.flops)
 	}
 }
 
@@ -113,8 +109,10 @@ func TestClusterRunAllRanks(t *testing.T) {
 	if len(seen) != 8 {
 		t.Fatalf("ran %d ranks, want 8", len(seen))
 	}
-	if c.TotalFLOPs() != 0+1+2+3+4+5+6+7 {
-		t.Errorf("TotalFLOPs = %d", c.TotalFLOPs())
+	for rank, dev := range c.Devices {
+		if dev.flops != int64(rank) {
+			t.Errorf("rank %d ran on device with %d FLOPs", rank, dev.flops)
+		}
 	}
 }
 
@@ -142,12 +140,18 @@ func TestMaxPeak(t *testing.T) {
 	}
 }
 
+// TestTitanXProfile: the default device profile is perfmodel.TitanX, and a
+// cluster built from it carries Table II's memory budget.
 func TestTitanXProfile(t *testing.T) {
-	if TitanXMemoryBytes != 12<<30 {
+	hw := perfmodel.TitanX()
+	if hw.MemBytes != 12<<30 {
 		t.Error("Titan X memory must be 12 GB (Table II)")
 	}
-	if TitanXPeakFLOPS != 6.1e12 {
+	if hw.PeakFLOPS != 6.1e12 {
 		t.Error("Titan X peak must be 6.1 TFLOP/s (Table II)")
+	}
+	if d := New(1, hw.MemBytes).Devices[0]; d.Alloc(hw.MemBytes) != nil || d.Alloc(1) == nil {
+		t.Error("a Titan X device must hold exactly 12 GB")
 	}
 }
 
@@ -163,8 +167,8 @@ func TestDeviceClock(t *testing.T) {
 	if got := c.Devices[0].Clock.Now(); got < 1.999 || got > 2.001 {
 		t.Errorf("compute advanced clock to %v, want 2", got)
 	}
-	if c.Devices[0].FLOPs() != int64(hw.PeakFLOPS) {
-		t.Errorf("FLOP counter at %d", c.Devices[0].FLOPs())
+	if c.Devices[0].flops != int64(hw.PeakFLOPS) {
+		t.Errorf("FLOP counter at %d", c.Devices[0].flops)
 	}
 	// MemBW bytes: one simulated second on device 1.
 	c.Devices[1].AdvanceMemory(int64(hw.MemBW), hw)

@@ -323,24 +323,6 @@ func (c *Comm) MaxStats() Stats {
 	return m
 }
 
-// Barrier blocks until every rank has reached it. With a cost model
-// attached, the participating clocks synchronize to their maximum — the
-// max-synchronization a real barrier imposes on wall-clock.
-func (c *Comm) Barrier() {
-	c.barrier.Wait()
-	if cm := c.cost; cm != nil {
-		// Barrier has no rank argument, so one charging rank is elected
-		// per round; the charge itself (sync to max) is rank-independent,
-		// keeping virtual times deterministic.
-		if cm.elect(c.g) {
-			cm.Charge(0)
-		}
-		if c.g > 1 {
-			c.barrier.Wait()
-		}
-	}
-}
-
 // chunkRange returns the [lo,hi) bounds of chunk i when n elements are split
 // into g nearly equal contiguous chunks (the first n%g chunks are one
 // element longer). Pure arithmetic — no allocation on the ring hot path.
@@ -533,40 +515,6 @@ func (c *Comm) AllGatherFloats(rank int, local []float32, wire Wire) [][]float32
 	out, bytes := allGather(c, &c.floats, rank, func(n int) int64 { return wireSize(wire, n) })
 	c.opEnd("allgather_floats", wireLabel(wire), rank, 1, bytes, t0, v0)
 	return out
-}
-
-// Broadcast distributes root's buffer to every rank (into each rank's x,
-// which must have the root's length).
-func (c *Comm) Broadcast(rank, root int, x []float32) {
-	t0, v0 := c.opStart(rank)
-	if rank == root {
-		c.floats.stash(&c.mu, root, x)
-	}
-	c.barrier.Wait()
-	c.mu.Lock()
-	src := c.floats.entry(root)
-	c.mu.Unlock()
-	if len(src) != len(x) {
-		panic(fmt.Sprintf("collective: Broadcast length mismatch on rank %d: %d != %d", rank, len(x), len(src)))
-	}
-	if rank != root {
-		copy(x, src)
-	}
-	var bytes int64
-	if rank == root {
-		// Tree broadcast: root sends ~1 copy per subtree; account
-		// the standard log-tree per-rank volume of one payload.
-		bytes = int64(4 * len(x))
-	}
-	c.mu.Lock()
-	c.stats[rank].BroadcastCalls++
-	c.stats[rank].BroadcastBytes += bytes
-	c.mu.Unlock()
-	c.barrier.Wait()
-	c.charge(rank, func(cm *CostModel) {
-		cm.Charge(cm.Link.TreeBroadcastSeconds(c.g, int64(4*len(x))))
-	})
-	c.opEnd("broadcast", "fp32", rank, 1, bytes, t0, v0)
 }
 
 // AgreeAllOK is a control-plane consensus: every rank reports a boolean and

@@ -247,18 +247,26 @@ func TestBroadcast(t *testing.T) {
 	const g = 5
 	c := New(g)
 	results := make([][]float32, g)
+	root := []float32{7, 8, 9}
 	runRanks(g, func(rank int) {
-		buf := make([]float32, 3)
+		var buf []float32 // only the root's slice travels
 		if rank == 2 {
-			buf[0], buf[1], buf[2] = 7, 8, 9
+			buf = root
 		}
-		c.Broadcast(rank, 2, buf)
-		results[rank] = buf
+		results[rank] = c.BroadcastFloatsVar(rank, 2, buf)
 	})
 	for rank := 0; rank < g; rank++ {
-		if results[rank][0] != 7 || results[rank][2] != 9 {
+		if len(results[rank]) != 3 || results[rank][0] != 7 || results[rank][2] != 9 {
 			t.Fatalf("rank %d got %v", rank, results[rank])
 		}
+	}
+	// Every rank, the root included, owns its copy.
+	results[2][0] = 0
+	if root[0] != 7 || results[0][0] != 7 {
+		t.Fatal("BroadcastFloatsVar returned shared storage")
+	}
+	if got := c.RankStats(2).BroadcastBytes; got != 12 {
+		t.Fatalf("root accounted %d broadcast bytes, want 12", got)
 	}
 }
 

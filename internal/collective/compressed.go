@@ -31,20 +31,6 @@ type Decoder interface {
 	DecodeAdd(acc []float32, payload []byte) error
 }
 
-// AllGatherBytes gathers each rank's (possibly different-length) opaque
-// payload; every rank receives the per-rank payloads in rank order. Wire
-// accounting is the standard ring all-gather volume of the actual payload
-// bytes — the primitive the compressed all-reduce (and any future
-// compressed gather) builds on. The returned inner slices are copies owned
-// by the caller.
-func (c *Comm) AllGatherBytes(rank int, local []byte) [][]byte {
-	t0, v0 := c.opStart(rank)
-	c.bytes.stash(&c.mu, rank, local)
-	out, bytes := allGather(c, &c.bytes, rank, func(n int) int64 { return int64(n) })
-	c.opEnd("allgather_bytes", "bytes", rank, 1, bytes, t0, v0)
-	return out
-}
-
 // AllReduceCompressed sums lossily compressed contributions across ranks:
 // every rank passes its own encoded payload plus the destination buffer x,
 // and on return every rank's x holds the identical sum of all G decoded

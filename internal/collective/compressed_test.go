@@ -35,40 +35,6 @@ func encodePairs(pairs map[int]float32, order []int) []byte {
 	return b
 }
 
-func TestAllGatherBytesContentsAndAccounting(t *testing.T) {
-	const g = 4
-	c := New(g)
-	// Ragged payloads: rank r contributes r+1 bytes of value r.
-	outs := make([][][]byte, g)
-	runRanks(g, func(rank int) {
-		local := make([]byte, rank+1)
-		for i := range local {
-			local[i] = byte(rank)
-		}
-		outs[rank] = c.AllGatherBytes(rank, local)
-	})
-	for r := 0; r < g; r++ {
-		for peer := 0; peer < g; peer++ {
-			if len(outs[r][peer]) != peer+1 {
-				t.Fatalf("rank %d sees %d bytes from %d, want %d", r, len(outs[r][peer]), peer, peer+1)
-			}
-			for _, b := range outs[r][peer] {
-				if b != byte(peer) {
-					t.Fatalf("rank %d corrupted payload from %d", r, peer)
-				}
-			}
-		}
-	}
-	total := int64(1 + 2 + 3 + 4)
-	want := total * (g - 1) / g
-	if got := c.RankStats(0).AllGatherBytes; got != want {
-		t.Fatalf("gather bytes %d, want ring volume %d", got, want)
-	}
-	// Result slices must be caller-owned copies, not blackboard aliases.
-	outs[0][1][0] = 0xee
-	runRanks(g, func(rank int) { c.AllGatherBytes(rank, []byte{9}) })
-}
-
 func TestAllReduceCompressedIdenticalAcrossRanks(t *testing.T) {
 	const g, n = 4, 32
 	c := New(g)

@@ -2,7 +2,6 @@ package collective
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"zipflm/internal/perfmodel"
 	"zipflm/internal/vclock"
@@ -11,7 +10,7 @@ import (
 // CostModel attaches virtual time to one lane of a communicator: every
 // collective on that lane synchronizes the participating ranks' clocks to
 // their maximum and advances them together by the operation's α–β duration
-// on the given link (a ring hop costs α + chunkBytes/β, a barrier costs the
+// on the given link (a ring hop costs α + chunkBytes/β, AgreeAllOK costs the
 // synchronization alone). Charging happens between two barrier waits, with
 // every rank quiesced, so virtual times are bit-reproducible regardless of
 // goroutine scheduling.
@@ -36,11 +35,6 @@ type CostModel struct {
 	// Clocks are the participating ranks' clocks, indexed by this
 	// communicator's rank ids (length must equal the communicator size).
 	Clocks []*vclock.Clock
-
-	// arrivals elects one charging rank per rankless synchronization round
-	// (Barrier): of the g ranks that increment it between two barrier
-	// waits, exactly one observes the round's first slot.
-	arrivals atomic.Int64
 }
 
 // Charge synchronizes all participating clocks to their maximum and
@@ -50,12 +44,6 @@ type CostModel struct {
 // collectives advance. The caller must have the owning ranks quiesced.
 func (cm *CostModel) Charge(d float64) {
 	vclock.SyncAdvance(cm.Clocks, d)
-}
-
-// elect returns true for exactly one of g concurrent callers per round.
-// Rounds must be separated by barriers on both sides.
-func (cm *CostModel) elect(g int) bool {
-	return (cm.arrivals.Add(1)-1)%int64(g) == 0
 }
 
 // AttachCost installs a cost model on this lane of the communicator (the

@@ -85,7 +85,7 @@ func TestBroadcastCharges(t *testing.T) {
 	const g, n = 4, 256
 	c, clocks := newCostComm(g)
 	runRanks(g, func(rank int) {
-		c.Broadcast(rank, 0, make([]float32, n))
+		c.BroadcastFloatsVar(rank, 0, make([]float32, n))
 	})
 	want := testLink.TreeBroadcastSeconds(g, int64(4*n))
 	for r, ck := range clocks {
@@ -95,22 +95,22 @@ func TestBroadcastCharges(t *testing.T) {
 	}
 }
 
-// TestBarrierMaxSynchronizes: a barrier costs no bytes but drags every
-// clock up to the slowest rank.
+// TestBarrierMaxSynchronizes: the control-plane barrier (AgreeAllOK) costs
+// no bytes but drags every clock up to the slowest rank.
 func TestBarrierMaxSynchronizes(t *testing.T) {
 	const g = 4
 	c, clocks := newCostComm(g)
 	for r, ck := range clocks {
 		ck.Advance(float64(r)) // rank 3 is the straggler-setter at t=3
 	}
-	runRanks(g, func(rank int) { c.Barrier() })
+	runRanks(g, func(rank int) { c.AgreeAllOK(rank, true) })
 	for r, ck := range clocks {
 		if !eqTime(ck.Now(), 3) {
 			t.Errorf("rank %d clock %v after barrier, want 3", r, ck.Now())
 		}
 	}
 	// Reusable across generations.
-	runRanks(g, func(rank int) { c.Barrier() })
+	runRanks(g, func(rank int) { c.AgreeAllOK(rank, true) })
 	for r, ck := range clocks {
 		if !eqTime(ck.Now(), 3) {
 			t.Errorf("second barrier moved rank %d to %v", r, ck.Now())
@@ -129,9 +129,8 @@ func TestDeterministicVirtualTime(t *testing.T) {
 			x := make([]float32, 333)
 			c.AllReduce(rank, x, nil)
 			c.AllGatherInts(rank, make([]int, 10+rank))
-			c.Barrier()
 			c.AllGatherFloats(rank, make([]float32, 50), half.NewScaler(1))
-			c.Broadcast(rank, 2, x)
+			c.BroadcastFloatsVar(rank, 2, x)
 			c.AgreeAllOK(rank, true)
 		})
 		out := make([]float64, g)
@@ -162,7 +161,7 @@ func TestNilCostModelLeavesNoTrace(t *testing.T) {
 	runRanks(g, func(rank int) {
 		x := make([]float32, 64)
 		c.AllReduce(rank, x, nil)
-		c.Barrier()
+		c.AgreeAllOK(rank, true)
 	})
 }
 

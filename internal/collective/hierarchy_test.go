@@ -15,7 +15,7 @@ func twoLevelAllReduce(h *Hierarchy, rank int, x []float32) {
 	if h.IsLeader(rank) {
 		h.Leaders().AllReduce(gid, x, nil)
 	}
-	grp.Broadcast(gr, 0, x)
+	copy(x, grp.BroadcastFloatsVar(gr, 0, x))
 }
 
 // TestTwoLevelAllReduceMatchesFlat: the two-level reduce-scatter/allgather

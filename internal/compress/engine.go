@@ -55,9 +55,6 @@ func NewEngine(cfg Config, base collective.Wire, rank int) *Engine {
 	return e
 }
 
-// Config returns the normalized policy the engine runs.
-func (e *Engine) Config() Config { return e.cfg }
-
 // carryFor returns (building on first use) the named tensor's state.
 func (e *Engine) carryFor(name string, n int) (*carry, error) {
 	c, ok := e.carries[name]

@@ -59,20 +59,10 @@ func (q *Quant8) WireBytes(n int) int {
 // (collective.WireNamer).
 func (q *Quant8) WireName() string { return "q8" }
 
-// Chunks returns the number of scale blocks n elements occupy — the length
-// Encode requires of its scales argument.
-func (q *Quant8) Chunks(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return (n + q.ChunkElems - 1) / q.ChunkElems
-}
-
 // RoundTrip implements collective.Wire: quantize x to the per-chunk int8
-// grid in place — Encode then Decode, fused per chunk. All-zero chunks pass
-// through untouched (their scale is degenerate and a real encoder would skip
-// them), which is why the fused path exists alongside the split halves: the
-// wire behavior predates them and must stay bit-identical.
+// grid in place, encoding then decoding one chunk at a time. All-zero chunks
+// pass through untouched (their scale is degenerate and a real encoder would
+// skip them).
 func (q *Quant8) RoundTrip(x []float32) {
 	if cap(q.codes) < q.ChunkElems {
 		q.codes = make([]int8, q.ChunkElems)
@@ -87,41 +77,6 @@ func (q *Quant8) RoundTrip(x []float32) {
 		if scale := q.encodeChunk(codes, c); scale != 0 {
 			decodeChunk(c, codes, scale)
 		}
-	}
-}
-
-// Encode quantizes x into int8 codes plus one FP32 scale per chunk — the
-// encode-once half for weight storage and decode-many consumers. Like
-// RoundTrip it sanitizes x in place before deriving scales (±Inf saturates to
-// ±MaxFloat32, NaN drops to 0). len(codes) must equal len(x) and len(scales)
-// must equal Chunks(len(x)). An all-zero chunk encodes as zero codes with
-// scale 0.
-func (q *Quant8) Encode(x []float32, codes []int8, scales []float32) {
-	if len(codes) != len(x) || len(scales) != q.Chunks(len(x)) {
-		panic("compress: Quant8.Encode buffer length mismatch")
-	}
-	for ci, lo := 0, 0; lo < len(x); ci, lo = ci+1, lo+q.ChunkElems {
-		hi := lo + q.ChunkElems
-		if hi > len(x) {
-			hi = len(x)
-		}
-		scales[ci] = q.encodeChunk(codes[lo:hi], x[lo:hi])
-	}
-}
-
-// Decode expands codes and scales produced by Encode into dst
-// (len(dst) == len(codes)). Decoding is stateless and may run any number of
-// times per Encode; a scale-0 chunk decodes to zeros.
-func (q *Quant8) Decode(dst []float32, codes []int8, scales []float32) {
-	if len(dst) != len(codes) || len(scales) != q.Chunks(len(codes)) {
-		panic("compress: Quant8.Decode buffer length mismatch")
-	}
-	for ci, lo := 0, 0; lo < len(codes); ci, lo = ci+1, lo+q.ChunkElems {
-		hi := lo + q.ChunkElems
-		if hi > len(codes) {
-			hi = len(codes)
-		}
-		decodeChunk(dst[lo:hi], codes[lo:hi], scales[ci])
 	}
 }
 

@@ -459,7 +459,10 @@ func TestMemoryReductionGrowsWithG(t *testing.T) {
 	prev := 0.0
 	for _, g := range []int{8, 16, 24} {
 		ug := ExpectedUnique(g*k, 0.64, 7.02, 100_000)
-		red := MemoryReduction(g, k, min(k, ug), ug, d)
+		// The baseline/unique scratch ratio — the "8.6× memory reduction"
+		// style numbers of §V-A.
+		red := float64(BaselineCost(g, k, d, false).ScratchBytes) /
+			float64(UniqueCost(g, k, min(k, ug), ug, d, false).ScratchBytes)
 		if red <= prev {
 			t.Errorf("memory reduction not increasing: %v at G=%d after %v", red, g, prev)
 		}

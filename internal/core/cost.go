@@ -71,11 +71,3 @@ func ExpectedUnique(n int, alpha, c float64, vocab int) int {
 	}
 	return u
 }
-
-// MemoryReduction reports the baseline/unique scratch ratio at a
-// configuration — the "8.6× memory reduction" style numbers of §V-A.
-func MemoryReduction(g, k, ui, ug, d int) float64 {
-	b := BaselineCost(g, k, d, false)
-	u := UniqueCost(g, k, ui, ug, d, false)
-	return float64(b.ScratchBytes) / float64(u.ScratchBytes)
-}

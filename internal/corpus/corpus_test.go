@@ -17,8 +17,8 @@ func TestBuildVocabularyOrdering(t *testing.T) {
 	if v.Word(1) != "a" || v.Word(2) != "b" || v.Word(3) != "c" {
 		t.Errorf("frequency ordering wrong: %q %q %q", v.Word(1), v.Word(2), v.Word(3))
 	}
-	if v.Freq(1) != 3 || v.Freq(2) != 2 || v.Freq(3) != 1 {
-		t.Errorf("frequencies wrong: %d %d %d", v.Freq(1), v.Freq(2), v.Freq(3))
+	if v.freq[1] != 3 || v.freq[2] != 2 || v.freq[3] != 1 {
+		t.Errorf("frequencies wrong: %d %d %d", v.freq[1], v.freq[2], v.freq[3])
 	}
 }
 
@@ -78,7 +78,7 @@ func TestSyntheticVocabulary(t *testing.T) {
 	}
 	// Frequencies must be non-increasing in id (Zipf layout).
 	for id := 2; id < v.Size(); id++ {
-		if v.Freq(id) > v.Freq(id-1) {
+		if v.freq[id] > v.freq[id-1] {
 			t.Fatalf("freq not monotone at id %d", id)
 		}
 	}

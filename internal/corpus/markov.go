@@ -108,22 +108,3 @@ func (m *MarkovGenerator) Stream(n int) []int {
 	}
 	return out
 }
-
-// TypeTokenCurve mirrors Generator.TypeTokenCurve for the Markov stream.
-func (m *MarkovGenerator) TypeTokenCurve(checkpoints []int) []TypeTokenPoint {
-	seen := make([]bool, m.cfg.VocabSize+1)
-	points := make([]TypeTokenPoint, 0, len(checkpoints))
-	types, n := 0, 0
-	for _, cp := range checkpoints {
-		for n < cp {
-			id := m.Next()
-			if !seen[id] {
-				seen[id] = true
-				types++
-			}
-			n++
-		}
-		points = append(points, TypeTokenPoint{Tokens: n, Types: types})
-	}
-	return points
-}

@@ -126,13 +126,20 @@ func TestMarkovMarginalIsSkewed(t *testing.T) {
 
 func TestMarkovTypeTokenMonotone(t *testing.T) {
 	g := NewMarkovGenerator(MarkovConfig{VocabSize: 400, Branching: 6, ZipfExponent: 1.1, Seed: 6})
-	curve := g.TypeTokenCurve([]int{100, 1000, 10000})
-	for i := 1; i < len(curve); i++ {
-		if curve[i].Types < curve[i-1].Types {
-			t.Fatalf("curve not monotone: %+v", curve)
+	seen := map[int]bool{}
+	var curve []int // distinct types after 100, 1000 and 10000 tokens
+	for n, id := range g.Stream(10000) {
+		seen[id] = true
+		if n+1 == 100 || n+1 == 1000 || n+1 == 10000 {
+			curve = append(curve, len(seen))
 		}
 	}
-	if curve[2].Types > 400 {
+	// New types keep appearing, but ten times the tokens bring fewer than
+	// ten times the types (Heaps' law), and never more than the vocabulary.
+	if !(curve[0] < curve[1] && curve[1] < curve[2]) || curve[2] >= 10*curve[1] {
+		t.Fatalf("type-token curve not growing sublinearly: %v", curve)
+	}
+	if curve[2] > 400 {
 		t.Fatalf("types exceed vocabulary")
 	}
 }

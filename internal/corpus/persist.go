@@ -52,16 +52,3 @@ func LoadVocabulary(r io.Reader) (*Vocabulary, error) {
 	}
 	return v, nil
 }
-
-// FreqWeights returns the recorded frequencies as float64 weights aligned
-// with ids — the input sampling.NewUnigramSampler expects.
-func (v *Vocabulary) FreqWeights() []float64 {
-	out := make([]float64, len(v.freq))
-	for i, f := range v.freq {
-		out[i] = float64(f)
-		if out[i] <= 0 {
-			out[i] = 0.5 // <unk> or unseen: keep sampleable
-		}
-	}
-	return out
-}

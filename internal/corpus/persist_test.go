@@ -20,7 +20,7 @@ func TestVocabularySaveLoad(t *testing.T) {
 		t.Fatalf("size %d, want %d", loaded.Size(), v.Size())
 	}
 	for id := 0; id < v.Size(); id++ {
-		if loaded.Word(id) != v.Word(id) || loaded.Freq(id) != v.Freq(id) {
+		if loaded.Word(id) != v.Word(id) || loaded.freq[id] != v.freq[id] {
 			t.Fatalf("id %d mismatch after round trip", id)
 		}
 	}
@@ -33,21 +33,6 @@ func TestVocabularySaveLoad(t *testing.T) {
 func TestLoadVocabularyRejectsGarbage(t *testing.T) {
 	if _, err := LoadVocabulary(strings.NewReader("junk")); err == nil {
 		t.Fatal("garbage must fail")
-	}
-}
-
-func TestFreqWeights(t *testing.T) {
-	v := BuildVocabulary([]string{"a", "a", "b"}, 0)
-	w := v.FreqWeights()
-	if len(w) != v.Size() {
-		t.Fatalf("weights length %d", len(w))
-	}
-	if w[1] != 2 || w[2] != 1 {
-		t.Errorf("weights %v", w)
-	}
-	// <unk> has zero recorded frequency but must stay sampleable.
-	if w[0] <= 0 {
-		t.Error("<unk> weight must be positive")
 	}
 }
 

@@ -122,9 +122,6 @@ func (v *Vocabulary) ID(token string) int {
 // Word returns the surface form for an id. Panics on out-of-range ids.
 func (v *Vocabulary) Word(id int) string { return v.words[id] }
 
-// Freq returns the recorded frequency of an id.
-func (v *Vocabulary) Freq(id int) int64 { return v.freq[id] }
-
 // Encode maps tokens to ids, substituting UnknownID for OOV tokens.
 func (v *Vocabulary) Encode(tokens []string) []int {
 	out := make([]int, len(tokens))

@@ -337,3 +337,18 @@ func Run(w io.Writer, title string, interval time.Duration, width int, ansi bool
 		}
 	}
 }
+
+// Start runs the in-process dashboard behind the -dashboard flags: Run on
+// its own goroutine, once a second at DefaultWidth with in-place ANSI
+// frames. stop ends it and returns once the last frame is written.
+func Start(w io.Writer, title string, src func() telemetry.Snapshot) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		Run(w, title, time.Second, DefaultWidth, true, src, quit)
+	}()
+	return func() {
+		close(quit)
+		<-done
+	}
+}

@@ -153,3 +153,16 @@ func TestRunLoopStops(t *testing.T) {
 		t.Fatalf("Run rendered nothing:\n%s", sb.String())
 	}
 }
+
+// TestStartStops: Start draws at once, and its stop func returns only after
+// the loop has exited — w is the caller's again (a plain Builder, unguarded).
+func TestStartStops(t *testing.T) {
+	var sb strings.Builder
+	reg := telemetry.NewRegistry()
+	reg.Counter("zipflm_serve_tokens_total").Add(1)
+	stop := Start(&sb, "t", reg.Snapshot)
+	stop()
+	if !strings.Contains(sb.String(), "samples") {
+		t.Fatalf("Start rendered nothing:\n%s", sb.String())
+	}
+}

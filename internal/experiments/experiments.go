@@ -52,9 +52,6 @@ type Options struct {
 	Profile *telemetry.Profiler
 }
 
-// DefaultOptions returns the standard configuration.
-func DefaultOptions() Options { return Options{Seed: 42} }
-
 // Report is one experiment's output.
 type Report struct {
 	// ID is the experiment identifier (fig1, tab3, …).

@@ -54,7 +54,9 @@ func runScaling(w scalingWorkload, paper paperScaling, opts Options) (*Report, e
 		"base hrs (paper)", "base hrs (model)", "base eff",
 		"ours hrs (paper)", "ours hrs (model)", "ours eff")
 
-	var baseRefBase, baseRefOurs float64
+	// Efficiency is relative to the first GPU count each stack ran at.
+	var baseHours0, oursHours0 float64
+	var baseG0, oursG0 int
 	notes := []string{}
 	for i, g := range paper.gpus {
 		// Baseline column: OOM when Θ(G·K·D) scratch exceeds the 12 GB
@@ -65,19 +67,19 @@ func runScaling(w scalingWorkload, paper paperScaling, opts Options) (*Report, e
 		if mem <= hw.MemBytes {
 			cost := stepCost(w, g, stackBaseline, opts.Seed)
 			baseHours = hw.EpochTime(g, w.K, w.TokensPerEpoch, cost)
-			if baseRefBase == 0 {
-				baseRefBase = baseHours * float64(g)
+			if baseG0 == 0 {
+				baseHours0, baseG0 = baseHours, g
 			}
 			baseStr = fmt.Sprintf("%.1f", baseHours)
-			baseEff = fmt.Sprintf("%.0f%%", 100*baseRefBase/(baseHours*float64(g)))
+			baseEff = fmt.Sprintf("%.0f%%", 100*perfmodel.ParallelEfficiency(baseHours0, baseG0, baseHours, g))
 		}
 
 		cost := stepCost(w, g, stackCompressed, opts.Seed)
 		oursHours := hw.EpochTime(g, w.K, w.TokensPerEpoch, cost)
-		if baseRefOurs == 0 {
-			baseRefOurs = oursHours * float64(g)
+		if oursG0 == 0 {
+			oursHours0, oursG0 = oursHours, g
 		}
-		oursEff := fmt.Sprintf("%.0f%%", 100*baseRefOurs/(oursHours*float64(g)))
+		oursEff := fmt.Sprintf("%.0f%%", 100*perfmodel.ParallelEfficiency(oursHours0, oursG0, oursHours, g))
 
 		paperBase := "*(OOM)"
 		if paper.baselineHours[i] > 0 {

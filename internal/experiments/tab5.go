@@ -143,8 +143,8 @@ func runTab5(opts Options) (*Report, error) {
 	)
 	// Compression-ratio cross-check (§V-C): perplexity 11.1 at 2.71
 	// bytes/char → ratio ≈ 6.3 vs [21]'s 6.8.
-	bpc := model.BitsPerChar(logOf(11.1))
-	cr := model.CompressionRatio(2.71, bpc)
+	bpc := metrics.BPC(logOf(11.1))
+	cr := metrics.CompressionRatio(2.71, bpc)
 	notes = append(notes, fmt.Sprintf("compression ratio at paper's ppl 11.1: %.1f (paper: 6.3; [21]: 6.8)", cr))
 
 	return &Report{Tables: []*metrics.Table{timeTab, accTab}, Notes: notes}, nil

@@ -18,7 +18,7 @@ func FuzzRoundTrip(f *testing.F) {
 
 		switch {
 		case math.IsNaN(float64(x)):
-			if !h.IsNaN() || !math.IsNaN(float64(back)) {
+			if !isNaN(h) || !math.IsNaN(float64(back)) {
 				t.Fatalf("NaN not preserved: %#08x -> %#04x -> %v", bits, h, back)
 			}
 		case math.IsInf(float64(x), 0):

@@ -114,11 +114,6 @@ func (h Float16) ToFloat32() float32 {
 	}
 }
 
-// IsNaN reports whether h is a NaN.
-func (h Float16) IsNaN() bool {
-	return h&f16ExpMask == f16ExpMask && h&f16FracMask != 0
-}
-
 // IsInf reports whether h is ±Inf.
 func (h Float16) IsInf() bool {
 	return h&f16ExpMask == f16ExpMask && h&f16FracMask == 0

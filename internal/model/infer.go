@@ -122,9 +122,6 @@ func (m *LM) NewStepper(maxBatch int) *Stepper {
 	return st
 }
 
-// MaxBatch returns the batch bound the Stepper was built for.
-func (st *Stepper) MaxBatch() int { return st.max }
-
 // viewRows shrinks (or re-grows, within capacity) a scratch matrix to the
 // current batch size.
 func viewRows(m *tensor.Matrix, rows int) {

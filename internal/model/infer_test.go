@@ -3,6 +3,7 @@ package model
 import (
 	"testing"
 
+	"zipflm/internal/israce"
 	"zipflm/internal/rng"
 	"zipflm/internal/sampling"
 )
@@ -183,7 +184,7 @@ func TestGenerateOptsFilters(t *testing.T) {
 // scratch lives in the Stepper and the Decoder. (The old Generate allocated
 // fresh matrices every token; this pins the fix.)
 func TestGenerateAllocFlat(t *testing.T) {
-	if raceEnabled {
+	if israce.Enabled {
 		t.Skip("allocation guards are not meaningful under -race")
 	}
 	for name, cfg := range testConfigs() {

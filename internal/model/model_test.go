@@ -384,29 +384,6 @@ func TestCopyWeightsProducesIdenticalReplicas(t *testing.T) {
 	}
 }
 
-func TestMetricsConversions(t *testing.T) {
-	if math.Abs(Perplexity(math.Log(11.1))-11.1) > 1e-9 {
-		t.Error("Perplexity(ln 11.1) != 11.1")
-	}
-	// Paper §V-C: perplexity 11.1 → BPC log2(11.1) ≈ 3.47.
-	bpc := BitsPerChar(math.Log(11.1))
-	if math.Abs(bpc-math.Log2(11.1)) > 1e-9 {
-		t.Errorf("BPC = %v", bpc)
-	}
-	// Paper §V-C: 2.71 bytes/char at that BPC gives compression ≈ 6.3.
-	cr := CompressionRatio(2.71, bpc)
-	if math.Abs(cr-6.3) > 0.15 {
-		t.Errorf("compression ratio = %v, paper says ≈ 6.3", cr)
-	}
-	// And [21]'s 1.11 BPC on 1 byte/char Amazon text gives ≈ 6.8... no:
-	// paper derives 6.8 from " bit per character of 1.11" with ~1.06
-	// bytes/char effective; check the stated 6.8 within broad tolerance.
-	cr21 := CompressionRatio(0.95, 1.11)
-	if cr21 < 6.0 || cr21 > 7.5 {
-		t.Errorf("SOTA compression ratio = %v, paper cites 6.8", cr21)
-	}
-}
-
 func TestNumParams(t *testing.T) {
 	r := rng.New(1)
 	l := NewLinear(3, 4, r)

@@ -64,10 +64,6 @@ func (m *LM) QuantizeWeights() {
 	m.rnn.quantizeWeights(0)
 }
 
-// IsQuantized reports whether this replica's inference path runs on int8
-// weights.
-func (m *LM) IsQuantized() bool { return m.qOutEmb != nil }
-
 // Quantize returns a new serving replica with this model's weights and a
 // quantized inference path. The receiver is untouched, so a process can keep
 // the FP32 model for evaluation while serving from the q8 copy.

@@ -51,7 +51,7 @@ func TestQuantizeDeterministicBytes(t *testing.T) {
 		}
 		m1.QuantizeWeights()
 		m2.QuantizeWeights()
-		if !m1.IsQuantized() || !m2.IsQuantized() {
+		if m1.qOutEmb == nil || m2.qOutEmb == nil {
 			t.Fatalf("%s: QuantizeWeights left the replica unquantized", name)
 		}
 		sameQ(t, name+".outEmb", m1.qOutEmb, m2.qOutEmb)
@@ -80,7 +80,7 @@ func TestQuantizeLeavesTrainingPathAlone(t *testing.T) {
 	for name, cfg := range testConfigs() {
 		m := NewLM(cfg)
 		q := m.Quantize()
-		if !q.IsQuantized() || m.IsQuantized() {
+		if q.qOutEmb == nil || m.qOutEmb != nil {
 			t.Fatalf("%s: Quantize should convert the copy, not the source", name)
 		}
 		r := rng.New(11)

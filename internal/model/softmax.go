@@ -143,18 +143,3 @@ func SampledSoftmaxLoss(be tensor.Backend, h *tensor.Matrix, outEmb *tensor.Matr
 	be.MatMulATB(res.DEmb, dlogits, h)
 	return res
 }
-
-// Perplexity converts a mean cross-entropy in nats to perplexity, the
-// accuracy metric of Figures 5, 7, 8 and Table V.
-func Perplexity(meanNats float64) float64 { return math.Exp(meanNats) }
-
-// BitsPerChar converts a mean cross-entropy in nats to bits per character,
-// the §V-D comparison metric (BPC = log2 perplexity).
-func BitsPerChar(meanNats float64) float64 { return meanNats / math.Ln2 }
-
-// CompressionRatio computes the §V-C metric: corpus bytes divided by
-// (bits-per-char · chars / 8). The paper reports 6.3 for Tieba (perplexity
-// 11.1 at 2.71 bytes/char) against 6.8 for the Amazon SOTA.
-func CompressionRatio(bytesPerChar, bpc float64) float64 {
-	return bytesPerChar * 8 / bpc
-}

@@ -53,14 +53,6 @@ func (s SpecStats) AcceptanceRate() float64 {
 	return float64(s.Accepted) / float64(s.Proposed)
 }
 
-// Add accumulates other into s (serving aggregates per-round stats with it).
-func (s *SpecStats) Add(other SpecStats) {
-	s.Rounds += other.Rounds
-	s.Proposed += other.Proposed
-	s.Accepted += other.Accepted
-	s.DraftSteps += other.DraftSteps
-}
-
 // SpecDecoder generates from a target model with draft-assisted speculative
 // decoding. All scratch is allocated at construction; it is not safe for
 // concurrent use (the serving layer gives each worker its own).
@@ -117,9 +109,6 @@ func NewSpecDecoder(target, draft *LM, k int) *SpecDecoder {
 	sd.dStates = []*GenState{sd.dState}
 	return sd
 }
-
-// K returns the configured lookahead.
-func (sd *SpecDecoder) K() int { return sd.k }
 
 // Stats returns cumulative counters across every Generate call.
 func (sd *SpecDecoder) Stats() SpecStats { return sd.stats }

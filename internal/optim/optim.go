@@ -5,6 +5,10 @@
 // Embedding matrices are updated with SGD-style row updates applied from
 // the globally exchanged core.Update (sparse rows); dense RNN/projection
 // parameters go through the Optimizer interface below.
+//
+// There is no loss scaler here: the trainer never scales a loss. §III-C's
+// compression-scaling is applied where the precision is lost, on the wire
+// (half.Scaler).
 package optim
 
 import (
@@ -207,85 +211,4 @@ func (s Schedule) LR(gpus int, epoch int) float64 {
 		lr *= s.Decay
 	}
 	return lr
-}
-
-// LossScaler implements mixed-precision loss scaling (§III-C): the training
-// loss is multiplied by F before gradients are computed and gradients are
-// divided by F before the weight update, keeping small gradient values out
-// of the FP16 flush-to-zero range.
-type LossScaler struct {
-	// F is the scale factor (paper examples: 256, 512, 1024).
-	F float32
-}
-
-// ScaleLoss returns loss·F.
-func (s LossScaler) ScaleLoss(loss float64) float64 { return loss * float64(s.F) }
-
-// UnscaleGrads divides every gradient by F in place.
-func (s LossScaler) UnscaleGrads(params []model.Param) {
-	inv := 1 / s.F
-	for _, p := range params {
-		for i := range p.Grad {
-			p.Grad[i] *= inv
-		}
-	}
-}
-
-// DynamicLossScaler is the production refinement of fixed loss scaling
-// (used by Apex/AMP-era stacks contemporary with the paper): the factor
-// grows geometrically while training is healthy and backs off sharply when
-// scaled gradients overflow, so F stays near the largest safe value without
-// manual tuning.
-type DynamicLossScaler struct {
-	// F is the current scale factor.
-	F float32
-	// GrowthInterval is the number of consecutive overflow-free steps
-	// before F doubles.
-	GrowthInterval int
-	// MaxF caps growth (FP16 saturates near 65504).
-	MaxF float32
-
-	goodSteps int
-}
-
-// NewDynamicLossScaler starts at initF (e.g. 1024) with the standard
-// growth/backoff policy (×2 after 200 clean steps, ÷2 on overflow).
-func NewDynamicLossScaler(initF float32) *DynamicLossScaler {
-	if initF <= 0 {
-		panic("optim: non-positive initial loss scale")
-	}
-	return &DynamicLossScaler{F: initF, GrowthInterval: 200, MaxF: 32768}
-}
-
-// Update inspects the step's scaled gradients for overflow (Inf/NaN) and
-// adjusts F. It returns false when the step must be skipped (overflow:
-// gradients are garbage at any precision).
-func (d *DynamicLossScaler) Update(params []model.Param) bool {
-	overflow := false
-scan:
-	for _, p := range params {
-		for _, g := range p.Grad {
-			if math.IsInf(float64(g), 0) || math.IsNaN(float64(g)) {
-				overflow = true
-				break scan
-			}
-		}
-	}
-	if overflow {
-		d.F /= 2
-		if d.F < 1 {
-			d.F = 1
-		}
-		d.goodSteps = 0
-		return false
-	}
-	d.goodSteps++
-	if d.goodSteps >= d.GrowthInterval && d.F < d.MaxF {
-		d.F *= 2
-		if d.F > d.MaxF {
-			d.F = d.MaxF
-		}
-		d.goodSteps = 0
-	}
-	return true
 }

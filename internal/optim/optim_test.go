@@ -90,72 +90,3 @@ func TestScheduleNeverScalesDown(t *testing.T) {
 		t.Errorf("LR(4) = %v shrank below base", got)
 	}
 }
-
-func TestLossScalerRoundTrip(t *testing.T) {
-	s := LossScaler{F: 512}
-	if s.ScaleLoss(2) != 1024 {
-		t.Error("ScaleLoss wrong")
-	}
-	p := makeParam([]float32{0}, []float32{512})
-	s.UnscaleGrads([]model.Param{p})
-	if p.Grad[0] != 1 {
-		t.Errorf("unscaled grad = %v, want 1", p.Grad[0])
-	}
-}
-
-func TestDynamicLossScalerBacksOffOnOverflow(t *testing.T) {
-	d := NewDynamicLossScaler(1024)
-	bad := makeParam([]float32{0}, []float32{float32(math.Inf(1))})
-	if d.Update([]model.Param{bad}) {
-		t.Fatal("overflow step must be skipped")
-	}
-	if d.F != 512 {
-		t.Errorf("F = %v after overflow, want 512", d.F)
-	}
-	// NaN also counts as overflow.
-	nan := makeParam([]float32{0}, []float32{float32(math.NaN())})
-	d.Update([]model.Param{nan})
-	if d.F != 256 {
-		t.Errorf("F = %v, want 256", d.F)
-	}
-}
-
-func TestDynamicLossScalerGrows(t *testing.T) {
-	d := NewDynamicLossScaler(64)
-	d.GrowthInterval = 3
-	good := makeParam([]float32{0}, []float32{0.5})
-	for i := 0; i < 3; i++ {
-		if !d.Update([]model.Param{good}) {
-			t.Fatal("clean step reported overflow")
-		}
-	}
-	if d.F != 128 {
-		t.Errorf("F = %v after growth interval, want 128", d.F)
-	}
-}
-
-func TestDynamicLossScalerBounds(t *testing.T) {
-	d := NewDynamicLossScaler(2)
-	bad := makeParam([]float32{0}, []float32{float32(math.Inf(-1))})
-	for i := 0; i < 5; i++ {
-		d.Update([]model.Param{bad})
-	}
-	if d.F < 1 {
-		t.Errorf("F fell below 1: %v", d.F)
-	}
-	g := NewDynamicLossScaler(32768)
-	g.GrowthInterval = 1
-	good := makeParam([]float32{0}, []float32{1})
-	g.Update([]model.Param{good})
-	if g.F > g.MaxF {
-		t.Errorf("F exceeded MaxF: %v", g.F)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("non-positive init must panic")
-			}
-		}()
-		NewDynamicLossScaler(0)
-	}()
-}

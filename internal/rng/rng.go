@@ -116,19 +116,6 @@ func (r *RNG) NormFloat64() float64 {
 	}
 }
 
-// Perm returns a random permutation of [0, n) using Fisher-Yates.
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Shuffle pseudo-randomizes the order of the first n elements using the
 // provided swap function.
 func (r *RNG) Shuffle(n int, swap func(i, j int)) {

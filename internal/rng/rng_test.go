@@ -116,7 +116,12 @@ func TestPermIsPermutation(t *testing.T) {
 	r := New(11)
 	f := func(nRaw uint8) bool {
 		n := int(nRaw%64) + 1
-		p := r.Perm(n)
+		// Shuffling the identity must yield a permutation of [0, n).
+		p := make([]int, n)
+		for i := range p {
+			p[i] = i
+		}
+		r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
 		seen := make([]bool, n)
 		for _, v := range p {
 			if v < 0 || v >= n || seen[v] {

@@ -96,8 +96,6 @@ func NewZipfAliasTable(n int, s float64, r *rng.RNG) *AliasTable {
 
 func powf(x, y float64) float64 { return math.Pow(x, y) }
 
-func logf(x float64) float64 { return math.Log(x) }
-
 // Next draws one index from the distribution.
 func (t *AliasTable) Next() int {
 	n := len(t.prob)

@@ -49,13 +49,9 @@ func newLRUCache(capacity int) *lruCache {
 	return &lruCache{cap: capacity, ll: list.New(), items: make(map[string]*list.Element, capacity)}
 }
 
-// get returns the cached value and marks it most recently used.
-func (c *lruCache) get(key string) (any, bool) {
-	return c.getIf(key, nil)
-}
-
-// getIf is get with a validity predicate: an entry that fails it is
-// dropped and counted as a miss — the hit counters must only report work
+// getIf returns the cached value and marks it most recently used, subject
+// to a validity predicate (nil accepts everything): an entry that fails it
+// is dropped and counted as a miss — the hit counters must only report work
 // the cache actually served (a version-stale entry after a weights reload
 // is a miss, not a hit).
 func (c *lruCache) getIf(key string, valid func(any) bool) (any, bool) {

@@ -229,6 +229,8 @@ type Server struct {
 	version  atomic.Uint64
 	reloads  atomic.Int64
 	reloadMu sync.Mutex
+	// reloadFailures counts reloads that never installed (ReloadFailed).
+	reloadFailures *telemetry.Counter
 }
 
 // New builds a Server over the given model. The model is cloned into one
@@ -255,6 +257,8 @@ func New(m *model.LM, cfg Config) *Server {
 		flight:  cfg.Flight,
 		results: newLRUCache(cfg.CacheEntries),
 		prefix:  newLRUCache(cfg.PrefixEntries),
+
+		reloadFailures: reg.Counter("zipflm_serve_reload_failures_total"),
 	}
 	s.version.Store(1)
 	// Cache counters live in the LRUs and the queue depth in the channel;
@@ -381,21 +385,9 @@ func (s *Server) Reload(m *model.LM) (uint64, error) {
 // with a mismatched pair. A nil draft keeps the current draft weights. Like
 // the target, the draft must match the architecture the server started with.
 func (s *Server) ReloadWithDraft(m, draft *model.LM) (uint64, error) {
-	cur := s.workers[0].arch // immutable after New
-	got := m.Cfg
-	if got.Vocab != cur.Vocab || got.Dim != cur.Dim || got.Hidden != cur.Hidden ||
-		got.RNN != cur.RNN || got.RHNDepth != cur.RHNDepth {
-		return 0, fmt.Errorf("serve: reload architecture %+v does not match serving %+v", got, cur)
-	}
-	if draft != nil {
-		if s.draftSrc == nil {
-			return 0, errors.New("serve: draft reload on a server without speculative decoding")
-		}
-		dc, dn := s.draftSrc.Cfg, draft.Cfg
-		if dn.Vocab != dc.Vocab || dn.Dim != dc.Dim || dn.Hidden != dc.Hidden ||
-			dn.RNN != dc.RNN || dn.RHNDepth != dc.RHNDepth {
-			return 0, fmt.Errorf("serve: reload draft architecture %+v does not match serving draft %+v", dn, dc)
-		}
+	if err := s.checkReload(m, draft); err != nil {
+		s.ReloadFailed(err)
+		return 0, err
 	}
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
@@ -413,6 +405,37 @@ func (s *Server) ReloadWithDraft(m, draft *model.LM) (uint64, error) {
 	s.prefix.reset()
 	s.reloads.Add(1)
 	return v, nil
+}
+
+// checkReload rejects weights that are not an update of what is serving.
+func (s *Server) checkReload(m, draft *model.LM) error {
+	sameArch := func(a, b model.Config) bool {
+		return a.Vocab == b.Vocab && a.Dim == b.Dim && a.Hidden == b.Hidden &&
+			a.RNN == b.RNN && a.RHNDepth == b.RHNDepth
+	}
+	if cur := s.workers[0].arch; !sameArch(m.Cfg, cur) { // arch is immutable after New
+		return fmt.Errorf("serve: reload architecture %+v does not match serving %+v", m.Cfg, cur)
+	}
+	if draft != nil {
+		if s.draftSrc == nil {
+			return errors.New("serve: draft reload on a server without speculative decoding")
+		}
+		if cur := s.draftSrc.Cfg; !sameArch(draft.Cfg, cur) {
+			return fmt.Errorf("serve: reload draft architecture %+v does not match serving draft %+v", draft.Cfg, cur)
+		}
+	}
+	return nil
+}
+
+// ReloadFailed makes a reload that never installed visible: it counts one
+// in zipflm_serve_reload_failures_total and records the cause in the flight
+// ring. ReloadWithDraft calls it for the weights it rejects; callers report
+// the failures that happen before it — a source that cannot be read or does
+// not parse.
+func (s *Server) ReloadFailed(cause error) {
+	s.reloadFailures.Inc()
+	s.flight.Record(slog.LevelError, "weights reload failed", "cause", cause.Error(),
+		"weights_version", s.version.Load())
 }
 
 // validate rejects malformed requests before they cost anything.
@@ -511,11 +534,6 @@ func (s *Server) Submit(req Request) (*Result, error) {
 	res := &Result{Tokens: append([]int(nil), d.tokens...), PrefixHit: t.prefix, Latency: lat, WeightsVersion: d.version}
 	return res, nil
 }
-
-// Telemetry returns the registry the server records into — the one passed
-// via Config.Telemetry, or the private registry the server created. Serve
-// it with telemetry.Handler to expose /metrics.
-func (s *Server) Telemetry() *telemetry.Registry { return s.reg }
 
 // Stats returns current serving telemetry, including the evaluation of any
 // declared SLOs (Snapshot.SLO).

@@ -69,7 +69,7 @@ func TestTelemetryRegistryParity(t *testing.T) {
 	// and Telemetry() exposes the registry.
 	s2 := New(m, Config{Workers: 1})
 	defer s2.Close()
-	if s2.Telemetry() == nil {
+	if s2.reg == nil {
 		t.Fatal("server without Config.Telemetry must own a private registry")
 	}
 	if _, err := s2.Submit(req); err != nil {
@@ -199,7 +199,7 @@ func TestSLOAndFlightBitIdentity(t *testing.T) {
 	}
 	// And /metrics publishes the gauges.
 	var b strings.Builder
-	if err := s.Telemetry().WritePrometheus(&b); err != nil {
+	if err := s.reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), `zipflm_slo_compliant{slo="latency_p99"} 1`) {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"zipflm/internal/israce"
 	"zipflm/internal/model"
 	"zipflm/internal/rng"
 	"zipflm/internal/sampling"
@@ -139,7 +140,7 @@ func TestServeParallelSamplingBitIdentical(t *testing.T) {
 // TestStepZeroAlloc: a steady-state decode step — forward, sampling fan-out,
 // append — allocates nothing, on the serial and on the tiled backend.
 func TestStepZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if israce.Enabled {
 		t.Skip("allocation counts are distorted under the race detector")
 	}
 	for _, computeWorkers := range []int{1, 4} {

@@ -3,12 +3,14 @@ package telemetry
 import (
 	"testing"
 	"time"
+
+	"zipflm/internal/israce"
 )
 
 // TestHotPathZeroAlloc is the hard guard behind the package contract: the
 // record methods — live and nil (telemetry off) — must never allocate.
 func TestHotPathZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if israce.Enabled {
 		t.Skip("allocation accounting is unreliable under -race")
 	}
 	r := NewRegistry()

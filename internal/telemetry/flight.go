@@ -36,7 +36,6 @@ type Flight struct {
 
 	lastTrigger atomic.Int64 // unix nanos of the last accepted trigger
 	minGap      int64        // nanos between accepted triggers
-	triggers    atomic.Int64 // accepted trigger count
 	recorded    atomic.Int64 // total events ever recorded
 }
 
@@ -62,6 +61,17 @@ func NewFlight(capacity int) *Flight {
 	}
 }
 
+// StartFlight is the command-line entry to the recorder: a Flight of the
+// given capacity armed to dump on SIGQUIT, and the func that disarms it.
+// capacity <= 0 is recording off — a nil Flight and a no-op stop.
+func StartFlight(capacity int) (f *Flight, stop func()) {
+	if capacity <= 0 {
+		return nil, func() {}
+	}
+	f = NewFlight(capacity)
+	return f, f.ArmSIGQUIT()
+}
+
 // SetSink redirects trigger dumps (default os.Stderr). nil disables dumps
 // while recording continues.
 func (f *Flight) SetSink(w io.Writer) {
@@ -83,17 +93,6 @@ func (f *Flight) Record(level slog.Level, msg string, args ...any) {
 	}
 	r := slog.NewRecord(time.Now(), level, msg, 0)
 	r.Add(args...)
-	f.handle(r)
-}
-
-// Logger returns a *slog.Logger writing into the ring, for call sites that
-// prefer the standard API. On a nil Flight the logger discards everything.
-func (f *Flight) Logger() *slog.Logger {
-	return slog.New(flightHandler{f: f})
-}
-
-// handle renders the record and publishes it into the ring.
-func (f *Flight) handle(r slog.Record) {
 	var buf bytes.Buffer
 	if err := slog.NewJSONHandler(&buf, nil).Handle(context.Background(), r); err != nil {
 		return
@@ -130,14 +129,6 @@ func (f *Flight) Recorded() int64 {
 		return 0
 	}
 	return f.recorded.Load()
-}
-
-// Triggers returns how many trigger dumps were accepted.
-func (f *Flight) Triggers() int64 {
-	if f == nil {
-		return 0
-	}
-	return f.triggers.Load()
 }
 
 // Dump writes the ring's events to w in record order (oldest first) and
@@ -182,7 +173,6 @@ func (f *Flight) Trigger(reason string) {
 			break
 		}
 	}
-	f.triggers.Add(1)
 	f.sinkMu.Lock()
 	defer f.sinkMu.Unlock()
 	if f.sink == nil {
@@ -224,45 +214,4 @@ func (f *Flight) ArmSIGQUIT() (cancel func()) {
 		signal.Stop(ch)
 		close(done)
 	}
-}
-
-// flightHandler adapts a Flight to slog.Handler. Attrs and groups from
-// With… wrappers are carried into each record.
-type flightHandler struct {
-	f     *Flight
-	attrs []slog.Attr
-	group string
-}
-
-// Enabled reports whether the handler records at level (always, when the
-// recorder exists — filtering belongs to the caller).
-func (h flightHandler) Enabled(context.Context, slog.Level) bool { return h.f != nil }
-
-// Handle renders the record into the ring.
-func (h flightHandler) Handle(_ context.Context, r slog.Record) error {
-	if h.f == nil {
-		return nil
-	}
-	if len(h.attrs) > 0 {
-		attrs := h.attrs
-		if h.group != "" {
-			attrs = []slog.Attr{slog.Attr{Key: h.group, Value: slog.GroupValue(h.attrs...)}}
-		}
-		r = r.Clone()
-		r.AddAttrs(attrs...)
-	}
-	h.f.handle(r)
-	return nil
-}
-
-// WithAttrs returns a handler carrying additional attrs.
-func (h flightHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	h.attrs = append(append([]slog.Attr(nil), h.attrs...), attrs...)
-	return h
-}
-
-// WithGroup returns a handler nesting subsequent attrs under name.
-func (h flightHandler) WithGroup(name string) slog.Handler {
-	h.group = name
-	return h
 }

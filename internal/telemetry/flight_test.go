@@ -74,9 +74,6 @@ func TestFlightTriggerDumpsAndRateLimits(t *testing.T) {
 	f.Record(slog.LevelWarn, "anomaly", "step", 7)
 
 	f.Trigger("fault-rollback")
-	if f.Triggers() != 1 {
-		t.Fatalf("triggers = %d", f.Triggers())
-	}
 	out := sink.String()
 	if !strings.Contains(out, "flight-recorder dump") || !strings.Contains(out, `"reason":"fault-rollback"`) {
 		t.Fatalf("dump header missing:\n%s", out)
@@ -88,29 +85,8 @@ func TestFlightTriggerDumpsAndRateLimits(t *testing.T) {
 	// A second trigger inside the rate-limit window is swallowed.
 	sink.Reset()
 	f.Trigger("storm")
-	if f.Triggers() != 1 || sink.Len() != 0 {
-		t.Fatalf("rate limit failed: triggers=%d sink=%q", f.Triggers(), sink.String())
-	}
-}
-
-func TestFlightLogger(t *testing.T) {
-	f := NewFlight(8)
-	f.SetSink(io.Discard)
-	lg := f.Logger().With("rank", 3).WithGroup("ckpt").With("step", 12)
-	lg.Info("rolled back")
-	var buf bytes.Buffer
-	f.Dump(&buf)
-	var m map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
-		t.Fatalf("%v: %s", err, buf.String())
-	}
-	if m["msg"] != "rolled back" {
-		t.Fatalf("line = %v", m)
-	}
-	// With-attrs survive the handler chain (grouping layout is slog's
-	// concern; presence is ours).
-	if !strings.Contains(buf.String(), `"rank":3`) || !strings.Contains(buf.String(), `"step":12`) {
-		t.Fatalf("attrs lost: %s", buf.String())
+	if sink.Len() != 0 {
+		t.Fatalf("rate limit failed: sink=%q", sink.String())
 	}
 }
 
@@ -119,14 +95,12 @@ func TestFlightNilSafety(t *testing.T) {
 	f.Record(slog.LevelError, "ignored")
 	f.Trigger("ignored")
 	f.SetSink(io.Discard)
-	if f.Len() != 0 || f.Recorded() != 0 || f.Triggers() != 0 {
+	if f.Len() != 0 || f.Recorded() != 0 {
 		t.Fatal("nil flight recorded something")
 	}
 	if n := f.Dump(io.Discard); n != 0 {
 		t.Fatalf("nil flight dumped %d", n)
 	}
-	lg := f.Logger()
-	lg.Info("also ignored") // must not panic
 	cancel := f.ArmSIGQUIT()
 	cancel()
 }

@@ -51,14 +51,6 @@ func NewHistogram(unit string, factor float64) *Histogram {
 	return &Histogram{unit: unit, factor: factor}
 }
 
-// Unit returns the exported unit label ("" for dimensionless).
-func (h *Histogram) Unit() string {
-	if h == nil {
-		return ""
-	}
-	return h.unit
-}
-
 // Factor returns the raw-to-exported multiplier.
 func (h *Histogram) Factor() float64 {
 	if h == nil {
@@ -212,11 +204,10 @@ func (h *Histogram) P999() int64 { return h.Quantile(0.999) }
 
 // HistCum is a cumulative point-in-time snapshot of a histogram: total
 // count, raw sum, and the nonzero buckets in sparse form (BucketIdx[i]
-// holds BucketN[i] observations), ordered by bucket index. Two snapshots
-// of the same histogram subtract into a HistDelta — the observations
-// recorded between them — which is what gives a fixed-storage histogram a
-// time axis: windowed quantiles come from the delta, not the lifetime
-// distribution.
+// holds BucketN[i] observations), ordered by bucket index. It is the form
+// History samples carry: a reader of the /metrics/history dump subtracts
+// two snapshots of one histogram bucket by bucket to get the distribution
+// of the observations recorded between them.
 type HistCum struct {
 	Count     int64   `json:"count"`
 	Sum       int64   `json:"sum"`
@@ -244,89 +235,3 @@ func (h *Histogram) CumSnapshot() HistCum {
 	}
 	return c
 }
-
-// HistDelta is the distribution of observations recorded between two
-// cumulative snapshots: a windowed view of a histogram.
-type HistDelta struct {
-	// Count and Sum are the observation count and raw-value sum in the
-	// window.
-	Count int64
-	Sum   int64
-	idx   []int32
-	n     []int64
-}
-
-// Sub returns the delta later − earlier. Snapshots must come from the same
-// histogram with later taken after earlier; any per-bucket decrease (a
-// reset, or snapshots from different instruments) clamps to zero rather
-// than producing negative counts.
-func (later HistCum) Sub(earlier HistCum) HistDelta {
-	d := HistDelta{Count: later.Count - earlier.Count, Sum: later.Sum - earlier.Sum}
-	if d.Count < 0 {
-		d.Count = 0
-	}
-	// Merge two index-sorted sparse bucket lists.
-	j := 0
-	for i, idx := range later.BucketIdx {
-		for j < len(earlier.BucketIdx) && earlier.BucketIdx[j] < idx {
-			j++
-		}
-		n := later.BucketN[i]
-		if j < len(earlier.BucketIdx) && earlier.BucketIdx[j] == idx {
-			n -= earlier.BucketN[j]
-		}
-		if n > 0 {
-			d.idx = append(d.idx, idx)
-			d.n = append(d.n, n)
-		}
-	}
-	return d
-}
-
-// Mean returns the raw mean observation in the window (0 when empty).
-func (d HistDelta) Mean() float64 {
-	if d.Count <= 0 {
-		return 0
-	}
-	return float64(d.Sum) / float64(d.Count)
-}
-
-// Quantile returns the raw-valued q-quantile of the windowed observations,
-// by nearest rank over the bucket deltas — the same estimate (and error
-// bound) Histogram.Quantile gives the lifetime distribution. Returns 0
-// when the window saw nothing.
-func (d HistDelta) Quantile(q float64) int64 {
-	var total int64
-	for _, n := range d.n {
-		total += n
-	}
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(q*float64(total) + 0.5)
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for i, n := range d.n {
-		seen += n
-		if seen >= rank {
-			lo, hi := bucketBounds(int(d.idx[i]))
-			if int(d.idx[i]) < subCount {
-				return lo
-			}
-			return lo + (hi-lo)/2
-		}
-	}
-	return 0 // unreachable: total > 0
-}
-
-// P50 and P99 are the windowed quantiles the dashboard trends.
-func (d HistDelta) P50() int64 { return d.Quantile(0.50) }
-func (d HistDelta) P99() int64 { return d.Quantile(0.99) }

@@ -9,14 +9,16 @@ import (
 
 // This file is the time dimension of the telemetry layer. A Registry holds
 // the *current* value of every instrument; History retains a bounded ring
-// of periodic registry samples so any metric becomes a series: counters
-// gain windowed rates, histograms gain delta snapshots (windowed p50/p99
-// over just the observations inside the window), and every sample is
-// stamped with both the wall clock and — when a reader is configured —
-// the simulator's virtual clock, mirroring the dual timeline the Tracer
-// records. Sampling only ever reads instruments, so the package contract
-// holds: observation never perturbs, and every bit-identity suite passes
-// with sampling on.
+// of periodic registry samples and exports it as JSON (WriteJSON: GET
+// /metrics/history, zipflm-train -history), so any metric becomes a series
+// for whoever reads the dump — counters difference into windowed rates,
+// cumulative histogram snapshots into windowed distributions. History
+// itself only samples and dumps; it computes no rates or windows. Every
+// sample is stamped with both the wall clock and — when a reader is
+// configured — the simulator's virtual clock, mirroring the dual timeline
+// the Tracer records. Sampling only ever reads instruments, so the package
+// contract holds: observation never perturbs, and every bit-identity suite
+// passes with sampling on.
 
 // HistoryConfig tunes a History.
 type HistoryConfig struct {
@@ -79,14 +81,6 @@ func NewHistory(reg *Registry, cfg HistoryConfig) *History {
 		cfg.Interval = DefaultHistoryInterval
 	}
 	return &History{reg: reg, cfg: cfg, ring: make([]HistorySample, 0, cfg.Capacity)}
-}
-
-// Cap returns the ring capacity.
-func (h *History) Cap() int {
-	if h == nil {
-		return 0
-	}
-	return h.cfg.Capacity
 }
 
 // Len returns how many samples the ring currently holds.
@@ -202,94 +196,6 @@ func (h *History) Samples() []HistorySample {
 	out = append(out, h.ring[start:]...)
 	out = append(out, h.ring[:start]...)
 	return out
-}
-
-// window returns the newest sample and the oldest sample within window of
-// it (by wall clock). ok is false with fewer than two samples in range.
-func (h *History) window(window time.Duration) (oldest, newest HistorySample, ok bool) {
-	samples := h.Samples()
-	if len(samples) < 2 {
-		return HistorySample{}, HistorySample{}, false
-	}
-	newest = samples[len(samples)-1]
-	horizon := newest.Wall.Add(-window)
-	for _, s := range samples[:len(samples)-1] {
-		if !s.Wall.Before(horizon) {
-			if s.Wall.Equal(newest.Wall) {
-				break // zero-width window: no rate to compute
-			}
-			return s, newest, true
-		}
-	}
-	return HistorySample{}, HistorySample{}, false
-}
-
-// Rate returns the named counter's windowed rate per wall-clock second:
-// the value delta between the newest sample and the oldest sample within
-// window of it, divided by the elapsed wall time. ok is false when fewer
-// than two samples cover the window or the counter is absent from either.
-func (h *History) Rate(name string, window time.Duration) (perSec float64, ok bool) {
-	if h == nil {
-		return 0, false
-	}
-	o, n, ok := h.window(window)
-	if !ok {
-		return 0, false
-	}
-	ov, okO := o.Counters[name]
-	nv, okN := n.Counters[name]
-	if !okO || !okN {
-		return 0, false
-	}
-	dt := n.Wall.Sub(o.Wall).Seconds()
-	if dt <= 0 {
-		return 0, false
-	}
-	return float64(nv-ov) / dt, true
-}
-
-// VRate is Rate on the virtual-clock axis: counter delta divided by
-// virtual seconds elapsed between the same pair of samples. ok is false
-// when the virtual clock did not advance (no reader configured, or the
-// simulation is idle).
-func (h *History) VRate(name string, window time.Duration) (perVSec float64, ok bool) {
-	if h == nil {
-		return 0, false
-	}
-	o, n, ok := h.window(window)
-	if !ok {
-		return 0, false
-	}
-	ov, okO := o.Counters[name]
-	nv, okN := n.Counters[name]
-	if !okO || !okN {
-		return 0, false
-	}
-	dv := n.VClock - o.VClock
-	if dv <= 0 {
-		return 0, false
-	}
-	return float64(nv-ov) / dv, true
-}
-
-// Window returns the named histogram's delta distribution over the
-// window: only the observations recorded between the two bracketing
-// samples, with windowed Mean/P50/P99. ok is false when the window lacks
-// two samples carrying the histogram.
-func (h *History) Window(name string, window time.Duration) (HistDelta, bool) {
-	if h == nil {
-		return HistDelta{}, false
-	}
-	o, n, ok := h.window(window)
-	if !ok {
-		return HistDelta{}, false
-	}
-	oc, okO := o.Hists[name]
-	nc, okN := n.Hists[name]
-	if !okO || !okN {
-		return HistDelta{}, false
-	}
-	return nc.Sub(oc), true
 }
 
 // historyDump is the JSON export envelope.

@@ -8,10 +8,11 @@ import (
 	"time"
 )
 
-// TestHistCumDeltaMatchesFreshHistogram is the delta-snapshot contract:
-// subtracting two cumulative snapshots yields exactly the distribution of
-// the observations recorded between them — same count, same sum, same
-// quantile estimates as a fresh histogram fed only those observations.
+// TestHistCumDeltaMatchesFreshHistogram is the delta-snapshot contract the
+// /metrics/history dump rests on: subtracting two cumulative snapshots
+// bucket by bucket yields exactly the distribution of the observations
+// recorded between them — the same count, sum and buckets as a fresh
+// histogram fed only those observations.
 func TestHistCumDeltaMatchesFreshHistogram(t *testing.T) {
 	h := NewHistogram("", 0)
 	for _, v := range []int64{1, 5, 17, 900, 3} {
@@ -19,48 +20,43 @@ func TestHistCumDeltaMatchesFreshHistogram(t *testing.T) {
 	}
 	before := h.CumSnapshot()
 
-	window := []int64{2, 2, 64, 1000, 1000000, 7, 31, 31, 500}
 	fresh := NewHistogram("", 0)
-	var sum int64
-	for _, v := range window {
+	for _, v := range []int64{2, 2, 64, 1000, 1000000, 7, 31, 31, 500} {
 		h.Record(v)
 		fresh.Record(v)
-		sum += v
 	}
-	d := h.CumSnapshot().Sub(before)
+	after, want := h.CumSnapshot(), fresh.CumSnapshot()
 
-	if d.Count != int64(len(window)) {
-		t.Fatalf("delta count = %d, want %d", d.Count, len(window))
+	if got := after.Count - before.Count; got != want.Count {
+		t.Fatalf("delta count = %d, want %d", got, want.Count)
 	}
-	if d.Sum != sum {
-		t.Fatalf("delta sum = %d, want %d", d.Sum, sum)
+	if got := after.Sum - before.Sum; got != want.Sum {
+		t.Fatalf("delta sum = %d, want %d", got, want.Sum)
 	}
-	for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
-		if got, want := d.Quantile(q), fresh.Quantile(q); got != want {
-			t.Errorf("delta quantile(%g) = %d, want %d (fresh histogram)", q, got, want)
+	buckets := func(c HistCum) map[int32]int64 {
+		m := map[int32]int64{}
+		for i, idx := range c.BucketIdx {
+			if i > 0 && idx <= c.BucketIdx[i-1] {
+				t.Fatalf("bucket indices not ascending: %v", c.BucketIdx)
+			}
+			m[idx] = c.BucketN[i]
+		}
+		return m
+	}
+	delta := buckets(after)
+	for idx, n := range buckets(before) {
+		if delta[idx] -= n; delta[idx] == 0 {
+			delete(delta, idx)
 		}
 	}
-	if d.Mean() != fresh.Mean() {
-		t.Errorf("delta mean = %g, want %g", d.Mean(), fresh.Mean())
+	wantBuckets := buckets(want)
+	if len(delta) != len(wantBuckets) {
+		t.Fatalf("delta buckets %v, want %v", delta, wantBuckets)
 	}
-}
-
-func TestHistDeltaEmptyWindow(t *testing.T) {
-	h := NewHistogram("", 0)
-	h.Record(42)
-	snap := h.CumSnapshot()
-	d := snap.Sub(snap)
-	if d.Count != 0 || d.Sum != 0 || d.Quantile(0.5) != 0 || d.Mean() != 0 {
-		t.Fatalf("self-delta not empty: %+v", d)
-	}
-	// A reversed subtraction (caller error) clamps rather than going
-	// negative.
-	h.Record(7)
-	if d := snap.Sub(h.CumSnapshot()); d.Count != 0 {
-		t.Fatalf("reversed delta count = %d, want 0", d.Count)
-	}
-	if got := (HistCum{}).Sub(HistCum{}); got.Count != 0 {
-		t.Fatalf("zero-value delta count = %d", got.Count)
+	for idx, n := range wantBuckets {
+		if delta[idx] != n {
+			t.Errorf("delta bucket %d holds %d, want %d", idx, delta[idx], n)
+		}
 	}
 }
 
@@ -77,8 +73,8 @@ func TestHistoryRingWraparound(t *testing.T) {
 		c.Add(1)
 		h.Sample(t0.Add(time.Duration(i) * time.Second))
 	}
-	if h.Len() != 4 || h.Cap() != 4 {
-		t.Fatalf("len/cap = %d/%d, want 4/4", h.Len(), h.Cap())
+	if h.Len() != 4 {
+		t.Fatalf("len = %d, want the capacity 4", h.Len())
 	}
 	samples := h.Samples()
 	for i, s := range samples {
@@ -92,6 +88,9 @@ func TestHistoryRingWraparound(t *testing.T) {
 	}
 }
 
+// TestHistoryRateAndWindow: History computes no rates or windows itself —
+// adjacent samples must carry what a reader of the dump derives them from:
+// counter values, cumulative histogram counts and the wall-clock stamp.
 func TestHistoryRateAndWindow(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("zipflm_tokens_total")
@@ -108,35 +107,30 @@ func TestHistoryRateAndWindow(t *testing.T) {
 	lat.Record(int64(12 * time.Millisecond))
 	h.Sample(t0.Add(2 * time.Second))
 
-	rate, ok := h.Rate("zipflm_tokens_total", 10*time.Second)
-	if !ok || rate != 50 {
-		t.Fatalf("Rate = %g ok=%v, want 50 true", rate, ok)
+	samples := h.Samples()
+	o, n := samples[0], samples[1]
+	delta := float64(n.Counters["zipflm_tokens_total"] - o.Counters["zipflm_tokens_total"])
+	if rate := delta / n.Wall.Sub(o.Wall).Seconds(); rate != 50 {
+		t.Fatalf("wall rate = %g, want 50 (100 tokens / 2 wall seconds)", rate)
 	}
-	if _, ok := h.Rate("zipflm_missing_total", 10*time.Second); ok {
-		t.Fatal("Rate of an absent counter reported ok")
+	if _, ok := o.Counters["zipflm_missing_total"]; ok {
+		t.Fatal("sample carries a counter nobody registered")
 	}
-
-	d, ok := h.Window("zipflm_latency_seconds", 10*time.Second)
-	if !ok {
-		t.Fatal("Window not ok")
+	oc, nc := o.Hists["zipflm_latency_seconds"], n.Hists["zipflm_latency_seconds"]
+	if got := nc.Count - oc.Count; got != 2 {
+		t.Fatalf("windowed count = %d, want 2 (the 100ms pre-window record must be excluded)", got)
 	}
-	if d.Count != 2 {
-		t.Fatalf("windowed count = %d, want 2 (the 100ms pre-window record must be excluded)", d.Count)
+	if mean := time.Duration((nc.Sum - oc.Sum) / 2); mean != 11*time.Millisecond {
+		t.Fatalf("windowed mean = %v, want 11ms (not the lifetime 100ms)", mean)
 	}
-	p99 := time.Duration(d.P99())
-	if p99 < 10*time.Millisecond || p99 > 13*time.Millisecond {
-		t.Fatalf("windowed p99 = %v, want ≈12ms (not the lifetime 100ms)", p99)
-	}
-	if g := h.Samples()[0].Gauges["zipflm_depth"]; g != 3 {
+	if g := o.Gauges["zipflm_depth"]; g != 3 {
 		t.Fatalf("gauge in sample = %g, want 3", g)
-	}
-
-	// A window narrower than the sample spacing has no base sample.
-	if _, ok := h.Rate("zipflm_tokens_total", time.Second); ok {
-		t.Fatal("1s window over 2s-spaced samples reported ok")
 	}
 }
 
+// TestHistoryVirtualClock: with a VClock reader every sample is stamped on
+// the virtual axis too, so the same counter delta divides into a virtual
+// rate next to the wall one.
 func TestHistoryVirtualClock(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("zipflm_steps_total")
@@ -149,16 +143,16 @@ func TestHistoryVirtualClock(t *testing.T) {
 	c.Add(8)
 	h.Sample(t0.Add(time.Second))
 
-	if got := h.Samples()[1].VClock; got != 4.0 {
-		t.Fatalf("vclock stamp = %g, want 4", got)
+	o, n := h.Samples()[0], h.Samples()[1]
+	if o.VClock != 0 || n.VClock != 4.0 {
+		t.Fatalf("vclock stamps = %g, %g, want 0, 4", o.VClock, n.VClock)
 	}
-	vr, ok := h.VRate("zipflm_steps_total", time.Minute)
-	if !ok || vr != 2 {
-		t.Fatalf("VRate = %g ok=%v, want 2 true (8 steps / 4 virtual seconds)", vr, ok)
+	steps := float64(n.Counters["zipflm_steps_total"] - o.Counters["zipflm_steps_total"])
+	if vr := steps / (n.VClock - o.VClock); vr != 2 {
+		t.Fatalf("virtual rate = %g, want 2 (8 steps / 4 virtual seconds)", vr)
 	}
-	wr, ok := h.Rate("zipflm_steps_total", time.Minute)
-	if !ok || wr != 8 {
-		t.Fatalf("Rate = %g ok=%v, want 8 true (8 steps / 1 wall second)", wr, ok)
+	if wr := steps / n.Wall.Sub(o.Wall).Seconds(); wr != 8 {
+		t.Fatalf("wall rate = %g, want 8 (8 steps / 1 wall second)", wr)
 	}
 }
 
@@ -210,12 +204,9 @@ func TestHistoryConcurrentRecording(t *testing.T) {
 			t.Fatalf("counter went backwards: %d after %d",
 				cur.Counters["zipflm_ops_total"], prev.Counters["zipflm_ops_total"])
 		}
-		d := cur.Hists["zipflm_op_seconds"].Sub(prev.Hists["zipflm_op_seconds"])
-		if d.Count < 0 || d.Sum < 0 {
-			t.Fatalf("negative histogram delta between adjacent samples: %+v", d)
-		}
-		if d.Quantile(0.5) < 0 {
-			t.Fatalf("negative windowed quantile")
+		ph, ch := prev.Hists["zipflm_op_seconds"], cur.Hists["zipflm_op_seconds"]
+		if ch.Count < ph.Count || ch.Sum < ph.Sum {
+			t.Fatalf("negative histogram delta between adjacent samples: %+v after %+v", ch, ph)
 		}
 	}
 }
@@ -274,17 +265,8 @@ func TestHistoryNilSafe(t *testing.T) {
 	var h *History
 	h.Sample(time.Now())
 	h.Start()()
-	if h.Len() != 0 || h.Cap() != 0 || h.Samples() != nil {
+	if h.Len() != 0 || h.Samples() != nil {
 		t.Fatal("nil History not inert")
-	}
-	if _, ok := h.Rate("x", time.Second); ok {
-		t.Fatal("nil Rate ok")
-	}
-	if _, ok := h.VRate("x", time.Second); ok {
-		t.Fatal("nil VRate ok")
-	}
-	if _, ok := h.Window("x", time.Second); ok {
-		t.Fatal("nil Window ok")
 	}
 	if err := h.WriteJSON(nil); err != nil {
 		t.Fatal(err)

@@ -93,6 +93,30 @@ func NewProfiler(cfg ProfilerConfig) (*Profiler, error) {
 	return &Profiler{cfg: cfg, done: make(chan struct{}), finished: make(chan struct{})}, nil
 }
 
+// StartProfiler is the command-line entry to the profiler: CPU+heap
+// captures into dir, on schedule when every > 0 and at StartPhase
+// boundaries either way, announced on stderr under the program's name.
+// stop ends the schedule, writes the manifest and reports how many
+// profiles the run left. An empty dir is profiling off — a nil Profiler
+// and a no-op stop.
+func StartProfiler(prog, dir string, every time.Duration) (p *Profiler, stop func(), err error) {
+	if dir == "" {
+		return nil, func() {}, nil
+	}
+	p, err = NewProfiler(ProfilerConfig{Dir: dir, Interval: every, Heap: true})
+	if err != nil {
+		return nil, nil, err
+	}
+	p.Start()
+	if every > 0 {
+		fmt.Fprintf(os.Stderr, "%s: profiling to %s every %s\n", prog, dir, every)
+	}
+	return p, func() {
+		p.Stop()
+		fmt.Fprintf(os.Stderr, "%s: wrote %d profile(s) to %s\n", prog, len(p.Manifest()), dir)
+	}, nil
+}
+
 // filename builds a collision-free profile name: kind, label (sanitized),
 // unix-nano timestamp, and a per-profiler sequence number.
 func (p *Profiler) filename(kind, label string, at time.Time) string {
@@ -295,12 +319,4 @@ func (p *Profiler) Manifest() []ProfileEntry {
 	out := append([]ProfileEntry(nil), p.entries...)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
 	return out
-}
-
-// Dir returns the profile directory.
-func (p *Profiler) Dir() string {
-	if p == nil {
-		return ""
-	}
-	return p.cfg.Dir
 }

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"testing"
@@ -128,10 +129,47 @@ func TestProfilerNilSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Stop()
-	if p.Manifest() != nil || p.Dir() != "" {
+	if p.Manifest() != nil {
 		t.Fatal("nil Profiler not inert")
 	}
 	if _, err := NewProfiler(ProfilerConfig{}); err == nil {
 		t.Fatal("NewProfiler without a directory must error")
+	}
+}
+
+// TestStartFlightAndProfiler: the two command-line entries hand back nil
+// observers and no-op stops when switched off, and working ones otherwise —
+// the profiler's stop leaves the manifest behind.
+func TestStartFlightAndProfiler(t *testing.T) {
+	f, stop := StartFlight(0)
+	if f != nil {
+		t.Fatal("StartFlight(0) must be recording off")
+	}
+	stop()
+	f, stop = StartFlight(4)
+	f.SetSink(nil)
+	f.Record(slog.LevelInfo, "armed")
+	if f.Len() != 1 {
+		t.Fatalf("armed flight holds %d events, want 1", f.Len())
+	}
+	stop()
+
+	p, stop, err := StartProfiler("test", "", time.Hour)
+	if p != nil || err != nil {
+		t.Fatalf("StartProfiler without a directory = %v, %v; want profiling off", p, err)
+	}
+	stop()
+	dir := t.TempDir()
+	p, stop, err = StartProfiler("test", dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.StartPhase("phase")()
+	stop()
+	if entries := readManifest(t, dir); len(entries) != 2 { // cpu + heap
+		t.Fatalf("manifest = %+v, want the phase's cpu and heap captures", entries)
+	}
+	if _, _, err := StartProfiler("test", filepath.Join(dir, ManifestName, "x"), 0); err == nil {
+		t.Fatal("a directory that cannot be created must be an error")
 	}
 }

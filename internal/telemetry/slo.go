@@ -173,16 +173,6 @@ func (s *SLO) Add(o Objective) {
 	s.mu.Unlock()
 }
 
-// Windows returns the configured burn windows.
-func (s *SLO) Windows() []time.Duration {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]time.Duration(nil), s.windows...)
-}
-
 // Tick samples every objective's cumulative counts at now, retaining just
 // enough history to cover the longest burn window. Call it on a timer or
 // from a scrape hook; irregular cadence is fine (burn rates interpolate

@@ -22,14 +22,15 @@
 //
 // On top of the point-in-time instruments sits the performance
 // observatory: History (history.go) samples the registry into a bounded
-// ring on both the wall and virtual clocks, storing histograms as sparse
-// cumulative snapshots so any two samples subtract into an exact windowed
-// distribution; Profiler (profiler.go) captures CPU/heap pprof files on a
-// schedule and at experiment-phase boundaries under an
-// atomically-rewritten manifest; and PublishBuildInfo (buildinfo.go)
-// exposes the binary's provenance as a zipflm_build_info gauge. All of it
-// obeys the same contract — sampling and profiling only read, so the
-// bit-identity suites hold with the whole observatory running.
+// ring on both the wall and virtual clocks and dumps it as JSON, storing
+// histograms as sparse cumulative snapshots so a reader of the dump can
+// subtract any two samples into an exact windowed distribution; Profiler
+// (profiler.go) captures CPU/heap pprof files on a schedule and at
+// experiment-phase boundaries under an atomically-rewritten manifest; and
+// PublishBuildInfo (buildinfo.go) exposes the binary's provenance as a
+// zipflm_build_info gauge. All of it obeys the same contract — sampling
+// and profiling only read, so the bit-identity suites hold with the whole
+// observatory running.
 package telemetry
 
 import (

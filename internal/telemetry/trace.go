@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
+	"os"
 	"sync"
 	"time"
 )
@@ -189,4 +190,21 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
+}
+
+// WriteFile writes the Chrome trace to path, replacing any file there. A
+// nil Tracer writes nothing and creates no file.
+func (t *Tracer) WriteFile(path string) error {
+	if t == nil {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := t.WriteChromeTrace(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

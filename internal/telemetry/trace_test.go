@@ -3,6 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -92,5 +94,37 @@ func TestTracerBoundedBuffer(t *testing.T) {
 	}
 	if d, ok := out["zipflmDroppedEvents"].(float64); !ok || d != 6 {
 		t.Fatalf("drop count missing from export: %v", out["zipflmDroppedEvents"])
+	}
+}
+
+// TestTracerWriteFile: the one trace-file writer behind every -trace flag
+// leaves a complete Chrome trace at path, reports a path it cannot create,
+// and on a nil tracer creates nothing.
+func TestTracerWriteFile(t *testing.T) {
+	tr := NewTracer(0)
+	tr.Span("train", "compute", 0, tr.Start(), time.Millisecond, 0, 0.5)
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if err := tr.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	tr.WriteChromeTrace(&want)
+	if !bytes.Equal(raw, want.Bytes()) {
+		t.Fatalf("file holds %q, want %q", raw, want.Bytes())
+	}
+	if err := tr.WriteFile(filepath.Join(path, "below-a-file")); err == nil {
+		t.Fatal("writing below a regular file must fail")
+	}
+	var off *Tracer
+	unused := filepath.Join(t.TempDir(), "none.json")
+	if err := off.WriteFile(unused); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(unused); !os.IsNotExist(err) {
+		t.Fatalf("nil tracer created %s", unused)
 	}
 }

@@ -36,8 +36,6 @@ type Backend interface {
 	// in one is raised again on the caller. The serving batcher samples its
 	// sequences through this.
 	For(n int, fn func(i int))
-	// Workers reports the tiling width (1 for the serial reference).
-	Workers() int
 }
 
 // Serial is the reference backend: the package-level kernels, one
@@ -68,9 +66,6 @@ func (Serial) For(n int, fn func(i int)) {
 		fn(i)
 	}
 }
-
-// Workers implements Backend.
-func (Serial) Workers() int { return 1 }
 
 // New returns a backend tiling across n workers: Serial for n ≤ 1, a
 // *Parallel otherwise.
@@ -206,9 +201,6 @@ func NewParallel(n int) *Parallel {
 	}
 	return p
 }
-
-// Workers implements Backend.
-func (p *Parallel) Workers() int { return p.workers }
 
 // Close retires the helper goroutines. The backend must be idle; it is not
 // usable afterwards. Close is optional — an unreachable Parallel releases

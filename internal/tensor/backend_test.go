@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"zipflm/internal/israce"
 	"zipflm/internal/rng"
 )
 
@@ -141,9 +142,9 @@ func TestBackendNaNInfPropagation(t *testing.T) {
 		// Zero an entire a-column so every row skips k = 5, and poison that
 		// b-row: the buggy skip loses it, the finite-gated skip keeps it.
 		for i := 0; i < m; i++ {
-			a.Set(i, 5, 0)
+			a.Row(i)[5] = 0
 		}
-		b.Set(5, 12, poison)
+		b.Row(5)[12] = poison
 
 		want := NewMatrix(m, n)
 		MatMul(want, a, b)
@@ -157,7 +158,7 @@ func TestBackendNaNInfPropagation(t *testing.T) {
 		// poison b's k = 5 row.
 		at := randMatrix(r, k, m)
 		for j := 0; j < m; j++ {
-			at.Set(5, j, 0)
+			at.Row(5)[j] = 0
 		}
 		wantAcc := NewMatrix(m, n)
 		MatMulATBAcc(wantAcc, at, b)
@@ -218,7 +219,7 @@ func TestAllFinite(t *testing.T) {
 // excluded. The race detector instruments channel ops with allocations, so
 // the measurement is meaningless under -race.
 func TestParallelDispatchZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if israce.Enabled {
 		t.Skip("allocation counts are distorted under the race detector")
 	}
 	p := NewParallel(4)
@@ -277,7 +278,7 @@ func TestBackendFor(t *testing.T) {
 			}
 		}
 		if p, ok := be.(*Parallel); ok {
-			if !raceEnabled {
+			if !israce.Enabled {
 				fn := func(i int) {}
 				if allocs := testing.AllocsPerRun(50, func() { p.For(8, fn) }); allocs != 0 {
 					t.Errorf("workers=%d: %v allocations per For, want 0", workers, allocs)
@@ -300,18 +301,18 @@ func TestBackendConstructors(t *testing.T) {
 	if !ok {
 		t.Fatal("New(3) must be a *Parallel")
 	}
-	if p.Workers() != 3 {
-		t.Fatalf("Workers() = %d, want 3", p.Workers())
+	if p.workers != 3 {
+		t.Fatalf("New(3) tiles %d wide, want 3", p.workers)
 	}
 	p.Close()
 	p.Close() // idempotent
 
 	SetDefaultWorkers(2)
-	if Default().Workers() != 2 {
+	if d, ok := Default().(*Parallel); !ok || d.workers != 2 {
 		t.Fatal("SetDefaultWorkers(2) not reflected in Default()")
 	}
 	SetDefaultWorkers(0)
-	if Default().Workers() != 1 {
+	if _, ok := Default().(Serial); !ok {
 		t.Fatal("SetDefaultWorkers(0) must restore the serial default")
 	}
 }

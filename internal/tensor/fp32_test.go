@@ -128,7 +128,7 @@ func TestFP32AsmMatchesGo(t *testing.T) {
 					got.check(t, actx)
 				}
 
-				if g, w := Dot(dst, src), dotGo(dst, src); !sameFloat(g, w) {
+				if g, w := dot(dst, src), dotGo(dst, src); !sameFloat(g, w) {
 					t.Fatalf("%s Dot: asm %v (%#08x) != go %v (%#08x)", ctx, g, math.Float32bits(g), w, math.Float32bits(w))
 				}
 
@@ -184,6 +184,14 @@ func TestFP32AsmMatchesGo(t *testing.T) {
 	}
 }
 
+// dot is the one-row case of dotRows1: the inner product of a and b in the
+// canonical order every a@bᵀ kernel in the package reproduces (see dotGo).
+func dot(a, b []float32) float32 {
+	var r [1]float32
+	dotRows1(r[:], a, b)
+	return r[0]
+}
+
 // TestFP32WrapperBounds pins the asm boundary: the wrappers bound every
 // operand before taking its address, so an operand shorter than the kernel
 // will read or write still panics (as the portable loops do) instead of
@@ -194,7 +202,6 @@ func TestFP32WrapperBounds(t *testing.T) {
 		"axpy short src":      func() { axpy(1, v(8), v(7)) },
 		"Axpy mismatch":       func() { Axpy(1, v(8), v(9)) },
 		"AddInPlace mismatch": func() { AddInPlace(v(8), v(7)) },
-		"Dot mismatch":        func() { Dot(v(8), v(7)) },
 		"axpyRun short a":     func() { axpyRun(v(8), []float32{1, 1}, 2, v(24), 8, 3) },
 		"axpyRun short b":     func() { axpyRun(v(8), []float32{1, 1, 1}, 1, v(23), 8, 3) },
 		"dotRows1 short b":    func() { dotRows1(v(3), v(8), v(23)) },
@@ -215,7 +222,7 @@ func TestFP32WrapperBounds(t *testing.T) {
 	axpy(1, nil, nil)
 	AddInPlace(nil, nil)
 	Scale(nil, 2)
-	if Dot(nil, nil) != 0 {
+	if dot(nil, nil) != 0 {
 		t.Error("Dot of empty vectors must be 0")
 	}
 	if n := axpyRun(nil, []float32{1}, 1, nil, 0, 1); n != 1 {

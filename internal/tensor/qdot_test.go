@@ -182,7 +182,7 @@ func TestQ8KernelsAgainstFloat64(t *testing.T) {
 			for _, s := range q8Shapes {
 				m, k, n := s[0], s[1], s[2]
 				a, q, dst := randMatrix(r, m, k), QuantizeMatrix(randMatrix(r, n, k), 0), NewMatrix(m, n)
-				w := q.Dequantize()
+				w := q.dequantize()
 				MatMulABTStreamQ8(dst, a, q)
 				terms := float64(k + 4)
 				gamma := terms * 0x1p-24 / (1 - terms*0x1p-24)

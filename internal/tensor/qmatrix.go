@@ -46,10 +46,6 @@ func (q *QMatrix) RowScales(r int) []float32 {
 	return q.Scales[r*c : (r+1)*c]
 }
 
-// Bytes returns the storage footprint: one byte per element plus one FP32
-// scale per block (the WireBytes accounting of compress.Quant8, per matrix).
-func (q *QMatrix) Bytes() int { return len(q.Data) + 4*len(q.Scales) }
-
 // QuantizeMatrix quantizes m to the per-chunk int8 grid with deterministic
 // round-to-nearest (never stochastic — serving replicas must be a pure
 // function of the checkpoint). Non-finite inputs are sanitized the way
@@ -120,23 +116,6 @@ func quantizeChunk(codes []int8, src []float32) float32 {
 		codes[i] = int8(grid)
 	}
 	return scale
-}
-
-// Dequantize expands the codes back to float32 — the reference the quantized
-// kernels are tested against, and the error-bound property's subject: every
-// element lands within half its chunk's scale of the original (up to float32
-// rounding), because the grid is round-to-nearest.
-func (q *QMatrix) Dequantize() *Matrix {
-	out := NewMatrix(q.Rows, q.Cols)
-	for r := 0; r < q.Rows; r++ {
-		codes := q.Row(r)
-		scales := q.RowScales(r)
-		dst := out.Row(r)
-		for i, c := range codes {
-			dst[i] = float32(c) * scales[i/q.Chunk]
-		}
-	}
-	return out
 }
 
 func checkMatMulABTQ8(dst, a *Matrix, b *QMatrix) {

@@ -5,8 +5,24 @@ import (
 	"math"
 	"testing"
 
+	"zipflm/internal/israce"
 	"zipflm/internal/rng"
 )
+
+// dequantize expands the codes back to float32 — the reference the quantized
+// kernels are tested against, and the error-bound property's subject.
+func (q *QMatrix) dequantize() *Matrix {
+	out := NewMatrix(q.Rows, q.Cols)
+	for r := 0; r < q.Rows; r++ {
+		codes := q.Row(r)
+		scales := q.RowScales(r)
+		dst := out.Row(r)
+		for i, c := range codes {
+			dst[i] = float32(c) * scales[i/q.Chunk]
+		}
+	}
+	return out
+}
 
 // TestQuantizeErrorBound is the quantized-storage property: round-to-nearest
 // onto the per-chunk grid puts every dequantized element within half its
@@ -18,7 +34,7 @@ func TestQuantizeErrorBound(t *testing.T) {
 		for _, chunk := range []int{1, 3, 64, DefaultQChunk} {
 			m := randMatrix(r, shape[0], shape[1])
 			q := QuantizeMatrix(m, chunk)
-			deq := q.Dequantize()
+			deq := q.dequantize()
 			for row := 0; row < m.Rows; row++ {
 				scales := q.RowScales(row)
 				for c := 0; c < m.Cols; c++ {
@@ -64,7 +80,7 @@ func TestQuantizeSanitizes(t *testing.T) {
 	if q.Row(0)[0] != 127 || q.Row(0)[1] != 0 || q.Row(0)[3] != -127 {
 		t.Fatalf("sanitized codes = %v, want [127 0 * -127]", q.Row(0))
 	}
-	deq := q.Dequantize()
+	deq := q.dequantize()
 	for i, v := range deq.Row(0) {
 		if math.IsNaN(float64(v)) {
 			t.Fatalf("dequantized element %d is NaN", i)
@@ -105,7 +121,7 @@ func TestQ8KernelBitIdentity(t *testing.T) {
 		// The per-chunk scaling orders the sums differently from the FP32
 		// kernel over dequantized weights, so that comparison is only a loose
 		// sanity check here (TestQ8KernelsAgainstFloat64 has the real bound).
-		deq := b.Dequantize()
+		deq := b.dequantize()
 		loose := NewMatrix(m, n)
 		MatMulABTStream(loose, a, deq)
 		for i := range want.Data {
@@ -139,7 +155,7 @@ func TestQ8KernelBitIdentity(t *testing.T) {
 // quantized dispatch path — the serving hot loop must stay allocation-free
 // when it switches to int8 weights, at batch 1 (column tiles) and above.
 func TestQ8DispatchZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if israce.Enabled {
 		t.Skip("allocation counts are distorted under the race detector")
 	}
 	p := NewParallel(4)

@@ -80,9 +80,6 @@ func NewMatrixFrom(rows, cols int, data []float32) *Matrix {
 // At returns element (r, c).
 func (m *Matrix) At(r, c int) float32 { return m.Data[r*m.Cols+c] }
 
-// Set assigns element (r, c).
-func (m *Matrix) Set(r, c int, v float32) { m.Data[r*m.Cols+c] = v }
-
 // Row returns a view (not a copy) of row r.
 func (m *Matrix) Row(r int) []float32 { return m.Data[r*m.Cols : (r+1)*m.Cols] }
 
@@ -460,17 +457,6 @@ func scaleGo(x []float32, alpha float32) {
 	for i := range x {
 		x[i] *= alpha
 	}
-}
-
-// Dot returns the inner product of a and b in the canonical order every
-// a@bᵀ kernel in the package reproduces (see dotGo).
-func Dot(a, b []float32) float32 {
-	if len(a) != len(b) {
-		panic("tensor: Dot length mismatch")
-	}
-	var r [1]float32
-	dotRows1(r[:], a, b)
-	return r[0]
 }
 
 // dotGo is the portable Dot kernel and the canonical definition of the

@@ -35,7 +35,7 @@ func naiveMatMul(a, b *Matrix, ta, tb bool) *Matrix {
 			for k := 0; k < inner; k++ {
 				sum += get(a, ta, i, k) * get(b, tb, k, j)
 			}
-			out.Set(i, j, sum)
+			out.Row(i)[j] = sum
 		}
 	}
 	return out
@@ -225,7 +225,7 @@ func TestAxpyScaleDot(t *testing.T) {
 	if dst[0] != 10.5 {
 		t.Errorf("Scale result %v", dst)
 	}
-	if got := Dot([]float32{1, 2}, []float32{3, 4}); got != 11 {
+	if got := dot([]float32{1, 2}, []float32{3, 4}); got != 11 {
 		t.Errorf("Dot = %v, want 11", got)
 	}
 }
@@ -249,9 +249,9 @@ func TestClipL2(t *testing.T) {
 
 func TestCloneIsDeep(t *testing.T) {
 	m := NewMatrix(2, 2)
-	m.Set(0, 0, 7)
+	m.Data[0] = 7
 	c := m.Clone()
-	c.Set(0, 0, 9)
+	c.Data[0] = 9
 	if m.At(0, 0) != 7 {
 		t.Error("Clone shares storage with original")
 	}

@@ -53,14 +53,6 @@ func (c *Clock) AdvanceTo(t float64) {
 	}
 }
 
-// Reset sets the clock back to zero. Only for reuse across independent
-// simulations; never during one.
-func (c *Clock) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t = 0
-}
-
 // MaxNow returns the latest time across the given clocks (0 for none).
 func MaxNow(clocks []*Clock) float64 {
 	var m float64

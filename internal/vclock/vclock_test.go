@@ -57,15 +57,6 @@ func TestSyncAdvance(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	var c Clock
-	c.Advance(7)
-	c.Reset()
-	if c.Now() != 0 {
-		t.Fatalf("Reset left clock at %v", c.Now())
-	}
-}
-
 // TestConcurrentAdvance exercises the mutex under the race detector: total
 // time must equal the sum of all advances.
 func TestConcurrentAdvance(t *testing.T) {

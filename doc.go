@@ -54,11 +54,15 @@
 // continuous dynamic batcher over model.Stepper — a zero-allocation
 // batched generation path whose rows are computed independently, so every
 // response is bit-identical to sequential model.Generate for the same
-// request seed regardless of batch composition. A bounded admission queue
-// sheds under overload instead of accumulating goroutines, deadlines are
-// enforced at service start, and two LRU caches exploit the Zipf shape of
-// request popularity: a result cache for exact repeats and a prefix cache
-// snapshotting post-prompt recurrent states. The "serving" experiment
+// request seed regardless of batch composition. Prefill is cells-only: a
+// step advances every sequence's cell but computes the projection and the
+// V×D logits row only for the sequences that sample a token in it, so a
+// request costs one logits row per generated token however long its prompt
+// is (sequential generation warms its prompt the same way). A bounded
+// admission queue sheds under overload instead of accumulating goroutines,
+// deadlines are enforced at service start, and two LRU caches exploit the
+// Zipf shape of request popularity: a result cache for exact repeats and a
+// prefix cache snapshotting post-prompt recurrent states. The "serving" experiment
 // (zipflm-bench -exp serving) drives it with a closed-loop Zipf load
 // generator and fits the issued load with internal/powerlaw; the
 // BenchmarkServe* benchmarks in internal/serve compare batched and
@@ -125,7 +129,18 @@
 // bit-identical to Serial at every worker count — which is what lets one
 // knob accelerate training, validation, and serving without perturbing any
 // of the repository's exact-bits contracts. Dispatch is allocation-free
-// and small products fall back to the serial kernel. The knob surfaces as
+// and small products fall back to the serial kernel. Training hands it
+// products worth tiling: internal/model runs a whole T×B sequence per call
+// on time-major slabs from a reusable per-replica workspace, so the input
+// products, the weight-gradient products, the bias sums and dx run once per
+// sequence over T·B rows, and only the recurrence (h·Whᵀ, the gates and
+// their transposes) runs once per timestep. The weight-gradient slabs are
+// kept steps-descending — the order backpropagation through time visited
+// them — so one accumulate call adds the same rows in the same order as one
+// call per timestep did, and what crosses a layer boundary stays
+// steps-ascending, the order the projection, the loss and the embedding
+// exchange accumulate in: no bit moves (the per-timestep passes live on in
+// internal/model/oracle_test.go as the definition). The knob surfaces as
 // zipflm-train -workers / trainer.Config.Workers (rank replicas share one
 // backend), zipflm-serve -compute-workers / serve.Config.ComputeWorkers,
 // zipflm-bench -workers, and the ZIPFLM_WORKERS environment variable,

@@ -46,7 +46,7 @@ func (m *LM) Save(w io.Writer) error {
 		InEmb:   m.InEmb.Data,
 		OutEmb:  m.OutEmb.Data,
 	}
-	params := m.DenseParams()
+	params := append([]Param(nil), m.DenseParams()...) // the list itself is shared: sort a copy
 	sort.Slice(params, func(i, j int) bool { return params[i].Name < params[j].Name })
 	for _, p := range params {
 		ck.DenseNames = append(ck.DenseNames, p.Name)

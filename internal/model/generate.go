@@ -44,12 +44,10 @@ func (m *LM) GenerateOpts(prompt []int, n int, opts sampling.DecodeOpts, r *rng.
 	states := []*GenState{gs}
 	id := make([]int, 1)
 
-	// Warm up on the prompt (the last call's logits feed the first draw).
-	var lg []float32
-	for _, tok := range prompt {
-		id[0] = tok
-		lg = st.Step(id, states).Row(0)
-	}
+	// Warm up on the prompt; only its last token's logits feed a draw.
+	st.warm(prompt[:len(prompt)-1], gs)
+	id[0] = prompt[len(prompt)-1]
+	lg := st.Step(id, states).Row(0)
 
 	out := make([]int, 0, n)
 	for i := 0; i < n; i++ {

@@ -190,6 +190,45 @@ func (st *Stepper) Step(ids []int, states []*GenState) *tensor.Matrix {
 	return st.LogitsFor(st.h)
 }
 
+// StepEmitting is Step for a batch in which only some sequences draw a token
+// this step — continuous batching, where a sequence still consuming its prompt
+// rides along with the decoding ones. Every sequence's cell advances, but the
+// projection and the V×D logits product — the bulk of a step — run only over
+// the rows listed in emit (ascending batch indices), compacted: Row(j) of the
+// result belongs to sequence emit[j]. It returns nil when emit is empty. Rows
+// are independent in every kernel (see LogitsFor), so Row(j) holds the bits
+// Step's Row(emit[j]) would.
+func (st *Stepper) StepEmitting(ids []int, states []*GenState, emit []int) *tensor.Matrix {
+	st.stepCells(ids, states)
+	if len(emit) == 0 {
+		return nil
+	}
+	// The states went back to their owners, so st.h is free: compact it in
+	// place. emit ascends, so emit[j] ≥ j and no row is overwritten before it
+	// has moved.
+	for j, i := range emit {
+		if i < j || i >= len(ids) {
+			panic("model: StepEmitting rows must be ascending batch indices")
+		}
+		if i != j {
+			copy(st.h.Row(j), st.h.Row(i))
+		}
+	}
+	viewRows(st.h, len(emit))
+	return st.LogitsFor(st.h)
+}
+
+// warm consumes toks with cell-only steps on one sequence: how a prompt is
+// prefilled. The logits of a token that is not the prompt's last are never
+// sampled, so computing them — P−1 projections and V×D products per request —
+// would be work thrown away; the caller feeds the last token through Step.
+func (st *Stepper) warm(toks []int, gs *GenState) {
+	states := [1]*GenState{gs}
+	for i := range toks {
+		st.stepCells(toks[i:i+1], states[:])
+	}
+}
+
 // StepCells advances the recurrent cell only — no projection, no logits —
 // writing the new hidden rows into hOut at rows rowBase..rowBase+len(ids)-1
 // (states still updated in place). Speculative decoding uses it to run the

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"testing"
 
 	"zipflm/internal/israce"
@@ -96,6 +97,50 @@ func TestBatchedStepBitIdentical(t *testing.T) {
 					if got[i][j] != want[i][j] {
 						t.Fatalf("%s temp=%v seq %d token %d: batched %d != sequential %d",
 							name, temp, i, j, got[i][j], want[i][j])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStepEmittingMatchesStep: StepEmitting advances every state exactly as
+// Step does and returns, compacted, the very logits rows Step computes for
+// the emitting sequences — FP32 and int8, every subset shape (none, some, all).
+func TestStepEmittingMatchesStep(t *testing.T) {
+	for name, cfg := range testConfigs() {
+		for _, quantized := range []bool{false, true} {
+			m := NewLM(cfg)
+			if quantized {
+				m = m.Quantize()
+			}
+			r := rng.New(5)
+			const b = 6
+			full, some := m.NewStepper(b), m.NewStepper(b)
+			fs, ss := make([]*GenState, b), make([]*GenState, b)
+			for i := range fs {
+				fs[i], ss[i] = m.NewGenState(), m.NewGenState()
+			}
+			for _, emit := range [][]int{{}, {0, 1, 2, 3, 4, 5}, {1, 3, 4}, {5}, {0, 5}} {
+				ids := randomPrompt(r, cfg.Vocab, b)
+				want := full.Step(ids, fs)
+				got := some.StepEmitting(ids, ss, emit)
+				if (got == nil) != (len(emit) == 0) || (got != nil && got.Rows != len(emit)) {
+					t.Fatalf("%s quantized=%v emit %v: result %v", name, quantized, emit, got)
+				}
+				for j, i := range emit {
+					for c, w := range want.Row(i) {
+						if math.Float32bits(got.Row(j)[c]) != math.Float32bits(w) {
+							t.Fatalf("%s quantized=%v emit %v: row %d logit %d = %v, Step's row %d has %v",
+								name, quantized, emit, j, c, got.Row(j)[c], i, w)
+						}
+					}
+				}
+				for i := range fs {
+					for c := range fs[i].h {
+						if math.Float32bits(ss[i].h[c]) != math.Float32bits(fs[i].h[c]) {
+							t.Fatalf("%s quantized=%v emit %v: state %d diverged from Step's", name, quantized, emit, i)
+						}
 					}
 				}
 			}

@@ -22,6 +22,8 @@ type Linear struct {
 	gw *tensor.Matrix
 	gb []float32
 
+	params []Param
+
 	be tensor.Backend
 
 	// forward cache
@@ -39,14 +41,19 @@ func NewLinear(in, out int, r *rng.RNG) *Linear {
 		be: tensor.Serial{},
 	}
 	l.W.RandomizeUniform(r, math.Sqrt(6/float64(in+out)))
+	l.params = []Param{
+		{Name: "linear.W", Value: l.W.Data, Grad: l.gw.Data},
+		{Name: "linear.b", Value: l.B, Grad: l.gb},
+	}
 	return l
 }
 
 func (l *Linear) setBackend(be tensor.Backend) { l.be = be }
 
-// Forward computes y = x Wᵀ + b for a B×In input, caching x for Backward.
-func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
-	y := tensor.NewMatrix(x.Rows, l.Out)
+// forward computes y = x Wᵀ + b for a B×In input, caching x for backward.
+// y is carved from ws.
+func (l *Linear) forward(ws *workspace, x *tensor.Matrix) *tensor.Matrix {
+	y := ws.take(x.Rows, l.Out)
 	l.be.MatMulABT(y, x, l.W)
 	for r := 0; r < y.Rows; r++ {
 		tensor.AddInPlace(y.Row(r), l.B)
@@ -58,7 +65,7 @@ func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 // ForwardInto computes y = x Wᵀ + b into a caller-owned matrix without
 // caching x — the inference path, which must neither allocate nor disturb a
 // training step's backward state. On an FP32 layer values are bit-identical
-// to Forward's; a quantized layer runs the int8 kernels instead.
+// to forward's; a quantized layer runs the int8 kernels instead.
 func (l *Linear) ForwardInto(y, x *tensor.Matrix) {
 	qmul(l.be, y, x, l.W, l.qw)
 	for r := 0; r < y.Rows; r++ {
@@ -66,30 +73,22 @@ func (l *Linear) ForwardInto(y, x *tensor.Matrix) {
 	}
 }
 
-// Backward consumes dLoss/dy, accumulates parameter gradients, and returns
-// dLoss/dx.
-func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
+// backward consumes dLoss/dy, accumulates parameter gradients, and returns
+// dLoss/dx, carved from ws.
+func (l *Linear) backward(ws *workspace, dy *tensor.Matrix) *tensor.Matrix {
 	if l.x == nil {
-		panic("model: Linear.Backward before Forward")
+		panic("model: Linear.backward before forward")
 	}
 	// gW += dyᵀ @ x ; gb += column sums of dy ; dx = dy @ W.
 	l.be.MatMulATBAcc(l.gw, dy, l.x)
 	for r := 0; r < dy.Rows; r++ {
 		tensor.AddInPlace(l.gb, dy.Row(r))
 	}
-	dx := tensor.NewMatrix(dy.Rows, l.In)
+	dx := ws.take(dy.Rows, l.In)
 	l.be.MatMul(dx, dy, l.W)
 	l.x = nil
 	return dx
 }
 
 // Params implements Layer.
-func (l *Linear) Params() []Param {
-	return []Param{
-		{Name: "linear.W", Value: l.W.Data, Grad: l.gw.Data},
-		{Name: "linear.b", Value: l.B, Grad: l.gb},
-	}
-}
-
-// ZeroGrads implements Layer.
-func (l *Linear) ZeroGrads() { zeroAll(l.Params()) }
+func (l *Linear) Params() []Param { return l.params }

@@ -47,11 +47,18 @@ type Config struct {
 	Seed uint64
 }
 
-// recurrent is the common interface of LSTM and RHN.
+// recurrent is the common interface of LSTM and RHN: sequence-level forward
+// and backward over time-major slabs (see workspace.go), so only the
+// recurrence itself runs once per timestep.
 type recurrent interface {
 	Layer
-	Forward(xs []*tensor.Matrix) []*tensor.Matrix
-	Backward(dhs []*tensor.Matrix) []*tensor.Matrix
+	// forward runs T = x.Rows/batch steps over x, the (T·batch)×Dim inputs
+	// with steps ascending, and returns the (T·batch)×Hidden outputs in the
+	// same order; backward takes the loss gradient of those outputs and
+	// returns that of the inputs, accumulating weight gradients. Both work
+	// in ws, which must not be reset in between.
+	forward(ws *workspace, x *tensor.Matrix, batch int) *tensor.Matrix
+	backward(ws *workspace, dh *tensor.Matrix) *tensor.Matrix
 	setBackend(tensor.Backend)
 	// quantizeWeights builds int8 shadows for the inference step path
 	// (see quantize.go).
@@ -78,8 +85,16 @@ type LM struct {
 	// path (see quantize.go); nil on an FP32 replica.
 	qOutEmb *tensor.QMatrix
 
-	// caches from ForwardBackward
-	flatIDs []int
+	// layers and dense are DenseLayers' and DenseParams' results, built once.
+	layers []Layer
+	dense  []Param
+
+	// Training scratch, sized by the first ForwardBackward or EvalLoss (a
+	// serving replica never pays for it) and reused by every later one.
+	ws          workspace
+	flatIDs     []int
+	flatTargets []int
+	allIdx      []int // 0..V−1, the full softmax's OutputGrad.Indices
 }
 
 // NewLM builds a model from cfg with deterministic initialization.
@@ -108,6 +123,11 @@ func NewLM(cfg Config) *LM {
 		panic(fmt.Sprintf("model: unknown RNN kind %d", cfg.RNN))
 	}
 	m.proj = NewLinear(cfg.Hidden, cfg.Dim, r)
+	m.layers = []Layer{m.rnn, m.proj}
+	for _, l := range m.layers {
+		m.dense = append(m.dense, l.Params()...)
+	}
+	m.dense = m.dense[:len(m.dense):len(m.dense)]
 	m.rnn.SetCarry(cfg.Stateful)
 	m.drop = newDropout(cfg.Dropout, cfg.Seed^0x5bd1e995)
 	m.SetBackend(tensor.Default())
@@ -135,27 +155,24 @@ func (m *LM) Backend() tensor.Backend { return m.be }
 
 // DenseLayers returns the layers whose gradients synchronize with a plain
 // ALLREDUCE (the RNN and projection — §II-B: "to update the RNN parameters,
-// the models perform an ALLREDUCE").
-func (m *LM) DenseLayers() []Layer { return []Layer{m.rnn, m.proj} }
+// the models perform an ALLREDUCE"). Like DenseParams, the list is shared by
+// every call: read it, do not modify it.
+func (m *LM) DenseLayers() []Layer { return m.layers }
 
-// DenseParams flattens DenseLayers' parameters.
-func (m *LM) DenseParams() []Param {
-	var ps []Param
-	for _, l := range m.DenseLayers() {
-		ps = append(ps, l.Params()...)
-	}
-	return ps
-}
+// DenseParams flattens DenseLayers' parameters. The list is built once and
+// shared by every call (see Layer.Params): read it, do not modify it;
+// appending to it copies.
+func (m *LM) DenseParams() []Param { return m.dense }
 
 // ZeroGrads clears all dense gradient accumulators.
-func (m *LM) ZeroGrads() {
-	for _, l := range m.DenseLayers() {
-		l.ZeroGrads()
-	}
-}
+func (m *LM) ZeroGrads() { zeroAll(m.dense) }
 
 // StepResult is one training step's losses and embedding gradients. Dense
 // layer gradients accumulate inside the layers (DenseParams).
+//
+// The gradients' matrices and index slices live in the replica's training
+// workspace: they are valid until the next ForwardBackward or EvalLoss on
+// this replica, which reuses that storage. Copy what must outlive the step.
 type StepResult struct {
 	// LossSum is the summed training cross-entropy in nats; Count the
 	// token count (mean loss = LossSum/Count).
@@ -188,85 +205,77 @@ func (m *LM) ForwardBackward(inputs, targets [][]int, sampler sampling.Candidate
 
 // ForwardBackwardHooked is ForwardBackward with a per-layer gradient-ready
 // callback (see BackwardHook); hook may be nil.
+//
+// Everything between the layers is one time-major (T·B)×N matrix with steps
+// ascending — the row order flatIDs, flatTargets and InputGrad.Rows have
+// always had, and the one the projection's weight gradient, the loss sum and
+// the exchange's local reduce accumulate in.
 func (m *LM) ForwardBackwardHooked(inputs, targets [][]int, sampler sampling.CandidateSampler, hook BackwardHook) StepResult {
 	t := len(inputs)
 	if t == 0 || len(targets) != t {
 		panic("model: inputs/targets must have equal positive length")
 	}
 	batch := len(inputs[0])
+	ws := &m.ws
+	ws.reset()
 
-	// Input embedding lookup per timestep.
-	xs := make([]*tensor.Matrix, t)
-	flatIDs := make([]int, 0, t*batch)
+	// Input embedding lookup.
+	m.flatIDs, m.flatTargets = m.flatIDs[:0], m.flatTargets[:0]
 	for step := 0; step < t; step++ {
 		if len(inputs[step]) != batch || len(targets[step]) != batch {
 			panic("model: ragged batch")
 		}
-		x := tensor.NewMatrix(batch, m.Cfg.Dim)
-		tensor.GatherRows(x, m.InEmb, inputs[step])
-		xs[step] = x
-		flatIDs = append(flatIDs, inputs[step]...)
+		m.flatIDs = append(m.flatIDs, inputs[step]...)
+		m.flatTargets = append(m.flatTargets, targets[step]...)
 	}
-	m.flatIDs = flatIDs
+	x := ws.take(t*batch, m.Cfg.Dim)
+	tensor.GatherRows(x, m.InEmb, m.flatIDs)
 
-	// RNN, then the projection applied to all timesteps stacked into one
-	// (T·B)×H block so the Linear layer holds a single forward cache.
-	hs := m.rnn.Forward(xs)
-	hStacked := tensor.NewMatrix(t*batch, m.Cfg.Hidden)
-	flatTargets := make([]int, 0, t*batch)
-	for step := 0; step < t; step++ {
-		copy(hStacked.Data[step*batch*m.Cfg.Hidden:], hs[step].Data)
-		flatTargets = append(flatTargets, targets[step]...)
-	}
-	m.drop.Apply(hStacked)
-	pStacked := m.proj.Forward(hStacked)
+	// RNN, dropout on its outputs (in place: the layer keeps its own), then
+	// the projection over all timesteps at once.
+	hs := m.rnn.forward(ws, x, batch)
+	m.drop.Apply(hs)
+	ps := m.proj.forward(ws, hs)
 
 	res := StepResult{}
 	var dp *tensor.Matrix
 	if m.Cfg.Sampled > 0 && sampler != nil {
-		out := SampledSoftmaxLoss(m.be, pStacked, m.OutEmb, flatTargets, sampler, m.Cfg.Sampled)
+		out := sampledSoftmaxLoss(ws, m.be, ps, m.OutEmb, m.flatTargets, sampler, m.Cfg.Sampled)
 		res.LossSum, res.Count = out.LossSum, out.Count
 		dp = out.DH
 		res.OutputGrad = core.SparseGrad{Indices: out.Candidates, Rows: out.DEmb}
 	} else {
-		lossSum, count, dh, dEmb := FullSoftmaxLoss(m.be, pStacked, m.OutEmb, flatTargets, true)
+		lossSum, count, dh, dEmb := fullSoftmaxLoss(ws, m.be, ps, m.OutEmb, m.flatTargets, true)
 		res.LossSum, res.Count = lossSum, count
 		dp = dh
-		allIdx := make([]int, m.Cfg.Vocab)
-		for i := range allIdx {
-			allIdx[i] = i
+		if m.allIdx == nil {
+			m.allIdx = make([]int, m.Cfg.Vocab)
+			for i := range m.allIdx {
+				m.allIdx[i] = i
+			}
 		}
-		res.OutputGrad = core.SparseGrad{Indices: allIdx, Rows: dEmb}
+		res.OutputGrad = core.SparseGrad{Indices: m.allIdx, Rows: dEmb}
 	}
 
 	// Backward through projection, dropout, RNN, embedding.
-	dhStacked := m.proj.Backward(dp)
+	dhs := m.proj.backward(ws, dp)
 	if hook != nil {
 		hook(m.proj)
 	}
-	m.drop.Backward(dhStacked)
-	dhs := make([]*tensor.Matrix, t)
-	for step := 0; step < t; step++ {
-		dh := tensor.NewMatrix(batch, m.Cfg.Hidden)
-		copy(dh.Data, dhStacked.Data[step*batch*m.Cfg.Hidden:(step+1)*batch*m.Cfg.Hidden])
-		dhs[step] = dh
-	}
-	dxs := m.rnn.Backward(dhs)
+	m.drop.Backward(dhs)
+	dx := m.rnn.backward(ws, dhs)
 	if hook != nil {
 		hook(m.rnn)
 	}
-
-	inRows := tensor.NewMatrix(t*batch, m.Cfg.Dim)
-	for step := 0; step < t; step++ {
-		copy(inRows.Data[step*batch*m.Cfg.Dim:], dxs[step].Data)
-	}
-	res.InputGrad = core.SparseGrad{Indices: flatIDs, Rows: inRows}
+	res.InputGrad = core.SparseGrad{Indices: m.flatIDs, Rows: dx}
 	return res
 }
 
 // EvalLoss computes the full-softmax cross-entropy (nats, summed) over a
 // token stream without touching gradients — the validation perplexity of
-// Figures 5, 7 and 8. The stream is chunked into length-seqLen sequences.
+// Figures 5, 7 and 8. The stream is chunked into length-seqLen sequences. It
+// runs in the training workspace, so it ends the life of the last
+// StepResult's gradients.
 func (m *LM) EvalLoss(stream []int, seqLen int) (lossSum float64, count int) {
 	if seqLen <= 0 {
 		panic("model: seqLen must be positive")
@@ -277,36 +286,21 @@ func (m *LM) EvalLoss(stream []int, seqLen int) (lossSum float64, count int) {
 	saved := m.rnn.SnapshotState()
 	m.rnn.ResetState()
 	defer m.rnn.RestoreState(saved)
+	ws := &m.ws
 	for lo := 0; lo+1 < len(stream); lo += seqLen {
 		hi := lo + seqLen
 		if hi+1 > len(stream) {
 			hi = len(stream) - 1
 		}
-		t := hi - lo
-		if t == 0 {
+		if hi == lo {
 			break
 		}
-		inputs := make([][]int, t)
-		targets := make([][]int, t)
-		for step := 0; step < t; step++ {
-			inputs[step] = []int{stream[lo+step]}
-			targets[step] = []int{stream[lo+step+1]}
-		}
-		xs := make([]*tensor.Matrix, t)
-		for step := 0; step < t; step++ {
-			x := tensor.NewMatrix(1, m.Cfg.Dim)
-			tensor.GatherRows(x, m.InEmb, inputs[step])
-			xs[step] = x
-		}
-		hs := m.rnn.Forward(xs)
-		hStacked := tensor.NewMatrix(t, m.Cfg.Hidden)
-		flatTargets := make([]int, t)
-		for step := 0; step < t; step++ {
-			copy(hStacked.Data[step*m.Cfg.Hidden:], hs[step].Data)
-			flatTargets[step] = targets[step][0]
-		}
-		p := m.proj.Forward(hStacked)
-		l, c, _, _ := FullSoftmaxLoss(m.be, p, m.OutEmb, flatTargets, false)
+		// One sequence of batch 1: token i's target is token i+1.
+		ws.reset()
+		x := ws.take(hi-lo, m.Cfg.Dim)
+		tensor.GatherRows(x, m.InEmb, stream[lo:hi])
+		p := m.proj.forward(ws, m.rnn.forward(ws, x, 1))
+		l, c, _, _ := fullSoftmaxLoss(ws, m.be, p, m.OutEmb, stream[lo+1:hi+1], false)
 		// Clear the projection's forward cache (no backward follows).
 		m.proj.x = nil
 		lossSum += l

@@ -28,12 +28,18 @@ type LSTM struct {
 	gwx, gwh *tensor.Matrix
 	gb       []float32
 
+	params []Param
+
 	be tensor.Backend
 
-	// forward caches, one entry per timestep
-	xs, hs, cs []*tensor.Matrix // inputs, hidden states, cell states
-	zs, tcs    []*tensor.Matrix // post-activation gates [i|f|g|o] (B×4H), tanh(c)
-	h0, c0     *tensor.Matrix
+	// forward caches: time-major slabs carved from the pass's workspace, a
+	// block of batch rows per step, steps descending (block k is step T−1−k;
+	// see workspace.go for why). h and c have one block more than the
+	// others: block T is the state the sequence started from, so the state
+	// before any step is the block after it.
+	x, z, tc *tensor.Matrix // inputs, post-activation gates [i|f|g|o], tanh(c)
+	h, c     *tensor.Matrix // hidden and cell states
+	batch    int
 
 	// stateful training (see state.go)
 	carry   bool
@@ -57,6 +63,11 @@ func NewLSTM(in, hidden int, r *rng.RNG) *LSTM {
 	for i := hidden; i < 2*hidden; i++ {
 		l.B[i] = 1 // forget gate bias
 	}
+	l.params = []Param{
+		{Name: "lstm.Wx", Value: l.Wx.Data, Grad: l.gwx.Data},
+		{Name: "lstm.Wh", Value: l.Wh.Data, Grad: l.gwh.Data},
+		{Name: "lstm.b", Value: l.B, Grad: l.gb},
+	}
 	return l
 }
 
@@ -64,9 +75,9 @@ func (l *LSTM) setBackend(be tensor.Backend) { l.be = be }
 
 // gates is the cell: one row's pre-activations to its gates and new state, in
 // vector passes over the contiguous [i|f|g|o] row. z holds x·Wxᵀ and becomes
-// the post-activation gates (what Backward reads): z += zh + b, σ over [i|f],
+// the post-activation gates (what backward reads): z += zh + b, σ over [i|f],
 // tanh over g, σ over o; then c = f⊙cPrev + i⊙g (each product rounded, no
-// FMA), tc = tanh(c), h = o⊙tc. Forward and stepInfer both step through
+// FMA), tc = tanh(c), h = o⊙tc. forward and stepInfer both step through
 // here, so training and serving compute the same bits; c may be cPrev.
 func (l *LSTM) gates(z, zh, cPrev, c, tc, h []float32) {
 	hd := l.Hidden
@@ -85,78 +96,75 @@ func (l *LSTM) gates(z, zh, cPrev, c, tc, h []float32) {
 	}
 }
 
-// Forward runs the layer over xs (T matrices of B×In), starting from zero
-// initial state, and returns the T hidden states (B×H each).
-func (l *LSTM) Forward(xs []*tensor.Matrix) []*tensor.Matrix {
-	t := len(xs)
-	if t == 0 {
-		return nil
-	}
-	batch := xs[0].Rows
-	h := l.Hidden
+// forward runs the layer over a whole sequence with full backpropagation
+// through time to follow. x holds the T·batch input rows time-major, steps
+// ascending (row step·batch+b); the (T·batch)×H hidden states come back in
+// the same order, carved from ws like everything the pass keeps for backward.
+//
+// Only the recurrence is sequential: every step's x·Wxᵀ is one product over
+// the whole sequence, and the time loop is left with h·Whᵀ and the gates.
+// Each row of a product depends on that row's operands alone, so the gates
+// see the bits the per-step products gave them.
+func (l *LSTM) forward(ws *workspace, x *tensor.Matrix, batch int) *tensor.Matrix {
+	n, hd := x.Rows, l.Hidden
+	t := n / batch
+	l.batch = batch
+	l.x = ws.take(n, l.In)
+	reverseBlocks(l.x, x, batch)
+	l.z = ws.take(n, 4*hd)
+	l.tc = ws.take(n, hd)
+	l.h = ws.take(n+batch, hd)
+	l.c = ws.take(n+batch, hd)
+	initialState(l.carry, l.carried, ws.rows(l.h, n, batch), ws.rows(l.c, n, batch))
 
-	l.xs = xs
-	l.hs = make([]*tensor.Matrix, t)
-	l.cs = make([]*tensor.Matrix, t)
-	l.zs = make([]*tensor.Matrix, t)
-	l.tcs = make([]*tensor.Matrix, t)
-	l.h0, l.c0 = initialState(l.carry, l.carried, batch, h, true)
-
-	hPrev, cPrev := l.h0, l.c0
-	zh := tensor.NewMatrix(batch, 4*h)
-	for step := 0; step < t; step++ {
+	l.be.MatMulABT(l.z, l.x, l.Wx)
+	zh := ws.take(batch, 4*hd)
+	for k := t - 1; k >= 0; k-- { // blocks descend, so this walks the steps forward
+		lo := k * batch
 		// z = x Wxᵀ + h_prev Whᵀ + b
-		z := tensor.NewMatrix(batch, 4*h)
-		l.be.MatMulABT(z, xs[step], l.Wx)
-		l.be.MatMulABT(zh, hPrev, l.Wh)
-		ht := tensor.NewMatrix(batch, h)
-		ct := tensor.NewMatrix(batch, h)
-		tc := tensor.NewMatrix(batch, h)
+		l.be.MatMulABT(zh, ws.rows(l.h, lo+batch, batch), l.Wh)
 		for b := 0; b < batch; b++ {
-			l.gates(z.Row(b), zh.Row(b), cPrev.Row(b), ct.Row(b), tc.Row(b), ht.Row(b))
+			r := lo + b
+			l.gates(l.z.Row(r), zh.Row(b), l.c.Row(r+batch), l.c.Row(r), l.tc.Row(r), l.h.Row(r))
 		}
-		l.zs[step], l.tcs[step] = z, tc
-		l.hs[step], l.cs[step] = ht, ct
-		hPrev, cPrev = ht, ct
 	}
 	if l.carry {
 		// Detach the final state for the next batch (truncated BPTT).
-		l.carried = &carriedState{H: hPrev.Clone(), C: cPrev.Clone()}
+		l.carried = detach(l.carried, ws.rows(l.h, 0, batch), ws.rows(l.c, 0, batch))
 	}
-	return l.hs
+	hs := ws.take(n, hd)
+	reverseBlocks(hs, ws.rows(l.h, 0, n), batch)
+	return hs
 }
 
-// Backward consumes dLoss/dh per timestep and returns dLoss/dx per
-// timestep, accumulating weight gradients.
-func (l *LSTM) Backward(dhs []*tensor.Matrix) []*tensor.Matrix {
-	t := len(dhs)
-	if t != len(l.hs) {
-		panic("model: LSTM.Backward length mismatch with Forward")
+// backward consumes dLoss/dh for the whole sequence (time-major, steps
+// ascending, like forward's result) and returns dLoss/dx in the same layout,
+// accumulating weight gradients.
+//
+// The time loop keeps what sits on the recurrence — the gate gradients and
+// dh_prev = dz·Wh. Everything else runs once over the dz slab, which fills in
+// the order the loop visits the steps (last to first): the weight-gradient
+// products and the bias sums therefore add the same rows in the same order
+// as one call per step did (workspace.go), and dx = dz·Wx is row by row.
+func (l *LSTM) backward(ws *workspace, dh *tensor.Matrix) *tensor.Matrix {
+	n, batch, h := dh.Rows, l.batch, l.Hidden
+	if l.z == nil || n != l.z.Rows {
+		panic("model: LSTM.backward length mismatch with forward")
 	}
-	if t == 0 {
-		return nil
-	}
-	batch := dhs[0].Rows
-	h := l.Hidden
+	t := n / batch
 
-	dxs := make([]*tensor.Matrix, t)
-	dhNext := tensor.NewMatrix(batch, h) // gradient flowing from step+1's h
-	dcNext := tensor.NewMatrix(batch, h)
-	dz := tensor.NewMatrix(batch, 4*h)
+	dz := ws.take(n, 4*h)
+	dhNext := ws.zeros(batch, h) // gradient flowing from step+1's h
+	dcNext := ws.zeros(batch, h)
 
-	for step := t - 1; step >= 0; step-- {
-		cPrev := l.c0
-		hPrev := l.h0
-		if step > 0 {
-			cPrev = l.cs[step-1]
-			hPrev = l.hs[step-1]
-		}
+	for k := 0; k < t; k++ { // block k is step t−1−k
+		lo, up := k*batch, (t-1-k)*batch
 		for b := 0; b < batch; b++ {
-			dhr := dhs[step].Row(b)
+			dhr := dh.Row(up + b)
 			dhn := dhNext.Row(b)
 			dcn := dcNext.Row(b)
-			dzr := dz.Row(b)
-			zr, tcr, cpr := l.zs[step].Row(b), l.tcs[step].Row(b), cPrev.Row(b)
+			dzr := dz.Row(lo + b)
+			zr, tcr, cpr := l.z.Row(lo+b), l.tc.Row(lo+b), l.c.Row(lo+batch+b)
 			for j := 0; j < h; j++ {
 				dh := float64(dhr[j] + dhn[j])
 				tc := float64(tcr[j])
@@ -179,29 +187,29 @@ func (l *LSTM) Backward(dhs []*tensor.Matrix) []*tensor.Matrix {
 				dcn[j] = float32(dc * f)
 			}
 		}
-
-		// Parameter gradients: gWx += dzᵀ x_t ; gWh += dzᵀ h_{t-1} ;
-		// gb += colsum dz.
-		l.be.MatMulATBAcc(l.gwx, dz, l.xs[step])
-		l.be.MatMulATBAcc(l.gwh, dz, hPrev)
-		for b := 0; b < batch; b++ {
-			tensor.AddInPlace(l.gb, dz.Row(b))
-		}
-
-		// Input and recurrent gradients.
-		dx := tensor.NewMatrix(batch, l.In)
-		l.be.MatMul(dx, dz, l.Wx)
-		dxs[step] = dx
-		l.be.MatMul(dhNext, dz, l.Wh)
+		l.be.MatMul(dhNext, ws.rows(dz, lo, batch), l.Wh)
 	}
-	return dxs
+
+	// Parameter gradients: gWx += dzᵀ x ; gWh += dzᵀ h_prev (the h slab one
+	// block on) ; gb += colsum dz.
+	l.be.MatMulATBAcc(l.gwx, dz, l.x)
+	l.be.MatMulATBAcc(l.gwh, dz, ws.rows(l.h, batch, n))
+	for r := 0; r < n; r++ {
+		tensor.AddInPlace(l.gb, dz.Row(r))
+	}
+
+	dxs := ws.take(n, l.In)
+	l.be.MatMul(dxs, dz, l.Wx)
+	dx := ws.take(n, l.In)
+	reverseBlocks(dx, dxs, batch)
+	return dx
 }
 
 // stepInfer advances one inference timestep in place: x is the B×In input,
 // h and c the B×H recurrent state (updated to the new state), zx and zh B×4H
 // scratch. No backward caches are written and nothing is allocated, so the
 // serving hot loop can call it per token at zero cost beyond the math. Every
-// row goes through gates exactly as in Forward and depends only on that
+// row goes through gates exactly as in forward and depends only on that
 // row's input and state, so a batched step is bit-identical to B independent
 // single-sequence steps.
 func (l *LSTM) stepInfer(x, h, c, zx, zh *tensor.Matrix) {
@@ -215,13 +223,4 @@ func (l *LSTM) stepInfer(x, h, c, zx, zh *tensor.Matrix) {
 }
 
 // Params implements Layer.
-func (l *LSTM) Params() []Param {
-	return []Param{
-		{Name: "lstm.Wx", Value: l.Wx.Data, Grad: l.gwx.Data},
-		{Name: "lstm.Wh", Value: l.Wh.Data, Grad: l.gwh.Data},
-		{Name: "lstm.b", Value: l.B, Grad: l.gb},
-	}
-}
-
-// ZeroGrads implements Layer.
-func (l *LSTM) ZeroGrads() { zeroAll(l.Params()) }
+func (l *LSTM) Params() []Param { return l.params }

@@ -65,8 +65,9 @@ func TestLinearGradient(t *testing.T) {
 	target.RandomizeNormal(r, 1)
 
 	// Loss: mean squared distance to a fixed target.
+	ws := new(workspace)
 	loss := func() float64 {
-		y := l.Forward(x)
+		y := l.forward(ws, x)
 		l.x = nil
 		var sum float64
 		for i := range y.Data {
@@ -75,13 +76,13 @@ func TestLinearGradient(t *testing.T) {
 		}
 		return sum / float64(len(y.Data))
 	}
-	y := l.Forward(x)
+	y := l.forward(ws, x)
 	dy := tensor.NewMatrix(5, 4)
 	for i := range dy.Data {
 		dy.Data[i] = 2 * (y.Data[i] - target.Data[i]) / float32(len(y.Data))
 	}
-	l.ZeroGrads()
-	dx := l.Backward(dy)
+	zeroAll(l.Params())
+	dx := l.backward(ws, dy)
 	numGradCheck(t, "linear", l.Params(), loss)
 	// Input gradient via the same check.
 	numGradCheck(t, "linear", []Param{{Name: "x", Value: x.Data, Grad: dx.Data}}, loss)
@@ -155,8 +156,12 @@ func gradCheckLM(t *testing.T, cfg Config) {
 		t.Fatalf("count = %d, want %d", res.Count, T*B)
 	}
 	// The probes below re-run the step, which overwrites the layers' Grad
-	// slices: compare against a copy.
-	analytic := m.DenseParams()
+	// slices and the workspace the result's embedding gradients live in:
+	// compare against copies.
+	for _, g := range []*core.SparseGrad{&res.InputGrad, &res.OutputGrad} {
+		*g = core.SparseGrad{Indices: append([]int(nil), g.Indices...), Rows: g.Rows.Clone()}
+	}
+	analytic := append([]Param(nil), m.DenseParams()...) // the list itself is shared
 	for i := range analytic {
 		analytic[i].Grad = append([]float32(nil), analytic[i].Grad...)
 	}
@@ -224,11 +229,11 @@ func TestSampledSoftmaxGradient(t *testing.T) {
 	// sampler is re-seeded per evaluation.
 	loss := func() float64 {
 		s := sampling.NewSampler(V, 77)
-		res := SampledSoftmaxLoss(nil, h, emb, targets, s, S)
+		res := sampledSoftmaxLoss(new(workspace), nil, h, emb, targets, s, S)
 		return res.LossSum / float64(res.Count)
 	}
 	s := sampling.NewSampler(V, 77)
-	res := SampledSoftmaxLoss(nil, h, emb, targets, s, S)
+	res := sampledSoftmaxLoss(new(workspace), nil, h, emb, targets, s, S)
 
 	// dH on every row, dEmb on the candidate rows (DEmb row i belongs to
 	// word Candidates[i]).
@@ -251,7 +256,7 @@ func TestSampledLossApproximatesFullLoss(t *testing.T) {
 	for i := range targets {
 		targets[i] = r.Intn(V)
 	}
-	fullSum, fullCount, _, _ := FullSoftmaxLoss(nil, h, emb, targets, false)
+	fullSum, fullCount, _, _ := fullSoftmaxLoss(new(workspace), nil, h, emb, targets, false)
 	full := fullSum / float64(fullCount)
 
 	// The sampled loss is a Jensen-biased *under*-estimate of the full
@@ -262,7 +267,7 @@ func TestSampledLossApproximatesFullLoss(t *testing.T) {
 		const trials = 40
 		for i := 0; i < trials; i++ {
 			s := sampling.NewSampler(V, uint64(1000+i))
-			res := SampledSoftmaxLoss(nil, h, emb, targets, s, nSamples)
+			res := sampledSoftmaxLoss(new(workspace), nil, h, emb, targets, s, nSamples)
 			acc += res.LossSum / float64(res.Count)
 		}
 		return acc / trials
@@ -286,7 +291,7 @@ func TestFullSoftmaxGradSumsToZeroPerRow(t *testing.T) {
 	h.RandomizeNormal(r, 1)
 	emb := tensor.NewMatrix(10, 4)
 	emb.RandomizeNormal(r, 1)
-	_, _, _, dEmb := FullSoftmaxLoss(nil, h, emb, []int{1, 5, 9}, true)
+	_, _, _, dEmb := fullSoftmaxLoss(new(workspace), nil, h, emb, []int{1, 5, 9}, true)
 	// Column sums of dEmb equal sum_b (p_b - onehot_b) ᵀ h_b summed; each
 	// softmax row's probability sums to 1, so Σ_w dlogits[b][w] = 0 and
 	// the total embedding gradient projected on any h direction vanishes.
@@ -402,11 +407,11 @@ func TestPanicsOnBadInput(t *testing.T) {
 		func() { m.EvalLoss([]int{1, 2}, 0) },
 		func() {
 			h := tensor.NewMatrix(2, 4)
-			FullSoftmaxLoss(nil, h, m.OutEmb, []int{1}, false)
+			fullSoftmaxLoss(new(workspace), nil, h, m.OutEmb, []int{1}, false)
 		},
 		func() {
 			h := tensor.NewMatrix(1, 4)
-			FullSoftmaxLoss(nil, h, m.OutEmb, []int{99}, false)
+			fullSoftmaxLoss(new(workspace), nil, h, m.OutEmb, []int{99}, false)
 		},
 	} {
 		func() {

@@ -42,15 +42,24 @@ type RHN struct {
 	grh, grt []*tensor.Matrix
 	gbh, gbt [][]float32
 
+	params []Param
+
 	be tensor.Backend
 
-	// forward caches
-	xs []*tensor.Matrix
-	// sStates[t][l] is s_l at step t, l in [0, Depth]; sStates[t][0] is
-	// the incoming state.
-	sStates [][]*tensor.Matrix
-	hGate   [][]*tensor.Matrix // h_l per step/micro-layer
-	tGate   [][]*tensor.Matrix // t_l per step/micro-layer
+	// forward caches: time-major slabs carved from the pass's workspace, a
+	// block of batch rows per step, steps descending (block k is step T−1−k;
+	// see workspace.go for why), one slab per micro-layer. s[d] is
+	// micro-layer d's output s_{d+1}; the last one, the layer's output, has
+	// one block more: block T is the state the sequence started from, so a
+	// step's incoming state is the block after its output. sIn[d] is what
+	// micro-layer d reads: s[d−1], or for the first one that view of the
+	// layer's own outputs one block on.
+	x      *tensor.Matrix
+	s, sIn []*tensor.Matrix
+	hGate  []*tensor.Matrix // h_l per micro-layer
+	tGate  []*tensor.Matrix // t_l per micro-layer
+	dh, dt []*tensor.Matrix // backward's pre-activation gradients, same layout
+	batch  int
 
 	// stateful training (see state.go)
 	carry   bool
@@ -70,6 +79,13 @@ func NewRHN(in, hidden, depth int, r *rng.RNG) *RHN {
 		gwh: tensor.NewMatrix(hidden, in),
 		gwt: tensor.NewMatrix(hidden, in),
 		be:  tensor.Serial{},
+
+		s:     make([]*tensor.Matrix, depth),
+		sIn:   make([]*tensor.Matrix, depth),
+		hGate: make([]*tensor.Matrix, depth),
+		tGate: make([]*tensor.Matrix, depth),
+		dh:    make([]*tensor.Matrix, depth),
+		dt:    make([]*tensor.Matrix, depth),
 	}
 	bound := math.Sqrt(6 / float64(in+hidden))
 	l.Wh.RandomizeUniform(r, bound)
@@ -94,16 +110,29 @@ func NewRHN(in, hidden, depth int, r *rng.RNG) *RHN {
 		l.gbh = append(l.gbh, make([]float32, hidden))
 		l.gbt = append(l.gbt, make([]float32, hidden))
 	}
+	l.params = make([]Param, 0, 2+4*depth)
+	l.params = append(l.params,
+		Param{Name: "rhn.Wh", Value: l.Wh.Data, Grad: l.gwh.Data},
+		Param{Name: "rhn.Wt", Value: l.Wt.Data, Grad: l.gwt.Data},
+	)
+	for d := 0; d < depth; d++ {
+		l.params = append(l.params,
+			Param{Name: fmt.Sprintf("rhn.Rh%d", d), Value: l.Rh[d].Data, Grad: l.grh[d].Data},
+			Param{Name: fmt.Sprintf("rhn.Rt%d", d), Value: l.Rt[d].Data, Grad: l.grt[d].Data},
+			Param{Name: fmt.Sprintf("rhn.bh%d", d), Value: l.Bh[d], Grad: l.gbh[d]},
+			Param{Name: fmt.Sprintf("rhn.bt%d", d), Value: l.Bt[d], Grad: l.gbt[d]},
+		)
+	}
 	return l
 }
 
 func (l *RHN) setBackend(be tensor.Backend) { l.be = be }
 
 // gates is micro-layer d of the cell for one row, in vector passes: zh and
-// zt hold s·Rhᵀ and s·Rtᵀ and become h_l and t_l (what Backward reads) —
+// zt hold s·Rhᵀ and s·Rtᵀ and become h_l and t_l (what backward reads) —
 // bias added, then the input projections xh, xt (nil past the first
 // micro-layer), tanh and σ in place — and sNext = h⊙t + s⊙(1−t), each
-// product rounded (no FMA). Forward and stepInfer both step through here, so
+// product rounded (no FMA). forward and stepInfer both step through here, so
 // training and serving compute the same bits; sNext may be s.
 func (l *RHN) gates(d int, zh, zt, xh, xt, s, sNext []float32) {
 	tensor.AddInPlace(zh, l.Bh[d])
@@ -119,143 +148,157 @@ func (l *RHN) gates(d int, zh, zt, xh, xt, s, sNext []float32) {
 	}
 }
 
-// Forward runs the layer over xs (T matrices of B×In) from a zero initial
-// state, returning the T output states (B×H each).
-func (l *RHN) Forward(xs []*tensor.Matrix) []*tensor.Matrix {
-	t := len(xs)
-	if t == 0 {
-		return nil
+// forward runs the layer over a whole sequence. x holds the T·batch input
+// rows time-major, steps ascending (row step·batch+b); the (T·batch)×H output
+// states come back in the same order, carved from ws like everything the pass
+// keeps for backward. The input projections x·Whᵀ and x·Wtᵀ do not sit on the
+// recurrence and run once over the whole sequence (a row of a product depends
+// on that row alone, so the gates see the bits the per-step products gave
+// them); the time loop is left with the recurrent products and the gates.
+func (l *RHN) forward(ws *workspace, x *tensor.Matrix, batch int) *tensor.Matrix {
+	n, h, last := x.Rows, l.Hidden, l.Depth-1
+	t := n / batch
+	l.batch = batch
+	l.x = ws.take(n, l.In)
+	reverseBlocks(l.x, x, batch)
+	for d := range l.s {
+		l.hGate[d] = ws.take(n, h)
+		l.tGate[d] = ws.take(n, h)
+		rows := n
+		if d == last {
+			rows += batch
+		}
+		l.s[d] = ws.take(rows, h)
 	}
-	batch := xs[0].Rows
-	h := l.Hidden
+	l.sIn[0] = ws.rows(l.s[last], batch, n)
+	copy(l.sIn[1:], l.s)
+	initialState(l.carry, l.carried, ws.rows(l.s[last], n, batch), nil)
 
-	l.xs = xs
-	l.sStates = make([][]*tensor.Matrix, t)
-	l.hGate = make([][]*tensor.Matrix, t)
-	l.tGate = make([][]*tensor.Matrix, t)
-
-	sPrev, _ := initialState(l.carry, l.carried, batch, h, false)
-	outs := make([]*tensor.Matrix, t)
-
-	zxh := tensor.NewMatrix(batch, h)
-	zxt := tensor.NewMatrix(batch, h)
-	for step := 0; step < t; step++ {
-		l.be.MatMulABT(zxh, xs[step], l.Wh)
-		l.be.MatMulABT(zxt, xs[step], l.Wt)
-		states := make([]*tensor.Matrix, l.Depth+1)
-		hs := make([]*tensor.Matrix, l.Depth)
-		ts := make([]*tensor.Matrix, l.Depth)
-		states[0] = sPrev
-		s := sPrev
+	zxh := ws.take(n, h)
+	zxt := ws.take(n, h)
+	l.be.MatMulABT(zxh, l.x, l.Wh)
+	l.be.MatMulABT(zxt, l.x, l.Wt)
+	for k := t - 1; k >= 0; k-- { // blocks descend, so this walks the steps forward
+		lo := k * batch
+		s := ws.rows(l.s[last], lo+batch, batch)
 		for d := 0; d < l.Depth; d++ {
-			hg := tensor.NewMatrix(batch, h)
-			tg := tensor.NewMatrix(batch, h)
+			hg := ws.rows(l.hGate[d], lo, batch)
+			tg := ws.rows(l.tGate[d], lo, batch)
 			l.be.MatMulABT(hg, s, l.Rh[d])
 			l.be.MatMulABT(tg, s, l.Rt[d])
-			sNext := tensor.NewMatrix(batch, h)
+			sNext := ws.rows(l.s[d], lo, batch)
 			for b := 0; b < batch; b++ {
 				var xh, xt []float32
 				if d == 0 {
-					xh, xt = zxh.Row(b), zxt.Row(b)
+					xh, xt = zxh.Row(lo+b), zxt.Row(lo+b)
 				}
 				l.gates(d, hg.Row(b), tg.Row(b), xh, xt, s.Row(b), sNext.Row(b))
 			}
-			hs[d], ts[d] = hg, tg
-			states[d+1] = sNext
 			s = sNext
 		}
-		l.sStates[step], l.hGate[step], l.tGate[step] = states, hs, ts
-		outs[step] = s
-		sPrev = s
 	}
 	if l.carry {
 		// Detach the final state for the next batch (truncated BPTT).
-		l.carried = &carriedState{H: sPrev.Clone()}
+		l.carried = detach(l.carried, ws.rows(l.s[last], 0, batch), nil)
 	}
+	outs := ws.take(n, h)
+	reverseBlocks(outs, ws.rows(l.s[last], 0, n), batch)
 	return outs
 }
 
-// Backward consumes dLoss/ds_Depth per timestep, returns dLoss/dx per
-// timestep, and accumulates weight gradients.
-func (l *RHN) Backward(dhs []*tensor.Matrix) []*tensor.Matrix {
-	t := len(dhs)
-	if t != len(l.sStates) {
-		panic(fmt.Sprintf("model: RHN.Backward got %d steps, Forward ran %d", t, len(l.sStates)))
+// backward consumes dLoss/ds_Depth for the whole sequence (time-major, steps
+// ascending, like forward's result), returns dLoss/dx in the same layout, and
+// accumulates weight gradients.
+//
+// The time loop keeps what sits on the recurrence: the gate gradients and the
+// state gradient through Rh and Rt. It leaves each micro-layer's
+// pre-activation gradients in slabs that fill in the order it visits the
+// steps (last to first), and everything else runs once per sequence over
+// them: the weight-gradient products and bias sums add the same rows in the
+// same order as one call per step did (workspace.go), and dx is row by row.
+func (l *RHN) backward(ws *workspace, dhs *tensor.Matrix) *tensor.Matrix {
+	n, batch, h := dhs.Rows, l.batch, l.Hidden
+	if l.x == nil || n != l.x.Rows {
+		panic("model: RHN.backward length mismatch with forward")
 	}
-	if t == 0 {
-		return nil
+	t := n / batch
+
+	for d := range l.dh {
+		l.dh[d] = ws.take(n, h)
+		l.dt[d] = ws.take(n, h)
 	}
-	batch := dhs[0].Rows
-	h := l.Hidden
+	dsNext := ws.zeros(batch, h) // recurrent gradient from step+1
+	ds := ws.take(batch, h)
+	dsIn := ws.take(batch, h)
+	tmp := ws.take(batch, h)
 
-	dxs := make([]*tensor.Matrix, t)
-	dsNext := tensor.NewMatrix(batch, h) // recurrent gradient from step+1
-	dzh := tensor.NewMatrix(batch, h)
-	dzt := tensor.NewMatrix(batch, h)
-	tmp := tensor.NewMatrix(batch, h)
-
-	for step := t - 1; step >= 0; step-- {
-		ds := tensor.NewMatrix(batch, h)
-		tensor.AddInPlace(ds.Data, dhs[step].Data)
+	for k := 0; k < t; k++ { // block k is step t−1−k
+		lo, up := k*batch, (t-1-k)*batch
+		ds.Zero()
+		tensor.AddInPlace(ds.Data, dhs.Data[up*h:(up+batch)*h])
 		tensor.AddInPlace(ds.Data, dsNext.Data)
 
-		dx := tensor.NewMatrix(batch, l.In)
 		for d := l.Depth - 1; d >= 0; d-- {
-			sIn := l.sStates[step][d]
-			hg, tg := l.hGate[step][d], l.tGate[step][d]
-			dsIn := tensor.NewMatrix(batch, h)
+			sIn := l.sIn[d]
+			dzh, dzt := ws.rows(l.dh[d], lo, batch), ws.rows(l.dt[d], lo, batch)
 			for b := 0; b < batch; b++ {
-				dsr := ds.Row(b)
+				dsr, dsi := ds.Row(b), dsIn.Row(b)
+				hgr, tgr, sr := l.hGate[d].Row(lo+b), l.tGate[d].Row(lo+b), sIn.Row(lo+b)
+				dzhr, dztr := dzh.Row(b), dzt.Row(b)
 				for j := 0; j < h; j++ {
 					dsl := float64(dsr[j])
-					hv := float64(hg.Row(b)[j])
-					tv := float64(tg.Row(b)[j])
-					sv := float64(sIn.Row(b)[j])
+					hv := float64(hgr[j])
+					tv := float64(tgr[j])
+					sv := float64(sr[j])
 
 					dhv := dsl * tv
 					dtv := dsl * (hv - sv)
-					dsIn.Row(b)[j] = float32(dsl * (1 - tv))
+					dsi[j] = float32(dsl * (1 - tv))
 
-					dzh.Row(b)[j] = float32(dhv * (1 - hv*hv))
-					dzt.Row(b)[j] = float32(dtv * tv * (1 - tv))
+					dzhr[j] = float32(dhv * (1 - hv*hv))
+					dztr[j] = float32(dtv * tv * (1 - tv))
 				}
 			}
 
-			// Recurrent weight gradients and state gradient.
-			l.be.MatMulATBAcc(l.grh[d], dzh, sIn)
-			l.be.MatMulATBAcc(l.grt[d], dzt, sIn)
-			for b := 0; b < batch; b++ {
-				tensor.AddInPlace(l.gbh[d], dzh.Row(b))
-				tensor.AddInPlace(l.gbt[d], dzt.Row(b))
-			}
+			// State gradient through the recurrent weights.
 			l.be.MatMul(tmp, dzh, l.Rh[d])
 			tensor.AddInPlace(dsIn.Data, tmp.Data)
 			l.be.MatMul(tmp, dzt, l.Rt[d])
 			tensor.AddInPlace(dsIn.Data, tmp.Data)
-
-			// Input projection contributes at micro-layer 0 only.
-			if d == 0 {
-				l.be.MatMulATBAcc(l.gwh, dzh, l.xs[step])
-				l.be.MatMulATBAcc(l.gwt, dzt, l.xs[step])
-				dxTmp := tensor.NewMatrix(batch, l.In)
-				l.be.MatMul(dxTmp, dzh, l.Wh)
-				tensor.AddInPlace(dx.Data, dxTmp.Data)
-				l.be.MatMul(dxTmp, dzt, l.Wt)
-				tensor.AddInPlace(dx.Data, dxTmp.Data)
-			}
-			ds = dsIn
+			ds, dsIn = dsIn, ds
 		}
-		dxs[step] = dx
-		dsNext = ds
+		dsNext, ds = ds, dsNext
 	}
-	return dxs
+
+	// Recurrent weight and bias gradients, per micro-layer.
+	for d := 0; d < l.Depth; d++ {
+		l.be.MatMulATBAcc(l.grh[d], l.dh[d], l.sIn[d])
+		l.be.MatMulATBAcc(l.grt[d], l.dt[d], l.sIn[d])
+		for r := 0; r < n; r++ {
+			tensor.AddInPlace(l.gbh[d], l.dh[d].Row(r))
+			tensor.AddInPlace(l.gbt[d], l.dt[d].Row(r))
+		}
+	}
+
+	// The input projects in at micro-layer 0 only.
+	l.be.MatMulATBAcc(l.gwh, l.dh[0], l.x)
+	l.be.MatMulATBAcc(l.gwt, l.dt[0], l.x)
+	dxs := ws.zeros(n, l.In)
+	dxTmp := ws.take(n, l.In)
+	l.be.MatMul(dxTmp, l.dh[0], l.Wh)
+	tensor.AddInPlace(dxs.Data, dxTmp.Data)
+	l.be.MatMul(dxTmp, l.dt[0], l.Wt)
+	tensor.AddInPlace(dxs.Data, dxTmp.Data)
+	dx := ws.take(n, l.In)
+	reverseBlocks(dx, dxs, batch)
+	return dx
 }
 
 // stepInfer advances one inference timestep in place: x is the B×In input,
 // s the B×H recurrent state (updated through all Depth micro-layers), and
 // zxh/zxt/zrh/zrt are B×H scratch. Like the LSTM counterpart it writes no
 // backward caches, allocates nothing, runs every row through gates exactly
-// as Forward does, and keeps every row independent so batched and
+// as forward does, and keeps every row independent so batched and
 // single-sequence stepping are bit-identical.
 func (l *RHN) stepInfer(x, s, zxh, zxt, zrh, zrt *tensor.Matrix) {
 	qmul(l.be, zxh, x, l.Wh, l.qwh)
@@ -278,21 +321,4 @@ func (l *RHN) stepInfer(x, s, zxh, zxt, zrh, zrt *tensor.Matrix) {
 }
 
 // Params implements Layer.
-func (l *RHN) Params() []Param {
-	ps := []Param{
-		{Name: "rhn.Wh", Value: l.Wh.Data, Grad: l.gwh.Data},
-		{Name: "rhn.Wt", Value: l.Wt.Data, Grad: l.gwt.Data},
-	}
-	for d := 0; d < l.Depth; d++ {
-		ps = append(ps,
-			Param{Name: fmt.Sprintf("rhn.Rh%d", d), Value: l.Rh[d].Data, Grad: l.grh[d].Data},
-			Param{Name: fmt.Sprintf("rhn.Rt%d", d), Value: l.Rt[d].Data, Grad: l.grt[d].Data},
-			Param{Name: fmt.Sprintf("rhn.bh%d", d), Value: l.Bh[d], Grad: l.gbh[d]},
-			Param{Name: fmt.Sprintf("rhn.bt%d", d), Value: l.Bt[d], Grad: l.gbt[d]},
-		)
-	}
-	return ps
-}
-
-// ZeroGrads implements Layer.
-func (l *RHN) ZeroGrads() { zeroAll(l.Params()) }
+func (l *RHN) Params() []Param { return l.params }

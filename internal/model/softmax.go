@@ -8,7 +8,7 @@ import (
 	"zipflm/internal/tensor"
 )
 
-// FullSoftmaxLoss scores every vocabulary word: logits = h·Eᵀ over the
+// fullSoftmaxLoss scores every vocabulary word: logits = h·Eᵀ over the
 // output embedding E (V×D), then cross-entropy against the targets. The
 // paper's character model uses this (§V-B: "full softmax was used instead
 // of sampled softmax layer" because the vocabulary is tiny), and validation
@@ -16,11 +16,13 @@ import (
 //
 // Returns the summed cross-entropy (nats), token count, dLoss/dh (nil when
 // computeGrad is false) and the dense dLoss/dE (nil likewise). Gradients
-// are for the *mean* loss over the batch.
+// are for the *mean* loss over the batch. Every matrix, the returned ones
+// included, is carved from ws: the logits and their gradient are the largest
+// blocks of a step, and a fresh pair per step was most of its garbage.
 //
 // be selects the compute backend for the logits and gradient products — the
 // largest matmuls of a training step; nil means the serial reference.
-func FullSoftmaxLoss(be tensor.Backend, h *tensor.Matrix, outEmb *tensor.Matrix, targets []int, computeGrad bool) (lossSum float64, count int, dh, dEmb *tensor.Matrix) {
+func fullSoftmaxLoss(ws *workspace, be tensor.Backend, h *tensor.Matrix, outEmb *tensor.Matrix, targets []int, computeGrad bool) (lossSum float64, count int, dh, dEmb *tensor.Matrix) {
 	if be == nil {
 		be = tensor.Serial{}
 	}
@@ -28,13 +30,13 @@ func FullSoftmaxLoss(be tensor.Backend, h *tensor.Matrix, outEmb *tensor.Matrix,
 		panic(fmt.Sprintf("model: %d hidden rows, %d targets", h.Rows, len(targets)))
 	}
 	v := outEmb.Rows
-	logits := tensor.NewMatrix(h.Rows, v)
+	logits := ws.take(h.Rows, v)
 	be.MatMulABT(logits, h, outEmb)
 
 	count = len(targets)
 	var dlogits *tensor.Matrix
 	if computeGrad {
-		dlogits = tensor.NewMatrix(h.Rows, v)
+		dlogits = ws.take(h.Rows, v)
 	}
 	invCount := float32(1)
 	if count > 0 {
@@ -54,9 +56,9 @@ func FullSoftmaxLoss(be tensor.Backend, h *tensor.Matrix, outEmb *tensor.Matrix,
 	if !computeGrad {
 		return lossSum, count, nil, nil
 	}
-	dh = tensor.NewMatrix(h.Rows, h.Cols)
+	dh = ws.take(h.Rows, h.Cols)
 	be.MatMul(dh, dlogits, outEmb)
-	dEmb = tensor.NewMatrix(v, h.Cols)
+	dEmb = ws.take(v, h.Cols)
 	be.MatMulATB(dEmb, dlogits, h)
 	return lossSum, count, dh, dEmb
 }
@@ -74,8 +76,8 @@ func crossEntropyRow(dr, row []float32, target int, invCount float32) float64 {
 	return float64(maxV) + math.Log(float64(sum)) - float64(row[target])
 }
 
-// SampledSoftmaxResult carries what a sampled-softmax step produces.
-type SampledSoftmaxResult struct {
+// sampledSoftmaxResult carries what a sampled-softmax step produces.
+type sampledSoftmaxResult struct {
 	// LossSum is the summed sampled cross-entropy (nats) over the batch.
 	LossSum float64
 	// Count is the number of scored tokens.
@@ -89,12 +91,14 @@ type SampledSoftmaxResult struct {
 	DEmb *tensor.Matrix
 }
 
-// SampledSoftmaxLoss scores only the candidate set drawn by the rank's
+// sampledSoftmaxLoss scores only the candidate set drawn by the rank's
 // sampler (§II-A): S negatives from the log-uniform distribution plus the
 // batch's target words, with the standard log-expected-count logit
 // correction so the sampled loss estimates the full loss. be selects the
-// compute backend (nil: the serial reference).
-func SampledSoftmaxLoss(be tensor.Backend, h *tensor.Matrix, outEmb *tensor.Matrix, targets []int, s sampling.CandidateSampler, nSamples int) SampledSoftmaxResult {
+// compute backend (nil: the serial reference). Like fullSoftmaxLoss it works
+// in ws, the result's matrices included; only the candidate list is the
+// sampler's own.
+func sampledSoftmaxLoss(ws *workspace, be tensor.Backend, h *tensor.Matrix, outEmb *tensor.Matrix, targets []int, s sampling.CandidateSampler, nSamples int) sampledSoftmaxResult {
 	if be == nil {
 		be = tensor.Serial{}
 	}
@@ -103,19 +107,23 @@ func SampledSoftmaxLoss(be tensor.Backend, h *tensor.Matrix, outEmb *tensor.Matr
 	}
 	candidates := s.Sample(nSamples, targets)
 	nc := len(candidates)
-	candPos := make(map[int]int, nc)
+	if ws.candPos == nil {
+		ws.candPos = make(map[int]int, nc)
+	}
+	candPos := ws.candPos
+	clear(candPos)
 	for i, c := range candidates {
 		candPos[c] = i
 	}
 
 	// Candidate embedding block (nc×D) and logits (B×nc).
-	candEmb := tensor.NewMatrix(nc, outEmb.Cols)
+	candEmb := ws.take(nc, outEmb.Cols)
 	tensor.GatherRows(candEmb, outEmb, candidates)
-	logits := tensor.NewMatrix(h.Rows, nc)
+	logits := ws.take(h.Rows, nc)
 	be.MatMulABT(logits, h, candEmb)
 
 	// Subtract log(S·Q(c)) per candidate column.
-	corr := make([]float32, nc)
+	corr := ws.take(1, nc).Data
 	for i, c := range candidates {
 		corr[i] = float32(s.LogExpectedCount(nSamples, c))
 	}
@@ -126,8 +134,8 @@ func SampledSoftmaxLoss(be tensor.Backend, h *tensor.Matrix, outEmb *tensor.Matr
 		}
 	}
 
-	res := SampledSoftmaxResult{Count: len(targets), Candidates: candidates}
-	dlogits := tensor.NewMatrix(h.Rows, nc)
+	res := sampledSoftmaxResult{Count: len(targets), Candidates: candidates}
+	dlogits := ws.take(h.Rows, nc)
 	invCount := float32(1.0 / float64(len(targets)))
 	for b, target := range targets {
 		pos, ok := candPos[target]
@@ -137,9 +145,9 @@ func SampledSoftmaxLoss(be tensor.Backend, h *tensor.Matrix, outEmb *tensor.Matr
 		res.LossSum += crossEntropyRow(dlogits.Row(b), logits.Row(b), pos, invCount)
 	}
 
-	res.DH = tensor.NewMatrix(h.Rows, h.Cols)
+	res.DH = ws.take(h.Rows, h.Cols)
 	be.MatMul(res.DH, dlogits, candEmb)
-	res.DEmb = tensor.NewMatrix(nc, outEmb.Cols)
+	res.DEmb = ws.take(nc, outEmb.Cols)
 	be.MatMulATB(res.DEmb, dlogits, h)
 	return res
 }

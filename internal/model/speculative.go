@@ -134,13 +134,12 @@ func (sd *SpecDecoder) Generate(prompt []int, n int, opts sampling.DecodeOpts, r
 
 	// Warm both models on all prompt tokens but the last; the round
 	// invariant below is "both models have consumed everything up to but
-	// not including the newest token". Cell-only steps suffice — warm-up
-	// logits are discarded.
+	// not including the newest token".
 	viewRows(sd.hStack, sd.k+1)
-	for _, tok := range prompt[:len(prompt)-1] {
-		sd.stepTarget(tok, 0)
-		sd.stepDraft(tok)
-	}
+	head := prompt[:len(prompt)-1]
+	sd.tst.warm(head, sd.tState)
+	sd.dst.warm(head, sd.dState)
+	sd.stats.DraftSteps += len(head)
 
 	out := make([]int, 0, n)
 	last := prompt[len(prompt)-1]

@@ -9,10 +9,10 @@ import "zipflm/internal/tensor"
 // sequence. The recurrent layers implement this with a carried-state flag:
 //
 //	layer.SetCarry(true)
-//	out1 := layer.Forward(batch1) // from zero state
-//	out2 := layer.Forward(batch2) // from batch1's final state (detached)
+//	out1 := layer.forward(ws, batch1, b) // from zero state
+//	out2 := layer.forward(ws, batch2, b) // from batch1's final state (detached)
 //
-// Backward never propagates into the carried state — the standard
+// backward never propagates into the carried state — the standard
 // truncation. ResetState returns to a zero initial state (used at epoch
 // boundaries); Snapshot/Restore let evaluation borrow the layer without
 // disturbing training state.
@@ -47,7 +47,7 @@ func (l *LSTM) SetCarry(on bool) {
 	}
 }
 
-// ResetState zeroes the carried state (the next Forward starts fresh).
+// ResetState zeroes the carried state (the next forward starts fresh).
 func (l *LSTM) ResetState() { l.carried = nil }
 
 // SnapshotState returns an opaque copy of the carried state.
@@ -85,21 +85,33 @@ func (l *RHN) RestoreState(s any) {
 	l.carried = s.(*carriedState).clone()
 }
 
-// initialState returns the starting (h0, c0) for a forward pass of the
-// given batch size: the carried state when enabled and shape-compatible,
-// zeros otherwise. The returned matrices are owned by the caller.
-func initialState(carry bool, carried *carriedState, batch, hidden int, needC bool) (h0, c0 *tensor.Matrix) {
-	if carry && carried != nil && carried.H != nil && carried.H.Rows == batch && carried.H.Cols == hidden {
-		h0 = carried.H.Clone()
-		if needC && carried.C != nil {
-			c0 = carried.C.Clone()
+// initialState fills h0 (and c0, nil for the RHN) with the state a forward
+// pass starts from: the carried state when enabled and shape-compatible,
+// zeros otherwise.
+func initialState(carry bool, carried *carriedState, h0, c0 *tensor.Matrix) {
+	h0.Zero()
+	if c0 != nil {
+		c0.Zero()
+	}
+	if carry && carried != nil && carried.H != nil && carried.H.Rows == h0.Rows && carried.H.Cols == h0.Cols {
+		copy(h0.Data, carried.H.Data)
+		if c0 != nil && carried.C != nil {
+			copy(c0.Data, carried.C.Data)
 		}
 	}
-	if h0 == nil {
-		h0 = tensor.NewMatrix(batch, hidden)
+}
+
+// detach copies a pass's final state (c nil for the RHN) out of the workspace
+// for the next pass to start from, into carried's own storage when the shape
+// repeats.
+func detach(carried *carriedState, h, c *tensor.Matrix) *carriedState {
+	if carried == nil || carried.H == nil || carried.H.Rows != h.Rows || carried.H.Cols != h.Cols ||
+		(carried.C == nil) != (c == nil) {
+		return &carriedState{H: h.Clone(), C: cloneMat(c)}
 	}
-	if needC && c0 == nil {
-		c0 = tensor.NewMatrix(batch, hidden)
+	copy(carried.H.Data, h.Data)
+	if c != nil {
+		copy(carried.C.Data, c.Data)
 	}
-	return h0, c0
+	return carried
 }

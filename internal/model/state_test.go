@@ -28,10 +28,10 @@ func TestLSTMCarryEqualsConcat(t *testing.T) {
 	chunked.SetCarry(true)
 
 	xs := randSeq(r, 8, 3, 4)
-	want := whole.Forward(xs)
+	want := forwardSteps(whole, xs)
 
-	got1 := chunked.Forward(xs[:5])
-	got2 := chunked.Forward(xs[5:])
+	got1 := forwardSteps(chunked, xs[:5])
+	got2 := forwardSteps(chunked, xs[5:])
 	got := append(append([]*tensor.Matrix{}, got1...), got2...)
 	for step := range want {
 		for i := range want[step].Data {
@@ -50,9 +50,9 @@ func TestRHNCarryEqualsConcat(t *testing.T) {
 	chunked.SetCarry(true)
 
 	xs := randSeq(r, 6, 2, 4)
-	want := whole.Forward(xs)
-	got1 := chunked.Forward(xs[:2])
-	got2 := chunked.Forward(xs[2:])
+	want := forwardSteps(whole, xs)
+	got1 := forwardSteps(chunked, xs[:2])
+	got2 := forwardSteps(chunked, xs[2:])
 	got := append(append([]*tensor.Matrix{}, got1...), got2...)
 	for step := range want {
 		for i := range want[step].Data {
@@ -68,13 +68,13 @@ func TestResetStateRestoresZeroStart(t *testing.T) {
 	l := NewLSTM(4, 6, rng.New(5))
 	l.SetCarry(true)
 	xs := randSeq(r, 4, 2, 4)
-	first := l.Forward(xs)
+	first := forwardSteps(l, xs)
 	firstCopy := make([]float32, len(first[0].Data))
 	copy(firstCopy, first[0].Data)
 
-	l.Forward(xs) // state now non-zero
+	forwardSteps(l, xs) // state now non-zero
 	l.ResetState()
-	again := l.Forward(xs)
+	again := forwardSteps(l, xs)
 	for i := range firstCopy {
 		if again[0].Data[i] != firstCopy[i] {
 			t.Fatal("ResetState did not restore zero-state behaviour")
@@ -87,15 +87,15 @@ func TestSnapshotRestoreState(t *testing.T) {
 	l := NewRHN(3, 4, 2, rng.New(6))
 	l.SetCarry(true)
 	xs := randSeq(r, 3, 2, 3)
-	l.Forward(xs)
+	forwardSteps(l, xs)
 	snap := l.SnapshotState()
 
 	// Perturb the state, then restore.
 	other := randSeq(r, 3, 2, 3)
-	l.Forward(other)
-	afterPerturb := l.Forward(xs)[0].Clone()
+	forwardSteps(l, other)
+	afterPerturb := forwardSteps(l, xs)[0].Clone()
 	l.RestoreState(snap)
-	afterRestore := l.Forward(xs)[0]
+	afterRestore := forwardSteps(l, xs)[0]
 
 	same := true
 	for i := range afterRestore.Data {
@@ -109,7 +109,7 @@ func TestSnapshotRestoreState(t *testing.T) {
 
 	// Restoring the snapshot again must reproduce afterRestore exactly.
 	l.RestoreState(snap)
-	again := l.Forward(xs)[0]
+	again := forwardSteps(l, xs)[0]
 	for i := range again.Data {
 		if again.Data[i] != afterRestore.Data[i] {
 			t.Fatal("RestoreState not reproducible")
@@ -122,10 +122,10 @@ func TestDisablingCarryClearsState(t *testing.T) {
 	l := NewLSTM(3, 4, rng.New(7))
 	l.SetCarry(true)
 	xs := randSeq(r, 3, 2, 3)
-	zeroStart := l.Forward(xs)[0].Clone()
+	zeroStart := forwardSteps(l, xs)[0].Clone()
 	l.SetCarry(false)
 	l.SetCarry(true)
-	fresh := l.Forward(xs)[0]
+	fresh := forwardSteps(l, xs)[0]
 	for i := range fresh.Data {
 		if fresh.Data[i] != zeroStart.Data[i] {
 			t.Fatal("SetCarry(false) did not clear carried state")

@@ -73,11 +73,13 @@ type worker struct {
 	ids     []int
 	states  []*model.GenState
 
-	// Sampling fan-out of step: the sequences emitting this step draw their
-	// tokens side by side on the backend's workers, sequence emit[j] from row
-	// emit[j] of lg with decoder decs[j] into drawn[j]. Each sequence owns
-	// its RNG and each slot its decoder scratch, so what is drawn does not
-	// depend on who draws it. The serial paths (admit, stepSpec) use decs[0].
+	// The sequences emitting this step, and their sampling fan-out: lg holds
+	// one logits row per emitter, compact (row j belongs to sequence emit[j];
+	// mid-prompt sequences have none), and the emitters draw their tokens
+	// side by side on the backend's workers, sequence emit[j] from row j with
+	// decoder decs[j] into drawn[j]. Each sequence owns its RNG and each slot
+	// its decoder scratch, so what is drawn does not depend on who draws it.
+	// The serial paths (admit, stepSpec) use decs[0].
 	decs       []*sampling.Decoder
 	lg         *tensor.Matrix
 	emit       []int
@@ -400,20 +402,30 @@ func (w *worker) prefixLookup(prompt []int) (any, bool) {
 	})
 }
 
-// step advances every active sequence one token: one batched forward, then
-// sampling and retirement. Sequences whose deadline passed are abandoned
-// first — a dead caller must not keep occupying a batch slot.
+// step advances every active sequence one token: one batched cell step, the
+// logits of the sequences that emit, then sampling and retirement. Sequences
+// whose deadline passed are abandoned first — a dead caller must not keep
+// occupying a batch slot.
 func (w *worker) step() {
 	w.expire(time.Now())
 	if len(w.active) == 0 {
 		return
 	}
 	b := len(w.active)
+	ne := 0
 	for i, q := range w.active {
 		w.ids[i] = q.nextInput()
 		w.states[i] = q.state
+		// A sequence emits once this step has fed it the last token of its
+		// prompt. Until then only its cell advances: the logits of a
+		// mid-prompt token are never sampled, and they are most of a step.
+		q.fed++
+		if q.fed >= len(q.t.req.Prompt) {
+			w.emit[ne] = i
+			ne++
+		}
 	}
-	w.lg = w.stepper.Step(w.ids[:b], w.states[:b])
+	w.lg = w.stepper.StepEmitting(w.ids[:b], w.states[:b], w.emit[:ne])
 	w.s.stats.onBatchStep(b)
 	if w.draft != nil {
 		// Advance the draft on the same tokens so both models have always
@@ -425,31 +437,23 @@ func (w *worker) step() {
 		w.s.stats.onDraftSteps(b)
 	}
 
-	// Bookkeeping, in slot order: who emits this step, and the prefix
-	// snapshot of a prompt that just finished.
-	ne := 0
-	for i, q := range w.active {
-		q.fed++
-		p := len(q.t.req.Prompt)
-		if q.fed < p {
+	// The prefix snapshot of a prompt that just finished, in slot order.
+	for j, i := range w.emit[:ne] {
+		q := w.active[i]
+		if q.fed != len(q.t.req.Prompt) {
 			continue
 		}
-		w.emit[ne] = i
-		ne++
-		if q.fed == p {
-			if w.s.tracer != nil {
-				q.prefillEnd = time.Now()
-			}
-			// Snapshot for future requests sharing the prompt (state and
-			// logits are copied, so later mutation of the live sequence
-			// cannot corrupt it).
-			if w.s.prefix != nil {
-				w.s.prefix.put(prefixKey(q.t.req.Prompt), &prefixEntry{
-					state:   q.state.Clone(),
-					logits:  append([]float32(nil), w.lg.Row(i)...),
-					version: w.version,
-				})
-			}
+		if w.s.tracer != nil {
+			q.prefillEnd = time.Now()
+		}
+		// For future requests sharing the prompt (state and logits are
+		// copied, so later mutation of the live sequence cannot corrupt it).
+		if w.s.prefix != nil {
+			w.s.prefix.put(prefixKey(q.t.req.Prompt), &prefixEntry{
+				state:   q.state.Clone(),
+				logits:  append([]float32(nil), w.lg.Row(j)...),
+				version: w.version,
+			})
 		}
 	}
 
@@ -479,11 +483,11 @@ func (w *worker) step() {
 	w.active = w.active[:n]
 }
 
-// sample draws emitter j's token for this step (see the worker fields).
+// sample draws emitter j's token for this step from row j of the compact
+// logits (see the worker fields).
 func (w *worker) sample(j int) {
-	i := w.emit[j]
-	q := w.active[i]
-	w.drawn[j] = w.decs[j].Sample(w.lg.Row(i), q.t.req.Opts, q.r)
+	q := w.active[w.emit[j]]
+	w.drawn[j] = w.decs[j].Sample(w.lg.Row(j), q.t.req.Opts, q.r)
 }
 
 // stepSpec advances every active sequence up to DraftK+1 tokens in one

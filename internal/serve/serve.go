@@ -13,7 +13,10 @@
 //     worker advances up to MaxBatch sequences per forward step through a
 //     model.Stepper, admitting new requests into free slots between steps
 //     and retiring finished ones, so ragged prompts and different lengths
-//     never stall the batch (no head-of-line blocking).
+//     never stall the batch (no head-of-line blocking). A step advances
+//     every sequence's cell but computes logits only for the sequences
+//     that sample a token in it: a prompt costs cell steps and one logits
+//     row, so a cache miss costs N logits rows, not P+N−1.
 //
 //   - Zipf-aware caching: an LRU result cache short-circuits repeated
 //     requests entirely, and an LRU prefix cache snapshots post-prompt

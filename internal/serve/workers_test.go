@@ -137,27 +137,39 @@ func TestServeParallelSamplingBitIdentical(t *testing.T) {
 	}
 }
 
-// TestStepZeroAlloc: a steady-state decode step — forward, sampling fan-out,
-// append — allocates nothing, on the serial and on the tiled backend.
+// TestStepZeroAlloc: a steady-state step — forward, sampling fan-out, append
+// — allocates nothing, on the serial and on the tiled backend, whether every
+// sequence is decoding or half of the batch is still mid-prompt (only the
+// other half's rows are compacted and reach the logits product).
 func TestStepZeroAlloc(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts are distorted under the race detector")
 	}
+	longPrompt := make([]int, 1<<12)
 	for _, computeWorkers := range []int{1, 4} {
-		s := New(lstmModel(), Config{MaxBatch: 8, ComputeWorkers: computeWorkers, Quantized: true})
-		s.Close() // the batcher goroutine is gone; drive its worker by hand
-		w := s.workers[0]
-		for i := 0; i < 8; i++ {
-			opts := sampling.DecodeOpts{Temperature: 0.8, TopK: 5 * (i % 2)}
-			w.admit(&task{req: Request{Prompt: []int{i, i + 1}, N: 1 << 12, Opts: opts, Seed: uint64(i)}, done: make(chan taskDone, 1)})
-		}
-		w.step()
-		w.step() // every sequence is past its prompt
-		if allocs := testing.AllocsPerRun(100, w.step); allocs != 0 {
-			t.Errorf("compute=%d: %v allocations per decode step, want 0", computeWorkers, allocs)
-		}
-		if got := len(w.active[0].out); got < 100 {
-			t.Fatalf("compute=%d: measured steps emitted only %d tokens", computeWorkers, got)
+		for _, midPrompt := range []bool{false, true} {
+			s := New(lstmModel(), Config{MaxBatch: 8, ComputeWorkers: computeWorkers, Quantized: true})
+			s.Close() // the batcher goroutine is gone; drive its worker by hand
+			w := s.workers[0]
+			for i := 0; i < 8; i++ {
+				opts := sampling.DecodeOpts{Temperature: 0.8, TopK: 5 * (i % 2)}
+				prompt := []int{i, i + 1}
+				if midPrompt && i%2 == 0 {
+					prompt = longPrompt // outlasts the measured steps
+				}
+				w.admit(&task{req: Request{Prompt: prompt, N: 1 << 12, Opts: opts, Seed: uint64(i)}, done: make(chan taskDone, 1)})
+			}
+			w.step()
+			w.step() // every short prompt is consumed
+			if allocs := testing.AllocsPerRun(100, w.step); allocs != 0 {
+				t.Errorf("compute=%d midPrompt=%v: %v allocations per step, want 0", computeWorkers, midPrompt, allocs)
+			}
+			if got := len(w.active[1].out); got < 100 {
+				t.Fatalf("compute=%d midPrompt=%v: measured steps emitted only %d tokens", computeWorkers, midPrompt, got)
+			}
+			if got := len(w.active[0].out); midPrompt && got != 0 {
+				t.Fatalf("compute=%d: a sequence emitted %d tokens mid-prompt", computeWorkers, got)
+			}
 		}
 	}
 }

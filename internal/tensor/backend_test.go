@@ -316,3 +316,80 @@ func TestBackendConstructors(t *testing.T) {
 		t.Fatal("SetDefaultWorkers(0) must restore the serial default")
 	}
 }
+
+// TestMatMulATBAccStackedEqualsBlocks is the property the model's
+// sequence-level backward rests on: MatMulATBAcc adds the rows of its
+// operands into dst in ascending order and never reads dst in between, so one
+// call over row-stacked operands performs exactly the adds of one call per
+// block in the same block order — dst ends with the same bits, not merely
+// close ones. Swept over random shapes (some large enough to tile), with a
+// non-zero starting dst and the inputs the skip rule of mulAddRows judges:
+// zero multipliers, whole zero rows, signed zeros, and NaN/Inf in rows whose
+// multiplier is zero (a skipped row must still poison dst). Both backends,
+// and across them.
+func TestMatMulATBAccStackedEqualsBlocks(t *testing.T) {
+	par := NewParallel(4)
+	defer par.Close()
+	backends := []Backend{Serial{}, par}
+	specials := []float32{0, float32(math.Copysign(0, -1)), float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
+
+	r := rng.New(2024)
+	for trial := 0; trial < 60; trial++ {
+		m, n := 1+r.Intn(70), 1+r.Intn(70)
+		if trial%3 == 0 {
+			m, n = 40+r.Intn(40), 40+r.Intn(40) // m·k·n past parallelMinWork
+		}
+		blocks := 1 + r.Intn(6)
+		var as, bs []*Matrix
+		total := 0
+		for i := 0; i < blocks; i++ {
+			k := r.Intn(9) // empty blocks included
+			a, b := randMatrix(r, k, m), randMatrix(r, k, n)
+			for row := 0; row < k; row++ {
+				switch r.Intn(6) {
+				case 0: // a sprinkling of zero and negative-zero multipliers
+					for j := range a.Row(row) {
+						if r.Intn(3) == 0 {
+							a.Row(row)[j] = specials[r.Intn(2)]
+						}
+					}
+				case 1: // every multiplier zero: the whole row is skipped — unless
+					// it is not finite
+					for j := range a.Row(row) {
+						a.Row(row)[j] = specials[r.Intn(2)]
+					}
+					if r.Intn(2) == 0 {
+						b.Row(row)[r.Intn(n)] = specials[2+r.Intn(3)]
+					}
+				case 2: // signed zeros and poison under ordinary multipliers
+					b.Row(row)[r.Intn(n)] = specials[r.Intn(len(specials))]
+				}
+			}
+			as, bs = append(as, a), append(bs, b)
+			total += k
+		}
+		sa, sb := NewMatrix(total, m), NewMatrix(total, n)
+		row := 0
+		for i := range as {
+			copy(sa.Data[row*m:], as[i].Data)
+			copy(sb.Data[row*n:], bs[i].Data)
+			row += as[i].Rows
+		}
+		start := randMatrix(r, m, n)
+
+		var first *Matrix
+		for bi, be := range backends {
+			perBlock, stacked := start.Clone(), start.Clone()
+			for i := range as {
+				be.MatMulATBAcc(perBlock, as[i], bs[i])
+			}
+			be.MatMulATBAcc(stacked, sa, sb)
+			ctx := fmt.Sprintf("trial %d (%d blocks, %d rows, dst %dx%d) backend %d", trial, blocks, total, m, n, bi)
+			bitsEqual(t, ctx+": stacked vs per-block", stacked, perBlock)
+			if first == nil {
+				first = stacked
+			}
+			bitsEqual(t, ctx+": vs serial", stacked, first)
+		}
+	}
+}

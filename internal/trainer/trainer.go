@@ -1083,10 +1083,15 @@ func (t *Trainer) trainStep(step int, lrNow float64, seeds []uint64) (stepStats,
 			outemb = []model.Param{{Name: "outemb", Grad: outGrad.Rows.Data}}
 		}
 		if w == nil {
-			for _, p := range append(m.DenseParams(), outemb...) {
-				if err := t.reduceDense(t.comm, rank, []model.Param{p}); err != nil {
-					errs[rank] = err
-					return nil
+			// One tensor per call. DenseParams is the model's own shared
+			// list, so it is walked in place (windows of one), never
+			// appended to.
+			for _, ps := range [2][]model.Param{m.DenseParams(), outemb} {
+				for i := range ps {
+					if err := t.reduceDense(t.comm, rank, ps[i:i+1]); err != nil {
+						errs[rank] = err
+						return nil
+					}
 				}
 			}
 		} else if outDense {

@@ -101,7 +101,13 @@
 // complete training state — model weights (deterministic name-sorted
 // encoding), optimizer moments, global step and LR-schedule position,
 // per-rank RNG streams, carried RNN state — in CRC-framed, atomically
-// written files under a retention-managed store, and trainer.Resume
+// written files under a retention-managed store. Inside both the model
+// file and the checkpoint frame (version 3 of each) only names, shapes and
+// scalars are gob; every tensor travels as little-endian float32 bytes,
+// streamed through the running CRC into the file, so a checkpoint costs
+// about one copy of what it writes; older all-gob files still load, their
+// float64 Adam moments rounded to float32 (trainer.Resume logs a warning
+// when that happens). trainer.Resume
 // restores it so exactly that checkpoint-then-resume is bit-identical to
 // never having stopped: replicas, wire-byte counters, and validation loss
 // all match an uninterrupted run across every optimizer × exchange ×
@@ -164,10 +170,16 @@
 // round-to-nearest-even, convert back, unscale, NaN canonicalised — that
 // TestRoundTripAsmMatchesGo holds to the definition on every half and
 // every rounding boundary. The ring's per-hop reduction and SGD are
-// tensor.AddInPlace and tensor.Axpy. Adam's inner loop is an AVX float64
-// kernel performing the Go loop's operations one for one
-// (TestAdamAsmMatchesGo), and the trainer applies each rank's optimizer on
-// that rank's goroutine, still only after every rank's exchange succeeded.
+// tensor.AddInPlace and tensor.Axpy. Adam keeps its moments at the
+// parameters' precision: the step is defined by a portable float32 loop —
+// every operation rounded on its own, the bias corrections as reciprocals
+// computed once per step, one divide and one square root per element, a
+// moment below the smallest normal float32 stored as +0 so that a
+// zero-gradient parameter can never park one in the denormals — with an
+// eight-lane AVX twin (TestAdamAsmMatchesGo) and the float64 loop it
+// replaced kept in the tests as the oracle (TestAdamTracksFloat64Oracle).
+// The trainer applies each rank's optimizer on that rank's goroutine,
+// still only after every rank's exchange succeeded.
 // internal/cpu is the single CPUID probe behind all of these gates.
 //
 // The activations are the one place where the arithmetic is this
@@ -200,7 +212,7 @@
 // bytes and the virtual clock prices them. A Zipf-aware policy leaves
 // small tensors uncompressed and tunes embedding-class ratios from the
 // corpus's own type–token law (powerlaw.FitRankFrequency); per-rank
-// residual state rides in version-2 checkpoints so compressed runs resume
+// residual state rides in the checkpoints so compressed runs resume
 // bit-identically. The "compress" experiment (zipflm-bench -exp compress)
 // measures bytes and loss deltas on a real run and reprices the
 // weak-scaling step model with compressed payloads.

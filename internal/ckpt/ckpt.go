@@ -17,9 +17,18 @@
 // everything before it, so bit rot, truncation, and version skew are all
 // detected on Open (never a panic, never a half-initialized state). Files
 // are written atomically (tmp + rename) by WriteFile and the Dir store.
+//
+// Inside the payload only the small things are gob; every tensor — the
+// model file, the optimizer moments, carried recurrent state, compression
+// residuals — travels as little-endian float32 bytes, streamed through the
+// running CRC into the file without a second copy of the payload in memory
+// (see Encode for the layout). A checkpoint is written inside the training
+// loop's stall, and gob's per-element number encoding was most of that
+// stall and 1.8× the bytes.
 package ckpt
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
@@ -29,20 +38,27 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"zipflm/internal/compress"
 	"zipflm/internal/model"
 	"zipflm/internal/optim"
+	"zipflm/internal/tensor"
 )
 
 // Version guards the checkpoint file format. Version 2 added the per-rank
 // gradient-compression state (error-feedback residuals, momentum
-// velocities, quantizer RNG streams); version-1 files — written before
-// compression existed — still decode, with no compression state.
-const Version = 2
+// velocities, quantizer RNG streams) to version 1's single gob value;
+// version 3 moved every tensor out of gob and the Adam moments from
+// float64 to float32. Version-1 and version-2 files still decode (their
+// float64 moments rounded to nearest float32); nothing writes them.
+const Version = 3
 
 // magic identifies a zipflm full-state checkpoint file.
 var magic = [8]byte{'Z', 'L', 'M', 'C', 'K', 'P', 'T', 0}
+
+// headLen is magic + version + payload length.
+const headLen = 8 + 4 + 8
 
 // crcTable is CRC-32C (Castagnoli), the polynomial storage systems use.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -57,6 +73,8 @@ var ErrNotCheckpoint = errors.New("ckpt: not a checkpoint file (bad magic)")
 // (the §II-B invariant the trainer asserts), so one copy of each is
 // stored; RNG streams and carried recurrent state are per rank.
 type State struct {
+	// roundedMoments: see RoundedMoments (gob never sees it: unexported).
+	roundedMoments bool
 	// Step is the global training step the state was captured at.
 	Step int
 	// LR and NextDecay are the LR-decay schedule position.
@@ -64,8 +82,10 @@ type State struct {
 	NextDecay int
 	// Ranks is the cluster size G of the checkpointing run.
 	Ranks int
-	// ModelBytes is the model.Save encoding of the (identical) replicas —
-	// deterministic bytes thanks to the sorted dense-parameter format.
+	// ModelBytes is the model file encoding (LM.Marshal) of the (identical)
+	// replicas — deterministic bytes thanks to the sorted dense-parameter
+	// format. A decoded state's ModelBytes aliases the buffer the frame
+	// was read into.
 	ModelBytes []byte
 	// Opt is the dense-optimizer state (Adam moments + step counter;
 	// empty Kind means the optimizer declared no state).
@@ -84,33 +104,130 @@ type State struct {
 	Compress []compress.EngineState
 }
 
+// RoundedMoments reports whether the state was decoded from a version-1 or
+// version-2 file that carried Adam moments: those were float64, and decoding
+// rounded them to the nearest float32, so a run resumed from this state is
+// not bit-identical to the float64 run that wrote it (and no build since
+// could continue that arithmetic). Everything else in such a file is exact.
+func (s *State) RoundedMoments() bool { return s.roundedMoments }
+
 // LM decodes the embedded model into a fresh replica.
 func (s *State) LM() (*model.LM, error) {
-	return model.Load(bytes.NewReader(s.ModelBytes))
+	return model.Unmarshal(s.ModelBytes)
+}
+
+// frame is the gob part of a version-3 payload.
+type frame struct {
+	// State is the checkpointed state with ModelBytes and every float32
+	// slice emptied: scalars, names, shapes and RNG streams only.
+	State State
+	// ModelLen is len(ModelBytes); Lens holds the length of each emptied
+	// float32 slice, in sections order.
+	ModelLen int
+	Lens     []int
+}
+
+// sections lists every float32 tensor a State holds, in the order a frame
+// stores them: Adam's moments (M then V, parameter by parameter), each
+// rank's carried recurrent state (H then C), each rank's compression carry
+// (residual then momentum, tensor by tensor).
+func sections(st *State) []*[]float32 {
+	var secs []*[]float32
+	for i := range st.Opt.M {
+		secs = append(secs, &st.Opt.M[i])
+	}
+	for i := range st.Opt.V {
+		secs = append(secs, &st.Opt.V[i])
+	}
+	for r := range st.RNN {
+		secs = append(secs, &st.RNN[r].H, &st.RNN[r].C)
+	}
+	for r := range st.Compress {
+		for j := range st.Compress[r].Tensors {
+			ts := &st.Compress[r].Tensors[j]
+			secs = append(secs, &ts.Residual, &ts.Momentum)
+		}
+	}
+	return secs
+}
+
+// skeleton copies st without its tensors: a shallow copy whose tensor-holding
+// containers are cloned, so that emptying every slot sections names in the
+// copy leaves st alone. Anything else a State (or a type it embeds) holds
+// rides along in gob without this package knowing its name.
+func skeleton(st *State) State {
+	sk := *st
+	sk.ModelBytes = nil
+	sk.Opt.M = slices.Clone(st.Opt.M)
+	sk.Opt.V = slices.Clone(st.Opt.V)
+	sk.RNN = slices.Clone(st.RNN)
+	sk.Compress = slices.Clone(st.Compress)
+	for r := range sk.Compress {
+		sk.Compress[r].Tensors = slices.Clone(sk.Compress[r].Tensors)
+	}
+	for _, sec := range sections(&sk) {
+		*sec = nil
+	}
+	return sk
 }
 
 // Encode writes st to w in the framed format:
 //
 //	magic[8] | version u32 | payloadLen u64 | payload | crc32c u32
 //
-// The payload is a gob encoding of State; every field is a slice or
-// scalar (no maps), so identical states produce identical bytes.
+// with the integers little-endian and the CRC over everything before it. A
+// version-3 payload is
+//
+//	gob(frame) | ModelBytes | tensors
+//
+// where the gob value is the State with its tensors emptied plus their
+// lengths (no maps, so identical states produce identical bytes), ModelBytes
+// is the model file as captured, and the tensors are the float32 slices of
+// sections, little-endian, back to back. Every size is known before the
+// first byte is written, so the frame streams through the running CRC into
+// w; the only buffers are the gob value and one 64 KiB block.
 func Encode(w io.Writer, st *State) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(st); err != nil {
-		return fmt.Errorf("ckpt: encode: %w", err)
+	fr := frame{State: skeleton(st), ModelLen: len(st.ModelBytes)}
+	secs := sections(st)
+	floats := 0
+	for _, sec := range secs {
+		fr.Lens = append(fr.Lens, len(*sec))
+		floats += len(*sec)
 	}
 	var head bytes.Buffer
-	head.Write(magic[:])
-	binary.Write(&head, binary.LittleEndian, uint32(Version))
-	binary.Write(&head, binary.LittleEndian, uint64(payload.Len()))
+	head.Write(make([]byte, headLen))
+	if err := gob.NewEncoder(&head).Encode(fr); err != nil {
+		return fmt.Errorf("ckpt: encode: %w", err)
+	}
+	h := head.Bytes()
+	copy(h, magic[:])
+	binary.LittleEndian.PutUint32(h[8:], Version)
+	binary.LittleEndian.PutUint64(h[12:], uint64(len(h)-headLen+len(st.ModelBytes)+4*floats))
 
 	crc := crc32.New(crcTable)
-	mw := io.MultiWriter(w, crc)
-	if _, err := mw.Write(head.Bytes()); err != nil {
-		return fmt.Errorf("ckpt: write: %w", err)
+	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 64<<10)
+	bw.Write(h)
+	bw.Write(st.ModelBytes) // larger than the buffer: passed through, not copied
+	for _, sec := range secs {
+		for x := *sec; len(x) > 0; {
+			// Convert straight into the writer's free space.
+			b := bw.AvailableBuffer()
+			n := min(len(x), cap(b)/4)
+			if n == 0 {
+				// No room for one float. A failed flush leaves the buffer
+				// full, so it has to end the loop, not restart it.
+				if err := bw.Flush(); err != nil {
+					return fmt.Errorf("ckpt: write: %w", err)
+				}
+				continue
+			}
+			tensor.PutFloat32s(b[:4*n], x[:n])
+			bw.Write(b[:4*n])
+			x = x[n:]
+		}
 	}
-	if _, err := mw.Write(payload.Bytes()); err != nil {
+	// A bufio.Writer keeps its first error: Flush reports any of the above.
+	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("ckpt: write: %w", err)
 	}
 	if err := binary.Write(w, binary.LittleEndian, crc.Sum32()); err != nil {
@@ -119,15 +236,22 @@ func Encode(w io.Writer, st *State) error {
 	return nil
 }
 
-// Decode reads a checkpoint written by Encode, verifying magic, version,
-// length, and CRC before any of the payload is interpreted. Corrupt
-// (bit-flipped), truncated, and future-version inputs return errors.
+// Decode reads a whole checkpoint from r; see decode.
 func Decode(r io.Reader) (*State, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: read: %w", err)
 	}
-	const headLen = 8 + 4 + 8
+	return decode(raw)
+}
+
+// decode interprets a checkpoint written by Encode (or by the version-1 and
+// version-2 writers), verifying magic, version, length, and CRC before any
+// of the payload is interpreted. Corrupt (bit-flipped), truncated, padded
+// and future-version inputs return errors, and every tensor's length is
+// checked against the bytes that remain before anything is allocated for
+// it, so no input makes decode allocate more than its own size.
+func decode(raw []byte) (*State, error) {
 	if len(raw) < headLen+4 {
 		return nil, fmt.Errorf("ckpt: truncated: %d bytes is shorter than the smallest checkpoint", len(raw))
 	}
@@ -148,10 +272,50 @@ func Decode(r io.Reader) (*State, error) {
 	if got := crc32.Checksum(body, crcTable); got != wantCRC {
 		return nil, fmt.Errorf("ckpt: CRC mismatch (stored %08x, computed %08x): checkpoint is corrupt", wantCRC, got)
 	}
-	st := &State{}
-	if err := gob.NewDecoder(bytes.NewReader(raw[headLen : len(raw)-4])).Decode(st); err != nil {
+	// Versions 1 and 2 are one gob value, the State itself with every float
+	// inside (gob narrows their float64 moments into the float32 fields:
+	// nearest, and overflow is an error); version 3 is the gob frame and
+	// then raw bytes. bytes.Reader is an io.ByteReader, so gob reads its
+	// value and not one byte more: what r has left afterwards is the raw part.
+	var fr frame
+	st := &fr.State
+	r := bytes.NewReader(body[headLen:])
+	var err error
+	if version < 3 {
+		err = gob.NewDecoder(r).Decode(st)
+	} else {
+		err = gob.NewDecoder(r).Decode(&fr)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("ckpt: decode payload: %w", err)
 	}
+	rest := body[len(body)-r.Len():]
+	if version >= 3 {
+		if fr.ModelLen < 0 || fr.ModelLen > len(rest) {
+			return nil, fmt.Errorf("ckpt: model of %d bytes, %d remain", fr.ModelLen, len(rest))
+		}
+		st.ModelBytes, rest = rest[:fr.ModelLen:fr.ModelLen], rest[fr.ModelLen:]
+		secs := sections(st)
+		if len(secs) != len(fr.Lens) {
+			return nil, fmt.Errorf("ckpt: %d tensor lengths for %d tensors", len(fr.Lens), len(secs))
+		}
+		for i, sec := range secs {
+			n := fr.Lens[i]
+			if n < 0 || n > len(rest)/4 {
+				return nil, fmt.Errorf("ckpt: tensor %d of %d values, %d bytes remain", i, n, len(rest))
+			}
+			*sec = nil // an empty tensor decodes to nil, as gob had it
+			if n > 0 {
+				*sec = make([]float32, n)
+				tensor.GetFloat32s(*sec, rest)
+			}
+			rest = rest[4*n:]
+		}
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("ckpt: %d payload bytes after the last tensor", len(rest))
+	}
+	st.roundedMoments = version < 3 && len(st.Opt.M) > 0
 	if st.Ranks <= 0 || st.Step < 0 {
 		return nil, fmt.Errorf("ckpt: invalid state (ranks %d, step %d)", st.Ranks, st.Step)
 	}
@@ -195,14 +359,14 @@ func WriteFile(path string, st *State) error {
 	return nil
 }
 
-// Open reads and validates the checkpoint at path.
+// Open reads and validates the checkpoint at path. The file is read in one
+// allocation of its size.
 func Open(path string) (*State, error) {
-	f, err := os.Open(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: %w", err)
 	}
-	defer f.Close()
-	st, err := Decode(f)
+	st, err := decode(raw)
 	if err != nil {
 		return nil, fmt.Errorf("%w (%s)", err, path)
 	}

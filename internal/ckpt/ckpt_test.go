@@ -3,11 +3,18 @@ package ckpt
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
+	"errors"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
+	"zipflm/internal/compress"
 	"zipflm/internal/model"
 	"zipflm/internal/optim"
 )
@@ -31,8 +38,8 @@ func testState(t *testing.T, step int) *State {
 			Kind:  "adam",
 			T:     step,
 			Names: []string{"a", "b"},
-			M:     [][]float64{{0.1, 0.2}, {0.3}},
-			V:     [][]float64{{0.4, 0.5}, {0.6}},
+			M:     [][]float32{{0.1, 0.2}, {0.3}},
+			V:     [][]float32{{0.4, 0.5}, {0.6}},
 		},
 		RNG: [][4]uint64{{1, 2, 3, 4}, {5, 6, 7, 8}},
 		RNN: []model.CarriedState{
@@ -49,6 +56,51 @@ func encode(t *testing.T, st *State) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// withCompress adds per-rank compression carry to a testState, one rank with
+// momentum and one without (a nil Momentum must come back nil).
+func withCompress(st *State) *State {
+	st.Compress = []compress.EngineState{
+		{Q8RNG: [4]uint64{9, 8, 7, 6}, Tensors: []compress.TensorState{
+			{Name: "lstm.Wh", Residual: []float32{0.5, -0.25, 1e-40}},
+			{Name: "lstm.Wx", Residual: []float32{float32(math.Inf(1))}},
+		}},
+		{Tensors: []compress.TensorState{
+			{Name: "lstm.Wh", Residual: []float32{0, 1, 2}, Momentum: []float32{3, 4, 5}},
+		}},
+	}
+	return st
+}
+
+// TestRoundTripIsLossless: every field of a state with optimizer moments,
+// carried recurrent state and compression carry survives Encode → Decode
+// exactly (DeepEqual: values, lengths and nil-ness), the decoded state says
+// which format it came from, and Encode leaves its argument untouched.
+func TestRoundTripIsLossless(t *testing.T) {
+	st := withCompress(testState(t, 42))
+	st.RNN[1].C = nil // an RHN rank: no cell state
+	st.Opt.M[0][1] = math.Float32frombits(0x7fc00123)
+	want := withCompress(testState(t, 42))
+	want.RNN[1].C = nil
+	want.Opt.M[0][1] = math.Float32frombits(0x7fc00123)
+	got, err := Decode(bytes.NewReader(encode(t, st)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.RoundedMoments() {
+		t.Error("a version-3 frame claims rounded moments")
+	}
+	if math.Float32bits(got.Opt.M[0][1]) != 0x7fc00123 {
+		t.Errorf("NaN payload changed: %#08x", math.Float32bits(got.Opt.M[0][1]))
+	}
+	got.Opt.M[0][1], want.Opt.M[0][1], st.Opt.M[0][1] = 0, 0, 0 // NaN != NaN under DeepEqual
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("round trip changed the state:\n got %+v\nwant %+v", got, want)
+	}
+	if !reflect.DeepEqual(st, want) {
+		t.Error("Encode modified the state it was given")
+	}
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -90,6 +142,61 @@ func TestDeterministicBytes(t *testing.T) {
 	b := encode(t, testState(t, 7))
 	if !bytes.Equal(a, b) {
 		t.Fatal("identical states encode to different bytes")
+	}
+}
+
+// failingWriter accepts limit bytes and fails every Write from then on, the
+// way a full disk, a quota or a closed pipe does: the call that hits the
+// limit takes what still fits and reports the error.
+type failingWriter struct{ limit, n int }
+
+var errDiskFull = errors.New("no space left on device")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	k := min(len(p), w.limit-w.n)
+	w.n += k
+	if k < len(p) {
+		return k, errDiskFull
+	}
+	return k, nil
+}
+
+// TestEncodeReportsWriteErrors: a writer that fails after k bytes makes
+// Encode return that error, for every k short of the whole frame — in the
+// header, inside the model bytes (passed through when they outgrow the block,
+// buffered when they do not), at the 64 KiB block boundary, in the middle of
+// a tensor and in the CRC. Each attempt runs under a deadline: a failed flush
+// leaves bufio's block full, and an Encode that retried it span forever
+// inside the training loop instead of failing the save.
+func TestEncodeReportsWriteErrors(t *testing.T) {
+	big := testState(t, 9)
+	big.Opt.M = [][]float32{make([]float32, 40_000), {1, 2, 3}}
+	big.Opt.V = [][]float32{make([]float32, 40_000), {4, 5, 6}}
+	passThrough := withCompress(testState(t, 9))
+	passThrough.ModelBytes = make([]byte, 100<<10) // Encode does not look inside
+	for name, st := range map[string]*State{"tensors outgrow the block": big, "model outgrows the block": passThrough} {
+		total := len(encode(t, st))
+		limits := []int{0, 1, headLen - 1, headLen, 64<<10 - 1, 64 << 10, 64<<10 + 1, 64<<10 + 2,
+			2 * (64 << 10), total - 5, total - 4, total - 1}
+		for k := 0; k < total; k += 4093 {
+			limits = append(limits, k)
+		}
+		for _, k := range append(limits, total) {
+			w := &failingWriter{limit: k}
+			done := make(chan error, 1)
+			go func() { done <- Encode(w, st) }()
+			select {
+			case err := <-done:
+				if k < total && !errors.Is(err, errDiskFull) {
+					t.Errorf("%s: writer fails after %d of %d bytes: Encode returned %v", name, k, total, err)
+				}
+				if k == total && err != nil {
+					t.Errorf("%s: writer with room for the whole frame: %v", name, err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s: writer fails after %d of %d bytes: Encode has not returned", name, k, total)
+			}
+		}
 	}
 }
 
@@ -150,6 +257,222 @@ func TestOpenRejectsCorruptInputs(t *testing.T) {
 		check("model-file", mb.Bytes())
 	}
 	check("garbage", []byte("definitely not a checkpoint, much too short to be"))
+
+	// Damage a CRC cannot see, because the writer itself was wrong or
+	// hostile: well-framed files whose gob part disagrees with the raw part.
+	st := withCompress(testState(t, 9))
+	fr, tail := splitFrame(t, encode(t, st))
+	nModel := fr.ModelLen
+	mutate := func(name string, edit func(*frame), tail []byte) {
+		t.Helper()
+		e := fr
+		e.Lens = append([]int(nil), fr.Lens...)
+		edit(&e)
+		check(name, buildVersion(t, Version, e, tail))
+	}
+	if _, err := decode(buildVersion(t, Version, fr, tail)); err != nil {
+		t.Fatalf("the rebuilt frame must decode: %v", err)
+	}
+	for _, i := range []int{0, len(fr.Lens) - 1} {
+		for _, n := range []int{1 << 62, 1 << 28, -1, fr.Lens[i] + 1, fr.Lens[i] - 1} {
+			mutate("tensor length", func(e *frame) { e.Lens[i] = n }, tail)
+		}
+	}
+	for _, n := range []int{1 << 62, -1, nModel + 1, nModel - 1, len(tail) + 1} {
+		mutate("model length", func(e *frame) { e.ModelLen = n }, tail)
+	}
+	mutate("a length missing", func(e *frame) { e.Lens = e.Lens[1:] }, tail)
+	mutate("a length too many", func(e *frame) { e.Lens = append(e.Lens, 0) }, tail)
+	mutate("a moment slot missing", func(e *frame) { e.State.Opt.M = e.State.Opt.M[:1] }, tail)
+	mutate("raw part one byte short", func(*frame) {}, tail[:len(tail)-1])
+	mutate("raw part one byte long", func(*frame) {}, append(append([]byte(nil), tail...), 0))
+	mutate("raw part one tensor long", func(*frame) {}, append(append([]byte(nil), tail...), 0, 0, 0, 0))
+	mutate("no raw part", func(*frame) {}, nil)
+	mutate("wrong rank count", func(e *frame) { e.State.Ranks = 3 }, tail)
+}
+
+// splitFrame takes a version-3 file apart: its gob value and the raw bytes
+// (model file, then tensors) that follow it.
+func splitFrame(t *testing.T, raw []byte) (frame, []byte) {
+	t.Helper()
+	r := bytes.NewReader(raw[headLen : len(raw)-4])
+	var fr frame
+	if err := gob.NewDecoder(r).Decode(&fr); err != nil {
+		t.Fatal(err)
+	}
+	return fr, raw[len(raw)-4-r.Len() : len(raw)-4]
+}
+
+// buildVersion frames a gob value and a raw tail correctly — right length,
+// right CRC — whatever they say about each other.
+func buildVersion(t testing.TB, version uint32, v any, tail []byte) []byte {
+	t.Helper()
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	payload.Write(tail)
+	out := append([]byte(nil), magic[:]...)
+	out = binary.LittleEndian.AppendUint32(out, version)
+	out = binary.LittleEndian.AppendUint64(out, uint64(payload.Len()))
+	out = append(out, payload.Bytes()...)
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crcTable))
+}
+
+// TestDecodeNeverOutgrowsItsInput: refusing or accepting, decode allocates
+// at most its input's size plus the gob machinery — a tensor length is
+// checked against the bytes that remain before anything is made for it.
+func TestDecodeNeverOutgrowsItsInput(t *testing.T) {
+	st := withCompress(testState(t, 3))
+	st.Opt.M[0] = make([]float32, 1<<16)
+	st.Opt.V[0] = make([]float32, 1<<16)
+	good := encode(t, st)
+	fr, tail := splitFrame(t, good)
+	inputs := map[string][]byte{"good": good}
+	for name, n := range map[string]int{"2^62": 1 << 62, "2^28": 1 << 28, "2^40": 1 << 40} {
+		e := fr
+		e.Lens = append([]int(nil), fr.Lens...)
+		e.Lens[len(e.Lens)-1] = n
+		inputs["last length "+name] = buildVersion(t, Version, e, tail)
+		e.Lens = append([]int(nil), fr.Lens...)
+		e.Lens[0] = n
+		inputs["first length "+name] = buildVersion(t, Version, e, tail)
+	}
+	decode(good) // warm gob's type tables
+	for name, raw := range inputs {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		_, err := decode(raw)
+		runtime.ReadMemStats(&m1)
+		if (err == nil) != (name == "good") {
+			t.Errorf("%s: err = %v", name, err)
+		}
+		if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > uint64(len(raw))+64<<10 {
+			t.Errorf("%s: decoding %d bytes allocated %d", name, len(raw), alloc)
+		}
+	}
+}
+
+// The State of frame versions 1 and 2 as their writer declared it: one gob
+// value, Adam's moments float64. Version 1 predates the Compress field.
+type optStateV2 struct {
+	Kind  string
+	T     int
+	Names []string
+	M, V  [][]float64
+}
+
+type stateV1 struct {
+	Step       int
+	LR         float64
+	NextDecay  int
+	Ranks      int
+	ModelBytes []byte
+	Opt        optStateV2
+	RNG        [][4]uint64
+	RNN        []model.CarriedState
+}
+
+type stateV2 struct {
+	Step       int
+	LR         float64
+	NextDecay  int
+	Ranks      int
+	ModelBytes []byte
+	Opt        optStateV2
+	RNG        [][4]uint64
+	RNN        []model.CarriedState
+	Compress   []compress.EngineState
+}
+
+// modelFileV2 is the version-2 model file those frames embedded: one gob
+// value, tensors as name-sorted parallel slices.
+func modelFileV2(t *testing.T, m *model.LM) []byte {
+	t.Helper()
+	ck := struct {
+		Version       int
+		Cfg           model.Config
+		InEmb, OutEmb []float32
+		DenseNames    []string
+		DenseValues   [][]float32
+	}{Version: 2, Cfg: m.Cfg, InEmb: m.InEmb.Data, OutEmb: m.OutEmb.Data}
+	for _, name := range []string{"linear.W", "linear.b", "lstm.Wh", "lstm.Wx", "lstm.b"} {
+		for _, p := range m.DenseParams() {
+			if p.Name == name {
+				ck.DenseNames, ck.DenseValues = append(ck.DenseNames, name), append(ck.DenseValues, p.Value)
+			}
+		}
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestDecodeLegacyFrames: version-1 and version-2 files — produced here by
+// frozen copies of their writers, around a version-2 model file — still
+// decode: scalars, RNG streams, carried state and compression carry exactly,
+// the float64 Adam moments rounded to the nearest float32 (a value below the
+// float32 range to zero), and the embedded model to the weights it was
+// written from. A moment beyond ±MaxFloat32 is a decode error, not an Inf.
+func TestDecodeLegacyFrames(t *testing.T) {
+	lm := model.NewLM(model.Config{Vocab: 40, Dim: 6, Hidden: 8, RNN: model.KindLSTM, Seed: 3})
+	m64 := [][]float64{{0.1, -1e-3 / 3, 1e-50, 1e-40}, {math.Pi}}
+	v64 := [][]float64{{0.4, 1e-12 / 7, 0, 2.5e-39}, {0.6}}
+	v1 := stateV1{
+		Step: 12, LR: 0.173, NextDecay: 200, Ranks: 2, ModelBytes: modelFileV2(t, lm),
+		Opt: optStateV2{Kind: "adam", T: 12, Names: []string{"a", "b"}, M: m64, V: v64},
+		RNG: [][4]uint64{{1, 2, 3, 4}, {5, 6, 7, 8}},
+		RNN: []model.CarriedState{
+			{H: []float32{1, 2, 3, 4}, C: []float32{5, 6, 7, 8}, Rows: 1, Cols: 4},
+			{H: []float32{9, 10, 11, 12}, Rows: 1, Cols: 4},
+		},
+	}
+	want := withCompress(&State{
+		Step: 12, LR: 0.173, NextDecay: 200, Ranks: 2, ModelBytes: v1.ModelBytes,
+		Opt: optim.State{Kind: "adam", T: 12, Names: []string{"a", "b"},
+			M: [][]float32{{0.1, -1e-3 / 3, 0, 1e-40}, {math.Pi}},
+			V: [][]float32{{0.4, 1e-12 / 7, 0, 2.5e-39}, {0.6}}},
+		RNG: v1.RNG, RNN: v1.RNN,
+	})
+	v2 := stateV2{v1.Step, v1.LR, v1.NextDecay, v1.Ranks, v1.ModelBytes, v1.Opt, v1.RNG, v1.RNN, want.Compress}
+
+	for version, raw := range map[int][]byte{1: buildVersion(t, 1, v1, nil), 2: buildVersion(t, 2, v2, nil)} {
+		got, err := Decode(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("version %d: %v", version, err)
+		}
+		w := *want
+		w.roundedMoments = true
+		if version == 1 {
+			w.Compress = nil
+		}
+		if !reflect.DeepEqual(got, &w) {
+			t.Errorf("version %d decoded to\n %+v\nwant\n %+v", version, got, &w)
+		}
+		loaded, err := got.LM()
+		if err != nil {
+			t.Fatalf("version %d: embedded model: %v", version, err)
+		}
+		if loaded.Cfg != lm.Cfg || !reflect.DeepEqual(loaded.InEmb.Data, lm.InEmb.Data) ||
+			!reflect.DeepEqual(loaded.DenseParams()[1].Value, lm.DenseParams()[1].Value) {
+			t.Errorf("version %d: embedded model decodes to different weights", version)
+		}
+		// What was read from an old file is written as a current one.
+		again, err := Decode(bytes.NewReader(encode(t, got)))
+		if err != nil || again.RoundedMoments() || !got.RoundedMoments() {
+			t.Fatalf("version %d: RoundedMoments %v, after re-encoding %v (err %v), want true then false",
+				version, got.RoundedMoments(), again.RoundedMoments(), err)
+		}
+		if _, err := Decode(bytes.NewReader(buildVersion(t, uint32(version), v2, []byte{0}))); err == nil {
+			t.Errorf("version %d: a byte after the gob value was accepted", version)
+		}
+	}
+	v1.Opt.M = [][]float64{{1e39}, {0}}
+	if _, err := Decode(bytes.NewReader(buildVersion(t, 1, v1, nil))); err == nil {
+		t.Error("a float64 moment beyond MaxFloat32 must fail to decode")
+	}
 }
 
 func TestOpenReportsNotCheckpointForForeignMagic(t *testing.T) {

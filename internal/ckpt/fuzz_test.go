@@ -2,9 +2,11 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/gob"
 	"testing"
 
 	"zipflm/internal/compress"
+	"zipflm/internal/optim"
 )
 
 // FuzzDecode hammers the checkpoint frame parser with arbitrary bytes plus
@@ -14,8 +16,10 @@ import (
 // state escapes). CI runs this with a short -fuzztime on every push; the
 // seed corpus below also runs as a plain test.
 func FuzzDecode(f *testing.F) {
-	// Seeds: a real checkpoint (with compression state, the newest part of
-	// the format), its truncations, a header-only prefix, and junk.
+	// Seeds: a real version-3 checkpoint (moments and compression carry, so
+	// the raw part has tensors of both kinds), its truncations, a
+	// header-only prefix, the same frame with a tensor length the raw part
+	// does not back, a version-2 frame from the frozen writer, and junk.
 	st := fuzzSeedState(f)
 	var buf bytes.Buffer
 	if err := Encode(&buf, st); err != nil {
@@ -26,6 +30,16 @@ func FuzzDecode(f *testing.F) {
 	f.Add(full[:len(full)-1])
 	f.Add(full[:len(full)/2])
 	f.Add(full[:20])
+	r := bytes.NewReader(full[headLen : len(full)-4])
+	var fr frame
+	if err := gob.NewDecoder(r).Decode(&fr); err != nil {
+		f.Fatal(err)
+	}
+	fr.Lens[0] = 1 << 40
+	f.Add(buildVersion(f, Version, fr, full[len(full)-4-r.Len():len(full)-4]))
+	f.Add(buildVersion(f, 2, stateV2{Step: 17, LR: 0.1, Ranks: 2, ModelBytes: []byte{1, 2, 3},
+		Opt:      optStateV2{Kind: "adam", T: 17, Names: []string{"w"}, M: [][]float64{{0.5, 1e-50}}, V: [][]float64{{0.25, 3}}},
+		Compress: st.Compress}, nil))
 	f.Add([]byte{})
 	f.Add([]byte("ZLMCKPT\x00garbage"))
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
@@ -51,8 +65,9 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// fuzzSeedState is testState trimmed to what the fuzzer needs, with
-// compression carry-over included so the v2 field is in the corpus.
+// fuzzSeedState is testState trimmed to what the fuzzer needs, with Adam
+// moments and compression carry-over so every kind of raw tensor is in the
+// corpus.
 func fuzzSeedState(f *testing.F) *State {
 	f.Helper()
 	return &State{
@@ -61,7 +76,9 @@ func fuzzSeedState(f *testing.F) *State {
 		NextDecay:  40,
 		Ranks:      2,
 		ModelBytes: []byte{1, 2, 3},
-		RNG:        [][4]uint64{{1, 2, 3, 4}, {5, 6, 7, 8}},
+		Opt: optim.State{Kind: "adam", T: 17, Names: []string{"w"},
+			M: [][]float32{{0.5, -2}}, V: [][]float32{{0.25, 4}}},
+		RNG: [][4]uint64{{1, 2, 3, 4}, {5, 6, 7, 8}},
 		Compress: []compress.EngineState{
 			{Q8RNG: [4]uint64{9, 9, 9, 9}, Tensors: []compress.TensorState{
 				{Name: "lstm.Wx", Residual: []float32{0.5, -0.25}},

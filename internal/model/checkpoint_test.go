@@ -3,7 +3,10 @@ package model
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"math"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -94,16 +97,18 @@ func TestSaveDeterministicBytes(t *testing.T) {
 }
 
 // TestLoadRejectsDamagedCheckpoints is the fuzz-style table over damaged
-// model files: truncations and version skew must error, and no damaged
-// input of any kind — including arbitrary bit flips, which gob cannot
-// always detect — may panic or yield a half-initialized model.
+// model files: truncations, padding, version skew, and headers that disagree
+// with the tensor section must error, and no damaged input of any kind —
+// including arbitrary bit flips, which nothing here can always detect (full
+// integrity is the ckpt package's CRC framing) — may panic, yield a
+// half-initialized model, or make Load allocate from a length the input does
+// not back.
 func TestLoadRejectsDamagedCheckpoints(t *testing.T) {
 	m := NewLM(Config{Vocab: 25, Dim: 5, Hidden: 6, RNN: KindLSTM, Sampled: 4, Seed: 8})
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	good, err := m.Marshal()
+	if err != nil {
 		t.Fatal(err)
 	}
-	good := buf.Bytes()
 
 	tryLoad := func(name string, raw []byte, mustErr bool) {
 		t.Helper()
@@ -112,32 +117,90 @@ func TestLoadRejectsDamagedCheckpoints(t *testing.T) {
 				t.Fatalf("%s: Load panicked: %v", name, r)
 			}
 		}()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
 		lm, err := Load(bytes.NewReader(raw))
+		runtime.ReadMemStats(&m1)
 		if mustErr && err == nil {
 			t.Errorf("%s: Load accepted damaged input", name)
 		}
 		if (lm == nil) == (err == nil) {
 			t.Errorf("%s: Load returned model=%v err=%v", name, lm != nil, err)
 		}
+		// A refused input costs its own bytes (io.ReadAll) plus the gob
+		// machinery, never a tensor sized from a hostile header.
+		if alloc := m1.TotalAlloc - m0.TotalAlloc; err != nil && alloc > uint64(4*len(raw))+1<<20 {
+			t.Errorf("%s: refusing %d bytes allocated %d", name, len(raw), alloc)
+		}
 	}
 
-	for _, n := range []int{0, 1, 7, len(good) / 3, len(good) / 2, len(good) - 1} {
+	// The header is the leading gob value; the tensor section is the rest.
+	var h fileHeader
+	hr := bytes.NewReader(good)
+	if err := gob.NewDecoder(hr).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	tensors := good[len(good)-hr.Len():]
+	if want := 4 * int(paramFloats(m.Cfg)); len(tensors) != want {
+		t.Fatalf("tensor section is %d bytes, want %d", len(tensors), want)
+	}
+	// with re-encodes the file under an edited header, tensors appended.
+	with := func(edit func(*fileHeader), tail []byte) []byte {
+		e := h
+		e.DenseNames = append([]string(nil), h.DenseNames...)
+		e.DenseLens = append([]int(nil), h.DenseLens...)
+		edit(&e)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(e); err != nil {
+			t.Fatal(err)
+		}
+		return append(buf.Bytes(), tail...)
+	}
+	tryLoad("re-encoded header", with(func(*fileHeader) {}, tensors), false)
+	if _, err := Load(bytes.NewReader(with(func(*fileHeader) {}, tensors))); err != nil {
+		t.Fatalf("the unedited re-encoding must load: %v", err)
+	}
+
+	for _, n := range []int{0, 1, 7, len(good) - len(tensors), len(good) / 3, len(good) / 2, len(good) - 4, len(good) - 1} {
 		tryLoad("truncated", good[:n], true)
 	}
+	tryLoad("one byte long", append(append([]byte(nil), good...), 0), true)
+	tryLoad("one tensor long", append(append([]byte(nil), good...), 0, 0, 0, 0), true)
+	for _, n := range []int{1 << 62, 1 << 28, -1, h.DenseLens[0] + 1, h.DenseLens[0] - 1} {
+		tryLoad("dense length", with(func(e *fileHeader) { e.DenseLens[0] = n }, tensors), true)
+	}
+	tryLoad("lengths traded between tensors", with(func(e *fileHeader) { e.DenseLens[0]--; e.DenseLens[1]++ }, tensors), true)
+	tryLoad("a length missing", with(func(e *fileHeader) { e.DenseLens = e.DenseLens[1:] }, tensors), true)
+	tryLoad("names out of order", with(func(e *fileHeader) {
+		e.DenseNames[0], e.DenseNames[1] = e.DenseNames[1], e.DenseNames[0]
+		e.DenseLens[0], e.DenseLens[1] = e.DenseLens[1], e.DenseLens[0]
+	}, tensors), true)
+	tryLoad("duplicate name", with(func(e *fileHeader) { e.DenseNames[1] = e.DenseNames[0] }, tensors), true)
+	tryLoad("unknown name", with(func(e *fileHeader) { e.DenseNames[0] = "a.nobody" }, tensors), true)
+	tryLoad("extra empty tensor", with(func(e *fileHeader) {
+		e.DenseNames, e.DenseLens = append(e.DenseNames, "zzz"), append(e.DenseLens, 0)
+	}, tensors), true)
+	// Configs the tensor section does not bear out, harmless to hostile.
+	for _, edit := range []func(*fileHeader){
+		func(e *fileHeader) { e.Cfg.Vocab++ },
+		func(e *fileHeader) { e.Cfg.Hidden-- },
+		func(e *fileHeader) { e.Cfg.RNN = KindRHN },
+		func(e *fileHeader) { e.Cfg.Vocab = 1 << 40 },
+		func(e *fileHeader) { e.Cfg.Vocab, e.Cfg.Dim = 1<<32, 1<<32 }, // Vocab·Dim overflows to 0
+		func(e *fileHeader) { e.Cfg.Hidden = 1 << 20 },
+		func(e *fileHeader) { e.Cfg.RNN, e.Cfg.RHNDepth = KindRHN, 1<<40 },
+	} {
+		tryLoad("config disagrees with tensors", with(edit, tensors), true)
+	}
+
 	// Version skew: a well-formed future-version file must be refused.
-	var future bytes.Buffer
-	if err := gob.NewEncoder(&future).Encode(checkpointFile{Version: checkpointVersion + 1}); err != nil {
-		t.Fatal(err)
-	}
-	tryLoad("future-version", future.Bytes(), true)
-	var zero bytes.Buffer
-	if err := gob.NewEncoder(&zero).Encode(checkpointFile{Version: 0}); err != nil {
-		t.Fatal(err)
-	}
-	tryLoad("version-zero", zero.Bytes(), true)
-	// Bit flips: gob has no checksum, so a flip may or may not decode — the
-	// contract is only no-panic and no half-state (full-state integrity is
-	// the ckpt package's CRC framing).
+	tryLoad("future-version", with(func(e *fileHeader) { e.Version = checkpointVersion + 1 }, tensors), true)
+	tryLoad("version-zero", with(func(e *fileHeader) { e.Version = 0 }, tensors), true)
+	// A version-3 header over no tensors, and a version-2 header over raw ones.
+	tryLoad("header only", with(func(*fileHeader) {}, nil), true)
+	tryLoad("version 2 with a raw tail", with(func(e *fileHeader) { e.Version = 2 }, tensors), true)
+	// Bit flips: a flip in the header may or may not decode, one in a tensor
+	// always does — the contract is only no-panic and no half-state.
 	for off := 0; off < len(good); off += 13 {
 		raw := append([]byte(nil), good...)
 		raw[off] ^= 0x40
@@ -145,33 +208,182 @@ func TestLoadRejectsDamagedCheckpoints(t *testing.T) {
 	}
 }
 
-// TestLoadAcceptsVersion1Map: files written by the old map-based format
-// must keep loading.
-func TestLoadAcceptsVersion1Map(t *testing.T) {
-	cfg := Config{Vocab: 20, Dim: 4, Hidden: 5, RNN: KindLSTM, Seed: 6}
-	m := NewLM(cfg)
-	m.InEmb.Data[0] = 3.5
-	v1 := checkpointFile{
-		Version: 1,
-		Cfg:     cfg,
-		InEmb:   m.InEmb.Data,
-		OutEmb:  m.OutEmb.Data,
-		Dense:   map[string][]float32{},
-	}
+// The version-1 and version-2 writers, frozen: one gob value with every
+// tensor inside it, as a map (1) or as name-sorted parallel slices (2).
+type fileV1 struct {
+	Version       int
+	Cfg           Config
+	InEmb, OutEmb []float32
+	Dense         map[string][]float32
+}
+
+type fileV2 struct {
+	Version       int
+	Cfg           Config
+	InEmb, OutEmb []float32
+	DenseNames    []string
+	DenseValues   [][]float32
+}
+
+func saveV1(t testing.TB, m *LM) []byte {
+	t.Helper()
+	ck := fileV1{Version: 1, Cfg: m.Cfg, InEmb: m.InEmb.Data, OutEmb: m.OutEmb.Data, Dense: map[string][]float32{}}
 	for _, p := range m.DenseParams() {
-		v1.Dense[p.Name] = p.Value
+		ck.Dense[p.Name] = p.Value
 	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v1); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
-	if err != nil {
+	return buf.Bytes()
+}
+
+func saveV2(t testing.TB, m *LM) []byte {
+	t.Helper()
+	ck := fileV2{Version: 2, Cfg: m.Cfg, InEmb: m.InEmb.Data, OutEmb: m.OutEmb.Data}
+	params := append([]Param(nil), m.DenseParams()...)
+	sort.Slice(params, func(i, j int) bool { return params[i].Name < params[j].Name })
+	for _, p := range params {
+		ck.DenseNames = append(ck.DenseNames, p.Name)
+		ck.DenseValues = append(ck.DenseValues, p.Value)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
 		t.Fatal(err)
 	}
-	if loaded.InEmb.Data[0] != 3.5 {
-		t.Fatal("v1 checkpoint did not restore weights")
+	return buf.Bytes()
+}
+
+// sameWeights fails unless got holds want's configuration and every weight
+// bit for bit.
+func sameWeights(t *testing.T, ctx string, got, want *LM) {
+	t.Helper()
+	if got.Cfg != want.Cfg {
+		t.Fatalf("%s: config %+v, want %+v", ctx, got.Cfg, want.Cfg)
 	}
+	same := func(name string, g, w []float32) {
+		t.Helper()
+		if len(g) != len(w) {
+			t.Fatalf("%s: %s has %d values, want %d", ctx, name, len(g), len(w))
+		}
+		for i := range w {
+			if math.Float32bits(g[i]) != math.Float32bits(w[i]) {
+				t.Fatalf("%s: %s[%d] = %v, want %v", ctx, name, i, g[i], w[i])
+			}
+		}
+	}
+	same("InEmb", got.InEmb.Data, want.InEmb.Data)
+	same("OutEmb", got.OutEmb.Data, want.OutEmb.Data)
+	for i, p := range want.DenseParams() {
+		same(p.Name, got.DenseParams()[i].Value, p.Value)
+	}
+}
+
+// TestLoadAcceptsLegacyFormats: files written by the version-1 (map) and
+// version-2 (sorted slices) gob writers keep loading, to the same weights
+// as the version-3 file of the same model — NaN payloads, signed zeros and
+// denormals included — and a legacy file under a Config its tensors do not
+// fill is refused like a current one.
+func TestLoadAcceptsLegacyFormats(t *testing.T) {
+	for _, cfg := range []Config{
+		{Vocab: 20, Dim: 4, Hidden: 5, RNN: KindLSTM, Sampled: 3, Seed: 6},
+		{Vocab: 12, Dim: 3, Hidden: 4, RNN: KindRHN, RHNDepth: 3, Stateful: true, Dropout: 0.25, Seed: 9},
+	} {
+		m := NewLM(cfg)
+		m.InEmb.Data[0] = 3.5
+		m.OutEmb.Data[1] = float32(math.Copysign(0, -1))
+		v := m.DenseParams()[1].Value
+		v[0], v[1], v[2] = math.Float32frombits(0x7fc00123), 1e-40, float32(math.Inf(-1))
+		for version, raw := range map[int][]byte{1: saveV1(t, m), 2: saveV2(t, m)} {
+			loaded, err := Load(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatalf("version %d: %v", version, err)
+			}
+			sameWeights(t, fmt.Sprintf("version %d", version), loaded, m)
+			if _, err := Load(bytes.NewReader(append(append([]byte(nil), raw...), 0))); err == nil {
+				t.Errorf("version %d: a trailing byte was accepted", version)
+			}
+		}
+		bigger := *m
+		bigger.Cfg.Vocab++
+		if _, err := Load(bytes.NewReader(saveV2(t, &bigger))); err == nil {
+			t.Error("a version-2 file whose config outgrows its tensors was accepted")
+		}
+		cur, err := m.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Unmarshal(cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameWeights(t, "version 3", loaded, m)
+	}
+}
+
+// TestParamFloatsMatchesNewLM pins the closed form Unmarshal checks a file
+// against to what NewLM really builds.
+func TestParamFloatsMatchesNewLM(t *testing.T) {
+	for _, cfg := range []Config{
+		{Vocab: 7, Dim: 3, Hidden: 5, RNN: KindLSTM},
+		{Vocab: 9, Dim: 4, Hidden: 2, RNN: KindLSTM, Sampled: 3},
+		{Vocab: 5, Dim: 2, Hidden: 3, RNN: KindRHN},
+		{Vocab: 5, Dim: 6, Hidden: 4, RNN: KindRHN, RHNDepth: 1},
+		{Vocab: 11, Dim: 3, Hidden: 7, RNN: KindRHN, RHNDepth: 5},
+	} {
+		m := NewLM(cfg)
+		n := len(m.InEmb.Data) + len(m.OutEmb.Data)
+		for _, p := range m.DenseParams() {
+			n += len(p.Value)
+		}
+		if got := paramFloats(cfg); got != float64(n) {
+			t.Errorf("%+v: paramFloats = %.0f, NewLM builds %d", cfg, got, n)
+		}
+	}
+}
+
+// FuzzLoad hammers the model-file parser with arbitrary bytes and mutations
+// of real files of all three versions. Load must never panic, and a model
+// it does return must be whole: it saves, and the save loads back to the
+// same weights.
+func FuzzLoad(f *testing.F) {
+
+	for _, cfg := range []Config{
+		{Vocab: 6, Dim: 2, Hidden: 3, RNN: KindLSTM, Seed: 1},
+		{Vocab: 5, Dim: 2, Hidden: 2, RNN: KindRHN, RHNDepth: 2, Seed: 2},
+	} {
+		m := NewLM(cfg)
+		cur, err := m.Marshal()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(cur)
+		f.Add(cur[:len(cur)-1])
+		f.Add(cur[:len(cur)/2])
+		f.Add(append(append([]byte(nil), cur...), 0, 0, 0, 0))
+		f.Add(saveV1(f, m))
+		f.Add(saveV2(f, m))
+	}
+	f.Add([]byte{})
+	f.Add([]byte("not a checkpoint"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Load(bytes.NewReader(data))
+		if err != nil {
+			if m != nil {
+				t.Fatal("Load returned a model with an error")
+			}
+			return
+		}
+		again, err := m.Marshal()
+		if err != nil {
+			t.Fatalf("accepted model fails to save: %v", err)
+		}
+		back, err := Unmarshal(again)
+		if err != nil {
+			t.Fatalf("re-saved model fails to load: %v", err)
+		}
+		sameWeights(t, "round trip", back, m)
+	})
 }
 
 func TestGenerateDeterministic(t *testing.T) {

@@ -8,7 +8,7 @@ import "zipflm/internal/cpu"
 // CPUID; tests clear it to run the portable loop on the same host.
 var useAdamAsm = cpu.AVX
 
-// adamAVX is adamGo over the first n elements, n a positive multiple of 4.
+// adamAVX is adamGo over the first n elements, n a positive multiple of 8.
 //
 //go:noescape
-func adamAVX(value, grad *float32, m, v *float64, n int, k *adamConsts, lr float32)
+func adamAVX(value, grad, m, v *float32, n int, k *adamConsts, lr float32)

@@ -6,6 +6,6 @@ package optim
 // the portable adamGo.
 var useAdamAsm = false
 
-func adamAVX(value, grad *float32, m, v *float64, n int, k *adamConsts, lr float32) {
+func adamAVX(value, grad, m, v *float32, n int, k *adamConsts, lr float32) {
 	panic("optim: adamAVX unavailable on this architecture")
 }

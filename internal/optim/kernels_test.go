@@ -25,11 +25,15 @@ func same32(x, y float32) bool {
 	return math.Float32bits(x) == math.Float32bits(y) || (x != x && y != y)
 }
 
-func same64(x, y float64) bool {
-	return math.Float64bits(x) == math.Float64bits(y) || (x != x && y != y)
-}
-
 var (
+	// nearMinNormal brackets the flush threshold: what 0.9× or 0.999× carries
+	// from just above 2⁻¹²⁶ to just below it, the threshold itself, its
+	// neighbours one ulp either side, and a denormal a legacy checkpoint
+	// could restore.
+	nearMinNormal = []float32{
+		minNormal, -minNormal, math.Float32frombits(0x00800001), math.Float32frombits(0x007fffff),
+		-math.Float32frombits(0x007fffff), minNormal / 0.9, -minNormal / 0.9, minNormal / 0.999, 1.3e-38, -1.2e-38, 1e-39,
+	}
 	negZero32 = float32(math.Copysign(0, -1))
 	specials  = []float32{
 		0, negZero32, 1e-40, -3e-42, math.SmallestNonzeroFloat32,
@@ -54,7 +58,9 @@ func optimVec(r *rng.RNG, n int, scale float64, special bool) []float32 {
 // bit: parameters and both moments, over several consecutive steps so the
 // moments the kernel wrote are the ones it reads next. Each case starts both
 // optimizers from the same snapshot at step t0 (t0 = 0 also covers v = 0 and
-// the lazily created moments; a large t0 the bias corrections near 1).
+// the lazily created moments; a large t0 the bias corrections near 1); the
+// restored moments include values just above, at and just below the flush
+// threshold 2⁻¹²⁶, of both signs, so one decay step carries them across it.
 // Skipped where the asm does not run.
 func TestAdamAsmMatchesGo(t *testing.T) {
 	if !useAdamAsm {
@@ -69,12 +75,16 @@ func TestAdamAsmMatchesGo(t *testing.T) {
 					ctx := fmt.Sprintf("n=%d wd=%v t0=%d special=%v", n, wd, t0, special)
 					value := optimVec(r, n, 1, special)
 					start := State{Kind: "adam", T: t0, Names: []string{"p"},
-						M: [][]float64{make([]float64, n)}, V: [][]float64{make([]float64, n)}}
+						M: [][]float32{make([]float32, n)}, V: [][]float32{make([]float32, n)}}
 					if t0 > 0 {
 						for i := 0; i < n; i++ {
-							start.M[0][i] = r.NormFloat64() * 1e-3
+							start.M[0][i] = float32(r.NormFloat64() * 1e-3)
 							if r.Intn(4) > 0 { // keep some v exactly 0 under a nonzero m
-								start.V[0][i] = r.Float64() * 1e-6
+								start.V[0][i] = float32(r.Float64() * 1e-6)
+							}
+							if r.Intn(4) == 0 {
+								start.M[0][i] = nearMinNormal[r.Intn(len(nearMinNormal))]
+								start.V[0][i] = nearMinNormal[r.Intn(len(nearMinNormal))]
 							}
 						}
 					}
@@ -93,6 +103,11 @@ func TestAdamAsmMatchesGo(t *testing.T) {
 					}
 					for step := 0; step < 3; step++ {
 						grad := optimVec(r, n, 0.05, special)
+						for i := range grad {
+							if r.Intn(3) == 0 { // let the threshold moments decay untouched
+								grad[i] = 0
+							}
+						}
 						lr := float32(1e-3 * (1 + r.Float64()))
 						for i, s := range sides {
 							p := []model.Param{{Name: "p", Value: s.value, Grad: append([]float32(nil), grad...)}}
@@ -104,7 +119,7 @@ func TestAdamAsmMatchesGo(t *testing.T) {
 								t.Fatalf("%s step %d: value[%d] (g=%v): asm %v (%#08x) != go %v (%#08x)", ctx, step, i, grad[i],
 									asm.value[i], math.Float32bits(asm.value[i]), ref.value[i], math.Float32bits(ref.value[i]))
 							}
-							if !same64(asm.a.m["p"][i], ref.a.m["p"][i]) || !same64(asm.a.v["p"][i], ref.a.v["p"][i]) {
+							if !same32(asm.a.m["p"][i], ref.a.m["p"][i]) || !same32(asm.a.v["p"][i], ref.a.v["p"][i]) {
 								t.Fatalf("%s step %d: moments[%d] (g=%v): asm m=%v v=%v != go m=%v v=%v", ctx, step, i, grad[i],
 									asm.a.m["p"][i], asm.a.v["p"][i], ref.a.m["p"][i], ref.a.v["p"][i])
 							}
@@ -123,7 +138,7 @@ func TestAdamStepBounds(t *testing.T) {
 		withAdamAsm(asm, func() {
 			a := NewAdam(0)
 			if err := a.Restore(State{Kind: "adam", T: 1, Names: []string{"p"},
-				M: [][]float64{make([]float64, 6)}, V: [][]float64{make([]float64, 6)}}); err != nil {
+				M: [][]float32{make([]float32, 6)}, V: [][]float32{make([]float32, 6)}}); err != nil {
 				t.Fatal(err)
 			}
 			defer func() {

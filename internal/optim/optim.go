@@ -9,6 +9,12 @@
 // There is no loss scaler here: the trainer never scales a loss. §III-C's
 // compression-scaling is applied where the precision is lost, on the wire
 // (half.Scaler).
+//
+// Optimizer state lives at the parameters' precision: Adam's moments are
+// float32 like the weights and gradients beside them (8 bytes of state per
+// dense parameter, not 16), and its arithmetic is this package's own
+// definition — adamGo, with an AVX twin held to it bit for bit and the
+// float64 loop it replaced kept in oracle_test.go to measure it against.
 package optim
 
 import (
@@ -38,9 +44,9 @@ type State struct {
 	// T is Adam's global step count (bias correction position).
 	T int
 	// Names are the parameter names, sorted; M and V are the first and
-	// second moments in the same order.
+	// second moments in the same order, at the parameters' precision.
 	Names []string
-	M, V  [][]float64
+	M, V  [][]float32
 }
 
 // Snapshotter is implemented by optimizers whose internal state must
@@ -72,8 +78,8 @@ func (a *Adam) Snapshot() State {
 	}
 	sort.Strings(st.Names)
 	for _, name := range st.Names {
-		st.M = append(st.M, append([]float64(nil), a.m[name]...))
-		st.V = append(st.V, append([]float64(nil), a.v[name]...))
+		st.M = append(st.M, append([]float32(nil), a.m[name]...))
+		st.V = append(st.V, append([]float32(nil), a.v[name]...))
 	}
 	return st
 }
@@ -88,14 +94,14 @@ func (a *Adam) Restore(s State) error {
 			len(s.Names), len(s.M), len(s.V))
 	}
 	a.t = s.T
-	a.m = make(map[string][]float64, len(s.Names))
-	a.v = make(map[string][]float64, len(s.Names))
+	a.m = make(map[string][]float32, len(s.Names))
+	a.v = make(map[string][]float32, len(s.Names))
 	for i, name := range s.Names {
 		if len(s.M[i]) != len(s.V[i]) {
 			return fmt.Errorf("optim: Adam state for %q has mismatched moment lengths", name)
 		}
-		a.m[name] = append([]float64(nil), s.M[i]...)
-		a.v[name] = append([]float64(nil), s.V[i]...)
+		a.m[name] = append([]float32(nil), s.M[i]...)
+		a.v[name] = append([]float32(nil), s.V[i]...)
 	}
 	return nil
 }
@@ -115,14 +121,24 @@ func (SGD) Step(params []model.Param, lr float32) {
 
 // Adam implements Adam with decoupled weight decay (AdamW-style), the
 // char-LM optimizer (§IV-B: "we use Adam with weight decay and dropout").
+//
+// The moments are float32, the precision of the weights and gradients they
+// sit beside, and adamGo below is the definition of a step: every operation
+// rounded to float32 on its own, the two bias corrections applied as
+// reciprocals computed once per step, one square root and one divide per
+// element. A moment that decays below the smallest normal float32 is stored
+// as +0: without that rule a parameter whose gradient stays exactly zero (a
+// dead unit; most coordinates under top-k compression) decays m into the
+// denormal range, where 0.9 × the smallest denormal rounds back to itself —
+// m never reaches zero and every later step pays the denormal penalty on it.
 type Adam struct {
 	Beta1, Beta2 float64
 	Eps          float64
 	WeightDecay  float64
 
 	t int
-	m map[string][]float64
-	v map[string][]float64
+	m map[string][]float32
+	v map[string][]float32
 }
 
 // NewAdam returns an Adam optimizer with the standard moment coefficients.
@@ -130,37 +146,40 @@ func NewAdam(weightDecay float64) *Adam {
 	return &Adam{
 		Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
 		WeightDecay: weightDecay,
-		m:           make(map[string][]float64),
-		v:           make(map[string][]float64),
+		m:           make(map[string][]float32),
+		v:           make(map[string][]float32),
 	}
 }
 
 // adamConsts are one step's loop invariants, in the order adamAVX loads them.
 type adamConsts struct {
-	beta1, omb1, beta2, omb2 float64 // omb = one minus beta
-	bc1, bc2                 float64 // bias corrections 1-beta^t
-	eps, wd                  float64
+	beta1, omb1, beta2, omb2 float32 // omb = one minus beta
+	r1, r2                   float32 // reciprocal bias corrections 1/(1-beta^t)
+	eps, wd                  float32
 }
+
+// minNormal is 2⁻¹²⁶, the smallest normal float32: the flush threshold.
+const minNormal = 0x1p-126
 
 // Step implements Optimizer.
 func (a *Adam) Step(params []model.Param, lr float32) {
 	a.t++
 	k := adamConsts{
-		a.Beta1, 1 - a.Beta1, a.Beta2, 1 - a.Beta2,
-		1 - math.Pow(a.Beta1, float64(a.t)), 1 - math.Pow(a.Beta2, float64(a.t)),
-		a.Eps, a.WeightDecay,
+		float32(a.Beta1), float32(1 - a.Beta1), float32(a.Beta2), float32(1 - a.Beta2),
+		float32(1 / (1 - math.Pow(a.Beta1, float64(a.t)))), float32(1 / (1 - math.Pow(a.Beta2, float64(a.t)))),
+		float32(a.Eps), float32(a.WeightDecay),
 	}
 	for _, p := range params {
 		m := a.m[p.Name]
 		if m == nil {
-			m = make([]float64, len(p.Value))
+			m = make([]float32, len(p.Value))
 			a.m[p.Name] = m
-			a.v[p.Name] = make([]float64, len(p.Value))
+			a.v[p.Name] = make([]float32, len(p.Value))
 		}
 		v := a.v[p.Name]
 		n := 0
-		if useAdamAsm && len(p.Grad) >= 4 {
-			n = len(p.Grad) &^ 3
+		if useAdamAsm && len(p.Grad) >= 8 {
+			n = len(p.Grad) &^ 7
 			_, _, _ = p.Value[n-1], m[n-1], v[n-1]
 			adamAVX(&p.Value[0], &p.Grad[0], &m[0], &v[0], n, &k, lr)
 		}
@@ -169,17 +188,30 @@ func (a *Adam) Step(params []model.Param, lr float32) {
 }
 
 // adamGo is the portable Adam kernel and the definition the AVX kernel is
-// held to; it also finishes the last len(grad)%4 elements after it.
-func adamGo(value, grad []float32, m, v []float64, k *adamConsts, lr float32) {
-	for i, g32 := range grad {
-		g := float64(g32)
-		m[i] = k.beta1*m[i] + k.omb1*g
-		v[i] = k.beta2*v[i] + k.omb2*g*g
-		mHat := m[i] / k.bc1
-		vHat := v[i] / k.bc2
-		upd := mHat/(math.Sqrt(vHat)+k.eps) + k.wd*float64(value[i])
-		value[i] -= lr * float32(upd)
+// held to; it also finishes the last len(grad)%8 elements after it. Each
+// product is converted explicitly, so no compiler may fuse it into the add
+// that follows, and float32(math.Sqrt(float64(x))) is the correctly rounded
+// float32 square root.
+func adamGo(value, grad, m, v []float32, k *adamConsts, lr float32) {
+	for i, g := range grad {
+		mi := flush(float32(k.beta1*m[i]) + float32(k.omb1*g))
+		vi := flush(float32(k.beta2*v[i]) + float32(float32(k.omb2*g)*g))
+		m[i], v[i] = mi, vi
+		den := float32(math.Sqrt(float64(float32(vi*k.r2)))) + k.eps
+		upd := float32(float32(mi*k.r1)/den) + float32(k.wd*value[i])
+		value[i] -= float32(lr * upd)
 	}
+}
+
+// flush returns +0 for a magnitude below the smallest normal float32 and x
+// otherwise (NaN included). The test is on the bits so that it is one branch
+// that almost never goes the other way; comparing x with ±2⁻¹²⁶ would branch
+// on the sign of every moment.
+func flush(x float32) float32 {
+	if math.Float32bits(x)&0x7fffffff < math.Float32bits(minNormal) {
+		return 0
+	}
+	return x
 }
 
 // Schedule is the paper's learning-rate policy: a base rate for the 8-GPU

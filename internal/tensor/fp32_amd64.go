@@ -30,3 +30,9 @@ func dotRows1AVX(dst *float32, n int, a, b *float32, k int)
 
 //go:noescape
 func dotRows2AVX(dst0, dst1 *float32, n int, a0, a1, b *float32, k int)
+
+// allFiniteAVX is allFiniteGo over the first n elements, n a positive
+// multiple of 8; the Go loop finishes the rest.
+//
+//go:noescape
+func allFiniteAVX(x *float32, n int) bool

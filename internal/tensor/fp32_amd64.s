@@ -557,3 +557,50 @@ d2col1done:
 d2ret:
 	VZEROUPPER
 	RET
+
+// The exponent field of a float32, which is also the bit pattern of +Inf.
+DATA expMask<>+0(SB)/4, $0x7f800000
+GLOBL expMask<>(SB), RODATA|NOPTR, $4
+
+// NONFINITE8(off, t, acc): acc |= all-ones in each lane of x[off:off+8] whose
+// exponent field is all ones (±Inf, NaN). x AND the mask is ±0, a power of two
+// or +Inf — never a NaN or a denormal — so the compare is exact and cheap.
+#define NONFINITE8(off, t, acc) \
+	VANDPS	off(SI), Y15, t; \
+	VCMPPS	$0, Y15, t, t; \
+	VORPS	t, acc, acc
+
+// func allFiniteAVX(x *float32, n int) bool
+//
+// allFiniteGo over n elements, n a positive multiple of 8. A predicate: it
+// returns the boolean the Go loop returns, by a different test.
+TEXT ·allFiniteAVX(SB), NOSPLIT, $0-17
+	MOVQ	x+0(FP), SI
+	MOVQ	n+8(FP), CX
+	VBROADCASTSS	expMask<>(SB), Y15
+	VXORPS	Y0, Y0, Y0
+	VXORPS	Y1, Y1, Y1
+fin32:
+	CMPQ	CX, $32
+	JL	fin8
+	NONFINITE8(0, Y2, Y0)
+	NONFINITE8(32, Y3, Y1)
+	NONFINITE8(64, Y4, Y0)
+	NONFINITE8(96, Y5, Y1)
+	ADDQ	$128, SI
+	SUBQ	$32, CX
+	JMP	fin32
+fin8:
+	TESTQ	CX, CX
+	JLE	finDone
+	NONFINITE8(0, Y2, Y0)
+	ADDQ	$32, SI
+	SUBQ	$8, CX
+	JMP	fin8
+finDone:
+	VORPS	Y1, Y0, Y0
+	VMOVMSKPS	Y0, AX
+	TESTL	AX, AX
+	SETEQ	ret+16(FP)
+	VZEROUPPER
+	RET

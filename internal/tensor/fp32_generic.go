@@ -27,3 +27,7 @@ func dotRows1AVX(dst *float32, n int, a, b *float32, k int) {
 func dotRows2AVX(dst0, dst1 *float32, n int, a0, a1, b *float32, k int) {
 	panic("tensor: dotRows2AVX unavailable on this architecture")
 }
+
+func allFiniteAVX(x *float32, n int) bool {
+	panic("tensor: allFiniteAVX unavailable on this architecture")
+}

@@ -89,6 +89,42 @@ func (g guarded) check(t *testing.T, ctx string) {
 	}
 }
 
+// TestAllFiniteAsmMatchesGo holds the vector finiteness scan to the portable
+// one: every length 0…70 (every block width, its neighbours and each tail),
+// aligned and not, all finite and with each special — the three that are not
+// finite and the finite values closest to them in the bits — at each position.
+// Skipped where the asm does not run.
+func TestAllFiniteAsmMatchesGo(t *testing.T) {
+	if !useFP32Asm {
+		t.Skip("no AVX FP32 kernels on this build or host")
+	}
+	r := rng.New(73)
+	specials := []float32{
+		float32(math.NaN()), -float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(0x7f800001), // a signalling NaN: exponent all ones, lowest mantissa bit
+		1e-40, -math.SmallestNonzeroFloat32, math.MaxFloat32, -math.MaxFloat32, float32(math.Copysign(0, -1)),
+	}
+	for n := 0; n <= 70; n++ {
+		for _, off := range []int{0, 1, 3} {
+			x := fp32Vec(r, n, off, false)
+			if got, want := allFinite(x), allFiniteGo(x); got != want || !want {
+				t.Fatalf("n=%d off=%d finite: asm %v, go %v, want true", n, off, got, want)
+			}
+			for pos := 0; pos < n; pos++ {
+				for _, v := range specials {
+					keep := x[pos]
+					x[pos] = v
+					finite := !math.IsNaN(float64(v)) && !math.IsInf(float64(v), 0)
+					if got, want := allFinite(x), allFiniteGo(x); got != want || want != finite {
+						t.Fatalf("n=%d off=%d x[%d]=%v (%#08x): asm %v, go %v, want %v", n, off, pos, v, math.Float32bits(v), got, want, finite)
+					}
+					x[pos] = keep
+				}
+			}
+		}
+	}
+}
+
 // TestFP32AsmMatchesGo holds each AVX kernel to its portable twin bit for
 // bit. Every other bit-identity suite in the repository (Serial vs Parallel,
 // resume, served vs sequential) runs the same kernel on both sides, so a

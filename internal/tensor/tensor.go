@@ -218,11 +218,25 @@ func matMulATBAccRange(dst, a, b *Matrix, s span) {
 	}
 }
 
-// allFinite reports whether every element is finite (no NaN or ±Inf). The
-// trick: v−v is ±0 for finite v and NaN otherwise, and a sum of signed
-// zeros compares equal to 0 while any NaN poisons it — one branch for the
-// whole slice.
+// allFinite reports whether every element is finite (no NaN or ±Inf). It is
+// the scan mulAddRows runs over a whole b row for every zero multiplier, so
+// whole blocks of eight go to the vector kernel; being a predicate, any
+// implementation that returns allFiniteGo's boolean changes no bit.
 func allFinite(x []float32) bool {
+	if useFP32Asm && len(x) >= 8 {
+		n := len(x) &^ 7
+		if !allFiniteAVX(&x[0], n) {
+			return false
+		}
+		x = x[n:]
+	}
+	return allFiniteGo(x)
+}
+
+// allFiniteGo is the portable scan and the definition. The trick: v−v is ±0
+// for finite v and NaN otherwise, and a sum of signed zeros compares equal to
+// 0 while any NaN poisons it — one branch for the whole slice.
+func allFiniteGo(x []float32) bool {
 	var s0, s1, s2, s3 float32
 	n := len(x) &^ 3
 	for i := 0; i < n; i += 4 {

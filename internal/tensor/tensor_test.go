@@ -299,3 +299,26 @@ func BenchmarkScatterAdd(b *testing.B) {
 		ScatterAddRows(dst, src, idx)
 	}
 }
+
+// TestFloat32BytesRoundTrip: PutFloat32s writes each element's bits least
+// significant byte first and GetFloat32s reads them back exactly, NaN payloads
+// and signed zeros included.
+func TestFloat32BytesRoundTrip(t *testing.T) {
+	src := []float32{1, -2.5, 0, float32(math.Copysign(0, -1)), math.MaxFloat32, 1e-40,
+		float32(math.Inf(-1)), math.Float32frombits(0x7fc00123), math.Float32frombits(0xff800001)}
+	b := make([]byte, 4*len(src)+3)
+	PutFloat32s(b, src)
+	if b[0] != 0 || b[1] != 0 || b[2] != 0x80 || b[3] != 0x3f { // 1.0 = 0x3f800000
+		t.Fatalf("1.0 encoded as % x, want 00 00 80 3f", b[:4])
+	}
+	if b[len(b)-1] != 0 || b[len(b)-3] != 0 {
+		t.Fatal("PutFloat32s wrote past 4·len(src) bytes")
+	}
+	got := make([]float32, len(src))
+	GetFloat32s(got, b)
+	for i := range src {
+		if math.Float32bits(got[i]) != math.Float32bits(src[i]) {
+			t.Fatalf("element %d: %#08x came back as %#08x", i, math.Float32bits(src[i]), math.Float32bits(got[i]))
+		}
+	}
+}

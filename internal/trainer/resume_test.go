@@ -1,7 +1,19 @@
 package trainer
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"fmt"
+	"hash/crc32"
+	"io"
+	stdlog "log"
+	"log/slog"
+	"math"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"zipflm/internal/ckpt"
@@ -9,6 +21,8 @@ import (
 	"zipflm/internal/compress"
 	"zipflm/internal/core"
 	"zipflm/internal/half"
+	"zipflm/internal/israce"
+	"zipflm/internal/model"
 	"zipflm/internal/optim"
 	"zipflm/internal/perfmodel"
 	"zipflm/internal/sampling"
@@ -172,6 +186,130 @@ func TestResumeWithDropoutAndStatefulRNN(t *testing.T) {
 	assertResumeBitIdentical(t, cfg, train, valid, 7)
 }
 
+// rewriteAsFrameV2 replaces the checkpoint at path with the same state in the
+// version-2 frame (a frozen copy of that writer): one gob value with every
+// tensor inside and the Adam moments as float64.
+func rewriteAsFrameV2(t *testing.T, path string) {
+	t.Helper()
+	st, err := ckpt.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type optV2 struct {
+		Kind  string
+		T     int
+		Names []string
+		M, V  [][]float64
+	}
+	widen := func(xs [][]float32) (out [][]float64) {
+		for _, x := range xs {
+			w := make([]float64, len(x))
+			for i, f := range x {
+				w[i] = float64(f) * (1 + 0x1p-30) // between two float32s, as a float64 run leaves it
+			}
+			out = append(out, w)
+		}
+		return out
+	}
+	v2 := struct {
+		Step       int
+		LR         float64
+		NextDecay  int
+		Ranks      int
+		ModelBytes []byte
+		Opt        optV2
+		RNG        [][4]uint64
+		RNN        []model.CarriedState
+		Compress   []compress.EngineState
+	}{st.Step, st.LR, st.NextDecay, st.Ranks, st.ModelBytes,
+		optV2{st.Opt.Kind, st.Opt.T, st.Opt.Names, widen(st.Opt.M), widen(st.Opt.V)},
+		st.RNG, st.RNN, st.Compress}
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(v2); err != nil {
+		t.Fatal(err)
+	}
+	out := []byte{'Z', 'L', 'M', 'C', 'K', 'P', 'T', 0}
+	out = binary.LittleEndian.AppendUint32(out, 2)
+	out = binary.LittleEndian.AppendUint64(out, uint64(payload.Len()))
+	out = append(out, payload.Bytes()...)
+	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResumeFromLegacyFrameWarnsOnceAboutAdam: a directory written before
+// format 3 still resumes. Under Adam its float64 moments were rounded on the
+// way in, which is the one case where a resumed run is not the run that was
+// interrupted, so Resume says so — one warning, and none for an SGD run or a
+// current checkpoint — and training carries on to a finite loss.
+func TestResumeFromLegacyFrameWarnsOnceAboutAdam(t *testing.T) {
+	train, valid := smallData(60, 800, 4)
+	for _, c := range []struct {
+		name         string
+		adam, legacy bool
+		warnings     int
+	}{{"adam-v2", true, true, 1}, {"adam-v3", true, false, 0}, {"sgd-v2", false, true, 0}} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := smallConfig(2, core.UniqueExchange{})
+			cfg.Model.Stateful = true
+			cfg.Compress = &compress.Config{Method: compress.MethodTopK, Ratio: 0.05, Momentum: 0.9, MinElems: 1}
+			if c.adam {
+				cfg.NewOptimizer = func() optim.Optimizer { return optim.NewAdam(1e-5) }
+			}
+			cfg.CheckpointEvery = 5
+			cfg.CheckpointDir = t.TempDir()
+			first, err := New(cfg, train, valid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := first.Steps(5); err != nil {
+				t.Fatal(err)
+			}
+			if c.legacy {
+				rewriteAsFrameV2(t, filepath.Join(cfg.CheckpointDir, fmt.Sprintf("step-%012d.ckpt", 5)))
+			}
+
+			// SetDefault also points package log at the new handler and does
+			// not undo that when the old default comes back.
+			var logged bytes.Buffer
+			defer func(l *slog.Logger, w io.Writer, flags int) {
+				slog.SetDefault(l)
+				stdlog.SetOutput(w)
+				stdlog.SetFlags(flags)
+			}(slog.Default(), stdlog.Writer(), stdlog.Flags())
+			slog.SetDefault(slog.New(slog.NewTextHandler(&logged, nil)))
+			resumed, err := Resume(cfg, cfg.CheckpointDir, train, valid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := strings.Count(logged.String(), "rounded to float32"); got != c.warnings || strings.Count(logged.String(), "\n") != c.warnings {
+				t.Errorf("Resume logged %d rounding warnings, want %d; log:\n%s", got, c.warnings, logged.String())
+			}
+			if resumed.Step() != 5 {
+				t.Fatalf("resumed at step %d, want 5", resumed.Step())
+			}
+			if err := resumed.Steps(5); err != nil {
+				t.Fatal(err)
+			}
+			if err := resumed.ReplicasInSync(); err != nil {
+				t.Fatal(err)
+			}
+			if loss := resumed.Validate(); math.IsNaN(loss) || math.IsInf(loss, 0) {
+				t.Fatalf("validation loss after resuming: %v", loss)
+			}
+			if !c.adam {
+				// Nothing in an SGD checkpoint was float64: the legacy frame
+				// resumes to the very run that wrote it.
+				if err := first.Steps(5); err != nil {
+					t.Fatal(err)
+				}
+				requireIdenticalModels(t, "sgd resume from a version-2 frame", first.Model(0), resumed.Model(0))
+			}
+		})
+	}
+}
+
 // TestResumeRejectsMismatchedConfig: a checkpoint must refuse to restore
 // into a trainer whose model or cluster shape differs.
 func TestResumeRejectsMismatchedConfig(t *testing.T) {
@@ -300,5 +438,82 @@ func TestFaultsRequireHardware(t *testing.T) {
 	cfg.Faults = ckpt.NewFaultPlan([]ckpt.Fault{{Time: 1, Rank: 0}})
 	if _, err := New(cfg, train, valid); err == nil {
 		t.Fatal("Faults without Hardware must be rejected")
+	}
+}
+
+// TestCheckpointAllocBound pins the copies a checkpoint makes, on the two
+// shapes the repository benchmark trains (word LM under SGD, char LM under
+// Adam): one CaptureState + Dir.Save allocates at most twice the file it
+// writes — the floor is once, the detached snapshot State.ModelBytes plus
+// the moments; the gob frames stood at 8× — and Dir.Latest at most 2.5× (the
+// file, plus the tensors decoded out of it).
+func TestCheckpointAllocBound(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation accounting is meaningless under -race")
+	}
+	for _, c := range []struct {
+		name  string
+		model model.Config
+		adam  bool
+	}{
+		{"train_word", model.Config{Vocab: 10000, Dim: 64, Hidden: 128, RNN: model.KindLSTM, Sampled: 128}, false},
+		{"train_char_comm", model.Config{Vocab: 98, Dim: 32, Hidden: 256, RNN: model.KindRHN, RHNDepth: 3}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			train, valid := smallData(c.model.Vocab, 3000, 5)
+			cfg := smallConfig(2, core.UniqueExchange{})
+			cfg.Model = c.model
+			if c.adam {
+				cfg.NewOptimizer = func() optim.Optimizer { return optim.NewAdam(1e-5) }
+			}
+			tr, err := New(cfg, train, valid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Steps(1); err != nil { // Adam's moments exist from the first step
+				t.Fatal(err)
+			}
+			dir, err := ckpt.NewDir(t.TempDir(), 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocated := func(fn func()) float64 {
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				fn()
+				runtime.ReadMemStats(&m1)
+				return float64(m1.TotalAlloc - m0.TotalAlloc)
+			}
+			var path string
+			saved := allocated(func() {
+				st, err := tr.CaptureState()
+				if err == nil {
+					path, err = dir.Save(st)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			file := float64(fi.Size())
+			if ratio := saved / file; ratio > 2 {
+				t.Errorf("capture + save allocated %.2f× the %.0f-byte file, bound 2×", ratio, file)
+			} else {
+				t.Logf("capture + save allocated %.2f× the %.0f-byte file", ratio, file)
+			}
+			loaded := allocated(func() {
+				if _, err := dir.Latest(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if ratio := loaded / file; ratio > 2.5 {
+				t.Errorf("Latest allocated %.2f× the %.0f-byte file, bound 2.5×", ratio, file)
+			} else {
+				t.Logf("Latest allocated %.2f× the file", ratio)
+			}
+		})
 	}
 }

@@ -20,7 +20,6 @@
 package trainer
 
 import (
-	"bytes"
 	"fmt"
 	"log/slog"
 	"math"
@@ -451,7 +450,9 @@ func New(cfg Config, train, valid []int) (*Trainer, error) {
 // the given directory (written by a previous run with
 // Config.CheckpointDir). The token streams and configuration must match
 // the checkpointing run's for the resumed trajectory to be bit-identical
-// to an uninterrupted one.
+// to an uninterrupted one. The one exception is logged: a checkpoint from
+// before format 3 kept float64 Adam moments, which decoding rounded to
+// float32.
 func Resume(cfg Config, dir string, train, valid []int) (*Trainer, error) {
 	d, err := ckpt.NewDir(dir, cfg.CheckpointKeepLast, cfg.CheckpointKeepEvery)
 	if err != nil {
@@ -468,6 +469,10 @@ func Resume(cfg Config, dir string, train, valid []int) (*Trainer, error) {
 	if err := t.RestoreState(st); err != nil {
 		return nil, err
 	}
+	if st.RoundedMoments() {
+		slog.Warn("checkpoint predates format 3: its float64 Adam moments were rounded to float32, so the resumed run is not bit-identical to the one that wrote it",
+			"dir", dir, "step", st.Step)
+	}
 	return t, nil
 }
 
@@ -477,8 +482,8 @@ func Resume(cfg Config, dir string, train, valid []int) (*Trainer, error) {
 // asserts), RNG streams and carried recurrent state per rank, and the
 // step/LR-schedule position. The capture is read-only.
 func (t *Trainer) CaptureState() (*ckpt.State, error) {
-	var mb bytes.Buffer
-	if err := t.models[0].Save(&mb); err != nil {
+	mb, err := t.models[0].Marshal()
+	if err != nil {
 		return nil, fmt.Errorf("trainer: checkpoint: %w", err)
 	}
 	st := &ckpt.State{
@@ -486,7 +491,7 @@ func (t *Trainer) CaptureState() (*ckpt.State, error) {
 		LR:         t.lr,
 		NextDecay:  t.nextDecay,
 		Ranks:      t.cfg.Ranks,
-		ModelBytes: mb.Bytes(),
+		ModelBytes: mb,
 	}
 	if sn, ok := t.opts[0].(optim.Snapshotter); ok {
 		st.Opt = sn.Snapshot()

@@ -14,9 +14,9 @@
 // production stacks the paper measures against:
 //
 //   - The ring all-reduce is zero-copy and allocation-free at steady state:
-//     each hop sends the chunk subslice itself over a channel, and a
-//     closing barrier keeps a rank from rewriting its buffer while a
-//     peer's in-flight hop still aliases it. Blackboard buffers for
+//     each hop is one message — the sender's list of tensors, whose
+//     chunks the receiver reads in place — and a closing barrier keeps a
+//     rank from rewriting its buffers while a peer's hop still reads them. Blackboard buffers for
 //     gathers and broadcasts come from a communicator-wide sync.Pool arena
 //     and are recycled across steps. testing.AllocsPerRun guards both
 //     paths against regression.
@@ -27,9 +27,10 @@
 //     (fused ring all-reduce, compressed all-reduce, gathers) can run
 //     there concurrently with the primary lane, already priced, traced and
 //     counted. Comm.AllReduceParts reduces a list of tensors in one ring
-//     pass, chunking each member with exactly the single-tensor bounds, so
-//     reduced values and Stats byte accounting are bit-identical to
-//     per-tensor AllReduce calls — asserted by the tests.
+//     pass — 2·(G−1) messages however long the list — chunking each member
+//     with exactly the single-tensor bounds, so reduced values and Stats
+//     byte accounting are bit-identical to per-tensor AllReduce calls —
+//     asserted by the tests.
 //
 //   - trainer.Config.Overlap is those two put together: the trainer has
 //     one dense-gradient function, and in overlap mode a per-rank worker

@@ -61,31 +61,40 @@ func skipIfRace(t *testing.T) {
 }
 
 // TestAllReduceZeroAllocSteadyState is the allocation-regression guard on
-// the pooled ring path: once the hop-buffer arena is warm, a full ring
-// all-reduce across all ranks performs zero heap allocations. A future PR
-// reintroducing per-hop payload allocation fails here immediately.
+// the ring path: a full ring all-reduce across all ranks performs zero heap
+// allocations, with one tensor (whose part list the lane owns) and with a
+// caller-owned list of seventeen. A future PR reintroducing per-hop payload
+// allocation, or a part list that escapes per call, fails here immediately.
 func TestAllReduceZeroAllocSteadyState(t *testing.T) {
 	skipIfRace(t)
 	for _, wire := range []Wire{nil, half.NewScaler(256)} {
 		g := 4
 		c := New(g)
 		xs := make([][]float32, g)
+		lists := make([][][]float32, g)
 		for r := range xs {
 			xs[r] = make([]float32, 1000)
 			for i := range xs[r] {
 				xs[r][i] = float32(r + i)
 			}
+			for n := 0; n < 17; n++ {
+				lists[r] = append(lists[r], make([]float32, 10*n))
+			}
 		}
-		h := newAllocHarness(g, func(rank int) {
-			c.AllReduce(rank, xs[rank], wire)
-		})
-		for i := 0; i < 3; i++ {
-			h.round() // warm the arena
+		ops := map[string]func(rank int){
+			"AllReduce":                func(rank int) { c.AllReduce(rank, xs[rank], wire) },
+			"AllReduceParts(17 parts)": func(rank int) { c.AllReduceParts(rank, lists[rank], wire) },
 		}
-		allocs := testing.AllocsPerRun(20, h.round)
-		h.close()
-		if allocs != 0 {
-			t.Errorf("wire=%v: AllReduce ring path allocates %.1f objects per round, want 0", wire != nil, allocs)
+		for name, op := range ops {
+			h := newAllocHarness(g, op)
+			for i := 0; i < 3; i++ {
+				h.round() // warm the arena
+			}
+			allocs := testing.AllocsPerRun(20, h.round)
+			h.close()
+			if allocs != 0 {
+				t.Errorf("wire=%v: %s ring path allocates %.1f objects per round, want 0", wire != nil, name, allocs)
+			}
 		}
 	}
 }

@@ -10,12 +10,15 @@
 // Per-rank traffic is therefore the real 2·(G−1)/G·bytes of the algorithm,
 // measured, not modeled.
 //
-// The ring path is zero-copy and zero-allocation: each hop sends the chunk
-// subslice itself over the channel (the ring's dependency chain guarantees
-// the sender never rewrites a chunk before its receiver has consumed it),
-// so there is no payload staging at all, guarded by testing.AllocsPerRun
-// in the tests. Blackboard stash buffers for the gather/broadcast paths
-// come from a sync.Pool arena and are recycled across operations.
+// A hop is one message whatever the call carries: the sender hands over the
+// list of tensors being reduced (AllReduce is the list of one) and the
+// receiver reads the hop's chunk of each where it lies, so the ring pays its
+// latency — here a goroutine rendezvous — 2·(G−1) times per call, not per
+// tensor, as the cost model charges it. The path is zero-copy and
+// zero-allocation (a sender never rewrites a chunk before its receiver has
+// consumed it; see ringAllReduce), guarded by testing.AllocsPerRun. Blackboard
+// stash buffers for the gather/broadcast paths come from a sync.Pool arena
+// and are recycled across operations.
 //
 // Gathers use a shared blackboard with two barriers; their per-rank traffic
 // is accounted with the standard ring-allgather volume (G−1)/G·G·bytes.
@@ -29,9 +32,10 @@
 // the rank goroutines keep backpropagating and run the sparse exchange on
 // the primary).
 //
-// Every operation optionally runs with FP16 wire compression (§III-C): the
-// payload is down-cast before each hop and up-cast after, halving measured
-// wire bytes and applying real FP16 rounding to the values.
+// Every operation optionally runs with a lossy Wire — FP16 (§III-C) or
+// 8-bit quantization: the payload crosses it once per hop, shrinking
+// measured wire bytes and applying the format's real rounding to the values
+// (on the receiver as it accumulates for an AddRounder, else on the sender).
 package collective
 
 import (
@@ -50,15 +54,34 @@ import (
 // stochastic quantization) both implement it; a nil Wire keeps FP32 on the
 // wire.
 //
+// A rank's Wire is called by that rank's goroutine only, on what the rank
+// puts on the wire: the chunk a scatter-reduce hop forwards, the reduced
+// chunk it owns, a gather's stash. A Wire may carry state (a stochastic
+// rounding stream), so which rank rounds, in which order, is part of the
+// result.
+//
 // Callers must pass a nil interface — not a typed nil pointer wrapped in the
 // interface — to mean "no compression".
 type Wire interface {
 	// RoundTrip applies one wire crossing to x in place: compress, then
-	// decompress. It must be deterministic for a given receiver state.
+	// decompress. It must be deterministic given the wire's own state and
+	// the sequence of calls made on it so far.
 	RoundTrip(x []float32)
 	// WireBytes reports how many bytes n elements occupy on the wire,
 	// including any side data (scales, headers) the format carries.
 	WireBytes(n int) int
+}
+
+// AddRounder is optionally implemented by a Wire whose RoundTrip is a pure
+// function of each element — no state, no dependence on the slice's bounds —
+// so it does not matter which rank applies it. The receiver of a
+// scatter-reduce hop then rounds while it accumulates, as a reduce kernel
+// consumes a received FP16 buffer: one pass over the chunk instead of two.
+type AddRounder interface {
+	// AddRoundTrip adds to dst, bit for bit, what RoundTrip would make of a
+	// copy of src (dst[i] first in the add); src, as long as dst, is not
+	// written.
+	AddRoundTrip(dst, src []float32)
 }
 
 // wireSize returns the wire footprint of n float32 elements under wire
@@ -107,9 +130,16 @@ type shared struct {
 // operations on different lanes can never interleave their hops, share a
 // barrier generation or race on a counter.
 type lane struct {
-	// ring[r] is the channel rank (r-1+g)%g uses to send to rank r. Hops
-	// carry chunk subslices directly (zero-copy; see ringAllReduce).
-	ring []chan []float32
+	// ring[r] is the channel rank (r-1+g)%g uses to send to rank r. A hop
+	// carries the sender's part list, whose chunks the receiver reads in
+	// place (zero-copy; see ringAllReduce).
+	ring []chan [][]float32
+	// one[r] backs rank r's part list for AllReduce: peers read the list
+	// through the ring, so it cannot live on r's stack.
+	one [][1][]float32
+	// hops[r] counts the ring messages rank r has received, written by its
+	// goroutine only; tests pin it at 2·(G−1) per all-reduce.
+	hops []int64
 
 	// barrier closes every collective. The closing barrier is what makes
 	// the zero-copy ring sound: a rank's chunks are aliased by in-flight
@@ -138,7 +168,9 @@ type lane struct {
 
 func newLane(g, track int) *lane {
 	l := &lane{
-		ring:    make([]chan []float32, g),
+		ring:    make([]chan [][]float32, g),
+		one:     make([][1][]float32, g),
+		hops:    make([]int64, g),
 		barrier: NewBarrier(g),
 		ints:    blackboard[int]{slots: make([]*[]int, g)},
 		floats:  blackboard[float32]{slots: make([]*[]float32, g)},
@@ -147,7 +179,7 @@ func newLane(g, track int) *lane {
 		track:   track,
 	}
 	for i := range l.ring {
-		l.ring[i] = make(chan []float32, 1)
+		l.ring[i] = make(chan [][]float32, 1)
 	}
 	return l
 }
@@ -336,29 +368,51 @@ func chunkRange(n, g, i int) (lo, hi int) {
 	return lo, hi
 }
 
+// hop is one ring rendezvous: rank hands its successor the part list of the
+// call in flight and takes its predecessor's, which must have the same shape.
+func (c *Comm) hop(rank int, parts [][]float32) [][]float32 {
+	c.ring[(rank+1)%c.g] <- parts
+	in := <-c.ring[rank]
+	c.hops[rank]++
+	if len(in) != len(parts) {
+		panic(fmt.Sprintf("collective: ring part count mismatch %d != %d", len(in), len(parts)))
+	}
+	for pi, src := range in {
+		if len(src) != len(parts[pi]) {
+			panic(fmt.Sprintf("collective: ring part %d length mismatch %d != %d", pi, len(src), len(parts[pi])))
+		}
+	}
+	return in
+}
+
 // ringAllReduce runs one ring all-reduce over the logical collection of
-// parts. Each part is chunked independently with the exact bounds a lone
-// tensor gets and each (hop, part) pair is exchanged as its own message, so
-// both the reduced values (addition order, FP16 rounding points) and the
-// byte accounting are bit-identical whether tensors travel alone or fused
-// in one pass. Returns the bytes this rank put on the wire.
+// parts: G−1 scatter-reduce hops then G−1 all-gather hops, one message per
+// hop however many parts there are. The message is the sender's part list;
+// the receiver knows which chunk the hop moves (the sender's send index is
+// its own receive index) and walks the parts — ascending, each chunked with
+// the bounds a lone tensor gets — reading the sender's chunks in place. So
+// addition order, rounding points and byte accounting are bit-identical
+// whether tensors travel alone or fused. Returns the bytes this rank put on
+// the wire.
 //
-// The exchange is zero-copy: hops send the chunk subslice itself, not a
-// buffer copy, so the ring path performs zero allocations and no payload
-// staging at all. Safety rests on the ring's own dependency chain: a chunk
-// a rank has sent is never written by that rank again until the incoming
-// message of a later hop — which transitively happens after the receiver
-// consumed the sent chunk — so sender-side mutations and receiver-side
-// reads can never overlap. (With FP16 the sender rounds its chunk in place
-// *before* sending; the unrounded partial sum is dead at that point —
-// every scatter-sent chunk is later overwritten wholesale by the
-// all-gather phase.)
+// A lossy wire crosses each scatter-reduce hop once: an AddRounder on the
+// receiver as it adds, the sender's buffer left alone; any other on the
+// sender, in place, before the hop (the unrounded partial sum is dead by
+// then: the all-gather overwrites every scatter-sent chunk wholesale).
+//
+// Nothing is copied or allocated. That is safe because a chunk this rank
+// has sent is not written by it again until the all-gather hop delivering
+// that chunk's reduced value, a message that transitively — around the ring
+// — follows the receiver's consumption of the sent chunk; and because part
+// lists (the caller's, or the lane's behind AllReduce) and buffers are left
+// alone by their owners until the barrier every rank passes after its last
+// hop.
 func (c *Comm) ringAllReduce(rank int, parts [][]float32, wire Wire) int64 {
-	g, ring := c.g, c.ring
+	g := c.g
 	if g == 1 {
 		return 0
 	}
-	next := (rank + 1) % g
+	fused, _ := wire.(AddRounder)
 	var bytes int64
 
 	// Scatter-reduce: after step t, chunk (rank−t−1 mod G) holds t+2
@@ -366,24 +420,21 @@ func (c *Comm) ringAllReduce(rank int, parts [][]float32, wire Wire) int64 {
 	for step := 0; step < g-1; step++ {
 		sendIdx := ((rank-step)%g + g) % g
 		recvIdx := ((rank-step-1)%g + g) % g
-		for pi, p := range parts {
+		for _, p := range parts {
 			lo, hi := chunkRange(len(p), g, sendIdx)
-			seg := p[lo:hi]
-			if wire != nil {
-				// Round in place: this partial sum is forwarded now and
-				// overwritten by the all-gather phase later, so the
-				// unrounded value is dead.
-				wire.RoundTrip(seg)
+			if wire != nil && fused == nil {
+				wire.RoundTrip(p[lo:hi])
 			}
 			bytes += wireSize(wire, hi-lo)
-			ring[next] <- seg
-			in := <-ring[rank]
-			qlo, qhi := chunkRange(len(parts[pi]), g, recvIdx)
-			dst := parts[pi][qlo:qhi]
-			if len(in) != len(dst) {
-				panic(fmt.Sprintf("collective: ring chunk mismatch %d != %d", len(in), len(dst)))
+		}
+		for pi, src := range c.hop(rank, parts) {
+			p := parts[pi]
+			lo, hi := chunkRange(len(p), g, recvIdx)
+			if fused != nil {
+				fused.AddRoundTrip(p[lo:hi], src[lo:hi])
+			} else {
+				tensor.AddInPlace(p[lo:hi], src[lo:hi])
 			}
-			tensor.AddInPlace(dst, in)
 		}
 	}
 	// After scatter-reduce this rank owns the fully reduced chunk
@@ -399,22 +450,18 @@ func (c *Comm) ringAllReduce(rank int, parts [][]float32, wire Wire) int64 {
 			wire.RoundTrip(p[lo:hi])
 		}
 	}
-	// All-gather: circulate the fully reduced chunks. Payloads were
-	// wire-rounded once by their owning rank above, so no further rounding
-	// happens here.
+	// All-gather: circulate the fully reduced chunks, verbatim.
 	for step := 0; step < g-1; step++ {
 		sendIdx := ((rank-step+1)%g + g) % g
 		recvIdx := ((rank-step)%g + g) % g
-		for pi, p := range parts {
+		for _, p := range parts {
 			lo, hi := chunkRange(len(p), g, sendIdx)
 			bytes += wireSize(wire, hi-lo)
-			ring[next] <- p[lo:hi]
-			in := <-ring[rank]
-			qlo, qhi := chunkRange(len(parts[pi]), g, recvIdx)
-			if len(in) != qhi-qlo {
-				panic(fmt.Sprintf("collective: ring chunk mismatch %d != %d", len(in), qhi-qlo))
-			}
-			copy(parts[pi][qlo:qhi], in)
+		}
+		for pi, src := range c.hop(rank, parts) {
+			p := parts[pi]
+			lo, hi := chunkRange(len(p), g, recvIdx)
+			copy(p[lo:hi], src[lo:hi])
 		}
 	}
 	return bytes
@@ -423,8 +470,9 @@ func (c *Comm) ringAllReduce(rank int, parts [][]float32, wire Wire) int64 {
 // AllReduce sums x elementwise across all ranks; on return every rank's x
 // holds the global sum. wire == nil keeps FP32 on the wire; a non-nil Wire
 // (FP16 compression-scaling of §III-C, 8-bit quantization, …) is applied to
-// every hop: each scatter-reduce hop rounds the partial sum it forwards (so
-// a chunk's value is re-rounded up to G−1 times, by different ranks, and
+// every hop: each scatter-reduce hop rounds the partial sum it carries — on
+// the sender, or on the receiver as it adds when the wire is an AddRounder —
+// (so a chunk's value is re-rounded up to G−1 times, by different ranks, and
 // lossy-wire error compounds with G exactly as on real fabrics), and each
 // fully reduced chunk is rounded once more by its owning rank before the
 // all-gather forwards those bytes verbatim. Replica identity rests on that
@@ -439,16 +487,18 @@ func (c *Comm) ringAllReduce(rank int, parts [][]float32, wire Wire) int64 {
 // return no peer still reads this rank's buffer, so the caller may mutate
 // x immediately.
 func (c *Comm) AllReduce(rank int, x []float32, wire Wire) {
-	parts := [1][]float32{x}
-	c.AllReduceParts(rank, parts[:], wire)
+	c.one[rank][0] = x
+	c.AllReduceParts(rank, c.one[rank][:], wire)
 }
 
 // AllReduceParts all-reduces every tensor of parts in one fused ring pass
 // (all ranks must pass the same sequence of lengths). Values, Stats —
 // len(parts) calls and each tensor's own bytes — and telemetry counts are
 // bit-identical to one AllReduce per tensor; what fusing saves is ring
-// latency, so the cost model prices a single ring over the tensors' summed
-// chunk bytes and the trace shows a single span.
+// latency (2·(G−1) messages in all, not per tensor), so the cost model
+// prices a single ring over the tensors' summed chunk bytes and the trace
+// shows a single span. Peers read parts itself through the ring: leave the
+// list, like the tensors, alone until the call returns.
 func (c *Comm) AllReduceParts(rank int, parts [][]float32, wire Wire) {
 	t0, v0 := c.opStart(rank)
 	bytes := c.ringAllReduce(rank, parts, wire)

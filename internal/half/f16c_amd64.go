@@ -4,7 +4,7 @@ package half
 
 import "zipflm/internal/cpu"
 
-// useF16C gates the F16C kernel behind Scaler.RoundTrip. It is set once from
+// useF16C gates the F16C kernels behind Scaler.RoundTrip and AddRoundTrip. It is set once from
 // CPUID; tests clear it to run the portable loop on the same host.
 var useF16C = cpu.F16C
 
@@ -12,3 +12,9 @@ var useF16C = cpu.F16C
 //
 //go:noescape
 func roundTripF16C(x *float32, n int, factor, inv float32)
+
+// addRoundTripF16C is addRoundTripGo over dst[0:n] and src[0:n], n a
+// positive multiple of 8.
+//
+//go:noescape
+func addRoundTripF16C(dst, src *float32, n int, factor, inv float32)

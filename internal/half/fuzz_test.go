@@ -6,13 +6,44 @@ import (
 )
 
 // FuzzRoundTrip drives arbitrary float32 bit patterns through the FP16
-// conversion and checks the IEEE-754 invariants hold for every input.
+// conversion and checks the IEEE-754 invariants hold for every input, then
+// through the fused receive path: adding the pattern's wire crossing to a
+// running value with AddRoundTrip — nine lanes, so the F16C kernel and the
+// portable tail both run — is RoundTrip followed by an add that keeps a NaN
+// already in the running value.
 func FuzzRoundTrip(f *testing.F) {
 	for _, seed := range []uint32{0, 1, 0x3f800000, 0x7f800000, 0xff800000, 0x7fc00000, 0x33800000, 0x477fe000} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, bits uint32) {
 		x := math.Float32frombits(bits)
+		for _, factor := range []float32{1, 512} {
+			s := NewScaler(factor)
+			dst := []float32{0, 1, -1, x, -x, 65504, float32(math.Inf(-1)), math.Float32frombits(^bits), math.Float32frombits(bits>>1 | 0x7f800001)}
+			src := make([]float32, len(dst))
+			for i := range src {
+				src[i] = x
+			}
+			start := append([]float32(nil), dst...)
+			want := append([]float32(nil), dst...)
+			crossed := []float32{x}
+			s.RoundTrip(crossed)
+			for i, d := range want {
+				if d != d {
+					want[i] = math.Float32frombits(math.Float32bits(d) | 1<<22)
+				} else {
+					want[i] = d + crossed[0]
+				}
+			}
+			s.AddRoundTrip(dst, src)
+			for i := range want {
+				if math.Float32bits(dst[i]) != math.Float32bits(want[i]) || math.Float32bits(src[i]) != bits {
+					t.Fatalf("F=%v lane %d: %#08x added to %#08x gave %#08x (src now %#08x), want %#08x",
+						factor, i, bits, math.Float32bits(start[i]), math.Float32bits(dst[i]), math.Float32bits(src[i]), math.Float32bits(want[i]))
+				}
+			}
+		}
+
 		h := FromFloat32(x)
 		back := h.ToFloat32()
 

@@ -7,12 +7,16 @@
 // FromFloat32 and ToFloat32 are the definition, in portable integer code:
 // round-to-nearest-even, gradual underflow to subnormals, overflow to ±Inf,
 // every NaN to the quiet NaN 0x7e00 carrying the input's sign (0x7fc00000
-// plus sign coming back). Scaler.RoundTrip, the one bulk path, is built on
-// them and has an F16C twin (VCVTPS2PH/VCVTPH2PS, eight elements at a time)
-// chosen from CPUID and bit-identical to the portable loop on every input
-// (TestRoundTripAsmMatchesGo). Both saturate: a scaled value past the FP16
+// plus sign coming back). The two bulk paths are built on them:
+// Scaler.RoundTrip crosses the wire in place (what a sender does to the
+// buffer it ships), and Scaler.AddRoundTrip is the same crossing fused with
+// the receiver's accumulation, dst += roundtrip(src) in one pass with src
+// left alone. Each has an F16C twin (VCVTPS2PH/VCVTPH2PS, eight elements at
+// a time) chosen from CPUID and bit-identical to its portable loop on every
+// input (TestRoundTripAsmMatchesGo, TestAddRoundTripAsmMatchesGo). All
+// saturate: a scaled value past the FP16
 // range, ±Inf included, crosses the wire as ±65504, so the clamp comes
-// before the conversion; and both canonicalise NaN as above, which the
+// before the conversion; and all canonicalise NaN as above, which the
 // hardware conversion alone would not (it keeps the top payload bits).
 package half
 
@@ -150,15 +154,50 @@ func (s *Scaler) RoundTrip(x []float32) {
 	roundTripGo(x, s.Factor, inv)
 }
 
-// roundTripGo is the portable RoundTrip kernel and the definition the F16C
-// kernel is held to; it also finishes the last len(x)%8 elements after it.
+// crossed is what f looks like after one trip over the wire: the definition
+// both F16C kernels are held to.
+func crossed(f, factor, inv float32) float32 {
+	h := FromFloat32(f * factor)
+	if h.IsInf() {
+		h = MaxFiniteWithSign(h)
+	}
+	return h.ToFloat32() * inv
+}
+
+// roundTripGo is the portable RoundTrip kernel; it also finishes the last
+// len(x)%8 elements after the F16C one.
 func roundTripGo(x []float32, factor, inv float32) {
 	for i, f := range x {
-		h := FromFloat32(f * factor)
-		if h.IsInf() {
-			h = MaxFiniteWithSign(h)
+		x[i] = crossed(f, factor, inv)
+	}
+}
+
+// AddRoundTrip adds to dst what RoundTrip would make of src and leaves src
+// alone: collective.AddRounder, how the receiver of a ring hop consumes an
+// FP16 chunk in one pass. Panics unless the lengths match.
+func (s *Scaler) AddRoundTrip(dst, src []float32) {
+	if len(dst) != len(src) {
+		panic("half: AddRoundTrip length mismatch")
+	}
+	inv := 1 / s.Factor
+	if n := len(src) &^ 7; useF16C && n > 0 {
+		addRoundTripF16C(&dst[0], &src[0], n, s.Factor, inv)
+		dst, src = dst[n:], src[n:]
+	}
+	addRoundTripGo(dst, src, s.Factor, inv)
+}
+
+// addRoundTripGo is the portable AddRoundTrip kernel and the F16C one's
+// tail: dst[i] + crossed(src[i]), the running value first. Order shows only
+// when both are NaN — VADDPS keeps its first source's, quieted, so a NaN
+// already in dst stays; a plain += would leave the choice to the compiler.
+func addRoundTripGo(dst, src []float32, factor, inv float32) {
+	for i, f := range src {
+		if d := dst[i]; d != d {
+			dst[i] = math.Float32frombits(math.Float32bits(d) | 1<<22)
+		} else {
+			dst[i] = d + crossed(f, factor, inv)
 		}
-		x[i] = h.ToFloat32() * inv
 	}
 }
 

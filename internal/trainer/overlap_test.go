@@ -7,6 +7,7 @@ import (
 	"zipflm/internal/compress"
 	"zipflm/internal/core"
 	"zipflm/internal/half"
+	"zipflm/internal/israce"
 	"zipflm/internal/model"
 	"zipflm/internal/sampling"
 )
@@ -115,6 +116,47 @@ func TestOverlapBitIdenticalToSync(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOverlapStepAllocsIndependentOfDepth: an overlapped step hands the side
+// lane part lists built once in New, so what it allocates (the per-step
+// workers, closures and result slices) does not grow with the number of
+// tensors a layer has. Before the lists were prebuilt, reduceDense gathered
+// them into a 24-element stack array that spilled to the heap at RHN depth
+// ≥ 6 (2 + 4·depth tensors): 170 allocations per step here at depth 3, 174
+// at depth 7.
+func TestOverlapStepAllocsIndependentOfDepth(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation guards are not meaningful under -race")
+	}
+	const parentAtDepth3 = 170
+	train, valid := smallData(60, 12000, 9)
+	var allocs [2]float64
+	for i, depth := range []int{3, 7} {
+		cfg := smallConfig(4, core.UniqueExchange{})
+		cfg.Model.RNN = model.KindRHN
+		cfg.Model.RHNDepth = depth
+		cfg.Wire = half.NewScaler(512)
+		cfg.Overlap = true
+		tr, err := New(cfg, train, valid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Steps(3); err != nil { // warm the workspaces and pools
+			t.Fatal(err)
+		}
+		allocs[i] = testing.AllocsPerRun(10, func() {
+			if err := tr.Steps(1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[0] != allocs[1] {
+		t.Errorf("overlapped step allocates %.0f objects at RHN depth 3 but %.0f at depth 7", allocs[0], allocs[1])
+	}
+	if allocs[0] > parentAtDepth3 {
+		t.Errorf("overlapped step allocates %.0f objects at RHN depth 3, want ≤ %d", allocs[0], parentAtDepth3)
 	}
 }
 

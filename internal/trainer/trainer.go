@@ -281,6 +281,8 @@ type Trainer struct {
 	step      int
 	lr        float64
 	nextDecay int
+	// dense[r] is rank r's dense gradients as reduceDense units.
+	dense []rankDense
 	// cmp holds one compression engine per rank (nil when Config.Compress
 	// is nil): the per-rank error-feedback residuals and quantizer
 	// streams.
@@ -404,6 +406,18 @@ func New(cfg Config, train, valid []int) (*Trainer, error) {
 			t.models[r].CopyWeightsFrom(t.models[0])
 		}
 		t.opts[r] = cfg.NewOptimizer()
+	}
+	t.dense = make([]rankDense, cfg.Ranks)
+	for r, m := range t.models {
+		d := rankDense{
+			all:    newDenseGrads(m.DenseParams()),
+			layer:  make(map[model.Layer]denseGrads),
+			outemb: newDenseGrads([]model.Param{{Name: "outemb"}}),
+		}
+		for _, l := range m.DenseLayers() {
+			d.layer[l] = newDenseGrads(l.Params())
+		}
+		t.dense[r] = d
 	}
 	t.shards = make([][]int, cfg.Ranks)
 	for r := 0; r < cfg.Ranks; r++ {
@@ -854,11 +868,38 @@ type stepStats struct {
 	simStart, simAfterCompute float64
 }
 
+// denseGrads is one unit of reduceDense work: named gradient tensors (what
+// Compress routes by) and the same slices as a ring part list. Units are
+// built once, in New: peers read a part list through the ring until the
+// collective closes, and rebuilding one per call would allocate every step.
+type denseGrads struct {
+	params []model.Param
+	parts  [][]float32
+}
+
+func newDenseGrads(ps []model.Param) denseGrads {
+	d := denseGrads{params: ps, parts: make([][]float32, len(ps))}
+	for i, p := range ps {
+		d.parts[i] = p.Grad
+	}
+	return d
+}
+
+// rankDense is one rank's units: all of DenseParams (synchronous mode walks
+// it a tensor at a time), one per dense layer (what overlap mode's backward
+// hook queues), and the one-tensor unit each step points at the full
+// softmax's output gradient, which lives in the replica's workspace.
+type rankDense struct {
+	all    denseGrads
+	layer  map[model.Layer]denseGrads
+	outemb denseGrads
+}
+
 // denseJob is one batch of dense gradients handed to a rank's side-lane
 // worker: the tensors, and the time on the producing rank's device clock at
 // which they held their final values (zero without Hardware).
 type denseJob struct {
-	params  []model.Param
+	grads   denseGrads
 	readyAt float64
 }
 
@@ -902,7 +943,7 @@ func (t *Trainer) startDenseWorker(rank int) *denseWorker {
 				// readyAt. The collective's charge then max-syncs the ranks.
 				w.clock.AdvanceTo(j.readyAt)
 			}
-			w.err = t.reduceDense(t.comm.Side(), rank, j.params)
+			w.err = t.reduceDense(t.comm.Side(), rank, j.grads)
 		}
 	}()
 	return w
@@ -927,28 +968,21 @@ func (w *denseWorker) drain(dev *cluster.Device) error {
 	return w.err
 }
 
-// reduceDense all-reduces the dense gradients ps across ranks on lane c —
+// reduceDense all-reduces the dense gradients d across ranks on lane c —
 // the one dense-gradient path of both modes. With Compress each named
 // tensor goes through the rank's compression engine, which routes it per
 // policy (base wire, quantized ring, or top-k with error feedback);
 // otherwise the tensors travel in one fused ring pass on the run's wire.
-func (t *Trainer) reduceDense(c *collective.Comm, rank int, ps []model.Param) error {
+func (t *Trainer) reduceDense(c *collective.Comm, rank int, d denseGrads) error {
 	if t.cmp != nil {
-		for _, p := range ps {
+		for _, p := range d.params {
 			if err := t.cmp[rank].AllReduce(c, rank, p.Name, p.Grad); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	// Stack-backed for every layer the models have (LSTM 3 tensors, RHN
-	// 2+4·depth); append spills to the heap beyond that.
-	var buf [24][]float32
-	parts := buf[:0]
-	for _, p := range ps {
-		parts = append(parts, p.Grad)
-	}
-	c.AllReduceParts(rank, parts, t.cfg.Wire)
+	c.AllReduceParts(rank, d.parts, t.cfg.Wire)
 	return nil
 }
 
@@ -1025,14 +1059,14 @@ func (t *Trainer) trainStep(step int, lrNow float64, seeds []uint64) (stepStats,
 				total = model.NumParams(m.DenseLayers()...)
 			}
 			hook = func(layer model.Layer) {
-				ps := layer.Params()
+				d := t.dense[rank].layer[layer]
 				if total > 0 {
-					for _, p := range ps {
-						ready += len(p.Grad)
+					for _, p := range d.parts {
+						ready += len(p)
 					}
 					dev.Clock.AdvanceTo(start + lump*(1+2*float64(ready)/float64(total))/3)
 				}
-				w.jobs <- denseJob{params: ps, readyAt: dev.Clock.Now()}
+				w.jobs <- denseJob{grads: d, readyAt: dev.Clock.Now()}
 			}
 		}
 		results[rank] = m.ForwardBackwardHooked(inputs, targets, sampler, hook)
@@ -1083,24 +1117,24 @@ func (t *Trainer) trainStep(step int, lrNow float64, seeds []uint64) (stepStats,
 		// backprop and only adds that block here, leaving the side lane to
 		// run under the sparse exchange below; synchronous mode reduces
 		// everything now.
-		var outemb []model.Param
+		var outemb denseGrads
 		if outDense {
-			outemb = []model.Param{{Name: "outemb", Grad: outGrad.Rows.Data}}
+			outemb = t.dense[rank].outemb
+			outemb.params[0].Grad = outGrad.Rows.Data
+			outemb.parts[0] = outGrad.Rows.Data
 		}
 		if w == nil {
-			// One tensor per call. DenseParams is the model's own shared
-			// list, so it is walked in place (windows of one), never
-			// appended to.
-			for _, ps := range [2][]model.Param{m.DenseParams(), outemb} {
-				for i := range ps {
-					if err := t.reduceDense(t.comm, rank, ps[i:i+1]); err != nil {
+			// One tensor per call.
+			for _, d := range [2]denseGrads{t.dense[rank].all, outemb} {
+				for i := range d.params {
+					if err := t.reduceDense(t.comm, rank, denseGrads{d.params[i : i+1], d.parts[i : i+1]}); err != nil {
 						errs[rank] = err
 						return nil
 					}
 				}
 			}
 		} else if outDense {
-			w.jobs <- denseJob{params: outemb, readyAt: dev.Clock.Now()}
+			w.jobs <- denseJob{grads: outemb, readyAt: dev.Clock.Now()}
 		}
 
 		// Input embedding: the §III exchange (on the primary lane, so in

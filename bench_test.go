@@ -81,10 +81,6 @@ func BenchmarkMemoryFootprint(b *testing.B) { benchExperiment(b, "mem") }
 // BenchmarkBPCComparison regenerates the §V-D bits-per-character comparison.
 func BenchmarkBPCComparison(b *testing.B) { benchExperiment(b, "bpc") }
 
-// BenchmarkAblationHierarchical regenerates the flat-vs-hierarchical
-// inter-node traffic ablation.
-func BenchmarkAblationHierarchical(b *testing.B) { benchExperiment(b, "abl-hier") }
-
 // BenchmarkAblationFP16Scaling regenerates the compression-scaling sweep.
 func BenchmarkAblationFP16Scaling(b *testing.B) { benchExperiment(b, "abl-fp16") }
 

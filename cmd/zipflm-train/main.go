@@ -86,8 +86,18 @@ func main() {
 	)
 	flag.Parse()
 	if f := float32(*scale); *fp16 && !(f > 0 && f <= math.MaxFloat32) {
-		fmt.Fprintf(os.Stderr, "zipflm-train: -scale %v: the FP16 compression-scaling factor must be positive and finite as a float32\n", *scale)
-		os.Exit(2)
+		usageError("-scale %v: the FP16 compression-scaling factor must be positive and finite as a float32", *scale)
+	}
+	kind, ok := map[string]model.RNNKind{"lstm": model.KindLSTM, "rhn": model.KindRHN}[*rnn]
+	if !ok {
+		usageError("-rnn %q: want lstm or rhn", *rnn)
+	}
+	ex, ok := map[string]core.Exchanger{"unique": core.UniqueExchange{}, "baseline": core.BaselineAllGather{}}[*exchange]
+	if !ok {
+		usageError("-exchange %q: want unique or baseline", *exchange)
+	}
+	if *level != "word" && *level != "char" {
+		usageError("-level %q: want word or char", *level)
 	}
 
 	stream, vocab, vv, err := loadStream(*input, *synthetic, *level, *vocabSize, *seed)
@@ -98,18 +108,10 @@ func main() {
 	train, valid := corpus.Split(stream, 10, 100, *seed)
 	fmt.Printf("tokens: %d train / %d valid, vocabulary %d\n", len(train), len(valid), vocab)
 
-	kind := model.KindLSTM
-	if *rnn == "rhn" {
-		kind = model.KindRHN
-	}
 	strat, err := parseSeeding(*seeding)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "zipflm-train: %v\n", err)
 		os.Exit(1)
-	}
-	var ex core.Exchanger = core.UniqueExchange{}
-	if *exchange == "baseline" {
-		ex = core.BaselineAllGather{}
 	}
 	var wire collective.Wire
 	if *fp16 {
@@ -332,6 +334,13 @@ func main() {
 		}
 		fmt.Printf("vocabulary written to %s\n", *saveVocab)
 	}
+}
+
+// usageError reports a flag value the command cannot run with: one line on
+// stderr and exit status 2, the flag package's status for a usage error.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "zipflm-train: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 // loadStream builds the token stream either from a file or synthetically,

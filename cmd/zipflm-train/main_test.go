@@ -21,25 +21,34 @@ func buildTrain(t *testing.T) string {
 	return bin
 }
 
-// TestBadScaleExitsTwo: a -scale that is not a positive finite float32 under
-// -fp16 is a usage error — one line on stderr and exit status 2, before any
-// corpus is read — not half.NewScaler's panic trace. -overlap rides along:
-// were the flag not defined, the one line would be the flag package's.
-func TestBadScaleExitsTwo(t *testing.T) {
+// TestUsageErrorsExitTwo: a flag value the command cannot run with — a
+// -scale that is not a positive finite float32 under -fp16, or an -rnn,
+// -exchange or -level outside its accepted values — is a usage error: one
+// line on stderr naming the flag, and exit status 2, before any corpus is
+// read — not half.NewScaler's panic trace, nor a run of some other model or
+// exchange. -overlap rides along: were the flag not defined, the one line
+// would be the flag package's.
+func TestUsageErrorsExitTwo(t *testing.T) {
 	bin := buildTrain(t)
+	var cases [][]string
 	for _, scale := range []string{"0", "-512", "NaN", "+Inf", "1e300", "1e-300"} {
+		cases = append(cases, []string{"-fp16", "-overlap", "-scale", scale})
+	}
+	cases = append(cases, []string{"-rnn", "gru"}, []string{"-exchange", "hier"}, []string{"-level", "byte"})
+	for _, args := range cases {
 		var stderr bytes.Buffer
-		cmd := exec.Command(bin, "-fp16", "-overlap", "-scale", scale, "-synthetic", "1000")
+		cmd := exec.Command(bin, append(args, "-synthetic", "1000")...)
 		cmd.Stderr = &stderr
 		err := cmd.Run()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Errorf("-scale %s: got %v, want exit status 2; stderr:\n%s", scale, err, stderr.String())
+			t.Errorf("%v: got %v, want exit status 2; stderr:\n%s", args, err, stderr.String())
 			continue
 		}
 		msg := stderr.String()
-		if !strings.HasPrefix(msg, "zipflm-train: -scale ") || strings.Count(msg, "\n") != 1 || strings.Contains(msg, "goroutine") {
-			t.Errorf("-scale %s: stderr is not the one-line usage error:\n%s", scale, msg)
+		flagName := args[len(args)-2]
+		if !strings.HasPrefix(msg, "zipflm-train: "+flagName+" ") || strings.Count(msg, "\n") != 1 || strings.Contains(msg, "goroutine") {
+			t.Errorf("%v: stderr is not the one-line usage error:\n%s", args, msg)
 		}
 	}
 }

@@ -17,8 +17,8 @@
 //     each hop is one message — the sender's list of tensors, whose
 //     chunks the receiver reads in place — and a closing barrier keeps a
 //     rank from rewriting its buffers while a peer's hop still reads them. Blackboard buffers for
-//     gathers and broadcasts come from a communicator-wide sync.Pool arena
-//     and are recycled across steps. testing.AllocsPerRun guards both
+//     gathers come from a communicator-wide sync.Pool arena and are
+//     recycled across steps. testing.AllocsPerRun guards both
 //     paths against regression.
 //
 //   - A communicator has two lanes — two complete sets of ring channels,

@@ -9,7 +9,6 @@ import (
 	"math"
 	"testing"
 
-	"zipflm/internal/collective"
 	"zipflm/internal/core"
 	"zipflm/internal/corpus"
 	"zipflm/internal/half"
@@ -89,37 +88,5 @@ func TestEndToEndWorkflow(t *testing.T) {
 		if id < 0 || id >= cfg.Model.Vocab {
 			t.Fatalf("generated id %d outside vocabulary", id)
 		}
-	}
-}
-
-// TestEndToEndHierarchical runs the extension engine through the same
-// pipeline on a 2×2 topology.
-func TestEndToEndHierarchical(t *testing.T) {
-	gen := corpus.NewMarkovGenerator(corpus.MarkovConfig{
-		VocabSize: 99, Branching: 6, ZipfExponent: 1.1, Seed: 7,
-	})
-	train, valid := corpus.Split(gen.Stream(10_000), 10, 50, 7)
-	cfg := trainer.Config{
-		Model:        model.Config{Vocab: 100, Dim: 10, Hidden: 12, RNN: model.KindRHN, RHNDepth: 2},
-		Ranks:        4,
-		BatchPerRank: 2,
-		SeqLen:       8,
-		LR:           0.05,
-		Exchange:     core.HierarchicalExchange{Hier: collective.NewHierarchy(4, 2)},
-		BaseSeed:     7,
-	}
-	tr, err := trainer.New(cfg, train, valid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := tr.Run(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.IsNaN(res.FinalLoss) {
-		t.Fatal("hierarchical run produced NaN")
-	}
-	if err := tr.ReplicasInSync(); err != nil {
-		t.Error(err)
 	}
 }

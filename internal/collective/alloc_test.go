@@ -150,23 +150,3 @@ func TestAllGatherFloatsAllocBound(t *testing.T) {
 		}
 	}
 }
-
-// TestBroadcastAllocBound: the root stash is pooled; the only allocation
-// per round is each rank's caller-owned copy of the payload.
-func TestBroadcastAllocBound(t *testing.T) {
-	skipIfRace(t)
-	g := 4
-	c := New(g)
-	src := make([]float32, 300)
-	h := newAllocHarness(g, func(rank int) {
-		c.BroadcastFloatsVar(rank, 0, src)
-	})
-	for i := 0; i < 3; i++ {
-		h.round()
-	}
-	allocs := testing.AllocsPerRun(20, h.round)
-	h.close()
-	if allocs > float64(g) {
-		t.Errorf("BroadcastFloatsVar allocates %.1f objects per round, want ≤ %d (one copy per rank)", allocs, g)
-	}
-}

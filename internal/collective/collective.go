@@ -17,8 +17,8 @@
 // tensor, as the cost model charges it. The path is zero-copy and
 // zero-allocation (a sender never rewrites a chunk before its receiver has
 // consumed it; see ringAllReduce), guarded by testing.AllocsPerRun. Blackboard
-// stash buffers for the gather/broadcast paths come from a sync.Pool arena
-// and are recycled across operations.
+// stash buffers for the gather paths come from a sync.Pool arena and are
+// recycled across operations.
 //
 // Gathers use a shared blackboard with two barriers; their per-rank traffic
 // is accounted with the standard ring-allgather volume (G−1)/G·G·bytes.
@@ -147,8 +147,7 @@ type lane struct {
 	// and no caller may rewrite its buffer — before then.
 	barrier *Barrier
 
-	// Blackboards for the gather/broadcast style operations, one per
-	// payload type.
+	// Blackboards for the gather style operations, one per payload type.
 	ints   blackboard[int]
 	floats blackboard[float32]
 	bytes  blackboard[byte]
@@ -189,8 +188,7 @@ func newLane(g, track int) *lane {
 // later every rank reads all slots, and a closing barrier keeps a rank from
 // stashing again while a peer still reads. Stash buffers come from the
 // board's arena and go back to it when their owner stashes next, which keeps
-// the gather/broadcast paths allocation-free apart from the caller-owned
-// result copies.
+// the gather paths allocation-free apart from the caller-owned result copies.
 type blackboard[T any] struct {
 	pool  sync.Pool
 	slots []*[]T
@@ -256,6 +254,7 @@ type Stats struct {
 	AllReduceBytes int64
 	AllGatherCalls int64
 	AllGatherBytes int64
+	// No collective broadcasts; benchmark/train.go still sums BroadcastCalls.
 	BroadcastCalls int64
 	BroadcastBytes int64
 }

@@ -243,33 +243,6 @@ func TestAllGatherFloatsFP16HalvesBytes(t *testing.T) {
 	}
 }
 
-func TestBroadcast(t *testing.T) {
-	const g = 5
-	c := New(g)
-	results := make([][]float32, g)
-	root := []float32{7, 8, 9}
-	runRanks(g, func(rank int) {
-		var buf []float32 // only the root's slice travels
-		if rank == 2 {
-			buf = root
-		}
-		results[rank] = c.BroadcastFloatsVar(rank, 2, buf)
-	})
-	for rank := 0; rank < g; rank++ {
-		if len(results[rank]) != 3 || results[rank][0] != 7 || results[rank][2] != 9 {
-			t.Fatalf("rank %d got %v", rank, results[rank])
-		}
-	}
-	// Every rank, the root included, owns its copy.
-	results[2][0] = 0
-	if root[0] != 7 || results[0][0] != 7 {
-		t.Fatal("BroadcastFloatsVar returned shared storage")
-	}
-	if got := c.RankStats(2).BroadcastBytes; got != 12 {
-		t.Fatalf("root accounted %d broadcast bytes, want 12", got)
-	}
-}
-
 func TestAgreeAllOK(t *testing.T) {
 	const g = 4
 	for _, badRank := range []int{-1, 0, 2} { // -1 = all ok

@@ -29,8 +29,8 @@ import (
 // timelines, not their sum.
 type CostModel struct {
 	// Link is the α–β cost of the fabric this communicator's collectives
-	// traverse (PCIe for an intra-node group, InfiniBand for a ring that
-	// spans nodes — see Hierarchy.AttachCost).
+	// traverse (PCIe while the ring fits in one node, InfiniBand once it
+	// spans nodes — see perfmodel.Hardware.RingLink).
 	Link perfmodel.LinkCost
 	// Clocks are the participating ranks' clocks, indexed by this
 	// communicator's rank ids (length must equal the communicator size).
@@ -75,27 +75,4 @@ func (c *Comm) charge(rank int, fn func(cm *CostModel)) {
 	if c.g > 1 {
 		c.barrier.Wait()
 	}
-}
-
-// AttachCost wires the hierarchy's communicators to the cluster's clocks
-// with topology-aware link costs: every intra-group communicator charges
-// the intra-node (PCIe) link, the leaders' communicator charges the
-// inter-node (InfiniBand) link — the Table II fabric assignment. clocks is
-// indexed by global rank and must cover all G ranks.
-func (h *Hierarchy) AttachCost(intra, inter perfmodel.LinkCost, clocks []*vclock.Clock) {
-	if len(clocks) != h.G {
-		panic(fmt.Sprintf("collective: hierarchy cost model has %d clocks for %d ranks", len(clocks), h.G))
-	}
-	for i, grp := range h.groups {
-		base := i * h.GroupSize
-		h.groups[i].AttachCost(&CostModel{
-			Link:   intra,
-			Clocks: clocks[base : base+grp.Size()],
-		})
-	}
-	lead := make([]*vclock.Clock, h.leaders.Size())
-	for i := range lead {
-		lead[i] = clocks[i*h.GroupSize]
-	}
-	h.leaders.AttachCost(&CostModel{Link: inter, Clocks: lead})
 }

@@ -81,20 +81,6 @@ func TestAllGatherChargesLargestPayload(t *testing.T) {
 	}
 }
 
-func TestBroadcastCharges(t *testing.T) {
-	const g, n = 4, 256
-	c, clocks := newCostComm(g)
-	runRanks(g, func(rank int) {
-		c.BroadcastFloatsVar(rank, 0, make([]float32, n))
-	})
-	want := testLink.TreeBroadcastSeconds(g, int64(4*n))
-	for r, ck := range clocks {
-		if !eqTime(ck.Now(), want) {
-			t.Errorf("rank %d clock %v, want %v", r, ck.Now(), want)
-		}
-	}
-}
-
 // TestBarrierMaxSynchronizes: the control-plane barrier (AgreeAllOK) costs
 // no bytes but drags every clock up to the slowest rank.
 func TestBarrierMaxSynchronizes(t *testing.T) {
@@ -130,7 +116,6 @@ func TestDeterministicVirtualTime(t *testing.T) {
 			c.AllReduce(rank, x, nil)
 			c.AllGatherInts(rank, make([]int, 10+rank))
 			c.AllGatherFloats(rank, make([]float32, 50), half.NewScaler(1))
-			c.BroadcastFloatsVar(rank, 2, x)
 			c.AgreeAllOK(rank, true)
 		})
 		out := make([]float64, g)
@@ -172,50 +157,4 @@ func TestAttachCostValidatesClockCount(t *testing.T) {
 		}
 	}()
 	New(3).AttachCost(&CostModel{Link: testLink, Clocks: make([]*vclock.Clock, 2)})
-}
-
-// TestHierarchyAttachCost prices intra-group traffic on the PCIe link and
-// the leaders' ring on InfiniBand, sharing one global clock set.
-func TestHierarchyAttachCost(t *testing.T) {
-	const g, gs, n = 4, 2, 100
-	intra := perfmodel.LinkCost{Alpha: 0, BytesPerSec: 8e9}
-	inter := perfmodel.LinkCost{Alpha: 0, BytesPerSec: 1e9}
-	h := NewHierarchy(g, gs)
-	clocks := make([]*vclock.Clock, g)
-	for i := range clocks {
-		clocks[i] = new(vclock.Clock)
-	}
-	h.AttachCost(intra, inter, clocks)
-
-	runRanks(g, func(rank int) {
-		grp := h.Group(rank)
-		_, gr := h.GroupOf(rank)
-		x := make([]float32, n)
-		grp.AllReduce(gr, x, nil)
-		if h.IsLeader(rank) {
-			gid, _ := h.GroupOf(rank)
-			h.Leaders().AllReduce(gid, x, nil)
-		}
-	})
-
-	intraDur := intra.RingAllReduceSeconds(gs, n, 4)
-	interDur := inter.RingAllReduceSeconds(g/gs, n, 4)
-	for r, ck := range clocks {
-		want := intraDur
-		if h.IsLeader(r) {
-			want += interDur
-		}
-		if !eqTime(ck.Now(), want) {
-			t.Errorf("rank %d clock %v, want %v (leader=%v)", r, ck.Now(), want, h.IsLeader(r))
-		}
-	}
-}
-
-func TestHierarchyAttachCostValidatesClockCount(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched clock count must panic")
-		}
-	}()
-	NewHierarchy(4, 2).AttachCost(testLink, testLink, make([]*vclock.Clock, 3))
 }

@@ -149,6 +149,24 @@ func sameTensors(t *testing.T, what string, got, want [][][]float32) {
 	}
 }
 
+// matrixLink prices every lane of the matrix: round numbers, so a clock that
+// misses a charge or takes one twice is off by a visible amount.
+var matrixLink = perfmodel.LinkCost{Alpha: 1e-5, BytesPerSec: 1e9}
+
+// schedule is the matrix's adversarial schedule: body runs once per
+// GOMAXPROCS × cluster size, as subtest procs=P/g=G with GOMAXPROCS set for
+// its duration and draw seeded from both, so a cell's random choices repeat.
+func schedule(t *testing.T, body func(t *testing.T, g int, draw *rng.RNG)) {
+	for _, procs := range []int{1, 2, 8} {
+		for _, g := range []int{1, 2, 3, 5, 7} {
+			t.Run(fmt.Sprintf("procs=%d/g=%d", procs, g), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				body(t, g, rng.New(uint64(31*g+procs)))
+			})
+		}
+	}
+}
+
 // TestRingFusedMatrix is the ring's equivalence matrix. For every cluster
 // size, part list, wire, lane and GOMAXPROCS below, one AllReduceParts call
 //
@@ -160,7 +178,6 @@ func sameTensors(t *testing.T, what string, got, want [][][]float32) {
 //   - advances every rank's virtual clock by one ring over the tensors'
 //     summed chunk bytes.
 func TestRingFusedMatrix(t *testing.T) {
-	link := perfmodel.LinkCost{Alpha: 1e-5, BytesPerSec: 1e9}
 	wires := []struct {
 		name string
 		// orderFree: rounding does not depend on the order of calls.
@@ -179,91 +196,314 @@ func TestRingFusedMatrix(t *testing.T) {
 		t.Fatal("Quant8's scale depends on the slice it is handed; it must round on the sender")
 	}
 
-	for _, procs := range []int{1, 2, 8} {
-		for _, g := range []int{1, 2, 3, 5, 7} {
-			draw := rng.New(uint64(31*g + procs))
-			sizes := []int{0, 1, g - 1, g, g + 1, 1000}
-			seventeen := append([]int(nil), sizes...)
-			for len(seventeen) < 17 {
-				seventeen = append(seventeen, sizes[draw.Intn(len(sizes))])
-			}
-			for _, shapes := range [][]int{{}, {1000}, seventeen} {
-				for _, w := range wires {
-					for _, side := range []bool{false, true} {
-						name := fmt.Sprintf("procs=%d/g=%d/parts=%d/%s/side=%v", procs, g, len(shapes), w.name, side)
-						t.Run(name, func(t *testing.T) {
-							defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-							lane := func(c *collective.Comm) *collective.Comm {
-								if side {
-									return c.Side()
-								}
-								return c
+	schedule(t, func(t *testing.T, g int, draw *rng.RNG) {
+		sizes := []int{0, 1, g - 1, g, g + 1, 1000}
+		seventeen := append([]int(nil), sizes...)
+		for len(seventeen) < 17 {
+			seventeen = append(seventeen, sizes[draw.Intn(len(sizes))])
+		}
+		for _, shapes := range [][]int{{}, {1000}, seventeen} {
+			for _, w := range wires {
+				for _, side := range []bool{false, true} {
+					t.Run(fmt.Sprintf("parts=%d/%s/side=%v", len(shapes), w.name, side), func(t *testing.T) {
+						lane := func(c *collective.Comm) *collective.Comm {
+							if side {
+								return c.Side()
 							}
-							// Fresh per-rank instances for every run: Quant8
-							// carries scratch, and a stream when stochastic.
-							perRank := func(wrap func(collective.Wire) collective.Wire) []collective.Wire {
-								ws := make([]collective.Wire, g)
-								for r := range ws {
-									ws[r] = wrap(w.bare(r))
-								}
-								return ws
+							return c
+						}
+						// Fresh per-rank instances for every run: Quant8
+						// carries scratch, and a stream when stochastic.
+						perRank := func(wrap func(collective.Wire) collective.Wire) []collective.Wire {
+							ws := make([]collective.Wire, g)
+							for r := range ws {
+								ws[r] = wrap(w.bare(r))
 							}
+							return ws
+						}
 
-							want := rankTensors(g, shapes, 7)
-							serialRing(want, perRank(func(w collective.Wire) collective.Wire { return w }))
+						want := rankTensors(g, shapes, 7)
+						serialRing(want, perRank(func(w collective.Wire) collective.Wire { return w }))
 
-							fused := rankTensors(g, shapes, 7)
-							fc := collective.New(g)
-							clocks := make([]*vclock.Clock, g)
-							for r := range clocks {
-								clocks[r] = new(vclock.Clock)
-							}
-							lane(fc).AttachCost(&collective.CostModel{Link: link, Clocks: clocks})
-							fw := perRank(withYields)
-							onRanks(g, func(rank int) { lane(fc).AllReduceParts(rank, fused[rank], fw[rank]) })
-							sameTensors(t, "fused vs serial definition", fused, want)
+						fused := rankTensors(g, shapes, 7)
+						fc := collective.New(g)
+						clocks := make([]*vclock.Clock, g)
+						for r := range clocks {
+							clocks[r] = new(vclock.Clock)
+						}
+						lane(fc).AttachCost(&collective.CostModel{Link: matrixLink, Clocks: clocks})
+						fw := perRank(withYields)
+						onRanks(g, func(rank int) { lane(fc).AllReduceParts(rank, fused[rank], fw[rank]) })
+						sameTensors(t, "fused vs serial definition", fused, want)
 
-							var chunkBytes int64
-							for _, n := range shapes {
-								per := (n + g - 1) / g
-								if fw[0] == nil {
-									chunkBytes += int64(4 * per)
-								} else {
-									chunkBytes += int64(fw[0].WireBytes(per))
-								}
+						var chunkBytes int64
+						for _, n := range shapes {
+							per := (n + g - 1) / g
+							if fw[0] == nil {
+								chunkBytes += int64(4 * per)
+							} else {
+								chunkBytes += int64(fw[0].WireBytes(per))
 							}
-							for r, clk := range clocks {
-								if got, want := clk.Now(), link.RingAllReduceSecondsBytes(g, chunkBytes); got != want {
-									t.Fatalf("rank %d virtual clock %v, want one ring over %d chunk bytes = %v", r, got, chunkBytes, want)
-								}
+						}
+						for r, clk := range clocks {
+							if got, want := clk.Now(), matrixLink.RingAllReduceSecondsBytes(g, chunkBytes); got != want {
+								t.Fatalf("rank %d virtual clock %v, want one ring over %d chunk bytes = %v", r, got, chunkBytes, want)
 							}
-							for r := 0; r < g; r++ {
-								if got := fc.RankStats(r).AllReduceCalls; got != int64(len(shapes)) {
-									t.Fatalf("rank %d counts %d all-reduce calls for %d tensors", r, got, len(shapes))
-								}
+						}
+						for r := 0; r < g; r++ {
+							if got := fc.RankStats(r).AllReduceCalls; got != int64(len(shapes)) {
+								t.Fatalf("rank %d counts %d all-reduce calls for %d tensors", r, got, len(shapes))
 							}
+						}
 
-							if !w.orderFree {
-								return
-							}
-							perTensor := rankTensors(g, shapes, 7)
-							pc := collective.New(g)
-							pw := perRank(withYields)
-							onRanks(g, func(rank int) {
-								for _, x := range perTensor[rank] {
-									lane(pc).AllReduce(rank, x, pw[rank])
-								}
-							})
-							sameTensors(t, "fused vs one AllReduce per tensor", fused, perTensor)
-							for r := 0; r < g; r++ {
-								if fc.RankStats(r) != pc.RankStats(r) {
-									t.Fatalf("rank %d stats: fused %+v, per tensor %+v", r, fc.RankStats(r), pc.RankStats(r))
-								}
+						if !w.orderFree {
+							return
+						}
+						perTensor := rankTensors(g, shapes, 7)
+						pc := collective.New(g)
+						pw := perRank(withYields)
+						onRanks(g, func(rank int) {
+							for _, x := range perTensor[rank] {
+								lane(pc).AllReduce(rank, x, pw[rank])
 							}
 						})
-					}
+						sameTensors(t, "fused vs one AllReduce per tensor", fused, perTensor)
+						for r := 0; r < g; r++ {
+							if fc.RankStats(r) != pc.RankStats(r) {
+								t.Fatalf("rank %d stats: fused %+v, per tensor %+v", r, fc.RankStats(r), pc.RankStats(r))
+							}
+						}
+					})
 				}
 			}
 		}
+	})
+}
+
+// yieldingDecoder gives the processor away before every payload a
+// compressed all-reduce decodes, as yielding does in every wire call.
+type yieldingDecoder struct{ collective.Decoder }
+
+func (y yieldingDecoder) DecodeAdd(acc []float32, payload []byte) error {
+	runtime.Gosched()
+	return y.Decoder.DecodeAdd(acc, payload)
+}
+
+// boardCase is one blackboard collective of TestBlackboardMatrix on one lane,
+// with its serial oracle: call issues it for one rank and returns what that
+// rank received; want is what every rank must receive, stats what the call
+// adds to each rank's counters, and seconds what it adds to the lane's
+// clocks once it has brought them to their maximum.
+type boardCase struct {
+	call    func(c *collective.Comm, rank int) any
+	want    any
+	stats   collective.Stats
+	seconds float64
+}
+
+// ringGather is the serial account of a ring all-gather of payloads of these
+// wire sizes: each rank sends (G−1)/G of their total, and the ring takes one
+// hop per peer at the largest.
+func ringGather(sizes []int64) (bytes int64, seconds float64) {
+	g := int64(len(sizes))
+	var total, largest int64
+	for _, b := range sizes {
+		total += b
+		largest = max(largest, b)
 	}
+	return total * (g - 1) / g, matrixLink.RingAllGatherSeconds(len(sizes), largest)
+}
+
+// gatherInts: every rank receives every rank's indices, in rank order, four
+// bytes each on the wire.
+func gatherInts(lens []int, seed uint64) boardCase {
+	draw := rng.New(seed)
+	ins := make([][]int, len(lens))
+	sizes := make([]int64, len(lens))
+	for r, n := range lens {
+		ins[r] = make([]int, n)
+		for i := range ins[r] {
+			ins[r][i] = draw.Intn(1 << 20)
+		}
+		sizes[r] = int64(4 * n)
+	}
+	bytes, seconds := ringGather(sizes)
+	return boardCase{
+		call:    func(c *collective.Comm, rank int) any { return c.AllGatherInts(rank, ins[rank]) },
+		want:    ins,
+		stats:   collective.Stats{AllGatherCalls: 1, AllGatherBytes: bytes},
+		seconds: seconds,
+	}
+}
+
+// gatherFloats: every rank receives every rank's values as they crossed the
+// sender's wire — rounded once by it, when there is one — in rank order.
+func gatherFloats(fp16 bool) func(lens []int, seed uint64) boardCase {
+	return func(lens []int, seed uint64) boardCase {
+		draw := rng.New(seed)
+		ins := make([][]float32, len(lens))
+		want := make([][]float32, len(lens))
+		wires := make([]collective.Wire, len(lens))
+		sizes := make([]int64, len(lens))
+		for r, n := range lens {
+			ins[r] = make([]float32, n)
+			for i := range ins[r] {
+				ins[r][i] = float32(draw.Float64()*4 - 2)
+			}
+			want[r] = append([]float32{}, ins[r]...)
+			sizes[r] = int64(4 * n)
+			if fp16 {
+				s := half.NewScaler(512)
+				s.RoundTrip(want[r])
+				wires[r] = withYields(s)
+				sizes[r] = int64(s.WireBytes(n))
+			}
+		}
+		bytes, seconds := ringGather(sizes)
+		return boardCase{
+			call:    func(c *collective.Comm, rank int) any { return c.AllGatherFloats(rank, ins[rank], wires[rank]) },
+			want:    want,
+			stats:   collective.Stats{AllGatherCalls: 1, AllGatherBytes: bytes},
+			seconds: seconds,
+		}
+	}
+}
+
+// reduceCompressed: every rank ends with the top-k payloads of all ranks
+// decoded in rank order into a zeroed tensor — whatever it held before — and
+// the exchange is accounted and priced as the ring all-gather of the
+// payloads. A rank with nothing to send passes an empty payload.
+func reduceCompressed(lens []int, seed uint64) boardCase {
+	const n = 64
+	draw := rng.New(seed)
+	payloads := make([][]byte, len(lens))
+	sizes := make([]int64, len(lens))
+	want := make([]float32, n)
+	for r, k := range lens {
+		if k > 0 {
+			idx := make([]int, k)
+			vals := make([]float32, k)
+			for j := range idx {
+				idx[j] = j * n / k
+				vals[j] = float32(draw.Float64()*4 - 2)
+			}
+			payloads[r] = compress.EncodeTopK(nil, n, idx, vals, nil)
+		}
+		sizes[r] = int64(len(payloads[r]))
+		if err := (compress.TopKDecoder{}).DecodeAdd(want, payloads[r]); err != nil {
+			panic(err)
+		}
+	}
+	bytes, seconds := ringGather(sizes)
+	return boardCase{
+		call: func(c *collective.Comm, rank int) any {
+			x := make([]float32, n)
+			for i := range x {
+				x[i] = float32(rank + 1)
+			}
+			err := c.AllReduceCompressed(rank, x, payloads[rank], yieldingDecoder{compress.TopKDecoder{}})
+			return []any{x, err}
+		},
+		want:    []any{want, nil},
+		stats:   collective.Stats{AllReduceCalls: 1, AllReduceBytes: bytes},
+		seconds: seconds,
+	}
+}
+
+// agree: every rank learns whether every rank voted yes (here: has a
+// nonzero length); the vote puts no bytes on the wire and costs no time
+// beyond bringing the clocks together.
+func agree(lens []int, _ uint64) boardCase {
+	all := true
+	for _, n := range lens {
+		all = all && n > 0
+	}
+	return boardCase{
+		call: func(c *collective.Comm, rank int) any { return c.AgreeAllOK(rank, lens[rank] > 0) },
+		want: all,
+	}
+}
+
+// TestBlackboardMatrix holds the blackboard collectives — both gathers, the
+// compressed all-reduce and the control-plane vote — to their serial oracles
+// on the ring matrix's schedule, with ragged per-rank lengths including 0,
+// yields in every wire and decoder call, on the primary lane, the side lane
+// or both at once (one goroutine per rank on each, with its own inputs and
+// clocks). Every rank must receive the oracle's result and add the oracle's
+// Stats on its lane, and the lane's clocks, started apart, must end at their
+// maximum plus the oracle's seconds.
+func TestBlackboardMatrix(t *testing.T) {
+	ops := []struct {
+		name  string
+		build func(lens []int, seed uint64) boardCase
+	}{
+		{"gather-ints", gatherInts},
+		{"gather-floats-fp32", gatherFloats(false)},
+		{"gather-floats-fp16", gatherFloats(true)},
+		{"compressed", reduceCompressed},
+		{"agree", agree},
+	}
+	schedule(t, func(t *testing.T, g int, _ *rng.RNG) {
+		lensAt := func(shift int) []int {
+			sizes := []int{0, 1, g + 1, 40}
+			lens := make([]int, g)
+			for r := range lens {
+				lens[r] = sizes[(r+shift)%len(sizes)]
+			}
+			return lens
+		}
+		for shift := 0; shift < 2; shift++ {
+			for _, op := range ops {
+				for _, lanes := range []string{"primary", "side", "both"} {
+					t.Run(fmt.Sprintf("shift=%d/%s/%s", shift, op.name, lanes), func(t *testing.T) {
+						c := collective.New(g)
+						comms := map[string][]*collective.Comm{
+							"primary": {c}, "side": {c.Side()}, "both": {c, c.Side()},
+						}[lanes]
+						cases := make([]boardCase, len(comms))
+						clocks := make([][]*vclock.Clock, len(comms))
+						start := make([]float64, len(comms))
+						got := make([][]any, len(comms))
+						for l, lc := range comms {
+							cases[l] = op.build(lensAt(shift+l), uint64(97*shift+l))
+							clocks[l] = make([]*vclock.Clock, g)
+							for r := range clocks[l] {
+								clocks[l][r] = new(vclock.Clock)
+								clocks[l][r].Advance(float64((5*r+l)%g) * 1e-3)
+							}
+							start[l] = vclock.MaxNow(clocks[l])
+							lc.AttachCost(&collective.CostModel{Link: matrixLink, Clocks: clocks[l]})
+							got[l] = make([]any, g)
+						}
+						onRanks(len(comms)*g, func(i int) {
+							l, rank := i/g, i%g
+							got[l][rank] = cases[l].call(comms[l], rank)
+						})
+
+						var total collective.Stats
+						for l, bc := range cases {
+							want := fmt.Sprint(bc.want)
+							for r := 0; r < g; r++ {
+								if s := fmt.Sprint(got[l][r]); s != want {
+									t.Fatalf("lane %d rank %d received %s, want %s", l, r, s, want)
+								}
+								if s := comms[l].LaneStats(r); s != bc.stats {
+									t.Fatalf("lane %d rank %d stats %+v, want %+v", l, r, s, bc.stats)
+								}
+								if now, want := clocks[l][r].Now(), start[l]+bc.seconds; now != want {
+									t.Fatalf("lane %d rank %d virtual clock %v, want %v", l, r, now, want)
+								}
+							}
+							total.Add(bc.stats)
+						}
+						for r := 0; r < g; r++ {
+							if s := c.RankStats(r); s != total {
+								t.Fatalf("rank %d stats over both lanes %+v, want %+v", r, s, total)
+							}
+						}
+					})
+				}
+			}
+		}
+	})
 }

@@ -12,16 +12,13 @@ import (
 )
 
 // simExchange runs one exchange across g ranks with the virtual clock
-// attached and returns each rank's Stats. mkEx builds the engine once the
-// cluster (and so the clock set) exists, so hierarchical engines can attach
-// their topology-aware costs.
-func simExchange(t *testing.T, mkEx func(clu *cluster.Cluster) Exchanger, g, k, d, vocab int, seed uint64) []Stats {
+// attached and returns each rank's Stats.
+func simExchange(t *testing.T, ex Exchanger, g, k, d, vocab int, seed uint64) []Stats {
 	t.Helper()
 	clu := cluster.New(g, 0)
 	comm := collective.New(g)
 	hw := perfmodel.TitanX()
 	comm.AttachCost(&collective.CostModel{Link: hw.RingLink(g), Clocks: clu.Clocks()})
-	ex := mkEx(clu)
 
 	grads := make([]SparseGrad, g)
 	root := rng.New(seed)
@@ -65,25 +62,14 @@ func simExchange(t *testing.T, mkEx func(clu *cluster.Cluster) Exchanger, g, k, 
 // clock.
 func TestExchangeSimSeconds(t *testing.T) {
 	const g, k, d, vocab = 4, 64, 16, 500
-	hw := perfmodel.TitanX()
-	flat := func(ex Exchanger) func(*cluster.Cluster) Exchanger {
-		return func(*cluster.Cluster) Exchanger { return ex }
-	}
-	hier := func(clu *cluster.Cluster) Exchanger {
-		h := collective.NewHierarchy(g, 2)
-		h.AttachCost(hw.IntraLink(), hw.InterLink(), clu.Clocks())
-		return HierarchicalExchange{Hier: h}
-	}
-	for name, mk := range map[string]func(*cluster.Cluster) Exchanger{
-		"baseline":     flat(BaselineAllGather{}),
-		"unique":       flat(UniqueExchange{}),
-		"hierarchical": hier,
-	} {
-		a := simExchange(t, mk, g, k, d, vocab, 7)
+	engines := []Exchanger{BaselineAllGather{}, UniqueExchange{}}
+	for _, ex := range engines {
+		name := ex.Name()
+		a := simExchange(t, ex, g, k, d, vocab, 7)
 		if a[0].SimSeconds <= 0 {
 			t.Errorf("%s: SimSeconds = %v, want > 0", name, a[0].SimSeconds)
 		}
-		b := simExchange(t, mk, g, k, d, vocab, 7)
+		b := simExchange(t, ex, g, k, d, vocab, 7)
 		for r := range a {
 			if a[r].SimSeconds != b[r].SimSeconds {
 				t.Errorf("%s: rank %d sim time not reproducible: %v vs %v",
@@ -91,11 +77,9 @@ func TestExchangeSimSeconds(t *testing.T) {
 			}
 		}
 	}
-	// The flat engines end max-synchronized (equal SimSeconds on all
-	// ranks); the hierarchical engine's closing broadcast syncs groups,
-	// not the cluster, so only the flat engines get this assertion.
-	for _, ex := range []Exchanger{BaselineAllGather{}, UniqueExchange{}} {
-		st := simExchange(t, flat(ex), g, k, d, vocab, 11)
+	// Both engines end max-synchronized: equal SimSeconds on all ranks.
+	for _, ex := range engines {
+		st := simExchange(t, ex, g, k, d, vocab, 11)
 		for r := 1; r < g; r++ {
 			if st[r].SimSeconds != st[0].SimSeconds {
 				t.Errorf("%s: rank %d sim %v != rank 0 %v", ex.Name(), r, st[r].SimSeconds, st[0].SimSeconds)

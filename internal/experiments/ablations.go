@@ -15,71 +15,9 @@ import (
 )
 
 func init() {
-	register("abl-hier", "Ablation: flat vs hierarchical (node-aware) unique exchange — inter-node traffic", runAblHier)
 	register("abl-fp16", "Ablation: compression-scaling factor F vs gradient fidelity (§III-C)", runAblFP16)
 	register("abl-seed", "Ablation: seeding strategy vs output-embedding unique words at paper scale (§III-B)", runAblSeed)
 	register("abl-sampler", "Ablation: log-uniform vs exact-unigram sampled-softmax candidates", runAblSampler)
-}
-
-// runAblHier quantifies the extension of core.HierarchicalExchange: at the
-// paper's word-LM configuration, how much InfiniBand traffic does node-level
-// deduplication remove compared with the flat unique ring? Unique counts are
-// measured from real Zipf draws at full scale (node-level and global).
-func runAblHier(opts Options) (*Report, error) {
-	w := wordLM()
-	const groupSize = 8 // Table II: 8 GPUs per node
-
-	tab := metrics.NewTable(
-		"Word-LM input-embedding exchange, per-step inter-node volume (D=512, K=640):",
-		"GPUs", "nodes", "U_node", "U_g", "flat ring inter-node", "hier leaders inter-node", "reduction")
-	notes := []string{
-		"flat ring: all G ranks' ring traffic crosses each node boundary once the ring spans nodes",
-		"hierarchical: only one leader per node touches the fabric, and it carries node-deduplicated rows",
-	}
-	for _, g := range []int{16, 32, 64, 128, 192} {
-		// Measure node-level and global unique counts from real draws.
-		root := rng.New(opts.Seed)
-		perRank := make([][]int, g)
-		for r := 0; r < g; r++ {
-			z := rng.NewZipf(root.Fork(), w.Vocab, w.ZipfExponent)
-			toks := make([]int, w.K)
-			for i := range toks {
-				toks[i] = z.Next()
-			}
-			perRank[r] = toks
-		}
-		ugGlobal := sampling.UniqueAcross(perRank)
-		// Average node-unique over the nodes.
-		nodes := (g + groupSize - 1) / groupSize
-		uNodeSum := 0
-		for n := 0; n < nodes; n++ {
-			lo := n * groupSize
-			hi := lo + groupSize
-			if hi > g {
-				hi = g
-			}
-			uNodeSum += sampling.UniqueAcross(perRank[lo:hi])
-		}
-		uNode := uNodeSum / nodes
-
-		// Flat: the ring crosses every node boundary carrying the whole
-		// reduced volume; per boundary ≈ per-rank ring volume × ranks on
-		// the ring... conservatively use the per-rank wire volume times
-		// the ranks per node whose traffic transits the boundary link.
-		flat := core.UniqueCost(g, w.K, uNode, ugGlobal, w.D, false)
-		flatBoundary := flat.WireBytes * int64(groupSize)
-		_, leaderInter := core.HierarchicalCost(g, groupSize, w.K, uNode, ugGlobal, w.D, false)
-
-		red := float64(flatBoundary) / float64(leaderInter)
-		tab.AddRow(fmt.Sprint(g), fmt.Sprint(nodes),
-			fmt.Sprint(uNode), fmt.Sprint(ugGlobal),
-			metrics.HumanBytes(flatBoundary),
-			metrics.HumanBytes(leaderInter),
-			fmt.Sprintf("%.1f×", red))
-	}
-	notes = append(notes,
-		"node-level dedup buys a further factor because U_node ≪ n·K inside every node (Zipf again)")
-	return &Report{Tables: []*metrics.Table{tab}, Notes: notes}, nil
 }
 
 // runAblFP16 sweeps the compression-scaling factor F over a realistic

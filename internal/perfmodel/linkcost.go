@@ -1,12 +1,10 @@
 package perfmodel
 
-import "math/bits"
-
 // This file is the online half of the package: where perfmodel.go distills a
 // finished run's aggregate byte/FLOP counts into epoch hours, the types here
 // hand the *live* simulator per-operation costs. A Hardware profile exposes
-// its links as LinkCost values (α–β pairs); the collective layer charges
-// every ring hop, gather and broadcast through them as the operations
+// its ring link as a LinkCost value (an α–β pair); the collective layer
+// charges every ring hop and gather through it as the operations
 // execute, and the cluster layer charges compute and memory traffic, so a
 // run's virtual clocks accumulate predicted wall-clock online.
 
@@ -54,26 +52,6 @@ func (l LinkCost) RingAllGatherSeconds(g int, maxLocalBytes int64) float64 {
 		return 0
 	}
 	return float64(g-1) * l.HopSeconds(maxLocalBytes)
-}
-
-// TreeBroadcastSeconds returns the duration of a binomial-tree broadcast of
-// b bytes to g ranks: ⌈log₂ g⌉ stages, each forwarding the full payload.
-func (l LinkCost) TreeBroadcastSeconds(g int, b int64) float64 {
-	if g <= 1 {
-		return 0
-	}
-	stages := bits.Len(uint(g - 1))
-	return float64(stages) * l.HopSeconds(b)
-}
-
-// IntraLink returns the cost of one intra-node (PCIe) link.
-func (h Hardware) IntraLink() LinkCost {
-	return LinkCost{Alpha: h.HopLatency, BytesPerSec: h.IntraBW}
-}
-
-// InterLink returns the cost of one inter-node (InfiniBand boundary) link.
-func (h Hardware) InterLink() LinkCost {
-	return LinkCost{Alpha: h.HopLatency, BytesPerSec: h.InterBW}
 }
 
 // RingLink returns the cost of the bottleneck link of a flat ring over g

@@ -65,38 +65,15 @@ func TestRingAllGatherSeconds(t *testing.T) {
 	}
 }
 
-func TestTreeBroadcastSeconds(t *testing.T) {
-	l := LinkCost{Alpha: 1e-5, BytesPerSec: 1e9}
-	// g=8 → 3 stages; g=5 → 3 stages; g=2 → 1 stage.
-	if got := l.TreeBroadcastSeconds(8, 1000); !almostEq(got, 3*(1e-5+1000/1e9)) {
-		t.Fatalf("g=8: %v", got)
-	}
-	if got := l.TreeBroadcastSeconds(5, 1000); !almostEq(got, 3*(1e-5+1000/1e9)) {
-		t.Fatalf("g=5: %v", got)
-	}
-	if got := l.TreeBroadcastSeconds(2, 1000); !almostEq(got, 1*(1e-5+1000/1e9)) {
-		t.Fatalf("g=2: %v", got)
-	}
-	if l.TreeBroadcastSeconds(1, 1000) != 0 {
-		t.Fatal("single rank must cost nothing")
-	}
-}
-
 // TestHardwareLinks checks the profile → LinkCost projection and that
 // RingLink switches fabrics exactly where RingBW does.
 func TestHardwareLinks(t *testing.T) {
 	hw := TitanX()
-	if got := hw.IntraLink(); got.Alpha != hw.HopLatency || got.BytesPerSec != hw.IntraBW {
-		t.Fatalf("IntraLink = %+v", got)
+	if got := hw.RingLink(hw.GPUsPerNode); got.Alpha != hw.HopLatency || got.BytesPerSec != hw.IntraBW {
+		t.Fatalf("ring within one node must use PCIe, got %+v", got)
 	}
-	if got := hw.InterLink(); got.Alpha != hw.HopLatency || got.BytesPerSec != hw.InterBW {
-		t.Fatalf("InterLink = %+v", got)
-	}
-	if got := hw.RingLink(hw.GPUsPerNode); got.BytesPerSec != hw.IntraBW {
-		t.Fatalf("ring within one node must use PCIe, got %v B/s", got.BytesPerSec)
-	}
-	if got := hw.RingLink(hw.GPUsPerNode + 1); got.BytesPerSec != hw.InterBW {
-		t.Fatalf("ring across nodes must use InfiniBand, got %v B/s", got.BytesPerSec)
+	if got := hw.RingLink(hw.GPUsPerNode + 1); got.Alpha != hw.HopLatency || got.BytesPerSec != hw.InterBW {
+		t.Fatalf("ring across nodes must use InfiniBand, got %+v", got)
 	}
 }
 

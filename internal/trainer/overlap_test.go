@@ -3,7 +3,6 @@ package trainer
 import (
 	"testing"
 
-	"zipflm/internal/collective"
 	"zipflm/internal/compress"
 	"zipflm/internal/core"
 	"zipflm/internal/half"
@@ -85,7 +84,6 @@ func TestOverlapBitIdenticalToSync(t *testing.T) {
 		{name: "g4-full-fp16", ranks: 4, fp16: true},
 		{name: "g3-full-topk", ranks: 3, topk: true},
 		{name: "g2-baseline-engine", ranks: 2, sampled: 12, ex: core.BaselineAllGather{}},
-		{name: "g4-hier-engine", ranks: 4, sampled: 12},
 		{name: "g1-degenerate", ranks: 1, sampled: 12},
 	}
 	for _, tc := range cases {
@@ -97,9 +95,6 @@ func TestOverlapBitIdenticalToSync(t *testing.T) {
 			}
 			if tc.topk {
 				cfg.Compress = &compress.Config{Method: compress.MethodTopK, Ratio: 0.05, MinElems: 1}
-			}
-			if tc.name == "g4-hier-engine" {
-				cfg.Exchange = core.HierarchicalExchange{Hier: collective.NewHierarchy(tc.ranks, 2)}
 			}
 			syncTr, overlapTr := runPair(t, cfg, train, valid, 4)
 			if err := overlapTr.ReplicasInSync(); err != nil {

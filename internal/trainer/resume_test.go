@@ -40,7 +40,7 @@ func addStats(a, b collective.Stats) collective.Stats {
 // train k steps → checkpoint → resume in a fresh trainer → k more steps
 // must be bit-identical to an uninterrupted 2k-step run — replicas, every
 // rank's wire-byte counters, and validation loss — across the full
-// {SGD, Adam} × {baseline, unique, hierarchical} × {FP32, FP16} ×
+// {SGD, Adam} × {baseline, unique} × {FP32, FP16} ×
 // {sync, overlap} matrix, plus overlap × {compress, hardware, both}.
 func TestResumeBitIdentical(t *testing.T) {
 	// Small stream so the 2k steps cross an epoch boundary: the LR-decay
@@ -49,7 +49,7 @@ func TestResumeBitIdentical(t *testing.T) {
 	const leg = 10
 
 	for _, opt := range []string{"sgd", "adam"} {
-		for _, eng := range []string{"baseline", "unique", "hierarchical"} {
+		for _, eng := range []string{"baseline", "unique"} {
 			for _, fp16 := range []bool{false, true} {
 				for _, overlap := range []bool{false, true} {
 					name := fmt.Sprintf("%s-%s-fp32", opt, eng)
@@ -72,8 +72,6 @@ func TestResumeBitIdentical(t *testing.T) {
 							cfg.Exchange = core.BaselineAllGather{}
 						case "unique":
 							cfg.Exchange = core.UniqueExchange{}
-						case "hierarchical":
-							cfg.Exchange = core.HierarchicalExchange{Hier: collective.NewHierarchy(4, 2)}
 						}
 						if fp16 {
 							cfg.Wire = half.NewScaler(512)

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"testing"
 
-	"zipflm/internal/collective"
 	"zipflm/internal/core"
 	"zipflm/internal/corpus"
 	"zipflm/internal/model"
@@ -91,50 +90,6 @@ func TestSimulatedStepTime(t *testing.T) {
 		t.Errorf("virtual time not reproducible: (%v, %v, %v) vs (%v, %v, %v)",
 			total, res.Stats.SimComputeSeconds, res.Stats.SimSyncSeconds,
 			total2, res2.Stats.SimComputeSeconds, res2.Stats.SimSyncSeconds)
-	}
-}
-
-// TestSimHierarchicalExchangePriced: with a hierarchical exchange, the
-// hierarchy's group/leaders communicators must be cost-attached too, so
-// the sparse exchange's traffic shows up in predicted sync time instead of
-// silently reading as free.
-func TestSimHierarchicalExchangePriced(t *testing.T) {
-	hw := perfmodel.TitanX()
-	cfg, train, valid := simConfig(&hw)
-	hier := collective.NewHierarchy(cfg.Ranks, 2)
-	cfg.Exchange = core.HierarchicalExchange{Hier: hier}
-	tr, err := New(cfg, train, valid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hier.Group(0).Cost() == nil || hier.Leaders().Cost() == nil {
-		t.Fatal("hierarchy communicators not cost-attached")
-	}
-	res, err := tr.Run(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.ReplicasInSync(); err != nil {
-		t.Fatal(err)
-	}
-	// The flat run's sync time is dominated by the same dense reductions;
-	// the hierarchical run must report comparable (non-trivial) sync
-	// time, not a near-zero one.
-	if res.Stats.SimSyncSeconds <= 0 {
-		t.Errorf("hierarchical exchange reported no predicted sync time")
-	}
-	flatCfg, ftrain, fvalid := simConfig(&hw)
-	ftr, err := New(flatCfg, ftrain, fvalid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fres, err := ftr.Run(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.SimSyncSeconds < fres.Stats.SimSyncSeconds/2 {
-		t.Errorf("hierarchical predicted sync %.3g implausibly below flat %.3g",
-			res.Stats.SimSyncSeconds, fres.Stats.SimSyncSeconds)
 	}
 }
 

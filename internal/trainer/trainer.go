@@ -340,10 +340,6 @@ func New(cfg Config, train, valid []int) (*Trainer, error) {
 	if perRank < need {
 		return nil, fmt.Errorf("trainer: shard of %d tokens below one batch (%d)", perRank, need)
 	}
-	hx, _ := cfg.Exchange.(core.HierarchicalExchange)
-	if hx.Hier != nil && hx.Hier.G != cfg.Ranks {
-		return nil, fmt.Errorf("trainer: hierarchy spans %d ranks but cluster has %d", hx.Hier.G, cfg.Ranks)
-	}
 	if cfg.Faults != nil && cfg.Hardware == nil {
 		// Input validation, not a missing feature: the failure schedule is
 		// written in virtual seconds and only Hardware gives the run a clock.
@@ -376,12 +372,6 @@ func New(cfg Config, train, valid []int) (*Trainer, error) {
 				t.laneClocks[r] = new(vclock.Clock)
 			}
 			t.comm.Side().AttachCost(&collective.CostModel{Link: link, Clocks: t.laneClocks})
-		}
-		// A hierarchical exchange routes its collectives through the
-		// hierarchy's own communicators; price them with the topology's
-		// fabric split (groups on PCIe, leaders on InfiniBand).
-		if hx.Hier != nil {
-			hx.Hier.AttachCost(cfg.Hardware.IntraLink(), cfg.Hardware.InterLink(), t.clu.Clocks())
 		}
 	}
 	t.ws = make([]*core.Workspace, cfg.Ranks)

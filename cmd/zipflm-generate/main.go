@@ -1,5 +1,7 @@
 // Command zipflm-generate loads a model checkpoint written by zipflm-train
-// (plus, optionally, the matching vocabulary) and samples continuations.
+// (plus, optionally, the matching vocabulary) and samples continuations,
+// running its one request through the serving layer (internal/serve) on a
+// one-slot server — the tokens sequential model.GenerateOpts draws.
 //
 // Usage:
 //
@@ -14,6 +16,7 @@
 // speculative decoding with a small same-vocabulary draft model — output is
 // bit-identical to plain generation at every temperature; the draft only
 // changes the cost per token, and the acceptance rate is printed to stderr.
+// An -n or -draft-k below 1 is a usage error (exit status 2).
 package main
 
 import (
@@ -25,8 +28,8 @@ import (
 
 	"zipflm/internal/corpus"
 	"zipflm/internal/model"
-	"zipflm/internal/rng"
 	"zipflm/internal/sampling"
+	"zipflm/internal/serve"
 )
 
 func main() {
@@ -45,6 +48,12 @@ func main() {
 		draftK    = flag.Int("draft-k", 4, "speculative lookahead tokens per round (with -draft)")
 	)
 	flag.Parse()
+	if *n < 1 {
+		usageError("-n %d: the number of tokens to generate must be at least 1", *n)
+	}
+	if *draftK < 1 {
+		usageError("-draft-k %d: the speculative lookahead must be at least 1", *draftK)
+	}
 
 	if *modelPath == "" {
 		fmt.Fprintln(os.Stderr, "zipflm-generate: -model is required")
@@ -81,20 +90,13 @@ func main() {
 		fatal(err)
 	}
 
-	opts := sampling.DecodeOpts{Temperature: *temp, TopK: *topK, TopP: *topP}
-	if err := opts.Validate(); err != nil {
-		fatal(err)
-	}
-	if *quantized {
-		m.QuantizeWeights()
-	}
-	var out []int
+	var draft *model.LM
 	if *draftPath != "" {
 		df, err := os.Open(*draftPath)
 		if err != nil {
 			fatal(err)
 		}
-		draft, err := model.Load(df)
+		draft, err = model.Load(df)
 		df.Close()
 		if err != nil {
 			fatal(err)
@@ -102,14 +104,21 @@ func main() {
 		if draft.Cfg.Vocab != m.Cfg.Vocab {
 			fatal(fmt.Errorf("draft vocabulary %d does not match model vocabulary %d", draft.Cfg.Vocab, m.Cfg.Vocab))
 		}
-		sd := model.NewSpecDecoder(m, draft, *draftK)
-		out = sd.Generate(ids, *n, opts, rng.New(*seed))
-		st := sd.Stats()
-		fmt.Fprintf(os.Stderr, "zipflm-generate: speculative k=%d: %d rounds, %d/%d proposals accepted (%.0f%%), %d draft steps\n",
-			*draftK, st.Rounds, st.Accepted, st.Proposed, 100*st.AcceptanceRate(), st.DraftSteps)
-	} else {
-		out = m.GenerateOpts(ids, *n, opts, rng.New(*seed))
 	}
+	s := serve.New(m, serve.Config{MaxBatch: 1, MaxTokens: *n, MaxPromptLen: len(ids),
+		Quantized: *quantized, Draft: draft, DraftK: *draftK})
+	defer s.Close()
+	res, err := s.Submit(serve.Request{Prompt: ids, N: *n, Seed: *seed,
+		Opts: sampling.DecodeOpts{Temperature: *temp, TopK: *topK, TopP: *topP}})
+	if err != nil {
+		fatal(err)
+	}
+	if draft != nil {
+		st := s.Stats()
+		fmt.Fprintf(os.Stderr, "zipflm-generate: speculative k=%d: %d rounds, %d/%d proposals accepted (%.0f%%), %d draft steps\n",
+			*draftK, st.SpecRounds, st.DraftAccepted, st.DraftProposed, 100*st.SpecAcceptanceRate(), st.DraftSteps)
+	}
+	out := res.Tokens
 	if vocab != nil {
 		words := make([]string, len(out))
 		for i, id := range out {
@@ -158,4 +167,11 @@ func buildPrompt(text, idCSV string, vocab *corpus.Vocabulary, modelVocab int) (
 func fatal(err error) {
 	fmt.Fprintf(os.Stderr, "zipflm-generate: %v\n", err)
 	os.Exit(1)
+}
+
+// usageError reports a flag value the command cannot run with: one line on
+// stderr and exit status 2, the flag package's status for a usage error.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "zipflm-generate: "+format+"\n", args...)
+	os.Exit(2)
 }

@@ -1,5 +1,6 @@
 // Command zipflm-serve exposes a checkpoint as a batched-inference HTTP
-// service (internal/serve): dynamic batching over per-worker replicas,
+// service (internal/serve): dynamic batching on workers sharing one copy of
+// the weights,
 // bounded-queue admission control, Zipf-aware result/prefix caches, and
 // zero-downtime weight reloads.
 //

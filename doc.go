@@ -83,9 +83,10 @@
 // Serial, Parallel, worker counts, and the asm/Go boundary. After each
 // batched step the serving batcher samples the sequences side by side on
 // the same worker pool (tensor.Backend.For); every sequence owns its RNG,
-// so that changes no token either. Speculative decoding (model.SpecDecoder,
-// serve.Config.Draft) has a small same-vocabulary draft propose k greedy
-// lookahead tokens which the target verifies in one batched Stepper step,
+// so that changes no token either. Speculative decoding (serve.Config.Draft,
+// one round in the serving batcher that zipflm-generate runs too) has a
+// small same-vocabulary draft propose k greedy lookahead tokens which the
+// target verifies in one batched logits product,
 // rolling back at the first mismatch; every emitted token is sampled from
 // the target's own logits at its true prefix, so output is bit-identical
 // to sequential model.Generate at every temperature — the draft only

@@ -37,16 +37,6 @@ func (m *LM) NewGenState() *GenState {
 	return s
 }
 
-// Reset zeroes the state in place.
-func (s *GenState) Reset() {
-	for i := range s.h {
-		s.h[i] = 0
-	}
-	for i := range s.c {
-		s.c[i] = 0
-	}
-}
-
 // Clone returns an independent copy (the prefix cache snapshots post-prompt
 // states with this).
 func (s *GenState) Clone() *GenState {

@@ -43,27 +43,29 @@ func (q *seq) nextInput() int {
 
 // pendingModel is a reload in flight: the worker installs it at the next
 // step boundary where it holds no in-flight sequences. On a speculative
-// server it carries the draft replica too, so target and draft always swap
-// as a pair.
+// server it carries the draft too, so target and draft always swap as a
+// pair. Every worker is handed the same pendingModel.
 type pendingModel struct {
 	m       *model.LM
 	draft   *model.LM // nil unless speculative decoding is configured
 	version uint64
 }
 
-// worker owns one model replica and runs the continuous batching loop:
-// admit into free slots, step the whole batch one token, sample and retire,
-// repeat. Sequences join and leave at any step boundary, so a long request
-// never blocks a short one and fresh arrivals start mid-flight.
+// worker runs the continuous batching loop over the weights generation it
+// holds: admit into free slots, step the whole batch one token, sample and
+// retire, repeat. Sequences join and leave at any step boundary, so a long
+// request never blocks a short one and fresh arrivals start mid-flight.
+// Inference only reads a model, so every worker steps the same one through
+// its own Stepper and states.
 //
-// A Reload parks a replacement replica in pending. The worker then stops
+// A Reload parks the next generation in pending. The worker then stops
 // admitting (in-flight sequences keep stepping on the current weights,
 // retiring normally), and the moment its batch is empty it swaps model,
 // stepper, and version and resumes admitting — so every sequence runs
 // start-to-finish on one weights generation, and nothing is shed.
 type worker struct {
 	s       *Server
-	id      int // worker index, the trace tid for this replica's spans
+	id      int // worker index, the trace tid for this worker's spans
 	m       *model.LM
 	arch    model.Config // immutable architecture, read by Reload for validation
 	version uint64       // weights generation of w.m (worker-goroutine owned)
@@ -173,7 +175,7 @@ func (w *worker) maybeSwap() {
 	w.stepper = p.m.NewStepper(stMax)
 	if p.draft != nil {
 		// Same architecture (Reload validates), so the snapshot and
-		// scratch pools carry over; only the replicas and steppers swap.
+		// scratch pools carry over; only the models and steppers swap.
 		w.draft = p.draft
 		w.draftStepper = p.draft.NewStepper(w.s.cfg.MaxBatch)
 	}
@@ -491,15 +493,29 @@ func (w *worker) sample(j int) {
 }
 
 // stepSpec advances every active sequence up to DraftK+1 tokens in one
-// speculative round: the draft proposes per-sequence lookaheads (batched
-// across sequences), the target runs the cheap serial cell steps per
-// position, and ONE batched logits product verifies every position of every
-// sequence at once. Emission per sequence mirrors sequential Generate
-// exactly — one Decoder.Sample per emitted token from true-prefix logits —
-// and stops at the first draw that contradicts the next proposal, rolling
-// both models back to the snapshot at that point. Output is therefore
-// bit-identical to the normal path at every temperature; only the number of
-// V×D products per token changes.
+// speculative round (Leviathan et al. style, adapted to RNNs) — the one
+// speculative implementation; zipflm-generate -draft runs it with a batch of
+// one. The draft proposes per-sequence lookaheads by greedy argmax (batched
+// across sequences); the target verifies them, and emission stops at the
+// first position where the target's own draw disagrees with the next
+// proposal, rolling both models back to the snapshot at that point. An RNN
+// cannot batch the verification across time — the recurrence serializes the
+// cell — but the cell is the cheap part: the V×D logits product dominates
+// decode, and it has no recurrence. So the target runs the serial cell steps
+// per position (StepCells) and then ONE batched LogitsFor over every
+// position of every sequence.
+//
+// Exactness: every emitted token is drawn by sampling.Decoder.Sample from the
+// target's true-prefix logits — row bases[i]+t of the batched call is
+// bit-identical to the logits a sequential Step would produce after the same
+// tokens (the Stepper per-row contract) — and Sample draws exactly the
+// sequential schedule's variates (one per emitted token at temperature > 0,
+// none at 0) because draft proposals are RNG-free argmax. Output is therefore
+// bit-identical to model.GenerateOpts at every temperature and filter
+// setting; the draft changes the cost per token, never the tokens. The
+// paper's Zipf skew is what makes the trade favorable: most next-token draws
+// are head tokens a small model predicts as well as a large one, so
+// acceptance stays high.
 func (w *worker) stepSpec() {
 	w.expire(time.Now())
 	b := len(w.active)

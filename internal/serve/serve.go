@@ -9,14 +9,14 @@
 //     goroutines; requests whose deadline passes before service are shed
 //     with ErrDeadlineExceeded.
 //
-//   - Per-worker model replicas running a continuous dynamic batcher: each
-//     worker advances up to MaxBatch sequences per forward step through a
-//     model.Stepper, admitting new requests into free slots between steps
-//     and retiring finished ones, so ragged prompts and different lengths
-//     never stall the batch (no head-of-line blocking). A step advances
-//     every sequence's cell but computes logits only for the sequences
-//     that sample a token in it: a prompt costs cell steps and one logits
-//     row, so a cache miss costs N logits rows, not P+N−1.
+//   - Workers sharing one copy of the weights, each running a continuous
+//     dynamic batcher: it advances up to MaxBatch sequences per forward step
+//     through its own model.Stepper, admitting new requests into free slots
+//     between steps and retiring finished ones, so ragged prompts and
+//     different lengths never stall the batch (no head-of-line blocking). A
+//     step advances every sequence's cell but computes logits only for the
+//     sequences that sample a token in it: a prompt costs cell steps and one
+//     logits row, so a cache miss costs N logits rows, not P+N−1.
 //
 //   - Zipf-aware caching: an LRU result cache short-circuits repeated
 //     requests entirely, and an LRU prefix cache snapshots post-prompt
@@ -91,11 +91,11 @@ type Result struct {
 
 // Config tunes a Server.
 type Config struct {
-	// Workers is the number of model replicas, each with its own batcher
-	// goroutine (default 1).
+	// Workers is the number of batcher goroutines (default 1). They share
+	// one copy of the weights, each stepping it through its own scratch.
 	Workers int
-	// ComputeWorkers selects the tensor backend each replica computes with:
-	// > 1 tiles every forward-step matmul across that many goroutines (one
+	// ComputeWorkers selects the tensor backend the weights compute with: > 1
+	// tiles every forward-step matmul across that many goroutines (one
 	// shared tensor.Parallel for the whole server) and has them sample the
 	// batch's sequences side by side after each step. 0 keeps the process
 	// default (tensor.Default, which honors ZIPFLM_WORKERS); 1 forces the
@@ -122,7 +122,7 @@ type Config struct {
 	// wait up to this long for more arrivals to coalesce (0: step
 	// immediately with whatever is queued).
 	BatchWindow time.Duration
-	// Quantized converts every replica's inference path to int8 weights
+	// Quantized converts the served weights' inference path to int8
 	// (model.LM.QuantizeWeights) — single-token decode is memory-bound, so
 	// 4× smaller weight reads raise tok/s. Responses remain deterministic
 	// (bit-identical to sequential Generate on the quantized model) but
@@ -220,15 +220,16 @@ type Server struct {
 	results *lruCache
 	prefix  *lruCache
 	workers []*worker
-	// backend is the shared tensor backend every replica computes with
-	// (nil: leave replicas on their NewLM default). Reload replicas get it
-	// too, so a reload never silently changes the compute path.
+	// backend is the tensor backend the served weights compute with (nil:
+	// leave them on their NewLM default). Reloaded weights get it too, so a
+	// reload never silently changes the compute path.
 	backend tensor.Backend
 	// draftSrc is the server's private copy of the speculative draft
-	// weights (nil without Config.Draft); reloadMu guards it after New.
+	// weights (nil without Config.Draft), the one every worker steps;
+	// reloadMu guards it after New.
 	draftSrc *model.LM
 	// version is the current weights generation; reloadMu serializes
-	// Reload calls so versions hand out monotonically with their replicas.
+	// Reload calls so versions hand out monotonically with their weights.
 	version  atomic.Uint64
 	reloads  atomic.Int64
 	reloadMu sync.Mutex
@@ -236,10 +237,9 @@ type Server struct {
 	reloadFailures *telemetry.Counter
 }
 
-// New builds a Server over the given model. The model is cloned into one
-// replica per worker (the §II-B "replicas identical" invariant, now on the
-// serving side); the caller's model is not retained and stays free for
-// training or evaluation.
+// New builds a Server over the given model. The model is cloned once and
+// every worker steps that copy; the caller's model is not retained and stays
+// free for training or evaluation.
 func New(m *model.LM, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	reg := cfg.Telemetry
@@ -320,11 +320,11 @@ func New(m *model.LM, cfg Config) *Server {
 		if cfg.Draft.Cfg.Vocab != m.Cfg.Vocab {
 			panic(fmt.Sprintf("serve: draft vocab %d does not match model vocab %d", cfg.Draft.Cfg.Vocab, m.Cfg.Vocab))
 		}
-		s.draftSrc = model.NewLM(cfg.Draft.Cfg)
-		s.draftSrc.CopyWeightsFrom(cfg.Draft)
+		s.draftSrc = s.clone(cfg.Draft, false)
 	}
+	target := s.clone(m, cfg.Quantized)
 	for i := 0; i < cfg.Workers; i++ {
-		w := newWorker(s, s.buildReplica(m), s.buildDraftReplica())
+		w := newWorker(s, target, s.draftSrc)
 		w.id = i
 		s.workers = append(s.workers, w)
 		s.wg.Add(1)
@@ -336,37 +336,23 @@ func New(m *model.LM, cfg Config) *Server {
 	return s
 }
 
-// buildReplica clones m into a serving replica: shared backend, quantized
-// inference path when configured.
-func (s *Server) buildReplica(m *model.LM) *model.LM {
-	replica := model.NewLM(m.Cfg)
+// clone copies m into the server's weights for one generation: the server's
+// backend, and an int8 inference path when quantize is set. Every worker
+// steps the same clone.
+func (s *Server) clone(m *model.LM, quantize bool) *model.LM {
+	c := model.NewLM(m.Cfg)
 	if s.backend != nil {
-		replica.SetBackend(s.backend)
+		c.SetBackend(s.backend)
 	}
-	replica.CopyWeightsFrom(m)
-	if s.cfg.Quantized {
-		replica.QuantizeWeights()
+	c.CopyWeightsFrom(m)
+	if quantize {
+		c.QuantizeWeights()
 	}
-	return replica
-}
-
-// buildDraftReplica clones the current draft weights into a per-worker
-// replica (nil when speculative decoding is off). Callers hold reloadMu or
-// run before the workers start.
-func (s *Server) buildDraftReplica() *model.LM {
-	if s.draftSrc == nil {
-		return nil
-	}
-	d := model.NewLM(s.draftSrc.Cfg)
-	if s.backend != nil {
-		d.SetBackend(s.backend)
-	}
-	d.CopyWeightsFrom(s.draftSrc)
-	return d
+	return c
 }
 
 // Reload swaps the serving weights with zero downtime: each worker keeps
-// generating with its current replica until every in-flight sequence it
+// generating with its current weights until every in-flight sequence it
 // holds has retired, then installs the new weights at a step boundary and
 // resumes admitting. In-flight sequences therefore finish on the weights
 // that admitted them, new admissions get the new ones, and nothing is
@@ -375,10 +361,10 @@ func (s *Server) buildDraftReplica() *model.LM {
 // returned; Result.WeightsVersion reports which generation served each
 // request.
 //
-// The architecture must match the serving model's (same replica shapes) —
-// a reload is a weights update, not a model swap. On a speculative server
-// the current draft weights are re-cloned alongside the new target so the
-// pair swaps atomically; ReloadWithDraft updates the draft too.
+// The architecture must match the serving model's (same shapes) — a reload
+// is a weights update, not a model swap. On a speculative server the current
+// draft rides along with the new target so the pair swaps atomically;
+// ReloadWithDraft updates the draft too.
 func (s *Server) Reload(m *model.LM) (uint64, error) {
 	return s.ReloadWithDraft(m, nil)
 }
@@ -395,12 +381,12 @@ func (s *Server) ReloadWithDraft(m, draft *model.LM) (uint64, error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
 	if draft != nil {
-		s.draftSrc = model.NewLM(draft.Cfg)
-		s.draftSrc.CopyWeightsFrom(draft)
+		s.draftSrc = s.clone(draft, false)
 	}
 	v := s.version.Add(1)
+	p := &pendingModel{m: s.clone(m, s.cfg.Quantized), draft: s.draftSrc, version: v}
 	for _, w := range s.workers {
-		w.pending.Store(&pendingModel{m: s.buildReplica(m), draft: s.buildDraftReplica(), version: v})
+		w.pending.Store(p)
 	}
 	// Drop the old weights' cached work eagerly; the per-entry version
 	// tags are what guarantee correctness for anything that races in.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -101,11 +102,12 @@ func TestServeQuantizedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestServeSpeculativeBitIdentical is the speculative-serving acceptance
+// TestServeSpeculativeBitIdentical is the speculative-decoding acceptance
 // contract: with a cold draft proposing (plenty of rejections), concurrent
-// ragged traffic at several batch bounds — FP32 and quantized targets — every
-// response is still bit-identical to sequential generation on the target.
-// The draft may only ever change the cost per token, never a token.
+// ragged traffic at several batch bounds — FP32 and quantized targets, serial
+// and tiled backends — every response is still bit-identical to sequential
+// generation on the target. The draft may only ever change the cost per
+// token, never a token.
 func TestServeSpeculativeBitIdentical(t *testing.T) {
 	for name, m := range map[string]*model.LM{"lstm": lstmModel(), "rhn": rhnModel()} {
 		for _, quantized := range []bool{false, true} {
@@ -113,10 +115,10 @@ func TestServeSpeculativeBitIdentical(t *testing.T) {
 			if quantized {
 				ref = m.Quantize()
 			}
-			for _, maxBatch := range []int{1, 4} {
-				s := New(m, Config{Quantized: quantized, Draft: draftFor(m, 33), DraftK: 3,
-					MaxBatch: maxBatch, QueueDepth: 64, CacheEntries: 16, PrefixEntries: 8})
-				tag := name
+			for _, sh := range []struct{ maxBatch, computeWorkers int }{{1, 1}, {1, 4}, {4, 1}, {4, 4}} {
+				s := New(m, Config{Quantized: quantized, Draft: draftFor(m, 33), DraftK: 3, ComputeWorkers: sh.computeWorkers,
+					MaxBatch: sh.maxBatch, QueueDepth: 64, CacheEntries: 16, PrefixEntries: 8})
+				tag := fmt.Sprintf("%s batch=%d compute=%d", name, sh.maxBatch, sh.computeWorkers)
 				if quantized {
 					tag += "+q8"
 				}
@@ -166,6 +168,11 @@ func TestServeSpeculativeFullAcceptance(t *testing.T) {
 	if snap.DraftProposed == 0 || snap.DraftAccepted != snap.DraftProposed {
 		t.Fatalf("identical draft rejected: accepted %d of %d", snap.DraftAccepted, snap.DraftProposed)
 	}
+	// One request at a time, its first token from a normal step, then k+1
+	// tokens per round: ⌈(N−1)/(k+1)⌉ = ⌈11/5⌉ = 3 rounds per request.
+	if snap.SpecRounds != 4*3 {
+		t.Fatalf("%d rounds for 4 requests of 12 tokens at k=4, want 12", snap.SpecRounds)
+	}
 	if snap.SpecAcceptanceRate() != 1 {
 		t.Fatalf("acceptance rate %v, want 1", snap.SpecAcceptanceRate())
 	}
@@ -201,13 +208,14 @@ func TestServeSpeculativePrefixCache(t *testing.T) {
 
 // TestReloadWithDraft: target and draft swap as a pair with zero downtime,
 // post-reload responses are bit-identical to the new target, and the draft
-// change shows up only as cost (never tokens).
+// change shows up only as cost (never tokens) — with two workers stepping
+// the same target and draft.
 func TestReloadWithDraft(t *testing.T) {
 	m1, m2 := reloadModels()
 	d1 := draftFor(m1, 33)
 	d2 := draftFor(m1, 55)
 	d2.Cfg.Seed = d1.Cfg.Seed // same architecture identity, different weights
-	s := New(m1, Config{Draft: d1, DraftK: 3, MaxBatch: 4, QueueDepth: 256})
+	s := New(m1, Config{Workers: 2, Draft: d1, DraftK: 3, MaxBatch: 4, QueueDepth: 256})
 	defer s.Close()
 
 	reqs := raggedRequests(m1.Cfg.Vocab, 32, 500)

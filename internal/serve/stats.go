@@ -150,7 +150,7 @@ type Snapshot struct {
 	// Reload increments it); Reloads counts completed Reload calls.
 	WeightsVersion uint64
 	Reloads        int64
-	// Quantized reports whether replicas serve on int8 weights; DraftK is
+	// Quantized reports whether the server serves int8 weights; DraftK is
 	// the speculative lookahead (0 when speculative decoding is off).
 	Quantized bool
 	DraftK    int

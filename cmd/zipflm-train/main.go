@@ -99,6 +99,24 @@ func main() {
 	if *level != "word" && *level != "char" {
 		usageError("-level %q: want word or char", *level)
 	}
+	strat, ok := map[string]sampling.Strategy{
+		"g": sampling.AllDifferent, "same": sampling.AllSame, "log2": sampling.Log2G,
+		"loge": sampling.LogEG, "log10": sampling.Log10G, "zipf": sampling.ZipfFreq,
+	}[*seeding]
+	if !ok {
+		usageError("-seeding %q: want g, same, log2, loge, log10 or zipf", *seeding)
+	}
+	if *compFlag != "none" && *compFlag != "topk" && *compFlag != "q8" {
+		usageError("-compress %q: want none, topk or q8", *compFlag)
+	}
+	if *compZipf && *compFlag == "q8" {
+		// The Zipf-derived ratio only steers top-k selection; quantization
+		// has no per-tensor ratio to tune.
+		usageError("-compress-zipf only applies to -compress topk")
+	}
+	if *ckptEvery > 0 && *ckptDir == "" {
+		usageError("-ckpt-every %d: needs -ckpt-dir", *ckptEvery)
+	}
 
 	stream, vocab, vv, err := loadStream(*input, *synthetic, *level, *vocabSize, *seed)
 	if err != nil {
@@ -108,11 +126,6 @@ func main() {
 	train, valid := corpus.Split(stream, 10, 100, *seed)
 	fmt.Printf("tokens: %d train / %d valid, vocabulary %d\n", len(train), len(valid), vocab)
 
-	strat, err := parseSeeding(*seeding)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "zipflm-train: %v\n", err)
-		os.Exit(1)
-	}
 	var wire collective.Wire
 	if *fp16 {
 		wire = half.NewScaler(float32(*scale))
@@ -125,39 +138,31 @@ func main() {
 			RNN: kind, RHNDepth: *rhnDepth, Sampled: *sampled,
 			Stateful: *stateful, Dropout: *dropout,
 		},
-		Ranks:        *ranks,
-		BatchPerRank: *batch,
-		SeqLen:       *seqLen,
-		LR:           sched.LR(*ranks, 0),
-		LRDecay:      *lrDecay,
-		Exchange:     ex,
-		Wire:         wire,
-		SeedStrategy: strat,
-		BaseSeed:     *seed,
-		Workers:      *workers,
-		Overlap:      *overlap,
+		Ranks:              *ranks,
+		BatchPerRank:       *batch,
+		SeqLen:             *seqLen,
+		LR:                 sched.LR(*ranks, 0),
+		LRDecay:            *lrDecay,
+		Exchange:           ex,
+		Wire:               wire,
+		SeedStrategy:       strat,
+		BaseSeed:           *seed,
+		Workers:            *workers,
+		Overlap:            *overlap,
+		CheckpointDir:      *ckptDir,
+		CheckpointEvery:    *ckptEvery,
+		CheckpointKeepLast: *ckptKeep,
 	}
 	if *adam {
 		cfg.NewOptimizer = func() optim.Optimizer { return optim.NewAdam(1e-5) }
 	}
-	switch *compFlag {
-	case "none":
-	case "topk", "q8":
-		cc := &compress.Config{Ratio: *compRatio, Momentum: *compMom}
-		if *compFlag == "topk" {
-			cc.Method = compress.MethodTopK
-		} else {
+	if *compFlag != "none" {
+		cc := &compress.Config{Ratio: *compRatio, Momentum: *compMom, Method: compress.MethodTopK}
+		if *compFlag == "q8" {
 			cc.Method = compress.MethodQuant8
 			cc.Stochastic = true
 		}
 		if *compZipf {
-			if cc.Method != compress.MethodTopK {
-				// The Zipf-derived ratio only steers top-k selection;
-				// quantization has no per-tensor ratio to tune, so
-				// pretending the flag applied would be misleading.
-				fmt.Fprintln(os.Stderr, "zipflm-train: -compress-zipf only applies to -compress topk")
-				os.Exit(1)
-			}
 			globalBatch := *ranks * *batch * *seqLen
 			if err := cc.ZipfTune(train, vocab, globalBatch); err != nil {
 				fmt.Fprintf(os.Stderr, "zipflm-train: -compress-zipf: %v\n", err)
@@ -167,16 +172,6 @@ func main() {
 				cc.EmbedRatio, cc.RankAlpha)
 		}
 		cfg.Compress = cc
-	default:
-		fmt.Fprintf(os.Stderr, "zipflm-train: unknown -compress %q (none, topk, q8)\n", *compFlag)
-		os.Exit(1)
-	}
-	cfg.CheckpointDir = *ckptDir
-	cfg.CheckpointEvery = *ckptEvery
-	cfg.CheckpointKeepLast = *ckptKeep
-	if *ckptEvery > 0 && *ckptDir == "" {
-		fmt.Fprintln(os.Stderr, "zipflm-train: -ckpt-every needs -ckpt-dir")
-		os.Exit(1)
 	}
 
 	var tracer *telemetry.Tracer
@@ -382,22 +377,4 @@ func loadStream(path string, synthetic int, level string, vocabCap int, seed uin
 		Seed:         seed,
 	})
 	return gen.Stream(synthetic), vocab, corpus.SyntheticVocabulary(vocab - 1), nil
-}
-
-func parseSeeding(s string) (sampling.Strategy, error) {
-	switch s {
-	case "g":
-		return sampling.AllDifferent, nil
-	case "same":
-		return sampling.AllSame, nil
-	case "log2":
-		return sampling.Log2G, nil
-	case "loge":
-		return sampling.LogEG, nil
-	case "log10":
-		return sampling.Log10G, nil
-	case "zipf":
-		return sampling.ZipfFreq, nil
-	}
-	return 0, fmt.Errorf("unknown seeding strategy %q", s)
 }

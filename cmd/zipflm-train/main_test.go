@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -22,23 +23,27 @@ func buildTrain(t *testing.T) string {
 }
 
 // TestUsageErrorsExitTwo: a flag value the command cannot run with — a
-// -scale that is not a positive finite float32 under -fp16, or an -rnn,
-// -exchange or -level outside its accepted values — is a usage error: one
-// line on stderr naming the flag, and exit status 2, before any corpus is
-// read — not half.NewScaler's panic trace, nor a run of some other model or
-// exchange. -overlap rides along: were the flag not defined, the one line
-// would be the flag package's.
+// -scale that is not a positive finite float32 under -fp16, an -rnn,
+// -exchange, -level, -seeding or -compress outside its accepted values,
+// -compress-zipf with q8, or -ckpt-every without -ckpt-dir — is a usage
+// error: one line on stderr naming one of the flags given, and exit status
+// 2, before any corpus is read (nothing on stdout) — not half.NewScaler's
+// panic trace, nor a run of some other model or exchange. -overlap rides
+// along: were the flag not defined, the one line would be the flag
+// package's.
 func TestUsageErrorsExitTwo(t *testing.T) {
 	bin := buildTrain(t)
 	var cases [][]string
 	for _, scale := range []string{"0", "-512", "NaN", "+Inf", "1e300", "1e-300"} {
 		cases = append(cases, []string{"-fp16", "-overlap", "-scale", scale})
 	}
-	cases = append(cases, []string{"-rnn", "gru"}, []string{"-exchange", "hier"}, []string{"-level", "byte"})
+	cases = append(cases, []string{"-rnn", "gru"}, []string{"-exchange", "hier"}, []string{"-level", "byte"},
+		[]string{"-seeding", "bogus"}, []string{"-compress", "gzip"}, []string{"-compress", "q8", "-compress-zipf"},
+		[]string{"-ckpt-every", "5"})
 	for _, args := range cases {
-		var stderr bytes.Buffer
+		var stdout, stderr bytes.Buffer
 		cmd := exec.Command(bin, append(args, "-synthetic", "1000")...)
-		cmd.Stderr = &stderr
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
 		err := cmd.Run()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
@@ -46,9 +51,10 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 			continue
 		}
 		msg := stderr.String()
-		flagName := args[len(args)-2]
-		if !strings.HasPrefix(msg, "zipflm-train: "+flagName+" ") || strings.Count(msg, "\n") != 1 || strings.Contains(msg, "goroutine") {
-			t.Errorf("%v: stderr is not the one-line usage error:\n%s", args, msg)
+		named, _, _ := strings.Cut(strings.TrimPrefix(msg, "zipflm-train: "), " ")
+		if !strings.HasPrefix(msg, "zipflm-train: -") || !slices.Contains(args, named) ||
+			strings.Count(msg, "\n") != 1 || strings.Contains(msg, "goroutine") || stdout.Len() != 0 {
+			t.Errorf("%v: not the one-line usage error before any output:\nstdout:\n%s\nstderr:\n%s", args, stdout.String(), msg)
 		}
 	}
 }

@@ -4,9 +4,10 @@
 // exploiting Zipf's law in the embedding-layer gradient exchange.
 //
 // The system lives in internal/ packages (see DESIGN.md for the inventory),
-// is exercised by the runnable programs in cmd/ and examples/, and
-// regenerates every table and figure of the paper's evaluation through
-// cmd/zipflm-bench and the benchmarks in bench_test.go.
+// is exercised by the runnable programs in cmd/ and the Example functions
+// in internal/trainer and internal/serve, and regenerates every table and
+// figure of the paper's evaluation through cmd/zipflm-bench and the
+// benchmarks in bench_test.go.
 //
 // # Communication substrate: zero-copy rings, pooled buffers, overlap
 //
@@ -238,7 +239,7 @@
 // perturbing: the bit-identity suites rerun with telemetry on and assert
 // identical weights, losses and tokens. Surfaces: zipflm-serve GET
 // /metrics and -debug-addr (net/http/pprof), zipflm-train -metrics-addr
-// and -trace, zipflm-bench -trace, and examples/observability.
+// and -trace, and zipflm-bench -trace.
 //
 // Three analysis layers sit on top. Traces carry per-rank and
 // per-collective spans, and internal/traceview computes the per-step

@@ -2,8 +2,8 @@ package zipflm
 
 // The export rule, as a test. An exported func, method, type, const or var
 // of a package under internal/ must be referenced — outside its own
-// declaration — by non-test code of any package in either module (cmd/,
-// examples/ and benchmark/ included), or by a _test.go file of a
+// declaration — by non-test code of any package in either module (cmd/
+// and benchmark/ included), or by a _test.go file of a
 // *different* package. An export that only its own package's tests reach
 // buys nothing: those tests can use unexported names. Delete it with the
 // tests of its behaviour, or — when a surviving test needs it as an oracle,

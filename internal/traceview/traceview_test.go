@@ -3,6 +3,7 @@ package traceview
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -129,6 +130,24 @@ func TestDiffRegression(t *testing.T) {
 	if !strings.Contains(buf.String(), "REGRESSION") {
 		t.Fatalf("diff output missing REGRESSION verdict:\n%s", buf.String())
 	}
+}
+
+// FuzzParse: no input — truncated, hand-edited or hostile — makes Parse,
+// Analyze or WriteSummary panic; a document Parse accepts always renders.
+func FuzzParse(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "small.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add([]byte(`{"traceEvents":[]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Parse(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		WriteSummary(io.Discard, tr, Analyze(tr), SummaryOptions{MaxSteps: -1})
+	})
 }
 
 // TestAnalyzeEmptyTrace: an empty trace analyzes to zeros and the summary

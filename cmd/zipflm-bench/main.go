@@ -73,16 +73,17 @@ func toJSONReport(rep *experiments.Report) jsonReport {
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment id(s) to run, comma-separated, or 'all'")
-		list       = flag.Bool("list", false, "list experiment ids and exit")
-		quick      = flag.Bool("quick", false, "shrink training-based experiments for a fast smoke run")
-		seed       = flag.Uint64("seed", 42, "reproducibility seed")
-		jsonPath   = flag.String("json", "", "also write machine-readable results to this path")
-		tracePath  = flag.String("trace", "", "write a Chrome trace_event JSON timeline of the simulated-cluster experiments to this path")
-		flightCap  = flag.Int("flight", 0, "flight-recorder ring capacity for training-based experiments; dumped on fault rollback or SIGQUIT (0 disables)")
-		profileDir = flag.String("profile-dir", "", "capture a CPU profile per experiment (plus a heap snapshot at each experiment's end) into this directory, indexed by profiles.json")
-		workers    = flag.Int("workers", 0, "goroutines per matmul in training-based experiments (0: ZIPFLM_WORKERS or serial; results identical at any value)")
+		exp      = flag.String("exp", "all", "experiment id(s) to run, comma-separated, or 'all'")
+		list     = flag.Bool("list", false, "list experiment ids and exit")
+		quick    = flag.Bool("quick", false, "shrink training-based experiments for a fast smoke run")
+		seed     = flag.Uint64("seed", 42, "reproducibility seed")
+		jsonPath = flag.String("json", "", "also write machine-readable results to this path")
+		workers  = flag.Int("workers", 0, "goroutines per matmul in training-based experiments (0: ZIPFLM_WORKERS or serial; results identical at any value)")
 	)
+	// -trace and -flight reach the simulated-cluster experiments; the
+	// flight recorder is off unless asked for.
+	var observe telemetry.Options
+	observe.RegisterFlags(flag.CommandLine, false)
 	flag.Parse()
 
 	if *workers > 0 {
@@ -102,19 +103,12 @@ func main() {
 		return
 	}
 
-	opts := experiments.Options{Quick: *quick, Seed: *seed}
-	if *tracePath != "" {
-		opts.Trace = telemetry.NewTracer(0)
-	}
-	flight, stopFlight := telemetry.StartFlight(*flightCap)
-	defer stopFlight()
-	prof, stopProfiler, err := telemetry.StartProfiler("zipflm-bench", *profileDir, 0)
+	obs, err := telemetry.Start("zipflm-bench", observe)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "zipflm-bench: %v\n", err)
 		os.Exit(1)
 	}
-	defer stopProfiler()
-	opts.Flight, opts.Profile = flight, prof
+	opts := experiments.Options{Quick: *quick, Seed: *seed, Trace: obs.Tracer, Flight: obs.Flight}
 	ids := experiments.IDs()
 	if *exp != "all" {
 		// Validate every requested id before running anything, so a typo
@@ -171,11 +165,8 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "zipflm-bench: wrote %d report(s) to %s\n", len(out.Reports), *jsonPath)
 	}
-	if *tracePath != "" {
-		if err := opts.Trace.WriteFile(*tracePath); err != nil {
-			fmt.Fprintf(os.Stderr, "zipflm-bench: writing %s: %v\n", *tracePath, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "zipflm-bench: wrote %d trace events to %s\n", opts.Trace.Len(), *tracePath)
+	if err := obs.Stop(); err != nil {
+		fmt.Fprintf(os.Stderr, "zipflm-bench: %v\n", err)
+		os.Exit(1)
 	}
 }

@@ -14,8 +14,13 @@
 //	curl -s -X POST localhost:8080/v1/reload -d '{"path":"model-v2.ckpt"}'
 //
 // /metrics serves the shared telemetry registry in Prometheus text format
-// (?format=json for a JSON snapshot); -debug-addr exposes net/http/pprof
-// on a separate listener for CPU/heap profiling under load.
+// (?format=json for a JSON snapshot) and /metrics/history its sampled ring.
+// -metrics-addr is the observer listener (internal/telemetry's Start): the
+// same two endpoints plus net/http/pprof's /debug/pprof/, which the public
+// -addr never serves —
+//
+//	go tool pprof http://<metrics-addr>/debug/pprof/profile
+//	zipflm-top -addr <metrics-addr>
 //
 // -model also accepts a full-state checkpoint file or a checkpoint
 // *directory* written by zipflm-train -ckpt-dir; with -watch the server
@@ -41,7 +46,6 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
-	_ "net/http/pprof" // registers pprof handlers on DefaultServeMux (-debug-addr only)
 	"os"
 	"os/signal"
 	"strings"
@@ -51,7 +55,6 @@ import (
 
 	"zipflm/internal/ckpt"
 	"zipflm/internal/corpus"
-	"zipflm/internal/dash"
 	"zipflm/internal/metrics"
 	"zipflm/internal/model"
 	"zipflm/internal/sampling"
@@ -75,14 +78,6 @@ func main() {
 		draftPath = flag.String("draft", "", "draft model checkpoint enabling speculative decoding (same vocabulary)")
 		draftK    = flag.Int("draft-k", 4, "speculative lookahead tokens per round (with -draft)")
 		watch     = flag.Duration("watch", 0, "poll the -model checkpoint directory at this interval and hot-reload new checkpoints (0 disables)")
-		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof profiling endpoints on this address (empty disables)")
-		dashboard = flag.Bool("dashboard", false, "render a live ANSI dashboard of the in-process registry on stdout (same renderer as zipflm-top)")
-		histCap   = flag.Int("history", telemetry.DefaultHistorySamples, "in-process metrics-history ring capacity, sampled every -history-interval and served at /metrics/history (0 disables)")
-		histEvery = flag.Duration("history-interval", telemetry.DefaultHistoryInterval, "metrics-history sampling interval")
-		profDir   = flag.String("profile-dir", "", "continuously capture CPU+heap pprof profiles into this directory on -profile-interval, indexed by profiles.json (empty disables)")
-		profEvery = flag.Duration("profile-interval", time.Minute, "continuous-profiling capture interval (with -profile-dir)")
-		tracePath = flag.String("trace", "", "write per-request Chrome trace spans here on shutdown (view in Perfetto or zipflm-trace)")
-		flightCap = flag.Int("flight", telemetry.DefaultFlightEvents, "flight-recorder ring capacity (0 disables; dumps on overload or SIGQUIT)")
 		sloP99    = flag.Duration("slo-p99", 500*time.Millisecond, "p99 latency SLO target (0 disables the latency objective)")
 		sloAvail  = flag.Float64("slo-availability", 0.99, "availability SLO target in (0,1) (0 disables)")
 		loadN     = flag.Int("loadgen", 0, "run N closed-loop requests in-process instead of serving HTTP")
@@ -91,6 +86,13 @@ func main() {
 		zipfS     = flag.Float64("zipf", 1.1, "loadgen prompt-popularity exponent")
 		seed      = flag.Uint64("seed", 42, "loadgen seed")
 	)
+	observe := telemetry.Options{
+		Flight:          telemetry.DefaultFlightEvents,
+		History:         telemetry.DefaultHistorySamples,
+		HistoryInterval: telemetry.DefaultHistoryInterval,
+		Exported:        true,
+	}
+	observe.RegisterFlags(flag.CommandLine, true)
 	flag.Parse()
 
 	if *modelPath == "" {
@@ -129,15 +131,18 @@ func main() {
 		}
 	}
 
-	reg := telemetry.NewRegistry()
-	build := telemetry.PublishBuildInfo(reg)
-	var tracer *telemetry.Tracer
-	if *tracePath != "" {
-		tracer = telemetry.NewTracer(0)
-		reg.ObserveTracer(tracer)
+	// The observers only read instruments: generated tokens are
+	// bit-identical with every one of them running. They stop after the
+	// serve layer drained, so the trace holds every request.
+	obs, err := telemetry.Start("zipflm-serve", observe)
+	if err != nil {
+		fatal(err)
 	}
-	flight, stopFlight := telemetry.StartFlight(*flightCap)
-	defer stopFlight()
+	defer func() {
+		if err := obs.Stop(); err != nil {
+			fmt.Fprintf(os.Stderr, "zipflm-serve: %v\n", err)
+		}
+	}()
 	srv := serve.New(m, serve.Config{
 		Workers:         *workers,
 		ComputeWorkers:  *computeW,
@@ -149,54 +154,13 @@ func main() {
 		Quantized:       *quantized,
 		Draft:           draft,
 		DraftK:          *draftK,
-		Telemetry:       reg,
-		Tracer:          tracer,
-		Flight:          flight,
+		Telemetry:       obs.Registry,
+		Tracer:          obs.Tracer,
+		Flight:          obs.Flight,
 		SLOTargetP99:    *sloP99,
 		SLOAvailability: *sloAvail,
 	})
 	defer srv.Close()
-	defer func() {
-		// Runs on shutdown, after the serve layer drained.
-		if tracer == nil {
-			return
-		}
-		if err := tracer.WriteFile(*tracePath); err != nil {
-			fmt.Fprintf(os.Stderr, "zipflm-serve: trace: %v\n", err)
-			return
-		}
-		fmt.Fprintf(os.Stderr, "zipflm-serve: wrote %d trace events to %s\n", tracer.Len(), *tracePath)
-	}()
-
-	// The performance observatory: periodic registry sampling into a ring
-	// (served at /metrics/history), scheduled pprof capture, and the live
-	// in-process dashboard. All three only read instruments — generated
-	// tokens are bit-identical with every one of them enabled.
-	var history *telemetry.History
-	if *histCap > 0 {
-		history = telemetry.NewHistory(reg, telemetry.HistoryConfig{Capacity: *histCap, Interval: *histEvery})
-		defer history.Start()()
-	}
-	_, stopProfiler, err := telemetry.StartProfiler("zipflm-serve", *profDir, *profEvery)
-	if err != nil {
-		fatal(err)
-	}
-	defer stopProfiler()
-	if *dashboard {
-		defer dash.Start(os.Stdout, "zipflm-serve "+*addr, reg.Snapshot)()
-	}
-
-	if *debugAddr != "" {
-		// The pprof import registers only on DefaultServeMux, which the
-		// main listener never serves — profiling stays on its own port.
-		go func() {
-			fmt.Fprintf(os.Stderr, "zipflm-serve: pprof on %s/debug/pprof/\n", *debugAddr)
-			lis := &http.Server{Addr: *debugAddr, ReadHeaderTimeout: readHeaderTimeout}
-			if err := lis.ListenAndServe(); err != nil {
-				fmt.Fprintf(os.Stderr, "zipflm-serve: debug listener: %v\n", err)
-			}
-		}()
-	}
 
 	if *loadN > 0 {
 		runLoadgen(srv, m, *loadN, *clients, *tokens, *zipfS, *seed)
@@ -234,7 +198,7 @@ func main() {
 	// those responses and exit 0.
 	httpSrv := &http.Server{
 		Addr:              *addr,
-		Handler:           newMux(srv, vocab, weights, reg, history, build),
+		Handler:           newMux(srv, vocab, weights, obs),
 		ReadHeaderTimeout: readHeaderTimeout,
 	}
 	sigs := make(chan os.Signal, 1)
@@ -253,7 +217,7 @@ func main() {
 	fmt.Fprintln(os.Stderr, "zipflm-serve: drained, clean shutdown")
 }
 
-// Limits on what one client can make the listeners hold: a request body
+// Limits on what one client can make the public listener hold: a request body
 // is cut off at maxBodyBytes (413) before any of it is decoded, and a
 // client gets readHeaderTimeout to finish sending its request headers.
 const (
@@ -261,27 +225,19 @@ const (
 	readHeaderTimeout = 10 * time.Second
 )
 
-// newMux routes the HTTP API onto the server. history may be nil
-// (-history 0).
-func newMux(srv *serve.Server, vocab *corpus.Vocabulary, weights *weightsInfo, reg *telemetry.Registry, history *telemetry.History, build telemetry.BuildInfo) *http.ServeMux {
+// newMux routes the HTTP API onto the server, next to the observers'
+// /metrics and /metrics/history. It never serves /debug/pprof/: profiling
+// stays on the -metrics-addr listener.
+func newMux(srv *serve.Server, vocab *corpus.Vocabulary, weights *weightsInfo, obs *telemetry.Observers) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(statsJSON(srv.Stats(), weights, build))
+		json.NewEncoder(w).Encode(statsJSON(srv.Stats(), weights, obs.Build))
 	})
-	mux.Handle("/metrics", telemetry.Handler(reg))
-	mux.HandleFunc("/metrics/history", func(w http.ResponseWriter, _ *http.Request) {
-		if history == nil {
-			http.Error(w, "history disabled (-history 0)", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		history.Sample(time.Now()) // fold the current instant in, so a scrape is never stale
-		history.WriteJSON(w)
-	})
+	obs.Handle(mux)
 	mux.HandleFunc("/v1/generate", func(w http.ResponseWriter, r *http.Request) {
 		handleGenerate(w, r, srv, vocab)
 	})

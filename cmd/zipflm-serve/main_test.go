@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -31,26 +33,32 @@ func testArch(hidden int) model.Config {
 
 type api struct {
 	*httptest.Server
-	reg    *telemetry.Registry
-	flight *telemetry.Flight
+	obs *telemetry.Observers
 }
 
-// newAPI serves a fresh random model with no vocabulary file behind newMux.
-func newAPI(t *testing.T) *api {
+// newAPI serves a fresh random model with no vocabulary file behind newMux,
+// observed the way the command observes it; metricsAddr non-empty also
+// starts the observer listener.
+func newAPI(t *testing.T, metricsAddr string) *api {
 	t.Helper()
-	reg := telemetry.NewRegistry()
-	flight := telemetry.NewFlight(16)
-	flight.SetSink(nil)
+	obs, err := telemetry.Start("zipflm-serve", telemetry.Options{
+		Flight: 16, History: 8, MetricsAddr: metricsAddr, Exported: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs.Flight.SetSink(nil)
 	srv := serve.New(model.NewLM(testArch(24)), serve.Config{
-		Workers: 1, MaxBatch: 4, Telemetry: reg, Flight: flight,
+		Workers: 1, MaxBatch: 4, Telemetry: obs.Registry, Flight: obs.Flight,
 	})
 	weights := &weightsInfo{source: "memory", step: -1}
-	ts := httptest.NewServer(newMux(srv, nil, weights, reg, nil, telemetry.CollectBuildInfo()))
+	ts := httptest.NewServer(newMux(srv, nil, weights, obs))
 	t.Cleanup(func() {
 		ts.Close()
 		srv.Close()
+		obs.Stop()
 	})
-	return &api{Server: ts, reg: reg, flight: flight}
+	return &api{Server: ts, obs: obs}
 }
 
 // post sends body to path and returns the status and the response body.
@@ -83,7 +91,7 @@ func (a *api) generate(t *testing.T, body string) genResponse {
 }
 
 func TestGenerateRejectsBadRequests(t *testing.T) {
-	a := newAPI(t)
+	a := newAPI(t, "")
 	ids := make([]string, maxBodyBytes/2)
 	for i := range ids {
 		ids[i] = "1"
@@ -142,7 +150,7 @@ func (a *api) stats(t *testing.T, v any) {
 }
 
 func TestGenerateDefaultsAndTinyTemperature(t *testing.T) {
-	a := newAPI(t)
+	a := newAPI(t, "")
 	if got := len(a.generate(t, `{"prompt_ids":[3,1,4]}`).Tokens); got != 24 {
 		t.Errorf("omitted n generated %d tokens, want 24", got)
 	}
@@ -168,7 +176,7 @@ func TestGenerateDefaultsAndTinyTemperature(t *testing.T) {
 }
 
 func TestFailedReloadsChangeNothingAndAreCounted(t *testing.T) {
-	a := newAPI(t)
+	a := newAPI(t, "")
 	const gen = `{"prompt_ids":[3,1,4],"n":10,"temperature":0.8,"seed":7}`
 	before := a.generate(t, gen)
 
@@ -218,10 +226,65 @@ func TestFailedReloadsChangeNothingAndAreCounted(t *testing.T) {
 		t.Errorf("/metrics does not count two reload failures:\n%s", metrics.String())
 	}
 	var ring bytes.Buffer
-	a.flight.Dump(&ring)
+	a.obs.Flight.Dump(&ring)
 	for _, cause := range []string{"missing.ckpt", "does not match serving"} {
 		if !strings.Contains(ring.String(), cause) {
 			t.Errorf("flight ring lacks the %q failure:\n%s", cause, ring.String())
+		}
+	}
+}
+
+// TestPprofOnlyOnObserverListener: /debug/pprof/ is served by the
+// -metrics-addr listener and never by the public mux, while /metrics and
+// /metrics/history answer on both.
+func TestPprofOnlyOnObserverListener(t *testing.T) {
+	a := newAPI(t, "127.0.0.1:0")
+	a.generate(t, `{"prompt_ids":[3,1,4],"n":4}`)
+	status := func(url string) int {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	observer := "http://" + a.obs.Addr()
+	for _, tc := range []struct {
+		base, path string
+		want       int
+	}{
+		{a.URL, "/debug/pprof/", http.StatusNotFound},
+		{observer, "/debug/pprof/", http.StatusOK},
+		{a.URL, "/metrics", http.StatusOK},
+		{observer, "/metrics", http.StatusOK},
+		{a.URL, "/metrics/history", http.StatusOK},
+		{observer, "/metrics/history", http.StatusOK},
+	} {
+		if got := status(tc.base + tc.path); got != tc.want {
+			t.Errorf("GET %s%s: status %d, want %d", tc.base, tc.path, got, tc.want)
+		}
+	}
+}
+
+// TestRemovedFlagsExitTwo: the flags the observer wiring replaced are
+// gone — each is the flag package's usage error, exit status 2, before
+// -model is even looked at.
+func TestRemovedFlagsExitTwo(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "zipflm-serve")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, args := range [][]string{
+		{"-dashboard"}, {"-profile-dir", t.TempDir()}, {"-profile-interval", "1s"}, {"-debug-addr", "127.0.0.1:0"},
+	} {
+		var stderr bytes.Buffer
+		cmd := exec.Command(bin, args...)
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(stderr.String(), "flag provided but not defined: "+args[0]) {
+			t.Errorf("%v: got %v, want exit status 2 naming the flag; stderr:\n%s", args, err, stderr.String())
 		}
 	}
 }

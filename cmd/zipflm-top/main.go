@@ -6,16 +6,19 @@
 //
 // Usage:
 //
-//	zipflm-serve -model model.ckpt -addr :8080 &
-//	zipflm-top -addr localhost:8080
+//	zipflm-serve -model model.ckpt -addr :8080 -metrics-addr :9090 &
+//	zipflm-top -addr localhost:9090
 //
 //	zipflm-train -synthetic 200000 -metrics-addr :9090 &
 //	zipflm-top -addr localhost:9090
 //
+// Both commands serve the same /metrics on their -metrics-addr observer
+// listener, next to /metrics/history and net/http/pprof's /debug/pprof/
+// (go tool pprof http://localhost:9090/debug/pprof/profile); zipflm-serve
+// also serves /metrics on its public -addr.
+//
 // -once polls two samples one interval apart, prints a single plain-text
-// frame, and exits — the CI smoke mode. The same renderer backs the
-// -dashboard flag on zipflm-serve and zipflm-train, which reads the
-// in-process registry instead of polling HTTP.
+// frame, and exits — the CI smoke mode.
 package main
 
 import (

@@ -8,8 +8,11 @@
 //	zipflm-train -synthetic 200000 -level char -ranks 4 -exchange baseline
 //	zipflm-train -synthetic 100000 -sampled 64 -seeding zipf -fp16
 //
-// Observability: -metrics-addr serves the run's telemetry registry at
-// /metrics (Prometheus text format) while training; -trace FILE writes a
+// Observability (internal/telemetry's Start): -metrics-addr serves the
+// run's telemetry registry at /metrics (Prometheus text format) while
+// training, its -history ring at /metrics/history (stamped with the
+// simulated cluster's clock too), and net/http/pprof at /debug/pprof/;
+// watch it with zipflm-top -addr <metrics-addr>. -trace FILE writes a
 // Chrome trace_event JSON timeline (load it in chrome://tracing or
 // Perfetto) whose spans carry both wall time and the simulated cluster's
 // virtual clock; -flight N keeps a bounded in-memory ring of the last N
@@ -20,15 +23,12 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"net/http"
 	"os"
-	"time"
 
 	"zipflm/internal/collective"
 	"zipflm/internal/compress"
 	"zipflm/internal/core"
 	"zipflm/internal/corpus"
-	"zipflm/internal/dash"
 	"zipflm/internal/half"
 	"zipflm/internal/metrics"
 	"zipflm/internal/model"
@@ -75,15 +75,14 @@ func main() {
 		resume    = flag.String("resume", "", "resume full training state from the newest checkpoint in this directory (corpus flags and -seed must match the checkpointing run)")
 		seed      = flag.Uint64("seed", 42, "reproducibility seed")
 		workers   = flag.Int("workers", 0, "goroutines per matmul (0: ZIPFLM_WORKERS or serial; losses and weights identical at any value)")
-		metricsAt = flag.String("metrics-addr", "", "serve Prometheus /metrics on this address during training (empty disables)")
-		tracePath = flag.String("trace", "", "write a Chrome trace_event JSON timeline to this file on exit (empty disables)")
-		flightCap = flag.Int("flight", telemetry.DefaultFlightEvents, "flight-recorder ring capacity; dumped on fault rollback or SIGQUIT (0 disables)")
-		dashboard = flag.Bool("dashboard", false, "render a live ANSI dashboard of training telemetry on stderr (stdout keeps the tables)")
-		histPath  = flag.String("history", "", "sample the telemetry registry every -history-interval into a ring and write the series as JSON to this file on exit")
-		histEvery = flag.Duration("history-interval", telemetry.DefaultHistoryInterval, "metrics-history sampling interval (with -history)")
-		profDir   = flag.String("profile-dir", "", "continuously capture CPU+heap pprof profiles into this directory on -profile-interval, indexed by profiles.json")
-		profEvery = flag.Duration("profile-interval", 30*time.Second, "continuous-profiling capture interval (with -profile-dir)")
 	)
+	observe := telemetry.Options{
+		Flight:          telemetry.DefaultFlightEvents,
+		History:         telemetry.DefaultHistorySamples,
+		HistoryInterval: telemetry.DefaultHistoryInterval,
+		VClockGauge:     "zipflm_train_sim_seconds",
+	}
+	observe.RegisterFlags(flag.CommandLine, true)
 	flag.Parse()
 	if f := float32(*scale); *fp16 && !(f > 0 && f <= math.MaxFloat32) {
 		usageError("-scale %v: the FP16 compression-scaling factor must be positive and finite as a float32", *scale)
@@ -174,72 +173,14 @@ func main() {
 		cfg.Compress = cc
 	}
 
-	var tracer *telemetry.Tracer
-	if *metricsAt != "" || *tracePath != "" || *dashboard || *histPath != "" {
-		cfg.Telemetry = telemetry.NewRegistry()
-	}
-	if cfg.Telemetry != nil {
-		telemetry.PublishBuildInfo(cfg.Telemetry)
-	}
-	if *tracePath != "" {
-		tracer = telemetry.NewTracer(0)
-		cfg.Trace = tracer
-		if cfg.Telemetry != nil {
-			cfg.Telemetry.ObserveTracer(tracer)
-		}
-	}
-	var stopFlight func()
-	cfg.Flight, stopFlight = telemetry.StartFlight(*flightCap)
-	defer stopFlight()
-	if *metricsAt != "" {
-		go func() {
-			fmt.Fprintf(os.Stderr, "zipflm-train: metrics on http://%s/metrics\n", *metricsAt)
-			// ReadHeaderTimeout: a client that never finishes its request
-			// line must not hold a connection for the whole training run.
-			lis := &http.Server{Addr: *metricsAt, Handler: telemetry.Handler(cfg.Telemetry), ReadHeaderTimeout: 10 * time.Second}
-			if err := lis.ListenAndServe(); err != nil {
-				fmt.Fprintf(os.Stderr, "zipflm-train: metrics listener: %v\n", err)
-			}
-		}()
-	}
-
-	// The performance observatory: metrics history on both clocks (the
-	// virtual axis reads the simulated cluster's clock gauge), scheduled
-	// pprof capture, and the live dashboard on stderr. Purely
-	// observational — losses and weights are bit-identical with all of
-	// them enabled.
-	var history *telemetry.History
-	if *histPath != "" {
-		simClock := cfg.Telemetry.Gauge("zipflm_train_sim_seconds")
-		history = telemetry.NewHistory(cfg.Telemetry, telemetry.HistoryConfig{
-			Interval: *histEvery,
-			VClock:   simClock.Value,
-		})
-		stopHistory := history.Start()
-		defer func() {
-			stopHistory()
-			f, err := os.Create(*histPath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "zipflm-train: history: %v\n", err)
-				return
-			}
-			defer f.Close()
-			if err := history.WriteJSON(f); err != nil {
-				fmt.Fprintf(os.Stderr, "zipflm-train: history: %v\n", err)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "zipflm-train: wrote %d history samples to %s\n", history.Len(), *histPath)
-		}()
-	}
-	_, stopProfiler, err := telemetry.StartProfiler("zipflm-train", *profDir, *profEvery)
+	// Purely observational: losses and weights are bit-identical with
+	// every observer running.
+	obs, err := telemetry.Start("zipflm-train", observe)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "zipflm-train: %v\n", err)
 		os.Exit(1)
 	}
-	defer stopProfiler()
-	if *dashboard {
-		defer dash.Start(os.Stderr, "zipflm-train", cfg.Telemetry.Snapshot)()
-	}
+	cfg.Telemetry, cfg.Trace, cfg.Flight = obs.Registry, obs.Tracer, obs.Flight
 
 	var tr *trainer.Trainer
 	if *resume != "" {
@@ -264,12 +205,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "zipflm-train: %v\n", err)
 		os.Exit(1)
 	}
-	if *tracePath != "" {
-		if err := tracer.WriteFile(*tracePath); err != nil {
-			fmt.Fprintf(os.Stderr, "zipflm-train: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("trace written to %s (%d events)\n", *tracePath, tracer.Len())
+	if err := obs.Stop(); err != nil {
+		fmt.Fprintf(os.Stderr, "zipflm-train: %v\n", err)
+		os.Exit(1)
 	}
 	tab := metrics.NewTable("validation:", "epoch", "loss (nats)", "perplexity", "BPC")
 	for _, ev := range res.Evals {

@@ -30,7 +30,9 @@ func buildTrain(t *testing.T) string {
 // 2, before any corpus is read (nothing on stdout) — not half.NewScaler's
 // panic trace, nor a run of some other model or exchange. -overlap rides
 // along: were the flag not defined, the one line would be the flag
-// package's.
+// package's. The observer flags internal/telemetry replaced (-dashboard,
+// -profile-dir, -profile-interval) and a -history that names a file rather
+// than a ring capacity are the flag package's own usage errors, status 2.
 func TestUsageErrorsExitTwo(t *testing.T) {
 	bin := buildTrain(t)
 	var cases [][]string
@@ -55,6 +57,18 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		if !strings.HasPrefix(msg, "zipflm-train: -") || !slices.Contains(args, named) ||
 			strings.Count(msg, "\n") != 1 || strings.Contains(msg, "goroutine") || stdout.Len() != 0 {
 			t.Errorf("%v: not the one-line usage error before any output:\nstdout:\n%s\nstderr:\n%s", args, stdout.String(), msg)
+		}
+	}
+	for _, args := range [][]string{
+		{"-dashboard"}, {"-profile-dir", t.TempDir()}, {"-profile-interval", "1s"}, {"-history", "history.json"},
+	} {
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(bin, append(args, "-synthetic", "1000")...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(stderr.String(), args[0]) || stdout.Len() != 0 {
+			t.Errorf("%v: got %v, want exit status 2 naming the flag before any output; stderr:\n%s", args, err, stderr.String())
 		}
 	}
 }

@@ -238,8 +238,9 @@
 // snapshot — /v1/stats reads from the registry) observe without
 // perturbing: the bit-identity suites rerun with telemetry on and assert
 // identical weights, losses and tokens. Surfaces: zipflm-serve GET
-// /metrics and -debug-addr (net/http/pprof), zipflm-train -metrics-addr
-// and -trace, and zipflm-bench -trace.
+// /metrics, the -metrics-addr observer listener of zipflm-serve and
+// zipflm-train (/metrics, /metrics/history, net/http/pprof), -trace on
+// all three commands.
 //
 // Three analysis layers sit on top. Traces carry per-rank and
 // per-collective spans, and internal/traceview computes the per-step
@@ -258,10 +259,12 @@
 // the serving layer could not install — unreadable source, unparseable
 // checkpoint, mismatched architecture — is counted
 // (zipflm_serve_reload_failures_total) and recorded in the ring with its
-// cause. Each command starts and stops an observer through one helper
-// (Tracer.WriteFile, telemetry.StartFlight, telemetry.StartProfiler,
-// dash.Start); telemetry.History samples the registry into a ring and dumps
-// it as JSON, leaving rates and windows to the reader of the dump.
+// cause. Every command attaches its observers in one place:
+// telemetry.Options.RegisterFlags declares each observer flag once, and
+// telemetry.Start runs the registry, tracer, flight recorder, history ring
+// and listener behind one idempotent Stop; telemetry.History samples the
+// registry into a ring and dumps it as JSON, leaving rates and windows to
+// the reader of the dump.
 //
 // # The export rule
 //

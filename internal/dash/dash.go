@@ -1,16 +1,14 @@
 // Package dash renders a live terminal dashboard over the telemetry
 // layer: successive registry snapshots become windowed rates and trends,
 // drawn as aligned rows with Unicode sparklines using nothing but ANSI
-// escapes — no terminal library, no dependencies. The same Board backs
-// cmd/zipflm-top (polling a remote /metrics endpoint's JSON snapshot)
-// and the -dashboard flags on zipflm-serve and zipflm-train (reading the
-// in-process registry), because both produce the one input the board
-// consumes: a telemetry.Snapshot per tick.
+// escapes — no terminal library, no dependencies. cmd/zipflm-top drives
+// the Board, polling the JSON snapshot of any /metrics endpoint — the
+// public -addr of zipflm-serve or the -metrics-addr observer listener of
+// zipflm-serve and zipflm-train.
 package dash
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"time"
@@ -311,44 +309,5 @@ func formatValue(v float64) string {
 		return fmt.Sprintf("%.2f", v)
 	default:
 		return fmt.Sprintf("%.4f", v)
-	}
-}
-
-// Run drives a board from src until stop closes: one Observe+Frame per
-// interval, frames written to w (ANSI in-place when ansi). It is the
-// in-process dashboard loop behind the -dashboard flags; zipflm-top runs
-// the same shape with an HTTP poll as src.
-func Run(w io.Writer, title string, interval time.Duration, width int, ansi bool, src func() telemetry.Snapshot, stop <-chan struct{}) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	b := New(width)
-	b.Observe(time.Now(), src())
-	fmt.Fprint(w, b.Frame(title, ansi))
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case now := <-t.C:
-			b.Observe(now, src())
-			fmt.Fprint(w, b.Frame(title, ansi))
-		}
-	}
-}
-
-// Start runs the in-process dashboard behind the -dashboard flags: Run on
-// its own goroutine, once a second at DefaultWidth with in-place ANSI
-// frames. stop ends it and returns once the last frame is written.
-func Start(w io.Writer, title string, src func() telemetry.Snapshot) (stop func()) {
-	quit, done := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(done)
-		Run(w, title, time.Second, DefaultWidth, true, src, quit)
-	}()
-	return func() {
-		close(quit)
-		<-done
 	}
 }

@@ -131,38 +131,3 @@ func TestFrameANSIAndPlain(t *testing.T) {
 		t.Error("ANSI frame missing cursor home")
 	}
 }
-
-func TestRunLoopStops(t *testing.T) {
-	var sb strings.Builder
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	reg := telemetry.NewRegistry()
-	reg.Counter("zipflm_serve_tokens_total").Add(1)
-	go func() {
-		defer close(done)
-		Run(&sb, "t", 2*time.Millisecond, 8, false, reg.Snapshot, stop)
-	}()
-	time.Sleep(20 * time.Millisecond)
-	close(stop)
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("Run did not stop")
-	}
-	if !strings.Contains(sb.String(), "samples") {
-		t.Fatalf("Run rendered nothing:\n%s", sb.String())
-	}
-}
-
-// TestStartStops: Start draws at once, and its stop func returns only after
-// the loop has exited — w is the caller's again (a plain Builder, unguarded).
-func TestStartStops(t *testing.T) {
-	var sb strings.Builder
-	reg := telemetry.NewRegistry()
-	reg.Counter("zipflm_serve_tokens_total").Add(1)
-	stop := Start(&sb, "t", reg.Snapshot)
-	stop()
-	if !strings.Contains(sb.String(), "samples") {
-		t.Fatalf("Start rendered nothing:\n%s", sb.String())
-	}
-}

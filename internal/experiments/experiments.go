@@ -44,12 +44,6 @@ type Options struct {
 	// rollbacks) from the training-based experiments; dump it with
 	// telemetry.Flight.Trigger or SIGQUIT. Purely observational.
 	Flight *telemetry.Flight
-	// Profile, when non-nil, captures a CPU profile spanning each
-	// experiment (and a heap snapshot at its end when the profiler is
-	// configured for heap capture), labelled with the experiment id —
-	// the experiment-phase-boundary half of continuous profiling. Purely
-	// observational; a nil profiler is a no-op.
-	Profile *telemetry.Profiler
 }
 
 // Report is one experiment's output.
@@ -109,9 +103,7 @@ func Run(id string, opts Options) (*Report, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
 	}
-	stopProfile := opts.Profile.StartPhase(id)
 	rep, err := r.fn(opts)
-	stopProfile()
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", id, err)
 	}

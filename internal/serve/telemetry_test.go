@@ -242,10 +242,9 @@ func TestSnapshotFieldParity(t *testing.T) {
 }
 
 // TestObservatoryBitIdentity: the performance-observatory acceptance
-// contract — with metrics-history sampling AND continuous profiling both
-// running over the serving registry, generated tokens stay bit-identical
-// to the sequential reference, and both observers actually captured the
-// run.
+// contract — with metrics-history sampling running over the serving
+// registry, generated tokens stay bit-identical to the sequential
+// reference, and the history actually captured the run.
 func TestObservatoryBitIdentity(t *testing.T) {
 	m := lstmModel()
 	reg := telemetry.NewRegistry()
@@ -254,11 +253,6 @@ func TestObservatoryBitIdentity(t *testing.T) {
 
 	hist := telemetry.NewHistory(reg, telemetry.HistoryConfig{Capacity: 64, Interval: time.Millisecond})
 	stopHist := hist.Start()
-	prof, err := telemetry.NewProfiler(telemetry.ProfilerConfig{Dir: t.TempDir(), Heap: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stopPhase := prof.StartPhase("serve-bitident")
 
 	req := Request{Prompt: []int{3, 1, 4}, N: 6, Opts: sampling.DecodeOpts{Temperature: 0.8, TopK: 12}, Seed: 42}
 	want := reference(m, req)
@@ -274,12 +268,10 @@ func TestObservatoryBitIdentity(t *testing.T) {
 		}
 	}
 
-	stopPhase()
 	stopHist()
-	prof.Stop()
 
-	// Both observers saw the run: the history holds samples whose counters
-	// reflect the submissions, and the profiler indexed its captures.
+	// The history saw the run: its samples' counters reflect the
+	// submissions.
 	samples := hist.Samples()
 	if len(samples) == 0 {
 		t.Fatal("history sampled nothing")
@@ -287,9 +279,5 @@ func TestObservatoryBitIdentity(t *testing.T) {
 	last := samples[len(samples)-1]
 	if last.Counters["zipflm_serve_completed_total"] != 3 {
 		t.Fatalf("final history sample completed=%d, want 3", last.Counters["zipflm_serve_completed_total"])
-	}
-	entries := prof.Manifest()
-	if len(entries) != 2 {
-		t.Fatalf("profiler manifest has %d entries, want cpu+heap: %+v", len(entries), entries)
 	}
 }

@@ -61,10 +61,10 @@ func NewFlight(capacity int) *Flight {
 	}
 }
 
-// StartFlight is the command-line entry to the recorder: a Flight of the
-// given capacity armed to dump on SIGQUIT, and the func that disarms it.
+// startFlight is Start's entry to the recorder: a Flight of the given
+// capacity armed to dump on SIGQUIT, and the func that disarms it.
 // capacity <= 0 is recording off — a nil Flight and a no-op stop.
-func StartFlight(capacity int) (f *Flight, stop func()) {
+func startFlight(capacity int) (f *Flight, stop func()) {
 	if capacity <= 0 {
 		return nil, func() {}
 	}

@@ -83,16 +83,6 @@ func NewHistory(reg *Registry, cfg HistoryConfig) *History {
 	return &History{reg: reg, cfg: cfg, ring: make([]HistorySample, 0, cfg.Capacity)}
 }
 
-// Len returns how many samples the ring currently holds.
-func (h *History) Len() int {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.ring)
-}
-
 // Sample captures the registry once, stamped at now. Registered collectors
 // run first (exactly as an exporter scrape would), so derived gauges are
 // fresh in the sample.

@@ -24,13 +24,13 @@
 // observatory: History (history.go) samples the registry into a bounded
 // ring on both the wall and virtual clocks and dumps it as JSON, storing
 // histograms as sparse cumulative snapshots so a reader of the dump can
-// subtract any two samples into an exact windowed distribution; Profiler
-// (profiler.go) captures CPU/heap pprof files on a schedule and at
-// experiment-phase boundaries under an atomically-rewritten manifest; and
+// subtract any two samples into an exact windowed distribution; and
 // PublishBuildInfo (buildinfo.go) exposes the binary's provenance as a
-// zipflm_build_info gauge. All of it obeys the same contract — sampling
-// and profiling only read, so the bit-identity suites hold with the whole
-// observatory running.
+// zipflm_build_info gauge. Sampling only reads, so the bit-identity suites
+// hold with the whole observatory running. Commands attach all of it in
+// one place (observe.go): Options.RegisterFlags declares the observer
+// flags, Start runs the observers, and the listener behind -metrics-addr
+// serves /metrics, /metrics/history and net/http/pprof's /debug/pprof/.
 package telemetry
 
 import (

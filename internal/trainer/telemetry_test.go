@@ -192,16 +192,14 @@ func TestTraceviewReconcilesThroughFile(t *testing.T) {
 }
 
 // TestObservatoryBitIdentity: the same run with metrics-history sampling
-// AND continuous profiling running concurrently must produce bit-identical
-// weights and losses to the uninstrumented run — the performance
-// observatory extends the observation-never-perturbs contract.
+// running concurrently must produce bit-identical weights and losses to the
+// uninstrumented run — the performance observatory extends the
+// observation-never-perturbs contract.
 func TestObservatoryBitIdentity(t *testing.T) {
 	train, valid := smallData(60, 8000, 1)
-	run := func(observed bool) (Result, *Trainer, *telemetry.History, *telemetry.Profiler) {
+	run := func(observed bool) (Result, *Trainer, *telemetry.History) {
 		cfg := smallConfig(2, core.UniqueExchange{})
 		var hist *telemetry.History
-		var prof *telemetry.Profiler
-		var stopPhase func()
 		if observed {
 			cfg.Telemetry = telemetry.NewRegistry()
 			sim := cfg.Telemetry.Gauge("zipflm_train_sim_seconds")
@@ -211,12 +209,6 @@ func TestObservatoryBitIdentity(t *testing.T) {
 				VClock:   sim.Value,
 			})
 			defer hist.Start()()
-			var err error
-			prof, err = telemetry.NewProfiler(telemetry.ProfilerConfig{Dir: t.TempDir(), Heap: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			stopPhase = prof.StartPhase("train-bitident")
 		}
 		trn, err := New(cfg, train, valid)
 		if err != nil {
@@ -226,15 +218,11 @@ func TestObservatoryBitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if observed {
-			stopPhase()
-			prof.Stop()
-		}
-		return res, trn, hist, prof
+		return res, trn, hist
 	}
 
-	plainRes, plainTr, _, _ := run(false)
-	obsRes, obsTr, hist, prof := run(true)
+	plainRes, plainTr, _ := run(false)
+	obsRes, obsTr, hist := run(true)
 
 	if plainRes.FinalLoss != obsRes.FinalLoss {
 		t.Fatalf("final loss diverged: %v (off) != %v (on)", plainRes.FinalLoss, obsRes.FinalLoss)
@@ -248,8 +236,7 @@ func TestObservatoryBitIdentity(t *testing.T) {
 		}
 	}
 
-	// The observers saw the run: a final history sample carries the step
-	// counter, and the profiler indexed its phase captures.
+	// The history saw the run: its final sample carries the step counter.
 	samples := hist.Samples()
 	if len(samples) == 0 {
 		t.Fatal("history sampled nothing")
@@ -258,8 +245,5 @@ func TestObservatoryBitIdentity(t *testing.T) {
 	if last.Counters["zipflm_train_steps_total"] != int64(obsRes.Stats.Steps) {
 		t.Fatalf("final history sample steps=%d, want %d",
 			last.Counters["zipflm_train_steps_total"], obsRes.Stats.Steps)
-	}
-	if len(prof.Manifest()) != 2 {
-		t.Fatalf("profiler manifest has %d entries, want cpu+heap", len(prof.Manifest()))
 	}
 }

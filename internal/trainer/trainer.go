@@ -133,11 +133,9 @@ type Config struct {
 	CheckpointEvery int
 	// CheckpointDir is the on-disk store (a ckpt.Dir) checkpoints land in.
 	CheckpointDir string
-	// CheckpointKeepLast / CheckpointKeepEvery tune the store's retention
-	// (keep-last-N rollback tier, keep-every-K-steps archive tier); zero
-	// values take ckpt.NewDir's defaults.
-	CheckpointKeepLast  int
-	CheckpointKeepEvery int
+	// CheckpointKeepLast is the store's retention: it keeps the N most
+	// recent checkpoints (0 takes ckpt.NewDir's default).
+	CheckpointKeepLast int
 	// Faults injects rank failures at simulated times: after any step
 	// whose virtual clock crosses a scheduled failure, the trainer rolls
 	// every replica back to the last checkpoint (or the initial state) and
@@ -431,7 +429,7 @@ func New(cfg Config, train, valid []int) (*Trainer, error) {
 	t.lr = cfg.LR
 	t.nextDecay = t.StepsPerEpoch()
 	if cfg.CheckpointDir != "" {
-		dir, err := ckpt.NewDir(cfg.CheckpointDir, cfg.CheckpointKeepLast, cfg.CheckpointKeepEvery)
+		dir, err := ckpt.NewDir(cfg.CheckpointDir, cfg.CheckpointKeepLast, 0)
 		if err != nil {
 			return nil, fmt.Errorf("trainer: %w", err)
 		}
@@ -458,7 +456,7 @@ func New(cfg Config, train, valid []int) (*Trainer, error) {
 // before format 3 kept float64 Adam moments, which decoding rounded to
 // float32.
 func Resume(cfg Config, dir string, train, valid []int) (*Trainer, error) {
-	d, err := ckpt.NewDir(dir, cfg.CheckpointKeepLast, cfg.CheckpointKeepEvery)
+	d, err := ckpt.NewDir(dir, cfg.CheckpointKeepLast, 0)
 	if err != nil {
 		return nil, fmt.Errorf("trainer: %w", err)
 	}

@@ -38,7 +38,7 @@
 //     calls it on the side lane — a backward hook hands over a dense layer
 //     the moment it finishes backpropagating, and the sparse §III-A
 //     exchange then runs on the primary lane with the dense rings still in
-//     flight. Replicas stay bit-identical to the synchronous mode, and
+//     flight. The weights stay bit-identical to the synchronous mode, and
 //     because it is the same function, overlap composes with gradient
 //     compression and with the virtual clock (which prices the side lane
 //     as its own timeline: critical path, not sum).
@@ -150,7 +150,7 @@
 // steps-ascending, the order the projection, the loss and the embedding
 // exchange accumulate in: no bit moves (the per-timestep passes live on in
 // internal/model/oracle_test.go as the definition). The knob surfaces as
-// zipflm-train -workers / trainer.Config.Workers (rank replicas share one
+// zipflm-train -workers / trainer.Config.Workers (the ranks share one
 // backend), zipflm-serve -compute-workers / serve.Config.ComputeWorkers,
 // zipflm-bench -workers, and the ZIPFLM_WORKERS environment variable,
 // which CI uses to run the whole suite through the tiled backend. Speedup
@@ -181,8 +181,11 @@
 // zero-gradient parameter can never park one in the denormals — with an
 // eight-lane AVX twin (TestAdamAsmMatchesGo) and the float64 loop it
 // replaced kept in the tests as the oracle (TestAdamTracksFloat64Oracle).
-// The trainer applies each rank's optimizer on that rank's goroutine,
-// still only after every rank's exchange succeeded.
+// The trainer runs the optimizer once per step, for every rank: the ranks
+// share one set of weights (model.LM.Replica) and one optimizer, and the
+// update reads rank 0's reduced gradients only after every rank's exchange
+// succeeded. The virtual clock still charges each simulated device for the
+// update it models.
 // internal/cpu is the single CPUID probe behind all of these gates.
 //
 // The activations are the one place where the arithmetic is this

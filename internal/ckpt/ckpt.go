@@ -68,10 +68,10 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // checkpoints and bare model.Save files key their fallback on it.
 var ErrNotCheckpoint = errors.New("ckpt: not a checkpoint file (bad magic)")
 
-// State is the complete training state at a global-step boundary.
-// Replicas and optimizer state are identical across ranks between steps
-// (the §II-B invariant the trainer asserts), so one copy of each is
-// stored; RNG streams and carried recurrent state are per rank.
+// State is the complete training state at a global-step boundary. The
+// ranks share one set of weights and one optimizer (the §II-B invariant),
+// so one copy of each is stored; RNG streams and carried recurrent state
+// are per rank.
 type State struct {
 	// roundedMoments: see RoundedMoments (gob never sees it: unexported).
 	roundedMoments bool
@@ -82,8 +82,8 @@ type State struct {
 	NextDecay int
 	// Ranks is the cluster size G of the checkpointing run.
 	Ranks int
-	// ModelBytes is the model file encoding (LM.Marshal) of the (identical)
-	// replicas — deterministic bytes thanks to the sorted dense-parameter
+	// ModelBytes is the model file encoding (LM.Marshal) of the shared
+	// weights — deterministic bytes thanks to the sorted dense-parameter
 	// format. A decoded state's ModelBytes aliases the buffer the frame
 	// was read into.
 	ModelBytes []byte

@@ -157,8 +157,9 @@ func Unmarshal(raw []byte) (*LM, error) {
 		return nil, fmt.Errorf("model: checkpoint has unknown RNN kind %d", cfg.RNN)
 	}
 
-	// Every stored tensor by name, the embeddings under two names no dense
-	// parameter has (a file that uses them anyway fails the count below).
+	// Every stored tensor by name, the embeddings under the names Weights gives
+	// them, which no dense parameter has (a file that uses them anyway fails
+	// the count below).
 	const inEmb, outEmb = "InEmb", "OutEmb"
 	tensors := make(map[string]stored)
 	rest := raw[len(raw)-r.Len():]
@@ -201,7 +202,7 @@ func Unmarshal(raw []byte) (*LM, error) {
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("model: checkpoint has %d bytes after its last tensor", len(rest))
 	}
-	// NewLM allocates from Cfg alone; refuse a Config the stored tensors do
+	// newLM allocates from Cfg alone; refuse a Config the stored tensors do
 	// not fill exactly before it does.
 	floats := 0.0
 	for _, s := range tensors {
@@ -211,8 +212,8 @@ func Unmarshal(raw []byte) (*LM, error) {
 		return nil, fmt.Errorf("model: checkpoint carries %.0f values, its config needs %.0f", floats, want)
 	}
 
-	m := NewLM(cfg)
-	params := append([]Param{{Name: inEmb, Value: m.InEmb.Data}, {Name: outEmb, Value: m.OutEmb.Data}}, m.DenseParams()...)
+	m := newLM(cfg, nil, tensor.NewMatrix, tensor.Default()) // zero weights, each filled below
+	params := m.Weights()
 	if len(tensors) != len(params) {
 		return nil, fmt.Errorf("model: checkpoint has %d tensors, the model %d", len(tensors), len(params))
 	}

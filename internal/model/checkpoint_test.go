@@ -468,8 +468,7 @@ func TestGenerateDoesNotDisturbState(t *testing.T) {
 	m.ZeroGrads()
 	m.ForwardBackward(inputs, targets, nil)
 
-	ref := NewLM(cfg)
-	ref.CopyWeightsFrom(m)
+	ref := m.Clone()
 	ref.ZeroGrads()
 	ref.ForwardBackward(inputs, targets, nil)
 	want := ref.ForwardBackward(inputs, targets, nil).LossSum

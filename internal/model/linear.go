@@ -30,17 +30,21 @@ type Linear struct {
 	x *tensor.Matrix
 }
 
-// NewLinear returns a Linear layer with Xavier-uniform weights.
-func NewLinear(in, out int, r *rng.RNG) *Linear {
+// newLinear returns a Linear layer over the weight tensors weights supplies,
+// in Params order, with gradients and a cache of its own. A non-nil r draws
+// Xavier-uniform weights.
+func newLinear(in, out int, r *rng.RNG, weights func(rows, cols int) *tensor.Matrix) *Linear {
 	l := &Linear{
 		In: in, Out: out,
-		W:  tensor.NewMatrix(out, in),
-		B:  make([]float32, out),
+		W:  weights(out, in),
+		B:  weights(1, out).Data,
 		gw: tensor.NewMatrix(out, in),
 		gb: make([]float32, out),
 		be: tensor.Serial{},
 	}
-	l.W.RandomizeUniform(r, math.Sqrt(6/float64(in+out)))
+	if r != nil {
+		l.W.RandomizeUniform(r, math.Sqrt(6/float64(in+out)))
+	}
 	l.params = []Param{
 		{Name: "linear.W", Value: l.W.Data, Grad: l.gw.Data},
 		{Name: "linear.b", Value: l.B, Grad: l.gb},

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"slices"
 
 	"zipflm/internal/core"
 	"zipflm/internal/rng"
@@ -99,30 +100,38 @@ type LM struct {
 
 // NewLM builds a model from cfg with deterministic initialization.
 func NewLM(cfg Config) *LM {
+	return newLM(cfg, rng.New(cfg.Seed), tensor.NewMatrix, tensor.Default())
+}
+
+// newLM builds a model of cfg's shape on backend be over the weight tensors
+// weights supplies, in the order Weights lists them, and initializes them
+// from r unless r is nil. Everything a training step writes is its own.
+func newLM(cfg Config, r *rng.RNG, weights func(rows, cols int) *tensor.Matrix, be tensor.Backend) *LM {
 	if cfg.Vocab <= 0 || cfg.Dim <= 0 || cfg.Hidden <= 0 {
 		panic("model: Vocab, Dim and Hidden must be positive")
 	}
-	r := rng.New(cfg.Seed)
 	m := &LM{
 		Cfg:    cfg,
-		InEmb:  tensor.NewMatrix(cfg.Vocab, cfg.Dim),
-		OutEmb: tensor.NewMatrix(cfg.Vocab, cfg.Dim),
+		InEmb:  weights(cfg.Vocab, cfg.Dim),
+		OutEmb: weights(cfg.Vocab, cfg.Dim),
 	}
-	m.InEmb.RandomizeNormal(r, 0.05)
-	m.OutEmb.RandomizeNormal(r, 0.05)
+	if r != nil {
+		m.InEmb.RandomizeNormal(r, 0.05)
+		m.OutEmb.RandomizeNormal(r, 0.05)
+	}
 	switch cfg.RNN {
 	case KindLSTM:
-		m.rnn = NewLSTM(cfg.Dim, cfg.Hidden, r)
+		m.rnn = newLSTM(cfg.Dim, cfg.Hidden, r, weights)
 	case KindRHN:
 		depth := cfg.RHNDepth
 		if depth == 0 {
 			depth = 2
 		}
-		m.rnn = NewRHN(cfg.Dim, cfg.Hidden, depth, r)
+		m.rnn = newRHN(cfg.Dim, cfg.Hidden, depth, r, weights)
 	default:
 		panic(fmt.Sprintf("model: unknown RNN kind %d", cfg.RNN))
 	}
-	m.proj = NewLinear(cfg.Hidden, cfg.Dim, r)
+	m.proj = newLinear(cfg.Hidden, cfg.Dim, r, weights)
 	m.layers = []Layer{m.rnn, m.proj}
 	for _, l := range m.layers {
 		m.dense = append(m.dense, l.Params()...)
@@ -130,8 +139,35 @@ func NewLM(cfg Config) *LM {
 	m.dense = m.dense[:len(m.dense):len(m.dense)]
 	m.rnn.SetCarry(cfg.Stateful)
 	m.drop = newDropout(cfg.Dropout, cfg.Seed^0x5bd1e995)
-	m.SetBackend(tensor.Default())
+	m.SetBackend(be)
 	return m
+}
+
+// Replica returns a model on m's backend whose weight tensors are m's own
+// storage, so that data-parallel ranks share one set of weights. Everything
+// a step writes is the replica's own: gradients, workspace and caches, the
+// dropout stream (seeded as NewLM seeds it) and the carried state.
+func (m *LM) Replica() *LM { return m.around(func(t []float32) []float32 { return t }) }
+
+// Clone returns a model on m's backend with a copy of m's weights and, like
+// Replica, training state of its own. Int8 inference shadows are not copied.
+func (m *LM) Clone() *LM { return m.around(slices.Clone[[]float32]) }
+
+// around builds a model of m's configuration over w(t) for each of m's
+// weight tensors t.
+func (m *LM) around(w func([]float32) []float32) *LM {
+	ws := m.Weights()
+	return newLM(m.Cfg, nil, func(rows, cols int) *tensor.Matrix {
+		t := &tensor.Matrix{Rows: rows, Cols: cols, Data: w(ws[0].Value)}
+		ws = ws[1:]
+		return t
+	}, m.be)
+}
+
+// Weights lists every weight tensor: InEmb, OutEmb, then DenseParams. The
+// embeddings' entries carry no Grad (their gradients are sparse).
+func (m *LM) Weights() []Param {
+	return append([]Param{{Name: "InEmb", Value: m.InEmb.Data}, {Name: "OutEmb", Value: m.OutEmb.Data}}, m.dense...)
 }
 
 // SetBackend routes every matmul of this replica — forward, backward, and
@@ -357,8 +393,8 @@ func (m *LM) SetCarriedRNNState(cs CarriedState) error {
 		m.rnn.ResetState()
 		return nil
 	}
-	if cs.Rows <= 0 || cs.Cols <= 0 || len(cs.H) != cs.Rows*cs.Cols {
-		return fmt.Errorf("model: carried state %d×%d does not match %d hidden values", cs.Rows, cs.Cols, len(cs.H))
+	if cs.Rows <= 0 || cs.Cols != m.Cfg.Hidden || len(cs.H) != cs.Rows*cs.Cols {
+		return fmt.Errorf("model: carried state %d×%d does not match %d hidden values of width %d", cs.Rows, cs.Cols, len(cs.H), m.Cfg.Hidden)
 	}
 	if cs.C != nil && len(cs.C) != cs.Rows*cs.Cols {
 		return fmt.Errorf("model: carried cell state has %d values, want %d", len(cs.C), cs.Rows*cs.Cols)
@@ -371,23 +407,4 @@ func (m *LM) SetCarriedRNNState(cs CarriedState) error {
 	}
 	m.rnn.RestoreState(st)
 	return nil
-}
-
-// CopyWeightsFrom copies every parameter of src into m (used to give all
-// ranks identical replicas at initialization, the §II-B invariant "the
-// model parameters on all GPUs are the same").
-func (m *LM) CopyWeightsFrom(src *LM) {
-	copy(m.InEmb.Data, src.InEmb.Data)
-	copy(m.OutEmb.Data, src.OutEmb.Data)
-	dst := m.DenseParams()
-	from := src.DenseParams()
-	if len(dst) != len(from) {
-		panic("model: replica shape mismatch")
-	}
-	for i := range dst {
-		if dst[i].Name != from[i].Name || len(dst[i].Value) != len(from[i].Value) {
-			panic("model: replica parameter mismatch at " + dst[i].Name)
-		}
-		copy(dst[i].Value, from[i].Value)
-	}
 }

@@ -46,22 +46,26 @@ type LSTM struct {
 	carried *carriedState
 }
 
-// NewLSTM returns an LSTM with Xavier-uniform weights and forget bias 1.
-func NewLSTM(in, hidden int, r *rng.RNG) *LSTM {
+// newLSTM returns an LSTM over the weight tensors weights supplies, in
+// Params order, with gradients and caches of its own. A non-nil r
+// initializes them: Xavier-uniform weights and forget bias 1.
+func newLSTM(in, hidden int, r *rng.RNG, weights func(rows, cols int) *tensor.Matrix) *LSTM {
 	l := &LSTM{
 		In: in, Hidden: hidden,
-		Wx:  tensor.NewMatrix(4*hidden, in),
-		Wh:  tensor.NewMatrix(4*hidden, hidden),
-		B:   make([]float32, 4*hidden),
+		Wx:  weights(4*hidden, in),
+		Wh:  weights(4*hidden, hidden),
+		B:   weights(1, 4*hidden).Data,
 		gwx: tensor.NewMatrix(4*hidden, in),
 		gwh: tensor.NewMatrix(4*hidden, hidden),
 		gb:  make([]float32, 4*hidden),
 		be:  tensor.Serial{},
 	}
-	l.Wx.RandomizeUniform(r, math.Sqrt(6/float64(in+4*hidden)))
-	l.Wh.RandomizeUniform(r, math.Sqrt(6/float64(hidden+4*hidden)))
-	for i := hidden; i < 2*hidden; i++ {
-		l.B[i] = 1 // forget gate bias
+	if r != nil {
+		l.Wx.RandomizeUniform(r, math.Sqrt(6/float64(in+4*hidden)))
+		l.Wh.RandomizeUniform(r, math.Sqrt(6/float64(hidden+4*hidden)))
+		for i := hidden; i < 2*hidden; i++ {
+			l.B[i] = 1 // forget gate bias
+		}
 	}
 	l.params = []Param{
 		{Name: "lstm.Wx", Value: l.Wx.Data, Grad: l.gwx.Data},

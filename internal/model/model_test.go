@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"zipflm/internal/core"
@@ -58,7 +59,7 @@ func numGradCheck(t *testing.T, name string, params []Param, loss func() float64
 
 func TestLinearGradient(t *testing.T) {
 	r := rng.New(1)
-	l := NewLinear(3, 4, r)
+	l := newLinear(3, 4, r, tensor.NewMatrix)
 	x := tensor.NewMatrix(5, 3)
 	x.RandomizeNormal(r, 1)
 	target := tensor.NewMatrix(5, 4)
@@ -374,24 +375,49 @@ func TestEvalLoss(t *testing.T) {
 	}
 }
 
-func TestCopyWeightsProducesIdenticalReplicas(t *testing.T) {
-	cfg := Config{Vocab: 12, Dim: 4, Hidden: 5, RNN: KindRHN, RHNDepth: 2, Seed: 1}
-	a := NewLM(cfg)
-	cfg2 := cfg
-	cfg2.Seed = 999
-	b := NewLM(cfg2)
-	b.CopyWeightsFrom(a)
-	stream := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	la, ca := a.EvalLoss(stream, 4)
-	lb, cb := b.EvalLoss(stream, 4)
-	if la != lb || ca != cb {
-		t.Errorf("replicas differ after copy: %v/%d vs %v/%d", la, ca, lb, cb)
+// TestReplicaSharesWeightsCloneCopiesThem: a Replica's weight tensors are the
+// source's storage and its gradients are its own; a Clone's weights are equal
+// values in storage of its own. Both score a stream exactly as the source
+// does and compute on its backend.
+func TestReplicaSharesWeightsCloneCopiesThem(t *testing.T) {
+	for _, kind := range []RNNKind{KindLSTM, KindRHN} {
+		a := NewLM(Config{Vocab: 12, Dim: 4, Hidden: 5, RNN: kind, RHNDepth: 2, Seed: 1})
+		a.SetBackend(tensor.New(2))
+		r, c := a.Replica(), a.Clone()
+		rw, cw := r.Weights(), c.Weights()
+		for i, p := range a.Weights() {
+			if &rw[i].Value[0] != &p.Value[0] {
+				t.Errorf("kind %d: replica %s is not the source's storage", kind, p.Name)
+			}
+			if &cw[i].Value[0] == &p.Value[0] || !slices.Equal(cw[i].Value, p.Value) {
+				t.Errorf("kind %d: clone %s is not an equal copy in its own storage", kind, p.Name)
+			}
+		}
+		for i, p := range a.DenseParams() {
+			if &r.DenseParams()[i].Grad[0] == &p.Grad[0] || &c.DenseParams()[i].Grad[0] == &p.Grad[0] {
+				t.Errorf("kind %d: %s gradient is shared", kind, p.Name)
+			}
+		}
+		if r.Backend() != a.Backend() || c.Backend() != a.Backend() {
+			t.Errorf("kind %d: a replica or clone left its source's backend", kind)
+		}
+		stream := []int{1, 2, 3, 4, 5, 6, 7, 8}
+		la, _ := a.EvalLoss(stream, 4)
+		lr, _ := r.EvalLoss(stream, 4)
+		lc, _ := c.EvalLoss(stream, 4)
+		if la != lr || la != lc {
+			t.Errorf("kind %d: losses %v (source), %v (replica), %v (clone)", kind, la, lr, lc)
+		}
+		a.InEmb.Data[0]++
+		if r.InEmb.Data[0] != a.InEmb.Data[0] || c.InEmb.Data[0] == a.InEmb.Data[0] {
+			t.Errorf("kind %d: a write to the source must reach the replica and not the clone", kind)
+		}
 	}
 }
 
 func TestNumParams(t *testing.T) {
 	r := rng.New(1)
-	l := NewLinear(3, 4, r)
+	l := newLinear(3, 4, r, tensor.NewMatrix)
 	if got := NumParams(l); got != 3*4+4 {
 		t.Errorf("NumParams = %d, want 16", got)
 	}

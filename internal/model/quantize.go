@@ -68,9 +68,7 @@ func (m *LM) QuantizeWeights() {
 // quantized inference path. The receiver is untouched, so a process can keep
 // the FP32 model for evaluation while serving from the q8 copy.
 func (m *LM) Quantize() *LM {
-	q := NewLM(m.Cfg)
-	q.CopyWeightsFrom(m)
-	q.SetBackend(m.be)
+	q := m.Clone()
 	q.QuantizeWeights()
 	return q
 }

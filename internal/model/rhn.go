@@ -66,16 +66,17 @@ type RHN struct {
 	carried *carriedState
 }
 
-// NewRHN returns an RHN layer with Xavier-uniform weights and carry-biased
-// transform gates.
-func NewRHN(in, hidden, depth int, r *rng.RNG) *RHN {
+// newRHN returns an RHN layer over the weight tensors weights supplies, in
+// Params order, with gradients and caches of its own. A non-nil r
+// initializes them: Xavier-uniform weights and carry-biased transform gates.
+func newRHN(in, hidden, depth int, r *rng.RNG, weights func(rows, cols int) *tensor.Matrix) *RHN {
 	if depth <= 0 {
 		panic("model: RHN depth must be positive")
 	}
 	l := &RHN{
 		In: in, Hidden: hidden, Depth: depth,
-		Wh:  tensor.NewMatrix(hidden, in),
-		Wt:  tensor.NewMatrix(hidden, in),
+		Wh:  weights(hidden, in),
+		Wt:  weights(hidden, in),
 		gwh: tensor.NewMatrix(hidden, in),
 		gwt: tensor.NewMatrix(hidden, in),
 		be:  tensor.Serial{},
@@ -88,23 +89,27 @@ func NewRHN(in, hidden, depth int, r *rng.RNG) *RHN {
 		dt:    make([]*tensor.Matrix, depth),
 	}
 	bound := math.Sqrt(6 / float64(in+hidden))
-	l.Wh.RandomizeUniform(r, bound)
-	l.Wt.RandomizeUniform(r, bound)
+	if r != nil {
+		l.Wh.RandomizeUniform(r, bound)
+		l.Wt.RandomizeUniform(r, bound)
+	}
 	rBound := math.Sqrt(6 / float64(2*hidden))
 	for d := 0; d < depth; d++ {
-		rh := tensor.NewMatrix(hidden, hidden)
-		rt := tensor.NewMatrix(hidden, hidden)
-		rh.RandomizeUniform(r, rBound)
-		rt.RandomizeUniform(r, rBound)
+		rh := weights(hidden, hidden)
+		rt := weights(hidden, hidden)
+		bh := weights(1, hidden).Data
+		bt := weights(1, hidden).Data
+		if r != nil {
+			rh.RandomizeUniform(r, rBound)
+			rt.RandomizeUniform(r, rBound)
+			for i := range bt {
+				bt[i] = -1 // bias toward carry at init
+			}
+		}
 		l.Rh = append(l.Rh, rh)
 		l.Rt = append(l.Rt, rt)
 		l.grh = append(l.grh, tensor.NewMatrix(hidden, hidden))
 		l.grt = append(l.grt, tensor.NewMatrix(hidden, hidden))
-		bh := make([]float32, hidden)
-		bt := make([]float32, hidden)
-		for i := range bt {
-			bt[i] = -1 // bias toward carry at init
-		}
 		l.Bh = append(l.Bh, bh)
 		l.Bt = append(l.Bt, bt)
 		l.gbh = append(l.gbh, make([]float32, hidden))

@@ -159,8 +159,7 @@ func BenchmarkSpecDecodeOff(b *testing.B) { runSpecBench(b, nil, 0, false) }
 // the target's own argmax, acceptance is exactly 1.
 func BenchmarkSpecDecodeAccept100(b *testing.B) {
 	m := quantBenchModel()
-	d := model.NewLM(m.Cfg)
-	d.CopyWeightsFrom(m)
+	d := m.Clone()
 	runSpecBench(b, d, 4, false)
 }
 

@@ -220,9 +220,9 @@ type Server struct {
 	results *lruCache
 	prefix  *lruCache
 	workers []*worker
-	// backend is the tensor backend the served weights compute with (nil:
-	// leave them on their NewLM default). Reloaded weights get it too, so a
-	// reload never silently changes the compute path.
+	// backend is the tensor backend the served weights compute with
+	// (tensor.Default unless Config.ComputeWorkers says otherwise). Reloaded
+	// weights get it too, so a reload never silently changes the compute path.
 	backend tensor.Backend
 	// draftSrc is the server's private copy of the speculative draft
 	// weights (nil without Config.Draft), the one every worker steps;
@@ -313,6 +313,7 @@ func New(m *model.LM, cfg Config) *Server {
 		}
 		s.slo.Publish(reg)
 	}
+	s.backend = tensor.Default()
 	if cfg.ComputeWorkers > 0 {
 		s.backend = tensor.New(cfg.ComputeWorkers)
 	}
@@ -338,13 +339,10 @@ func New(m *model.LM, cfg Config) *Server {
 
 // clone copies m into the server's weights for one generation: the server's
 // backend, and an int8 inference path when quantize is set. Every worker
-// steps the same clone.
+// steps the same clone, and no later write to m reaches it.
 func (s *Server) clone(m *model.LM, quantize bool) *model.LM {
-	c := model.NewLM(m.Cfg)
-	if s.backend != nil {
-		c.SetBackend(s.backend)
-	}
-	c.CopyWeightsFrom(m)
+	c := m.Clone()
+	c.SetBackend(s.backend)
 	if quantize {
 		c.QuantizeWeights()
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -90,6 +91,44 @@ func TestServeBitIdenticalToSequential(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestServeKeepsItsOwnWeights: New serves a copy of the model it is given,
+// so a write to the caller's model after New changes no response, FP32 or
+// int8. A server built after the write answers differently, which is what
+// makes the first half a test.
+func TestServeKeepsItsOwnWeights(t *testing.T) {
+	req := Request{Prompt: []int{3, 1, 4}, N: 12, Opts: sampling.DecodeOpts{Temperature: 0.9}, Seed: 5}
+	serve := func(m *model.LM, quantized bool) (*Server, []int) {
+		s := New(m, Config{Quantized: quantized})
+		res, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, res.Tokens
+	}
+	for _, quantized := range []bool{false, true} {
+		m := lstmModel()
+		s, before := serve(m, quantized)
+		for _, p := range m.Weights() {
+			for i := range p.Value {
+				p.Value[i] = 2*p.Value[i] + 0.01*float32(i%13)
+			}
+		}
+		after, err := s.Submit(req)
+		s.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(before, after.Tokens) {
+			t.Errorf("quantized=%v: a write to the source model changed a response: %v → %v", quantized, before, after.Tokens)
+		}
+		fresh, other := serve(m, quantized)
+		fresh.Close()
+		if slices.Equal(before, other) {
+			t.Errorf("quantized=%v: rewriting every weight left the response unchanged; the check above proves nothing", quantized)
 		}
 	}
 }

@@ -147,8 +147,7 @@ func TestServeSpeculativeBitIdentical(t *testing.T) {
 // — serving-side acceptance must be total.
 func TestServeSpeculativeFullAcceptance(t *testing.T) {
 	m := lstmModel()
-	d := model.NewLM(m.Cfg)
-	d.CopyWeightsFrom(m)
+	d := m.Clone()
 	s := New(m, Config{Draft: d, DraftK: 4, MaxBatch: 2})
 	defer s.Close()
 	for seed := uint64(1); seed <= 4; seed++ {

@@ -12,6 +12,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -340,6 +341,106 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	}
 	if _, err := Resume(cfg, t.TempDir(), train, valid); err == nil {
 		t.Fatal("resume from an empty directory must fail")
+	}
+}
+
+// TestRestoreRejectsWithoutWriting: RestoreState checks every section of a
+// state before it installs any. Each row hands a trainer a state that is
+// wrong in one section; the restore must fail, and the trainer's next two
+// steps must be bit-identical to those of a twin that was never asked.
+func TestRestoreRejectsWithoutWriting(t *testing.T) {
+	train, valid := smallData(60, 1600, 13)
+	base := smallConfig(2, core.UniqueExchange{})
+	base.Model.Sampled = 10
+	base.Model.Stateful = true
+	base.Model.Dropout = 0.25
+	base.NewOptimizer = func() optim.Optimizer { return optim.NewAdam(1e-5) }
+	topk := &compress.Config{Method: compress.MethodTopK, Ratio: 0.05, Momentum: 0.9, MinElems: 1}
+
+	for _, row := range []struct {
+		name  string
+		cfg   func(*Config)
+		spoil func(*ckpt.State)
+	}{
+		{"rank count", nil, func(st *ckpt.State) { st.Ranks = 3 }},
+		{"rng streams for another rank count", nil, func(st *ckpt.State) { st.RNG = append(st.RNG, st.RNG[0]) }},
+		{"model config", nil, func(st *ckpt.State) {
+			mc := base.Model
+			mc.Hidden += 2
+			st.ModelBytes, _ = model.NewLM(mc).Marshal()
+		}},
+		{"optimizer kind", nil, func(st *ckpt.State) { st.Opt = optim.State{} }},
+		{"optimizer moment shape", nil, func(st *ckpt.State) {
+			st.Opt.M[0] = append(st.Opt.M[0], 0)
+			st.Opt.V[0] = append(st.Opt.V[0], 0)
+		}},
+		{"carried state of the last rank", nil, func(st *ckpt.State) {
+			last := &st.RNN[len(st.RNN)-1]
+			last.H = last.H[:len(last.H)-1]
+		}},
+		{"compression states missing", func(c *Config) { c.Compress = topk }, nil},
+		{"compression states unexpected", nil, func(st *ckpt.State) { st.Compress = make([]compress.EngineState, st.Ranks) }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			src, err := New(base, train, valid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := src.Steps(3); err != nil {
+				t.Fatal(err)
+			}
+			st, err := src.CaptureState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if row.spoil != nil {
+				row.spoil(st)
+			}
+			cfg := base
+			if row.cfg != nil {
+				row.cfg(&cfg)
+			}
+			tr, err := New(cfg, train, valid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			twin, err := New(cfg, train, valid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Steps(1); err != nil {
+				t.Fatal(err)
+			}
+			if err := twin.Steps(1); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.RestoreState(st); err == nil {
+				t.Fatal("RestoreState accepted the state")
+			} else {
+				t.Log(err)
+			}
+			if err := tr.Steps(2); err != nil {
+				t.Fatal(err)
+			}
+			if err := twin.Steps(2); err != nil {
+				t.Fatal(err)
+			}
+			got, err := tr.CaptureState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := twin.CaptureState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("a refused restore changed the trainer: step %d vs %d, weights equal %v, optimizer equal %v",
+					got.Step, want.Step, bytes.Equal(got.ModelBytes, want.ModelBytes), reflect.DeepEqual(got.Opt, want.Opt))
+			}
+			if err := tr.ReplicasInSync(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

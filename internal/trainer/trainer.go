@@ -2,8 +2,8 @@
 // over the simulated cluster, wiring together every substrate exactly the
 // way §II-B describes the production workflow:
 //
-//   - each rank (goroutine) owns a full model replica and a private shard
-//     of the training stream;
+//   - each rank (goroutine) holds a model replica and a private shard of the
+//     training stream;
 //   - dense RNN/projection gradients synchronize with a ring ALLREDUCE;
 //   - input-embedding gradients go through a pluggable core.Exchanger —
 //     the baseline ALLGATHER or the paper's unique exchange;
@@ -13,16 +13,17 @@
 //   - FP16 wire compression (§III-C) applies to all gradient payloads when
 //     configured.
 //
-// Replicas start identical and receive identical global updates each step,
-// so they stay bit-identical — the invariant §II-B states ("the model
-// parameters on all GPUs are the same during the next training step"),
-// which the tests assert.
+// §II-B's invariant, "the model parameters on all GPUs are the same during
+// the next training step", holds by construction: the replicas share rank
+// 0's weights (model.LM.Replica) and one optimizer, and each step's update
+// runs once, after every rank's exchange has succeeded.
 package trainer
 
 import (
 	"fmt"
 	"log/slog"
 	"math"
+	"slices"
 	"time"
 
 	"zipflm/internal/ckpt"
@@ -67,9 +68,9 @@ type Config struct {
 	Wire collective.Wire
 	// SeedStrategy controls sampled-softmax seed sharing (§III-B).
 	SeedStrategy sampling.Strategy
-	// NewOptimizer builds one dense-parameter optimizer per rank (stateful
-	// optimizers like Adam must not share state across replicas); nil
-	// means SGD.
+	// NewOptimizer builds the dense-parameter optimizer. The ranks share one
+	// set of weights, so the run steps one optimizer; New calls this once,
+	// and RestoreState once more to restore into. nil means SGD.
 	NewOptimizer func() optim.Optimizer
 	// NewSampler builds the sampled-softmax candidate source for a given
 	// seed; nil means the paper's log-uniform sampler. The exact-unigram
@@ -260,13 +261,14 @@ type Result struct {
 	FinalLoss float64
 }
 
-// Trainer owns the replicas and shards.
+// Trainer owns the ranks' models (models[r] for r ≥ 1 is a Replica of
+// models[0]), the optimizer and the shards.
 type Trainer struct {
 	cfg    Config
 	clu    *cluster.Cluster
 	comm   *collective.Comm
 	models []*model.LM
-	opts   []optim.Optimizer
+	opt    optim.Optimizer
 	ws     []*core.Workspace
 	shards [][]int
 	valid  []int
@@ -376,37 +378,14 @@ func New(cfg Config, train, valid []int) (*Trainer, error) {
 	for r := range t.ws {
 		t.ws[r] = core.NewWorkspace()
 	}
-	// Identical replicas: build rank 0, copy into the rest.
-	t.models = make([]*model.LM, cfg.Ranks)
-	t.opts = make([]optim.Optimizer, cfg.Ranks)
 	mc := cfg.Model
 	mc.Seed = cfg.BaseSeed
-	var be tensor.Backend
+	m := model.NewLM(mc)
 	if cfg.Workers > 0 {
-		be = tensor.New(cfg.Workers)
+		m.SetBackend(tensor.New(cfg.Workers))
 	}
-	for r := 0; r < cfg.Ranks; r++ {
-		t.models[r] = model.NewLM(mc)
-		if be != nil {
-			t.models[r].SetBackend(be)
-		}
-		if r > 0 {
-			t.models[r].CopyWeightsFrom(t.models[0])
-		}
-		t.opts[r] = cfg.NewOptimizer()
-	}
-	t.dense = make([]rankDense, cfg.Ranks)
-	for r, m := range t.models {
-		d := rankDense{
-			all:    newDenseGrads(m.DenseParams()),
-			layer:  make(map[model.Layer]denseGrads),
-			outemb: newDenseGrads([]model.Param{{Name: "outemb"}}),
-		}
-		for _, l := range m.DenseLayers() {
-			d.layer[l] = newDenseGrads(l.Params())
-		}
-		t.dense[r] = d
-	}
+	t.models, t.dense = replicate(m, cfg.Ranks)
+	t.opt = cfg.NewOptimizer()
 	t.shards = make([][]int, cfg.Ranks)
 	for r := 0; r < cfg.Ranks; r++ {
 		t.shards[r] = train[r*perRank : (r+1)*perRank]
@@ -421,6 +400,7 @@ func New(cfg Config, train, valid []int) (*Trainer, error) {
 			// stays reproducible from BaseSeed alone.
 			cc.Seed = cfg.BaseSeed ^ 0xc0445e55c0445e55
 		}
+		t.cfg.Compress = &cc // what RestoreState builds its engines from
 		t.cmp = make([]*compress.Engine, cfg.Ranks)
 		for r := range t.cmp {
 			t.cmp[r] = compress.NewEngine(cc, cfg.Wire, r)
@@ -479,10 +459,9 @@ func Resume(cfg Config, dir string, train, valid []int) (*Trainer, error) {
 }
 
 // CaptureState snapshots the full training state at the current step
-// boundary: model weights and optimizer state once (replicas are
-// bit-identical between steps — the §II-B invariant ReplicasInSync
-// asserts), RNG streams and carried recurrent state per rank, and the
-// step/LR-schedule position. The capture is read-only.
+// boundary: the weights and the optimizer state once (every rank shares
+// them), RNG streams, carried recurrent state and compression carry per
+// rank, and the step/LR-schedule position. The capture is read-only.
 func (t *Trainer) CaptureState() (*ckpt.State, error) {
 	mb, err := t.models[0].Marshal()
 	if err != nil {
@@ -495,7 +474,7 @@ func (t *Trainer) CaptureState() (*ckpt.State, error) {
 		Ranks:      t.cfg.Ranks,
 		ModelBytes: mb,
 	}
-	if sn, ok := t.opts[0].(optim.Snapshotter); ok {
+	if sn, ok := t.opt.(optim.Snapshotter); ok {
 		st.Opt = sn.Snapshot()
 	}
 	for r := 0; r < t.cfg.Ranks; r++ {
@@ -518,13 +497,14 @@ func (t *Trainer) CaptureState() (*ckpt.State, error) {
 }
 
 // RestoreState reinstates a state captured by CaptureState (possibly in a
-// previous process): every replica's weights, every optimizer's moments,
-// per-rank RNG streams and carried recurrent state, and the step/LR
-// position. After it returns, the next trained step is exactly the one an
-// uninterrupted run would have executed.
+// previous process). It builds new models, optimizer and compression engines
+// from the state and installs them only once every section has been
+// accepted, so a refused state leaves the trainer as it was. After a nil
+// return the next step is exactly the one an uninterrupted run would take.
 func (t *Trainer) RestoreState(st *ckpt.State) error {
-	if st.Ranks != t.cfg.Ranks {
-		return fmt.Errorf("trainer: checkpoint spans %d ranks, cluster has %d", st.Ranks, t.cfg.Ranks)
+	g := t.cfg.Ranks
+	if st.Ranks != g {
+		return fmt.Errorf("trainer: checkpoint spans %d ranks, cluster has %d", st.Ranks, g)
 	}
 	lm, err := st.LM()
 	if err != nil {
@@ -533,47 +513,82 @@ func (t *Trainer) RestoreState(st *ckpt.State) error {
 	if lm.Cfg != t.models[0].Cfg {
 		return fmt.Errorf("trainer: checkpoint model %+v does not match configured %+v", lm.Cfg, t.models[0].Cfg)
 	}
-	if st.Opt.Kind != "" {
-		for r := 0; r < t.cfg.Ranks; r++ {
-			sn, ok := t.opts[r].(optim.Snapshotter)
-			if !ok {
-				return fmt.Errorf("trainer: checkpoint carries %q optimizer state but the configured optimizer cannot restore it", st.Opt.Kind)
-			}
-			if err := sn.Restore(st.Opt); err != nil {
-				return fmt.Errorf("trainer: restore: %w", err)
+	opt := t.cfg.NewOptimizer()
+	if sn, ok := opt.(optim.Snapshotter); ok {
+		// Restore refuses another optimizer's kind, no state ("") included.
+		if err := sn.Restore(st.Opt); err != nil {
+			return fmt.Errorf("trainer: restore: %w", err)
+		}
+		for _, p := range lm.DenseParams() { // Step indexes moments by the tensor's length
+			if i := slices.Index(st.Opt.Names, p.Name); i >= 0 && len(st.Opt.M[i]) != len(p.Value) {
+				return fmt.Errorf("trainer: checkpoint holds %d optimizer moments for %s, the model %d", len(st.Opt.M[i]), p.Name, len(p.Value))
 			}
 		}
+	} else if st.Opt.Kind != "" {
+		return fmt.Errorf("trainer: checkpoint carries %q optimizer state but the configured optimizer cannot restore it", st.Opt.Kind)
 	}
-	for r := 0; r < t.cfg.Ranks; r++ {
-		t.models[r].CopyWeightsFrom(lm)
-		if len(st.RNG) == t.cfg.Ranks {
-			t.models[r].SetRNGState(st.RNG[r])
-		}
-		if len(st.RNN) == t.cfg.Ranks {
-			if err := t.models[r].SetCarriedRNNState(st.RNN[r]); err != nil {
-				return fmt.Errorf("trainer: restore: %w", err)
-			}
-		} else {
-			t.models[r].ResetRNNState()
-		}
+	carried := 0
+	if t.cfg.Model.Stateful {
+		carried = g
 	}
+	if len(st.RNG) != g || len(st.RNN) != carried {
+		return fmt.Errorf("trainer: checkpoint carries %d RNG streams and %d carried states for %d ranks, want %d and %d",
+			len(st.RNG), len(st.RNN), g, g, carried)
+	}
+	var cmp []*compress.Engine
 	if t.cmp != nil {
-		if len(st.Compress) != t.cfg.Ranks {
-			return fmt.Errorf("trainer: Compress configured but checkpoint carries %d compression states for %d ranks", len(st.Compress), t.cfg.Ranks)
+		if len(st.Compress) != g {
+			return fmt.Errorf("trainer: Compress configured but checkpoint carries %d compression states for %d ranks", len(st.Compress), g)
 		}
-		for r := 0; r < t.cfg.Ranks; r++ {
-			if err := t.cmp[r].Restore(st.Compress[r]); err != nil {
+		cmp = make([]*compress.Engine, g)
+		for r := range cmp {
+			cmp[r] = compress.NewEngine(*t.cfg.Compress, t.cfg.Wire, r)
+			if err := cmp[r].Restore(st.Compress[r]); err != nil {
 				return fmt.Errorf("trainer: restore: %w", err)
 			}
 		}
 	} else if len(st.Compress) != 0 {
 		return fmt.Errorf("trainer: checkpoint carries compression state but Compress is not configured")
 	}
+	lm.SetBackend(t.models[0].Backend())
+	models, dense := replicate(lm, g)
+	for r, m := range models {
+		m.SetRNGState(st.RNG[r])
+		if carried > 0 {
+			if err := m.SetCarriedRNNState(st.RNN[r]); err != nil {
+				return fmt.Errorf("trainer: restore rank %d: %w", r, err)
+			}
+		}
+	}
+	t.models, t.dense, t.opt, t.cmp = models, dense, opt, cmp
 	t.step = st.Step
 	t.lr = st.LR
 	t.nextDecay = st.NextDecay
 	t.lastCkpt = st
 	return nil
+}
+
+// replicate makes m rank 0 and ranks 1…g−1 replicas of it, and builds each
+// rank's dense-gradient units over its own gradients.
+func replicate(m *model.LM, g int) ([]*model.LM, []rankDense) {
+	models := make([]*model.LM, g)
+	dense := make([]rankDense, g)
+	for r := range models {
+		models[r] = m
+		if r > 0 {
+			models[r] = m.Replica()
+		}
+		d := rankDense{
+			all:    newDenseGrads(models[r].DenseParams()),
+			layer:  make(map[model.Layer]denseGrads),
+			outemb: newDenseGrads([]model.Param{{Name: "outemb"}}),
+		}
+		for _, l := range models[r].DenseLayers() {
+			d.layer[l] = newDenseGrads(l.Params())
+		}
+		dense[r] = d
+	}
+	return models, dense
 }
 
 // afterStep runs the fault-tolerance bookkeeping after each committed
@@ -730,7 +745,8 @@ func (t *Trainer) StepsPerEpoch() int {
 	return n
 }
 
-// Model returns rank r's replica (replicas are identical between steps).
+// Model returns rank r's model: rank 0's weights, rank r's training state.
+// RestoreState (and so a fault rollback) installs new models.
 func (t *Trainer) Model(r int) *model.LM { return t.models[r] }
 
 // Comm exposes the communicator for traffic inspection.
@@ -1079,12 +1095,15 @@ func (t *Trainer) trainStep(step int, lrNow float64, seeds []uint64) (stepStats,
 	computeStart := phaseStart
 	phaseStart = time.Now()
 
-	// Phase 2 (parallel): synchronize and update.
+	// Phase 2 (parallel): synchronize, and charge each device for the
+	// embedding update it models.
 	lr := float32(lrNow)
 	invG := float32(1.0 / float64(g))
+	outDense := t.cfg.Model.Sampled == 0
 	errs := make([]error, g)
 	inStats := make([]core.Stats, g)
 	outStats := make([]core.Stats, g)
+	var inUpd, outUpd core.Update // rank 0's exchanged embedding updates
 	_ = t.clu.Run(func(rank int, dev *cluster.Device) error {
 		var exT0, upT0 time.Time
 		var exV0, exV1 float64
@@ -1094,7 +1113,6 @@ func (t *Trainer) trainStep(step int, lrNow float64, seeds []uint64) (stepStats,
 		}
 		m := t.models[rank]
 		ctx := &core.Ctx{Rank: rank, Comm: t.comm, Dev: dev, Wire: t.cfg.Wire, WS: t.ws[rank]}
-		outDense := t.cfg.Model.Sampled == 0
 		outGrad := results[rank].OutputGrad
 		w := workers[rank]
 
@@ -1149,9 +1167,8 @@ func (t *Trainer) trainStep(step int, lrNow float64, seeds []uint64) (stepStats,
 			outStats[rank] = stOut
 		}
 
-		// Wait for the side lane, then post-process: averaging, clipping
-		// and the embedding updates apply the same arithmetic to the same
-		// tensors in both modes.
+		// Wait for the side lane: both modes leave the same reduced
+		// gradients for the update below.
 		if err := w.drain(dev); err != nil {
 			errs[rank] = err
 			return nil
@@ -1165,24 +1182,14 @@ func (t *Trainer) trainStep(step int, lrNow float64, seeds []uint64) (stepStats,
 			tr.Span("rank", "exchange", rank, exT0, time.Since(exT0), exV0, exV1-exV0)
 			upT0 = time.Now()
 		}
-		for _, p := range m.DenseParams() {
-			tensor.Scale(p.Grad, invG)
-			if t.cfg.ClipNorm > 0 {
-				tensor.ClipL2(p.Grad, t.cfg.ClipNorm)
-			}
-		}
-		upd.Apply(m.InEmb, -lr*invG)
-		if !outDense {
-			updOut.Apply(m.OutEmb, -lr*invG)
-		} else {
-			tensor.Scale(outGrad.Rows.Data, invG)
-			core.Update{Indices: outGrad.Indices, Rows: outGrad.Rows}.
-				Apply(m.OutEmb, -lr)
+		if rank == 0 {
+			inUpd, outUpd = upd, updOut
 		}
 		if sim != nil {
 			// Embedding updates are a read-modify-write over the touched
 			// rows: 2× row bytes of device-memory traffic (§III-A's
-			// conflict-free update runs at full memory bandwidth).
+			// conflict-free update runs at full memory bandwidth). Every
+			// simulated device pays for its own; the host runs one, below.
 			b := 2 * int64(len(upd.Indices)) * int64(m.InEmb.Cols) * 4
 			if !outDense {
 				b += 2 * int64(len(updOut.Indices)) * int64(m.OutEmb.Cols) * 4
@@ -1202,14 +1209,25 @@ func (t *Trainer) trainStep(step int, lrNow float64, seeds []uint64) (stepStats,
 		}
 	}
 
-	// Dense optimizer step: every rank applies the identical averaged
-	// gradient through its own optimizer instance, keeping replicas (and
-	// any Adam state) bit-identical. Its own fan-out, after the errs check,
-	// so no rank's optimizer moves unless every rank's exchange succeeded.
-	_ = t.clu.Run(func(rank int, _ *cluster.Device) error {
-		t.opts[rank].Step(t.models[rank].DenseParams(), lr)
-		return nil
-	})
+	// The update, once for every rank (every rank's reduced gradients are
+	// rank 0's bits) and only after the errs check, so a step any rank
+	// failed moves no weight and no moment.
+	m := t.models[0]
+	for _, p := range m.DenseParams() {
+		tensor.Scale(p.Grad, invG)
+		if t.cfg.ClipNorm > 0 {
+			tensor.ClipL2(p.Grad, t.cfg.ClipNorm)
+		}
+	}
+	inUpd.Apply(m.InEmb, -lr*invG)
+	if outDense {
+		outGrad := results[0].OutputGrad
+		tensor.Scale(outGrad.Rows.Data, invG)
+		core.Update{Indices: outGrad.Indices, Rows: outGrad.Rows}.Apply(m.OutEmb, -lr)
+	} else {
+		outUpd.Apply(m.OutEmb, -lr*invG)
+	}
+	t.opt.Step(m.DenseParams(), lr)
 
 	agg.inUnique = inStats[0].UniqueGlobal
 	agg.outUnique = outStats[0].UniqueGlobal
@@ -1235,29 +1253,16 @@ func (t *Trainer) Validate() float64 {
 	return lossSum / float64(count)
 }
 
-// ReplicasInSync verifies every replica's parameters match rank 0 exactly —
-// the §II-B synchronization invariant. Returns the first mismatch found.
+// ReplicasInSync checks §II-B's invariant that every rank holds the same
+// parameters. The ranks share one set of weights, so what it checks is that
+// sharing: every replica's embeddings and dense tensors must be rank 0's own
+// storage. It returns the first tensor that is not.
 func (t *Trainer) ReplicasInSync() error {
-	ref := t.models[0]
+	ref := t.models[0].Weights()
 	for r := 1; r < t.cfg.Ranks; r++ {
-		m := t.models[r]
-		for i := range ref.InEmb.Data {
-			if m.InEmb.Data[i] != ref.InEmb.Data[i] {
-				return fmt.Errorf("trainer: rank %d input embedding diverged at %d", r, i)
-			}
-		}
-		for i := range ref.OutEmb.Data {
-			if m.OutEmb.Data[i] != ref.OutEmb.Data[i] {
-				return fmt.Errorf("trainer: rank %d output embedding diverged at %d", r, i)
-			}
-		}
-		refs := ref.DenseParams()
-		ps := m.DenseParams()
-		for pi := range refs {
-			for i := range refs[pi].Value {
-				if refs[pi].Value[i] != ps[pi].Value[i] {
-					return fmt.Errorf("trainer: rank %d %s diverged at %d", r, refs[pi].Name, i)
-				}
+		for i, p := range t.models[r].Weights() {
+			if &p.Value[0] != &ref[i].Value[0] {
+				return fmt.Errorf("trainer: rank %d %s is not rank 0's", r, ref[i].Name)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -286,11 +287,11 @@ func (f failOnRank) Exchange(ctx *core.Ctx, grad core.SparseGrad) (core.Update, 
 	return upd, st, err
 }
 
-// TestAbortedStepLeavesOptimizersUntouched: the optimizer step is its own
-// per-rank fan-out, and it must stay behind the check that every rank's
-// exchange succeeded. When one rank's exchange fails, no rank — not the
-// failing one, not its healthy peers — may advance its Adam step count or
-// moments, or move a dense parameter.
+// TestAbortedStepLeavesOptimizersUntouched: the update — embeddings and
+// optimizer step alike — must stay behind the check that every rank's
+// exchange succeeded. When one rank's exchange fails, the step may not
+// advance Adam's step count or moments, or move a dense parameter or an
+// embedding row, as seen from any rank: the failing one or its healthy peers.
 func TestAbortedStepLeavesOptimizersUntouched(t *testing.T) {
 	for _, overlap := range []bool{false, true} {
 		train, valid := smallData(60, 8000, 9)
@@ -306,15 +307,15 @@ func TestAbortedStepLeavesOptimizersUntouched(t *testing.T) {
 			t.Fatal(err)
 		}
 		type rankState struct {
-			opt   optim.State
-			dense [][]float32
+			opt     optim.State
+			weights [][]float32
 		}
 		capture := func() []rankState {
 			out := make([]rankState, cfg.Ranks)
 			for r := range out {
-				out[r].opt = tr.opts[r].(optim.Snapshotter).Snapshot()
-				for _, p := range tr.models[r].DenseParams() {
-					out[r].dense = append(out[r].dense, append([]float32(nil), p.Value...))
+				out[r].opt = tr.opt.(optim.Snapshotter).Snapshot()
+				for _, p := range tr.models[r].Weights() {
+					out[r].weights = append(out[r].weights, slices.Clone(p.Value))
 				}
 			}
 			return out
@@ -329,7 +330,7 @@ func TestAbortedStepLeavesOptimizersUntouched(t *testing.T) {
 		}
 		for r, after := range capture() {
 			if !reflect.DeepEqual(before[r], after) {
-				t.Errorf("overlap=%v: rank %d optimizer state or dense parameters moved in an aborted step (T %d -> %d)",
+				t.Errorf("overlap=%v: rank %d optimizer state or weights moved in an aborted step (T %d -> %d)",
 					overlap, r, before[r].opt.T, after.opt.T)
 			}
 		}

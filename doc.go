@@ -9,45 +9,38 @@
 // figure of the paper's evaluation through cmd/zipflm-bench and the
 // benchmarks in bench_test.go.
 //
-// # Communication substrate: zero-copy rings, pooled buffers, overlap
+// # Communication substrate: G ranks simulated, each exchange executed once
 //
-// The simulated collectives (internal/collective) are engineered like the
-// production stacks the paper measures against:
+// The simulated collectives (internal/collective) execute what decides
+// bits and counters once and price the G ranks on the virtual clock, as
+// trace-driven training simulators do:
 //
-//   - The ring all-reduce is zero-copy and allocation-free at steady state:
-//     each hop is one message — the sender's list of tensors, whose
-//     chunks the receiver reads in place — and a closing barrier keeps a
-//     rank from rewriting its buffers while a peer's hop still reads them. Blackboard buffers for
-//     gathers come from a communicator-wide sync.Pool arena and are
-//     recycled across steps. testing.AllocsPerRun guards both
-//     paths against regression.
+//   - Every collective is called once for the whole group, from one
+//     goroutine, with every rank's buffers. The ring all-reduce walks the
+//     ring's hops in order, calling each rank's wire as a ring rank would
+//     and counting each rank's bytes, and writes the sum to rank 0 only —
+//     the weights every rank shares are updated from it. Gathers account
+//     payloads the caller already holds. The executor and the per-rank
+//     adapters built on Comm.Rendezvous are allocation-free at steady
+//     state, guarded by testing.AllocsPerRun, and held bit for bit to the
+//     goroutine ring they replaced.
 //
-//   - A communicator has two lanes — two complete sets of ring channels,
-//     barrier, blackboards, counters and optional cost model. Comm.Side
-//     is the same communicator on its second lane, so every collective
-//     (fused ring all-reduce, compressed all-reduce, gathers) can run
-//     there concurrently with the primary lane, already priced, traced and
-//     counted. Comm.AllReduceParts reduces a list of tensors in one ring
-//     pass — 2·(G−1) messages however long the list — chunking each member
-//     with exactly the single-tensor bounds, so reduced values and Stats
-//     byte accounting are bit-identical to per-tensor AllReduce calls —
-//     asserted by the tests.
+//   - The exchange engines (internal/core) work the same way:
+//     Exchanger.ExchangeRanks runs each rank's local reduce, allocation
+//     and vote per rank, computes the unique set Î once, and reduces the G
+//     U_g×D matrices in one all-reduce.
 //
-//   - trainer.Config.Overlap is those two put together: the trainer has
-//     one dense-gradient function, and in overlap mode a per-rank worker
-//     calls it on the side lane — a backward hook hands over a dense layer
-//     the moment it finishes backpropagating, and the sparse §III-A
-//     exchange then runs on the primary lane with the dense rings still in
-//     flight. The weights stay bit-identical to the synchronous mode, and
-//     because it is the same function, overlap composes with gradient
-//     compression and with the virtual clock (which prices the side lane
-//     as its own timeline: critical path, not sum).
-//     The exchange engines themselves reuse per-rank core.Workspace
-//     scratch (dedup maps, locally-reduced rows) across steps.
+//   - A communicator has two lanes, each with its own counters and cost
+//     model. trainer.Config.Overlap reduces the dense gradients a layer
+//     per call on the side lane, whose per-rank clocks start each layer
+//     when the rank's backward pass finished it: the same reductions as
+//     the synchronous mode, priced as a timeline of their own (critical
+//     path, not sum). Weights and wire bytes are bit-identical between the
+//     modes, and overlap composes with gradient compression.
 //
-// The "overlap" experiment (zipflm-bench -exp overlap) and the
-// BenchmarkStep* benchmarks in bench_test.go measure what this buys per
-// training step.
+// The "overlap" experiment (zipflm-bench -exp overlap) prints what overlap
+// buys per step on the paper's hardware, and the BenchmarkStep* benchmarks
+// in bench_test.go time the step on this one.
 //
 // # Serving layer: dynamic batching, admission control, Zipf caching
 //

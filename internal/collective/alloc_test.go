@@ -5,6 +5,7 @@ import (
 
 	"zipflm/internal/half"
 	"zipflm/internal/israce"
+	"zipflm/internal/telemetry"
 )
 
 // allocHarness drives one collective round per trigger on persistent rank
@@ -61,67 +62,66 @@ func skipIfRace(t *testing.T) {
 }
 
 // TestAllReduceZeroAllocSteadyState is the allocation-regression guard on
-// the ring path: a full ring all-reduce across all ranks performs zero heap
-// allocations, with one tensor (whose part list the lane owns) and with a
-// caller-owned list of seventeen. A future PR reintroducing per-hop payload
-// allocation, or a part list that escapes per call, fails here immediately.
+// the all-reduce: neither the batched executor — with one tensor and with a
+// list of seventeen — nor the per-rank adapter, whose part lists the lane
+// owns, performs a heap allocation, observed or not. A future PR that
+// allocates per hop, or lets a part list or closure escape per call, fails
+// here immediately.
 func TestAllReduceZeroAllocSteadyState(t *testing.T) {
 	skipIfRace(t)
-	for _, wire := range []Wire{nil, half.NewScaler(256)} {
-		g := 4
-		c := New(g)
-		xs := make([][]float32, g)
-		lists := make([][][]float32, g)
-		for r := range xs {
-			xs[r] = make([]float32, 1000)
-			for i := range xs[r] {
-				xs[r][i] = float32(r + i)
+	for _, observed := range []bool{false, true} {
+		for _, wire := range []Wire{nil, half.NewScaler(256)} {
+			g := 4
+			c := New(g)
+			if observed {
+				c.AttachTelemetry(telemetry.NewRegistry())
 			}
-			for n := 0; n < 17; n++ {
-				lists[r] = append(lists[r], make([]float32, 10*n))
+			xs := make([][]float32, g)
+			one := make([][][]float32, g)
+			lists := make([][][]float32, g)
+			wires := make([]Wire, g)
+			for r := range xs {
+				xs[r] = make([]float32, 1000)
+				for i := range xs[r] {
+					xs[r][i] = float32(r + i)
+				}
+				one[r] = [][]float32{xs[r]}
+				for n := 0; n < 17; n++ {
+					lists[r] = append(lists[r], make([]float32, 10*n))
+				}
+				wires[r] = wire
 			}
-		}
-		ops := map[string]func(rank int){
-			"AllReduce":                func(rank int) { c.AllReduce(rank, xs[rank], wire) },
-			"AllReduceParts(17 parts)": func(rank int) { c.AllReduceParts(rank, lists[rank], wire) },
-		}
-		for name, op := range ops {
-			h := newAllocHarness(g, op)
-			for i := 0; i < 3; i++ {
-				h.round() // warm the arena
+			adapter := newAllocHarness(g, func(rank int) { c.AllReduce(rank, xs[rank], wire) })
+			ops := map[string]func(){
+				"AllReduce adapter":        adapter.round,
+				"AllReduceRanks(1 part)":   func() { c.AllReduceRanks(one, wires) },
+				"AllReduceRanks(17 parts)": func() { c.AllReduceRanks(lists, wires) },
 			}
-			allocs := testing.AllocsPerRun(20, h.round)
-			h.close()
-			if allocs != 0 {
-				t.Errorf("wire=%v: %s ring path allocates %.1f objects per round, want 0", wire != nil, name, allocs)
+			for name, op := range ops {
+				for i := 0; i < 3; i++ {
+					op() // warm up
+				}
+				if allocs := testing.AllocsPerRun(20, op); allocs != 0 {
+					t.Errorf("observed=%v wire=%v: %s allocates %.1f objects per call, want 0", observed, wire != nil, name, allocs)
+				}
 			}
+			adapter.close()
 		}
 	}
 }
 
-// TestAllGatherIntsAllocBound guards the pooled blackboard path: the only
-// permitted allocations are the caller-owned result slices (1 outer + G
-// inner per rank); the stash and its recycling must not allocate at steady
-// state.
+// TestAllGatherIntsAllocBound: the batched index gather only accounts —
+// the caller holds the payloads — so it allocates nothing.
 func TestAllGatherIntsAllocBound(t *testing.T) {
 	skipIfRace(t)
 	g := 4
 	c := New(g)
-	local := make([][]int, g)
-	for r := range local {
-		local[r] = make([]int, 50+r)
+	payloads := make([][]int, g)
+	for r := range payloads {
+		payloads[r] = make([]int, 50+r)
 	}
-	h := newAllocHarness(g, func(rank int) {
-		c.AllGatherInts(rank, local[rank])
-	})
-	for i := 0; i < 3; i++ {
-		h.round()
-	}
-	allocs := testing.AllocsPerRun(20, h.round)
-	h.close()
-	limit := float64(g * (g + 1))
-	if allocs > limit {
-		t.Errorf("AllGatherInts allocates %.1f objects per round, want ≤ %.0f (result copies only)", allocs, limit)
+	if allocs := testing.AllocsPerRun(20, func() { c.AllGatherIntsRanks(payloads) }); allocs != 0 {
+		t.Errorf("AllGatherIntsRanks allocates %.1f objects per call, want 0", allocs)
 	}
 }
 
@@ -132,21 +132,13 @@ func TestAllGatherFloatsAllocBound(t *testing.T) {
 	for _, wire := range []Wire{nil, half.NewScaler(256)} {
 		g := 4
 		c := New(g)
-		local := make([][]float32, g)
-		for r := range local {
-			local[r] = make([]float32, 200)
+		payloads := make([][]float32, g)
+		wires := make([]Wire, g)
+		for r := range payloads {
+			payloads[r], wires[r] = make([]float32, 200), wire
 		}
-		h := newAllocHarness(g, func(rank int) {
-			c.AllGatherFloats(rank, local[rank], wire)
-		})
-		for i := 0; i < 3; i++ {
-			h.round()
-		}
-		allocs := testing.AllocsPerRun(20, h.round)
-		h.close()
-		limit := float64(g * (g + 1))
-		if allocs > limit {
-			t.Errorf("wire=%v: AllGatherFloats allocates %.1f objects per round, want ≤ %.0f", wire != nil, allocs, limit)
+		if allocs := testing.AllocsPerRun(20, func() { c.AllGatherFloatsRanks(payloads, wires) }); allocs != 0 {
+			t.Errorf("wire=%v: AllGatherFloatsRanks allocates %.1f objects per call, want 0", wire != nil, allocs)
 		}
 	}
 }

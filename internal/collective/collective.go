@@ -1,46 +1,45 @@
 // Package collective implements the MPI-style collectives the paper's
 // training workflow uses — ALLREDUCE for dense RNN gradients, ALLGATHER for
-// embedding-layer exchanges — over in-process ranks (one goroutine per
-// simulated GPU).
+// embedding-layer exchanges — for G simulated ranks in one process.
 //
-// AllReduce is a genuine ring all-reduce (Gibiansky-style, the "efficient
-// implementations use a ring all-reduce technique" of §II-B): buffers are
-// chunked, and each rank exchanges chunks with its neighbours over Go
-// channels through a scatter-reduce phase followed by an all-gather phase.
-// Per-rank traffic is therefore the real 2·(G−1)/G·bytes of the algorithm,
-// measured, not modeled.
+// Every collective is called once for the whole group, from one goroutine,
+// with every rank's buffers (the …Ranks methods). AllReduceRanks is the ring
+// all-reduce of §II-B ("efficient implementations use a ring all-reduce
+// technique"; Gibiansky's formulation): buffers are chunked, a
+// scatter-reduce phase passes each chunk around the ring adding as it goes,
+// and an all-gather phase hands every rank the owners' reduced chunks. The
+// ring is executed, not modeled, but once: the executor walks the hops in
+// ring order on the caller's goroutine, making exactly the additions, the
+// wire roundings and the byte counts G ring ranks would make, so per-rank
+// traffic is the algorithm's real 2·(G−1)/G·bytes. What no rank reads is
+// skipped: the sum is written to rank 0's tensors only (the trainer updates
+// the weights every rank shares from them). The gathers are accounted, not
+// copied: the caller already holds every rank's payload, so the collective
+// applies each rank's wire to it and posts the standard ring all-gather
+// volume, (G−1)/G of the payloads' total, per rank.
 //
-// A hop is one message whatever the call carries: the sender hands over the
-// list of tensors being reduced (AllReduce is the list of one) and the
-// receiver reads the hop's chunk of each where it lies, so the ring pays its
-// latency — here a goroutine rendezvous — 2·(G−1) times per call, not per
-// tensor, as the cost model charges it. The path is zero-copy and
-// zero-allocation (a sender never rewrites a chunk before its receiver has
-// consumed it; see ringAllReduce), guarded by testing.AllocsPerRun. Blackboard
-// stash buffers for the gather paths come from a sync.Pool arena and are
-// recycled across operations.
+// Callers that still run one goroutine per rank use the per-rank adapters
+// (AllReduce, AgreeAllOK), which are built on one primitive, Rendezvous:
+// every rank posts its arguments, rank 0 runs the batched call for the
+// group, and every rank gets its result.
 //
-// Gathers use a shared blackboard with two barriers; their per-rank traffic
-// is accounted with the standard ring-allgather volume (G−1)/G·G·bytes.
-//
-// A communicator has two lanes — two complete sets of ring channels,
-// barrier, blackboards, counters and optional cost model. Comm.Side returns
-// the same communicator on its second lane: every collective runs there
-// unchanged and concurrently with whatever the primary lane is doing, which
-// is all that overlapping communication with compute needs (the trainer
-// issues the dense reductions from a per-rank worker on the side lane while
-// the rank goroutines keep backpropagating and run the sparse exchange on
-// the primary).
+// A communicator has two lanes — two sets of counters, rendezvous slots and
+// optional cost model. Comm.Side returns the same communicator on its second
+// lane, whose cost model prices collectives on clocks of their own: the
+// trainer's overlap mode reduces the dense gradients there, on per-rank lane
+// clocks that start from the moment each layer's gradients were ready.
 //
 // Every operation optionally runs with a lossy Wire — FP16 (§III-C) or
 // 8-bit quantization: the payload crosses it once per hop, shrinking
 // measured wire bytes and applying the format's real rounding to the values
-// (on the receiver as it accumulates for an AddRounder, else on the sender).
+// (on the receiving rank as it accumulates for an AddRounder, else on the
+// sending rank).
 package collective
 
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"zipflm/internal/telemetry"
 	"zipflm/internal/tensor"
@@ -54,11 +53,11 @@ import (
 // stochastic quantization) both implement it; a nil Wire keeps FP32 on the
 // wire.
 //
-// A rank's Wire is called by that rank's goroutine only, on what the rank
-// puts on the wire: the chunk a scatter-reduce hop forwards, the reduced
-// chunk it owns, a gather's stash. A Wire may carry state (a stochastic
-// rounding stream), so which rank rounds, in which order, is part of the
-// result.
+// A rank's Wire is called only on what that rank puts on the wire — the
+// chunk a scatter-reduce hop forwards, the reduced chunk it owns, a gather's
+// payload — in the order a ring rank would call it, from the one goroutine
+// executing the collective. A Wire may carry state (a stochastic rounding
+// stream), so which rank rounds, in which order, is part of the result.
 //
 // Callers must pass a nil interface — not a typed nil pointer wrapped in the
 // interface — to mean "no compression".
@@ -74,7 +73,7 @@ type Wire interface {
 
 // AddRounder is optionally implemented by a Wire whose RoundTrip is a pure
 // function of each element — no state, no dependence on the slice's bounds —
-// so it does not matter which rank applies it. The receiver of a
+// so it does not matter which rank applies it. The receiving rank of a
 // scatter-reduce hop then rounds while it accumulates, as a reduce kernel
 // consumes a received FP16 buffer: one pass over the chunk instead of two.
 type AddRounder interface {
@@ -93,11 +92,12 @@ func wireSize(wire Wire, n int) int64 {
 	return int64(wire.WireBytes(n))
 }
 
-// Comm coordinates collectives across g ranks on one lane. One Comm is
-// shared by all rank goroutines; each method is called by every rank with
-// its own rank id and returns only when the collective completes on that
-// rank. On one lane a rank's calls must be serialized and matched by every
-// other rank in the same order; the two lanes of a communicator (see Side)
+// Comm coordinates collectives across g ranks on one lane. The batched
+// methods act for every rank in one call; calls on one lane must not run
+// concurrently. The per-rank adapters (methods taking a rank id) are called
+// by every rank, each from its own goroutine, and return only when the
+// collective completes; a rank's adapter calls must be matched by every
+// other rank in the same order. The two lanes of a communicator (see Side)
 // are independent of each other.
 type Comm struct {
 	*shared
@@ -111,7 +111,7 @@ type Comm struct {
 type shared struct {
 	g int
 
-	// mu guards the blackboard slots and the Stats counters of both lanes.
+	// mu guards the Stats counters of both lanes.
 	mu sync.Mutex
 
 	// tel, when non-nil, posts per-operation calls/bytes/durations to a
@@ -126,31 +126,29 @@ type shared struct {
 	trace *telemetry.Tracer
 }
 
-// lane is one independent set of everything a collective touches, so
-// operations on different lanes can never interleave their hops, share a
-// barrier generation or race on a counter.
+// lane is one independent set of everything a collective touches.
 type lane struct {
-	// ring[r] is the channel rank (r-1+g)%g uses to send to rank r. A hop
-	// carries the sender's part list, whose chunks the receiver reads in
-	// place (zero-copy; see ringAllReduce).
-	ring []chan [][]float32
-	// one[r] backs rank r's part list for AllReduce: peers read the list
-	// through the ring, so it cannot live on r's stack.
-	one [][1][]float32
-	// hops[r] counts the ring messages rank r has received, written by its
-	// goroutine only; tests pin it at 2·(G−1) per all-reduce.
-	hops []int64
+	// posts are Rendezvous' slots, one per rank.
+	posts []any
+	// xs, parts and wires are AllReduce's arguments as its ranks post them:
+	// parts[r] is the window xs[r:r+1], so posting allocates nothing. votes
+	// and agreed are AgreeAllOK's.
+	xs     [][]float32
+	parts  [][][]float32
+	wires  []Wire
+	votes  []bool
+	agreed bool
 
-	// barrier closes every collective. The closing barrier is what makes
-	// the zero-copy ring sound: a rank's chunks are aliased by in-flight
-	// messages until every rank's pass completes, so no operation returns —
-	// and no caller may rewrite its buffer — before then.
+	// v0 and sent are a batched call's per-rank scratch: each rank's
+	// virtual clock at the call's start (read only when the call is
+	// observed) and the bytes it puts on the wire.
+	v0   []float64
+	sent []int64
+
+	// barrier brackets a rendezvous: rank 0 reads no post before every rank
+	// has made it, and no rank returns — so no caller rewrites its buffer —
+	// before the batched call has completed.
 	barrier *Barrier
-
-	// Blackboards for the gather style operations, one per payload type.
-	ints   blackboard[int]
-	floats blackboard[float32]
-	bytes  blackboard[byte]
 
 	// stats counts this lane's traffic, per rank.
 	stats []Stats
@@ -161,91 +159,27 @@ type lane struct {
 	cost *CostModel
 
 	// track is the trace tid of rank 0 on this lane: 0 on the primary, g on
-	// the side lane, so a rank's concurrent lanes never share a track.
+	// the side lane, so a rank's lanes never share a track.
 	track int
 }
 
 func newLane(g, track int) *lane {
 	l := &lane{
-		ring:    make([]chan [][]float32, g),
-		one:     make([][1][]float32, g),
-		hops:    make([]int64, g),
+		posts:   make([]any, g),
+		xs:      make([][]float32, g),
+		parts:   make([][][]float32, g),
+		wires:   make([]Wire, g),
+		votes:   make([]bool, g),
+		v0:      make([]float64, g),
+		sent:    make([]int64, g),
 		barrier: NewBarrier(g),
-		ints:    blackboard[int]{slots: make([]*[]int, g)},
-		floats:  blackboard[float32]{slots: make([]*[]float32, g)},
-		bytes:   blackboard[byte]{slots: make([]*[]byte, g)},
 		stats:   make([]Stats, g),
 		track:   track,
 	}
-	for i := range l.ring {
-		l.ring[i] = make(chan [][]float32, 1)
+	for r := range l.parts {
+		l.parts[r] = l.xs[r : r+1 : r+1]
 	}
 	return l
-}
-
-// blackboard is one lane's publish-and-read board for one payload type:
-// each rank stashes a pooled copy of its payload in its own slot, a barrier
-// later every rank reads all slots, and a closing barrier keeps a rank from
-// stashing again while a peer still reads. Stash buffers come from the
-// board's arena and go back to it when their owner stashes next, which keeps
-// the gather paths allocation-free apart from the caller-owned result copies.
-type blackboard[T any] struct {
-	pool  sync.Pool
-	slots []*[]T
-}
-
-// stash publishes a copy of local as rank's entry and returns the copy (so
-// a lossy wire can be applied to it before the opening barrier). The rank's
-// previous entry is recycled: the previous collective's closing barrier
-// means no reader still holds it. The copy allocates only when the arena
-// has nothing large enough (start-up, or a new high-water payload size).
-func (b *blackboard[T]) stash(mu *sync.Mutex, rank int, local []T) []T {
-	p, ok := b.pool.Get().(*[]T)
-	if ok && p != nil && cap(*p) >= len(local) {
-		*p = (*p)[:len(local)]
-	} else {
-		s := make([]T, len(local))
-		p = &s
-	}
-	copy(*p, local)
-	mu.Lock()
-	if old := b.slots[rank]; old != nil {
-		b.pool.Put(old)
-	}
-	b.slots[rank] = p
-	mu.Unlock()
-	return *p
-}
-
-// entry returns rank's published payload (nil when it never stashed). It
-// stays valid until the owner stashes again. The caller holds the mutex.
-func (b *blackboard[T]) entry(rank int) []T {
-	if p := b.slots[rank]; p != nil {
-		return *p
-	}
-	return nil
-}
-
-// gather returns caller-owned copies of every rank's entry, in rank order.
-// The caller holds the mutex.
-func (b *blackboard[T]) gather() [][]T {
-	out := make([][]T, len(b.slots))
-	for r := range out {
-		src := b.entry(r)
-		out[r] = make([]T, len(src))
-		copy(out[r], src)
-	}
-	return out
-}
-
-// volume sums and maximizes the wire sizes of per-rank payloads.
-func volume[T any](payloads [][]T, size func(n int) int64) (total, largest int64) {
-	for _, p := range payloads {
-		b := size(len(p))
-		total += b
-		largest = max(largest, b)
-	}
-	return total, largest
 }
 
 // Stats tallies traffic a single rank has sent, by operation.
@@ -284,8 +218,7 @@ func (s Stats) Sub(o Stats) Stats {
 	}
 }
 
-// New returns a communicator for g ranks. Both lanes are built here, never
-// on first use: ranks reach Side concurrently.
+// New returns a communicator for g ranks, both lanes built.
 func New(g int) *Comm {
 	if g <= 0 {
 		panic("collective: need at least one rank")
@@ -300,12 +233,11 @@ func New(g int) *Comm {
 func (c *Comm) Size() int { return c.g }
 
 // Side returns this communicator on its second lane: the same ranks,
-// telemetry and tracer, but its own ring, barrier, blackboards, counters
-// and cost model (AttachCost applies to the lane it is called on), so a
-// collective issued on Side() runs concurrently with — and never
-// interleaves with — one issued on c by the same ranks. Its spans go on
-// trace tracks Size()+rank. The side lane has no further sibling: Side of
-// the returned communicator is nil.
+// telemetry and tracer, but its own counters, rendezvous slots and cost
+// model (AttachCost applies to the lane it is called on), so its
+// collectives are priced on clocks of their own. Its spans go on trace
+// tracks Size()+rank. The side lane has no further sibling: Side of the
+// returned communicator is nil.
 func (c *Comm) Side() *Comm { return c.side }
 
 // rankStats returns rank's counters, the side lane's included when c is the
@@ -328,8 +260,7 @@ func (c *Comm) RankStats(rank int) Stats {
 
 // LaneStats returns one rank's counters for this lane only. Phase
 // accounting (an exchange engine differencing its own wire cost) uses this
-// so operations in flight on the other lane — which post their bytes at
-// arbitrary times — cannot leak into the window.
+// so that traffic on the other lane cannot leak into the window.
 func (c *Comm) LaneStats(rank int) Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -367,230 +298,295 @@ func chunkRange(n, g, i int) (lo, hi int) {
 	return lo, hi
 }
 
-// hop is one ring rendezvous: rank hands its successor the part list of the
-// call in flight and takes its predecessor's, which must have the same shape.
-func (c *Comm) hop(rank int, parts [][]float32) [][]float32 {
-	c.ring[(rank+1)%c.g] <- parts
-	in := <-c.ring[rank]
-	c.hops[rank]++
-	if len(in) != len(parts) {
-		panic(fmt.Sprintf("collective: ring part count mismatch %d != %d", len(in), len(parts)))
+// checkRanks panics unless n, the length of a batched call's per-rank
+// argument, is the communicator size.
+func (c *Comm) checkRanks(what string, n int) {
+	if n != c.g {
+		panic(fmt.Sprintf("collective: %d %s for %d ranks", n, what, c.g))
 	}
-	for pi, src := range in {
-		if len(src) != len(parts[pi]) {
-			panic(fmt.Sprintf("collective: ring part %d length mismatch %d != %d", pi, len(src), len(parts[pi])))
-		}
-	}
-	return in
 }
 
-// ringAllReduce runs one ring all-reduce over the logical collection of
-// parts: G−1 scatter-reduce hops then G−1 all-gather hops, one message per
-// hop however many parts there are. The message is the sender's part list;
-// the receiver knows which chunk the hop moves (the sender's send index is
-// its own receive index) and walks the parts — ascending, each chunked with
-// the bounds a lone tensor gets — reading the sender's chunks in place. So
-// addition order, rounding points and byte accounting are bit-identical
-// whether tensors travel alone or fused. Returns the bytes this rank put on
-// the wire.
+// checkShapes panics, before anything is read or written, unless parts and
+// wires hold one entry per rank and every rank's part list has rank 0's
+// length and part lengths. The message names the first rank and part that
+// differ.
+func (c *Comm) checkShapes(parts [][][]float32, wires []Wire) {
+	c.checkRanks("part lists", len(parts))
+	c.checkRanks("wires", len(wires))
+	for r := 1; r < c.g; r++ {
+		if len(parts[r]) != len(parts[0]) {
+			panic(fmt.Sprintf("collective: rank %d passes %d parts, rank 0 passes %d", r, len(parts[r]), len(parts[0])))
+		}
+		for i, p := range parts[r] {
+			if len(p) != len(parts[0][i]) {
+				panic(fmt.Sprintf("collective: rank %d part %d has %d elements, rank 0's has %d", r, i, len(p), len(parts[0][i])))
+			}
+		}
+	}
+}
+
+// reduce executes one ring all-reduce over every rank's part list on the
+// calling goroutine, in hop order, and leaves the sum in rank 0's tensors —
+// in every rank's when everyRank is set. c.sent[r] receives the bytes rank r
+// puts on the wire.
 //
-// A lossy wire crosses each scatter-reduce hop once: an AddRounder on the
-// receiver as it adds, the sender's buffer left alone; any other on the
-// sender, in place, before the hop (the unrounded partial sum is dead by
-// then: the all-gather overwrites every scatter-sent chunk wholesale).
+// Scatter-reduce: at step s every rank r sends chunk r−s of each part —
+// parts ascending, each chunked with the bounds a lone tensor gets — to rank
+// r+1, which adds it into its own copy of that chunk. A lossy wire crosses
+// each hop once: an AddRounder on the receiver as it adds, the sender's
+// chunk left alone; any other on the sender, in place, before the add (the
+// unrounded partial sum is dead by then: the all-gather overwrites every
+// scatter-sent chunk wholesale). Within a step no rank reads a chunk another
+// writes, so the order the ranks are visited in is free. After G−1 steps
+// rank r owns the reduced chunk r+1 and rounds it once more, so every rank
+// that receives the owner's bytes holds the same bits whatever the wire.
 //
-// Nothing is copied or allocated. That is safe because a chunk this rank
-// has sent is not written by it again until the all-gather hop delivering
-// that chunk's reduced value, a message that transitively — around the ring
-// — follows the receiver's consumption of the sent chunk; and because part
-// lists (the caller's, or the lane's behind AllReduce) and buffers are left
-// alone by their owners until the barrier every rank passes after its last
-// hop.
-func (c *Comm) ringAllReduce(rank int, parts [][]float32, wire Wire) int64 {
+// All-gather: a ring forwards the owners' chunks verbatim, so the executor
+// counts those hops' bytes and copies each owner's chunk straight to where
+// it is needed — rank 0, or every rank.
+//
+// So rank r's Wire sees exactly the calls a ring rank makes, in the same
+// order: RoundTrip on each chunk it sends, step by step (or AddRoundTrip on
+// each it receives), then RoundTrip on the chunk it owns. Addition order,
+// rounding points and byte counts are bit-identical whether tensors travel
+// alone or in one list.
+func (c *Comm) reduce(parts [][][]float32, wires []Wire, everyRank bool) {
 	g := c.g
+	clear(c.sent)
 	if g == 1 {
-		return 0
+		return
 	}
-	fused, _ := wire.(AddRounder)
-	var bytes int64
-
-	// Scatter-reduce: after step t, chunk (rank−t−1 mod G) holds t+2
-	// ranks' partial sums on this rank.
-	for step := 0; step < g-1; step++ {
-		sendIdx := ((rank-step)%g + g) % g
-		recvIdx := ((rank-step-1)%g + g) % g
-		for _, p := range parts {
-			lo, hi := chunkRange(len(p), g, sendIdx)
-			if wire != nil && fused == nil {
-				wire.RoundTrip(p[lo:hi])
-			}
-			bytes += wireSize(wire, hi-lo)
-		}
-		for pi, src := range c.hop(rank, parts) {
-			p := parts[pi]
-			lo, hi := chunkRange(len(p), g, recvIdx)
-			if fused != nil {
-				fused.AddRoundTrip(p[lo:hi], src[lo:hi])
-			} else {
-				tensor.AddInPlace(p[lo:hi], src[lo:hi])
+	for r, w := range wires {
+		for _, p := range parts[r] {
+			// Rank r sends chunk r−s at scatter step s, and chunk r+1−s
+			// — the owners' — at all-gather step s.
+			for s := 0; s < g-1; s++ {
+				lo, hi := chunkRange(len(p), g, (r-s+g)%g)
+				c.sent[r] += wireSize(w, hi-lo)
+				lo, hi = chunkRange(len(p), g, (r+1-s+g)%g)
+				c.sent[r] += wireSize(w, hi-lo)
 			}
 		}
 	}
-	// After scatter-reduce this rank owns the fully reduced chunk
-	// (rank+1) mod G. With a lossy wire every other rank receives the
-	// owner's rounded bytes; round the owner's copy identically so all
-	// ranks end bit-identical. The all-gather phase forwards those exact
-	// bytes without re-rounding (one wire crossing per value), so replica
-	// identity never depends on the wire format being idempotent.
-	if wire != nil {
-		own := (rank + 1) % g
-		for _, p := range parts {
-			lo, hi := chunkRange(len(p), g, own)
-			wire.RoundTrip(p[lo:hi])
+	for s := 0; s < g-1; s++ {
+		for src := range parts {
+			for pi := range parts[src] {
+				c.accumulate(parts, wires, src, pi, (src-s+g)%g)
+			}
 		}
 	}
-	// All-gather: circulate the fully reduced chunks, verbatim.
-	for step := 0; step < g-1; step++ {
-		sendIdx := ((rank-step+1)%g + g) % g
-		recvIdx := ((rank-step)%g + g) % g
-		for _, p := range parts {
-			lo, hi := chunkRange(len(p), g, sendIdx)
-			bytes += wireSize(wire, hi-lo)
-		}
-		for pi, src := range c.hop(rank, parts) {
-			p := parts[pi]
-			lo, hi := chunkRange(len(p), g, recvIdx)
-			copy(p[lo:hi], src[lo:hi])
+	targets := 1
+	if everyRank {
+		targets = g
+	}
+	for owner := range parts {
+		for pi := range parts[owner] {
+			c.deliver(parts, wires, owner, pi, targets)
 		}
 	}
-	return bytes
 }
 
-// AllReduce sums x elementwise across all ranks; on return every rank's x
-// holds the global sum. wire == nil keeps FP32 on the wire; a non-nil Wire
-// (FP16 compression-scaling of §III-C, 8-bit quantization, …) is applied to
-// every hop: each scatter-reduce hop rounds the partial sum it carries — on
-// the sender, or on the receiver as it adds when the wire is an AddRounder —
-// (so a chunk's value is re-rounded up to G−1 times, by different ranks, and
-// lossy-wire error compounds with G exactly as on real fabrics), and each
-// fully reduced chunk is rounded once more by its owning rank before the
-// all-gather forwards those bytes verbatim. Replica identity rests on that
-// final owner round plus verbatim forwarding — not on any exactly-once
-// property — which is also why per-rank Wire *instances* may differ (e.g.
-// rank-seeded stochastic quantizers) as long as the format matches. All
-// ranks must pass equal-length slices.
+// accumulate is one scatter-reduce hop: chunk i of part pi goes from rank
+// src to its successor, which adds it to its own.
+func (c *Comm) accumulate(parts [][][]float32, wires []Wire, src, pi, i int) {
+	dst := (src + 1) % c.g
+	p, q := parts[src][pi], parts[dst][pi]
+	lo, hi := chunkRange(len(p), c.g, i)
+	if w := wires[src]; w != nil {
+		if _, adds := w.(AddRounder); !adds {
+			w.RoundTrip(p[lo:hi])
+		}
+	}
+	if add, ok := wires[dst].(AddRounder); ok {
+		add.AddRoundTrip(q[lo:hi], p[lo:hi])
+	} else {
+		tensor.AddInPlace(q[lo:hi], p[lo:hi])
+	}
+}
+
+// deliver rounds owner's reduced chunk of part pi on its wire and copies it
+// to ranks 0…targets−1.
+func (c *Comm) deliver(parts [][][]float32, wires []Wire, owner, pi, targets int) {
+	p := parts[owner][pi]
+	lo, hi := chunkRange(len(p), c.g, (owner+1)%c.g)
+	if w := wires[owner]; w != nil {
+		w.RoundTrip(p[lo:hi])
+	}
+	for r := 0; r < targets; r++ {
+		if r != owner {
+			copy(parts[r][pi][lo:hi], p[lo:hi])
+		}
+	}
+}
+
+// AllReduceRanks sums every rank's tensors elementwise into rank 0's: it is
+// one all-reduce called once for the whole group, parts[r] being rank r's
+// part list and wires[r] its wire. Every rank must pass the same sequence of
+// part lengths; a mismatch panics, naming the rank and the part, before any
+// buffer is read or written. On return rank 0's tensors hold the sum; the
+// other ranks' tensors hold what the scatter-reduce left there (partial
+// sums, rounded or not) — scratch, as far as the caller is concerned.
 //
-// The implementation is a ring all-reduce: G−1 scatter-reduce steps then
-// G−1 all-gather steps, each moving one 1/G-sized chunk to the next rank —
-// zero-copy and zero-allocation. The closing barrier guarantees that on
-// return no peer still reads this rank's buffer, so the caller may mutate
-// x immediately.
-func (c *Comm) AllReduce(rank int, x []float32, wire Wire) {
-	c.one[rank][0] = x
-	c.AllReduceParts(rank, c.one[rank][:], wire)
+// wires[r] == nil keeps FP32 on rank r's wire; a non-nil Wire (FP16
+// compression-scaling of §III-C, 8-bit quantization, …) is applied to every
+// hop: each scatter-reduce hop rounds the partial sum it carries — on the
+// sender, or on the receiver as it adds when the wire is an AddRounder — (so
+// a chunk's value is re-rounded up to G−1 times, by different ranks, and
+// lossy-wire error compounds with G exactly as on real fabrics), and each
+// fully reduced chunk is rounded once more by its owning rank. Per-rank
+// Wire instances may differ (e.g. rank-seeded stochastic quantizers) as long
+// as the format matches; each sees the calls its ring rank would make, in
+// the ring's order.
+//
+// Each rank's Stats count len(parts[r]) calls and the bytes that rank sends,
+// telemetry and the tracer get one operation per rank (spans on each rank's
+// track, with that rank's virtual clock), and the cost model prices one ring
+// over the tensors' summed chunk bytes on rank 0's wire — so a list costs
+// the ring's latency once, not once per tensor.
+func (c *Comm) AllReduceRanks(parts [][][]float32, wires []Wire) {
+	c.allReduce(parts, wires, false)
 }
 
-// AllReduceParts all-reduces every tensor of parts in one fused ring pass
-// (all ranks must pass the same sequence of lengths). Values, Stats —
-// len(parts) calls and each tensor's own bytes — and telemetry counts are
-// bit-identical to one AllReduce per tensor; what fusing saves is ring
-// latency (2·(G−1) messages in all, not per tensor), so the cost model
-// prices a single ring over the tensors' summed chunk bytes and the trace
-// shows a single span. Peers read parts itself through the ring: leave the
-// list, like the tensors, alone until the call returns.
-func (c *Comm) AllReduceParts(rank int, parts [][]float32, wire Wire) {
-	t0, v0 := c.opStart(rank)
-	bytes := c.ringAllReduce(rank, parts, wire)
-	if c.g > 1 {
-		c.barrier.Wait()
-	}
-	c.charge(rank, func(cm *CostModel) {
+// allReduce is every all-reduce: it checks the shapes, executes the ring
+// (see reduce), and charges, counts and observes it for every rank.
+func (c *Comm) allReduce(parts [][][]float32, wires []Wire, everyRank bool) {
+	c.checkShapes(parts, wires)
+	t0 := c.opStartRanks()
+	c.reduce(parts, wires, everyRank)
+	n := int64(len(parts[0]))
+	if cm := c.cost; cm != nil {
 		var chunkBytes int64
-		for _, p := range parts {
-			chunkBytes += wireSize(wire, (len(p)+c.g-1)/c.g)
+		for _, p := range parts[0] {
+			chunkBytes += wireSize(wires[0], (len(p)+c.g-1)/c.g)
 		}
 		cm.Charge(cm.Link.RingAllReduceSecondsBytes(c.g, chunkBytes))
-	})
+	}
 	c.mu.Lock()
-	c.stats[rank].AllReduceCalls += int64(len(parts))
-	c.stats[rank].AllReduceBytes += bytes
+	for r := range c.stats {
+		c.stats[r].AllReduceCalls += n
+		c.stats[r].AllReduceBytes += c.sent[r]
+	}
 	c.mu.Unlock()
-	c.opEnd("allreduce", wireLabel(wire), rank, int64(len(parts)), bytes, t0, v0)
+	for r, w := range wires {
+		c.opEnd("allreduce", wireLabel(w), r, n, c.sent[r], t0, c.v0[r])
+	}
 }
 
-// allGather completes a blackboard all-gather whose payload rank has just
-// stashed on b: every rank receives caller-owned copies of the per-rank
-// (possibly different-length) payloads in rank order. Accounting is the
-// standard ring all-gather volume, (G−1)/G of the payloads' total wire size,
-// and the cost model prices the ring at the largest payload.
-func allGather[T any](c *Comm, b *blackboard[T], rank int, size func(n int) int64) (out [][]T, bytes int64) {
-	c.barrier.Wait()
-	c.mu.Lock()
-	out = b.gather()
-	total, largest := volume(out, size)
-	bytes = total * int64(c.g-1) / int64(c.g)
-	c.stats[rank].AllGatherCalls++
-	c.stats[rank].AllGatherBytes += bytes
-	c.mu.Unlock()
-	c.barrier.Wait()
-	c.charge(rank, func(cm *CostModel) {
+// AllGatherIntsRanks accounts the ring all-gather of every rank's index
+// slice, payloads[r] being rank r's — the cheap Θ(G·K) index gather of
+// §III-A step 3, with indices on the wire as int32 (4 bytes) as real stacks
+// do. The caller already holds every payload, so nothing is copied; what G
+// ranks gathering them would post is posted (see ringGather).
+func (c *Comm) AllGatherIntsRanks(payloads [][]int) {
+	c.checkRanks("payloads", len(payloads))
+	t0 := c.opStartRanks()
+	for r, p := range payloads {
+		c.sent[r] = int64(4 * len(p))
+	}
+	c.ringGather(t0, "allgather_ints", func(int) string { return "int32" })
+}
+
+// AllGatherFloatsRanks is the float32 counterpart of AllGatherIntsRanks —
+// the expensive baseline exchange of §II-B, whose result materializes G
+// dense gradient blocks on every rank. Each payload crosses its rank's wire
+// once: wires[r], when non-nil, rounds payloads[r] in place, so pass copies
+// of what must stay unrounded.
+func (c *Comm) AllGatherFloatsRanks(payloads [][]float32, wires []Wire) {
+	c.checkRanks("payloads", len(payloads))
+	c.checkRanks("wires", len(wires))
+	t0 := c.opStartRanks()
+	for r, p := range payloads {
+		if wires[r] != nil {
+			wires[r].RoundTrip(p)
+		}
+		c.sent[r] = wireSize(wires[r], len(p))
+	}
+	c.ringGather(t0, "allgather_floats", func(r int) string { return wireLabel(wires[r]) })
+}
+
+// ringGather posts a ring all-gather of payloads of wire sizes c.sent for
+// every rank: one call at (G−1)/G of their total on each rank's AllGather
+// counters, one ring priced at the largest payload, and op under each rank's
+// wire label to telemetry and the tracer.
+func (c *Comm) ringGather(t0 time.Time, op string, label func(rank int) string) {
+	bytes, largest := c.gatherVolume()
+	if cm := c.cost; cm != nil {
 		cm.Charge(cm.Link.RingAllGatherSeconds(c.g, largest))
-	})
-	return out, bytes
-}
-
-// AllGatherInts gathers each rank's (possibly different-length) int slice;
-// every rank receives the per-rank slices in rank order. This is the cheap
-// Θ(G·K) index gather of §III-A step 3, with indices on the wire as int32
-// (4 bytes) as real stacks do. The returned inner slices are copies owned
-// by the caller (the blackboard stash itself is pooled).
-func (c *Comm) AllGatherInts(rank int, local []int) [][]int {
-	t0, v0 := c.opStart(rank)
-	c.ints.stash(&c.mu, rank, local)
-	out, bytes := allGather(c, &c.ints, rank, func(n int) int64 { return int64(4 * n) })
-	c.opEnd("allgather_ints", "int32", rank, 1, bytes, t0, v0)
-	return out
-}
-
-// AllGatherFloats gathers each rank's float32 slice to every rank, FP32 or
-// FP16 on the wire (the stashed copy crosses the wire once). This is the
-// expensive baseline exchange of §II-B: the result materializes G dense
-// gradient blocks on every rank.
-func (c *Comm) AllGatherFloats(rank int, local []float32, wire Wire) [][]float32 {
-	t0, v0 := c.opStart(rank)
-	if stashed := c.floats.stash(&c.mu, rank, local); wire != nil {
-		wire.RoundTrip(stashed)
 	}
-	out, bytes := allGather(c, &c.floats, rank, func(n int) int64 { return wireSize(wire, n) })
-	c.opEnd("allgather_floats", wireLabel(wire), rank, 1, bytes, t0, v0)
-	return out
-}
-
-// AgreeAllOK is a control-plane consensus: every rank reports a boolean and
-// all ranks learn whether every rank said true. Exchange engines use it to
-// fail collectively when any rank cannot allocate scratch memory, so no
-// rank blocks in a data collective its peers abandoned. Control-plane
-// traffic is excluded from the data-plane byte accounting.
-func (c *Comm) AgreeAllOK(rank int, ok bool) bool {
-	var vote [1]int
-	if ok {
-		vote[0] = 1
-	}
-	c.ints.stash(&c.mu, rank, vote[:])
-	c.barrier.Wait()
-	all := true
 	c.mu.Lock()
-	for r := range c.ints.slots {
-		if s := c.ints.entry(r); len(s) != 1 || s[0] == 0 {
-			all = false
+	for r := range c.stats {
+		c.stats[r].AllGatherCalls++
+		c.stats[r].AllGatherBytes += bytes
+	}
+	c.mu.Unlock()
+	for r := range c.stats {
+		c.opEnd(op, label(r), r, 1, bytes, t0, c.v0[r])
+	}
+}
+
+// gatherVolume returns what each rank sends in a ring all-gather of payloads
+// of wire sizes c.sent, (G−1)/G of their total, and the largest.
+func (c *Comm) gatherVolume() (bytes, largest int64) {
+	var total int64
+	for _, b := range c.sent {
+		total += b
+		largest = max(largest, b)
+	}
+	return total * int64(c.g-1) / int64(c.g), largest
+}
+
+// AgreeRanks is a control-plane consensus over the group's votes, ok[r]
+// being rank r's: it reports whether every rank said true. Exchange engines
+// use it to fail collectively when any rank cannot allocate scratch memory.
+// Control-plane traffic is excluded from the byte accounting, but the vote
+// is a synchronization point, so the clocks max-sync (a zero-byte charge).
+func (c *Comm) AgreeRanks(ok []bool) bool {
+	c.checkRanks("votes", len(ok))
+	if cm := c.cost; cm != nil {
+		cm.Charge(0)
+	}
+	for _, v := range ok {
+		if !v {
+			return false
 		}
 	}
-	c.mu.Unlock()
+	return true
+}
+
+// Rendezvous is the one adapter between callers that run one goroutine per
+// rank and the batched calls: every rank calls it with its post — its
+// arguments, and room for its results — and once all G have, rank 0 runs
+// run(posts), posts[r] being rank r's post. No rank returns before run has,
+// so results run writes into the posts are every rank's to read. Calls on a
+// lane are matched in order, like any collective's; the per-rank adapters
+// of this package (AllReduce, AgreeAllOK) are built on it.
+func (c *Comm) Rendezvous(rank int, post any, run func(posts []any)) {
+	c.posts[rank] = post
 	c.barrier.Wait()
-	// Control-plane consensus: excluded from byte accounting, but it is a
-	// synchronization point, so clocks max-sync (zero-byte charge).
-	c.charge(rank, func(cm *CostModel) { cm.Charge(0) })
-	return all
+	if rank == 0 {
+		run(c.posts)
+		clear(c.posts)
+	}
+	c.barrier.Wait()
+}
+
+// AllReduce is the per-rank adapter of AllReduceRanks for callers that run
+// one goroutine per rank: every rank passes its x, and on return every
+// rank's x holds the global sum — the owners' reduced chunks are copied to
+// every rank, as the ring's all-gather phase would. Values, Stats,
+// telemetry, trace spans and clock charges are AllReduceRanks'.
+func (c *Comm) AllReduce(rank int, x []float32, wire Wire) {
+	c.xs[rank], c.wires[rank] = x, wire
+	c.Rendezvous(rank, nil, func([]any) { c.allReduce(c.parts, c.wires, true) })
+}
+
+// AgreeAllOK is the per-rank adapter of AgreeRanks: every rank reports a
+// boolean and all ranks learn whether every rank said true, so no rank goes
+// on to a data collective its peers abandoned.
+func (c *Comm) AgreeAllOK(rank int, ok bool) bool {
+	c.votes[rank] = ok
+	c.Rendezvous(rank, nil, func([]any) { c.agreed = c.AgreeRanks(c.votes) })
+	return c.agreed
 }
 
 // Barrier is a reusable counting barrier for a fixed number of parties.

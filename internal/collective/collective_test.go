@@ -157,73 +157,74 @@ func TestAllReduceTrafficVolume(t *testing.T) {
 	}
 }
 
+// TestAllGatherInts: the batched index gather accounts the ring all-gather
+// volume of ragged payloads, int32 on the wire, on every rank, and leaves
+// the payloads alone.
 func TestAllGatherInts(t *testing.T) {
 	for _, g := range []int{1, 3, 6} {
 		c := New(g)
-		results := make([][][]int, g)
-		runRanks(g, func(rank int) {
-			local := make([]int, rank+1) // variable lengths
-			for i := range local {
-				local[i] = rank*100 + i
+		payloads := make([][]int, g)
+		var total int64
+		for r := range payloads {
+			payloads[r] = make([]int, r+1) // variable lengths
+			for i := range payloads[r] {
+				payloads[r][i] = r*100 + i
 			}
-			results[rank] = c.AllGatherInts(rank, local)
-		})
-		for rank := 0; rank < g; rank++ {
-			got := results[rank]
-			if len(got) != g {
-				t.Fatalf("g=%d rank=%d: %d slices", g, rank, len(got))
+			total += int64(4 * (r + 1))
+		}
+		c.AllGatherIntsRanks(payloads)
+		for r := 0; r < g; r++ {
+			for i, v := range payloads[r] {
+				if v != r*100+i {
+					t.Fatalf("g=%d: payload %d elem %d rewritten to %d", g, r, i, v)
+				}
 			}
-			for r := 0; r < g; r++ {
-				if len(got[r]) != r+1 {
-					t.Fatalf("g=%d rank=%d: slice %d has len %d, want %d", g, rank, r, len(got[r]), r+1)
-				}
-				for i, v := range got[r] {
-					if v != r*100+i {
-						t.Fatalf("g=%d rank=%d: slice %d elem %d = %d", g, rank, r, i, v)
-					}
-				}
+			want := Stats{AllGatherCalls: 1, AllGatherBytes: total * int64(g-1) / int64(g)}
+			if s := c.RankStats(r); s != want {
+				t.Fatalf("g=%d rank %d: stats %+v, want %+v", g, r, s, want)
 			}
 		}
 	}
 }
 
+// TestAllGatherIntsReuseAcrossRounds: counts accumulate call by call.
 func TestAllGatherIntsReuseAcrossRounds(t *testing.T) {
 	const g = 3
 	c := New(g)
-	for round := 0; round < 5; round++ {
-		results := make([][][]int, g)
-		runRanks(g, func(rank int) {
-			results[rank] = c.AllGatherInts(rank, []int{round*10 + rank})
-		})
-		for rank := 0; rank < g; rank++ {
-			for r := 0; r < g; r++ {
-				if results[rank][r][0] != round*10+r {
-					t.Fatalf("round %d rank %d: got %v", round, rank, results[rank])
-				}
+	for round := 1; round <= 5; round++ {
+		payloads := make([][]int, g)
+		for r := range payloads {
+			payloads[r] = []int{round*10 + r}
+		}
+		c.AllGatherIntsRanks(payloads)
+		for r := 0; r < g; r++ {
+			if s := c.RankStats(r); s.AllGatherCalls != int64(round) || s.AllGatherBytes != int64(round*8) {
+				t.Fatalf("round %d rank %d: stats %+v", round, r, s)
 			}
 		}
 	}
 }
 
+// TestAllGatherFloats: a payload crosses its own rank's wire once, in
+// place; without a wire it is left alone.
 func TestAllGatherFloats(t *testing.T) {
 	const g = 4
 	c := New(g)
-	results := make([][][]float32, g)
-	runRanks(g, func(rank int) {
-		local := []float32{float32(rank), float32(rank) * 2}
-		results[rank] = c.AllGatherFloats(rank, local, nil)
-	})
-	for rank := 0; rank < g; rank++ {
-		for r := 0; r < g; r++ {
-			if results[rank][r][0] != float32(r) || results[rank][r][1] != float32(r)*2 {
-				t.Fatalf("rank %d slice %d = %v", rank, r, results[rank][r])
-			}
-		}
+	payloads := make([][]float32, g)
+	wires := make([]Wire, g)
+	for r := range payloads {
+		payloads[r] = []float32{float32(r) + 1.0/3, float32(r) * 2}
 	}
-	// Returned slices must be caller-owned copies.
-	results[0][1][0] = 999
-	if results[1][1][0] == 999 {
-		t.Error("AllGatherFloats returned shared storage")
+	wires[2] = half.NewScaler(512)
+	c.AllGatherFloatsRanks(payloads, wires)
+	for r := 0; r < g; r++ {
+		want := []float32{float32(r) + 1.0/3, float32(r) * 2}
+		if r == 2 {
+			half.NewScaler(512).RoundTrip(want)
+		}
+		if payloads[r][0] != want[0] || payloads[r][1] != want[1] {
+			t.Fatalf("rank %d payload %v, want %v", r, payloads[r], want)
+		}
 	}
 }
 
@@ -231,9 +232,12 @@ func TestAllGatherFloatsFP16HalvesBytes(t *testing.T) {
 	const g, n = 4, 100
 	run := func(wire Wire) int64 {
 		c := New(g)
-		runRanks(g, func(rank int) {
-			c.AllGatherFloats(rank, make([]float32, n), wire)
-		})
+		payloads := make([][]float32, g)
+		wires := make([]Wire, g)
+		for r := range payloads {
+			payloads[r], wires[r] = make([]float32, n), wire
+		}
+		c.AllGatherFloatsRanks(payloads, wires)
 		return c.RankStats(0).AllGatherBytes
 	}
 	fp32 := run(nil)
@@ -338,14 +342,13 @@ func TestNewPanics(t *testing.T) {
 func BenchmarkAllReduce8x4096(b *testing.B) {
 	const g, n = 8, 4096
 	c := New(g)
-	bufs := make([][]float32, g)
-	for i := range bufs {
-		bufs[i] = make([]float32, n)
+	parts := make([][][]float32, g)
+	for i := range parts {
+		parts[i] = [][]float32{make([]float32, n)}
 	}
+	wires := make([]Wire, g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runRanks(g, func(rank int) {
-			c.AllReduce(rank, bufs[rank], nil)
-		})
+		c.AllReduceRanks(parts, wires)
 	}
 }

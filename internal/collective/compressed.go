@@ -7,64 +7,51 @@ import "fmt"
 // with error feedback) cannot travel the ring all-reduce — summing two
 // ranks' sparse selections densifies the payload mid-ring — so, like
 // Deep-Gradient-Compression-style production stacks, the compressed
-// all-reduce is an all-gather of per-rank opaque payloads followed by an
-// identical local decode-and-sum on every rank:
+// all-reduce is an all-gather of per-rank opaque payloads followed by a
+// decode-and-sum:
 //
 //  1. each rank encodes its contribution into a payload (indices + values,
 //     quantized blocks, … — the collective never interprets the bytes);
-//  2. the payloads all-gather over the blackboard, accounted at the real
-//     ring all-gather volume of the *compressed* bytes;
-//  3. every rank zeroes its buffer and decodes all G payloads in rank
-//     order, so the accumulated result — float addition in a fixed order —
-//     is bit-identical on every rank and across reruns.
+//  2. the payloads all-gather, accounted at the real ring all-gather volume
+//     of the *compressed* bytes;
+//  3. the G payloads are decoded in rank order into a zeroed buffer, so the
+//     accumulated result — float addition in a fixed order — is the same on
+//     every rank that would decode them and across reruns.
 //
-// Determinism therefore needs nothing from the scheduler: payload bytes are
-// produced before the exchange, and the decode order is the rank order.
+// Every rank of a distributed run would decode the same bytes the same way,
+// so the executor decodes once, into rank 0's buffer, and determinism needs
+// nothing from the scheduler: payload bytes are produced before the
+// exchange, and the decode order is the rank order.
 
 // Decoder decodes one compressed payload produced by the caller's encoder,
-// accumulating the carried values into acc. All ranks of one
-// AllReduceCompressed call must pass functionally identical decoders: the
-// final replica equality rests on every rank decoding the same payloads the
-// same way. DecodeAdd must not retain payload (it aliases pooled blackboard
-// memory).
+// accumulating the carried values into acc. DecodeAdd must not retain
+// payload.
 type Decoder interface {
 	DecodeAdd(acc []float32, payload []byte) error
 }
 
-// AllReduceCompressed sums lossily compressed contributions across ranks:
-// every rank passes its own encoded payload plus the destination buffer x,
-// and on return every rank's x holds the identical sum of all G decoded
-// payloads (x's previous contents are discarded — the caller's encoder
-// already consumed them). Unlike AllReduce, the result is the sum of what
+// AllReduceCompressedRanks sums lossily compressed contributions across the
+// ranks, called once for the whole group: payloads[r] is rank r's encoded
+// contribution, and x — rank 0's buffer — receives the sum of all G decoded
+// payloads (its previous contents are discarded: the encoders already
+// consumed them). Unlike AllReduceRanks, the result is the sum of what
 // survived each rank's compressor, not of the raw tensors; the caller's
-// error-feedback state carries the difference into the next step.
+// error-feedback state carries the difference into the next step. A payload
+// that fails to decode ends the decode with an error naming its rank.
 //
-// Stats accounting lands on the AllReduce counters (this is the dense
-// gradient exchange, just compressed) at the ring all-gather volume of the
-// real payload bytes, and the cost model prices the same volume — so a
-// ratio below one shows up directly as fewer wire bytes and less simulated
+// Every rank's Stats count one call on the AllReduce counters (this is the
+// dense gradient exchange, just compressed) at the ring all-gather volume of
+// the real payload bytes, the cost model prices the same volume, and
+// telemetry and the tracer get one operation per rank — so a ratio below
+// one shows up directly as fewer wire bytes and less simulated
 // communication time.
-func (c *Comm) AllReduceCompressed(rank int, x []float32, payload []byte, dec Decoder) error {
-	t0, v0 := c.opStart(rank)
-	c.bytes.stash(&c.mu, rank, payload)
-	c.barrier.Wait()
-
-	// Snapshot the payload slices; entries stay valid until their owner
-	// stashes again, which the closing barrier below forbids until every
-	// rank is done decoding.
-	payloads := make([][]byte, c.g)
-	c.mu.Lock()
-	for r := range payloads {
-		payloads[r] = c.bytes.entry(r)
+func (c *Comm) AllReduceCompressedRanks(x []float32, payloads [][]byte, dec Decoder) error {
+	c.checkRanks("payloads", len(payloads))
+	t0 := c.opStartRanks()
+	for r, p := range payloads {
+		c.sent[r] = int64(len(p))
 	}
-	total, largest := volume(payloads, func(n int) int64 { return int64(n) })
-	bytes := total * int64(c.g-1) / int64(c.g)
-	c.stats[rank].AllReduceCalls++
-	c.stats[rank].AllReduceBytes += bytes
-	c.mu.Unlock()
-
-	// Decode-and-sum in rank order: same payloads, same order, same float
-	// rounding on every rank.
+	bytes, largest := c.gatherVolume()
 	clear(x)
 	var err error
 	for r, p := range payloads {
@@ -73,12 +60,17 @@ func (c *Comm) AllReduceCompressed(rank int, x []float32, payload []byte, dec De
 			break
 		}
 	}
-	if c.g > 1 {
-		c.barrier.Wait()
-	}
-	c.charge(rank, func(cm *CostModel) {
+	if cm := c.cost; cm != nil {
 		cm.Charge(cm.Link.RingAllGatherSeconds(c.g, largest))
-	})
-	c.opEnd("allreduce_compressed", "bytes", rank, 1, bytes, t0, v0)
+	}
+	c.mu.Lock()
+	for r := range c.stats {
+		c.stats[r].AllReduceCalls++
+		c.stats[r].AllReduceBytes += bytes
+	}
+	c.mu.Unlock()
+	for r := range payloads {
+		c.opEnd("allreduce_compressed", "bytes", r, 1, bytes, t0, c.v0[r])
+	}
 	return err
 }

@@ -35,30 +35,23 @@ func encodePairs(pairs map[int]float32, order []int) []byte {
 	return b
 }
 
-func TestAllReduceCompressedIdenticalAcrossRanks(t *testing.T) {
+// TestAllReduceCompressedSumsIntoRankZero: the destination receives every
+// rank's payload decoded, in rank order, against a scalar reference.
+func TestAllReduceCompressedSumsIntoRankZero(t *testing.T) {
 	const g, n = 4, 32
 	c := New(g)
-	results := make([][]float32, g)
-	runRanks(g, func(rank int) {
-		x := make([]float32, n)
+	payloads := make([][]byte, g)
+	for rank := range payloads {
 		// Each rank "compresses away" everything but two entries.
-		payload := encodePairs(map[int]float32{
+		payloads[rank] = encodePairs(map[int]float32{
 			rank:             float32(rank + 1),
 			(2*rank + 1) % n: 0.5,
 		}, []int{rank, (2*rank + 1) % n})
-		if err := c.AllReduceCompressed(rank, x, payload, rawF32Decoder{}); err != nil {
-			t.Error(err)
-		}
-		results[rank] = x
-	})
-	for r := 1; r < g; r++ {
-		for i := range results[0] {
-			if results[r][i] != results[0][i] {
-				t.Fatalf("rank %d diverges at %d: %v vs %v", r, i, results[r][i], results[0][i])
-			}
-		}
 	}
-	// Spot-check the sum semantics against a scalar reference.
+	x := make([]float32, n)
+	if err := c.AllReduceCompressedRanks(x, payloads, rawF32Decoder{}); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < n; i++ {
 		var sum float32
 		for peer := 0; peer < g; peer++ {
@@ -69,8 +62,8 @@ func TestAllReduceCompressedIdenticalAcrossRanks(t *testing.T) {
 				sum += 0.5
 			}
 		}
-		if results[0][i] != sum {
-			t.Fatalf("index %d holds %v, want %v", i, results[0][i], sum)
+		if x[i] != sum {
+			t.Fatalf("index %d holds %v, want %v", i, x[i], sum)
 		}
 	}
 }
@@ -79,7 +72,7 @@ func TestAllReduceCompressedOverwritesDestination(t *testing.T) {
 	c := New(1)
 	x := []float32{7, 7, 7, 7}
 	payload := encodePairs(map[int]float32{2: 1.5}, []int{2})
-	if err := c.AllReduceCompressed(0, x, payload, rawF32Decoder{}); err != nil {
+	if err := c.AllReduceCompressedRanks(x, [][]byte{payload}, rawF32Decoder{}); err != nil {
 		t.Fatal(err)
 	}
 	want := []float32{0, 0, 1.5, 0}
@@ -101,18 +94,19 @@ func TestAllReduceCompressedAccountsCompressedBytes(t *testing.T) {
 
 	// Compressed: 10 pairs of 8 bytes per rank.
 	comp := New(g)
-	runRanks(g, func(rank int) {
-		pairs := map[int]float32{}
-		var order []int
-		for i := 0; i < 10; i++ {
-			pairs[i*7] = 1
-			order = append(order, i*7)
-		}
-		x := make([]float32, n)
-		if err := comp.AllReduceCompressed(rank, x, encodePairs(pairs, order), rawF32Decoder{}); err != nil {
-			t.Error(err)
-		}
-	})
+	pairs := map[int]float32{}
+	var order []int
+	for i := 0; i < 10; i++ {
+		pairs[i*7] = 1
+		order = append(order, i*7)
+	}
+	payloads := make([][]byte, g)
+	for r := range payloads {
+		payloads[r] = encodePairs(pairs, order)
+	}
+	if err := comp.AllReduceCompressedRanks(make([]float32, n), payloads, rawF32Decoder{}); err != nil {
+		t.Fatal(err)
+	}
 	st := comp.MaxStats()
 	wantBytes := int64(g*10*8) * (g - 1) / g
 	if st.AllReduceBytes != wantBytes {
@@ -130,13 +124,13 @@ func TestAllReduceCompressedChargesCostModel(t *testing.T) {
 	const g = 4
 	run := func() float64 {
 		c, clocks := newCostComm(g)
-		runRanks(g, func(rank int) {
-			x := make([]float32, 64)
-			payload := encodePairs(map[int]float32{rank: 1}, []int{rank})
-			if err := c.AllReduceCompressed(rank, x, payload, rawF32Decoder{}); err != nil {
-				t.Error(err)
-			}
-		})
+		payloads := make([][]byte, g)
+		for rank := range payloads {
+			payloads[rank] = encodePairs(map[int]float32{rank: 1}, []int{rank})
+		}
+		if err := c.AllReduceCompressedRanks(make([]float32, 64), payloads, rawF32Decoder{}); err != nil {
+			t.Fatal(err)
+		}
 		max := 0.0
 		for _, cl := range clocks {
 			if cl.Now() > max {
@@ -155,22 +149,19 @@ func TestAllReduceCompressedChargesCostModel(t *testing.T) {
 	}
 }
 
+// TestAllReduceCompressedDecodeErrorPropagates: a payload that does not
+// decode is an error naming its rank, and the communicator stays usable.
 func TestAllReduceCompressedDecodeErrorPropagates(t *testing.T) {
 	const g = 2
 	c := New(g)
-	errs := make([]error, g)
-	runRanks(g, func(rank int) {
-		x := make([]float32, 4)
-		// 5 bytes: ragged on every rank, so all ranks fail together and
-		// nobody deadlocks in a half-abandoned collective.
-		errs[rank] = c.AllReduceCompressed(rank, x, []byte{1, 2, 3, 4, 5}, rawF32Decoder{})
-	})
-	for r, err := range errs {
-		if err == nil {
-			t.Fatalf("rank %d decoded a ragged payload", r)
-		}
+	good := encodePairs(map[int]float32{1: 1}, []int{1})
+	err := c.AllReduceCompressedRanks(make([]float32, 4), [][]byte{good, {1, 2, 3, 4, 5}}, rawF32Decoder{})
+	if err == nil {
+		t.Fatal("decoded a ragged payload")
 	}
-	// The communicator must remain usable after the failed collective.
+	if want := "collective: compressed all-reduce: rank 1 payload: ragged payload of 5 bytes"; err.Error() != want {
+		t.Fatalf("error %q, want %q", err, want)
+	}
 	runRanks(g, func(rank int) {
 		c.AllReduce(rank, make([]float32, 8), nil)
 	})

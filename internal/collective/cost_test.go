@@ -61,18 +61,19 @@ func TestAllGatherChargesLargestPayload(t *testing.T) {
 	const g = 3
 	c, clocks := newCostComm(g)
 	sizes := []int{2, 7, 4}
-	runRanks(g, func(rank int) {
-		c.AllGatherInts(rank, make([]int, sizes[rank]))
-	})
+	ints := make([][]int, g)
+	floats := make([][]float32, g)
+	for r, n := range sizes {
+		ints[r], floats[r] = make([]int, n), make([]float32, n)
+	}
+	c.AllGatherIntsRanks(ints)
 	want := testLink.RingAllGatherSeconds(g, int64(4*7))
 	for r, ck := range clocks {
 		if !eqTime(ck.Now(), want) {
 			t.Errorf("ints: rank %d clock %v, want %v", r, ck.Now(), want)
 		}
 	}
-	runRanks(g, func(rank int) {
-		c.AllGatherFloats(rank, make([]float32, sizes[rank]), nil)
-	})
+	c.AllGatherFloatsRanks(floats, make([]Wire, g))
 	want += testLink.RingAllGatherSeconds(g, int64(4*7))
 	for r, ck := range clocks {
 		if !eqTime(ck.Now(), want) {
@@ -104,7 +105,8 @@ func TestBarrierMaxSynchronizes(t *testing.T) {
 	}
 }
 
-// TestDeterministicVirtualTime runs the same mixed collective sequence on
+// TestDeterministicVirtualTime runs the same mixed collective sequence —
+// per-rank adapters on one goroutine per rank, then batched gathers — on
 // fresh communicators and demands bit-identical clocks, whatever the
 // scheduler did.
 func TestDeterministicVirtualTime(t *testing.T) {
@@ -114,10 +116,16 @@ func TestDeterministicVirtualTime(t *testing.T) {
 		runRanks(g, func(rank int) {
 			x := make([]float32, 333)
 			c.AllReduce(rank, x, nil)
-			c.AllGatherInts(rank, make([]int, 10+rank))
-			c.AllGatherFloats(rank, make([]float32, 50), half.NewScaler(1))
 			c.AgreeAllOK(rank, true)
 		})
+		ints := make([][]int, g)
+		floats := make([][]float32, g)
+		wires := make([]Wire, g)
+		for r := range ints {
+			ints[r], floats[r], wires[r] = make([]int, 10+r), make([]float32, 50), half.NewScaler(1)
+		}
+		c.AllGatherIntsRanks(ints)
+		c.AllGatherFloatsRanks(floats, wires)
 		out := make([]float64, g)
 		for i, ck := range clocks {
 			out[i] = ck.Now()

@@ -1,7 +1,6 @@
 package collective
 
 import (
-	"sync"
 	"testing"
 
 	"zipflm/internal/half"
@@ -33,10 +32,11 @@ func makeTensors(g int, shapes []int, seed uint64) (a, b [][][]float32) {
 }
 
 // TestFusedPartsOnSideLaneMatchPerTensorOnPrimary is the equivalence the
-// trainer's overlap mode rests on: one fused AllReduceParts pass on the
-// side lane changes neither the reduced values (bit for bit, FP16 rounding
-// points included) nor the per-rank Stats relative to one AllReduce per
-// tensor on the primary lane.
+// trainer's overlap mode rests on: one AllReduceRanks call over a part list
+// on the side lane changes neither rank 0's reduced values (bit for bit,
+// FP16 rounding points included) nor the per-rank Stats relative to one
+// AllReduce per tensor on the primary lane, and its counters land on the
+// side lane only.
 func TestFusedPartsOnSideLaneMatchPerTensorOnPrimary(t *testing.T) {
 	shapes := []int{7, 1, 33, 0, 12, 64, 5}
 	for _, wire := range []Wire{nil, half.NewScaler(512)} {
@@ -48,18 +48,20 @@ func TestFusedPartsOnSideLaneMatchPerTensorOnPrimary(t *testing.T) {
 					pc.AllReduce(rank, x, wire)
 				}
 			})
-			runRanks(g, func(rank int) {
-				fc.Side().AllReduceParts(rank, fused[rank], wire)
-			})
-			for r := 0; r < g; r++ {
-				for i := range shapes {
-					for j := range perTensor[r][i] {
-						if perTensor[r][i][j] != fused[r][i][j] {
-							t.Fatalf("g=%d fp16=%v: rank %d tensor %d elem %d: per-tensor %v fused %v",
-								g, wire != nil, r, i, j, perTensor[r][i][j], fused[r][i][j])
-						}
+			wires := make([]Wire, g)
+			for r := range wires {
+				wires[r] = wire
+			}
+			fc.Side().AllReduceRanks(fused, wires)
+			for i := range shapes {
+				for j := range perTensor[0][i] {
+					if perTensor[0][i][j] != fused[0][i][j] {
+						t.Fatalf("g=%d fp16=%v: tensor %d elem %d: per-tensor %v fused %v",
+							g, wire != nil, i, j, perTensor[0][i][j], fused[0][i][j])
 					}
 				}
+			}
+			for r := 0; r < g; r++ {
 				if pc.RankStats(r) != fc.RankStats(r) {
 					t.Fatalf("g=%d fp16=%v: rank %d stats diverge: per-tensor %+v fused %+v",
 						g, wire != nil, r, pc.RankStats(r), fc.RankStats(r))
@@ -76,45 +78,43 @@ func TestFusedPartsOnSideLaneMatchPerTensorOnPrimary(t *testing.T) {
 	}
 }
 
-// TestLanesRunConcurrentlyWithoutInterleaving drives both lanes at once,
-// every rank running one goroutine per lane for many rounds: blackboard
-// gathers and the compressed all-reduce on the side lane while the primary
-// runs a ring all-reduce and a float gather. Were any ring channel,
-// barrier generation or blackboard slot shared between the lanes, a round
-// would deliver the wrong payload or hang; -race additionally checks the
-// counters and pools.
+// TestLanesRunConcurrentlyWithoutInterleaving drives both lanes at once: one
+// goroutine issues batched gathers and compressed all-reduces on the side
+// lane while every rank's goroutine runs the per-rank adapters on the
+// primary. Were a rendezvous slot, barrier generation or scratch slice
+// shared between the lanes, a round would deliver the wrong result or hang;
+// -race additionally checks the counters.
 func TestLanesRunConcurrentlyWithoutInterleaving(t *testing.T) {
 	const g, rounds, n = 4, 40, 96
 	c := New(g)
 	side := c.Side()
-	runRanks(g, func(rank int) {
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			acc := make([]float32, n)
-			for round := 0; round < rounds; round++ {
-				got := side.AllGatherInts(rank, []int{rank, round})
-				for r := range got {
-					if len(got[r]) != 2 || got[r][0] != r || got[r][1] != round {
-						t.Errorf("round %d rank %d: side gather slot %d = %v", round, rank, r, got[r])
-					}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		acc := make([]float32, n)
+		payloads := make([][]byte, g)
+		ints := make([][]int, g)
+		for round := 0; round < rounds; round++ {
+			for r := range payloads {
+				ints[r] = []int{r, round}
+				payloads[r] = encodePairs(map[int]float32{r: float32(round + 1)}, []int{r})
+			}
+			side.AllGatherIntsRanks(ints)
+			if err := side.AllReduceCompressedRanks(acc, payloads, rawF32Decoder{}); err != nil {
+				t.Errorf("round %d: %v", round, err)
+			}
+			for i, v := range acc {
+				want := float32(0)
+				if i < g {
+					want = float32(round + 1)
 				}
-				payload := encodePairs(map[int]float32{rank: float32(round + 1)}, []int{rank})
-				if err := side.AllReduceCompressed(rank, acc, payload, rawF32Decoder{}); err != nil {
-					t.Errorf("round %d rank %d: %v", round, rank, err)
-				}
-				for i, v := range acc {
-					want := float32(0)
-					if i < g {
-						want = float32(round + 1)
-					}
-					if v != want {
-						t.Errorf("round %d rank %d: compressed sum[%d] = %v, want %v", round, rank, i, v, want)
-					}
+				if v != want {
+					t.Errorf("round %d: compressed sum[%d] = %v, want %v", round, i, v, want)
 				}
 			}
-		}()
+		}
+	}()
+	runRanks(g, func(rank int) {
 		x := make([]float32, n)
 		for round := 0; round < rounds; round++ {
 			for i := range x {
@@ -126,15 +126,12 @@ func TestLanesRunConcurrentlyWithoutInterleaving(t *testing.T) {
 					t.Errorf("round %d rank %d: primary sum[%d] = %v, want %v", round, rank, i, v, want)
 				}
 			}
-			rows := c.AllGatherFloats(rank, []float32{float32(rank), float32(round)}, nil)
-			for r := range rows {
-				if len(rows[r]) != 2 || rows[r][0] != float32(r) || rows[r][1] != float32(round) {
-					t.Errorf("round %d rank %d: primary gather slot %d = %v", round, rank, r, rows[r])
-				}
+			if !c.AgreeAllOK(rank, true) {
+				t.Errorf("round %d rank %d: a unanimous vote failed", round, rank)
 			}
 		}
-		wg.Wait()
 	})
+	<-done
 
 	// RankStats and MaxStats on the primary are the sum of the lanes.
 	var wantMax Stats
@@ -147,9 +144,9 @@ func TestLanesRunConcurrentlyWithoutInterleaving(t *testing.T) {
 		if side.RankStats(r) != side.LaneStats(r) {
 			t.Fatalf("rank %d: the side lane's RankStats must be its own lane only", r)
 		}
-		if sum.AllReduceCalls != 2*rounds || sum.AllGatherCalls != 2*rounds {
-			t.Fatalf("rank %d: %d all-reduce and %d all-gather calls, want %d each",
-				r, sum.AllReduceCalls, sum.AllGatherCalls, 2*rounds)
+		if sum.AllReduceCalls != 2*rounds || sum.AllGatherCalls != rounds {
+			t.Fatalf("rank %d: %d all-reduce and %d all-gather calls, want %d and %d",
+				r, sum.AllReduceCalls, sum.AllGatherCalls, 2*rounds, rounds)
 		}
 		wantMax.AllReduceCalls = max(wantMax.AllReduceCalls, sum.AllReduceCalls)
 		wantMax.AllReduceBytes = max(wantMax.AllReduceBytes, sum.AllReduceBytes)
@@ -162,8 +159,8 @@ func TestLanesRunConcurrentlyWithoutInterleaving(t *testing.T) {
 }
 
 // TestPricedSideLaneChargesOnlyItsOwnClocks: a cost model attached to the
-// side lane prices side-lane collectives — the fused pass as one ring over
-// the tensors' summed chunk bytes — onto the lane's own clocks, and neither
+// side lane prices side-lane collectives — a part list as one ring over the
+// tensors' summed chunk bytes — onto the lane's own clocks, and neither
 // lane's operations ever move the other's.
 func TestPricedSideLaneChargesOnlyItsOwnClocks(t *testing.T) {
 	const g = 4
@@ -171,17 +168,15 @@ func TestPricedSideLaneChargesOnlyItsOwnClocks(t *testing.T) {
 	lane := make([]*vclock.Clock, g)
 	for i := range lane {
 		lane[i] = new(vclock.Clock)
+		// The payload became ready at a rank-dependent time; the charge
+		// max-syncs the lane clocks before advancing them.
+		lane[i].AdvanceTo(float64(i) * 1e-3)
 	}
 	c.Side().AttachCost(&CostModel{Link: testLink, Clocks: lane})
 
 	shapes := []int{1000, 10, 7}
 	tensors, _ := makeTensors(g, shapes, 3)
-	runRanks(g, func(rank int) {
-		// The payload became ready at a rank-dependent time; the charge
-		// max-syncs the lane clocks before advancing them.
-		lane[rank].AdvanceTo(float64(rank) * 1e-3)
-		c.Side().AllReduceParts(rank, tensors[rank], nil)
-	})
+	c.Side().AllReduceRanks(tensors, make([]Wire, g))
 	var chunkBytes int64
 	for _, n := range shapes {
 		chunkBytes += int64(4 * ((n + g - 1) / g))

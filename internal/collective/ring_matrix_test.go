@@ -14,10 +14,10 @@ import (
 	"zipflm/internal/vclock"
 )
 
-// yielding is a Wire that gives the processor away every time the ring
-// calls it — between the hops of a call and between the parts of a hop — so
-// the interleavings the scheduler would produce once in a long while happen
-// on every run. A nil wire has no call-out to hang this on; there the
+// yielding is a Wire that gives the processor away every time it is called,
+// so the interleavings the scheduler would produce once in a long while
+// happen on every run of the references and adapters that run one
+// goroutine per rank. A nil wire has no call-out to hang this on; there the
 // GOMAXPROCS sweep is the only perturbation.
 type yielding struct{ collective.Wire }
 
@@ -56,6 +56,14 @@ func chunk(n, g, i int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
+}
+
+// wireBytes restates a wire's footprint: 4 bytes an element without one.
+func wireBytes(w collective.Wire, n int) int64 {
+	if w == nil {
+		return int64(4 * n)
+	}
+	return int64(w.WireBytes(n))
 }
 
 // serialRing is the ring all-reduce written without the ring: one goroutine
@@ -106,6 +114,72 @@ func serialRing(xs [][][]float32, wires []collective.Wire) {
 	}
 }
 
+// goroutineRing is the ring all-reduce as G ranks run it, and as this
+// package ran it before the executor: one goroutine per rank, and each hop
+// one message over a channel to the successor — the sender's part list,
+// whose chunks the receiver reads in place. A wire that rounds on receive
+// is applied by the receiver as it adds, any other by the sender before the
+// hop. It returns the bytes each rank put on the wire.
+func goroutineRing(xs [][][]float32, wires []collective.Wire) []int64 {
+	g := len(xs)
+	sent := make([]int64, g)
+	if g == 1 {
+		return sent
+	}
+	ring := make([]chan [][]float32, g)
+	for r := range ring {
+		ring[r] = make(chan [][]float32, 1)
+	}
+	onRanks(g, func(rank int) {
+		parts, wire := xs[rank], wires[rank]
+		fused, _ := wire.(collective.AddRounder)
+		hop := func() [][]float32 {
+			ring[(rank+1)%g] <- parts
+			return <-ring[rank]
+		}
+		for step := 0; step < g-1; step++ {
+			sendIdx, recvIdx := ((rank-step)%g+g)%g, ((rank-step-1)%g+g)%g
+			for _, p := range parts {
+				lo, hi := chunk(len(p), g, sendIdx)
+				if wire != nil && fused == nil {
+					wire.RoundTrip(p[lo:hi])
+				}
+				sent[rank] += wireBytes(wire, hi-lo)
+			}
+			for pi, src := range hop() {
+				p := parts[pi]
+				lo, hi := chunk(len(p), g, recvIdx)
+				if fused != nil {
+					fused.AddRoundTrip(p[lo:hi], src[lo:hi])
+					continue
+				}
+				for i := lo; i < hi; i++ {
+					p[i] += src[i]
+				}
+			}
+		}
+		if wire != nil {
+			for _, p := range parts {
+				lo, hi := chunk(len(p), g, (rank+1)%g)
+				wire.RoundTrip(p[lo:hi])
+			}
+		}
+		for step := 0; step < g-1; step++ {
+			sendIdx, recvIdx := ((rank-step+1)%g+g)%g, ((rank-step)%g+g)%g
+			for _, p := range parts {
+				lo, hi := chunk(len(p), g, sendIdx)
+				sent[rank] += wireBytes(wire, hi-lo)
+			}
+			for pi, src := range hop() {
+				p := parts[pi]
+				lo, hi := chunk(len(p), g, recvIdx)
+				copy(p[lo:hi], src[lo:hi])
+			}
+		}
+	})
+	return sent
+}
+
 func onRanks(g int, fn func(rank int)) {
 	var wg sync.WaitGroup
 	for r := 0; r < g; r++ {
@@ -153,12 +227,26 @@ func sameTensors(t *testing.T, what string, got, want [][][]float32) {
 // misses a charge or takes one twice is off by a visible amount.
 var matrixLink = perfmodel.LinkCost{Alpha: 1e-5, BytesPerSec: 1e9}
 
+// pricedComm returns a communicator whose primary lane prices on fresh
+// clocks, started apart so that every charge must first bring them to their
+// maximum, and that maximum.
+func pricedComm(g int) (*collective.Comm, []*vclock.Clock, float64) {
+	c := collective.New(g)
+	clocks := make([]*vclock.Clock, g)
+	for r := range clocks {
+		clocks[r] = new(vclock.Clock)
+		clocks[r].Advance(float64((5*r)%g) * 1e-3)
+	}
+	c.AttachCost(&collective.CostModel{Link: matrixLink, Clocks: clocks})
+	return c, clocks, vclock.MaxNow(clocks)
+}
+
 // schedule is the matrix's adversarial schedule: body runs once per
 // GOMAXPROCS × cluster size, as subtest procs=P/g=G with GOMAXPROCS set for
 // its duration and draw seeded from both, so a cell's random choices repeat.
 func schedule(t *testing.T, body func(t *testing.T, g int, draw *rng.RNG)) {
 	for _, procs := range []int{1, 2, 8} {
-		for _, g := range []int{1, 2, 3, 5, 7} {
+		for _, g := range []int{1, 2, 3, 4, 5, 7, 8} {
 			t.Run(fmt.Sprintf("procs=%d/g=%d", procs, g), func(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				body(t, g, rng.New(uint64(31*g+procs)))
@@ -167,27 +255,29 @@ func schedule(t *testing.T, body func(t *testing.T, g int, draw *rng.RNG)) {
 	}
 }
 
-// TestRingFusedMatrix is the ring's equivalence matrix. For every cluster
-// size, part list, wire, lane and GOMAXPROCS below, one AllReduceParts call
+// TestRingFusedMatrix is the all-reduce's equivalence matrix. For every
+// cluster size, part list, wire and GOMAXPROCS below:
 //
-//   - leaves on every rank the bits serialRing computes (stochastic Quant8
-//     included: its per-rank streams are consumed in the same order);
-//   - equals one AllReduce per tensor in values and per-rank Stats, for the
-//     wires whose rounding does not depend on call order (a stochastic stream
-//     is consumed hop-major by a fused call and tensor-major otherwise);
-//   - advances every rank's virtual clock by one ring over the tensors'
-//     summed chunk bytes.
+//   - the goroutine ring leaves on every rank the bits serialRing computes
+//     (stochastic Quant8 included: its per-rank streams are consumed in the
+//     same order), so the two references agree;
+//   - one AllReduceRanks call leaves those bits in rank 0's tensors, counts
+//     on each rank one call per tensor and the bytes that rank sends in the
+//     goroutine ring, and advances every clock by one ring over the
+//     tensors' summed chunk bytes from their common maximum;
+//   - the per-rank AllReduce adapter, called once per tensor from one
+//     goroutine per rank, leaves on every rank the bits of serialRing run
+//     tensor by tensor, with the same Stats, and a ring per tensor on the
+//     clocks.
 func TestRingFusedMatrix(t *testing.T) {
 	wires := []struct {
 		name string
-		// orderFree: rounding does not depend on the order of calls.
-		orderFree bool
-		bare      func(rank int) collective.Wire
+		bare func(rank int) collective.Wire
 	}{
-		{"fp32", true, func(int) collective.Wire { return nil }},
-		{"fp16", true, func(int) collective.Wire { return half.NewScaler(512) }},
-		{"q8", true, func(int) collective.Wire { return compress.NewQuant8(16, false, 0) }},
-		{"q8-stochastic", false, func(rank int) collective.Wire { return compress.NewQuant8(16, true, 100+uint64(rank)) }},
+		{"fp32", func(int) collective.Wire { return nil }},
+		{"fp16", func(int) collective.Wire { return half.NewScaler(512) }},
+		{"q8", func(int) collective.Wire { return compress.NewQuant8(16, false, 0) }},
+		{"q8-stochastic", func(rank int) collective.Wire { return compress.NewQuant8(16, true, 100+uint64(rank)) }},
 	}
 	if _, ok := withYields(wires[1].bare(0)).(collective.AddRounder); !ok {
 		t.Fatal("half.Scaler no longer rounds on receive: the matrix would not reach that path")
@@ -204,80 +294,113 @@ func TestRingFusedMatrix(t *testing.T) {
 		}
 		for _, shapes := range [][]int{{}, {1000}, seventeen} {
 			for _, w := range wires {
-				for _, side := range []bool{false, true} {
-					t.Run(fmt.Sprintf("parts=%d/%s/side=%v", len(shapes), w.name, side), func(t *testing.T) {
-						lane := func(c *collective.Comm) *collective.Comm {
-							if side {
-								return c.Side()
-							}
-							return c
+				t.Run(fmt.Sprintf("parts=%d/%s", len(shapes), w.name), func(t *testing.T) {
+					// Fresh per-rank instances for every run: Quant8
+					// carries scratch, and a stream when stochastic.
+					perRank := func(wrap func(collective.Wire) collective.Wire) []collective.Wire {
+						ws := make([]collective.Wire, g)
+						for r := range ws {
+							ws[r] = wrap(w.bare(r))
 						}
-						// Fresh per-rank instances for every run: Quant8
-						// carries scratch, and a stream when stochastic.
-						perRank := func(wrap func(collective.Wire) collective.Wire) []collective.Wire {
-							ws := make([]collective.Wire, g)
-							for r := range ws {
-								ws[r] = wrap(w.bare(r))
-							}
-							return ws
-						}
+						return ws
+					}
+					bare := func(w collective.Wire) collective.Wire { return w }
 
-						want := rankTensors(g, shapes, 7)
-						serialRing(want, perRank(func(w collective.Wire) collective.Wire { return w }))
+					want := rankTensors(g, shapes, 7)
+					serialRing(want, perRank(bare))
+					ring := rankTensors(g, shapes, 7)
+					sent := goroutineRing(ring, perRank(withYields))
+					sameTensors(t, "goroutine ring vs serial definition", ring, want)
 
-						fused := rankTensors(g, shapes, 7)
-						fc := collective.New(g)
-						clocks := make([]*vclock.Clock, g)
-						for r := range clocks {
-							clocks[r] = new(vclock.Clock)
+					got := rankTensors(g, shapes, 7)
+					c, clocks, start := pricedComm(g)
+					bw := perRank(bare)
+					c.AllReduceRanks(got, bw)
+					sameTensors(t, "AllReduceRanks rank 0 vs serial definition", got[:1], want[:1])
+					var chunkBytes int64
+					for _, n := range shapes {
+						chunkBytes += wireBytes(bw[0], (n+g-1)/g)
+					}
+					for r := 0; r < g; r++ {
+						if s := c.RankStats(r); s != (collective.Stats{AllReduceCalls: int64(len(shapes)), AllReduceBytes: sent[r]}) {
+							t.Fatalf("rank %d stats %+v, want %d calls and the goroutine ring's %d bytes", r, s, len(shapes), sent[r])
 						}
-						lane(fc).AttachCost(&collective.CostModel{Link: matrixLink, Clocks: clocks})
-						fw := perRank(withYields)
-						onRanks(g, func(rank int) { lane(fc).AllReduceParts(rank, fused[rank], fw[rank]) })
-						sameTensors(t, "fused vs serial definition", fused, want)
+						if now, want := clocks[r].Now(), start+matrixLink.RingAllReduceSecondsBytes(g, chunkBytes); now != want {
+							t.Fatalf("rank %d virtual clock %v, want one ring over %d chunk bytes = %v", r, now, chunkBytes, want)
+						}
+					}
 
-						var chunkBytes int64
-						for _, n := range shapes {
-							per := (n + g - 1) / g
-							if fw[0] == nil {
-								chunkBytes += int64(4 * per)
-							} else {
-								chunkBytes += int64(fw[0].WireBytes(per))
-							}
+					// Tensor by tensor: the definition, then the adapter.
+					perTensor := rankTensors(g, shapes, 7)
+					pw := perRank(bare)
+					column := make([][][]float32, g)
+					for i := range shapes {
+						for r := range column {
+							column[r] = perTensor[r][i : i+1]
 						}
-						for r, clk := range clocks {
-							if got, want := clk.Now(), matrixLink.RingAllReduceSecondsBytes(g, chunkBytes); got != want {
-								t.Fatalf("rank %d virtual clock %v, want one ring over %d chunk bytes = %v", r, got, chunkBytes, want)
-							}
-						}
-						for r := 0; r < g; r++ {
-							if got := fc.RankStats(r).AllReduceCalls; got != int64(len(shapes)) {
-								t.Fatalf("rank %d counts %d all-reduce calls for %d tensors", r, got, len(shapes))
-							}
-						}
-
-						if !w.orderFree {
-							return
-						}
-						perTensor := rankTensors(g, shapes, 7)
-						pc := collective.New(g)
-						pw := perRank(withYields)
-						onRanks(g, func(rank int) {
-							for _, x := range perTensor[rank] {
-								lane(pc).AllReduce(rank, x, pw[rank])
-							}
-						})
-						sameTensors(t, "fused vs one AllReduce per tensor", fused, perTensor)
-						for r := 0; r < g; r++ {
-							if fc.RankStats(r) != pc.RankStats(r) {
-								t.Fatalf("rank %d stats: fused %+v, per tensor %+v", r, fc.RankStats(r), pc.RankStats(r))
-							}
+						serialRing(column, pw)
+					}
+					adapted := rankTensors(g, shapes, 7)
+					ac, aclocks, astart := pricedComm(g)
+					aw := perRank(withYields)
+					onRanks(g, func(rank int) {
+						for _, x := range adapted[rank] {
+							ac.AllReduce(rank, x, aw[rank])
 						}
 					})
-				}
+					sameTensors(t, "AllReduce adapter vs serial definition per tensor", adapted, perTensor)
+					wantClock := astart
+					for _, n := range shapes {
+						wantClock += matrixLink.RingAllReduceSecondsBytes(g, wireBytes(aw[0], (n+g-1)/g))
+					}
+					for r := 0; r < g; r++ {
+						if ac.RankStats(r) != c.RankStats(r) {
+							t.Fatalf("rank %d stats: adapter %+v, batched %+v", r, ac.RankStats(r), c.RankStats(r))
+						}
+						if now := aclocks[r].Now(); len(shapes) > 0 && now != wantClock {
+							t.Fatalf("rank %d adapter clock %v, want a ring per tensor = %v", r, now, wantClock)
+						}
+					}
+				})
 			}
 		}
 	})
+}
+
+// TestAllReduceRanksRejectsRaggedShapes: a part list whose shape differs
+// from rank 0's panics, naming the rank and part, before any tensor moves.
+func TestAllReduceRanksRejectsRaggedShapes(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		shapes [][]int
+		msg    string
+	}{
+		{"part count", [][]int{{4, 4}, {4, 4}, {4}}, "collective: rank 2 passes 1 parts, rank 0 passes 2"},
+		{"part length", [][]int{{4, 4}, {4, 5}, {4, 4}}, "collective: rank 1 part 1 has 5 elements, rank 0's has 4"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			xs := make([][][]float32, len(tc.shapes))
+			for r, shape := range tc.shapes {
+				xs[r] = rankTensors(1, shape, uint64(r))[0]
+			}
+			before := fmt.Sprint(xs)
+			c := collective.New(len(xs))
+			func() {
+				defer func() {
+					if got := recover(); got != tc.msg {
+						t.Fatalf("panic %v, want %q", got, tc.msg)
+					}
+				}()
+				c.AllReduceRanks(xs, make([]collective.Wire, len(xs)))
+			}()
+			if fmt.Sprint(xs) != before {
+				t.Fatal("a rejected call wrote a tensor")
+			}
+			if c.RankStats(0) != (collective.Stats{}) {
+				t.Fatal("a rejected call was counted")
+			}
+		})
+	}
 }
 
 // yieldingDecoder gives the processor away before every payload a
@@ -289,13 +412,12 @@ func (y yieldingDecoder) DecodeAdd(acc []float32, payload []byte) error {
 	return y.Decoder.DecodeAdd(acc, payload)
 }
 
-// boardCase is one blackboard collective of TestBlackboardMatrix on one lane,
-// with its serial oracle: call issues it for one rank and returns what that
-// rank received; want is what every rank must receive, stats what the call
-// adds to each rank's counters, and seconds what it adds to the lane's
-// clocks once it has brought them to their maximum.
-type boardCase struct {
-	call    func(c *collective.Comm, rank int) any
+// gatherCase is one batched collective of TestGatherMatrix with its serial
+// oracle: call issues it on c and returns what it produced, want is what it
+// must produce, stats what it adds to each rank's counters, and seconds what
+// it adds to the clocks once it has brought them to their maximum.
+type gatherCase struct {
+	call    func(c *collective.Comm) any
 	want    any
 	stats   collective.Stats
 	seconds float64
@@ -314,9 +436,9 @@ func ringGather(sizes []int64) (bytes int64, seconds float64) {
 	return total * (g - 1) / g, matrixLink.RingAllGatherSeconds(len(sizes), largest)
 }
 
-// gatherInts: every rank receives every rank's indices, in rank order, four
-// bytes each on the wire.
-func gatherInts(lens []int, seed uint64) boardCase {
+// gatherInts: the indices are accounted, four bytes each on the wire, and
+// left as they were.
+func gatherInts(lens []int, seed uint64) gatherCase {
 	draw := rng.New(seed)
 	ins := make([][]int, len(lens))
 	sizes := make([]int64, len(lens))
@@ -327,19 +449,23 @@ func gatherInts(lens []int, seed uint64) boardCase {
 		}
 		sizes[r] = int64(4 * n)
 	}
+	want := fmt.Sprint(ins)
 	bytes, seconds := ringGather(sizes)
-	return boardCase{
-		call:    func(c *collective.Comm, rank int) any { return c.AllGatherInts(rank, ins[rank]) },
-		want:    ins,
+	return gatherCase{
+		call: func(c *collective.Comm) any {
+			c.AllGatherIntsRanks(ins)
+			return fmt.Sprint(ins)
+		},
+		want:    want,
 		stats:   collective.Stats{AllGatherCalls: 1, AllGatherBytes: bytes},
 		seconds: seconds,
 	}
 }
 
-// gatherFloats: every rank receives every rank's values as they crossed the
-// sender's wire — rounded once by it, when there is one — in rank order.
-func gatherFloats(fp16 bool) func(lens []int, seed uint64) boardCase {
-	return func(lens []int, seed uint64) boardCase {
+// gatherFloats: every payload ends as it crossed its sender's wire —
+// rounded once by it, when there is one.
+func gatherFloats(fp16 bool) func(lens []int, seed uint64) gatherCase {
+	return func(lens []int, seed uint64) gatherCase {
 		draw := rng.New(seed)
 		ins := make([][]float32, len(lens))
 		want := make([][]float32, len(lens))
@@ -355,25 +481,28 @@ func gatherFloats(fp16 bool) func(lens []int, seed uint64) boardCase {
 			if fp16 {
 				s := half.NewScaler(512)
 				s.RoundTrip(want[r])
-				wires[r] = withYields(s)
+				wires[r] = s
 				sizes[r] = int64(s.WireBytes(n))
 			}
 		}
 		bytes, seconds := ringGather(sizes)
-		return boardCase{
-			call:    func(c *collective.Comm, rank int) any { return c.AllGatherFloats(rank, ins[rank], wires[rank]) },
-			want:    want,
+		return gatherCase{
+			call: func(c *collective.Comm) any {
+				c.AllGatherFloatsRanks(ins, wires)
+				return fmt.Sprint(ins)
+			},
+			want:    fmt.Sprint(want),
 			stats:   collective.Stats{AllGatherCalls: 1, AllGatherBytes: bytes},
 			seconds: seconds,
 		}
 	}
 }
 
-// reduceCompressed: every rank ends with the top-k payloads of all ranks
-// decoded in rank order into a zeroed tensor — whatever it held before — and
-// the exchange is accounted and priced as the ring all-gather of the
-// payloads. A rank with nothing to send passes an empty payload.
-func reduceCompressed(lens []int, seed uint64) boardCase {
+// reduceCompressed: rank 0's buffer ends with the top-k payloads of all
+// ranks decoded in rank order into zeros — whatever it held before — and the
+// exchange is accounted and priced as the ring all-gather of the payloads. A
+// rank with nothing to send passes an empty payload.
+func reduceCompressed(lens []int, seed uint64) gatherCase {
 	const n = 64
 	draw := rng.New(seed)
 	payloads := make([][]byte, len(lens))
@@ -395,110 +524,112 @@ func reduceCompressed(lens []int, seed uint64) boardCase {
 		}
 	}
 	bytes, seconds := ringGather(sizes)
-	return boardCase{
-		call: func(c *collective.Comm, rank int) any {
+	return gatherCase{
+		call: func(c *collective.Comm) any {
 			x := make([]float32, n)
 			for i := range x {
-				x[i] = float32(rank + 1)
+				x[i] = 1
 			}
-			err := c.AllReduceCompressed(rank, x, payloads[rank], yieldingDecoder{compress.TopKDecoder{}})
-			return []any{x, err}
+			err := c.AllReduceCompressedRanks(x, payloads, yieldingDecoder{compress.TopKDecoder{}})
+			return fmt.Sprint(x, err)
 		},
-		want:    []any{want, nil},
+		want:    fmt.Sprint(want, nil),
 		stats:   collective.Stats{AllReduceCalls: 1, AllReduceBytes: bytes},
 		seconds: seconds,
 	}
 }
 
-// agree: every rank learns whether every rank voted yes (here: has a
-// nonzero length); the vote puts no bytes on the wire and costs no time
-// beyond bringing the clocks together.
-func agree(lens []int, _ uint64) boardCase {
+// agree: the group learns whether every rank voted yes (here: has a nonzero
+// length); the vote puts no bytes on the wire and costs no time beyond
+// bringing the clocks together.
+func agree(lens []int, _ uint64) gatherCase {
+	votes := make([]bool, len(lens))
 	all := true
-	for _, n := range lens {
-		all = all && n > 0
+	for r, n := range lens {
+		votes[r] = n > 0
+		all = all && votes[r]
 	}
-	return boardCase{
-		call: func(c *collective.Comm, rank int) any { return c.AgreeAllOK(rank, lens[rank] > 0) },
+	return gatherCase{
+		call: func(c *collective.Comm) any { return c.AgreeRanks(votes) },
 		want: all,
 	}
 }
 
-// TestBlackboardMatrix holds the blackboard collectives — both gathers, the
-// compressed all-reduce and the control-plane vote — to their serial oracles
-// on the ring matrix's schedule, with ragged per-rank lengths including 0,
-// yields in every wire and decoder call, on the primary lane, the side lane
-// or both at once (one goroutine per rank on each, with its own inputs and
-// clocks). Every rank must receive the oracle's result and add the oracle's
-// Stats on its lane, and the lane's clocks, started apart, must end at their
-// maximum plus the oracle's seconds.
-func TestBlackboardMatrix(t *testing.T) {
+// agreeAdapter is agree through the per-rank AgreeAllOK, one goroutine per
+// rank: every rank must learn the same answer.
+func agreeAdapter(lens []int, seed uint64) gatherCase {
+	gc := agree(lens, seed)
+	gc.call = func(c *collective.Comm) any {
+		got := make([]bool, len(lens))
+		onRanks(len(lens), func(rank int) { got[rank] = c.AgreeAllOK(rank, lens[rank] > 0) })
+		for _, v := range got[1:] {
+			if v != got[0] {
+				return fmt.Sprintf("ranks disagree: %v", got)
+			}
+		}
+		return got[0]
+	}
+	return gc
+}
+
+// TestGatherMatrix holds the batched gathers, the compressed all-reduce and
+// the vote — batched and through its per-rank adapter — to their serial
+// oracles on the ring matrix's schedule, with ragged per-rank lengths
+// including 0 and on either lane. Each call must produce the oracle's result
+// and add the oracle's Stats to every rank on its lane and nothing on the
+// other, and the lane's clocks, started apart, must end at their maximum
+// plus the oracle's seconds.
+func TestGatherMatrix(t *testing.T) {
 	ops := []struct {
 		name  string
-		build func(lens []int, seed uint64) boardCase
+		build func(lens []int, seed uint64) gatherCase
 	}{
 		{"gather-ints", gatherInts},
 		{"gather-floats-fp32", gatherFloats(false)},
 		{"gather-floats-fp16", gatherFloats(true)},
 		{"compressed", reduceCompressed},
 		{"agree", agree},
+		{"agree-adapter", agreeAdapter},
 	}
 	schedule(t, func(t *testing.T, g int, _ *rng.RNG) {
-		lensAt := func(shift int) []int {
+		for shift := 0; shift < 2; shift++ {
 			sizes := []int{0, 1, g + 1, 40}
 			lens := make([]int, g)
 			for r := range lens {
 				lens[r] = sizes[(r+shift)%len(sizes)]
 			}
-			return lens
-		}
-		for shift := 0; shift < 2; shift++ {
 			for _, op := range ops {
-				for _, lanes := range []string{"primary", "side", "both"} {
-					t.Run(fmt.Sprintf("shift=%d/%s/%s", shift, op.name, lanes), func(t *testing.T) {
+				for _, side := range []bool{false, true} {
+					t.Run(fmt.Sprintf("shift=%d/%s/side=%v", shift, op.name, side), func(t *testing.T) {
+						gc := op.build(lens, uint64(97*shift+g))
 						c := collective.New(g)
-						comms := map[string][]*collective.Comm{
-							"primary": {c}, "side": {c.Side()}, "both": {c, c.Side()},
-						}[lanes]
-						cases := make([]boardCase, len(comms))
-						clocks := make([][]*vclock.Clock, len(comms))
-						start := make([]float64, len(comms))
-						got := make([][]any, len(comms))
-						for l, lc := range comms {
-							cases[l] = op.build(lensAt(shift+l), uint64(97*shift+l))
-							clocks[l] = make([]*vclock.Clock, g)
-							for r := range clocks[l] {
-								clocks[l][r] = new(vclock.Clock)
-								clocks[l][r].Advance(float64((5*r+l)%g) * 1e-3)
-							}
-							start[l] = vclock.MaxNow(clocks[l])
-							lc.AttachCost(&collective.CostModel{Link: matrixLink, Clocks: clocks[l]})
-							got[l] = make([]any, g)
+						lane, other := c, c.Side()
+						if side {
+							lane, other = other, lane
 						}
-						onRanks(len(comms)*g, func(i int) {
-							l, rank := i/g, i%g
-							got[l][rank] = cases[l].call(comms[l], rank)
-						})
+						clocks := make([]*vclock.Clock, g)
+						for r := range clocks {
+							clocks[r] = new(vclock.Clock)
+							clocks[r].Advance(float64((5*r)%g) * 1e-3)
+						}
+						start := vclock.MaxNow(clocks)
+						lane.AttachCost(&collective.CostModel{Link: matrixLink, Clocks: clocks})
 
-						var total collective.Stats
-						for l, bc := range cases {
-							want := fmt.Sprint(bc.want)
-							for r := 0; r < g; r++ {
-								if s := fmt.Sprint(got[l][r]); s != want {
-									t.Fatalf("lane %d rank %d received %s, want %s", l, r, s, want)
-								}
-								if s := comms[l].LaneStats(r); s != bc.stats {
-									t.Fatalf("lane %d rank %d stats %+v, want %+v", l, r, s, bc.stats)
-								}
-								if now, want := clocks[l][r].Now(), start[l]+bc.seconds; now != want {
-									t.Fatalf("lane %d rank %d virtual clock %v, want %v", l, r, now, want)
-								}
-							}
-							total.Add(bc.stats)
+						if got := gc.call(lane); fmt.Sprint(got) != fmt.Sprint(gc.want) {
+							t.Fatalf("produced %v, want %v", got, gc.want)
 						}
 						for r := 0; r < g; r++ {
-							if s := c.RankStats(r); s != total {
-								t.Fatalf("rank %d stats over both lanes %+v, want %+v", r, s, total)
+							if s := lane.LaneStats(r); s != gc.stats {
+								t.Fatalf("rank %d stats %+v, want %+v", r, s, gc.stats)
+							}
+							if s := other.LaneStats(r); s != (collective.Stats{}) {
+								t.Fatalf("rank %d: the other lane counted %+v", r, s)
+							}
+							if s := c.RankStats(r); s != gc.stats {
+								t.Fatalf("rank %d stats over both lanes %+v, want %+v", r, s, gc.stats)
+							}
+							if now, want := clocks[r].Now(), start+gc.seconds; now != want {
+								t.Fatalf("rank %d virtual clock %v, want %v", r, now, want)
 							}
 						}
 					})

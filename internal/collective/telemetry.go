@@ -63,7 +63,8 @@ func (c *Comm) AttachTelemetry(reg *telemetry.Registry) {
 // span tracer: every operation emits one span per rank (cat "collective";
 // tid = rank on the primary lane, Size()+rank on the side lane, so no track
 // ever holds overlapping spans) whose virtual-clock duration covers the
-// rank's whole participation — wire time plus barrier wait — read from the
+// rank's whole participation — wire time plus the wait for the slowest
+// rank — read from the
 // clocks of the cost model attached to the lane the operation ran on (zero
 // without AttachCost). nil detaches. Purely observational, like
 // AttachTelemetry.
@@ -72,9 +73,7 @@ func (c *Comm) AttachTrace(tr *telemetry.Tracer) {
 }
 
 // clockNow reads rank's virtual clock on this lane (0 without a cost
-// model). Safe at operation entry and after the closing charge: the clocks
-// are only written by their owner between operations or by the cost model's
-// charge section, which every rank is barriered around.
+// model).
 func (c *Comm) clockNow(rank int) float64 {
 	if c.cost == nil || rank >= len(c.cost.Clocks) {
 		return 0
@@ -82,14 +81,17 @@ func (c *Comm) clockNow(rank int) float64 {
 	return c.cost.Clocks[rank].Now()
 }
 
-// opStart samples the wall clock and rank's virtual clock at operation
-// entry when telemetry or a tracer observes the communicator.
-func (c *Comm) opStart(rank int) (t0 time.Time, v0 float64) {
+// opStartRanks samples, when telemetry or a tracer observes the
+// communicator, the wall clock at the start of a call made for every rank —
+// returned — and each rank's virtual clock, kept in c.v0.
+func (c *Comm) opStartRanks() (t0 time.Time) {
 	if c.tel != nil || c.trace != nil {
 		t0 = time.Now()
-		v0 = c.clockNow(rank)
+		for r := range c.v0 {
+			c.v0[r] = c.clockNow(r)
+		}
 	}
-	return t0, v0
+	return t0
 }
 
 // opEnd posts one completed operation — calls logical calls moving bytes

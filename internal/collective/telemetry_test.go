@@ -94,23 +94,26 @@ func TestTelemetryWireLabels(t *testing.T) {
 }
 
 // TestTelemetrySideLaneAndGather: the side lane posts into the same
-// registry under the same operation names — a fused pass counts one call
-// per tensor, like Stats — and the gathers are covered too.
+// registry under the same operation names — a part list counts one call
+// per tensor per rank, like Stats — and the batched gathers post one call
+// per rank.
 func TestTelemetrySideLaneAndGather(t *testing.T) {
 	const g = 2
 	reg := telemetry.NewRegistry()
 	c := New(g)
 	c.AttachTelemetry(reg)
 
-	xs := make([][]float32, g)
-	for r := range xs {
-		xs[r] = make([]float32, 32)
+	parts := make([][][]float32, g)
+	ints := make([][]int, g)
+	floats := make([][]float32, g)
+	for r := range parts {
+		x := make([]float32, 32)
+		parts[r] = [][]float32{x[:20], x[20:]}
+		ints[r], floats[r] = []int{r}, x[:4]
 	}
-	runRanks(g, func(rank int) {
-		c.Side().AllReduceParts(rank, [][]float32{xs[rank][:20], xs[rank][20:]}, nil)
-		c.AllGatherInts(rank, []int{rank})
-		c.AllGatherFloats(rank, xs[rank][:4], nil)
-	})
+	c.Side().AllReduceRanks(parts, make([]Wire, g))
+	c.AllGatherIntsRanks(ints)
+	c.AllGatherFloatsRanks(floats, make([]Wire, g))
 
 	for op, want := range map[string]int64{"allreduce": 2 * g, "allgather_ints": g, "allgather_floats": g} {
 		wire := "fp32"

@@ -13,8 +13,8 @@
 //     a velocity before the residual so delayed coordinates still arrive
 //     with their momentum, which is what preserves convergence at
 //     aggressive ratios. The exchange itself is the compressed all-reduce
-//     of internal/collective: payloads all-gather and every rank
-//     decode-sums them in rank order, so replicas stay bit-identical.
+//     of internal/collective: payloads all-gather and are decode-summed in
+//     rank order, so the result does not depend on scheduling.
 //
 //   - 8-bit stochastic quantization with per-chunk scales (1-bit-SGD
 //     lineage, widened to int8): Quant8 implements collective.Wire, so it
@@ -33,7 +33,10 @@
 // batch, so its top-k ratio follows U_g/V from the same Figure-1 law the
 // sparse exchanges exploit.
 //
-// The per-rank Engine owns the error-feedback state; it is snapshotted into
+// Each rank's engine owns its error-feedback state and quantizer stream. A
+// Group holds the G engines and drives them from one goroutine: for each
+// tensor every engine prepares its rank's contribution, then one batched
+// collective reduces them. The engines' state is snapshotted into
 // checkpoints (internal/ckpt) so a resumed run replays the exact compressed
 // trajectory — the same bit-identity contract the trainer enforces for
 // weights, optimizer moments and RNG streams.

@@ -2,71 +2,57 @@ package compress
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"zipflm/internal/collective"
 	"zipflm/internal/half"
 )
 
-// runRanks drives one engine per rank over a shared communicator, the way
-// the trainer's rank goroutines do.
-func runRanks(g int, fn func(rank int)) {
-	var wg sync.WaitGroup
-	for r := 0; r < g; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			fn(rank)
-		}(r)
-	}
-	wg.Wait()
-}
-
-// step pushes per-rank gradients through per-rank engines and returns each
-// rank's reduced result.
-func step(t *testing.T, comm *collective.Comm, engines []*Engine, name string, grads [][]float32) {
+// step reduces one named tensor across the group, grads[r] being rank r's,
+// the way the trainer drives it: one caller for every rank.
+func step(t *testing.T, comm *collective.Comm, gr *Group, name string, grads [][]float32) {
 	t.Helper()
-	errs := make([]error, len(engines))
-	runRanks(len(engines), func(rank int) {
-		errs[rank] = engines[rank].AllReduce(comm, rank, name, grads[rank])
-	})
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
+	parts := make([][][]float32, len(grads))
+	for r, g := range grads {
+		parts[r] = [][]float32{g}
+	}
+	if err := gr.AllReduce(comm, []string{name}, parts); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func newEngines(t *testing.T, g int, cfg Config, base collective.Wire) []*Engine {
+func newGroup(t *testing.T, g int, cfg Config, base collective.Wire) *Group {
 	t.Helper()
 	cc, err := cfg.Validate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	es := make([]*Engine, g)
-	for r := range es {
-		es[r] = NewEngine(cc, base, r)
-	}
-	return es
+	return NewGroup(cc, base, g)
 }
 
-func TestEngineTopKReplicasIdentical(t *testing.T) {
+// TestGroupTopKDecodesEveryPayloadIntoRankZero: a top-k tensor's result is
+// every rank's payload — what its engine encoded this step — decoded in rank
+// order into zeros, on rank 0, whatever rank 0's buffer held before.
+func TestGroupTopKDecodesEveryPayloadIntoRankZero(t *testing.T) {
 	const g, n = 4, 600
 	for _, base := range []collective.Wire{nil, half.NewScaler(256)} {
 		comm := collective.New(g)
-		engines := newEngines(t, g, Config{Method: MethodTopK, Ratio: 0.05, Momentum: 0.9, MinElems: 1}, base)
+		gr := newGroup(t, g, Config{Method: MethodTopK, Ratio: 0.05, Momentum: 0.9, MinElems: 1}, base)
 		grads := make([][]float32, g)
 		for s := 0; s < 5; s++ {
 			for r := range grads {
 				grads[r] = randVec(n, uint64(100*s+r))
 			}
-			step(t, comm, engines, "w", grads)
-			for r := 1; r < g; r++ {
-				for i := range grads[0] {
-					if grads[r][i] != grads[0][i] {
-						t.Fatalf("step %d: rank %d diverges at %d: %v vs %v", s, r, i, grads[r][i], grads[0][i])
-					}
+			step(t, comm, gr, "w", grads)
+			want := make([]float32, n)
+			for r, e := range gr.engines {
+				if err := (TopKDecoder{}).DecodeAdd(want, e.payload); err != nil {
+					t.Fatalf("rank %d payload: %v", r, err)
+				}
+			}
+			for i := range want {
+				if grads[0][i] != want[i] {
+					t.Fatalf("step %d: rank 0 holds %v at %d, the decoded payloads sum to %v", s, grads[0][i], i, want[i])
 				}
 			}
 		}
@@ -80,7 +66,7 @@ func TestEngineTopKReplicasIdentical(t *testing.T) {
 func TestEngineErrorFeedbackConserves(t *testing.T) {
 	const g, n, steps = 2, 400, 6
 	comm := collective.New(g)
-	engines := newEngines(t, g, Config{Method: MethodTopK, Ratio: 0.02, MinElems: 1}, nil)
+	gr := newGroup(t, g, Config{Method: MethodTopK, Ratio: 0.02, MinElems: 1}, nil)
 
 	total := make([]float64, n)     // Σ raw gradients over ranks and steps
 	delivered := make([]float64, n) // Σ reduced results over steps
@@ -92,15 +78,15 @@ func TestEngineErrorFeedbackConserves(t *testing.T) {
 				total[i] += float64(v)
 			}
 		}
-		step(t, comm, engines, "w", grads)
+		step(t, comm, gr, "w", grads)
 		for i, v := range grads[0] {
 			delivered[i] += float64(v)
 		}
 	}
 	for i := range total {
 		var carried float64
-		for r := 0; r < g; r++ {
-			carried += float64(engines[r].carries["w"].resid[i])
+		for _, e := range gr.engines {
+			carried += float64(e.carries["w"].resid[i])
 		}
 		if diff := math.Abs(delivered[i] + carried - total[i]); diff > 1e-3 {
 			t.Fatalf("element %d leaks gradient mass: delivered %v + carried %v != total %v (diff %v)",
@@ -112,19 +98,19 @@ func TestEngineErrorFeedbackConserves(t *testing.T) {
 func TestEngineSmallTensorsUncompressed(t *testing.T) {
 	const g = 2
 	comm := collective.New(g)
-	engines := newEngines(t, g, Config{Method: MethodTopK, Ratio: 0.01, MinElems: 1000}, nil)
+	gr := newGroup(t, g, Config{Method: MethodTopK, Ratio: 0.01, MinElems: 1000}, nil)
 	grads := [][]float32{randVec(64, 1), randVec(64, 2)}
 	want := make([]float32, 64)
 	for i := range want {
 		want[i] = grads[0][i] + grads[1][i]
 	}
-	step(t, comm, engines, "bias", grads)
+	step(t, comm, gr, "bias", grads)
 	for i := range want {
 		if grads[0][i] != want[i] {
 			t.Fatalf("small tensor lossy at %d: %v vs exact %v", i, grads[0][i], want[i])
 		}
 	}
-	if len(engines[0].carries) != 0 {
+	if len(gr.engines[0].carries) != 0 {
 		t.Fatalf("uncompressed tensor grew a residual carry")
 	}
 }
@@ -133,12 +119,12 @@ func TestEngineQuant8CheaperThanFP16(t *testing.T) {
 	const g, n = 4, 4096
 	run := func(cfg Config, base collective.Wire) int64 {
 		comm := collective.New(g)
-		engines := newEngines(t, g, cfg, base)
+		gr := newGroup(t, g, cfg, base)
 		grads := make([][]float32, g)
 		for r := range grads {
 			grads[r] = randVec(n, uint64(r))
 		}
-		step(t, comm, engines, "w", grads)
+		step(t, comm, gr, "w", grads)
 		return comm.MaxStats().AllReduceBytes
 	}
 	fp32 := run(Config{Method: MethodNone}, nil)
@@ -149,13 +135,13 @@ func TestEngineQuant8CheaperThanFP16(t *testing.T) {
 	}
 }
 
-// TestEngineSnapshotRestore: an engine restored from a snapshot must
-// produce the byte-identical future the original would have.
+// TestEngineSnapshotRestore: a group restored from a snapshot must produce
+// the byte-identical future the original would have.
 func TestEngineSnapshotRestore(t *testing.T) {
 	const g, n = 2, 512
 	cfg := Config{Method: MethodTopK, Ratio: 0.03, Momentum: 0.8, MinElems: 1}
 	commA := collective.New(g)
-	enginesA := newEngines(t, g, cfg, nil)
+	groupA := newGroup(t, g, cfg, nil)
 	gradAt := func(s, r int) []float32 { return randVec(n, uint64(31*s+r)) }
 
 	grads := make([][]float32, g)
@@ -163,20 +149,15 @@ func TestEngineSnapshotRestore(t *testing.T) {
 		for r := range grads {
 			grads[r] = gradAt(s, r)
 		}
-		step(t, commA, enginesA, "w", grads)
+		step(t, commA, groupA, "w", grads)
 	}
-	snaps := make([]EngineState, g)
-	for r := range snaps {
-		snaps[r] = enginesA[r].Snapshot()
-	}
+	snaps := groupA.Snapshot()
 
-	// Fresh engines restored mid-run.
+	// A fresh group restored mid-run.
 	commB := collective.New(g)
-	enginesB := newEngines(t, g, cfg, nil)
-	for r := range enginesB {
-		if err := enginesB[r].Restore(snaps[r]); err != nil {
-			t.Fatal(err)
-		}
+	groupB := newGroup(t, g, cfg, nil)
+	if err := groupB.Restore(snaps); err != nil {
+		t.Fatal(err)
 	}
 	for s := 3; s < 6; s++ {
 		a := make([][]float32, g)
@@ -185,23 +166,23 @@ func TestEngineSnapshotRestore(t *testing.T) {
 			a[r] = gradAt(s, r)
 			b[r] = gradAt(s, r)
 		}
-		step(t, commA, enginesA, "w", a)
-		step(t, commB, enginesB, "w", b)
+		step(t, commA, groupA, "w", a)
+		step(t, commB, groupB, "w", b)
 		for i := range a[0] {
 			if a[0][i] != b[0][i] {
-				t.Fatalf("step %d: restored engine diverges at %d: %v vs %v", s, i, b[0][i], a[0][i])
+				t.Fatalf("step %d: restored group diverges at %d: %v vs %v", s, i, b[0][i], a[0][i])
 			}
 		}
 	}
 
 	// Snapshot mutation safety: later steps must not alter the capture.
-	again := enginesA[0].Snapshot()
-	if len(again.Tensors) != 1 || len(snaps[0].Tensors) != 1 {
+	again := groupA.Snapshot()
+	if len(again[0].Tensors) != 1 || len(snaps[0].Tensors) != 1 {
 		t.Fatalf("unexpected tensor counts in snapshots")
 	}
 	same := true
 	for i, v := range snaps[0].Tensors[0].Residual {
-		if again.Tensors[0].Residual[i] != v {
+		if again[0].Tensors[0].Residual[i] != v {
 			same = false
 			break
 		}
@@ -213,14 +194,15 @@ func TestEngineSnapshotRestore(t *testing.T) {
 
 func TestEngineRestoreRejectsMismatch(t *testing.T) {
 	cc, _ := Config{Method: MethodQuant8, Stochastic: true}.Validate()
-	e := NewEngine(cc, nil, 0)
-	if err := e.Restore(EngineState{}); err == nil {
+	if err := NewGroup(cc, nil, 1).Restore([]EngineState{{}}); err == nil {
 		t.Fatal("quantizing engine accepted a snapshot with no RNG stream")
 	}
 	cc2, _ := Config{Method: MethodTopK, Ratio: 0.1}.Validate()
-	e2 := NewEngine(cc2, nil, 0)
-	err := e2.Restore(EngineState{Tensors: []TensorState{{Name: "w", Residual: make([]float32, 4), Momentum: make([]float32, 4)}}})
+	err := NewGroup(cc2, nil, 1).Restore([]EngineState{{Tensors: []TensorState{{Name: "w", Residual: make([]float32, 4), Momentum: make([]float32, 4)}}}})
 	if err == nil {
 		t.Fatal("momentum-off engine accepted momentum state")
+	}
+	if err := NewGroup(cc2, nil, 2).Restore([]EngineState{{}}); err == nil {
+		t.Fatal("a group of 2 accepted one rank's state")
 	}
 }

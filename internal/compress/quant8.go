@@ -11,8 +11,8 @@ import (
 // onto the int8 grid q·(max|v|/127) and back. It plugs into the ring
 // all-reduce exactly where the FP16 scaler does — every hop's payload is
 // one byte per element plus one FP32 scale per chunk — so wire bytes drop
-// 4× against FP32 and 2× against FP16 while the reduction algorithm, the
-// closing barriers and the replica-identity argument stay untouched.
+// 4× against FP32 and 2× against FP16 while the reduction algorithm stays
+// untouched.
 //
 // Rounding is deterministic. Nearest mode is stateless. Stochastic mode —
 // unbiased in expectation, the property that keeps quantized SGD converging
@@ -20,10 +20,10 @@ import (
 // (internal/rng), so a rank's sequence of RoundTrip calls is reproducible
 // across reruns, and State/SetState let checkpoints carry the stream across
 // a resume. One Quant8 belongs to one rank; ranks may hold differently
-// seeded instances because replica identity comes from the ring's
-// owner-rounds-then-forwards-verbatim structure, not from ranks rounding
-// alike (see collective.AllReduce — partial sums are re-rounded per hop, so
-// quantization error compounds with G, as on real fabrics).
+// seeded instances because the reduced value of a chunk is its owner's
+// rounding, whatever the other ranks drew (see collective.AllReduceRanks —
+// partial sums are re-rounded per hop, so quantization error compounds with
+// G, as on real fabrics).
 type Quant8 struct {
 	// ChunkElems is the scale-block size (DefaultChunkElems when built by
 	// NewQuant8 with 0).

@@ -1,6 +1,10 @@
 package core
 
-import "zipflm/internal/tensor"
+import (
+	"slices"
+
+	"zipflm/internal/tensor"
+)
 
 // BaselineAllGather is the state-of-the-art exchange the paper scales
 // against (§II-B): every rank gathers every other rank's dense K×D gradient
@@ -14,56 +18,68 @@ type BaselineAllGather struct{}
 func (BaselineAllGather) Name() string { return "baseline-allgather" }
 
 // Exchange implements Exchanger.
-func (BaselineAllGather) Exchange(ctx *Ctx, grad SparseGrad) (Update, Stats, error) {
-	if err := grad.Validate(); err != nil {
-		return Update{}, Stats{}, err
+func (e BaselineAllGather) Exchange(ctx *Ctx, grad SparseGrad) (Update, Stats, error) {
+	return exchangeRank(e, ctx, grad)
+}
+
+// ExchangeRanks implements Exchanger. Every rank would scatter-add the same
+// gathered blocks in the same order, so the scatter-add runs once.
+func (BaselineAllGather) ExchangeRanks(ctxs []*Ctx, grads []SparseGrad) (Update, []Stats, []error) {
+	b, ok := open(ctxs, grads)
+	if !ok {
+		return b.abort()
 	}
-	g := ctx.Comm.Size()
-	k := len(grad.Indices)
-	d := grad.Rows.Cols
+	g := len(ctxs)
+	d := grads[0].Rows.Cols
 
-	stats := Stats{Tokens: k}
-	before := ctx.Comm.LaneStats(ctx.Rank)
-	simBefore := ctx.simNow()
-
-	// Scratch: G dense gradient blocks land on this rank (§II-B: "the
-	// ALLGATHER operation requires Θ(G×K×D) local memory to hold G
-	// number of Δ matrices") plus the G index vectors.
-	elem := int64(4)
-	scratch := int64(g)*int64(k)*int64(d)*elem + int64(g)*int64(k)*4
-	release, allocErr := alloc(ctx.Dev, scratch)
-	if err := agreeAlloc(ctx, allocErr, release); err != nil {
-		return Update{}, Stats{}, err
+	// Scratch: G dense gradient blocks land on each rank (§II-B: "the
+	// ALLGATHER operation requires Θ(G×K×D) local memory to hold G number
+	// of Δ matrices") plus the G index vectors.
+	scratch := func(r int) int64 {
+		k := int64(len(grads[r].Indices))
+		return int64(g)*k*int64(d)*4 + int64(g)*k*4
 	}
-	defer release()
-	stats.ScratchBytes = scratch
+	if !b.alloc(scratch) {
+		return b.abort()
+	}
 
-	allIdx := ctx.Comm.AllGatherInts(ctx.Rank, grad.Indices)
-	allRows := ctx.Comm.AllGatherFloats(ctx.Rank, grad.Rows.Data, ctx.Wire)
+	// The blocks cross their senders' wires: a lossy wire rounds a copy,
+	// the caller's gradient stays as it was.
+	indices := make([][]int, g)
+	blocks := make([][]float32, g)
+	for r, grad := range grads {
+		indices[r], blocks[r] = grad.Indices, grad.Rows.Data
+		if ctxs[r].Wire != nil {
+			blocks[r] = slices.Clone(blocks[r])
+		}
+	}
+	b.comm.AllGatherIntsRanks(indices)
+	b.comm.AllGatherFloatsRanks(blocks, b.wires)
 
-	// Local scatter-add of all G·K token rows. Duplicate words collide on
-	// the same accumulator row — the very serialization §III-A eliminates.
-	order := globalUnique(ctx.WS, allIdx)
-	pos := ctx.WS.scratchRowMap()
+	// Scatter-add of all G·K token rows. Duplicate words collide on the
+	// same accumulator row — the very serialization §III-A eliminates.
+	order := globalUnique(ctxs[0].WS, indices)
+	pos := ctxs[0].WS.scratchRowMap()
 	for i, w := range order {
 		pos[w] = i
 	}
 	acc := tensor.NewMatrix(len(order), d)
-	for r, idxs := range allIdx {
-		block := tensor.NewMatrixFrom(len(idxs), d, allRows[r])
+	for r, idxs := range indices {
+		block := tensor.NewMatrixFrom(len(idxs), d, blocks[r])
 		for i, w := range idxs {
 			tensor.AddInPlace(acc.Row(pos[w]), block.Row(i))
 		}
 	}
 
-	// globalUnique is done with the workspace's pos map; count U_i on it.
-	seen := ctx.WS.scratchPosMap()
-	for _, w := range grad.Indices {
-		seen[w] = 0
+	for r, grad := range grads {
+		seen := ctxs[r].WS.scratchPosMap()
+		for _, w := range grad.Indices {
+			seen[w] = 0
+		}
+		b.stats[r].UniqueLocal = len(seen)
+		b.stats[r].UniqueGlobal = len(order)
+		b.stats[r].ScratchBytes = scratch(r)
 	}
-	stats.UniqueLocal = len(seen)
-	stats.UniqueGlobal = len(order)
-	stats.WireBytes = ctx.Comm.LaneStats(ctx.Rank).Sub(before).Total()
-	stats.SimSeconds = ctx.simNow() - simBefore
-	return Update{Indices: order, Rows: acc}, stats, nil
+	b.finish()
+	return Update{Indices: order, Rows: acc}, b.stats, b.errs
 }

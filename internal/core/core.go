@@ -104,7 +104,7 @@ type Stats struct {
 
 // Ctx carries the per-rank execution environment of an exchange.
 type Ctx struct {
-	// Rank of the calling goroutine.
+	// Rank is the rank this context belongs to.
 	Rank int
 	// Comm is the communicator shared by all ranks.
 	Comm *collective.Comm
@@ -134,7 +134,9 @@ type Workspace struct {
 	posMap map[int]int
 	rowMap map[int]int
 	idx    []int
-	rows   []float32
+	// mats are the two matrices a rank's exchange keeps live at once: its
+	// locally reduced rows and its U_g×D reduction buffer.
+	mats [2][]float32
 }
 
 // NewWorkspace returns an empty workspace; buffers grow on first use and
@@ -175,68 +177,191 @@ func (w *Workspace) scratchInts(n int) []int {
 	return w.idx[:0]
 }
 
-// scratchMatrix returns a zeroed r×c matrix backed by the workspace (fresh
-// when nil). Lifetime: until the next scratchMatrix call.
-func (w *Workspace) scratchMatrix(r, c int) *tensor.Matrix {
+// scratchMatrix returns a zeroed r×c matrix backed by the workspace's
+// matrix i (fresh when nil). Lifetime: until the next scratchMatrix call for
+// the same i.
+func (w *Workspace) scratchMatrix(i, r, c int) *tensor.Matrix {
 	if w == nil {
 		return tensor.NewMatrix(r, c)
 	}
 	n := r * c
-	if cap(w.rows) < n {
-		w.rows = make([]float32, n)
+	if cap(w.mats[i]) < n {
+		w.mats[i] = make([]float32, n)
 	}
-	s := w.rows[:n]
+	s := w.mats[i][:n]
 	clear(s)
 	return tensor.NewMatrixFrom(r, c, s)
 }
 
 // Exchanger synchronizes one embedding-gradient step across ranks.
-// Implementations must be callable concurrently from all ranks of ctx.Comm.
 type Exchanger interface {
 	// Name identifies the strategy in reports.
 	Name() string
-	// Exchange combines grad with every other rank's gradient and returns
-	// the identical global Update on every rank.
+	// ExchangeRanks combines every rank's gradient — grads[r] is rank r's,
+	// exchanged in ctxs[r], and every context shares one communicator —
+	// into the global Update, executed once for the whole group on the
+	// calling goroutine. Everything that is per rank stays per rank: each
+	// rank's collectives are counted, priced on its clock and traced on its
+	// track, each rank allocates its scratch on its device, and each gets
+	// its own Stats and error. An error on any rank is an error on every
+	// rank (the rank that ran out of memory gets its device's error, the
+	// others ErrPeerOOM), and the Update is then empty.
+	ExchangeRanks(ctxs []*Ctx, grads []SparseGrad) (Update, []Stats, []error)
+	// Exchange is the per-rank adapter of ExchangeRanks: every rank of
+	// ctx.Comm calls it from its own goroutine with its context and
+	// gradient, and every rank gets the same Update — one value, to be read,
+	// not written — with its own Stats and error.
 	Exchange(ctx *Ctx, grad SparseGrad) (Update, Stats, error)
 }
 
-// simNow returns the rank's current virtual time, or 0 when the context has
-// no device clock. Engines difference it around their collectives to fill
-// Stats.SimSeconds.
-func (ctx *Ctx) simNow() float64 {
-	if ctx.Dev == nil || ctx.Dev.Clock == nil {
-		return 0
+// exchangeRank is every engine's Exchange, over the communicator's
+// Rendezvous: each rank posts its context and gradient, and rank 0 runs
+// ExchangeRanks for the group.
+func exchangeRank(ex Exchanger, ctx *Ctx, grad SparseGrad) (Update, Stats, error) {
+	type call struct {
+		ctx  *Ctx
+		grad SparseGrad
+		upd  Update
+		st   Stats
+		err  error
 	}
-	return ctx.Dev.Clock.Now()
+	mine := &call{ctx: ctx, grad: grad}
+	ctx.Comm.Rendezvous(ctx.Rank, mine, func(posts []any) {
+		ctxs := make([]*Ctx, len(posts))
+		grads := make([]SparseGrad, len(posts))
+		for r, p := range posts {
+			ctxs[r], grads[r] = p.(*call).ctx, p.(*call).grad
+		}
+		upd, stats, errs := ex.ExchangeRanks(ctxs, grads)
+		for r, p := range posts {
+			c := p.(*call)
+			c.upd, c.st, c.err = upd, stats[r], errs[r]
+		}
+	})
+	return mine.upd, mine.st, mine.err
 }
 
-// alloc charges the device (if any) and returns a release func.
-func alloc(dev *cluster.Device, n int64) (func(), error) {
-	if dev == nil || n == 0 {
-		return func() {}, nil
-	}
-	if err := dev.Alloc(n); err != nil {
-		return nil, err
-	}
-	return func() { dev.Free(n) }, nil
+// batch is one ExchangeRanks call's per-rank bookkeeping: each rank's
+// Stats and error, its traffic and virtual clock when the call began, and
+// the scratch bytes it holds on its device.
+type batch struct {
+	ctxs   []*Ctx
+	comm   *collective.Comm
+	wires  []collective.Wire
+	stats  []Stats
+	errs   []error
+	before []collective.Stats
+	sim0   []float64
+	held   []int64
 }
 
-// agreeAlloc runs the collective abort protocol around a local allocation
-// outcome: every rank reports success, and if any rank failed all ranks
-// abandon the exchange together. Returns the caller's own error, ErrPeerOOM
-// for a peer failure, or nil when all ranks allocated.
-func agreeAlloc(ctx *Ctx, localErr error, release func()) error {
-	ok := ctx.Comm.AgreeAllOK(ctx.Rank, localErr == nil)
-	if ok {
-		return nil
+// open starts an ExchangeRanks call. Before anything is allocated or sent it
+// checks every rank's gradient and that all ranks agree on D; when they do
+// not, every rank's error names the first rank at fault and ok is false.
+func open(ctxs []*Ctx, grads []SparseGrad) (b *batch, ok bool) {
+	g := len(ctxs)
+	comm := ctxs[0].Comm
+	if len(grads) != g || comm.Size() != g {
+		panic(fmt.Sprintf("core: %d contexts and %d gradients for %d ranks", g, len(grads), comm.Size()))
 	}
-	if localErr == nil && release != nil {
-		release()
+	b = &batch{
+		ctxs:   ctxs,
+		comm:   comm,
+		wires:  make([]collective.Wire, g),
+		stats:  make([]Stats, g),
+		errs:   make([]error, g),
+		before: make([]collective.Stats, g),
+		sim0:   make([]float64, g),
+		held:   make([]int64, g),
 	}
-	if localErr != nil {
-		return localErr
+	if err := checkGrads(grads); err != nil {
+		for r := range b.errs {
+			b.errs[r] = err
+		}
+		return b, false
 	}
-	return ErrPeerOOM
+	for r, ctx := range ctxs {
+		b.wires[r] = ctx.Wire
+		b.stats[r].Tokens = len(grads[r].Indices)
+		b.before[r] = comm.LaneStats(r)
+		if ctx.Dev != nil && ctx.Dev.Clock != nil {
+			b.sim0[r] = ctx.Dev.Clock.Now()
+		}
+	}
+	return b, true
+}
+
+// checkGrads validates every rank's gradient and their common width D.
+func checkGrads(grads []SparseGrad) error {
+	for r, g := range grads {
+		if err := g.Validate(); err != nil {
+			return fmt.Errorf("core: exchange aborted, rank %d: %w", r, err)
+		}
+		if d, d0 := g.Rows.Cols, grads[0].Rows.Cols; d != d0 {
+			return fmt.Errorf("core: exchange aborted, rank %d: embedding dimension %d, rank 0's is %d", r, d, d0)
+		}
+	}
+	return nil
+}
+
+// alloc charges bytes(r) of scratch to every rank's device, then runs the
+// collective abort protocol: the ranks vote, and unless every rank
+// allocated, every rank abandons the exchange — the rank that failed with
+// its device's error, the others with ErrPeerOOM. It reports whether the
+// exchange goes on.
+func (b *batch) alloc(bytes func(rank int) int64) bool {
+	ok := make([]bool, len(b.ctxs))
+	for r, ctx := range b.ctxs {
+		n := bytes(r)
+		if ctx.Dev == nil || n == 0 {
+			ok[r] = true
+			continue
+		}
+		if err := ctx.Dev.Alloc(n); err != nil {
+			b.errs[r] = err
+			continue
+		}
+		b.held[r] += n
+		ok[r] = true
+	}
+	if b.comm.AgreeRanks(ok) {
+		return true
+	}
+	for r := range b.errs {
+		if b.errs[r] == nil {
+			b.errs[r] = ErrPeerOOM
+		}
+	}
+	return false
+}
+
+// abort releases the batch's scratch and returns what a failed
+// ExchangeRanks returns: no Update, zero Stats, every rank's error.
+func (b *batch) abort() (Update, []Stats, []error) {
+	b.release()
+	return Update{}, make([]Stats, len(b.ctxs)), b.errs
+}
+
+// release frees every rank's scratch.
+func (b *batch) release() {
+	for r, ctx := range b.ctxs {
+		if b.held[r] > 0 {
+			ctx.Dev.Free(b.held[r])
+			b.held[r] = 0
+		}
+	}
+}
+
+// finish fills in what each rank's exchange cost on the wire and on its
+// clock, and releases the scratch.
+func (b *batch) finish() {
+	for r, ctx := range b.ctxs {
+		b.stats[r].WireBytes = b.comm.LaneStats(r).Sub(b.before[r]).Total()
+		if ctx.Dev != nil && ctx.Dev.Clock != nil {
+			b.stats[r].SimSeconds = ctx.Dev.Clock.Now() - b.sim0[r]
+		}
+	}
+	b.release()
 }
 
 // localReduce performs steps 1–2 of §III-A: collapse duplicate-word rows of
@@ -259,7 +384,7 @@ func localReduce(ws *Workspace, grad SparseGrad) (idx []int, rows *tensor.Matrix
 	for i, w := range idx {
 		pos[w] = i
 	}
-	rows = ws.scratchMatrix(len(idx), d)
+	rows = ws.scratchMatrix(0, len(idx), d)
 	for i, w := range grad.Indices {
 		tensor.AddInPlace(rows.Row(pos[w]), grad.Rows.Row(i))
 	}

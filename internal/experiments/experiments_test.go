@@ -34,9 +34,10 @@ func TestUnknownExperiment(t *testing.T) {
 
 // TestOverlapExperiment regenerates the overlap ablation and checks its
 // invariants: the overlapped path must move exactly the bytes the
-// synchronous path moves (the table flags any divergence with "NO"), and
-// its predicted step must not exceed the synchronous one (the report warns
-// about either).
+// synchronous path moves (the table flags any divergence with "NO"), its
+// predicted step must not exceed the synchronous one (the report warns
+// about either), and the report is a function of the seed: a second run
+// prints the same bytes.
 func TestOverlapExperiment(t *testing.T) {
 	rep, err := Run("overlap", quickOpts())
 	if err != nil {
@@ -50,6 +51,13 @@ func TestOverlapExperiment(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q:\n%s", want, out)
 		}
+	}
+	again, err := Run("overlap", quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.String() != out {
+		t.Errorf("a rerun printed a different report:\n%s\nthen\n%s", out, again)
 	}
 }
 

@@ -223,30 +223,17 @@ type StepResult struct {
 	OutputGrad core.SparseGrad
 }
 
-// BackwardHook observes backpropagation progress: the trainer's overlap
-// path registers one to start reducing a dense layer's gradients the moment
-// that layer's Backward finishes, while earlier layers are still
-// backpropagating. The hook is called once per dense layer, in backward
-// order (projection first, RNN last); when it fires, every Param of that
-// layer holds its final gradient for this step.
-type BackwardHook func(layer Layer)
-
 // ForwardBackward runs one training step on a batch laid out as
 // inputs[t][b] / targets[t][b] (T timesteps × B sequences). For sampled
 // softmax pass the rank's sampler; with sampler == nil (or cfg.Sampled == 0)
-// the full softmax is used.
-func (m *LM) ForwardBackward(inputs, targets [][]int, sampler sampling.CandidateSampler) StepResult {
-	return m.ForwardBackwardHooked(inputs, targets, sampler, nil)
-}
-
-// ForwardBackwardHooked is ForwardBackward with a per-layer gradient-ready
-// callback (see BackwardHook); hook may be nil.
+// the full softmax is used. Backpropagation finishes the dense layers in
+// the reverse of DenseLayers' order: the projection, then the RNN.
 //
 // Everything between the layers is one time-major (T·B)×N matrix with steps
 // ascending — the row order flatIDs, flatTargets and InputGrad.Rows have
 // always had, and the one the projection's weight gradient, the loss sum and
 // the exchange's local reduce accumulate in.
-func (m *LM) ForwardBackwardHooked(inputs, targets [][]int, sampler sampling.CandidateSampler, hook BackwardHook) StepResult {
+func (m *LM) ForwardBackward(inputs, targets [][]int, sampler sampling.CandidateSampler) StepResult {
 	t := len(inputs)
 	if t == 0 || len(targets) != t {
 		panic("model: inputs/targets must have equal positive length")
@@ -295,14 +282,8 @@ func (m *LM) ForwardBackwardHooked(inputs, targets [][]int, sampler sampling.Can
 
 	// Backward through projection, dropout, RNN, embedding.
 	dhs := m.proj.backward(ws, dp)
-	if hook != nil {
-		hook(m.proj)
-	}
 	m.drop.Backward(dhs)
 	dx := m.rnn.backward(ws, dhs)
-	if hook != nil {
-		hook(m.rnn)
-	}
 	res.InputGrad = core.SparseGrad{Indices: m.flatIDs, Rows: dx}
 	return res
 }

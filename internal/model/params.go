@@ -6,8 +6,9 @@
 //
 // The layers follow a single convention: forward caches whatever backward
 // needs, so exactly one forward may be outstanding per layer at a time —
-// the pattern a data-parallel trainer uses, where each rank owns a private
-// model replica.
+// the pattern a data-parallel trainer uses, where each rank's replica shares
+// rank 0's weights (LM.Replica) and owns its gradients, caches and
+// workspace.
 //
 // Only the recurrence is sequential. Training runs a whole T×B sequence per
 // call on time-major (T·B)×N slabs carved from a per-replica workspace that

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -14,14 +15,16 @@ import (
 	"zipflm/internal/half"
 	"zipflm/internal/model"
 	"zipflm/internal/optim"
+	"zipflm/internal/perfmodel"
 	"zipflm/internal/sampling"
 )
 
 // ledgerRow is one row of testdata/bits.json: SHA-256 digests, in hex, of a
-// checkpoint's model file and of its optimizer state.
+// checkpoint's model file, of its optimizer state, and of the run's counters.
 type ledgerRow struct {
 	Model     string `json:"model"`
 	Optimizer string `json:"optimizer"`
+	Counters  string `json:"counters"`
 }
 
 // optimizerDigest hashes an optimizer state field by field: kind and step
@@ -37,11 +40,53 @@ func optimizerDigest(st optim.State) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
+// countersDigest hashes what a run reports about itself besides its weights:
+// for each rank, its traffic counters (both lanes together, then each lane),
+// its device's virtual clock and memory peak, and its side-lane clock (zero
+// without Overlap and Hardware); then the unique-word sums of sums.
+func countersDigest(tr *Trainer, sums StepStats) string {
+	h := sha256.New()
+	c := tr.Comm()
+	for r, dev := range tr.Cluster().Devices {
+		var lane float64
+		if tr.laneClocks != nil {
+			lane = tr.laneClocks[r].Now()
+		}
+		fmt.Fprintf(h, "%d %+v %+v %+v %x %d %x\n", r, c.RankStats(r), c.LaneStats(r), c.Side().LaneStats(r),
+			math.Float64bits(dev.Clock.Now()), dev.Peak(), math.Float64bits(lane))
+	}
+	fmt.Fprintf(h, "%d %d %d\n", sums.Steps, sums.InputUniqueGlobal, sums.OutputUniqueGlobal)
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// ledgerSteps commits n steps exactly as Steps does and returns the step
+// count and unique-word sums Run would put in its StepStats.
+func ledgerSteps(tr *Trainer, n int) (StepStats, error) {
+	var sums StepStats
+	seeds := sampling.Assign(tr.cfg.SeedStrategy, tr.cfg.Ranks, tr.cfg.BaseSeed+1)
+	for ; sums.Steps < n; sums.Steps++ {
+		tr.resetStateAtEpoch()
+		st, err := tr.trainStep(tr.step, tr.lrForStep(), seeds)
+		if err != nil {
+			return sums, err
+		}
+		tr.step++
+		if _, err := tr.afterStep(); err != nil {
+			return sums, err
+		}
+		sums.InputUniqueGlobal += int64(st.inUnique)
+		sums.OutputUniqueGlobal += int64(st.outUnique)
+	}
+	return sums, nil
+}
+
 // TestBitsLedger holds the training arithmetic to the digests checked in as
 // testdata/bits.json: for each row, CaptureState's model file and optimizer
-// state after 6 steps on 4 ranks. A change that moves one bit of a weight or
-// a moment fails here. A deliberate move edits the ledger in the same commit,
-// with the digests this test prints and the reason.
+// state after 6 steps on 4 ranks, and the counters countersDigest covers. A
+// change that moves one bit of a weight or a moment, one wire byte, one
+// virtual second or one byte of device memory fails here. A deliberate move
+// edits the ledger in the same commit, with the digests this test prints and
+// the reason.
 func TestBitsLedger(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "bits.json"))
 	if err != nil {
@@ -52,6 +97,13 @@ func TestBitsLedger(t *testing.T) {
 		t.Fatal(err)
 	}
 	adam := func() optim.Optimizer { return optim.NewAdam(1e-5) }
+	rhn := model.Config{Vocab: 60, Dim: 8, Hidden: 10, RNN: model.KindRHN, RHNDepth: 2}
+	hardware := func(c *Config) {
+		hw := perfmodel.TitanX()
+		c.Hardware = &hw
+		c.SimFLOPsPerStep = 2e9
+		c.SimAchievedFrac = 0.4
+	}
 	rows := map[string]func(*Config){
 		"lstm-sampled-sgd": func(c *Config) {
 			c.Model.Sampled = 12
@@ -64,13 +116,28 @@ func TestBitsLedger(t *testing.T) {
 			c.NewOptimizer = adam
 		},
 		"rhn-full-adam-fp16-overlap": func(c *Config) {
-			c.Model = model.Config{Vocab: 60, Dim: 8, Hidden: 10, RNN: model.KindRHN, RHNDepth: 2}
+			c.Model = rhn
 			c.NewOptimizer = adam
 			c.Wire = half.NewScaler(512)
 			c.Overlap = true
 		},
 		"lstm-topk": func(c *Config) {
 			c.Compress = &compress.Config{Method: compress.MethodTopK, Ratio: 0.05, Momentum: 0.9, MinElems: 1}
+		},
+		"lstm-sampled-baseline-hardware": func(c *Config) {
+			c.Model.Sampled = 12
+			c.Exchange = core.BaselineAllGather{}
+			hardware(c)
+		},
+		"rhn-full-fp16-overlap-hardware": func(c *Config) {
+			c.Model = rhn
+			c.Wire = half.NewScaler(512)
+			c.Overlap = true
+			hardware(c)
+		},
+		"lstm-overlap-q8-stochastic": func(c *Config) {
+			c.Overlap = true
+			c.Compress = &compress.Config{Method: compress.MethodQuant8, Stochastic: true, MinElems: 1}
 		},
 	}
 	if len(ledger) != len(rows) {
@@ -85,14 +152,19 @@ func TestBitsLedger(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := tr.Steps(6); err != nil {
+			sums, err := ledgerSteps(tr, 6)
+			if err != nil {
 				t.Fatal(err)
 			}
 			st, err := tr.CaptureState()
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := ledgerRow{Model: fmt.Sprintf("%x", sha256.Sum256(st.ModelBytes)), Optimizer: optimizerDigest(st.Opt)}
+			got := ledgerRow{
+				Model:     fmt.Sprintf("%x", sha256.Sum256(st.ModelBytes)),
+				Optimizer: optimizerDigest(st.Opt),
+				Counters:  countersDigest(tr, sums),
+			}
 			if want, ok := ledger[name]; !ok || got != want {
 				b, _ := json.Marshal(got)
 				t.Errorf("digests moved: got %q: %s, ledger has %+v", name, b, want)

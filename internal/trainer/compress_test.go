@@ -64,7 +64,7 @@ func TestOverlapComposesWithCompress(t *testing.T) {
 					if ss, os := syncTr.Comm().RankStats(r), overlapTr.Comm().RankStats(r); ss != os {
 						t.Fatalf("rank %d wire stats diverge:\n sync    %+v\n overlap %+v", r, ss, os)
 					}
-					if !reflect.DeepEqual(syncTr.cmp[r].Snapshot(), overlapTr.cmp[r].Snapshot()) {
+					if !reflect.DeepEqual(syncTr.cmp.Snapshot()[r], overlapTr.cmp.Snapshot()[r]) {
 						t.Fatalf("rank %d compression state (residuals, velocities, quantizer stream) differs from the sync run", r)
 					}
 				}

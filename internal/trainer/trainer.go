@@ -2,8 +2,8 @@
 // over the simulated cluster, wiring together every substrate exactly the
 // way §II-B describes the production workflow:
 //
-//   - each rank (goroutine) holds a model replica and a private shard of the
-//     training stream;
+//   - each rank holds a model replica and a private shard of the training
+//     stream, and runs its forward/backward pass on a goroutine of its own;
 //   - dense RNN/projection gradients synchronize with a ring ALLREDUCE;
 //   - input-embedding gradients go through a pluggable core.Exchanger —
 //     the baseline ALLGATHER or the paper's unique exchange;
@@ -12,6 +12,12 @@
 //     under full softmax (char LM) they ALLREDUCE like dense parameters;
 //   - FP16 wire compression (§III-C) applies to all gradient payloads when
 //     configured.
+//
+// The synchronization phase executes once for all ranks, on the step's
+// goroutine: every collective and exchange takes the G ranks' buffers in one
+// call (collective's …Ranks methods, core.Exchanger.ExchangeRanks) and
+// leaves the reduced gradients in rank 0's, while counting, pricing and
+// tracing every rank as its own.
 //
 // §II-B's invariant, "the model parameters on all GPUs are the same during
 // the next training step", holds by construction: the replicas share rank
@@ -93,15 +99,17 @@ type Config struct {
 	DeviceCapacity int64
 	// ClipNorm, when > 0, clips each dense gradient tensor's L2 norm.
 	ClipNorm float64
-	// Overlap takes the dense-gradient reduction off the step's critical
-	// path: a per-rank worker issues each dense layer's all-reduce on the
-	// communicator's side lane the moment that layer's backward pass
-	// completes, overlapping communication of layer L with backpropagation
-	// of layer L−1 and with the sparse embedding exchange on the primary
-	// lane. The worker calls the same dense-gradient function the
-	// synchronous mode calls, so Overlap composes with Wire, Compress and
-	// Hardware. Gradients, wire bytes, and replicas are bit-identical to the
-	// synchronous path (tested; see Compress for the one exception).
+	// Overlap prices the dense-gradient reduction off the step's critical
+	// path: each dense layer is all-reduced as its own call, in backward
+	// order (projection, RNN, then the full softmax's output embedding), on
+	// the communicator's side lane, modeling a rank that sends layer L while
+	// it backpropagates layer L−1 and runs the sparse embedding exchange.
+	// It is a pricing switch: both modes execute the same reductions, in the
+	// same pass, with the same arithmetic, so Overlap composes with Wire,
+	// Compress and Hardware, and gradients and wire bytes are bit-identical
+	// to the synchronous path (tested; see Compress for the one exception).
+	// Without Hardware it changes nothing but the lane the reductions are
+	// counted on.
 	Overlap bool
 	// Hardware, when non-nil, threads the virtual clock through the run:
 	// every collective advances the participating ranks' clocks by
@@ -112,11 +120,12 @@ type Config struct {
 	// measured one. nil (the default) leaves every hot path on the exact
 	// pre-simulation code path. With Overlap the side lane is priced on
 	// per-rank lane clocks beside the device clocks: a layer's reduction
-	// starts no earlier than the virtual time its gradients were ready (the
-	// compute charge is split at the backward hooks to say when that is)
-	// and the rank's clock joins its lane clock when the step drains, so
-	// the predicted step is the critical path of compute and communication,
-	// not their sum.
+	// starts no earlier than the virtual time the rank's backward pass
+	// finished it (the forward pass is a third of the compute charge, and
+	// the backward two thirds progress by the finished layers' share of the
+	// dense parameters), and each rank's clock joins its lane clock at the
+	// end of the synchronization, so the predicted step is the critical path
+	// of compute and communication, not their sum.
 	Hardware *perfmodel.Hardware
 	// SimFLOPsPerStep is the modeled per-rank compute per step charged to
 	// the virtual clock (0 = communication/update-only simulation). Only
@@ -269,7 +278,8 @@ type Trainer struct {
 	comm   *collective.Comm
 	models []*model.LM
 	opt    optim.Optimizer
-	ws     []*core.Workspace
+	// ctxs are the ranks' exchange contexts, each with its own workspace.
+	ctxs   []*core.Ctx
 	shards [][]int
 	valid  []int
 	// step is the global training-step counter; Run and Steps both
@@ -281,15 +291,19 @@ type Trainer struct {
 	step      int
 	lr        float64
 	nextDecay int
-	// dense[r] is rank r's dense gradients as reduceDense units.
-	dense []rankDense
-	// cmp holds one compression engine per rank (nil when Config.Compress
-	// is nil): the per-rank error-feedback residuals and quantizer
-	// streams.
-	cmp []*compress.Engine
+	// units are the ranks' dense gradients as reduceUnit calls, and wires
+	// the run's wire once per rank.
+	units denseUnits
+	wires []collective.Wire
+	// cmp holds the ranks' compression engines (nil when Config.Compress is
+	// nil): the per-rank error-feedback residuals and quantizer streams.
+	cmp *compress.Group
 	// laneClocks are the per-rank virtual clocks of the communicator's side
-	// lane (nil unless both Overlap and Hardware are set).
+	// lane, and ready[r][i] the time on rank r's device clock at which its
+	// backward pass finished units.layers[i] this step (both nil unless
+	// Overlap and Hardware are set).
 	laneClocks []*vclock.Clock
+	ready      [][]float64
 	// ckptDir is the on-disk store (nil without Config.CheckpointDir);
 	// lastCkpt is the newest captured state — the fault-rollback target.
 	ckptDir  *ckpt.Dir
@@ -374,9 +388,11 @@ func New(cfg Config, train, valid []int) (*Trainer, error) {
 			t.comm.Side().AttachCost(&collective.CostModel{Link: link, Clocks: t.laneClocks})
 		}
 	}
-	t.ws = make([]*core.Workspace, cfg.Ranks)
-	for r := range t.ws {
-		t.ws[r] = core.NewWorkspace()
+	t.ctxs = make([]*core.Ctx, cfg.Ranks)
+	t.wires = make([]collective.Wire, cfg.Ranks)
+	for r, dev := range t.clu.Devices {
+		t.ctxs[r] = &core.Ctx{Rank: r, Comm: t.comm, Dev: dev, Wire: cfg.Wire, WS: core.NewWorkspace()}
+		t.wires[r] = cfg.Wire
 	}
 	mc := cfg.Model
 	mc.Seed = cfg.BaseSeed
@@ -384,7 +400,13 @@ func New(cfg Config, train, valid []int) (*Trainer, error) {
 	if cfg.Workers > 0 {
 		m.SetBackend(tensor.New(cfg.Workers))
 	}
-	t.models, t.dense = replicate(m, cfg.Ranks)
+	t.models, t.units = replicate(m, cfg.Ranks)
+	if t.laneClocks != nil {
+		t.ready = make([][]float64, cfg.Ranks)
+		for r := range t.ready {
+			t.ready[r] = make([]float64, len(t.units.layers))
+		}
+	}
 	t.opt = cfg.NewOptimizer()
 	t.shards = make([][]int, cfg.Ranks)
 	for r := 0; r < cfg.Ranks; r++ {
@@ -401,10 +423,7 @@ func New(cfg Config, train, valid []int) (*Trainer, error) {
 			cc.Seed = cfg.BaseSeed ^ 0xc0445e55c0445e55
 		}
 		t.cfg.Compress = &cc // what RestoreState builds its engines from
-		t.cmp = make([]*compress.Engine, cfg.Ranks)
-		for r := range t.cmp {
-			t.cmp[r] = compress.NewEngine(cc, cfg.Wire, r)
-		}
+		t.cmp = compress.NewGroup(cc, cfg.Wire, cfg.Ranks)
 	}
 	t.lr = cfg.LR
 	t.nextDecay = t.StepsPerEpoch()
@@ -489,9 +508,7 @@ func (t *Trainer) CaptureState() (*ckpt.State, error) {
 		// Per-rank error-feedback residuals: unsent gradient mass is part
 		// of the training state, so dropping it on resume would change the
 		// trajectory.
-		for r := 0; r < t.cfg.Ranks; r++ {
-			st.Compress = append(st.Compress, t.cmp[r].Snapshot())
-		}
+		st.Compress = t.cmp.Snapshot()
 	}
 	return st, nil
 }
@@ -535,23 +552,20 @@ func (t *Trainer) RestoreState(st *ckpt.State) error {
 		return fmt.Errorf("trainer: checkpoint carries %d RNG streams and %d carried states for %d ranks, want %d and %d",
 			len(st.RNG), len(st.RNN), g, g, carried)
 	}
-	var cmp []*compress.Engine
+	var cmp *compress.Group
 	if t.cmp != nil {
 		if len(st.Compress) != g {
 			return fmt.Errorf("trainer: Compress configured but checkpoint carries %d compression states for %d ranks", len(st.Compress), g)
 		}
-		cmp = make([]*compress.Engine, g)
-		for r := range cmp {
-			cmp[r] = compress.NewEngine(*t.cfg.Compress, t.cfg.Wire, r)
-			if err := cmp[r].Restore(st.Compress[r]); err != nil {
-				return fmt.Errorf("trainer: restore: %w", err)
-			}
+		cmp = compress.NewGroup(*t.cfg.Compress, t.cfg.Wire, g)
+		if err := cmp.Restore(st.Compress); err != nil {
+			return fmt.Errorf("trainer: restore: %w", err)
 		}
 	} else if len(st.Compress) != 0 {
 		return fmt.Errorf("trainer: checkpoint carries compression state but Compress is not configured")
 	}
 	lm.SetBackend(t.models[0].Backend())
-	models, dense := replicate(lm, g)
+	models, units := replicate(lm, g)
 	for r, m := range models {
 		m.SetRNGState(st.RNG[r])
 		if carried > 0 {
@@ -560,7 +574,7 @@ func (t *Trainer) RestoreState(st *ckpt.State) error {
 			}
 		}
 	}
-	t.models, t.dense, t.opt, t.cmp = models, dense, opt, cmp
+	t.models, t.units, t.opt, t.cmp = models, units, opt, cmp
 	t.step = st.Step
 	t.lr = st.LR
 	t.nextDecay = st.NextDecay
@@ -568,27 +582,38 @@ func (t *Trainer) RestoreState(st *ckpt.State) error {
 	return nil
 }
 
-// replicate makes m rank 0 and ranks 1…g−1 replicas of it, and builds each
-// rank's dense-gradient units over its own gradients.
-func replicate(m *model.LM, g int) ([]*model.LM, []rankDense) {
+// replicate makes m rank 0 and ranks 1…g−1 replicas of it, and builds the
+// dense-gradient units over the ranks' own gradients.
+func replicate(m *model.LM, g int) ([]*model.LM, denseUnits) {
 	models := make([]*model.LM, g)
-	dense := make([]rankDense, g)
 	for r := range models {
 		models[r] = m
 		if r > 0 {
 			models[r] = m.Replica()
 		}
-		d := rankDense{
-			all:    newDenseGrads(models[r].DenseParams()),
-			layer:  make(map[model.Layer]denseGrads),
-			outemb: newDenseGrads([]model.Param{{Name: "outemb"}}),
-		}
-		for _, l := range models[r].DenseLayers() {
-			d.layer[l] = newDenseGrads(l.Params())
-		}
-		dense[r] = d
 	}
-	return models, dense
+	// unit gathers what params returns for each rank's model.
+	unit := func(params func(*model.LM) []model.Param) denseUnit {
+		u := denseUnit{parts: make([][][]float32, g)}
+		for r, mr := range models {
+			for _, p := range params(mr) {
+				if r == 0 {
+					u.names = append(u.names, p.Name)
+				}
+				u.parts[r] = append(u.parts[r], p.Grad)
+			}
+		}
+		return u
+	}
+	var units denseUnits
+	for i := range m.DenseParams() {
+		units.tensors = append(units.tensors, unit(func(mr *model.LM) []model.Param { return mr.DenseParams()[i : i+1] }))
+	}
+	for i := len(m.DenseLayers()) - 1; i >= 0; i-- {
+		units.layers = append(units.layers, unit(func(mr *model.LM) []model.Param { return mr.DenseLayers()[i].Params() }))
+	}
+	units.outemb = unit(func(*model.LM) []model.Param { return []model.Param{{Name: "outemb"}} })
+	return models, units
 }
 
 // afterStep runs the fault-tolerance bookkeeping after each committed
@@ -872,141 +897,154 @@ type stepStats struct {
 	simStart, simAfterCompute float64
 }
 
-// denseGrads is one unit of reduceDense work: named gradient tensors (what
-// Compress routes by) and the same slices as a ring part list. Units are
-// built once, in New: peers read a part list through the ring until the
-// collective closes, and rebuilding one per call would allocate every step.
-type denseGrads struct {
-	params []model.Param
-	parts  [][]float32
+// denseUnit is one reduceUnit call's worth of dense gradients: tensor names
+// (what Compress routes by) and every rank's gradients of them as a part
+// list — parts[r][i] is rank r's gradient of names[i]. Units are built once,
+// in replicate, so reducing one allocates nothing.
+type denseUnit struct {
+	names []string
+	parts [][][]float32
 }
 
-func newDenseGrads(ps []model.Param) denseGrads {
-	d := denseGrads{params: ps, parts: make([][]float32, len(ps))}
-	for i, p := range ps {
-		d.parts[i] = p.Grad
-	}
-	return d
+// denseUnits are the units the two modes reduce: one per dense tensor, in
+// DenseParams order (synchronous mode); one per dense layer, in the order
+// backpropagation finishes them, the reverse of DenseLayers (overlap mode);
+// and the full softmax's output gradient, which lives in each replica's
+// workspace and is pointed at every step.
+type denseUnits struct {
+	tensors []denseUnit
+	layers  []denseUnit
+	outemb  denseUnit
 }
 
-// rankDense is one rank's units: all of DenseParams (synchronous mode walks
-// it a tensor at a time), one per dense layer (what overlap mode's backward
-// hook queues), and the one-tensor unit each step points at the full
-// softmax's output gradient, which lives in the replica's workspace.
-type rankDense struct {
-	all    denseGrads
-	layer  map[model.Layer]denseGrads
-	outemb denseGrads
-}
-
-// denseJob is one batch of dense gradients handed to a rank's side-lane
-// worker: the tensors, and the time on the producing rank's device clock at
-// which they held their final values (zero without Hardware).
-type denseJob struct {
-	grads   denseGrads
-	readyAt float64
-}
-
-// denseWorker is one rank's side-lane reducer for one overlapped step: a
-// goroutine that reduces the jobs sent to it, in order, while the rank's own
-// goroutine keeps backpropagating and runs the sparse exchange. It lives
-// for one step — startDenseWorker to drain — so a Trainer owns no
-// goroutines between steps.
-type denseWorker struct {
-	jobs chan denseJob
-	done chan struct{}
-	// clock is the rank's side-lane virtual clock (nil without Hardware).
-	clock *vclock.Clock
-	// err is the first reduceDense failure; the worker writes it, drain
-	// reads it after done.
-	err error
-}
-
-// startDenseWorker launches rank's worker for one step. Every rank sends
-// the same jobs in the same order, which is what matches the workers'
-// side-lane collectives up; after a failure (symmetric across ranks, like
-// every collective error) the remaining jobs are discarded.
-func (t *Trainer) startDenseWorker(rank int) *denseWorker {
-	w := &denseWorker{
-		// One job per dense layer plus the output embedding: sends never
-		// block the backward pass.
-		jobs: make(chan denseJob, len(t.models[rank].DenseLayers())+1),
-		done: make(chan struct{}),
-	}
-	if t.laneClocks != nil {
-		w.clock = t.laneClocks[rank]
-	}
-	go func() {
-		defer close(w.done)
-		for j := range w.jobs {
-			if w.err != nil {
-				continue
-			}
-			if w.clock != nil {
-				// The lane is free at its own clock; the payload exists from
-				// readyAt. The collective's charge then max-syncs the ranks.
-				w.clock.AdvanceTo(j.readyAt)
-			}
-			w.err = t.reduceDense(t.comm.Side(), rank, j.grads)
-		}
-	}()
-	return w
-}
-
-// drain closes the worker's queue and waits until every job has fully
-// reduced, then joins the lane's virtual timeline into the rank's device
-// clock. It must run on every exit path of the step: until the worker's
-// last collective closes, peer ranks' ring hops still read aliases of this
-// rank's gradient tensors (zero-copy), so returning earlier would leave
-// dangling readers behind an aborted step. A nil worker (synchronous mode)
-// has nothing to drain.
-func (w *denseWorker) drain(dev *cluster.Device) error {
-	if w == nil {
-		return nil
-	}
-	close(w.jobs)
-	<-w.done
-	if w.clock != nil {
-		dev.Clock.AdvanceTo(w.clock.Now())
-	}
-	return w.err
-}
-
-// reduceDense all-reduces the dense gradients d across ranks on lane c —
-// the one dense-gradient path of both modes. With Compress each named
-// tensor goes through the rank's compression engine, which routes it per
-// policy (base wire, quantized ring, or top-k with error feedback);
-// otherwise the tensors travel in one fused ring pass on the run's wire.
-func (t *Trainer) reduceDense(c *collective.Comm, rank int, d denseGrads) error {
+// reduceUnit all-reduces unit u across the ranks on lane c, leaving the
+// sums in rank 0's gradients, which the update reads. With Compress each
+// named tensor goes through the ranks' compression engines, which route it
+// per policy (base wire, quantized ring, or top-k with error feedback);
+// otherwise the tensors travel in one fused pass on the run's wire.
+func (t *Trainer) reduceUnit(c *collective.Comm, u *denseUnit) error {
 	if t.cmp != nil {
-		for _, p := range d.params {
-			if err := t.cmp[rank].AllReduce(c, rank, p.Name, p.Grad); err != nil {
-				return err
-			}
+		return t.cmp.AllReduce(c, u.names, u.parts)
+	}
+	c.AllReduceRanks(u.parts, t.wires)
+	return nil
+}
+
+// reduceDense all-reduces every dense gradient — the full softmax's output
+// gradient too when outDense — into rank 0's. Synchronous mode reduces a
+// tensor per call, in DenseParams order, on the primary lane. Overlap mode
+// reduces a layer per call, in backward order, then the output gradient, on
+// the side lane; with Hardware each rank's lane clock first advances to the
+// time its backward pass finished that layer (t.ready), so the lane's
+// charges price reductions that start while the rank is still computing.
+// The output gradient is final when the pass ends, as the last layer is, so
+// it follows that layer's reduction directly.
+func (t *Trainer) reduceDense(outDense bool) error {
+	c, units := t.comm, t.units.tensors
+	if t.cfg.Overlap {
+		c, units = t.comm.Side(), t.units.layers
+	}
+	for i := range units {
+		for r, clk := range t.laneClocks {
+			clk.AdvanceTo(t.ready[r][i])
 		}
+		if err := t.reduceUnit(c, &units[i]); err != nil {
+			return err
+		}
+	}
+	if !outDense {
 		return nil
 	}
-	c.AllReduceParts(rank, d.parts, t.cfg.Wire)
+	return t.reduceUnit(c, &t.units.outemb)
+}
+
+// chargeCompute charges rank's forward/backward pass to its device clock:
+// the modeled FLOPs at the workload's achieved fraction of peak. Overlap
+// pricing has to know when each dense layer's gradients were final, so there
+// the clock walks to the same end point in stages and t.ready[rank] records
+// each layer's time: the forward pass is a third of the FLOPs, and the
+// backward two thirds progress by the finished layers' share of the dense
+// parameters.
+func (t *Trainer) chargeCompute(rank int, dev *cluster.Device) {
+	sim := t.cfg.Hardware
+	if sim == nil {
+		return
+	}
+	flops := int64(t.cfg.SimFLOPsPerStep)
+	start := dev.Clock.Now()
+	var lump float64
+	if flops > 0 {
+		lump = sim.ComputeSeconds(float64(flops), t.cfg.SimAchievedFrac)
+	}
+	if t.ready == nil {
+		if lump > 0 {
+			dev.AdvanceCompute(flops, *sim, t.cfg.SimAchievedFrac)
+		}
+		return
+	}
+	total := model.NumParams(t.models[rank].DenseLayers()...)
+	done := 0
+	for i, u := range t.units.layers {
+		if lump > 0 {
+			for _, p := range u.parts[rank] {
+				done += len(p)
+			}
+			dev.Clock.AdvanceTo(start + lump*(1+2*float64(done)/float64(total))/3)
+		}
+		t.ready[rank][i] = dev.Clock.Now()
+	}
+	if lump > 0 {
+		dev.AddFLOPs(flops)
+		dev.Clock.AdvanceTo(start + lump)
+	}
+}
+
+// exchange runs the sparse embedding exchanges for every rank — the input
+// embedding's and, under sampled softmax, the output embedding's — and
+// returns their Updates, recording U_g in agg.
+func (t *Trainer) exchange(results []model.StepResult, outDense bool, agg *stepStats) (in, out core.Update, err error) {
+	grads := make([]core.SparseGrad, len(results))
+	for r, res := range results {
+		grads[r] = res.InputGrad
+	}
+	in, stats, errs := t.cfg.Exchange.ExchangeRanks(t.ctxs, grads)
+	if err := firstError(errs); err != nil {
+		return in, out, err
+	}
+	agg.inUnique = stats[0].UniqueGlobal
+	if outDense {
+		return in, out, nil
+	}
+	for r, res := range results {
+		grads[r] = res.OutputGrad
+	}
+	out, stats, errs = t.cfg.Exchange.ExchangeRanks(t.ctxs, grads)
+	agg.outUnique = stats[0].UniqueGlobal
+	return in, out, firstError(errs)
+}
+
+// firstError returns the first non-nil error, in rank order.
+func firstError(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
 // trainStep executes one synchronous step across all ranks.
 //
-// Both modes reduce dense gradients through reduceDense; cfg.Overlap decides
-// only when and on which lane. Synchronous mode calls it in phase 2 on the
-// primary lane, one tensor at a time. Overlap mode calls it from each rank's
-// denseWorker on the side lane: a backward hook hands a layer over the
-// moment it finishes backpropagating (overlapping the reduction of layer L
-// with the backprop of layer L−1), phase 2 hands over the full-softmax
-// output gradient, and the sparse embedding exchange then proceeds on the
-// primary lane while the dense reductions are still in flight. Both modes
-// apply bit-identical arithmetic to each tensor, so replicas and wire-byte
-// counters match exactly between them.
+// Phase 1 runs every rank's forward/backward pass on a goroutine of its own.
+// Phase 2 runs on the calling goroutine, once for every rank: the dense
+// reductions (reduceDense), the sparse exchanges, each device's charge for
+// the embedding update it models, and then the update itself, once, on rank
+// 0's reduced gradients. cfg.Overlap decides only how the dense reductions
+// are grouped and priced, so weights and wire-byte counters match exactly
+// between the modes.
 func (t *Trainer) trainStep(step int, lrNow float64, seeds []uint64) (stepStats, error) {
 	g := t.cfg.Ranks
 	results := make([]model.StepResult, g)
-	samplers := make([]sampling.CandidateSampler, g)
-	workers := make([]*denseWorker, g)
 	var agg stepStats
 
 	sim := t.cfg.Hardware
@@ -1014,8 +1052,7 @@ func (t *Trainer) trainStep(step int, lrNow float64, seeds []uint64) (stepStats,
 		agg.simStart = t.clu.MaxClock()
 	}
 
-	// Phase 1 (parallel): forward/backward on every rank, with dense
-	// reductions streaming out mid-backprop in Overlap mode.
+	// Phase 1 (parallel): forward/backward on every rank.
 	phaseStart := time.Now()
 	_ = t.clu.Run(func(rank int, dev *cluster.Device) error {
 		var cT0 time.Time
@@ -1038,50 +1075,9 @@ func (t *Trainer) trainStep(step int, lrNow float64, seeds []uint64) (stepStats,
 				sampler = sampling.NewSampler(t.cfg.Model.Vocab, stepSeed)
 			}
 		}
-		samplers[rank] = sampler
 		inputs, targets := t.batchAt(t.shards[rank], step)
-
-		// The forward/backward pass: modeled FLOPs at the workload's
-		// achieved fraction of peak, charged to this rank's clock. The
-		// synchronous mode charges them in one lump after the pass. Overlap
-		// mode has to say when each layer's gradients were ready, so it
-		// walks the clock to the same end point in stages: the forward pass
-		// is a third of the FLOPs, and the backward two thirds have
-		// progressed by the finished layers' share of the dense parameters.
-		flops := int64(t.cfg.SimFLOPsPerStep)
-		var start, lump float64
-		if sim != nil && flops > 0 {
-			start = dev.Clock.Now()
-			lump = sim.ComputeSeconds(float64(flops), t.cfg.SimAchievedFrac)
-		}
-		var hook model.BackwardHook
-		if t.cfg.Overlap {
-			w := t.startDenseWorker(rank)
-			workers[rank] = w
-			var total, ready int
-			if lump > 0 {
-				total = model.NumParams(m.DenseLayers()...)
-			}
-			hook = func(layer model.Layer) {
-				d := t.dense[rank].layer[layer]
-				if total > 0 {
-					for _, p := range d.parts {
-						ready += len(p)
-					}
-					dev.Clock.AdvanceTo(start + lump*(1+2*float64(ready)/float64(total))/3)
-				}
-				w.jobs <- denseJob{grads: d, readyAt: dev.Clock.Now()}
-			}
-		}
-		results[rank] = m.ForwardBackwardHooked(inputs, targets, sampler, hook)
-		if lump > 0 {
-			if t.cfg.Overlap {
-				dev.AddFLOPs(flops)
-				dev.Clock.AdvanceTo(start + lump)
-			} else {
-				dev.AdvanceCompute(flops, *sim, t.cfg.SimAchievedFrac)
-			}
-		}
+		results[rank] = m.ForwardBackward(inputs, targets, sampler)
+		t.chargeCompute(rank, dev)
 		if tr := t.cfg.Trace; tr != nil {
 			tr.Span("rank", "compute", rank, cT0, time.Since(cT0), cV0, dev.Clock.Now()-cV0)
 		}
@@ -1095,124 +1091,74 @@ func (t *Trainer) trainStep(step int, lrNow float64, seeds []uint64) (stepStats,
 	computeStart := phaseStart
 	phaseStart = time.Now()
 
-	// Phase 2 (parallel): synchronize, and charge each device for the
-	// embedding update it models.
-	lr := float32(lrNow)
-	invG := float32(1.0 / float64(g))
+	// Phase 2 (one pass for every rank): synchronize. Each rank's exchange
+	// span starts here, before the dense reductions.
+	var exV0 []float64
+	if t.cfg.Trace != nil {
+		exV0 = make([]float64, g)
+		for r, dev := range t.clu.Devices {
+			exV0[r] = dev.Clock.Now()
+		}
+	}
+	// The full-softmax output gradient is a dense V×D block that
+	// all-reduces like an RNN parameter; it is embedding-shaped, so its name
+	// opts it into a compression policy's Zipf-derived embedding ratio.
 	outDense := t.cfg.Model.Sampled == 0
-	errs := make([]error, g)
-	inStats := make([]core.Stats, g)
-	outStats := make([]core.Stats, g)
-	var inUpd, outUpd core.Update // rank 0's exchanged embedding updates
-	_ = t.clu.Run(func(rank int, dev *cluster.Device) error {
-		var exT0, upT0 time.Time
-		var exV0, exV1 float64
-		if t.cfg.Trace != nil {
-			exT0 = time.Now()
-			exV0 = dev.Clock.Now()
+	if outDense {
+		for r, res := range results {
+			t.units.outemb.parts[r][0] = res.OutputGrad.Rows.Data
 		}
-		m := t.models[rank]
-		ctx := &core.Ctx{Rank: rank, Comm: t.comm, Dev: dev, Wire: t.cfg.Wire, WS: t.ws[rank]}
-		outGrad := results[rank].OutputGrad
-		w := workers[rank]
+	}
+	err := t.reduceDense(outDense)
+	var inUpd, outUpd core.Update
+	if err == nil {
+		inUpd, outUpd, err = t.exchange(results, outDense, &agg)
+	}
+	// Each rank's device clock joins its side-lane timeline.
+	for r, clk := range t.laneClocks {
+		t.clu.Devices[r].Clock.AdvanceTo(clk.Now())
+	}
+	if err != nil {
+		return agg, err
+	}
 
-		// Dense gradients. The full-softmax output gradient is a dense V×D
-		// block that all-reduces like an RNN parameter; it is
-		// embedding-shaped, so its name opts it into a compression policy's
-		// Zipf-derived embedding ratio. Overlap mode queued the layers during
-		// backprop and only adds that block here, leaving the side lane to
-		// run under the sparse exchange below; synchronous mode reduces
-		// everything now.
-		var outemb denseGrads
-		if outDense {
-			outemb = t.dense[rank].outemb
-			outemb.params[0].Grad = outGrad.Rows.Data
-			outemb.parts[0] = outGrad.Rows.Data
-		}
-		if w == nil {
-			// One tensor per call.
-			for _, d := range [2]denseGrads{t.dense[rank].all, outemb} {
-				for i := range d.params {
-					if err := t.reduceDense(t.comm, rank, denseGrads{d.params[i : i+1], d.parts[i : i+1]}); err != nil {
-						errs[rank] = err
-						return nil
-					}
-				}
-			}
-		} else if outDense {
-			w.jobs <- denseJob{grads: outemb, readyAt: dev.Clock.Now()}
-		}
-
-		// Input embedding: the §III exchange (on the primary lane, so in
-		// Overlap mode it runs concurrently with the dense reductions).
-		upd, st, err := t.cfg.Exchange.Exchange(ctx, results[rank].InputGrad)
-		if err != nil {
-			errs[rank] = err
-			_ = w.drain(dev) // the exchange failure is the one reported
-			return nil
-		}
-		inStats[rank] = st
-
-		// Output embedding under sampled softmax goes through the exchange
-		// too.
-		var updOut core.Update
-		if !outDense {
-			var stOut core.Stats
-			updOut, stOut, err = t.cfg.Exchange.Exchange(ctx, outGrad)
-			if err != nil {
-				errs[rank] = err
-				_ = w.drain(dev) // as above
-				return nil
-			}
-			outStats[rank] = stOut
-		}
-
-		// Wait for the side lane: both modes leave the same reduced
-		// gradients for the update below.
-		if err := w.drain(dev); err != nil {
-			errs[rank] = err
-			return nil
-		}
-		if tr := t.cfg.Trace; tr != nil {
-			// The exchange span closes once every collective this rank
-			// joined has completed — its virtual duration is wire time
-			// plus whatever this rank waited at the barriers, which is
-			// exactly the sync-wait the critical-path analyzer splits out.
+	m := t.models[0]
+	// Embedding updates are a read-modify-write over the touched rows: 2×
+	// row bytes of device-memory traffic (§III-A's conflict-free update runs
+	// at full memory bandwidth). Every simulated device pays for its own;
+	// the host runs one, below.
+	outRows := len(outUpd.Indices)
+	if outDense {
+		outRows = len(results[0].OutputGrad.Indices)
+	}
+	updateBytes := 2*int64(len(inUpd.Indices))*int64(m.InEmb.Cols)*4 + 2*int64(outRows)*int64(m.OutEmb.Cols)*4
+	for r, dev := range t.clu.Devices {
+		var upT0 time.Time
+		var exV1 float64
+		tr := t.cfg.Trace
+		if tr != nil {
+			// The exchange span closes once every collective the rank
+			// joined has completed: its virtual duration is wire time plus
+			// whatever the rank waited for its peers, which is exactly the
+			// sync-wait the critical-path analyzer splits out. Its wall time
+			// is the pass so far, which did every rank's share.
 			exV1 = dev.Clock.Now()
-			tr.Span("rank", "exchange", rank, exT0, time.Since(exT0), exV0, exV1-exV0)
+			tr.Span("rank", "exchange", r, phaseStart, time.Since(phaseStart), exV0[r], exV1-exV0[r])
 			upT0 = time.Now()
 		}
-		if rank == 0 {
-			inUpd, outUpd = upd, updOut
-		}
 		if sim != nil {
-			// Embedding updates are a read-modify-write over the touched
-			// rows: 2× row bytes of device-memory traffic (§III-A's
-			// conflict-free update runs at full memory bandwidth). Every
-			// simulated device pays for its own; the host runs one, below.
-			b := 2 * int64(len(upd.Indices)) * int64(m.InEmb.Cols) * 4
-			if !outDense {
-				b += 2 * int64(len(updOut.Indices)) * int64(m.OutEmb.Cols) * 4
-			} else {
-				b += 2 * int64(len(outGrad.Indices)) * int64(m.OutEmb.Cols) * 4
-			}
-			dev.AdvanceMemory(b, *sim)
+			dev.AdvanceMemory(updateBytes, *sim)
 		}
-		if tr := t.cfg.Trace; tr != nil {
-			tr.Span("rank", "update", rank, upT0, time.Since(upT0), exV1, dev.Clock.Now()-exV1)
-		}
-		return nil
-	})
-	for _, e := range errs {
-		if e != nil {
-			return agg, e
+		if tr != nil {
+			tr.Span("rank", "update", r, upT0, time.Since(upT0), exV1, dev.Clock.Now()-exV1)
 		}
 	}
 
-	// The update, once for every rank (every rank's reduced gradients are
-	// rank 0's bits) and only after the errs check, so a step any rank
-	// failed moves no weight and no moment.
-	m := t.models[0]
+	// The update, once for every rank (the reduced gradients are in rank
+	// 0's tensors) and only after every rank's exchange has succeeded, so a
+	// step any rank failed moves no weight and no moment.
+	lr := float32(lrNow)
+	invG := float32(1.0 / float64(g))
 	for _, p := range m.DenseParams() {
 		tensor.Scale(p.Grad, invG)
 		if t.cfg.ClipNorm > 0 {
@@ -1229,8 +1175,6 @@ func (t *Trainer) trainStep(step int, lrNow float64, seeds []uint64) (stepStats,
 	}
 	t.opt.Step(m.DenseParams(), lr)
 
-	agg.inUnique = inStats[0].UniqueGlobal
-	agg.outUnique = outStats[0].UniqueGlobal
 	agg.syncTime = time.Since(phaseStart)
 	if sim != nil {
 		agg.simSync = t.clu.MaxClock() - agg.simAfterCompute

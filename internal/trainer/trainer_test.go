@@ -270,21 +270,22 @@ func TestWireBytesTracked(t *testing.T) {
 	}
 }
 
-// failOnRank completes the wrapped exchange on every rank — so no peer is
-// left waiting in a collective — and then, once armed, reports an error on
-// one rank only: the other ranks of that step have nothing wrong with them.
+// failOnRank completes the wrapped exchange for every rank and then, once
+// armed, reports an error on one rank only: the other ranks of that step
+// have nothing wrong with them. It wraps ExchangeRanks, the one method the
+// trainer calls.
 type failOnRank struct {
 	core.Exchanger
 	rank  int
 	armed *atomic.Bool
 }
 
-func (f failOnRank) Exchange(ctx *core.Ctx, grad core.SparseGrad) (core.Update, core.Stats, error) {
-	upd, st, err := f.Exchanger.Exchange(ctx, grad)
-	if err == nil && f.armed.Load() && ctx.Rank == f.rank {
-		err = errors.New("injected exchange failure")
+func (f failOnRank) ExchangeRanks(ctxs []*core.Ctx, grads []core.SparseGrad) (core.Update, []core.Stats, []error) {
+	upd, stats, errs := f.Exchanger.ExchangeRanks(ctxs, grads)
+	if errs[f.rank] == nil && f.armed.Load() {
+		errs[f.rank] = errors.New("injected exchange failure")
 	}
-	return upd, st, err
+	return upd, stats, errs
 }
 
 // TestAbortedStepLeavesOptimizersUntouched: the update — embeddings and

@@ -16,14 +16,17 @@
 // trace-driven training simulators do:
 //
 //   - Every collective is called once for the whole group, from one
-//     goroutine, with every rank's buffers. The ring all-reduce walks the
-//     ring's hops in order, calling each rank's wire as a ring rank would
-//     and counting each rank's bytes, and writes the sum to rank 0 only —
-//     the weights every rank shares are updated from it. Gathers account
-//     payloads the caller already holds. The executor and the per-rank
-//     adapters built on Comm.Rendezvous are allocation-free at steady
-//     state, guarded by testing.AllocsPerRun, and held bit for bit to the
-//     goroutine ring they replaced.
+//     goroutine, with every rank's buffers. The ring all-reduce calls each
+//     rank's wire as a ring rank would, counts each rank's bytes, and
+//     writes the sum to rank 0 only — the weights every rank shares are
+//     updated from it. A sender-side wire's calls run hop by hop on the
+//     caller; otherwise each chunk is its own pipeline, and the trainer's
+//     pool (one worker per core, whatever Config.Workers is) takes chunk
+//     sets, as it takes stripes of the Adam step. Gathers
+//     account payloads the caller already holds. The executor and the
+//     per-rank adapters built on Comm.Rendezvous are allocation-free at
+//     steady state, guarded by testing.AllocsPerRun, and held bit for bit
+//     to the goroutine ring they replaced at GOMAXPROCS 1, 2 and 8.
 //
 //   - The exchange engines (internal/core) work the same way:
 //     Exchanger.ExchangeRanks runs each rank's local reduce, allocation

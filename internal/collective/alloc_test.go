@@ -6,6 +6,7 @@ import (
 	"zipflm/internal/half"
 	"zipflm/internal/israce"
 	"zipflm/internal/telemetry"
+	"zipflm/internal/tensor"
 )
 
 // allocHarness drives one collective round per trigger on persistent rank
@@ -64,15 +65,20 @@ func skipIfRace(t *testing.T) {
 // TestAllReduceZeroAllocSteadyState is the allocation-regression guard on
 // the all-reduce: neither the batched executor — with one tensor and with a
 // list of seventeen — nor the per-rank adapter, whose part lists the lane
-// owns, performs a heap allocation, observed or not. A future PR that
-// allocates per hop, or lets a part list or closure escape per call, fails
-// here immediately.
+// owns, performs a heap allocation, observed or not. The communicator lends
+// a two-worker pool and the lists hold a tensor above
+// tensor.ElementwiseMinWork, so the chunk sets' dispatch is measured too. A
+// future PR that allocates per hop, or lets a part list or closure escape
+// per call, fails here immediately.
 func TestAllReduceZeroAllocSteadyState(t *testing.T) {
 	skipIfRace(t)
+	pool := tensor.NewParallel(2)
+	defer pool.Close()
 	for _, observed := range []bool{false, true} {
 		for _, wire := range []Wire{nil, half.NewScaler(256)} {
 			g := 4
 			c := New(g)
+			c.AttachBackend(pool)
 			if observed {
 				c.AttachTelemetry(telemetry.NewRegistry())
 			}
@@ -81,7 +87,7 @@ func TestAllReduceZeroAllocSteadyState(t *testing.T) {
 			lists := make([][][]float32, g)
 			wires := make([]Wire, g)
 			for r := range xs {
-				xs[r] = make([]float32, 1000)
+				xs[r] = make([]float32, tensor.ElementwiseMinWork+1000)
 				for i := range xs[r] {
 					xs[r][i] = float32(r + i)
 				}

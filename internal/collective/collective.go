@@ -8,15 +8,19 @@
 // technique"; Gibiansky's formulation): buffers are chunked, a
 // scatter-reduce phase passes each chunk around the ring adding as it goes,
 // and an all-gather phase hands every rank the owners' reduced chunks. The
-// ring is executed, not modeled, but once: the executor walks the hops in
-// ring order on the caller's goroutine, making exactly the additions, the
-// wire roundings and the byte counts G ring ranks would make, so per-rank
-// traffic is the algorithm's real 2·(G−1)/G·bytes. What no rank reads is
-// skipped: the sum is written to rank 0's tensors only (the trainer updates
-// the weights every rank shares from them). The gathers are accounted, not
-// copied: the caller already holds every rank's payload, so the collective
-// applies each rank's wire to it and posts the standard ring all-gather
-// volume, (G−1)/G of the payloads' total, per rank.
+// ring is executed, not modeled, but once: the executor makes exactly the
+// additions, the wire roundings and the byte counts G ring ranks would make,
+// so per-rank traffic is the algorithm's real 2·(G−1)/G·bytes. A wire that
+// rounds on the sender has its calls made hop by hop, in ring order, on the
+// caller's goroutine. Otherwise the ring is G independent per-chunk
+// pipelines, and its chunk sets are spread over the worker pool that
+// Comm.AttachBackend lends (the trainer's has one worker per core), bit for
+// bit the same. What no rank reads is skipped: the sum is written to rank
+// 0's tensors only (the trainer updates the weights every rank shares from
+// them). The gathers are accounted, not copied: the caller already holds
+// every rank's payload, so the collective applies each rank's wire to it and
+// posts the standard ring all-gather volume, (G−1)/G of the payloads' total,
+// per rank.
 //
 // Callers that still run one goroutine per rank use the per-rank adapters
 // (AllReduce, AgreeAllOK), which are built on one primitive, Rendezvous:
@@ -57,7 +61,9 @@ import (
 // chunk a scatter-reduce hop forwards, the reduced chunk it owns, a gather's
 // payload — in the order a ring rank would call it, from the one goroutine
 // executing the collective. A Wire may carry state (a stochastic rounding
-// stream), so which rank rounds, in which order, is part of the result.
+// stream), so which rank rounds, in which order, is part of the result. An
+// AddRounder is the exception: it has no state, so an all-reduce may call it
+// from several goroutines at once, on disjoint chunks.
 //
 // Callers must pass a nil interface — not a typed nil pointer wrapped in the
 // interface — to mean "no compression".
@@ -73,9 +79,10 @@ type Wire interface {
 
 // AddRounder is optionally implemented by a Wire whose RoundTrip is a pure
 // function of each element — no state, no dependence on the slice's bounds —
-// so it does not matter which rank applies it. The receiving rank of a
-// scatter-reduce hop then rounds while it accumulates, as a reduce kernel
-// consumes a received FP16 buffer: one pass over the chunk instead of two.
+// so it does not matter which rank applies it, in which order, or on which
+// goroutine. The receiving rank of a scatter-reduce hop then rounds while it
+// accumulates, as a reduce kernel consumes a received FP16 buffer: one pass
+// over the chunk instead of two.
 type AddRounder interface {
 	// AddRoundTrip adds to dst, bit for bit, what RoundTrip would make of a
 	// copy of src (dst[i] first in the add); src, as long as dst, is not
@@ -124,6 +131,10 @@ type shared struct {
 	// the lane the operation ran on — the per-op detail the critical-path
 	// analyzer attributes wire time from. Purely observational, like tel.
 	trace *telemetry.Tracer
+
+	// be, when non-nil, runs an element-pure ring's chunk sets on its
+	// workers (see reduce); nil runs them on the caller.
+	be tensor.Backend
 }
 
 // lane is one independent set of everything a collective touches.
@@ -144,6 +155,11 @@ type lane struct {
 	// observed) and the bytes it puts on the wire.
 	v0   []float64
 	sent []int64
+
+	// ring is the chunk-major ring's call, which runChunks — chunkSet, bound
+	// once so a call allocates nothing — reads from every worker.
+	ring      chunkJob
+	runChunks func(set int)
 
 	// barrier brackets a rendezvous: rank 0 reads no post before every rank
 	// has made it, and no rank returns — so no caller rewrites its buffer —
@@ -226,8 +242,14 @@ func New(g int) *Comm {
 	sh := &shared{g: g}
 	c := &Comm{shared: sh, lane: newLane(g, 0)}
 	c.side = &Comm{shared: sh, lane: newLane(g, g)}
+	c.runChunks, c.side.runChunks = c.chunkSet, c.side.chunkSet
 	return c
 }
+
+// AttachBackend spreads the chunks of every element-pure all-reduce, on
+// both lanes, over be's workers (see reduce). The bits do not depend on it.
+// Call it before the first collective; nil runs every chunk on the caller.
+func (c *Comm) AttachBackend(be tensor.Backend) { c.be = be }
 
 // Size returns the number of ranks.
 func (c *Comm) Size() int { return c.g }
@@ -350,6 +372,16 @@ func (c *Comm) checkShapes(parts [][][]float32, wires []Wire) {
 // each it receives), then RoundTrip on the chunk it owns. Addition order,
 // rounding points and byte counts are bit-identical whether tensors travel
 // alone or in one list.
+//
+// That order is binding only for a sender-side wire, which may carry state;
+// those calls run hop-major, as above. When every wire is element-pure — nil
+// or an AddRounder — the ring is G independent pipelines, one per chunk (a
+// chunk's hops touch no other chunk's elements), so reduce runs it
+// chunk-major: chunk i of every part takes its G−1 scatter hops and is
+// delivered by its owner before chunk i+1 starts. Every element still sees
+// the same additions and roundings in the same order. The G chunks are dealt
+// to min(tensor.Fanout, G) contiguous chunk sets on the attached backend, so
+// below tensor.ElementwiseMinWork elements they all run on the caller.
 func (c *Comm) reduce(parts [][][]float32, wires []Wire, everyRank bool) {
 	g := c.g
 	clear(c.sent)
@@ -368,6 +400,24 @@ func (c *Comm) reduce(parts [][][]float32, wires []Wire, everyRank bool) {
 			}
 		}
 	}
+	targets := 1
+	if everyRank {
+		targets = g
+	}
+	if elementPure(wires) {
+		n := 0
+		for _, p := range parts[0] {
+			n += len(p)
+		}
+		c.ring = chunkJob{parts, wires, targets, min(tensor.Fanout(c.be, n), g)}
+		if c.ring.sets > 1 {
+			c.be.For(c.ring.sets, c.runChunks)
+		} else {
+			c.chunkSet(0)
+		}
+		c.ring = chunkJob{}
+		return
+	}
 	for s := 0; s < g-1; s++ {
 		for src := range parts {
 			for pi := range parts[src] {
@@ -375,13 +425,44 @@ func (c *Comm) reduce(parts [][][]float32, wires []Wire, everyRank bool) {
 			}
 		}
 	}
-	targets := 1
-	if everyRank {
-		targets = g
-	}
 	for owner := range parts {
 		for pi := range parts[owner] {
 			c.deliver(parts, wires, owner, pi, targets)
+		}
+	}
+}
+
+// chunkJob is one chunk-major ring: reduce's arguments and the number of
+// chunk sets the G chunks are dealt to.
+type chunkJob struct {
+	parts         [][][]float32
+	wires         []Wire
+	targets, sets int
+}
+
+// elementPure reports whether no wire's calls depend on their order: each is
+// nil or an AddRounder.
+func elementPure(wires []Wire) bool {
+	for _, w := range wires {
+		if _, adds := w.(AddRounder); w != nil && !adds {
+			return false
+		}
+	}
+	return true
+}
+
+// chunkSet runs chunk set j of c.ring: chunks [j·G/sets, (j+1)·G/sets) of
+// every part, each through its G−1 scatter-reduce hops — chunk i leaves rank
+// i at step 0 — and then its owner's delivery. Sets touch disjoint elements,
+// so they may run concurrently.
+func (c *Comm) chunkSet(j int) {
+	job, g := &c.ring, c.g
+	for i := j * g / job.sets; i < (j+1)*g/job.sets; i++ {
+		for pi := range job.parts[0] {
+			for s := 0; s < g-1; s++ {
+				c.accumulate(job.parts, job.wires, (i+s)%g, pi, i)
+			}
+			c.deliver(job.parts, job.wires, (i-1+g)%g, pi, job.targets)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"zipflm/internal/half"
 	"zipflm/internal/perfmodel"
 	"zipflm/internal/rng"
+	"zipflm/internal/tensor"
 	"zipflm/internal/vclock"
 )
 
@@ -209,6 +210,17 @@ func rankTensors(g int, shapes []int, seed uint64) [][][]float32 {
 	return xs
 }
 
+// cloneTensors returns a deep copy of xs.
+func cloneTensors(xs [][][]float32) [][][]float32 {
+	out := make([][][]float32, len(xs))
+	for r, parts := range xs {
+		for _, p := range parts {
+			out[r] = append(out[r], append([]float32(nil), p...))
+		}
+	}
+	return out
+}
+
 func sameTensors(t *testing.T, what string, got, want [][][]float32) {
 	t.Helper()
 	for r := range want {
@@ -256,7 +268,11 @@ func schedule(t *testing.T, body func(t *testing.T, g int, draw *rng.RNG)) {
 }
 
 // TestRingFusedMatrix is the all-reduce's equivalence matrix. For every
-// cluster size, part list, wire and GOMAXPROCS below:
+// cluster size, part list, wire and GOMAXPROCS below — on communicators that
+// lend a pool of one worker per core, as the trainer's do, so at procs 2 and
+// 8 the list above tensor.ElementwiseMinWork runs chunk-major on several
+// workers for fp32 and fp16, and hop-major on the caller for both Quant8
+// wires:
 //
 //   - the goroutine ring leaves on every rank the bits serialRing computes
 //     (stochastic Quant8 included: its per-rank streams are consumed in the
@@ -289,10 +305,17 @@ func TestRingFusedMatrix(t *testing.T) {
 	schedule(t, func(t *testing.T, g int, draw *rng.RNG) {
 		sizes := []int{0, 1, g - 1, g, g + 1, 1000}
 		seventeen := append([]int(nil), sizes...)
+		be := tensor.New(runtime.GOMAXPROCS(0))
+		if be.Workers() > 1 {
+			// One tensor above the cutoff puts the list on the pool, whose
+			// workers then take chunk sets of an element-pure ring.
+			seventeen = append(seventeen, tensor.ElementwiseMinWork+5)
+		}
 		for len(seventeen) < 17 {
 			seventeen = append(seventeen, sizes[draw.Intn(len(sizes))])
 		}
 		for _, shapes := range [][]int{{}, {1000}, seventeen} {
+			initial := rankTensors(g, shapes, 7)
 			for _, w := range wires {
 				t.Run(fmt.Sprintf("parts=%d/%s", len(shapes), w.name), func(t *testing.T) {
 					// Fresh per-rank instances for every run: Quant8
@@ -306,14 +329,15 @@ func TestRingFusedMatrix(t *testing.T) {
 					}
 					bare := func(w collective.Wire) collective.Wire { return w }
 
-					want := rankTensors(g, shapes, 7)
+					want := cloneTensors(initial)
 					serialRing(want, perRank(bare))
-					ring := rankTensors(g, shapes, 7)
+					ring := cloneTensors(initial)
 					sent := goroutineRing(ring, perRank(withYields))
 					sameTensors(t, "goroutine ring vs serial definition", ring, want)
 
-					got := rankTensors(g, shapes, 7)
+					got := cloneTensors(initial)
 					c, clocks, start := pricedComm(g)
+					c.AttachBackend(be)
 					bw := perRank(bare)
 					c.AllReduceRanks(got, bw)
 					sameTensors(t, "AllReduceRanks rank 0 vs serial definition", got[:1], want[:1])
@@ -331,7 +355,7 @@ func TestRingFusedMatrix(t *testing.T) {
 					}
 
 					// Tensor by tensor: the definition, then the adapter.
-					perTensor := rankTensors(g, shapes, 7)
+					perTensor := cloneTensors(initial)
 					pw := perRank(bare)
 					column := make([][][]float32, g)
 					for i := range shapes {
@@ -340,8 +364,9 @@ func TestRingFusedMatrix(t *testing.T) {
 						}
 						serialRing(column, pw)
 					}
-					adapted := rankTensors(g, shapes, 7)
+					adapted := cloneTensors(initial)
 					ac, aclocks, astart := pricedComm(g)
+					ac.AttachBackend(be)
 					aw := perRank(withYields)
 					onRanks(g, func(rank int) {
 						for _, x := range adapted[rank] {

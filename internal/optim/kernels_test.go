@@ -7,6 +7,7 @@ import (
 
 	"zipflm/internal/model"
 	"zipflm/internal/rng"
+	"zipflm/internal/tensor"
 )
 
 // withAdamAsm runs fn with the assembly gate forced off (on=false) or left as
@@ -152,20 +153,73 @@ func TestAdamStepBounds(t *testing.T) {
 }
 
 // TestAdamStepZeroAlloc: once the first call has created the moments, a step
-// allocates nothing on either path.
+// allocates nothing on either path, serial or striped over a pool: the
+// second case's step is above tensor.ElementwiseMinWork.
 func TestAdamStepZeroAlloc(t *testing.T) {
+	pool := tensor.NewParallel(2)
+	defer pool.Close()
 	for _, asm := range []bool{true, false} {
-		withAdamAsm(asm, func() {
-			a := NewAdam(1e-5)
-			p := []model.Param{
-				{Name: "w", Value: make([]float32, 1003), Grad: make([]float32, 1003)},
-				{Name: "b", Value: make([]float32, 3), Grad: make([]float32, 3)},
+		for _, n := range []int{1003, tensor.ElementwiseMinWork + 1003} {
+			withAdamAsm(asm, func() {
+				a := NewAdam(1e-5)
+				a.SetBackend(pool)
+				p := []model.Param{
+					{Name: "w", Value: make([]float32, n), Grad: make([]float32, n)},
+					{Name: "b", Value: make([]float32, 3), Grad: make([]float32, 3)},
+				}
+				a.Step(p, 0.01)
+				if allocs := testing.AllocsPerRun(20, func() { a.Step(p, 0.01) }); allocs != 0 {
+					t.Errorf("asm=%v n=%d: Adam.Step allocates %v times per call", asm, n, allocs)
+				}
+			})
+		}
+	}
+}
+
+// TestAdamStripedMatchesSerial: a step spread over a four-worker pool, each
+// worker taking one stripe of every tensor, leaves the parameters and both
+// moments bit for bit where the serial step leaves them, over two steps (the
+// second reads the moments the first wrote) and on both kernels. The steps
+// straddle tensor.ElementwiseMinWork and take 1 to 4 stripes, and no length
+// is a multiple of 8, so every stripe bound cuts a tensor short of its tail.
+func TestAdamStripedMatchesSerial(t *testing.T) {
+	pool := tensor.NewParallel(4)
+	defer pool.Close()
+	r := rng.New(47)
+	cut := tensor.ElementwiseMinWork
+	for _, lens := range [][]int{{cut - 3}, {cut + 5}, {cut - 1003, 1001, 3, 13}, {3*cut/2 + 9}, {2*cut + 1, 7}} {
+		for _, asm := range []bool{true, false} {
+			ctx := fmt.Sprintf("lens=%v asm=%v", lens, asm)
+			var params [2][]model.Param
+			for _, n := range lens {
+				value := optimVec(r, n, 1, true)
+				for i := range params {
+					params[i] = append(params[i], model.Param{Name: fmt.Sprint("p", n), Value: append([]float32(nil), value...), Grad: make([]float32, n)})
+				}
 			}
-			a.Step(p, 0.01)
-			if n := testing.AllocsPerRun(20, func() { a.Step(p, 0.01) }); n != 0 {
-				t.Errorf("asm=%v: Adam.Step allocates %v times per call", asm, n)
+			serial, striped := NewAdam(1e-5), NewAdam(1e-5)
+			striped.SetBackend(pool)
+			for step := 0; step < 2; step++ {
+				for j, n := range lens {
+					grad := optimVec(r, n, 0.05, true)
+					copy(params[0][j].Grad, grad)
+					copy(params[1][j].Grad, grad)
+				}
+				withAdamAsm(asm, func() {
+					serial.Step(params[0], 1e-3)
+					striped.Step(params[1], 1e-3)
+				})
+				for j, p := range params[0] {
+					q := params[1][j]
+					for i := range p.Value {
+						if !same32(p.Value[i], q.Value[i]) || !same32(serial.m[p.Name][i], striped.m[p.Name][i]) || !same32(serial.v[p.Name][i], striped.v[p.Name][i]) {
+							t.Fatalf("%s step %d: %s[%d]: striped value/m/v %v/%v/%v, serial %v/%v/%v", ctx, step, p.Name, i,
+								q.Value[i], striped.m[p.Name][i], striped.v[p.Name][i], p.Value[i], serial.m[p.Name][i], serial.v[p.Name][i])
+						}
+					}
+				}
 			}
-		})
+		}
 	}
 }
 

@@ -139,6 +139,23 @@ type Adam struct {
 	t int
 	m map[string][]float32
 	v map[string][]float32
+
+	// be, when non-nil, runs a step's stripes on its workers; runStripe is
+	// stripe, bound once so a step allocates nothing, and cur the step's
+	// arguments every stripe reads.
+	be        tensor.Backend
+	runStripe func(i int)
+	cur       adamStep
+}
+
+// adamStep is one Step's work: the parameters with their moments, the
+// step's constants, and how many stripes each tensor is cut into.
+type adamStep struct {
+	params  []model.Param
+	ms, vs  [][]float32
+	k       adamConsts
+	lr      float32
+	stripes int
 }
 
 // NewAdam returns an Adam optimizer with the standard moment coefficients.
@@ -161,14 +178,26 @@ type adamConsts struct {
 // minNormal is 2⁻¹²⁶, the smallest normal float32: the flush threshold.
 const minNormal = 0x1p-126
 
+// SetBackend spreads every later Step over be's workers: with w of them
+// (tensor.Fanout of the step's element count), worker i updates stripe i of
+// every tensor (tensor.Stripe), in one Backend.For per step. The arithmetic
+// is elementwise, so the bits do not depend on it; a step below
+// tensor.ElementwiseMinWork elements, or without a backend, runs on the
+// caller.
+func (a *Adam) SetBackend(be tensor.Backend) { a.be, a.runStripe = be, a.stripe }
+
 // Step implements Optimizer.
 func (a *Adam) Step(params []model.Param, lr float32) {
 	a.t++
-	k := adamConsts{
+	s := &a.cur
+	s.k = adamConsts{
 		float32(a.Beta1), float32(1 - a.Beta1), float32(a.Beta2), float32(1 - a.Beta2),
 		float32(1 / (1 - math.Pow(a.Beta1, float64(a.t)))), float32(1 / (1 - math.Pow(a.Beta2, float64(a.t)))),
 		float32(a.Eps), float32(a.WeightDecay),
 	}
+	s.params, s.lr = params, lr
+	s.ms, s.vs = s.ms[:0], s.vs[:0]
+	n := 0
 	for _, p := range params {
 		m := a.m[p.Name]
 		if m == nil {
@@ -177,14 +206,40 @@ func (a *Adam) Step(params []model.Param, lr float32) {
 			a.v[p.Name] = make([]float32, len(p.Value))
 		}
 		v := a.v[p.Name]
-		n := 0
-		if useAdamAsm && len(p.Grad) >= 8 {
-			n = len(p.Grad) &^ 7
-			_, _, _ = p.Value[n-1], m[n-1], v[n-1]
-			adamAVX(&p.Value[0], &p.Grad[0], &m[0], &v[0], n, &k, lr)
+		if len(p.Value) < len(p.Grad) || len(m) < len(p.Grad) || len(v) < len(p.Grad) {
+			panic(fmt.Sprintf("optim: Adam step over %s: %d gradients for %d values and %d/%d moments",
+				p.Name, len(p.Grad), len(p.Value), len(m), len(v)))
 		}
-		adamGo(p.Value[n:], p.Grad[n:], m[n:], v[n:], &k, lr)
+		s.ms, s.vs = append(s.ms, m), append(s.vs, v)
+		n += len(p.Grad)
 	}
+	s.stripes = tensor.Fanout(a.be, n)
+	if s.stripes > 1 {
+		a.be.For(s.stripes, a.runStripe)
+	} else {
+		a.stripe(0)
+	}
+	s.params = nil
+}
+
+// stripe updates stripe i of every tensor of the current step.
+func (a *Adam) stripe(i int) {
+	s := &a.cur
+	for j, p := range s.params {
+		lo, hi := tensor.Stripe(len(p.Grad), s.stripes, i)
+		adamRange(p.Value[lo:hi], p.Grad[lo:hi], s.ms[j][lo:hi], s.vs[j][lo:hi], &s.k, s.lr)
+	}
+}
+
+// adamRange steps one range: the AVX kernel over its multiple of 8, adamGo
+// over the rest. The slices are as long as grad.
+func adamRange(value, grad, m, v []float32, k *adamConsts, lr float32) {
+	n := 0
+	if useAdamAsm && len(grad) >= 8 {
+		n = len(grad) &^ 7
+		adamAVX(&value[0], &grad[0], &m[0], &v[0], n, k, lr)
+	}
+	adamGo(value[n:], grad[n:], m[n:], v[n:], k, lr)
 }
 
 // adamGo is the portable Adam kernel and the definition the AVX kernel is

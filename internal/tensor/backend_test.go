@@ -289,6 +289,27 @@ func TestBackendFor(t *testing.T) {
 	}
 }
 
+// TestStripe: the w stripes of n elements tile [0, n) in order, every bound
+// but n is a multiple of 8, and no stripe but the last is more than 8
+// elements longer or shorter than n/w.
+func TestStripe(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 1001, 1 << 17} {
+		for w := 1; w <= 9; w++ {
+			next := 0
+			for i := 0; i < w; i++ {
+				lo, hi := Stripe(n, w, i)
+				if lo != next || hi < lo || (hi != n && hi%8 != 0) || (i < w-1 && hi-lo > n/w+8) {
+					t.Fatalf("n=%d w=%d: stripe %d is [%d, %d) after %d", n, w, i, lo, hi, next)
+				}
+				next = hi
+			}
+			if next != n {
+				t.Fatalf("n=%d w=%d: stripes end at %d", n, w, next)
+			}
+		}
+	}
+}
+
 // TestBackendConstructors pins the knob semantics the commands rely on.
 func TestBackendConstructors(t *testing.T) {
 	if _, ok := New(0).(Serial); !ok {
@@ -301,8 +322,20 @@ func TestBackendConstructors(t *testing.T) {
 	if !ok {
 		t.Fatal("New(3) must be a *Parallel")
 	}
-	if p.workers != 3 {
-		t.Fatalf("New(3) tiles %d wide, want 3", p.workers)
+	if p.Workers() != 3 || (Serial{}).Workers() != 1 {
+		t.Fatalf("New(3) reports %d workers and Serial %d, want 3 and 1", p.Workers(), Serial{}.Workers())
+	}
+	for _, tc := range []struct {
+		be   Backend
+		n    int
+		want int
+	}{
+		{nil, 1 << 20, 1}, {p, 0, 1}, {p, ElementwiseMinWork - 1, 1}, {p, ElementwiseMinWork, 2},
+		{p, 3*ElementwiseMinWork/2 - 1, 2}, {p, 3 * ElementwiseMinWork / 2, 3}, {p, 1 << 20, 3}, {Serial{}, 1 << 20, 1},
+	} {
+		if got := Fanout(tc.be, tc.n); got != tc.want {
+			t.Fatalf("Fanout(%T, %d) = %d, want %d", tc.be, tc.n, got, tc.want)
+		}
 	}
 	p.Close()
 	p.Close() // idempotent

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"zipflm/internal/compress"
@@ -17,6 +18,7 @@ import (
 	"zipflm/internal/optim"
 	"zipflm/internal/perfmodel"
 	"zipflm/internal/sampling"
+	"zipflm/internal/tensor"
 )
 
 // ledgerRow is one row of testdata/bits.json: SHA-256 digests, in hex, of a
@@ -59,6 +61,11 @@ func countersDigest(tr *Trainer, sums StepStats) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
+// wideModel's recurrent weight alone, 4·192×192 elements, is above
+// tensor.ElementwiseMinWork, so its steps reach the trainer's phase-2 pool
+// even when the dense gradients are reduced a tensor per call.
+var wideModel = model.Config{Vocab: 60, Dim: 64, Hidden: 192, RNN: model.KindLSTM}
+
 // ledgerSteps commits n steps exactly as Steps does and returns the step
 // count and unique-word sums Run would put in its StepStats.
 func ledgerSteps(tr *Trainer, n int) (StepStats, error) {
@@ -87,6 +94,11 @@ func ledgerSteps(tr *Trainer, n int) (StepStats, error) {
 // virtual second or one byte of device memory fails here. A deliberate move
 // edits the ledger in the same commit, with the digests this test prints and
 // the reason.
+//
+// Every row runs at GOMAXPROCS 1, 2 and 4 against the same digests: the
+// trainer's phase-2 pool has one worker per core, and the "wide" rows' dense
+// reductions and Adam step are above tensor.ElementwiseMinWork, so there
+// they run as chunk sets and stripes on two or more workers.
 func TestBitsLedger(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "bits.json"))
 	if err != nil {
@@ -98,6 +110,9 @@ func TestBitsLedger(t *testing.T) {
 	}
 	adam := func() optim.Optimizer { return optim.NewAdam(1e-5) }
 	rhn := model.Config{Vocab: 60, Dim: 8, Hidden: 10, RNN: model.KindRHN, RHNDepth: 2}
+	if 4*wideModel.Hidden*wideModel.Hidden < tensor.ElementwiseMinWork {
+		t.Fatal("the wide rows no longer reach the phase-2 pool")
+	}
 	hardware := func(c *Config) {
 		hw := perfmodel.TitanX()
 		c.Hardware = &hw
@@ -139,36 +154,50 @@ func TestBitsLedger(t *testing.T) {
 			c.Overlap = true
 			c.Compress = &compress.Config{Method: compress.MethodQuant8, Stochastic: true, MinElems: 1}
 		},
+		"lstm-wide-full-adam-fp16-overlap-hardware": func(c *Config) {
+			c.Model = wideModel
+			c.NewOptimizer = adam
+			c.Wire = half.NewScaler(512)
+			c.Overlap = true
+			hardware(c)
+		},
+		"lstm-wide-sampled-sgd": func(c *Config) {
+			c.Model = wideModel
+			c.Model.Sampled = 12
+		},
 	}
 	if len(ledger) != len(rows) {
 		t.Errorf("ledger has %d rows, the test builds %d", len(ledger), len(rows))
 	}
 	train, valid := smallData(60, 8000, 21)
 	for name, set := range rows {
-		t.Run(name, func(t *testing.T) {
-			cfg := smallConfig(4, core.UniqueExchange{})
-			set(&cfg)
-			tr, err := New(cfg, train, valid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sums, err := ledgerSteps(tr, 6)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st, err := tr.CaptureState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := ledgerRow{
-				Model:     fmt.Sprintf("%x", sha256.Sum256(st.ModelBytes)),
-				Optimizer: optimizerDigest(st.Opt),
-				Counters:  countersDigest(tr, sums),
-			}
-			if want, ok := ledger[name]; !ok || got != want {
-				b, _ := json.Marshal(got)
-				t.Errorf("digests moved: got %q: %s, ledger has %+v", name, b, want)
-			}
-		})
+		for _, procs := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/procs=%d", name, procs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				cfg := smallConfig(4, core.UniqueExchange{})
+				set(&cfg)
+				tr, err := New(cfg, train, valid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sums, err := ledgerSteps(tr, 6)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := tr.CaptureState()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := ledgerRow{
+					Model:     fmt.Sprintf("%x", sha256.Sum256(st.ModelBytes)),
+					Optimizer: optimizerDigest(st.Opt),
+					Counters:  countersDigest(tr, sums),
+				}
+				if want, ok := ledger[name]; !ok || got != want {
+					b, _ := json.Marshal(got)
+					t.Errorf("digests moved: got %q: %s, ledger has %+v", name, b, want)
+				}
+			})
+		}
 	}
 }

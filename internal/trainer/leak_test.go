@@ -1,6 +1,7 @@
 package trainer
 
 import (
+	"fmt"
 	"runtime"
 	"strconv"
 	"strings"
@@ -10,7 +11,12 @@ import (
 
 	"zipflm/internal/compress"
 	"zipflm/internal/core"
+	"zipflm/internal/half"
+	"zipflm/internal/israce"
+	"zipflm/internal/model"
+	"zipflm/internal/optim"
 	"zipflm/internal/perfmodel"
+	"zipflm/internal/sampling"
 )
 
 // goroutines returns the stacks of every live goroutine but the caller,
@@ -47,10 +53,15 @@ func newGoroutineID() int64 {
 
 // TestStepsLeaveNoGoroutine: a step starts the G goroutines of its
 // forward/backward phase and no other — the synchronization runs on the
-// step's own goroutine, in both modes — and none of them outlives Steps,
-// on the error paths as on the happy one. The cases: Steps(3) in each mode,
-// overlap priced on Hardware and compressed, and a step aborted by one
-// rank's injected exchange failure or by an out-of-memory exchange.
+// step's own goroutine, in both modes, and the phase-2 pool's helpers were
+// started by New — and none of them outlives Steps, on the error paths as on
+// the happy one. The cases: Steps(3) in each mode, overlap priced on
+// Hardware and compressed, a wide model whose reductions and Adam step run
+// on the pool, and a step aborted by one rank's injected exchange
+// failure or by an out-of-memory exchange. Each runs with the trainer built
+// at GOMAXPROCS 1, 2 and 4, so with a pool of that many workers; the count
+// itself is taken at GOMAXPROCS 1 (see newGoroutineID), where the pool keeps
+// its workers, and the stack diff at the trainer's own GOMAXPROCS.
 func TestStepsLeaveNoGoroutine(t *testing.T) {
 	train, valid := smallData(60, 8000, 6)
 	armed := new(atomic.Bool)
@@ -74,6 +85,14 @@ func TestStepsLeaveNoGoroutine(t *testing.T) {
 			cfg.SimFLOPsPerStep = 1e9
 			return cfg
 		}, 3, false},
+		{"wide-adam-fp16-overlap", func() Config {
+			cfg := smallConfig(3, core.UniqueExchange{})
+			cfg.Model = wideModel
+			cfg.NewOptimizer = func() optim.Optimizer { return optim.NewAdam(1e-5) }
+			cfg.Wire = half.NewScaler(512)
+			cfg.Overlap = true
+			return cfg
+		}, 3, false},
 		{"exchange-failure-on-rank-1", func() Config {
 			return smallConfig(3, failOnRank{core.UniqueExchange{}, 1, armed})
 		}, 1, true},
@@ -89,58 +108,118 @@ func TestStepsLeaveNoGoroutine(t *testing.T) {
 			return cfg
 		}, 1, true},
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	for _, tc := range cases {
+	// steps runs Steps(n) on a goroutine of its own and checks its error.
+	steps := func(t *testing.T, tr *Trainer, n int, wantErr bool) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- tr.Steps(n) }()
+		select {
+		case err := <-done:
+			if (err != nil) != wantErr {
+				t.Fatalf("Steps(%d) returned %v, want an error: %v", n, err, wantErr)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("Steps did not return")
+		}
+	}
+	for _, procs := range []int{1, 2, 4} {
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("procs=%d/%s", procs, tc.name), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				armed.Store(false)
+				cfg := tc.cfg()
+				tr, err := New(cfg, train, valid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !tc.wantErr {
+					if err := tr.Steps(1); err != nil { // warm up
+						t.Fatal(err)
+					}
+				}
+				armed.Store(true)
+
+				runtime.GOMAXPROCS(1)
+				runtime.GC()
+				for i := 0; i < 20; i++ { // past the ids drawn before GOMAXPROCS was 1
+					newGoroutineID()
+				}
+				first := newGoroutineID()
+				steps(t, tr, tc.steps, tc.wantErr)
+				// Less the probe itself and the goroutine running Steps.
+				if started, want := newGoroutineID()-first-2, int64(tc.steps*cfg.Ranks); started != want {
+					t.Errorf("Steps(%d) started %d goroutines, want %d: phase 1's %d per step", tc.steps, started, want, cfg.Ranks)
+				}
+
+				runtime.GOMAXPROCS(procs)
+				before := goroutines()
+				steps(t, tr, tc.steps, tc.wantErr)
+				// A joined goroutine may still be on its way out of the runtime
+				// just after its WaitGroup released the step.
+				var left []string
+				for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+					left = left[:0]
+					for id, g := range goroutines() {
+						if _, ok := before[id]; !ok {
+							left = append(left, g)
+						}
+					}
+					if len(left) == 0 || time.Now().After(deadline) {
+						break
+					}
+				}
+				if len(left) > 0 {
+					t.Fatalf("%d goroutines outlived Steps:\n%s", len(left), strings.Join(left, "\n\n"))
+				}
+			})
+		}
+	}
+}
+
+// TestStepAllocBound pins what one committed step allocates on the two
+// benchmark recipes at G = 4 — the word LM (LSTM, sampled softmax, SGD, FP32
+// wire) and the char LM (RHN, full softmax, Adam, FP16 wire, overlap) — at
+// the counts below, which a change may only lower. What is left is phase 1's
+// fan-out, the word LM's per-step samplers and the per-step slices of
+// trainStep and the exchange; the batches, the collectives and the phase-2
+// pool allocate nothing. Filling per-rank batch buffers instead of making
+// 2 + 2·SeqLen slices per rank took these from 267 and 115.
+func TestStepAllocBound(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation guards are not meaningful under -race")
+	}
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		bound float64
+	}{
+		{"word", Config{
+			Model: model.Config{Vocab: 10000, Dim: 64, Hidden: 128, RNN: model.KindLSTM, Sampled: 128},
+			Ranks: 4, BatchPerRank: 4, SeqLen: 20, LR: 0.3, SeedStrategy: sampling.ZipfFreq, BaseSeed: 7,
+		}, 99},
+		{"char", Config{
+			Model: model.Config{Vocab: 98, Dim: 32, Hidden: 256, RNN: model.KindRHN, RHNDepth: 3},
+			Ranks: 4, BatchPerRank: 1, SeqLen: 8, LR: 0.01, BaseSeed: 7,
+			NewOptimizer: func() optim.Optimizer { return optim.NewAdam(1e-5) },
+			Wire:         half.NewScaler(256), Overlap: true,
+		}, 43},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			armed.Store(false)
-			cfg := tc.cfg()
-			tr, err := New(cfg, train, valid)
+			train, valid := smallData(tc.cfg.Model.Vocab, 20000, 3)
+			tr, err := New(tc.cfg, train, valid)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !tc.wantErr {
-				if err := tr.Steps(1); err != nil { // warm up
+			if err := tr.Steps(3); err != nil { // warm the workspaces
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				if err := tr.Steps(1); err != nil {
 					t.Fatal(err)
 				}
-			}
-			armed.Store(true)
-			runtime.GC()
-			for i := 0; i < 20; i++ { // past the ids drawn before GOMAXPROCS was 1
-				newGoroutineID()
-			}
-			before := goroutines()
-			first := newGoroutineID()
-			done := make(chan error, 1)
-			go func() { done <- tr.Steps(tc.steps) }()
-			select {
-			case err := <-done:
-				if (err != nil) != tc.wantErr {
-					t.Fatalf("Steps(%d) returned %v, want an error: %v", tc.steps, err, tc.wantErr)
-				}
-			case <-time.After(30 * time.Second):
-				t.Fatal("Steps did not return")
-			}
-			// Less the probe itself and the goroutine running Steps.
-			if started, want := newGoroutineID()-first-2, int64(tc.steps*cfg.Ranks); started != want {
-				t.Errorf("Steps(%d) started %d goroutines, want %d: phase 1's %d per step", tc.steps, started, want, cfg.Ranks)
-			}
-
-			// A joined goroutine may still be on its way out of the runtime
-			// just after its WaitGroup released the step.
-			var left []string
-			for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-				left = left[:0]
-				for id, g := range goroutines() {
-					if _, ok := before[id]; !ok {
-						left = append(left, g)
-					}
-				}
-				if len(left) == 0 || time.Now().After(deadline) {
-					break
-				}
-			}
-			if len(left) > 0 {
-				t.Fatalf("%d goroutines outlived Steps:\n%s", len(left), strings.Join(left, "\n\n"))
+			})
+			if allocs > tc.bound {
+				t.Errorf("Steps(1) allocates %.0f objects, want ≤ %.0f", allocs, tc.bound)
 			}
 		})
 	}

@@ -84,7 +84,7 @@ func TestReplicasShareWeightsOwnTrainingState(t *testing.T) {
 				t.Error("setting the replicas' dropout streams moved rank 0's")
 			}
 			// Workspace: each rank's step result lives in an arena of its own.
-			inputs, targets := tr.batchAt(tr.shards[0], 0)
+			inputs, targets := tr.batchAt(0, 0)
 			arenas := map[*float32]int{}
 			for r := 0; r < g; r++ {
 				res := tr.Model(r).ForwardBackward(inputs, targets, nil)

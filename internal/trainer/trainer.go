@@ -13,11 +13,14 @@
 //   - FP16 wire compression (§III-C) applies to all gradient payloads when
 //     configured.
 //
-// The synchronization phase executes once for all ranks, on the step's
-// goroutine: every collective and exchange takes the G ranks' buffers in one
-// call (collective's …Ranks methods, core.Exchanger.ExchangeRanks) and
-// leaves the reduced gradients in rank 0's, while counting, pricing and
-// tracing every rank as its own.
+// The synchronization phase executes once for all ranks, driven from the
+// step's goroutine: every collective and exchange takes the G ranks' buffers
+// in one call (collective's …Ranks methods, core.Exchanger.ExchangeRanks)
+// and leaves the reduced gradients in rank 0's, while counting, pricing and
+// tracing every rank as its own. Its bulk elementwise work — the chunks of
+// the dense rings and the Adam step — is spread over the
+// trainer's worker pool, one worker per core whatever Config.Workers is, as
+// chunk sets and stripes that leave every bit where one goroutine would.
 //
 // §II-B's invariant, "the model parameters on all GPUs are the same during
 // the next training step", holds by construction: the replicas share rank
@@ -29,6 +32,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"runtime"
 	"slices"
 	"time"
 
@@ -93,7 +97,10 @@ type Config struct {
 	// ZIPFLM_WORKERS); 1 forces the serial reference. Every setting
 	// produces bit-identical replicas, gradients, and losses — the backend
 	// contract — so Workers is a speed knob, not part of the trajectory,
-	// and deliberately not persisted in checkpoints.
+	// and deliberately not persisted in checkpoints. It sizes the pool of
+	// phase 1, whose ranks compute concurrently; phase 2 runs alone and
+	// spreads its chunk sets and stripes over a pool of its own with one
+	// worker per core (GOMAXPROCS at New), whatever Workers is.
 	Workers int
 	// DeviceCapacity bounds per-rank memory (0 = unlimited).
 	DeviceCapacity int64
@@ -278,10 +285,17 @@ type Trainer struct {
 	comm   *collective.Comm
 	models []*model.LM
 	opt    optim.Optimizer
+	// be is phase 2's worker pool, one worker per core at New whatever
+	// Config.Workers is: the communicator's element-pure rings and the
+	// optimizer spread their chunk sets and stripes over it.
+	be tensor.Backend
 	// ctxs are the ranks' exchange contexts, each with its own workspace.
 	ctxs   []*core.Ctx
 	shards [][]int
 	valid  []int
+	// batches are the ranks' (T×B) input and target buffers, which batchAt
+	// refills every step.
+	batches []batch
 	// step is the global training-step counter; Run and Steps both
 	// advance it, so interleaved calls keep consuming fresh batches (and
 	// fresh per-step sampler seeds) instead of retraining from zero. lr
@@ -363,8 +377,10 @@ func New(cfg Config, train, valid []int) (*Trainer, error) {
 		cfg:   cfg,
 		clu:   cluster.New(cfg.Ranks, cfg.DeviceCapacity),
 		comm:  collective.New(cfg.Ranks),
+		be:    tensor.New(runtime.GOMAXPROCS(0)),
 		valid: valid,
 	}
+	t.comm.AttachBackend(t.be)
 	if cfg.Telemetry != nil {
 		t.tel = newTrainerTelemetry(cfg.Telemetry)
 		t.comm.AttachTelemetry(cfg.Telemetry)
@@ -407,10 +423,12 @@ func New(cfg Config, train, valid []int) (*Trainer, error) {
 			t.ready[r] = make([]float64, len(t.units.layers))
 		}
 	}
-	t.opt = cfg.NewOptimizer()
+	t.opt = t.newOptimizer()
 	t.shards = make([][]int, cfg.Ranks)
+	t.batches = make([]batch, cfg.Ranks)
 	for r := 0; r < cfg.Ranks; r++ {
 		t.shards[r] = train[r*perRank : (r+1)*perRank]
+		t.batches[r] = newBatch(cfg.SeqLen, cfg.BatchPerRank)
 	}
 	if cfg.Compress != nil {
 		cc, err := cfg.Compress.Validate()
@@ -530,7 +548,7 @@ func (t *Trainer) RestoreState(st *ckpt.State) error {
 	if lm.Cfg != t.models[0].Cfg {
 		return fmt.Errorf("trainer: checkpoint model %+v does not match configured %+v", lm.Cfg, t.models[0].Cfg)
 	}
-	opt := t.cfg.NewOptimizer()
+	opt := t.newOptimizer()
 	if sn, ok := opt.(optim.Snapshotter); ok {
 		// Restore refuses another optimizer's kind, no state ("") included.
 		if err := sn.Restore(st.Opt); err != nil {
@@ -614,6 +632,15 @@ func replicate(m *model.LM, g int) ([]*model.LM, denseUnits) {
 	}
 	units.outemb = unit(func(*model.LM) []model.Param { return []model.Param{{Name: "outemb"}} })
 	return models, units
+}
+
+// newOptimizer builds the run's optimizer and lends an Adam phase 2's pool.
+func (t *Trainer) newOptimizer() optim.Optimizer {
+	opt := t.cfg.NewOptimizer()
+	if a, ok := opt.(*optim.Adam); ok {
+		a.SetBackend(t.be)
+	}
+	return opt
 }
 
 // afterStep runs the fault-tolerance bookkeeping after each committed
@@ -720,22 +747,35 @@ func (t *Trainer) resetStateAtEpoch() {
 	}
 }
 
-// batchAt slices one (T×B) batch out of a shard at the given step index.
-// In stateless mode sequence b of step s starts at an arbitrary wrapped
-// offset; in stateful mode the shard is divided into B contiguous lanes and
-// consecutive steps read consecutive windows of each lane, so the carried
-// RNN state always continues the text it left off (standard truncated-BPTT
-// feeding).
-func (t *Trainer) batchAt(shard []int, step int) (inputs, targets [][]int) {
+// batch is one rank's (T×B) inputs and targets, each row a window of one
+// backing array.
+type batch struct{ inputs, targets [][]int }
+
+func newBatch(seqLen, batchPerRank int) batch {
+	rows := func() [][]int {
+		flat := make([]int, seqLen*batchPerRank)
+		out := make([][]int, seqLen)
+		for st := range out {
+			out[st] = flat[st*batchPerRank : (st+1)*batchPerRank : (st+1)*batchPerRank]
+		}
+		return out
+	}
+	return batch{rows(), rows()}
+}
+
+// batchAt fills rank's batch buffers with its shard's (T×B) batch at the
+// given step index and returns them; they are valid until the rank's next
+// batchAt (ForwardBackward copies the ids it keeps). In stateless mode
+// sequence b of step s starts at an arbitrary wrapped offset; in stateful
+// mode the shard is divided into B contiguous lanes and consecutive steps
+// read consecutive windows of each lane, so the carried RNN state always
+// continues the text it left off (standard truncated-BPTT feeding).
+func (t *Trainer) batchAt(rank, step int) (inputs, targets [][]int) {
 	b := t.cfg.BatchPerRank
 	s := t.cfg.SeqLen
+	shard := t.shards[rank]
 	usable := len(shard) - 1
-	inputs = make([][]int, s)
-	targets = make([][]int, s)
-	for st := 0; st < s; st++ {
-		inputs[st] = make([]int, b)
-		targets[st] = make([]int, b)
-	}
+	inputs, targets = t.batches[rank].inputs, t.batches[rank].targets
 	if t.cfg.Model.Stateful {
 		laneLen := usable / b
 		for seq := 0; seq < b; seq++ {
@@ -1036,12 +1076,14 @@ func firstError(errs []error) error {
 // trainStep executes one synchronous step across all ranks.
 //
 // Phase 1 runs every rank's forward/backward pass on a goroutine of its own.
-// Phase 2 runs on the calling goroutine, once for every rank: the dense
+// Phase 2 runs from the calling goroutine, once for every rank: the dense
 // reductions (reduceDense), the sparse exchanges, each device's charge for
 // the embedding update it models, and then the update itself, once, on rank
-// 0's reduced gradients. cfg.Overlap decides only how the dense reductions
-// are grouped and priced, so weights and wire-byte counters match exactly
-// between the modes.
+// 0's reduced gradients. The element-pure rings' chunk sets and the Adam
+// step's stripes run on the pool New started (t.be), so phase 2 starts no
+// goroutine. cfg.Overlap decides only how the dense reductions are grouped
+// and priced, so weights and wire-byte counters match exactly between the
+// modes.
 func (t *Trainer) trainStep(step int, lrNow float64, seeds []uint64) (stepStats, error) {
 	g := t.cfg.Ranks
 	results := make([]model.StepResult, g)
@@ -1075,7 +1117,7 @@ func (t *Trainer) trainStep(step int, lrNow float64, seeds []uint64) (stepStats,
 				sampler = sampling.NewSampler(t.cfg.Model.Vocab, stepSeed)
 			}
 		}
-		inputs, targets := t.batchAt(t.shards[rank], step)
+		inputs, targets := t.batchAt(rank, step)
 		results[rank] = m.ForwardBackward(inputs, targets, sampler)
 		t.chargeCompute(rank, dev)
 		if tr := t.cfg.Trace; tr != nil {
@@ -1156,7 +1198,9 @@ func (t *Trainer) trainStep(step int, lrNow float64, seeds []uint64) (stepStats,
 
 	// The update, once for every rank (the reduced gradients are in rank
 	// 0's tensors) and only after every rank's exchange has succeeded, so a
-	// step any rank failed moves no weight and no moment.
+	// step any rank failed moves no weight and no moment. The 1/G scale
+	// stays on the caller: one multiply per element is cheaper serially than
+	// a wake of the pool's helpers.
 	lr := float32(lrNow)
 	invG := float32(1.0 / float64(g))
 	for _, p := range m.DenseParams() {

@@ -6,7 +6,8 @@ package zipflm
 // `go test -bench=.` doubles as a smoke-reproduction of the entire
 // evaluation. Training-based artifacts run in Quick mode to keep bench
 // iterations bounded; run `zipflm-bench` (without -quick) for the
-// full-fidelity numbers recorded in EXPERIMENTS.md.
+// full-fidelity numbers. The quick reports themselves are pinned byte for
+// byte by TestTablesLedger in internal/experiments.
 
 import (
 	"testing"

@@ -3,11 +3,10 @@
 // arXiv:1810.10045): scaling RNN language-model training across many GPUs by
 // exploiting Zipf's law in the embedding-layer gradient exchange.
 //
-// The system lives in internal/ packages (see DESIGN.md for the inventory),
-// is exercised by the runnable programs in cmd/ and the Example functions
-// in internal/trainer and internal/serve, and regenerates every table and
-// figure of the paper's evaluation through cmd/zipflm-bench and the
-// benchmarks in bench_test.go.
+// The system lives in internal/ packages (README's "Package map"), is
+// exercised by the runnable programs in cmd/ and the Example functions in
+// internal/trainer and internal/serve, and regenerates every table and figure
+// of the paper's evaluation through cmd/zipflm-bench and bench_test.go.
 //
 // # Communication substrate: G ranks simulated, each exchange executed once
 //
@@ -60,11 +59,11 @@
 // admission queue sheds under overload instead of accumulating goroutines,
 // deadlines are enforced at service start, and two LRU caches exploit the
 // Zipf shape of request popularity: a result cache for exact repeats and a
-// prefix cache snapshotting post-prompt recurrent states. The "serving" experiment
-// (zipflm-bench -exp serving) drives it with a closed-loop Zipf load
-// generator and fits the issued load with internal/powerlaw; the
-// BenchmarkServe* benchmarks in internal/serve compare batched and
-// sequential throughput.
+// prefix cache snapshotting post-prompt recurrent states. TestClosedLoopLoad
+// drives it with the closed-loop Zipf load generator (serve.RunLoad) and
+// fits the issued load with internal/powerlaw, the BenchmarkServe*
+// benchmarks compare batched and sequential throughput, and the repository
+// benchmark's serve_zipf_open workload measures it end to end.
 //
 // # Quantized & speculative decode: int8 kernels, draft-verified lookahead
 //
@@ -89,9 +88,9 @@
 // to sequential model.Generate at every temperature — the draft only
 // changes the cost per token. Both surface on zipflm-serve and
 // zipflm-generate (-quantized, -draft, -draft-k), /v1/stats reports the
-// acceptance rate, /v1/reload swaps target and draft atomically, and the
-// serving experiment's second table measures tok/s and acceptance for a
-// trained target/draft pairing.
+// acceptance rate, /v1/reload swaps target and draft atomically, and
+// TestServeTrainedDraftIsAccepted holds a trained draft's acceptance above
+// a cold one's.
 //
 // # Fault tolerance: checkpoints, deterministic resume, failure injection
 //

@@ -11,10 +11,7 @@ import (
 // strictly below the uncompressed row, the rerun is bit-deterministic, and
 // the repriced weak-scaling step improves on the baseline engine.
 func TestCompressExperiment(t *testing.T) {
-	rep, err := Run("compress", Options{Quick: true, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := quickReport(t, "compress")
 	if len(rep.Tables) != 2 {
 		t.Fatalf("expected 2 tables, got %d", len(rep.Tables))
 	}

@@ -3,7 +3,7 @@
 // Report whose tables print the same rows/series the paper reports, and
 // annotates paper-reported values alongside measured ones.
 //
-// Two execution styles are used, per DESIGN.md:
+// Two execution styles are used:
 //
 //   - Scaling/memory experiments (tab3, tab4, tab5 time columns, fig6, mem)
 //     run the *index-level* workload at full paper scale — real Zipf token

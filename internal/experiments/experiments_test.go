@@ -1,6 +1,11 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -10,8 +15,55 @@ import (
 
 func quickOpts() Options { return Options{Quick: true, Seed: 42} }
 
+// quickReports holds the reports quickReport has made, by id.
+var quickReports = map[string]*Report{}
+
+// quickReport returns experiment id's report at quickOpts. Each experiment
+// runs once per test binary; every later caller reads the same report.
+func quickReport(t *testing.T, id string) *Report {
+	t.Helper()
+	if rep, ok := quickReports[id]; ok {
+		return rep
+	}
+	rep, err := Run(id, quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	quickReports[id] = rep
+	return rep
+}
+
+// TestTablesLedger holds every experiment's report at quickOpts to the
+// SHA-256 digest of its text checked in as testdata/tables.json. Every table
+// is a pure function of the seed — the same bytes on every run, at every
+// GOMAXPROCS and worker count — so a digest moves only when a table does. A
+// deliberate move edits the ledger in the same commit, with the digest this
+// test prints and the reason.
+func TestTablesLedger(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "tables.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ledger map[string]string
+	if err := json.Unmarshal(raw, &ledger); err != nil {
+		t.Fatal(err)
+	}
+	ids := IDs()
+	if len(ledger) != len(ids) {
+		t.Errorf("ledger has %d ids, the registry %d", len(ledger), len(ids))
+	}
+	for _, id := range ids {
+		t.Run(id, func(t *testing.T) {
+			got := fmt.Sprintf("%x", sha256.Sum256([]byte(quickReport(t, id).String())))
+			if want, ok := ledger[id]; !ok || got != want {
+				t.Errorf("table moved: got %q: %q, ledger has %q", id, got, want)
+			}
+		})
+	}
+}
+
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"abl-fp16", "abl-sampler", "abl-seed", "bpc", "compress", "faults", "fig1", "fig5", "fig6", "fig7", "fig8", "mem", "overlap", "serving", "tab1", "tab3", "tab4", "tab5", "weakscale"}
+	want := []string{"abl-fp16", "abl-sampler", "abl-seed", "bpc", "compress", "faults", "fig1", "fig5", "fig6", "fig7", "fig8", "mem", "overlap", "tab1", "tab3", "tab4", "tab5", "weakscale"}
 	got := IDs()
 	if len(got) != len(want) {
 		t.Fatalf("registry has %v, want %v", got, want)
@@ -39,11 +91,7 @@ func TestUnknownExperiment(t *testing.T) {
 // about either), and the report is a function of the seed: a second run
 // prints the same bytes.
 func TestOverlapExperiment(t *testing.T) {
-	rep, err := Run("overlap", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := rep.String()
+	out := quickReport(t, "overlap").String()
 	if strings.Contains(out, "NO (") || strings.Contains(out, "WARNING") {
 		t.Errorf("overlap changed the wire bytes or predicted a slower step:\n%s", out)
 	}
@@ -66,10 +114,7 @@ func TestOverlapExperiment(t *testing.T) {
 // deterministic under rollback, and every swept MTBF's empirically-best
 // checkpoint interval must land within the Young/Daly ballpark.
 func TestFaultsExperiment(t *testing.T) {
-	rep, err := Run("faults", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := quickReport(t, "faults")
 	out := rep.String()
 	if strings.Contains(out, "WARNING") {
 		t.Errorf("faults experiment lost determinism:\n%s", out)
@@ -89,10 +134,7 @@ func TestFaultsExperiment(t *testing.T) {
 }
 
 func TestFig1PowerLaw(t *testing.T) {
-	rep, err := Run("fig1", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := quickReport(t, "fig1")
 	out := rep.String()
 	if strings.Contains(out, "WARNING") {
 		t.Errorf("fig1 exponent out of band:\n%s", out)
@@ -103,10 +145,7 @@ func TestFig1PowerLaw(t *testing.T) {
 }
 
 func TestTab1ListsAllDatasets(t *testing.T) {
-	rep, err := Run("tab1", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := quickReport(t, "tab1")
 	out := rep.String()
 	for _, name := range []string{"1b", "gb", "ar", "tieba", "93.12 GB"} {
 		if !strings.Contains(out, name) {
@@ -270,10 +309,7 @@ func TestTab5TimeModel(t *testing.T) {
 // TestTab5Training asserts the accuracy half's trend: more data at the same
 // step count lowers perplexity.
 func TestTab5Training(t *testing.T) {
-	rep, err := Run("tab5", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := quickReport(t, "tab5")
 	if len(rep.Tables) != 2 {
 		t.Fatalf("tab5 must produce two tables")
 	}
@@ -304,10 +340,7 @@ func TestSeedingMeasuredUnique(t *testing.T) {
 }
 
 func TestFig7Ordering(t *testing.T) {
-	rep, err := Run("fig7", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := quickReport(t, "fig7")
 	out := rep.String()
 	if !strings.Contains(out, "Zipf's-freq") || !strings.Contains(out, "log10G") {
 		t.Errorf("fig7 missing strategies:\n%s", out)
@@ -315,20 +348,14 @@ func TestFig7Ordering(t *testing.T) {
 }
 
 func TestFig8Converges(t *testing.T) {
-	rep, err := Run("fig8", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := quickReport(t, "fig8")
 	if strings.Contains(rep.String(), "WARNING") {
 		t.Errorf("fig8 did not converge:\n%s", rep)
 	}
 }
 
 func TestBPCRuns(t *testing.T) {
-	rep, err := Run("bpc", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := quickReport(t, "bpc")
 	out := rep.String()
 	if strings.Contains(out, "NaN") {
 		t.Errorf("bpc produced NaN:\n%s", out)
@@ -339,10 +366,7 @@ func TestBPCRuns(t *testing.T) {
 }
 
 func TestFig5Runs(t *testing.T) {
-	rep, err := Run("fig5", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := quickReport(t, "fig5")
 	if len(rep.Tables) == 0 || strings.Contains(rep.String(), "NaN") {
 		t.Errorf("fig5 malformed:\n%s", rep)
 	}
@@ -366,54 +390,14 @@ func TestV100ComparisonConstant(t *testing.T) {
 // TestAblationsRun smoke-tests the table-only ablation harnesses and their
 // key structural claims.
 func TestAblationsRun(t *testing.T) {
-	fp16, err := Run("abl-fp16", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fp16 := quickReport(t, "abl-fp16")
 	if strings.Contains(fp16.String(), "WARNING") {
 		t.Errorf("abl-fp16 monotonicity broken:\n%s", fp16)
 	}
 
-	seed, err := Run("abl-seed", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	seed := quickReport(t, "abl-seed")
 	if !strings.Contains(seed.String(), "Zipf's-freq") {
 		t.Errorf("abl-seed missing strategies:\n%s", seed)
-	}
-}
-
-// TestServingExperiment is the serving smoke: the closed-loop Zipf load
-// must produce cache hits and shed nothing in the cached configuration —
-// the experiment flags violations of either invariant with a WARNING note,
-// so a clean run means the caching layer works and admission control never
-// dropped a closed-loop request.
-func TestServingExperiment(t *testing.T) {
-	rep, err := Run("serving", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Tables) != 2 || len(rep.Tables[0].Rows()) != 3 {
-		t.Fatalf("serving report malformed:\n%s", rep)
-	}
-	// The quant/spec table carries the four decode legs; the trained draft
-	// must achieve nonzero acceptance (a zero rate raises a WARNING note).
-	if rows := rep.Tables[1].Rows(); len(rows) != 4 {
-		t.Fatalf("quant/spec table has %d rows, want 4:\n%s", len(rows), rep)
-	}
-	for _, n := range rep.Notes {
-		if strings.Contains(n, "WARNING") {
-			t.Errorf("serving invariant violated: %s", n)
-		}
-	}
-	var sawFit bool
-	for _, n := range rep.Notes {
-		if strings.Contains(n, "power law") {
-			sawFit = true
-		}
-	}
-	if !sawFit {
-		t.Error("serving report missing the power-law load fit")
 	}
 }
 

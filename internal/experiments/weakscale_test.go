@@ -21,10 +21,7 @@ func quickWeakWorkload() scalingWorkload {
 // TestWeakScaleExperiment smoke-runs the registered experiment in quick
 // mode and checks the report's structural invariants.
 func TestWeakScaleExperiment(t *testing.T) {
-	rep, err := Run("weakscale", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := quickReport(t, "weakscale")
 	out := rep.String()
 	if strings.Contains(out, "WARNING") {
 		t.Errorf("weakscale flagged a problem:\n%s", out)

@@ -39,8 +39,8 @@ type scalingWorkload struct {
 	AchievedFrac float64
 	// TokensPerEpoch is the dataset size in tokens.
 	TokensPerEpoch int64
-	// Calibration constants (documented in EXPERIMENTS.md):
-	// OverheadBase + OverheadLin·G + OverheadQuad·G² is the per-step
+	// Calibration constants (each workload constructor names the paper
+	// points it fits them to): OverheadBase + OverheadLin·G + OverheadQuad·G² is the per-step
 	// framework cost anchored to the paper's "with our technique" epoch
 	// hours.
 	OverheadBase float64

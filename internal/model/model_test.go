@@ -217,6 +217,9 @@ func TestLMGradientMatrix(t *testing.T) {
 	}
 }
 
+// TestSampledSoftmaxGradient checks the sampled-softmax loss's analytic
+// gradients — dH on every row, dEmb on the first candidate rows — against
+// central differences of the loss over a fixed candidate set.
 func TestSampledSoftmaxGradient(t *testing.T) {
 	r := rng.New(5)
 	const B, D, V, S = 4, 5, 40, 12

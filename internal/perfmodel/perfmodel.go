@@ -39,7 +39,7 @@ type Hardware struct {
 // derated well below the quoted link peaks (32 GB/s PCIe bidirectional,
 // 15 GB/s FDR bidirectional) to the throughput a TF-1.4 cuda-aware-MPI
 // stack actually sustained on many medium-sized tensors — the derating is
-// part of the calibration documented in EXPERIMENTS.md.
+// part of the calibration that internal/experiments/workloads.go fits.
 func TitanX() Hardware {
 	return Hardware{
 		Name:        "TitanX-FDR",

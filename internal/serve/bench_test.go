@@ -126,8 +126,8 @@ func BenchmarkServeQuantQ8Batched8(b *testing.B)   { runQuantBench(b, true, 8, 8
 // (acceptance exactly 1 — the mechanism's accounting ceiling, not a speedup
 // claim, since this draft costs as much as the target), and a small cold
 // draft (acceptance ≈ 0 — the overhead floor). A trained small-draft
-// pairing, which is where the win lives, is measured in the serving
-// experiment (zipflm-bench -exp serving).
+// pairing, which is where the win lives, is held to a nonzero acceptance
+// rate by TestServeTrainedDraftIsAccepted.
 
 func runSpecBench(b *testing.B, draft *model.LM, k int, quantized bool) {
 	m := quantBenchModel()

@@ -7,9 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"zipflm/internal/core"
+	"zipflm/internal/corpus"
 	"zipflm/internal/model"
 	"zipflm/internal/rng"
 	"zipflm/internal/sampling"
+	"zipflm/internal/trainer"
 )
 
 // draftFor returns a small RHN draft sharing m's vocabulary — the intended
@@ -174,6 +177,60 @@ func TestServeSpeculativeFullAcceptance(t *testing.T) {
 	}
 	if snap.SpecAcceptanceRate() != 1 {
 		t.Fatalf("acceptance rate %v, want 1", snap.SpecAcceptanceRate())
+	}
+}
+
+// TestServeTrainedDraftIsAccepted runs the pairing speculation is built for:
+// an LSTM target and an RHN draft with about a third of its parameters, both
+// trained on the same Markov corpus. The draft's greedy proposals must track
+// the target — its acceptance rate must be above zero and above the cold
+// draftFor draft's on the same requests — while every response stays
+// bit-identical to sequential generation on the target.
+func TestServeTrainedDraftIsAccepted(t *testing.T) {
+	const seed = 42
+	gen := corpus.NewMarkovGenerator(corpus.MarkovConfig{
+		VocabSize: 799, Branching: 4, ZipfExponent: 1.2, Seed: seed,
+	})
+	train, valid := corpus.Split(gen.Stream(11_000), 10, 100, seed)
+	trainOne := func(mc model.Config) *model.LM {
+		tr, err := trainer.New(trainer.Config{
+			Model:        mc,
+			Ranks:        1,
+			BatchPerRank: 4,
+			SeqLen:       16,
+			LR:           0.15,
+			ClipNorm:     1.0,
+			Exchange:     core.UniqueExchange{},
+			SeedStrategy: sampling.ZipfFreq,
+			BaseSeed:     seed,
+		}, train, valid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tr.Run(1, 1); err != nil {
+			t.Fatal(err)
+		}
+		return tr.Model(0)
+	}
+	target := trainOne(model.Config{Vocab: 800, Dim: 32, Hidden: 48, RNN: model.KindLSTM, Sampled: 48, Seed: seed})
+	draft := trainOne(model.Config{Vocab: 800, Dim: 12, Hidden: 16, RNN: model.KindRHN, RHNDepth: 2, Sampled: 48, Seed: seed + 1})
+
+	load := LoadConfig{Vocab: target.Cfg.Vocab, Seed: seed}
+	reqs := make([]Request, 16)
+	for i := range reqs {
+		reqs[i] = Request{Prompt: load.PromptForRank(i), N: 24, Seed: load.SeedForRank(i)} // greedy
+	}
+	acceptance := func(d *model.LM, tag string) float64 {
+		s := New(target, Config{Draft: d, DraftK: 4, MaxBatch: 1, QueueDepth: len(reqs)})
+		defer s.Close()
+		submitAll(t, s, target, reqs, tag)
+		return s.Stats().SpecAcceptanceRate()
+	}
+	trained := acceptance(draft, "trained draft")
+	cold := acceptance(draftFor(target, 33), "cold draft")
+	t.Logf("acceptance: trained draft %.3f, cold draft %.3f", trained, cold)
+	if trained <= 0 || trained <= cold {
+		t.Fatalf("trained draft accepted at %.3f, cold draft at %.3f: training taught the draft nothing", trained, cold)
 	}
 }
 

@@ -39,7 +39,7 @@ type api struct {
 // newAPI serves a fresh random model with no vocabulary file behind newMux,
 // observed the way the command observes it; metricsAddr non-empty also
 // starts the observer listener.
-func newAPI(t *testing.T, metricsAddr string) *api {
+func newAPI(t testing.TB, metricsAddr string) *api {
 	t.Helper()
 	obs, err := telemetry.Start("zipflm-serve", telemetry.Options{
 		Flight: 16, History: 8, MetricsAddr: metricsAddr, Exported: true,
@@ -62,7 +62,7 @@ func newAPI(t *testing.T, metricsAddr string) *api {
 }
 
 // post sends body to path and returns the status and the response body.
-func (a *api) post(t *testing.T, path, body string) (int, []byte) {
+func (a *api) post(t testing.TB, path, body string) (int, []byte) {
 	t.Helper()
 	resp, err := http.Post(a.URL+path, "application/json", strings.NewReader(body))
 	if err != nil {
@@ -90,15 +90,18 @@ func (a *api) generate(t *testing.T, body string) genResponse {
 	return out
 }
 
-func TestGenerateRejectsBadRequests(t *testing.T) {
-	a := newAPI(t, "")
+// badGenerates are request bodies /v1/generate must refuse, each with the
+// status it answers.
+func badGenerates() map[string]struct {
+	body string
+	want int
+} {
 	ids := make([]string, maxBodyBytes/2)
 	for i := range ids {
 		ids[i] = "1"
 	}
 	oversized := `{"prompt_ids":[` + strings.Join(ids, ",") + `],"n":4}`
-
-	for name, tc := range map[string]struct {
+	return map[string]struct {
 		body string
 		want int
 	}{
@@ -113,7 +116,12 @@ func TestGenerateRejectsBadRequests(t *testing.T) {
 		"negative temperature":   {`{"prompt_ids":[1],"n":4,"temperature":-0.5}`, http.StatusBadRequest},
 		"text prompt, no -vocab": {`{"prompt":"the cat","n":4}`, http.StatusBadRequest},
 		"deadline mid-flight":    {`{"prompt_ids":[1],"n":4096,"timeout_ms":1}`, http.StatusGatewayTimeout},
-	} {
+	}
+}
+
+func TestGenerateRejectsBadRequests(t *testing.T) {
+	a := newAPI(t, "")
+	for name, tc := range badGenerates() {
 		if got, raw := a.post(t, "/v1/generate", tc.body); got != tc.want {
 			t.Errorf("%s: status %d, want %d (%s)", name, got, tc.want, bytes.TrimSpace(raw))
 		}
@@ -134,6 +142,30 @@ func TestGenerateRejectsBadRequests(t *testing.T) {
 	if stats.Accepted != 1 || stats.Completed != 0 {
 		t.Errorf("rejected requests were admitted: accepted %d, completed %d", stats.Accepted, stats.Completed)
 	}
+}
+
+// FuzzGenerate posts arbitrary bodies to /v1/generate: each must be
+// answered with a status the API documents, and a 200 must carry a
+// genResponse. A handler that panics drops the connection, which post
+// reports. /v1/reload is not fuzzed: its body names a file to open.
+func FuzzGenerate(f *testing.F) {
+	for _, tc := range badGenerates() {
+		f.Add(tc.body)
+	}
+	f.Add(`{"prompt_ids":[3,1,4],"n":8,"temperature":0.8,"top_k":5,"top_p":0.9,"seed":7}`)
+	a := newAPI(f, "")
+	f.Fuzz(func(t *testing.T, body string) {
+		switch status, raw := a.post(t, "/v1/generate", body); status {
+		case http.StatusOK:
+			var out genResponse
+			if err := json.Unmarshal(raw, &out); err != nil {
+				t.Fatalf("200 for %q is not a genResponse: %v in %s", body, err, raw)
+			}
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+		default:
+			t.Fatalf("status %d for %q: %s", status, body, bytes.TrimSpace(raw))
+		}
+	})
 }
 
 // stats decodes GET /v1/stats into v.

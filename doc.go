@@ -23,7 +23,8 @@
 //     pool (one worker per core, whatever Config.Workers is) takes chunk
 //     sets, as it takes stripes of the Adam step. Gathers
 //     account payloads the caller already holds. The executor and the
-//     per-rank adapters built on Comm.Rendezvous are allocation-free at
+//     per-rank adapters built on Comm.Rendezvous (collective's AllReduce,
+//     core's Exchange) are allocation-free at
 //     steady state, guarded by testing.AllocsPerRun, and held bit for bit
 //     to the goroutine ring they replaced at GOMAXPROCS 1, 2 and 8.
 //
@@ -179,7 +180,9 @@
 // The trainer runs the optimizer once per step, for every rank: the ranks
 // share one set of weights (model.LM.Replica) and one optimizer, and the
 // update reads rank 0's reduced gradients only after every rank's exchange
-// succeeded. The virtual clock still charges each simulated device for the
+// succeeded. Each dense tensor is declared once, as a view of one value
+// slab the replicas share and one gradient slab per replica, so the 1/G
+// scale is one call over rank 0's slab (model.LM.DenseGrads). The virtual clock still charges each simulated device for the
 // update it models.
 // internal/cpu is the single CPUID probe behind all of these gates.
 //

@@ -22,8 +22,8 @@
 // posts the standard ring all-gather volume, (G−1)/G of the payloads' total,
 // per rank.
 //
-// Callers that still run one goroutine per rank use the per-rank adapters
-// (AllReduce, AgreeAllOK), which are built on one primitive, Rendezvous:
+// Callers that still run one goroutine per rank use the per-rank adapter
+// AllReduce, or build their own on the primitive beneath it, Rendezvous:
 // every rank posts its arguments, rank 0 runs the batched call for the
 // group, and every rank gets its result.
 //
@@ -142,13 +142,10 @@ type lane struct {
 	// posts are Rendezvous' slots, one per rank.
 	posts []any
 	// xs, parts and wires are AllReduce's arguments as its ranks post them:
-	// parts[r] is the window xs[r:r+1], so posting allocates nothing. votes
-	// and agreed are AgreeAllOK's.
-	xs     [][]float32
-	parts  [][][]float32
-	wires  []Wire
-	votes  []bool
-	agreed bool
+	// parts[r] is the window xs[r:r+1], so posting allocates nothing.
+	xs    [][]float32
+	parts [][][]float32
+	wires []Wire
 
 	// v0 and sent are a batched call's per-rank scratch: each rank's
 	// virtual clock at the call's start (read only when the call is
@@ -185,7 +182,6 @@ func newLane(g, track int) *lane {
 		xs:      make([][]float32, g),
 		parts:   make([][][]float32, g),
 		wires:   make([]Wire, g),
-		votes:   make([]bool, g),
 		v0:      make([]float64, g),
 		sent:    make([]int64, g),
 		barrier: NewBarrier(g),
@@ -639,8 +635,8 @@ func (c *Comm) AgreeRanks(ok []bool) bool {
 // arguments, and room for its results — and once all G have, rank 0 runs
 // run(posts), posts[r] being rank r's post. No rank returns before run has,
 // so results run writes into the posts are every rank's to read. Calls on a
-// lane are matched in order, like any collective's; the per-rank adapters
-// of this package (AllReduce, AgreeAllOK) are built on it.
+// lane are matched in order, like any collective's; AllReduce and
+// core.Exchanger's Exchange are built on it.
 func (c *Comm) Rendezvous(rank int, post any, run func(posts []any)) {
 	c.posts[rank] = post
 	c.barrier.Wait()
@@ -659,15 +655,6 @@ func (c *Comm) Rendezvous(rank int, post any, run func(posts []any)) {
 func (c *Comm) AllReduce(rank int, x []float32, wire Wire) {
 	c.xs[rank], c.wires[rank] = x, wire
 	c.Rendezvous(rank, nil, func([]any) { c.allReduce(c.parts, c.wires, true) })
-}
-
-// AgreeAllOK is the per-rank adapter of AgreeRanks: every rank reports a
-// boolean and all ranks learn whether every rank said true, so no rank goes
-// on to a data collective its peers abandoned.
-func (c *Comm) AgreeAllOK(rank int, ok bool) bool {
-	c.votes[rank] = ok
-	c.Rendezvous(rank, nil, func([]any) { c.agreed = c.AgreeRanks(c.votes) })
-	return c.agreed
 }
 
 // Barrier is a reusable counting barrier for a fixed number of parties.

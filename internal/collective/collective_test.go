@@ -247,23 +247,20 @@ func TestAllGatherFloatsFP16HalvesBytes(t *testing.T) {
 	}
 }
 
-func TestAgreeAllOK(t *testing.T) {
+func TestAgreeRanks(t *testing.T) {
 	const g = 4
 	for _, badRank := range []int{-1, 0, 2} { // -1 = all ok
 		c := New(g)
-		results := make([]bool, g)
-		runRanks(g, func(rank int) {
-			results[rank] = c.AgreeAllOK(rank, rank != badRank)
-		})
-		want := badRank == -1
-		for rank := 0; rank < g; rank++ {
-			if results[rank] != want {
-				t.Errorf("badRank=%d rank=%d: got %v, want %v", badRank, rank, results[rank], want)
-			}
+		votes := make([]bool, g)
+		for rank := range votes {
+			votes[rank] = rank != badRank
+		}
+		if got, want := c.AgreeRanks(votes), badRank == -1; got != want {
+			t.Errorf("badRank=%d: got %v, want %v", badRank, got, want)
 		}
 		// Control plane must not count as data traffic.
 		if c.RankStats(0).Total() != 0 {
-			t.Error("AgreeAllOK added data-plane bytes")
+			t.Error("AgreeRanks added data-plane bytes")
 		}
 	}
 }

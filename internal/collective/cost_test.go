@@ -82,22 +82,23 @@ func TestAllGatherChargesLargestPayload(t *testing.T) {
 	}
 }
 
-// TestBarrierMaxSynchronizes: the control-plane barrier (AgreeAllOK) costs
-// no bytes but drags every clock up to the slowest rank.
+// TestBarrierMaxSynchronizes: the control-plane vote (AgreeRanks) costs no
+// bytes but drags every clock up to the slowest rank.
 func TestBarrierMaxSynchronizes(t *testing.T) {
 	const g = 4
 	c, clocks := newCostComm(g)
 	for r, ck := range clocks {
 		ck.Advance(float64(r)) // rank 3 is the straggler-setter at t=3
 	}
-	runRanks(g, func(rank int) { c.AgreeAllOK(rank, true) })
+	yes := []bool{true, true, true, true}
+	c.AgreeRanks(yes)
 	for r, ck := range clocks {
 		if !eqTime(ck.Now(), 3) {
 			t.Errorf("rank %d clock %v after barrier, want 3", r, ck.Now())
 		}
 	}
 	// Reusable across generations.
-	runRanks(g, func(rank int) { c.AgreeAllOK(rank, true) })
+	c.AgreeRanks(yes)
 	for r, ck := range clocks {
 		if !eqTime(ck.Now(), 3) {
 			t.Errorf("second barrier moved rank %d to %v", r, ck.Now())
@@ -106,9 +107,9 @@ func TestBarrierMaxSynchronizes(t *testing.T) {
 }
 
 // TestDeterministicVirtualTime runs the same mixed collective sequence —
-// per-rank adapters on one goroutine per rank, then batched gathers — on
-// fresh communicators and demands bit-identical clocks, whatever the
-// scheduler did.
+// the per-rank adapter on one goroutine per rank, then a vote and batched
+// gathers — on fresh communicators and demands bit-identical clocks,
+// whatever the scheduler did.
 func TestDeterministicVirtualTime(t *testing.T) {
 	run := func() []float64 {
 		const g = 5
@@ -116,8 +117,8 @@ func TestDeterministicVirtualTime(t *testing.T) {
 		runRanks(g, func(rank int) {
 			x := make([]float32, 333)
 			c.AllReduce(rank, x, nil)
-			c.AgreeAllOK(rank, true)
 		})
+		c.AgreeRanks(make([]bool, g))
 		ints := make([][]int, g)
 		floats := make([][]float32, g)
 		wires := make([]Wire, g)
@@ -154,8 +155,8 @@ func TestNilCostModelLeavesNoTrace(t *testing.T) {
 	runRanks(g, func(rank int) {
 		x := make([]float32, 64)
 		c.AllReduce(rank, x, nil)
-		c.AgreeAllOK(rank, true)
 	})
+	c.AgreeRanks(make([]bool, g))
 }
 
 func TestAttachCostValidatesClockCount(t *testing.T) {

@@ -78,10 +78,29 @@ func TestFusedPartsOnSideLaneMatchPerTensorOnPrimary(t *testing.T) {
 	}
 }
 
+// agreeRank is a per-rank vote built on Rendezvous: every rank posts its
+// vote, rank 0 runs AgreeRanks for the group, and every rank reads the
+// answer.
+func agreeRank(c *Comm, rank int, ok bool) bool {
+	type vote struct{ ok, all bool }
+	mine := &vote{ok: ok}
+	c.Rendezvous(rank, mine, func(posts []any) {
+		votes := make([]bool, len(posts))
+		for r, p := range posts {
+			votes[r] = p.(*vote).ok
+		}
+		all := c.AgreeRanks(votes)
+		for _, p := range posts {
+			p.(*vote).all = all
+		}
+	})
+	return mine.all
+}
+
 // TestLanesRunConcurrentlyWithoutInterleaving drives both lanes at once: one
 // goroutine issues batched gathers and compressed all-reduces on the side
-// lane while every rank's goroutine runs the per-rank adapters on the
-// primary. Were a rendezvous slot, barrier generation or scratch slice
+// lane while every rank's goroutine runs AllReduce and a Rendezvous vote on
+// the primary. Were a rendezvous slot, barrier generation or scratch slice
 // shared between the lanes, a round would deliver the wrong result or hang;
 // -race additionally checks the counters.
 func TestLanesRunConcurrentlyWithoutInterleaving(t *testing.T) {
@@ -126,7 +145,7 @@ func TestLanesRunConcurrentlyWithoutInterleaving(t *testing.T) {
 					t.Errorf("round %d rank %d: primary sum[%d] = %v, want %v", round, rank, i, v, want)
 				}
 			}
-			if !c.AgreeAllOK(rank, true) {
+			if !agreeRank(c, rank, true) {
 				t.Errorf("round %d rank %d: a unanimous vote failed", round, rank)
 			}
 		}

@@ -580,25 +580,39 @@ func agree(lens []int, _ uint64) gatherCase {
 	}
 }
 
-// agreeAdapter is agree through the per-rank AgreeAllOK, one goroutine per
-// rank: every rank must learn the same answer.
+// agreeAdapter is agree run per rank, one goroutine each, through
+// Rendezvous: every rank posts its vote, rank 0 runs AgreeRanks for the
+// group, and every rank must learn the same answer.
 func agreeAdapter(lens []int, seed uint64) gatherCase {
 	gc := agree(lens, seed)
 	gc.call = func(c *collective.Comm) any {
-		got := make([]bool, len(lens))
-		onRanks(len(lens), func(rank int) { got[rank] = c.AgreeAllOK(rank, lens[rank] > 0) })
-		for _, v := range got[1:] {
-			if v != got[0] {
-				return fmt.Sprintf("ranks disagree: %v", got)
+		type vote struct{ ok, all bool }
+		posts := make([]vote, len(lens))
+		onRanks(len(lens), func(rank int) {
+			posts[rank].ok = lens[rank] > 0
+			c.Rendezvous(rank, &posts[rank], func(ps []any) {
+				votes := make([]bool, len(ps))
+				for r, p := range ps {
+					votes[r] = p.(*vote).ok
+				}
+				all := c.AgreeRanks(votes)
+				for _, p := range ps {
+					p.(*vote).all = all
+				}
+			})
+		})
+		for _, p := range posts[1:] {
+			if p.all != posts[0].all {
+				return fmt.Sprintf("ranks disagree: %v", posts)
 			}
 		}
-		return got[0]
+		return posts[0].all
 	}
 	return gc
 }
 
 // TestGatherMatrix holds the batched gathers, the compressed all-reduce and
-// the vote — batched and through its per-rank adapter — to their serial
+// the vote — batched and per rank through Rendezvous — to their serial
 // oracles on the ring matrix's schedule, with ragged per-rank lengths
 // including 0 and on either lane. Each call must produce the oracle's result
 // and add the oracle's Stats to every rank on its lane and nothing on the

@@ -91,9 +91,22 @@ func refAlloc(dev *cluster.Device, n int64) (func(), error) {
 	return func() { dev.Free(n) }, nil
 }
 
-// refAgree runs the abort protocol around one rank's allocation outcome.
+// refAgree runs the abort protocol around one rank's allocation outcome: the
+// ranks' votes meet in one AgreeRanks, and every rank learns its answer.
 func refAgree(ctx *Ctx, localErr error, release func()) error {
-	if ctx.Comm.AgreeAllOK(ctx.Rank, localErr == nil) {
+	type vote struct{ ok, all bool }
+	mine := &vote{ok: localErr == nil}
+	ctx.Comm.Rendezvous(ctx.Rank, mine, func(posts []any) {
+		votes := make([]bool, len(posts))
+		for r, p := range posts {
+			votes[r] = p.(*vote).ok
+		}
+		all := ctx.Comm.AgreeRanks(votes)
+		for _, p := range posts {
+			p.(*vote).all = all
+		}
+	})
+	if mine.all {
 		return nil
 	}
 	if localErr != nil {

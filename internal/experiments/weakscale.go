@@ -122,50 +122,43 @@ func runWeakStepPriced(w scalingWorkload, g int, baseline, unlimitedMem bool, se
 		}
 	}
 
-	// Phase: sparse exchanges, online. Gradient values are irrelevant to
-	// cost, so rows stay zero; bytes, scratch and virtual time are real.
-	inStats := make([]core.Stats, g)
+	// Phase: sparse exchanges, online, every rank's in one call. Gradient
+	// values are irrelevant to cost, so rows stay zero; bytes, scratch and
+	// virtual time are real.
+	ctxs := make([]*core.Ctx, g)
+	grads := func(idx [][]int) []core.SparseGrad {
+		out := make([]core.SparseGrad, g)
+		for r := range out {
+			out[r] = core.SparseGrad{Indices: idx[r], Rows: tensor.NewMatrix(len(idx[r]), w.D)}
+		}
+		return out
+	}
+	for r, dev := range clu.Devices {
+		ctxs[r] = &core.Ctx{Rank: r, Comm: comm, Dev: dev, Wire: wire, WS: core.NewWorkspace()}
+	}
+	_, inStats, errs := ex.ExchangeRanks(ctxs, grads(inIdx))
 	outStats := make([]core.Stats, g)
-	err := clu.Run(func(rank int, dev *cluster.Device) error {
-		ctx := &core.Ctx{Rank: rank, Comm: comm, Dev: dev, Wire: wire, WS: core.NewWorkspace()}
-		_, st, err := ex.Exchange(ctx, core.SparseGrad{
-			Indices: inIdx[rank],
-			Rows:    tensor.NewMatrix(len(inIdx[rank]), w.D),
-		})
-		if err != nil {
-			return err
+	err := errors.Join(errs...)
+	if err == nil && outIdx != nil {
+		// In the TF-1.4 step graph both embeddings' gathered blocks are
+		// resident at once: keep the input exchange's scratch accounted
+		// while the output exchange runs, and abandon it, as the engines
+		// do, unless every rank could hold its share.
+		ok := make([]bool, g)
+		for r, dev := range clu.Devices {
+			errs[r] = dev.Alloc(inStats[r].ScratchBytes)
+			ok[r] = errs[r] == nil
 		}
-		inStats[rank] = st
-		if outIdx != nil {
-			// In the TF-1.4 step graph both embeddings' gathered blocks
-			// are resident at once: keep the input exchange's scratch
-			// accounted while the output exchange runs, with the same
-			// collective abort protocol the engines use so no rank blocks
-			// in a collective its peers abandoned.
-			hold := inStats[rank].ScratchBytes
-			allocErr := dev.Alloc(hold)
-			if !comm.AgreeAllOK(rank, allocErr == nil) {
-				if allocErr != nil {
-					return allocErr
-				}
-				dev.Free(hold)
-				return core.ErrPeerOOM
-			}
-			defer dev.Free(hold)
-			stOut, err := func() (core.Stats, error) {
-				_, st, err := ex.Exchange(ctx, core.SparseGrad{
-					Indices: outIdx[rank],
-					Rows:    tensor.NewMatrix(len(outIdx[rank]), w.D),
-				})
-				return st, err
-			}()
-			if err != nil {
-				return err
-			}
-			outStats[rank] = stOut
+		if comm.AgreeRanks(ok) {
+			_, outStats, errs = ex.ExchangeRanks(ctxs, grads(outIdx))
 		}
-		return nil
-	})
+		for r, dev := range clu.Devices {
+			if ok[r] {
+				dev.Free(inStats[r].ScratchBytes)
+			}
+		}
+		err = errors.Join(errs...)
+	}
 	if err != nil {
 		var oom *cluster.ErrOutOfMemory
 		if errors.As(err, &oom) || errors.Is(err, core.ErrPeerOOM) {

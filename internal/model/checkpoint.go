@@ -212,7 +212,7 @@ func Unmarshal(raw []byte) (*LM, error) {
 		return nil, fmt.Errorf("model: checkpoint carries %.0f values, its config needs %.0f", floats, want)
 	}
 
-	m := newLM(cfg, nil, tensor.NewMatrix, tensor.Default()) // zero weights, each filled below
+	m := newLM(cfg, nil, nil, nil, nil, tensor.Default()) // zero weights, each filled below
 	params := m.Weights()
 	if len(tensors) != len(params) {
 		return nil, fmt.Errorf("model: checkpoint has %d tensors, the model %d", len(tensors), len(params))
@@ -230,7 +230,8 @@ func Unmarshal(raw []byte) (*LM, error) {
 }
 
 // paramFloats is the number of parameter values NewLM(c) creates — both
-// embeddings, the recurrent layer, the projection — from the shapes alone.
+// embeddings, the recurrent layer, the projection — from the shapes alone;
+// newLM sizes its dense slab from it.
 // In float64 a hostile Config cannot overflow it, and it is exact wherever
 // it can equal a count of values actually present (below 2⁵³).
 func paramFloats(c Config) float64 {

@@ -21,8 +21,7 @@ type Linear struct {
 
 	gw *tensor.Matrix
 	gb []float32
-
-	params []Param
+	declared
 
 	be tensor.Backend
 
@@ -30,24 +29,16 @@ type Linear struct {
 	x *tensor.Matrix
 }
 
-// newLinear returns a Linear layer over the weight tensors weights supplies,
-// in Params order, with gradients and a cache of its own. A non-nil r draws
-// Xavier-uniform weights.
-func newLinear(in, out int, r *rng.RNG, weights func(rows, cols int) *tensor.Matrix) *Linear {
-	l := &Linear{
-		In: in, Out: out,
-		W:  weights(out, in),
-		B:  weights(1, out).Data,
-		gw: tensor.NewMatrix(out, in),
-		gb: make([]float32, out),
-		be: tensor.Serial{},
-	}
+// newLinear returns a Linear layer whose weights and gradients c carves,
+// with a cache of its own. A non-nil r draws Xavier-uniform weights.
+func newLinear(in, out int, r *rng.RNG, c *carver) *Linear {
+	l := &Linear{In: in, Out: out, be: tensor.Serial{}}
+	first := len(c.params)
+	l.W, l.gw = c.take("linear.W", out, in)
+	b, gb := c.take("linear.b", 1, out)
+	l.B, l.gb, l.declared = b.Data, gb.Data, c.since(first)
 	if r != nil {
 		l.W.RandomizeUniform(r, math.Sqrt(6/float64(in+out)))
-	}
-	l.params = []Param{
-		{Name: "linear.W", Value: l.W.Data, Grad: l.gw.Data},
-		{Name: "linear.b", Value: l.B, Grad: l.gb},
 	}
 	return l
 }
@@ -93,6 +84,3 @@ func (l *Linear) backward(ws *workspace, dy *tensor.Matrix) *tensor.Matrix {
 	l.x = nil
 	return dx
 }
-
-// Params implements Layer.
-func (l *Linear) Params() []Param { return l.params }

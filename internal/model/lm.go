@@ -86,9 +86,13 @@ type LM struct {
 	// path (see quantize.go); nil on an FP32 replica.
 	qOutEmb *tensor.QMatrix
 
-	// layers and dense are DenseLayers' and DenseParams' results, built once.
-	layers []Layer
-	dense  []Param
+	// values and grads are the dense slabs every dense tensor is a view of
+	// (see carver): values is shared with every Replica, grads is this
+	// replica's own. layers and dense are DenseLayers' and DenseParams'
+	// results, built once.
+	values, grads []float32
+	layers        []Layer
+	dense         []Param
 
 	// Training scratch, sized by the first ForwardBackward or EvalLoss (a
 	// serving replica never pays for it) and reused by every later one.
@@ -100,43 +104,47 @@ type LM struct {
 
 // NewLM builds a model from cfg with deterministic initialization.
 func NewLM(cfg Config) *LM {
-	return newLM(cfg, rng.New(cfg.Seed), tensor.NewMatrix, tensor.Default())
+	return newLM(cfg, rng.New(cfg.Seed), nil, nil, nil, tensor.Default())
 }
 
-// newLM builds a model of cfg's shape on backend be over the weight tensors
-// weights supplies, in the order Weights lists them, and initializes them
-// from r unless r is nil. Everything a training step writes is its own.
-func newLM(cfg Config, r *rng.RNG, weights func(rows, cols int) *tensor.Matrix, be tensor.Backend) *LM {
+// newLM builds a model of cfg's shape on backend be over the embeddings in
+// and out and the dense value slab values — nil allocates zeros — and
+// initializes them from r unless r is nil. Everything a training step
+// writes is its own.
+func newLM(cfg Config, r *rng.RNG, in, out, values []float32, be tensor.Backend) *LM {
 	if cfg.Vocab <= 0 || cfg.Dim <= 0 || cfg.Hidden <= 0 {
 		panic("model: Vocab, Dim and Hidden must be positive")
 	}
+	emb := cfg.Vocab * cfg.Dim
+	if in == nil {
+		in, out, values = make([]float32, emb), make([]float32, emb), make([]float32, int(paramFloats(cfg))-2*emb)
+	}
 	m := &LM{
 		Cfg:    cfg,
-		InEmb:  weights(cfg.Vocab, cfg.Dim),
-		OutEmb: weights(cfg.Vocab, cfg.Dim),
+		InEmb:  tensor.NewMatrixFrom(cfg.Vocab, cfg.Dim, in),
+		OutEmb: tensor.NewMatrixFrom(cfg.Vocab, cfg.Dim, out),
+		values: values,
+		grads:  make([]float32, len(values)),
 	}
 	if r != nil {
 		m.InEmb.RandomizeNormal(r, 0.05)
 		m.OutEmb.RandomizeNormal(r, 0.05)
 	}
+	c := &carver{values: m.values, grads: m.grads}
 	switch cfg.RNN {
 	case KindLSTM:
-		m.rnn = newLSTM(cfg.Dim, cfg.Hidden, r, weights)
+		m.rnn = newLSTM(cfg.Dim, cfg.Hidden, r, c)
 	case KindRHN:
 		depth := cfg.RHNDepth
 		if depth == 0 {
 			depth = 2
 		}
-		m.rnn = newRHN(cfg.Dim, cfg.Hidden, depth, r, weights)
+		m.rnn = newRHN(cfg.Dim, cfg.Hidden, depth, r, c)
 	default:
 		panic(fmt.Sprintf("model: unknown RNN kind %d", cfg.RNN))
 	}
-	m.proj = newLinear(cfg.Hidden, cfg.Dim, r, weights)
-	m.layers = []Layer{m.rnn, m.proj}
-	for _, l := range m.layers {
-		m.dense = append(m.dense, l.Params()...)
-	}
-	m.dense = m.dense[:len(m.dense):len(m.dense)]
+	m.proj = newLinear(cfg.Hidden, cfg.Dim, r, c)
+	m.layers, m.dense = []Layer{m.rnn, m.proj}, c.since(0)
 	m.rnn.SetCarry(cfg.Stateful)
 	m.drop = newDropout(cfg.Dropout, cfg.Seed^0x5bd1e995)
 	m.SetBackend(be)
@@ -147,21 +155,12 @@ func newLM(cfg Config, r *rng.RNG, weights func(rows, cols int) *tensor.Matrix, 
 // storage, so that data-parallel ranks share one set of weights. Everything
 // a step writes is the replica's own: gradients, workspace and caches, the
 // dropout stream (seeded as NewLM seeds it) and the carried state.
-func (m *LM) Replica() *LM { return m.around(func(t []float32) []float32 { return t }) }
+func (m *LM) Replica() *LM { return newLM(m.Cfg, nil, m.InEmb.Data, m.OutEmb.Data, m.values, m.be) }
 
 // Clone returns a model on m's backend with a copy of m's weights and, like
 // Replica, training state of its own. Int8 inference shadows are not copied.
-func (m *LM) Clone() *LM { return m.around(slices.Clone[[]float32]) }
-
-// around builds a model of m's configuration over w(t) for each of m's
-// weight tensors t.
-func (m *LM) around(w func([]float32) []float32) *LM {
-	ws := m.Weights()
-	return newLM(m.Cfg, nil, func(rows, cols int) *tensor.Matrix {
-		t := &tensor.Matrix{Rows: rows, Cols: cols, Data: w(ws[0].Value)}
-		ws = ws[1:]
-		return t
-	}, m.be)
+func (m *LM) Clone() *LM {
+	return newLM(m.Cfg, nil, slices.Clone(m.InEmb.Data), slices.Clone(m.OutEmb.Data), slices.Clone(m.values), m.be)
 }
 
 // Weights lists every weight tensor: InEmb, OutEmb, then DenseParams. The
@@ -200,8 +199,12 @@ func (m *LM) DenseLayers() []Layer { return m.layers }
 // appending to it copies.
 func (m *LM) DenseParams() []Param { return m.dense }
 
+// DenseGrads is this replica's gradient slab: every DenseParams Grad, in
+// that order and without gaps, as one slice.
+func (m *LM) DenseGrads() []float32 { return m.grads }
+
 // ZeroGrads clears all dense gradient accumulators.
-func (m *LM) ZeroGrads() { zeroAll(m.dense) }
+func (m *LM) ZeroGrads() { clear(m.grads) }
 
 // StepResult is one training step's losses and embedding gradients. Dense
 // layer gradients accumulate inside the layers (DenseParams).

@@ -27,8 +27,7 @@ type LSTM struct {
 
 	gwx, gwh *tensor.Matrix
 	gb       []float32
-
-	params []Param
+	declared
 
 	be tensor.Backend
 
@@ -46,31 +45,22 @@ type LSTM struct {
 	carried *carriedState
 }
 
-// newLSTM returns an LSTM over the weight tensors weights supplies, in
-// Params order, with gradients and caches of its own. A non-nil r
-// initializes them: Xavier-uniform weights and forget bias 1.
-func newLSTM(in, hidden int, r *rng.RNG, weights func(rows, cols int) *tensor.Matrix) *LSTM {
-	l := &LSTM{
-		In: in, Hidden: hidden,
-		Wx:  weights(4*hidden, in),
-		Wh:  weights(4*hidden, hidden),
-		B:   weights(1, 4*hidden).Data,
-		gwx: tensor.NewMatrix(4*hidden, in),
-		gwh: tensor.NewMatrix(4*hidden, hidden),
-		gb:  make([]float32, 4*hidden),
-		be:  tensor.Serial{},
-	}
+// newLSTM returns an LSTM whose weights and gradients c carves, with caches
+// of its own. A non-nil r initializes the weights: Xavier-uniform, and
+// forget bias 1.
+func newLSTM(in, hidden int, r *rng.RNG, c *carver) *LSTM {
+	l := &LSTM{In: in, Hidden: hidden, be: tensor.Serial{}}
+	first := len(c.params)
+	l.Wx, l.gwx = c.take("lstm.Wx", 4*hidden, in)
+	l.Wh, l.gwh = c.take("lstm.Wh", 4*hidden, hidden)
+	b, gb := c.take("lstm.b", 1, 4*hidden)
+	l.B, l.gb, l.declared = b.Data, gb.Data, c.since(first)
 	if r != nil {
 		l.Wx.RandomizeUniform(r, math.Sqrt(6/float64(in+4*hidden)))
 		l.Wh.RandomizeUniform(r, math.Sqrt(6/float64(hidden+4*hidden)))
 		for i := hidden; i < 2*hidden; i++ {
 			l.B[i] = 1 // forget gate bias
 		}
-	}
-	l.params = []Param{
-		{Name: "lstm.Wx", Value: l.Wx.Data, Grad: l.gwx.Data},
-		{Name: "lstm.Wh", Value: l.Wh.Data, Grad: l.gwh.Data},
-		{Name: "lstm.b", Value: l.B, Grad: l.gb},
 	}
 	return l
 }
@@ -225,6 +215,3 @@ func (l *LSTM) stepInfer(x, h, c, zx, zh *tensor.Matrix) {
 		l.gates(zx.Row(b), zhr, cr, cr, zhr[:l.Hidden], h.Row(b))
 	}
 }
-
-// Params implements Layer.
-func (l *LSTM) Params() []Param { return l.params }

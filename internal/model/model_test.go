@@ -57,9 +57,15 @@ func numGradCheck(t *testing.T, name string, params []Param, loss func() float64
 	}
 }
 
+// testCarver carves a standalone layer's tensors from zeroed slabs with room
+// for any layer these tests build.
+func testCarver() *carver {
+	return &carver{values: make([]float32, 1<<12), grads: make([]float32, 1<<12)}
+}
+
 func TestLinearGradient(t *testing.T) {
 	r := rng.New(1)
-	l := newLinear(3, 4, r, tensor.NewMatrix)
+	l := newLinear(3, 4, r, testCarver())
 	x := tensor.NewMatrix(5, 3)
 	x.RandomizeNormal(r, 1)
 	target := tensor.NewMatrix(5, 4)
@@ -82,7 +88,6 @@ func TestLinearGradient(t *testing.T) {
 	for i := range dy.Data {
 		dy.Data[i] = 2 * (y.Data[i] - target.Data[i]) / float32(len(y.Data))
 	}
-	zeroAll(l.Params())
 	dx := l.backward(ws, dy)
 	numGradCheck(t, "linear", l.Params(), loss)
 	// Input gradient via the same check.
@@ -378,15 +383,44 @@ func TestEvalLoss(t *testing.T) {
 	}
 }
 
-// TestReplicaSharesWeightsCloneCopiesThem: a Replica's weight tensors are the
-// source's storage and its gradients are its own; a Clone's weights are equal
-// values in storage of its own. Both score a stream exactly as the source
-// does and compute on its backend.
+// TestReplicaSharesWeightsCloneCopiesThem: DenseParams tile one value slab
+// and one gradient slab, in order and without gaps, and each dense layer's
+// Params are the next run of them. A Replica's weight tensors are the
+// source's storage — its value slab — and its gradient slab is its own; a
+// Clone's weights are equal values in storage of its own. Both score a
+// stream exactly as the source does and compute on its backend.
 func TestReplicaSharesWeightsCloneCopiesThem(t *testing.T) {
 	for _, kind := range []RNNKind{KindLSTM, KindRHN} {
 		a := NewLM(Config{Vocab: 12, Dim: 4, Hidden: 5, RNN: kind, RHNDepth: 2, Seed: 1})
 		a.SetBackend(tensor.New(2))
+		off, i := 0, 0
+		for _, l := range a.DenseLayers() {
+			for _, p := range l.Params() {
+				if q := a.DenseParams()[i]; q.Name != p.Name || &q.Value[0] != &p.Value[0] || &q.Grad[0] != &p.Grad[0] {
+					t.Errorf("kind %d: layer parameter %s is not DenseParams()[%d] (%s)", kind, p.Name, i, q.Name)
+				}
+				if &p.Value[0] != &a.values[off] || &p.Grad[0] != &a.DenseGrads()[off] || len(p.Grad) != len(p.Value) {
+					t.Errorf("kind %d: %s is not the slabs' next %d floats at %d", kind, p.Name, len(p.Value), off)
+				}
+				off, i = off+len(p.Value), i+1
+			}
+		}
+		if i != len(a.DenseParams()) || off != len(a.values) || off != len(a.DenseGrads()) {
+			t.Errorf("kind %d: the layers declare %d tensors of %d floats; DenseParams has %d, the slabs %d and %d",
+				kind, i, off, len(a.DenseParams()), len(a.values), len(a.DenseGrads()))
+		}
 		r, c := a.Replica(), a.Clone()
+		if &r.values[0] != &a.values[0] || &c.values[0] == &a.values[0] || !slices.Equal(c.values, a.values) {
+			t.Errorf("kind %d: the replica must share the value slab and the clone copy it", kind)
+		}
+		if &r.DenseGrads()[0] == &a.DenseGrads()[0] || &c.DenseGrads()[0] == &a.DenseGrads()[0] {
+			t.Errorf("kind %d: a gradient slab is shared", kind)
+		}
+		g := r.DenseGrads()
+		g[len(g)-1] = 1
+		if r.ZeroGrads(); g[len(g)-1] != 0 {
+			t.Errorf("kind %d: ZeroGrads left the slab's last gradient at %v", kind, g[len(g)-1])
+		}
 		rw, cw := r.Weights(), c.Weights()
 		for i, p := range a.Weights() {
 			if &rw[i].Value[0] != &p.Value[0] {
@@ -420,7 +454,7 @@ func TestReplicaSharesWeightsCloneCopiesThem(t *testing.T) {
 
 func TestNumParams(t *testing.T) {
 	r := rng.New(1)
-	l := newLinear(3, 4, r, tensor.NewMatrix)
+	l := newLinear(3, 4, r, testCarver())
 	if got := NumParams(l); got != 3*4+4 {
 		t.Errorf("NumParams = %d, want 16", got)
 	}

@@ -41,6 +41,8 @@
 // from it and for no other.
 package model
 
+import "zipflm/internal/tensor"
+
 // Param is one named dense parameter tensor with its gradient accumulator.
 // Value and Grad always have equal length; optimizers walk these pairs.
 type Param struct {
@@ -51,22 +53,44 @@ type Param struct {
 
 // Layer is anything that owns dense parameters.
 type Layer interface {
-	// Params returns the layer's parameters; gradients accumulate into
-	// the returned Grad slices across backward passes until LM.ZeroGrads. The
-	// list is built once, at construction, and shared by every call (the
-	// trainer asks several times per step): read it, do not modify it. Its
-	// capacity is its length, so appending to it copies.
+	// Params returns the tensors the layer declared, in declaration order:
+	// consecutive views of its model's value and gradient slabs (see
+	// carver). Gradients accumulate into them across backward passes until
+	// LM.ZeroGrads. The list is built once, at construction, and shared by
+	// every call (the trainer asks several times per step): read it, do not
+	// modify it. Its capacity is its length, so appending to it copies.
 	Params() []Param
 }
 
-// zeroAll clears each gradient slice.
-func zeroAll(ps []Param) {
-	for _, p := range ps {
-		for i := range p.Grad {
-			p.Grad[i] = 0
-		}
-	}
+// carver cuts a model's dense tensors, in declaration order, out of one
+// value slab and one gradient slab, after the flat gradient buckets of
+// PyTorch DDP (Li et al., PVLDB 2020). Every dense tensor is declared by one
+// take, so the layout is decided here alone: a Replica passes its source's
+// value slab and a gradient slab of its own, and ZeroGrads clears one slice.
+type carver struct {
+	values, grads []float32
+	params        []Param
 }
+
+// take declares the next rows×cols tensor and returns its weight and
+// gradient views.
+func (c *carver) take(name string, rows, cols int) (w, g *tensor.Matrix) {
+	n := rows * cols
+	p := Param{Name: name, Value: c.values[:n:n], Grad: c.grads[:n:n]}
+	c.values, c.grads = c.values[n:], c.grads[n:]
+	c.params = append(c.params, p)
+	return &tensor.Matrix{Rows: rows, Cols: cols, Data: p.Value}, &tensor.Matrix{Rows: rows, Cols: cols, Data: p.Grad}
+}
+
+// since returns the declarations made after the first n, a list whose
+// capacity is its length.
+func (c *carver) since(n int) declared { return c.params[n:len(c.params):len(c.params)] }
+
+// declared is a layer's Params: the tensors it took, in order.
+type declared []Param
+
+// Params implements Layer.
+func (d declared) Params() []Param { return d }
 
 // NumParams sums parameter counts over layers (the "213 million parameters"
 // style accounting of §IV-B).

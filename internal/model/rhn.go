@@ -41,8 +41,7 @@ type RHN struct {
 	gwh, gwt *tensor.Matrix
 	grh, grt []*tensor.Matrix
 	gbh, gbt [][]float32
-
-	params []Param
+	declared
 
 	be tensor.Backend
 
@@ -66,20 +65,16 @@ type RHN struct {
 	carried *carriedState
 }
 
-// newRHN returns an RHN layer over the weight tensors weights supplies, in
-// Params order, with gradients and caches of its own. A non-nil r
-// initializes them: Xavier-uniform weights and carry-biased transform gates.
-func newRHN(in, hidden, depth int, r *rng.RNG, weights func(rows, cols int) *tensor.Matrix) *RHN {
+// newRHN returns an RHN layer whose weights and gradients c carves, with
+// caches of its own. A non-nil r initializes the weights: Xavier-uniform,
+// and carry-biased transform gates.
+func newRHN(in, hidden, depth int, r *rng.RNG, c *carver) *RHN {
 	if depth <= 0 {
 		panic("model: RHN depth must be positive")
 	}
 	l := &RHN{
 		In: in, Hidden: hidden, Depth: depth,
-		Wh:  weights(hidden, in),
-		Wt:  weights(hidden, in),
-		gwh: tensor.NewMatrix(hidden, in),
-		gwt: tensor.NewMatrix(hidden, in),
-		be:  tensor.Serial{},
+		be: tensor.Serial{},
 
 		s:     make([]*tensor.Matrix, depth),
 		sIn:   make([]*tensor.Matrix, depth),
@@ -88,6 +83,9 @@ func newRHN(in, hidden, depth int, r *rng.RNG, weights func(rows, cols int) *ten
 		dh:    make([]*tensor.Matrix, depth),
 		dt:    make([]*tensor.Matrix, depth),
 	}
+	first := len(c.params)
+	l.Wh, l.gwh = c.take("rhn.Wh", hidden, in)
+	l.Wt, l.gwt = c.take("rhn.Wt", hidden, in)
 	bound := math.Sqrt(6 / float64(in+hidden))
 	if r != nil {
 		l.Wh.RandomizeUniform(r, bound)
@@ -95,39 +93,23 @@ func newRHN(in, hidden, depth int, r *rng.RNG, weights func(rows, cols int) *ten
 	}
 	rBound := math.Sqrt(6 / float64(2*hidden))
 	for d := 0; d < depth; d++ {
-		rh := weights(hidden, hidden)
-		rt := weights(hidden, hidden)
-		bh := weights(1, hidden).Data
-		bt := weights(1, hidden).Data
+		rh, grh := c.take(fmt.Sprintf("rhn.Rh%d", d), hidden, hidden)
+		rt, grt := c.take(fmt.Sprintf("rhn.Rt%d", d), hidden, hidden)
+		bh, gbh := c.take(fmt.Sprintf("rhn.bh%d", d), 1, hidden)
+		bt, gbt := c.take(fmt.Sprintf("rhn.bt%d", d), 1, hidden)
 		if r != nil {
 			rh.RandomizeUniform(r, rBound)
 			rt.RandomizeUniform(r, rBound)
-			for i := range bt {
-				bt[i] = -1 // bias toward carry at init
+			for i := range bt.Data {
+				bt.Data[i] = -1 // bias toward carry at init
 			}
 		}
-		l.Rh = append(l.Rh, rh)
-		l.Rt = append(l.Rt, rt)
-		l.grh = append(l.grh, tensor.NewMatrix(hidden, hidden))
-		l.grt = append(l.grt, tensor.NewMatrix(hidden, hidden))
-		l.Bh = append(l.Bh, bh)
-		l.Bt = append(l.Bt, bt)
-		l.gbh = append(l.gbh, make([]float32, hidden))
-		l.gbt = append(l.gbt, make([]float32, hidden))
+		l.Rh, l.grh = append(l.Rh, rh), append(l.grh, grh)
+		l.Rt, l.grt = append(l.Rt, rt), append(l.grt, grt)
+		l.Bh, l.gbh = append(l.Bh, bh.Data), append(l.gbh, gbh.Data)
+		l.Bt, l.gbt = append(l.Bt, bt.Data), append(l.gbt, gbt.Data)
 	}
-	l.params = make([]Param, 0, 2+4*depth)
-	l.params = append(l.params,
-		Param{Name: "rhn.Wh", Value: l.Wh.Data, Grad: l.gwh.Data},
-		Param{Name: "rhn.Wt", Value: l.Wt.Data, Grad: l.gwt.Data},
-	)
-	for d := 0; d < depth; d++ {
-		l.params = append(l.params,
-			Param{Name: fmt.Sprintf("rhn.Rh%d", d), Value: l.Rh[d].Data, Grad: l.grh[d].Data},
-			Param{Name: fmt.Sprintf("rhn.Rt%d", d), Value: l.Rt[d].Data, Grad: l.grt[d].Data},
-			Param{Name: fmt.Sprintf("rhn.bh%d", d), Value: l.Bh[d], Grad: l.gbh[d]},
-			Param{Name: fmt.Sprintf("rhn.bt%d", d), Value: l.Bt[d], Grad: l.gbt[d]},
-		)
-	}
+	l.declared = c.since(first)
 	return l
 }
 
@@ -324,6 +306,3 @@ func (l *RHN) stepInfer(x, s, zxh, zxt, zrh, zrt *tensor.Matrix) {
 		}
 	}
 }
-
-// Params implements Layer.
-func (l *RHN) Params() []Param { return l.params }

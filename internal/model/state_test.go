@@ -23,8 +23,8 @@ func randSeq(r *rng.RNG, t, b, d int) []*tensor.Matrix {
 // hidden states of one run over the concatenated sequence exactly.
 func TestLSTMCarryEqualsConcat(t *testing.T) {
 	r := rng.New(1)
-	whole := newLSTM(4, 6, rng.New(9), tensor.NewMatrix)
-	chunked := newLSTM(4, 6, rng.New(9), tensor.NewMatrix)
+	whole := newLSTM(4, 6, rng.New(9), testCarver())
+	chunked := newLSTM(4, 6, rng.New(9), testCarver())
 	chunked.SetCarry(true)
 
 	xs := randSeq(r, 8, 3, 4)
@@ -45,8 +45,8 @@ func TestLSTMCarryEqualsConcat(t *testing.T) {
 // TestRHNCarryEqualsConcat is the RHN counterpart.
 func TestRHNCarryEqualsConcat(t *testing.T) {
 	r := rng.New(2)
-	whole := newRHN(4, 5, 3, rng.New(11), tensor.NewMatrix)
-	chunked := newRHN(4, 5, 3, rng.New(11), tensor.NewMatrix)
+	whole := newRHN(4, 5, 3, rng.New(11), testCarver())
+	chunked := newRHN(4, 5, 3, rng.New(11), testCarver())
 	chunked.SetCarry(true)
 
 	xs := randSeq(r, 6, 2, 4)
@@ -65,7 +65,7 @@ func TestRHNCarryEqualsConcat(t *testing.T) {
 
 func TestResetStateRestoresZeroStart(t *testing.T) {
 	r := rng.New(3)
-	l := newLSTM(4, 6, rng.New(5), tensor.NewMatrix)
+	l := newLSTM(4, 6, rng.New(5), testCarver())
 	l.SetCarry(true)
 	xs := randSeq(r, 4, 2, 4)
 	first := forwardSteps(l, xs)
@@ -84,7 +84,7 @@ func TestResetStateRestoresZeroStart(t *testing.T) {
 
 func TestSnapshotRestoreState(t *testing.T) {
 	r := rng.New(4)
-	l := newRHN(3, 4, 2, rng.New(6), tensor.NewMatrix)
+	l := newRHN(3, 4, 2, rng.New(6), testCarver())
 	l.SetCarry(true)
 	xs := randSeq(r, 3, 2, 3)
 	forwardSteps(l, xs)
@@ -119,7 +119,7 @@ func TestSnapshotRestoreState(t *testing.T) {
 
 func TestDisablingCarryClearsState(t *testing.T) {
 	r := rng.New(5)
-	l := newLSTM(3, 4, rng.New(7), tensor.NewMatrix)
+	l := newLSTM(3, 4, rng.New(7), testCarver())
 	l.SetCarry(true)
 	xs := randSeq(r, 3, 2, 3)
 	zeroStart := forwardSteps(l, xs)[0].Clone()

@@ -52,7 +52,8 @@ type State struct {
 // Snapshotter is implemented by optimizers whose internal state must
 // survive a checkpoint/resume cycle. Snapshot deep-copies, so later Steps
 // cannot mutate a captured state; Restore deep-copies back, so one State
-// can seed every rank's optimizer independently.
+// can be restored again after later Steps (a trainer recovering from a fault
+// restores its last checkpoint).
 type Snapshotter interface {
 	Snapshot() State
 	Restore(State) error
@@ -97,6 +98,9 @@ func (a *Adam) Restore(s State) error {
 	a.m = make(map[string][]float32, len(s.Names))
 	a.v = make(map[string][]float32, len(s.Names))
 	for i, name := range s.Names {
+		if i > 0 && name <= s.Names[i-1] {
+			return fmt.Errorf("optim: Adam state names out of order (%q after %q)", name, s.Names[i-1])
+		}
 		if len(s.M[i]) != len(s.V[i]) {
 			return fmt.Errorf("optim: Adam state for %q has mismatched moment lengths", name)
 		}

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -373,6 +374,19 @@ func TestRestoreRejectsWithoutWriting(t *testing.T) {
 		{"optimizer moment shape", nil, func(st *ckpt.State) {
 			st.Opt.M[0] = append(st.Opt.M[0], 0)
 			st.Opt.V[0] = append(st.Opt.V[0], 0)
+		}},
+		{"optimizer moments of one tensor missing", nil, func(st *ckpt.State) {
+			st.Opt.Names, st.Opt.M, st.Opt.V = st.Opt.Names[1:], st.Opt.M[1:], st.Opt.V[1:]
+		}},
+		{"optimizer moments of one tensor twice", nil, func(st *ckpt.State) {
+			st.Opt.Names = slices.Insert(st.Opt.Names, 1, st.Opt.Names[0])
+			st.Opt.M = slices.Insert(st.Opt.M, 1, st.Opt.M[0])
+			st.Opt.V = slices.Insert(st.Opt.V, 1, st.Opt.V[0])
+		}},
+		{"optimizer moments of an extra tensor", nil, func(st *ckpt.State) {
+			st.Opt.Names = append(st.Opt.Names, "zz.extra")
+			st.Opt.M = append(st.Opt.M, make([]float32, 3))
+			st.Opt.V = append(st.Opt.V, make([]float32, 3))
 		}},
 		{"carried state of the last rank", nil, func(st *ckpt.State) {
 			last := &st.RNN[len(st.RNN)-1]

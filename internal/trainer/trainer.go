@@ -34,6 +34,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"time"
 
 	"zipflm/internal/ckpt"
@@ -554,9 +555,21 @@ func (t *Trainer) RestoreState(st *ckpt.State) error {
 		if err := sn.Restore(st.Opt); err != nil {
 			return fmt.Errorf("trainer: restore: %w", err)
 		}
-		for _, p := range lm.DenseParams() { // Step indexes moments by the tensor's length
-			if i := slices.Index(st.Opt.Names, p.Name); i >= 0 && len(st.Opt.M[i]) != len(p.Value) {
-				return fmt.Errorf("trainer: checkpoint holds %d optimizer moments for %s, the model %d", len(st.Opt.M[i]), p.Name, len(p.Value))
+		// The moments must be exactly the model's — every dense tensor once, in
+		// name order, at its length — or absent, as in the state New captures
+		// before the first step: Step would start a missing tensor from zero and
+		// carry an extra one into every later checkpoint.
+		if o := st.Opt; len(o.Names) != 0 || o.T != 0 {
+			ps := slices.Clone(lm.DenseParams())
+			slices.SortFunc(ps, func(a, b model.Param) int { return strings.Compare(a.Name, b.Name) })
+			if len(o.Names) != len(ps) || len(o.M) != len(ps) || len(o.V) != len(ps) {
+				return fmt.Errorf("trainer: checkpoint holds optimizer moments for %d tensors, the model has %d", len(o.Names), len(ps))
+			}
+			for i, p := range ps {
+				if o.Names[i] != p.Name || len(o.M[i]) != len(p.Value) || len(o.V[i]) != len(p.Value) {
+					return fmt.Errorf("trainer: checkpoint holds %d/%d optimizer moments for %q where the model has %d values for %q",
+						len(o.M[i]), len(o.V[i]), o.Names[i], len(p.Value), p.Name)
+				}
 			}
 		}
 	} else if st.Opt.Kind != "" {
@@ -1203,9 +1216,9 @@ func (t *Trainer) trainStep(step int, lrNow float64, seeds []uint64) (stepStats,
 	// a wake of the pool's helpers.
 	lr := float32(lrNow)
 	invG := float32(1.0 / float64(g))
-	for _, p := range m.DenseParams() {
-		tensor.Scale(p.Grad, invG)
-		if t.cfg.ClipNorm > 0 {
+	tensor.Scale(m.DenseGrads(), invG)
+	if t.cfg.ClipNorm > 0 {
+		for _, p := range m.DenseParams() {
 			tensor.ClipL2(p.Grad, t.cfg.ClipNorm)
 		}
 	}

@@ -4,7 +4,7 @@
 //
 //	zipflm-bench -list
 //	zipflm-bench -exp tab3
-//	zipflm-bench -exp compress,weakscale
+//	zipflm-bench -exp fig6,weakscale
 //	zipflm-bench -exp all [-quick] [-seed 42]
 //	zipflm-bench -exp weakscale -json BENCH_weakscale.json
 //

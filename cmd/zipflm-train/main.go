@@ -26,7 +26,6 @@ import (
 	"os"
 
 	"zipflm/internal/collective"
-	"zipflm/internal/compress"
 	"zipflm/internal/core"
 	"zipflm/internal/corpus"
 	"zipflm/internal/half"
@@ -56,10 +55,6 @@ func main() {
 		seeding   = flag.String("seeding", "zipf", "sampled-softmax seeds: g, same, log2, loge, log10, zipf")
 		fp16      = flag.Bool("fp16", false, "FP16 wire compression with compression-scaling")
 		scale     = flag.Float64("scale", 512, "compression-scaling factor F")
-		compFlag  = flag.String("compress", "none", "dense-gradient compression: none, topk (error-feedback sparsification) or q8 (8-bit stochastic quant)")
-		compRatio = flag.Float64("compress-ratio", 0.01, "top-k fraction of entries sent per tensor per step")
-		compMom   = flag.Float64("compress-momentum", 0.9, "DGC momentum correction for top-k (0 disables)")
-		compZipf  = flag.Bool("compress-zipf", false, "tune the embedding-class top-k ratio from the corpus's type-token law")
 		lr        = flag.Float64("lr", 0.2, "base learning rate (scaled by ln(nodes) per the paper)")
 		lrDecay   = flag.Float64("lr-decay", 0.9, "per-epoch learning-rate decay (paper: 0.85-0.95; 1 disables)")
 		epochs    = flag.Int("epochs", 2, "training epochs")
@@ -105,14 +100,6 @@ func main() {
 	if !ok {
 		usageError("-seeding %q: want g, same, log2, loge, log10 or zipf", *seeding)
 	}
-	if *compFlag != "none" && *compFlag != "topk" && *compFlag != "q8" {
-		usageError("-compress %q: want none, topk or q8", *compFlag)
-	}
-	if *compZipf && *compFlag == "q8" {
-		// The Zipf-derived ratio only steers top-k selection; quantization
-		// has no per-tensor ratio to tune.
-		usageError("-compress-zipf only applies to -compress topk")
-	}
 	if *ckptEvery > 0 && *ckptDir == "" {
 		usageError("-ckpt-every %d: needs -ckpt-dir", *ckptEvery)
 	}
@@ -154,23 +141,6 @@ func main() {
 	}
 	if *adam {
 		cfg.NewOptimizer = func() optim.Optimizer { return optim.NewAdam(1e-5) }
-	}
-	if *compFlag != "none" {
-		cc := &compress.Config{Ratio: *compRatio, Momentum: *compMom, Method: compress.MethodTopK}
-		if *compFlag == "q8" {
-			cc.Method = compress.MethodQuant8
-			cc.Stochastic = true
-		}
-		if *compZipf {
-			globalBatch := *ranks * *batch * *seqLen
-			if err := cc.ZipfTune(train, vocab, globalBatch); err != nil {
-				fmt.Fprintf(os.Stderr, "zipflm-train: -compress-zipf: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("compression: zipf-tuned embedding ratio %.3f (rank-frequency α = %.2f)\n",
-				cc.EmbedRatio, cc.RankAlpha)
-		}
-		cfg.Compress = cc
 	}
 
 	// Purely observational: losses and weights are bit-identical with

@@ -24,15 +24,16 @@ func buildTrain(t *testing.T) string {
 
 // TestUsageErrorsExitTwo: a flag value the command cannot run with — a
 // -scale that is not a positive finite float32 under -fp16, an -rnn,
-// -exchange, -level, -seeding or -compress outside its accepted values,
-// -compress-zipf with q8, or -ckpt-every without -ckpt-dir — is a usage
+// -exchange, -level or -seeding outside its accepted values, or -ckpt-every
+// without -ckpt-dir — is a usage
 // error: one line on stderr naming one of the flags given, and exit status
 // 2, before any corpus is read (nothing on stdout) — not half.NewScaler's
 // panic trace, nor a run of some other model or exchange. -overlap rides
 // along: were the flag not defined, the one line would be the flag
 // package's. The observer flags internal/telemetry replaced (-dashboard,
-// -profile-dir, -profile-interval) and a -history that names a file rather
-// than a ring capacity are the flag package's own usage errors, status 2.
+// -profile-dir, -profile-interval), the gradient-compression flags (-compress
+// and its -compress-… options), and a -history that names a file rather than
+// a ring capacity are the flag package's own usage errors, status 2.
 func TestUsageErrorsExitTwo(t *testing.T) {
 	bin := buildTrain(t)
 	var cases [][]string
@@ -40,8 +41,7 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		cases = append(cases, []string{"-fp16", "-overlap", "-scale", scale})
 	}
 	cases = append(cases, []string{"-rnn", "gru"}, []string{"-exchange", "hier"}, []string{"-level", "byte"},
-		[]string{"-seeding", "bogus"}, []string{"-compress", "gzip"}, []string{"-compress", "q8", "-compress-zipf"},
-		[]string{"-ckpt-every", "5"})
+		[]string{"-seeding", "bogus"}, []string{"-ckpt-every", "5"})
 	for _, args := range cases {
 		var stdout, stderr bytes.Buffer
 		cmd := exec.Command(bin, append(args, "-synthetic", "1000")...)
@@ -61,6 +61,7 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 	}
 	for _, args := range [][]string{
 		{"-dashboard"}, {"-profile-dir", t.TempDir()}, {"-profile-interval", "1s"}, {"-history", "history.json"},
+		{"-compress", "topk"}, {"-compress-ratio", "0.01"}, {"-compress-momentum", "0.9"}, {"-compress-zipf"},
 	} {
 		var stdout, stderr bytes.Buffer
 		cmd := exec.Command(bin, append(args, "-synthetic", "1000")...)

@@ -15,13 +15,13 @@
 // trace-driven training simulators do:
 //
 //   - Every collective is called once for the whole group, from one
-//     goroutine, with every rank's buffers. The ring all-reduce calls each
-//     rank's wire as a ring rank would, counts each rank's bytes, and
-//     writes the sum to rank 0 only — the weights every rank shares are
-//     updated from it. A sender-side wire's calls run hop by hop on the
-//     caller; otherwise each chunk is its own pipeline, and the trainer's
-//     pool (one worker per core, whatever Config.Workers is) takes chunk
-//     sets, as it takes stripes of the Adam step. Gathers
+//     goroutine, with every rank's buffers and one stateless wire for the
+//     group. The ring all-reduce rounds each hop on the receiver as it
+//     adds, as a ring rank would, counts each rank's bytes, and writes the
+//     sum to rank 0 only — the weights every rank shares are updated from
+//     it. Each chunk is its own pipeline, and the trainer's pool (one
+//     worker per core, whatever Config.Workers is) takes chunk sets, as it
+//     takes stripes of the Adam step. Gathers
 //     account payloads the caller already holds. The executor and the
 //     per-rank adapters built on Comm.Rendezvous (collective's AllReduce,
 //     core's Exchange) are allocation-free at
@@ -39,7 +39,7 @@
 //     when the rank's backward pass finished it: the same reductions as
 //     the synchronous mode, priced as a timeline of their own (critical
 //     path, not sum). Weights and wire bytes are bit-identical between the
-//     modes, and overlap composes with gradient compression.
+//     modes, on either wire and with or without the virtual clock.
 //
 // The "overlap" experiment (zipflm-bench -exp overlap) prints what overlap
 // buys per step on the paper's hardware, and the BenchmarkStep* benchmarks
@@ -71,8 +71,8 @@
 // Two optimizations attack the serving hot path's per-token cost without
 // loosening any determinism contract. LM.Quantize builds a serving replica
 // whose output embedding and recurrent weights are stored as per-chunk
-// scaled int8 (tensor.QMatrix, the same round-to-nearest grid as
-// compress.Quant8); one kernel, MatMulABTStreamQ8, takes every batch size
+// scaled int8 (tensor.QMatrix: scale = maxAbs/127 per chunk, codes rounded
+// to nearest on a symmetric grid); one kernel, MatMulABTStreamQ8, takes every batch size
 // and dequantizes in-register, on amd64 with AVX2 through assembly that
 // converts each code once for four activation rows and whose accumulation
 // order is exactly the portable definition's (which older amd64 and other
@@ -201,25 +201,14 @@
 // order, so activations are the same bits at every worker count, batch size
 // and architecture. README "Numerics" has the details.
 //
-// # Gradient compression: top-k error feedback, 8-bit quantization
+// # Gradient compression: the FP16 wire
 //
-// internal/compress multiplies the wire savings of §III-A and §III-C on
-// the dense gradient side. The collective layer's wire precision is now an
-// interface (collective.Wire) rather than the FP16 scaler alone, so
-// compress.Quant8 — 8-bit quantization with per-chunk scales and
-// deterministic stochastic rounding — rides the zero-copy ring all-reduce
-// exactly where FP16 does, at 4× under FP32 for any cluster size. Top-k
-// sparsification with momentum-corrected error feedback travels a new
-// compressed all-reduce (collective.AllReduceCompressed): per-rank opaque
-// payloads all-gather and every rank decode-sums them in rank order, which
-// keeps replicas bit-identical while Stats records the real compressed
-// bytes and the virtual clock prices them. A Zipf-aware policy leaves
-// small tensors uncompressed and tunes embedding-class ratios from the
-// corpus's own type–token law (powerlaw.FitRankFrequency); per-rank
-// residual state rides in the checkpoints so compressed runs resume
-// bit-identically. The "compress" experiment (zipflm-bench -exp compress)
-// measures bytes and loss deltas on a real run and reprices the
-// weak-scaling step model with compressed payloads.
+// The paper's one gradient compression is FP16 with compression-scaling
+// (§III-C), and half.Scaler is the one collective.Wire. A Wire is stateless
+// and element-pure, so a ring hop's receiver rounds the chunk as it adds it
+// and the ring runs chunk-major on the worker pool, bit for bit what a
+// sender-side ring makes; the per-rank adapters refuse ranks that post
+// different wires.
 //
 // # Observability: unified telemetry, Prometheus, virtual-clock tracing
 //

@@ -19,10 +19,10 @@
 // are written atomically (tmp + rename) by WriteFile and the Dir store.
 //
 // Inside the payload only the small things are gob; every tensor — the
-// model file, the optimizer moments, carried recurrent state, compression
-// residuals — travels as little-endian float32 bytes, streamed through the
-// running CRC into the file without a second copy of the payload in memory
-// (see Encode for the layout). A checkpoint is written inside the training
+// model file, the optimizer moments, carried recurrent state — travels as
+// little-endian float32 bytes, streamed through the running CRC into the
+// file without a second copy of the payload in memory (see Encode for the
+// layout). A checkpoint is written inside the training
 // loop's stall, and gob's per-element number encoding was most of that
 // stall and 1.8× the bytes.
 package ckpt
@@ -40,18 +40,22 @@ import (
 	"path/filepath"
 	"slices"
 
-	"zipflm/internal/compress"
 	"zipflm/internal/model"
 	"zipflm/internal/optim"
 	"zipflm/internal/tensor"
 )
 
-// Version guards the checkpoint file format. Version 2 added the per-rank
-// gradient-compression state (error-feedback residuals, momentum
-// velocities, quantizer RNG streams) to version 1's single gob value;
-// version 3 moved every tensor out of gob and the Adam moments from
-// float64 to float32. Version-1 and version-2 files still decode (their
-// float64 moments rounded to nearest float32); nothing writes them.
+// Version guards the checkpoint file format. Version 2 added per-rank
+// gradient-compression state to version 1's single gob value; version 3
+// moved every tensor out of gob and the Adam moments from float64 to
+// float32. Version-1 and version-2 files still decode (their float64
+// moments rounded to nearest float32); nothing writes them.
+//
+// Gradient compression is gone from the trainer, and a State has no place
+// for its carry. A version-3 file that holds error-feedback tensors lists
+// more tensor lengths than a State has tensors, so it fails to decode; a
+// version-2 file's compression state, and a version-3 file's that holds no
+// tensors (quantizer streams only), is ignored.
 const Version = 3
 
 // magic identifies a zipflm full-state checkpoint file.
@@ -96,12 +100,6 @@ type State struct {
 	// RNN holds each rank's carried recurrent state for stateful
 	// (truncated-BPTT) runs; nil for stateless runs.
 	RNN []model.CarriedState
-	// Compress holds each rank's gradient-compression carry-over
-	// (error-feedback residuals, momentum velocities, quantizer streams),
-	// in rank order; nil when the run trains uncompressed. Unlike weights
-	// and optimizer moments, this state diverges across ranks — each rank
-	// withholds different gradient mass — so all G copies are stored.
-	Compress []compress.EngineState
 }
 
 // RoundedMoments reports whether the state was decoded from a version-1 or
@@ -128,9 +126,8 @@ type frame struct {
 }
 
 // sections lists every float32 tensor a State holds, in the order a frame
-// stores them: Adam's moments (M then V, parameter by parameter), each
-// rank's carried recurrent state (H then C), each rank's compression carry
-// (residual then momentum, tensor by tensor).
+// stores them: Adam's moments (M then V, parameter by parameter), then each
+// rank's carried recurrent state (H then C).
 func sections(st *State) []*[]float32 {
 	var secs []*[]float32
 	for i := range st.Opt.M {
@@ -141,12 +138,6 @@ func sections(st *State) []*[]float32 {
 	}
 	for r := range st.RNN {
 		secs = append(secs, &st.RNN[r].H, &st.RNN[r].C)
-	}
-	for r := range st.Compress {
-		for j := range st.Compress[r].Tensors {
-			ts := &st.Compress[r].Tensors[j]
-			secs = append(secs, &ts.Residual, &ts.Momentum)
-		}
 	}
 	return secs
 }
@@ -161,10 +152,6 @@ func skeleton(st *State) State {
 	sk.Opt.M = slices.Clone(st.Opt.M)
 	sk.Opt.V = slices.Clone(st.Opt.V)
 	sk.RNN = slices.Clone(st.RNN)
-	sk.Compress = slices.Clone(st.Compress)
-	for r := range sk.Compress {
-		sk.Compress[r].Tensors = slices.Clone(sk.Compress[r].Tensors)
-	}
 	for _, sec := range sections(&sk) {
 		*sec = nil
 	}
@@ -324,9 +311,6 @@ func decode(raw []byte) (*State, error) {
 	}
 	if len(st.RNN) != 0 && len(st.RNN) != st.Ranks {
 		return nil, fmt.Errorf("ckpt: %d carried states for %d ranks", len(st.RNN), st.Ranks)
-	}
-	if len(st.Compress) != 0 && len(st.Compress) != st.Ranks {
-		return nil, fmt.Errorf("ckpt: %d compression states for %d ranks", len(st.Compress), st.Ranks)
 	}
 	return st, nil
 }

@@ -5,16 +5,18 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
-	"zipflm/internal/compress"
 	"zipflm/internal/model"
 	"zipflm/internal/optim"
 )
@@ -58,30 +60,15 @@ func encode(t *testing.T, st *State) []byte {
 	return buf.Bytes()
 }
 
-// withCompress adds per-rank compression carry to a testState, one rank with
-// momentum and one without (a nil Momentum must come back nil).
-func withCompress(st *State) *State {
-	st.Compress = []compress.EngineState{
-		{Q8RNG: [4]uint64{9, 8, 7, 6}, Tensors: []compress.TensorState{
-			{Name: "lstm.Wh", Residual: []float32{0.5, -0.25, 1e-40}},
-			{Name: "lstm.Wx", Residual: []float32{float32(math.Inf(1))}},
-		}},
-		{Tensors: []compress.TensorState{
-			{Name: "lstm.Wh", Residual: []float32{0, 1, 2}, Momentum: []float32{3, 4, 5}},
-		}},
-	}
-	return st
-}
-
-// TestRoundTripIsLossless: every field of a state with optimizer moments,
-// carried recurrent state and compression carry survives Encode → Decode
+// TestRoundTripIsLossless: every field of a state with optimizer moments and
+// carried recurrent state survives Encode → Decode
 // exactly (DeepEqual: values, lengths and nil-ness), the decoded state says
 // which format it came from, and Encode leaves its argument untouched.
 func TestRoundTripIsLossless(t *testing.T) {
-	st := withCompress(testState(t, 42))
+	st := testState(t, 42)
 	st.RNN[1].C = nil // an RHN rank: no cell state
 	st.Opt.M[0][1] = math.Float32frombits(0x7fc00123)
-	want := withCompress(testState(t, 42))
+	want := testState(t, 42)
 	want.RNN[1].C = nil
 	want.Opt.M[0][1] = math.Float32frombits(0x7fc00123)
 	got, err := Decode(bytes.NewReader(encode(t, st)))
@@ -172,7 +159,7 @@ func TestEncodeReportsWriteErrors(t *testing.T) {
 	big := testState(t, 9)
 	big.Opt.M = [][]float32{make([]float32, 40_000), {1, 2, 3}}
 	big.Opt.V = [][]float32{make([]float32, 40_000), {4, 5, 6}}
-	passThrough := withCompress(testState(t, 9))
+	passThrough := testState(t, 9)
 	passThrough.ModelBytes = make([]byte, 100<<10) // Encode does not look inside
 	for name, st := range map[string]*State{"tensors outgrow the block": big, "model outgrows the block": passThrough} {
 		total := len(encode(t, st))
@@ -260,7 +247,7 @@ func TestOpenRejectsCorruptInputs(t *testing.T) {
 
 	// Damage a CRC cannot see, because the writer itself was wrong or
 	// hostile: well-framed files whose gob part disagrees with the raw part.
-	st := withCompress(testState(t, 9))
+	st := testState(t, 9)
 	fr, tail := splitFrame(t, encode(t, st))
 	nModel := fr.ModelLen
 	mutate := func(name string, edit func(*frame), tail []byte) {
@@ -323,7 +310,7 @@ func buildVersion(t testing.TB, version uint32, v any, tail []byte) []byte {
 // at most its input's size plus the gob machinery — a tensor length is
 // checked against the bytes that remain before anything is made for it.
 func TestDecodeNeverOutgrowsItsInput(t *testing.T) {
-	st := withCompress(testState(t, 3))
+	st := testState(t, 3)
 	st.Opt.M[0] = make([]float32, 1<<16)
 	st.Opt.V[0] = make([]float32, 1<<16)
 	good := encode(t, st)
@@ -354,7 +341,8 @@ func TestDecodeNeverOutgrowsItsInput(t *testing.T) {
 }
 
 // The State of frame versions 1 and 2 as their writer declared it: one gob
-// value, Adam's moments float64. Version 1 predates the Compress field.
+// value, Adam's moments float64. Version 1 predates the Compress field,
+// which held each rank's gradient-compression carry (engineStateV2).
 type optStateV2 struct {
 	Kind  string
 	T     int
@@ -382,7 +370,34 @@ type stateV2 struct {
 	Opt        optStateV2
 	RNG        [][4]uint64
 	RNN        []model.CarriedState
-	Compress   []compress.EngineState
+	Compress   []engineStateV2
+}
+
+// engineStateV2 is one rank's gradient-compression carry as versions 2 and 3
+// stored it: quantizer stream, then error-feedback residual and momentum per
+// tensor, sorted by name.
+type engineStateV2 struct {
+	Q8RNG   [4]uint64
+	Tensors []tensorStateV2
+}
+
+type tensorStateV2 struct {
+	Name               string
+	Residual, Momentum []float32
+}
+
+// carryV2 is a compression carry for two ranks, one with momentum and one
+// without.
+func carryV2() []engineStateV2 {
+	return []engineStateV2{
+		{Q8RNG: [4]uint64{9, 8, 7, 6}, Tensors: []tensorStateV2{
+			{Name: "lstm.Wh", Residual: []float32{0.5, -0.25, 1e-40}},
+			{Name: "lstm.Wx", Residual: []float32{float32(math.Inf(1))}},
+		}},
+		{Tensors: []tensorStateV2{
+			{Name: "lstm.Wh", Residual: []float32{0, 1, 2}, Momentum: []float32{3, 4, 5}},
+		}},
+	}
 }
 
 // modelFileV2 is the version-2 model file those frames embedded: one gob
@@ -412,8 +427,9 @@ func modelFileV2(t *testing.T, m *model.LM) []byte {
 
 // TestDecodeLegacyFrames: version-1 and version-2 files — produced here by
 // frozen copies of their writers, around a version-2 model file — still
-// decode: scalars, RNG streams, carried state and compression carry exactly,
-// the float64 Adam moments rounded to the nearest float32 (a value below the
+// decode: scalars, RNG streams and carried state exactly (a version-2 file's
+// compression carry has no place in a State and is left out), the float64
+// Adam moments rounded to the nearest float32 (a value below the
 // float32 range to zero), and the embedded model to the weights it was
 // written from. A moment beyond ±MaxFloat32 is a decode error, not an Inf.
 func TestDecodeLegacyFrames(t *testing.T) {
@@ -429,14 +445,14 @@ func TestDecodeLegacyFrames(t *testing.T) {
 			{H: []float32{9, 10, 11, 12}, Rows: 1, Cols: 4},
 		},
 	}
-	want := withCompress(&State{
+	want := &State{
 		Step: 12, LR: 0.173, NextDecay: 200, Ranks: 2, ModelBytes: v1.ModelBytes,
 		Opt: optim.State{Kind: "adam", T: 12, Names: []string{"a", "b"},
 			M: [][]float32{{0.1, -1e-3 / 3, 0, 1e-40}, {math.Pi}},
 			V: [][]float32{{0.4, 1e-12 / 7, 0, 2.5e-39}, {0.6}}},
 		RNG: v1.RNG, RNN: v1.RNN,
-	})
-	v2 := stateV2{v1.Step, v1.LR, v1.NextDecay, v1.Ranks, v1.ModelBytes, v1.Opt, v1.RNG, v1.RNN, want.Compress}
+	}
+	v2 := stateV2{v1.Step, v1.LR, v1.NextDecay, v1.Ranks, v1.ModelBytes, v1.Opt, v1.RNG, v1.RNN, carryV2()}
 
 	for version, raw := range map[int][]byte{1: buildVersion(t, 1, v1, nil), 2: buildVersion(t, 2, v2, nil)} {
 		got, err := Decode(bytes.NewReader(raw))
@@ -445,9 +461,6 @@ func TestDecodeLegacyFrames(t *testing.T) {
 		}
 		w := *want
 		w.roundedMoments = true
-		if version == 1 {
-			w.Compress = nil
-		}
 		if !reflect.DeepEqual(got, &w) {
 			t.Errorf("version %d decoded to\n %+v\nwant\n %+v", version, got, &w)
 		}
@@ -472,6 +485,78 @@ func TestDecodeLegacyFrames(t *testing.T) {
 	v1.Opt.M = [][]float64{{1e39}, {0}}
 	if _, err := Decode(bytes.NewReader(buildVersion(t, 1, v1, nil))); err == nil {
 		t.Error("a float64 moment beyond MaxFloat32 must fail to decode")
+	}
+}
+
+// frameV3 is the version-3 frame as the last writer with gradient
+// compression declared it: its State also held each rank's compression
+// carry, whose residual and momentum tensors followed the carried recurrent
+// state in the raw part, with their lengths in Lens.
+type frameV3 struct {
+	State struct {
+		Step       int
+		LR         float64
+		NextDecay  int
+		Ranks      int
+		ModelBytes []byte
+		Opt        optim.State
+		RNG        [][4]uint64
+		RNN        []model.CarriedState
+		Compress   []engineStateV2
+	}
+	ModelLen int
+	Lens     []int
+}
+
+// TestDecodeRefusesCompressionCarry: a version-3 file holding top-k
+// error-feedback tensors lists more tensor lengths than a State has
+// tensors, so it fails to decode with that mismatch instead of resuming
+// without the carry; Open says the same for the file. A carry of quantizer
+// streams alone has no tensors; that file decodes to its uncompressed state.
+func TestDecodeRefusesCompressionCarry(t *testing.T) {
+	st := testState(t, 9)
+	fr, tail := splitFrame(t, encode(t, st))
+	var old frameV3
+	s := fr.State
+	old.State.Step, old.State.LR, old.State.NextDecay, old.State.Ranks = s.Step, s.LR, s.NextDecay, s.Ranks
+	old.State.Opt, old.State.RNG, old.State.RNN = s.Opt, s.RNG, s.RNN
+	old.ModelLen = fr.ModelLen
+	old.State.Compress = carryV2()
+	old.Lens = slices.Clone(fr.Lens)
+	raw := slices.Clone(tail)
+	for r := range old.State.Compress {
+		ts := old.State.Compress[r].Tensors
+		for j := range ts {
+			for _, x := range []*[]float32{&ts[j].Residual, &ts[j].Momentum} {
+				old.Lens = append(old.Lens, len(*x))
+				for _, f := range *x {
+					raw = binary.LittleEndian.AppendUint32(raw, math.Float32bits(f))
+				}
+				*x = nil
+			}
+		}
+	}
+	file := buildVersion(t, Version, old, raw)
+	want := fmt.Sprintf("ckpt: %d tensor lengths for %d tensors", len(old.Lens), len(fr.Lens))
+	if _, err := Decode(bytes.NewReader(file)); err == nil || err.Error() != want {
+		t.Fatalf("Decode: %v, want %q", err, want)
+	}
+	path := filepath.Join(t.TempDir(), "topk.ckpt")
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(path); err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("Open: %v, want %q…", err, want)
+	}
+
+	old.State.Compress = []engineStateV2{{Q8RNG: [4]uint64{1, 2, 3, 4}}, {Q8RNG: [4]uint64{5, 6, 7, 8}}}
+	old.Lens = fr.Lens
+	got, err := Decode(bytes.NewReader(buildVersion(t, Version, old, tail)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, testState(t, 9)) {
+		t.Errorf("a quantizer-stream carry decoded to\n %+v\nwant\n %+v", got, testState(t, 9))
 	}
 }
 

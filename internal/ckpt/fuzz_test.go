@@ -5,7 +5,7 @@ import (
 	"encoding/gob"
 	"testing"
 
-	"zipflm/internal/compress"
+	"zipflm/internal/model"
 	"zipflm/internal/optim"
 )
 
@@ -16,8 +16,9 @@ import (
 // state escapes). CI runs this with a short -fuzztime on every push; the
 // seed corpus below also runs as a plain test.
 func FuzzDecode(f *testing.F) {
-	// Seeds: a real version-3 checkpoint (moments and compression carry, so
-	// the raw part has tensors of both kinds), its truncations, a
+	// Seeds: a real version-3 checkpoint (Adam moments and carried
+	// recurrent state, so the raw part has tensors of both kinds), its
+	// truncations, a
 	// header-only prefix, the same frame with a tensor length the raw part
 	// does not back, a version-2 frame from the frozen writer, and junk.
 	st := fuzzSeedState(f)
@@ -38,8 +39,8 @@ func FuzzDecode(f *testing.F) {
 	fr.Lens[0] = 1 << 40
 	f.Add(buildVersion(f, Version, fr, full[len(full)-4-r.Len():len(full)-4]))
 	f.Add(buildVersion(f, 2, stateV2{Step: 17, LR: 0.1, Ranks: 2, ModelBytes: []byte{1, 2, 3},
-		Opt:      optStateV2{Kind: "adam", T: 17, Names: []string{"w"}, M: [][]float64{{0.5, 1e-50}}, V: [][]float64{{0.25, 3}}},
-		Compress: st.Compress}, nil))
+		Opt: optStateV2{Kind: "adam", T: 17, Names: []string{"w"}, M: [][]float64{{0.5, 1e-50}}, V: [][]float64{{0.25, 3}}},
+		RNN: st.RNN}, nil))
 	f.Add([]byte{})
 	f.Add([]byte("ZLMCKPT\x00garbage"))
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
@@ -59,15 +60,15 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("re-encoded state fails to decode: %v", err)
 		}
 		if st2.Step != st.Step || st2.Ranks != st.Ranks ||
-			len(st2.RNG) != len(st.RNG) || len(st2.Compress) != len(st.Compress) {
+			len(st2.RNG) != len(st.RNG) || len(st2.RNN) != len(st.RNN) {
 			t.Fatalf("round trip changed the state: %+v vs %+v", st2, st)
 		}
 	})
 }
 
 // fuzzSeedState is testState trimmed to what the fuzzer needs, with Adam
-// moments and compression carry-over so every kind of raw tensor is in the
-// corpus.
+// moments and carried recurrent state (H and C) so every kind of raw tensor
+// is in the corpus.
 func fuzzSeedState(f *testing.F) *State {
 	f.Helper()
 	return &State{
@@ -79,13 +80,9 @@ func fuzzSeedState(f *testing.F) *State {
 		Opt: optim.State{Kind: "adam", T: 17, Names: []string{"w"},
 			M: [][]float32{{0.5, -2}}, V: [][]float32{{0.25, 4}}},
 		RNG: [][4]uint64{{1, 2, 3, 4}, {5, 6, 7, 8}},
-		Compress: []compress.EngineState{
-			{Q8RNG: [4]uint64{9, 9, 9, 9}, Tensors: []compress.TensorState{
-				{Name: "lstm.Wx", Residual: []float32{0.5, -0.25}},
-			}},
-			{Tensors: []compress.TensorState{
-				{Name: "lstm.Wx", Residual: []float32{0, 1}, Momentum: []float32{2, 3}},
-			}},
+		RNN: []model.CarriedState{
+			{H: []float32{0.5, -0.25}, C: []float32{1, 2}, Rows: 1, Cols: 2},
+			{H: []float32{0, 1}, Rows: 1, Cols: 2},
 		},
 	}
 }

@@ -85,7 +85,6 @@ func TestAllReduceZeroAllocSteadyState(t *testing.T) {
 			xs := make([][]float32, g)
 			one := make([][][]float32, g)
 			lists := make([][][]float32, g)
-			wires := make([]Wire, g)
 			for r := range xs {
 				xs[r] = make([]float32, tensor.ElementwiseMinWork+1000)
 				for i := range xs[r] {
@@ -95,13 +94,12 @@ func TestAllReduceZeroAllocSteadyState(t *testing.T) {
 				for n := 0; n < 17; n++ {
 					lists[r] = append(lists[r], make([]float32, 10*n))
 				}
-				wires[r] = wire
 			}
 			adapter := newAllocHarness(g, func(rank int) { c.AllReduce(rank, xs[rank], wire) })
 			ops := map[string]func(){
 				"AllReduce adapter":        adapter.round,
-				"AllReduceRanks(1 part)":   func() { c.AllReduceRanks(one, wires) },
-				"AllReduceRanks(17 parts)": func() { c.AllReduceRanks(lists, wires) },
+				"AllReduceRanks(1 part)":   func() { c.AllReduceRanks(one, wire) },
+				"AllReduceRanks(17 parts)": func() { c.AllReduceRanks(lists, wire) },
 			}
 			for name, op := range ops {
 				for i := 0; i < 3; i++ {
@@ -139,11 +137,10 @@ func TestAllGatherFloatsAllocBound(t *testing.T) {
 		g := 4
 		c := New(g)
 		payloads := make([][]float32, g)
-		wires := make([]Wire, g)
 		for r := range payloads {
-			payloads[r], wires[r] = make([]float32, 200), wire
+			payloads[r] = make([]float32, 200)
 		}
-		if allocs := testing.AllocsPerRun(20, func() { c.AllGatherFloatsRanks(payloads, wires) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(20, func() { c.AllGatherFloatsRanks(payloads, wire) }); allocs != 0 {
 			t.Errorf("wire=%v: AllGatherFloatsRanks allocates %.1f objects per call, want 0", wire != nil, allocs)
 		}
 	}

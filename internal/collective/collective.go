@@ -10,17 +10,15 @@
 // and an all-gather phase hands every rank the owners' reduced chunks. The
 // ring is executed, not modeled, but once: the executor makes exactly the
 // additions, the wire roundings and the byte counts G ring ranks would make,
-// so per-rank traffic is the algorithm's real 2·(G−1)/G·bytes. A wire that
-// rounds on the sender has its calls made hop by hop, in ring order, on the
-// caller's goroutine. Otherwise the ring is G independent per-chunk
-// pipelines, and its chunk sets are spread over the worker pool that
-// Comm.AttachBackend lends (the trainer's has one worker per core), bit for
-// bit the same. What no rank reads is skipped: the sum is written to rank
-// 0's tensors only (the trainer updates the weights every rank shares from
-// them). The gathers are accounted, not copied: the caller already holds
-// every rank's payload, so the collective applies each rank's wire to it and
-// posts the standard ring all-gather volume, (G−1)/G of the payloads' total,
-// per rank.
+// so per-rank traffic is the algorithm's real 2·(G−1)/G·bytes. The ring is
+// G independent per-chunk pipelines, and its chunk sets are spread over the
+// worker pool that Comm.AttachBackend lends (the trainer's has one worker per
+// core), bit for bit the same. What no rank reads is skipped: the sum is
+// written to rank 0's tensors only (the trainer updates the weights every
+// rank shares from them). The gathers are accounted, not copied: the caller
+// already holds every rank's payload, so the collective applies the wire to
+// it and posts the standard ring all-gather volume, (G−1)/G of the payloads'
+// total, per rank.
 //
 // Callers that still run one goroutine per rank use the per-rank adapter
 // AllReduce, or build their own on the primitive beneath it, Rendezvous:
@@ -33,11 +31,10 @@
 // trainer's overlap mode reduces the dense gradients there, on per-rank lane
 // clocks that start from the moment each layer's gradients were ready.
 //
-// Every operation optionally runs with a lossy Wire — FP16 (§III-C) or
-// 8-bit quantization: the payload crosses it once per hop, shrinking
-// measured wire bytes and applying the format's real rounding to the values
-// (on the receiving rank as it accumulates for an AddRounder, else on the
-// sending rank).
+// Every operation optionally runs with one lossy Wire for the whole group —
+// FP16 compression-scaling (§III-C): the payload crosses it once per hop,
+// shrinking measured wire bytes and applying the format's real rounding to
+// the values on the receiving rank as it accumulates.
 package collective
 
 import (
@@ -53,41 +50,31 @@ import (
 // collective optionally round-trips its payload through a Wire at the points
 // the data crosses the simulated interconnect, and accounts wire bytes
 // through WireBytes instead of assuming 4 bytes per element. half.Scaler
-// (FP16 compression-scaling, §III-C) and compress.Quant8 (8-bit per-chunk
-// stochastic quantization) both implement it; a nil Wire keeps FP32 on the
-// wire.
+// (FP16 compression-scaling, §III-C) implements it; a nil Wire keeps FP32 on
+// the wire.
 //
-// A rank's Wire is called only on what that rank puts on the wire — the
-// chunk a scatter-reduce hop forwards, the reduced chunk it owns, a gather's
-// payload — in the order a ring rank would call it, from the one goroutine
-// executing the collective. A Wire may carry state (a stochastic rounding
-// stream), so which rank rounds, in which order, is part of the result. An
-// AddRounder is the exception: it has no state, so an all-reduce may call it
-// from several goroutines at once, on disjoint chunks.
+// A Wire is stateless and element-pure: what it makes of an element depends
+// on that element alone — not on the slice's bounds, its neighbours or
+// earlier calls — so it does not matter which rank applies it, in which
+// order, or on which goroutine. An all-reduce calls it from several
+// goroutines at once, on disjoint chunks, and a group shares one Wire: the
+// per-rank adapters panic when the ranks post different ones.
 //
 // Callers must pass a nil interface — not a typed nil pointer wrapped in the
 // interface — to mean "no compression".
 type Wire interface {
 	// RoundTrip applies one wire crossing to x in place: compress, then
-	// decompress. It must be deterministic given the wire's own state and
-	// the sequence of calls made on it so far.
+	// decompress.
 	RoundTrip(x []float32)
+	// AddRoundTrip adds to dst, bit for bit, what RoundTrip would make of a
+	// copy of src (dst[i] first in the add); src, as long as dst, is not
+	// written. It is how the receiver of a scatter-reduce hop consumes a
+	// chunk as it accumulates, as a reduce kernel consumes a received FP16
+	// buffer: one pass over the chunk instead of two.
+	AddRoundTrip(dst, src []float32)
 	// WireBytes reports how many bytes n elements occupy on the wire,
 	// including any side data (scales, headers) the format carries.
 	WireBytes(n int) int
-}
-
-// AddRounder is optionally implemented by a Wire whose RoundTrip is a pure
-// function of each element — no state, no dependence on the slice's bounds —
-// so it does not matter which rank applies it, in which order, or on which
-// goroutine. The receiving rank of a scatter-reduce hop then rounds while it
-// accumulates, as a reduce kernel consumes a received FP16 buffer: one pass
-// over the chunk instead of two.
-type AddRounder interface {
-	// AddRoundTrip adds to dst, bit for bit, what RoundTrip would make of a
-	// copy of src (dst[i] first in the add); src, as long as dst, is not
-	// written.
-	AddRoundTrip(dst, src []float32)
 }
 
 // wireSize returns the wire footprint of n float32 elements under wire
@@ -132,15 +119,17 @@ type shared struct {
 	// analyzer attributes wire time from. Purely observational, like tel.
 	trace *telemetry.Tracer
 
-	// be, when non-nil, runs an element-pure ring's chunk sets on its
-	// workers (see reduce); nil runs them on the caller.
+	// be, when non-nil, runs a ring's chunk sets on its workers (see
+	// reduce); nil runs them on the caller.
 	be tensor.Backend
 }
 
 // lane is one independent set of everything a collective touches.
 type lane struct {
-	// posts are Rendezvous' slots, one per rank.
+	// posts are Rendezvous' slots, one per rank, and fault what the last
+	// rendezvous' run panicked with (nil when it returned).
 	posts []any
+	fault any
 	// xs, parts and wires are AllReduce's arguments as its ranks post them:
 	// parts[r] is the window xs[r:r+1], so posting allocates nothing.
 	xs    [][]float32
@@ -242,8 +231,7 @@ func New(g int) *Comm {
 	return c
 }
 
-// AttachBackend spreads the chunks of every element-pure all-reduce, on
-// both lanes, over be's workers (see reduce). The bits do not depend on it.
+// AttachBackend spreads the chunks of every all-reduce, on both lanes, over be's workers (see reduce). The bits do not depend on it.
 // Call it before the first collective; nil runs every chunk on the caller.
 func (c *Comm) AttachBackend(be tensor.Backend) { c.be = be }
 
@@ -324,13 +312,12 @@ func (c *Comm) checkRanks(what string, n int) {
 	}
 }
 
-// checkShapes panics, before anything is read or written, unless parts and
-// wires hold one entry per rank and every rank's part list has rank 0's
+// checkShapes panics, before anything is read or written, unless parts
+// holds one part list per rank and every rank's part list has rank 0's
 // length and part lengths. The message names the first rank and part that
 // differ.
-func (c *Comm) checkShapes(parts [][][]float32, wires []Wire) {
+func (c *Comm) checkShapes(parts [][][]float32) {
 	c.checkRanks("part lists", len(parts))
-	c.checkRanks("wires", len(wires))
 	for r := 1; r < c.g; r++ {
 		if len(parts[r]) != len(parts[0]) {
 			panic(fmt.Sprintf("collective: rank %d passes %d parts, rank 0 passes %d", r, len(parts[r]), len(parts[0])))
@@ -343,56 +330,58 @@ func (c *Comm) checkShapes(parts [][][]float32, wires []Wire) {
 	}
 }
 
-// reduce executes one ring all-reduce over every rank's part list on the
-// calling goroutine, in hop order, and leaves the sum in rank 0's tensors —
-// in every rank's when everyRank is set. c.sent[r] receives the bytes rank r
-// puts on the wire.
+// checkWires panics unless every rank posted rank 0's Wire (the same
+// interface value), naming the first rank that did not: a group shares one
+// wire.
+func checkWires(wires []Wire) {
+	for r, w := range wires {
+		if w != wires[0] {
+			panic(fmt.Sprintf("collective: rank %d posts another wire (%s %v) than rank 0 (%s %v)",
+				r, wireLabel(w), w, wireLabel(wires[0]), wires[0]))
+		}
+	}
+}
+
+// reduce executes one ring all-reduce over every rank's part list and leaves
+// the sum in rank 0's tensors — in every rank's when everyRank is set.
+// c.sent[r] receives the bytes rank r puts on the wire.
 //
 // Scatter-reduce: at step s every rank r sends chunk r−s of each part —
 // parts ascending, each chunked with the bounds a lone tensor gets — to rank
-// r+1, which adds it into its own copy of that chunk. A lossy wire crosses
-// each hop once: an AddRounder on the receiver as it adds, the sender's
-// chunk left alone; any other on the sender, in place, before the add (the
-// unrounded partial sum is dead by then: the all-gather overwrites every
-// scatter-sent chunk wholesale). Within a step no rank reads a chunk another
-// writes, so the order the ranks are visited in is free. After G−1 steps
-// rank r owns the reduced chunk r+1 and rounds it once more, so every rank
-// that receives the owner's bytes holds the same bits whatever the wire.
+// r+1, which adds it into its own copy of that chunk, rounding it on the
+// wire as it adds. After G−1 steps rank r owns the reduced chunk r+1 and
+// rounds it once more, so every rank that receives the owner's bytes holds
+// the same bits.
 //
 // All-gather: a ring forwards the owners' chunks verbatim, so the executor
 // counts those hops' bytes and copies each owner's chunk straight to where
 // it is needed — rank 0, or every rank.
 //
-// So rank r's Wire sees exactly the calls a ring rank makes, in the same
-// order: RoundTrip on each chunk it sends, step by step (or AddRoundTrip on
-// each it receives), then RoundTrip on the chunk it owns. Addition order,
-// rounding points and byte counts are bit-identical whether tensors travel
-// alone or in one list.
-//
-// That order is binding only for a sender-side wire, which may carry state;
-// those calls run hop-major, as above. When every wire is element-pure — nil
-// or an AddRounder — the ring is G independent pipelines, one per chunk (a
-// chunk's hops touch no other chunk's elements), so reduce runs it
-// chunk-major: chunk i of every part takes its G−1 scatter hops and is
-// delivered by its owner before chunk i+1 starts. Every element still sees
-// the same additions and roundings in the same order. The G chunks are dealt
-// to min(tensor.Fanout, G) contiguous chunk sets on the attached backend, so
-// below tensor.ElementwiseMinWork elements they all run on the caller.
-func (c *Comm) reduce(parts [][][]float32, wires []Wire, everyRank bool) {
+// A chunk's hops touch no other chunk's elements, so the ring is G
+// independent pipelines, and reduce runs it chunk-major: chunk i of every
+// part takes its G−1 scatter hops and is delivered by its owner before chunk
+// i+1 starts. Every element sees the additions and roundings a ring would
+// make, in the ring's order, whether tensors travel alone or in one list.
+// The G chunks are dealt to min(tensor.Fanout, G) contiguous chunk sets on
+// the attached backend, so below tensor.ElementwiseMinWork elements they all
+// run on the caller.
+func (c *Comm) reduce(parts [][][]float32, wire Wire, everyRank bool) {
 	g := c.g
 	clear(c.sent)
 	if g == 1 {
 		return
 	}
-	for r, w := range wires {
-		for _, p := range parts[r] {
-			// Rank r sends chunk r−s at scatter step s, and chunk r+1−s
-			// — the owners' — at all-gather step s.
+	n := 0
+	for _, p := range parts[0] {
+		n += len(p)
+		// Rank r sends chunk r−s at scatter step s, and chunk r+1−s — the
+		// owners' — at all-gather step s.
+		for r := range c.sent {
 			for s := 0; s < g-1; s++ {
 				lo, hi := chunkRange(len(p), g, (r-s+g)%g)
-				c.sent[r] += wireSize(w, hi-lo)
+				c.sent[r] += wireSize(wire, hi-lo)
 				lo, hi = chunkRange(len(p), g, (r+1-s+g)%g)
-				c.sent[r] += wireSize(w, hi-lo)
+				c.sent[r] += wireSize(wire, hi-lo)
 			}
 		}
 	}
@@ -400,51 +389,21 @@ func (c *Comm) reduce(parts [][][]float32, wires []Wire, everyRank bool) {
 	if everyRank {
 		targets = g
 	}
-	if elementPure(wires) {
-		n := 0
-		for _, p := range parts[0] {
-			n += len(p)
-		}
-		c.ring = chunkJob{parts, wires, targets, min(tensor.Fanout(c.be, n), g)}
-		if c.ring.sets > 1 {
-			c.be.For(c.ring.sets, c.runChunks)
-		} else {
-			c.chunkSet(0)
-		}
-		c.ring = chunkJob{}
-		return
+	c.ring = chunkJob{parts, wire, targets, min(tensor.Fanout(c.be, n), g)}
+	if c.ring.sets > 1 {
+		c.be.For(c.ring.sets, c.runChunks)
+	} else {
+		c.chunkSet(0)
 	}
-	for s := 0; s < g-1; s++ {
-		for src := range parts {
-			for pi := range parts[src] {
-				c.accumulate(parts, wires, src, pi, (src-s+g)%g)
-			}
-		}
-	}
-	for owner := range parts {
-		for pi := range parts[owner] {
-			c.deliver(parts, wires, owner, pi, targets)
-		}
-	}
+	c.ring = chunkJob{}
 }
 
 // chunkJob is one chunk-major ring: reduce's arguments and the number of
 // chunk sets the G chunks are dealt to.
 type chunkJob struct {
 	parts         [][][]float32
-	wires         []Wire
+	wire          Wire
 	targets, sets int
-}
-
-// elementPure reports whether no wire's calls depend on their order: each is
-// nil or an AddRounder.
-func elementPure(wires []Wire) bool {
-	for _, w := range wires {
-		if _, adds := w.(AddRounder); w != nil && !adds {
-			return false
-		}
-	}
-	return true
 }
 
 // chunkSet runs chunk set j of c.ring: chunks [j·G/sets, (j+1)·G/sets) of
@@ -456,38 +415,32 @@ func (c *Comm) chunkSet(j int) {
 	for i := j * g / job.sets; i < (j+1)*g/job.sets; i++ {
 		for pi := range job.parts[0] {
 			for s := 0; s < g-1; s++ {
-				c.accumulate(job.parts, job.wires, (i+s)%g, pi, i)
+				c.accumulate(job.parts, job.wire, (i+s)%g, pi, i)
 			}
-			c.deliver(job.parts, job.wires, (i-1+g)%g, pi, job.targets)
+			c.deliver(job.parts, job.wire, (i-1+g)%g, pi, job.targets)
 		}
 	}
 }
 
 // accumulate is one scatter-reduce hop: chunk i of part pi goes from rank
-// src to its successor, which adds it to its own.
-func (c *Comm) accumulate(parts [][][]float32, wires []Wire, src, pi, i int) {
-	dst := (src + 1) % c.g
-	p, q := parts[src][pi], parts[dst][pi]
+// src to its successor, which adds it to its own, rounded on the wire.
+func (c *Comm) accumulate(parts [][][]float32, wire Wire, src, pi, i int) {
+	p, q := parts[src][pi], parts[(src+1)%c.g][pi]
 	lo, hi := chunkRange(len(p), c.g, i)
-	if w := wires[src]; w != nil {
-		if _, adds := w.(AddRounder); !adds {
-			w.RoundTrip(p[lo:hi])
-		}
-	}
-	if add, ok := wires[dst].(AddRounder); ok {
-		add.AddRoundTrip(q[lo:hi], p[lo:hi])
+	if wire != nil {
+		wire.AddRoundTrip(q[lo:hi], p[lo:hi])
 	} else {
 		tensor.AddInPlace(q[lo:hi], p[lo:hi])
 	}
 }
 
-// deliver rounds owner's reduced chunk of part pi on its wire and copies it
+// deliver rounds owner's reduced chunk of part pi on the wire and copies it
 // to ranks 0…targets−1.
-func (c *Comm) deliver(parts [][][]float32, wires []Wire, owner, pi, targets int) {
+func (c *Comm) deliver(parts [][][]float32, wire Wire, owner, pi, targets int) {
 	p := parts[owner][pi]
 	lo, hi := chunkRange(len(p), c.g, (owner+1)%c.g)
-	if w := wires[owner]; w != nil {
-		w.RoundTrip(p[lo:hi])
+	if wire != nil {
+		wire.RoundTrip(p[lo:hi])
 	}
 	for r := 0; r < targets; r++ {
 		if r != owner {
@@ -498,43 +451,39 @@ func (c *Comm) deliver(parts [][][]float32, wires []Wire, owner, pi, targets int
 
 // AllReduceRanks sums every rank's tensors elementwise into rank 0's: it is
 // one all-reduce called once for the whole group, parts[r] being rank r's
-// part list and wires[r] its wire. Every rank must pass the same sequence of
-// part lengths; a mismatch panics, naming the rank and the part, before any
-// buffer is read or written. On return rank 0's tensors hold the sum; the
-// other ranks' tensors hold what the scatter-reduce left there (partial
-// sums, rounded or not) — scratch, as far as the caller is concerned.
+// part list. Every rank must pass the same sequence of part lengths; a
+// mismatch panics, naming the rank and the part, before any buffer is read
+// or written. On return rank 0's tensors hold the sum; the other ranks'
+// tensors hold what the scatter-reduce left there (partial sums, rounded or
+// not) — scratch, as far as the caller is concerned.
 //
-// wires[r] == nil keeps FP32 on rank r's wire; a non-nil Wire (FP16
-// compression-scaling of §III-C, 8-bit quantization, …) is applied to every
-// hop: each scatter-reduce hop rounds the partial sum it carries — on the
-// sender, or on the receiver as it adds when the wire is an AddRounder — (so
-// a chunk's value is re-rounded up to G−1 times, by different ranks, and
-// lossy-wire error compounds with G exactly as on real fabrics), and each
-// fully reduced chunk is rounded once more by its owning rank. Per-rank
-// Wire instances may differ (e.g. rank-seeded stochastic quantizers) as long
-// as the format matches; each sees the calls its ring rank would make, in
-// the ring's order.
+// A nil wire keeps FP32 on the wire; a non-nil one (FP16
+// compression-scaling of §III-C) is applied to every hop: each
+// scatter-reduce hop rounds the partial sum it carries on the receiver as it
+// adds (so a chunk's value is re-rounded up to G−1 times, and lossy-wire
+// error compounds with G exactly as on real fabrics), and each fully reduced
+// chunk is rounded once more by its owning rank.
 //
 // Each rank's Stats count len(parts[r]) calls and the bytes that rank sends,
 // telemetry and the tracer get one operation per rank (spans on each rank's
 // track, with that rank's virtual clock), and the cost model prices one ring
-// over the tensors' summed chunk bytes on rank 0's wire — so a list costs
-// the ring's latency once, not once per tensor.
-func (c *Comm) AllReduceRanks(parts [][][]float32, wires []Wire) {
-	c.allReduce(parts, wires, false)
+// over the tensors' summed chunk bytes — so a list costs the ring's latency
+// once, not once per tensor.
+func (c *Comm) AllReduceRanks(parts [][][]float32, wire Wire) {
+	c.allReduce(parts, wire, false)
 }
 
 // allReduce is every all-reduce: it checks the shapes, executes the ring
 // (see reduce), and charges, counts and observes it for every rank.
-func (c *Comm) allReduce(parts [][][]float32, wires []Wire, everyRank bool) {
-	c.checkShapes(parts, wires)
+func (c *Comm) allReduce(parts [][][]float32, wire Wire, everyRank bool) {
+	c.checkShapes(parts)
 	t0 := c.opStartRanks()
-	c.reduce(parts, wires, everyRank)
+	c.reduce(parts, wire, everyRank)
 	n := int64(len(parts[0]))
 	if cm := c.cost; cm != nil {
 		var chunkBytes int64
 		for _, p := range parts[0] {
-			chunkBytes += wireSize(wires[0], (len(p)+c.g-1)/c.g)
+			chunkBytes += wireSize(wire, (len(p)+c.g-1)/c.g)
 		}
 		cm.Charge(cm.Link.RingAllReduceSecondsBytes(c.g, chunkBytes))
 	}
@@ -544,8 +493,9 @@ func (c *Comm) allReduce(parts [][][]float32, wires []Wire, everyRank bool) {
 		c.stats[r].AllReduceBytes += c.sent[r]
 	}
 	c.mu.Unlock()
-	for r, w := range wires {
-		c.opEnd("allreduce", wireLabel(w), r, n, c.sent[r], t0, c.v0[r])
+	label := wireLabel(wire)
+	for r := range c.stats {
+		c.opEnd("allreduce", label, r, n, c.sent[r], t0, c.v0[r])
 	}
 }
 
@@ -560,33 +510,37 @@ func (c *Comm) AllGatherIntsRanks(payloads [][]int) {
 	for r, p := range payloads {
 		c.sent[r] = int64(4 * len(p))
 	}
-	c.ringGather(t0, "allgather_ints", func(int) string { return "int32" })
+	c.ringGather(t0, "allgather_ints", "int32")
 }
 
 // AllGatherFloatsRanks is the float32 counterpart of AllGatherIntsRanks —
 // the expensive baseline exchange of §II-B, whose result materializes G
-// dense gradient blocks on every rank. Each payload crosses its rank's wire
-// once: wires[r], when non-nil, rounds payloads[r] in place, so pass copies
-// of what must stay unrounded.
-func (c *Comm) AllGatherFloatsRanks(payloads [][]float32, wires []Wire) {
+// dense gradient blocks on every rank. Each payload crosses the wire once:
+// a non-nil wire rounds every payload in place, so pass copies of what must
+// stay unrounded.
+func (c *Comm) AllGatherFloatsRanks(payloads [][]float32, wire Wire) {
 	c.checkRanks("payloads", len(payloads))
-	c.checkRanks("wires", len(wires))
 	t0 := c.opStartRanks()
 	for r, p := range payloads {
-		if wires[r] != nil {
-			wires[r].RoundTrip(p)
+		if wire != nil {
+			wire.RoundTrip(p)
 		}
-		c.sent[r] = wireSize(wires[r], len(p))
+		c.sent[r] = wireSize(wire, len(p))
 	}
-	c.ringGather(t0, "allgather_floats", func(r int) string { return wireLabel(wires[r]) })
+	c.ringGather(t0, "allgather_floats", wireLabel(wire))
 }
 
 // ringGather posts a ring all-gather of payloads of wire sizes c.sent for
 // every rank: one call at (G−1)/G of their total on each rank's AllGather
-// counters, one ring priced at the largest payload, and op under each rank's
-// wire label to telemetry and the tracer.
-func (c *Comm) ringGather(t0 time.Time, op string, label func(rank int) string) {
-	bytes, largest := c.gatherVolume()
+// counters, one ring priced at the largest payload, and op under the wire
+// label to telemetry and the tracer.
+func (c *Comm) ringGather(t0 time.Time, op, label string) {
+	var total, largest int64
+	for _, b := range c.sent {
+		total += b
+		largest = max(largest, b)
+	}
+	bytes := total * int64(c.g-1) / int64(c.g)
 	if cm := c.cost; cm != nil {
 		cm.Charge(cm.Link.RingAllGatherSeconds(c.g, largest))
 	}
@@ -597,19 +551,8 @@ func (c *Comm) ringGather(t0 time.Time, op string, label func(rank int) string) 
 	}
 	c.mu.Unlock()
 	for r := range c.stats {
-		c.opEnd(op, label(r), r, 1, bytes, t0, c.v0[r])
+		c.opEnd(op, label, r, 1, bytes, t0, c.v0[r])
 	}
-}
-
-// gatherVolume returns what each rank sends in a ring all-gather of payloads
-// of wire sizes c.sent, (G−1)/G of their total, and the largest.
-func (c *Comm) gatherVolume() (bytes, largest int64) {
-	var total int64
-	for _, b := range c.sent {
-		total += b
-		largest = max(largest, b)
-	}
-	return total * int64(c.g-1) / int64(c.g), largest
 }
 
 // AgreeRanks is a control-plane consensus over the group's votes, ok[r]
@@ -634,27 +577,44 @@ func (c *Comm) AgreeRanks(ok []bool) bool {
 // rank and the batched calls: every rank calls it with its post — its
 // arguments, and room for its results — and once all G have, rank 0 runs
 // run(posts), posts[r] being rank r's post. No rank returns before run has,
-// so results run writes into the posts are every rank's to read. Calls on a
-// lane are matched in order, like any collective's; AllReduce and
+// so results run writes into the posts are every rank's to read. If run
+// panics, every rank panics with its value once all G have been released,
+// so a refused call stops the group instead of stranding ranks 1…G−1. Calls
+// on a lane are matched in order, like any collective's; AllReduce and
 // core.Exchanger's Exchange are built on it.
 func (c *Comm) Rendezvous(rank int, post any, run func(posts []any)) {
 	c.posts[rank] = post
 	c.barrier.Wait()
 	if rank == 0 {
-		run(c.posts)
-		clear(c.posts)
+		c.runPosts(run)
 	}
 	c.barrier.Wait()
+	if f := c.fault; f != nil {
+		panic(f)
+	}
+}
+
+// runPosts runs run over the posts and clears them, keeping what run panics
+// with in c.fault for every rank to raise.
+func (c *Comm) runPosts(run func(posts []any)) {
+	defer func() { c.fault = recover() }()
+	defer clear(c.posts)
+	run(c.posts)
 }
 
 // AllReduce is the per-rank adapter of AllReduceRanks for callers that run
-// one goroutine per rank: every rank passes its x, and on return every
-// rank's x holds the global sum — the owners' reduced chunks are copied to
-// every rank, as the ring's all-gather phase would. Values, Stats,
-// telemetry, trace spans and clock charges are AllReduceRanks'.
+// one goroutine per rank: every rank passes its x and the group's wire, and
+// on return every rank's x holds the global sum — the owners' reduced chunks
+// are copied to every rank, as the ring's all-gather phase would. Values,
+// Stats, telemetry, trace spans and clock charges are AllReduceRanks'. Ranks
+// that pass different wires, or tensors of different lengths, make every
+// rank panic before any buffer is read or written.
 func (c *Comm) AllReduce(rank int, x []float32, wire Wire) {
 	c.xs[rank], c.wires[rank] = x, wire
-	c.Rendezvous(rank, nil, func([]any) { c.allReduce(c.parts, c.wires, true) })
+	c.Rendezvous(rank, nil, func([]any) {
+		checkWires(c.wires)
+		c.allReduce(c.parts, c.wires[0], true)
+	})
 }
 
 // Barrier is a reusable counting barrier for a fixed number of parties.

@@ -110,10 +110,11 @@ func TestAllReduceFP16RanksBitIdentical(t *testing.T) {
 			}
 		}
 		outputs := make([][]float32, g)
+		wire := half.NewScaler(512)
 		runRanks(g, func(rank int) {
 			buf := make([]float32, n)
 			copy(buf, inputs[rank])
-			c.AllReduce(rank, buf, half.NewScaler(512))
+			c.AllReduce(rank, buf, wire)
 			outputs[rank] = buf
 		})
 		for rank := 1; rank < g; rank++ {
@@ -147,10 +148,10 @@ func TestAllReduceTrafficVolume(t *testing.T) {
 		}
 	}
 	// FP16 wire must halve the volume.
-	c2 := New(g)
+	c2, fp16 := New(g), half.NewScaler(1)
 	runRanks(g, func(rank int) {
 		buf := make([]float32, n)
-		c2.AllReduce(rank, buf, half.NewScaler(1))
+		c2.AllReduce(rank, buf, fp16)
 	})
 	if got := c2.RankStats(0).AllReduceBytes; got != wantBytes/2 {
 		t.Errorf("FP16 AllReduceBytes = %d, want %d", got, wantBytes/2)
@@ -205,25 +206,25 @@ func TestAllGatherIntsReuseAcrossRounds(t *testing.T) {
 	}
 }
 
-// TestAllGatherFloats: a payload crosses its own rank's wire once, in
-// place; without a wire it is left alone.
+// TestAllGatherFloats: every payload crosses the wire once, in place;
+// without a wire it is left alone.
 func TestAllGatherFloats(t *testing.T) {
 	const g = 4
-	c := New(g)
-	payloads := make([][]float32, g)
-	wires := make([]Wire, g)
-	for r := range payloads {
-		payloads[r] = []float32{float32(r) + 1.0/3, float32(r) * 2}
-	}
-	wires[2] = half.NewScaler(512)
-	c.AllGatherFloatsRanks(payloads, wires)
-	for r := 0; r < g; r++ {
-		want := []float32{float32(r) + 1.0/3, float32(r) * 2}
-		if r == 2 {
-			half.NewScaler(512).RoundTrip(want)
+	for _, wire := range []Wire{nil, half.NewScaler(512)} {
+		c := New(g)
+		payloads := make([][]float32, g)
+		for r := range payloads {
+			payloads[r] = []float32{float32(r) + 1.0/3, float32(r) * 2}
 		}
-		if payloads[r][0] != want[0] || payloads[r][1] != want[1] {
-			t.Fatalf("rank %d payload %v, want %v", r, payloads[r], want)
+		c.AllGatherFloatsRanks(payloads, wire)
+		for r := 0; r < g; r++ {
+			want := []float32{float32(r) + 1.0/3, float32(r) * 2}
+			if wire != nil {
+				half.NewScaler(512).RoundTrip(want)
+			}
+			if payloads[r][0] != want[0] || payloads[r][1] != want[1] {
+				t.Fatalf("fp16=%v: rank %d payload %v, want %v", wire != nil, r, payloads[r], want)
+			}
 		}
 	}
 }
@@ -233,11 +234,10 @@ func TestAllGatherFloatsFP16HalvesBytes(t *testing.T) {
 	run := func(wire Wire) int64 {
 		c := New(g)
 		payloads := make([][]float32, g)
-		wires := make([]Wire, g)
 		for r := range payloads {
-			payloads[r], wires[r] = make([]float32, n), wire
+			payloads[r] = make([]float32, n)
 		}
-		c.AllGatherFloatsRanks(payloads, wires)
+		c.AllGatherFloatsRanks(payloads, wire)
 		return c.RankStats(0).AllGatherBytes
 	}
 	fp32 := run(nil)
@@ -343,9 +343,8 @@ func BenchmarkAllReduce8x4096(b *testing.B) {
 	for i := range parts {
 		parts[i] = [][]float32{make([]float32, n)}
 	}
-	wires := make([]Wire, g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.AllReduceRanks(parts, wires)
+		c.AllReduceRanks(parts, nil)
 	}
 }

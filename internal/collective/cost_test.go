@@ -45,9 +45,10 @@ func TestAllReduceAdvancesClocks(t *testing.T) {
 	}
 
 	// FP16 halves per-element wire cost.
+	fp16 := half.NewScaler(1)
 	runRanks(g, func(rank int) {
 		x := make([]float32, n)
-		c.AllReduce(rank, x, half.NewScaler(1))
+		c.AllReduce(rank, x, fp16)
 	})
 	want += testLink.RingAllReduceSeconds(g, n, 2)
 	for r, ck := range clocks {
@@ -73,7 +74,7 @@ func TestAllGatherChargesLargestPayload(t *testing.T) {
 			t.Errorf("ints: rank %d clock %v, want %v", r, ck.Now(), want)
 		}
 	}
-	c.AllGatherFloatsRanks(floats, make([]Wire, g))
+	c.AllGatherFloatsRanks(floats, nil)
 	want += testLink.RingAllGatherSeconds(g, int64(4*7))
 	for r, ck := range clocks {
 		if !eqTime(ck.Now(), want) {
@@ -121,12 +122,11 @@ func TestDeterministicVirtualTime(t *testing.T) {
 		c.AgreeRanks(make([]bool, g))
 		ints := make([][]int, g)
 		floats := make([][]float32, g)
-		wires := make([]Wire, g)
 		for r := range ints {
-			ints[r], floats[r], wires[r] = make([]int, 10+r), make([]float32, 50), half.NewScaler(1)
+			ints[r], floats[r] = make([]int, 10+r), make([]float32, 50)
 		}
 		c.AllGatherIntsRanks(ints)
-		c.AllGatherFloatsRanks(floats, wires)
+		c.AllGatherFloatsRanks(floats, half.NewScaler(1))
 		out := make([]float64, g)
 		for i, ck := range clocks {
 			out[i] = ck.Now()

@@ -48,11 +48,7 @@ func TestFusedPartsOnSideLaneMatchPerTensorOnPrimary(t *testing.T) {
 					pc.AllReduce(rank, x, wire)
 				}
 			})
-			wires := make([]Wire, g)
-			for r := range wires {
-				wires[r] = wire
-			}
-			fc.Side().AllReduceRanks(fused, wires)
+			fc.Side().AllReduceRanks(fused, wire)
 			for i := range shapes {
 				for j := range perTensor[0][i] {
 					if perTensor[0][i][j] != fused[0][i][j] {
@@ -98,8 +94,7 @@ func agreeRank(c *Comm, rank int, ok bool) bool {
 }
 
 // TestLanesRunConcurrentlyWithoutInterleaving drives both lanes at once: one
-// goroutine issues batched gathers and compressed all-reduces on the side
-// lane while every rank's goroutine runs AllReduce and a Rendezvous vote on
+// goroutine issues batched gathers and all-reduces on the side lane while every rank's goroutine runs AllReduce and a Rendezvous vote on
 // the primary. Were a rendezvous slot, barrier generation or scratch slice
 // shared between the lanes, a round would deliver the wrong result or hang;
 // -race additionally checks the counters.
@@ -110,25 +105,23 @@ func TestLanesRunConcurrentlyWithoutInterleaving(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		acc := make([]float32, n)
-		payloads := make([][]byte, g)
+		parts := make([][][]float32, g)
 		ints := make([][]int, g)
 		for round := 0; round < rounds; round++ {
-			for r := range payloads {
+			for r := range parts {
 				ints[r] = []int{r, round}
-				payloads[r] = encodePairs(map[int]float32{r: float32(round + 1)}, []int{r})
+				parts[r] = [][]float32{make([]float32, n)}
+				parts[r][0][r] = float32(round + 1)
 			}
 			side.AllGatherIntsRanks(ints)
-			if err := side.AllReduceCompressedRanks(acc, payloads, rawF32Decoder{}); err != nil {
-				t.Errorf("round %d: %v", round, err)
-			}
-			for i, v := range acc {
+			side.AllReduceRanks(parts, nil)
+			for i, v := range parts[0][0] {
 				want := float32(0)
 				if i < g {
 					want = float32(round + 1)
 				}
 				if v != want {
-					t.Errorf("round %d: compressed sum[%d] = %v, want %v", round, i, v, want)
+					t.Errorf("round %d: side sum[%d] = %v, want %v", round, i, v, want)
 				}
 			}
 		}
@@ -177,6 +170,71 @@ func TestLanesRunConcurrentlyWithoutInterleaving(t *testing.T) {
 	}
 }
 
+// TestAdapterRefusesMixedCalls: ranks of the per-rank AllReduce that post
+// different wires — even two FP16 scalers of one factor — or tensors
+// of different lengths make every rank panic with a message naming the
+// first rank at fault, before any buffer is read or written or anything is
+// counted; a matched call on the same communicator then goes through.
+func TestAdapterRefusesMixedCalls(t *testing.T) {
+	const g = 3
+	fp16, twin := half.NewScaler(512), half.NewScaler(512)
+	for _, tc := range []struct {
+		name  string
+		wires []Wire
+		lens  []int
+		msg   string
+	}{
+		{"one wire", []Wire{fp16, fp16, fp16}, []int{4, 4, 4}, ""},
+		{"fp32 beside fp16", []Wire{fp16, fp16, nil}, []int{4, 4, 4},
+			"collective: rank 2 posts another wire (fp32 <nil>) than rank 0 (fp16 &{512})"},
+		{"two scalers", []Wire{fp16, twin, fp16}, []int{4, 4, 4},
+			"collective: rank 1 posts another wire (fp16 &{512}) than rank 0 (fp16 &{512})"},
+		{"ragged lengths", []Wire{nil, nil, nil}, []int{4, 5, 4},
+			"collective: rank 1 part 0 has 5 elements, rank 0's has 4"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(g)
+			xs := make([][]float32, g)
+			for r := range xs {
+				xs[r] = make([]float32, tc.lens[r])
+				for i := range xs[r] {
+					xs[r][i] = float32(r + 1)
+				}
+			}
+			got := make([]any, g)
+			runRanks(g, func(rank int) {
+				defer func() { got[rank] = recover() }()
+				c.AllReduce(rank, xs[rank], tc.wires[rank])
+			})
+			for r := range got {
+				if tc.msg == "" && got[r] != nil {
+					t.Fatalf("rank %d panicked: %v", r, got[r])
+				}
+				if tc.msg != "" && got[r] != tc.msg {
+					t.Fatalf("rank %d panic %v, want %q", r, got[r], tc.msg)
+				}
+			}
+			if tc.msg == "" {
+				return
+			}
+			for r, x := range xs {
+				for i, v := range x {
+					if v != float32(r+1) {
+						t.Fatalf("a refused call wrote rank %d elem %d: %v", r, i, v)
+					}
+				}
+				if c.RankStats(r) != (Stats{}) {
+					t.Fatalf("a refused call was counted on rank %d: %+v", r, c.RankStats(r))
+				}
+			}
+			runRanks(g, func(rank int) { c.AllReduce(rank, xs[0], nil) })
+			if c.RankStats(0).AllReduceCalls != 1 {
+				t.Fatalf("the call after a refused one: stats %+v", c.RankStats(0))
+			}
+		})
+	}
+}
+
 // TestPricedSideLaneChargesOnlyItsOwnClocks: a cost model attached to the
 // side lane prices side-lane collectives — a part list as one ring over the
 // tensors' summed chunk bytes — onto the lane's own clocks, and neither
@@ -195,7 +253,7 @@ func TestPricedSideLaneChargesOnlyItsOwnClocks(t *testing.T) {
 
 	shapes := []int{1000, 10, 7}
 	tensors, _ := makeTensors(g, shapes, 3)
-	c.Side().AllReduceRanks(tensors, make([]Wire, g))
+	c.Side().AllReduceRanks(tensors, nil)
 	var chunkBytes int64
 	for _, n := range shapes {
 		chunkBytes += int64(4 * ((n + g - 1) / g))

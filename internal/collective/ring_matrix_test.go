@@ -3,11 +3,11 @@ package collective_test
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
 	"zipflm/internal/collective"
-	"zipflm/internal/compress"
 	"zipflm/internal/half"
 	"zipflm/internal/perfmodel"
 	"zipflm/internal/rng"
@@ -27,23 +27,14 @@ func (y yielding) RoundTrip(x []float32) {
 	y.Wire.RoundTrip(x)
 }
 
-// yieldingAdd is yielding for a wire that also rounds on receive.
-type yieldingAdd struct {
-	yielding
-	add collective.AddRounder
-}
-
-func (y yieldingAdd) AddRoundTrip(dst, src []float32) {
+func (y yielding) AddRoundTrip(dst, src []float32) {
 	runtime.Gosched()
-	y.add.AddRoundTrip(dst, src)
+	y.Wire.AddRoundTrip(dst, src)
 }
 
 func withYields(w collective.Wire) collective.Wire {
 	if w == nil {
 		return nil
-	}
-	if add, ok := w.(collective.AddRounder); ok {
-		return yieldingAdd{yielding{w}, add}
 	}
 	return yielding{w}
 }
@@ -71,20 +62,20 @@ func wireBytes(w collective.Wire, n int) int64 {
 // visits the ranks in turn, every hop's sender rounds the chunk it forwards
 // in place — parts ascending — before its receiver adds it, each owner rounds
 // its reduced chunk once more, and everyone gets the owner's bytes. It is
-// the sender-side definition: a wire that rounds on receive must land on the
-// same bits, and a stateful wire must see exactly this sequence of calls.
-func serialRing(xs [][][]float32, wires []collective.Wire) {
+// the sender-side definition: the executor, whose receivers round as they
+// add, must land on the same bits.
+func serialRing(xs [][][]float32, wire collective.Wire) {
 	g := len(xs)
 	if g == 1 {
 		return
 	}
 	round := func(r, idx int) {
-		if wires[r] == nil {
+		if wire == nil {
 			return
 		}
 		for _, p := range xs[r] {
 			lo, hi := chunk(len(p), g, idx)
-			wires[r].RoundTrip(p[lo:hi])
+			wire.RoundTrip(p[lo:hi])
 		}
 	}
 	for step := 0; step < g-1; step++ {
@@ -118,10 +109,9 @@ func serialRing(xs [][][]float32, wires []collective.Wire) {
 // goroutineRing is the ring all-reduce as G ranks run it, and as this
 // package ran it before the executor: one goroutine per rank, and each hop
 // one message over a channel to the successor — the sender's part list,
-// whose chunks the receiver reads in place. A wire that rounds on receive
-// is applied by the receiver as it adds, any other by the sender before the
-// hop. It returns the bytes each rank put on the wire.
-func goroutineRing(xs [][][]float32, wires []collective.Wire) []int64 {
+// whose chunks the receiver reads in place and rounds as it adds. It returns
+// the bytes each rank put on the wire.
+func goroutineRing(xs [][][]float32, wire collective.Wire) []int64 {
 	g := len(xs)
 	sent := make([]int64, g)
 	if g == 1 {
@@ -132,8 +122,7 @@ func goroutineRing(xs [][][]float32, wires []collective.Wire) []int64 {
 		ring[r] = make(chan [][]float32, 1)
 	}
 	onRanks(g, func(rank int) {
-		parts, wire := xs[rank], wires[rank]
-		fused, _ := wire.(collective.AddRounder)
+		parts := xs[rank]
 		hop := func() [][]float32 {
 			ring[(rank+1)%g] <- parts
 			return <-ring[rank]
@@ -142,16 +131,13 @@ func goroutineRing(xs [][][]float32, wires []collective.Wire) []int64 {
 			sendIdx, recvIdx := ((rank-step)%g+g)%g, ((rank-step-1)%g+g)%g
 			for _, p := range parts {
 				lo, hi := chunk(len(p), g, sendIdx)
-				if wire != nil && fused == nil {
-					wire.RoundTrip(p[lo:hi])
-				}
 				sent[rank] += wireBytes(wire, hi-lo)
 			}
 			for pi, src := range hop() {
 				p := parts[pi]
 				lo, hi := chunk(len(p), g, recvIdx)
-				if fused != nil {
-					fused.AddRoundTrip(p[lo:hi], src[lo:hi])
+				if wire != nil {
+					wire.AddRoundTrip(p[lo:hi], src[lo:hi])
 					continue
 				}
 				for i := lo; i < hi; i++ {
@@ -270,13 +256,11 @@ func schedule(t *testing.T, body func(t *testing.T, g int, draw *rng.RNG)) {
 // TestRingFusedMatrix is the all-reduce's equivalence matrix. For every
 // cluster size, part list, wire and GOMAXPROCS below — on communicators that
 // lend a pool of one worker per core, as the trainer's do, so at procs 2 and
-// 8 the list above tensor.ElementwiseMinWork runs chunk-major on several
-// workers for fp32 and fp16, and hop-major on the caller for both Quant8
-// wires:
+// 8 the list above tensor.ElementwiseMinWork runs on several workers:
 //
-//   - the goroutine ring leaves on every rank the bits serialRing computes
-//     (stochastic Quant8 included: its per-rank streams are consumed in the
-//     same order), so the two references agree;
+//   - the goroutine ring, whose receivers round as they add, leaves on every
+//     rank the bits serialRing computes rounding on the sender, so the two
+//     references agree;
 //   - one AllReduceRanks call leaves those bits in rank 0's tensors, counts
 //     on each rank one call per tensor and the bytes that rank sends in the
 //     goroutine ring, and advances every clock by one ring over the
@@ -288,18 +272,17 @@ func schedule(t *testing.T, body func(t *testing.T, g int, draw *rng.RNG)) {
 func TestRingFusedMatrix(t *testing.T) {
 	wires := []struct {
 		name string
-		bare func(rank int) collective.Wire
+		wire collective.Wire
 	}{
-		{"fp32", func(int) collective.Wire { return nil }},
-		{"fp16", func(int) collective.Wire { return half.NewScaler(512) }},
-		{"q8", func(int) collective.Wire { return compress.NewQuant8(16, false, 0) }},
-		{"q8-stochastic", func(rank int) collective.Wire { return compress.NewQuant8(16, true, 100+uint64(rank)) }},
-	}
-	if _, ok := withYields(wires[1].bare(0)).(collective.AddRounder); !ok {
-		t.Fatal("half.Scaler no longer rounds on receive: the matrix would not reach that path")
-	}
-	if _, ok := withYields(wires[2].bare(0)).(collective.AddRounder); ok {
-		t.Fatal("Quant8's scale depends on the slice it is handed; it must round on the sender")
+		{"fp32", nil},
+		{"fp16", half.NewScaler(512)},
+		// Scaled below FP16's normal range, so every value crosses as a
+		// subnormal with a few bits left: the underflow compression scaling
+		// exists to avoid.
+		{"fp16-underflow", half.NewScaler(1.0 / (1 << 16))},
+		// Scaled so that the inputs fit but their partial sums overflow:
+		// hops and owners saturate to FP16's largest finite value.
+		{"fp16-saturating", half.NewScaler(1 << 14)},
 	}
 
 	schedule(t, func(t *testing.T, g int, draw *rng.RNG) {
@@ -308,7 +291,7 @@ func TestRingFusedMatrix(t *testing.T) {
 		be := tensor.New(runtime.GOMAXPROCS(0))
 		if be.Workers() > 1 {
 			// One tensor above the cutoff puts the list on the pool, whose
-			// workers then take chunk sets of an element-pure ring.
+			// workers then take the ring's chunk sets.
 			seventeen = append(seventeen, tensor.ElementwiseMinWork+5)
 		}
 		for len(seventeen) < 17 {
@@ -318,32 +301,29 @@ func TestRingFusedMatrix(t *testing.T) {
 			initial := rankTensors(g, shapes, 7)
 			for _, w := range wires {
 				t.Run(fmt.Sprintf("parts=%d/%s", len(shapes), w.name), func(t *testing.T) {
-					// Fresh per-rank instances for every run: Quant8
-					// carries scratch, and a stream when stochastic.
-					perRank := func(wrap func(collective.Wire) collective.Wire) []collective.Wire {
-						ws := make([]collective.Wire, g)
-						for r := range ws {
-							ws[r] = wrap(w.bare(r))
-						}
-						return ws
-					}
-					bare := func(w collective.Wire) collective.Wire { return w }
-
 					want := cloneTensors(initial)
-					serialRing(want, perRank(bare))
+					serialRing(want, w.wire)
+					if s, ok := w.wire.(*half.Scaler); ok && s.Factor == 1<<14 && g >= 4 && len(shapes) > 0 {
+						// Sums of four or more ranks overflow somewhere in a
+						// thousand elements: the row must reach the clamp.
+						if !slices.ContainsFunc(want[0], func(p []float32) bool {
+							return slices.Contains(p, 65504/s.Factor) || slices.Contains(p, -65504/s.Factor)
+						}) {
+							t.Fatal("no element saturated: the row does not reach FP16's clamp")
+						}
+					}
 					ring := cloneTensors(initial)
-					sent := goroutineRing(ring, perRank(withYields))
+					sent := goroutineRing(ring, withYields(w.wire))
 					sameTensors(t, "goroutine ring vs serial definition", ring, want)
 
 					got := cloneTensors(initial)
 					c, clocks, start := pricedComm(g)
 					c.AttachBackend(be)
-					bw := perRank(bare)
-					c.AllReduceRanks(got, bw)
+					c.AllReduceRanks(got, w.wire)
 					sameTensors(t, "AllReduceRanks rank 0 vs serial definition", got[:1], want[:1])
 					var chunkBytes int64
 					for _, n := range shapes {
-						chunkBytes += wireBytes(bw[0], (n+g-1)/g)
+						chunkBytes += wireBytes(w.wire, (n+g-1)/g)
 					}
 					for r := 0; r < g; r++ {
 						if s := c.RankStats(r); s != (collective.Stats{AllReduceCalls: int64(len(shapes)), AllReduceBytes: sent[r]}) {
@@ -356,27 +336,26 @@ func TestRingFusedMatrix(t *testing.T) {
 
 					// Tensor by tensor: the definition, then the adapter.
 					perTensor := cloneTensors(initial)
-					pw := perRank(bare)
 					column := make([][][]float32, g)
 					for i := range shapes {
 						for r := range column {
 							column[r] = perTensor[r][i : i+1]
 						}
-						serialRing(column, pw)
+						serialRing(column, w.wire)
 					}
 					adapted := cloneTensors(initial)
 					ac, aclocks, astart := pricedComm(g)
 					ac.AttachBackend(be)
-					aw := perRank(withYields)
+					aw := withYields(w.wire)
 					onRanks(g, func(rank int) {
 						for _, x := range adapted[rank] {
-							ac.AllReduce(rank, x, aw[rank])
+							ac.AllReduce(rank, x, aw)
 						}
 					})
 					sameTensors(t, "AllReduce adapter vs serial definition per tensor", adapted, perTensor)
 					wantClock := astart
 					for _, n := range shapes {
-						wantClock += matrixLink.RingAllReduceSecondsBytes(g, wireBytes(aw[0], (n+g-1)/g))
+						wantClock += matrixLink.RingAllReduceSecondsBytes(g, wireBytes(w.wire, (n+g-1)/g))
 					}
 					for r := 0; r < g; r++ {
 						if ac.RankStats(r) != c.RankStats(r) {
@@ -416,7 +395,7 @@ func TestAllReduceRanksRejectsRaggedShapes(t *testing.T) {
 						t.Fatalf("panic %v, want %q", got, tc.msg)
 					}
 				}()
-				c.AllReduceRanks(xs, make([]collective.Wire, len(xs)))
+				c.AllReduceRanks(xs, nil)
 			}()
 			if fmt.Sprint(xs) != before {
 				t.Fatal("a rejected call wrote a tensor")
@@ -426,15 +405,6 @@ func TestAllReduceRanksRejectsRaggedShapes(t *testing.T) {
 			}
 		})
 	}
-}
-
-// yieldingDecoder gives the processor away before every payload a
-// compressed all-reduce decodes, as yielding does in every wire call.
-type yieldingDecoder struct{ collective.Decoder }
-
-func (y yieldingDecoder) DecodeAdd(acc []float32, payload []byte) error {
-	runtime.Gosched()
-	return y.Decoder.DecodeAdd(acc, payload)
 }
 
 // gatherCase is one batched collective of TestGatherMatrix with its serial
@@ -487,14 +457,15 @@ func gatherInts(lens []int, seed uint64) gatherCase {
 	}
 }
 
-// gatherFloats: every payload ends as it crossed its sender's wire —
-// rounded once by it, when there is one.
-func gatherFloats(fp16 bool) func(lens []int, seed uint64) gatherCase {
+// gatherFloats: every payload ends as it crossed the wire — rounded once,
+// when there is one. perRank issues the gather as core's per-rank Exchange
+// issues its gathers: one goroutine per rank posts its payload to
+// Rendezvous, and rank 0 gathers the group's.
+func gatherFloats(wire collective.Wire, perRank bool) func(lens []int, seed uint64) gatherCase {
 	return func(lens []int, seed uint64) gatherCase {
 		draw := rng.New(seed)
 		ins := make([][]float32, len(lens))
 		want := make([][]float32, len(lens))
-		wires := make([]collective.Wire, len(lens))
 		sizes := make([]int64, len(lens))
 		for r, n := range lens {
 			ins[r] = make([]float32, n)
@@ -502,65 +473,33 @@ func gatherFloats(fp16 bool) func(lens []int, seed uint64) gatherCase {
 				ins[r][i] = float32(draw.Float64()*4 - 2)
 			}
 			want[r] = append([]float32{}, ins[r]...)
-			sizes[r] = int64(4 * n)
-			if fp16 {
-				s := half.NewScaler(512)
-				s.RoundTrip(want[r])
-				wires[r] = s
-				sizes[r] = int64(s.WireBytes(n))
+			sizes[r] = wireBytes(wire, n)
+			if wire != nil {
+				wire.RoundTrip(want[r])
 			}
 		}
 		bytes, seconds := ringGather(sizes)
 		return gatherCase{
 			call: func(c *collective.Comm) any {
-				c.AllGatherFloatsRanks(ins, wires)
+				if !perRank {
+					c.AllGatherFloatsRanks(ins, wire)
+					return fmt.Sprint(ins)
+				}
+				onRanks(len(ins), func(rank int) {
+					c.Rendezvous(rank, ins[rank], func(posts []any) {
+						payloads := make([][]float32, len(posts))
+						for r, p := range posts {
+							payloads[r] = p.([]float32)
+						}
+						c.AllGatherFloatsRanks(payloads, wire)
+					})
+				})
 				return fmt.Sprint(ins)
 			},
 			want:    fmt.Sprint(want),
 			stats:   collective.Stats{AllGatherCalls: 1, AllGatherBytes: bytes},
 			seconds: seconds,
 		}
-	}
-}
-
-// reduceCompressed: rank 0's buffer ends with the top-k payloads of all
-// ranks decoded in rank order into zeros — whatever it held before — and the
-// exchange is accounted and priced as the ring all-gather of the payloads. A
-// rank with nothing to send passes an empty payload.
-func reduceCompressed(lens []int, seed uint64) gatherCase {
-	const n = 64
-	draw := rng.New(seed)
-	payloads := make([][]byte, len(lens))
-	sizes := make([]int64, len(lens))
-	want := make([]float32, n)
-	for r, k := range lens {
-		if k > 0 {
-			idx := make([]int, k)
-			vals := make([]float32, k)
-			for j := range idx {
-				idx[j] = j * n / k
-				vals[j] = float32(draw.Float64()*4 - 2)
-			}
-			payloads[r] = compress.EncodeTopK(nil, n, idx, vals, nil)
-		}
-		sizes[r] = int64(len(payloads[r]))
-		if err := (compress.TopKDecoder{}).DecodeAdd(want, payloads[r]); err != nil {
-			panic(err)
-		}
-	}
-	bytes, seconds := ringGather(sizes)
-	return gatherCase{
-		call: func(c *collective.Comm) any {
-			x := make([]float32, n)
-			for i := range x {
-				x[i] = 1
-			}
-			err := c.AllReduceCompressedRanks(x, payloads, yieldingDecoder{compress.TopKDecoder{}})
-			return fmt.Sprint(x, err)
-		},
-		want:    fmt.Sprint(want, nil),
-		stats:   collective.Stats{AllReduceCalls: 1, AllReduceBytes: bytes},
-		seconds: seconds,
 	}
 }
 
@@ -611,22 +550,23 @@ func agreeAdapter(lens []int, seed uint64) gatherCase {
 	return gc
 }
 
-// TestGatherMatrix holds the batched gathers, the compressed all-reduce and
-// the vote — batched and per rank through Rendezvous — to their serial
-// oracles on the ring matrix's schedule, with ragged per-rank lengths
-// including 0 and on either lane. Each call must produce the oracle's result
-// and add the oracle's Stats to every rank on its lane and nothing on the
-// other, and the lane's clocks, started apart, must end at their maximum
-// plus the oracle's seconds.
+// TestGatherMatrix holds the gathers and the vote — batched, and per rank
+// through Rendezvous — to their serial oracles on the ring matrix's
+// schedule, with ragged per-rank lengths including 0 and on either lane.
+// Each call must produce the oracle's result and add the oracle's Stats to
+// every rank on its lane and nothing on the other, and the lane's clocks,
+// started apart, must end at their maximum plus the oracle's seconds.
 func TestGatherMatrix(t *testing.T) {
 	ops := []struct {
 		name  string
 		build func(lens []int, seed uint64) gatherCase
 	}{
 		{"gather-ints", gatherInts},
-		{"gather-floats-fp32", gatherFloats(false)},
-		{"gather-floats-fp16", gatherFloats(true)},
-		{"compressed", reduceCompressed},
+		{"gather-floats-fp32", gatherFloats(nil, false)},
+		{"gather-floats-fp16", gatherFloats(half.NewScaler(512), false)},
+		// Half of the inputs overflow once scaled, and cross clamped.
+		{"gather-floats-fp16-saturating", gatherFloats(half.NewScaler(1<<16), false)},
+		{"gather-floats-adapter", gatherFloats(half.NewScaler(512), true)},
 		{"agree", agree},
 		{"agree-adapter", agreeAdapter},
 	}

@@ -8,8 +8,8 @@ import (
 )
 
 // WireNamer is optionally implemented by Wire formats to identify
-// themselves in telemetry labels (half.Scaler reports "fp16",
-// compress.Quant8 reports "q8"). Formats without it label as "custom".
+// themselves in telemetry labels (half.Scaler reports "fp16"). Formats
+// without it label as "custom".
 type WireNamer interface {
 	WireName() string
 }

@@ -86,7 +86,8 @@ func TestTelemetryWireLabels(t *testing.T) {
 			xs[r][i] = float32(i)
 		}
 	}
-	runRanks(g, func(rank int) { c.AllReduce(rank, xs[rank], half.NewScaler(1024)) })
+	fp16 := half.NewScaler(1024)
+	runRanks(g, func(rank int) { c.AllReduce(rank, xs[rank], fp16) })
 	name := telemetry.Label(telemetry.Label("zipflm_collective_calls_total", "op", "allreduce"), "wire", "fp16")
 	if got := reg.Counter(name).Value(); got != g {
 		t.Fatalf("fp16-labelled calls = %d, want %d", got, g)
@@ -111,9 +112,9 @@ func TestTelemetrySideLaneAndGather(t *testing.T) {
 		parts[r] = [][]float32{x[:20], x[20:]}
 		ints[r], floats[r] = []int{r}, x[:4]
 	}
-	c.Side().AllReduceRanks(parts, make([]Wire, g))
+	c.Side().AllReduceRanks(parts, nil)
 	c.AllGatherIntsRanks(ints)
-	c.AllGatherFloatsRanks(floats, make([]Wire, g))
+	c.AllGatherFloatsRanks(floats, nil)
 
 	for op, want := range map[string]int64{"allreduce": 2 * g, "allgather_ints": g, "allgather_floats": g} {
 		wire := "fp32"

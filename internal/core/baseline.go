@@ -43,18 +43,18 @@ func (BaselineAllGather) ExchangeRanks(ctxs []*Ctx, grads []SparseGrad) (Update,
 		return b.abort()
 	}
 
-	// The blocks cross their senders' wires: a lossy wire rounds a copy,
-	// the caller's gradient stays as it was.
+	// The blocks cross the wire: a lossy wire rounds a copy, the caller's
+	// gradient stays as it was.
 	indices := make([][]int, g)
 	blocks := make([][]float32, g)
 	for r, grad := range grads {
 		indices[r], blocks[r] = grad.Indices, grad.Rows.Data
-		if ctxs[r].Wire != nil {
+		if b.wire != nil {
 			blocks[r] = slices.Clone(blocks[r])
 		}
 	}
 	b.comm.AllGatherIntsRanks(indices)
-	b.comm.AllGatherFloatsRanks(blocks, b.wires)
+	b.comm.AllGatherFloatsRanks(blocks, b.wire)
 
 	// Scatter-add of all G·K token rows. Duplicate words collide on the
 	// same accumulator row — the very serialization §III-A eliminates.

@@ -111,9 +111,9 @@ type Ctx struct {
 	// Dev, when non-nil, accounts scratch memory (and triggers OOM).
 	Dev *cluster.Device
 	// Wire, when non-nil, applies lossy wire compression to gradient
-	// payloads — FP16 compression-scaling (§III-C, half.Scaler) or 8-bit
-	// quantization (compress.Quant8). Index payloads always travel as
-	// int32.
+	// payloads — FP16 compression-scaling (§III-C, half.Scaler). Every
+	// rank's context in one exchange holds the same Wire. Index payloads
+	// always travel as int32.
 	Wire collective.Wire
 	// WS, when non-nil, supplies reusable per-rank scratch (maps, index
 	// and row buffers) so steady-state exchanges stop churning the
@@ -198,12 +198,14 @@ type Exchanger interface {
 	// Name identifies the strategy in reports.
 	Name() string
 	// ExchangeRanks combines every rank's gradient — grads[r] is rank r's,
-	// exchanged in ctxs[r], and every context shares one communicator —
-	// into the global Update, executed once for the whole group on the
-	// calling goroutine. Everything that is per rank stays per rank: each
-	// rank's collectives are counted, priced on its clock and traced on its
-	// track, each rank allocates its scratch on its device, and each gets
-	// its own Stats and error. An error on any rank is an error on every
+	// exchanged in ctxs[r], and every context shares one communicator and
+	// one Wire (contexts that do not panic, naming the first rank that
+	// differs, before anything is read or written) — into the global
+	// Update, executed once for the whole group on the calling goroutine.
+	// Everything that is per rank stays per rank: each rank's collectives
+	// are counted, priced on its clock and traced on its track, each rank
+	// allocates its scratch on its device, and each gets its own Stats and
+	// error. An error on any rank is an error on every
 	// rank (the rank that ran out of memory gets its device's error, the
 	// others ErrPeerOOM), and the Update is then empty.
 	ExchangeRanks(ctxs []*Ctx, grads []SparseGrad) (Update, []Stats, []error)
@@ -241,13 +243,13 @@ func exchangeRank(ex Exchanger, ctx *Ctx, grad SparseGrad) (Update, Stats, error
 	return mine.upd, mine.st, mine.err
 }
 
-// batch is one ExchangeRanks call's per-rank bookkeeping: each rank's
-// Stats and error, its traffic and virtual clock when the call began, and
-// the scratch bytes it holds on its device.
+// batch is one ExchangeRanks call's bookkeeping: the group's communicator
+// and wire, and per rank its Stats and error, its traffic and virtual clock
+// when the call began, and the scratch bytes it holds on its device.
 type batch struct {
 	ctxs   []*Ctx
 	comm   *collective.Comm
-	wires  []collective.Wire
+	wire   collective.Wire
 	stats  []Stats
 	errs   []error
 	before []collective.Stats
@@ -255,19 +257,26 @@ type batch struct {
 	held   []int64
 }
 
-// open starts an ExchangeRanks call. Before anything is allocated or sent it
-// checks every rank's gradient and that all ranks agree on D; when they do
-// not, every rank's error names the first rank at fault and ok is false.
+// open starts an ExchangeRanks call. It panics unless there is one context
+// and gradient per rank and every context holds rank 0's Wire. Before
+// anything is allocated or sent it checks every rank's gradient and that
+// all ranks agree on D; when they do not, every rank's error names the
+// first rank at fault and ok is false.
 func open(ctxs []*Ctx, grads []SparseGrad) (b *batch, ok bool) {
 	g := len(ctxs)
 	comm := ctxs[0].Comm
 	if len(grads) != g || comm.Size() != g {
 		panic(fmt.Sprintf("core: %d contexts and %d gradients for %d ranks", g, len(grads), comm.Size()))
 	}
+	for r, ctx := range ctxs {
+		if ctx.Wire != ctxs[0].Wire {
+			panic(fmt.Sprintf("core: rank %d exchanges on another wire (%v) than rank 0 (%v)", r, ctx.Wire, ctxs[0].Wire))
+		}
+	}
 	b = &batch{
 		ctxs:   ctxs,
 		comm:   comm,
-		wires:  make([]collective.Wire, g),
+		wire:   ctxs[0].Wire,
 		stats:  make([]Stats, g),
 		errs:   make([]error, g),
 		before: make([]collective.Stats, g),
@@ -281,7 +290,6 @@ func open(ctxs []*Ctx, grads []SparseGrad) (b *batch, ok bool) {
 		return b, false
 	}
 	for r, ctx := range ctxs {
-		b.wires[r] = ctx.Wire
 		b.stats[r].Tokens = len(grads[r].Indices)
 		b.before[r] = comm.LaneStats(r)
 		if ctx.Dev != nil && ctx.Dev.Clock != nil {

@@ -11,7 +11,6 @@ import (
 
 	"zipflm/internal/cluster"
 	"zipflm/internal/collective"
-	"zipflm/internal/compress"
 	"zipflm/internal/half"
 	"zipflm/internal/perfmodel"
 	"zipflm/internal/rng"
@@ -48,21 +47,19 @@ func gatherIntsRank(c *collective.Comm, rank int, local []int) [][]int {
 }
 
 // gatherFloatsRank is gatherIntsRank for a rank's gradient block, which
-// crosses the rank's wire once, as a copy.
+// crosses the group's wire once, as a copy.
 func gatherFloatsRank(c *collective.Comm, rank int, local []float32, wire collective.Wire) [][]float32 {
 	type post struct {
-		in   []float32
-		wire collective.Wire
-		out  [][]float32
+		in  []float32
+		out [][]float32
 	}
-	mine := &post{in: slices.Clone(local), wire: wire}
+	mine := &post{in: slices.Clone(local)}
 	c.Rendezvous(rank, mine, func(posts []any) {
 		all := make([][]float32, len(posts))
-		wires := make([]collective.Wire, len(posts))
 		for r, p := range posts {
-			all[r], wires[r] = p.(*post).in, p.(*post).wire
+			all[r] = p.(*post).in
 		}
-		c.AllGatherFloatsRanks(all, wires)
+		c.AllGatherFloatsRanks(all, wire)
 		for _, p := range posts {
 			for _, in := range all {
 				p.(*post).out = append(p.(*post).out, slices.Clone(in))
@@ -220,10 +217,10 @@ type outcome struct {
 
 // exchangeVia runs one exchange of grads with fresh everything: a
 // communicator priced on the devices' clocks (started apart), devices of
-// the given capacities (0: unlimited), per-rank wires from wire and
+// the given capacities (0: unlimited), the group's wire and per-rank
 // workspaces. run executes the exchange and returns rank 0's Update and
 // every rank's Stats and error.
-func exchangeVia(t *testing.T, grads []SparseGrad, caps []int64, wire func(rank int) collective.Wire,
+func exchangeVia(t *testing.T, grads []SparseGrad, caps []int64, wire collective.Wire,
 	run func(ctxs []*Ctx) (Update, []Stats, []error)) outcome {
 	t.Helper()
 	g := len(grads)
@@ -233,7 +230,7 @@ func exchangeVia(t *testing.T, grads []SparseGrad, caps []int64, wire func(rank 
 	for r, dev := range clu.Devices {
 		dev.Capacity = caps[r]
 		dev.Clock.Advance(float64((3*r)%g) * 1e-4)
-		ctxs[r] = &Ctx{Rank: r, Comm: comm, Dev: dev, Wire: wire(r), WS: NewWorkspace()}
+		ctxs[r] = &Ctx{Rank: r, Comm: comm, Dev: dev, Wire: wire, WS: NewWorkspace()}
 	}
 	comm.AttachCost(&collective.CostModel{Link: refLink, Clocks: clu.Clocks()})
 	done := make(chan struct{})
@@ -325,12 +322,15 @@ func cloneGrads(grads []SparseGrad) []SparseGrad {
 
 var refWires = []struct {
 	name string
-	make func(rank int) collective.Wire
+	wire collective.Wire
 }{
-	{"fp32", func(int) collective.Wire { return nil }},
-	{"fp16", func(int) collective.Wire { return half.NewScaler(512) }},
-	{"q8", func(int) collective.Wire { return compress.NewQuant8(16, false, 0) }},
-	{"q8-stochastic", func(rank int) collective.Wire { return compress.NewQuant8(16, true, 100+uint64(rank)) }},
+	{"fp32", nil},
+	{"fp16", half.NewScaler(512)},
+	// Every value crosses as an FP16 subnormal.
+	{"fp16-underflow", half.NewScaler(1.0 / (1 << 16))},
+	// A third of the gradient values, N(0, 1), overflow once scaled and
+	// cross clamped.
+	{"fp16-saturating", half.NewScaler(1 << 16)},
 }
 
 var refEngines = []struct {
@@ -345,7 +345,7 @@ var refEngines = []struct {
 // the Exchange adapter on devices of capacities caps, and requires all
 // three to leave the same outcome.
 func compareToReference(t *testing.T, ex Exchanger, ref func(*Ctx, SparseGrad) (Update, Stats, error),
-	grads []SparseGrad, caps []int64, wire func(int) collective.Wire) outcome {
+	grads []SparseGrad, caps []int64, wire collective.Wire) outcome {
 	t.Helper()
 	want := exchangeVia(t, cloneGrads(grads), caps, wire, perRank(t, ref, grads))
 	batched := exchangeVia(t, cloneGrads(grads), caps, wire, func(ctxs []*Ctx) (Update, []Stats, []error) {
@@ -376,7 +376,7 @@ func TestExchangeRanksMatchesReference(t *testing.T) {
 			for _, w := range refWires {
 				t.Run(fmt.Sprintf("%s/g=%d/%s", e.ex.Name(), g, w.name), func(t *testing.T) {
 					grads := raggedGrads(g, 6, 64, uint64(10*g+len(w.name)))
-					o := compareToReference(t, e.ex, e.ref, grads, make([]int64, g), w.make)
+					o := compareToReference(t, e.ex, e.ref, grads, make([]int64, g), w.wire)
 					for r, msg := range o.Errs {
 						if msg != "" {
 							t.Fatalf("rank %d: %s", r, msg)
@@ -427,7 +427,7 @@ func TestExchangeRanksAsymmetricOOM(t *testing.T) {
 			t.Run(fmt.Sprintf("g=%d/%s", g, p.name), func(t *testing.T) {
 				caps := make([]int64, g)
 				caps[bad] = p.capacity
-				o := compareToReference(t, p.ex, p.ref, grads, caps, refWires[1].make)
+				o := compareToReference(t, p.ex, p.ref, grads, caps, refWires[1].wire)
 				for r, msg := range o.Errs {
 					want := ErrPeerOOM.Error()
 					if r == bad {
@@ -467,10 +467,10 @@ func TestMalformedGradientFailsEveryRank(t *testing.T) {
 	for name, gs := range cases {
 		for _, e := range refEngines {
 			t.Run(name+"/"+e.ex.Name(), func(t *testing.T) {
-				batched := exchangeVia(t, gs, make([]int64, g), refWires[0].make, func(ctxs []*Ctx) (Update, []Stats, []error) {
+				batched := exchangeVia(t, gs, make([]int64, g), refWires[0].wire, func(ctxs []*Ctx) (Update, []Stats, []error) {
 					return e.ex.ExchangeRanks(ctxs, gs)
 				})
-				adapter := exchangeVia(t, gs, make([]int64, g), refWires[0].make, perRank(t, e.ex.Exchange, gs))
+				adapter := exchangeVia(t, gs, make([]int64, g), refWires[0].wire, perRank(t, e.ex.Exchange, gs))
 				for _, o := range []outcome{batched, adapter} {
 					for r, msg := range o.Errs {
 						if msg == "" {
@@ -486,6 +486,54 @@ func TestMalformedGradientFailsEveryRank(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestMixedWiresPanicEveryRank: contexts that do not share rank 0's wire —
+// here rank 2's is a second FP16 scaler of the same factor — make
+// ExchangeRanks panic, naming the rank, and the Exchange adapter panic on
+// every rank, before any gradient is read or any byte is counted.
+func TestMixedWiresPanicEveryRank(t *testing.T) {
+	const g = 3
+	const msg = "core: rank 2 exchanges on another wire (&{512}) than rank 0 (&{512})"
+	grads := raggedGrads(g, 4, 32, 5)
+	for _, e := range refEngines {
+		t.Run(e.ex.Name(), func(t *testing.T) {
+			comm := collective.New(g)
+			wire := half.NewScaler(512)
+			ctxs := make([]*Ctx, g)
+			for r := range ctxs {
+				ctxs[r] = &Ctx{Rank: r, Comm: comm, Wire: wire}
+			}
+			ctxs[2].Wire = half.NewScaler(512)
+			func() {
+				defer func() {
+					if got := recover(); got != msg {
+						t.Errorf("ExchangeRanks panic %v, want %q", got, msg)
+					}
+				}()
+				e.ex.ExchangeRanks(ctxs, grads)
+			}()
+			got := make([]any, g)
+			var wg sync.WaitGroup
+			for r := range ctxs {
+				wg.Add(1)
+				go func(rank int) {
+					defer wg.Done()
+					defer func() { got[rank] = recover() }()
+					e.ex.Exchange(ctxs[rank], grads[rank])
+				}(r)
+			}
+			wg.Wait()
+			for r, v := range got {
+				if v != msg {
+					t.Errorf("rank %d: Exchange panic %v, want %q", r, v, msg)
+				}
+				if comm.RankStats(r) != (collective.Stats{}) {
+					t.Errorf("rank %d: a refused exchange was counted: %+v", r, comm.RankStats(r))
+				}
+			}
+		})
 	}
 }
 

@@ -90,7 +90,7 @@ func (UniqueExchange) ExchangeRanks(ctxs []*Ctx, grads []SparseGrad) (Update, []
 	}
 
 	// Step 6: ALLREDUCE over M — Θ(U_g·D), optionally FP16 on the wire.
-	b.comm.AllReduceRanks(ms, b.wires)
+	b.comm.AllReduceRanks(ms, b.wire)
 
 	// Step 7 is the caller's Update.Apply: conflict-free, one row per word.
 	for r := range b.stats {

@@ -63,7 +63,7 @@ func TestTablesLedger(t *testing.T) {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"abl-fp16", "abl-sampler", "abl-seed", "bpc", "compress", "faults", "fig1", "fig5", "fig6", "fig7", "fig8", "mem", "overlap", "tab1", "tab3", "tab4", "tab5", "weakscale"}
+	want := []string{"abl-fp16", "abl-sampler", "abl-seed", "bpc", "faults", "fig1", "fig5", "fig6", "fig7", "fig8", "mem", "overlap", "tab1", "tab3", "tab4", "tab5", "weakscale"}
 	got := IDs()
 	if len(got) != len(want) {
 		t.Fatalf("registry has %v, want %v", got, want)

@@ -10,7 +10,6 @@ import (
 	"zipflm/internal/core"
 	"zipflm/internal/half"
 	"zipflm/internal/metrics"
-	"zipflm/internal/perfmodel"
 	"zipflm/internal/rng"
 	"zipflm/internal/sampling"
 	"zipflm/internal/tensor"
@@ -45,25 +44,12 @@ type weakRun struct {
 	commSec, computeSec, updateSec, overheadSec, stepSec float64
 }
 
-// densePricer prices one step's dense-gradient synchronization on the ring
-// link — the hook the "compress" experiment uses to swap the dense
-// all-reduce's wire format (8-bit quantization, top-k payload all-gather)
-// without touching the rest of the step model. nil keeps the engine
-// default: FP32 for the baseline stack, FP16 for ours.
-type densePricer func(link perfmodel.LinkCost, g int, elems int64) float64
-
 // runWeakStep executes one synchronous step's synchronization at scale g
 // online — sparse exchanges run for real through the cost-modeled
 // collectives; dense all-reduce, compute, embedding update and framework
 // overhead are charged onto the same clocks from the workload's calibrated
 // constants — and returns the virtual-clock decomposition.
 func runWeakStep(w scalingWorkload, g int, baseline, unlimitedMem bool, seed uint64) (weakRun, error) {
-	return runWeakStepPriced(w, g, baseline, unlimitedMem, seed, nil)
-}
-
-// runWeakStepPriced is runWeakStep with a caller-supplied dense-gradient
-// pricer.
-func runWeakStepPriced(w scalingWorkload, g int, baseline, unlimitedMem bool, seed uint64, dense densePricer) (weakRun, error) {
 	hw := w.hardware()
 	var capacity int64
 	switch {
@@ -177,15 +163,11 @@ func runWeakStepPriced(w scalingWorkload, g int, baseline, unlimitedMem bool, se
 	// Phase: dense RNN/projection gradients — accounted, not materialized:
 	// the ring all-reduce of DenseParams elements charges the same clocks
 	// through the same link model the live collectives used.
-	if dense != nil {
-		cm.Charge(dense(link, g, w.DenseParams))
-	} else {
-		es := 4
-		if wire != nil {
-			es = 2
-		}
-		cm.Charge(link.RingAllReduceSeconds(g, int(w.DenseParams), es))
+	es := 4
+	if wire != nil {
+		es = 2
 	}
+	cm.Charge(link.RingAllReduceSeconds(g, int(w.DenseParams), es))
 	run.commSec = clu.MaxClock()
 
 	// Phase: forward/backward compute at the workload's achieved fraction

@@ -173,8 +173,8 @@ func roundTripGo(x []float32, factor, inv float32) {
 }
 
 // AddRoundTrip adds to dst what RoundTrip would make of src and leaves src
-// alone: collective.AddRounder, how the receiver of a ring hop consumes an
-// FP16 chunk in one pass. Panics unless the lengths match.
+// alone: collective.Wire's receive side, how the receiver of a ring hop
+// consumes an FP16 chunk in one pass. Panics unless the lengths match.
 func (s *Scaler) AddRoundTrip(dst, src []float32) {
 	if len(dst) != len(src) {
 		panic("half: AddRoundTrip length mismatch")

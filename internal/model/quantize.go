@@ -3,9 +3,10 @@ package model
 import "zipflm/internal/tensor"
 
 // Quantized serving replicas. A trained checkpoint's weights are converted
-// once — deterministically, round-to-nearest, per-chunk scales (the same
-// scheme compress.Quant8 ships gradients with) — and the inference step path
-// (Stepper, Generate, the serve batcher) switches to the int8 kernels.
+// once — deterministically, round-to-nearest, a symmetric int8 grid scaled
+// per chunk by its maxAbs/127 (tensor.QuantizeMatrix) — and the inference
+// step path (Stepper, Generate, the serve batcher) switches to the int8
+// kernels.
 // Single-token RNN decode is memory-bandwidth bound, so 4× smaller weight
 // reads are a direct tok/s multiplier; §IV-B's Zipf argument for the wire
 // applies unchanged to the serving memory bus.

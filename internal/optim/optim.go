@@ -132,8 +132,8 @@ func (SGD) Step(params []model.Param, lr float32) {
 // reciprocals computed once per step, one square root and one divide per
 // element. A moment that decays below the smallest normal float32 is stored
 // as +0: without that rule a parameter whose gradient stays exactly zero (a
-// dead unit; most coordinates under top-k compression) decays m into the
-// denormal range, where 0.9 × the smallest denormal rounds back to itself —
+// dead unit; most coordinates under a sparsifying compressor) decays m into
+// the denormal range, where 0.9 × the smallest denormal rounds back to itself —
 // m never reaches zero and every later step pays the denormal penalty on it.
 type Adam struct {
 	Beta1, Beta2 float64

@@ -86,8 +86,8 @@ func TestAdamTracksFloat64Oracle(t *testing.T) {
 // float32, m reaches +0 (by step ≈ 750) and from then on the parameter moves
 // by weight decay alone. v decays by 0.999 a step and would need ≈ 67 000
 // steps to get there, so the run that pins its arrival at +0 sets Beta2 to
-// 0.9. The last pattern is what top-k compression hands a coordinate:
-// non-zero once in 300 steps.
+// 0.9. The last pattern is what a top-k sparsifying compressor hands a
+// coordinate: non-zero once in 300 steps.
 func TestAdamZeroGradientNeverDenormal(t *testing.T) {
 	const n, steps = 1001, 2000
 	normalOrZero := func(x float32) bool {

@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Fit is the result of a power-law regression y = C * x^Alpha.
@@ -72,45 +71,6 @@ func FitXY(xs, ys []float64) (Fit, error) {
 		}
 	}
 	return Fit{Alpha: alpha, C: math.Exp(intercept), R2: r2, N: n}, nil
-}
-
-// FitRankFrequency fits Zipf's law to a token stream: word frequencies are
-// counted, ranked descending (ties broken by word id so the ranking is
-// deterministic), and frequency = C·rank^Alpha is fitted in log-log space —
-// Alpha near −1 is the classic Zipf shape the paper's techniques exploit.
-// Degenerate streams (empty, or a single word type, leaving fewer than two
-// rank points) return ErrInsufficientData.
-func FitRankFrequency(tokens []int) (Fit, error) {
-	counts := make(map[int]int, len(tokens))
-	for _, w := range tokens {
-		counts[w]++
-	}
-	if len(counts) < 2 {
-		return Fit{}, ErrInsufficientData
-	}
-	type wc struct{ word, n int }
-	freq := make([]wc, 0, len(counts))
-	for w, n := range counts {
-		freq = append(freq, wc{w, n})
-	}
-	sort.Slice(freq, func(i, j int) bool {
-		if freq[i].n != freq[j].n {
-			return freq[i].n > freq[j].n
-		}
-		return freq[i].word < freq[j].word
-	})
-	xs := make([]float64, len(freq))
-	ys := make([]float64, len(freq))
-	for i, f := range freq {
-		xs[i] = float64(i + 1)
-		ys[i] = float64(f.n)
-	}
-	return FitXY(xs, ys)
-}
-
-// Predict evaluates the fitted law at x.
-func (f Fit) Predict(x float64) float64 {
-	return f.C * math.Pow(x, f.Alpha)
 }
 
 // String formats the fit the way the paper annotates Figure 1

@@ -79,79 +79,6 @@ func TestErrors(t *testing.T) {
 	}
 }
 
-func TestFitRankFrequencyZipf(t *testing.T) {
-	// A synthetic corpus with frequency ∝ 1/rank must recover α ≈ −1.
-	var tokens []int
-	const types = 200
-	for w := 0; w < types; w++ {
-		n := 2000 / (w + 1)
-		if n < 1 {
-			n = 1
-		}
-		for i := 0; i < n; i++ {
-			tokens = append(tokens, w)
-		}
-	}
-	fit, err := FitRankFrequency(tokens)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fit.Alpha-(-1)) > 0.05 {
-		t.Errorf("alpha = %v, want ≈ -1", fit.Alpha)
-	}
-	if fit.N != types {
-		t.Errorf("used %d rank points, want %d", fit.N, types)
-	}
-	if fit.R2 < 0.98 {
-		t.Errorf("R² = %v, want near 1 for exact Zipf", fit.R2)
-	}
-}
-
-// TestFitRankFrequencyDegenerate covers the corpora a fit cannot exist for:
-// an empty stream and a single-word-type stream both leave fewer than two
-// rank points, and must report ErrInsufficientData instead of fitting
-// garbage or panicking.
-func TestFitRankFrequencyDegenerate(t *testing.T) {
-	cases := map[string][]int{
-		"empty corpus":        nil,
-		"zero-length slice":   {},
-		"single-token corpus": {3},
-		"one word type":       {5, 5, 5, 5, 5, 5},
-	}
-	for name, tokens := range cases {
-		if _, err := FitRankFrequency(tokens); err != ErrInsufficientData {
-			t.Errorf("%s: got %v, want ErrInsufficientData", name, err)
-		}
-	}
-}
-
-// TestFitRankFrequencyTwoTypes is the smallest fittable corpus.
-func TestFitRankFrequencyTwoTypes(t *testing.T) {
-	fit, err := FitRankFrequency([]int{1, 1, 1, 1, 2, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fit.N != 2 {
-		t.Fatalf("used %d points, want 2", fit.N)
-	}
-	// freq(1)=4 at rank 1, freq(2)=2 at rank 2: alpha = log(2/4)/log(2) = -1.
-	if math.Abs(fit.Alpha-(-1)) > 1e-9 {
-		t.Errorf("alpha = %v, want -1", fit.Alpha)
-	}
-}
-
-func TestPredictInverse(t *testing.T) {
-	fit := Fit{Alpha: 0.64, C: 7.02}
-	if got := fit.Predict(1); math.Abs(got-7.02) > 1e-12 {
-		t.Errorf("Predict(1) = %v", got)
-	}
-	x := 4e7
-	want := 7.02 * math.Pow(x, 0.64)
-	if got := fit.Predict(x); math.Abs(got-want)/want > 1e-12 {
-		t.Errorf("Predict(%v) = %v, want %v", x, got, want)
-	}
-}
-
 func TestStringFormat(t *testing.T) {
 	fit := Fit{Alpha: 0.64, C: 7.02, R2: 0.999}
 	s := fit.String()

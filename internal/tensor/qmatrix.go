@@ -8,9 +8,9 @@ import (
 // Quantized weight storage for the serving hot path. Single-token RNN decode
 // is memory-bandwidth bound — every generated token streams the full weight
 // matrices through the core once — so storing weights as int8 with per-chunk
-// scales cuts the bytes touched per token 4× against float32. The scheme is
-// compress.Quant8's (scale = maxAbs/127 per chunk, symmetric grid), applied
-// along matrix rows so the dot-product kernels can dequantize in registers
+// scales cuts the bytes touched per token 4× against float32. Each chunk's
+// scale is its maxAbs/127 and its codes lie on the symmetric grid −127…127,
+// applied along matrix rows so the dot-product kernels can dequantize in registers
 // chunk by chunk, and rounding is strictly round-to-nearest: a given weight
 // matrix always quantizes to the same bytes, which is what lets a checkpoint
 // determine its quantized serving replica exactly.
@@ -48,9 +48,8 @@ func (q *QMatrix) RowScales(r int) []float32 {
 
 // QuantizeMatrix quantizes m to the per-chunk int8 grid with deterministic
 // round-to-nearest (never stochastic — serving replicas must be a pure
-// function of the checkpoint). Non-finite inputs are sanitized the way
-// compress.Quant8 sanitizes wire payloads: ±Inf saturates to ±MaxFloat32,
-// NaN becomes 0. A non-positive chunk selects DefaultQChunk.
+// function of the checkpoint). Non-finite inputs are sanitized before the
+// chunk's scale is taken: ±Inf saturates to ±MaxFloat32, NaN becomes 0. A non-positive chunk selects DefaultQChunk.
 func QuantizeMatrix(m *Matrix, chunk int) *QMatrix {
 	if chunk <= 0 {
 		chunk = DefaultQChunk

@@ -73,7 +73,7 @@ func TestQuantizeDeterministic(t *testing.T) {
 }
 
 // TestQuantizeSanitizes: ±Inf saturates to the finite grid extreme and NaN
-// drops to zero, mirroring compress.Quant8's wire sanitation.
+// drops to zero, so a non-finite weight cannot poison its chunk's scale.
 func TestQuantizeSanitizes(t *testing.T) {
 	m := NewMatrixFrom(1, 4, []float32{float32(math.Inf(1)), float32(math.NaN()), -2, float32(math.Inf(-1))})
 	q := QuantizeMatrix(m, 4)

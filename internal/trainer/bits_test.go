@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"testing"
 
-	"zipflm/internal/compress"
 	"zipflm/internal/core"
 	"zipflm/internal/half"
 	"zipflm/internal/model"
@@ -136,9 +135,6 @@ func TestBitsLedger(t *testing.T) {
 			c.Wire = half.NewScaler(512)
 			c.Overlap = true
 		},
-		"lstm-topk": func(c *Config) {
-			c.Compress = &compress.Config{Method: compress.MethodTopK, Ratio: 0.05, Momentum: 0.9, MinElems: 1}
-		},
 		"lstm-sampled-baseline-hardware": func(c *Config) {
 			c.Model.Sampled = 12
 			c.Exchange = core.BaselineAllGather{}
@@ -149,10 +145,6 @@ func TestBitsLedger(t *testing.T) {
 			c.Wire = half.NewScaler(512)
 			c.Overlap = true
 			hardware(c)
-		},
-		"lstm-overlap-q8-stochastic": func(c *Config) {
-			c.Overlap = true
-			c.Compress = &compress.Config{Method: compress.MethodQuant8, Stochastic: true, MinElems: 1}
 		},
 		"lstm-wide-full-adam-fp16-overlap-hardware": func(c *Config) {
 			c.Model = wideModel

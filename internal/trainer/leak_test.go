@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"zipflm/internal/compress"
 	"zipflm/internal/core"
 	"zipflm/internal/half"
 	"zipflm/internal/israce"
@@ -55,9 +54,9 @@ func newGoroutineID() int64 {
 // forward/backward phase and no other — the synchronization runs on the
 // step's own goroutine, in both modes, and the phase-2 pool's helpers were
 // started by New — and none of them outlives Steps, on the error paths as on
-// the happy one. The cases: Steps(3) in each mode, overlap priced on
-// Hardware and compressed, a wide model whose reductions and Adam step run
-// on the pool, and a step aborted by one rank's injected exchange
+// the happy one. The cases: Steps(3) in each mode, and a wide model whose
+// reductions and Adam step run on the pool — overlap priced on Hardware, and
+// overlap on the FP16 wire — and a step aborted by one rank's injected exchange
 // failure or by an out-of-memory exchange. Each runs with the trainer built
 // at GOMAXPROCS 1, 2 and 4, so with a pool of that many workers; the count
 // itself is taken at GOMAXPROCS 1 (see newGoroutineID), where the pool keeps
@@ -78,8 +77,10 @@ func TestStepsLeaveNoGoroutine(t *testing.T) {
 			cfg.Overlap = true
 			return cfg
 		}, 3, false},
-		{"overlap-hardware-compress", func() Config {
-			cfg := compressConfig(3, compress.MethodTopK, 0.05, 0.9, false, nil)
+		{"overlap-hardware", func() Config {
+			cfg := smallConfig(3, core.UniqueExchange{})
+			cfg.Model = wideModel
+			cfg.NewOptimizer = func() optim.Optimizer { return optim.NewAdam(1e-5) }
 			cfg.Overlap = true
 			cfg.Hardware = &hw
 			cfg.SimFLOPsPerStep = 1e9

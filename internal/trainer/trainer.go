@@ -40,7 +40,6 @@ import (
 	"zipflm/internal/ckpt"
 	"zipflm/internal/cluster"
 	"zipflm/internal/collective"
-	"zipflm/internal/compress"
 	"zipflm/internal/core"
 	"zipflm/internal/metrics"
 	"zipflm/internal/model"
@@ -113,9 +112,9 @@ type Config struct {
 	// the communicator's side lane, modeling a rank that sends layer L while
 	// it backpropagates layer L−1 and runs the sparse embedding exchange.
 	// It is a pricing switch: both modes execute the same reductions, in the
-	// same pass, with the same arithmetic, so Overlap composes with Wire,
-	// Compress and Hardware, and gradients and wire bytes are bit-identical
-	// to the synchronous path (tested; see Compress for the one exception).
+	// same pass, with the same arithmetic, so Overlap composes with Wire and
+	// Hardware, and gradients and wire bytes are bit-identical to the
+	// synchronous path (tested).
 	// Without Hardware it changes nothing but the lane the reductions are
 	// counted on.
 	Overlap bool
@@ -170,20 +169,6 @@ type Config struct {
 	// reloading the checkpoint on its replacement, and rejoining. Only
 	// meaningful with Hardware.
 	SimRestartSeconds float64
-	// Compress, when non-nil, routes dense gradients through the adaptive
-	// gradient-compression subsystem (internal/compress): top-k with
-	// per-tensor error-feedback residuals via the compressed all-reduce,
-	// or 8-bit per-chunk quantization on the ring wire, per the config's
-	// policy. Composes with any Exchange engine and with the FP16 Wire
-	// (top-k values then travel as FP16 too); the residual state is
-	// carried through checkpoints so resumed runs stay bit-identical. With
-	// Overlap the tensors reach the engine in backward order (projection,
-	// RNN, output embedding) rather than DenseParams order: top-k (per-tensor
-	// carry) and deterministic q8 do not depend on call order and equal the
-	// synchronous run bitwise; stochastic q8 draws from one per-rank stream
-	// in call order, so an overlapped run is reproducible and resume-exact
-	// but not equal to its synchronous twin.
-	Compress *compress.Config
 	// Telemetry, when non-nil, publishes the trainer's step/phase metrics
 	// (and the communicator's and checkpoint store's) into the registry.
 	// Purely observational: the trajectory is bit-identical with or
@@ -259,15 +244,6 @@ func (s StepStats) AvgOutputUnique() float64 {
 	return float64(s.OutputUniqueGlobal) / float64(s.Steps)
 }
 
-// SimStepSeconds returns the predicted wall-clock of one step — the
-// virtual-clock total divided by steps. Zero without Config.Hardware.
-func (s StepStats) SimStepSeconds() float64 {
-	if s.Steps == 0 {
-		return 0
-	}
-	return (s.SimComputeSeconds + s.SimSyncSeconds) / float64(s.Steps)
-}
-
 // Result is what a training run returns.
 type Result struct {
 	// Evals are the validation points, in order.
@@ -287,7 +263,7 @@ type Trainer struct {
 	models []*model.LM
 	opt    optim.Optimizer
 	// be is phase 2's worker pool, one worker per core at New whatever
-	// Config.Workers is: the communicator's element-pure rings and the
+	// Config.Workers is: the communicator's rings and the
 	// optimizer spread their chunk sets and stripes over it.
 	be tensor.Backend
 	// ctxs are the ranks' exchange contexts, each with its own workspace.
@@ -306,13 +282,8 @@ type Trainer struct {
 	step      int
 	lr        float64
 	nextDecay int
-	// units are the ranks' dense gradients as reduceUnit calls, and wires
-	// the run's wire once per rank.
+	// units are the ranks' dense gradients as all-reduce calls.
 	units denseUnits
-	wires []collective.Wire
-	// cmp holds the ranks' compression engines (nil when Config.Compress is
-	// nil): the per-rank error-feedback residuals and quantizer streams.
-	cmp *compress.Group
 	// laneClocks are the per-rank virtual clocks of the communicator's side
 	// lane, and ready[r][i] the time on rank r's device clock at which its
 	// backward pass finished units.layers[i] this step (both nil unless
@@ -406,10 +377,8 @@ func New(cfg Config, train, valid []int) (*Trainer, error) {
 		}
 	}
 	t.ctxs = make([]*core.Ctx, cfg.Ranks)
-	t.wires = make([]collective.Wire, cfg.Ranks)
 	for r, dev := range t.clu.Devices {
 		t.ctxs[r] = &core.Ctx{Rank: r, Comm: t.comm, Dev: dev, Wire: cfg.Wire, WS: core.NewWorkspace()}
-		t.wires[r] = cfg.Wire
 	}
 	mc := cfg.Model
 	mc.Seed = cfg.BaseSeed
@@ -430,19 +399,6 @@ func New(cfg Config, train, valid []int) (*Trainer, error) {
 	for r := 0; r < cfg.Ranks; r++ {
 		t.shards[r] = train[r*perRank : (r+1)*perRank]
 		t.batches[r] = newBatch(cfg.SeqLen, cfg.BatchPerRank)
-	}
-	if cfg.Compress != nil {
-		cc, err := cfg.Compress.Validate()
-		if err != nil {
-			return nil, fmt.Errorf("trainer: %w", err)
-		}
-		if cc.Seed == 0 {
-			// Tie the quantizer streams to the run seed so the whole run
-			// stays reproducible from BaseSeed alone.
-			cc.Seed = cfg.BaseSeed ^ 0xc0445e55c0445e55
-		}
-		t.cfg.Compress = &cc // what RestoreState builds its engines from
-		t.cmp = compress.NewGroup(cc, cfg.Wire, cfg.Ranks)
 	}
 	t.lr = cfg.LR
 	t.nextDecay = t.StepsPerEpoch()
@@ -498,8 +454,8 @@ func Resume(cfg Config, dir string, train, valid []int) (*Trainer, error) {
 
 // CaptureState snapshots the full training state at the current step
 // boundary: the weights and the optimizer state once (every rank shares
-// them), RNG streams, carried recurrent state and compression carry per
-// rank, and the step/LR-schedule position. The capture is read-only.
+// them), RNG streams and carried recurrent state per rank, and the
+// step/LR-schedule position. The capture is read-only.
 func (t *Trainer) CaptureState() (*ckpt.State, error) {
 	mb, err := t.models[0].Marshal()
 	if err != nil {
@@ -523,19 +479,13 @@ func (t *Trainer) CaptureState() (*ckpt.State, error) {
 			st.RNN = append(st.RNN, t.models[r].CarriedRNNState())
 		}
 	}
-	if t.cmp != nil {
-		// Per-rank error-feedback residuals: unsent gradient mass is part
-		// of the training state, so dropping it on resume would change the
-		// trajectory.
-		st.Compress = t.cmp.Snapshot()
-	}
 	return st, nil
 }
 
 // RestoreState reinstates a state captured by CaptureState (possibly in a
-// previous process). It builds new models, optimizer and compression engines
-// from the state and installs them only once every section has been
-// accepted, so a refused state leaves the trainer as it was. After a nil
+// previous process). It builds new models and optimizer from the state and
+// installs them only once every section has been accepted, so a refused
+// state leaves the trainer as it was. After a nil
 // return the next step is exactly the one an uninterrupted run would take.
 func (t *Trainer) RestoreState(st *ckpt.State) error {
 	g := t.cfg.Ranks
@@ -583,18 +533,6 @@ func (t *Trainer) RestoreState(st *ckpt.State) error {
 		return fmt.Errorf("trainer: checkpoint carries %d RNG streams and %d carried states for %d ranks, want %d and %d",
 			len(st.RNG), len(st.RNN), g, g, carried)
 	}
-	var cmp *compress.Group
-	if t.cmp != nil {
-		if len(st.Compress) != g {
-			return fmt.Errorf("trainer: Compress configured but checkpoint carries %d compression states for %d ranks", len(st.Compress), g)
-		}
-		cmp = compress.NewGroup(*t.cfg.Compress, t.cfg.Wire, g)
-		if err := cmp.Restore(st.Compress); err != nil {
-			return fmt.Errorf("trainer: restore: %w", err)
-		}
-	} else if len(st.Compress) != 0 {
-		return fmt.Errorf("trainer: checkpoint carries compression state but Compress is not configured")
-	}
 	lm.SetBackend(t.models[0].Backend())
 	models, units := replicate(lm, g)
 	for r, m := range models {
@@ -605,7 +543,7 @@ func (t *Trainer) RestoreState(st *ckpt.State) error {
 			}
 		}
 	}
-	t.models, t.units, t.opt, t.cmp = models, units, opt, cmp
+	t.models, t.units, t.opt = models, units, opt
 	t.step = st.Step
 	t.lr = st.LR
 	t.nextDecay = st.NextDecay
@@ -625,13 +563,10 @@ func replicate(m *model.LM, g int) ([]*model.LM, denseUnits) {
 	}
 	// unit gathers what params returns for each rank's model.
 	unit := func(params func(*model.LM) []model.Param) denseUnit {
-		u := denseUnit{parts: make([][][]float32, g)}
+		u := make(denseUnit, g)
 		for r, mr := range models {
 			for _, p := range params(mr) {
-				if r == 0 {
-					u.names = append(u.names, p.Name)
-				}
-				u.parts[r] = append(u.parts[r], p.Grad)
+				u[r] = append(u[r], p.Grad)
 			}
 		}
 		return u
@@ -643,7 +578,7 @@ func replicate(m *model.LM, g int) ([]*model.LM, denseUnits) {
 	for i := len(m.DenseLayers()) - 1; i >= 0; i-- {
 		units.layers = append(units.layers, unit(func(mr *model.LM) []model.Param { return mr.DenseLayers()[i].Params() }))
 	}
-	units.outemb = unit(func(*model.LM) []model.Param { return []model.Param{{Name: "outemb"}} })
+	units.outemb = unit(func(*model.LM) []model.Param { return []model.Param{{}} })
 	return models, units
 }
 
@@ -950,14 +885,11 @@ type stepStats struct {
 	simStart, simAfterCompute float64
 }
 
-// denseUnit is one reduceUnit call's worth of dense gradients: tensor names
-// (what Compress routes by) and every rank's gradients of them as a part
-// list — parts[r][i] is rank r's gradient of names[i]. Units are built once,
-// in replicate, so reducing one allocates nothing.
-type denseUnit struct {
-	names []string
-	parts [][][]float32
-}
+// denseUnit is one all-reduce call's worth of dense gradients: every rank's
+// gradients of the unit's tensors as a part list — u[r][i] is rank r's
+// gradient of tensor i. Units are built once, in replicate, so reducing one
+// allocates nothing.
+type denseUnit [][][]float32
 
 // denseUnits are the units the two modes reduce: one per dense tensor, in
 // DenseParams order (synchronous mode); one per dense layer, in the order
@@ -970,21 +902,9 @@ type denseUnits struct {
 	outemb  denseUnit
 }
 
-// reduceUnit all-reduces unit u across the ranks on lane c, leaving the
-// sums in rank 0's gradients, which the update reads. With Compress each
-// named tensor goes through the ranks' compression engines, which route it
-// per policy (base wire, quantized ring, or top-k with error feedback);
-// otherwise the tensors travel in one fused pass on the run's wire.
-func (t *Trainer) reduceUnit(c *collective.Comm, u *denseUnit) error {
-	if t.cmp != nil {
-		return t.cmp.AllReduce(c, u.names, u.parts)
-	}
-	c.AllReduceRanks(u.parts, t.wires)
-	return nil
-}
-
 // reduceDense all-reduces every dense gradient — the full softmax's output
-// gradient too when outDense — into rank 0's. Synchronous mode reduces a
+// gradient too when outDense — into rank 0's, which the update reads, each
+// unit in one pass on the run's wire. Synchronous mode reduces a
 // tensor per call, in DenseParams order, on the primary lane. Overlap mode
 // reduces a layer per call, in backward order, then the output gradient, on
 // the side lane; with Hardware each rank's lane clock first advances to the
@@ -992,23 +912,20 @@ func (t *Trainer) reduceUnit(c *collective.Comm, u *denseUnit) error {
 // charges price reductions that start while the rank is still computing.
 // The output gradient is final when the pass ends, as the last layer is, so
 // it follows that layer's reduction directly.
-func (t *Trainer) reduceDense(outDense bool) error {
+func (t *Trainer) reduceDense(outDense bool) {
 	c, units := t.comm, t.units.tensors
 	if t.cfg.Overlap {
 		c, units = t.comm.Side(), t.units.layers
 	}
-	for i := range units {
+	for i, u := range units {
 		for r, clk := range t.laneClocks {
 			clk.AdvanceTo(t.ready[r][i])
 		}
-		if err := t.reduceUnit(c, &units[i]); err != nil {
-			return err
-		}
+		c.AllReduceRanks(u, t.cfg.Wire)
 	}
-	if !outDense {
-		return nil
+	if outDense {
+		c.AllReduceRanks(t.units.outemb, t.cfg.Wire)
 	}
-	return t.reduceUnit(c, &t.units.outemb)
 }
 
 // chargeCompute charges rank's forward/backward pass to its device clock:
@@ -1039,7 +956,7 @@ func (t *Trainer) chargeCompute(rank int, dev *cluster.Device) {
 	done := 0
 	for i, u := range t.units.layers {
 		if lump > 0 {
-			for _, p := range u.parts[rank] {
+			for _, p := range u[rank] {
 				done += len(p)
 			}
 			dev.Clock.AdvanceTo(start + lump*(1+2*float64(done)/float64(total))/3)
@@ -1156,19 +1073,15 @@ func (t *Trainer) trainStep(step int, lrNow float64, seeds []uint64) (stepStats,
 		}
 	}
 	// The full-softmax output gradient is a dense V×D block that
-	// all-reduces like an RNN parameter; it is embedding-shaped, so its name
-	// opts it into a compression policy's Zipf-derived embedding ratio.
+	// all-reduces like an RNN parameter.
 	outDense := t.cfg.Model.Sampled == 0
 	if outDense {
 		for r, res := range results {
-			t.units.outemb.parts[r][0] = res.OutputGrad.Rows.Data
+			t.units.outemb[r][0] = res.OutputGrad.Rows.Data
 		}
 	}
-	err := t.reduceDense(outDense)
-	var inUpd, outUpd core.Update
-	if err == nil {
-		inUpd, outUpd, err = t.exchange(results, outDense, &agg)
-	}
+	t.reduceDense(outDense)
+	inUpd, outUpd, err := t.exchange(results, outDense, &agg)
 	// Each rank's device clock joins its side-lane timeline.
 	for r, clk := range t.laneClocks {
 		t.clu.Devices[r].Clock.AdvanceTo(clk.Now())

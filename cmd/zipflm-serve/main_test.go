@@ -2,18 +2,22 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"zipflm/internal/ckpt"
 	"zipflm/internal/model"
 	"zipflm/internal/serve"
 	"zipflm/internal/telemetry"
@@ -232,6 +236,41 @@ func TestFailedReloadsChangeNothingAndAreCounted(t *testing.T) {
 		t.Errorf("reload of a wider architecture: status %d, want 409 (%s)", status, raw)
 	}
 
+	// Full-state checkpoints of the served architecture under other weights,
+	// which would load if they were whole and current: a half-written newest
+	// step in a checkpoint directory, and a file whose frame says version 3
+	// (CRC intact).
+	other := testArch(24)
+	other.Seed++
+	mb, err := model.NewLM(other).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frame bytes.Buffer
+	if err := ckpt.Encode(&frame, &ckpt.State{Step: 5, Ranks: 1, ModelBytes: mb}); err != nil {
+		t.Fatal(err)
+	}
+	halfWritten := filepath.Join(dir, "run")
+	if err := os.Mkdir(halfWritten, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(halfWritten, "step-000000000005.ckpt"), frame.Bytes()[:frame.Len()/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	v3 := slices.Clone(frame.Bytes()[:frame.Len()-4])
+	binary.LittleEndian.PutUint32(v3[8:12], 3)
+	v3 = binary.LittleEndian.AppendUint32(v3, crc32.Checksum(v3, crc32.MakeTable(crc32.Castagnoli)))
+	preV4 := filepath.Join(dir, "v3.ckpt")
+	if err := os.WriteFile(preV4, v3, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if status, raw := a.post(t, "/v1/reload", fmt.Sprintf(`{"path":%q}`, halfWritten)); status != http.StatusBadRequest {
+		t.Errorf("reload of a directory whose newest checkpoint is half written: status %d, want 400 (%s)", status, raw)
+	}
+	if status, raw := a.post(t, "/v1/reload", fmt.Sprintf(`{"path":%q}`, preV4)); status != http.StatusBadRequest || !strings.Contains(string(raw), "version 3") {
+		t.Errorf("reload of a version-3 checkpoint: status %d, want 400 naming the version (%s)", status, raw)
+	}
+
 	after := a.generate(t, gen)
 	if after.WeightsVersion != before.WeightsVersion || !reflect.DeepEqual(after.Tokens, before.Tokens) {
 		t.Errorf("failed reloads changed what is served: v%d %v, was v%d %v",
@@ -243,10 +282,10 @@ func TestFailedReloadsChangeNothingAndAreCounted(t *testing.T) {
 	}
 	a.stats(t, &stats)
 	if stats.WeightsVersion != 1 || stats.Reloads != 0 {
-		t.Errorf("/v1/stats after two failed reloads: %+v", stats)
+		t.Errorf("/v1/stats after four failed reloads: %+v", stats)
 	}
 
-	// Both failures are on /metrics and in the flight ring, each with its cause.
+	// Every failure is on /metrics and in the flight ring, with its cause.
 	resp, err := http.Get(a.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -254,12 +293,12 @@ func TestFailedReloadsChangeNothingAndAreCounted(t *testing.T) {
 	var metrics bytes.Buffer
 	metrics.ReadFrom(resp.Body)
 	resp.Body.Close()
-	if !strings.Contains(metrics.String(), "\nzipflm_serve_reload_failures_total 2\n") {
-		t.Errorf("/metrics does not count two reload failures:\n%s", metrics.String())
+	if !strings.Contains(metrics.String(), "\nzipflm_serve_reload_failures_total 4\n") {
+		t.Errorf("/metrics does not count four reload failures:\n%s", metrics.String())
 	}
 	var ring bytes.Buffer
 	a.obs.Flight.Dump(&ring)
-	for _, cause := range []string{"missing.ckpt", "does not match serving"} {
+	for _, cause := range []string{"missing.ckpt", "does not match serving", "truncated", "version 3"} {
 		if !strings.Contains(ring.String(), cause) {
 			t.Errorf("flight ring lacks the %q failure:\n%s", cause, ring.String())
 		}

@@ -97,16 +97,15 @@
 //
 // internal/ckpt makes the training and serving stacks crash-safe the way
 // the paper's tens-of-hours epochs demand. A checkpoint captures the
-// complete training state — model weights (deterministic name-sorted
-// encoding), optimizer moments, global step and LR-schedule position,
-// per-rank RNG streams, carried RNN state — in CRC-framed, atomically
-// written files under a retention-managed store. Inside both the model
-// file and the checkpoint frame (version 3 of each) only names, shapes and
-// scalars are gob; every tensor travels as little-endian float32 bytes,
-// streamed through the running CRC into the file, so a checkpoint costs
-// about one copy of what it writes; older all-gob files still load, their
-// float64 Adam moments rounded to float32 (trainer.Resume logs a warning
-// when that happens). trainer.Resume
+// complete training state — model weights, optimizer moments, global step
+// and LR-schedule position, per-rank RNG streams, carried RNN state — in
+// CRC-framed, atomically written files under a retention-managed store.
+// Inside both the model file and the checkpoint frame (version 4 of each)
+// only names, shapes and scalars are gob; the weights and Adam's moments
+// travel as slabs of little-endian float32 in the order the model declares
+// its dense tensors, streamed through the running CRC into the file, so a
+// checkpoint costs about one copy of what it writes. Files of earlier
+// versions are refused. trainer.Resume
 // restores it so exactly that checkpoint-then-resume is bit-identical to
 // never having stopped: replicas, wire-byte counters, and validation loss
 // all match an uninterrupted run across every optimizer × exchange ×

@@ -5,8 +5,8 @@
 // At the paper's scale an epoch is tens of hours across up to 128 GPUs —
 // rank failures are the norm, and restart-from-scratch is the difference
 // between 14.6 h and never finishing. A checkpoint here captures the whole
-// training state, not just weights: model parameters (via the model
-// package's deterministic sorted encoding), optimizer moments, the global
+// training state, not just weights: model parameters (the model package's
+// deterministic file encoding), optimizer moments, the global
 // step and LR-schedule position, per-rank RNG stream states, and per-rank
 // carried recurrent state. Restoring one therefore makes a resumed run
 // bit-identical to an uninterrupted one — the correctness contract the
@@ -45,18 +45,9 @@ import (
 	"zipflm/internal/tensor"
 )
 
-// Version guards the checkpoint file format. Version 2 added per-rank
-// gradient-compression state to version 1's single gob value; version 3
-// moved every tensor out of gob and the Adam moments from float64 to
-// float32. Version-1 and version-2 files still decode (their float64
-// moments rounded to nearest float32); nothing writes them.
-//
-// Gradient compression is gone from the trainer, and a State has no place
-// for its carry. A version-3 file that holds error-feedback tensors lists
-// more tensor lengths than a State has tensors, so it fails to decode; a
-// version-2 file's compression state, and a version-3 file's that holds no
-// tensors (quantizer streams only), is ignored.
-const Version = 3
+// Version guards the checkpoint file format: a file of any other version is
+// refused. (ModelBytes carries the model file's own version.)
+const Version = 4
 
 // magic identifies a zipflm full-state checkpoint file.
 var magic = [8]byte{'Z', 'L', 'M', 'C', 'K', 'P', 'T', 0}
@@ -77,8 +68,6 @@ var ErrNotCheckpoint = errors.New("ckpt: not a checkpoint file (bad magic)")
 // so one copy of each is stored; RNG streams and carried recurrent state
 // are per rank.
 type State struct {
-	// roundedMoments: see RoundedMoments (gob never sees it: unexported).
-	roundedMoments bool
 	// Step is the global training step the state was captured at.
 	Step int
 	// LR and NextDecay are the LR-decay schedule position.
@@ -87,12 +76,11 @@ type State struct {
 	// Ranks is the cluster size G of the checkpointing run.
 	Ranks int
 	// ModelBytes is the model file encoding (LM.Marshal) of the shared
-	// weights — deterministic bytes thanks to the sorted dense-parameter
-	// format. A decoded state's ModelBytes aliases the buffer the frame
-	// was read into.
+	// weights, deterministic bytes. A decoded state's ModelBytes aliases
+	// the buffer the frame was read into.
 	ModelBytes []byte
-	// Opt is the dense-optimizer state (Adam moments + step counter;
-	// empty Kind means the optimizer declared no state).
+	// Opt is the dense-optimizer state (Adam's moment slabs + step
+	// counter; empty Kind means the optimizer declared no state).
 	Opt optim.State
 	// RNG holds each rank's model RNG stream (dropout masks), in rank
 	// order.
@@ -102,22 +90,15 @@ type State struct {
 	RNN []model.CarriedState
 }
 
-// RoundedMoments reports whether the state was decoded from a version-1 or
-// version-2 file that carried Adam moments: those were float64, and decoding
-// rounded them to the nearest float32, so a run resumed from this state is
-// not bit-identical to the float64 run that wrote it (and no build since
-// could continue that arithmetic). Everything else in such a file is exact.
-func (s *State) RoundedMoments() bool { return s.roundedMoments }
-
 // LM decodes the embedded model into a fresh replica.
 func (s *State) LM() (*model.LM, error) {
 	return model.Unmarshal(s.ModelBytes)
 }
 
-// frame is the gob part of a version-3 payload.
+// frame is the gob part of a payload.
 type frame struct {
 	// State is the checkpointed state with ModelBytes and every float32
-	// slice emptied: scalars, names, shapes and RNG streams only.
+	// slice emptied: scalars, the optimizer kind, shapes and RNG streams only.
 	State State
 	// ModelLen is len(ModelBytes); Lens holds the length of each emptied
 	// float32 slice, in sections order.
@@ -126,16 +107,10 @@ type frame struct {
 }
 
 // sections lists every float32 tensor a State holds, in the order a frame
-// stores them: Adam's moments (M then V, parameter by parameter), then each
-// rank's carried recurrent state (H then C).
+// stores them: Adam's moment slabs M and V, then each rank's carried
+// recurrent state (H then C).
 func sections(st *State) []*[]float32 {
-	var secs []*[]float32
-	for i := range st.Opt.M {
-		secs = append(secs, &st.Opt.M[i])
-	}
-	for i := range st.Opt.V {
-		secs = append(secs, &st.Opt.V[i])
-	}
+	secs := []*[]float32{&st.Opt.M, &st.Opt.V}
 	for r := range st.RNN {
 		secs = append(secs, &st.RNN[r].H, &st.RNN[r].C)
 	}
@@ -149,8 +124,6 @@ func sections(st *State) []*[]float32 {
 func skeleton(st *State) State {
 	sk := *st
 	sk.ModelBytes = nil
-	sk.Opt.M = slices.Clone(st.Opt.M)
-	sk.Opt.V = slices.Clone(st.Opt.V)
 	sk.RNN = slices.Clone(st.RNN)
 	for _, sec := range sections(&sk) {
 		*sec = nil
@@ -162,8 +135,8 @@ func skeleton(st *State) State {
 //
 //	magic[8] | version u32 | payloadLen u64 | payload | crc32c u32
 //
-// with the integers little-endian and the CRC over everything before it. A
-// version-3 payload is
+// with the integers little-endian and the CRC over everything before it. The
+// payload is
 //
 //	gob(frame) | ModelBytes | tensors
 //
@@ -232,10 +205,10 @@ func Decode(r io.Reader) (*State, error) {
 	return decode(raw)
 }
 
-// decode interprets a checkpoint written by Encode (or by the version-1 and
-// version-2 writers), verifying magic, version, length, and CRC before any
-// of the payload is interpreted. Corrupt (bit-flipped), truncated, padded
-// and future-version inputs return errors, and every tensor's length is
+// decode interprets a checkpoint written by Encode, verifying magic,
+// version, length, and CRC before any of the payload is interpreted.
+// Corrupt (bit-flipped), truncated, padded, older- and future-version
+// inputs return errors, and every tensor's length is
 // checked against the bytes that remain before anything is allocated for
 // it, so no input makes decode allocate more than its own size.
 func decode(raw []byte) (*State, error) {
@@ -246,8 +219,8 @@ func decode(raw []byte) (*State, error) {
 		return nil, ErrNotCheckpoint
 	}
 	version := binary.LittleEndian.Uint32(raw[8:12])
-	if version < 1 || version > Version {
-		return nil, fmt.Errorf("ckpt: version %d, this build reads 1..%d", version, Version)
+	if version != Version {
+		return nil, fmt.Errorf("ckpt: version %d, this build reads %d", version, Version)
 	}
 	payloadLen := binary.LittleEndian.Uint64(raw[12:headLen])
 	if payloadLen != uint64(len(raw)-headLen-4) {
@@ -259,50 +232,38 @@ func decode(raw []byte) (*State, error) {
 	if got := crc32.Checksum(body, crcTable); got != wantCRC {
 		return nil, fmt.Errorf("ckpt: CRC mismatch (stored %08x, computed %08x): checkpoint is corrupt", wantCRC, got)
 	}
-	// Versions 1 and 2 are one gob value, the State itself with every float
-	// inside (gob narrows their float64 moments into the float32 fields:
-	// nearest, and overflow is an error); version 3 is the gob frame and
-	// then raw bytes. bytes.Reader is an io.ByteReader, so gob reads its
-	// value and not one byte more: what r has left afterwards is the raw part.
+	// bytes.Reader is an io.ByteReader, so gob reads its value and not one
+	// byte more: what r has left afterwards is the raw part.
 	var fr frame
 	st := &fr.State
 	r := bytes.NewReader(body[headLen:])
-	var err error
-	if version < 3 {
-		err = gob.NewDecoder(r).Decode(st)
-	} else {
-		err = gob.NewDecoder(r).Decode(&fr)
-	}
-	if err != nil {
+	if err := gob.NewDecoder(r).Decode(&fr); err != nil {
 		return nil, fmt.Errorf("ckpt: decode payload: %w", err)
 	}
 	rest := body[len(body)-r.Len():]
-	if version >= 3 {
-		if fr.ModelLen < 0 || fr.ModelLen > len(rest) {
-			return nil, fmt.Errorf("ckpt: model of %d bytes, %d remain", fr.ModelLen, len(rest))
+	if fr.ModelLen < 0 || fr.ModelLen > len(rest) {
+		return nil, fmt.Errorf("ckpt: model of %d bytes, %d remain", fr.ModelLen, len(rest))
+	}
+	st.ModelBytes, rest = rest[:fr.ModelLen:fr.ModelLen], rest[fr.ModelLen:]
+	secs := sections(st)
+	if len(secs) != len(fr.Lens) {
+		return nil, fmt.Errorf("ckpt: %d tensor lengths for %d tensors", len(fr.Lens), len(secs))
+	}
+	for i, sec := range secs {
+		n := fr.Lens[i]
+		if n < 0 || n > len(rest)/4 {
+			return nil, fmt.Errorf("ckpt: tensor %d of %d values, %d bytes remain", i, n, len(rest))
 		}
-		st.ModelBytes, rest = rest[:fr.ModelLen:fr.ModelLen], rest[fr.ModelLen:]
-		secs := sections(st)
-		if len(secs) != len(fr.Lens) {
-			return nil, fmt.Errorf("ckpt: %d tensor lengths for %d tensors", len(fr.Lens), len(secs))
+		*sec = nil // an empty tensor decodes to nil, as gob had it
+		if n > 0 {
+			*sec = make([]float32, n)
+			tensor.GetFloat32s(*sec, rest)
 		}
-		for i, sec := range secs {
-			n := fr.Lens[i]
-			if n < 0 || n > len(rest)/4 {
-				return nil, fmt.Errorf("ckpt: tensor %d of %d values, %d bytes remain", i, n, len(rest))
-			}
-			*sec = nil // an empty tensor decodes to nil, as gob had it
-			if n > 0 {
-				*sec = make([]float32, n)
-				tensor.GetFloat32s(*sec, rest)
-			}
-			rest = rest[4*n:]
-		}
+		rest = rest[4*n:]
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("ckpt: %d payload bytes after the last tensor", len(rest))
 	}
-	st.roundedMoments = version < 3 && len(st.Opt.M) > 0
 	if st.Ranks <= 0 || st.Step < 0 {
 		return nil, fmt.Errorf("ckpt: invalid state (ranks %d, step %d)", st.Ranks, st.Step)
 	}

@@ -37,11 +37,10 @@ func testState(t *testing.T, step int) *State {
 		Ranks:      2,
 		ModelBytes: mb.Bytes(),
 		Opt: optim.State{
-			Kind:  "adam",
-			T:     step,
-			Names: []string{"a", "b"},
-			M:     [][]float32{{0.1, 0.2}, {0.3}},
-			V:     [][]float32{{0.4, 0.5}, {0.6}},
+			Kind: "adam",
+			T:    step,
+			M:    []float32{0.1, 0.2, 0.3},
+			V:    []float32{0.4, 0.5, 0.6},
 		},
 		RNG: [][4]uint64{{1, 2, 3, 4}, {5, 6, 7, 8}},
 		RNN: []model.CarriedState{
@@ -62,26 +61,23 @@ func encode(t *testing.T, st *State) []byte {
 
 // TestRoundTripIsLossless: every field of a state with optimizer moments and
 // carried recurrent state survives Encode → Decode
-// exactly (DeepEqual: values, lengths and nil-ness), the decoded state says
-// which format it came from, and Encode leaves its argument untouched.
+// exactly (DeepEqual: values, lengths and nil-ness), and Encode leaves its
+// argument untouched.
 func TestRoundTripIsLossless(t *testing.T) {
 	st := testState(t, 42)
 	st.RNN[1].C = nil // an RHN rank: no cell state
-	st.Opt.M[0][1] = math.Float32frombits(0x7fc00123)
+	st.Opt.M[1] = math.Float32frombits(0x7fc00123)
 	want := testState(t, 42)
 	want.RNN[1].C = nil
-	want.Opt.M[0][1] = math.Float32frombits(0x7fc00123)
+	want.Opt.M[1] = math.Float32frombits(0x7fc00123)
 	got, err := Decode(bytes.NewReader(encode(t, st)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.RoundedMoments() {
-		t.Error("a version-3 frame claims rounded moments")
+	if math.Float32bits(got.Opt.M[1]) != 0x7fc00123 {
+		t.Errorf("NaN payload changed: %#08x", math.Float32bits(got.Opt.M[1]))
 	}
-	if math.Float32bits(got.Opt.M[0][1]) != 0x7fc00123 {
-		t.Errorf("NaN payload changed: %#08x", math.Float32bits(got.Opt.M[0][1]))
-	}
-	got.Opt.M[0][1], want.Opt.M[0][1], st.Opt.M[0][1] = 0, 0, 0 // NaN != NaN under DeepEqual
+	got.Opt.M[1], want.Opt.M[1], st.Opt.M[1] = 0, 0, 0 // NaN != NaN under DeepEqual
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("round trip changed the state:\n got %+v\nwant %+v", got, want)
 	}
@@ -102,7 +98,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if !bytes.Equal(got.ModelBytes, st.ModelBytes) {
 		t.Error("model bytes differ")
 	}
-	if got.Opt.Kind != "adam" || got.Opt.T != 42 || got.Opt.M[1][0] != 0.3 {
+	if got.Opt.Kind != "adam" || got.Opt.T != 42 || got.Opt.M[2] != 0.3 || got.Opt.V[2] != 0.6 {
 		t.Errorf("optimizer state differs: %+v", got.Opt)
 	}
 	if got.RNG[1] != st.RNG[1] {
@@ -122,8 +118,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 // TestDeterministicBytes is the content-addressability contract: encoding
 // the same state twice — and encoding a separately-constructed identical
-// state — must produce identical bytes. This is what the sorted
-// dense-parameter fix in model.Save exists for.
+// state — must produce identical bytes.
 func TestDeterministicBytes(t *testing.T) {
 	a := encode(t, testState(t, 7))
 	b := encode(t, testState(t, 7))
@@ -157,8 +152,8 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 // inside the training loop instead of failing the save.
 func TestEncodeReportsWriteErrors(t *testing.T) {
 	big := testState(t, 9)
-	big.Opt.M = [][]float32{make([]float32, 40_000), {1, 2, 3}}
-	big.Opt.V = [][]float32{make([]float32, 40_000), {4, 5, 6}}
+	big.Opt.M = append(make([]float32, 40_000), 1, 2, 3)
+	big.Opt.V = append(make([]float32, 40_000), 4, 5, 6)
 	passThrough := testState(t, 9)
 	passThrough.ModelBytes = make([]byte, 100<<10) // Encode does not look inside
 	for name, st := range map[string]*State{"tensors outgrow the block": big, "model outgrows the block": passThrough} {
@@ -228,11 +223,10 @@ func TestOpenRejectsCorruptInputs(t *testing.T) {
 	}
 	// Extra trailing bytes break the length/CRC framing too.
 	check("padded", append(append([]byte(nil), good...), 0xAA))
-	// Version skew: a well-formed file from a future format version.
-	{
-		raw := append([]byte(nil), good...)
-		binary.LittleEndian.PutUint32(raw[8:12], Version+1)
-		check("future-version", raw)
+	// Version skew: a well-formed file of a future or an earlier format
+	// version (TestRefusedVersionIsNamed checks the errors).
+	for _, v := range []uint32{Version + 1, 3} {
+		check(fmt.Sprintf("version-%d", v), withVersion(good, v))
 	}
 	// Foreign content: a bare model.Save file is not a full checkpoint.
 	{
@@ -270,7 +264,7 @@ func TestOpenRejectsCorruptInputs(t *testing.T) {
 	}
 	mutate("a length missing", func(e *frame) { e.Lens = e.Lens[1:] }, tail)
 	mutate("a length too many", func(e *frame) { e.Lens = append(e.Lens, 0) }, tail)
-	mutate("a moment slot missing", func(e *frame) { e.State.Opt.M = e.State.Opt.M[:1] }, tail)
+	mutate("a carried state missing", func(e *frame) { e.State.RNN = e.State.RNN[:1] }, tail)
 	mutate("raw part one byte short", func(*frame) {}, tail[:len(tail)-1])
 	mutate("raw part one byte long", func(*frame) {}, append(append([]byte(nil), tail...), 0))
 	mutate("raw part one tensor long", func(*frame) {}, append(append([]byte(nil), tail...), 0, 0, 0, 0))
@@ -278,7 +272,7 @@ func TestOpenRejectsCorruptInputs(t *testing.T) {
 	mutate("wrong rank count", func(e *frame) { e.State.Ranks = 3 }, tail)
 }
 
-// splitFrame takes a version-3 file apart: its gob value and the raw bytes
+// splitFrame takes a checkpoint file apart: its gob value and the raw bytes
 // (model file, then tensors) that follow it.
 func splitFrame(t *testing.T, raw []byte) (frame, []byte) {
 	t.Helper()
@@ -306,13 +300,45 @@ func buildVersion(t testing.TB, version uint32, v any, tail []byte) []byte {
 	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crcTable))
 }
 
+// withVersion returns a copy of the file raw that claims another version,
+// with its CRC recomputed: well-formed in everything but the number.
+func withVersion(raw []byte, version uint32) []byte {
+	out := slices.Clone(raw[:len(raw)-4])
+	binary.LittleEndian.PutUint32(out[8:12], version)
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crcTable))
+}
+
+// TestRefusedVersionIsNamed: a well-formed file that claims an earlier
+// format — the gob frames of versions 1 and 2, the per-tensor, name-sorted
+// moments of version 3 — or a future one is refused by its version number
+// alone, by Decode and by Open, with an error that names that version.
+func TestRefusedVersionIsNamed(t *testing.T) {
+	good := encode(t, testState(t, 9))
+	for _, v := range []uint32{1, 2, 3, Version + 1} {
+		t.Run(fmt.Sprintf("version-%d", v), func(t *testing.T) {
+			raw := withVersion(good, v)
+			want := fmt.Sprintf("ckpt: version %d, this build reads %d", v, Version)
+			if st, err := Decode(bytes.NewReader(raw)); st != nil || err == nil || err.Error() != want {
+				t.Errorf("Decode: state %v, error %v, want %q", st != nil, err, want)
+			}
+			path := filepath.Join(t.TempDir(), "step-000000000009.ckpt")
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if st, err := Open(path); st != nil || err == nil || !strings.HasPrefix(err.Error(), want) {
+				t.Errorf("Open: state %v, error %v, want %q…", st != nil, err, want)
+			}
+		})
+	}
+}
+
 // TestDecodeNeverOutgrowsItsInput: refusing or accepting, decode allocates
 // at most its input's size plus the gob machinery — a tensor length is
 // checked against the bytes that remain before anything is made for it.
 func TestDecodeNeverOutgrowsItsInput(t *testing.T) {
 	st := testState(t, 3)
-	st.Opt.M[0] = make([]float32, 1<<16)
-	st.Opt.V[0] = make([]float32, 1<<16)
+	st.Opt.M = make([]float32, 1<<16)
+	st.Opt.V = make([]float32, 1<<16)
 	good := encode(t, st)
 	fr, tail := splitFrame(t, good)
 	inputs := map[string][]byte{"good": good}
@@ -337,226 +363,6 @@ func TestDecodeNeverOutgrowsItsInput(t *testing.T) {
 		if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > uint64(len(raw))+64<<10 {
 			t.Errorf("%s: decoding %d bytes allocated %d", name, len(raw), alloc)
 		}
-	}
-}
-
-// The State of frame versions 1 and 2 as their writer declared it: one gob
-// value, Adam's moments float64. Version 1 predates the Compress field,
-// which held each rank's gradient-compression carry (engineStateV2).
-type optStateV2 struct {
-	Kind  string
-	T     int
-	Names []string
-	M, V  [][]float64
-}
-
-type stateV1 struct {
-	Step       int
-	LR         float64
-	NextDecay  int
-	Ranks      int
-	ModelBytes []byte
-	Opt        optStateV2
-	RNG        [][4]uint64
-	RNN        []model.CarriedState
-}
-
-type stateV2 struct {
-	Step       int
-	LR         float64
-	NextDecay  int
-	Ranks      int
-	ModelBytes []byte
-	Opt        optStateV2
-	RNG        [][4]uint64
-	RNN        []model.CarriedState
-	Compress   []engineStateV2
-}
-
-// engineStateV2 is one rank's gradient-compression carry as versions 2 and 3
-// stored it: quantizer stream, then error-feedback residual and momentum per
-// tensor, sorted by name.
-type engineStateV2 struct {
-	Q8RNG   [4]uint64
-	Tensors []tensorStateV2
-}
-
-type tensorStateV2 struct {
-	Name               string
-	Residual, Momentum []float32
-}
-
-// carryV2 is a compression carry for two ranks, one with momentum and one
-// without.
-func carryV2() []engineStateV2 {
-	return []engineStateV2{
-		{Q8RNG: [4]uint64{9, 8, 7, 6}, Tensors: []tensorStateV2{
-			{Name: "lstm.Wh", Residual: []float32{0.5, -0.25, 1e-40}},
-			{Name: "lstm.Wx", Residual: []float32{float32(math.Inf(1))}},
-		}},
-		{Tensors: []tensorStateV2{
-			{Name: "lstm.Wh", Residual: []float32{0, 1, 2}, Momentum: []float32{3, 4, 5}},
-		}},
-	}
-}
-
-// modelFileV2 is the version-2 model file those frames embedded: one gob
-// value, tensors as name-sorted parallel slices.
-func modelFileV2(t *testing.T, m *model.LM) []byte {
-	t.Helper()
-	ck := struct {
-		Version       int
-		Cfg           model.Config
-		InEmb, OutEmb []float32
-		DenseNames    []string
-		DenseValues   [][]float32
-	}{Version: 2, Cfg: m.Cfg, InEmb: m.InEmb.Data, OutEmb: m.OutEmb.Data}
-	for _, name := range []string{"linear.W", "linear.b", "lstm.Wh", "lstm.Wx", "lstm.b"} {
-		for _, p := range m.DenseParams() {
-			if p.Name == name {
-				ck.DenseNames, ck.DenseValues = append(ck.DenseNames, name), append(ck.DenseValues, p.Value)
-			}
-		}
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestDecodeLegacyFrames: version-1 and version-2 files — produced here by
-// frozen copies of their writers, around a version-2 model file — still
-// decode: scalars, RNG streams and carried state exactly (a version-2 file's
-// compression carry has no place in a State and is left out), the float64
-// Adam moments rounded to the nearest float32 (a value below the
-// float32 range to zero), and the embedded model to the weights it was
-// written from. A moment beyond ±MaxFloat32 is a decode error, not an Inf.
-func TestDecodeLegacyFrames(t *testing.T) {
-	lm := model.NewLM(model.Config{Vocab: 40, Dim: 6, Hidden: 8, RNN: model.KindLSTM, Seed: 3})
-	m64 := [][]float64{{0.1, -1e-3 / 3, 1e-50, 1e-40}, {math.Pi}}
-	v64 := [][]float64{{0.4, 1e-12 / 7, 0, 2.5e-39}, {0.6}}
-	v1 := stateV1{
-		Step: 12, LR: 0.173, NextDecay: 200, Ranks: 2, ModelBytes: modelFileV2(t, lm),
-		Opt: optStateV2{Kind: "adam", T: 12, Names: []string{"a", "b"}, M: m64, V: v64},
-		RNG: [][4]uint64{{1, 2, 3, 4}, {5, 6, 7, 8}},
-		RNN: []model.CarriedState{
-			{H: []float32{1, 2, 3, 4}, C: []float32{5, 6, 7, 8}, Rows: 1, Cols: 4},
-			{H: []float32{9, 10, 11, 12}, Rows: 1, Cols: 4},
-		},
-	}
-	want := &State{
-		Step: 12, LR: 0.173, NextDecay: 200, Ranks: 2, ModelBytes: v1.ModelBytes,
-		Opt: optim.State{Kind: "adam", T: 12, Names: []string{"a", "b"},
-			M: [][]float32{{0.1, -1e-3 / 3, 0, 1e-40}, {math.Pi}},
-			V: [][]float32{{0.4, 1e-12 / 7, 0, 2.5e-39}, {0.6}}},
-		RNG: v1.RNG, RNN: v1.RNN,
-	}
-	v2 := stateV2{v1.Step, v1.LR, v1.NextDecay, v1.Ranks, v1.ModelBytes, v1.Opt, v1.RNG, v1.RNN, carryV2()}
-
-	for version, raw := range map[int][]byte{1: buildVersion(t, 1, v1, nil), 2: buildVersion(t, 2, v2, nil)} {
-		got, err := Decode(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatalf("version %d: %v", version, err)
-		}
-		w := *want
-		w.roundedMoments = true
-		if !reflect.DeepEqual(got, &w) {
-			t.Errorf("version %d decoded to\n %+v\nwant\n %+v", version, got, &w)
-		}
-		loaded, err := got.LM()
-		if err != nil {
-			t.Fatalf("version %d: embedded model: %v", version, err)
-		}
-		if loaded.Cfg != lm.Cfg || !reflect.DeepEqual(loaded.InEmb.Data, lm.InEmb.Data) ||
-			!reflect.DeepEqual(loaded.DenseParams()[1].Value, lm.DenseParams()[1].Value) {
-			t.Errorf("version %d: embedded model decodes to different weights", version)
-		}
-		// What was read from an old file is written as a current one.
-		again, err := Decode(bytes.NewReader(encode(t, got)))
-		if err != nil || again.RoundedMoments() || !got.RoundedMoments() {
-			t.Fatalf("version %d: RoundedMoments %v, after re-encoding %v (err %v), want true then false",
-				version, got.RoundedMoments(), again.RoundedMoments(), err)
-		}
-		if _, err := Decode(bytes.NewReader(buildVersion(t, uint32(version), v2, []byte{0}))); err == nil {
-			t.Errorf("version %d: a byte after the gob value was accepted", version)
-		}
-	}
-	v1.Opt.M = [][]float64{{1e39}, {0}}
-	if _, err := Decode(bytes.NewReader(buildVersion(t, 1, v1, nil))); err == nil {
-		t.Error("a float64 moment beyond MaxFloat32 must fail to decode")
-	}
-}
-
-// frameV3 is the version-3 frame as the last writer with gradient
-// compression declared it: its State also held each rank's compression
-// carry, whose residual and momentum tensors followed the carried recurrent
-// state in the raw part, with their lengths in Lens.
-type frameV3 struct {
-	State struct {
-		Step       int
-		LR         float64
-		NextDecay  int
-		Ranks      int
-		ModelBytes []byte
-		Opt        optim.State
-		RNG        [][4]uint64
-		RNN        []model.CarriedState
-		Compress   []engineStateV2
-	}
-	ModelLen int
-	Lens     []int
-}
-
-// TestDecodeRefusesCompressionCarry: a version-3 file holding top-k
-// error-feedback tensors lists more tensor lengths than a State has
-// tensors, so it fails to decode with that mismatch instead of resuming
-// without the carry; Open says the same for the file. A carry of quantizer
-// streams alone has no tensors; that file decodes to its uncompressed state.
-func TestDecodeRefusesCompressionCarry(t *testing.T) {
-	st := testState(t, 9)
-	fr, tail := splitFrame(t, encode(t, st))
-	var old frameV3
-	s := fr.State
-	old.State.Step, old.State.LR, old.State.NextDecay, old.State.Ranks = s.Step, s.LR, s.NextDecay, s.Ranks
-	old.State.Opt, old.State.RNG, old.State.RNN = s.Opt, s.RNG, s.RNN
-	old.ModelLen = fr.ModelLen
-	old.State.Compress = carryV2()
-	old.Lens = slices.Clone(fr.Lens)
-	raw := slices.Clone(tail)
-	for r := range old.State.Compress {
-		ts := old.State.Compress[r].Tensors
-		for j := range ts {
-			for _, x := range []*[]float32{&ts[j].Residual, &ts[j].Momentum} {
-				old.Lens = append(old.Lens, len(*x))
-				for _, f := range *x {
-					raw = binary.LittleEndian.AppendUint32(raw, math.Float32bits(f))
-				}
-				*x = nil
-			}
-		}
-	}
-	file := buildVersion(t, Version, old, raw)
-	want := fmt.Sprintf("ckpt: %d tensor lengths for %d tensors", len(old.Lens), len(fr.Lens))
-	if _, err := Decode(bytes.NewReader(file)); err == nil || err.Error() != want {
-		t.Fatalf("Decode: %v, want %q", err, want)
-	}
-	path := filepath.Join(t.TempDir(), "topk.ckpt")
-	if err := os.WriteFile(path, file, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(path); err == nil || !strings.HasPrefix(err.Error(), want) {
-		t.Fatalf("Open: %v, want %q…", err, want)
-	}
-
-	old.State.Compress = []engineStateV2{{Q8RNG: [4]uint64{1, 2, 3, 4}}, {Q8RNG: [4]uint64{5, 6, 7, 8}}}
-	old.Lens = fr.Lens
-	got, err := Decode(bytes.NewReader(buildVersion(t, Version, old, tail)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, testState(t, 9)) {
-		t.Errorf("a quantizer-stream carry decoded to\n %+v\nwant\n %+v", got, testState(t, 9))
 	}
 }
 

@@ -16,11 +16,10 @@ import (
 // state escapes). CI runs this with a short -fuzztime on every push; the
 // seed corpus below also runs as a plain test.
 func FuzzDecode(f *testing.F) {
-	// Seeds: a real version-3 checkpoint (Adam moments and carried
-	// recurrent state, so the raw part has tensors of both kinds), its
-	// truncations, a
+	// Seeds: a real checkpoint (Adam moments and carried recurrent state,
+	// so the raw part has tensors of both kinds), its truncations, a
 	// header-only prefix, the same frame with a tensor length the raw part
-	// does not back, a version-2 frame from the frozen writer, and junk.
+	// does not back, the same file claiming version 3, and junk.
 	st := fuzzSeedState(f)
 	var buf bytes.Buffer
 	if err := Encode(&buf, st); err != nil {
@@ -38,9 +37,7 @@ func FuzzDecode(f *testing.F) {
 	}
 	fr.Lens[0] = 1 << 40
 	f.Add(buildVersion(f, Version, fr, full[len(full)-4-r.Len():len(full)-4]))
-	f.Add(buildVersion(f, 2, stateV2{Step: 17, LR: 0.1, Ranks: 2, ModelBytes: []byte{1, 2, 3},
-		Opt: optStateV2{Kind: "adam", T: 17, Names: []string{"w"}, M: [][]float64{{0.5, 1e-50}}, V: [][]float64{{0.25, 3}}},
-		RNN: st.RNN}, nil))
+	f.Add(withVersion(full, 3))
 	f.Add([]byte{})
 	f.Add([]byte("ZLMCKPT\x00garbage"))
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
@@ -77,9 +74,8 @@ func fuzzSeedState(f *testing.F) *State {
 		NextDecay:  40,
 		Ranks:      2,
 		ModelBytes: []byte{1, 2, 3},
-		Opt: optim.State{Kind: "adam", T: 17, Names: []string{"w"},
-			M: [][]float32{{0.5, -2}}, V: [][]float32{{0.25, 4}}},
-		RNG: [][4]uint64{{1, 2, 3, 4}, {5, 6, 7, 8}},
+		Opt:        optim.State{Kind: "adam", T: 17, M: []float32{0.5, -2}, V: []float32{0.25, 4}},
+		RNG:        [][4]uint64{{1, 2, 3, 4}, {5, 6, 7, 8}},
 		RNN: []model.CarriedState{
 			{H: []float32{0.5, -0.25}, C: []float32{1, 2}, Rows: 1, Cols: 2},
 			{H: []float32{0, 1}, Rows: 1, Cols: 2},

@@ -3,7 +3,6 @@ package model
 import (
 	"bytes"
 	"encoding/gob"
-	"fmt"
 	"math"
 	"runtime"
 	"sort"
@@ -71,9 +70,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 
 // TestSaveDeterministicBytes: saving one model twice, and saving a
 // separately-constructed identical model, must produce byte-identical
-// files — the property the ckpt store's CRC/content-hash layer relies on
-// (and what the sorted dense-parameter encoding fixed: the old map-based
-// format serialized in random gob order).
+// files — the property the ckpt store's CRC/content-hash layer relies on.
 func TestSaveDeterministicBytes(t *testing.T) {
 	cfg := Config{Vocab: 30, Dim: 6, Hidden: 8, RNN: KindRHN, RHNDepth: 3, Seed: 11}
 	var a, b, c bytes.Buffer
@@ -175,6 +172,9 @@ func TestLoadRejectsDamagedCheckpoints(t *testing.T) {
 		e.DenseNames[0], e.DenseNames[1] = e.DenseNames[1], e.DenseNames[0]
 		e.DenseLens[0], e.DenseLens[1] = e.DenseLens[1], e.DenseLens[0]
 	}, tensors), true)
+	tryLoad("names in name order, not declaration order", with(func(e *fileHeader) {
+		sort.Sort(byName(*e))
+	}, tensors), true)
 	tryLoad("duplicate name", with(func(e *fileHeader) { e.DenseNames[1] = e.DenseNames[0] }, tensors), true)
 	tryLoad("unknown name", with(func(e *fileHeader) { e.DenseNames[0] = "a.nobody" }, tensors), true)
 	tryLoad("extra empty tensor", with(func(e *fileHeader) {
@@ -193,12 +193,16 @@ func TestLoadRejectsDamagedCheckpoints(t *testing.T) {
 		tryLoad("config disagrees with tensors", with(edit, tensors), true)
 	}
 
-	// Version skew: a well-formed future-version file must be refused.
+	// Version skew: a well-formed file of any other version must be refused,
+	// and a version-3 one (name-sorted tensors) says which version it is.
 	tryLoad("future-version", with(func(e *fileHeader) { e.Version = checkpointVersion + 1 }, tensors), true)
 	tryLoad("version-zero", with(func(e *fileHeader) { e.Version = 0 }, tensors), true)
-	// A version-3 header over no tensors, and a version-2 header over raw ones.
+	v3 := with(func(e *fileHeader) { e.Version = 3; sort.Sort(byName(*e)) }, tensors)
+	tryLoad("version 3", v3, true)
+	if _, err := Unmarshal(v3); err == nil || !strings.Contains(err.Error(), "version 3") {
+		t.Errorf("a version-3 file: %v, want an error naming version 3", err)
+	}
 	tryLoad("header only", with(func(*fileHeader) {}, nil), true)
-	tryLoad("version 2 with a raw tail", with(func(e *fileHeader) { e.Version = 2 }, tensors), true)
 	// Bit flips: a flip in the header may or may not decode, one in a tensor
 	// always does — the contract is only no-panic and no half-state.
 	for off := 0; off < len(good); off += 13 {
@@ -208,50 +212,32 @@ func TestLoadRejectsDamagedCheckpoints(t *testing.T) {
 	}
 }
 
-// The version-1 and version-2 writers, frozen: one gob value with every
-// tensor inside it, as a map (1) or as name-sorted parallel slices (2).
-type fileV1 struct {
-	Version       int
-	Cfg           Config
-	InEmb, OutEmb []float32
-	Dense         map[string][]float32
+// byName sorts a header's dense names, with their lengths, the way
+// version-3 files listed them.
+type byName fileHeader
+
+func (h byName) Len() int           { return len(h.DenseNames) }
+func (h byName) Less(i, j int) bool { return h.DenseNames[i] < h.DenseNames[j] }
+func (h byName) Swap(i, j int) {
+	h.DenseNames[i], h.DenseNames[j] = h.DenseNames[j], h.DenseNames[i]
+	h.DenseLens[i], h.DenseLens[j] = h.DenseLens[j], h.DenseLens[i]
 }
 
-type fileV2 struct {
-	Version       int
-	Cfg           Config
-	InEmb, OutEmb []float32
-	DenseNames    []string
-	DenseValues   [][]float32
-}
-
-func saveV1(t testing.TB, m *LM) []byte {
-	t.Helper()
-	ck := fileV1{Version: 1, Cfg: m.Cfg, InEmb: m.InEmb.Data, OutEmb: m.OutEmb.Data, Dense: map[string][]float32{}}
-	for _, p := range m.DenseParams() {
-		ck.Dense[p.Name] = p.Value
+// reheader re-encodes the model file raw under an edited copy of its
+// header; the tensor section is kept as it is.
+func reheader(tb testing.TB, raw []byte, edit func(*fileHeader)) []byte {
+	tb.Helper()
+	var h fileHeader
+	r := bytes.NewReader(raw)
+	if err := gob.NewDecoder(r).Decode(&h); err != nil {
+		tb.Fatal(err)
 	}
+	edit(&h)
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
-		t.Fatal(err)
+	if err := gob.NewEncoder(&buf).Encode(h); err != nil {
+		tb.Fatal(err)
 	}
-	return buf.Bytes()
-}
-
-func saveV2(t testing.TB, m *LM) []byte {
-	t.Helper()
-	ck := fileV2{Version: 2, Cfg: m.Cfg, InEmb: m.InEmb.Data, OutEmb: m.OutEmb.Data}
-	params := append([]Param(nil), m.DenseParams()...)
-	sort.Slice(params, func(i, j int) bool { return params[i].Name < params[j].Name })
-	for _, p := range params {
-		ck.DenseNames = append(ck.DenseNames, p.Name)
-		ck.DenseValues = append(ck.DenseValues, p.Value)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return append(buf.Bytes(), raw[len(raw)-r.Len():]...)
 }
 
 // sameWeights fails unless got holds want's configuration and every weight
@@ -279,48 +265,6 @@ func sameWeights(t *testing.T, ctx string, got, want *LM) {
 	}
 }
 
-// TestLoadAcceptsLegacyFormats: files written by the version-1 (map) and
-// version-2 (sorted slices) gob writers keep loading, to the same weights
-// as the version-3 file of the same model — NaN payloads, signed zeros and
-// denormals included — and a legacy file under a Config its tensors do not
-// fill is refused like a current one.
-func TestLoadAcceptsLegacyFormats(t *testing.T) {
-	for _, cfg := range []Config{
-		{Vocab: 20, Dim: 4, Hidden: 5, RNN: KindLSTM, Sampled: 3, Seed: 6},
-		{Vocab: 12, Dim: 3, Hidden: 4, RNN: KindRHN, RHNDepth: 3, Stateful: true, Dropout: 0.25, Seed: 9},
-	} {
-		m := NewLM(cfg)
-		m.InEmb.Data[0] = 3.5
-		m.OutEmb.Data[1] = float32(math.Copysign(0, -1))
-		v := m.DenseParams()[1].Value
-		v[0], v[1], v[2] = math.Float32frombits(0x7fc00123), 1e-40, float32(math.Inf(-1))
-		for version, raw := range map[int][]byte{1: saveV1(t, m), 2: saveV2(t, m)} {
-			loaded, err := Load(bytes.NewReader(raw))
-			if err != nil {
-				t.Fatalf("version %d: %v", version, err)
-			}
-			sameWeights(t, fmt.Sprintf("version %d", version), loaded, m)
-			if _, err := Load(bytes.NewReader(append(append([]byte(nil), raw...), 0))); err == nil {
-				t.Errorf("version %d: a trailing byte was accepted", version)
-			}
-		}
-		bigger := *m
-		bigger.Cfg.Vocab++
-		if _, err := Load(bytes.NewReader(saveV2(t, &bigger))); err == nil {
-			t.Error("a version-2 file whose config outgrows its tensors was accepted")
-		}
-		cur, err := m.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := Unmarshal(cur)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameWeights(t, "version 3", loaded, m)
-	}
-}
-
 // TestParamFloatsMatchesNewLM pins the closed form Unmarshal checks a file
 // against to what NewLM really builds.
 func TestParamFloatsMatchesNewLM(t *testing.T) {
@@ -343,11 +287,10 @@ func TestParamFloatsMatchesNewLM(t *testing.T) {
 }
 
 // FuzzLoad hammers the model-file parser with arbitrary bytes and mutations
-// of real files of all three versions. Load must never panic, and a model
-// it does return must be whole: it saves, and the save loads back to the
-// same weights.
+// of real files, among them headers in the name order and under the version
+// number of format 3. Load must never panic, and a model it does return must
+// be whole: it saves, and the save loads back to the same weights.
 func FuzzLoad(f *testing.F) {
-
 	for _, cfg := range []Config{
 		{Vocab: 6, Dim: 2, Hidden: 3, RNN: KindLSTM, Seed: 1},
 		{Vocab: 5, Dim: 2, Hidden: 2, RNN: KindRHN, RHNDepth: 2, Seed: 2},
@@ -361,8 +304,8 @@ func FuzzLoad(f *testing.F) {
 		f.Add(cur[:len(cur)-1])
 		f.Add(cur[:len(cur)/2])
 		f.Add(append(append([]byte(nil), cur...), 0, 0, 0, 0))
-		f.Add(saveV1(f, m))
-		f.Add(saveV2(f, m))
+		f.Add(reheader(f, cur, func(h *fileHeader) { sort.Sort(byName(*h)) }))
+		f.Add(reheader(f, cur, func(h *fileHeader) { h.Version = 3; sort.Sort(byName(*h)) }))
 	}
 	f.Add([]byte{})
 	f.Add([]byte("not a checkpoint"))

@@ -75,17 +75,16 @@ func TestAdamAsmMatchesGo(t *testing.T) {
 				for _, special := range []bool{false, true} {
 					ctx := fmt.Sprintf("n=%d wd=%v t0=%d special=%v", n, wd, t0, special)
 					value := optimVec(r, n, 1, special)
-					start := State{Kind: "adam", T: t0, Names: []string{"p"},
-						M: [][]float32{make([]float32, n)}, V: [][]float32{make([]float32, n)}}
+					start := State{Kind: "adam", T: t0, M: make([]float32, n), V: make([]float32, n)}
 					if t0 > 0 {
 						for i := 0; i < n; i++ {
-							start.M[0][i] = float32(r.NormFloat64() * 1e-3)
+							start.M[i] = float32(r.NormFloat64() * 1e-3)
 							if r.Intn(4) > 0 { // keep some v exactly 0 under a nonzero m
-								start.V[0][i] = float32(r.Float64() * 1e-6)
+								start.V[i] = float32(r.Float64() * 1e-6)
 							}
 							if r.Intn(4) == 0 {
-								start.M[0][i] = nearMinNormal[r.Intn(len(nearMinNormal))]
-								start.V[0][i] = nearMinNormal[r.Intn(len(nearMinNormal))]
+								start.M[i] = nearMinNormal[r.Intn(len(nearMinNormal))]
+								start.V[i] = nearMinNormal[r.Intn(len(nearMinNormal))]
 							}
 						}
 					}
@@ -120,9 +119,9 @@ func TestAdamAsmMatchesGo(t *testing.T) {
 								t.Fatalf("%s step %d: value[%d] (g=%v): asm %v (%#08x) != go %v (%#08x)", ctx, step, i, grad[i],
 									asm.value[i], math.Float32bits(asm.value[i]), ref.value[i], math.Float32bits(ref.value[i]))
 							}
-							if !same32(asm.a.m["p"][i], ref.a.m["p"][i]) || !same32(asm.a.v["p"][i], ref.a.v["p"][i]) {
+							if !same32(asm.a.m[i], ref.a.m[i]) || !same32(asm.a.v[i], ref.a.v[i]) {
 								t.Fatalf("%s step %d: moments[%d] (g=%v): asm m=%v v=%v != go m=%v v=%v", ctx, step, i, grad[i],
-									asm.a.m["p"][i], asm.a.v["p"][i], ref.a.m["p"][i], ref.a.v["p"][i])
+									asm.a.m[i], asm.a.v[i], ref.a.m[i], ref.a.v[i])
 							}
 						}
 					}
@@ -132,23 +131,35 @@ func TestAdamAsmMatchesGo(t *testing.T) {
 	}
 }
 
-// TestAdamStepBounds: moments shorter than the gradient (a checkpoint from a
-// different shape) must panic in Go before the kernel gets raw pointers.
+// TestAdamStepBounds: moment slabs shorter or longer than the gradients (a
+// checkpoint from a different shape), or values shorter than their
+// gradient, must panic in Go before the kernel gets raw pointers, and before
+// the step count or any moment moves.
 func TestAdamStepBounds(t *testing.T) {
 	for _, asm := range []bool{true, false} {
-		withAdamAsm(asm, func() {
-			a := NewAdam(0)
-			if err := a.Restore(State{Kind: "adam", T: 1, Names: []string{"p"},
-				M: [][]float32{make([]float32, 6)}, V: [][]float32{make([]float32, 6)}}); err != nil {
-				t.Fatal(err)
-			}
-			defer func() {
-				if recover() == nil {
-					t.Errorf("asm=%v: Step over short moments did not panic", asm)
+		for _, c := range []struct {
+			name        string
+			moments     int
+			value, grad int
+		}{{"short moments", 6, 8, 8}, {"long moments", 10, 8, 8}, {"short value", 8, 7, 8}} {
+			withAdamAsm(asm, func() {
+				a := NewAdam(0)
+				m := make([]float32, c.moments)
+				m[0] = 1
+				if err := a.Restore(State{Kind: "adam", T: 1, M: m, V: make([]float32, c.moments)}); err != nil {
+					t.Fatal(err)
 				}
-			}()
-			a.Step([]model.Param{{Name: "p", Value: make([]float32, 8), Grad: make([]float32, 8)}}, 0.1)
-		})
+				defer func() {
+					if recover() == nil {
+						t.Errorf("asm=%v %s: Step did not panic", asm, c.name)
+					}
+					if a.t != 1 || a.m[0] != 1 {
+						t.Errorf("asm=%v %s: a refused Step moved the state: t=%d m[0]=%v", asm, c.name, a.t, a.m[0])
+					}
+				}()
+				a.Step([]model.Param{{Name: "p", Value: make([]float32, c.value), Grad: make([]float32, c.grad)}}, 0.1)
+			})
+		}
 	}
 }
 
@@ -212,10 +223,15 @@ func TestAdamStripedMatchesSerial(t *testing.T) {
 				for j, p := range params[0] {
 					q := params[1][j]
 					for i := range p.Value {
-						if !same32(p.Value[i], q.Value[i]) || !same32(serial.m[p.Name][i], striped.m[p.Name][i]) || !same32(serial.v[p.Name][i], striped.v[p.Name][i]) {
-							t.Fatalf("%s step %d: %s[%d]: striped value/m/v %v/%v/%v, serial %v/%v/%v", ctx, step, p.Name, i,
-								q.Value[i], striped.m[p.Name][i], striped.v[p.Name][i], p.Value[i], serial.m[p.Name][i], serial.v[p.Name][i])
+						if !same32(p.Value[i], q.Value[i]) {
+							t.Fatalf("%s step %d: %s[%d]: striped value %v, serial %v", ctx, step, p.Name, i, q.Value[i], p.Value[i])
 						}
+					}
+				}
+				for i := range serial.m {
+					if !same32(serial.m[i], striped.m[i]) || !same32(serial.v[i], striped.v[i]) {
+						t.Fatalf("%s step %d: moments[%d]: striped m/v %v/%v, serial %v/%v", ctx, step, i,
+							striped.m[i], striped.v[i], serial.m[i], serial.v[i])
 					}
 				}
 			}

@@ -20,7 +20,7 @@ package optim
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"zipflm/internal/model"
 	"zipflm/internal/tensor"
@@ -34,19 +34,18 @@ type Optimizer interface {
 }
 
 // State is a serializable optimizer snapshot for the checkpoint subsystem.
-// Moment maps are flattened into name-sorted parallel slices so identical
-// optimizers always produce identical bytes (map iteration order must never
-// reach an encoder). Kind guards a resume against swapping optimizers
-// between the checkpointing run and the resuming one.
+// Kind guards a resume against swapping optimizers between the
+// checkpointing run and the resuming one.
 type State struct {
 	// Kind identifies the optimizer ("sgd", "adam").
 	Kind string
 	// T is Adam's global step count (bias correction position).
 	T int
-	// Names are the parameter names, sorted; M and V are the first and
-	// second moments in the same order, at the parameters' precision.
-	Names []string
-	M, V  [][]float32
+	// M and V are Adam's first and second moments at the parameters'
+	// precision, one slab each, aligned with the concatenation of the
+	// parameters Step walks (for a model, its dense value slab); empty
+	// before the first step.
+	M, V []float32
 }
 
 // Snapshotter is implemented by optimizers whose internal state must
@@ -70,19 +69,10 @@ func (SGD) Restore(s State) error {
 	return nil
 }
 
-// Snapshot implements Snapshotter: the step counter plus both moment maps,
-// name-sorted and deep-copied.
+// Snapshot implements Snapshotter: the step counter plus both moment slabs,
+// deep-copied.
 func (a *Adam) Snapshot() State {
-	st := State{Kind: "adam", T: a.t}
-	for name := range a.m {
-		st.Names = append(st.Names, name)
-	}
-	sort.Strings(st.Names)
-	for _, name := range st.Names {
-		st.M = append(st.M, append([]float32(nil), a.m[name]...))
-		st.V = append(st.V, append([]float32(nil), a.v[name]...))
-	}
-	return st
+	return State{Kind: "adam", T: a.t, M: slices.Clone(a.m), V: slices.Clone(a.v)}
 }
 
 // Restore implements Snapshotter.
@@ -90,23 +80,10 @@ func (a *Adam) Restore(s State) error {
 	if s.Kind != "adam" {
 		return fmt.Errorf("optim: resuming Adam from a %q checkpoint", s.Kind)
 	}
-	if len(s.Names) != len(s.M) || len(s.Names) != len(s.V) {
-		return fmt.Errorf("optim: Adam state has %d names but %d/%d moment slices",
-			len(s.Names), len(s.M), len(s.V))
+	if len(s.M) != len(s.V) {
+		return fmt.Errorf("optim: Adam state has %d first and %d second moments", len(s.M), len(s.V))
 	}
-	a.t = s.T
-	a.m = make(map[string][]float32, len(s.Names))
-	a.v = make(map[string][]float32, len(s.Names))
-	for i, name := range s.Names {
-		if i > 0 && name <= s.Names[i-1] {
-			return fmt.Errorf("optim: Adam state names out of order (%q after %q)", name, s.Names[i-1])
-		}
-		if len(s.M[i]) != len(s.V[i]) {
-			return fmt.Errorf("optim: Adam state for %q has mismatched moment lengths", name)
-		}
-		a.m[name] = append([]float32(nil), s.M[i]...)
-		a.v[name] = append([]float32(nil), s.V[i]...)
-	}
+	a.t, a.m, a.v = s.T, slices.Clone(s.M), slices.Clone(s.V)
 	return nil
 }
 
@@ -132,17 +109,18 @@ func (SGD) Step(params []model.Param, lr float32) {
 // reciprocals computed once per step, one square root and one divide per
 // element. A moment that decays below the smallest normal float32 is stored
 // as +0: without that rule a parameter whose gradient stays exactly zero (a
-// dead unit; most coordinates under a sparsifying compressor) decays m into
-// the denormal range, where 0.9 × the smallest denormal rounds back to itself —
-// m never reaches zero and every later step pays the denormal penalty on it.
+// dead unit) decays m into the denormal range, where 0.9 × the smallest
+// denormal rounds back to itself — m never reaches zero and every later step
+// pays the denormal penalty on it.
 type Adam struct {
 	Beta1, Beta2 float64
 	Eps          float64
 	WeightDecay  float64
 
-	t int
-	m map[string][]float32
-	v map[string][]float32
+	// t is the step count; m and v are the moment slabs, sized by the first
+	// Step to the total length of its parameters.
+	t    int
+	m, v []float32
 
 	// be, when non-nil, runs a step's stripes on its workers; runStripe is
 	// stripe, bound once so a step allocates nothing, and cur the step's
@@ -152,11 +130,10 @@ type Adam struct {
 	cur       adamStep
 }
 
-// adamStep is one Step's work: the parameters with their moments, the
-// step's constants, and how many stripes each tensor is cut into.
+// adamStep is one Step's work: the parameters, the step's constants, and
+// how many stripes each tensor is cut into.
 type adamStep struct {
 	params  []model.Param
-	ms, vs  [][]float32
 	k       adamConsts
 	lr      float32
 	stripes int
@@ -167,8 +144,6 @@ func NewAdam(weightDecay float64) *Adam {
 	return &Adam{
 		Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
 		WeightDecay: weightDecay,
-		m:           make(map[string][]float32),
-		v:           make(map[string][]float32),
 	}
 }
 
@@ -190,8 +165,23 @@ const minNormal = 0x1p-126
 // caller.
 func (a *Adam) SetBackend(be tensor.Backend) { a.be, a.runStripe = be, a.stripe }
 
-// Step implements Optimizer.
+// Step implements Optimizer. The moments of params[i] are the stretch of
+// the moment slabs after those of params[:i]; a call whose parameters do
+// not add up to the slabs' length panics, before anything is written.
 func (a *Adam) Step(params []model.Param, lr float32) {
+	n := 0
+	for _, p := range params {
+		if len(p.Value) < len(p.Grad) {
+			panic(fmt.Sprintf("optim: Adam step over %s: %d gradients for %d values", p.Name, len(p.Grad), len(p.Value)))
+		}
+		n += len(p.Grad)
+	}
+	if a.m == nil && a.v == nil {
+		a.m, a.v = make([]float32, n), make([]float32, n)
+	}
+	if len(a.m) != n || len(a.v) != n {
+		panic(fmt.Sprintf("optim: Adam step over %d gradients with %d/%d moments", n, len(a.m), len(a.v)))
+	}
 	a.t++
 	s := &a.cur
 	s.k = adamConsts{
@@ -200,23 +190,6 @@ func (a *Adam) Step(params []model.Param, lr float32) {
 		float32(a.Eps), float32(a.WeightDecay),
 	}
 	s.params, s.lr = params, lr
-	s.ms, s.vs = s.ms[:0], s.vs[:0]
-	n := 0
-	for _, p := range params {
-		m := a.m[p.Name]
-		if m == nil {
-			m = make([]float32, len(p.Value))
-			a.m[p.Name] = m
-			a.v[p.Name] = make([]float32, len(p.Value))
-		}
-		v := a.v[p.Name]
-		if len(p.Value) < len(p.Grad) || len(m) < len(p.Grad) || len(v) < len(p.Grad) {
-			panic(fmt.Sprintf("optim: Adam step over %s: %d gradients for %d values and %d/%d moments",
-				p.Name, len(p.Grad), len(p.Value), len(m), len(v)))
-		}
-		s.ms, s.vs = append(s.ms, m), append(s.vs, v)
-		n += len(p.Grad)
-	}
 	s.stripes = tensor.Fanout(a.be, n)
 	if s.stripes > 1 {
 		a.be.For(s.stripes, a.runStripe)
@@ -229,9 +202,11 @@ func (a *Adam) Step(params []model.Param, lr float32) {
 // stripe updates stripe i of every tensor of the current step.
 func (a *Adam) stripe(i int) {
 	s := &a.cur
-	for j, p := range s.params {
+	off := 0
+	for _, p := range s.params {
 		lo, hi := tensor.Stripe(len(p.Grad), s.stripes, i)
-		adamRange(p.Value[lo:hi], p.Grad[lo:hi], s.ms[j][lo:hi], s.vs[j][lo:hi], &s.k, s.lr)
+		adamRange(p.Value[lo:hi], p.Grad[lo:hi], a.m[off+lo:off+hi], a.v[off+lo:off+hi], &s.k, s.lr)
+		off += len(p.Grad)
 	}
 }
 

@@ -86,8 +86,8 @@ func TestAdamTracksFloat64Oracle(t *testing.T) {
 // float32, m reaches +0 (by step ≈ 750) and from then on the parameter moves
 // by weight decay alone. v decays by 0.999 a step and would need ≈ 67 000
 // steps to get there, so the run that pins its arrival at +0 sets Beta2 to
-// 0.9. The last pattern is what a top-k sparsifying compressor hands a
-// coordinate: non-zero once in 300 steps.
+// 0.9. The last pattern gives each coordinate a non-zero gradient once in
+// 300 steps.
 func TestAdamZeroGradientNeverDenormal(t *testing.T) {
 	const n, steps = 1001, 2000
 	normalOrZero := func(x float32) bool {
@@ -120,7 +120,7 @@ func TestAdamZeroGradientNeverDenormal(t *testing.T) {
 						copy(before, value)
 						a.Step(p, lr)
 						for i := range value {
-							m, v := a.m["p"][i], a.v["p"][i]
+							m, v := a.m[i], a.v[i]
 							if !normalOrZero(m) || !normalOrZero(v) {
 								t.Fatalf("%s step %d: stored moments[%d] m=%g v=%g: neither +0 nor normal", ctx, s, i, m, v)
 							}
@@ -131,7 +131,7 @@ func TestAdamZeroGradientNeverDenormal(t *testing.T) {
 						}
 					}
 					for i := range value {
-						if m, v := a.m["p"][i], a.v["p"][i]; period == 0 && (m != 0 || c.beta2 == 0.9 && v != 0) {
+						if m, v := a.m[i], a.v[i]; period == 0 && (m != 0 || c.beta2 == 0.9 && v != 0) {
 							t.Fatalf("%s: after %d zero-gradient steps moments[%d] m=%g v=%g, want +0", ctx, steps, i, m, v)
 						}
 					}

@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"zipflm/internal/core"
@@ -21,22 +23,55 @@ import (
 )
 
 // ledgerRow is one row of testdata/bits.json: SHA-256 digests, in hex, of a
-// checkpoint's model file, of its optimizer state, and of the run's counters.
+// checkpoint's weights, of its optimizer state, and of the run's counters.
+// The weights and the moments are hashed tensor by tensor in name order, so
+// the digests do not depend on how a file lays them out.
 type ledgerRow struct {
 	Model     string `json:"model"`
 	Optimizer string `json:"optimizer"`
 	Counters  string `json:"counters"`
 }
 
+// modelDigest hashes a model's weights by name: each tensor of Weights, in
+// ascending name order, under its name, as little-endian float32.
+func modelDigest(m *model.LM) string {
+	ws := slices.Clone(m.Weights())
+	slices.SortFunc(ws, func(a, b model.Param) int { return strings.Compare(a.Name, b.Name) })
+	h := sha256.New()
+	for _, w := range ws {
+		fmt.Fprintf(h, "%s\n", w.Name)
+		_ = binary.Write(h, binary.LittleEndian, w.Value)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
 // optimizerDigest hashes an optimizer state field by field: kind and step
-// count, then each moment pair under its name, as little-endian float32.
-func optimizerDigest(st optim.State) string {
+// count, then, for each of m's dense tensors in ascending name order, its
+// name and the stretches of M and V that belong to it, as little-endian
+// float32.
+func optimizerDigest(st optim.State, m *model.LM) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s %d\n", st.Kind, st.T)
-	for i, name := range st.Names {
-		fmt.Fprintf(h, "%s\n", name)
-		_ = binary.Write(h, binary.LittleEndian, st.M[i])
-		_ = binary.Write(h, binary.LittleEndian, st.V[i])
+	if len(st.M) == 0 {
+		return fmt.Sprintf("%x", h.Sum(nil))
+	}
+	type span struct {
+		name   string
+		lo, hi int
+	}
+	var spans []span
+	for _, p := range m.DenseParams() {
+		lo := 0
+		if len(spans) > 0 {
+			lo = spans[len(spans)-1].hi
+		}
+		spans = append(spans, span{p.Name, lo, lo + len(p.Value)})
+	}
+	slices.SortFunc(spans, func(a, b span) int { return strings.Compare(a.name, b.name) })
+	for _, sp := range spans {
+		fmt.Fprintf(h, "%s\n", sp.name)
+		_ = binary.Write(h, binary.LittleEndian, st.M[sp.lo:sp.hi])
+		_ = binary.Write(h, binary.LittleEndian, st.V[sp.lo:sp.hi])
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
@@ -87,7 +122,7 @@ func ledgerSteps(tr *Trainer, n int) (StepStats, error) {
 }
 
 // TestBitsLedger holds the training arithmetic to the digests checked in as
-// testdata/bits.json: for each row, CaptureState's model file and optimizer
+// testdata/bits.json: for each row, CaptureState's weights and optimizer
 // state after 6 steps on 4 ranks, and the counters countersDigest covers. A
 // change that moves one bit of a weight or a moment, one wire byte, one
 // virtual second or one byte of device memory fails here. A deliberate move
@@ -180,9 +215,13 @@ func TestBitsLedger(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				lm, err := st.LM()
+				if err != nil {
+					t.Fatal(err)
+				}
 				got := ledgerRow{
-					Model:     fmt.Sprintf("%x", sha256.Sum256(st.ModelBytes)),
-					Optimizer: optimizerDigest(st.Opt),
+					Model:     modelDigest(lm),
+					Optimizer: optimizerDigest(st.Opt, lm),
 					Counters:  countersDigest(tr, sums),
 				}
 				if want, ok := ledger[name]; !ok || got != want {

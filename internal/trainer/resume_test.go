@@ -3,18 +3,12 @@ package trainer
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/crc32"
-	"io"
-	stdlog "log"
-	"log/slog"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"slices"
 	"strings"
 	"testing"
 
@@ -177,15 +171,13 @@ func TestResumeWithDropoutAndStatefulRNN(t *testing.T) {
 	assertResumeBitIdentical(t, cfg, train, valid, 7)
 }
 
-// TestResumeFromCheckedInCheckpoint: testdata/resume-v3.ckpt is the
-// checkpoint an uncompressed run wrote at step 7 in the last build that
-// still had gradient compression — 2 ranks, LSTM with sampled softmax,
-// dropout and carried state, Adam, the FP16 wire — so it holds Adam moments,
-// carried H and C, and per-rank RNG streams. It decodes to exactly the state
-// the current build captures at that step, and resuming from it and taking 7
-// more steps is bit-identical to 14 uninterrupted ones. (Its bytes are not
-// the current encoding's: gob describes State's type in the frame, and that
-// type has lost its compression field.)
+// TestResumeFromCheckedInCheckpoint: testdata/resume-v4.ckpt is the
+// checkpoint a run wrote at step 7 in the first build with format 4 — 2
+// ranks, LSTM with sampled softmax, dropout and carried state, Adam, the
+// FP16 wire — so it holds Adam's moment slabs, carried H and C, and per-rank
+// RNG streams. It decodes to exactly the state the current build captures
+// at that step, and resuming from it and taking 7 more steps is
+// bit-identical to 14 uninterrupted ones.
 func TestResumeFromCheckedInCheckpoint(t *testing.T) {
 	train, valid := smallData(60, 800, 5)
 	cfg := smallConfig(2, core.UniqueExchange{})
@@ -196,7 +188,7 @@ func TestResumeFromCheckedInCheckpoint(t *testing.T) {
 	cfg.Wire = half.NewScaler(512)
 	cfg.NewOptimizer = func() optim.Optimizer { return optim.NewAdam(1e-5) }
 
-	raw, err := os.ReadFile(filepath.Join("testdata", "resume-v3.ckpt"))
+	raw, err := os.ReadFile(filepath.Join("testdata", "resume-v4.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,123 +234,48 @@ func TestResumeFromCheckedInCheckpoint(t *testing.T) {
 	}
 }
 
-// rewriteAsFrameV2 replaces the checkpoint at path with the same state in the
-// version-2 frame (a frozen copy of that writer): one gob value with every
-// tensor inside and the Adam moments as float64.
-func rewriteAsFrameV2(t *testing.T, path string) {
-	t.Helper()
-	st, err := ckpt.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type optV2 struct {
-		Kind  string
-		T     int
-		Names []string
-		M, V  [][]float64
-	}
-	widen := func(xs [][]float32) (out [][]float64) {
-		for _, x := range xs {
-			w := make([]float64, len(x))
-			for i, f := range x {
-				w[i] = float64(f) * (1 + 0x1p-30) // between two float32s, as a float64 run leaves it
-			}
-			out = append(out, w)
-		}
-		return out
-	}
-	v2 := struct {
-		Step       int
-		LR         float64
-		NextDecay  int
-		Ranks      int
-		ModelBytes []byte
-		Opt        optV2
-		RNG        [][4]uint64
-		RNN        []model.CarriedState
-	}{st.Step, st.LR, st.NextDecay, st.Ranks, st.ModelBytes,
-		optV2{st.Opt.Kind, st.Opt.T, st.Opt.Names, widen(st.Opt.M), widen(st.Opt.V)},
-		st.RNG, st.RNN}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(v2); err != nil {
-		t.Fatal(err)
-	}
-	out := []byte{'Z', 'L', 'M', 'C', 'K', 'P', 'T', 0}
-	out = binary.LittleEndian.AppendUint32(out, 2)
-	out = binary.LittleEndian.AppendUint64(out, uint64(payload.Len()))
-	out = append(out, payload.Bytes()...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crc32.MakeTable(crc32.Castagnoli)))
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestResumeFromLegacyFrameWarnsOnceAboutAdam: a directory written before
-// format 3 still resumes. Under Adam its float64 moments were rounded on the
-// way in, which is the one case where a resumed run is not the run that was
-// interrupted, so Resume says so — one warning, and none for an SGD run or a
-// current checkpoint — and training carries on to a finite loss.
-func TestResumeFromLegacyFrameWarnsOnceAboutAdam(t *testing.T) {
+// TestResumeRefusesPreV4Checkpoints: a directory whose newest checkpoint
+// claims format 3 — Adam's moments per tensor in name order, or an SGD run's
+// frame with none — does not resume. The error names the version, and the
+// file is left as it was.
+func TestResumeRefusesPreV4Checkpoints(t *testing.T) {
 	train, valid := smallData(60, 800, 4)
 	for _, c := range []struct {
-		name         string
-		adam, legacy bool
-		warnings     int
-	}{{"adam-v2", true, true, 1}, {"adam-v3", true, false, 0}, {"sgd-v2", false, true, 0}} {
+		name string
+		adam bool
+	}{{"adam-v3", true}, {"sgd-v3", false}} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := smallConfig(2, core.UniqueExchange{})
-			cfg.Model.Stateful = true
 			if c.adam {
 				cfg.NewOptimizer = func() optim.Optimizer { return optim.NewAdam(1e-5) }
 			}
 			cfg.CheckpointEvery = 5
 			cfg.CheckpointDir = t.TempDir()
-			first, err := New(cfg, train, valid)
+			tr, err := New(cfg, train, valid)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := first.Steps(5); err != nil {
+			if err := tr.Steps(5); err != nil {
 				t.Fatal(err)
 			}
-			if c.legacy {
-				rewriteAsFrameV2(t, filepath.Join(cfg.CheckpointDir, fmt.Sprintf("step-%012d.ckpt", 5)))
-			}
-
-			// SetDefault also points package log at the new handler and does
-			// not undo that when the old default comes back.
-			var logged bytes.Buffer
-			defer func(l *slog.Logger, w io.Writer, flags int) {
-				slog.SetDefault(l)
-				stdlog.SetOutput(w)
-				stdlog.SetFlags(flags)
-			}(slog.Default(), stdlog.Writer(), stdlog.Flags())
-			slog.SetDefault(slog.New(slog.NewTextHandler(&logged, nil)))
-			resumed, err := Resume(cfg, cfg.CheckpointDir, train, valid)
+			path := filepath.Join(cfg.CheckpointDir, fmt.Sprintf("step-%012d.ckpt", 5))
+			raw, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := strings.Count(logged.String(), "rounded to float32"); got != c.warnings || strings.Count(logged.String(), "\n") != c.warnings {
-				t.Errorf("Resume logged %d rounding warnings, want %d; log:\n%s", got, c.warnings, logged.String())
-			}
-			if resumed.Step() != 5 {
-				t.Fatalf("resumed at step %d, want 5", resumed.Step())
-			}
-			if err := resumed.Steps(5); err != nil {
+			// The frame's version sits after the 8-byte magic; the CRC-32C
+			// of everything before it closes the file.
+			body := raw[:len(raw)-4]
+			binary.LittleEndian.PutUint32(body[8:12], 3)
+			raw = binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if err := resumed.ReplicasInSync(); err != nil {
-				t.Fatal(err)
+			if _, err := Resume(cfg, cfg.CheckpointDir, train, valid); err == nil || !strings.Contains(err.Error(), "version 3") {
+				t.Fatalf("Resume: %v, want an error naming version 3", err)
 			}
-			if loss := resumed.Validate(); math.IsNaN(loss) || math.IsInf(loss, 0) {
-				t.Fatalf("validation loss after resuming: %v", loss)
-			}
-			if !c.adam {
-				// Nothing in an SGD checkpoint was float64: the legacy frame
-				// resumes to the very run that wrote it.
-				if err := first.Steps(5); err != nil {
-					t.Fatal(err)
-				}
-				requireIdenticalModels(t, "sgd resume from a version-2 frame", first.Model(0), resumed.Model(0))
+			if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, raw) {
+				t.Fatalf("the refused checkpoint changed (read error %v)", err)
 			}
 		})
 	}
@@ -410,6 +327,7 @@ func TestRestoreRejectsWithoutWriting(t *testing.T) {
 	base.Model.Stateful = true
 	base.Model.Dropout = 0.25
 	base.NewOptimizer = func() optim.Optimizer { return optim.NewAdam(1e-5) }
+	first := len(model.NewLM(base.Model).DenseParams()[0].Value) // the first dense tensor's moments
 
 	for _, row := range []struct {
 		name  string
@@ -423,23 +341,22 @@ func TestRestoreRejectsWithoutWriting(t *testing.T) {
 			st.ModelBytes, _ = model.NewLM(mc).Marshal()
 		}},
 		{"optimizer kind", func(st *ckpt.State) { st.Opt = optim.State{} }},
-		{"optimizer moment shape", func(st *ckpt.State) {
-			st.Opt.M[0] = append(st.Opt.M[0], 0)
-			st.Opt.V[0] = append(st.Opt.V[0], 0)
+		{"optimizer moment slabs one short", func(st *ckpt.State) {
+			st.Opt.M, st.Opt.V = st.Opt.M[:len(st.Opt.M)-1], st.Opt.V[:len(st.Opt.V)-1]
+		}},
+		{"optimizer moment slabs one long", func(st *ckpt.State) {
+			st.Opt.M, st.Opt.V = append(st.Opt.M, 0), append(st.Opt.V, 0)
+		}},
+		{"first and second moment slabs of different lengths", func(st *ckpt.State) {
+			st.Opt.V = st.Opt.V[:len(st.Opt.V)-1]
 		}},
 		{"optimizer moments of one tensor missing", func(st *ckpt.State) {
-			st.Opt.Names, st.Opt.M, st.Opt.V = st.Opt.Names[1:], st.Opt.M[1:], st.Opt.V[1:]
-		}},
-		{"optimizer moments of one tensor twice", func(st *ckpt.State) {
-			st.Opt.Names = slices.Insert(st.Opt.Names, 1, st.Opt.Names[0])
-			st.Opt.M = slices.Insert(st.Opt.M, 1, st.Opt.M[0])
-			st.Opt.V = slices.Insert(st.Opt.V, 1, st.Opt.V[0])
+			st.Opt.M, st.Opt.V = st.Opt.M[first:], st.Opt.V[first:]
 		}},
 		{"optimizer moments of an extra tensor", func(st *ckpt.State) {
-			st.Opt.Names = append(st.Opt.Names, "zz.extra")
-			st.Opt.M = append(st.Opt.M, make([]float32, 3))
-			st.Opt.V = append(st.Opt.V, make([]float32, 3))
+			st.Opt.M, st.Opt.V = append(st.Opt.M, st.Opt.M[:first]...), append(st.Opt.V, st.Opt.V[:first]...)
 		}},
+		{"optimizer moments missing after steps", func(st *ckpt.State) { st.Opt.M, st.Opt.V = nil, nil }},
 		{"carried state of the last rank", func(st *ckpt.State) {
 			last := &st.RNN[len(st.RNN)-1]
 			last.H = last.H[:len(last.H)-1]

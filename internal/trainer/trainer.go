@@ -33,8 +33,6 @@ import (
 	"log/slog"
 	"math"
 	"runtime"
-	"slices"
-	"strings"
 	"time"
 
 	"zipflm/internal/ckpt"
@@ -426,9 +424,7 @@ func New(cfg Config, train, valid []int) (*Trainer, error) {
 // the given directory (written by a previous run with
 // Config.CheckpointDir). The token streams and configuration must match
 // the checkpointing run's for the resumed trajectory to be bit-identical
-// to an uninterrupted one. The one exception is logged: a checkpoint from
-// before format 3 kept float64 Adam moments, which decoding rounded to
-// float32.
+// to an uninterrupted one.
 func Resume(cfg Config, dir string, train, valid []int) (*Trainer, error) {
 	d, err := ckpt.NewDir(dir, cfg.CheckpointKeepLast, 0)
 	if err != nil {
@@ -444,10 +440,6 @@ func Resume(cfg Config, dir string, train, valid []int) (*Trainer, error) {
 	}
 	if err := t.RestoreState(st); err != nil {
 		return nil, err
-	}
-	if st.RoundedMoments() {
-		slog.Warn("checkpoint predates format 3: its float64 Adam moments were rounded to float32, so the resumed run is not bit-identical to the one that wrote it",
-			"dir", dir, "step", st.Step)
 	}
 	return t, nil
 }
@@ -505,21 +497,12 @@ func (t *Trainer) RestoreState(st *ckpt.State) error {
 		if err := sn.Restore(st.Opt); err != nil {
 			return fmt.Errorf("trainer: restore: %w", err)
 		}
-		// The moments must be exactly the model's — every dense tensor once, in
-		// name order, at its length — or absent, as in the state New captures
-		// before the first step: Step would start a missing tensor from zero and
-		// carry an extra one into every later checkpoint.
-		if o := st.Opt; len(o.Names) != 0 || o.T != 0 {
-			ps := slices.Clone(lm.DenseParams())
-			slices.SortFunc(ps, func(a, b model.Param) int { return strings.Compare(a.Name, b.Name) })
-			if len(o.Names) != len(ps) || len(o.M) != len(ps) || len(o.V) != len(ps) {
-				return fmt.Errorf("trainer: checkpoint holds optimizer moments for %d tensors, the model has %d", len(o.Names), len(ps))
-			}
-			for i, p := range ps {
-				if o.Names[i] != p.Name || len(o.M[i]) != len(p.Value) || len(o.V[i]) != len(p.Value) {
-					return fmt.Errorf("trainer: checkpoint holds %d/%d optimizer moments for %q where the model has %d values for %q",
-						len(o.M[i]), len(o.V[i]), o.Names[i], len(p.Value), p.Name)
-				}
+		// The moment slabs must be exactly as long as the model's dense slab,
+		// or absent, as in the state New captures before the first step:
+		// Step refuses any other length.
+		if o := st.Opt; len(o.M) != 0 || len(o.V) != 0 || o.T != 0 {
+			if n := len(lm.DenseGrads()); len(o.M) != n || len(o.V) != n {
+				return fmt.Errorf("trainer: checkpoint holds %d/%d optimizer moments, the model has %d dense values", len(o.M), len(o.V), n)
 			}
 		}
 	} else if st.Opt.Kind != "" {

@@ -197,8 +197,7 @@ func benchStep(b *testing.B, ranks int, overlap bool) {
 func BenchmarkStepSync8(b *testing.B) { benchStep(b, 8, false) }
 
 // BenchmarkStepOverlap8 is the same step with the dense reduction issued
-// per layer on the side lane, priced as overlapping backprop and the sparse
-// exchange.
+// per layer, priced as overlapping backprop and the sparse exchange.
 func BenchmarkStepOverlap8(b *testing.B) { benchStep(b, 8, true) }
 
 // BenchmarkStepSync2 / BenchmarkStepOverlap2 pin the small-cluster end.

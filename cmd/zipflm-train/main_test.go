@@ -74,48 +74,53 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 	}
 }
 
-// TestOverlapResumeRoundTrip: -overlap reaches trainer.Config.Overlap (the
-// trace shows all-reduces on the side lane's tracks, ranks…2·ranks−1) and an
-// overlapped run is resume-exact from the command line — one epoch, then
-// -resume for one more, writes byte for byte the full-state checkpoints
-// (weights, Adam moments, RNG streams, carried RNN state) of two epochs run
-// without stopping, on the FP16 wire whose receive side the ring fuses.
+// TestOverlapResumeRoundTrip: -overlap reaches trainer.Config.Overlap (it
+// reduces a dense layer per call, so its trace shows fewer all-reduces than
+// the same epoch run without it) and an overlapped run is resume-exact from
+// the command line — one epoch, then -resume for one more, writes byte for
+// byte the full-state checkpoints (weights, Adam moments, RNG streams,
+// carried RNN state) of two epochs run without stopping, on the FP16 wire
+// whose receive side the ring fuses.
 func TestOverlapResumeRoundTrip(t *testing.T) {
 	bin := buildTrain(t)
 	whole, split := t.TempDir(), t.TempDir()
 	run := func(args ...string) {
 		t.Helper()
 		common := []string{"-synthetic", "30000", "-vocab", "500", "-ranks", "4", "-rnn", "rhn", "-adam", "-lr", "0.002",
-			"-fp16", "-overlap", "-stateful", "-dropout", "0.2", "-ckpt-every", "20", "-ckpt-keep", "100"}
+			"-fp16", "-stateful", "-dropout", "0.2", "-ckpt-every", "20", "-ckpt-keep", "100"}
 		if out, err := exec.Command(bin, append(common, args...)...).CombinedOutput(); err != nil {
 			t.Fatalf("zipflm-train %v: %v\n%s", args, err, out)
 		}
 	}
-	tracePath := filepath.Join(whole, "trace.json")
-	run("-epochs", "2", "-ckpt-dir", whole, "-trace", tracePath)
-	var trace struct {
-		TraceEvents []struct {
-			Name string
-			Tid  int
+	// allReduces counts the all-reduce spans of a trace file.
+	allReduces := func(path string) int {
+		t.Helper()
+		var trace struct {
+			TraceEvents []struct{ Name string }
 		}
-	}
-	if raw, err := os.ReadFile(tracePath); err != nil {
-		t.Fatal(err)
-	} else if err := json.Unmarshal(raw, &trace); err != nil {
-		t.Fatal(err)
-	}
-	onSideLane := 0
-	for _, ev := range trace.TraceEvents {
-		if ev.Name == "allreduce" && ev.Tid >= 4 {
-			onSideLane++
+		if raw, err := os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		} else if err := json.Unmarshal(raw, &trace); err != nil {
+			t.Fatal(err)
 		}
+		n := 0
+		for _, ev := range trace.TraceEvents {
+			if ev.Name == "allreduce" {
+				n++
+			}
+		}
+		return n
 	}
-	if onSideLane == 0 {
-		t.Error("-overlap: no all-reduce ran on the side lane")
+	traces := t.TempDir()
+	overlapTrace, syncTrace := filepath.Join(traces, "overlap.json"), filepath.Join(traces, "sync.json")
+	run("-overlap", "-epochs", "2", "-ckpt-dir", whole)
+	run("-overlap", "-epochs", "1", "-ckpt-dir", split, "-trace", overlapTrace)
+	run("-epochs", "1", "-ckpt-dir", t.TempDir(), "-trace", syncTrace)
+	if ov, sync := allReduces(overlapTrace), allReduces(syncTrace); ov == 0 || ov >= sync {
+		t.Errorf("-overlap: %d all-reduce spans in an epoch, %d without it: want fewer, and some", ov, sync)
 	}
-	run("-epochs", "1", "-ckpt-dir", split)
 	atStop, _ := filepath.Glob(filepath.Join(split, "step-*.ckpt"))
-	run("-epochs", "1", "-ckpt-dir", split, "-resume", split)
+	run("-overlap", "-epochs", "1", "-ckpt-dir", split, "-resume", split)
 
 	files, _ := filepath.Glob(filepath.Join(whole, "step-*.ckpt"))
 	if len(atStop) == 0 || len(files) <= len(atStop) {

@@ -33,13 +33,14 @@
 //     and vote per rank, computes the unique set Î once, and reduces the G
 //     U_g×D matrices in one all-reduce.
 //
-//   - A communicator has two lanes, each with its own counters and cost
-//     model. trainer.Config.Overlap reduces the dense gradients a layer
-//     per call on the side lane, whose per-rank clocks start each layer
-//     when the rank's backward pass finished it: the same reductions as
-//     the synchronous mode, priced as a timeline of their own (critical
-//     path, not sum). Weights and wire bytes are bit-identical between the
-//     modes, on either wire and with or without the virtual clock.
+//   - A communicator prices on the one cost model attached to it.
+//     trainer.Config.Overlap reduces the dense gradients a layer per call
+//     and attaches a second model around those calls, on per-rank lane
+//     clocks that start each layer when the rank's backward pass finished
+//     it: the same reductions as the synchronous mode, priced as a
+//     timeline of their own (critical path, not sum). Weights and wire
+//     bytes are bit-identical between the modes, on either wire and with
+//     or without the virtual clock.
 //
 // The "overlap" experiment (zipflm-bench -exp overlap) prints what overlap
 // buys per step on the paper's hardware, and the BenchmarkStep* benchmarks

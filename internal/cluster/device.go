@@ -1,6 +1,6 @@
 // Package cluster simulates the paper's GPU cluster: a set of devices, one
-// goroutine per rank, each with a byte-accurate memory accountant and a FLOP
-// counter. The paper's Table II hardware (GeForce GTX Titan X, 12 GB HBM2,
+// goroutine per rank, each with a byte-accurate memory accountant and a
+// virtual clock. The paper's Table II hardware (GeForce GTX Titan X, 12 GB HBM2,
 // 6.1 TFLOP/s peak) is the default device profile.
 //
 // The accountant is what lets the reproduction show the paper's central
@@ -31,10 +31,9 @@ func (e *ErrOutOfMemory) Error() string {
 		e.Device, e.Want, e.Live, e.Capacity)
 }
 
-// Device is one simulated GPU: a memory accountant, a FLOP counter, and a
-// virtual clock. Methods are safe for use from the device's own rank
-// goroutine; the simulator gives each rank exclusive ownership of its
-// device.
+// Device is one simulated GPU: a memory accountant and a virtual clock.
+// Methods are safe for use from the device's own rank goroutine; the
+// simulator gives each rank exclusive ownership of its device.
 //
 // The clock is pay-for-what-you-use: it exists on every device but only
 // moves when something charges it — compute via AdvanceCompute, memory
@@ -49,10 +48,9 @@ type Device struct {
 	// Clock is the device's virtual clock in simulated seconds.
 	Clock *vclock.Clock
 
-	mu    sync.Mutex
-	live  int64
-	peak  int64
-	flops int64
+	mu   sync.Mutex
+	live int64
+	peak int64
 }
 
 // NewDevice returns a device with the given memory capacity in bytes;
@@ -61,11 +59,9 @@ func NewDevice(id int, capacity int64) *Device {
 	return &Device{ID: id, Capacity: capacity, Clock: new(vclock.Clock)}
 }
 
-// AdvanceCompute charges n floating-point operations to both the FLOP
-// counter and the virtual clock, at the hardware profile's achieved
-// fraction of peak (frac ≤ 0 means peak).
+// AdvanceCompute charges n floating-point operations to the virtual clock,
+// at the hardware profile's achieved fraction of peak (frac ≤ 0 means peak).
 func (d *Device) AdvanceCompute(n int64, hw perfmodel.Hardware, frac float64) {
-	d.AddFLOPs(n)
 	d.Clock.Advance(hw.ComputeSeconds(float64(n), frac))
 }
 
@@ -121,16 +117,6 @@ func (d *Device) Peak() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.peak
-}
-
-// AddFLOPs accumulates n floating-point operations on this device.
-func (d *Device) AddFLOPs(n int64) {
-	if n < 0 {
-		panic("cluster: negative FLOPs")
-	}
-	d.mu.Lock()
-	d.flops += n
-	d.mu.Unlock()
 }
 
 // Cluster is a fixed set of devices executed as one goroutine per rank.

@@ -69,7 +69,6 @@ func TestNegativePanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { d.Alloc(-1) },
 		func() { d.Free(-1) },
-		func() { d.AddFLOPs(-1) },
 		func() { New(0, 0) },
 	} {
 		func() {
@@ -83,24 +82,14 @@ func TestNegativePanics(t *testing.T) {
 	}
 }
 
-func TestFLOPCounter(t *testing.T) {
-	d := NewDevice(0, 0)
-	d.AddFLOPs(100)
-	d.AddFLOPs(23)
-	if d.flops != 123 {
-		t.Errorf("FLOPs = %d, want 123", d.flops)
-	}
-}
-
 func TestClusterRunAllRanks(t *testing.T) {
 	c := New(8, 0)
 	var mu sync.Mutex
-	seen := make(map[int]bool)
+	seen := make(map[int]int)
 	err := c.Run(func(rank int, dev *Device) error {
 		mu.Lock()
-		seen[rank] = true
+		seen[rank] = dev.ID
 		mu.Unlock()
-		dev.AddFLOPs(int64(rank))
 		return nil
 	})
 	if err != nil {
@@ -109,9 +98,9 @@ func TestClusterRunAllRanks(t *testing.T) {
 	if len(seen) != 8 {
 		t.Fatalf("ran %d ranks, want 8", len(seen))
 	}
-	for rank, dev := range c.Devices {
-		if dev.flops != int64(rank) {
-			t.Errorf("rank %d ran on device with %d FLOPs", rank, dev.flops)
+	for rank, id := range seen {
+		if id != rank {
+			t.Errorf("rank %d ran on device %d", rank, id)
 		}
 	}
 }
@@ -161,14 +150,14 @@ func TestDeviceClock(t *testing.T) {
 	if c.MaxClock() != 0 {
 		t.Fatalf("fresh cluster clock at %v", c.MaxClock())
 	}
-	// 6.1e12 FLOPs at half efficiency: 2 simulated seconds, and the FLOP
-	// counter moves with the clock.
+	// 6.1e12 FLOPs at half efficiency: 2 simulated seconds, on device 0
+	// alone.
 	c.Devices[0].AdvanceCompute(int64(hw.PeakFLOPS), hw, 0.5)
 	if got := c.Devices[0].Clock.Now(); got < 1.999 || got > 2.001 {
 		t.Errorf("compute advanced clock to %v, want 2", got)
 	}
-	if c.Devices[0].flops != int64(hw.PeakFLOPS) {
-		t.Errorf("FLOP counter at %d", c.Devices[0].flops)
+	if got := c.Devices[1].Clock.Now(); got != 0 {
+		t.Errorf("compute on device 0 moved device 1's clock to %v", got)
 	}
 	// MemBW bytes: one simulated second on device 1.
 	c.Devices[1].AdvanceMemory(int64(hw.MemBW), hw)

@@ -31,13 +31,11 @@ func makeTensors(g int, shapes []int, seed uint64) (a, b [][][]float32) {
 	return a, b
 }
 
-// TestFusedPartsOnSideLaneMatchPerTensorOnPrimary is the equivalence the
-// trainer's overlap mode rests on: one AllReduceRanks call over a part list
-// on the side lane changes neither rank 0's reduced values (bit for bit,
-// FP16 rounding points included) nor the per-rank Stats relative to one
-// AllReduce per tensor on the primary lane, and its counters land on the
-// side lane only.
-func TestFusedPartsOnSideLaneMatchPerTensorOnPrimary(t *testing.T) {
+// TestFusedPartsMatchPerTensor is the equivalence the trainer's overlap
+// mode rests on: one AllReduceRanks call over a part list changes neither
+// rank 0's reduced values (bit for bit, FP16 rounding points included) nor
+// the per-rank Stats relative to one AllReduce per tensor.
+func TestFusedPartsMatchPerTensor(t *testing.T) {
 	shapes := []int{7, 1, 33, 0, 12, 64, 5}
 	for _, wire := range []Wire{nil, half.NewScaler(512)} {
 		for _, g := range []int{1, 2, 3, 4, 7} {
@@ -48,7 +46,7 @@ func TestFusedPartsOnSideLaneMatchPerTensorOnPrimary(t *testing.T) {
 					pc.AllReduce(rank, x, wire)
 				}
 			})
-			fc.Side().AllReduceRanks(fused, wire)
+			fc.AllReduceRanks(fused, wire)
 			for i := range shapes {
 				for j := range perTensor[0][i] {
 					if perTensor[0][i][j] != fused[0][i][j] {
@@ -61,13 +59,6 @@ func TestFusedPartsOnSideLaneMatchPerTensorOnPrimary(t *testing.T) {
 				if pc.RankStats(r) != fc.RankStats(r) {
 					t.Fatalf("g=%d fp16=%v: rank %d stats diverge: per-tensor %+v fused %+v",
 						g, wire != nil, r, pc.RankStats(r), fc.RankStats(r))
-				}
-				if got := fc.LaneStats(r); got != (Stats{}) {
-					t.Fatalf("g=%d: side-lane traffic leaked into the primary's LaneStats: %+v", g, got)
-				}
-				if fc.Side().LaneStats(r) != fc.RankStats(r) {
-					t.Fatalf("g=%d: rank %d side LaneStats %+v != merged RankStats %+v",
-						g, r, fc.Side().LaneStats(r), fc.RankStats(r))
 				}
 			}
 		}
@@ -93,39 +84,13 @@ func agreeRank(c *Comm, rank int, ok bool) bool {
 	return mine.all
 }
 
-// TestLanesRunConcurrentlyWithoutInterleaving drives both lanes at once: one
-// goroutine issues batched gathers and all-reduces on the side lane while every rank's goroutine runs AllReduce and a Rendezvous vote on
-// the primary. Were a rendezvous slot, barrier generation or scratch slice
-// shared between the lanes, a round would deliver the wrong result or hang;
-// -race additionally checks the counters.
-func TestLanesRunConcurrentlyWithoutInterleaving(t *testing.T) {
+// TestRendezvousRoundsDoNotInterleave: every rank's goroutine alternates
+// AllReduce and a Rendezvous vote, round after round. Were a rendezvous
+// slot, barrier generation or scratch slice reused too early, a round would
+// deliver the wrong result or hang; -race additionally checks the counters.
+func TestRendezvousRoundsDoNotInterleave(t *testing.T) {
 	const g, rounds, n = 4, 40, 96
 	c := New(g)
-	side := c.Side()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		parts := make([][][]float32, g)
-		ints := make([][]int, g)
-		for round := 0; round < rounds; round++ {
-			for r := range parts {
-				ints[r] = []int{r, round}
-				parts[r] = [][]float32{make([]float32, n)}
-				parts[r][0][r] = float32(round + 1)
-			}
-			side.AllGatherIntsRanks(ints)
-			side.AllReduceRanks(parts, nil)
-			for i, v := range parts[0][0] {
-				want := float32(0)
-				if i < g {
-					want = float32(round + 1)
-				}
-				if v != want {
-					t.Errorf("round %d: side sum[%d] = %v, want %v", round, i, v, want)
-				}
-			}
-		}
-	}()
 	runRanks(g, func(rank int) {
 		x := make([]float32, n)
 		for round := 0; round < rounds; round++ {
@@ -135,7 +100,7 @@ func TestLanesRunConcurrentlyWithoutInterleaving(t *testing.T) {
 			c.AllReduce(rank, x, nil)
 			for i, v := range x {
 				if want := float32(g*i + g*(g-1)/2); v != want {
-					t.Errorf("round %d rank %d: primary sum[%d] = %v, want %v", round, rank, i, v, want)
+					t.Errorf("round %d rank %d: sum[%d] = %v, want %v", round, rank, i, v, want)
 				}
 			}
 			if !agreeRank(c, rank, true) {
@@ -143,30 +108,19 @@ func TestLanesRunConcurrentlyWithoutInterleaving(t *testing.T) {
 			}
 		}
 	})
-	<-done
 
-	// RankStats and MaxStats on the primary are the sum of the lanes.
 	var wantMax Stats
 	for r := 0; r < g; r++ {
-		sum := c.LaneStats(r)
-		sum.Add(side.LaneStats(r))
-		if c.RankStats(r) != sum {
-			t.Fatalf("rank %d: RankStats %+v != primary+side %+v", r, c.RankStats(r), sum)
+		s := c.RankStats(r)
+		if s.AllReduceCalls != rounds || s.AllGatherCalls != 0 {
+			t.Fatalf("rank %d: %d all-reduce and %d all-gather calls, want %d and 0",
+				r, s.AllReduceCalls, s.AllGatherCalls, rounds)
 		}
-		if side.RankStats(r) != side.LaneStats(r) {
-			t.Fatalf("rank %d: the side lane's RankStats must be its own lane only", r)
-		}
-		if sum.AllReduceCalls != 2*rounds || sum.AllGatherCalls != rounds {
-			t.Fatalf("rank %d: %d all-reduce and %d all-gather calls, want %d and %d",
-				r, sum.AllReduceCalls, sum.AllGatherCalls, 2*rounds, rounds)
-		}
-		wantMax.AllReduceCalls = max(wantMax.AllReduceCalls, sum.AllReduceCalls)
-		wantMax.AllReduceBytes = max(wantMax.AllReduceBytes, sum.AllReduceBytes)
-		wantMax.AllGatherCalls = max(wantMax.AllGatherCalls, sum.AllGatherCalls)
-		wantMax.AllGatherBytes = max(wantMax.AllGatherBytes, sum.AllGatherBytes)
+		wantMax.AllReduceCalls = max(wantMax.AllReduceCalls, s.AllReduceCalls)
+		wantMax.AllReduceBytes = max(wantMax.AllReduceBytes, s.AllReduceBytes)
 	}
 	if c.MaxStats() != wantMax {
-		t.Fatalf("MaxStats %+v, want the max over ranks of both lanes %+v", c.MaxStats(), wantMax)
+		t.Fatalf("MaxStats %+v, want the max over ranks %+v", c.MaxStats(), wantMax)
 	}
 }
 
@@ -235,13 +189,14 @@ func TestAdapterRefusesMixedCalls(t *testing.T) {
 	}
 }
 
-// TestPricedSideLaneChargesOnlyItsOwnClocks: a cost model attached to the
-// side lane prices side-lane collectives — a part list as one ring over the
-// tensors' summed chunk bytes — onto the lane's own clocks, and neither
-// lane's operations ever move the other's.
-func TestPricedSideLaneChargesOnlyItsOwnClocks(t *testing.T) {
+// TestReattachedCostPricesOnNewClocksOnly: re-attaching a cost model prices
+// later collectives — a part list as one ring over the tensors' summed
+// chunk bytes — on the new model's clocks only, and re-attaching the first
+// model prices the calls after that on its clocks again.
+func TestReattachedCostPricesOnNewClocksOnly(t *testing.T) {
 	const g = 4
 	c, primary := newCostComm(g)
+	device := c.Cost()
 	lane := make([]*vclock.Clock, g)
 	for i := range lane {
 		lane[i] = new(vclock.Clock)
@@ -249,32 +204,33 @@ func TestPricedSideLaneChargesOnlyItsOwnClocks(t *testing.T) {
 		// max-syncs the lane clocks before advancing them.
 		lane[i].AdvanceTo(float64(i) * 1e-3)
 	}
-	c.Side().AttachCost(&CostModel{Link: testLink, Clocks: lane})
+	c.AttachCost(&CostModel{Link: testLink, Clocks: lane})
 
 	shapes := []int{1000, 10, 7}
 	tensors, _ := makeTensors(g, shapes, 3)
-	c.Side().AllReduceRanks(tensors, nil)
+	c.AllReduceRanks(tensors, nil)
 	var chunkBytes int64
 	for _, n := range shapes {
 		chunkBytes += int64(4 * ((n + g - 1) / g))
 	}
-	want := float64(g-1)*1e-3 + testLink.RingAllReduceSecondsBytes(g, chunkBytes)
+	want := float64(g-1)*1e-3 + testLink.RingAllReduceSeconds(g, chunkBytes)
 	for r := 0; r < g; r++ {
 		if !eqTime(lane[r].Now(), want) {
 			t.Errorf("rank %d lane clock %v, want %v", r, lane[r].Now(), want)
 		}
 		if primary[r].Now() != 0 {
-			t.Errorf("rank %d: side-lane collective moved the primary clock to %v", r, primary[r].Now())
+			t.Errorf("rank %d: a call priced on the lane clocks moved the first clock to %v", r, primary[r].Now())
 		}
 	}
 
+	c.AttachCost(device)
 	runRanks(g, func(rank int) { c.AllReduce(rank, make([]float32, 100), nil) })
 	for r := 0; r < g; r++ {
 		if !eqTime(lane[r].Now(), want) {
-			t.Errorf("rank %d: primary-lane collective moved the side clock to %v", r, lane[r].Now())
+			t.Errorf("rank %d: a call after re-attaching moved the lane clock to %v", r, lane[r].Now())
 		}
 		if primary[r].Now() <= 0 {
-			t.Errorf("rank %d: primary clock did not advance", r)
+			t.Errorf("rank %d: the re-attached clock did not advance", r)
 		}
 	}
 }

@@ -64,8 +64,8 @@ func skipIfRace(t *testing.T) {
 
 // TestAllReduceZeroAllocSteadyState is the allocation-regression guard on
 // the all-reduce: neither the batched executor — with one tensor and with a
-// list of seventeen — nor the per-rank adapter, whose part lists the lane
-// owns, performs a heap allocation, observed or not. The communicator lends
+// list of seventeen — nor the per-rank adapter, whose part lists the
+// communicator owns, performs a heap allocation, observed or not. The communicator lends
 // a two-worker pool and the lists hold a tensor above
 // tensor.ElementwiseMinWork, so the chunk sets' dispatch is measured too. A
 // future PR that allocates per hop, or lets a part list or closure escape

@@ -25,12 +25,6 @@
 // every rank posts its arguments, rank 0 runs the batched call for the
 // group, and every rank gets its result.
 //
-// A communicator has two lanes — two sets of counters, rendezvous slots and
-// optional cost model. Comm.Side returns the same communicator on its second
-// lane, whose cost model prices collectives on clocks of their own: the
-// trainer's overlap mode reduces the dense gradients there, on per-rank lane
-// clocks that start from the moment each layer's gradients were ready.
-//
 // Every operation optionally runs with one lossy Wire for the whole group —
 // FP16 compression-scaling (§III-C): the payload crosses it once per hop,
 // shrinking measured wire bytes and applying the format's real rounding to
@@ -86,26 +80,16 @@ func wireSize(wire Wire, n int) int64 {
 	return int64(wire.WireBytes(n))
 }
 
-// Comm coordinates collectives across g ranks on one lane. The batched
-// methods act for every rank in one call; calls on one lane must not run
-// concurrently. The per-rank adapters (methods taking a rank id) are called
-// by every rank, each from its own goroutine, and return only when the
-// collective completes; a rank's adapter calls must be matched by every
-// other rank in the same order. The two lanes of a communicator (see Side)
-// are independent of each other.
+// Comm coordinates collectives across g ranks. The batched methods act for
+// every rank in one call; calls must not run concurrently. The per-rank
+// adapters (methods taking a rank id) are called by every rank, each from
+// its own goroutine, and return only when the collective completes; a
+// rank's adapter calls must be matched by every other rank in the same
+// order.
 type Comm struct {
-	*shared
-	*lane
-	// side is this communicator on its second lane; nil on that sibling
-	// itself.
-	side *Comm
-}
-
-// shared is what both lanes of a communicator have in common.
-type shared struct {
 	g int
 
-	// mu guards the Stats counters of both lanes.
+	// mu guards the Stats counters.
 	mu sync.Mutex
 
 	// tel, when non-nil, posts per-operation calls/bytes/durations to a
@@ -114,18 +98,15 @@ type shared struct {
 	tel *commTelemetry
 
 	// trace, when non-nil, records one span per collective per rank (cat
-	// "collective"), stamped with wall time and the rank's virtual clock on
-	// the lane the operation ran on — the per-op detail the critical-path
-	// analyzer attributes wire time from. Purely observational, like tel.
+	// "collective"), stamped with wall time and the rank's virtual clock —
+	// the per-op detail the critical-path analyzer attributes wire time
+	// from. Purely observational, like tel.
 	trace *telemetry.Tracer
 
 	// be, when non-nil, runs a ring's chunk sets on its workers (see
 	// reduce); nil runs them on the caller.
 	be tensor.Backend
-}
 
-// lane is one independent set of everything a collective touches.
-type lane struct {
 	// posts are Rendezvous' slots, one per rank, and fault what the last
 	// rendezvous' run panicked with (nil when it returned).
 	posts []any
@@ -152,35 +133,13 @@ type lane struct {
 	// before the batched call has completed.
 	barrier *Barrier
 
-	// stats counts this lane's traffic, per rank.
+	// stats counts each rank's traffic.
 	stats []Stats
 
-	// cost, when non-nil, prices every collective on this lane onto the
-	// participating ranks' virtual clocks (cost.go). nil keeps the hot
-	// paths on the exact pre-simulation code path.
+	// cost, when non-nil, prices every collective onto the participating
+	// ranks' virtual clocks (cost.go). nil keeps the hot paths on the exact
+	// pre-simulation code path.
 	cost *CostModel
-
-	// track is the trace tid of rank 0 on this lane: 0 on the primary, g on
-	// the side lane, so a rank's lanes never share a track.
-	track int
-}
-
-func newLane(g, track int) *lane {
-	l := &lane{
-		posts:   make([]any, g),
-		xs:      make([][]float32, g),
-		parts:   make([][][]float32, g),
-		wires:   make([]Wire, g),
-		v0:      make([]float64, g),
-		sent:    make([]int64, g),
-		barrier: NewBarrier(g),
-		stats:   make([]Stats, g),
-		track:   track,
-	}
-	for r := range l.parts {
-		l.parts[r] = l.xs[r : r+1 : r+1]
-	}
-	return l
 }
 
 // Stats tallies traffic a single rank has sent, by operation.
@@ -219,55 +178,39 @@ func (s Stats) Sub(o Stats) Stats {
 	}
 }
 
-// New returns a communicator for g ranks, both lanes built.
+// New returns a communicator for g ranks.
 func New(g int) *Comm {
 	if g <= 0 {
 		panic("collective: need at least one rank")
 	}
-	sh := &shared{g: g}
-	c := &Comm{shared: sh, lane: newLane(g, 0)}
-	c.side = &Comm{shared: sh, lane: newLane(g, g)}
-	c.runChunks, c.side.runChunks = c.chunkSet, c.side.chunkSet
+	c := &Comm{
+		g:       g,
+		posts:   make([]any, g),
+		xs:      make([][]float32, g),
+		parts:   make([][][]float32, g),
+		wires:   make([]Wire, g),
+		v0:      make([]float64, g),
+		sent:    make([]int64, g),
+		barrier: NewBarrier(g),
+		stats:   make([]Stats, g),
+	}
+	for r := range c.parts {
+		c.parts[r] = c.xs[r : r+1 : r+1]
+	}
+	c.runChunks = c.chunkSet
 	return c
 }
 
-// AttachBackend spreads the chunks of every all-reduce, on both lanes, over be's workers (see reduce). The bits do not depend on it.
-// Call it before the first collective; nil runs every chunk on the caller.
+// AttachBackend spreads the chunks of every all-reduce over be's workers
+// (see reduce). The bits do not depend on it. Call it before the first
+// collective; nil runs every chunk on the caller.
 func (c *Comm) AttachBackend(be tensor.Backend) { c.be = be }
 
 // Size returns the number of ranks.
 func (c *Comm) Size() int { return c.g }
 
-// Side returns this communicator on its second lane: the same ranks,
-// telemetry and tracer, but its own counters, rendezvous slots and cost
-// model (AttachCost applies to the lane it is called on), so its
-// collectives are priced on clocks of their own. Its spans go on trace
-// tracks Size()+rank. The side lane has no further sibling: Side of the
-// returned communicator is nil.
-func (c *Comm) Side() *Comm { return c.side }
-
-// rankStats returns rank's counters, the side lane's included when c is the
-// primary. The caller holds the mutex.
-func (c *Comm) rankStats(rank int) Stats {
-	s := c.stats[rank]
-	if c.side != nil {
-		s.Add(c.side.stats[rank])
-	}
-	return s
-}
-
-// RankStats returns a copy of the traffic counters for one rank. On the
-// primary communicator that is the traffic of both lanes.
+// RankStats returns a copy of the traffic counters for one rank.
 func (c *Comm) RankStats(rank int) Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rankStats(rank)
-}
-
-// LaneStats returns one rank's counters for this lane only. Phase
-// accounting (an exchange engine differencing its own wire cost) uses this
-// so that traffic on the other lane cannot leak into the window.
-func (c *Comm) LaneStats(rank int) Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats[rank]
@@ -279,8 +222,7 @@ func (c *Comm) MaxStats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var m Stats
-	for r := range c.stats {
-		s := c.rankStats(r)
+	for _, s := range c.stats {
 		m.AllReduceCalls = max(m.AllReduceCalls, s.AllReduceCalls)
 		m.AllReduceBytes = max(m.AllReduceBytes, s.AllReduceBytes)
 		m.AllGatherCalls = max(m.AllGatherCalls, s.AllGatherCalls)
@@ -485,7 +427,7 @@ func (c *Comm) allReduce(parts [][][]float32, wire Wire, everyRank bool) {
 		for _, p := range parts[0] {
 			chunkBytes += wireSize(wire, (len(p)+c.g-1)/c.g)
 		}
-		cm.Charge(cm.Link.RingAllReduceSecondsBytes(c.g, chunkBytes))
+		cm.Charge(cm.Link.RingAllReduceSeconds(c.g, chunkBytes))
 	}
 	c.mu.Lock()
 	for r := range c.stats {
@@ -580,7 +522,7 @@ func (c *Comm) AgreeRanks(ok []bool) bool {
 // so results run writes into the posts are every rank's to read. If run
 // panics, every rank panics with its value once all G have been released,
 // so a refused call stops the group instead of stranding ranks 1…G−1. Calls
-// on a lane are matched in order, like any collective's; AllReduce and
+// are matched in order, like any collective's; AllReduce and
 // core.Exchanger's Exchange are built on it.
 func (c *Comm) Rendezvous(rank int, post any, run func(posts []any)) {
 	c.posts[rank] = post

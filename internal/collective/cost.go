@@ -7,22 +7,21 @@ import (
 	"zipflm/internal/vclock"
 )
 
-// CostModel attaches virtual time to one lane of a communicator: every
-// collective on that lane synchronizes the participating ranks' clocks to
-// their maximum and advances them together by the operation's α–β duration
-// on the given link (a ring hop costs α + chunkBytes/β, a vote costs the
-// synchronization alone). Each operation charges once, on the goroutine
-// executing it, so virtual times are bit-reproducible regardless of
-// goroutine scheduling.
+// CostModel attaches virtual time to a communicator: every collective
+// synchronizes the participating ranks' clocks to their maximum and
+// advances them together by the operation's α–β duration on the given link
+// (a ring hop costs α + chunkBytes/β, a vote costs the synchronization
+// alone). Each operation charges once, on the goroutine executing it, so
+// virtual times are bit-reproducible regardless of goroutine scheduling.
 //
 // A nil CostModel (the default) leaves the hot paths exactly as they were:
 // the only cost is one nil check per collective, guarded by the
 // BenchmarkStep* benches.
 //
-// Each lane prices on the clocks attached to it. A caller pricing overlapped
-// communication gives the side lane per-rank lane clocks, advances each to
-// the time its payload became ready before issuing the operation, and folds
-// the lane clock back into the rank's device clock afterwards
+// A caller pricing overlapped communication attaches a model on clocks of
+// its own around those calls, advances each to the time its payload became
+// ready before issuing the operation, re-attaches the device clocks' model
+// afterwards and folds each such clock back into its rank's device clock
 // (trainer.Config.Overlap does exactly that) — the step is then the
 // max-style critical path of the two timelines, not their sum.
 type CostModel struct {
@@ -44,9 +43,9 @@ func (cm *CostModel) Charge(d float64) {
 	vclock.SyncAdvance(cm.Clocks, d)
 }
 
-// AttachCost installs a cost model on this lane of the communicator (the
-// other lane is unaffected). Passing nil detaches it. Must not be called
-// while collectives are in flight.
+// AttachCost installs a cost model on the communicator, replacing the one
+// attached before: later collectives charge its clocks only. Passing nil
+// detaches it. Must not be called while collectives are in flight.
 func (c *Comm) AttachCost(cm *CostModel) {
 	if cm != nil && len(cm.Clocks) != c.g {
 		panic(fmt.Sprintf("collective: cost model has %d clocks for %d ranks", len(cm.Clocks), c.g))

@@ -34,7 +34,7 @@ func TestAllReduceAdvancesClocks(t *testing.T) {
 		x[rank] = 1
 		c.AllReduce(rank, x, nil)
 	})
-	want := testLink.RingAllReduceSeconds(g, n, 4)
+	want := testLink.RingAllReduceSeconds(g, 4*((n+g-1)/g))
 	if want <= 0 {
 		t.Fatal("expected a positive ring duration")
 	}
@@ -50,7 +50,7 @@ func TestAllReduceAdvancesClocks(t *testing.T) {
 		x := make([]float32, n)
 		c.AllReduce(rank, x, fp16)
 	})
-	want += testLink.RingAllReduceSeconds(g, n, 2)
+	want += testLink.RingAllReduceSeconds(g, 2*((n+g-1)/g))
 	for r, ck := range clocks {
 		if !eqTime(ck.Now(), want) {
 			t.Errorf("after FP16 op: rank %d clock %v, want %v", r, ck.Now(), want)
@@ -157,6 +157,35 @@ func TestNilCostModelLeavesNoTrace(t *testing.T) {
 		c.AllReduce(rank, x, nil)
 	})
 	c.AgreeRanks(make([]bool, g))
+}
+
+// TestDetachedCostStopsPricing: AttachCost(nil) detaches the model, so later
+// collectives are still counted but move none of its clocks.
+func TestDetachedCostStopsPricing(t *testing.T) {
+	const g = 3
+	c, clocks := newCostComm(g)
+	runRanks(g, func(rank int) { c.AllReduce(rank, make([]float32, 64), nil) })
+	before := make([]float64, g)
+	for r, ck := range clocks {
+		if before[r] = ck.Now(); before[r] <= 0 {
+			t.Fatalf("rank %d clock %v: the attached model did not price the all-reduce", r, before[r])
+		}
+	}
+	c.AttachCost(nil)
+	if c.Cost() != nil {
+		t.Fatal("Cost() after AttachCost(nil) must be nil")
+	}
+	runRanks(g, func(rank int) { c.AllReduce(rank, make([]float32, 64), nil) })
+	c.AllGatherIntsRanks([][]int{{1}, {2, 3}, {}})
+	c.AgreeRanks(make([]bool, g))
+	for r, ck := range clocks {
+		if ck.Now() != before[r] {
+			t.Errorf("rank %d clock moved from %v to %v after detaching", r, before[r], ck.Now())
+		}
+		if s := c.RankStats(r); s.AllReduceCalls != 2 || s.AllGatherCalls != 1 {
+			t.Errorf("rank %d stats %+v, want 2 all-reduces and 1 all-gather counted", r, s)
+		}
+	}
 }
 
 func TestAttachCostValidatesClockCount(t *testing.T) {

@@ -221,22 +221,28 @@ func sameTensors(t *testing.T, what string, got, want [][][]float32) {
 	}
 }
 
-// matrixLink prices every lane of the matrix: round numbers, so a clock that
+// matrixLink prices every call of the matrix: round numbers, so a clock that
 // misses a charge or takes one twice is off by a visible amount.
 var matrixLink = perfmodel.LinkCost{Alpha: 1e-5, BytesPerSec: 1e9}
 
-// pricedComm returns a communicator whose primary lane prices on fresh
-// clocks, started apart so that every charge must first bring them to their
-// maximum, and that maximum.
+// pricedComm returns a communicator that prices on fresh clocks, started
+// apart so that every charge must first bring them to their maximum, and
+// that maximum.
 func pricedComm(g int) (*collective.Comm, []*vclock.Clock, float64) {
 	c := collective.New(g)
+	clocks := apartClocks(g)
+	c.AttachCost(&collective.CostModel{Link: matrixLink, Clocks: clocks})
+	return c, clocks, vclock.MaxNow(clocks)
+}
+
+// apartClocks returns g fresh clocks started at distinct times.
+func apartClocks(g int) []*vclock.Clock {
 	clocks := make([]*vclock.Clock, g)
 	for r := range clocks {
 		clocks[r] = new(vclock.Clock)
 		clocks[r].Advance(float64((5*r)%g) * 1e-3)
 	}
-	c.AttachCost(&collective.CostModel{Link: matrixLink, Clocks: clocks})
-	return c, clocks, vclock.MaxNow(clocks)
+	return clocks
 }
 
 // schedule is the matrix's adversarial schedule: body runs once per
@@ -329,7 +335,7 @@ func TestRingFusedMatrix(t *testing.T) {
 						if s := c.RankStats(r); s != (collective.Stats{AllReduceCalls: int64(len(shapes)), AllReduceBytes: sent[r]}) {
 							t.Fatalf("rank %d stats %+v, want %d calls and the goroutine ring's %d bytes", r, s, len(shapes), sent[r])
 						}
-						if now, want := clocks[r].Now(), start+matrixLink.RingAllReduceSecondsBytes(g, chunkBytes); now != want {
+						if now, want := clocks[r].Now(), start+matrixLink.RingAllReduceSeconds(g, chunkBytes); now != want {
 							t.Fatalf("rank %d virtual clock %v, want one ring over %d chunk bytes = %v", r, now, chunkBytes, want)
 						}
 					}
@@ -355,7 +361,7 @@ func TestRingFusedMatrix(t *testing.T) {
 					sameTensors(t, "AllReduce adapter vs serial definition per tensor", adapted, perTensor)
 					wantClock := astart
 					for _, n := range shapes {
-						wantClock += matrixLink.RingAllReduceSecondsBytes(g, wireBytes(w.wire, (n+g-1)/g))
+						wantClock += matrixLink.RingAllReduceSeconds(g, wireBytes(w.wire, (n+g-1)/g))
 					}
 					for r := 0; r < g; r++ {
 						if ac.RankStats(r) != c.RankStats(r) {
@@ -552,10 +558,12 @@ func agreeAdapter(lens []int, seed uint64) gatherCase {
 
 // TestGatherMatrix holds the gathers and the vote — batched, and per rank
 // through Rendezvous — to their serial oracles on the ring matrix's
-// schedule, with ragged per-rank lengths including 0 and on either lane.
-// Each call must produce the oracle's result and add the oracle's Stats to
-// every rank on its lane and nothing on the other, and the lane's clocks,
-// started apart, must end at their maximum plus the oracle's seconds.
+// schedule, with ragged per-rank lengths including 0, on a communicator
+// whose cost model is its first or one re-attached over another, as the
+// trainer's is around its overlapped reductions. Each call must produce the
+// oracle's result and add the oracle's Stats to every rank, the attached
+// model's clocks, started apart, must end at their maximum plus the
+// oracle's seconds, and the clocks of the model it replaced must not move.
 func TestGatherMatrix(t *testing.T) {
 	ops := []struct {
 		name  string
@@ -578,37 +586,33 @@ func TestGatherMatrix(t *testing.T) {
 				lens[r] = sizes[(r+shift)%len(sizes)]
 			}
 			for _, op := range ops {
-				for _, side := range []bool{false, true} {
-					t.Run(fmt.Sprintf("shift=%d/%s/side=%v", shift, op.name, side), func(t *testing.T) {
+				for _, cost := range []string{"attached", "reattached"} {
+					t.Run(fmt.Sprintf("shift=%d/%s/cost=%s", shift, op.name, cost), func(t *testing.T) {
 						gc := op.build(lens, uint64(97*shift+g))
-						c := collective.New(g)
-						lane, other := c, c.Side()
-						if side {
-							lane, other = other, lane
+						c, clocks, start := pricedComm(g)
+						var replaced []*vclock.Clock
+						var replacedAt []float64
+						if cost == "reattached" {
+							replaced = clocks
+							for _, ck := range replaced {
+								replacedAt = append(replacedAt, ck.Now())
+							}
+							clocks = apartClocks(g)
+							start = vclock.MaxNow(clocks)
+							c.AttachCost(&collective.CostModel{Link: matrixLink, Clocks: clocks})
 						}
-						clocks := make([]*vclock.Clock, g)
-						for r := range clocks {
-							clocks[r] = new(vclock.Clock)
-							clocks[r].Advance(float64((5*r)%g) * 1e-3)
-						}
-						start := vclock.MaxNow(clocks)
-						lane.AttachCost(&collective.CostModel{Link: matrixLink, Clocks: clocks})
-
-						if got := gc.call(lane); fmt.Sprint(got) != fmt.Sprint(gc.want) {
+						if got := gc.call(c); fmt.Sprint(got) != fmt.Sprint(gc.want) {
 							t.Fatalf("produced %v, want %v", got, gc.want)
 						}
 						for r := 0; r < g; r++ {
-							if s := lane.LaneStats(r); s != gc.stats {
-								t.Fatalf("rank %d stats %+v, want %+v", r, s, gc.stats)
-							}
-							if s := other.LaneStats(r); s != (collective.Stats{}) {
-								t.Fatalf("rank %d: the other lane counted %+v", r, s)
-							}
 							if s := c.RankStats(r); s != gc.stats {
-								t.Fatalf("rank %d stats over both lanes %+v, want %+v", r, s, gc.stats)
+								t.Fatalf("rank %d stats %+v, want %+v", r, s, gc.stats)
 							}
 							if now, want := clocks[r].Now(), start+gc.seconds; now != want {
 								t.Fatalf("rank %d virtual clock %v, want %v", r, now, want)
+							}
+							if replaced != nil && replaced[r].Now() != replacedAt[r] {
+								t.Fatalf("rank %d: the replaced model's clock moved from %v to %v", r, replacedAt[r], replaced[r].Now())
 							}
 						}
 					})

@@ -43,11 +43,10 @@ type commTelemetry struct {
 	ops map[opKey]*opInst
 }
 
-// AttachTelemetry wires the communicator's collectives, on both lanes, into
-// reg: per operation and wire format, a call counter, a wire-byte counter,
-// and a wall-duration histogram (zipflm_collective_calls_total /
-// _bytes_total / _seconds, labelled op= and wire=). Counters tally per rank,
-// like Stats.
+// AttachTelemetry wires the communicator's collectives into reg: per
+// operation and wire format, a call counter, a wire-byte counter, and a
+// wall-duration histogram (zipflm_collective_calls_total / _bytes_total /
+// _seconds, labelled op= and wire=). Counters tally per rank, like Stats.
 // Attach before the first collective; a nil reg detaches. Telemetry only
 // observes — reduced values, Stats accounting, and virtual-clock charges
 // are bit-identical with or without it.
@@ -59,21 +58,17 @@ func (c *Comm) AttachTelemetry(reg *telemetry.Registry) {
 	c.tel = &commTelemetry{reg: reg, ops: make(map[opKey]*opInst)}
 }
 
-// AttachTrace wires the communicator's collectives, on both lanes, into a
-// span tracer: every operation emits one span per rank (cat "collective";
-// tid = rank on the primary lane, Size()+rank on the side lane, so no track
-// ever holds overlapping spans) whose virtual-clock duration covers the
-// rank's whole participation — wire time plus the wait for the slowest
-// rank — read from the
-// clocks of the cost model attached to the lane the operation ran on (zero
-// without AttachCost). nil detaches. Purely observational, like
-// AttachTelemetry.
+// AttachTrace wires the communicator's collectives into a span tracer:
+// every operation emits one span per rank (cat "collective", tid = rank)
+// whose virtual-clock duration covers the rank's whole participation — wire
+// time plus the wait for the slowest rank — read from the clocks of the
+// cost model attached when the operation ran (zero without AttachCost). nil
+// detaches. Purely observational, like AttachTelemetry.
 func (c *Comm) AttachTrace(tr *telemetry.Tracer) {
 	c.trace = tr
 }
 
-// clockNow reads rank's virtual clock on this lane (0 without a cost
-// model).
+// clockNow reads rank's virtual clock (0 without a cost model).
 func (c *Comm) clockNow(rank int) float64 {
 	if c.cost == nil || rank >= len(c.cost.Clocks) {
 		return 0
@@ -102,7 +97,7 @@ func (c *Comm) opEnd(op, label string, rank int, calls, bytes int64, t0 time.Tim
 		c.tel.record(op, label, calls, bytes, int64(time.Since(t0)))
 	}
 	if c.trace != nil {
-		c.trace.Span("collective", op, c.track+rank, t0, time.Since(t0), v0, c.clockNow(rank)-v0)
+		c.trace.Span("collective", op, rank, t0, time.Since(t0), v0, c.clockNow(rank)-v0)
 	}
 }
 

@@ -94,11 +94,9 @@ func TestTelemetryWireLabels(t *testing.T) {
 	}
 }
 
-// TestTelemetrySideLaneAndGather: the side lane posts into the same
-// registry under the same operation names — a part list counts one call
-// per tensor per rank, like Stats — and the batched gathers post one call
-// per rank.
-func TestTelemetrySideLaneAndGather(t *testing.T) {
+// TestTelemetryPartsAndGather: a part list counts one call per tensor per
+// rank, like Stats, and the batched gathers post one call per rank.
+func TestTelemetryPartsAndGather(t *testing.T) {
 	const g = 2
 	reg := telemetry.NewRegistry()
 	c := New(g)
@@ -112,7 +110,7 @@ func TestTelemetrySideLaneAndGather(t *testing.T) {
 		parts[r] = [][]float32{x[:20], x[20:]}
 		ints[r], floats[r] = []int{r}, x[:4]
 	}
-	c.Side().AllReduceRanks(parts, nil)
+	c.AllReduceRanks(parts, nil)
 	c.AllGatherIntsRanks(ints)
 	c.AllGatherFloatsRanks(floats, nil)
 

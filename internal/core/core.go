@@ -291,7 +291,7 @@ func open(ctxs []*Ctx, grads []SparseGrad) (b *batch, ok bool) {
 	}
 	for r, ctx := range ctxs {
 		b.stats[r].Tokens = len(grads[r].Indices)
-		b.before[r] = comm.LaneStats(r)
+		b.before[r] = comm.RankStats(r)
 		if ctx.Dev != nil && ctx.Dev.Clock != nil {
 			b.sim0[r] = ctx.Dev.Clock.Now()
 		}
@@ -364,7 +364,7 @@ func (b *batch) release() {
 // clock, and releases the scratch.
 func (b *batch) finish() {
 	for r, ctx := range b.ctxs {
-		b.stats[r].WireBytes = b.comm.LaneStats(r).Sub(b.before[r]).Total()
+		b.stats[r].WireBytes = b.comm.RankStats(r).Sub(b.before[r]).Total()
 		if ctx.Dev != nil && ctx.Dev.Clock != nil {
 			b.stats[r].SimSeconds = ctx.Dev.Clock.Now() - b.sim0[r]
 		}

@@ -120,7 +120,7 @@ func refUnique(ctx *Ctx, grad SparseGrad) (Update, Stats, error) {
 	}
 	g, k, d := ctx.Comm.Size(), len(grad.Indices), grad.Rows.Cols
 	stats := Stats{Tokens: k}
-	before := ctx.Comm.LaneStats(ctx.Rank)
+	before := ctx.Comm.RankStats(ctx.Rank)
 	simBefore := refSimNow(ctx)
 
 	localIdx, localRows := localReduce(ctx.WS, grad)
@@ -152,7 +152,7 @@ func refUnique(ctx *Ctx, grad SparseGrad) (Update, Stats, error) {
 	}
 	ctx.Comm.AllReduce(ctx.Rank, m.Data, ctx.Wire)
 
-	stats.WireBytes = ctx.Comm.LaneStats(ctx.Rank).Sub(before).Total()
+	stats.WireBytes = ctx.Comm.RankStats(ctx.Rank).Sub(before).Total()
 	stats.SimSeconds = refSimNow(ctx) - simBefore
 	stats.ScratchBytes = preBytes + int64(ug)*int64(d)*4
 	return Update{Indices: globalIdx, Rows: m}, stats, nil
@@ -165,7 +165,7 @@ func refBaseline(ctx *Ctx, grad SparseGrad) (Update, Stats, error) {
 	}
 	g, k, d := ctx.Comm.Size(), len(grad.Indices), grad.Rows.Cols
 	stats := Stats{Tokens: k}
-	before := ctx.Comm.LaneStats(ctx.Rank)
+	before := ctx.Comm.RankStats(ctx.Rank)
 	simBefore := refSimNow(ctx)
 
 	scratch := int64(g)*int64(k)*int64(d)*4 + int64(g)*int64(k)*4
@@ -196,7 +196,7 @@ func refBaseline(ctx *Ctx, grad SparseGrad) (Update, Stats, error) {
 	}
 	stats.UniqueLocal = len(seen)
 	stats.UniqueGlobal = len(order)
-	stats.WireBytes = ctx.Comm.LaneStats(ctx.Rank).Sub(before).Total()
+	stats.WireBytes = ctx.Comm.RankStats(ctx.Rank).Sub(before).Total()
 	stats.SimSeconds = refSimNow(ctx) - simBefore
 	return Update{Indices: order, Rows: acc}, stats, nil
 }

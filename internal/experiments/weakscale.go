@@ -163,11 +163,11 @@ func runWeakStep(w scalingWorkload, g int, baseline, unlimitedMem bool, seed uin
 	// Phase: dense RNN/projection gradients — accounted, not materialized:
 	// the ring all-reduce of DenseParams elements charges the same clocks
 	// through the same link model the live collectives used.
-	es := 4
+	es := int64(4)
 	if wire != nil {
 		es = 2
 	}
-	cm.Charge(link.RingAllReduceSeconds(g, int(w.DenseParams), es))
+	cm.Charge(link.RingAllReduceSeconds(g, (w.DenseParams+int64(g)-1)/int64(g)*es))
 	run.commSec = clu.MaxClock()
 
 	// Phase: forward/backward compute at the workload's achieved fraction

@@ -24,20 +24,9 @@ func (l LinkCost) HopSeconds(b int64) float64 {
 }
 
 // RingAllReduceSeconds returns the duration of a ring all-reduce over g
-// ranks of a payload of elems elements at elemBytes each: 2(g−1) steps, each
-// bounded by the largest chunk in flight (⌈elems/g⌉ elements).
-func (l LinkCost) RingAllReduceSeconds(g, elems, elemBytes int) float64 {
-	if elems <= 0 {
-		return 0
-	}
-	return l.RingAllReduceSecondsBytes(g, int64((elems+g-1)/g)*int64(elemBytes))
-}
-
-// RingAllReduceSecondsBytes is the byte-denominated form of
-// RingAllReduceSeconds for wire formats whose footprint is not a whole
-// number of bytes per element (8-bit quantization carries per-chunk scales):
-// 2(g−1) steps of one chunkBytes message each.
-func (l LinkCost) RingAllReduceSecondsBytes(g int, chunkBytes int64) float64 {
+// ranks whose largest chunk occupies chunkBytes on the wire (⌈elems/g⌉
+// elements in the wire's format): 2(g−1) steps of one such message each.
+func (l LinkCost) RingAllReduceSeconds(g int, chunkBytes int64) float64 {
 	if g <= 1 || chunkBytes <= 0 {
 		return 0
 	}

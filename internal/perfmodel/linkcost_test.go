@@ -21,35 +21,13 @@ func TestRingAllReduceSeconds(t *testing.T) {
 	// g=4, 1000 elems of 4 bytes: chunk = ceil(1000/4)*4 = 1000 B,
 	// 6 steps.
 	want := 6 * (2e-5 + 1000/8e9)
-	if got := l.RingAllReduceSeconds(4, 1000, 4); !almostEq(got, want) {
+	if got := l.RingAllReduceSeconds(4, 1000); !almostEq(got, want) {
 		t.Fatalf("RingAllReduceSeconds = %v, want %v", got, want)
 	}
-	if l.RingAllReduceSeconds(1, 1000, 4) != 0 {
+	if l.RingAllReduceSeconds(1, 1000) != 0 {
 		t.Fatal("single rank must cost nothing")
 	}
-	if l.RingAllReduceSeconds(4, 0, 4) != 0 {
-		t.Fatal("empty payload must cost nothing")
-	}
-}
-
-func TestRingAllReduceSecondsBytes(t *testing.T) {
-	l := LinkCost{Alpha: 2e-5, BytesPerSec: 8e9}
-	// The element-denominated form must agree with the byte-denominated
-	// one at whole elements — the equivalence the Wire-generalized cost
-	// charging in internal/collective relies on.
-	if a, b := l.RingAllReduceSeconds(4, 1000, 4), l.RingAllReduceSecondsBytes(4, 1000); !almostEq(a, b) {
-		t.Fatalf("element form %v != byte form %v", a, b)
-	}
-	// A quantized chunk (1 byte/elem + scales) prices below FP16.
-	q8 := l.RingAllReduceSecondsBytes(4, 250+4)
-	fp16 := l.RingAllReduceSeconds(4, 1000, 2)
-	if q8 >= fp16 {
-		t.Fatalf("q8 chunk %v not below fp16 %v", q8, fp16)
-	}
-	if l.RingAllReduceSecondsBytes(1, 1000) != 0 {
-		t.Fatal("single rank must cost nothing")
-	}
-	if l.RingAllReduceSecondsBytes(4, 0) != 0 {
+	if l.RingAllReduceSeconds(4, 0) != 0 {
 		t.Fatal("empty chunk must cost nothing")
 	}
 }

@@ -235,6 +235,8 @@ type Server struct {
 	reloadMu sync.Mutex
 	// reloadFailures counts reloads that never installed (ReloadFailed).
 	reloadFailures *telemetry.Counter
+	// closeOnce runs shutdown once; every Close waits for it to finish.
+	closeOnce sync.Once
 }
 
 // New builds a Server over the given model. The model is cloned once and
@@ -543,13 +545,13 @@ func (s *Server) Stats() Snapshot {
 }
 
 // Close stops the workers and fails any queued or in-flight request with
-// ErrShutdown. It is idempotent.
-func (s *Server) Close() {
+// ErrShutdown. It is idempotent, and safe to call concurrently: every call
+// returns only once the workers have exited and the queue is drained.
+func (s *Server) Close() { s.closeOnce.Do(s.shutdown) }
+
+// shutdown is Close's one run.
+func (s *Server) shutdown() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
 	s.closed = true
 	s.mu.Unlock()
 

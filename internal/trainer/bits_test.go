@@ -77,9 +77,9 @@ func optimizerDigest(st optim.State, m *model.LM) string {
 }
 
 // countersDigest hashes what a run reports about itself besides its weights:
-// for each rank, its traffic counters (both lanes together, then each lane),
-// its device's virtual clock and memory peak, and its side-lane clock (zero
-// without Overlap and Hardware); then the unique-word sums of sums.
+// for each rank, its traffic counters, its device's virtual clock and memory
+// peak, and its lane clock (zero without Overlap and Hardware); then the
+// unique-word sums of sums.
 func countersDigest(tr *Trainer, sums StepStats) string {
 	h := sha256.New()
 	c := tr.Comm()
@@ -88,7 +88,7 @@ func countersDigest(tr *Trainer, sums StepStats) string {
 		if tr.laneClocks != nil {
 			lane = tr.laneClocks[r].Now()
 		}
-		fmt.Fprintf(h, "%d %+v %+v %+v %x %d %x\n", r, c.RankStats(r), c.LaneStats(r), c.Side().LaneStats(r),
+		fmt.Fprintf(h, "%d %+v %x %d %x\n", r, c.RankStats(r),
 			math.Float64bits(dev.Clock.Now()), dev.Peak(), math.Float64bits(lane))
 	}
 	fmt.Fprintf(h, "%d %d %d\n", sums.Steps, sums.InputUniqueGlobal, sums.OutputUniqueGlobal)

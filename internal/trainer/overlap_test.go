@@ -11,7 +11,7 @@ import (
 )
 
 // runPair trains the same workload twice — synchronous dense reduction vs
-// the overlapped side-lane path — and returns both trainers after identical
+// the overlapped per-layer path — and returns both trainers after identical
 // step counts.
 func runPair(t *testing.T, cfg Config, train, valid []int, steps int) (syncTr, overlapTr *Trainer) {
 	t.Helper()
@@ -61,8 +61,8 @@ func requireIdenticalModels(t *testing.T, tag string, a, b *model.LM) {
 }
 
 // TestOverlapBitIdenticalToSync is the acceptance test of overlap mode:
-// reducing dense gradients from a side-lane worker, one fused pass per
-// layer, must change nothing but wall-clock. Across cluster sizes, softmax
+// reducing dense gradients one fused call per layer must change nothing
+// but how the reductions are priced. Across cluster sizes, softmax
 // modes, FP16 wire and exchange engines, the overlapped
 // run produces bit-identical model replicas (every rank in sync, and rank 0
 // equal to the synchronous run's rank 0) and bit-identical per-rank
@@ -169,12 +169,8 @@ func TestOverlapConverges(t *testing.T) {
 }
 
 // TestOverlapOOMAbortDrainsAsync: when the sparse exchange aborts (peer
-// OOM), the overlap path must still drain its side-lane worker before the
-// step returns — otherwise peers' ring hops would keep reading the model's
-// gradient tensors (zero-copy aliases) behind the aborted step, and the
-// worker goroutine would outlive it. The -race CI job is what gives this
-// test its teeth; functionally the step must fail cleanly and keep
-// failing, not hang or corrupt.
+// OOM) after the overlapped dense reductions, the step must fail cleanly
+// and keep failing, not hang or corrupt.
 func TestOverlapOOMAbortDrainsAsync(t *testing.T) {
 	train, valid := smallData(60, 8000, 6)
 	cfg := smallConfig(3, core.BaselineAllGather{})
@@ -189,7 +185,7 @@ func TestOverlapOOMAbortDrainsAsync(t *testing.T) {
 		t.Fatal("expected an OOM abort from the baseline exchange")
 	}
 	// A second attempt on the same trainer must fail the same way — no
-	// deadlock against a leftover worker, no half-finished side-lane ring.
+	// half-finished ring left behind.
 	if err := tr.Steps(1); err == nil {
 		t.Fatal("expected the retry to abort as well")
 	}

@@ -91,8 +91,8 @@ func TestSimulatedStepTime(t *testing.T) {
 }
 
 // TestOverlapPricedOnVirtualClock is the contract that replaced the
-// Hardware+Overlap rejection: overlapped dense reductions are priced on the
-// side lane's own clocks, as a timeline beside compute and the sparse
+// Hardware+Overlap rejection: overlapped dense reductions are priced on
+// lane clocks of their own, as a timeline beside compute and the sparse
 // exchange rather than on top of them.
 func TestOverlapPricedOnVirtualClock(t *testing.T) {
 	hw := perfmodel.TitanX()
@@ -148,23 +148,43 @@ func TestOverlapPricedOnVirtualClock(t *testing.T) {
 				t.Errorf("SimComputeSeconds: overlap %v vs sync %v", ovRes.Stats.SimComputeSeconds, syncRes.Stats.SimComputeSeconds)
 			}
 
-			// Sync: no less than the sparse exchange and update alone (what
-			// rank 0's primary lane and update spans add up to), no more than
-			// the synchronous run, and strictly below it here because the
-			// side lane has something to hide behind.
-			var exchangeOnly, laneSeconds float64
+			// Sync: no less than the sparse exchange and update alone, no
+			// more than the synchronous run, and strictly below it here
+			// because the overlapped reductions have something to hide
+			// behind. On rank 0's track, a step's first len(units.layers)
+			// all-reduce spans (one more under the full softmax) are the
+			// overlapped reductions; its other collective spans and its
+			// update span are the exchange and update. Priced on the lane
+			// clocks, the first starts when backprop finished its layer,
+			// before the step's compute ends.
+			perStep := len(ovTr.units.layers)
+			if sampled == 0 {
+				perStep++
+			}
+			var exchangeOnly, laneSeconds, computeEnd float64
+			var inStep, laneCalls int
 			for _, e := range ovTrace.Events() {
 				switch {
+				case e.Cat == "rank" && e.Name == "compute" && e.Tid == 0:
+					inStep, computeEnd = 0, e.VTS+e.VDur
+				case e.Cat == "collective" && e.Name == "allreduce" && e.Tid == 0 && inStep < perStep:
+					if inStep == 0 && e.VTS >= computeEnd {
+						t.Fatalf("a step's first overlapped reduction starts at %v s, not before its compute ends at %v s", e.VTS, computeEnd)
+					}
+					inStep++
+					laneCalls++
+					laneSeconds += e.VDur
 				case e.Cat == "collective" && e.Tid == 0, e.Cat == "rank" && e.Name == "update" && e.Tid == 0:
 					exchangeOnly += e.VDur
-				case e.Cat == "collective" && e.Tid == ranks:
-					laneSeconds += e.VDur
-				case e.Cat == "collective" && (e.Tid < 0 || e.Tid >= 2*ranks):
-					t.Fatalf("collective span on track %d: want rank (primary) or Ranks+rank (side)", e.Tid)
+				case e.Cat == "collective" && (e.Tid < 0 || e.Tid >= ranks):
+					t.Fatalf("collective span on track %d: want the rank's", e.Tid)
 				}
 			}
+			if laneCalls != perStep*ovRes.Stats.Steps {
+				t.Fatalf("%d overlapped all-reduce spans on rank 0, want %d per step × %d steps", laneCalls, perStep, ovRes.Stats.Steps)
+			}
 			if exchangeOnly <= 0 || laneSeconds <= 0 {
-				t.Fatalf("exchange-only %v s, side lane %v s: both lanes must be priced", exchangeOnly, laneSeconds)
+				t.Fatalf("exchange-only %v s, overlapped reductions %v s: both must be priced", exchangeOnly, laneSeconds)
 			}
 			ovSync, syncSync := ovRes.Stats.SimSyncSeconds, syncRes.Stats.SimSyncSeconds
 			if !(exchangeOnly <= ovSync*(1+1e-12) && ovSync < syncSync) {
@@ -206,6 +226,42 @@ func TestOverlapPricedOnVirtualClock(t *testing.T) {
 			}
 			if a.Truncated || len(a.Steps) != ovRes.Stats.Steps {
 				t.Errorf("analyzer: truncated=%v, %d steps, trainer ran %d", a.Truncated, len(a.Steps), ovRes.Stats.Steps)
+			}
+		})
+	}
+}
+
+// TestOverlapReattachesDeviceCost: the overlapped reductions borrow the
+// communicator for the lane clocks' model only while they run; between steps
+// the device clocks' model is attached, so every other collective prices on
+// the device clocks. Without Overlap there is no lane model at all.
+func TestOverlapReattachesDeviceCost(t *testing.T) {
+	hw := perfmodel.TitanX()
+	for _, overlap := range []bool{false, true} {
+		t.Run(fmt.Sprintf("overlap=%v", overlap), func(t *testing.T) {
+			cfg, train, valid := simConfig(&hw)
+			cfg.Overlap = overlap
+			tr, err := New(cfg, train, valid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (tr.laneCost != nil) != overlap {
+				t.Fatalf("lane model %v with Overlap %v", tr.laneCost, overlap)
+			}
+			for step := 0; step <= 2; step++ {
+				if step > 0 {
+					if err := tr.Steps(1); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if got := tr.Comm().Cost(); got == nil || got != tr.deviceCost {
+					t.Fatalf("after %d steps the communicator prices on %p, want the device clocks' model %p", step, got, tr.deviceCost)
+				}
+			}
+			for r, clk := range tr.laneClocks {
+				if clk.Now() <= 0 {
+					t.Errorf("rank %d lane clock %v: the overlapped reductions were not priced on it", r, clk.Now())
+				}
 			}
 		})
 	}

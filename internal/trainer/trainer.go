@@ -106,15 +106,14 @@ type Config struct {
 	ClipNorm float64
 	// Overlap prices the dense-gradient reduction off the step's critical
 	// path: each dense layer is all-reduced as its own call, in backward
-	// order (projection, RNN, then the full softmax's output embedding), on
-	// the communicator's side lane, modeling a rank that sends layer L while
-	// it backpropagates layer L−1 and runs the sparse embedding exchange.
-	// It is a pricing switch: both modes execute the same reductions, in the
-	// same pass, with the same arithmetic, so Overlap composes with Wire and
-	// Hardware, and gradients and wire bytes are bit-identical to the
-	// synchronous path (tested).
-	// Without Hardware it changes nothing but the lane the reductions are
-	// counted on.
+	// order (projection, RNN, then the full softmax's output embedding),
+	// priced on clocks of their own, modeling a rank that sends layer L
+	// while it backpropagates layer L−1 and runs the sparse embedding
+	// exchange. It is a pricing switch: both modes execute the same
+	// reductions, in the same pass, with the same arithmetic, so Overlap
+	// composes with Wire and Hardware, and gradients and wire bytes are
+	// bit-identical to the synchronous path (tested). Without Hardware it
+	// changes nothing but how the reductions are grouped into calls.
 	Overlap bool
 	// Hardware, when non-nil, threads the virtual clock through the run:
 	// every collective advances the participating ranks' clocks by
@@ -123,14 +122,14 @@ type Config struct {
 	// updates advance by their read-modify-write bytes ÷ MemBW. StepStats
 	// then carries the predicted wall-clock decomposition next to the
 	// measured one. nil (the default) leaves every hot path on the exact
-	// pre-simulation code path. With Overlap the side lane is priced on
-	// per-rank lane clocks beside the device clocks: a layer's reduction
-	// starts no earlier than the virtual time the rank's backward pass
-	// finished it (the forward pass is a third of the compute charge, and
-	// the backward two thirds progress by the finished layers' share of the
-	// dense parameters), and each rank's clock joins its lane clock at the
-	// end of the synchronization, so the predicted step is the critical path
-	// of compute and communication, not their sum.
+	// pre-simulation code path. With Overlap the dense reductions are
+	// priced on per-rank lane clocks beside the device clocks: a layer's
+	// reduction starts no earlier than the virtual time the rank's backward
+	// pass finished it (the forward pass is a third of the compute charge,
+	// and the backward two thirds progress by the finished layers' share of
+	// the dense parameters), and each rank's clock joins its lane clock at
+	// the end of the synchronization, so the predicted step is the critical
+	// path of compute and communication, not their sum.
 	Hardware *perfmodel.Hardware
 	// SimFLOPsPerStep is the modeled per-rank compute per step charged to
 	// the virtual clock (0 = communication/update-only simulation). Only
@@ -282,12 +281,22 @@ type Trainer struct {
 	nextDecay int
 	// units are the ranks' dense gradients as all-reduce calls.
 	units denseUnits
-	// laneClocks are the per-rank virtual clocks of the communicator's side
-	// lane, and ready[r][i] the time on rank r's device clock at which its
-	// backward pass finished units.layers[i] this step (both nil unless
-	// Overlap and Hardware are set).
-	laneClocks []*vclock.Clock
-	ready      [][]float64
+	// results, exV0 and grads are trainStep's per-rank scratch, made once:
+	// each rank's forward/backward result, its device clock when the
+	// exchange span starts (read only when traced), and the sparse
+	// gradients one exchange reads.
+	results []model.StepResult
+	exV0    []float64
+	grads   []core.SparseGrad
+	// deviceCost prices collectives on the device clocks (nil without
+	// Hardware). laneCost prices the overlapped dense reductions on
+	// laneClocks, per-rank clocks of their own, and ready[r][i] is the time
+	// on rank r's device clock at which its backward pass finished
+	// units.layers[i] this step (all three nil unless Overlap and Hardware
+	// are set).
+	deviceCost, laneCost *collective.CostModel
+	laneClocks           []*vclock.Clock
+	ready                [][]float64
 	// ckptDir is the on-disk store (nil without Config.CheckpointDir);
 	// lastCkpt is the newest captured state — the fault-rollback target.
 	ckptDir  *ckpt.Dir
@@ -364,14 +373,16 @@ func New(cfg Config, train, valid []int) (*Trainer, error) {
 		// PCIe while the cluster fits in one node, on the InfiniBand
 		// boundary once it spans nodes (Table II).
 		link := cfg.Hardware.RingLink(cfg.Ranks)
-		t.comm.AttachCost(&collective.CostModel{Link: link, Clocks: t.clu.Clocks()})
+		t.deviceCost = &collective.CostModel{Link: link, Clocks: t.clu.Clocks()}
+		t.comm.AttachCost(t.deviceCost)
 		if cfg.Overlap {
-			// The side lane shares the fabric but keeps its own timeline.
+			// The overlapped reductions share the fabric but keep their own
+			// timeline.
 			t.laneClocks = make([]*vclock.Clock, cfg.Ranks)
 			for r := range t.laneClocks {
 				t.laneClocks[r] = new(vclock.Clock)
 			}
-			t.comm.Side().AttachCost(&collective.CostModel{Link: link, Clocks: t.laneClocks})
+			t.laneCost = &collective.CostModel{Link: link, Clocks: t.laneClocks}
 		}
 	}
 	t.ctxs = make([]*core.Ctx, cfg.Ranks)
@@ -392,6 +403,9 @@ func New(cfg Config, train, valid []int) (*Trainer, error) {
 		}
 	}
 	t.opt = t.newOptimizer()
+	t.results = make([]model.StepResult, cfg.Ranks)
+	t.exV0 = make([]float64, cfg.Ranks)
+	t.grads = make([]core.SparseGrad, cfg.Ranks)
 	t.shards = make([][]int, cfg.Ranks)
 	t.batches = make([]batch, cfg.Ranks)
 	for r := 0; r < cfg.Ranks; r++ {
@@ -888,17 +902,22 @@ type denseUnits struct {
 // reduceDense all-reduces every dense gradient — the full softmax's output
 // gradient too when outDense — into rank 0's, which the update reads, each
 // unit in one pass on the run's wire. Synchronous mode reduces a
-// tensor per call, in DenseParams order, on the primary lane. Overlap mode
-// reduces a layer per call, in backward order, then the output gradient, on
-// the side lane; with Hardware each rank's lane clock first advances to the
-// time its backward pass finished that layer (t.ready), so the lane's
-// charges price reductions that start while the rank is still computing.
-// The output gradient is final when the pass ends, as the last layer is, so
-// it follows that layer's reduction directly.
+// tensor per call, in DenseParams order. Overlap mode reduces a layer per
+// call, in backward order, then the output gradient; with Hardware those
+// calls are priced on the lane clocks (t.laneCost), each rank's first
+// advanced to the time its backward pass finished that layer (t.ready), so
+// the charges price reductions that start while the rank is still
+// computing, and the device clocks' model is re-attached afterwards. The
+// output gradient is final when the pass ends, as the last layer is, so it
+// follows that layer's reduction directly.
 func (t *Trainer) reduceDense(outDense bool) {
 	c, units := t.comm, t.units.tensors
 	if t.cfg.Overlap {
-		c, units = t.comm.Side(), t.units.layers
+		units = t.units.layers
+	}
+	if t.laneCost != nil {
+		c.AttachCost(t.laneCost)
+		defer c.AttachCost(t.deviceCost)
 	}
 	for i, u := range units {
 		for r, clk := range t.laneClocks {
@@ -947,7 +966,6 @@ func (t *Trainer) chargeCompute(rank int, dev *cluster.Device) {
 		t.ready[rank][i] = dev.Clock.Now()
 	}
 	if lump > 0 {
-		dev.AddFLOPs(flops)
 		dev.Clock.AdvanceTo(start + lump)
 	}
 }
@@ -956,7 +974,7 @@ func (t *Trainer) chargeCompute(rank int, dev *cluster.Device) {
 // embedding's and, under sampled softmax, the output embedding's — and
 // returns their Updates, recording U_g in agg.
 func (t *Trainer) exchange(results []model.StepResult, outDense bool, agg *stepStats) (in, out core.Update, err error) {
-	grads := make([]core.SparseGrad, len(results))
+	grads := t.grads
 	for r, res := range results {
 		grads[r] = res.InputGrad
 	}
@@ -999,7 +1017,7 @@ func firstError(errs []error) error {
 // modes.
 func (t *Trainer) trainStep(step int, lrNow float64, seeds []uint64) (stepStats, error) {
 	g := t.cfg.Ranks
-	results := make([]model.StepResult, g)
+	results := t.results
 	var agg stepStats
 
 	sim := t.cfg.Hardware
@@ -1048,9 +1066,8 @@ func (t *Trainer) trainStep(step int, lrNow float64, seeds []uint64) (stepStats,
 
 	// Phase 2 (one pass for every rank): synchronize. Each rank's exchange
 	// span starts here, before the dense reductions.
-	var exV0 []float64
+	exV0 := t.exV0
 	if t.cfg.Trace != nil {
-		exV0 = make([]float64, g)
 		for r, dev := range t.clu.Devices {
 			exV0[r] = dev.Clock.Now()
 		}
@@ -1065,7 +1082,7 @@ func (t *Trainer) trainStep(step int, lrNow float64, seeds []uint64) (stepStats,
 	}
 	t.reduceDense(outDense)
 	inUpd, outUpd, err := t.exchange(results, outDense, &agg)
-	// Each rank's device clock joins its side-lane timeline.
+	// Each rank's device clock joins its lane clock.
 	for r, clk := range t.laneClocks {
 		t.clu.Devices[r].Clock.AdvanceTo(clk.Now())
 	}

@@ -15,7 +15,9 @@
 // A diff compares every metric present in both the baseline and the
 // current inputs. Direction comes from the unit (ns/op, B/op, allocs/op
 // regress upward; tok/s, req/s, MB/s regress downward; unknown units are
-// reported but never gate). The allowed delta per metric is
+// reported but never gate). A current value that is not finite (NaN, ±Inf)
+// regresses whatever its unit: no run measures one, so it means the
+// benchmark broke. The allowed delta per metric is
 // max(-threshold, 2·spread): when a benchmark ran multiple times
 // (-count), the observed relative spread across runs widens the bound, so
 // a noisy benchmark cannot flap the gate. Exit codes: 0 no regression,
@@ -278,6 +280,8 @@ func diff(base *Baseline, cur map[string]Metric, threshold float64) []diffRow {
 			row.verdict = vNoBaseline
 		case !okC:
 			row.verdict = vGone
+		case math.IsNaN(c.Value) || math.IsInf(c.Value, 0):
+			row.verdict = vRegressed
 		case b.Value == 0:
 			row.verdict = vInfo
 		default:
@@ -366,6 +370,12 @@ func run(args []string, out, errOut io.Writer) int {
 
 	switch {
 	case *baselineOut != "":
+		for _, name := range sortedNames(cur) {
+			if v := cur[name].Value; math.IsNaN(v) || math.IsInf(v, 0) {
+				fmt.Fprintf(errOut, "zipflm-perf: %s is %v: a baseline records finite values only\n", name, v)
+				return 1
+			}
+		}
 		host := telemetry.CollectBuildInfo()
 		b := Baseline{Created: time.Now().UTC().Truncate(time.Second), Host: &host, Metrics: cur}
 		buf, err := json.MarshalIndent(&b, "", "  ")
@@ -434,19 +444,24 @@ func run(args []string, out, errOut io.Writer) int {
 
 	default:
 		// Extraction mode: list what the inputs contain.
-		names := make([]string, 0, len(cur))
-		for name := range cur {
-			names = append(names, name)
-		}
-		sort.Strings(names)
 		tab := metrics.NewTable("extracted metrics:", "metric", "unit", "value", "runs", "spread")
-		for _, name := range names {
+		for _, name := range sortedNames(cur) {
 			m := cur[name]
 			tab.AddRow(name, m.Unit, formatMetric(m.Value), strconv.Itoa(m.N), fmt.Sprintf("%.1f%%", 100*m.Spread))
 		}
 		fmt.Fprint(out, tab)
 		return 0
 	}
+}
+
+// sortedNames returns the metric names of cur in order.
+func sortedNames(cur map[string]Metric) []string {
+	names := make([]string, 0, len(cur))
+	for name := range cur {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // hostMismatch warns when the diffing host differs from the baseline's in

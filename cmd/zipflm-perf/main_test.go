@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -113,6 +114,86 @@ func TestDirectionByUnit(t *testing.T) {
 	if verdicts["c nats"] != vInfo {
 		t.Errorf("unknown unit = %s, want info", verdicts["c nats"])
 	}
+}
+
+// TestNonFiniteCurrentRegresses: a run that reports NaN or ±Inf — a broken
+// benchmark, not a measurement — regresses against a finite baseline in
+// either direction and with an unknown unit, exits 2 from -diff, and
+// -baseline refuses to record it.
+func TestNonFiniteCurrentRegresses(t *testing.T) {
+	for _, tc := range []struct{ unit, value string }{
+		{"ns/op", "NaN"},
+		{"ns/op", "-Inf"},
+		{"tok/s", "NaN"},
+		{"tok/s", "+Inf"},
+		{"nats", "NaN"},
+	} {
+		t.Run(strings.ReplaceAll(tc.unit, "/", "-")+"="+tc.value, func(t *testing.T) {
+			dir := t.TempDir()
+			buf, _ := json.Marshal(&Baseline{Metrics: map[string]Metric{
+				"BenchmarkX " + tc.unit: {Value: 1000, Unit: tc.unit},
+			}})
+			base := filepath.Join(dir, "base.json")
+			src := filepath.Join(dir, "bench.txt")
+			if err := os.WriteFile(base, buf, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(src, []byte("BenchmarkX-2 100 "+tc.value+" "+tc.unit+"\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var out, errb bytes.Buffer
+			if code := run([]string{"-diff", base, src}, &out, &errb); code != 2 || !strings.Contains(out.String(), "REGRESSED") {
+				t.Errorf("-diff exit %d, want 2 with REGRESSED:\n%s", code, out.String())
+			}
+			rec := filepath.Join(dir, "rec.json")
+			errb.Reset()
+			if code := run([]string{"-baseline", rec, src}, &out, &errb); code != 1 || !strings.Contains(errb.String(), "finite") {
+				t.Errorf("-baseline exit %d, want 1 naming the non-finite metric; stderr: %s", code, errb.String())
+			}
+			if _, err := os.Stat(rec); err == nil {
+				t.Error("-baseline wrote a file with a non-finite value")
+			}
+		})
+	}
+}
+
+// FuzzParseBench feeds arbitrary bytes to both parsers — as `go test -bench`
+// text (plain or test2json) and, when they decode, as a zipflm-bench
+// report. Every metric they collect must carry its unit in its key and at
+// least one run, and a self-diff of the result must regress exactly the
+// non-finite metrics.
+func FuzzParseBench(f *testing.F) {
+	for _, name := range []string{"bench_base.txt", "bench_ok.txt", "bench_regressed.txt", "bench_test2json.txt"} {
+		buf, err := os.ReadFile(td(name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf)
+	}
+	f.Add([]byte(`{"reports":[{"id":"tab","tables":[{"headers":["g","step"],"units":["","s"],"rows":[["8","1.5"],["16","NaN"]]}]}]}`))
+	f.Add([]byte("BenchmarkX-2 100 NaN ns/op 3 B/op\nBenchmarkX-2 100 Inf ns/op\n"))
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		c := newCollection()
+		if err := c.parseBenchText(buf); err != nil {
+			return
+		}
+		var rep benchReportFile
+		if json.Unmarshal(buf, &rep) == nil {
+			c.addReport(&rep)
+		}
+		for key, s := range c.samples {
+			if len(s.values) == 0 || !strings.HasSuffix(key, " "+s.unit) {
+				t.Fatalf("sample %q: unit %q, %d values", key, s.unit, len(s.values))
+			}
+		}
+		cur := c.reduce()
+		for _, r := range diff(&Baseline{Metrics: cur}, cur, 0.15) {
+			finite := !math.IsNaN(r.cur.Value) && !math.IsInf(r.cur.Value, 0)
+			if (r.verdict == vRegressed) == finite {
+				t.Fatalf("self-diff of %q (%v): verdict %s", r.name, r.cur.Value, r.verdict)
+			}
+		}
+	})
 }
 
 // TestBaselineRoundTrip: -baseline writes a file with host metadata that

@@ -11,8 +11,9 @@
 // # Communication substrate: G ranks simulated, each exchange executed once
 //
 // The simulated collectives (internal/collective) execute what decides
-// bits and counters once and price the G ranks on the virtual clock, as
-// trace-driven training simulators do:
+// bits and counters once and price the G ranks on one virtual clock, as
+// trace-driven training simulators do — the step is bulk-synchronous, so
+// every rank's charges are the same:
 //
 //   - Every collective is called once for the whole group, from one
 //     goroutine, with every rank's buffers and one stateless wire for the
@@ -35,9 +36,9 @@
 //
 //   - A communicator prices on the one cost model attached to it.
 //     trainer.Config.Overlap reduces the dense gradients a layer per call
-//     and attaches a second model around those calls, on per-rank lane
-//     clocks that start each layer when the rank's backward pass finished
-//     it: the same reductions as the synchronous mode, priced as a
+//     and attaches a second model around those calls, on a lane clock that
+//     starts each layer when the backward pass finished it: the same
+//     reductions as the synchronous mode, priced as a
 //     timeline of their own (critical path, not sum). Weights and wire
 //     bytes are bit-identical between the modes, on either wire and with
 //     or without the virtual clock.
@@ -182,8 +183,9 @@
 // update reads rank 0's reduced gradients only after every rank's exchange
 // succeeded. Each dense tensor is declared once, as a view of one value
 // slab the replicas share and one gradient slab per replica, so the 1/G
-// scale is one call over rank 0's slab (model.LM.DenseGrads). The virtual clock still charges each simulated device for the
-// update it models.
+// scale is one call over rank 0's slab (model.LM.DenseGrads). The virtual
+// clock still charges the update every simulated device models, once for
+// all of them.
 // internal/cpu is the single CPUID probe behind all of these gates.
 //
 // The activations are the one place where the arithmetic is this

@@ -1,7 +1,9 @@
 // Package cluster simulates the paper's GPU cluster: a set of devices, one
-// goroutine per rank, each with a byte-accurate memory accountant and a
-// virtual clock. The paper's Table II hardware (GeForce GTX Titan X, 12 GB HBM2,
-// 6.1 TFLOP/s peak) is the default device profile.
+// goroutine per rank, each with a byte-accurate memory accountant. The
+// paper's Table II hardware (GeForce GTX Titan X, 12 GB HBM2, 6.1 TFLOP/s
+// peak) is the default device profile. Time is not a device's: the step is
+// bulk-synchronous, so the simulator prices it on one vclock.Clock that
+// the trainer or the weak-scaling experiment owns.
 //
 // The accountant is what lets the reproduction show the paper's central
 // scaling failure honestly: the baseline ALLGATHER exchange allocates
@@ -12,9 +14,6 @@ package cluster
 import (
 	"fmt"
 	"sync"
-
-	"zipflm/internal/perfmodel"
-	"zipflm/internal/vclock"
 )
 
 // ErrOutOfMemory is returned when an allocation exceeds device capacity.
@@ -31,22 +30,14 @@ func (e *ErrOutOfMemory) Error() string {
 		e.Device, e.Want, e.Live, e.Capacity)
 }
 
-// Device is one simulated GPU: a memory accountant and a virtual clock.
-// Methods are safe for use from the device's own rank goroutine; the
-// simulator gives each rank exclusive ownership of its device.
-//
-// The clock is pay-for-what-you-use: it exists on every device but only
-// moves when something charges it — compute via AdvanceCompute, memory
-// traffic via AdvanceMemory, collectives via the communicator's CostModel
-// (which shares these same clocks). Runs that never charge it behave
-// exactly as before.
+// Device is one simulated GPU's memory accountant. Methods are safe for
+// use from the device's own rank goroutine; the simulator gives each rank
+// exclusive ownership of its device.
 type Device struct {
 	// ID is the rank of this device in the cluster.
 	ID int
 	// Capacity is the memory budget in bytes (0 = unlimited).
 	Capacity int64
-	// Clock is the device's virtual clock in simulated seconds.
-	Clock *vclock.Clock
 
 	mu   sync.Mutex
 	live int64
@@ -56,20 +47,7 @@ type Device struct {
 // NewDevice returns a device with the given memory capacity in bytes;
 // capacity 0 disables the OOM check (useful in unit tests).
 func NewDevice(id int, capacity int64) *Device {
-	return &Device{ID: id, Capacity: capacity, Clock: new(vclock.Clock)}
-}
-
-// AdvanceCompute charges n floating-point operations to the virtual clock,
-// at the hardware profile's achieved fraction of peak (frac ≤ 0 means peak).
-func (d *Device) AdvanceCompute(n int64, hw perfmodel.Hardware, frac float64) {
-	d.Clock.Advance(hw.ComputeSeconds(float64(n), frac))
-}
-
-// AdvanceMemory charges n bytes of device-memory traffic (e.g. the
-// embedding scatter-add's read-modify-write volume) to the virtual clock at
-// the profile's memory bandwidth.
-func (d *Device) AdvanceMemory(n int64, hw perfmodel.Hardware) {
-	d.Clock.Advance(hw.MemorySeconds(n))
+	return &Device{ID: id, Capacity: capacity}
 }
 
 // Alloc records an allocation of n bytes, returning ErrOutOfMemory when the
@@ -156,23 +134,6 @@ func (c *Cluster) Run(fn func(rank int, dev *Device) error) error {
 		}
 	}
 	return nil
-}
-
-// Clocks returns every device's virtual clock in rank order — the slice a
-// collective.CostModel is attached with.
-func (c *Cluster) Clocks() []*vclock.Clock {
-	out := make([]*vclock.Clock, len(c.Devices))
-	for i, d := range c.Devices {
-		out[i] = d.Clock
-	}
-	return out
-}
-
-// MaxClock returns the latest virtual time across the cluster — the
-// simulated wall-clock of a bulk-synchronous run (all ranks finish when the
-// slowest does).
-func (c *Cluster) MaxClock() float64 {
-	return vclock.MaxNow(c.Clocks())
 }
 
 // MaxPeak returns the largest per-device peak across the cluster, i.e. the

@@ -143,31 +143,3 @@ func TestTitanXProfile(t *testing.T) {
 		t.Error("a Titan X device must hold exactly 12 GB")
 	}
 }
-
-func TestDeviceClock(t *testing.T) {
-	hw := perfmodel.TitanX()
-	c := New(2, 0)
-	if c.MaxClock() != 0 {
-		t.Fatalf("fresh cluster clock at %v", c.MaxClock())
-	}
-	// 6.1e12 FLOPs at half efficiency: 2 simulated seconds, on device 0
-	// alone.
-	c.Devices[0].AdvanceCompute(int64(hw.PeakFLOPS), hw, 0.5)
-	if got := c.Devices[0].Clock.Now(); got < 1.999 || got > 2.001 {
-		t.Errorf("compute advanced clock to %v, want 2", got)
-	}
-	if got := c.Devices[1].Clock.Now(); got != 0 {
-		t.Errorf("compute on device 0 moved device 1's clock to %v", got)
-	}
-	// MemBW bytes: one simulated second on device 1.
-	c.Devices[1].AdvanceMemory(int64(hw.MemBW), hw)
-	if got := c.Devices[1].Clock.Now(); got < 0.999 || got > 1.001 {
-		t.Errorf("memory advanced clock to %v, want 1", got)
-	}
-	if got := c.MaxClock(); got < 1.999 || got > 2.001 {
-		t.Errorf("MaxClock = %v, want 2", got)
-	}
-	if len(c.Clocks()) != 2 || c.Clocks()[0] != c.Devices[0].Clock {
-		t.Error("Clocks() must expose the devices' clocks in rank order")
-	}
-}

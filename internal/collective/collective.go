@@ -98,7 +98,7 @@ type Comm struct {
 	tel *commTelemetry
 
 	// trace, when non-nil, records one span per collective per rank (cat
-	// "collective"), stamped with wall time and the rank's virtual clock —
+	// "collective"), stamped with wall time and the cost model's clock —
 	// the per-op detail the critical-path analyzer attributes wire time
 	// from. Purely observational, like tel.
 	trace *telemetry.Tracer
@@ -117,10 +117,8 @@ type Comm struct {
 	parts [][][]float32
 	wires []Wire
 
-	// v0 and sent are a batched call's per-rank scratch: each rank's
-	// virtual clock at the call's start (read only when the call is
-	// observed) and the bytes it puts on the wire.
-	v0   []float64
+	// sent is a batched call's per-rank scratch: the bytes each rank puts
+	// on the wire.
 	sent []int64
 
 	// ring is the chunk-major ring's call, which runChunks — chunkSet, bound
@@ -136,9 +134,9 @@ type Comm struct {
 	// stats counts each rank's traffic.
 	stats []Stats
 
-	// cost, when non-nil, prices every collective onto the participating
-	// ranks' virtual clocks (cost.go). nil keeps the hot paths on the exact
-	// pre-simulation code path.
+	// cost, when non-nil, prices every collective onto its virtual clock
+	// (cost.go). nil keeps the hot paths on the exact pre-simulation code
+	// path.
 	cost *CostModel
 }
 
@@ -189,7 +187,6 @@ func New(g int) *Comm {
 		xs:      make([][]float32, g),
 		parts:   make([][][]float32, g),
 		wires:   make([]Wire, g),
-		v0:      make([]float64, g),
 		sent:    make([]int64, g),
 		barrier: NewBarrier(g),
 		stats:   make([]Stats, g),
@@ -408,7 +405,7 @@ func (c *Comm) deliver(parts [][][]float32, wire Wire, owner, pi, targets int) {
 //
 // Each rank's Stats count len(parts[r]) calls and the bytes that rank sends,
 // telemetry and the tracer get one operation per rank (spans on each rank's
-// track, with that rank's virtual clock), and the cost model prices one ring
+// track, on the cost model's clock), and the cost model prices one ring
 // over the tensors' summed chunk bytes — so a list costs the ring's latency
 // once, not once per tensor.
 func (c *Comm) AllReduceRanks(parts [][][]float32, wire Wire) {
@@ -419,7 +416,7 @@ func (c *Comm) AllReduceRanks(parts [][][]float32, wire Wire) {
 // (see reduce), and charges, counts and observes it for every rank.
 func (c *Comm) allReduce(parts [][][]float32, wire Wire, everyRank bool) {
 	c.checkShapes(parts)
-	t0 := c.opStartRanks()
+	t0, v0 := c.opStartRanks()
 	c.reduce(parts, wire, everyRank)
 	n := int64(len(parts[0]))
 	if cm := c.cost; cm != nil {
@@ -427,7 +424,7 @@ func (c *Comm) allReduce(parts [][][]float32, wire Wire, everyRank bool) {
 		for _, p := range parts[0] {
 			chunkBytes += wireSize(wire, (len(p)+c.g-1)/c.g)
 		}
-		cm.Charge(cm.Link.RingAllReduceSeconds(c.g, chunkBytes))
+		cm.Clock.Advance(cm.Link.RingAllReduceSeconds(c.g, chunkBytes))
 	}
 	c.mu.Lock()
 	for r := range c.stats {
@@ -437,7 +434,7 @@ func (c *Comm) allReduce(parts [][][]float32, wire Wire, everyRank bool) {
 	c.mu.Unlock()
 	label := wireLabel(wire)
 	for r := range c.stats {
-		c.opEnd("allreduce", label, r, n, c.sent[r], t0, c.v0[r])
+		c.opEnd("allreduce", label, r, n, c.sent[r], t0, v0)
 	}
 }
 
@@ -448,11 +445,11 @@ func (c *Comm) allReduce(parts [][][]float32, wire Wire, everyRank bool) {
 // ranks gathering them would post is posted (see ringGather).
 func (c *Comm) AllGatherIntsRanks(payloads [][]int) {
 	c.checkRanks("payloads", len(payloads))
-	t0 := c.opStartRanks()
+	t0, v0 := c.opStartRanks()
 	for r, p := range payloads {
 		c.sent[r] = int64(4 * len(p))
 	}
-	c.ringGather(t0, "allgather_ints", "int32")
+	c.ringGather(t0, v0, "allgather_ints", "int32")
 }
 
 // AllGatherFloatsRanks is the float32 counterpart of AllGatherIntsRanks —
@@ -462,21 +459,21 @@ func (c *Comm) AllGatherIntsRanks(payloads [][]int) {
 // stay unrounded.
 func (c *Comm) AllGatherFloatsRanks(payloads [][]float32, wire Wire) {
 	c.checkRanks("payloads", len(payloads))
-	t0 := c.opStartRanks()
+	t0, v0 := c.opStartRanks()
 	for r, p := range payloads {
 		if wire != nil {
 			wire.RoundTrip(p)
 		}
 		c.sent[r] = wireSize(wire, len(p))
 	}
-	c.ringGather(t0, "allgather_floats", wireLabel(wire))
+	c.ringGather(t0, v0, "allgather_floats", wireLabel(wire))
 }
 
 // ringGather posts a ring all-gather of payloads of wire sizes c.sent for
 // every rank: one call at (G−1)/G of their total on each rank's AllGather
 // counters, one ring priced at the largest payload, and op under the wire
 // label to telemetry and the tracer.
-func (c *Comm) ringGather(t0 time.Time, op, label string) {
+func (c *Comm) ringGather(t0 time.Time, v0 float64, op, label string) {
 	var total, largest int64
 	for _, b := range c.sent {
 		total += b
@@ -484,7 +481,7 @@ func (c *Comm) ringGather(t0 time.Time, op, label string) {
 	}
 	bytes := total * int64(c.g-1) / int64(c.g)
 	if cm := c.cost; cm != nil {
-		cm.Charge(cm.Link.RingAllGatherSeconds(c.g, largest))
+		cm.Clock.Advance(cm.Link.RingAllGatherSeconds(c.g, largest))
 	}
 	c.mu.Lock()
 	for r := range c.stats {
@@ -493,20 +490,18 @@ func (c *Comm) ringGather(t0 time.Time, op, label string) {
 	}
 	c.mu.Unlock()
 	for r := range c.stats {
-		c.opEnd(op, label, r, 1, bytes, t0, c.v0[r])
+		c.opEnd(op, label, r, 1, bytes, t0, v0)
 	}
 }
 
 // AgreeRanks is a control-plane consensus over the group's votes, ok[r]
 // being rank r's: it reports whether every rank said true. Exchange engines
 // use it to fail collectively when any rank cannot allocate scratch memory.
-// Control-plane traffic is excluded from the byte accounting, but the vote
-// is a synchronization point, so the clocks max-sync (a zero-byte charge).
+// Control-plane traffic is excluded from the byte accounting and costs no
+// virtual time: the ranks of a bulk-synchronous step reach the vote
+// together.
 func (c *Comm) AgreeRanks(ok []bool) bool {
 	c.checkRanks("votes", len(ok))
-	if cm := c.cost; cm != nil {
-		cm.Charge(0)
-	}
 	for _, v := range ok {
 		if !v {
 			return false

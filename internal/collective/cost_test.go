@@ -12,23 +12,20 @@ import (
 // testLink is a round-number fabric so expected durations are exact.
 var testLink = perfmodel.LinkCost{Alpha: 1e-5, BytesPerSec: 1e9}
 
-func newCostComm(g int) (*Comm, []*vclock.Clock) {
+func newCostComm(g int) (*Comm, *vclock.Clock) {
 	c := New(g)
-	clocks := make([]*vclock.Clock, g)
-	for i := range clocks {
-		clocks[i] = new(vclock.Clock)
-	}
-	c.AttachCost(&CostModel{Link: testLink, Clocks: clocks})
-	return c, clocks
+	clock := new(vclock.Clock)
+	c.AttachCost(&CostModel{Link: testLink, Clock: clock})
+	return c, clock
 }
 
 func eqTime(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-12*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 }
 
-func TestAllReduceAdvancesClocks(t *testing.T) {
+func TestAllReduceAdvancesClock(t *testing.T) {
 	const g, n = 4, 1000
-	c, clocks := newCostComm(g)
+	c, clock := newCostComm(g)
 	runRanks(g, func(rank int) {
 		x := make([]float32, n)
 		x[rank] = 1
@@ -38,10 +35,8 @@ func TestAllReduceAdvancesClocks(t *testing.T) {
 	if want <= 0 {
 		t.Fatal("expected a positive ring duration")
 	}
-	for r, ck := range clocks {
-		if !eqTime(ck.Now(), want) {
-			t.Errorf("rank %d clock %v, want %v", r, ck.Now(), want)
-		}
+	if !eqTime(clock.Now(), want) {
+		t.Errorf("clock %v, want %v", clock.Now(), want)
 	}
 
 	// FP16 halves per-element wire cost.
@@ -51,16 +46,14 @@ func TestAllReduceAdvancesClocks(t *testing.T) {
 		c.AllReduce(rank, x, fp16)
 	})
 	want += testLink.RingAllReduceSeconds(g, 2*((n+g-1)/g))
-	for r, ck := range clocks {
-		if !eqTime(ck.Now(), want) {
-			t.Errorf("after FP16 op: rank %d clock %v, want %v", r, ck.Now(), want)
-		}
+	if !eqTime(clock.Now(), want) {
+		t.Errorf("after FP16 op: clock %v, want %v", clock.Now(), want)
 	}
 }
 
 func TestAllGatherChargesLargestPayload(t *testing.T) {
 	const g = 3
-	c, clocks := newCostComm(g)
+	c, clock := newCostComm(g)
 	sizes := []int{2, 7, 4}
 	ints := make([][]int, g)
 	floats := make([][]float32, g)
@@ -69,52 +62,24 @@ func TestAllGatherChargesLargestPayload(t *testing.T) {
 	}
 	c.AllGatherIntsRanks(ints)
 	want := testLink.RingAllGatherSeconds(g, int64(4*7))
-	for r, ck := range clocks {
-		if !eqTime(ck.Now(), want) {
-			t.Errorf("ints: rank %d clock %v, want %v", r, ck.Now(), want)
-		}
+	if !eqTime(clock.Now(), want) {
+		t.Errorf("ints: clock %v, want %v", clock.Now(), want)
 	}
 	c.AllGatherFloatsRanks(floats, nil)
 	want += testLink.RingAllGatherSeconds(g, int64(4*7))
-	for r, ck := range clocks {
-		if !eqTime(ck.Now(), want) {
-			t.Errorf("floats: rank %d clock %v, want %v", r, ck.Now(), want)
-		}
-	}
-}
-
-// TestBarrierMaxSynchronizes: the control-plane vote (AgreeRanks) costs no
-// bytes but drags every clock up to the slowest rank.
-func TestBarrierMaxSynchronizes(t *testing.T) {
-	const g = 4
-	c, clocks := newCostComm(g)
-	for r, ck := range clocks {
-		ck.Advance(float64(r)) // rank 3 is the straggler-setter at t=3
-	}
-	yes := []bool{true, true, true, true}
-	c.AgreeRanks(yes)
-	for r, ck := range clocks {
-		if !eqTime(ck.Now(), 3) {
-			t.Errorf("rank %d clock %v after barrier, want 3", r, ck.Now())
-		}
-	}
-	// Reusable across generations.
-	c.AgreeRanks(yes)
-	for r, ck := range clocks {
-		if !eqTime(ck.Now(), 3) {
-			t.Errorf("second barrier moved rank %d to %v", r, ck.Now())
-		}
+	if !eqTime(clock.Now(), want) {
+		t.Errorf("floats: clock %v, want %v", clock.Now(), want)
 	}
 }
 
 // TestDeterministicVirtualTime runs the same mixed collective sequence —
 // the per-rank adapter on one goroutine per rank, then a vote and batched
-// gathers — on fresh communicators and demands bit-identical clocks,
+// gathers — on fresh communicators and demands a bit-identical clock,
 // whatever the scheduler did.
 func TestDeterministicVirtualTime(t *testing.T) {
-	run := func() []float64 {
+	run := func() float64 {
 		const g = 5
-		c, clocks := newCostComm(g)
+		c, clock := newCostComm(g)
 		runRanks(g, func(rank int) {
 			x := make([]float32, 333)
 			c.AllReduce(rank, x, nil)
@@ -127,20 +92,14 @@ func TestDeterministicVirtualTime(t *testing.T) {
 		}
 		c.AllGatherIntsRanks(ints)
 		c.AllGatherFloatsRanks(floats, half.NewScaler(1))
-		out := make([]float64, g)
-		for i, ck := range clocks {
-			out[i] = ck.Now()
-		}
-		return out
+		return clock.Now()
 	}
 	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("virtual time not reproducible: run1[%d]=%v run2[%d]=%v", i, a[i], i, b[i])
-		}
-		if a[i] <= 0 {
-			t.Fatalf("clock %d never advanced", i)
-		}
+	if a != b {
+		t.Fatalf("virtual time not reproducible: run1 %v, run2 %v", a, b)
+	}
+	if a <= 0 {
+		t.Fatal("clock never advanced")
 	}
 }
 
@@ -160,16 +119,14 @@ func TestNilCostModelLeavesNoTrace(t *testing.T) {
 }
 
 // TestDetachedCostStopsPricing: AttachCost(nil) detaches the model, so later
-// collectives are still counted but move none of its clocks.
+// collectives are still counted but do not move its clock.
 func TestDetachedCostStopsPricing(t *testing.T) {
 	const g = 3
-	c, clocks := newCostComm(g)
+	c, clock := newCostComm(g)
 	runRanks(g, func(rank int) { c.AllReduce(rank, make([]float32, 64), nil) })
-	before := make([]float64, g)
-	for r, ck := range clocks {
-		if before[r] = ck.Now(); before[r] <= 0 {
-			t.Fatalf("rank %d clock %v: the attached model did not price the all-reduce", r, before[r])
-		}
+	before := clock.Now()
+	if before <= 0 {
+		t.Fatalf("clock %v: the attached model did not price the all-reduce", before)
 	}
 	c.AttachCost(nil)
 	if c.Cost() != nil {
@@ -178,21 +135,12 @@ func TestDetachedCostStopsPricing(t *testing.T) {
 	runRanks(g, func(rank int) { c.AllReduce(rank, make([]float32, 64), nil) })
 	c.AllGatherIntsRanks([][]int{{1}, {2, 3}, {}})
 	c.AgreeRanks(make([]bool, g))
-	for r, ck := range clocks {
-		if ck.Now() != before[r] {
-			t.Errorf("rank %d clock moved from %v to %v after detaching", r, before[r], ck.Now())
-		}
+	if clock.Now() != before {
+		t.Errorf("clock moved from %v to %v after detaching", before, clock.Now())
+	}
+	for r := 0; r < g; r++ {
 		if s := c.RankStats(r); s.AllReduceCalls != 2 || s.AllGatherCalls != 1 {
 			t.Errorf("rank %d stats %+v, want 2 all-reduces and 1 all-gather counted", r, s)
 		}
 	}
-}
-
-func TestAttachCostValidatesClockCount(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched clock count must panic")
-		}
-	}()
-	New(3).AttachCost(&CostModel{Link: testLink, Clocks: make([]*vclock.Clock, 2)})
 }

@@ -225,24 +225,21 @@ func sameTensors(t *testing.T, what string, got, want [][][]float32) {
 // misses a charge or takes one twice is off by a visible amount.
 var matrixLink = perfmodel.LinkCost{Alpha: 1e-5, BytesPerSec: 1e9}
 
-// pricedComm returns a communicator that prices on fresh clocks, started
-// apart so that every charge must first bring them to their maximum, and
-// that maximum.
-func pricedComm(g int) (*collective.Comm, []*vclock.Clock, float64) {
+// pricedComm returns a communicator that prices on a fresh clock, started
+// at a g-dependent time so that every charge must add to where it was, and
+// that time.
+func pricedComm(g int) (*collective.Comm, *vclock.Clock, float64) {
 	c := collective.New(g)
-	clocks := apartClocks(g)
-	c.AttachCost(&collective.CostModel{Link: matrixLink, Clocks: clocks})
-	return c, clocks, vclock.MaxNow(clocks)
+	clock := startedClock(g)
+	c.AttachCost(&collective.CostModel{Link: matrixLink, Clock: clock})
+	return c, clock, clock.Now()
 }
 
-// apartClocks returns g fresh clocks started at distinct times.
-func apartClocks(g int) []*vclock.Clock {
-	clocks := make([]*vclock.Clock, g)
-	for r := range clocks {
-		clocks[r] = new(vclock.Clock)
-		clocks[r].Advance(float64((5*r)%g) * 1e-3)
-	}
-	return clocks
+// startedClock returns a fresh clock started at g ms.
+func startedClock(g int) *vclock.Clock {
+	clock := new(vclock.Clock)
+	clock.Advance(float64(g) * 1e-3)
+	return clock
 }
 
 // schedule is the matrix's adversarial schedule: body runs once per
@@ -269,12 +266,12 @@ func schedule(t *testing.T, body func(t *testing.T, g int, draw *rng.RNG)) {
 //     references agree;
 //   - one AllReduceRanks call leaves those bits in rank 0's tensors, counts
 //     on each rank one call per tensor and the bytes that rank sends in the
-//     goroutine ring, and advances every clock by one ring over the
-//     tensors' summed chunk bytes from their common maximum;
+//     goroutine ring, and advances the clock by one ring over the
+//     tensors' summed chunk bytes;
 //   - the per-rank AllReduce adapter, called once per tensor from one
 //     goroutine per rank, leaves on every rank the bits of serialRing run
 //     tensor by tensor, with the same Stats, and a ring per tensor on the
-//     clocks.
+//     clock.
 func TestRingFusedMatrix(t *testing.T) {
 	wires := []struct {
 		name string
@@ -323,7 +320,7 @@ func TestRingFusedMatrix(t *testing.T) {
 					sameTensors(t, "goroutine ring vs serial definition", ring, want)
 
 					got := cloneTensors(initial)
-					c, clocks, start := pricedComm(g)
+					c, clock, start := pricedComm(g)
 					c.AttachBackend(be)
 					c.AllReduceRanks(got, w.wire)
 					sameTensors(t, "AllReduceRanks rank 0 vs serial definition", got[:1], want[:1])
@@ -335,9 +332,9 @@ func TestRingFusedMatrix(t *testing.T) {
 						if s := c.RankStats(r); s != (collective.Stats{AllReduceCalls: int64(len(shapes)), AllReduceBytes: sent[r]}) {
 							t.Fatalf("rank %d stats %+v, want %d calls and the goroutine ring's %d bytes", r, s, len(shapes), sent[r])
 						}
-						if now, want := clocks[r].Now(), start+matrixLink.RingAllReduceSeconds(g, chunkBytes); now != want {
-							t.Fatalf("rank %d virtual clock %v, want one ring over %d chunk bytes = %v", r, now, chunkBytes, want)
-						}
+					}
+					if now, want := clock.Now(), start+matrixLink.RingAllReduceSeconds(g, chunkBytes); now != want {
+						t.Fatalf("virtual clock %v, want one ring over %d chunk bytes = %v", now, chunkBytes, want)
 					}
 
 					// Tensor by tensor: the definition, then the adapter.
@@ -350,7 +347,7 @@ func TestRingFusedMatrix(t *testing.T) {
 						serialRing(column, w.wire)
 					}
 					adapted := cloneTensors(initial)
-					ac, aclocks, astart := pricedComm(g)
+					ac, aclock, astart := pricedComm(g)
 					ac.AttachBackend(be)
 					aw := withYields(w.wire)
 					onRanks(g, func(rank int) {
@@ -367,9 +364,9 @@ func TestRingFusedMatrix(t *testing.T) {
 						if ac.RankStats(r) != c.RankStats(r) {
 							t.Fatalf("rank %d stats: adapter %+v, batched %+v", r, ac.RankStats(r), c.RankStats(r))
 						}
-						if now := aclocks[r].Now(); len(shapes) > 0 && now != wantClock {
-							t.Fatalf("rank %d adapter clock %v, want a ring per tensor = %v", r, now, wantClock)
-						}
+					}
+					if now := aclock.Now(); now != wantClock {
+						t.Fatalf("adapter clock %v, want a ring per tensor = %v", now, wantClock)
 					}
 				})
 			}
@@ -416,7 +413,7 @@ func TestAllReduceRanksRejectsRaggedShapes(t *testing.T) {
 // gatherCase is one batched collective of TestGatherMatrix with its serial
 // oracle: call issues it on c and returns what it produced, want is what it
 // must produce, stats what it adds to each rank's counters, and seconds what
-// it adds to the clocks once it has brought them to their maximum.
+// it adds to the clock.
 type gatherCase struct {
 	call    func(c *collective.Comm) any
 	want    any
@@ -510,8 +507,7 @@ func gatherFloats(wire collective.Wire, perRank bool) func(lens []int, seed uint
 }
 
 // agree: the group learns whether every rank voted yes (here: has a nonzero
-// length); the vote puts no bytes on the wire and costs no time beyond
-// bringing the clocks together.
+// length); the vote puts no bytes on the wire and costs no time.
 func agree(lens []int, _ uint64) gatherCase {
 	votes := make([]bool, len(lens))
 	all := true
@@ -562,8 +558,8 @@ func agreeAdapter(lens []int, seed uint64) gatherCase {
 // whose cost model is its first or one re-attached over another, as the
 // trainer's is around its overlapped reductions. Each call must produce the
 // oracle's result and add the oracle's Stats to every rank, the attached
-// model's clocks, started apart, must end at their maximum plus the
-// oracle's seconds, and the clocks of the model it replaced must not move.
+// model's clock must end at its start plus the oracle's seconds, and the
+// clock of the model it replaced must not move.
 func TestGatherMatrix(t *testing.T) {
 	ops := []struct {
 		name  string
@@ -589,17 +585,14 @@ func TestGatherMatrix(t *testing.T) {
 				for _, cost := range []string{"attached", "reattached"} {
 					t.Run(fmt.Sprintf("shift=%d/%s/cost=%s", shift, op.name, cost), func(t *testing.T) {
 						gc := op.build(lens, uint64(97*shift+g))
-						c, clocks, start := pricedComm(g)
-						var replaced []*vclock.Clock
-						var replacedAt []float64
+						c, clock, start := pricedComm(g)
+						var replaced *vclock.Clock
+						var replacedAt float64
 						if cost == "reattached" {
-							replaced = clocks
-							for _, ck := range replaced {
-								replacedAt = append(replacedAt, ck.Now())
-							}
-							clocks = apartClocks(g)
-							start = vclock.MaxNow(clocks)
-							c.AttachCost(&collective.CostModel{Link: matrixLink, Clocks: clocks})
+							replaced, replacedAt = clock, start
+							clock = startedClock(g + 1)
+							start = clock.Now()
+							c.AttachCost(&collective.CostModel{Link: matrixLink, Clock: clock})
 						}
 						if got := gc.call(c); fmt.Sprint(got) != fmt.Sprint(gc.want) {
 							t.Fatalf("produced %v, want %v", got, gc.want)
@@ -608,12 +601,12 @@ func TestGatherMatrix(t *testing.T) {
 							if s := c.RankStats(r); s != gc.stats {
 								t.Fatalf("rank %d stats %+v, want %+v", r, s, gc.stats)
 							}
-							if now, want := clocks[r].Now(), start+gc.seconds; now != want {
-								t.Fatalf("rank %d virtual clock %v, want %v", r, now, want)
-							}
-							if replaced != nil && replaced[r].Now() != replacedAt[r] {
-								t.Fatalf("rank %d: the replaced model's clock moved from %v to %v", r, replacedAt[r], replaced[r].Now())
-							}
+						}
+						if now, want := clock.Now(), start+gc.seconds; now != want {
+							t.Fatalf("virtual clock %v, want %v", now, want)
+						}
+						if replaced != nil && replaced.Now() != replacedAt {
+							t.Fatalf("the replaced model's clock moved from %v to %v", replacedAt, replaced.Now())
 						}
 					})
 				}

@@ -60,33 +60,29 @@ func (c *Comm) AttachTelemetry(reg *telemetry.Registry) {
 
 // AttachTrace wires the communicator's collectives into a span tracer:
 // every operation emits one span per rank (cat "collective", tid = rank)
-// whose virtual-clock duration covers the rank's whole participation — wire
-// time plus the wait for the slowest rank — read from the clocks of the
-// cost model attached when the operation ran (zero without AttachCost). nil
-// detaches. Purely observational, like AttachTelemetry.
+// whose virtual-clock duration is the operation's charge, read from the
+// clock of the cost model attached when the operation ran (zero without
+// AttachCost). nil detaches. Purely observational, like AttachTelemetry.
 func (c *Comm) AttachTrace(tr *telemetry.Tracer) {
 	c.trace = tr
 }
 
-// clockNow reads rank's virtual clock (0 without a cost model).
-func (c *Comm) clockNow(rank int) float64 {
-	if c.cost == nil || rank >= len(c.cost.Clocks) {
+// clockNow reads the cost model's virtual clock (0 without one).
+func (c *Comm) clockNow() float64 {
+	if c.cost == nil {
 		return 0
 	}
-	return c.cost.Clocks[rank].Now()
+	return c.cost.Clock.Now()
 }
 
 // opStartRanks samples, when telemetry or a tracer observes the
-// communicator, the wall clock at the start of a call made for every rank —
-// returned — and each rank's virtual clock, kept in c.v0.
-func (c *Comm) opStartRanks() (t0 time.Time) {
+// communicator, the wall clock and the virtual clock at the start of a call
+// made for every rank.
+func (c *Comm) opStartRanks() (t0 time.Time, v0 float64) {
 	if c.tel != nil || c.trace != nil {
-		t0 = time.Now()
-		for r := range c.v0 {
-			c.v0[r] = c.clockNow(r)
-		}
+		t0, v0 = time.Now(), c.clockNow()
 	}
-	return t0
+	return t0, v0
 }
 
 // opEnd posts one completed operation — calls logical calls moving bytes
@@ -97,7 +93,7 @@ func (c *Comm) opEnd(op, label string, rank int, calls, bytes int64, t0 time.Tim
 		c.tel.record(op, label, calls, bytes, int64(time.Since(t0)))
 	}
 	if c.trace != nil {
-		c.trace.Span("collective", op, rank, t0, time.Since(t0), v0, c.clockNow(rank)-v0)
+		c.trace.Span("collective", op, rank, t0, time.Since(t0), v0, c.clockNow()-v0)
 	}
 }
 

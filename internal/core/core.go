@@ -95,11 +95,6 @@ type Stats struct {
 	WireBytes int64
 	// ScratchBytes is the peak scratch memory the exchange allocated.
 	ScratchBytes int64
-	// SimSeconds is the simulated duration of the exchange on this rank's
-	// virtual clock: the time the collectives (priced by the
-	// communicator's CostModel) advanced it while the exchange ran. Zero
-	// when no device/cost model is attached.
-	SimSeconds float64
 }
 
 // Ctx carries the per-rank execution environment of an exchange.
@@ -203,11 +198,12 @@ type Exchanger interface {
 	// differs, before anything is read or written) — into the global
 	// Update, executed once for the whole group on the calling goroutine.
 	// Everything that is per rank stays per rank: each rank's collectives
-	// are counted, priced on its clock and traced on its track, each rank
-	// allocates its scratch on its device, and each gets its own Stats and
-	// error. An error on any rank is an error on every
-	// rank (the rank that ran out of memory gets its device's error, the
-	// others ErrPeerOOM), and the Update is then empty.
+	// are counted and traced on its track, each rank allocates its scratch
+	// on its device, and each gets its own Stats and error; the
+	// communicator's cost model prices each collective once, on the
+	// group's clock. An error on any rank is an error on every rank (the
+	// rank that ran out of memory gets its device's error, the others
+	// ErrPeerOOM), and the Update is then empty.
 	ExchangeRanks(ctxs []*Ctx, grads []SparseGrad) (Update, []Stats, []error)
 	// Exchange is the per-rank adapter of ExchangeRanks: every rank of
 	// ctx.Comm calls it from its own goroutine with its context and
@@ -244,8 +240,8 @@ func exchangeRank(ex Exchanger, ctx *Ctx, grad SparseGrad) (Update, Stats, error
 }
 
 // batch is one ExchangeRanks call's bookkeeping: the group's communicator
-// and wire, and per rank its Stats and error, its traffic and virtual clock
-// when the call began, and the scratch bytes it holds on its device.
+// and wire, and per rank its Stats and error, its traffic when the call
+// began, and the scratch bytes it holds on its device.
 type batch struct {
 	ctxs   []*Ctx
 	comm   *collective.Comm
@@ -253,7 +249,6 @@ type batch struct {
 	stats  []Stats
 	errs   []error
 	before []collective.Stats
-	sim0   []float64
 	held   []int64
 }
 
@@ -280,7 +275,6 @@ func open(ctxs []*Ctx, grads []SparseGrad) (b *batch, ok bool) {
 		stats:  make([]Stats, g),
 		errs:   make([]error, g),
 		before: make([]collective.Stats, g),
-		sim0:   make([]float64, g),
 		held:   make([]int64, g),
 	}
 	if err := checkGrads(grads); err != nil {
@@ -289,12 +283,9 @@ func open(ctxs []*Ctx, grads []SparseGrad) (b *batch, ok bool) {
 		}
 		return b, false
 	}
-	for r, ctx := range ctxs {
+	for r := range ctxs {
 		b.stats[r].Tokens = len(grads[r].Indices)
 		b.before[r] = comm.RankStats(r)
-		if ctx.Dev != nil && ctx.Dev.Clock != nil {
-			b.sim0[r] = ctx.Dev.Clock.Now()
-		}
 	}
 	return b, true
 }
@@ -360,14 +351,11 @@ func (b *batch) release() {
 	}
 }
 
-// finish fills in what each rank's exchange cost on the wire and on its
-// clock, and releases the scratch.
+// finish fills in what each rank's exchange cost on the wire, and releases
+// the scratch.
 func (b *batch) finish() {
-	for r, ctx := range b.ctxs {
+	for r := range b.ctxs {
 		b.stats[r].WireBytes = b.comm.RankStats(r).Sub(b.before[r]).Total()
-		if ctx.Dev != nil && ctx.Dev.Clock != nil {
-			b.stats[r].SimSeconds = ctx.Dev.Clock.Now() - b.sim0[r]
-		}
 	}
 	b.release()
 }

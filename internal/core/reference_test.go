@@ -15,6 +15,7 @@ import (
 	"zipflm/internal/perfmodel"
 	"zipflm/internal/rng"
 	"zipflm/internal/tensor"
+	"zipflm/internal/vclock"
 )
 
 // This file keeps the exchange engines as they were written before
@@ -69,14 +70,6 @@ func gatherFloatsRank(c *collective.Comm, rank int, local []float32, wire collec
 	return mine.out
 }
 
-// refSimNow returns the rank's virtual time (0 without a device clock).
-func refSimNow(ctx *Ctx) float64 {
-	if ctx.Dev == nil || ctx.Dev.Clock == nil {
-		return 0
-	}
-	return ctx.Dev.Clock.Now()
-}
-
 // refAlloc charges the device (if any) and returns a release func.
 func refAlloc(dev *cluster.Device, n int64) (func(), error) {
 	if dev == nil || n == 0 {
@@ -121,7 +114,6 @@ func refUnique(ctx *Ctx, grad SparseGrad) (Update, Stats, error) {
 	g, k, d := ctx.Comm.Size(), len(grad.Indices), grad.Rows.Cols
 	stats := Stats{Tokens: k}
 	before := ctx.Comm.RankStats(ctx.Rank)
-	simBefore := refSimNow(ctx)
 
 	localIdx, localRows := localReduce(ctx.WS, grad)
 	stats.UniqueLocal = len(localIdx)
@@ -153,7 +145,6 @@ func refUnique(ctx *Ctx, grad SparseGrad) (Update, Stats, error) {
 	ctx.Comm.AllReduce(ctx.Rank, m.Data, ctx.Wire)
 
 	stats.WireBytes = ctx.Comm.RankStats(ctx.Rank).Sub(before).Total()
-	stats.SimSeconds = refSimNow(ctx) - simBefore
 	stats.ScratchBytes = preBytes + int64(ug)*int64(d)*4
 	return Update{Indices: globalIdx, Rows: m}, stats, nil
 }
@@ -166,7 +157,6 @@ func refBaseline(ctx *Ctx, grad SparseGrad) (Update, Stats, error) {
 	g, k, d := ctx.Comm.Size(), len(grad.Indices), grad.Rows.Cols
 	stats := Stats{Tokens: k}
 	before := ctx.Comm.RankStats(ctx.Rank)
-	simBefore := refSimNow(ctx)
 
 	scratch := int64(g)*int64(k)*int64(d)*4 + int64(g)*int64(k)*4
 	release, allocErr := refAlloc(ctx.Dev, scratch)
@@ -197,7 +187,6 @@ func refBaseline(ctx *Ctx, grad SparseGrad) (Update, Stats, error) {
 	stats.UniqueLocal = len(seen)
 	stats.UniqueGlobal = len(order)
 	stats.WireBytes = ctx.Comm.RankStats(ctx.Rank).Sub(before).Total()
-	stats.SimSeconds = refSimNow(ctx) - simBefore
 	return Update{Indices: order, Rows: acc}, stats, nil
 }
 
@@ -211,12 +200,12 @@ type outcome struct {
 	Stats      []Stats
 	Errs       []string
 	Live, Peak []int64
-	Clocks     []float64
+	Clock      float64
 	Traffic    []collective.Stats
 }
 
 // exchangeVia runs one exchange of grads with fresh everything: a
-// communicator priced on the devices' clocks (started apart), devices of
+// communicator priced on a clock of its own (started off zero), devices of
 // the given capacities (0: unlimited), the group's wire and per-rank
 // workspaces. run executes the exchange and returns rank 0's Update and
 // every rank's Stats and error.
@@ -229,10 +218,11 @@ func exchangeVia(t *testing.T, grads []SparseGrad, caps []int64, wire collective
 	ctxs := make([]*Ctx, g)
 	for r, dev := range clu.Devices {
 		dev.Capacity = caps[r]
-		dev.Clock.Advance(float64((3*r)%g) * 1e-4)
 		ctxs[r] = &Ctx{Rank: r, Comm: comm, Dev: dev, Wire: wire, WS: NewWorkspace()}
 	}
-	comm.AttachCost(&collective.CostModel{Link: refLink, Clocks: clu.Clocks()})
+	clock := new(vclock.Clock)
+	clock.Advance(float64(g) * 1e-4)
+	comm.AttachCost(&collective.CostModel{Link: refLink, Clock: clock})
 	done := make(chan struct{})
 	var upd Update
 	var stats []Stats
@@ -246,7 +236,7 @@ func exchangeVia(t *testing.T, grads []SparseGrad, caps []int64, wire collective
 	case <-time.After(20 * time.Second):
 		t.Fatal("exchange did not return")
 	}
-	o := outcome{Indices: upd.Indices, Stats: stats}
+	o := outcome{Indices: upd.Indices, Stats: stats, Clock: clock.Now()}
 	if upd.Rows != nil {
 		o.Rows = upd.Rows.Data
 	}
@@ -258,7 +248,6 @@ func exchangeVia(t *testing.T, grads []SparseGrad, caps []int64, wire collective
 		o.Errs = append(o.Errs, msg)
 		o.Live = append(o.Live, dev.Live())
 		o.Peak = append(o.Peak, dev.Peak())
-		o.Clocks = append(o.Clocks, dev.Clock.Now())
 		o.Traffic = append(o.Traffic, comm.RankStats(r))
 	}
 	return o
@@ -362,14 +351,16 @@ func compareToReference(t *testing.T, ex Exchanger, ref func(*Ctx, SparseGrad) (
 
 // summary is an outcome without its update's values, for failure messages.
 func summary(o outcome) string {
-	return fmt.Sprintf("%d indices, %d values; stats %+v; errs %q; live %v peak %v; clocks %v; traffic %+v",
-		len(o.Indices), len(o.Rows), o.Stats, o.Errs, o.Live, o.Peak, o.Clocks, o.Traffic)
+	return fmt.Sprintf("%d indices, %d values; stats %+v; errs %q; live %v peak %v; clock %v; traffic %+v",
+		len(o.Indices), len(o.Rows), o.Stats, o.Errs, o.Live, o.Peak, o.Clock, o.Traffic)
 }
 
 // TestExchangeRanksMatchesReference holds ExchangeRanks and the Exchange
 // adapter of both engines to the per-rank references, on ragged token
 // counts, for G ∈ {1, 2, 3, 4, 8} and every wire: the update's bits, every
-// rank's Stats, device Live and Peak, virtual clock and traffic counters.
+// rank's Stats, device Live and Peak and traffic counters, and the virtual
+// clock, which the exchange must have advanced unless G = 1 (a one-rank
+// ring costs nothing).
 func TestExchangeRanksMatchesReference(t *testing.T) {
 	for _, e := range refEngines {
 		for _, g := range []int{1, 2, 3, 4, 8} {
@@ -382,8 +373,8 @@ func TestExchangeRanksMatchesReference(t *testing.T) {
 							t.Fatalf("rank %d: %s", r, msg)
 						}
 					}
-					if len(o.Indices) == 0 || o.Peak[0] == 0 {
-						t.Fatalf("empty exchange: %s", summary(o))
+					if len(o.Indices) == 0 || o.Peak[0] == 0 || (g > 1 && o.Clock <= float64(g)*1e-4) {
+						t.Fatalf("empty or unpriced exchange: %s", summary(o))
 					}
 				})
 			}
@@ -395,7 +386,7 @@ func TestExchangeRanksMatchesReference(t *testing.T) {
 // allocation point — the unique engine has two, before the index gather and
 // before the U_g×D reduction; the baseline one — that rank gets its
 // device's error, every other rank ErrPeerOOM, every byte is released, and
-// the clocks, peaks and counters are the references'.
+// the clock, peaks and counters are the references'.
 func TestExchangeRanksAsymmetricOOM(t *testing.T) {
 	const d, vocab = 6, 64
 	for _, g := range []int{2, 3, 4} {

@@ -14,15 +14,15 @@ import (
 
 func init() {
 	register("overlap",
-		"Overlap ablation: dense allreduce priced on per-rank lane clocks vs synchronous dense reduction (predicted step time, wire bytes)",
+		"Overlap ablation: dense allreduce priced on a lane clock vs synchronous dense reduction (predicted step time, wire bytes)",
 		runOverlap)
 }
 
 // runOverlap prices what overlapping the dense reduction with compute buys
 // on the Table II cluster: the same workload steps once with the
 // synchronous per-tensor dense reduction and once with Overlap, which
-// reduces each dense layer as one call and prices it on per-rank lane
-// clocks from the moment backprop finished that layer. Both modes execute the same
+// reduces each dense layer as one call and prices it on a lane clock from
+// the moment backprop finished that layer. Both modes execute the same
 // reductions, so weights and wire bytes are identical by construction — the
 // tests assert bit-equality — and the table is the virtual clock's
 // prediction, where the overlapped step is the critical path of compute and
@@ -99,7 +99,7 @@ func runOverlap(opts Options) (*Report, error) {
 		"ranks", "pred sync ms/step", "pred overlap ms/step", "pred speedup", "wire bytes/rank", "bytes identical")
 	notes := []string{
 		"overlap = each dense layer all-reduced as one call, priced from the moment backprop finished it; both modes execute the same reductions",
-		"pred = the virtual clock's step time: the overlapped reductions run on per-rank lane clocks from the moment a layer's gradients are ready, and each rank's clock joins its lane clock at the end of the synchronization (critical path, not sum)",
+		"pred = the virtual clock's step time: the overlapped reductions run on a lane clock from the moment a layer's gradients are ready, and the device clock joins the lane clock at the end of the synchronization (critical path, not sum)",
 	}
 	var bestPred float64
 	for _, g := range ranksList {

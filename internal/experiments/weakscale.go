@@ -13,6 +13,7 @@ import (
 	"zipflm/internal/rng"
 	"zipflm/internal/sampling"
 	"zipflm/internal/tensor"
+	"zipflm/internal/vclock"
 )
 
 func init() {
@@ -26,7 +27,7 @@ func init() {
 // the simulated cluster with the virtual clock threaded through every
 // collective (cost.go's α–β charging on the Table II links), sweeps the
 // cluster size at fixed per-rank work (weak scaling), and reads predicted
-// step time off the clocks. The paper's qualitative story emerges online:
+// step time off the clock. The paper's qualitative story emerges online:
 // the baseline ALLGATHER becomes communication/update-bound and then hits
 // the 12 GB memory wall, while the uniqueness exchange stays near-flat.
 
@@ -47,8 +48,9 @@ type weakRun struct {
 // runWeakStep executes one synchronous step's synchronization at scale g
 // online — sparse exchanges run for real through the cost-modeled
 // collectives; dense all-reduce, compute, embedding update and framework
-// overhead are charged onto the same clocks from the workload's calibrated
-// constants — and returns the virtual-clock decomposition.
+// overhead are charged onto the same clock from the workload's calibrated
+// constants — and returns the virtual-clock decomposition. The step is
+// bulk-synchronous, so one clock prices it for every rank.
 func runWeakStep(w scalingWorkload, g int, baseline, unlimitedMem bool, seed uint64) (weakRun, error) {
 	hw := w.hardware()
 	var capacity int64
@@ -67,8 +69,8 @@ func runWeakStep(w scalingWorkload, g int, baseline, unlimitedMem bool, seed uin
 	clu := cluster.New(g, capacity)
 	comm := collective.New(g)
 	link := hw.RingLink(g)
-	cm := &collective.CostModel{Link: link, Clocks: clu.Clocks()}
-	comm.AttachCost(cm)
+	var clock vclock.Clock
+	comm.AttachCost(&collective.CostModel{Link: link, Clock: &clock})
 
 	// Engine stack: the baseline is the §II-B ALLGATHER with per-rank
 	// sampler seeds and FP32 wire; "ours" is the full §III stack —
@@ -161,21 +163,19 @@ func runWeakStep(w scalingWorkload, g int, baseline, unlimitedMem bool, seed uin
 	}
 
 	// Phase: dense RNN/projection gradients — accounted, not materialized:
-	// the ring all-reduce of DenseParams elements charges the same clocks
+	// the ring all-reduce of DenseParams elements charges the same clock
 	// through the same link model the live collectives used.
 	es := int64(4)
 	if wire != nil {
 		es = 2
 	}
-	cm.Charge(link.RingAllReduceSeconds(g, (w.DenseParams+int64(g)-1)/int64(g)*es))
-	run.commSec = clu.MaxClock()
+	clock.Advance(link.RingAllReduceSeconds(g, (w.DenseParams+int64(g)-1)/int64(g)*es))
+	run.commSec = clock.Now()
 
 	// Phase: forward/backward compute at the workload's achieved fraction
 	// of peak.
-	for _, dev := range clu.Devices {
-		dev.AdvanceCompute(int64(w.FLOPsPerStep), hw, w.AchievedFrac)
-	}
-	afterCompute := clu.MaxClock()
+	clock.Advance(hw.ComputeSeconds(float64(int64(w.FLOPsPerStep)), w.AchievedFrac))
+	afterCompute := clock.Now()
 	run.computeSec = afterCompute - run.commSec
 
 	// Phase: embedding update. The baseline scatter-adds all G·K (+ G·Kc)
@@ -197,19 +197,17 @@ func runWeakStep(w scalingWorkload, g int, baseline, unlimitedMem bool, seed uin
 		rows = int64(run.ugIn) + int64(run.ugOut)
 	}
 	updateBytes := int64(float64(2*rows*int64(w.D)*4) * ser)
-	for _, dev := range clu.Devices {
-		dev.AdvanceMemory(updateBytes, hw)
-	}
-	run.updateSec = clu.MaxClock() - afterCompute
+	clock.Advance(hw.MemorySeconds(updateBytes))
+	run.updateSec = clock.Now() - afterCompute
 
 	// Phase: fixed per-step framework overhead. The strong-scaling tables
 	// calibrate an additional quadratic TF-coordination term; weak scaling
 	// holds per-rank work fixed, so only the base (+ linear) overhead
 	// applies here.
 	run.overheadSec = w.OverheadBase + w.OverheadLin*float64(g)
-	cm.Charge(run.overheadSec)
+	clock.Advance(run.overheadSec)
 
-	run.stepSec = clu.MaxClock()
+	run.stepSec = clock.Now()
 	return run, nil
 }
 
@@ -245,7 +243,7 @@ func runWeakScale(opts Options) (*Report, error) {
 	tab.SetUnits("", "", "words", "", "ms", "ms", "ms", "s", "hrs", "×")
 
 	notes := []string{
-		"engines run online over the simulated cluster: collectives advance per-rank virtual clocks by α + bytes/β on the Table II links; dense all-reduce, compute, update and overhead charge the same clocks",
+		"engines run online over the simulated cluster: collectives advance the virtual clock by α + bytes/β on the Table II links; dense all-reduce, compute, update and overhead charge the same clock",
 		"framework overhead uses the calibrated base (+ linear) term only — the strong-scaling tables' quadratic TF-coordination term does not apply at fixed per-rank work",
 	}
 

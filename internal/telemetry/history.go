@@ -28,8 +28,9 @@ type HistoryConfig struct {
 	// Interval is Start's sampling period (DefaultHistoryInterval when 0).
 	Interval time.Duration
 	// VClock, when non-nil, is read at each sample and stamped on it —
-	// typically cluster.MaxClock or a registry gauge reader — giving every
-	// series a virtual-time axis next to the wall-time one.
+	// typically a registry gauge reader, such as the trainer's
+	// zipflm_train_sim_seconds (its device clock) — giving every series a
+	// virtual-time axis next to the wall-time one.
 	VClock func() float64
 }
 

@@ -77,19 +77,15 @@ func optimizerDigest(st optim.State, m *model.LM) string {
 }
 
 // countersDigest hashes what a run reports about itself besides its weights:
-// for each rank, its traffic counters, its device's virtual clock and memory
-// peak, and its lane clock (zero without Overlap and Hardware); then the
-// unique-word sums of sums.
+// for each rank, its traffic counters, the device clock, its device's memory
+// peak, and the lane clock (zero without Overlap and Hardware) — every rank's
+// line carries the same two clocks; then the unique-word sums of sums.
 func countersDigest(tr *Trainer, sums StepStats) string {
 	h := sha256.New()
 	c := tr.Comm()
+	device, lane := math.Float64bits(tr.clock.Now()), math.Float64bits(tr.lane.Now())
 	for r, dev := range tr.Cluster().Devices {
-		var lane float64
-		if tr.laneClocks != nil {
-			lane = tr.laneClocks[r].Now()
-		}
-		fmt.Fprintf(h, "%d %+v %x %d %x\n", r, c.RankStats(r),
-			math.Float64bits(dev.Clock.Now()), dev.Peak(), math.Float64bits(lane))
+		fmt.Fprintf(h, "%d %+v %x %d %x\n", r, c.RankStats(r), device, dev.Peak(), lane)
 	}
 	fmt.Fprintf(h, "%d %d %d\n", sums.Steps, sums.InputUniqueGlobal, sums.OutputUniqueGlobal)
 	return fmt.Sprintf("%x", h.Sum(nil))

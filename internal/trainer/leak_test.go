@@ -179,33 +179,46 @@ func TestStepsLeaveNoGoroutine(t *testing.T) {
 
 // TestStepAllocBound pins what one committed step allocates on the two
 // benchmark recipes at G = 4 — the word LM (LSTM, sampled softmax, SGD, FP32
-// wire) and the char LM (RHN, full softmax, Adam, FP16 wire, overlap) — at
-// the counts below, which a change may only lower. What is left is phase 1's
+// wire) and the char LM (RHN, full softmax, Adam, FP16 wire, overlap) —
+// and on each again priced on the Titan X's virtual clock, at the counts
+// below, which a change may only lower. What is left is phase 1's
 // fan-out, the word LM's per-step samplers and the exchange engines'
 // per-call slices; the batches, trainStep's per-rank scratch, the
 // collectives and the phase-2 pool allocate nothing. Filling per-rank batch
 // buffers instead of making 2 + 2·SeqLen slices per rank took these from 267
 // and 115; keeping trainStep's results and gradient lists on the Trainer
-// took them from 97 and 42.
+// took them from 97 and 42, and dropping the exchanges' per-rank clock
+// readings took the word LM's from 95. With the virtual clock priced on
+// per-rank clocks the two rows with Hardware measured 98 and 43.
 func TestStepAllocBound(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation guards are not meaningful under -race")
+	}
+	word := Config{
+		Model: model.Config{Vocab: 10000, Dim: 64, Hidden: 128, RNN: model.KindLSTM, Sampled: 128},
+		Ranks: 4, BatchPerRank: 4, SeqLen: 20, LR: 0.3, SeedStrategy: sampling.ZipfFreq, BaseSeed: 7,
+	}
+	char := Config{
+		Model: model.Config{Vocab: 98, Dim: 32, Hidden: 256, RNN: model.KindRHN, RHNDepth: 3},
+		Ranks: 4, BatchPerRank: 1, SeqLen: 8, LR: 0.01, BaseSeed: 7,
+		NewOptimizer: func() optim.Optimizer { return optim.NewAdam(1e-5) },
+		Wire:         half.NewScaler(256), Overlap: true,
+	}
+	// Pricing a recipe on the virtual clock allocates nothing per step.
+	titanX := perfmodel.TitanX()
+	withHardware := func(cfg Config) Config {
+		cfg.Hardware, cfg.SimFLOPsPerStep = &titanX, 1e9
+		return cfg
 	}
 	for _, tc := range []struct {
 		name  string
 		cfg   Config
 		bound float64
 	}{
-		{"word", Config{
-			Model: model.Config{Vocab: 10000, Dim: 64, Hidden: 128, RNN: model.KindLSTM, Sampled: 128},
-			Ranks: 4, BatchPerRank: 4, SeqLen: 20, LR: 0.3, SeedStrategy: sampling.ZipfFreq, BaseSeed: 7,
-		}, 95},
-		{"char", Config{
-			Model: model.Config{Vocab: 98, Dim: 32, Hidden: 256, RNN: model.KindRHN, RHNDepth: 3},
-			Ranks: 4, BatchPerRank: 1, SeqLen: 8, LR: 0.01, BaseSeed: 7,
-			NewOptimizer: func() optim.Optimizer { return optim.NewAdam(1e-5) },
-			Wire:         half.NewScaler(256), Overlap: true,
-		}, 40},
+		{"word", word, 94},
+		{"char", char, 40},
+		{"word+hw", withHardware(word), 94},
+		{"char+hw", withHardware(char), 40},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			train, valid := smallData(tc.cfg.Model.Vocab, 20000, 3)

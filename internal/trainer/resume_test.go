@@ -80,8 +80,8 @@ func TestResumeBitIdentical(t *testing.T) {
 			}
 		}
 		// The cell New used to reject: overlap with the virtual clock, whose
-		// lane clocks do not ride the checkpoint — they rejoin the device
-		// clocks every step.
+		// lane clock does not ride the checkpoint — the device clock joins
+		// it every step.
 		t.Run(fmt.Sprintf("%s-unique-fp32-overlap-hardware", opt), func(t *testing.T) {
 			cfg := smallConfig(4, core.UniqueExchange{})
 			cfg.Model.Sampled = 12

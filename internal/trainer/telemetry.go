@@ -49,7 +49,7 @@ func (t *Trainer) observeStep(computeStart, syncStart time.Time, agg stepStats) 
 		tel.tokens.Add(int64(t.cfg.Ranks) * int64(t.cfg.BatchPerRank) * int64(t.cfg.SeqLen))
 		tel.computeDur.Observe(agg.computeTime)
 		tel.syncDur.Observe(agg.syncTime)
-		tel.simClock.Set(t.clu.MaxClock())
+		tel.simClock.Set(t.clock.Now())
 		tel.goodput.Set(t.goodputRatio())
 	}
 	if tr := t.cfg.Trace; tr != nil {

@@ -107,7 +107,7 @@ type Config struct {
 	// Overlap prices the dense-gradient reduction off the step's critical
 	// path: each dense layer is all-reduced as its own call, in backward
 	// order (projection, RNN, then the full softmax's output embedding),
-	// priced on clocks of their own, modeling a rank that sends layer L
+	// priced on a clock of its own, modeling a rank that sends layer L
 	// while it backpropagates layer L−1 and runs the sparse embedding
 	// exchange. It is a pricing switch: both modes execute the same
 	// reductions, in the same pass, with the same arithmetic, so Overlap
@@ -115,21 +115,23 @@ type Config struct {
 	// bit-identical to the synchronous path (tested). Without Hardware it
 	// changes nothing but how the reductions are grouped into calls.
 	Overlap bool
-	// Hardware, when non-nil, threads the virtual clock through the run:
-	// every collective advances the participating ranks' clocks by
-	// α + bytes/β on the profile's ring link, per-step compute advances
-	// each rank by SimFLOPsPerStep ÷ achieved FLOP/s, and the embedding
-	// updates advance by their read-modify-write bytes ÷ MemBW. StepStats
-	// then carries the predicted wall-clock decomposition next to the
-	// measured one. nil (the default) leaves every hot path on the exact
-	// pre-simulation code path. With Overlap the dense reductions are
-	// priced on per-rank lane clocks beside the device clocks: a layer's
-	// reduction starts no earlier than the virtual time the rank's backward
-	// pass finished it (the forward pass is a third of the compute charge,
-	// and the backward two thirds progress by the finished layers' share of
-	// the dense parameters), and each rank's clock joins its lane clock at
-	// the end of the synchronization, so the predicted step is the critical
-	// path of compute and communication, not their sum.
+	// Hardware, when non-nil, threads the virtual clock through the run.
+	// The step is bulk-synchronous — every rank computes the same, meets
+	// at the same collectives and applies the same update — so one device
+	// clock prices it for every rank: every collective advances it by
+	// α + bytes/β on the profile's ring link, per-step compute by
+	// SimFLOPsPerStep ÷ achieved FLOP/s, and the embedding updates by their
+	// read-modify-write bytes ÷ MemBW. StepStats then carries the predicted
+	// wall-clock decomposition next to the measured one. nil (the default)
+	// leaves every hot path on the exact pre-simulation code path. With
+	// Overlap the dense reductions are priced on a lane clock beside the
+	// device clock: a layer's reduction starts no earlier than the virtual
+	// time the backward pass finished it (the forward pass is a third of
+	// the compute charge, and the backward two thirds progress by the
+	// finished layers' share of the dense parameters), and the device clock
+	// joins the lane clock at the end of the synchronization, so the
+	// predicted step is the critical path of compute and communication, not
+	// their sum.
 	Hardware *perfmodel.Hardware
 	// SimFLOPsPerStep is the modeled per-rank compute per step charged to
 	// the virtual clock (0 = communication/update-only simulation). Only
@@ -159,7 +161,7 @@ type Config struct {
 	Faults *ckpt.FaultPlan
 	// SimCheckpointSeconds is the modeled wall-clock cost of writing one
 	// checkpoint at paper scale (state bytes ÷ storage bandwidth), charged
-	// to every rank's clock at each capture — checkpoints are a global
+	// to the device clock at each capture — checkpoints are a global
 	// barrier. Only meaningful with Hardware.
 	SimCheckpointSeconds float64
 	// SimRestartSeconds is the modeled cost of detecting a dead rank,
@@ -179,8 +181,9 @@ type Config struct {
 	// SimSyncSeconds exactly. Per-rank spans (cat "rank", tid = rank) split
 	// each rank's step into compute / exchange / update, and the attached
 	// communicator adds per-collective-op spans (cat "collective") — the
-	// detail internal/traceview's critical-path analyzer attributes
-	// stragglers and sync-wait from. Export with Tracer.WriteChromeTrace.
+	// detail internal/traceview's critical-path analyzer attributes wire
+	// time from. Every rank's spans carry the one device clock's times.
+	// Export with Tracer.WriteChromeTrace.
 	Trace *telemetry.Tracer
 	// Flight, when non-nil, records structured anomaly events (checkpoint
 	// captures, fault rollbacks) into the flight-recorder ring and dumps
@@ -281,22 +284,20 @@ type Trainer struct {
 	nextDecay int
 	// units are the ranks' dense gradients as all-reduce calls.
 	units denseUnits
-	// results, exV0 and grads are trainStep's per-rank scratch, made once:
-	// each rank's forward/backward result, its device clock when the
-	// exchange span starts (read only when traced), and the sparse
-	// gradients one exchange reads.
+	// results and grads are trainStep's per-rank scratch, made once: each
+	// rank's forward/backward result, and the sparse gradients one exchange
+	// reads.
 	results []model.StepResult
-	exV0    []float64
 	grads   []core.SparseGrad
-	// deviceCost prices collectives on the device clocks (nil without
-	// Hardware). laneCost prices the overlapped dense reductions on
-	// laneClocks, per-rank clocks of their own, and ready[r][i] is the time
-	// on rank r's device clock at which its backward pass finished
-	// units.layers[i] this step (all three nil unless Overlap and Hardware
-	// are set).
+	// clock is the run's device clock, every rank's (it moves only with
+	// Hardware), and deviceCost prices collectives on it (nil without
+	// Hardware). laneCost prices the overlapped dense reductions on lane, a
+	// clock of their own, and ready[i] is the time on the device clock at
+	// which the backward pass finished units.layers[i] this step (both nil
+	// unless Overlap and Hardware are set).
+	clock, lane          vclock.Clock
 	deviceCost, laneCost *collective.CostModel
-	laneClocks           []*vclock.Clock
-	ready                [][]float64
+	ready                []float64
 	// ckptDir is the on-disk store (nil without Config.CheckpointDir);
 	// lastCkpt is the newest captured state — the fault-rollback target.
 	ckptDir  *ckpt.Dir
@@ -373,16 +374,12 @@ func New(cfg Config, train, valid []int) (*Trainer, error) {
 		// PCIe while the cluster fits in one node, on the InfiniBand
 		// boundary once it spans nodes (Table II).
 		link := cfg.Hardware.RingLink(cfg.Ranks)
-		t.deviceCost = &collective.CostModel{Link: link, Clocks: t.clu.Clocks()}
+		t.deviceCost = &collective.CostModel{Link: link, Clock: &t.clock}
 		t.comm.AttachCost(t.deviceCost)
 		if cfg.Overlap {
 			// The overlapped reductions share the fabric but keep their own
 			// timeline.
-			t.laneClocks = make([]*vclock.Clock, cfg.Ranks)
-			for r := range t.laneClocks {
-				t.laneClocks[r] = new(vclock.Clock)
-			}
-			t.laneCost = &collective.CostModel{Link: link, Clocks: t.laneClocks}
+			t.laneCost = &collective.CostModel{Link: link, Clock: &t.lane}
 		}
 	}
 	t.ctxs = make([]*core.Ctx, cfg.Ranks)
@@ -396,15 +393,11 @@ func New(cfg Config, train, valid []int) (*Trainer, error) {
 		m.SetBackend(tensor.New(cfg.Workers))
 	}
 	t.models, t.units = replicate(m, cfg.Ranks)
-	if t.laneClocks != nil {
-		t.ready = make([][]float64, cfg.Ranks)
-		for r := range t.ready {
-			t.ready[r] = make([]float64, len(t.units.layers))
-		}
+	if t.laneCost != nil {
+		t.ready = make([]float64, len(t.units.layers))
 	}
 	t.opt = t.newOptimizer()
 	t.results = make([]model.StepResult, cfg.Ranks)
-	t.exV0 = make([]float64, cfg.Ranks)
 	t.grads = make([]core.SparseGrad, cfg.Ranks)
 	t.shards = make([][]int, cfg.Ranks)
 	t.batches = make([]batch, cfg.Ranks)
@@ -597,7 +590,7 @@ func (t *Trainer) newOptimizer() optim.Optimizer {
 func (t *Trainer) afterStep() (rolledBack bool, err error) {
 	if t.cfg.CheckpointEvery > 0 && t.step%t.cfg.CheckpointEvery == 0 {
 		ckptStart := time.Now()
-		vtsBefore := t.clu.MaxClock()
+		vtsBefore := t.clock.Now()
 		st, err := t.CaptureState()
 		if err != nil {
 			return false, err
@@ -610,20 +603,20 @@ func (t *Trainer) afterStep() (rolledBack bool, err error) {
 		t.lastCkpt = st
 		t.ftStats.Checkpoints++
 		if t.cfg.Hardware != nil && t.cfg.SimCheckpointSeconds > 0 {
-			vclock.SyncAdvance(t.clu.Clocks(), t.cfg.SimCheckpointSeconds)
+			t.clock.Advance(t.cfg.SimCheckpointSeconds)
 			t.ftStats.SimCheckpointSeconds += t.cfg.SimCheckpointSeconds
 		}
 		if t.tel != nil {
 			t.tel.checkpoints.Inc()
 		}
 		t.cfg.Trace.Span("train", "checkpoint", 0, ckptStart, time.Since(ckptStart),
-			vtsBefore, t.clu.MaxClock()-vtsBefore)
+			vtsBefore, t.clock.Now()-vtsBefore)
 		t.cfg.Flight.Record(slog.LevelInfo, "checkpoint",
-			"step", t.step, "vclock_s", t.clu.MaxClock(), "on_disk", t.ckptDir != nil)
+			"step", t.step, "vclock_s", t.clock.Now(), "on_disk", t.ckptDir != nil)
 	}
 	if t.cfg.Faults != nil {
 		for {
-			now := t.clu.MaxClock()
+			now := t.clock.Now()
 			_, ok := t.cfg.Faults.Next(now)
 			if !ok {
 				break
@@ -647,7 +640,7 @@ func (t *Trainer) afterStep() (rolledBack bool, err error) {
 			t.cfg.Flight.Trigger("fault-rollback")
 			rolledBack = true
 			if t.cfg.SimRestartSeconds > 0 {
-				vclock.SyncAdvance(t.clu.Clocks(), t.cfg.SimRestartSeconds)
+				t.clock.Advance(t.cfg.SimRestartSeconds)
 				t.ftStats.SimRestartSeconds += t.cfg.SimRestartSeconds
 			}
 			if t.tel != nil {
@@ -765,9 +758,9 @@ func (t *Trainer) Comm() *collective.Comm { return t.comm }
 // Cluster exposes the device accountants.
 func (t *Trainer) Cluster() *cluster.Cluster { return t.clu }
 
-// SimSeconds returns the run's predicted wall-clock so far: the latest
-// virtual time across ranks. Zero unless Config.Hardware is set.
-func (t *Trainer) SimSeconds() float64 { return t.clu.MaxClock() }
+// SimSeconds returns the run's predicted wall-clock so far: the device
+// clock's time. Zero unless Config.Hardware is set.
+func (t *Trainer) SimSeconds() float64 { return t.clock.Now() }
 
 // Run trains for the given number of epochs, validating evalsPerEpoch times
 // per epoch (at least once, at each epoch end). It returns the evaluation
@@ -904,12 +897,12 @@ type denseUnits struct {
 // unit in one pass on the run's wire. Synchronous mode reduces a
 // tensor per call, in DenseParams order. Overlap mode reduces a layer per
 // call, in backward order, then the output gradient; with Hardware those
-// calls are priced on the lane clocks (t.laneCost), each rank's first
-// advanced to the time its backward pass finished that layer (t.ready), so
-// the charges price reductions that start while the rank is still
-// computing, and the device clocks' model is re-attached afterwards. The
-// output gradient is final when the pass ends, as the last layer is, so it
-// follows that layer's reduction directly.
+// calls are priced on the lane clock (t.laneCost), first advanced to the
+// time the backward pass finished that layer (t.ready), so the charges
+// price reductions that start while the ranks are still computing, and the
+// device clock's model is re-attached afterwards. The output gradient is
+// final when the pass ends, as the last layer is, so it follows that
+// layer's reduction directly.
 func (t *Trainer) reduceDense(outDense bool) {
 	c, units := t.comm, t.units.tensors
 	if t.cfg.Overlap {
@@ -920,8 +913,8 @@ func (t *Trainer) reduceDense(outDense bool) {
 		defer c.AttachCost(t.deviceCost)
 	}
 	for i, u := range units {
-		for r, clk := range t.laneClocks {
-			clk.AdvanceTo(t.ready[r][i])
+		if t.ready != nil {
+			t.lane.AdvanceTo(t.ready[i])
 		}
 		c.AllReduceRanks(u, t.cfg.Wire)
 	}
@@ -930,44 +923,39 @@ func (t *Trainer) reduceDense(outDense bool) {
 	}
 }
 
-// chargeCompute charges rank's forward/backward pass to its device clock:
-// the modeled FLOPs at the workload's achieved fraction of peak. Overlap
-// pricing has to know when each dense layer's gradients were final, so there
-// the clock walks to the same end point in stages and t.ready[rank] records
-// each layer's time: the forward pass is a third of the FLOPs, and the
-// backward two thirds progress by the finished layers' share of the dense
-// parameters.
-func (t *Trainer) chargeCompute(rank int, dev *cluster.Device) {
+// chargeCompute charges the step's forward/backward pass to the device
+// clock, once for every rank: the modeled FLOPs at the workload's achieved
+// fraction of peak. Overlap pricing has to know when each dense layer's
+// gradients were final, so there the clock walks to the same end point in
+// stages and t.ready records each layer's time: the forward pass is a third
+// of the FLOPs, and the backward two thirds progress by the finished
+// layers' share of the dense parameters.
+func (t *Trainer) chargeCompute() {
 	sim := t.cfg.Hardware
 	if sim == nil {
 		return
 	}
-	flops := int64(t.cfg.SimFLOPsPerStep)
-	start := dev.Clock.Now()
+	start := t.clock.Now()
 	var lump float64
-	if flops > 0 {
+	if flops := int64(t.cfg.SimFLOPsPerStep); flops > 0 {
 		lump = sim.ComputeSeconds(float64(flops), t.cfg.SimAchievedFrac)
 	}
 	if t.ready == nil {
-		if lump > 0 {
-			dev.AdvanceCompute(flops, *sim, t.cfg.SimAchievedFrac)
-		}
+		t.clock.Advance(lump)
 		return
 	}
-	total := model.NumParams(t.models[rank].DenseLayers()...)
+	total := model.NumParams(t.models[0].DenseLayers()...)
 	done := 0
 	for i, u := range t.units.layers {
 		if lump > 0 {
-			for _, p := range u[rank] {
+			for _, p := range u[0] {
 				done += len(p)
 			}
-			dev.Clock.AdvanceTo(start + lump*(1+2*float64(done)/float64(total))/3)
+			t.clock.AdvanceTo(start + lump*(1+2*float64(done)/float64(total))/3)
 		}
-		t.ready[rank][i] = dev.Clock.Now()
+		t.ready[i] = t.clock.Now()
 	}
-	if lump > 0 {
-		dev.Clock.AdvanceTo(start + lump)
-	}
+	t.clock.AdvanceTo(start + lump)
 }
 
 // exchange runs the sparse embedding exchanges for every rank — the input
@@ -1006,33 +994,35 @@ func firstError(errs []error) error {
 
 // trainStep executes one synchronous step across all ranks.
 //
-// Phase 1 runs every rank's forward/backward pass on a goroutine of its own.
-// Phase 2 runs from the calling goroutine, once for every rank: the dense
-// reductions (reduceDense), the sparse exchanges, each device's charge for
-// the embedding update it models, and then the update itself, once, on rank
-// 0's reduced gradients. The element-pure rings' chunk sets and the Adam
-// step's stripes run on the pool New started (t.be), so phase 2 starts no
-// goroutine. cfg.Overlap decides only how the dense reductions are grouped
-// and priced, so weights and wire-byte counters match exactly between the
-// modes.
+// Phase 1 runs every rank's forward/backward pass on a goroutine of its own;
+// the calling goroutine has charged it to the device clock, once for every
+// rank, before. Phase 2 runs from the calling goroutine, once for every
+// rank: the dense reductions (reduceDense), the sparse exchanges, the
+// charge for the embedding update every device makes, and then the update
+// itself, once, on rank 0's reduced gradients. The element-pure rings'
+// chunk sets and the Adam step's stripes run on the pool New started
+// (t.be), so phase 2 starts no goroutine. cfg.Overlap decides only how the
+// dense reductions are grouped and priced, so weights and wire-byte
+// counters match exactly between the modes.
 func (t *Trainer) trainStep(step int, lrNow float64, seeds []uint64) (stepStats, error) {
 	g := t.cfg.Ranks
 	results := t.results
 	var agg stepStats
 
+	// The pass's price depends on the configuration alone, so it is charged
+	// before the pass runs. The clock stays at zero without Hardware.
 	sim := t.cfg.Hardware
-	if sim != nil {
-		agg.simStart = t.clu.MaxClock()
-	}
+	agg.simStart = t.clock.Now()
+	t.chargeCompute()
+	agg.simAfterCompute = t.clock.Now()
+	agg.simCompute = agg.simAfterCompute - agg.simStart
 
 	// Phase 1 (parallel): forward/backward on every rank.
 	phaseStart := time.Now()
-	_ = t.clu.Run(func(rank int, dev *cluster.Device) error {
+	_ = t.clu.Run(func(rank int, _ *cluster.Device) error {
 		var cT0 time.Time
-		var cV0 float64
 		if t.cfg.Trace != nil {
 			cT0 = time.Now()
-			cV0 = dev.Clock.Now()
 		}
 		m := t.models[rank]
 		m.ZeroGrads()
@@ -1050,28 +1040,19 @@ func (t *Trainer) trainStep(step int, lrNow float64, seeds []uint64) (stepStats,
 		}
 		inputs, targets := t.batchAt(rank, step)
 		results[rank] = m.ForwardBackward(inputs, targets, sampler)
-		t.chargeCompute(rank, dev)
 		if tr := t.cfg.Trace; tr != nil {
-			tr.Span("rank", "compute", rank, cT0, time.Since(cT0), cV0, dev.Clock.Now()-cV0)
+			tr.Span("rank", "compute", rank, cT0, time.Since(cT0), agg.simStart, agg.simCompute)
 		}
 		return nil
 	})
 	agg.computeTime = time.Since(phaseStart)
-	if sim != nil {
-		agg.simAfterCompute = t.clu.MaxClock()
-		agg.simCompute = agg.simAfterCompute - agg.simStart
-	}
 	computeStart := phaseStart
 	phaseStart = time.Now()
 
 	// Phase 2 (one pass for every rank): synchronize. Each rank's exchange
-	// span starts here, before the dense reductions.
-	exV0 := t.exV0
-	if t.cfg.Trace != nil {
-		for r, dev := range t.clu.Devices {
-			exV0[r] = dev.Clock.Now()
-		}
-	}
+	// span starts here, before the dense reductions, at agg.simAfterCompute
+	// on the device clock.
+
 	// The full-softmax output gradient is a dense V×D block that
 	// all-reduces like an RNN parameter.
 	outDense := t.cfg.Model.Sampled == 0
@@ -1082,10 +1063,9 @@ func (t *Trainer) trainStep(step int, lrNow float64, seeds []uint64) (stepStats,
 	}
 	t.reduceDense(outDense)
 	inUpd, outUpd, err := t.exchange(results, outDense, &agg)
-	// Each rank's device clock joins its lane clock.
-	for r, clk := range t.laneClocks {
-		t.clu.Devices[r].Clock.AdvanceTo(clk.Now())
-	}
+	// The device clock joins the lane clock (which stays at zero unless
+	// the overlapped reductions are priced on it).
+	t.clock.AdvanceTo(t.lane.Now())
 	if err != nil {
 		return agg, err
 	}
@@ -1093,32 +1073,30 @@ func (t *Trainer) trainStep(step int, lrNow float64, seeds []uint64) (stepStats,
 	m := t.models[0]
 	// Embedding updates are a read-modify-write over the touched rows: 2×
 	// row bytes of device-memory traffic (§III-A's conflict-free update runs
-	// at full memory bandwidth). Every simulated device pays for its own;
-	// the host runs one, below.
+	// at full memory bandwidth). Every simulated device makes the same
+	// one, charged once; the host runs one, below.
 	outRows := len(outUpd.Indices)
 	if outDense {
 		outRows = len(results[0].OutputGrad.Indices)
 	}
 	updateBytes := 2*int64(len(inUpd.Indices))*int64(m.InEmb.Cols)*4 + 2*int64(outRows)*int64(m.OutEmb.Cols)*4
-	for r, dev := range t.clu.Devices {
-		var upT0 time.Time
-		var exV1 float64
-		tr := t.cfg.Trace
-		if tr != nil {
-			// The exchange span closes once every collective the rank
-			// joined has completed: its virtual duration is wire time plus
-			// whatever the rank waited for its peers, which is exactly the
-			// sync-wait the critical-path analyzer splits out. Its wall time
-			// is the pass so far, which did every rank's share.
-			exV1 = dev.Clock.Now()
-			tr.Span("rank", "exchange", r, phaseStart, time.Since(phaseStart), exV0[r], exV1-exV0[r])
-			upT0 = time.Now()
-		}
-		if sim != nil {
-			dev.AdvanceMemory(updateBytes, *sim)
-		}
-		if tr != nil {
-			tr.Span("rank", "update", r, upT0, time.Since(upT0), exV1, dev.Clock.Now()-exV1)
+	upV0 := t.clock.Now()
+	var upT0 time.Time
+	if t.cfg.Trace != nil {
+		upT0 = time.Now()
+	}
+	if sim != nil {
+		t.clock.Advance(sim.MemorySeconds(updateBytes))
+	}
+	if tr := t.cfg.Trace; tr != nil {
+		// Each rank's exchange span closes once every collective has
+		// completed: its virtual duration is the step's wire time. Its wall
+		// time is the pass so far, which did every rank's share.
+		exDur, exVDur := upT0.Sub(phaseStart), upV0-agg.simAfterCompute
+		upDur, upVDur := time.Since(upT0), t.clock.Now()-upV0
+		for r := 0; r < g; r++ {
+			tr.Span("rank", "exchange", r, phaseStart, exDur, agg.simAfterCompute, exVDur)
+			tr.Span("rank", "update", r, upT0, upDur, upV0, upVDur)
 		}
 	}
 
@@ -1146,9 +1124,7 @@ func (t *Trainer) trainStep(step int, lrNow float64, seeds []uint64) (stepStats,
 	t.opt.Step(m.DenseParams(), lr)
 
 	agg.syncTime = time.Since(phaseStart)
-	if sim != nil {
-		agg.simSync = t.clu.MaxClock() - agg.simAfterCompute
-	}
+	agg.simSync = t.clock.Now() - agg.simAfterCompute
 	if t.tel != nil || t.cfg.Trace != nil {
 		t.observeStep(computeStart, phaseStart, agg)
 	}

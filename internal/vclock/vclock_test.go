@@ -42,21 +42,6 @@ func TestAdvanceToIsMax(t *testing.T) {
 	}
 }
 
-func TestSyncAdvance(t *testing.T) {
-	clocks := []*Clock{{}, {}, {}}
-	clocks[0].Advance(1)
-	clocks[1].Advance(4)
-	SyncAdvance(clocks, 2)
-	for i, c := range clocks {
-		if c.Now() != 6 {
-			t.Errorf("clock %d at %v, want 6 (max 4 + 2)", i, c.Now())
-		}
-	}
-	if MaxNow(clocks) != 6 {
-		t.Errorf("MaxNow = %v", MaxNow(clocks))
-	}
-}
-
 // TestConcurrentAdvance exercises the mutex under the race detector: total
 // time must equal the sum of all advances.
 func TestConcurrentAdvance(t *testing.T) {

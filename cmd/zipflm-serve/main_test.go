@@ -151,7 +151,8 @@ func TestGenerateRejectsBadRequests(t *testing.T) {
 // FuzzGenerate posts arbitrary bodies to /v1/generate: each must be
 // answered with a status the API documents, and a 200 must carry a
 // genResponse. A handler that panics drops the connection, which post
-// reports. /v1/reload is not fuzzed: its body names a file to open.
+// reports. /v1/reload's handler is not fuzzed, because its body names a file
+// to open; FuzzReloadBody fuzzes its decoder.
 func FuzzGenerate(f *testing.F) {
 	for _, tc := range badGenerates() {
 		f.Add(tc.body)
@@ -168,6 +169,31 @@ func FuzzGenerate(f *testing.F) {
 		case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
 		default:
 			t.Fatalf("status %d for %q: %s", status, body, bytes.TrimSpace(raw))
+		}
+	})
+}
+
+// FuzzReloadBody feeds arbitrary bodies to decodeBody into a reloadRequest,
+// the decoder /v1/reload runs: each must decode, or be answered 400 or 413,
+// and never panic. Nothing is loaded — the decoded paths are never opened.
+func FuzzReloadBody(f *testing.F) {
+	for _, body := range []string{
+		``, `{}`, `{"path":"/nonexistent"}`, `{"path":"m.ckpt","draft_path":"d.ckpt"}`,
+		`{"path":1}`, `{"path":"a"} trailing`, `[`, `null`, `{"path":"\ud800"}`,
+		`{"path":"` + strings.Repeat("a", maxBodyBytes) + `"}`,
+	} {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		w := httptest.NewRecorder()
+		r := httptest.NewRequest(http.MethodPost, "/v1/reload", strings.NewReader(body))
+		var in reloadRequest
+		decoded := decodeBody(w, r, &in)
+		switch {
+		case decoded && w.Code == http.StatusOK && w.Body.Len() == 0:
+		case !decoded && (w.Code == http.StatusBadRequest || w.Code == http.StatusRequestEntityTooLarge):
+		default:
+			t.Fatalf("body %.80q: decoded %v, status %d: %s", body, decoded, w.Code, bytes.TrimSpace(w.Body.Bytes()))
 		}
 	})
 }

@@ -318,18 +318,28 @@ runRet:
 // one 128-bit accumulator — the partials combine as (s0+s1)+(s2+s3), which is
 // what two rounds of VHADDPS compute, and the len%4 tail is added one
 // product at a time. A single such sum is bound by the latency of its add
-// chain, so the speed comes from computing several outputs at once: four b
-// rows share each load of a, and dotRows2AVX carries a second a row in the
-// upper 128-bit lane of the same registers.
+// chain, so the speed comes from computing several outputs at once, two to a
+// YMM register, one per 128-bit lane (VHADDPS works within each lane, so
+// both go through the canonical combine at once): dotRows1AVX broadcasts
+// a[i:i+4] to both lanes and computes eight outputs per pass, b rows j…j+3 in
+// the lower lanes and j+4…j+7 in the upper; dotRows2AVX broadcasts each b
+// load instead and carries a second a row in the upper lanes.
 //
-// Both routines walk b by two cursors: BX is the first row of the current
+// Both routines walk b by row cursors: BX is the first row of the current
 // group of four plus the byte offset into the row, and the other three rows
 // are (BX)(R9*1), (BX)(R9*2), (BX)(R12*1) with R9 the row length in bytes and
-// R12 three times that.
+// R12 three times that. dotRows1AVX's eight-wide group has a second such
+// cursor, DX, four rows below BX.
 
 // func dotRows1AVX(dst *float32, n int, a, b *float32, k int)
 //
-// dst[j] = Dot(a[0:k], b[j*k : (j+1)*k]) for j in [0, n).
+// dst[j] = Dot(a[0:k], b[j*k : (j+1)*k]) for j in [0, n): eight columns per
+// pass (Y8 is a[i:i+4] in both lanes; accumulator m holds column j+m in its
+// lower lane and j+4+m in its upper), then one pass of four and single
+// columns for the last 1–7. Each step of a pass also prefetches two cache
+// lines of the next pass's eight rows (R13, contiguous), for a b larger than
+// the caches (the 4 MB logits matrix at batch 1); PREFETCHT0 past the end of
+// b is a hint that never faults.
 TEXT ·dotRows1AVX(SB), NOSPLIT, $0-40
 	MOVQ	dst+0(FP), DI
 	MOVQ	n+8(FP), CX
@@ -343,6 +353,73 @@ TEXT ·dotRows1AVX(SB), NOSPLIT, $0-40
 	ANDQ	$-4, R11
 	SHLQ	$2, R11
 	SHLQ	$2, R10            // R10 = bytes in a row
+
+d1col8:
+	CMPQ	CX, $8
+	JL	d1col4
+	VXORPS	Y0, Y0, Y0
+	VXORPS	Y1, Y1, Y1
+	VXORPS	Y2, Y2, Y2
+	VXORPS	Y3, Y3, Y3
+	MOVQ	R8, BX
+	LEAQ	(R8)(R9*4), DX
+	LEAQ	(R8)(R9*8), R13
+	XORQ	SI, SI
+d1col8k:
+	CMPQ	SI, R11
+	JGE	d1col8sum
+	PREFETCHT0	(R13)(SI*8)
+	PREFETCHT0	64(R13)(SI*8)
+	VBROADCASTF128	(AX)(SI*1), Y8
+	VMOVUPS	(BX), X4
+	VINSERTF128	$1, (DX), Y4, Y4
+	VMULPS	Y4, Y8, Y4
+	VADDPS	Y4, Y0, Y0
+	VMOVUPS	(BX)(R9*1), X5
+	VINSERTF128	$1, (DX)(R9*1), Y5, Y5
+	VMULPS	Y5, Y8, Y5
+	VADDPS	Y5, Y1, Y1
+	VMOVUPS	(BX)(R9*2), X6
+	VINSERTF128	$1, (DX)(R9*2), Y6, Y6
+	VMULPS	Y6, Y8, Y6
+	VADDPS	Y6, Y2, Y2
+	VMOVUPS	(BX)(R12*1), X7
+	VINSERTF128	$1, (DX)(R12*1), Y7, Y7
+	VMULPS	Y7, Y8, Y7
+	VADDPS	Y7, Y3, Y3
+	ADDQ	$16, SI
+	ADDQ	$16, BX
+	ADDQ	$16, DX
+	JMP	d1col8k
+d1col8sum:
+	VHADDPS	Y1, Y0, Y0
+	VHADDPS	Y3, Y2, Y2
+	VHADDPS	Y2, Y0, Y0         // lane m of the lower half: column j+m; of the upper: j+4+m
+d1col8tail:
+	CMPQ	SI, R10
+	JGE	d1col8done
+	VBROADCASTSS	(AX)(SI*1), Y8
+	VMOVSS	(BX), X4
+	VINSERTPS	$0x10, (BX)(R9*1), X4, X4
+	VINSERTPS	$0x20, (BX)(R9*2), X4, X4
+	VINSERTPS	$0x30, (BX)(R12*1), X4, X4
+	VMOVSS	(DX), X5
+	VINSERTPS	$0x10, (DX)(R9*1), X5, X5
+	VINSERTPS	$0x20, (DX)(R9*2), X5, X5
+	VINSERTPS	$0x30, (DX)(R12*1), X5, X5
+	VINSERTF128	$1, X5, Y4, Y4
+	VMULPS	Y4, Y8, Y4
+	VADDPS	Y4, Y0, Y0
+	ADDQ	$4, SI
+	ADDQ	$4, BX
+	ADDQ	$4, DX
+	JMP	d1col8tail
+d1col8done:
+	VMOVUPS	Y0, (DI)
+	ADDQ	$32, DI
+	LEAQ	(R8)(R9*8), R8
+	SUBQ	$8, CX
+	JMP	d1col8
 
 d1col4:
 	CMPQ	CX, $4

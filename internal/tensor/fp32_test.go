@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"testing"
@@ -193,10 +194,11 @@ func TestFP32AsmMatchesGo(t *testing.T) {
 					}
 				}
 
-				// The Dot family: k = n elements per row against 1–9 b rows
-				// (both column loops, every remainder).
+				// The Dot family: k = n elements per row against 0–17 b rows
+				// (every column loop of both routines: dotRows1's eight-wide
+				// pass once and twice, each followed by every remainder).
 				a0, a1 := src, dst
-				for cols := 0; cols <= 9; cols++ {
+				for cols := 0; cols <= 17; cols++ {
 					b := fp32Vec(r, cols*n, off, special)
 					w0, w1 := make([]float32, cols), make([]float32, cols)
 					g0, g1 := newGuarded(w0), newGuarded(w1)
@@ -218,6 +220,66 @@ func TestFP32AsmMatchesGo(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzDotRowsMatchesGo feeds arbitrary bit patterns to the Dot family:
+// dotRows1 and dotRows2 must agree with dotGo and dot2Go bit for bit (a NaN
+// with a NaN: which operand's payload the Go loops keep is the compiler's
+// choice, see sameFloat). The assembly fixes its operand order, so among
+// its own routines the payloads must agree too: every column of dotRows1
+// equals dotRows2's row 0 and dotRows1 over that column alone, whichever
+// lane and pass width computed it. k and the column count come from the
+// input, so every loop and remainder of both routines is reached; the values
+// fill a0, a1 and b in turn, cycling through the input's floats when it is
+// short.
+func FuzzDotRowsMatchesGo(f *testing.F) {
+	if !useFP32Asm {
+		f.Skip("no AVX FP32 kernels on this build or host")
+	}
+	f.Add(uint8(0), uint8(0), []byte{})
+	f.Add(uint8(7), uint8(9), []byte("\x00\x00\x80\x3f\x01\x00\xc0\x7f\x00\x00\x80\xff\x02\x00\xc0\xff"))
+	seed := make([]byte, 4*37)
+	for i := range seed {
+		seed[i] = byte(i * 37)
+	}
+	f.Add(uint8(37), uint8(17), seed)
+	f.Fuzz(func(t *testing.T, kb, colsb uint8, raw []byte) {
+		k, cols := int(kb)%72, int(colsb)%18
+		vals := make([]float32, (2+cols)*k)
+		if m := len(raw) / 4; m > 0 {
+			for i := range vals {
+				vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*(i%m):]))
+			}
+		}
+		a0, a1, b := vals[:k], vals[k:2*k], vals[2*k:]
+		one := newGuarded(make([]float32, cols))
+		g0, g1 := newGuarded(make([]float32, cols)), newGuarded(make([]float32, cols))
+		dotRows1(one.v, a0, b)
+		dotRows2(g0.v, g1.v, a0, a1, b)
+		one.check(t, "fuzz one row")
+		g0.check(t, "fuzz two rows, row 0")
+		g1.check(t, "fuzz two rows, row 1")
+		for j := 0; j < cols; j++ {
+			bj := b[j*k : (j+1)*k]
+			w0, w1 := dot2Go(a0, a1, bj)
+			for _, c := range []struct {
+				what      string
+				got, want float32
+				payload   bool
+			}{
+				{"dotRows1 vs dotGo", one.v[j], dotGo(a0, bj), false},
+				{"dotRows2 row 0 vs dot2Go", g0.v[j], w0, false},
+				{"dotRows2 row 1 vs dot2Go", g1.v[j], w1, false},
+				{"dotRows1 vs dotRows2 row 0", one.v[j], g0.v[j], true},
+				{"dotRows1 vs itself on one column", one.v[j], dot(a0, bj), true},
+			} {
+				if math.Float32bits(c.got) != math.Float32bits(c.want) && (c.payload || !sameFloat(c.got, c.want)) {
+					t.Fatalf("k=%d cols=%d column %d, %s: %#08x != %#08x", k, cols, j, c.what,
+						math.Float32bits(c.got), math.Float32bits(c.want))
+				}
+			}
+		}
+	})
 }
 
 // dot is the one-row case of dotRows1: the inner product of a and b in the
@@ -273,10 +335,11 @@ func TestFP32WrapperBounds(t *testing.T) {
 	}
 }
 
-// fp32Shapes are the products the word and char LMs issue (benchmark
-// workloads train_word and serve_zipf_open: batch 4, D 64, H 128, 4H = 512,
-// V 8000; train_char_comm: batch 1, H 256) plus odd extents that leave every
-// block width a remainder. m, k, n are dst rows, inner extent, dst columns.
+// fp32Shapes are the products the benchmark workloads issue — train_word
+// (batch 4, D 64, H 128, 4H = 512), train_char_comm (batch 1, H 256) and
+// serve_zipf_open (V 8000, D 128, H 256, 4H = 1024, mostly at batch 1, up to
+// 8 rows) — plus odd extents that leave every block width a remainder. m, k,
+// n are dst rows, inner extent, dst columns.
 var fp32Shapes = []struct {
 	kernel  string
 	m, k, n int
@@ -293,6 +356,9 @@ var fp32Shapes = []struct {
 	{"MatMul", 1, 256, 256},           // char LM: dz·R
 	{"MatMulATBAcc", 256, 1, 256},     // char LM: gR += dzᵀ·s
 	{"MatMulABTStream", 7, 33, 101},   //
+	{"MatMulABTStream", 1, 128, 1024}, // serving, batch 1: x·Wxᵀ
+	{"MatMulABTStream", 1, 256, 1024}, // serving, batch 1: h·Whᵀ
+	{"MatMulABTStream", 1, 128, 8000}, // serving, batch 1: logits
 }
 
 // fp32Case is one shape's operands in the orientation its kernel takes, the

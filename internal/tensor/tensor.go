@@ -41,7 +41,8 @@
 // family keeps its four partials as the four lanes of one 128-bit
 // accumulator, qdot its sixteen as two YMM accumulators (p[0..7] and
 // p[8..15]) and expSum its eight as one; Dot and qdot get their speed from
-// computing several outputs per pass instead. TestFP32AsmMatchesGo,
+// computing several outputs per pass instead (Dot: eight per pass, two to a
+// YMM register, one per 128-bit lane). TestFP32AsmMatchesGo,
 // TestQ8AsmMatchesGo and TestTransAsmMatchesGo hold the twins to the Go
 // definitions bit for bit; other architectures run the Go loops.
 package tensor
@@ -280,7 +281,9 @@ func MatMulABTStream(dst, a, b *Matrix) { MatMulABT(dst, a, b) }
 // partition of rows or columns is trivially bit-identical to the serial
 // pass. a's rows are taken two at a time so each loaded b element feeds two
 // outputs; the pairing never changes a value (dot2Go computes each row
-// exactly as dotGo would), only how fast it arrives.
+// exactly as dotGo would), only how fast it arrives. A lone or odd last row
+// goes to dotRows1, which fills both lanes of its registers with b rows
+// instead.
 func matMulABTRange(dst, a, b *Matrix, s span) {
 	k, n := a.Cols, dst.Cols
 	// All of a's rows visit one block of b rows before the next block is
@@ -315,7 +318,9 @@ func matMulABTRange(dst, a, b *Matrix, s span) {
 const abtBlockFloats = 4096
 
 // dotRows1 computes d[j] = Dot(a, row j of b), b holding len(d) rows of
-// len(a) elements back to back.
+// len(a) elements back to back. The assembly computes eight outputs per
+// pass, two to a YMM register, one per 128-bit lane: a's four partials
+// against b row j in the lower lane and against row j+4 in the upper.
 func dotRows1(d, a, b []float32) {
 	k := len(a)
 	b = b[:len(d)*k]

@@ -14,11 +14,24 @@ import (
 )
 
 func lstmModel() *model.LM {
-	return model.NewLM(model.Config{Vocab: 150, Dim: 16, Hidden: 24, RNN: model.KindLSTM, Seed: 9})
+	return scaled(model.NewLM(model.Config{Vocab: 150, Dim: 16, Hidden: 24, RNN: model.KindLSTM, Seed: 9}))
 }
 
 func rhnModel() *model.LM {
-	return model.NewLM(model.Config{Vocab: 110, Dim: 12, Hidden: 20, RNN: model.KindRHN, RHNDepth: 2, Seed: 10})
+	return scaled(model.NewLM(model.Config{Vocab: 110, Dim: 12, Hidden: 20, RNN: model.KindRHN, RHNDepth: 2, Seed: 10}))
+}
+
+// scaled multiplies every weight of m by 4 and returns m. At NewLM's scale
+// these small models' logits are nearly flat, so a sampled token hardly
+// depends on them: int8 and FP32 weights drew the same tokens at temperature
+// 0.8, and a test could not tell the two paths apart.
+func scaled(m *model.LM) *model.LM {
+	for _, p := range m.Weights() {
+		for i := range p.Value {
+			p.Value[i] *= 4
+		}
+	}
+	return m
 }
 
 // reference computes what the serving layer must return: the sequential

@@ -9,14 +9,11 @@
 //	zipflm-generate -model model.ckpt -vocab vocab.ckpt -prompt "the cat" -n 30
 //	zipflm-generate -model model.ckpt -prompt-ids 4,7,1 -temperature 0.8 -topk 40
 //	zipflm-generate -model model.ckpt -prompt-ids 4,7,1 -topp 0.9
-//	zipflm-generate -model model.ckpt -prompt-ids 4,7,1 -quantized -draft draft.ckpt -draft-k 4
+//	zipflm-generate -model model.ckpt -prompt-ids 4,7,1 -quantized
 //
 // -quantized runs inference on int8 weights (deterministic, faster on
-// memory-bound models; output differs from FP32 by design). -draft enables
-// speculative decoding with a small same-vocabulary draft model — output is
-// bit-identical to plain generation at every temperature; the draft only
-// changes the cost per token, and the acceptance rate is printed to stderr.
-// An -n or -draft-k below 1 is a usage error (exit status 2).
+// memory-bound models; output differs from FP32 by design). An -n below 1
+// is a usage error (exit status 2).
 package main
 
 import (
@@ -44,15 +41,10 @@ func main() {
 		topP      = flag.Float64("topp", 0, "nucleus sampling mass in (0,1) (0 = off)")
 		seed      = flag.Uint64("seed", 1, "sampling seed")
 		quantized = flag.Bool("quantized", false, "run inference on int8 weights")
-		draftPath = flag.String("draft", "", "draft model checkpoint enabling speculative decoding")
-		draftK    = flag.Int("draft-k", 4, "speculative lookahead tokens per round (with -draft)")
 	)
 	flag.Parse()
 	if *n < 1 {
 		usageError("-n %d: the number of tokens to generate must be at least 1", *n)
-	}
-	if *draftK < 1 {
-		usageError("-draft-k %d: the speculative lookahead must be at least 1", *draftK)
 	}
 
 	if *modelPath == "" {
@@ -90,33 +82,13 @@ func main() {
 		fatal(err)
 	}
 
-	var draft *model.LM
-	if *draftPath != "" {
-		df, err := os.Open(*draftPath)
-		if err != nil {
-			fatal(err)
-		}
-		draft, err = model.Load(df)
-		df.Close()
-		if err != nil {
-			fatal(err)
-		}
-		if draft.Cfg.Vocab != m.Cfg.Vocab {
-			fatal(fmt.Errorf("draft vocabulary %d does not match model vocabulary %d", draft.Cfg.Vocab, m.Cfg.Vocab))
-		}
-	}
 	s := serve.New(m, serve.Config{MaxBatch: 1, MaxTokens: *n, MaxPromptLen: len(ids),
-		Quantized: *quantized, Draft: draft, DraftK: *draftK})
+		Quantized: *quantized})
 	defer s.Close()
 	res, err := s.Submit(serve.Request{Prompt: ids, N: *n, Seed: *seed,
 		Opts: sampling.DecodeOpts{Temperature: *temp, TopK: *topK, TopP: *topP}})
 	if err != nil {
 		fatal(err)
-	}
-	if draft != nil {
-		st := s.Stats()
-		fmt.Fprintf(os.Stderr, "zipflm-generate: speculative k=%d: %d rounds, %d/%d proposals accepted (%.0f%%), %d draft steps\n",
-			*draftK, st.SpecRounds, st.DraftAccepted, st.DraftProposed, 100*st.SpecAcceptanceRate(), st.DraftSteps)
 	}
 	out := res.Tokens
 	if vocab != nil {

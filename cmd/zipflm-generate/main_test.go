@@ -43,18 +43,15 @@ func saveModel(t *testing.T, dir, name string, m *model.LM) string {
 	return path
 }
 
-// TestOutputMatchesGenerateOpts: whatever the command runs — plain, with a
-// cold draft proposing, on int8 weights or both — it prints the tokens
-// sequential model.GenerateOpts draws on the same checkpoint (quantized where
-// asked), greedy and sampled; the acceptance line goes to stderr with -draft
-// and nothing does without it.
+// TestOutputMatchesGenerateOpts: plain or on int8 weights, the command
+// prints the tokens sequential model.GenerateOpts draws on the same
+// checkpoint (quantized where asked), greedy and sampled, and nothing on
+// stderr.
 func TestOutputMatchesGenerateOpts(t *testing.T) {
 	bin := buildGenerate(t)
 	dir := t.TempDir()
 	target := model.NewLM(model.Config{Vocab: 60, Dim: 16, Hidden: 24, RNN: model.KindLSTM, Seed: 3})
 	targetPath := saveModel(t, dir, "target.ckpt", target)
-	draftPath := saveModel(t, dir, "draft.ckpt", model.NewLM(model.Config{Vocab: 60, Dim: 8, Hidden: 12,
-		RNN: model.KindRHN, RHNDepth: 2, Seed: 77}))
 	prompt, n, seed := []int{3, 1, 4, 1}, 20, uint64(7)
 
 	for _, quantized := range []bool{false, true} {
@@ -62,61 +59,47 @@ func TestOutputMatchesGenerateOpts(t *testing.T) {
 		if quantized {
 			ref, weights = target.Quantize(), "int8"
 		}
-		for _, withDraft := range []bool{false, true} {
-			mode := "plain"
-			if withDraft {
-				mode = "draft"
-			}
-			for _, opts := range []sampling.DecodeOpts{{}, {Temperature: 0.8, TopK: 8}} {
-				name := fmt.Sprintf("%s/%s/T%g_topk%d", weights, mode, opts.Temperature, opts.TopK)
-				t.Run(name, func(t *testing.T) {
-					args := []string{"-model", targetPath, "-prompt-ids", "3,1,4,1", "-n", strconv.Itoa(n),
-						"-seed", strconv.FormatUint(seed, 10), "-temperature", strconv.FormatFloat(opts.Temperature, 'g', -1, 64),
-						"-topk", strconv.Itoa(opts.TopK)}
-					if quantized {
-						args = append(args, "-quantized")
-					}
-					if withDraft {
-						args = append(args, "-draft", draftPath, "-draft-k", "3")
-					}
-					var stdout, stderr bytes.Buffer
-					cmd := exec.Command(bin, args...)
-					cmd.Stdout, cmd.Stderr = &stdout, &stderr
-					if err := cmd.Run(); err != nil {
-						t.Fatalf("%v: %v\n%s", args, err, stderr.String())
-					}
-					want := ref.GenerateOpts(prompt, n, opts, rng.New(seed))
-					strs := make([]string, len(want))
-					for i, id := range want {
-						strs[i] = strconv.Itoa(id)
-					}
-					if got := stdout.String(); got != strings.Join(strs, ",")+"\n" {
-						t.Errorf("%v: printed %q, sequential GenerateOpts draws %v", args, got, want)
-					}
-					msg := stderr.String()
-					if withDraft && (!strings.HasPrefix(msg, "zipflm-generate: speculative k=3: ") || strings.Count(msg, "\n") != 1) {
-						t.Errorf("%v: stderr is not the one acceptance line:\n%s", args, msg)
-					}
-					if !withDraft && msg != "" {
-						t.Errorf("%v: stderr without -draft:\n%s", args, msg)
-					}
-				})
-			}
+		for _, opts := range []sampling.DecodeOpts{{}, {Temperature: 0.8, TopK: 8}} {
+			name := fmt.Sprintf("%s/T%g_topk%d", weights, opts.Temperature, opts.TopK)
+			t.Run(name, func(t *testing.T) {
+				args := []string{"-model", targetPath, "-prompt-ids", "3,1,4,1", "-n", strconv.Itoa(n),
+					"-seed", strconv.FormatUint(seed, 10), "-temperature", strconv.FormatFloat(opts.Temperature, 'g', -1, 64),
+					"-topk", strconv.Itoa(opts.TopK)}
+				if quantized {
+					args = append(args, "-quantized")
+				}
+				var stdout, stderr bytes.Buffer
+				cmd := exec.Command(bin, args...)
+				cmd.Stdout, cmd.Stderr = &stdout, &stderr
+				if err := cmd.Run(); err != nil {
+					t.Fatalf("%v: %v\n%s", args, err, stderr.String())
+				}
+				want := ref.GenerateOpts(prompt, n, opts, rng.New(seed))
+				strs := make([]string, len(want))
+				for i, id := range want {
+					strs[i] = strconv.Itoa(id)
+				}
+				if got := stdout.String(); got != strings.Join(strs, ",")+"\n" {
+					t.Errorf("%v: printed %q, sequential GenerateOpts draws %v", args, got, want)
+				}
+				if msg := stderr.String(); msg != "" {
+					t.Errorf("%v: stderr:\n%s", args, msg)
+				}
+			})
 		}
 	}
 }
 
-// TestUsageErrorsExitTwo: a token count or a lookahead below 1 is a usage
-// error — one line on stderr naming the flag, and exit status 2, before the
-// model file is opened (it does not exist here) — not a makeslice panic, nor
-// a lookahead silently replaced by the serving default.
+// TestUsageErrorsExitTwo: a token count below 1 is a usage error — one line
+// on stderr naming the flag, and exit status 2, before the model file is
+// opened (it does not exist here) — not a makeslice panic.
 func TestUsageErrorsExitTwo(t *testing.T) {
 	bin := buildGenerate(t)
 	missing := filepath.Join(t.TempDir(), "missing.ckpt")
-	for _, args := range [][]string{{"-n", "0"}, {"-n", "-1"}, {"-draft-k", "0"}} {
+	for _, args := range [][]string{{"-n", "0"}, {"-n", "-1"}} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			var stderr bytes.Buffer
-			cmd := exec.Command(bin, append([]string{"-model", missing, "-draft", missing}, args...)...)
+			cmd := exec.Command(bin, append([]string{"-model", missing}, args...)...)
 			cmd.Stderr = &stderr
 			err := cmd.Run()
 			var exit *exec.ExitError
@@ -128,5 +111,24 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 				t.Errorf("%v: stderr is not the one-line usage error:\n%s", args, msg)
 			}
 		})
+	}
+}
+
+// TestRemovedFlagsExitTwo: the deleted lookahead decoder's two flags are
+// gone — each is the flag package's usage error, exit status 2, naming the
+// flag, before the model file is opened. A script still passing one fails
+// instead of generating without it.
+func TestRemovedFlagsExitTwo(t *testing.T) {
+	bin := buildGenerate(t)
+	missing := filepath.Join(t.TempDir(), "missing.ckpt")
+	for _, args := range [][]string{{"-draft", "x"}, {"-draft-k", "4"}} {
+		var stderr bytes.Buffer
+		cmd := exec.Command(bin, append([]string{"-model", missing}, args...)...)
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(stderr.String(), "flag provided but not defined: "+args[0]) {
+			t.Errorf("%v: got %v, want exit status 2 naming the flag; stderr:\n%s", args, err, stderr.String())
+		}
 	}
 }

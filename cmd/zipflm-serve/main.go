@@ -75,8 +75,6 @@ func main() {
 		prefixes  = flag.Int("prefix-cache", 256, "prefix cache entries (0 disables)")
 		window    = flag.Duration("batch-window", 0, "linger this long assembling a fresh batch")
 		quantized = flag.Bool("quantized", false, "serve on int8 weights (deterministic; faster memory-bound decode)")
-		draftPath = flag.String("draft", "", "draft model checkpoint enabling speculative decoding (same vocabulary)")
-		draftK    = flag.Int("draft-k", 4, "speculative lookahead tokens per round (with -draft)")
 		watch     = flag.Duration("watch", 0, "poll the -model checkpoint directory at this interval and hot-reload new checkpoints (0 disables)")
 		sloP99    = flag.Duration("slo-p99", 500*time.Millisecond, "p99 latency SLO target (0 disables the latency objective)")
 		sloAvail  = flag.Float64("slo-availability", 0.99, "availability SLO target in (0,1) (0 disables)")
@@ -120,17 +118,6 @@ func main() {
 		}
 	}
 
-	var draft *model.LM
-	if *draftPath != "" {
-		draft, _, err = loadWeights(*draftPath)
-		if err != nil {
-			fatal(fmt.Errorf("draft: %w", err))
-		}
-		if draft.Cfg.Vocab != m.Cfg.Vocab {
-			fatal(fmt.Errorf("draft vocabulary %d does not match model vocabulary %d", draft.Cfg.Vocab, m.Cfg.Vocab))
-		}
-	}
-
 	// The observers only read instruments: generated tokens are
 	// bit-identical with every one of them running. They stop after the
 	// serve layer drained, so the trace holds every request.
@@ -152,8 +139,6 @@ func main() {
 		PrefixEntries:   *prefixes,
 		BatchWindow:     *window,
 		Quantized:       *quantized,
-		Draft:           draft,
-		DraftK:          *draftK,
 		Telemetry:       obs.Registry,
 		Tracer:          obs.Tracer,
 		Flight:          obs.Flight,
@@ -185,9 +170,6 @@ func main() {
 	mode := "fp32"
 	if *quantized {
 		mode = "int8"
-	}
-	if draft != nil {
-		mode += fmt.Sprintf(", speculative k=%d", *draftK)
 	}
 	fmt.Fprintf(os.Stderr, "zipflm-serve: listening on %s (vocab %d, %d workers × batch %d, queue %d, %s)\n",
 		*addr, m.Cfg.Vocab, *workers, *maxBatch, *queue, mode)
@@ -444,12 +426,9 @@ func handleGenerate(w http.ResponseWriter, r *http.Request, srv *serve.Server, v
 }
 
 // reloadRequest is the /v1/reload request body; an empty path re-reads the
-// currently-served source (e.g. a republished file or directory). draft_path,
-// on a speculative server, swaps the draft weights in the same reload so the
-// target/draft pair installs atomically.
+// currently-served source (e.g. a republished file or directory).
 type reloadRequest struct {
-	Path      string `json:"path,omitempty"`
-	DraftPath string `json:"draft_path,omitempty"`
+	Path string `json:"path,omitempty"`
 }
 
 func handleReload(w http.ResponseWriter, r *http.Request, srv *serve.Server, weights *weightsInfo) {
@@ -471,15 +450,7 @@ func handleReload(w http.ResponseWriter, r *http.Request, srv *serve.Server, wei
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var draft *model.LM
-	if in.DraftPath != "" {
-		if draft, _, err = loadWeights(in.DraftPath); err != nil {
-			srv.ReloadFailed(fmt.Errorf("draft: %w", err))
-			http.Error(w, "draft: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-	}
-	v, err := srv.ReloadWithDraft(m, draft)
+	v, err := srv.Reload(m)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
@@ -523,12 +494,6 @@ func statsJSON(s serve.Snapshot, weights *weightsInfo, build telemetry.BuildInfo
 		"weights_version":   s.WeightsVersion,
 		"reloads":           s.Reloads,
 		"quantized":         s.Quantized,
-		"draft_k":           s.DraftK,
-		"spec_rounds":       s.SpecRounds,
-		"draft_proposed":    s.DraftProposed,
-		"draft_accepted":    s.DraftAccepted,
-		"draft_steps":       s.DraftSteps,
-		"acceptance_rate":   s.SpecAcceptanceRate(),
 		"slo":               s.SLO,
 		"checkpoint": map[string]any{
 			"source":    source,

@@ -174,8 +174,8 @@ func FuzzGenerate(f *testing.F) {
 }
 
 // FuzzReloadBody feeds arbitrary bodies to decodeBody into a reloadRequest,
-// the decoder /v1/reload runs: each must decode, or be answered 400 or 413,
-// and never panic. Nothing is loaded — the decoded paths are never opened.
+// the decoder /v1/reload runs: each must decode (an unknown field is
+// ignored), or be answered 400 or 413, and never panic. Nothing is loaded — the decoded paths are never opened.
 func FuzzReloadBody(f *testing.F) {
 	for _, body := range []string{
 		``, `{}`, `{"path":"/nonexistent"}`, `{"path":"m.ckpt","draft_path":"d.ckpt"}`,
@@ -364,9 +364,10 @@ func TestPprofOnlyOnObserverListener(t *testing.T) {
 	}
 }
 
-// TestRemovedFlagsExitTwo: the flags the observer wiring replaced are
-// gone — each is the flag package's usage error, exit status 2, before
-// -model is even looked at.
+// TestRemovedFlagsExitTwo: removed flags — the ones the observer wiring
+// replaced, and the deleted lookahead decoder's two — are gone: each is the
+// flag package's usage error, exit status 2, before -model is even looked
+// at. A script still passing one fails instead of serving without it.
 func TestRemovedFlagsExitTwo(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "zipflm-serve")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -374,6 +375,7 @@ func TestRemovedFlagsExitTwo(t *testing.T) {
 	}
 	for _, args := range [][]string{
 		{"-dashboard"}, {"-profile-dir", t.TempDir()}, {"-profile-interval", "1s"}, {"-debug-addr", "127.0.0.1:0"},
+		{"-draft", "x"}, {"-draft-k", "4"},
 	} {
 		var stderr bytes.Buffer
 		cmd := exec.Command(bin, args...)

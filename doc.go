@@ -68,10 +68,10 @@
 // benchmarks compare batched and sequential throughput, and the repository
 // benchmark's serve_zipf_open workload measures it end to end.
 //
-// # Quantized & speculative decode: int8 kernels, draft-verified lookahead
+// # Quantized decode: int8 kernels
 //
-// Two optimizations attack the serving hot path's per-token cost without
-// loosening any determinism contract. LM.Quantize builds a serving replica
+// Int8 weights cut the serving hot path's per-token cost without loosening
+// any determinism contract. LM.Quantize builds a serving replica
 // whose output embedding and recurrent weights are stored as per-chunk
 // scaled int8 (tensor.QMatrix: scale = maxAbs/127 per chunk, codes rounded
 // to nearest on a symmetric grid); one kernel, MatMulABTStreamQ8, takes every batch size
@@ -82,18 +82,9 @@
 // Serial, Parallel, worker counts, and the asm/Go boundary. After each
 // batched step the serving batcher samples the sequences side by side on
 // the same worker pool (tensor.Backend.For); every sequence owns its RNG,
-// so that changes no token either. Speculative decoding (serve.Config.Draft,
-// one round in the serving batcher that zipflm-generate runs too) has a
-// small same-vocabulary draft propose k greedy lookahead tokens which the
-// target verifies in one batched logits product,
-// rolling back at the first mismatch; every emitted token is sampled from
-// the target's own logits at its true prefix, so output is bit-identical
-// to sequential model.Generate at every temperature — the draft only
-// changes the cost per token. Both surface on zipflm-serve and
-// zipflm-generate (-quantized, -draft, -draft-k), /v1/stats reports the
-// acceptance rate, /v1/reload swaps target and draft atomically, and
-// TestServeTrainedDraftIsAccepted holds a trained draft's acceptance above
-// a cold one's.
+// so that changes no token either. Int8 serving surfaces on zipflm-serve
+// and zipflm-generate as -quantized, and TestServedTokensLedger holds the
+// served tokens of FP32 and int8 weights to checked-in digests.
 //
 // # Fault tolerance: checkpoints, deterministic resume, failure injection
 //

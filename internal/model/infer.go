@@ -47,16 +47,6 @@ func (s *GenState) Clone() *GenState {
 	return out
 }
 
-// CopyFrom overwrites s with src (same model required). Speculative decoding
-// snapshots and rolls back states with this on every round, so unlike Clone
-// it never allocates.
-func (s *GenState) CopyFrom(src *GenState) {
-	copy(s.h, src.h)
-	if s.c != nil {
-		copy(s.c, src.c)
-	}
-}
-
 // Stepper advances batches of sequences through a model one token at a
 // time. All scratch is allocated once at construction for the maximum batch
 // size; Step itself performs zero heap allocations, which the
@@ -177,7 +167,7 @@ func (st *Stepper) stepCells(ids []int, states []*GenState) {
 // is overwritten by the next Step, so sample from it (or copy it) first.
 func (st *Stepper) Step(ids []int, states []*GenState) *tensor.Matrix {
 	st.stepCells(ids, states)
-	return st.LogitsFor(st.h)
+	return st.logitsFor(st.h)
 }
 
 // StepEmitting is Step for a batch in which only some sequences draw a token
@@ -186,7 +176,7 @@ func (st *Stepper) Step(ids []int, states []*GenState) *tensor.Matrix {
 // projection and the V×D logits product — the bulk of a step — run only over
 // the rows listed in emit (ascending batch indices), compacted: Row(j) of the
 // result belongs to sequence emit[j]. It returns nil when emit is empty. Rows
-// are independent in every kernel (see LogitsFor), so Row(j) holds the bits
+// are independent in every kernel (see logitsFor), so Row(j) holds the bits
 // Step's Row(emit[j]) would.
 func (st *Stepper) StepEmitting(ids []int, states []*GenState, emit []int) *tensor.Matrix {
 	st.stepCells(ids, states)
@@ -205,7 +195,7 @@ func (st *Stepper) StepEmitting(ids []int, states []*GenState, emit []int) *tens
 		}
 	}
 	viewRows(st.h, len(emit))
-	return st.LogitsFor(st.h)
+	return st.logitsFor(st.h)
 }
 
 // warm consumes toks with cell-only steps on one sequence: how a prompt is
@@ -219,34 +209,18 @@ func (st *Stepper) warm(toks []int, gs *GenState) {
 	}
 }
 
-// StepCells advances the recurrent cell only — no projection, no logits —
-// writing the new hidden rows into hOut at rows rowBase..rowBase+len(ids)-1
-// (states still updated in place). Speculative decoding uses it to run the
-// cheap serial cell steps token by token while deferring the expensive V×D
-// logits product, which LogitsFor then computes for every verified position
-// in one batched call.
-func (st *Stepper) StepCells(ids []int, states []*GenState, hOut *tensor.Matrix, rowBase int) {
-	if hOut.Cols != st.m.Cfg.Hidden || rowBase < 0 || rowBase+len(ids) > hOut.Rows {
-		panic("model: StepCells output rows out of range")
-	}
-	st.stepCells(ids, states)
-	for i := range ids {
-		copy(hOut.Row(rowBase+i), st.h.Row(i))
-	}
-}
-
-// LogitsFor computes projection + output-embedding logits for R ≤ MaxBatch
+// logitsFor computes projection + output-embedding logits for R ≤ MaxBatch
 // rows of hidden state, returning the R×V logits (Stepper-owned scratch,
 // overwritten by the next call). Each row is computed independently with the
 // batch-1 operation order, so Row(i) is bit-identical to the logits a
 // single-sequence Step would produce from the same hidden state — the
-// property that lets speculative decoding verify k positions in one call.
-func (st *Stepper) LogitsFor(h *tensor.Matrix) *tensor.Matrix {
+// property that lets StepEmitting compact its rows.
+func (st *Stepper) logitsFor(h *tensor.Matrix) *tensor.Matrix {
 	if h.Rows == 0 || h.Rows > st.max {
-		panic(fmt.Sprintf("model: LogitsFor batch %d outside [1, %d]", h.Rows, st.max))
+		panic(fmt.Sprintf("model: logitsFor batch %d outside [1, %d]", h.Rows, st.max))
 	}
 	if h.Cols != st.m.Cfg.Hidden {
-		panic("model: LogitsFor hidden width does not match this model")
+		panic("model: logitsFor hidden width does not match this model")
 	}
 	m := st.m
 	viewRows(st.p, h.Rows)

@@ -67,7 +67,7 @@ func NewDecoder(vocab int) *Decoder {
 // the top-k/top-p filters. It is deterministic given r, draws at most one
 // variate from r per call (exactly one unless temperature is 0), and leaves
 // logits untouched. Logits with no distribution to draw from — a NaN among
-// them, or nothing but −Inf — fall back to Argmax, the variate still drawn;
+// them, or nothing but −Inf — fall back to argmax, the variate still drawn;
 // +Inf logits share the whole mass (tensor.ExpSumRow).
 func (d *Decoder) Sample(logits []float32, opts DecodeOpts, r *rng.RNG) int {
 	if len(logits) != len(d.probs) {
@@ -80,7 +80,7 @@ func (d *Decoder) Sample(logits []float32, opts DecodeOpts, r *rng.RNG) int {
 		opts.TopK = 0 // a cut wider than the vocabulary restricts nothing
 	}
 	if opts.Temperature == 0 {
-		return Argmax(logits)
+		return argmax(logits)
 	}
 	if math.IsInf(float64(float32(1/opts.Temperature)), 1) {
 		// A temperature so small (below ≈2.9e-39) that 1/T overflows float32
@@ -88,7 +88,7 @@ func (d *Decoder) Sample(logits []float32, opts DecodeOpts, r *rng.RNG) int {
 		// its limit is the greedy choice. The variate is drawn all the same:
 		// a positive temperature always costs the caller's RNG exactly one.
 		r.Float64()
-		return Argmax(logits)
+		return argmax(logits)
 	}
 
 	// Pure top-k never needs the full softmax or a full sort: selection on
@@ -108,7 +108,7 @@ func (d *Decoder) Sample(logits []float32, opts DecodeOpts, r *rng.RNG) int {
 	if !(tensor.SoftmaxRow(d.probs) > 0) {
 		// NaN (a NaN logit) or 0 (nothing but −Inf): no distribution.
 		r.Float64()
-		return Argmax(logits)
+		return argmax(logits)
 	}
 
 	if !opts.restricted() {
@@ -163,11 +163,10 @@ func (d *Decoder) Sample(logits []float32, opts DecodeOpts, r *rng.RNG) int {
 	return d.idx[m-1] // numerical tail
 }
 
-// Argmax returns the index of the largest logit, the first one on ties: the
-// greedy rule of Sample at temperature 0, and the RNG-free proposal rule of
-// speculative decoding (which must not disturb a request's variate
-// schedule). A NaN logit never wins; a row of nothing else returns 0.
-func Argmax(logits []float32) int {
+// argmax returns the index of the largest logit, the first one on ties: the
+// greedy rule of Sample at temperature 0. A NaN logit never wins; a row of
+// nothing else returns 0.
+func argmax(logits []float32) int {
 	bi, bv := 0, logits[0]
 	for i, v := range logits {
 		if v > bv || (bv != bv && v == v) {
@@ -209,7 +208,7 @@ func (d *Decoder) sampleTopK(logits []float32, opts DecodeOpts, r *rng.RNG) int 
 	}
 	if !(tensor.SoftmaxRow(probs) > 0) {
 		r.Float64()
-		return Argmax(logits)
+		return argmax(logits)
 	}
 	u := r.Float64()
 	var cum float64

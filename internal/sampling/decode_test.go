@@ -121,8 +121,8 @@ func TestTopKWiderThanVocab(t *testing.T) {
 			}
 		}
 		// Greedy with an oversized k stays argmax.
-		if got := NewDecoder(v).Sample(logits, DecodeOpts{TopK: k}, rng.New(1)); got != Argmax(logits) {
-			t.Fatalf("k=%d greedy drew %d, argmax is %d", k, got, Argmax(logits))
+		if got := NewDecoder(v).Sample(logits, DecodeOpts{TopK: k}, rng.New(1)); got != argmax(logits) {
+			t.Fatalf("k=%d greedy drew %d, argmax is %d", k, got, argmax(logits))
 		}
 	}
 }
@@ -190,14 +190,14 @@ func TestArgmax(t *testing.T) {
 		{[]float32{5, nan, 2}, 0},
 		{[]float32{nan, nan}, 0},
 	} {
-		if got := Argmax(c.logits); got != c.want {
-			t.Errorf("Argmax(%v) = %d, want %d", c.logits, got, c.want)
+		if got := argmax(c.logits); got != c.want {
+			t.Errorf("argmax(%v) = %d, want %d", c.logits, got, c.want)
 		}
 	}
 }
 
 // TestSampleNonFiniteLogits: logits that define no distribution (a NaN, or
-// nothing but −Inf) fall back to Argmax on every path and still cost the
+// nothing but −Inf) fall back to argmax on every path and still cost the
 // caller's RNG exactly one variate — they used to return the last candidate
 // off the end of a NaN CDF; a +Inf logit takes the whole mass, and several
 // share it.

@@ -20,13 +20,9 @@ import (
 type seq struct {
 	t     *task
 	state *model.GenState
-	// dstate is the draft model's state for this sequence (speculative
-	// servers only), kept in lockstep with state: both have always consumed
-	// exactly the same tokens.
-	dstate *model.GenState
-	r      *rng.RNG
-	fed    int   // tokens fed so far (prompt first, then own output)
-	out    []int // generated tokens
+	r     *rng.RNG
+	fed   int   // tokens fed so far (prompt first, then own output)
+	out   []int // generated tokens
 	// Trace timestamps, populated only when the server has a tracer:
 	// admitted ends the queue span; prefillEnd splits prefill from decode.
 	admitted   time.Time
@@ -42,12 +38,10 @@ func (q *seq) nextInput() int {
 }
 
 // pendingModel is a reload in flight: the worker installs it at the next
-// step boundary where it holds no in-flight sequences. On a speculative
-// server it carries the draft too, so target and draft always swap as a
-// pair. Every worker is handed the same pendingModel.
+// step boundary where it holds no in-flight sequences. Every worker is
+// handed the same pendingModel.
 type pendingModel struct {
 	m       *model.LM
-	draft   *model.LM // nil unless speculative decoding is configured
 	version uint64
 }
 
@@ -81,48 +75,21 @@ type worker struct {
 	// side by side on the backend's workers, sequence emit[j] from row j with
 	// decoder decs[j] into drawn[j]. Each sequence owns its RNG and each slot
 	// its decoder scratch, so what is drawn does not depend on who draws it.
-	// The serial paths (admit, stepSpec) use decs[0].
+	// admit uses decs[0].
 	decs       []*sampling.Decoder
 	lg         *tensor.Matrix
 	emit       []int
 	drawn      []int
 	sampleSlot func(j int) // w.sample, bound once so step allocates nothing
-
-	// Speculative decoding machinery (nil/empty without Config.Draft).
-	// Layout per verify round: sequence i claims rows bases[i] ..
-	// bases[i]+jBuf[i]-1 of hStack, row bases[i]+t holding the target
-	// hidden state after feeds[i][0..t]; one batched LogitsFor over all
-	// those rows replaces up to MaxBatch·(DraftK+1) sequential logits
-	// products. tSnaps[i][t]/dSnaps[i][t] snapshot both models after
-	// feeds[i][0..t] so a rejected proposal rolls back without re-running
-	// anything.
-	draft        *model.LM
-	draftStepper *model.Stepper
-	hStack       *tensor.Matrix
-	dh           *tensor.Matrix // draft StepCells sink (hidden rows unused)
-	dstates      []*model.GenState
-	tSnaps       [][]*model.GenState
-	dSnaps       [][]*model.GenState
-	feeds        [][]int
-	jBuf, bases  []int
-	rowsBuf      []int
-	oneID        []int
-	oneState     []*model.GenState
 }
 
-func newWorker(s *Server, m, draft *model.LM) *worker {
-	stMax := s.cfg.MaxBatch
-	if draft != nil {
-		// The verify pass batches every sequence's whole lookahead window
-		// into one logits product.
-		stMax = s.cfg.MaxBatch * (s.cfg.DraftK + 1)
-	}
+func newWorker(s *Server, m *model.LM) *worker {
 	w := &worker{
 		s:       s,
 		m:       m,
 		arch:    m.Cfg,
 		version: 1,
-		stepper: m.NewStepper(stMax),
+		stepper: m.NewStepper(s.cfg.MaxBatch),
 		ids:     make([]int, s.cfg.MaxBatch),
 		states:  make([]*model.GenState, s.cfg.MaxBatch),
 		decs:    make([]*sampling.Decoder, s.cfg.MaxBatch),
@@ -133,30 +100,6 @@ func newWorker(s *Server, m, draft *model.LM) *worker {
 		w.decs[i] = sampling.NewDecoder(m.Cfg.Vocab)
 	}
 	w.sampleSlot = w.sample
-	if draft != nil {
-		k := s.cfg.DraftK
-		w.draft = draft
-		w.draftStepper = draft.NewStepper(s.cfg.MaxBatch)
-		w.hStack = tensor.NewMatrix(stMax, m.Cfg.Hidden)
-		w.dh = tensor.NewMatrix(s.cfg.MaxBatch, draft.Cfg.Hidden)
-		w.dstates = make([]*model.GenState, s.cfg.MaxBatch)
-		w.jBuf = make([]int, s.cfg.MaxBatch)
-		w.bases = make([]int, s.cfg.MaxBatch)
-		w.rowsBuf = make([]int, s.cfg.MaxBatch)
-		w.oneID = make([]int, 1)
-		w.oneState = make([]*model.GenState, 1)
-		for i := 0; i < s.cfg.MaxBatch; i++ {
-			ts := make([]*model.GenState, k+1)
-			ds := make([]*model.GenState, k+1)
-			for t := range ts {
-				ts[t] = m.NewGenState()
-				ds[t] = draft.NewGenState()
-			}
-			w.tSnaps = append(w.tSnaps, ts)
-			w.dSnaps = append(w.dSnaps, ds)
-			w.feeds = append(w.feeds, make([]int, k+1))
-		}
-	}
 	return w
 }
 
@@ -167,18 +110,8 @@ func (w *worker) maybeSwap() {
 	if p == nil {
 		return
 	}
-	stMax := w.s.cfg.MaxBatch
-	if p.draft != nil {
-		stMax = w.s.cfg.MaxBatch * (w.s.cfg.DraftK + 1)
-	}
 	w.m = p.m
-	w.stepper = p.m.NewStepper(stMax)
-	if p.draft != nil {
-		// Same architecture (Reload validates), so the snapshot and
-		// scratch pools carry over; only the models and steppers swap.
-		w.draft = p.draft
-		w.draftStepper = p.draft.NewStepper(w.s.cfg.MaxBatch)
-	}
+	w.stepper = p.m.NewStepper(w.s.cfg.MaxBatch)
 	w.version = p.version
 }
 
@@ -218,31 +151,9 @@ func (w *worker) loop() {
 			}
 		}
 		if len(w.active) > 0 {
-			if w.specReady() {
-				w.stepSpec()
-			} else {
-				w.step()
-			}
+			w.step()
 		}
 	}
-}
-
-// specReady reports whether a speculative round can run: every active
-// sequence must be past prefill with at least one emitted token (the round
-// invariant "both models have consumed prompt plus all output but the last
-// token" holds exactly then). Mixed batches — some sequences still
-// prefilling — run normal steps, which keep target and draft in lockstep,
-// until everyone is ready.
-func (w *worker) specReady() bool {
-	if w.draft == nil {
-		return false
-	}
-	for _, q := range w.active {
-		if len(q.out) == 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // fill admits queued tasks into free slots without waiting.
@@ -350,24 +261,8 @@ func (w *worker) admit(t *task) {
 			t.done <- taskDone{tokens: q.out, version: w.version}
 			return
 		}
-		if w.draft != nil {
-			// The prefix cache stores only the target state; replay the
-			// prompt through the small draft so the lockstep invariant
-			// holds from the first step. Still far cheaper than target
-			// prefill, which the hit just skipped.
-			q.dstate = w.draft.NewGenState()
-			w.oneState[0] = q.dstate
-			for _, tok := range req.Prompt {
-				w.oneID[0] = tok
-				w.draftStepper.StepCells(w.oneID, w.oneState, w.dh, 0)
-			}
-			w.s.stats.onDraftSteps(len(req.Prompt))
-		}
 	} else {
 		q.state = w.m.NewGenState()
-		if w.draft != nil {
-			q.dstate = w.draft.NewGenState()
-		}
 	}
 	w.active = append(w.active, q)
 }
@@ -429,15 +324,6 @@ func (w *worker) step() {
 	}
 	w.lg = w.stepper.StepEmitting(w.ids[:b], w.states[:b], w.emit[:ne])
 	w.s.stats.onBatchStep(b)
-	if w.draft != nil {
-		// Advance the draft on the same tokens so both models have always
-		// consumed identical prefixes — the invariant stepSpec starts from.
-		for i := 0; i < b; i++ {
-			w.dstates[i] = w.active[i].dstate
-		}
-		w.draftStepper.StepCells(w.ids[:b], w.dstates[:b], w.dh, 0)
-		w.s.stats.onDraftSteps(b)
-	}
 
 	// The prefix snapshot of a prompt that just finished, in slot order.
 	for j, i := range w.emit[:ne] {
@@ -490,141 +376,6 @@ func (w *worker) step() {
 func (w *worker) sample(j int) {
 	q := w.active[w.emit[j]]
 	w.drawn[j] = w.decs[j].Sample(w.lg.Row(j), q.t.req.Opts, q.r)
-}
-
-// stepSpec advances every active sequence up to DraftK+1 tokens in one
-// speculative round (Leviathan et al. style, adapted to RNNs) — the one
-// speculative implementation; zipflm-generate -draft runs it with a batch of
-// one. The draft proposes per-sequence lookaheads by greedy argmax (batched
-// across sequences); the target verifies them, and emission stops at the
-// first position where the target's own draw disagrees with the next
-// proposal, rolling both models back to the snapshot at that point. An RNN
-// cannot batch the verification across time — the recurrence serializes the
-// cell — but the cell is the cheap part: the V×D logits product dominates
-// decode, and it has no recurrence. So the target runs the serial cell steps
-// per position (StepCells) and then ONE batched LogitsFor over every
-// position of every sequence.
-//
-// Exactness: every emitted token is drawn by sampling.Decoder.Sample from the
-// target's true-prefix logits — row bases[i]+t of the batched call is
-// bit-identical to the logits a sequential Step would produce after the same
-// tokens (the Stepper per-row contract) — and Sample draws exactly the
-// sequential schedule's variates (one per emitted token at temperature > 0,
-// none at 0) because draft proposals are RNG-free argmax. Output is therefore
-// bit-identical to model.GenerateOpts at every temperature and filter
-// setting; the draft changes the cost per token, never the tokens. The
-// paper's Zipf skew is what makes the trade favorable: most next-token draws
-// are head tokens a small model predicts as well as a large one, so
-// acceptance stays high.
-func (w *worker) stepSpec() {
-	w.expire(time.Now())
-	b := len(w.active)
-	if b == 0 {
-		return
-	}
-	k := w.s.cfg.DraftK
-
-	// Lookahead windows and verify-row bases.
-	rows, maxJ := 0, 0
-	for i, q := range w.active {
-		j := q.t.req.N - len(q.out)
-		if j > k+1 {
-			j = k + 1
-		}
-		w.jBuf[i] = j
-		w.bases[i] = rows
-		rows += j
-		if j > maxJ {
-			maxJ = j
-		}
-		w.feeds[i][0] = q.nextInput()
-	}
-
-	// Draft phase: propose by argmax, batched across the sequences still
-	// looking ahead, snapshotting the draft after each consumed token.
-	for t := 1; t < maxJ; t++ {
-		n := 0
-		for i, q := range w.active {
-			if w.jBuf[i] > t {
-				w.ids[n] = w.feeds[i][t-1]
-				w.states[n] = q.dstate
-				w.rowsBuf[n] = i
-				n++
-			}
-		}
-		if n == 0 {
-			break
-		}
-		dlg := w.draftStepper.Step(w.ids[:n], w.states[:n])
-		for bi := 0; bi < n; bi++ {
-			i := w.rowsBuf[bi]
-			w.dSnaps[i][t-1].CopyFrom(w.active[i].dstate)
-			w.feeds[i][t] = sampling.Argmax(dlg.Row(bi))
-		}
-		w.s.stats.onDraftSteps(n)
-	}
-
-	// Verify phase: serial target cell steps (the recurrence allows no
-	// other order), then the single batched logits product they exist to
-	// amortize.
-	w.hStack.Rows = rows
-	w.hStack.Data = w.hStack.Data[:rows*w.hStack.Cols]
-	for i, q := range w.active {
-		w.oneState[0] = q.state
-		for t := 0; t < w.jBuf[i]; t++ {
-			w.oneID[0] = w.feeds[i][t]
-			w.stepper.StepCells(w.oneID, w.oneState, w.hStack, w.bases[i]+t)
-			w.tSnaps[i][t].CopyFrom(q.state)
-		}
-	}
-	lg := w.stepper.LogitsFor(w.hStack)
-	w.hStack.Rows = w.s.cfg.MaxBatch * (k + 1)
-	w.hStack.Data = w.hStack.Data[:w.hStack.Rows*w.hStack.Cols]
-	w.s.stats.onBatchStep(b)
-
-	// Emission: accept until the target's own draw disagrees.
-	proposed, accepted := 0, 0
-	n := 0
-	for i := 0; i < b; i++ {
-		q := w.active[i]
-		j := w.jBuf[i]
-		mismatch, emitted := -1, 0
-		for t := 0; t < j; t++ {
-			next := w.decs[0].Sample(lg.Row(w.bases[i]+t), q.t.req.Opts, q.r)
-			q.out = append(q.out, next)
-			emitted++
-			if t+1 < j && next != w.feeds[i][t+1] {
-				mismatch = t
-				break
-			}
-		}
-		proposed += j - 1
-		accepted += emitted - 1
-		if len(q.out) == q.t.req.N {
-			w.traceRetire(q)
-			q.t.done <- taskDone{tokens: q.out, version: w.version}
-			continue // retire
-		}
-		if mismatch >= 0 {
-			q.state.CopyFrom(w.tSnaps[i][mismatch])
-			q.dstate.CopyFrom(w.dSnaps[i][mismatch])
-		} else {
-			// Full accept: the draft never consumed the round's final fed
-			// token; advance it so the lockstep invariant holds.
-			w.oneID[0] = w.feeds[i][j-1]
-			w.oneState[0] = q.dstate
-			w.draftStepper.StepCells(w.oneID, w.oneState, w.dh, 0)
-			w.s.stats.onDraftSteps(1)
-		}
-		q.fed = len(q.t.req.Prompt) + len(q.out) - 1
-		w.active[n] = q
-		n++
-	}
-	for i := n; i < b; i++ {
-		w.active[i] = nil
-	}
-	w.active = w.active[:n]
-	w.s.stats.onSpecRound(proposed, accepted)
 }
 
 // expire sheds active sequences whose deadline has passed (partial output

@@ -118,65 +118,3 @@ func BenchmarkServeQuantQ8Sequential(b *testing.B) { runQuantBench(b, true, 1, 1
 // matter when sizing a deployment.
 func BenchmarkServeQuantFP32Batched8(b *testing.B) { runQuantBench(b, false, 8, 8) }
 func BenchmarkServeQuantQ8Batched8(b *testing.B)   { runQuantBench(b, true, 8, 8) }
-
-// --- Speculative decoding ---
-//
-// Three legs bracket the speculative trade on the same memory-bound model,
-// greedy decoding, single stream: no draft (baseline), a same-weights draft
-// (acceptance exactly 1 — the mechanism's accounting ceiling, not a speedup
-// claim, since this draft costs as much as the target), and a small cold
-// draft (acceptance ≈ 0 — the overhead floor). A trained small-draft
-// pairing, which is where the win lives, is held to a nonzero acceptance
-// rate by TestServeTrainedDraftIsAccepted.
-
-func runSpecBench(b *testing.B, draft *model.LM, k int, quantized bool) {
-	m := quantBenchModel()
-	s := New(m, Config{Quantized: quantized, Draft: draft, DraftK: k, MaxBatch: 1, QueueDepth: 4})
-	defer s.Close()
-	b.ResetTimer()
-	rep := RunLoad(s, LoadConfig{
-		Clients:    1,
-		Requests:   b.N,
-		PromptPool: 1 << 20,
-		Vocab:      m.Cfg.Vocab,
-		Tokens:     16,
-		Seed:       1, // zero Opts: greedy — acceptance is deterministic
-	})
-	b.StopTimer()
-	if rep.Completed != b.N {
-		b.Fatalf("completed %d of %d", rep.Completed, b.N)
-	}
-	b.ReportMetric(float64(rep.TokensOut)/b.Elapsed().Seconds(), "tok/s")
-	if draft != nil {
-		b.ReportMetric(s.Stats().SpecAcceptanceRate(), "accept")
-	}
-}
-
-// BenchmarkSpecDecodeOff is the no-draft baseline.
-func BenchmarkSpecDecodeOff(b *testing.B) { runSpecBench(b, nil, 0, false) }
-
-// BenchmarkSpecDecodeAccept100 uses a same-weights draft: every proposal is
-// the target's own argmax, acceptance is exactly 1.
-func BenchmarkSpecDecodeAccept100(b *testing.B) {
-	m := quantBenchModel()
-	d := m.Clone()
-	runSpecBench(b, d, 4, false)
-}
-
-// BenchmarkSpecDecodeColdDraft pays for a small draft that is never right —
-// the worst-case overhead of speculation.
-func BenchmarkSpecDecodeColdDraft(b *testing.B) {
-	m := quantBenchModel()
-	d := model.NewLM(model.Config{Vocab: m.Cfg.Vocab, Dim: 16, Hidden: 24,
-		RNN: model.KindRHN, RHNDepth: 2, Seed: 33})
-	runSpecBench(b, d, 4, false)
-}
-
-// BenchmarkSpecDecodeQuantColdDraft stacks both features: q8 target weights
-// under speculative decoding.
-func BenchmarkSpecDecodeQuantColdDraft(b *testing.B) {
-	m := quantBenchModel()
-	d := model.NewLM(model.Config{Vocab: m.Cfg.Vocab, Dim: 16, Hidden: 24,
-		RNN: model.KindRHN, RHNDepth: 2, Seed: 33})
-	runSpecBench(b, d, 4, true)
-}

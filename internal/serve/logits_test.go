@@ -174,56 +174,3 @@ func TestLogitsRowsPerStep(t *testing.T) {
 		}
 	}
 }
-
-// TestLogitsRowsSpeculative: on a speculative server the prompt costs the
-// target no logits rows either — a step whose sequences are all mid-prompt
-// computes none, a mixed step one per emitter — and a verify round still
-// computes one row per position of every sequence's lookahead window, as it
-// always has. The draft proposes through its own logits only inside rounds.
-func TestLogitsRowsSpeculative(t *testing.T) {
-	m := lstmModel()
-	const k = 3
-	s := New(m, Config{MaxBatch: 4, ComputeWorkers: 1, Draft: draftFor(m, 77), DraftK: k})
-	s.Close() // drive the worker by hand
-	w := s.workers[0]
-	target, draft := countLogitsRows(w.m), countLogitsRows(w.draft)
-
-	reqs := []Request{
-		{Prompt: []int{5, 6, 7, 8}, N: 9, Opts: sampling.DecodeOpts{Temperature: 0.9}, Seed: 1},
-		{Prompt: []int{3, 4}, N: 7, Seed: 2},
-	}
-	var tasks []*task
-	for _, req := range reqs {
-		tasks = append(tasks, enqueue(w, req))
-	}
-	for step, emitting := range []int{0, 1, 1, 2} {
-		if w.specReady() {
-			t.Fatalf("step %d: a speculative round is ready while a sequence has emitted nothing", step)
-		}
-		w.step()
-		if got := int(target.rows.Swap(0)); got != emitting {
-			t.Fatalf("step %d: %d target logits rows, want %d (the sequences emitting)", step, got, emitting)
-		}
-		if got := draft.rows.Load(); got != 0 {
-			t.Fatalf("step %d: the draft computed %d logits rows outside a round", step, got)
-		}
-	}
-	for round := 0; len(w.active) > 0; round++ {
-		if !w.specReady() {
-			t.Fatalf("round %d: not ready with every sequence past its prompt", round)
-		}
-		window := 0
-		for _, q := range w.active {
-			window += min(k+1, q.t.req.N-len(q.out))
-		}
-		w.stepSpec()
-		if got := int(target.rows.Swap(0)); got != window {
-			t.Fatalf("round %d: %d target logits rows, want %d (the lookahead windows)", round, got, window)
-		}
-	}
-	for i, req := range reqs {
-		if d := <-tasks[i].done; d.err != nil || !slices.Equal(d.tokens, reference(m, req)) {
-			t.Fatalf("request %d: served %v (%v), sequential %v", i, d.tokens, d.err, reference(m, req))
-		}
-	}
-}

@@ -128,19 +128,6 @@ type Config struct {
 	// (bit-identical to sequential Generate on the quantized model) but
 	// differ from FP32 responses by design.
 	Quantized bool
-	// Draft, when non-nil, enables speculative decoding: a small draft
-	// model (same vocabulary; the intended pairing is a small RHN drafting
-	// for the big LSTM) proposes DraftK tokens per round and the serving
-	// model verifies them in one batched logits pass. Responses stay
-	// bit-identical to sequential Generate at every temperature — the
-	// draft changes cost per token, never tokens. The model is cloned at
-	// New; the caller's copy is not retained. Drafts stay FP32 even under
-	// Quantized (they are small; quantizing them would change proposals
-	// for negligible bandwidth).
-	Draft *model.LM
-	// DraftK is the speculative lookahead (default 4, used only with
-	// Draft).
-	DraftK int
 	// Telemetry, when non-nil, is the registry the server records into —
 	// share one across subsystems to serve a single /metrics endpoint.
 	// When nil the server creates a private registry, so Stats always
@@ -183,9 +170,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxPromptLen <= 0 {
 		c.MaxPromptLen = 4096
 	}
-	if c.Draft != nil && c.DraftK <= 0 {
-		c.DraftK = 4
-	}
 	return c
 }
 
@@ -224,10 +208,6 @@ type Server struct {
 	// (tensor.Default unless Config.ComputeWorkers says otherwise). Reloaded
 	// weights get it too, so a reload never silently changes the compute path.
 	backend tensor.Backend
-	// draftSrc is the server's private copy of the speculative draft
-	// weights (nil without Config.Draft), the one every worker steps;
-	// reloadMu guards it after New.
-	draftSrc *model.LM
 	// version is the current weights generation; reloadMu serializes
 	// Reload calls so versions hand out monotonically with their weights.
 	version  atomic.Uint64
@@ -319,15 +299,9 @@ func New(m *model.LM, cfg Config) *Server {
 	if cfg.ComputeWorkers > 0 {
 		s.backend = tensor.New(cfg.ComputeWorkers)
 	}
-	if cfg.Draft != nil {
-		if cfg.Draft.Cfg.Vocab != m.Cfg.Vocab {
-			panic(fmt.Sprintf("serve: draft vocab %d does not match model vocab %d", cfg.Draft.Cfg.Vocab, m.Cfg.Vocab))
-		}
-		s.draftSrc = s.clone(cfg.Draft, false)
-	}
-	target := s.clone(m, cfg.Quantized)
+	served := s.clone(m)
 	for i := 0; i < cfg.Workers; i++ {
-		w := newWorker(s, target, s.draftSrc)
+		w := newWorker(s, served)
 		w.id = i
 		s.workers = append(s.workers, w)
 		s.wg.Add(1)
@@ -340,12 +314,12 @@ func New(m *model.LM, cfg Config) *Server {
 }
 
 // clone copies m into the server's weights for one generation: the server's
-// backend, and an int8 inference path when quantize is set. Every worker
-// steps the same clone, and no later write to m reaches it.
-func (s *Server) clone(m *model.LM, quantize bool) *model.LM {
+// backend, and an int8 inference path when Config.Quantized is set. Every
+// worker steps the same clone, and no later write to m reaches it.
+func (s *Server) clone(m *model.LM) *model.LM {
 	c := m.Clone()
 	c.SetBackend(s.backend)
-	if quantize {
+	if s.cfg.Quantized {
 		c.QuantizeWeights()
 	}
 	return c
@@ -362,29 +336,16 @@ func (s *Server) clone(m *model.LM, quantize bool) *model.LM {
 // request.
 //
 // The architecture must match the serving model's (same shapes) — a reload
-// is a weights update, not a model swap. On a speculative server the current
-// draft rides along with the new target so the pair swaps atomically;
-// ReloadWithDraft updates the draft too.
+// is a weights update, not a model swap.
 func (s *Server) Reload(m *model.LM) (uint64, error) {
-	return s.ReloadWithDraft(m, nil)
-}
-
-// ReloadWithDraft is Reload plus a draft-weights update: target and draft
-// install at the same step boundary, so no sequence ever runs a verify round
-// with a mismatched pair. A nil draft keeps the current draft weights. Like
-// the target, the draft must match the architecture the server started with.
-func (s *Server) ReloadWithDraft(m, draft *model.LM) (uint64, error) {
-	if err := s.checkReload(m, draft); err != nil {
+	if err := s.checkReload(m); err != nil {
 		s.ReloadFailed(err)
 		return 0, err
 	}
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	if draft != nil {
-		s.draftSrc = s.clone(draft, false)
-	}
 	v := s.version.Add(1)
-	p := &pendingModel{m: s.clone(m, s.cfg.Quantized), draft: s.draftSrc, version: v}
+	p := &pendingModel{m: s.clone(m), version: v}
 	for _, w := range s.workers {
 		w.pending.Store(p)
 	}
@@ -397,30 +358,20 @@ func (s *Server) ReloadWithDraft(m, draft *model.LM) (uint64, error) {
 }
 
 // checkReload rejects weights that are not an update of what is serving.
-func (s *Server) checkReload(m, draft *model.LM) error {
-	sameArch := func(a, b model.Config) bool {
-		return a.Vocab == b.Vocab && a.Dim == b.Dim && a.Hidden == b.Hidden &&
-			a.RNN == b.RNN && a.RHNDepth == b.RHNDepth
-	}
-	if cur := s.workers[0].arch; !sameArch(m.Cfg, cur) { // arch is immutable after New
-		return fmt.Errorf("serve: reload architecture %+v does not match serving %+v", m.Cfg, cur)
-	}
-	if draft != nil {
-		if s.draftSrc == nil {
-			return errors.New("serve: draft reload on a server without speculative decoding")
-		}
-		if cur := s.draftSrc.Cfg; !sameArch(draft.Cfg, cur) {
-			return fmt.Errorf("serve: reload draft architecture %+v does not match serving draft %+v", draft.Cfg, cur)
-		}
+func (s *Server) checkReload(m *model.LM) error {
+	a, cur := m.Cfg, s.workers[0].arch // arch is immutable after New
+	if a.Vocab != cur.Vocab || a.Dim != cur.Dim || a.Hidden != cur.Hidden ||
+		a.RNN != cur.RNN || a.RHNDepth != cur.RHNDepth {
+		return fmt.Errorf("serve: reload architecture %+v does not match serving %+v", a, cur)
 	}
 	return nil
 }
 
 // ReloadFailed makes a reload that never installed visible: it counts one
 // in zipflm_serve_reload_failures_total and records the cause in the flight
-// ring. ReloadWithDraft calls it for the weights it rejects; callers report
-// the failures that happen before it — a source that cannot be read or does
-// not parse.
+// ring. Reload calls it for the weights it rejects; callers report the
+// failures that happen before it — a source that cannot be read or does not
+// parse.
 func (s *Server) ReloadFailed(cause error) {
 	s.reloadFailures.Inc()
 	s.flight.Record(slog.LevelError, "weights reload failed", "cause", cause.Error(),
@@ -538,9 +489,6 @@ func (s *Server) Stats() Snapshot {
 	snap.WeightsVersion = s.version.Load()
 	snap.Reloads = s.reloads.Load()
 	snap.Quantized = s.cfg.Quantized
-	if s.draftSrc != nil {
-		snap.DraftK = s.cfg.DraftK
-	}
 	return snap
 }
 

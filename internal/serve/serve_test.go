@@ -40,6 +40,87 @@ func reference(m *model.LM, req Request) []int {
 	return m.GenerateOpts(req.Prompt, req.N, req.Opts, rng.New(req.Seed))
 }
 
+// raggedRequests builds a mixed workload: ragged prompt lengths, varied N,
+// every decoding mode.
+func raggedRequests(vocab, n int, seedBase uint64) []Request {
+	r := rng.New(seedBase)
+	reqs := make([]Request, n)
+	for i := range reqs {
+		prompt := make([]int, 1+r.Intn(6))
+		for j := range prompt {
+			prompt[j] = r.Intn(vocab)
+		}
+		opts := sampling.DecodeOpts{}
+		switch i % 4 {
+		case 1:
+			opts.Temperature = 0.9
+		case 2:
+			opts.Temperature = 1.1
+			opts.TopK = 10
+		case 3:
+			opts.Temperature = 0.8
+			opts.TopP = 0.9
+		}
+		reqs[i] = Request{Prompt: prompt, N: 1 + r.Intn(10), Opts: opts, Seed: seedBase + uint64(i)}
+	}
+	return reqs
+}
+
+// submitAll runs every request concurrently and checks each response
+// bit-for-bit against ref.
+func submitAll(t *testing.T, s *Server, ref *model.LM, reqs []Request, tag string) {
+	t.Helper()
+	var wg sync.WaitGroup
+	errs := make([]error, len(reqs))
+	got := make([][]int, len(reqs))
+	for i, req := range reqs {
+		wg.Add(1)
+		go func(i int, req Request) {
+			defer wg.Done()
+			res, err := s.Submit(req)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			got[i] = res.Tokens
+		}(i, req)
+	}
+	wg.Wait()
+	for i, req := range reqs {
+		if errs[i] != nil {
+			t.Fatalf("%s req %d failed: %v", tag, i, errs[i])
+		}
+		want := reference(ref, req)
+		if len(got[i]) != len(want) {
+			t.Fatalf("%s req %d: %d tokens, want %d", tag, i, len(got[i]), len(want))
+		}
+		for j := range want {
+			if got[i][j] != want[j] {
+				t.Fatalf("%s req %d token %d: served %d != sequential %d", tag, i, j, got[i][j], want[j])
+			}
+		}
+	}
+}
+
+// TestServeQuantizedBitIdentical: a Quantized server answers every request
+// exactly as sequential generation on the quantized model would — the q8
+// serving path inherits the full bit-identity contract, with the quantized
+// model (not the FP32 source) as the reference.
+func TestServeQuantizedBitIdentical(t *testing.T) {
+	for name, m := range map[string]*model.LM{"lstm": lstmModel(), "rhn": rhnModel()} {
+		ref := m.Quantize()
+		for _, maxBatch := range []int{1, 4} {
+			s := New(m, Config{Quantized: true, MaxBatch: maxBatch, QueueDepth: 64,
+				CacheEntries: 16, PrefixEntries: 8})
+			submitAll(t, s, ref, raggedRequests(m.Cfg.Vocab, 20, 100), name)
+			if !s.Stats().Quantized {
+				t.Fatalf("%s: snapshot does not report quantized serving", name)
+			}
+			s.Close()
+		}
+	}
+}
+
 // TestServeBitIdenticalToSequential is the subsystem's acceptance contract:
 // many concurrent requests — ragged prompts, mixed temperatures and
 // filters, both architectures, several batch bounds — each answered exactly

@@ -27,10 +27,6 @@ type statsCollector struct {
 	tokens          *telemetry.Counter
 	stepCount       *telemetry.Counter
 	batchSum        *telemetry.Counter
-	specRounds      *telemetry.Counter
-	draftProposed   *telemetry.Counter
-	draftAccepted   *telemetry.Counter
-	draftSteps      *telemetry.Counter
 	lat             *telemetry.Histogram
 	occupancy       *telemetry.Gauge
 	// batches[b] counts steps executed at batch size b
@@ -51,10 +47,6 @@ func newStatsCollector(maxBatch int, reg *telemetry.Registry) *statsCollector {
 		tokens:          reg.Counter("zipflm_serve_tokens_total"),
 		stepCount:       reg.Counter("zipflm_serve_steps_total"),
 		batchSum:        reg.Counter("zipflm_serve_seq_steps_total"),
-		specRounds:      reg.Counter("zipflm_serve_spec_rounds_total"),
-		draftProposed:   reg.Counter("zipflm_serve_draft_proposed_total"),
-		draftAccepted:   reg.Counter("zipflm_serve_draft_accepted_total"),
-		draftSteps:      reg.Counter("zipflm_serve_draft_steps_total"),
 		lat:             reg.Duration("zipflm_serve_latency_seconds"),
 		occupancy:       reg.Gauge("zipflm_serve_batch_occupancy"),
 		batches:         make([]*telemetry.Counter, maxBatch+1),
@@ -90,19 +82,6 @@ func (s *statsCollector) onComplete(tokens int, latency time.Duration) {
 	s.tokens.Add(int64(tokens))
 	s.lat.Observe(latency)
 }
-
-// onSpecRound records one speculative verify round: how many draft
-// proposals were offered and how many the target accepted.
-func (s *statsCollector) onSpecRound(proposed, accepted int) {
-	s.specRounds.Inc()
-	s.draftProposed.Add(int64(proposed))
-	s.draftAccepted.Add(int64(accepted))
-}
-
-// onDraftSteps records n draft model forward steps (proposals, lockstep
-// tracking, and prefix replays all count — the full overhead the draft
-// adds).
-func (s *statsCollector) onDraftSteps(n int) { s.draftSteps.Add(int64(n)) }
 
 func (s *statsCollector) onBatchStep(b int) {
 	if b >= 0 && b < len(s.batches) {
@@ -150,31 +129,11 @@ type Snapshot struct {
 	// Reload increments it); Reloads counts completed Reload calls.
 	WeightsVersion uint64
 	Reloads        int64
-	// Quantized reports whether the server serves int8 weights; DraftK is
-	// the speculative lookahead (0 when speculative decoding is off).
+	// Quantized reports whether the server serves int8 weights.
 	Quantized bool
-	DraftK    int
-	// SpecRounds counts speculative verify rounds; DraftProposed/
-	// DraftAccepted are the proposals offered and accepted across them
-	// (their ratio is the acceptance rate the Zipf skew is supposed to
-	// buy); DraftSteps is every draft model forward step, the overhead
-	// side of the trade.
-	SpecRounds    uint64
-	DraftProposed uint64
-	DraftAccepted uint64
-	DraftSteps    uint64
 	// SLO holds the evaluation of every declared objective (nil when the
 	// server was configured without SLOs).
 	SLO []telemetry.Status
-}
-
-// SpecAcceptanceRate returns DraftAccepted/DraftProposed, 0 before any
-// proposal.
-func (s Snapshot) SpecAcceptanceRate() float64 {
-	if s.DraftProposed == 0 {
-		return 0
-	}
-	return float64(s.DraftAccepted) / float64(s.DraftProposed)
 }
 
 // HitRate returns result-cache hits / lookups, 0 when no lookups happened.
@@ -199,10 +158,6 @@ func (s *statsCollector) snapshot() Snapshot {
 		DiscardedTokens: uint64(s.discardedTokens.Value()),
 		Tokens:          uint64(s.tokens.Value()),
 		BatchDist:       make([]uint64, len(s.batches)),
-		SpecRounds:      uint64(s.specRounds.Value()),
-		DraftProposed:   uint64(s.draftProposed.Value()),
-		DraftAccepted:   uint64(s.draftAccepted.Value()),
-		DraftSteps:      uint64(s.draftSteps.Value()),
 	}
 	for b, c := range s.batches {
 		out.BatchDist[b] = uint64(c.Value())

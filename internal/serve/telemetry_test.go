@@ -227,8 +227,7 @@ func TestSnapshotFieldParity(t *testing.T) {
 		"MeanBatch", "BatchDist",
 		"ResultHits", "ResultMisses", "ResultEvicted", "ResultEntries",
 		"PrefixHits", "PrefixMisses", "PrefixEvicted", "PrefixEntries",
-		"WeightsVersion", "Reloads", "Quantized", "DraftK",
-		"SpecRounds", "DraftProposed", "DraftAccepted", "DraftSteps",
+		"WeightsVersion", "Reloads", "Quantized",
 		"SLO",
 	}
 	typ := reflect.TypeOf(Snapshot{})

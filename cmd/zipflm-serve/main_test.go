@@ -175,7 +175,8 @@ func FuzzGenerate(f *testing.F) {
 
 // FuzzReloadBody feeds arbitrary bodies to decodeBody into a reloadRequest,
 // the decoder /v1/reload runs: each must decode (an unknown field is
-// ignored), or be answered 400 or 413, and never panic. Nothing is loaded — the decoded paths are never opened.
+// ignored), or be answered 400 or 413, and never panic. Nothing is loaded —
+// the decoded paths are never opened.
 func FuzzReloadBody(f *testing.F) {
 	for _, body := range []string{
 		``, `{}`, `{"path":"/nonexistent"}`, `{"path":"m.ckpt","draft_path":"d.ckpt"}`,

@@ -1,8 +1,8 @@
 // Command zipflm-trace analyzes Chrome-format traces written by zipflm's
 // telemetry tracer (zipflm-train -trace, zipflm-serve -trace,
-// zipflm-bench -trace) on the virtual clock: per-step critical path
-// (compute vs wire vs sync-wait), straggler attribution, per-rank
-// utilization, and collective-op totals.
+// zipflm-bench -trace) on the virtual clock: the per-step critical path
+// (compute, sync, and sync's wire and update time), collective-op totals
+// and the top spans.
 //
 // Usage:
 //

@@ -225,13 +225,13 @@
 // zipflm-train (/metrics, /metrics/history, net/http/pprof), -trace on
 // all three commands.
 //
-// Three analysis layers sit on top. Traces carry per-rank and
-// per-collective spans, and internal/traceview computes the per-step
-// critical path on the virtual clock — straggler rank, wire vs sync-wait
-// seconds, per-rank utilization — with totals that reconcile bitwise
-// against the trainer's accounting through the JSON file; cmd/zipflm-trace
-// is the CLI (summary, top spans, -diff with a nonzero exit on
-// regression). telemetry.SLO evaluates declared objectives (p99 latency,
+// Three analysis layers sit on top. Traces carry each step's phases, a
+// span per collective operation and phase 1's per-rank compute, and
+// internal/traceview computes the per-step critical path on the virtual
+// clock — compute, sync, wire and update seconds — with totals that
+// reconcile bitwise against the trainer's accounting through the JSON
+// file; cmd/zipflm-trace is the CLI (summary, top spans, -diff with a
+// nonzero exit on regression). telemetry.SLO evaluates declared objectives (p99 latency,
 // availability) straight off the registry's histograms and counters with
 // multi-window error-budget burn rates, published as zipflm_slo_* gauges
 // and on the serving /v1/stats snapshot. telemetry.Flight is an always-on

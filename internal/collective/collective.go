@@ -97,10 +97,9 @@ type Comm struct {
 	// every operation on the exact uninstrumented code path.
 	tel *commTelemetry
 
-	// trace, when non-nil, records one span per collective per rank (cat
-	// "collective"), stamped with wall time and the cost model's clock —
-	// the per-op detail the critical-path analyzer attributes wire time
-	// from. Purely observational, like tel.
+	// trace, when non-nil, records one span per collective operation (cat
+	// "collective", tid 0), stamped with wall time and the cost model's
+	// clock. Purely observational, like tel.
 	trace *telemetry.Tracer
 
 	// be, when non-nil, runs a ring's chunk sets on its workers (see
@@ -404,10 +403,10 @@ func (c *Comm) deliver(parts [][][]float32, wire Wire, owner, pi, targets int) {
 // chunk is rounded once more by its owning rank.
 //
 // Each rank's Stats count len(parts[r]) calls and the bytes that rank sends,
-// telemetry and the tracer get one operation per rank (spans on each rank's
-// track, on the cost model's clock), and the cost model prices one ring
-// over the tensors' summed chunk bytes — so a list costs the ring's latency
-// once, not once per tensor.
+// telemetry's counters add every rank's tallies, telemetry's duration and
+// the tracer get one operation (one span on tid 0, on the cost model's
+// clock), and the cost model prices one ring over the tensors' summed chunk
+// bytes — so a list costs the ring's latency once, not once per tensor.
 func (c *Comm) AllReduceRanks(parts [][][]float32, wire Wire) {
 	c.allReduce(parts, wire, false)
 }
@@ -426,16 +425,15 @@ func (c *Comm) allReduce(parts [][][]float32, wire Wire, everyRank bool) {
 		}
 		cm.Clock.Advance(cm.Link.RingAllReduceSeconds(c.g, chunkBytes))
 	}
+	var bytes int64
 	c.mu.Lock()
 	for r := range c.stats {
 		c.stats[r].AllReduceCalls += n
 		c.stats[r].AllReduceBytes += c.sent[r]
+		bytes += c.sent[r]
 	}
 	c.mu.Unlock()
-	label := wireLabel(wire)
-	for r := range c.stats {
-		c.opEnd("allreduce", label, r, n, c.sent[r], t0, v0)
-	}
+	c.opEnd("allreduce", wireLabel(wire), int64(c.g)*n, bytes, t0, v0)
 }
 
 // AllGatherIntsRanks accounts the ring all-gather of every rank's index
@@ -489,9 +487,7 @@ func (c *Comm) ringGather(t0 time.Time, v0 float64, op, label string) {
 		c.stats[r].AllGatherBytes += bytes
 	}
 	c.mu.Unlock()
-	for r := range c.stats {
-		c.opEnd(op, label, r, 1, bytes, t0, v0)
-	}
+	c.opEnd(op, label, int64(c.g), int64(c.g)*bytes, t0, v0)
 }
 
 // AgreeRanks is a control-plane consensus over the group's votes, ok[r]

@@ -46,7 +46,8 @@ type commTelemetry struct {
 // AttachTelemetry wires the communicator's collectives into reg: per
 // operation and wire format, a call counter, a wire-byte counter, and a
 // wall-duration histogram (zipflm_collective_calls_total / _bytes_total /
-// _seconds, labelled op= and wire=). Counters tally per rank, like Stats.
+// _seconds, labelled op= and wire=). Counters tally per rank, like Stats;
+// the histogram gets one observation per operation.
 // Attach before the first collective; a nil reg detaches. Telemetry only
 // observes — reduced values, Stats accounting, and virtual-clock charges
 // are bit-identical with or without it.
@@ -59,10 +60,11 @@ func (c *Comm) AttachTelemetry(reg *telemetry.Registry) {
 }
 
 // AttachTrace wires the communicator's collectives into a span tracer:
-// every operation emits one span per rank (cat "collective", tid = rank)
-// whose virtual-clock duration is the operation's charge, read from the
-// clock of the cost model attached when the operation ran (zero without
-// AttachCost). nil detaches. Purely observational, like AttachTelemetry.
+// every operation emits one span for the whole group (cat "collective",
+// tid 0) whose virtual-clock duration is the operation's charge, read from
+// the clock of the cost model attached when the operation ran (zero
+// without AttachCost). nil detaches. Purely observational, like
+// AttachTelemetry.
 func (c *Comm) AttachTrace(tr *telemetry.Tracer) {
 	c.trace = tr
 }
@@ -85,15 +87,15 @@ func (c *Comm) opStartRanks() (t0 time.Time, v0 float64) {
 	return t0, v0
 }
 
-// opEnd posts one completed operation — calls logical calls moving bytes
-// over the wire in the format label names — to telemetry and as one trace
-// span for rank.
-func (c *Comm) opEnd(op, label string, rank int, calls, bytes int64, t0 time.Time, v0 float64) {
+// opEnd posts one completed operation — calls logical calls, summed over
+// the ranks, moving bytes over the wire in the format label names — to
+// telemetry and as one trace span on tid 0.
+func (c *Comm) opEnd(op, label string, calls, bytes int64, t0 time.Time, v0 float64) {
 	if c.tel != nil {
 		c.tel.record(op, label, calls, bytes, int64(time.Since(t0)))
 	}
 	if c.trace != nil {
-		c.trace.Span("collective", op, rank, t0, time.Since(t0), v0, c.clockNow()-v0)
+		c.trace.Span("collective", op, 0, t0, time.Since(t0), v0, c.clockNow()-v0)
 	}
 }
 
@@ -117,8 +119,8 @@ func (ct *commTelemetry) inst(op, wire string) *opInst {
 	return oi
 }
 
-// record posts one completed operation: calls operations moving bytes over
-// the wire in dur nanoseconds of wall time.
+// record posts one completed operation: calls per-rank calls moving bytes
+// over the wire in dur nanoseconds of wall time.
 func (ct *commTelemetry) record(op, wire string, calls, bytes, durNanos int64) {
 	if ct == nil {
 		return

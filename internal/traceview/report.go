@@ -20,8 +20,7 @@ type SummaryOptions struct {
 func v(x float64) string { return fmt.Sprintf("%.9g", x) }
 
 // WriteSummary renders the analysis as the zipflm-trace report: totals,
-// the per-step critical path, per-rank utilization, collective-op
-// attribution and the top spans.
+// the per-step critical path, collective-op totals and the top spans.
 func WriteSummary(w io.Writer, tr *Trace, a *Analysis, opts SummaryOptions) {
 	topN := opts.TopN
 	if topN == 0 {
@@ -32,7 +31,7 @@ func WriteSummary(w io.Writer, tr *Trace, a *Analysis, opts SummaryOptions) {
 		maxSteps = 12
 	}
 
-	fmt.Fprintf(w, "trace: %d events, %d steps, %d ranks", a.Events, len(a.Steps), len(a.Ranks))
+	fmt.Fprintf(w, "trace: %d events, %d steps", a.Events, len(a.Steps))
 	if a.Dropped > 0 {
 		fmt.Fprintf(w, ", %d DROPPED (buffer bound hit — analysis covers the recorded prefix)", a.Dropped)
 	}
@@ -46,9 +45,6 @@ func WriteSummary(w io.Writer, tr *Trace, a *Analysis, opts SummaryOptions) {
 	if a.TotalCheckpoint > 0 {
 		fmt.Fprintf(w, " + checkpoint %s s", v(a.TotalCheckpoint))
 	}
-	if a.EnvelopeDerived {
-		fmt.Fprint(w, " (derived from per-rank spans)")
-	}
 	fmt.Fprintln(w)
 	if len(a.Instants) > 0 {
 		fmt.Fprint(w, "instants:")
@@ -61,18 +57,13 @@ func WriteSummary(w io.Writer, tr *Trace, a *Analysis, opts SummaryOptions) {
 	if len(a.Steps) > 0 {
 		fmt.Fprintln(w, "\nper-step critical path:")
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "step\tcompute_s\tsync_s\twire_s\tupdate_s\tmax_wait_s\tstraggler")
+		fmt.Fprintln(tw, "step\tcompute_s\tsync_s\twire_s\tupdate_s")
 		shown := len(a.Steps)
 		if maxSteps > 0 && shown > maxSteps {
 			shown = maxSteps
 		}
 		for _, st := range a.Steps[:shown] {
-			straggler := "-"
-			if st.Straggler >= 0 {
-				straggler = fmt.Sprintf("rank %d", st.Straggler)
-			}
-			fmt.Fprintf(tw, "%d\t%s\t%s\t%s\t%s\t%s\t%s\n",
-				st.Index, v(st.Compute), v(st.Sync), v(st.Wire), v(st.UpdateMax), v(st.MaxWait), straggler)
+			fmt.Fprintf(tw, "%d\t%s\t%s\t%s\t%s\n", st.Index, v(st.Compute), v(st.Sync), v(st.Wire), v(st.Update))
 		}
 		tw.Flush()
 		if shown < len(a.Steps) {
@@ -80,24 +71,8 @@ func WriteSummary(w io.Writer, tr *Trace, a *Analysis, opts SummaryOptions) {
 		}
 	}
 
-	if len(a.Ranks) > 0 {
-		fmt.Fprintln(w, "\nper-rank utilization (vclock):")
-		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "rank\tbusy_s\twait_s\tutil\tstraggler_steps")
-		total := a.TotalEnvelope()
-		sc := a.StragglerCounts()
-		for i, r := range a.Ranks {
-			util := 0.0
-			if total > 0 {
-				util = a.RankBusy[i] / total
-			}
-			fmt.Fprintf(tw, "%d\t%s\t%s\t%.1f%%\t%d\n", r, v(a.RankBusy[i]), v(a.RankWait[i]), 100*util, sc[i])
-		}
-		tw.Flush()
-	}
-
 	if len(a.Collectives) > 0 {
-		fmt.Fprintln(w, "\ncollective ops (rank-seconds across all ranks):")
+		fmt.Fprintln(w, "\ncollective ops (summed over calls):")
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "op\tcalls\tvclock_s\twall_s")
 		for _, ot := range a.Collectives {
@@ -185,27 +160,22 @@ func WriteDiff(w io.Writer, a, b *Analysis) (regressed bool) {
 	n := min(len(a.Steps), len(b.Steps))
 	var worstStep int
 	var worstDelta float64
-	stragglerMoves := 0
 	for i := 0; i < n; i++ {
 		d := (b.Steps[i].Compute + b.Steps[i].Sync) - (a.Steps[i].Compute + a.Steps[i].Sync)
 		if ad := abs(d); ad > abs(worstDelta) {
 			worstDelta = d
 			worstStep = i
 		}
-		if a.Steps[i].Straggler != b.Steps[i].Straggler {
-			stragglerMoves++
-		}
 	}
 	if len(a.Steps) != len(b.Steps) {
 		fmt.Fprintf(w, "step count changed: %d → %d (comparing first %d)\n", len(a.Steps), len(b.Steps), n)
 	}
 	if n > 0 {
-		fmt.Fprintf(w, "worst step delta: step %d %+.9g s; straggler changed on %d/%d steps\n",
-			worstStep, worstDelta, stragglerMoves, n)
+		fmt.Fprintf(w, "worst step delta: step %d %+.9g s\n", worstStep, worstDelta)
 	}
 
 	identical := dTotal == 0 && b.TotalCompute == a.TotalCompute && b.TotalSync == a.TotalSync &&
-		len(a.Steps) == len(b.Steps) && worstDelta == 0 && stragglerMoves == 0
+		len(a.Steps) == len(b.Steps) && worstDelta == 0
 	switch {
 	case identical:
 		fmt.Fprintln(w, "verdict: identical on the virtual clock — no regression")

@@ -1,18 +1,15 @@
 // Package traceview analyzes the Chrome trace_event JSON timelines the
-// telemetry.Tracer writes: it reconstructs per-step structure from the
-// trainer's aggregate spans, attributes each step's virtual-clock time to
-// compute vs wire vs sync-wait per rank from the per-rank spans, finds the
-// straggler, and aggregates per-collective-op traffic — the analysis layer
-// that turns a raw timeline into the paper's "who was the bottleneck"
-// story. cmd/zipflm-trace is the CLI over this package.
+// telemetry.Tracer writes: it reconstructs each training step from the
+// trainer's step spans, splits the step's sync phase into wire and update
+// time, and aggregates per-collective-op traffic. cmd/zipflm-trace is the
+// CLI over this package.
 //
 // The analysis is deterministic: it is a pure function of the parsed
-// floats (ties broken by rank), so the same trace always produces the
-// same attribution, and the envelope totals — the sums of the aggregate
-// "train" compute/sync span durations — equal the trainer's
-// SimComputeSeconds/SimSyncSeconds bitwise (encoding/json round-trips
-// float64 exactly, and the sums accumulate the identical values in the
-// identical order the trainer did).
+// floats, so the same trace always produces the same attribution, and the
+// totals — the sums of the "train" compute/sync span durations — equal the
+// trainer's SimComputeSeconds/SimSyncSeconds bitwise (encoding/json
+// round-trips float64 exactly, and the sums accumulate the identical values
+// in the identical order the trainer did).
 package traceview
 
 import (
@@ -89,49 +86,26 @@ func ParseFile(path string) (*Trace, error) {
 	return Parse(f)
 }
 
-// RankPhase is one rank's virtual-clock attribution for one step.
-type RankPhase struct {
-	// Compute is the rank's own compute span.
-	Compute float64
-	// Exchange is the rank's exchange-phase span — wire time plus however
-	// long it waited for stragglers at the collective barriers.
-	Exchange float64
-	// Update is the rank's optimizer/memory update span.
-	Update float64
-	// Wait is the sync-wait share: Exchange minus the step's wire floor
-	// (the minimum exchange across ranks — the rank that never waited).
-	Wait float64
-}
-
-// Step is one training step's critical-path decomposition. Compute and
-// Sync are the aggregate envelope (bitwise the trainer's accounting);
-// the remaining fields attribute the envelope using per-rank spans and
-// are zero/-1 when the trace carries no per-rank detail.
+// Step is one training step's critical-path decomposition on the virtual
+// clock. Compute and Sync are the step's phases (bitwise the trainer's
+// accounting); Wire, Update and Other split Sync and stay zero when the
+// trace carries no exchange and update spans (the weak-scaling sweep's).
 type Step struct {
 	Index   int
 	Compute float64
 	Sync    float64
-	// Straggler is the rank whose compute finished last (ties to the
-	// lowest rank), -1 without per-rank spans.
-	Straggler int
-	// Wire is the step's wire floor: the minimum exchange time across
-	// ranks — communication no rank could avoid.
+	// Wire is the exchange span: from the end of compute until the step's
+	// last collective completed.
 	Wire float64
-	// UpdateMax is the slowest rank's update span.
-	UpdateMax float64
-	// Other is the envelope residual: Sync − Wire − UpdateMax (optimizer
-	// step, barrier skew; may be slightly negative from clock skew at
-	// phase entry).
+	// Update is the embedding-update span.
+	Update float64
+	// Other is the residual Sync − Wire − Update: the rounding of three
+	// differences of one clock, zero or a few ulps.
 	Other float64
-	// MaxWait is the largest sync-wait any rank spent this step.
-	MaxWait float64
-	// Ranks holds per-rank attribution aligned with Analysis.Ranks.
-	Ranks []RankPhase
 }
 
-// OpTotal aggregates one collective operation across the trace. VDur and
-// Wall are rank-seconds (each rank's span counted; divide by ranks for
-// per-rank means).
+// OpTotal aggregates one collective operation across the trace: Count
+// calls, their summed virtual durations, and their summed wall time.
 type OpTotal struct {
 	Name  string
 	Count int
@@ -143,57 +117,34 @@ type OpTotal struct {
 type Analysis struct {
 	Events  int
 	Dropped int64
-	// Truncated is set when the tracer dropped events or the per-rank
-	// streams disagree in length — attribution then covers only the
+	// Truncated is set when the tracer dropped events or the step streams
+	// disagree in length — per-step attribution then covers only the
 	// complete prefix.
 	Truncated bool
-	// EnvelopeDerived is set when the trace carries no aggregate trainer
-	// spans and the envelope was reconstructed from per-rank maxima
-	// (then NOT bitwise the trainer's accounting).
-	EnvelopeDerived bool
-	// Ranks lists the rank tids seen in per-rank spans, ascending.
-	Ranks []int
-	Steps []Step
-	// TotalCompute/TotalSync sum the aggregate envelope spans in record
-	// order — bitwise equal to the trainer's SimComputeSeconds /
-	// SimSyncSeconds when the trace came from a trainer run.
+	Steps     []Step
+	// TotalCompute/TotalSync sum the step spans in record order — bitwise
+	// equal to the trainer's SimComputeSeconds / SimSyncSeconds when the
+	// trace came from a trainer run.
 	TotalCompute    float64
 	TotalSync       float64
 	TotalCheckpoint float64
-	// RankBusy/RankWait are per-rank totals aligned with Ranks: busy is
-	// compute + wire share + update; wait is barrier time lost to
-	// stragglers.
-	RankBusy []float64
-	RankWait []float64
 	// Collectives aggregates cat="collective" spans per op name.
 	Collectives []OpTotal
 	// Instants counts instant events by name (fault-rollback, shed, …).
 	Instants map[string]int
 }
 
-// streamKey identifies one sequential span stream: spans sharing
-// (cat, tid, name) are emitted in order by a single goroutine, so the i-th
-// occurrence belongs to step i regardless of cross-goroutine interleaving
-// in the record order.
-type streamKey struct {
-	cat  string
-	tid  int
-	name string
-}
-
-// Analyze computes the critical-path report for a parsed trace.
+// Analyze computes the critical-path report for a parsed trace. The step
+// spans (cat "train": compute, sync, exchange, update) are written in step
+// order by one goroutine, so the i-th of each name belongs to step i.
 func Analyze(tr *Trace) *Analysis {
 	a := &Analysis{
-		Events:   len(tr.Spans),
-		Dropped:  tr.Dropped,
-		Instants: map[string]int{},
+		Events:    len(tr.Spans),
+		Dropped:   tr.Dropped,
+		Truncated: tr.Dropped > 0,
+		Instants:  map[string]int{},
 	}
-	if tr.Dropped > 0 {
-		a.Truncated = true
-	}
-
-	streams := map[streamKey][]Span{}
-	rankSet := map[int]bool{}
+	var compute, sync, exchange, update []float64
 	opTotals := map[string]*OpTotal{}
 	for _, s := range tr.Spans {
 		if s.Phase == "i" {
@@ -208,13 +159,17 @@ func Analyze(tr *Trace) *Analysis {
 			switch s.Name {
 			case "compute":
 				a.TotalCompute += s.VDur
+				compute = append(compute, s.VDur)
 			case "sync":
 				a.TotalSync += s.VDur
+				sync = append(sync, s.VDur)
+			case "exchange":
+				exchange = append(exchange, s.VDur)
+			case "update":
+				update = append(update, s.VDur)
 			case "checkpoint":
 				a.TotalCheckpoint += s.VDur
 			}
-		case "rank":
-			rankSet[s.Tid] = true
 		case "collective":
 			ot := opTotals[s.Name]
 			if ot == nil {
@@ -225,112 +180,24 @@ func Analyze(tr *Trace) *Analysis {
 			ot.VDur += s.VDur
 			ot.Wall += s.Dur / 1e6
 		}
-		k := streamKey{cat: s.Cat, tid: s.Tid, name: s.Name}
-		streams[k] = append(streams[k], s)
 	}
-	for r := range rankSet {
-		a.Ranks = append(a.Ranks, r)
-	}
-	sort.Ints(a.Ranks)
 	for _, ot := range opTotals {
 		a.Collectives = append(a.Collectives, *ot)
 	}
 	sort.Slice(a.Collectives, func(i, j int) bool { return a.Collectives[i].Name < a.Collectives[j].Name })
 
-	aggCompute := streams[streamKey{cat: "train", tid: 0, name: "compute"}]
-	aggSync := streams[streamKey{cat: "train", tid: 0, name: "sync"}]
-
-	// Step count: the aggregate streams define it; without them, fall
-	// back to the shortest per-rank compute stream (weak-scaling traces
-	// carry only cat="train" spans; hand-rolled traces may carry only
-	// per-rank ones).
-	steps := min(len(aggCompute), len(aggSync))
-	if len(aggCompute) != len(aggSync) {
+	steps := min(len(compute), len(sync))
+	split := min(len(exchange), len(update))
+	if len(compute) != len(sync) || len(exchange)+len(update) > 0 && (len(exchange) != steps || len(update) != steps) {
 		a.Truncated = true
 	}
-	if len(aggCompute) == 0 && len(a.Ranks) > 0 {
-		a.EnvelopeDerived = true
-		steps = -1
-		for _, r := range a.Ranks {
-			n := len(streams[streamKey{cat: "rank", tid: r, name: "compute"}])
-			if steps < 0 || n < steps {
-				steps = n
-			}
-		}
-		if steps < 0 {
-			steps = 0
-		}
-	}
-
-	// Per-rank streams must cover every step; a shorter stream marks
-	// truncation and bounds the attributed prefix.
-	rankSteps := steps
-	if len(a.Ranks) > 0 {
-		for _, r := range a.Ranks {
-			for _, name := range []string{"compute", "exchange", "update"} {
-				n := len(streams[streamKey{cat: "rank", tid: r, name: name}])
-				if n < rankSteps {
-					rankSteps = n
-					a.Truncated = true
-				}
-			}
-		}
-	} else {
-		rankSteps = 0
-	}
-
-	a.RankBusy = make([]float64, len(a.Ranks))
-	a.RankWait = make([]float64, len(a.Ranks))
 	for i := 0; i < steps; i++ {
-		st := Step{Index: i, Straggler: -1}
-		if i < len(aggCompute) {
-			st.Compute = aggCompute[i].VDur
-			st.Sync = aggSync[i].VDur
-		}
-		if i < rankSteps {
-			st.Ranks = make([]RankPhase, len(a.Ranks))
-			wire := -1.0
-			var stragglerEnd float64
-			var maxCompute, maxExchange, maxUpdate float64
-			for ri, r := range a.Ranks {
-				c := streams[streamKey{cat: "rank", tid: r, name: "compute"}][i]
-				e := streams[streamKey{cat: "rank", tid: r, name: "exchange"}][i]
-				u := streams[streamKey{cat: "rank", tid: r, name: "update"}][i]
-				st.Ranks[ri] = RankPhase{Compute: c.VDur, Exchange: e.VDur, Update: u.VDur}
-				if end := c.VTS + c.VDur; st.Straggler < 0 || end > stragglerEnd {
-					st.Straggler = r
-					stragglerEnd = end
-				}
-				if wire < 0 || e.VDur < wire {
-					wire = e.VDur
-				}
-				maxCompute = max(maxCompute, c.VDur)
-				maxExchange = max(maxExchange, e.VDur)
-				maxUpdate = max(maxUpdate, u.VDur)
-			}
-			st.Wire = wire
-			st.UpdateMax = maxUpdate
-			st.MaxWait = maxExchange - wire
-			if a.EnvelopeDerived {
-				st.Compute = maxCompute
-				st.Sync = maxExchange + maxUpdate
-			}
-			st.Other = st.Sync - st.Wire - st.UpdateMax
-			for ri := range st.Ranks {
-				rp := &st.Ranks[ri]
-				rp.Wait = rp.Exchange - wire
-				a.RankBusy[ri] += rp.Compute + wire + rp.Update
-				a.RankWait[ri] += rp.Wait
-			}
+		st := Step{Index: i, Compute: compute[i], Sync: sync[i]}
+		if i < split {
+			st.Wire, st.Update = exchange[i], update[i]
+			st.Other = st.Sync - st.Wire - st.Update
 		}
 		a.Steps = append(a.Steps, st)
-	}
-	if a.EnvelopeDerived {
-		a.TotalCompute, a.TotalSync = 0, 0
-		for _, st := range a.Steps {
-			a.TotalCompute += st.Compute
-			a.TotalSync += st.Sync
-		}
 	}
 	return a
 }
@@ -348,20 +215,4 @@ func AnalyzeFile(path string) (*Analysis, error) {
 // cluster spent across all steps (compute + sync + checkpoint).
 func (a *Analysis) TotalEnvelope() float64 {
 	return a.TotalCompute + a.TotalSync + a.TotalCheckpoint
-}
-
-// StragglerCounts returns how many steps each rank (aligned with Ranks)
-// was the straggler.
-func (a *Analysis) StragglerCounts() []int {
-	idx := make(map[int]int, len(a.Ranks))
-	for i, r := range a.Ranks {
-		idx[r] = i
-	}
-	out := make([]int, len(a.Ranks))
-	for _, st := range a.Steps {
-		if i, ok := idx[st.Straggler]; ok {
-			out[i]++
-		}
-	}
-	return out
 }

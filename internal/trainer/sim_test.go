@@ -151,12 +151,12 @@ func TestOverlapPricedOnVirtualClock(t *testing.T) {
 			// Sync: no less than the sparse exchange and update alone, no
 			// more than the synchronous run, and strictly below it here
 			// because the overlapped reductions have something to hide
-			// behind. On rank 0's track, a step's first len(units.layers)
-			// all-reduce spans (one more under the full softmax) are the
-			// overlapped reductions; its other collective spans and its
-			// update span are the exchange and update. Priced on the lane
-			// clock, the first starts when backprop finished its layer,
-			// before the step's compute ends.
+			// behind. On tid 0, a step's first len(units.layers) all-reduce
+			// spans (one more under the full softmax) are the overlapped
+			// reductions; its other collective spans and its update span
+			// are the exchange and update. Priced on the lane clock, the
+			// first starts when backprop finished its layer, before the
+			// step's compute ends.
 			perStep := len(ovTr.units.layers)
 			if sampled == 0 {
 				perStep++
@@ -174,10 +174,10 @@ func TestOverlapPricedOnVirtualClock(t *testing.T) {
 					inStep++
 					laneCalls++
 					laneSeconds += e.VDur
-				case e.Cat == "collective" && e.Tid == 0, e.Cat == "rank" && e.Name == "update" && e.Tid == 0:
+				case e.Cat == "collective" && e.Tid == 0, e.Cat == "train" && e.Name == "update":
 					exchangeOnly += e.VDur
-				case e.Cat == "collective" && (e.Tid < 0 || e.Tid >= ranks):
-					t.Fatalf("collective span on track %d: want the rank's", e.Tid)
+				case e.Cat == "collective":
+					t.Fatalf("collective span on track %d: want tid 0", e.Tid)
 				}
 			}
 			if laneCalls != perStep*ovRes.Stats.Steps {
@@ -228,6 +228,52 @@ func TestOverlapPricedOnVirtualClock(t *testing.T) {
 				t.Errorf("analyzer: truncated=%v, %d steps, trainer ran %d", a.Truncated, len(a.Steps), ovRes.Stats.Steps)
 			}
 		})
+	}
+}
+
+// TestTraceOneTimeline: phase 2 runs once for every rank, so the trace
+// records it once — the exchange, the update and every collective are one
+// span on tid 0 — and only phase 1's compute, which G goroutines really run
+// apart, has a span per rank. So a step's complete spans, minus G, do not
+// depend on G.
+func TestTraceOneTimeline(t *testing.T) {
+	hw := perfmodel.TitanX()
+	const steps = 3
+	for _, overlap := range []bool{false, true} {
+		want := -1
+		for _, g := range []int{1, 2, 4} {
+			cfg, train, valid := simConfig(&hw)
+			cfg.Ranks, cfg.Overlap = g, overlap
+			tracer := telemetry.NewTracer(0)
+			cfg.Trace = tracer
+			tr, err := New(cfg, train, valid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Steps(steps); err != nil {
+				t.Fatal(err)
+			}
+			spans := 0
+			for _, e := range tracer.Events() {
+				if e.Phase != 'X' {
+					continue
+				}
+				spans++
+				if e.Tid != 0 && !(e.Cat == "rank" && e.Name == "compute") {
+					t.Errorf("overlap=%v G=%d: %s/%s on tid %d, want tid 0", overlap, g, e.Cat, e.Name, e.Tid)
+				}
+			}
+			if spans%steps != 0 {
+				t.Fatalf("overlap=%v G=%d: %d complete spans over %d steps", overlap, g, spans, steps)
+			}
+			perStep := spans/steps - g
+			t.Logf("overlap=%v G=%d: %d complete spans per step, %d besides the per-rank compute spans", overlap, g, spans/steps, perStep)
+			if want < 0 {
+				want = perStep
+			} else if perStep != want {
+				t.Errorf("overlap=%v G=%d: %d spans per step besides the per-rank compute spans, want %d as at G=1", overlap, g, perStep, want)
+			}
+		}
 	}
 }
 

@@ -173,16 +173,16 @@ type Config struct {
 	// Purely observational: the trajectory is bit-identical with or
 	// without it (tested), and nil keeps every hot path uninstrumented.
 	Telemetry *telemetry.Registry
-	// Trace, when non-nil, records the run's timeline at two granularities,
-	// each span stamped with wall time and the virtual clock. Aggregate
-	// spans (cat "train", tid 0) cover each step's compute and sync phases
-	// plus checkpoint saves and fault-rollback instants; summing their
-	// virtual durations reproduces StepStats.SimComputeSeconds /
-	// SimSyncSeconds exactly. Per-rank spans (cat "rank", tid = rank) split
-	// each rank's step into compute / exchange / update, and the attached
-	// communicator adds per-collective-op spans (cat "collective") — the
-	// detail internal/traceview's critical-path analyzer attributes wire
-	// time from. Every rank's spans carry the one device clock's times.
+	// Trace, when non-nil, records the run's timeline, each span stamped
+	// with wall time and the virtual clock, and each piece of work once, on
+	// the goroutine that ran it. On tid 0 (cat "train") every step has a
+	// compute and a sync span, whose virtual durations sum to
+	// StepStats.SimComputeSeconds / SimSyncSeconds exactly, and the sync
+	// phase splits into an exchange and an update span; checkpoint saves
+	// and fault-rollback instants go there too. The attached communicator
+	// adds one span per collective operation (cat "collective", tid 0).
+	// Phase 1 runs a goroutine per rank, so each rank writes its own
+	// compute span (cat "rank", tid = rank), on the device clock's times.
 	// Export with Tracer.WriteChromeTrace.
 	Trace *telemetry.Tracer
 	// Flight, when non-nil, records structured anomaly events (checkpoint
@@ -1049,7 +1049,7 @@ func (t *Trainer) trainStep(step int, lrNow float64, seeds []uint64) (stepStats,
 	computeStart := phaseStart
 	phaseStart = time.Now()
 
-	// Phase 2 (one pass for every rank): synchronize. Each rank's exchange
+	// Phase 2 (one pass for every rank): synchronize. The step's exchange
 	// span starts here, before the dense reductions, at agg.simAfterCompute
 	// on the device clock.
 
@@ -1089,15 +1089,11 @@ func (t *Trainer) trainStep(step int, lrNow float64, seeds []uint64) (stepStats,
 		t.clock.Advance(sim.MemorySeconds(updateBytes))
 	}
 	if tr := t.cfg.Trace; tr != nil {
-		// Each rank's exchange span closes once every collective has
-		// completed: its virtual duration is the step's wire time. Its wall
-		// time is the pass so far, which did every rank's share.
-		exDur, exVDur := upT0.Sub(phaseStart), upV0-agg.simAfterCompute
-		upDur, upVDur := time.Since(upT0), t.clock.Now()-upV0
-		for r := 0; r < g; r++ {
-			tr.Span("rank", "exchange", r, phaseStart, exDur, agg.simAfterCompute, exVDur)
-			tr.Span("rank", "update", r, upT0, upDur, upV0, upVDur)
-		}
+		// The exchange span closes once every collective has completed: its
+		// virtual duration is the step's wire time, and its wall time is
+		// the pass so far, which did every rank's share.
+		tr.Span("train", "exchange", 0, phaseStart, upT0.Sub(phaseStart), agg.simAfterCompute, upV0-agg.simAfterCompute)
+		tr.Span("train", "update", 0, upT0, time.Since(upT0), upV0, t.clock.Now()-upV0)
 	}
 
 	// The update, once for every rank (the reduced gradients are in rank

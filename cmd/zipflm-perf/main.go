@@ -1,7 +1,6 @@
 // Command zipflm-perf is the bench/regression observatory: it parses
 // performance numbers out of `go test -bench` output (plain text or
-// `-json` test2json streams) and zipflm-bench -json reports, maintains
-// checked-in baselines stamped with host metadata, and diffs runs against
+// `-json` test2json streams), maintains checked-in baselines stamped with host metadata, and diffs runs against
 // a baseline with noise-aware thresholds — exiting nonzero on regression,
 // which is what makes it a CI gate.
 //
@@ -111,65 +110,13 @@ func (c *collection) reduce() map[string]Metric {
 	return out
 }
 
-// parseFile dispatches on content: a JSON object with "reports" is a
-// zipflm-bench report, a stream of JSON lines with "Action" is test2json,
-// anything else is treated as `go test -bench` text.
+// parseFile reads one `go test -bench` output file.
 func (c *collection) parseFile(path string) error {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	trimmed := strings.TrimLeft(string(buf), " \t\r\n")
-	if strings.HasPrefix(trimmed, "{") {
-		var rep benchReportFile
-		if err := json.Unmarshal(buf, &rep); err == nil && len(rep.Reports) > 0 {
-			c.addReport(&rep)
-			return nil
-		}
-	}
 	return c.parseBenchText(buf)
-}
-
-// benchReportFile mirrors the zipflm-bench -json document (host metadata
-// and seed/quick ride along but only the tables carry metrics).
-type benchReportFile struct {
-	Reports []struct {
-		ID     string `json:"id"`
-		Tables []struct {
-			Title   string     `json:"title"`
-			Headers []string   `json:"headers"`
-			Units   []string   `json:"units"`
-			Rows    [][]string `json:"rows"`
-		} `json:"tables"`
-	} `json:"reports"`
-}
-
-// addReport extracts every numeric cell: the metric name is
-// "<experiment>/<row label>/<column header>", the unit the table's
-// declared column unit.
-func (c *collection) addReport(rep *benchReportFile) {
-	for _, r := range rep.Reports {
-		for _, t := range r.Tables {
-			for _, row := range t.Rows {
-				if len(row) == 0 {
-					continue
-				}
-				label := row[0]
-				for col := 1; col < len(row) && col < len(t.Headers); col++ {
-					cell := strings.TrimSuffix(strings.TrimSpace(row[col]), "%")
-					v, err := strconv.ParseFloat(cell, 64)
-					if err != nil {
-						continue
-					}
-					unit := ""
-					if col < len(t.Units) {
-						unit = t.Units[col]
-					}
-					c.add(fmt.Sprintf("%s/%s/%s", r.ID, label, t.Headers[col]), unit, v)
-				}
-			}
-		}
-	}
 }
 
 // parseBenchText reads `go test -bench` output, accepting both the plain
@@ -351,7 +298,7 @@ func run(args []string, out, errOut io.Writer) int {
 	}
 	inputs := fs.Args()
 	if len(inputs) == 0 || (*baselineOut != "" && *diffBase != "") {
-		fmt.Fprintln(errOut, "usage: zipflm-perf [-baseline OUT | -diff BASELINE [-threshold 0.15]] input.txt|BENCH_*.json ...")
+		fmt.Fprintln(errOut, "usage: zipflm-perf [-baseline OUT | -diff BASELINE [-threshold 0.15]] input.txt ...")
 		return 1
 	}
 

@@ -157,9 +157,8 @@ func TestNonFiniteCurrentRegresses(t *testing.T) {
 	}
 }
 
-// FuzzParseBench feeds arbitrary bytes to both parsers — as `go test -bench`
-// text (plain or test2json) and, when they decode, as a zipflm-bench
-// report. Every metric they collect must carry its unit in its key and at
+// FuzzParseBench feeds arbitrary bytes to the parser as `go test -bench`
+// text (plain or test2json). Every metric it collects must carry its unit in its key and at
 // least one run, and a self-diff of the result must regress exactly the
 // non-finite metrics.
 func FuzzParseBench(f *testing.F) {
@@ -170,16 +169,11 @@ func FuzzParseBench(f *testing.F) {
 		}
 		f.Add(buf)
 	}
-	f.Add([]byte(`{"reports":[{"id":"tab","tables":[{"headers":["g","step"],"units":["","s"],"rows":[["8","1.5"],["16","NaN"]]}]}]}`))
 	f.Add([]byte("BenchmarkX-2 100 NaN ns/op 3 B/op\nBenchmarkX-2 100 Inf ns/op\n"))
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		c := newCollection()
 		if err := c.parseBenchText(buf); err != nil {
 			return
-		}
-		var rep benchReportFile
-		if json.Unmarshal(buf, &rep) == nil {
-			c.addReport(&rep)
 		}
 		for key, s := range c.samples {
 			if len(s.values) == 0 || !strings.HasSuffix(key, " "+s.unit) {
@@ -229,23 +223,14 @@ func TestBaselineRoundTrip(t *testing.T) {
 	}
 }
 
-// TestParseTest2JSONAndReport: extraction mode reads test2json streams
-// and zipflm-bench -json reports.
-func TestParseTest2JSONAndReport(t *testing.T) {
+// TestParseTest2JSON: extraction mode reads test2json streams.
+func TestParseTest2JSON(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{td("bench_test2json.txt")}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
 	if !strings.Contains(out.String(), "BenchmarkBatchedDecode ns/op") {
 		t.Errorf("test2json stream not parsed:\n%s", out.String())
-	}
-
-	out.Reset()
-	if code := run([]string{filepath.Join("..", "..", "BENCH_serving.json")}, &out, &errb); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errb.String())
-	}
-	if !strings.Contains(out.String(), "serving/sequential/throughput tok/s") {
-		t.Errorf("zipflm-bench report not parsed:\n%s", out.String())
 	}
 }
 

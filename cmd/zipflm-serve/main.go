@@ -14,10 +14,9 @@
 //	curl -s -X POST localhost:8080/v1/reload -d '{"path":"model-v2.ckpt"}'
 //
 // /metrics serves the shared telemetry registry in Prometheus text format
-// (?format=json for a JSON snapshot) and /metrics/history its sampled ring.
-// -metrics-addr is the observer listener (internal/telemetry's Start): the
-// same two endpoints plus net/http/pprof's /debug/pprof/, which the public
-// -addr never serves —
+// (?format=json for a JSON snapshot). -metrics-addr is the observer
+// listener (internal/telemetry's Start): the same endpoint plus
+// net/http/pprof's /debug/pprof/, which the public -addr never serves —
 //
 //	go tool pprof http://<metrics-addr>/debug/pprof/profile
 //	zipflm-top -addr <metrics-addr>
@@ -84,12 +83,7 @@ func main() {
 		zipfS     = flag.Float64("zipf", 1.1, "loadgen prompt-popularity exponent")
 		seed      = flag.Uint64("seed", 42, "loadgen seed")
 	)
-	observe := telemetry.Options{
-		Flight:          telemetry.DefaultFlightEvents,
-		History:         telemetry.DefaultHistorySamples,
-		HistoryInterval: telemetry.DefaultHistoryInterval,
-		Exported:        true,
-	}
+	observe := telemetry.Options{Flight: telemetry.DefaultFlightEvents, Exported: true}
 	observe.RegisterFlags(flag.CommandLine, true)
 	flag.Parse()
 
@@ -208,7 +202,7 @@ const (
 )
 
 // newMux routes the HTTP API onto the server, next to the observers'
-// /metrics and /metrics/history. It never serves /debug/pprof/: profiling
+// /metrics. It never serves /debug/pprof/: profiling
 // stays on the -metrics-addr listener.
 func newMux(srv *serve.Server, vocab *corpus.Vocabulary, weights *weightsInfo, obs *telemetry.Observers) *http.ServeMux {
 	mux := http.NewServeMux()

@@ -46,7 +46,7 @@ type api struct {
 func newAPI(t testing.TB, metricsAddr string) *api {
 	t.Helper()
 	obs, err := telemetry.Start("zipflm-serve", telemetry.Options{
-		Flight: 16, History: 8, MetricsAddr: metricsAddr, Exported: true,
+		Flight: 16, MetricsAddr: metricsAddr, Exported: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -333,8 +333,8 @@ func TestFailedReloadsChangeNothingAndAreCounted(t *testing.T) {
 }
 
 // TestPprofOnlyOnObserverListener: /debug/pprof/ is served by the
-// -metrics-addr listener and never by the public mux, while /metrics and
-// /metrics/history answer on both.
+// -metrics-addr listener and never by the public mux, /metrics answers on
+// both, and the deleted /metrics/history answers on neither.
 func TestPprofOnlyOnObserverListener(t *testing.T) {
 	a := newAPI(t, "127.0.0.1:0")
 	a.generate(t, `{"prompt_ids":[3,1,4],"n":4}`)
@@ -356,8 +356,8 @@ func TestPprofOnlyOnObserverListener(t *testing.T) {
 		{observer, "/debug/pprof/", http.StatusOK},
 		{a.URL, "/metrics", http.StatusOK},
 		{observer, "/metrics", http.StatusOK},
-		{a.URL, "/metrics/history", http.StatusOK},
-		{observer, "/metrics/history", http.StatusOK},
+		{a.URL, "/metrics/history", http.StatusNotFound},
+		{observer, "/metrics/history", http.StatusNotFound},
 	} {
 		if got := status(tc.base + tc.path); got != tc.want {
 			t.Errorf("GET %s%s: status %d, want %d", tc.base, tc.path, got, tc.want)
@@ -366,7 +366,8 @@ func TestPprofOnlyOnObserverListener(t *testing.T) {
 }
 
 // TestRemovedFlagsExitTwo: removed flags — the ones the observer wiring
-// replaced, and the deleted lookahead decoder's two — are gone: each is the
+// replaced, the deleted lookahead decoder's two and the deleted
+// metrics-history ring's two — are gone: each is the
 // flag package's usage error, exit status 2, before -model is even looked
 // at. A script still passing one fails instead of serving without it.
 func TestRemovedFlagsExitTwo(t *testing.T) {
@@ -376,7 +377,7 @@ func TestRemovedFlagsExitTwo(t *testing.T) {
 	}
 	for _, args := range [][]string{
 		{"-dashboard"}, {"-profile-dir", t.TempDir()}, {"-profile-interval", "1s"}, {"-debug-addr", "127.0.0.1:0"},
-		{"-draft", "x"}, {"-draft-k", "4"},
+		{"-draft", "x"}, {"-draft-k", "4"}, {"-history", "8"}, {"-history-interval", "1s"},
 	} {
 		var stderr bytes.Buffer
 		cmd := exec.Command(bin, args...)

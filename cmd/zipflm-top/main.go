@@ -1,8 +1,8 @@
 // Command zipflm-top is a live terminal dashboard over any zipflm process
 // exporting /metrics: it polls the endpoint's JSON snapshot (selected via
-// Accept-header content negotiation) and renders sparkline trends for
-// throughput, latency, queue depth, cache hit rate and SLO burn — plain
-// ANSI, no dependencies, usable over ssh.
+// Accept-header content negotiation), computes rates and windowed means
+// from successive snapshots, and renders sparkline trends for throughput,
+// latency, queue depth, cache hit rate and SLO burn — plain ANSI.
 //
 // Usage:
 //
@@ -13,7 +13,7 @@
 //	zipflm-top -addr localhost:9090
 //
 // Both commands serve the same /metrics on their -metrics-addr observer
-// listener, next to /metrics/history and net/http/pprof's /debug/pprof/
+// listener, next to net/http/pprof's /debug/pprof/
 // (go tool pprof http://localhost:9090/debug/pprof/profile); zipflm-serve
 // also serves /metrics on its public -addr.
 //

@@ -10,9 +10,8 @@
 //
 // Observability (internal/telemetry's Start): -metrics-addr serves the
 // run's telemetry registry at /metrics (Prometheus text format) while
-// training, its -history ring at /metrics/history (stamped with the
-// simulated cluster's clock too), and net/http/pprof at /debug/pprof/;
-// watch it with zipflm-top -addr <metrics-addr>. -trace FILE writes a
+// training, and net/http/pprof at /debug/pprof/; watch it with zipflm-top
+// -addr <metrics-addr>. -trace FILE writes a
 // Chrome trace_event JSON timeline (load it in chrome://tracing or
 // Perfetto) whose spans carry both wall time and the simulated cluster's
 // virtual clock; -flight N keeps a bounded in-memory ring of the last N
@@ -71,12 +70,7 @@ func main() {
 		seed      = flag.Uint64("seed", 42, "reproducibility seed")
 		workers   = flag.Int("workers", 0, "goroutines per matmul (0: ZIPFLM_WORKERS or serial; losses and weights identical at any value)")
 	)
-	observe := telemetry.Options{
-		Flight:          telemetry.DefaultFlightEvents,
-		History:         telemetry.DefaultHistorySamples,
-		HistoryInterval: telemetry.DefaultHistoryInterval,
-		VClockGauge:     "zipflm_train_sim_seconds",
-	}
+	observe := telemetry.Options{Flight: telemetry.DefaultFlightEvents}
 	observe.RegisterFlags(flag.CommandLine, true)
 	flag.Parse()
 	if f := float32(*scale); *fp16 && !(f > 0 && f <= math.MaxFloat32) {

@@ -32,8 +32,9 @@ func buildTrain(t *testing.T) string {
 // along: were the flag not defined, the one line would be the flag
 // package's. The observer flags internal/telemetry replaced (-dashboard,
 // -profile-dir, -profile-interval), the gradient-compression flags (-compress
-// and its -compress-… options), and a -history that names a file rather than
-// a ring capacity are the flag package's own usage errors, status 2.
+// and its -compress-… options) and the metrics-history ring's flags
+// (-history, -history-interval) are the flag package's own usage errors,
+// status 2.
 func TestUsageErrorsExitTwo(t *testing.T) {
 	bin := buildTrain(t)
 	var cases [][]string
@@ -61,6 +62,7 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 	}
 	for _, args := range [][]string{
 		{"-dashboard"}, {"-profile-dir", t.TempDir()}, {"-profile-interval", "1s"}, {"-history", "history.json"},
+		{"-history", "8"}, {"-history-interval", "1s"},
 		{"-compress", "topk"}, {"-compress-ratio", "0.01"}, {"-compress-momentum", "0.9"}, {"-compress-zipf"},
 	} {
 		var stdout, stderr bytes.Buffer

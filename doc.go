@@ -211,19 +211,19 @@
 // error) with p50/p99/p999, all zero-allocation on record and no-ops when
 // nil — telemetry off costs one branch. A Registry exports Prometheus text
 // exposition (labeled families like
-// zipflm_collective_bytes_total{op="allreduce",wire="fp16"}) and JSON
-// snapshots; telemetry.Tracer records bounded span/instant timelines as
+// zipflm_serve_batch_steps_total{batch="4"}) and JSON snapshots; telemetry.Tracer records bounded span/instant timelines as
 // Chrome trace_event JSON whose simulated-cluster spans carry the virtual
 // clock next to wall time — summing a trace's per-phase virtual durations
 // reproduces the trainer's SimComputeSeconds/SimSyncSeconds bitwise. The
-// instrumented paths (collective.Comm per-op/per-wire traffic, trainer
-// step phases and fault counters, ckpt.Dir save/load, the whole serving
-// snapshot — /v1/stats reads from the registry) observe without
+// instrumented paths (trainer step phases and fault counters, the whole
+// serving snapshot — /v1/stats reads from the registry) observe without
 // perturbing: the bit-identity suites rerun with telemetry on and assert
-// identical weights, losses and tokens. Surfaces: zipflm-serve GET
-// /metrics, the -metrics-addr observer listener of zipflm-serve and
-// zipflm-train (/metrics, /metrics/history, net/http/pprof), -trace on
-// all three commands.
+// identical weights, losses and tokens. Every metric family has a reader
+// (a zipflm-top panel, an SLO, a CI assertion, a serve.Snapshot field or a
+// failure count), which TestMetricFamiliesHaveReaders holds. Surfaces:
+// zipflm-serve GET /metrics, the -metrics-addr observer listener of
+// zipflm-serve and zipflm-train (/metrics, net/http/pprof), -trace on all
+// three commands.
 //
 // Three analysis layers sit on top. Traces carry each step's phases, a
 // span per collective operation and phase 1's per-rank compute, and
@@ -244,10 +244,8 @@
 // (zipflm_serve_reload_failures_total) and recorded in the ring with its
 // cause. Every command attaches its observers in one place:
 // telemetry.Options.RegisterFlags declares each observer flag once, and
-// telemetry.Start runs the registry, tracer, flight recorder, history ring
-// and listener behind one idempotent Stop; telemetry.History samples the
-// registry into a ring and dumps it as JSON, leaving rates and windows to
-// the reader of the dump.
+// telemetry.Start runs the registry, tracer, flight recorder and listener
+// behind one idempotent Stop.
 //
 // # The export rule
 //

@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-
-	"zipflm/internal/telemetry"
 )
 
 // ErrEmpty is returned by Latest when the directory holds no checkpoints.
@@ -25,28 +23,6 @@ type Dir struct {
 	path      string
 	keepLast  int
 	keepEvery int
-
-	// Telemetry instruments, nil (no-op) until Instrument is called.
-	saveDur  *telemetry.Histogram
-	loadDur  *telemetry.Histogram
-	saves    *telemetry.Counter
-	loads    *telemetry.Counter
-	savedLen *telemetry.Histogram
-}
-
-// Instrument wires the store's save/restore paths into reg
-// (zipflm_ckpt_save_seconds, zipflm_ckpt_load_seconds,
-// zipflm_ckpt_saves_total, zipflm_ckpt_loads_total,
-// zipflm_ckpt_save_bytes). A nil reg leaves the store uninstrumented.
-func (d *Dir) Instrument(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	d.saveDur = reg.Duration("zipflm_ckpt_save_seconds")
-	d.loadDur = reg.Duration("zipflm_ckpt_load_seconds")
-	d.saves = reg.Counter("zipflm_ckpt_saves_total")
-	d.loads = reg.Counter("zipflm_ckpt_loads_total")
-	d.savedLen = reg.Histogram("zipflm_ckpt_save_bytes", "bytes", 1)
 }
 
 // NewDir opens (creating if needed) a checkpoint directory. keepLast ≤ 0
@@ -76,20 +52,12 @@ func (d *Dir) fileFor(step int) string {
 // any previous checkpoint of the same step) and applies retention. It
 // returns the written path.
 func (d *Dir) Save(st *State) (string, error) {
-	tm := d.saveDur.Start()
 	path := d.fileFor(st.Step)
 	if err := WriteFile(path, st); err != nil {
 		return "", err
 	}
 	if err := d.retain(); err != nil {
 		return "", err
-	}
-	tm.Stop()
-	d.saves.Inc()
-	if d.savedLen != nil {
-		if fi, err := os.Stat(path); err == nil {
-			d.savedLen.Record(fi.Size())
-		}
 	}
 	return path, nil
 }
@@ -135,14 +103,7 @@ func parseStepName(name string) (int, bool) {
 
 // Load opens the checkpoint for a specific step.
 func (d *Dir) Load(step int) (*State, error) {
-	tm := d.loadDur.Start()
-	st, err := Open(d.fileFor(step))
-	if err != nil {
-		return nil, err
-	}
-	tm.Stop()
-	d.loads.Inc()
-	return st, nil
+	return Open(d.fileFor(step))
 }
 
 // Latest opens the newest checkpoint, or ErrEmpty when there is none.

@@ -140,9 +140,9 @@ func TestAdapterRefusesMixedCalls(t *testing.T) {
 	}{
 		{"one wire", []Wire{fp16, fp16, fp16}, []int{4, 4, 4}, ""},
 		{"fp32 beside fp16", []Wire{fp16, fp16, nil}, []int{4, 4, 4},
-			"collective: rank 2 posts another wire (fp32 <nil>) than rank 0 (fp16 &{512})"},
+			"collective: rank 2 posts another wire (<nil>) than rank 0 (&{512})"},
 		{"two scalers", []Wire{fp16, twin, fp16}, []int{4, 4, 4},
-			"collective: rank 1 posts another wire (fp16 &{512}) than rank 0 (fp16 &{512})"},
+			"collective: rank 1 posts another wire (&{512}) than rank 0 (&{512})"},
 		{"ragged lengths", []Wire{nil, nil, nil}, []int{4, 5, 4},
 			"collective: rank 1 part 0 has 5 elements, rank 0's has 4"},
 	} {

@@ -92,14 +92,10 @@ type Comm struct {
 	// mu guards the Stats counters.
 	mu sync.Mutex
 
-	// tel, when non-nil, posts per-operation calls/bytes/durations to a
-	// telemetry registry (telemetry.go). Purely observational: nil keeps
-	// every operation on the exact uninstrumented code path.
-	tel *commTelemetry
-
 	// trace, when non-nil, records one span per collective operation (cat
 	// "collective", tid 0), stamped with wall time and the cost model's
-	// clock. Purely observational, like tel.
+	// clock (telemetry.go). Purely observational: nil keeps every
+	// operation on the exact untraced code path.
 	trace *telemetry.Tracer
 
 	// be, when non-nil, runs a ring's chunk sets on its workers (see
@@ -274,8 +270,7 @@ func (c *Comm) checkShapes(parts [][][]float32) {
 func checkWires(wires []Wire) {
 	for r, w := range wires {
 		if w != wires[0] {
-			panic(fmt.Sprintf("collective: rank %d posts another wire (%s %v) than rank 0 (%s %v)",
-				r, wireLabel(w), w, wireLabel(wires[0]), wires[0]))
+			panic(fmt.Sprintf("collective: rank %d posts another wire (%v) than rank 0 (%v)", r, w, wires[0]))
 		}
 	}
 }
@@ -403,8 +398,7 @@ func (c *Comm) deliver(parts [][][]float32, wire Wire, owner, pi, targets int) {
 // chunk is rounded once more by its owning rank.
 //
 // Each rank's Stats count len(parts[r]) calls and the bytes that rank sends,
-// telemetry's counters add every rank's tallies, telemetry's duration and
-// the tracer get one operation (one span on tid 0, on the cost model's
+// the tracer gets one operation (one span on tid 0, on the cost model's
 // clock), and the cost model prices one ring over the tensors' summed chunk
 // bytes — so a list costs the ring's latency once, not once per tensor.
 func (c *Comm) AllReduceRanks(parts [][][]float32, wire Wire) {
@@ -425,15 +419,13 @@ func (c *Comm) allReduce(parts [][][]float32, wire Wire, everyRank bool) {
 		}
 		cm.Clock.Advance(cm.Link.RingAllReduceSeconds(c.g, chunkBytes))
 	}
-	var bytes int64
 	c.mu.Lock()
 	for r := range c.stats {
 		c.stats[r].AllReduceCalls += n
 		c.stats[r].AllReduceBytes += c.sent[r]
-		bytes += c.sent[r]
 	}
 	c.mu.Unlock()
-	c.opEnd("allreduce", wireLabel(wire), int64(c.g)*n, bytes, t0, v0)
+	c.opEnd("allreduce", t0, v0)
 }
 
 // AllGatherIntsRanks accounts the ring all-gather of every rank's index
@@ -447,7 +439,7 @@ func (c *Comm) AllGatherIntsRanks(payloads [][]int) {
 	for r, p := range payloads {
 		c.sent[r] = int64(4 * len(p))
 	}
-	c.ringGather(t0, v0, "allgather_ints", "int32")
+	c.ringGather(t0, v0, "allgather_ints")
 }
 
 // AllGatherFloatsRanks is the float32 counterpart of AllGatherIntsRanks —
@@ -464,14 +456,13 @@ func (c *Comm) AllGatherFloatsRanks(payloads [][]float32, wire Wire) {
 		}
 		c.sent[r] = wireSize(wire, len(p))
 	}
-	c.ringGather(t0, v0, "allgather_floats", wireLabel(wire))
+	c.ringGather(t0, v0, "allgather_floats")
 }
 
 // ringGather posts a ring all-gather of payloads of wire sizes c.sent for
 // every rank: one call at (G−1)/G of their total on each rank's AllGather
-// counters, one ring priced at the largest payload, and op under the wire
-// label to telemetry and the tracer.
-func (c *Comm) ringGather(t0 time.Time, v0 float64, op, label string) {
+// counters, one ring priced at the largest payload, and op to the tracer.
+func (c *Comm) ringGather(t0 time.Time, v0 float64, op string) {
 	var total, largest int64
 	for _, b := range c.sent {
 		total += b
@@ -487,7 +478,7 @@ func (c *Comm) ringGather(t0 time.Time, v0 float64, op, label string) {
 		c.stats[r].AllGatherBytes += bytes
 	}
 	c.mu.Unlock()
-	c.opEnd(op, label, int64(c.g), int64(c.g)*bytes, t0, v0)
+	c.opEnd(op, t0, v0)
 }
 
 // AgreeRanks is a control-plane consensus over the group's votes, ok[r]
@@ -539,7 +530,7 @@ func (c *Comm) runPosts(run func(posts []any)) {
 // one goroutine per rank: every rank passes its x and the group's wire, and
 // on return every rank's x holds the global sum — the owners' reduced chunks
 // are copied to every rank, as the ring's all-gather phase would. Values,
-// Stats, telemetry, trace spans and clock charges are AllReduceRanks'. Ranks
+// Stats, trace spans and clock charges are AllReduceRanks'. Ranks
 // that pass different wires, or tensors of different lengths, make every
 // rank panic before any buffer is read or written.
 func (c *Comm) AllReduce(rank int, x []float32, wire Wire) {

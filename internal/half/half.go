@@ -216,10 +216,6 @@ func MaxFiniteWithSign(h Float16) Float16 {
 // carries no side data; the scale factor is configuration, not payload).
 func (s *Scaler) WireBytes(n int) int { return Bytes(n) }
 
-// WireName identifies this format in telemetry labels
-// (collective.WireNamer).
-func (s *Scaler) WireName() string { return "fp16" }
-
 // MaxFinite is the largest finite FP16 magnitude.
 const MaxFinite = f16MaxFinite
 

@@ -253,26 +253,13 @@ func New(m *model.LM, cfg Config) *Server {
 		qDepth    = reg.Gauge("zipflm_serve_queue_depth")
 		rHits     = reg.Gauge("zipflm_serve_result_cache_hits")
 		rMisses   = reg.Gauge("zipflm_serve_result_cache_misses")
-		rEvicted  = reg.Gauge("zipflm_serve_result_cache_evicted")
-		rEntries  = reg.Gauge("zipflm_serve_result_cache_entries")
-		pHits     = reg.Gauge("zipflm_serve_prefix_cache_hits")
-		pMisses   = reg.Gauge("zipflm_serve_prefix_cache_misses")
-		pEvicted  = reg.Gauge("zipflm_serve_prefix_cache_evicted")
-		pEntries  = reg.Gauge("zipflm_serve_prefix_cache_entries")
 		weightVer = reg.Gauge("zipflm_serve_weights_version")
 	)
 	reg.OnCollect(func() {
 		qDepth.SetInt(int64(len(s.queue)))
-		h, miss, ev, n := s.results.counters()
+		h, miss, _, _ := s.results.counters()
 		rHits.SetInt(int64(h))
 		rMisses.SetInt(int64(miss))
-		rEvicted.SetInt(int64(ev))
-		rEntries.SetInt(int64(n))
-		h, miss, ev, n = s.prefix.counters()
-		pHits.SetInt(int64(h))
-		pMisses.SetInt(int64(miss))
-		pEvicted.SetInt(int64(ev))
-		pEntries.SetInt(int64(n))
 		weightVer.SetInt(int64(s.version.Load()))
 	})
 	if cfg.SLOTargetP99 > 0 || (cfg.SLOAvailability > 0 && cfg.SLOAvailability < 1) {

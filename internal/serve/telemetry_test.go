@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -104,7 +105,7 @@ func TestTelemetryPrometheusExposition(t *testing.T) {
 	for _, want := range []string{
 		"zipflm_serve_completed_total 2",
 		"zipflm_serve_result_cache_hits 1",
-		"zipflm_serve_result_cache_entries 1",
+		"zipflm_serve_result_cache_misses 1",
 		"zipflm_serve_queue_depth 0",
 		"zipflm_serve_weights_version 1",
 		"zipflm_serve_latency_seconds_count 2",
@@ -240,18 +241,33 @@ func TestSnapshotFieldParity(t *testing.T) {
 	}
 }
 
-// TestObservatoryBitIdentity: the performance-observatory acceptance
-// contract — with metrics-history sampling running over the serving
-// registry, generated tokens stay bit-identical to the sequential
-// reference, and the history actually captured the run.
+// TestObservatoryBitIdentity: with the serving registry scraped every
+// millisecond from another goroutine, in both exposition formats,
+// generated tokens stay bit-identical to the sequential reference, and the
+// registry saw the run.
 func TestObservatoryBitIdentity(t *testing.T) {
 	m := lstmModel()
 	reg := telemetry.NewRegistry()
 	s := New(m, Config{Workers: 1, MaxBatch: 4, CacheEntries: 8, Telemetry: reg})
 	defer s.Close()
 
-	hist := telemetry.NewHistory(reg, telemetry.HistoryConfig{Capacity: 64, Interval: time.Millisecond})
-	stopHist := hist.Start()
+	done, scraped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(scraped)
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			if err := reg.WritePrometheus(io.Discard); err != nil {
+				t.Error(err)
+			}
+			reg.Snapshot()
+			select {
+			case <-done:
+				return
+			case <-tick.C:
+			}
+		}
+	}()
 
 	req := Request{Prompt: []int{3, 1, 4}, N: 6, Opts: sampling.DecodeOpts{Temperature: 0.8, TopK: 12}, Seed: 42}
 	want := reference(m, req)
@@ -267,16 +283,10 @@ func TestObservatoryBitIdentity(t *testing.T) {
 		}
 	}
 
-	stopHist()
+	close(done)
+	<-scraped
 
-	// The history saw the run: its samples' counters reflect the
-	// submissions.
-	samples := hist.Samples()
-	if len(samples) == 0 {
-		t.Fatal("history sampled nothing")
-	}
-	last := samples[len(samples)-1]
-	if last.Counters["zipflm_serve_completed_total"] != 3 {
-		t.Fatalf("final history sample completed=%d, want 3", last.Counters["zipflm_serve_completed_total"])
+	if got := reg.Snapshot().Counters["zipflm_serve_completed_total"]; got != 3 {
+		t.Fatalf("completed=%d, want 3", got)
 	}
 }

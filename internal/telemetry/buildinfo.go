@@ -7,8 +7,8 @@ import (
 
 // BuildInfo identifies the running binary and its host — the metadata that
 // makes performance numbers comparable across machines and commits. It
-// rides on /metrics as the zipflm_build_info gauge, in /v1/stats, in
-// zipflm-bench -json reports, and in zipflm-perf baselines.
+// rides in /v1/stats, in zipflm-bench -json reports and in zipflm-perf
+// baselines.
 type BuildInfo struct {
 	// Version is the main module version ("(devel)" for source builds).
 	Version string `json:"version"`
@@ -53,29 +53,5 @@ func CollectBuildInfo() BuildInfo {
 			info.Dirty = s.Value == "true"
 		}
 	}
-	return info
-}
-
-// PublishBuildInfo exposes the build metadata on the registry as the
-// conventional info-style gauge
-//
-//	zipflm_build_info{version="…",commit="…",go="…",goos="…",goarch="…"} 1
-//
-// plus zipflm_gomaxprocs and zipflm_numcpu gauges, so every scrape
-// records which binary on which host produced the numbers around it.
-func PublishBuildInfo(r *Registry) BuildInfo {
-	info := CollectBuildInfo()
-	if r == nil {
-		return info
-	}
-	name := "zipflm_build_info"
-	name = Label(name, "version", info.Version)
-	name = Label(name, "commit", info.Commit)
-	name = Label(name, "go", info.Go)
-	name = Label(name, "goos", info.GOOS)
-	name = Label(name, "goarch", info.GOARCH)
-	r.Gauge(name).Set(1)
-	r.Gauge("zipflm_gomaxprocs").SetInt(int64(info.GOMAXPROCS))
-	r.Gauge("zipflm_numcpu").SetInt(int64(info.NumCPU))
 	return info
 }

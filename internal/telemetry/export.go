@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // WritePrometheus writes the registry in Prometheus text exposition format
@@ -20,7 +19,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	defer r.observeScrape()()
 	counters, gauges, hists := r.collect()
 
 	typed := make(map[string]bool)
@@ -33,27 +31,27 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		return err
 	}
 
-	for _, name := range counters {
-		family, _ := splitName(name)
+	for _, c := range counters {
+		family, _ := splitName(c.name)
 		if err := emitType(family, "counter"); err != nil {
 			return err
 		}
-		if _, err := fmt.Fprintf(w, "%s %d\n", name, r.Counter(name).Value()); err != nil {
+		if _, err := fmt.Fprintf(w, "%s %d\n", c.name, c.v.Value()); err != nil {
 			return err
 		}
 	}
-	for _, name := range gauges {
-		family, _ := splitName(name)
+	for _, g := range gauges {
+		family, _ := splitName(g.name)
 		if err := emitType(family, "gauge"); err != nil {
 			return err
 		}
-		if _, err := fmt.Fprintf(w, "%s %s\n", name, formatFloat(r.Gauge(name).Value())); err != nil {
+		if _, err := fmt.Fprintf(w, "%s %s\n", g.name, formatFloat(g.v.Value())); err != nil {
 			return err
 		}
 	}
-	for _, name := range hists {
-		h := r.hists[name]
-		family, labels := splitName(name)
+	for _, nh := range hists {
+		h := nh.v
+		family, labels := splitName(nh.name)
 		if err := emitType(family, "histogram"); err != nil {
 			return err
 		}
@@ -86,18 +84,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// observeScrape counts an export and times it into the registry's own
-// meta-metrics, so scrape cost and cadence are visible in the exposition
-// they produce. The count increments before the instrument lists are
-// collected (the current scrape includes itself); the duration lands when
-// the export finishes, visible from the next scrape on.
-func (r *Registry) observeScrape() func() {
-	r.Counter("zipflm_telemetry_scrapes_total").Inc()
-	h := r.Duration("zipflm_telemetry_scrape_seconds")
-	t0 := time.Now()
-	return func() { h.Observe(time.Since(t0)) }
 }
 
 // labelPrefix renders a raw label body as the prefix of a larger label
@@ -144,18 +130,16 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return snap
 	}
-	defer r.observeScrape()()
 	counters, gauges, hists := r.collect()
-	for _, name := range counters {
-		snap.Counters[name] = r.Counter(name).Value()
+	for _, c := range counters {
+		snap.Counters[c.name] = c.v.Value()
 	}
-	for _, name := range gauges {
-		snap.Gauges[name] = r.Gauge(name).Value()
+	for _, g := range gauges {
+		snap.Gauges[g.name] = g.v.Value()
 	}
-	for _, name := range hists {
-		h := r.hists[name]
-		f := h.factor
-		snap.Histograms[name] = HistSnapshot{
+	for _, nh := range hists {
+		h, f := nh.v, nh.v.factor
+		snap.Histograms[nh.name] = HistSnapshot{
 			Unit:  h.unit,
 			Count: h.Count(),
 			Sum:   float64(h.Sum()) * f,

@@ -129,36 +129,3 @@ func TestPrometheusLabelEscaping(t *testing.T) {
 		t.Fatalf("clean label = %q", got)
 	}
 }
-
-func TestTelemetrySelfObservability(t *testing.T) {
-	r := NewRegistry()
-	tr := NewTracer(2)
-	r.ObserveTracer(tr)
-	tr.Instant("t", "a", 0, tr.Start(), 0)
-	tr.Instant("t", "b", 0, tr.Start(), 0)
-	tr.Instant("t", "dropped", 0, tr.Start(), 0)
-
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	for _, want := range []string{
-		"zipflm_trace_events 2\n",
-		"zipflm_trace_dropped_events 1\n",
-		"zipflm_telemetry_scrapes_total 1\n",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("missing %q in:\n%s", want, text)
-		}
-	}
-	// The scrape-duration histogram observes completed scrapes: after the
-	// first exposition it has one observation.
-	buf.Reset()
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "zipflm_telemetry_scrape_seconds_count 1\n") {
-		t.Errorf("scrape histogram not observing:\n%s", buf.String())
-	}
-}

@@ -201,37 +201,3 @@ func (h *Histogram) CountAbove(v int64) int64 {
 func (h *Histogram) P50() int64  { return h.Quantile(0.50) }
 func (h *Histogram) P99() int64  { return h.Quantile(0.99) }
 func (h *Histogram) P999() int64 { return h.Quantile(0.999) }
-
-// HistCum is a cumulative point-in-time snapshot of a histogram: total
-// count, raw sum, and the nonzero buckets in sparse form (BucketIdx[i]
-// holds BucketN[i] observations), ordered by bucket index. It is the form
-// History samples carry: a reader of the /metrics/history dump subtracts
-// two snapshots of one histogram bucket by bucket to get the distribution
-// of the observations recorded between them.
-type HistCum struct {
-	Count     int64   `json:"count"`
-	Sum       int64   `json:"sum"`
-	BucketIdx []int32 `json:"bucket_idx,omitempty"`
-	BucketN   []int64 `json:"bucket_n,omitempty"`
-}
-
-// CumSnapshot captures the histogram's cumulative state. Like snapshot,
-// the loads are not mutually atomic under concurrent writers; because
-// buckets only ever grow, any snapshot taken strictly after another is
-// per-bucket greater-or-equal, so deltas between ordered snapshots are
-// always non-negative.
-func (h *Histogram) CumSnapshot() HistCum {
-	if h == nil {
-		return HistCum{}
-	}
-	var c HistCum
-	c.Count = h.count.Load()
-	c.Sum = h.sum.Load()
-	for i := range h.buckets {
-		if n := h.buckets[i].Load(); n > 0 {
-			c.BucketIdx = append(c.BucketIdx, int32(i))
-			c.BucketN = append(c.BucketN, n)
-		}
-	}
-	return c
-}

@@ -6,7 +6,6 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -34,7 +33,7 @@ func goroutines() map[string]string {
 }
 
 // TestObserversStopLeavesNothing starts every observer — the listener with
-// a request served, the history sampler, the flight recorder armed for
+// a request served, the flight recorder armed for
 // SIGQUIT, the tracer — then stops them twice from one goroutine and twice
 // from two at once: nothing panics, the trace is written once, and every
 // goroutine Start made is gone.
@@ -43,18 +42,16 @@ func TestObserversStopLeavesNothing(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "trace.json")
 	obs, err := Start("observe-test", Options{
 		Trace: trace, Flight: 8, MetricsAddr: "127.0.0.1:0",
-		History: 4, HistoryInterval: time.Millisecond, VClockGauge: "sim_seconds",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if obs.Registry == nil || obs.Tracer == nil || obs.Flight == nil || obs.History == nil {
+	if obs.Registry == nil || obs.Tracer == nil || obs.Flight == nil {
 		t.Fatalf("an observer did not start: %+v", obs)
 	}
-	obs.Registry.Gauge("sim_seconds").Set(2.5)
 	obs.Tracer.Instant("t", "mark", 0, obs.Tracer.Start(), 0)
 	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
-	for _, path := range []string{"/metrics", "/metrics/history", "/debug/pprof/"} {
+	for _, path := range []string{"/metrics", "/debug/pprof/"} {
 		resp, err := client.Get("http://" + obs.Addr() + path)
 		if err != nil {
 			t.Fatal(err)
@@ -86,9 +83,6 @@ func TestObserversStopLeavesNothing(t *testing.T) {
 	if raw, err := os.ReadFile(trace); err != nil || !bytes.Contains(raw, []byte(`"mark"`)) {
 		t.Errorf("trace not written: %v %s", err, raw)
 	}
-	if s := obs.History.Samples(); len(s) == 0 || s[len(s)-1].VClock != 2.5 {
-		t.Errorf("history missed the final virtual-clock sample: %+v", s)
-	}
 	if _, err := client.Get("http://" + obs.Addr() + "/metrics"); err == nil {
 		t.Error("listener still answers after Stop")
 	}
@@ -112,13 +106,13 @@ func TestObserversStopLeavesNothing(t *testing.T) {
 }
 
 // TestObserversOffByDefault: zero Options start nothing — no registry, no
-// tracer, no flight, no history, no listener — and Stop is a no-op.
+// tracer, no flight, no listener — and Stop is a no-op.
 func TestObserversOffByDefault(t *testing.T) {
 	obs, err := Start("observe-test", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if obs.Registry != nil || obs.Tracer != nil || obs.Flight != nil || obs.History != nil || obs.Addr() != "" {
+	if obs.Registry != nil || obs.Tracer != nil || obs.Flight != nil || obs.Addr() != "" {
 		t.Fatalf("zero Options started an observer: %+v", obs)
 	}
 	if err := obs.Stop(); err != nil {
@@ -127,7 +121,7 @@ func TestObserversOffByDefault(t *testing.T) {
 }
 
 // TestRegisterFlags: the batch form declares only -trace and -flight; the
-// listener form adds the three listener flags; defaults come from the
+// listener form adds -metrics-addr; defaults come from the
 // Options and parsing fills them in.
 func TestRegisterFlags(t *testing.T) {
 	names := func(fs *flag.FlagSet) (out []string) {
@@ -141,16 +135,16 @@ func TestRegisterFlags(t *testing.T) {
 		t.Errorf("batch flags: %s", got)
 	}
 
-	long := Options{Flight: DefaultFlightEvents, History: DefaultHistorySamples}
+	long := Options{Flight: DefaultFlightEvents}
 	fs = flag.NewFlagSet("long", flag.ContinueOnError)
 	long.RegisterFlags(fs, true)
-	if got := strings.Join(names(fs), " "); got != "flight history history-interval metrics-addr trace" {
+	if got := strings.Join(names(fs), " "); got != "flight metrics-addr trace" {
 		t.Errorf("listener flags: %s", got)
 	}
-	if err := fs.Parse([]string{"-history", "7", "-metrics-addr", ":0", "-history-interval", "2s"}); err != nil {
+	if err := fs.Parse([]string{"-metrics-addr", ":0", "-flight", "7"}); err != nil {
 		t.Fatal(err)
 	}
-	if long.History != 7 || long.MetricsAddr != ":0" || long.HistoryInterval != 2*time.Second || long.Flight != DefaultFlightEvents {
+	if long.MetricsAddr != ":0" || long.Flight != 7 {
 		t.Errorf("parsed options: %+v", long)
 	}
 }
@@ -170,29 +164,6 @@ func TestStartFlight(t *testing.T) {
 		t.Fatalf("armed flight holds %d events, want 1", f.Len())
 	}
 	stop()
-}
-
-// TestObserversHandleWithoutHistory: an exported registry with -history 0
-// serves /metrics, and /metrics/history answers 404 instead of an empty
-// document.
-func TestObserversHandleWithoutHistory(t *testing.T) {
-	obs, err := Start("observe-test", Options{Exported: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer obs.Stop()
-	if obs.Registry == nil || obs.History != nil {
-		t.Fatalf("Exported without -history: %+v", obs)
-	}
-	mux := http.NewServeMux()
-	obs.Handle(mux)
-	for path, want := range map[string]int{"/metrics": http.StatusOK, "/metrics/history": http.StatusNotFound} {
-		rec := httptest.NewRecorder()
-		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
-		if rec.Code != want {
-			t.Errorf("GET %s: status %d, want %d", path, rec.Code, want)
-		}
-	}
 }
 
 // TestStartListenerError: a -metrics-addr that cannot be bound is Start's

@@ -20,17 +20,12 @@
 //     storage (testing.AllocsPerRun guards them); registry lookups happen
 //     once at wiring time, never per record.
 //
-// On top of the point-in-time instruments sits the performance
-// observatory: History (history.go) samples the registry into a bounded
-// ring on both the wall and virtual clocks and dumps it as JSON, storing
-// histograms as sparse cumulative snapshots so a reader of the dump can
-// subtract any two samples into an exact windowed distribution; and
-// PublishBuildInfo (buildinfo.go) exposes the binary's provenance as a
-// zipflm_build_info gauge. Sampling only reads, so the bit-identity suites
-// hold with the whole observatory running. Commands attach all of it in
-// one place (observe.go): Options.RegisterFlags declares the observer
-// flags, Start runs the observers, and the listener behind -metrics-addr
-// serves /metrics, /metrics/history and net/http/pprof's /debug/pprof/.
+// Commands attach the observers in one place (observe.go):
+// Options.RegisterFlags declares the observer flags, Start runs them, and
+// the listener behind -metrics-addr serves /metrics and net/http/pprof's
+// /debug/pprof/. Every metric family has a reader — a dash panel, an SLO,
+// a CI assertion, a serve.Snapshot field or a failure count — and the root
+// package's TestMetricFamiliesHaveReaders keeps it that way.
 package telemetry
 
 import (
@@ -39,7 +34,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing atomic counter. The zero value is
@@ -180,9 +174,28 @@ func (r *Registry) OnCollect(f func()) {
 	r.mu.Unlock()
 }
 
+// named is one instrument and its name.
+type named[T any] struct {
+	name string
+	v    T
+}
+
+// sortedNamed lists m's entries by name. The caller holds the registry's
+// lock.
+func sortedNamed[T any](m map[string]T) []named[T] {
+	out := make([]named[T], 0, len(m))
+	for n, v := range m {
+		out = append(out, named[T]{n, v})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
+}
+
 // collect runs the registered collectors and returns name-sorted views of
-// each instrument class.
-func (r *Registry) collect() (counters, gauges, hists []string) {
+// each instrument class, resolved under the lock: an exporter reads the
+// instruments afterwards without touching the maps, which a concurrent
+// Counter, Gauge or Histogram call may be growing.
+func (r *Registry) collect() ([]named[*Counter], []named[*Gauge], []named[*Histogram]) {
 	r.mu.Lock()
 	cbs := append([]func(){}, r.collectors...)
 	r.mu.Unlock()
@@ -191,19 +204,7 @@ func (r *Registry) collect() (counters, gauges, hists []string) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for n := range r.counters {
-		counters = append(counters, n)
-	}
-	for n := range r.gauges {
-		gauges = append(gauges, n)
-	}
-	for n := range r.hists {
-		hists = append(hists, n)
-	}
-	sort.Strings(counters)
-	sort.Strings(gauges)
-	sort.Strings(hists)
-	return
+	return sortedNamed(r.counters), sortedNamed(r.gauges), sortedNamed(r.hists)
 }
 
 // Label appends one label pair to a metric name, composing with any labels
@@ -259,29 +260,4 @@ func splitName(name string) (family, labels string) {
 		}
 	}
 	return name, ""
-}
-
-// Timer is a convenience for timing a code region into a duration
-// histogram: h.Start() … defer/explicit Stop. Nil-safe like everything
-// else.
-type Timer struct {
-	h  *Histogram
-	t0 time.Time
-}
-
-// Start begins timing into h. On a nil histogram the returned Timer is
-// inert (Stop costs one branch, no clock read happens).
-func (h *Histogram) Start() Timer {
-	if h == nil {
-		return Timer{}
-	}
-	return Timer{h: h, t0: time.Now()}
-}
-
-// Stop records the elapsed time since Start.
-func (t Timer) Stop() {
-	if t.h == nil {
-		return
-	}
-	t.h.Record(int64(time.Since(t.t0)))
 }

@@ -3,6 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http/httptest"
 	"regexp"
 	"strconv"
@@ -26,7 +28,6 @@ func TestNilRegistryAndInstruments(t *testing.T) {
 	g.SetInt(2)
 	h.Record(10)
 	h.Observe(time.Millisecond)
-	h.Start().Stop()
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("nil instruments must read as zero")
 	}
@@ -107,14 +108,9 @@ func TestWritePrometheusFormat(t *testing.T) {
 		}
 	}
 	// Families: requests_total, bytes_total (once, despite two labelled
-	// series), queue_depth, latency_seconds, plus the scrape meta-metrics
-	// every exposition carries (telemetry_scrapes_total,
-	// telemetry_scrape_seconds).
-	if typeLines != 6 {
-		t.Errorf("got %d TYPE lines, want 6 (one per family):\n%s", typeLines, text)
-	}
-	if !strings.Contains(text, "zipflm_telemetry_scrapes_total 1\n") {
-		t.Errorf("first scrape must report itself in the meta-counter:\n%s", text)
+	// series), queue_depth, latency_seconds.
+	if typeLines != 4 {
+		t.Errorf("got %d TYPE lines, want 4 (one per family):\n%s", typeLines, text)
 	}
 	if strings.Count(text, "# TYPE zipflm_bytes_total counter") != 1 {
 		t.Errorf("labelled family must emit exactly one TYPE line:\n%s", text)
@@ -258,39 +254,29 @@ func TestHandlerContentNegotiation(t *testing.T) {
 	}
 }
 
-func TestPublishBuildInfo(t *testing.T) {
+// TestScrapeWhileRegistering: exporters read every instrument they list
+// under the registry lock, so a scrape running while another goroutine
+// creates instruments is race-free (go test -race).
+func TestScrapeWhileRegistering(t *testing.T) {
 	r := NewRegistry()
-	info := PublishBuildInfo(r)
-	if info.Go == "" || info.GOMAXPROCS < 1 || info.NumCPU < 1 {
-		t.Fatalf("implausible build info: %+v", info)
+	r.Duration("h_0").Record(1)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i < 200; i++ {
+			r.Duration(fmt.Sprintf("h_%d", i)).Record(int64(i))
+			r.Counter(fmt.Sprintf("c_%d", i)).Inc()
+			r.Gauge(fmt.Sprintf("g_%d", i)).SetInt(int64(i))
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		if err := r.WritePrometheus(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		r.Snapshot()
 	}
-	var buf strings.Builder
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	if !strings.Contains(text, `zipflm_build_info{version=`) || !strings.Contains(text, `go="`+info.Go+`"`) {
-		t.Errorf("exposition missing build info gauge:\n%s", text)
-	}
-	if !strings.Contains(text, "zipflm_gomaxprocs ") || !strings.Contains(text, "zipflm_numcpu ") {
-		t.Errorf("exposition missing host-shape gauges:\n%s", text)
-	}
-	// Nil registry still reports the info (callers embed it in JSON).
-	if got := PublishBuildInfo(nil); got.Go != info.Go {
-		t.Fatalf("nil-registry PublishBuildInfo: %+v", got)
-	}
-}
-
-func TestTimer(t *testing.T) {
-	r := NewRegistry()
-	h := r.Duration("d")
-	tm := h.Start()
-	time.Sleep(time.Millisecond)
-	tm.Stop()
-	if h.Count() != 1 {
-		t.Fatalf("timer recorded %d observations, want 1", h.Count())
-	}
-	if h.Sum() < int64(time.Millisecond) {
-		t.Fatalf("timer recorded %v, want >= 1ms", time.Duration(h.Sum()))
+	<-done
+	if got := len(r.Snapshot().Histograms); got != 200 {
+		t.Fatalf("snapshot has %d histograms, want 200", got)
 	}
 }

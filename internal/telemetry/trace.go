@@ -93,16 +93,6 @@ func (t *Tracer) Len() int {
 	return len(t.events)
 }
 
-// Dropped returns how many events the buffer bound discarded.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
 // Events returns a copy of the buffered events in record order.
 func (t *Tracer) Events() []Event {
 	if t == nil {
@@ -111,22 +101,6 @@ func (t *Tracer) Events() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]Event(nil), t.events...)
-}
-
-// ObserveTracer publishes a tracer's buffer occupancy and drop count as
-// gauges on the registry (zipflm_trace_events, zipflm_trace_dropped_events),
-// refreshed on every scrape — so a trace buffer silently hitting its bound
-// shows up in /metrics instead of only in the written trace file.
-func (r *Registry) ObserveTracer(t *Tracer) {
-	if r == nil || t == nil {
-		return
-	}
-	events := r.Gauge("zipflm_trace_events")
-	dropped := r.Gauge("zipflm_trace_dropped_events")
-	r.OnCollect(func() {
-		events.SetInt(int64(t.Len()))
-		dropped.SetInt(t.Dropped())
-	})
 }
 
 // chromeEvent is the trace_event JSON shape ("JSON Object Format", the

@@ -10,15 +10,13 @@ import (
 // the per-step cost is a few atomic operations. nil (telemetry off) keeps
 // every step on the exact uninstrumented path.
 type trainerTelemetry struct {
-	steps       *telemetry.Counter   // zipflm_train_steps_total (committed)
-	tokens      *telemetry.Counter   // zipflm_train_tokens_total (global)
-	checkpoints *telemetry.Counter   // zipflm_train_checkpoints_total
-	faults      *telemetry.Counter   // zipflm_train_faults_total
-	lostSteps   *telemetry.Counter   // zipflm_train_lost_steps_total
-	computeDur  *telemetry.Histogram // zipflm_train_compute_seconds
-	syncDur     *telemetry.Histogram // zipflm_train_sync_seconds
-	goodput     *telemetry.Gauge     // zipflm_train_goodput_ratio
-	simClock    *telemetry.Gauge     // zipflm_train_sim_seconds
+	tokens     *telemetry.Counter   // zipflm_train_tokens_total (global)
+	faults     *telemetry.Counter   // zipflm_train_faults_total
+	lostSteps  *telemetry.Counter   // zipflm_train_lost_steps_total
+	computeDur *telemetry.Histogram // zipflm_train_compute_seconds
+	syncDur    *telemetry.Histogram // zipflm_train_sync_seconds
+	goodput    *telemetry.Gauge     // zipflm_train_goodput_ratio
+	simClock   *telemetry.Gauge     // zipflm_train_sim_seconds
 }
 
 func newTrainerTelemetry(reg *telemetry.Registry) *trainerTelemetry {
@@ -26,15 +24,13 @@ func newTrainerTelemetry(reg *telemetry.Registry) *trainerTelemetry {
 		return nil
 	}
 	return &trainerTelemetry{
-		steps:       reg.Counter("zipflm_train_steps_total"),
-		tokens:      reg.Counter("zipflm_train_tokens_total"),
-		checkpoints: reg.Counter("zipflm_train_checkpoints_total"),
-		faults:      reg.Counter("zipflm_train_faults_total"),
-		lostSteps:   reg.Counter("zipflm_train_lost_steps_total"),
-		computeDur:  reg.Duration("zipflm_train_compute_seconds"),
-		syncDur:     reg.Duration("zipflm_train_sync_seconds"),
-		goodput:     reg.Gauge("zipflm_train_goodput_ratio"),
-		simClock:    reg.Gauge("zipflm_train_sim_seconds"),
+		tokens:     reg.Counter("zipflm_train_tokens_total"),
+		faults:     reg.Counter("zipflm_train_faults_total"),
+		lostSteps:  reg.Counter("zipflm_train_lost_steps_total"),
+		computeDur: reg.Duration("zipflm_train_compute_seconds"),
+		syncDur:    reg.Duration("zipflm_train_sync_seconds"),
+		goodput:    reg.Gauge("zipflm_train_goodput_ratio"),
+		simClock:   reg.Gauge("zipflm_train_sim_seconds"),
 	}
 }
 
@@ -45,7 +41,6 @@ func newTrainerTelemetry(reg *telemetry.Registry) *trainerTelemetry {
 // accumulates the same float64 values in the same order).
 func (t *Trainer) observeStep(computeStart, syncStart time.Time, agg stepStats) {
 	if tel := t.tel; tel != nil {
-		tel.steps.Inc()
 		tel.tokens.Add(int64(t.cfg.Ranks) * int64(t.cfg.BatchPerRank) * int64(t.cfg.SeqLen))
 		tel.computeDur.Observe(agg.computeTime)
 		tel.syncDur.Observe(agg.syncTime)

@@ -169,8 +169,7 @@ type Config struct {
 	// meaningful with Hardware.
 	SimRestartSeconds float64
 	// Telemetry, when non-nil, publishes the trainer's step/phase metrics
-	// (and the communicator's and checkpoint store's) into the registry.
-	// Purely observational: the trajectory is bit-identical with or
+	// into the registry. Purely observational: the trajectory is bit-identical with or
 	// without it (tested), and nil keeps every hot path uninstrumented.
 	Telemetry *telemetry.Registry
 	// Trace, when non-nil, records the run's timeline, each span stamped
@@ -361,11 +360,7 @@ func New(cfg Config, train, valid []int) (*Trainer, error) {
 		valid: valid,
 	}
 	t.comm.AttachBackend(t.be)
-	if cfg.Telemetry != nil {
-		t.tel = newTrainerTelemetry(cfg.Telemetry)
-		t.comm.AttachTelemetry(cfg.Telemetry)
-		cfg.Telemetry.ObserveTracer(cfg.Trace)
-	}
+	t.tel = newTrainerTelemetry(cfg.Telemetry)
 	if cfg.Trace != nil {
 		t.comm.AttachTrace(cfg.Trace)
 	}
@@ -412,7 +407,6 @@ func New(cfg Config, train, valid []int) (*Trainer, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trainer: %w", err)
 		}
-		dir.Instrument(cfg.Telemetry)
 		t.ckptDir = dir
 	}
 	if cfg.Faults != nil {
@@ -605,9 +599,6 @@ func (t *Trainer) afterStep() (rolledBack bool, err error) {
 		if t.cfg.Hardware != nil && t.cfg.SimCheckpointSeconds > 0 {
 			t.clock.Advance(t.cfg.SimCheckpointSeconds)
 			t.ftStats.SimCheckpointSeconds += t.cfg.SimCheckpointSeconds
-		}
-		if t.tel != nil {
-			t.tel.checkpoints.Inc()
 		}
 		t.cfg.Trace.Span("train", "checkpoint", 0, ckptStart, time.Since(ckptStart),
 			vtsBefore, t.clock.Now()-vtsBefore)

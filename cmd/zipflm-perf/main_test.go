@@ -170,6 +170,9 @@ func FuzzParseBench(f *testing.F) {
 		f.Add(buf)
 	}
 	f.Add([]byte("BenchmarkX-2 100 NaN ns/op 3 B/op\nBenchmarkX-2 100 Inf ns/op\n"))
+	// A JSON document that is not a test2json stream (a zipflm-bench
+	// report) decodes with no Output and yields no metric.
+	f.Add([]byte(`{"reports":[{"id":"tab","tables":[{"headers":["g","step"],"units":["","s"],"rows":[["8","1.5"],["16","NaN"]]}]}]}`))
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		c := newCollection()
 		if err := c.parseBenchText(buf); err != nil {
@@ -231,6 +234,24 @@ func TestParseTest2JSON(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "BenchmarkBatchedDecode ns/op") {
 		t.Errorf("test2json stream not parsed:\n%s", out.String())
+	}
+}
+
+// TestReportInputFindsNoMetrics: zipflm-perf reads `go test -bench`
+// output only. A zipflm-bench -json report is not one: it yields no
+// metric, and the run fails saying so rather than writing an empty result.
+func TestReportInputFindsNoMetrics(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "report.json")
+	report := `{"reports":[{"id":"serving","tables":[{"headers":["mode","throughput"],"units":["","tok/s"],"rows":[["sequential","1200"]]}]}]}` + "\n"
+	if err := os.WriteFile(path, []byte(report), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{path}, &out, &errb); code != 1 {
+		t.Fatalf("exit %d, want 1; stdout:\n%s", code, out.String())
+	}
+	if !strings.Contains(errb.String(), "no metrics found") {
+		t.Errorf("stderr does not say no metrics were found: %s", errb.String())
 	}
 }
 

@@ -504,3 +504,29 @@ func TestYoungDaly(t *testing.T) {
 		t.Fatal("degenerate inputs must return 0")
 	}
 }
+
+// TestDirLoadPrunedStep: a step retention pruned, or one never saved, is
+// Load's error and no state; a kept step loads as saved.
+func TestDirLoadPrunedStep(t *testing.T) {
+	d, err := NewDir(t.TempDir(), 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []int{10, 20} {
+		if _, err := d.Save(testState(t, step)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, step := range []int{10, 15} {
+		if st, err := d.Load(step); err == nil || st != nil {
+			t.Errorf("Load(%d) = %v, %v; want an error and no state", step, st, err)
+		}
+	}
+	st, err := d.Load(20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Step != 20 {
+		t.Fatalf("Load(20) returned step %d", st.Step)
+	}
+}

@@ -313,6 +313,32 @@ func TestPrefixCache(t *testing.T) {
 	}
 }
 
+// TestPrefixCacheStats: Stats reads the prefix cache's counters from the
+// LRU itself, with no registry attached. Capacity 2 and the prompts A B C
+// A C: four misses (A's second lookup follows its eviction by C), one hit,
+// two evictions, two entries.
+func TestPrefixCacheStats(t *testing.T) {
+	m := lstmModel()
+	s := New(m, Config{MaxBatch: 4, PrefixEntries: 2})
+	defer s.Close()
+
+	a, b, c := []int{5, 6, 7}, []int{8, 9}, []int{3, 1, 4, 1}
+	for i, prompt := range [][]int{a, b, c, a, c} {
+		res, err := s.Submit(Request{Prompt: prompt, N: 3, Seed: uint64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := i == 4; res.PrefixHit != want {
+			t.Fatalf("request %d: prefix hit %v, want %v", i, res.PrefixHit, want)
+		}
+	}
+	snap := s.Stats()
+	if snap.PrefixHits != 1 || snap.PrefixMisses != 4 || snap.PrefixEvicted != 2 || snap.PrefixEntries != 2 {
+		t.Fatalf("prefix cache: %d hits, %d misses, %d evicted, %d entries; want 1, 4, 2, 2",
+			snap.PrefixHits, snap.PrefixMisses, snap.PrefixEvicted, snap.PrefixEntries)
+	}
+}
+
 // TestAdmissionBackpressure: with a tiny queue and slow service, a flood of
 // concurrent submissions must shed cleanly — every request gets exactly one
 // outcome, nothing hangs, and accounting adds up.

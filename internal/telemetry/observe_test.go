@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -181,5 +182,33 @@ func TestStartListenerError(t *testing.T) {
 	}
 	if obs != nil || !strings.Contains(err.Error(), "-metrics-addr") {
 		t.Fatalf("Start = %v, %v; want nil and a -metrics-addr error", obs, err)
+	}
+}
+
+// TestObserversHandleServesMetricsOnly: Handle registers the registry's
+// /metrics endpoint, in both formats, and nothing under it — there is no
+// metrics history to serve.
+func TestObserversHandleServesMetricsOnly(t *testing.T) {
+	obs, err := Start("observe-test", Options{Exported: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer obs.Stop()
+	obs.Registry.Counter("zipflm_handled_total").Inc()
+	mux := http.NewServeMux()
+	obs.Handle(mux)
+	for path, want := range map[string]struct {
+		code int
+		body string
+	}{
+		"/metrics":             {http.StatusOK, "zipflm_handled_total 1\n"},
+		"/metrics?format=json": {http.StatusOK, `"zipflm_handled_total": 1`},
+		"/metrics/history":     {http.StatusNotFound, ""},
+	} {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != want.code || !strings.Contains(rec.Body.String(), want.body) {
+			t.Errorf("GET %s: status %d, want %d with %q in:\n%s", path, rec.Code, want.code, want.body, rec.Body.String())
+		}
 	}
 }

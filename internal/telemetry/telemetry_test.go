@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -278,5 +279,105 @@ func TestScrapeWhileRegistering(t *testing.T) {
 	<-done
 	if got := len(r.Snapshot().Histograms); got != 200 {
 		t.Fatalf("snapshot has %d histograms, want 200", got)
+	}
+}
+
+// TestCollectBuildInfo: the build metadata names this toolchain and host,
+// and a test binary, built without a VCS stamp, still reports a version
+// and a commit.
+func TestCollectBuildInfo(t *testing.T) {
+	info := CollectBuildInfo()
+	if info.Go != runtime.Version() || info.GOOS != runtime.GOOS || info.GOARCH != runtime.GOARCH {
+		t.Errorf("toolchain %s %s/%s, want %s %s/%s", info.Go, info.GOOS, info.GOARCH, runtime.Version(), runtime.GOOS, runtime.GOARCH)
+	}
+	if info.GOMAXPROCS != runtime.GOMAXPROCS(0) || info.NumCPU != runtime.NumCPU() {
+		t.Errorf("host shape %d/%d, want %d/%d", info.GOMAXPROCS, info.NumCPU, runtime.GOMAXPROCS(0), runtime.NumCPU())
+	}
+	if info.Version == "" || info.Commit == "" {
+		t.Errorf("empty version or commit: %+v", info)
+	}
+	raw, err := json.Marshal(info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back BuildInfo
+	if err := json.Unmarshal(raw, &back); err != nil || back != info {
+		t.Errorf("JSON round trip: %+v (%v), want %+v", back, err, info)
+	}
+}
+
+// TestScrapeRegistersNothing: exporting is read-only — an empty registry
+// exports no series however often it is scraped, and scraping a populated
+// one adds no family of its own.
+func TestScrapeRegistersNothing(t *testing.T) {
+	r := NewRegistry()
+	for i := 0; i < 3; i++ {
+		var buf bytes.Buffer
+		if err := r.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("scrape %d of an empty registry wrote:\n%s", i, buf.String())
+		}
+		if s := r.Snapshot(); len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
+			t.Fatalf("snapshot %d of an empty registry: %+v", i, s)
+		}
+	}
+	r.Counter("zipflm_a_total").Inc()
+	r.Gauge("zipflm_b").Set(1)
+	r.Duration("zipflm_c_seconds").Observe(time.Millisecond)
+	for i := 0; i < 3; i++ {
+		r.WritePrometheus(io.Discard)
+		if s := r.Snapshot(); len(s.Counters) != 1 || len(s.Gauges) != 1 || len(s.Histograms) != 1 {
+			t.Fatalf("scrape %d grew the registry: %+v", i, s)
+		}
+	}
+}
+
+// TestSnapshotAgreesWithExposition: the JSON snapshot and the Prometheus
+// text carry the same series with the same values.
+func TestSnapshotAgreesWithExposition(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("zipflm_req_total").Add(3)
+	r.Counter(Label("zipflm_bytes_total", "op", "get")).Add(7)
+	r.Counter(Label("zipflm_bytes_total", "op", "put")).Add(9)
+	r.Gauge("zipflm_depth").Set(2.5)
+	h := r.Duration("zipflm_wait_seconds")
+	h.Observe(2 * time.Millisecond)
+	h.Observe(4 * time.Millisecond)
+
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	text := buf.String()
+	snap := r.Snapshot()
+	for name, v := range snap.Counters {
+		if want := fmt.Sprintf("%s %d\n", name, v); !strings.Contains(text, want) {
+			t.Errorf("counter %q missing from exposition:\n%s", want, text)
+		}
+	}
+	for name, v := range snap.Gauges {
+		if want := fmt.Sprintf("%s %s\n", name, formatFloat(v)); !strings.Contains(text, want) {
+			t.Errorf("gauge %q missing from exposition:\n%s", want, text)
+		}
+	}
+	for name, hs := range snap.Histograms {
+		if want := fmt.Sprintf("%s_count %d\n", name, hs.Count); !strings.Contains(text, want) {
+			t.Errorf("histogram %q missing from exposition:\n%s", want, text)
+		}
+		if want := fmt.Sprintf("%s_sum %s\n", name, formatFloat(hs.Sum)); !strings.Contains(text, want) {
+			t.Errorf("histogram %q missing from exposition:\n%s", want, text)
+		}
+	}
+	samples := 0
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+		if !strings.HasPrefix(line, "#") && !strings.Contains(line, "_bucket{") {
+			samples++
+		}
+	}
+	// Four counter and gauge samples, and a _sum and _count per histogram.
+	if want := len(snap.Counters) + len(snap.Gauges) + 2*len(snap.Histograms); samples != want || want != 6 {
+		t.Errorf("exposition has %d samples, snapshot %d (want 6):\n%s", samples, want, text)
 	}
 }

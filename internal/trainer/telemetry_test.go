@@ -3,11 +3,14 @@ package trainer
 import (
 	"bytes"
 	"io"
+	"math"
 	"testing"
 	"time"
 
+	"zipflm/internal/ckpt"
 	"zipflm/internal/core"
 	"zipflm/internal/perfmodel"
+	"zipflm/internal/sampling"
 	"zipflm/internal/telemetry"
 	"zipflm/internal/traceview"
 )
@@ -246,5 +249,84 @@ func TestObservatoryBitIdentity(t *testing.T) {
 	// The registry saw every step.
 	if got := reg.Snapshot().Histograms["zipflm_train_compute_seconds"].Count; got != int64(obsRes.Stats.Steps) {
 		t.Fatalf("compute histogram has %d observations, want %d", got, obsRes.Stats.Steps)
+	}
+}
+
+// faultyObservedRun trains 20 steps with on-disk checkpoints every 5 steps
+// and two rank failures inside the horizon, observed by a registry and a
+// tracer.
+func faultyObservedRun(t *testing.T) (*Trainer, *telemetry.Registry, *telemetry.Tracer) {
+	t.Helper()
+	train, valid := smallData(60, 1600, 11)
+	hw := perfmodel.TitanX()
+	cfg := smallConfig(2, core.UniqueExchange{})
+	cfg.Model.Sampled = 10
+	cfg.SeedStrategy = sampling.ZipfFreq
+	cfg.Hardware = &hw
+	cfg.SimFLOPsPerStep = 1e9
+	cfg.SimAchievedFrac = 0.4
+
+	clean, err := New(cfg, train, valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := clean.Steps(20); err != nil {
+		t.Fatal(err)
+	}
+	cfg.CheckpointEvery = 5
+	cfg.CheckpointDir = t.TempDir()
+	cfg.SimCheckpointSeconds = 0.0002
+	cfg.SimRestartSeconds = 0.0005
+	cfg.Faults = ckpt.NewFaultPlan([]ckpt.Fault{
+		{Time: clean.SimSeconds() * 0.35, Rank: 1},
+		{Time: clean.SimSeconds() * 0.70, Rank: 0},
+	})
+	reg, tracer := telemetry.NewRegistry(), telemetry.NewTracer(0)
+	cfg.Telemetry, cfg.Trace = reg, tracer
+	tr, err := New(cfg, train, valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Steps(20); err != nil {
+		t.Fatal(err)
+	}
+	return tr, reg, tracer
+}
+
+// TestCheckpointSpans: the trace holds one train/checkpoint span per
+// checkpoint captured, each lasting the modeled write barrier on the
+// virtual clock — the span is where checkpoint cost is read.
+func TestCheckpointSpans(t *testing.T) {
+	tr, _, tracer := faultyObservedRun(t)
+	fs := tr.FaultStats()
+	var spans int
+	for _, e := range tracer.Events() {
+		if e.Cat != "train" || e.Name != "checkpoint" {
+			continue
+		}
+		spans++
+		if math.Abs(e.VDur-0.0002) > 1e-12 {
+			t.Errorf("checkpoint span lasts virtual %v, want the 0.0002 s barrier", e.VDur)
+		}
+	}
+	if spans == 0 || spans != fs.Checkpoints {
+		t.Fatalf("%d checkpoint spans, want one per checkpoint (%d)", spans, fs.Checkpoints)
+	}
+}
+
+// TestFailureCountersMatchFaultStats: the failure counters publish exactly
+// what FaultStats accounts.
+func TestFailureCountersMatchFaultStats(t *testing.T) {
+	tr, reg, _ := faultyObservedRun(t)
+	fs := tr.FaultStats()
+	if fs.Faults != 2 || fs.LostSteps <= 0 {
+		t.Fatalf("fault stats %+v, want 2 faults that lost steps", fs)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters["zipflm_train_faults_total"]; got != int64(fs.Faults) {
+		t.Errorf("zipflm_train_faults_total = %d, want %d", got, fs.Faults)
+	}
+	if got := snap.Counters["zipflm_train_lost_steps_total"]; got != int64(fs.LostSteps) {
+		t.Errorf("zipflm_train_lost_steps_total = %d, want %d", got, fs.LostSteps)
 	}
 }

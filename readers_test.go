@@ -12,6 +12,7 @@ package zipflm
 
 import (
 	"os"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -143,6 +144,26 @@ func TestMetricFamiliesHaveReaders(t *testing.T) {
 	}
 	if len(registered) != len(metricReaders) {
 		t.Errorf("%d families registered, %d rows in metricReaders", len(registered), len(metricReaders))
+	}
+}
+
+// TestDashNamesOnlyRegisteredFamilies is the converse of
+// TestMetricFamiliesHaveReaders for zipflm-top: every metric family
+// internal/dash/dash.go names is one the programs register, so no panel
+// reads a family that is gone and stays blank.
+func TestDashNamesOnlyRegisteredFamilies(t *testing.T) {
+	buf, err := os.ReadFile("internal/dash/dash.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := regexp.MustCompile(`zipflm_[a-z0-9_]+`).FindAllString(string(buf), -1)
+	if len(named) == 0 {
+		t.Fatal("internal/dash/dash.go names no metric family")
+	}
+	for _, family := range named {
+		if _, ok := metricReaders[family]; !ok {
+			t.Errorf("internal/dash/dash.go reads %s, which no program registers", family)
+		}
 	}
 }
 

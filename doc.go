@@ -126,7 +126,12 @@
 // bit-identical to Serial at every worker count — which is what lets one
 // knob accelerate training, validation, and serving without perturbing any
 // of the repository's exact-bits contracts. Dispatch is allocation-free
-// and small products fall back to the serial kernel. Training hands it
+// and small products fall back to the serial kernel. A helper stays awake
+// for a short window after each call, yielding the processor while it
+// polls, so back-to-back calls — a decode step's products, a training
+// step's phases — skip the wake of a parked goroutine. The trainer runs
+// its ranks' forward/backward passes and its synchronization's bulk work
+// on one such pool, so a step starts no goroutine. Training hands it
 // products worth tiling: internal/model runs a whole T×B sequence per call
 // on time-major slabs from a reusable per-replica workspace, so the input
 // products, the weight-gradient products, the bias sums and dx run once per

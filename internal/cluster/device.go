@@ -1,5 +1,5 @@
 // Package cluster simulates the paper's GPU cluster: a set of devices, one
-// goroutine per rank, each with a byte-accurate memory accountant. The
+// per rank, each with a byte-accurate memory accountant. The
 // paper's Table II hardware (GeForce GTX Titan X, 12 GB HBM2, 6.1 TFLOP/s
 // peak) is the default device profile. Time is not a device's: the step is
 // bulk-synchronous, so the simulator prices it on one vclock.Clock that
@@ -97,7 +97,9 @@ func (d *Device) Peak() int64 {
 	return d.peak
 }
 
-// Cluster is a fixed set of devices executed as one goroutine per rank.
+// Cluster is a fixed set of devices, one per rank. Run executes a function
+// on a goroutine per rank; the trainer runs its ranks on its worker pool
+// instead, and the benchmark ladder's rungs are Run's callers.
 type Cluster struct {
 	Devices []*Device
 }

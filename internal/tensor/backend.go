@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Backend is the pluggable compute engine behind the matmul kernels: the
@@ -121,12 +122,26 @@ const parallelMinWork = 1 << 15
 
 // ElementwiseMinWork is parallelMinWork's counterpart for elementwise passes
 // over many tensors at once — a ring all-reduce's chunks, an optimizer step:
-// the element count per call below which waking a second worker costs more
-// than it saves, so the pass stays on the caller. On a 2-vCPU KVM host a
-// parked helper starts about 65 µs after it is woken, and two workers first
-// beat one on an Adam step or an FP16 ring at G = 4 between 64 Ki and 256 Ki
-// elements. Only two workers were measured.
+// the element count per call below which a second worker costs more than it
+// saves, so the pass stays on the caller. It was sized when every call woke
+// a parked helper, which on a 2-vCPU KVM host starts about 65 µs after it
+// is woken: two workers then first beat one on an Adam step or an FP16 ring
+// at G = 4 between 64 Ki and 256 Ki elements. Only two workers were
+// measured. A helper stays awake for awakeWindow after a call, so a pass
+// that closely follows another pays less than that wake; the cutoff has not
+// been re-measured since.
 const ElementwiseMinWork = 1 << 17
+
+// awakeWindow is how long a helper keeps polling for its next call after it
+// acked one, yielding the processor between polls, before it parks on its
+// channel. It is sized from the wake it saves and the gaps it must bridge:
+// a parked helper starts about 65 µs after it is woken on a 2-vCPU KVM
+// host, and in the batched decoder 99.8 % of the gaps between one call's
+// end and the next call are under 80 µs, 16 % of them over 20 µs. So a
+// helper stays awake through a decode loop or a training step's
+// back-to-back calls, and an idle pool still parks within a tenth of a
+// millisecond.
+const awakeWindow = 100 * time.Microsecond
 
 // Fanout returns how many workers of be an elementwise pass over n elements
 // should be spread over: one per ElementwiseMinWork/2 elements, at least 1
@@ -161,11 +176,14 @@ func Stripe(n, w, i int) (lo, hi int) {
 // adds, no reduction trees, no scheduling dependence.
 //
 // The workers−1 helper goroutines are persistent (spawned once in
-// NewParallel, parked on a channel between calls) and the dispatch path
-// performs no allocation, preserving the zero-alloc guarantees of the
-// serving hot loop. A Parallel may be shared — concurrent kernel calls
-// serialize on an internal mutex, each call then using every worker — which
-// is how the trainer gives all simulated ranks one compute device.
+// NewParallel). After a call a helper stays awake for awakeWindow, polling
+// for the next one and yielding the processor between polls, and only then
+// parks on a channel, so back-to-back calls skip the wake of a parked
+// goroutine. The dispatch path performs no allocation, preserving the
+// zero-alloc guarantees of the serving hot loop. A Parallel may be shared —
+// concurrent kernel calls serialize on an internal mutex, each call then
+// using every worker — which is how the trainer gives all simulated ranks
+// one compute device.
 type Parallel struct {
 	mu      sync.Mutex
 	workers int
@@ -217,7 +235,11 @@ type tileWork struct {
 // plus the calling goroutine). n is clamped to at least 1; more workers than
 // GOMAXPROCS is allowed — results do not depend on n, only speed does.
 // Helpers persist until Close or until the backend is garbage collected.
-func NewParallel(n int) *Parallel {
+func NewParallel(n int) *Parallel { return newParallel(n, awakeWindow) }
+
+// newParallel is NewParallel with the helpers' awake window as a parameter,
+// so the tests can hold helpers awake past any scheduling delay.
+func newParallel(n int, window time.Duration) *Parallel {
 	if n < 1 {
 		n = 1
 	}
@@ -230,7 +252,7 @@ func NewParallel(n int) *Parallel {
 		},
 	}
 	for i := 0; i < n-1; i++ {
-		go p.job.run()
+		go p.job.run(window)
 	}
 	if n > 1 {
 		// Helpers reference the job, not the Parallel, so an abandoned
@@ -249,15 +271,33 @@ func (j *parallelJob) close() { j.once.Do(func() { close(j.quit) }) }
 
 // run is the helper loop: wait for a token, claim and execute tiles until
 // none remain, ack.
-func (j *parallelJob) run() {
-	for {
+func (j *parallelJob) run(window time.Duration) {
+	for j.await(window) {
+		j.claim()
+		j.ack <- struct{}{}
+	}
+}
+
+// await waits for the helper's next token and reports false once the
+// backend is closed. For window it polls both channels, calling
+// runtime.Gosched between polls so that a goroutine waiting for the
+// processor — with one P, the dispatching caller itself — runs first; then
+// it parks.
+func (j *parallelJob) await(window time.Duration) bool {
+	for start := time.Now(); time.Since(start) < window; runtime.Gosched() {
 		select {
 		case <-j.wake:
-			j.claim()
-			j.ack <- struct{}{}
+			return true
 		case <-j.quit:
-			return
+			return false
+		default:
 		}
+	}
+	select {
+	case <-j.wake:
+		return true
+	case <-j.quit:
+		return false
 	}
 }
 
@@ -349,8 +389,8 @@ func (p *Parallel) dispatch(w tileWork, rows, cols int) {
 	for i := 0; i < helpers; i++ {
 		<-j.ack
 	}
-	// Helpers are parked again; drop the operands so a long-lived backend
-	// does not pin the last call's.
+	// The helpers touch the job no more until the next token; drop the
+	// operands so a long-lived backend does not pin the last call's.
 	j.tileWork = tileWork{}
 	if r := j.failed.Swap(nil); r != nil {
 		panic(*r)

@@ -3,8 +3,11 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"zipflm/internal/israce"
 	"zipflm/internal/rng"
@@ -108,7 +111,8 @@ func TestBackendBitIdentity(t *testing.T) {
 
 // TestBackendSharedAcrossCalls exercises one long-lived Parallel across many
 // consecutive calls (the trainer and server hold a single instance for the
-// whole process) — reusing the parked helpers must stay bit-identical.
+// whole process) — reusing the helpers, awake or parked, must stay
+// bit-identical.
 func TestBackendSharedAcrossCalls(t *testing.T) {
 	r := rng.New(7)
 	p := NewParallel(4)
@@ -425,4 +429,137 @@ func TestMatMulATBAccStackedEqualsBlocks(t *testing.T) {
 			bitsEqual(t, ctx+": vs serial", stacked, first)
 		}
 	}
+}
+
+// poolHelpers returns the goroutines a Parallel started for its helpers,
+// as their "goroutine N [state" headers keyed by goroutine id. A goroutine
+// running on another processor has no stack in the dump, so a helper that
+// is polling is listed only when it is not running at that moment.
+func poolHelpers() map[string]string {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	out := map[string]string{}
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "created by zipflm/internal/tensor.newParallel") {
+			head, _, _ := strings.Cut(g, "]")
+			id, _, _ := strings.Cut(head, "[")
+			out[id] = head
+		}
+	}
+	return out
+}
+
+// newHelpers returns the helpers started since before, which poolHelpers
+// listed earlier.
+func newHelpers(before map[string]string) map[string]string {
+	out := map[string]string{}
+	for id, head := range poolHelpers() {
+		if _, ok := before[id]; !ok {
+			out[id] = head
+		}
+	}
+	return out
+}
+
+// TestCloseRetiresAwakeHelpers: Close ends helpers that are still inside
+// their awake window, polling for the next call. The pool here keeps its
+// helpers awake for an hour after each call, so they can only retire within
+// the one-second bound if the polling loop watches quit. It runs at
+// GOMAXPROCS 1, where a polling helper is never running while the test
+// reads the stacks, so every helper is listed.
+func TestCloseRetiresAwakeHelpers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	before := poolHelpers()
+	p := newParallel(4, time.Hour)
+	var calls atomic.Int64
+	p.For(8, func(int) { calls.Add(1) })
+	if calls.Load() != 8 {
+		t.Fatalf("For made %d calls, want 8", calls.Load())
+	}
+	if n := len(newHelpers(before)); n != 3 {
+		t.Fatalf("found %d helpers of a 4-worker pool, want 3", n)
+	}
+	p.Close()
+	deadline := time.Now().Add(time.Second)
+	for len(newHelpers(before)) > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("helpers still running 1 s after Close: %v", newHelpers(before))
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestAwakeHelpersShareOneP runs a burst of back-to-back dispatches — the
+// batched decoder's int8 products and its sampling For — at GOMAXPROCS 1,
+// where an awake helper and the caller take turns on the one processor: the
+// helpers' polling must yield it, or the caller waits for the runtime to
+// preempt them, about 10 ms a time. It runs once with the package's window
+// and once with helpers awake for an hour, where the burst finishes in well
+// under the 2 s bound only if they yield (without the yield it took 8 s on a
+// 2-vCPU host). Every product must match Serial
+// bit for bit and every For must make each of its calls once.
+func TestAwakeHelpersShareOneP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	r := rng.New(11)
+	q := QuantizeMatrix(randMatrix(r, 600, 96), 32)
+	for _, window := range []time.Duration{awakeWindow, time.Hour} {
+		p := newParallel(4, window)
+		start := time.Now()
+		for i := 0; i < 200; i++ {
+			a := randMatrix(r, 1+i%5, 96) // 1 to 5 rows, each call above parallelMinWork
+			want, got := NewMatrix(a.Rows, q.Rows), NewMatrix(a.Rows, q.Rows)
+			MatMulABTStreamQ8(want, a, q)
+			p.MatMulABTStreamQ8(got, a, q)
+			bitsEqual(t, fmt.Sprintf("window %v, burst call %d", window, i), got, want)
+			calls := make([]int, 1+i%9)
+			p.For(len(calls), func(k int) { calls[k]++ })
+			for k, c := range calls {
+				if c != 1 {
+					t.Fatalf("window %v, burst For %d: index %d called %d times", window, i, k, c)
+				}
+			}
+		}
+		p.Close()
+		if d := time.Since(start); d > 2*time.Second {
+			t.Errorf("window %v: 400 dispatches on one P took %v, want under 2 s", window, d)
+		}
+	}
+}
+
+// TestDispatchWakesParkedHelpers: once the awake window has passed with no
+// call, every helper parks on its channel, and the next dispatch still wakes
+// them and completes, bit-identical to Serial.
+func TestDispatchWakesParkedHelpers(t *testing.T) {
+	r := rng.New(13)
+	before := poolHelpers()
+	p := NewParallel(3)
+	defer p.Close()
+	a, b := randMatrix(r, 64, 64), randMatrix(r, 64, 64)
+	want := NewMatrix(64, 64)
+	MatMul(want, a, b)
+	got := NewMatrix(64, 64)
+	p.MatMul(got, a, b)
+	bitsEqual(t, "before parking", got, want)
+	// A helper blocked in await's final select reports "[select"; one that
+	// is polling is running or runnable.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		helpers := newHelpers(before)
+		parked := 0
+		for _, head := range helpers {
+			if strings.HasSuffix(head, "[select") {
+				parked++
+			}
+		}
+		if len(helpers) == 2 && parked == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("helpers not parked 5 s after the last call: %v", helpers)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	got.Zero()
+	p.MatMul(got, a, b)
+	bitsEqual(t, "after parking", got, want)
 }

@@ -100,10 +100,9 @@ var wideModel = model.Config{Vocab: 60, Dim: 64, Hidden: 192, RNN: model.KindLST
 // count and unique-word sums Run would put in its StepStats.
 func ledgerSteps(tr *Trainer, n int) (StepStats, error) {
 	var sums StepStats
-	seeds := sampling.Assign(tr.cfg.SeedStrategy, tr.cfg.Ranks, tr.cfg.BaseSeed+1)
 	for ; sums.Steps < n; sums.Steps++ {
 		tr.resetStateAtEpoch()
-		st, err := tr.trainStep(tr.step, tr.lrForStep(), seeds)
+		st, err := tr.trainStep(tr.lrForStep())
 		if err != nil {
 			return sums, err
 		}

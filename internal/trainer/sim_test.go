@@ -233,8 +233,8 @@ func TestOverlapPricedOnVirtualClock(t *testing.T) {
 
 // TestTraceOneTimeline: phase 2 runs once for every rank, so the trace
 // records it once — the exchange, the update and every collective are one
-// span on tid 0 — and only phase 1's compute, which G goroutines really run
-// apart, has a span per rank. So a step's complete spans, minus G, do not
+// span on tid 0 — and only phase 1's compute, whose G passes the pool's
+// workers really run apart, has a span per rank. So a step's complete spans, minus G, do not
 // depend on G.
 func TestTraceOneTimeline(t *testing.T) {
 	hw := perfmodel.TitanX()

@@ -3,7 +3,7 @@
 // way §II-B describes the production workflow:
 //
 //   - each rank holds a model replica and a private shard of the training
-//     stream, and runs its forward/backward pass on a goroutine of its own;
+//     stream, and runs its forward/backward pass on the trainer's pool;
 //   - dense RNN/projection gradients synchronize with a ring ALLREDUCE;
 //   - input-embedding gradients go through a pluggable core.Exchanger —
 //     the baseline ALLGATHER or the paper's unique exchange;
@@ -13,14 +13,15 @@
 //   - FP16 wire compression (§III-C) applies to all gradient payloads when
 //     configured.
 //
-// The synchronization phase executes once for all ranks, driven from the
-// step's goroutine: every collective and exchange takes the G ranks' buffers
-// in one call (collective's …Ranks methods, core.Exchanger.ExchangeRanks)
-// and leaves the reduced gradients in rank 0's, while counting, pricing and
-// tracing every rank as its own. Its bulk elementwise work — the chunks of
-// the dense rings and the Adam step — is spread over the
-// trainer's worker pool, one worker per core whatever Config.Workers is, as
-// chunk sets and stripes that leave every bit where one goroutine would.
+// That pool, one worker per core whatever Config.Workers is, does all of a
+// step's parallel work, so a step starts no goroutine. The synchronization
+// phase executes once for all ranks, driven from the step's goroutine:
+// every collective and exchange takes the G ranks' buffers in one call
+// (collective's …Ranks methods, core.Exchanger.ExchangeRanks) and leaves
+// the reduced gradients in rank 0's, while counting, pricing and tracing
+// every rank as its own. Its bulk elementwise work — the chunks of the dense
+// rings and the Adam step — is spread over the pool as chunk sets and
+// stripes that leave every bit where one goroutine would.
 //
 // §II-B's invariant, "the model parameters on all GPUs are the same during
 // the next training step", holds by construction: the replicas share rank
@@ -95,9 +96,9 @@ type Config struct {
 	// ZIPFLM_WORKERS); 1 forces the serial reference. Every setting
 	// produces bit-identical replicas, gradients, and losses — the backend
 	// contract — so Workers is a speed knob, not part of the trajectory,
-	// and deliberately not persisted in checkpoints. It sizes the pool of
-	// phase 1, whose ranks compute concurrently; phase 2 runs alone and
-	// spreads its chunk sets and stripes over a pool of its own with one
+	// and deliberately not persisted in checkpoints. It sizes only the
+	// replicas' matmul backend: the step itself runs the ranks' passes and
+	// phase 2's chunk sets and stripes on the trainer's own pool, one
 	// worker per core (GOMAXPROCS at New), whatever Workers is.
 	Workers int
 	// DeviceCapacity bounds per-rank memory (0 = unlimited).
@@ -180,8 +181,9 @@ type Config struct {
 	// phase splits into an exchange and an update span; checkpoint saves
 	// and fault-rollback instants go there too. The attached communicator
 	// adds one span per collective operation (cat "collective", tid 0).
-	// Phase 1 runs a goroutine per rank, so each rank writes its own
-	// compute span (cat "rank", tid = rank), on the device clock's times.
+	// Phase 1 runs the ranks' passes on the pool's workers, and each rank
+	// writes its own compute span (cat "rank", tid = rank) from the worker
+	// that ran it, on the device clock's times.
 	// Export with Tracer.WriteChromeTrace.
 	Trace *telemetry.Tracer
 	// Flight, when non-nil, records structured anomaly events (checkpoint
@@ -261,10 +263,19 @@ type Trainer struct {
 	comm   *collective.Comm
 	models []*model.LM
 	opt    optim.Optimizer
-	// be is phase 2's worker pool, one worker per core at New whatever
-	// Config.Workers is: the communicator's rings and the
-	// optimizer spread their chunk sets and stripes over it.
+	// be is the step's worker pool, one worker per core at New whatever
+	// Config.Workers is: phase 1 runs the ranks' passes on it, and the
+	// communicator's rings and the optimizer spread their chunk sets and
+	// stripes over it.
 	be tensor.Backend
+	// seeds are the ranks' sampler seeds, assigned once by
+	// Config.SeedStrategy; rankPass derives each step's from them.
+	seeds []uint64
+	// pass is the virtual span of the step's compute phase, which trainStep
+	// sets for rankPass's trace spans; rankPassFn is t.rankPass, bound once
+	// in New so that a step allocates no closure.
+	pass       struct{ simStart, simCompute float64 }
+	rankPassFn func(rank int)
 	// ctxs are the ranks' exchange contexts, each with its own workspace.
 	ctxs   []*core.Ctx
 	shards [][]int
@@ -360,6 +371,8 @@ func New(cfg Config, train, valid []int) (*Trainer, error) {
 		valid: valid,
 	}
 	t.comm.AttachBackend(t.be)
+	t.seeds = sampling.Assign(cfg.SeedStrategy, cfg.Ranks, cfg.BaseSeed+1)
+	t.rankPassFn = t.rankPass
 	t.tel = newTrainerTelemetry(cfg.Telemetry)
 	if cfg.Trace != nil {
 		t.comm.AttachTrace(cfg.Trace)
@@ -770,15 +783,13 @@ func (t *Trainer) Run(epochs int, evalsPerEpoch int) (Result, error) {
 	// wire bytes, not lifetime totals (earlier Steps calls — warm-ups in
 	// benches — would otherwise inflate the figure).
 	wireBefore := t.comm.MaxStats().Total()
-	seeds := sampling.Assign(t.cfg.SeedStrategy, t.cfg.Ranks, t.cfg.BaseSeed+1)
-
 	target := t.step + epochs*stepsPerEpoch
 	lastEval := t.step - evalEvery
 	for t.step < target {
 		step := t.step
 		lr := t.lrForStep()
 		t.resetStateAtEpoch()
-		stats, err := t.trainStep(step, lr, seeds)
+		stats, err := t.trainStep(lr)
 		if err != nil {
 			return res, err
 		}
@@ -841,11 +852,10 @@ func (t *Trainer) Run(epochs int, evalsPerEpoch int) (Result, error) {
 // from step zero. Under failure injection, rolled-back steps are replayed
 // until the commit target is reached (FaultStats reports the lost work).
 func (t *Trainer) Steps(n int) error {
-	seeds := sampling.Assign(t.cfg.SeedStrategy, t.cfg.Ranks, t.cfg.BaseSeed+1)
 	target := t.step + n
 	for t.step < target {
 		t.resetStateAtEpoch()
-		if _, err := t.trainStep(t.step, t.lrForStep(), seeds); err != nil {
+		if _, err := t.trainStep(t.lrForStep()); err != nil {
 			return err
 		}
 		t.step++
@@ -983,19 +993,49 @@ func firstError(errs []error) error {
 	return nil
 }
 
-// trainStep executes one synchronous step across all ranks.
+// rankPass is phase 1 for one rank: the rank's forward/backward pass on its
+// batch of step t.step, into t.results[rank], and its compute span.
+// trainStep runs it for every rank through t.rankPassFn.
+func (t *Trainer) rankPass(rank int) {
+	var cT0 time.Time
+	if t.cfg.Trace != nil {
+		cT0 = time.Now()
+	}
+	step := t.step
+	m := t.models[rank]
+	m.ZeroGrads()
+	var sampler sampling.CandidateSampler
+	if t.cfg.Model.Sampled > 0 {
+		// Re-seed per step so ranks sharing a §III-B seed draw the same
+		// candidates every step while the stream still varies across steps.
+		stepSeed := t.seeds[rank] + uint64(step)*0x9e3779b9
+		if t.cfg.NewSampler != nil {
+			sampler = t.cfg.NewSampler(t.cfg.Model.Vocab, stepSeed)
+		} else {
+			sampler = sampling.NewSampler(t.cfg.Model.Vocab, stepSeed)
+		}
+	}
+	inputs, targets := t.batchAt(rank, step)
+	t.results[rank] = m.ForwardBackward(inputs, targets, sampler)
+	if tr := t.cfg.Trace; tr != nil {
+		tr.Span("rank", "compute", rank, cT0, time.Since(cT0), t.pass.simStart, t.pass.simCompute)
+	}
+}
+
+// trainStep executes synchronous step t.step across all ranks.
 //
-// Phase 1 runs every rank's forward/backward pass on a goroutine of its own;
-// the calling goroutine has charged it to the device clock, once for every
-// rank, before. Phase 2 runs from the calling goroutine, once for every
-// rank: the dense reductions (reduceDense), the sparse exchanges, the
-// charge for the embedding update every device makes, and then the update
-// itself, once, on rank 0's reduced gradients. The element-pure rings'
-// chunk sets and the Adam step's stripes run on the pool New started
-// (t.be), so phase 2 starts no goroutine. cfg.Overlap decides only how the
-// dense reductions are grouped and priced, so weights and wire-byte
-// counters match exactly between the modes.
-func (t *Trainer) trainStep(step int, lrNow float64, seeds []uint64) (stepStats, error) {
+// Phase 1 runs every rank's forward/backward pass (rankPass) as one For
+// over the ranks on the pool New started (t.be), which raises a panic in a
+// rank's pass again on the caller; the calling goroutine has charged the
+// pass to the device clock, once for every rank, before. Phase 2 runs from
+// the calling goroutine, once for every rank: the dense reductions
+// (reduceDense), the sparse exchanges, the charge for the embedding update
+// every device makes, and then the update itself, once, on rank 0's reduced
+// gradients. The element-pure rings' chunk sets and the Adam step's stripes
+// run on the same pool, so a step starts no goroutine. cfg.Overlap decides
+// only how the dense reductions are grouped and priced, so weights and
+// wire-byte counters match exactly between the modes.
+func (t *Trainer) trainStep(lrNow float64) (stepStats, error) {
 	g := t.cfg.Ranks
 	results := t.results
 	var agg stepStats
@@ -1010,32 +1050,8 @@ func (t *Trainer) trainStep(step int, lrNow float64, seeds []uint64) (stepStats,
 
 	// Phase 1 (parallel): forward/backward on every rank.
 	phaseStart := time.Now()
-	_ = t.clu.Run(func(rank int, _ *cluster.Device) error {
-		var cT0 time.Time
-		if t.cfg.Trace != nil {
-			cT0 = time.Now()
-		}
-		m := t.models[rank]
-		m.ZeroGrads()
-		var sampler sampling.CandidateSampler
-		if t.cfg.Model.Sampled > 0 {
-			// Re-seed per step so ranks sharing a §III-B seed draw the
-			// same candidates every step while the stream still varies
-			// across steps.
-			stepSeed := seeds[rank] + uint64(step)*0x9e3779b9
-			if t.cfg.NewSampler != nil {
-				sampler = t.cfg.NewSampler(t.cfg.Model.Vocab, stepSeed)
-			} else {
-				sampler = sampling.NewSampler(t.cfg.Model.Vocab, stepSeed)
-			}
-		}
-		inputs, targets := t.batchAt(rank, step)
-		results[rank] = m.ForwardBackward(inputs, targets, sampler)
-		if tr := t.cfg.Trace; tr != nil {
-			tr.Span("rank", "compute", rank, cT0, time.Since(cT0), agg.simStart, agg.simCompute)
-		}
-		return nil
-	})
+	t.pass.simStart, t.pass.simCompute = agg.simStart, agg.simCompute
+	t.be.For(g, t.rankPassFn)
 	agg.computeTime = time.Since(phaseStart)
 	computeStart := phaseStart
 	phaseStart = time.Now()

@@ -195,10 +195,13 @@ func main() {
 
 // Limits on what one client can make the public listener hold: a request body
 // is cut off at maxBodyBytes (413) before any of it is decoded, and a
-// client gets readHeaderTimeout to finish sending its request headers.
+// client gets readHeaderTimeout to finish sending its request headers and
+// then bodyReadTimeout to finish sending the body (408), so a slow client
+// holds neither a handler nor Shutdown for longer.
 const (
 	maxBodyBytes      = 1 << 20
 	readHeaderTimeout = 10 * time.Second
+	bodyReadTimeout   = 5 * time.Second
 )
 
 // newMux routes the HTTP API onto the server, next to the observers'
@@ -223,9 +226,17 @@ func newMux(srv *serve.Server, vocab *corpus.Vocabulary, weights *weightsInfo, o
 	return mux
 }
 
-// decodeBody decodes a JSON request body of at most maxBodyBytes into v,
-// answering 413 or 400 itself when it cannot.
+// decodeBody decodes a JSON request body of at most maxBodyBytes, sent
+// within bodyReadTimeout, into v, answering 413, 408 or 400 itself when it
+// cannot. The deadline is set on the connection and stays for the rest of
+// the request, so the server's drain of an unread body after the handler is
+// bounded too; the server sets its own before reading the next request. If
+// it passes while the handler runs, the server's read-ahead fails and
+// cancels the request's context, which no handler here watches. A
+// ResponseWriter without a connection (a test's recorder) reads with no
+// deadline.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	http.NewResponseController(w).SetReadDeadline(time.Now().Add(bodyReadTimeout))
 	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
 	var tooLarge *http.MaxBytesError
 	switch {
@@ -233,6 +244,8 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 		return true
 	case errors.As(err, &tooLarge):
 		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes), http.StatusRequestEntityTooLarge)
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		http.Error(w, fmt.Sprintf("request body not received within %v", bodyReadTimeout), http.StatusRequestTimeout)
 	default:
 		http.Error(w, "bad json: "+err.Error(), http.StatusBadRequest)
 	}

@@ -1,12 +1,15 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -16,6 +19,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"zipflm/internal/ckpt"
 	"zipflm/internal/model"
@@ -145,6 +149,54 @@ func TestGenerateRejectsBadRequests(t *testing.T) {
 	a.stats(t, &stats)
 	if stats.Accepted != 1 || stats.Completed != 0 {
 		t.Errorf("rejected requests were admitted: accepted %d, completed %d", stats.Accepted, stats.Completed)
+	}
+}
+
+// TestSlowBodyIsCutOff: a client that sends complete headers and then one
+// body byte every 100 ms is answered 408 within bodyReadTimeout (plus a
+// second of slack), and its handler has returned by then, so Shutdown
+// finishes at once instead of waiting for the client.
+func TestSlowBodyIsCutOff(t *testing.T) {
+	a := newAPI(t, "")
+	conn, err := net.Dial("tcp", a.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	fmt.Fprintf(conn, "POST /v1/generate HTTP/1.1\r\nHost: zipflm\r\nContent-Type: application/json\r\nContent-Length: 4096\r\n\r\n")
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		tick := time.NewTicker(100 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				if _, err := conn.Write([]byte(" ")); err != nil {
+					return
+				}
+			}
+		}
+	}()
+	defer func() { close(stop); <-stopped }()
+
+	bound := bodyReadTimeout + time.Second
+	conn.SetReadDeadline(start.Add(bound))
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("no answer within %v of the headers: %v", bound, err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestTimeout {
+		t.Fatalf("status %d after %v, want %d", resp.StatusCode, time.Since(start), http.StatusRequestTimeout)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if err := a.Config.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown with the slow client still connected: %v", err)
 	}
 }
 

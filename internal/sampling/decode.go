@@ -101,10 +101,8 @@ func (d *Decoder) Sample(logits []float32, opts DecodeOpts, r *rng.RNG) int {
 		return d.sampleTopK(logits, opts, r)
 	}
 
-	inv := float32(1 / opts.Temperature)
-	for i, v := range logits {
-		d.probs[i] = v * inv
-	}
+	copy(d.probs, logits)
+	tensor.Scale(d.probs, float32(1/opts.Temperature))
 	if !(tensor.SoftmaxRow(d.probs) > 0) {
 		// NaN (a NaN logit) or 0 (nothing but −Inf): no distribution.
 		r.Float64()

@@ -1,11 +1,13 @@
 package sampling
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
 
 	"zipflm/internal/rng"
+	"zipflm/internal/tensor"
 )
 
 // TestTopKSelectionMatchesSort: the heap-based top-k candidate set must be
@@ -240,4 +242,91 @@ func TestSampleNonFiniteLogits(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSampleMatchesScalarDefinition holds Sample's distribution to the
+// scalar definition bit for bit: each logit times float32(1/T), one rounded
+// multiply, then the softmax of that row, whose maximum is the first of the
+// largest (a NaN first kept, a NaN later skipped, the first zero's sign). The
+// rows are the ones where a vector pass could disagree with the loops: a NaN
+// first and later, a ±0 maximum either way round, ±Inf, all −Inf, at every
+// length 1–40, so each len%8 follows zero to several blocks of eight. The
+// draw that follows reads nothing else, so equal probabilities are equal
+// tokens.
+func TestSampleMatchesScalarDefinition(t *testing.T) {
+	inf, negZero := float32(math.Inf(1)), float32(math.Copysign(0, -1))
+	nan1, nan2 := math.Float32frombits(0x7fc00001), math.Float32frombits(0xffc00155)
+	r := rng.New(5)
+	for n := 1; n <= 40; n++ {
+		base, neg, allNegInf := make([]float32, n), make([]float32, n), make([]float32, n)
+		for i := range base {
+			base[i] = float32(r.NormFloat64() * 3)
+			neg[i] = -1 - float32(math.Abs(r.NormFloat64()))
+			allNegInf[i] = -inf
+		}
+		rows := map[string][]float32{"random": base, "all -Inf": allNegInf}
+		for p := 0; p < n; p++ {
+			q := (p + n/2 + 1) % n
+			set := func(x []float32, vp, vq float32) []float32 {
+				x = append([]float32(nil), x...)
+				x[q], x[p] = vq, vp
+				return x
+			}
+			for name, x := range map[string][]float32{
+				"NaN, NaN later": set(base, nan1, nan2),
+				"+Inf":           set(base, inf, base[q]),
+				"-Inf":           set(base, -inf, base[q]),
+				"-0, +0":         set(neg, negZero, 0),
+				"+0, -0":         set(neg, 0, negZero),
+				"-0 above -Inf":  set(allNegInf, negZero, -inf),
+			} {
+				rows[fmt.Sprintf("%s at %d, %d", name, p, q)] = x
+			}
+		}
+		d := NewDecoder(n)
+		for name, logits := range rows {
+			for _, temp := range []float64{0.8, 1, 3} {
+				inv := float32(1 / temp)
+				want := make([]float32, n)
+				for i, v := range logits {
+					want[i] = v * inv
+				}
+				wantMax := want[0]
+				for _, v := range want {
+					if v > wantMax {
+						wantMax = v
+					}
+				}
+				if gotMax, _ := tensor.ExpSumRow(nil, want); math.Float32bits(gotMax) != math.Float32bits(wantMax) {
+					t.Fatalf("n=%d %s T=%v: softmax maximum %#08x, scalar %#08x", n, name, temp, math.Float32bits(gotMax), math.Float32bits(wantMax))
+				}
+				tensor.SoftmaxRow(want)
+				d.Sample(logits, DecodeOpts{Temperature: temp}, rng.New(1))
+				for i := range want {
+					if math.Float32bits(d.probs[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("n=%d %s T=%v: probability %d is %#08x, scalar definition %#08x",
+							n, name, temp, i, math.Float32bits(d.probs[i]), math.Float32bits(want[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkDecoderSample times one unrestricted draw from 8 000 logits at
+// temperature 0.8, the serving workloads' vocabulary: the scale, the
+// softmax (maximum, exponentials and sum) and the inverse-CDF walk.
+func BenchmarkDecoderSample(b *testing.B) {
+	r := rng.New(1)
+	logits := make([]float32, 8000)
+	for i := range logits {
+		logits[i] = float32(r.NormFloat64() * 2)
+	}
+	d := NewDecoder(len(logits))
+	opts := DecodeOpts{Temperature: 0.8}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Sample(logits, opts, r)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N), "us/token")
 }

@@ -36,3 +36,10 @@ func dotRows2AVX(dst0, dst1 *float32, n int, a0, a1, b *float32, k int)
 //
 //go:noescape
 func allFiniteAVX(x *float32, n int) bool
+
+// maxAVX is maxGo over the first n elements, n a positive multiple of 8,
+// except that a zero result may carry the other sign; rowMax finishes the
+// rest and settles the zero.
+//
+//go:noescape
+func maxAVX(x *float32, n int) float32

@@ -323,13 +323,16 @@ runRet:
 // both go through the canonical combine at once): dotRows1AVX broadcasts
 // a[i:i+4] to both lanes and computes eight outputs per pass, b rows j…j+3 in
 // the lower lanes and j+4…j+7 in the upper; dotRows2AVX broadcasts each b
-// load instead and carries a second a row in the upper lanes.
+// load instead and carries a second a row in the upper lanes, so its eight
+// columns per pass take eight accumulators, sixteen outputs on eight
+// independent add chains (dotRows1AVX's pass has four).
 //
 // Both routines walk b by row cursors: BX is the first row of the current
 // group of four plus the byte offset into the row, and the other three rows
 // are (BX)(R9*1), (BX)(R9*2), (BX)(R12*1) with R9 the row length in bytes and
-// R12 three times that. dotRows1AVX's eight-wide group has a second such
-// cursor, DX, four rows below BX.
+// R12 three times that. The eight-wide pass has a second such cursor four
+// rows below BX: DX in dotRows1AVX, R14 in dotRows2AVX (R14 is free in
+// ABI0 assembly; the wrapper the compiler puts around the call restores it).
 
 // func dotRows1AVX(dst *float32, n int, a, b *float32, k int)
 //
@@ -513,7 +516,10 @@ d1ret:
 // Lower 128-bit lanes hold a0's sums, upper lanes a1's: Y8 is
 // a0[i:i+4] | a1[i:i+4], each b load is broadcast to both lanes, and
 // VHADDPS works within each lane, so both rows go through the canonical
-// combine at once.
+// combine at once. Eight columns per pass (accumulator m holds column j+m,
+// Y0–Y3 from BX's rows and Y4–Y7 from R14's), then one pass of four and
+// single columns for the last 1–7. b is a block matMulABTRange keeps in L1,
+// so there is no prefetch.
 TEXT ·dotRows2AVX(SB), NOSPLIT, $0-56
 	MOVQ	dst0+0(FP), DI
 	MOVQ	dst1+8(FP), DX
@@ -529,6 +535,95 @@ TEXT ·dotRows2AVX(SB), NOSPLIT, $0-56
 	ANDQ	$-4, R11
 	SHLQ	$2, R11
 	SHLQ	$2, R10
+
+d2col8:
+	CMPQ	CX, $8
+	JL	d2col4
+	VXORPS	Y0, Y0, Y0
+	VXORPS	Y1, Y1, Y1
+	VXORPS	Y2, Y2, Y2
+	VXORPS	Y3, Y3, Y3
+	VXORPS	Y4, Y4, Y4
+	VXORPS	Y5, Y5, Y5
+	VXORPS	Y6, Y6, Y6
+	VXORPS	Y7, Y7, Y7
+	MOVQ	R8, BX
+	LEAQ	(R8)(R9*4), R14
+	XORQ	SI, SI
+d2col8k:
+	CMPQ	SI, R11
+	JGE	d2col8sum
+	VMOVUPS	(AX)(SI*1), X8
+	VINSERTF128	$1, (R13)(SI*1), Y8, Y8
+	VBROADCASTF128	(BX), Y9
+	VMULPS	Y9, Y8, Y9
+	VADDPS	Y9, Y0, Y0
+	VBROADCASTF128	(BX)(R9*1), Y10
+	VMULPS	Y10, Y8, Y10
+	VADDPS	Y10, Y1, Y1
+	VBROADCASTF128	(BX)(R9*2), Y11
+	VMULPS	Y11, Y8, Y11
+	VADDPS	Y11, Y2, Y2
+	VBROADCASTF128	(BX)(R12*1), Y12
+	VMULPS	Y12, Y8, Y12
+	VADDPS	Y12, Y3, Y3
+	VBROADCASTF128	(R14), Y9
+	VMULPS	Y9, Y8, Y9
+	VADDPS	Y9, Y4, Y4
+	VBROADCASTF128	(R14)(R9*1), Y10
+	VMULPS	Y10, Y8, Y10
+	VADDPS	Y10, Y5, Y5
+	VBROADCASTF128	(R14)(R9*2), Y11
+	VMULPS	Y11, Y8, Y11
+	VADDPS	Y11, Y6, Y6
+	VBROADCASTF128	(R14)(R12*1), Y12
+	VMULPS	Y12, Y8, Y12
+	VADDPS	Y12, Y7, Y7
+	ADDQ	$16, SI
+	ADDQ	$16, BX
+	ADDQ	$16, R14
+	JMP	d2col8k
+d2col8sum:
+	VHADDPS	Y1, Y0, Y0
+	VHADDPS	Y3, Y2, Y2
+	VHADDPS	Y2, Y0, Y0         // lane m: column j+m, a0's in the lower half, a1's in the upper
+	VHADDPS	Y5, Y4, Y4
+	VHADDPS	Y7, Y6, Y6
+	VHADDPS	Y6, Y4, Y4         // lane m: column j+4+m
+d2col8tail:
+	CMPQ	SI, R10
+	JGE	d2col8done
+	VBROADCASTSS	(AX)(SI*1), X8
+	VBROADCASTSS	(R13)(SI*1), X9
+	VINSERTF128	$1, X9, Y8, Y8
+	VMOVSS	(BX), X9
+	VINSERTPS	$0x10, (BX)(R9*1), X9, X9
+	VINSERTPS	$0x20, (BX)(R9*2), X9, X9
+	VINSERTPS	$0x30, (BX)(R12*1), X9, X9
+	VINSERTF128	$1, X9, Y9, Y9
+	VMULPS	Y9, Y8, Y9
+	VADDPS	Y9, Y0, Y0
+	VMOVSS	(R14), X10
+	VINSERTPS	$0x10, (R14)(R9*1), X10, X10
+	VINSERTPS	$0x20, (R14)(R9*2), X10, X10
+	VINSERTPS	$0x30, (R14)(R12*1), X10, X10
+	VINSERTF128	$1, X10, Y10, Y10
+	VMULPS	Y10, Y8, Y10
+	VADDPS	Y10, Y4, Y4
+	ADDQ	$4, SI
+	ADDQ	$4, BX
+	ADDQ	$4, R14
+	JMP	d2col8tail
+d2col8done:
+	VMOVUPS	X0, (DI)
+	VMOVUPS	X4, 16(DI)
+	VEXTRACTF128	$1, Y0, (DX)
+	VEXTRACTF128	$1, Y4, 16(DX)
+	ADDQ	$32, DI
+	ADDQ	$32, DX
+	LEAQ	(R8)(R9*8), R8
+	SUBQ	$8, CX
+	JMP	d2col8
 
 d2col4:
 	CMPQ	CX, $4
@@ -679,5 +774,56 @@ finDone:
 	VMOVMSKPS	Y0, AX
 	TESTL	AX, AX
 	SETEQ	ret+16(FP)
+	VZEROUPPER
+	RET
+
+// func maxAVX(x *float32, n int) float32
+//
+// maxGo over n elements, n a positive multiple of 8, up to the sign of a zero
+// result. Every lane starts at x[0] and keeps v > m ? v : m — VMAXPS with the
+// element as its first source, which returns the second source, m, when
+// either is NaN — so a NaN after x[0] is never taken and a NaN x[0] is never
+// left. The lanes then combine the same way; only where the maximum is zero
+// can they have met +0 and −0 in another order than the Go loop does.
+TEXT ·maxAVX(SB), NOSPLIT, $0-20
+	MOVQ	x+0(FP), SI
+	MOVQ	n+8(FP), CX
+	VBROADCASTSS	(SI), Y0
+	VMOVAPS	Y0, Y1
+	VMOVAPS	Y0, Y2
+	VMOVAPS	Y0, Y3
+max32:
+	CMPQ	CX, $32
+	JL	max8
+	VMOVUPS	(SI), Y4
+	VMAXPS	Y0, Y4, Y0
+	VMOVUPS	32(SI), Y5
+	VMAXPS	Y1, Y5, Y1
+	VMOVUPS	64(SI), Y6
+	VMAXPS	Y2, Y6, Y2
+	VMOVUPS	96(SI), Y7
+	VMAXPS	Y3, Y7, Y3
+	ADDQ	$128, SI
+	SUBQ	$32, CX
+	JMP	max32
+max8:
+	TESTQ	CX, CX
+	JLE	maxDone
+	VMOVUPS	(SI), Y4
+	VMAXPS	Y0, Y4, Y0
+	ADDQ	$32, SI
+	SUBQ	$8, CX
+	JMP	max8
+maxDone:
+	VMAXPS	Y1, Y0, Y0
+	VMAXPS	Y3, Y2, Y2
+	VMAXPS	Y2, Y0, Y0
+	VEXTRACTF128	$1, Y0, X1
+	VMAXPS	X1, X0, X0
+	VPERMILPS	$0x4e, X0, X1
+	VMAXPS	X1, X0, X0
+	VPERMILPS	$0xb1, X0, X1
+	VMAXPS	X1, X0, X0
+	VMOVSS	X0, ret+16(FP)
 	VZEROUPPER
 	RET

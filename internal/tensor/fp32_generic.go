@@ -31,3 +31,7 @@ func dotRows2AVX(dst0, dst1 *float32, n int, a0, a1, b *float32, k int) {
 func allFiniteAVX(x *float32, n int) bool {
 	panic("tensor: allFiniteAVX unavailable on this architecture")
 }
+
+func maxAVX(x *float32, n int) float32 {
+	panic("tensor: maxAVX unavailable on this architecture")
+}

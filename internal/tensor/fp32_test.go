@@ -194,11 +194,12 @@ func TestFP32AsmMatchesGo(t *testing.T) {
 					}
 				}
 
-				// The Dot family: k = n elements per row against 0–17 b rows
-				// (every column loop of both routines: dotRows1's eight-wide
-				// pass once and twice, each followed by every remainder).
+				// The Dot family: k = n elements per row against 0–23 b rows
+				// (every column loop of both routines: the eight-wide pass
+				// once and twice, each followed by every remainder through
+				// the four- and one-column passes).
 				a0, a1 := src, dst
-				for cols := 0; cols <= 17; cols++ {
+				for cols := 0; cols <= 23; cols++ {
 					b := fp32Vec(r, cols*n, off, special)
 					w0, w1 := make([]float32, cols), make([]float32, cols)
 					g0, g1 := newGuarded(w0), newGuarded(w1)
@@ -243,8 +244,17 @@ func FuzzDotRowsMatchesGo(f *testing.F) {
 		seed[i] = byte(i * 37)
 	}
 	f.Add(uint8(37), uint8(17), seed)
+	f.Add(uint8(13), uint8(23), seed) // two eight-wide passes, then a four and three ones
+	// The same passes over three NaN payloads. With k = 10, row j starts
+	// 2k + jk floats into the cycle, so every column position of the
+	// eight-wide pass multiplies a and b NaNs of different payloads in one of
+	// the two passes, and every second step adds two different payloads: a
+	// routine that swaps the operands of a VMULPS or a VADDPS keeps the
+	// other payload than dotRows1 does.
+	nans := []byte("\x01\x00\xc0\x7f\x02\x00\xc0\x7f\x03\x00\xc0\xff")
+	f.Add(uint8(10), uint8(23), nans)
 	f.Fuzz(func(t *testing.T, kb, colsb uint8, raw []byte) {
-		k, cols := int(kb)%72, int(colsb)%18
+		k, cols := int(kb)%72, int(colsb)%24
 		vals := make([]float32, (2+cols)*k)
 		if m := len(raw) / 4; m > 0 {
 			for i := range vals {
@@ -336,20 +346,26 @@ func TestFP32WrapperBounds(t *testing.T) {
 }
 
 // fp32Shapes are the products the benchmark workloads issue — train_word
-// (batch 4, D 64, H 128, 4H = 512), train_char_comm (batch 1, H 256) and
-// serve_zipf_open (V 8000, D 128, H 256, 4H = 1024, mostly at batch 1, up to
-// 8 rows) — plus odd extents that leave every block width a remainder. m, k,
-// n are dst rows, inner extent, dst columns.
+// (batch 4, 20 steps, D 64, H 128, 4H = 512, up to 208 sampled classes),
+// train_char_comm (batch 1, H 256) and serve_zipf_open (V 8000, D 128,
+// H 256, 4H = 1024, mostly at batch 1, up to 8 rows) — plus odd extents that
+// leave every block width a remainder. The word LM runs only h·Whᵀ and dz·Wh
+// per timestep; every other product covers the whole 80-row sequence slab.
+// m, k, n are dst rows, inner extent, dst columns.
 var fp32Shapes = []struct {
 	kernel  string
 	m, k, n int
 }{
-	{"MatMulABT", 4, 64, 512},         // x·Wxᵀ: 4×64·(512×64)ᵀ
+	{"MatMulABT", 80, 64, 512},        // x·Wxᵀ: 80×64·(512×64)ᵀ
 	{"MatMulABT", 4, 128, 512},        // h·Whᵀ: 4×128·(512×128)ᵀ
+	{"MatMulABT", 80, 128, 64},        // projection: 80×128·(64×128)ᵀ
+	{"MatMulABT", 80, 64, 208},        // sampled logits: 80×64·(208×64)ᵀ
 	{"MatMulABT", 5, 67, 131},         //
-	{"MatMul", 4, 512, 64},            // dz·Wx: 4×512·512×64
+	{"MatMul", 80, 512, 64},           // dx = dz·Wx: 80×512·512×64
+	{"MatMul", 4, 512, 128},           // dz·Wh: 4×512·512×128
 	{"MatMul", 3, 129, 77},            //
-	{"MatMulATBAcc", 512, 4, 64},      // gWx += dzᵀ·x: 512×64 += (4×512)ᵀ·4×64
+	{"MatMulATBAcc", 512, 80, 64},     // gWx += dzᵀ·x: 512×64 += (80×512)ᵀ·80×64
+	{"MatMulATBAcc", 512, 80, 128},    // gWh += dzᵀ·h: 512×128 += (80×512)ᵀ·80×128
 	{"MatMulATBAcc", 67, 5, 131},      //
 	{"MatMulABTStream", 8, 128, 8000}, // logits: 8×128·(8000×128)ᵀ
 	{"MatMulABT", 1, 256, 256},        // char LM, batch 1: s·Rᵀ

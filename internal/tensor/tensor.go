@@ -30,7 +30,9 @@
 //     values differ from math.Exp's in the last place or two, and are the
 //     same on every architecture and at every vector width. The softmax sum
 //     (expSum) runs over eight strided partials, a fixed combine tree and a
-//     sequential tail.
+//     sequential tail; the maximum it shifts by (maxGo) is the first of the
+//     largest, which a vector pass finds in any order except for the sign
+//     of a zero.
 //
 // On amd64 each of these has an assembly twin, chosen once at start-up from
 // CPUID (AVX with OS-enabled YMM state for the FP32 kernels of
@@ -41,9 +43,11 @@
 // family keeps its four partials as the four lanes of one 128-bit
 // accumulator, qdot its sixteen as two YMM accumulators (p[0..7] and
 // p[8..15]) and expSum its eight as one; Dot and qdot get their speed from
-// computing several outputs per pass instead (Dot: eight per pass, two to a
-// YMM register, one per 128-bit lane). TestFP32AsmMatchesGo,
-// TestQ8AsmMatchesGo and TestTransAsmMatchesGo hold the twins to the Go
+// computing several outputs per pass instead (Dot: eight b rows per pass
+// against one a row or two, two outputs to a YMM register, one per 128-bit
+// lane). The softmax maximum is one VMAXPS pass (maxAVX), rescanned by the
+// Go loop when it comes out ±0. TestFP32AsmMatchesGo, TestQ8AsmMatchesGo,
+// TestTransAsmMatchesGo and TestRowMaxMatchesGo hold the twins to the Go
 // definitions bit for bit; other architectures run the Go loops.
 package tensor
 
@@ -283,7 +287,9 @@ func MatMulABTStream(dst, a, b *Matrix) { MatMulABT(dst, a, b) }
 // outputs; the pairing never changes a value (dot2Go computes each row
 // exactly as dotGo would), only how fast it arrives. A lone or odd last row
 // goes to dotRows1, which fills both lanes of its registers with b rows
-// instead.
+// instead. Both take eight b rows per pass, so a block of b rows is a
+// multiple of four: the last four of a block are one pass of four (rounding
+// blocks down to a multiple of eight measured no faster).
 func matMulABTRange(dst, a, b *Matrix, s span) {
 	k, n := a.Cols, dst.Cols
 	// All of a's rows visit one block of b rows before the next block is
@@ -334,7 +340,9 @@ func dotRows1(d, a, b []float32) {
 }
 
 // dotRows2 is dotRows1 for two a rows at once: d0[j] = Dot(a0, row j of b),
-// d1[j] = Dot(a1, row j of b).
+// d1[j] = Dot(a1, row j of b). The assembly computes sixteen outputs per pass,
+// eight b rows against both a rows: a0's partials in the lower lane of each
+// YMM register, a1's in the upper.
 func dotRows2(d0, d1, a0, a1, b []float32) {
 	k := len(a0)
 	d1 = d1[:len(d0)]

@@ -224,22 +224,16 @@ func expSumBlocksGo(dst, x []float32, shift float32) float32 {
 // ExpSumRow is the stable softmax numerator and denominator of one logit
 // row: it writes e[i] = exp(x[i] − max x) into dst (nil: nowhere; dst may be
 // x) and returns max x and Σ e[i], summed in expSum's order. Softmax is
-// e[i]/sum and log Σ exp x is max + log sum.
+// e[i]/sum and log Σ exp x is max + log sum. max x is maxGo's — x[0] if it
+// is NaN, else the first of the largest — found by rowMax in one vector
+// pass.
 //
 // Rows that have no finite maximum are defined, not left to Inf − Inf: if
 // the maximum is +Inf, e is 1 at every +Inf and 0 elsewhere (the infinite
 // logits share the mass); if it is −Inf (every logit −Inf, or the row is
 // empty), every e and the sum are 0. A NaN logit makes the sum NaN.
 func ExpSumRow(dst, x []float32) (maxV, sum float32) {
-	maxV = float32(math.Inf(-1))
-	if len(x) > 0 {
-		maxV = x[0]
-	}
-	for _, v := range x {
-		if v > maxV {
-			maxV = v
-		}
-	}
+	maxV = rowMax(x)
 	switch {
 	case math.IsInf(float64(maxV), 1):
 		for i, v := range x {
@@ -260,6 +254,44 @@ func ExpSumRow(dst, x []float32) (maxV, sum float32) {
 		return maxV, expSum(dst, x, 0)
 	}
 	return maxV, expSum(dst, x, maxV)
+}
+
+// maxGo is the maximum ExpSumRow shifts by: x[0] (−Inf for an empty row),
+// replaced by each later element greater than it. A NaN x[0] is kept and a
+// later NaN never taken, and of equal maxima the first stays, so a zero
+// maximum has the sign of the first zero in the row.
+func maxGo(x []float32) float32 {
+	m := float32(math.Inf(-1))
+	if len(x) > 0 {
+		m = x[0]
+	}
+	for _, v := range x {
+		if v > m {
+			m = v
+		}
+	}
+	return m
+}
+
+// rowMax is maxGo by one vector pass over the whole blocks of eight and
+// maxGo's loop over the rest. The lanes agree with maxGo on every value; a
+// zero maximum only by chance on its sign, so that row is scanned again by
+// maxGo.
+func rowMax(x []float32) float32 {
+	n := len(x) &^ 7
+	if !useFP32Asm || n == 0 {
+		return maxGo(x)
+	}
+	m := maxAVX(&x[0], n)
+	for _, v := range x[n:] {
+		if v > m {
+			m = v
+		}
+	}
+	if m == 0 {
+		return maxGo(x)
+	}
+	return m
 }
 
 // SoftmaxRow normalizes a single logit vector into a probability

@@ -393,6 +393,121 @@ func FuzzTransMatchesGo(f *testing.F) {
 	})
 }
 
+// rowMaxVsGo holds ExpSumRow with the vector maximum to ExpSumRow with maxGo,
+// both on x and in place, and rowMax to maxGo, bit for bit: the maximum, the
+// sum and every exponential, NaN payloads included. It returns what differs,
+// or "".
+func rowMaxVsGo(x []float32) string {
+	if g, w := rowMax(x), maxGo(x); math.Float32bits(g) != math.Float32bits(w) {
+		return fmt.Sprintf("rowMax %v (%#08x) != maxGo %v (%#08x)", g, math.Float32bits(g), w, math.Float32bits(w))
+	}
+	want := make([]float32, len(x))
+	var wm, ws float32
+	withFP32Asm(false, func() { wm, ws = ExpSumRow(want, x) })
+	got, inPlace := newGuarded(x), newGuarded(x)
+	gm, gs := ExpSumRow(got.v, x)
+	pm, ps := ExpSumRow(inPlace.v, inPlace.v)
+	for _, g := range []guarded{got, inPlace} {
+		if g.buf[0] != fp32Sentinel || g.buf[len(g.buf)-1] != fp32Sentinel {
+			return "ExpSumRow stored outside its destination"
+		}
+	}
+	gotAll := append([]float32{gm, gs, pm, ps}, append(got.v, inPlace.v...)...)
+	for i, w := range append([]float32{wm, ws, wm, ws}, append(want, want...)...) {
+		if math.Float32bits(gotAll[i]) != math.Float32bits(w) {
+			return fmt.Sprintf("ExpSumRow (max, sum, in-place max, in-place sum, then each e) element %d: %#08x != scalar %#08x",
+				i, math.Float32bits(gotAll[i]), math.Float32bits(w))
+		}
+	}
+	return ""
+}
+
+// TestRowMaxMatchesGo holds the vector maximum under every softmax to the
+// scalar loop on the rows where lanes could disagree with it: a NaN first
+// (kept, with its payload) and later (never taken), a ±0 maximum with the
+// two zeros in either order and in different lanes, +Inf, all −Inf, and
+// every length 0–67, so each len%8 follows zero, one and several blocks.
+func TestRowMaxMatchesGo(t *testing.T) {
+	inf, negZero := float32(math.Inf(1)), float32(math.Copysign(0, -1))
+	nan1, nan2 := math.Float32frombits(0x7fc00001), math.Float32frombits(0xffc00155)
+	r := rng.New(83)
+	for n := 0; n <= 67; n++ {
+		for _, off := range []int{0, 1, 3} {
+			base := transInputs(r, n, off, false)
+			neg := cloneVec(base)
+			for i := range neg {
+				neg[i] = -float32(math.Abs(float64(neg[i]))) - 1
+			}
+			check := func(what string, x []float32) {
+				t.Helper()
+				if msg := rowMaxVsGo(x); msg != "" {
+					t.Fatalf("n=%d off=%d %s %v: %s", n, off, what, x, msg)
+				}
+			}
+			check("random", base)
+			check("special", transInputs(r, n, off, true))
+			allNegInf := cloneVec(base)
+			for i := range allNegInf {
+				allNegInf[i] = -inf
+			}
+			check("all -Inf", allNegInf)
+			for p := 0; p < n; p++ {
+				q := (p + n/2 + 1) % n
+				set := func(x []float32, vs ...float32) []float32 {
+					x = cloneVec(x)
+					x[p] = vs[0]
+					if len(vs) > 1 && q != p {
+						x[q] = vs[1]
+					}
+					return x
+				}
+				check("NaN, NaN", set(base, nan1, nan2))
+				check("NaN", set(base, nan2))
+				check("+Inf", set(base, inf))
+				check("-Inf below negatives", set(neg, -inf))
+				check("+Inf, NaN", set(base, inf, nan1))
+				check("-0, +0 above negatives", set(neg, negZero, 0))
+				check("+0, -0 above negatives", set(neg, 0, negZero))
+				check("-0 above -Inf", set(allNegInf, negZero))
+				check("-0, +0 above -Inf", set(allNegInf, negZero, 0))
+			}
+		}
+	}
+}
+
+// FuzzRowMaxMatchesGo is TestRowMaxMatchesGo over arbitrary bit patterns.
+// The seeds are the rows the test builds by hand: a NaN first, a NaN later,
+// ±0 maxima in both orders across lanes, ±Inf, all −Inf, and a len%8 tail.
+func FuzzRowMaxMatchesGo(f *testing.F) {
+	row := func(vs ...uint32) []byte {
+		b := make([]byte, 4*len(vs))
+		for i, v := range vs {
+			binary.LittleEndian.PutUint32(b[4*i:], v)
+		}
+		return b
+	}
+	const (
+		one, minusOne, negZero, inf, negInf = 0x3f800000, 0xbf800000, 0x80000000, 0x7f800000, 0xff800000
+		nan1, nan2                          = 0x7fc00001, 0xffc00155
+	)
+	f.Add([]byte{})
+	f.Add(row(nan1, one, minusOne, one, one, one, one, one, nan2))
+	f.Add(row(one, one, nan1, one, one, one, one, one, one, nan2))
+	f.Add(row(minusOne, negZero, minusOne, minusOne, minusOne, 0, minusOne, minusOne, minusOne))
+	f.Add(row(minusOne, 0, minusOne, minusOne, minusOne, negZero, minusOne, minusOne, negInf, 0))
+	f.Add(row(negInf, negInf, negInf, negInf, negInf, negInf, negInf, negInf, negInf, negInf, negInf))
+	f.Add(row(one, negInf, one, one, inf, one, one, one, one, inf, nan1, one, one, one, one, one, negInf))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		x := make([]float32, len(raw)/4)
+		for i := range x {
+			x[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+		if msg := rowMaxVsGo(x); msg != "" {
+			t.Fatalf("%v: %s", x, msg)
+		}
+	})
+}
+
 // BenchmarkTransKernels times the three kernels on the assembly and on the
 // portable path at the row lengths the models issue (a gate row of the word
 // LM, its candidate logits, a full 8000-word softmax) and reports ns per

@@ -28,7 +28,6 @@ import (
 
 	"zipflm/internal/experiments"
 	"zipflm/internal/telemetry"
-	"zipflm/internal/tensor"
 )
 
 // jsonTable is one experiment table in machine-readable form.
@@ -78,17 +77,12 @@ func main() {
 		quick    = flag.Bool("quick", false, "shrink training-based experiments for a fast smoke run")
 		seed     = flag.Uint64("seed", 42, "reproducibility seed")
 		jsonPath = flag.String("json", "", "also write machine-readable results to this path")
-		workers  = flag.Int("workers", 0, "goroutines per matmul in training-based experiments (0: ZIPFLM_WORKERS or serial; results identical at any value)")
 	)
 	// -trace and -flight reach the simulated-cluster experiments; the
 	// flight recorder is off unless asked for.
 	var observe telemetry.Options
 	observe.RegisterFlags(flag.CommandLine, false)
 	flag.Parse()
-
-	if *workers > 0 {
-		tensor.SetDefaultWorkers(*workers)
-	}
 
 	if *list {
 		width := 0

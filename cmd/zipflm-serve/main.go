@@ -67,7 +67,7 @@ func main() {
 		vocabPath = flag.String("vocab", "", "vocabulary file (enables text prompts and word responses)")
 		addr      = flag.String("addr", ":8080", "HTTP listen address")
 		workers   = flag.Int("workers", 1, "model replicas (one batcher each)")
-		computeW  = flag.Int("compute-workers", 0, "goroutines per matmul (0: ZIPFLM_WORKERS or serial; results identical at any value)")
+		computeW  = flag.Int("compute-workers", 0, "goroutines per matmul and sampling pass, shared by every replica (0 or 1: serial; results identical at any value)")
 		maxBatch  = flag.Int("max-batch", 16, "max sequences per batched step")
 		queue     = flag.Int("queue", 64, "admission queue depth (full queue sheds)")
 		cache     = flag.Int("cache", 1024, "result cache entries (0 disables)")

@@ -68,7 +68,6 @@ func main() {
 		ckptKeep  = flag.Int("ckpt-keep", 3, "retention: keep the most recent N checkpoints")
 		resume    = flag.String("resume", "", "resume full training state from the newest checkpoint in this directory (corpus flags and -seed must match the checkpointing run)")
 		seed      = flag.Uint64("seed", 42, "reproducibility seed")
-		workers   = flag.Int("workers", 0, "goroutines per matmul (0: ZIPFLM_WORKERS or serial; losses and weights identical at any value)")
 	)
 	observe := telemetry.Options{Flight: telemetry.DefaultFlightEvents}
 	observe.RegisterFlags(flag.CommandLine, true)
@@ -127,7 +126,6 @@ func main() {
 		Wire:               wire,
 		SeedStrategy:       strat,
 		BaseSeed:           *seed,
-		Workers:            *workers,
 		Overlap:            *overlap,
 		CheckpointDir:      *ckptDir,
 		CheckpointEvery:    *ckptEvery,

@@ -32,9 +32,9 @@ func buildTrain(t *testing.T) string {
 // along: were the flag not defined, the one line would be the flag
 // package's. The observer flags internal/telemetry replaced (-dashboard,
 // -profile-dir, -profile-interval), the gradient-compression flags (-compress
-// and its -compress-… options) and the metrics-history ring's flags
-// (-history, -history-interval) are the flag package's own usage errors,
-// status 2.
+// and its -compress-… options), the metrics-history ring's flags
+// (-history, -history-interval) and the tiled-replica knob (-workers) are
+// the flag package's own usage errors, status 2.
 func TestUsageErrorsExitTwo(t *testing.T) {
 	bin := buildTrain(t)
 	var cases [][]string
@@ -64,6 +64,7 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"-dashboard"}, {"-profile-dir", t.TempDir()}, {"-profile-interval", "1s"}, {"-history", "history.json"},
 		{"-history", "8"}, {"-history-interval", "1s"},
 		{"-compress", "topk"}, {"-compress-ratio", "0.01"}, {"-compress-momentum", "0.9"}, {"-compress-zipf"},
+		{"-workers", "4"},
 	} {
 		var stdout, stderr bytes.Buffer
 		cmd := exec.Command(bin, append(args, "-synthetic", "1000")...)

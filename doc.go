@@ -21,11 +21,10 @@
 //     adds, as a ring rank would, counts each rank's bytes, and writes the
 //     sum to rank 0 only — the weights every rank shares are updated from
 //     it. Each chunk is its own pipeline, and the trainer's pool (one
-//     worker per core, whatever Config.Workers is) takes chunk sets, as it
-//     takes stripes of the Adam step. Gathers
-//     account payloads the caller already holds. The executor and the
-//     per-rank adapters built on Comm.Rendezvous (collective's AllReduce,
-//     core's Exchange) are allocation-free at
+//     worker per core) takes chunk sets, as it takes stripes of the Adam
+//     step. Gathers account payloads the caller already holds. The
+//     executor and the per-rank adapters built on Comm.Rendezvous
+//     (collective's AllReduce, core's Exchange) are allocation-free at
 //     steady state, guarded by testing.AllocsPerRun, and held bit for bit
 //     to the goroutine ring they replaced at GOMAXPROCS 1, 2 and 8.
 //
@@ -123,33 +122,33 @@
 // output range in the serial kernel's exact operation order, and no
 // reduction ever crosses a tile (the transposed-accumulate kernel
 // partitions output rows, not the reduction axis), so results are
-// bit-identical to Serial at every worker count — which is what lets one
-// knob accelerate training, validation, and serving without perturbing any
-// of the repository's exact-bits contracts. Dispatch is allocation-free
-// and small products fall back to the serial kernel. A helper stays awake
+// bit-identical to Serial at every worker count — which is what lets a
+// pool accelerate training and serving without perturbing any of the
+// repository's exact-bits contracts. Dispatch is allocation-free and
+// small products fall back to the serial kernel. A helper stays awake
 // for a short window after each call, yielding the processor while it
 // polls, so back-to-back calls — a decode step's products, a training
 // step's phases — skip the wake of a parked goroutine. The trainer runs
 // its ranks' forward/backward passes and its synchronization's bulk work
-// on one such pool, so a step starts no goroutine. Training hands it
-// products worth tiling: internal/model runs a whole T×B sequence per call
-// on time-major slabs from a reusable per-replica workspace, so the input
-// products, the weight-gradient products, the bias sums and dx run once per
-// sequence over T·B rows, and only the recurrence (h·Whᵀ, the gates and
+// on one such pool, so a step starts no goroutine; each replica computes
+// its products on the serial kernels. Those products are large:
+// internal/model runs a whole T×B sequence per call on time-major slabs
+// from a reusable per-replica workspace, so the input products, the
+// weight-gradient products, the bias sums and dx run once per sequence
+// over T·B rows, and only the recurrence (h·Whᵀ, the gates and
 // their transposes) runs once per timestep. The weight-gradient slabs are
 // kept steps-descending — the order backpropagation through time visited
 // them — so one accumulate call adds the same rows in the same order as one
 // call per timestep did, and what crosses a layer boundary stays
 // steps-ascending, the order the projection, the loss and the embedding
 // exchange accumulate in: no bit moves (the per-timestep passes live on in
-// internal/model/oracle_test.go as the definition). The knob surfaces as
-// zipflm-train -workers / trainer.Config.Workers (the ranks share one
-// backend), zipflm-serve -compute-workers / serve.Config.ComputeWorkers,
-// zipflm-bench -workers, and the ZIPFLM_WORKERS environment variable,
-// which CI uses to run the whole suite through the tiled backend. Speedup
-// requires GOMAXPROCS > 1; on a single-core host the tiled counts measure
-// dispatch overhead (the BenchmarkStepWorkers* names carry the GOMAXPROCS
-// suffix, so artifacts record which case they measured).
+// internal/model/oracle_test.go as the definition). Each process makes
+// one backend decision: the trainer's pool has one worker per core, a
+// server's backend comes from zipflm-serve -compute-workers /
+// serve.Config.ComputeWorkers (0 and 1 are Serial), and every other model
+// — model.NewLM, model.Load — is built on Serial. Speedup requires
+// GOMAXPROCS > 1; on a single-core host the tiled counts measure dispatch
+// overhead.
 //
 // Underneath both backends the FP32 inner loops (axpy behind MatMul and
 // MatMulATBAcc, Dot behind MatMulABT and MatMulABTStream) run AVX assembly

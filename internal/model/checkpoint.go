@@ -111,7 +111,7 @@ func Unmarshal(raw []byte) (*LM, error) {
 	if want := paramFloats(cfg); float64(len(rest)) != 4*want {
 		return nil, fmt.Errorf("model: checkpoint carries %d tensor bytes, its config needs %.0f values", len(rest), want)
 	}
-	m := newLM(cfg, nil, nil, nil, nil, tensor.Default()) // zero weights, filled below
+	m := newLM(cfg, nil, nil, nil, nil, tensor.Serial{}) // zero weights, filled below
 	if len(h.DenseNames) != len(m.dense) || len(h.DenseLens) != len(m.dense) {
 		return nil, fmt.Errorf("model: checkpoint lists %d names and %d lengths, the model declares %d tensors",
 			len(h.DenseNames), len(h.DenseLens), len(m.dense))

@@ -102,9 +102,10 @@ type LM struct {
 	allIdx      []int // 0..V−1, the full softmax's OutputGrad.Indices
 }
 
-// NewLM builds a model from cfg with deterministic initialization.
+// NewLM builds a model from cfg with deterministic initialization, on the
+// serial backend (see SetBackend).
 func NewLM(cfg Config) *LM {
-	return newLM(cfg, rng.New(cfg.Seed), nil, nil, nil, tensor.Default())
+	return newLM(cfg, rng.New(cfg.Seed), nil, nil, nil, tensor.Serial{})
 }
 
 // newLM builds a model of cfg's shape on backend be over the embeddings in
@@ -172,10 +173,10 @@ func (m *LM) Weights() []Param {
 // SetBackend routes every matmul of this replica — forward, backward, and
 // the batched inference Stepper — through be (nil restores the serial
 // reference). The backend is a runtime property, deliberately outside
-// Config: checkpoints gob-encode Config and Resume compares it exactly, and
-// a resumed run must be free to use a different worker count while staying
-// bit-identical — which every backend guarantees. Existing Steppers keep
-// the backend they were built with; construct them after SetBackend.
+// Config: checkpoints gob-encode Config, and a model loaded from one must
+// be free to serve on any worker count while staying bit-identical — which
+// every backend guarantees. Existing Steppers keep the backend they were
+// built with; construct them after SetBackend.
 func (m *LM) SetBackend(be tensor.Backend) {
 	if be == nil {
 		be = tensor.Serial{}

@@ -48,10 +48,10 @@ func servedDigest(t *testing.T, s *Server, reqs []Request) string {
 // checked in as testdata/tokens.json, one per row of {lstm, rhn} × {fp32,
 // int8} × temperature {0, 0.8}. Each row serves the same 32 requests —
 // raggedRequests' prompts and seeds, N 32, top-k and top-p off — at MaxBatch
-// 1 and at 8, and both runs must produce
-// the row's digest, at GOMAXPROCS 1, 2 and 4. A change to the batcher, the
-// Stepper, the kernels or the sampler that moves one served token fails
-// here. A deliberate move edits the ledger in the same commit, with the
+// 1 and at 8, on the serial backend and on one tiling across 4 workers
+// (ComputeWorkers 1 and 4), and every run must produce the row's digest, at
+// GOMAXPROCS 1, 2 and 4. A change to the batcher, the Stepper, the kernels
+// or the sampler that moves one served token fails here. A deliberate move edits the ledger in the same commit, with the
 // digests this test prints and the reason.
 //
 // A row's fp32 and int8 digests must differ: if they were equal, the int8
@@ -91,10 +91,14 @@ func TestServedTokensLedger(t *testing.T) {
 					for _, maxBatch := range []int{1, 8} {
 						t.Run(fmt.Sprintf("%s/procs=%d/batch=%d", name, procs, maxBatch), func(t *testing.T) {
 							defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-							s := New(m, Config{Quantized: quantized, MaxBatch: maxBatch, QueueDepth: len(reqs)})
-							defer s.Close()
-							if got, want := servedDigest(t, s, reqs), ledger[name]; got != want {
-								t.Errorf("served tokens moved: got %q: %q, ledger has %q", name, got, want)
+							for _, compute := range []int{1, 4} {
+								t.Run(fmt.Sprintf("compute=%d", compute), func(t *testing.T) {
+									s := New(m, Config{Quantized: quantized, MaxBatch: maxBatch, ComputeWorkers: compute, QueueDepth: len(reqs)})
+									defer s.Close()
+									if got, want := servedDigest(t, s, reqs), ledger[name]; got != want {
+										t.Errorf("served tokens moved: got %q: %q, ledger has %q", name, got, want)
+									}
+								})
 							}
 						})
 					}

@@ -97,8 +97,7 @@ type Config struct {
 	// ComputeWorkers selects the tensor backend the weights compute with: > 1
 	// tiles every forward-step matmul across that many goroutines (one
 	// shared tensor.Parallel for the whole server) and has them sample the
-	// batch's sequences side by side after each step. 0 keeps the process
-	// default (tensor.Default, which honors ZIPFLM_WORKERS); 1 forces the
+	// batch's sequences side by side after each step. 0 and 1 give the
 	// serial reference. Responses are bit-identical at every setting — the
 	// backend contract — so this is purely a latency/throughput knob.
 	ComputeWorkers int
@@ -204,9 +203,9 @@ type Server struct {
 	results *lruCache
 	prefix  *lruCache
 	workers []*worker
-	// backend is the tensor backend the served weights compute with
-	// (tensor.Default unless Config.ComputeWorkers says otherwise). Reloaded
-	// weights get it too, so a reload never silently changes the compute path.
+	// backend is the tensor backend the served weights compute with, built
+	// once from Config.ComputeWorkers. Reloaded weights get it too, so a
+	// reload never silently changes the compute path.
 	backend tensor.Backend
 	// version is the current weights generation; reloadMu serializes
 	// Reload calls so versions hand out monotonically with their weights.
@@ -282,10 +281,7 @@ func New(m *model.LM, cfg Config) *Server {
 		}
 		s.slo.Publish(reg)
 	}
-	s.backend = tensor.Default()
-	if cfg.ComputeWorkers > 0 {
-		s.backend = tensor.New(cfg.ComputeWorkers)
-	}
+	s.backend = tensor.New(cfg.ComputeWorkers)
 	served := s.clone(m)
 	for i := 0; i < cfg.Workers; i++ {
 		w := newWorker(s, served)

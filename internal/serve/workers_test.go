@@ -17,11 +17,14 @@ import (
 // TestComputeWorkersBitIdentical extends the serving acceptance contract to
 // the tiled backend: with ComputeWorkers > 1 every response must still be
 // exactly what sequential model.Generate produces, across architectures and
-// reloads (the reload replicas inherit the server's backend).
+// reloads (the reload replicas inherit the server's backend), and with two
+// batchers sharing the one tensor.Parallel, whose calls serialize on its
+// mutex.
 func TestComputeWorkersBitIdentical(t *testing.T) {
-	for name, m := range map[string]*model.LM{"lstm": lstmModel(), "rhn": rhnModel()} {
-		for _, computeWorkers := range []int{2, 4} {
-			s := New(m, Config{MaxBatch: 4, ComputeWorkers: computeWorkers, QueueDepth: 64, PrefixEntries: 8})
+	for arch, m := range map[string]*model.LM{"lstm": lstmModel(), "rhn": rhnModel()} {
+		for _, leg := range []struct{ workers, compute int }{{1, 2}, {1, 4}, {2, 4}} {
+			name := fmt.Sprintf("%s workers=%d compute=%d", arch, leg.workers, leg.compute)
+			s := New(m, Config{Workers: leg.workers, MaxBatch: 4, ComputeWorkers: leg.compute, QueueDepth: 64, PrefixEntries: 8})
 
 			var reqs []Request
 			r := rng.New(55)
@@ -57,16 +60,16 @@ func TestComputeWorkersBitIdentical(t *testing.T) {
 			check := func(stage string) {
 				for i, req := range reqs {
 					if errs[i] != nil {
-						t.Fatalf("%s compute=%d %s req %d failed: %v", name, computeWorkers, stage, i, errs[i])
+						t.Fatalf("%s %s req %d failed: %v", name, stage, i, errs[i])
 					}
 					want := reference(m, req)
 					if len(got[i]) != len(want) {
-						t.Fatalf("%s compute=%d %s req %d: %d tokens, want %d", name, computeWorkers, stage, i, len(got[i]), len(want))
+						t.Fatalf("%s %s req %d: %d tokens, want %d", name, stage, i, len(got[i]), len(want))
 					}
 					for j := range want {
 						if got[i][j] != want[j] {
-							t.Fatalf("%s compute=%d %s req %d token %d: served %d != sequential %d",
-								name, computeWorkers, stage, i, j, got[i][j], want[j])
+							t.Fatalf("%s %s req %d token %d: served %d != sequential %d",
+								name, stage, i, j, got[i][j], want[j])
 						}
 					}
 				}

@@ -1,9 +1,7 @@
 package tensor
 
 import (
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,37 +81,6 @@ func New(n int) Backend {
 	return NewParallel(n)
 }
 
-var defaultBackend struct {
-	mu sync.Mutex
-	be Backend
-}
-
-// Default returns the process-wide default backend, which model.NewLM picks
-// up: Serial unless the ZIPFLM_WORKERS environment variable or
-// SetDefaultWorkers selected a parallel one. The environment hook is what
-// lets the whole test suite — every bit-identity contract in the repository
-// — run through the parallel backend with `ZIPFLM_WORKERS=4 go test ./...`,
-// which is exactly what the CI workers matrix does.
-func Default() Backend {
-	defaultBackend.mu.Lock()
-	defer defaultBackend.mu.Unlock()
-	if defaultBackend.be == nil {
-		n, _ := strconv.Atoi(os.Getenv("ZIPFLM_WORKERS"))
-		defaultBackend.be = New(n)
-	}
-	return defaultBackend.be
-}
-
-// SetDefaultWorkers replaces the default backend with one tiling across n
-// workers (n ≤ 1 restores Serial). It affects models built afterwards, so
-// call it before constructing them — zipflm-bench does this to thread its
-// -workers flag through experiments that build their own trainers.
-func SetDefaultWorkers(n int) {
-	defaultBackend.mu.Lock()
-	defaultBackend.be = New(n)
-	defaultBackend.mu.Unlock()
-}
-
 // parallelMinWork is the fused-multiply-add count below which dispatching
 // tiles costs more than it saves; smaller calls run serially on the caller.
 // The cut keeps the per-token serving path (tiny batches against small
@@ -182,8 +149,8 @@ func Stripe(n, w, i int) (lo, hi int) {
 // goroutine. The dispatch path performs no allocation, preserving the
 // zero-alloc guarantees of the serving hot loop. A Parallel may be shared —
 // concurrent kernel calls serialize on an internal mutex, each call then
-// using every worker — which is how the trainer gives all simulated ranks
-// one compute device.
+// using every worker — which is how a server's batchers share one compute
+// device.
 type Parallel struct {
 	mu      sync.Mutex
 	workers int

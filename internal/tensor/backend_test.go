@@ -343,15 +343,6 @@ func TestBackendConstructors(t *testing.T) {
 	}
 	p.Close()
 	p.Close() // idempotent
-
-	SetDefaultWorkers(2)
-	if d, ok := Default().(*Parallel); !ok || d.workers != 2 {
-		t.Fatal("SetDefaultWorkers(2) not reflected in Default()")
-	}
-	SetDefaultWorkers(0)
-	if _, ok := Default().(Serial); !ok {
-		t.Fatal("SetDefaultWorkers(0) must restore the serial default")
-	}
 }
 
 // TestMatMulATBAccStackedEqualsBlocks is the property the model's

@@ -1,7 +1,6 @@
 package trainer
 
 import (
-	"runtime"
 	"testing"
 
 	"zipflm/internal/core"
@@ -10,15 +9,10 @@ import (
 )
 
 // runStepBench measures full training steps (forward, backward, exchange,
-// optimizer) with the replicas' kernels tiled across the given worker
-// count. The model is sized so the softmax and recurrent matmuls clear the
-// backend's serial cutoff — small enough to stay a benchmark, big enough
-// that tiling is what's measured. The bit-identity suite guarantees every
-// worker count computes the same bits, so these benches differ only in
-// wall-clock; on a single-core runner (GOMAXPROCS=1, visible in the
-// benchmark name's -N suffix) the tiled counts measure dispatch overhead
-// rather than speedup.
-func runStepBench(b *testing.B, workers int) {
+// optimizer) of one rank, sized so the softmax and recurrent matmuls
+// dominate. The replica computes on the serial kernels; the step's pool has
+// one worker per core.
+func runStepBench(b *testing.B) {
 	train, valid := smallData(1000, 30000, 21)
 	cfg := Config{
 		Model:        model.Config{Vocab: 1000, Dim: 64, Hidden: 96, RNN: model.KindLSTM},
@@ -29,7 +23,6 @@ func runStepBench(b *testing.B, workers int) {
 		Exchange:     core.UniqueExchange{},
 		SeedStrategy: sampling.AllDifferent,
 		BaseSeed:     3,
-		Workers:      workers,
 	}
 	tr, err := New(cfg, train, valid)
 	if err != nil {
@@ -44,16 +37,7 @@ func runStepBench(b *testing.B, workers int) {
 	b.ReportMetric(tokens/b.Elapsed().Seconds(), "tok/s")
 }
 
-// BenchmarkStepWorkers1 is the serial reference every tiled count is
-// compared against.
-func BenchmarkStepWorkers1(b *testing.B) { runStepBench(b, 1) }
-
-// BenchmarkStepWorkers2 tiles each matmul across 2 goroutines.
-func BenchmarkStepWorkers2(b *testing.B) { runStepBench(b, 2) }
-
-// BenchmarkStepWorkers4 tiles each matmul across 4 goroutines.
-func BenchmarkStepWorkers4(b *testing.B) { runStepBench(b, 4) }
-
-// BenchmarkStepWorkersMax tiles across GOMAXPROCS goroutines — the widest
-// split the runner can execute in parallel.
-func BenchmarkStepWorkersMax(b *testing.B) { runStepBench(b, runtime.GOMAXPROCS(0)) }
+// BenchmarkStepWorkers1 measures a training step. The name predates the
+// removal of tiled replicas; it is kept so BENCH_step.json's rows still
+// compare.
+func BenchmarkStepWorkers1(b *testing.B) { runStepBench(b) }

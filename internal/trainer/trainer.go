@@ -13,9 +13,10 @@
 //   - FP16 wire compression (§III-C) applies to all gradient payloads when
 //     configured.
 //
-// That pool, one worker per core whatever Config.Workers is, does all of a
-// step's parallel work, so a step starts no goroutine. The synchronization
-// phase executes once for all ranks, driven from the step's goroutine:
+// That pool, one worker per core, does all of a step's parallel work, so
+// a step starts no goroutine; each replica's matmuls run on the serial
+// kernels inside its rank's pass. The synchronization phase executes once
+// for all ranks, driven from the step's goroutine:
 // every collective and exchange takes the G ranks' buffers in one call
 // (collective's …Ranks methods, core.Exchanger.ExchangeRanks) and leaves
 // the reduced gradients in rank 0's, while counting, pricing and tracing
@@ -88,18 +89,10 @@ type Config struct {
 	NewSampler func(vocab int, seed uint64) sampling.CandidateSampler
 	// BaseSeed makes the whole run reproducible.
 	BaseSeed uint64
-	// Workers selects the tensor compute backend for every replica: > 1
-	// tiles each matmul across that many goroutines (one shared
-	// tensor.Parallel — the ranks' kernel calls serialize on it, each call
-	// then using every worker, like simulated GPUs sharing one device).
-	// 0 keeps the process default (tensor.Default, which honors
-	// ZIPFLM_WORKERS); 1 forces the serial reference. Every setting
-	// produces bit-identical replicas, gradients, and losses — the backend
-	// contract — so Workers is a speed knob, not part of the trajectory,
-	// and deliberately not persisted in checkpoints. It sizes only the
-	// replicas' matmul backend: the step itself runs the ranks' passes and
-	// phase 2's chunk sets and stripes on the trainer's own pool, one
-	// worker per core (GOMAXPROCS at New), whatever Workers is.
+	// Deprecated: Workers is kept only because the repository benchmark's
+	// harness (benchmark/train.go) pins it to 1. Replicas compute on the
+	// serial kernels and the step's pool parallelises over ranks; New
+	// rejects any value above 1.
 	Workers int
 	// DeviceCapacity bounds per-rank memory (0 = unlimited).
 	DeviceCapacity int64
@@ -263,10 +256,9 @@ type Trainer struct {
 	comm   *collective.Comm
 	models []*model.LM
 	opt    optim.Optimizer
-	// be is the step's worker pool, one worker per core at New whatever
-	// Config.Workers is: phase 1 runs the ranks' passes on it, and the
-	// communicator's rings and the optimizer spread their chunk sets and
-	// stripes over it.
+	// be is the step's worker pool, one worker per core at New: phase 1
+	// runs the ranks' passes on it, and the communicator's rings and the
+	// optimizer spread their chunk sets and stripes over it.
 	be tensor.Backend
 	// seeds are the ranks' sampler seeds, assigned once by
 	// Config.SeedStrategy; rankPass derives each step's from them.
@@ -358,6 +350,9 @@ func New(cfg Config, train, valid []int) (*Trainer, error) {
 	if perRank < need {
 		return nil, fmt.Errorf("trainer: shard of %d tokens below one batch (%d)", perRank, need)
 	}
+	if cfg.Workers > 1 {
+		return nil, fmt.Errorf("trainer: Workers is deprecated and must be 0 or 1, got %d", cfg.Workers)
+	}
 	if cfg.Faults != nil && cfg.Hardware == nil {
 		// Input validation, not a missing feature: the failure schedule is
 		// written in virtual seconds and only Hardware gives the run a clock.
@@ -396,11 +391,7 @@ func New(cfg Config, train, valid []int) (*Trainer, error) {
 	}
 	mc := cfg.Model
 	mc.Seed = cfg.BaseSeed
-	m := model.NewLM(mc)
-	if cfg.Workers > 0 {
-		m.SetBackend(tensor.New(cfg.Workers))
-	}
-	t.models, t.units = replicate(m, cfg.Ranks)
+	t.models, t.units = replicate(model.NewLM(mc), cfg.Ranks)
 	if t.laneCost != nil {
 		t.ready = make([]float64, len(t.units.layers))
 	}
@@ -530,7 +521,6 @@ func (t *Trainer) RestoreState(st *ckpt.State) error {
 		return fmt.Errorf("trainer: checkpoint carries %d RNG streams and %d carried states for %d ranks, want %d and %d",
 			len(st.RNG), len(st.RNN), g, g, carried)
 	}
-	lm.SetBackend(t.models[0].Backend())
 	models, units := replicate(lm, g)
 	for r, m := range models {
 		m.SetRNGState(st.RNG[r])

@@ -15,6 +15,7 @@ import (
 	"zipflm/internal/model"
 	"zipflm/internal/optim"
 	"zipflm/internal/sampling"
+	"zipflm/internal/tensor"
 )
 
 // smallData builds a Zipfian train/valid pair.
@@ -235,6 +236,31 @@ func TestTrainerRejectsBadConfig(t *testing.T) {
 	small2.SeqLen = 0
 	if _, err := New(small2, train, valid); err == nil {
 		t.Error("zero SeqLen must error")
+	}
+}
+
+// TestNewRejectsTiledWorkers pins the deprecated Workers field: 0 and 1 are
+// accepted and leave every replica on the serial kernels, anything above 1
+// is refused instead of nesting a second pool inside the step's.
+func TestNewRejectsTiledWorkers(t *testing.T) {
+	train, valid := smallData(60, 4000, 10)
+	for _, workers := range []int{0, 1} {
+		cfg := smallConfig(2, nil)
+		cfg.Workers = workers
+		tr, err := New(cfg, train, valid)
+		if err != nil {
+			t.Fatalf("Workers=%d: %v", workers, err)
+		}
+		for r := 0; r < cfg.Ranks; r++ {
+			if _, ok := tr.Model(r).Backend().(tensor.Serial); !ok {
+				t.Fatalf("Workers=%d: rank %d computes on %T, want tensor.Serial", workers, r, tr.Model(r).Backend())
+			}
+		}
+	}
+	cfg := smallConfig(2, nil)
+	cfg.Workers = 2
+	if _, err := New(cfg, train, valid); err == nil {
+		t.Fatal("Workers=2 must error")
 	}
 }
 

@@ -115,27 +115,27 @@
 //
 // # Multicore backend: goroutine-tiled kernels, bit-identical at any width
 //
-// internal/tensor hides every matmul the models compute behind a pluggable
-// Backend: Serial (the reference kernels) and Parallel, which tiles each
-// kernel's output across a persistent goroutine pool. Tile boundaries are
-// a pure function of shape and worker count, each tile writes a disjoint
-// output range in the serial kernel's exact operation order, and no
-// reduction ever crosses a tile (the transposed-accumulate kernel
-// partitions output rows, not the reduction axis), so results are
-// bit-identical to Serial at every worker count — which is what lets a
-// pool accelerate training and serving without perturbing any of the
-// repository's exact-bits contracts. Dispatch is allocation-free and
-// small products fall back to the serial kernel. A helper stays awake
-// for a short window after each call, yielding the processor while it
-// polls, so back-to-back calls — a decode step's products, a training
-// step's phases — skip the wake of a parked goroutine. The trainer runs
-// its ranks' forward/backward passes and its synchronization's bulk work
-// on one such pool, so a step starts no goroutine; each replica computes
-// its products on the serial kernels. Those products are large:
-// internal/model runs a whole T×B sequence per call on time-major slabs
-// from a reusable per-replica workspace, so the input products, the
-// weight-gradient products, the bias sums and dx run once per sequence
-// over T·B rows, and only the recurrence (h·Whᵀ, the gates and
+// internal/tensor puts the serving decoder's two products — MatMulABT on
+// FP32 weights, MatMulABTStreamQ8 on int8 ones — behind a Backend: Serial
+// (the reference kernels) and Parallel, which tiles each product's output
+// across a persistent goroutine pool. Tile boundaries are a pure function of
+// shape and worker count, and each tile writes a disjoint output range in
+// the serial kernel's exact operation order, so results are bit-identical
+// to Serial at every worker count — which is what lets a pool accelerate
+// serving without perturbing any of the repository's exact-bits contracts.
+// Dispatch is allocation-free and small products fall back to the serial
+// kernel. The backend's For lends the same pool to independent calls: the
+// batcher's per-sequence sampling, the trainer's per-rank passes and its
+// synchronization's stripes. A helper stays awake for a short window after
+// each call, yielding the processor while it polls, so back-to-back calls —
+// a decode step's products, a training step's phases — skip the wake of a
+// parked goroutine. The trainer runs its ranks' forward/backward passes and
+// its synchronization's bulk work on one such pool, so a step starts no
+// goroutine; each pass calls the package kernels directly. Those products
+// are large: internal/model runs a whole T×B sequence per call on
+// time-major slabs from a reusable per-replica workspace, so the input
+// products, the weight-gradient products, the bias sums and dx run once per
+// sequence over T·B rows, and only the recurrence (h·Whᵀ, the gates and
 // their transposes) runs once per timestep. The weight-gradient slabs are
 // kept steps-descending — the order backpropagation through time visited
 // them — so one accumulate call adds the same rows in the same order as one
@@ -151,7 +151,7 @@
 // overhead.
 //
 // Underneath both backends the FP32 inner loops (axpy behind MatMul and
-// MatMulATBAcc, Dot behind MatMulABT and MatMulABTStream) run AVX assembly
+// MatMulATBAcc, Dot behind MatMulABT) run AVX assembly
 // on amd64, chosen from CPUID with no knob, and the portable Go loops
 // elsewhere. The Go loops define the arithmetic — which products, added in
 // which order, each multiply and add rounded separately, never fused — and

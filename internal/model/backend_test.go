@@ -1,7 +1,7 @@
 package model
 
 import (
-	"math"
+	"fmt"
 	"testing"
 
 	"zipflm/internal/rng"
@@ -9,87 +9,92 @@ import (
 	"zipflm/internal/tensor"
 )
 
-// TestParallelBackendBitIdenticalStep is the model-layer statement of the
-// backend contract: an identical replica computing through the goroutine-
-// tiled backend produces the same loss, the same dense gradients, and the
-// same sparse embedding gradients — to the bit — as the serial reference,
-// for both architectures and both softmax modes.
-func TestParallelBackendBitIdenticalStep(t *testing.T) {
-	configs := map[string]Config{
-		"lstm-full":    {Vocab: 80, Dim: 12, Hidden: 16, RNN: KindLSTM, Seed: 21},
-		"rhn-full":     {Vocab: 80, Dim: 12, Hidden: 16, RNN: KindRHN, RHNDepth: 2, Seed: 22},
-		"lstm-sampled": {Vocab: 80, Dim: 12, Hidden: 16, RNN: KindLSTM, Sampled: 12, Seed: 23},
-	}
-	for name, cfg := range configs {
-		for _, workers := range []int{2, 4, 7} {
-			serial := NewLM(cfg)
-			serial.SetBackend(tensor.Serial{})
-			tiled := NewLM(cfg)
-			be := tensor.NewParallel(workers)
-			tiled.SetBackend(be)
+// countingBackend counts every call made through it and computes on Serial.
+type countingBackend struct {
+	tensor.Serial
+	abt, q8, other int
+}
 
-			r := rng.New(5)
-			const T, B = 4, 3
-			inputs, targets := make([][]int, T), make([][]int, T)
-			for s := 0; s < T; s++ {
-				inputs[s], targets[s] = make([]int, B), make([]int, B)
-				for b := 0; b < B; b++ {
-					inputs[s][b] = r.Intn(cfg.Vocab)
-					targets[s][b] = r.Intn(cfg.Vocab)
+func (c *countingBackend) MatMulABT(dst, a, b *tensor.Matrix) {
+	c.abt++
+	c.Serial.MatMulABT(dst, a, b)
+}
+
+func (c *countingBackend) MatMulABTStreamQ8(dst, a *tensor.Matrix, b *tensor.QMatrix) {
+	c.q8++
+	c.Serial.MatMulABTStreamQ8(dst, a, b)
+}
+
+func (c *countingBackend) For(n int, fn func(i int)) {
+	c.other++
+	c.Serial.For(n, fn)
+}
+
+func (c *countingBackend) Workers() int {
+	c.other++
+	return c.Serial.Workers()
+}
+
+func (c *countingBackend) calls() int { return c.abt + c.q8 + c.other }
+
+// TestOnlyStepperUsesBackend: an LM's backend serves its inference Steppers
+// and nothing else. Stateful training steps (full and sampled softmax, LSTM
+// and RHN) and EvalLoss make no call on it; Stepper.Step computes its
+// products there, to the bits a Serial LM's Stepper gives, and a Stepper
+// built before SetBackend makes the same calls there as one built after.
+func TestOnlyStepperUsesBackend(t *testing.T) {
+	for kind, name := range map[RNNKind]string{KindLSTM: "lstm", KindRHN: "rhn"} {
+		for _, sampled := range []int{0, 6} {
+			cfg := Config{Vocab: 40, Dim: 12, Hidden: 16, RNN: kind, RHNDepth: 2, Sampled: sampled, Stateful: true, Seed: 9}
+			t.Run(fmt.Sprintf("%s/sampled=%d", name, sampled), func(t *testing.T) {
+				m, ref := NewLM(cfg), NewLM(cfg)
+				early := m.NewStepper(3)
+				be := &countingBackend{}
+				m.SetBackend(be)
+
+				r := rng.New(3)
+				var sampler sampling.CandidateSampler
+				if sampled > 0 {
+					sampler = sampling.NewSampler(cfg.Vocab, 5)
 				}
-			}
-			var samplerA, samplerB sampling.CandidateSampler
-			if cfg.Sampled > 0 {
-				samplerA = sampling.NewSampler(cfg.Vocab, 31)
-				samplerB = sampling.NewSampler(cfg.Vocab, 31)
-			}
+				for step := 0; step < 2; step++ { // the second step starts from the carried state
+					m.ForwardBackward(randBatch(r, 5, 3, cfg.Vocab), randBatch(r, 5, 3, cfg.Vocab), sampler)
+				}
+				if n := be.calls(); n != 0 {
+					t.Fatalf("ForwardBackward made %d backend calls, want 0", n)
+				}
+				stream := make([]int, 30)
+				for i := range stream {
+					stream[i] = r.Intn(cfg.Vocab)
+				}
+				m.EvalLoss(stream, 7)
+				if n := be.calls(); n != 0 {
+					t.Fatalf("EvalLoss made %d backend calls, want 0", n)
+				}
 
-			ra := serial.ForwardBackward(inputs, targets, samplerA)
-			rb := tiled.ForwardBackward(inputs, targets, samplerB)
-
-			if ra.LossSum != rb.LossSum || ra.Count != rb.Count {
-				t.Fatalf("%s workers=%d: loss %v/%d != serial %v/%d",
-					name, workers, rb.LossSum, rb.Count, ra.LossSum, ra.Count)
-			}
-			pa, pb := serial.DenseParams(), tiled.DenseParams()
-			for i := range pa {
-				for j := range pa[i].Grad {
-					if math.Float32bits(pa[i].Grad[j]) != math.Float32bits(pb[i].Grad[j]) {
-						t.Fatalf("%s workers=%d: %s grad[%d] %v != serial %v",
-							name, workers, pa[i].Name, j, pb[i].Grad[j], pa[i].Grad[j])
+				ids := []int{1, 7, 30}
+				perStep := 0 // the first Stepper's MatMulABT calls per Step
+				for _, c := range []struct {
+					name string
+					st   *Stepper
+				}{{"stepper", m.NewStepper(3)}, {"stepper built before SetBackend", early}} {
+					states, refStates := make([]*GenState, 3), make([]*GenState, 3)
+					for i := range states {
+						states[i], refStates[i] = m.NewGenState(), ref.NewGenState()
 					}
-				}
-			}
-			for _, pair := range []struct {
-				name string
-				a, b *tensor.Matrix
-			}{{"input", ra.InputGrad.Rows, rb.InputGrad.Rows}, {"output", ra.OutputGrad.Rows, rb.OutputGrad.Rows}} {
-				if (pair.a == nil) != (pair.b == nil) {
-					t.Fatalf("%s workers=%d: %s sparse grad presence differs", name, workers, pair.name)
-				}
-				if pair.a == nil {
-					continue
-				}
-				for j := range pair.a.Data {
-					if math.Float32bits(pair.a.Data[j]) != math.Float32bits(pair.b.Data[j]) {
-						t.Fatalf("%s workers=%d: %s sparse grad[%d] %v != serial %v",
-							name, workers, pair.name, j, pair.b.Data[j], pair.a.Data[j])
+					before := be.abt
+					got := c.st.Step(ids, states)
+					if perStep == 0 {
+						perStep = be.abt - before
 					}
+					if n := be.abt - before; n == 0 || n != perStep {
+						t.Fatalf("%s: Step made %d MatMulABT calls on the LM's backend, the first Stepper %d (want equal and > 0)",
+							c.name, n, perStep)
+					}
+					want := ref.NewStepper(3).Step(ids, refStates)
+					sameBits(t, c.name+" logits", got.Data, want.Data)
 				}
-			}
-
-			// Validation path too: EvalLoss runs the full softmax without
-			// gradients through the same backend.
-			stream := make([]int, 120)
-			for i := range stream {
-				stream[i] = r.Intn(cfg.Vocab)
-			}
-			la, ca := serial.EvalLoss(stream, 10)
-			lb, cb := tiled.EvalLoss(stream, 10)
-			if la != lb || ca != cb {
-				t.Fatalf("%s workers=%d: EvalLoss %v/%d != serial %v/%d", name, workers, lb, cb, la, ca)
-			}
-			be.Close()
+			})
 		}
 	}
 }

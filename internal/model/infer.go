@@ -14,9 +14,10 @@ import (
 // with zero allocation at steady state.
 //
 // The correctness contract the serving layer builds on: every kernel in the
-// step path (MatMulABTStream, the per-element gate math, the projection and
-// logits products) computes each batch row independently, with the same
-// operations in the same order as a batch-1 step. A token generated for a
+// step path (the backend's MatMulABT or MatMulABTStreamQ8, the per-element
+// gate math, the projection and logits products) computes each batch row
+// independently, with the same operations in the same order as a batch-1
+// step. A token generated for a
 // request inside any batch is therefore bit-identical to the token the
 // sequential Generate path produces for that request alone.
 
@@ -86,7 +87,7 @@ func (m *LM) NewStepper(maxBatch int) *Stepper {
 		st.s1 = tensor.NewMatrix(maxBatch, 4*m.Cfg.Hidden)
 		st.s2 = tensor.NewMatrix(maxBatch, 4*m.Cfg.Hidden)
 		st.stepRNN = func() {
-			rnn.stepInfer(st.x, st.h, st.c, st.s1, st.s2)
+			rnn.stepInfer(m.be, st.x, st.h, st.c, st.s1, st.s2)
 		}
 	case *RHN:
 		st.s1 = tensor.NewMatrix(maxBatch, m.Cfg.Hidden)
@@ -94,7 +95,7 @@ func (m *LM) NewStepper(maxBatch int) *Stepper {
 		st.s3 = tensor.NewMatrix(maxBatch, m.Cfg.Hidden)
 		st.s4 = tensor.NewMatrix(maxBatch, m.Cfg.Hidden)
 		st.stepRNN = func() {
-			rnn.stepInfer(st.x, st.h, st.s1, st.s2, st.s3, st.s4)
+			rnn.stepInfer(m.be, st.x, st.h, st.s1, st.s2, st.s3, st.s4)
 		}
 	default:
 		panic("model: unknown recurrent kind in NewStepper")
@@ -225,7 +226,7 @@ func (st *Stepper) logitsFor(h *tensor.Matrix) *tensor.Matrix {
 	m := st.m
 	viewRows(st.p, h.Rows)
 	viewRows(st.logits, h.Rows)
-	m.proj.ForwardInto(st.p, h)
+	m.proj.ForwardInto(m.be, st.p, h)
 	qmul(m.be, st.logits, st.p, m.OutEmb, m.qOutEmb)
 	return st.logits
 }

@@ -23,8 +23,6 @@ type Linear struct {
 	gb []float32
 	declared
 
-	be tensor.Backend
-
 	// forward cache
 	x *tensor.Matrix
 }
@@ -32,7 +30,7 @@ type Linear struct {
 // newLinear returns a Linear layer whose weights and gradients c carves,
 // with a cache of its own. A non-nil r draws Xavier-uniform weights.
 func newLinear(in, out int, r *rng.RNG, c *carver) *Linear {
-	l := &Linear{In: in, Out: out, be: tensor.Serial{}}
+	l := &Linear{In: in, Out: out}
 	first := len(c.params)
 	l.W, l.gw = c.take("linear.W", out, in)
 	b, gb := c.take("linear.b", 1, out)
@@ -43,13 +41,11 @@ func newLinear(in, out int, r *rng.RNG, c *carver) *Linear {
 	return l
 }
 
-func (l *Linear) setBackend(be tensor.Backend) { l.be = be }
-
 // forward computes y = x Wᵀ + b for a B×In input, caching x for backward.
 // y is carved from ws.
 func (l *Linear) forward(ws *workspace, x *tensor.Matrix) *tensor.Matrix {
 	y := ws.take(x.Rows, l.Out)
-	l.be.MatMulABT(y, x, l.W)
+	tensor.MatMulABT(y, x, l.W)
 	for r := 0; r < y.Rows; r++ {
 		tensor.AddInPlace(y.Row(r), l.B)
 	}
@@ -57,12 +53,12 @@ func (l *Linear) forward(ws *workspace, x *tensor.Matrix) *tensor.Matrix {
 	return y
 }
 
-// ForwardInto computes y = x Wᵀ + b into a caller-owned matrix without
+// ForwardInto computes y = x Wᵀ + b on be into a caller-owned matrix without
 // caching x — the inference path, which must neither allocate nor disturb a
 // training step's backward state. On an FP32 layer values are bit-identical
 // to forward's; a quantized layer runs the int8 kernels instead.
-func (l *Linear) ForwardInto(y, x *tensor.Matrix) {
-	qmul(l.be, y, x, l.W, l.qw)
+func (l *Linear) ForwardInto(be tensor.Backend, y, x *tensor.Matrix) {
+	qmul(be, y, x, l.W, l.qw)
 	for r := 0; r < y.Rows; r++ {
 		tensor.AddInPlace(y.Row(r), l.B)
 	}
@@ -75,12 +71,12 @@ func (l *Linear) backward(ws *workspace, dy *tensor.Matrix) *tensor.Matrix {
 		panic("model: Linear.backward before forward")
 	}
 	// gW += dyᵀ @ x ; gb += column sums of dy ; dx = dy @ W.
-	l.be.MatMulATBAcc(l.gw, dy, l.x)
+	tensor.MatMulATBAcc(l.gw, dy, l.x)
 	for r := 0; r < dy.Rows; r++ {
 		tensor.AddInPlace(l.gb, dy.Row(r))
 	}
 	dx := ws.take(dy.Rows, l.In)
-	l.be.MatMul(dx, dy, l.W)
+	tensor.MatMul(dx, dy, l.W)
 	l.x = nil
 	return dx
 }

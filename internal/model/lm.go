@@ -60,7 +60,6 @@ type recurrent interface {
 	// in ws, which must not be reset in between.
 	forward(ws *workspace, x *tensor.Matrix, batch int) *tensor.Matrix
 	backward(ws *workspace, dh *tensor.Matrix) *tensor.Matrix
-	setBackend(tensor.Backend)
 	// quantizeWeights builds int8 shadows for the inference step path
 	// (see quantize.go).
 	quantizeWeights(chunk int)
@@ -81,7 +80,8 @@ type LM struct {
 	rnn           recurrent
 	proj          *Linear
 	drop          *dropout
-	be            tensor.Backend
+	// be runs the inference Stepper's products (see SetBackend).
+	be tensor.Backend
 	// qOutEmb is the int8 shadow of OutEmb for the quantized inference
 	// path (see quantize.go); nil on an FP32 replica.
 	qOutEmb *tensor.QMatrix
@@ -124,6 +124,7 @@ func newLM(cfg Config, r *rng.RNG, in, out, values []float32, be tensor.Backend)
 		Cfg:    cfg,
 		InEmb:  tensor.NewMatrixFrom(cfg.Vocab, cfg.Dim, in),
 		OutEmb: tensor.NewMatrixFrom(cfg.Vocab, cfg.Dim, out),
+		be:     be,
 		values: values,
 		grads:  make([]float32, len(values)),
 	}
@@ -148,7 +149,6 @@ func newLM(cfg Config, r *rng.RNG, in, out, values []float32, be tensor.Backend)
 	m.layers, m.dense = []Layer{m.rnn, m.proj}, c.since(0)
 	m.rnn.SetCarry(cfg.Stateful)
 	m.drop = newDropout(cfg.Dropout, cfg.Seed^0x5bd1e995)
-	m.SetBackend(be)
 	return m
 }
 
@@ -170,23 +170,22 @@ func (m *LM) Weights() []Param {
 	return append([]Param{{Name: "InEmb", Value: m.InEmb.Data}, {Name: "OutEmb", Value: m.OutEmb.Data}}, m.dense...)
 }
 
-// SetBackend routes every matmul of this replica — forward, backward, and
-// the batched inference Stepper — through be (nil restores the serial
-// reference). The backend is a runtime property, deliberately outside
-// Config: checkpoints gob-encode Config, and a model loaded from one must
-// be free to serve on any worker count while staying bit-identical — which
-// every backend guarantees. Existing Steppers keep the backend they were
-// built with; construct them after SetBackend.
+// SetBackend routes the products of this replica's inference Steppers
+// through be (nil restores the serial reference); training and evaluation
+// always run the package kernels on the calling goroutine. The backend is a
+// runtime property, deliberately outside Config: checkpoints gob-encode
+// Config, and a model loaded from one must be free to serve on any worker
+// count while staying bit-identical — which every backend guarantees. A
+// Stepper reads the backend at every step, so one built before SetBackend
+// computes on the new backend from its next step on.
 func (m *LM) SetBackend(be tensor.Backend) {
 	if be == nil {
 		be = tensor.Serial{}
 	}
 	m.be = be
-	m.rnn.setBackend(be)
-	m.proj.setBackend(be)
 }
 
-// Backend returns the compute backend this replica currently uses.
+// Backend returns the compute backend this replica's Steppers use.
 func (m *LM) Backend() tensor.Backend { return m.be }
 
 // DenseLayers returns the layers whose gradients synchronize with a plain
@@ -267,12 +266,12 @@ func (m *LM) ForwardBackward(inputs, targets [][]int, sampler sampling.Candidate
 	res := StepResult{}
 	var dp *tensor.Matrix
 	if m.Cfg.Sampled > 0 && sampler != nil {
-		out := sampledSoftmaxLoss(ws, m.be, ps, m.OutEmb, m.flatTargets, sampler, m.Cfg.Sampled)
+		out := sampledSoftmaxLoss(ws, ps, m.OutEmb, m.flatTargets, sampler, m.Cfg.Sampled)
 		res.LossSum, res.Count = out.LossSum, out.Count
 		dp = out.DH
 		res.OutputGrad = core.SparseGrad{Indices: out.Candidates, Rows: out.DEmb}
 	} else {
-		lossSum, count, dh, dEmb := fullSoftmaxLoss(ws, m.be, ps, m.OutEmb, m.flatTargets, true)
+		lossSum, count, dh, dEmb := fullSoftmaxLoss(ws, ps, m.OutEmb, m.flatTargets, true)
 		res.LossSum, res.Count = lossSum, count
 		dp = dh
 		if m.allIdx == nil {
@@ -321,7 +320,7 @@ func (m *LM) EvalLoss(stream []int, seqLen int) (lossSum float64, count int) {
 		x := ws.take(hi-lo, m.Cfg.Dim)
 		tensor.GatherRows(x, m.InEmb, stream[lo:hi])
 		p := m.proj.forward(ws, m.rnn.forward(ws, x, 1))
-		l, c, _, _ := fullSoftmaxLoss(ws, m.be, p, m.OutEmb, stream[lo+1:hi+1], false)
+		l, c, _, _ := fullSoftmaxLoss(ws, p, m.OutEmb, stream[lo+1:hi+1], false)
 		// Clear the projection's forward cache (no backward follows).
 		m.proj.x = nil
 		lossSum += l

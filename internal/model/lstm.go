@@ -29,8 +29,6 @@ type LSTM struct {
 	gb       []float32
 	declared
 
-	be tensor.Backend
-
 	// forward caches: time-major slabs carved from the pass's workspace, a
 	// block of batch rows per step, steps descending (block k is step T−1−k;
 	// see workspace.go for why). h and c have one block more than the
@@ -49,7 +47,7 @@ type LSTM struct {
 // of its own. A non-nil r initializes the weights: Xavier-uniform, and
 // forget bias 1.
 func newLSTM(in, hidden int, r *rng.RNG, c *carver) *LSTM {
-	l := &LSTM{In: in, Hidden: hidden, be: tensor.Serial{}}
+	l := &LSTM{In: in, Hidden: hidden}
 	first := len(c.params)
 	l.Wx, l.gwx = c.take("lstm.Wx", 4*hidden, in)
 	l.Wh, l.gwh = c.take("lstm.Wh", 4*hidden, hidden)
@@ -64,8 +62,6 @@ func newLSTM(in, hidden int, r *rng.RNG, c *carver) *LSTM {
 	}
 	return l
 }
-
-func (l *LSTM) setBackend(be tensor.Backend) { l.be = be }
 
 // gates is the cell: one row's pre-activations to its gates and new state, in
 // vector passes over the contiguous [i|f|g|o] row. z holds x·Wxᵀ and becomes
@@ -111,12 +107,12 @@ func (l *LSTM) forward(ws *workspace, x *tensor.Matrix, batch int) *tensor.Matri
 	l.c = ws.take(n+batch, hd)
 	initialState(l.carry, l.carried, ws.rows(l.h, n, batch), ws.rows(l.c, n, batch))
 
-	l.be.MatMulABT(l.z, l.x, l.Wx)
+	tensor.MatMulABT(l.z, l.x, l.Wx)
 	zh := ws.take(batch, 4*hd)
 	for k := t - 1; k >= 0; k-- { // blocks descend, so this walks the steps forward
 		lo := k * batch
 		// z = x Wxᵀ + h_prev Whᵀ + b
-		l.be.MatMulABT(zh, ws.rows(l.h, lo+batch, batch), l.Wh)
+		tensor.MatMulABT(zh, ws.rows(l.h, lo+batch, batch), l.Wh)
 		for b := 0; b < batch; b++ {
 			r := lo + b
 			l.gates(l.z.Row(r), zh.Row(b), l.c.Row(r+batch), l.c.Row(r), l.tc.Row(r), l.h.Row(r))
@@ -181,34 +177,34 @@ func (l *LSTM) backward(ws *workspace, dh *tensor.Matrix) *tensor.Matrix {
 				dcn[j] = float32(dc * f)
 			}
 		}
-		l.be.MatMul(dhNext, ws.rows(dz, lo, batch), l.Wh)
+		tensor.MatMul(dhNext, ws.rows(dz, lo, batch), l.Wh)
 	}
 
 	// Parameter gradients: gWx += dzᵀ x ; gWh += dzᵀ h_prev (the h slab one
 	// block on) ; gb += colsum dz.
-	l.be.MatMulATBAcc(l.gwx, dz, l.x)
-	l.be.MatMulATBAcc(l.gwh, dz, ws.rows(l.h, batch, n))
+	tensor.MatMulATBAcc(l.gwx, dz, l.x)
+	tensor.MatMulATBAcc(l.gwh, dz, ws.rows(l.h, batch, n))
 	for r := 0; r < n; r++ {
 		tensor.AddInPlace(l.gb, dz.Row(r))
 	}
 
 	dxs := ws.take(n, l.In)
-	l.be.MatMul(dxs, dz, l.Wx)
+	tensor.MatMul(dxs, dz, l.Wx)
 	dx := ws.take(n, l.In)
 	reverseBlocks(dx, dxs, batch)
 	return dx
 }
 
-// stepInfer advances one inference timestep in place: x is the B×In input,
-// h and c the B×H recurrent state (updated to the new state), zx and zh B×4H
-// scratch. No backward caches are written and nothing is allocated, so the
-// serving hot loop can call it per token at zero cost beyond the math. Every
-// row goes through gates exactly as in forward and depends only on that
-// row's input and state, so a batched step is bit-identical to B independent
-// single-sequence steps.
-func (l *LSTM) stepInfer(x, h, c, zx, zh *tensor.Matrix) {
-	qmul(l.be, zx, x, l.Wx, l.qwx)
-	qmul(l.be, zh, h, l.Wh, l.qwh)
+// stepInfer advances one inference timestep in place on be: x is the B×In
+// input, h and c the B×H recurrent state (updated to the new state), zx and
+// zh B×4H scratch. No backward caches are written and nothing is allocated,
+// so the serving hot loop can call it per token at zero cost beyond the
+// math. Every row goes through gates exactly as in forward and depends only
+// on that row's input and state, so a batched step is bit-identical to B
+// independent single-sequence steps.
+func (l *LSTM) stepInfer(be tensor.Backend, x, h, c, zx, zh *tensor.Matrix) {
+	qmul(be, zx, x, l.Wx, l.qwx)
+	qmul(be, zh, h, l.Wh, l.qwh)
 	for b := 0; b < x.Rows; b++ {
 		zhr, cr := zh.Row(b), c.Row(b)
 		// zh is spent once gates has added it in: its head holds tanh(c).

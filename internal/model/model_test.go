@@ -238,11 +238,11 @@ func TestSampledSoftmaxGradient(t *testing.T) {
 	// sampler is re-seeded per evaluation.
 	loss := func() float64 {
 		s := sampling.NewSampler(V, 77)
-		res := sampledSoftmaxLoss(new(workspace), nil, h, emb, targets, s, S)
+		res := sampledSoftmaxLoss(new(workspace), h, emb, targets, s, S)
 		return res.LossSum / float64(res.Count)
 	}
 	s := sampling.NewSampler(V, 77)
-	res := sampledSoftmaxLoss(new(workspace), nil, h, emb, targets, s, S)
+	res := sampledSoftmaxLoss(new(workspace), h, emb, targets, s, S)
 
 	// dH on every row, dEmb on the candidate rows (DEmb row i belongs to
 	// word Candidates[i]).
@@ -265,7 +265,7 @@ func TestSampledLossApproximatesFullLoss(t *testing.T) {
 	for i := range targets {
 		targets[i] = r.Intn(V)
 	}
-	fullSum, fullCount, _, _ := fullSoftmaxLoss(new(workspace), nil, h, emb, targets, false)
+	fullSum, fullCount, _, _ := fullSoftmaxLoss(new(workspace), h, emb, targets, false)
 	full := fullSum / float64(fullCount)
 
 	// The sampled loss is a Jensen-biased *under*-estimate of the full
@@ -276,7 +276,7 @@ func TestSampledLossApproximatesFullLoss(t *testing.T) {
 		const trials = 40
 		for i := 0; i < trials; i++ {
 			s := sampling.NewSampler(V, uint64(1000+i))
-			res := sampledSoftmaxLoss(new(workspace), nil, h, emb, targets, s, nSamples)
+			res := sampledSoftmaxLoss(new(workspace), h, emb, targets, s, nSamples)
 			acc += res.LossSum / float64(res.Count)
 		}
 		return acc / trials
@@ -300,7 +300,7 @@ func TestFullSoftmaxGradSumsToZeroPerRow(t *testing.T) {
 	h.RandomizeNormal(r, 1)
 	emb := tensor.NewMatrix(10, 4)
 	emb.RandomizeNormal(r, 1)
-	_, _, _, dEmb := fullSoftmaxLoss(new(workspace), nil, h, emb, []int{1, 5, 9}, true)
+	_, _, _, dEmb := fullSoftmaxLoss(new(workspace), h, emb, []int{1, 5, 9}, true)
 	// Column sums of dEmb equal sum_b (p_b - onehot_b) ᵀ h_b summed; each
 	// softmax row's probability sums to 1, so Σ_w dlogits[b][w] = 0 and
 	// the total embedding gradient projected on any h direction vanishes.
@@ -470,11 +470,11 @@ func TestPanicsOnBadInput(t *testing.T) {
 		func() { m.EvalLoss([]int{1, 2}, 0) },
 		func() {
 			h := tensor.NewMatrix(2, 4)
-			fullSoftmaxLoss(new(workspace), nil, h, m.OutEmb, []int{1}, false)
+			fullSoftmaxLoss(new(workspace), h, m.OutEmb, []int{1}, false)
 		},
 		func() {
 			h := tensor.NewMatrix(1, 4)
-			fullSoftmaxLoss(new(workspace), nil, h, m.OutEmb, []int{99}, false)
+			fullSoftmaxLoss(new(workspace), h, m.OutEmb, []int{99}, false)
 		},
 	} {
 		func() {

@@ -14,7 +14,7 @@ import (
 
 // The definition of a training step. Below are the per-timestep LSTM and RHN
 // passes and the LM step around them exactly as they stood before the layers
-// went sequence-level (one backend call per product per timestep, a fresh
+// went sequence-level (one kernel call per product per timestep, a fresh
 // zeroed matrix for every activation): each oracle embeds the production
 // layer, so it reads the same weights and accumulates into the same kind of
 // gradient buffers, and keeps its own per-timestep caches. The production
@@ -76,8 +76,8 @@ func (l *lstmOracle) Forward(xs []*tensor.Matrix) []*tensor.Matrix {
 	for step := 0; step < t; step++ {
 		// z = x Wxᵀ + h_prev Whᵀ + b
 		z := tensor.NewMatrix(batch, 4*h)
-		l.be.MatMulABT(z, xs[step], l.Wx)
-		l.be.MatMulABT(zh, hPrev, l.Wh)
+		tensor.MatMulABT(z, xs[step], l.Wx)
+		tensor.MatMulABT(zh, hPrev, l.Wh)
 		ht := tensor.NewMatrix(batch, h)
 		ct := tensor.NewMatrix(batch, h)
 		tc := tensor.NewMatrix(batch, h)
@@ -151,17 +151,17 @@ func (l *lstmOracle) Backward(dhs []*tensor.Matrix) []*tensor.Matrix {
 
 		// Parameter gradients: gWx += dzᵀ x_t ; gWh += dzᵀ h_{t-1} ;
 		// gb += colsum dz.
-		l.be.MatMulATBAcc(l.gwx, dz, l.xs[step])
-		l.be.MatMulATBAcc(l.gwh, dz, hPrev)
+		tensor.MatMulATBAcc(l.gwx, dz, l.xs[step])
+		tensor.MatMulATBAcc(l.gwh, dz, hPrev)
 		for b := 0; b < batch; b++ {
 			tensor.AddInPlace(l.gb, dz.Row(b))
 		}
 
 		// Input and recurrent gradients.
 		dx := tensor.NewMatrix(batch, l.In)
-		l.be.MatMul(dx, dz, l.Wx)
+		tensor.MatMul(dx, dz, l.Wx)
 		dxs[step] = dx
-		l.be.MatMul(dhNext, dz, l.Wh)
+		tensor.MatMul(dhNext, dz, l.Wh)
 	}
 	return dxs
 }
@@ -199,8 +199,8 @@ func (l *rhnOracle) Forward(xs []*tensor.Matrix) []*tensor.Matrix {
 	zxh := tensor.NewMatrix(batch, h)
 	zxt := tensor.NewMatrix(batch, h)
 	for step := 0; step < t; step++ {
-		l.be.MatMulABT(zxh, xs[step], l.Wh)
-		l.be.MatMulABT(zxt, xs[step], l.Wt)
+		tensor.MatMulABT(zxh, xs[step], l.Wh)
+		tensor.MatMulABT(zxt, xs[step], l.Wt)
 		states := make([]*tensor.Matrix, l.Depth+1)
 		hs := make([]*tensor.Matrix, l.Depth)
 		ts := make([]*tensor.Matrix, l.Depth)
@@ -209,8 +209,8 @@ func (l *rhnOracle) Forward(xs []*tensor.Matrix) []*tensor.Matrix {
 		for d := 0; d < l.Depth; d++ {
 			hg := tensor.NewMatrix(batch, h)
 			tg := tensor.NewMatrix(batch, h)
-			l.be.MatMulABT(hg, s, l.Rh[d])
-			l.be.MatMulABT(tg, s, l.Rt[d])
+			tensor.MatMulABT(hg, s, l.Rh[d])
+			tensor.MatMulABT(tg, s, l.Rt[d])
 			sNext := tensor.NewMatrix(batch, h)
 			for b := 0; b < batch; b++ {
 				var xh, xt []float32
@@ -281,25 +281,25 @@ func (l *rhnOracle) Backward(dhs []*tensor.Matrix) []*tensor.Matrix {
 			}
 
 			// Recurrent weight gradients and state gradient.
-			l.be.MatMulATBAcc(l.grh[d], dzh, sIn)
-			l.be.MatMulATBAcc(l.grt[d], dzt, sIn)
+			tensor.MatMulATBAcc(l.grh[d], dzh, sIn)
+			tensor.MatMulATBAcc(l.grt[d], dzt, sIn)
 			for b := 0; b < batch; b++ {
 				tensor.AddInPlace(l.gbh[d], dzh.Row(b))
 				tensor.AddInPlace(l.gbt[d], dzt.Row(b))
 			}
-			l.be.MatMul(tmp, dzh, l.Rh[d])
+			tensor.MatMul(tmp, dzh, l.Rh[d])
 			tensor.AddInPlace(dsIn.Data, tmp.Data)
-			l.be.MatMul(tmp, dzt, l.Rt[d])
+			tensor.MatMul(tmp, dzt, l.Rt[d])
 			tensor.AddInPlace(dsIn.Data, tmp.Data)
 
 			// Input projection contributes at micro-layer 0 only.
 			if d == 0 {
-				l.be.MatMulATBAcc(l.gwh, dzh, l.xs[step])
-				l.be.MatMulATBAcc(l.gwt, dzt, l.xs[step])
+				tensor.MatMulATBAcc(l.gwh, dzh, l.xs[step])
+				tensor.MatMulATBAcc(l.gwt, dzt, l.xs[step])
 				dxTmp := tensor.NewMatrix(batch, l.In)
-				l.be.MatMul(dxTmp, dzh, l.Wh)
+				tensor.MatMul(dxTmp, dzh, l.Wh)
 				tensor.AddInPlace(dx.Data, dxTmp.Data)
-				l.be.MatMul(dxTmp, dzt, l.Wt)
+				tensor.MatMul(dxTmp, dzt, l.Wt)
 				tensor.AddInPlace(dx.Data, dxTmp.Data)
 			}
 			ds = dsIn
@@ -362,12 +362,12 @@ func (o *lmOracle) ForwardBackward(inputs, targets [][]int, sampler sampling.Can
 	res := StepResult{}
 	var dp *tensor.Matrix
 	if m.Cfg.Sampled > 0 && sampler != nil {
-		out := sampledSoftmaxLoss(new(workspace), m.be, pStacked, m.OutEmb, flatTargets, sampler, m.Cfg.Sampled)
+		out := sampledSoftmaxLoss(new(workspace), pStacked, m.OutEmb, flatTargets, sampler, m.Cfg.Sampled)
 		res.LossSum, res.Count = out.LossSum, out.Count
 		dp = out.DH
 		res.OutputGrad = core.SparseGrad{Indices: out.Candidates, Rows: out.DEmb}
 	} else {
-		lossSum, count, dh, dEmb := fullSoftmaxLoss(new(workspace), m.be, pStacked, m.OutEmb, flatTargets, true)
+		lossSum, count, dh, dEmb := fullSoftmaxLoss(new(workspace), pStacked, m.OutEmb, flatTargets, true)
 		res.LossSum, res.Count = lossSum, count
 		dp = dh
 		allIdx := make([]int, m.Cfg.Vocab)
@@ -430,7 +430,7 @@ func (o *lmOracle) EvalLoss(stream []int, seqLen int) (lossSum float64, count in
 			flatTargets[step] = targets[step][0]
 		}
 		p := m.proj.forward(new(workspace), hStacked)
-		l, c, _, _ := fullSoftmaxLoss(new(workspace), m.be, p, m.OutEmb, flatTargets, false)
+		l, c, _, _ := fullSoftmaxLoss(new(workspace), p, m.OutEmb, flatTargets, false)
 		m.proj.x = nil
 		lossSum += l
 		count += c
@@ -485,8 +485,10 @@ func sameGrad(t *testing.T, what string, got, want core.SparseGrad) {
 // per-timestep definition above, bit for bit: dense gradients, both embedding
 // gradients, the loss sum, the carried state and EvalLoss, over {LSTM, RHN
 // depth 1 and 3} × {full, sampled} softmax × batch {1, 4} × T {1, 8, 20} ×
-// {stateless, carried} × dropout {0, 0.3} × {Serial, Parallel(4)}. Each cell
-// runs three steps of lengths T, T′≠T, T on one replica with an EvalLoss
+// {stateless, carried} × dropout {0, 0.3} × the LM's backend {Serial,
+// Parallel(4)}: training reads no backend, so a tiled one installed on the
+// LM must leave every bit where the serial oracle puts it. Each cell runs
+// three steps of lengths T, T′≠T, T on one replica with an EvalLoss
 // after the first, so the workspace regrows and is then reused by passes of
 // other shapes, and fills the arena with NaN after every pass: a slab that is
 // read before it is written, or an accumulator that is not cleared, poisons
@@ -530,7 +532,6 @@ func oracleCell(t *testing.T, cfg Config, be tensor.Backend, batch, seqLen int) 
 	m := NewLM(cfg)
 	o := newLMOracle(cfg)
 	m.SetBackend(be)
-	o.m.SetBackend(be)
 
 	other := 20
 	if seqLen == 20 {

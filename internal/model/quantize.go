@@ -17,12 +17,12 @@ import "zipflm/internal/tensor"
 // FP32 — it is gathered, never multiplied, so quantizing it would cost
 // accuracy and buy no bandwidth on the matmul path.
 
-// qmul computes dst = x·Wᵀ on the quantized kernel when qw is non-nil and
-// the FP32 stream kernel otherwise. Either kernel computes a row of x to the
+// qmul computes dst = x·Wᵀ on be: the quantized kernel when qw is non-nil,
+// the FP32 one otherwise. Either kernel computes a row of x to the
 // same bits whatever the batch around it, a batch of one included.
 func qmul(be tensor.Backend, dst, x *tensor.Matrix, w *tensor.Matrix, qw *tensor.QMatrix) {
 	if qw == nil {
-		be.MatMulABTStream(dst, x, w)
+		be.MatMulABT(dst, x, w)
 		return
 	}
 	be.MatMulABTStreamQ8(dst, x, qw)

@@ -43,8 +43,6 @@ type RHN struct {
 	gbh, gbt [][]float32
 	declared
 
-	be tensor.Backend
-
 	// forward caches: time-major slabs carved from the pass's workspace, a
 	// block of batch rows per step, steps descending (block k is step T−1−k;
 	// see workspace.go for why), one slab per micro-layer. s[d] is
@@ -74,7 +72,6 @@ func newRHN(in, hidden, depth int, r *rng.RNG, c *carver) *RHN {
 	}
 	l := &RHN{
 		In: in, Hidden: hidden, Depth: depth,
-		be: tensor.Serial{},
 
 		s:     make([]*tensor.Matrix, depth),
 		sIn:   make([]*tensor.Matrix, depth),
@@ -112,8 +109,6 @@ func newRHN(in, hidden, depth int, r *rng.RNG, c *carver) *RHN {
 	l.declared = c.since(first)
 	return l
 }
-
-func (l *RHN) setBackend(be tensor.Backend) { l.be = be }
 
 // gates is micro-layer d of the cell for one row, in vector passes: zh and
 // zt hold s·Rhᵀ and s·Rtᵀ and become h_l and t_l (what backward reads) —
@@ -163,16 +158,16 @@ func (l *RHN) forward(ws *workspace, x *tensor.Matrix, batch int) *tensor.Matrix
 
 	zxh := ws.take(n, h)
 	zxt := ws.take(n, h)
-	l.be.MatMulABT(zxh, l.x, l.Wh)
-	l.be.MatMulABT(zxt, l.x, l.Wt)
+	tensor.MatMulABT(zxh, l.x, l.Wh)
+	tensor.MatMulABT(zxt, l.x, l.Wt)
 	for k := t - 1; k >= 0; k-- { // blocks descend, so this walks the steps forward
 		lo := k * batch
 		s := ws.rows(l.s[last], lo+batch, batch)
 		for d := 0; d < l.Depth; d++ {
 			hg := ws.rows(l.hGate[d], lo, batch)
 			tg := ws.rows(l.tGate[d], lo, batch)
-			l.be.MatMulABT(hg, s, l.Rh[d])
-			l.be.MatMulABT(tg, s, l.Rt[d])
+			tensor.MatMulABT(hg, s, l.Rh[d])
+			tensor.MatMulABT(tg, s, l.Rt[d])
 			sNext := ws.rows(l.s[d], lo, batch)
 			for b := 0; b < batch; b++ {
 				var xh, xt []float32
@@ -248,9 +243,9 @@ func (l *RHN) backward(ws *workspace, dhs *tensor.Matrix) *tensor.Matrix {
 			}
 
 			// State gradient through the recurrent weights.
-			l.be.MatMul(tmp, dzh, l.Rh[d])
+			tensor.MatMul(tmp, dzh, l.Rh[d])
 			tensor.AddInPlace(dsIn.Data, tmp.Data)
-			l.be.MatMul(tmp, dzt, l.Rt[d])
+			tensor.MatMul(tmp, dzt, l.Rt[d])
 			tensor.AddInPlace(dsIn.Data, tmp.Data)
 			ds, dsIn = dsIn, ds
 		}
@@ -259,8 +254,8 @@ func (l *RHN) backward(ws *workspace, dhs *tensor.Matrix) *tensor.Matrix {
 
 	// Recurrent weight and bias gradients, per micro-layer.
 	for d := 0; d < l.Depth; d++ {
-		l.be.MatMulATBAcc(l.grh[d], l.dh[d], l.sIn[d])
-		l.be.MatMulATBAcc(l.grt[d], l.dt[d], l.sIn[d])
+		tensor.MatMulATBAcc(l.grh[d], l.dh[d], l.sIn[d])
+		tensor.MatMulATBAcc(l.grt[d], l.dt[d], l.sIn[d])
 		for r := 0; r < n; r++ {
 			tensor.AddInPlace(l.gbh[d], l.dh[d].Row(r))
 			tensor.AddInPlace(l.gbt[d], l.dt[d].Row(r))
@@ -268,35 +263,35 @@ func (l *RHN) backward(ws *workspace, dhs *tensor.Matrix) *tensor.Matrix {
 	}
 
 	// The input projects in at micro-layer 0 only.
-	l.be.MatMulATBAcc(l.gwh, l.dh[0], l.x)
-	l.be.MatMulATBAcc(l.gwt, l.dt[0], l.x)
+	tensor.MatMulATBAcc(l.gwh, l.dh[0], l.x)
+	tensor.MatMulATBAcc(l.gwt, l.dt[0], l.x)
 	dxs := ws.zeros(n, l.In)
 	dxTmp := ws.take(n, l.In)
-	l.be.MatMul(dxTmp, l.dh[0], l.Wh)
+	tensor.MatMul(dxTmp, l.dh[0], l.Wh)
 	tensor.AddInPlace(dxs.Data, dxTmp.Data)
-	l.be.MatMul(dxTmp, l.dt[0], l.Wt)
+	tensor.MatMul(dxTmp, l.dt[0], l.Wt)
 	tensor.AddInPlace(dxs.Data, dxTmp.Data)
 	dx := ws.take(n, l.In)
 	reverseBlocks(dx, dxs, batch)
 	return dx
 }
 
-// stepInfer advances one inference timestep in place: x is the B×In input,
-// s the B×H recurrent state (updated through all Depth micro-layers), and
-// zxh/zxt/zrh/zrt are B×H scratch. Like the LSTM counterpart it writes no
+// stepInfer advances one inference timestep in place on be: x is the B×In
+// input, s the B×H recurrent state (updated through all Depth
+// micro-layers), and zxh/zxt/zrh/zrt are B×H scratch. Like the LSTM counterpart it writes no
 // backward caches, allocates nothing, runs every row through gates exactly
 // as forward does, and keeps every row independent so batched and
 // single-sequence stepping are bit-identical.
-func (l *RHN) stepInfer(x, s, zxh, zxt, zrh, zrt *tensor.Matrix) {
-	qmul(l.be, zxh, x, l.Wh, l.qwh)
-	qmul(l.be, zxt, x, l.Wt, l.qwt)
+func (l *RHN) stepInfer(be tensor.Backend, x, s, zxh, zxt, zrh, zrt *tensor.Matrix) {
+	qmul(be, zxh, x, l.Wh, l.qwh)
+	qmul(be, zxt, x, l.Wt, l.qwt)
 	for d := 0; d < l.Depth; d++ {
 		var qrh, qrt *tensor.QMatrix
 		if l.qrh != nil {
 			qrh, qrt = l.qrh[d], l.qrt[d]
 		}
-		qmul(l.be, zrh, s, l.Rh[d], qrh)
-		qmul(l.be, zrt, s, l.Rt[d], qrt)
+		qmul(be, zrh, s, l.Rh[d], qrh)
+		qmul(be, zrt, s, l.Rt[d], qrt)
 		for b := 0; b < x.Rows; b++ {
 			var xh, xt []float32
 			if d == 0 {

@@ -19,19 +19,13 @@ import (
 // are for the *mean* loss over the batch. Every matrix, the returned ones
 // included, is carved from ws: the logits and their gradient are the largest
 // blocks of a step, and a fresh pair per step was most of its garbage.
-//
-// be selects the compute backend for the logits and gradient products — the
-// largest matmuls of a training step; nil means the serial reference.
-func fullSoftmaxLoss(ws *workspace, be tensor.Backend, h *tensor.Matrix, outEmb *tensor.Matrix, targets []int, computeGrad bool) (lossSum float64, count int, dh, dEmb *tensor.Matrix) {
-	if be == nil {
-		be = tensor.Serial{}
-	}
+func fullSoftmaxLoss(ws *workspace, h *tensor.Matrix, outEmb *tensor.Matrix, targets []int, computeGrad bool) (lossSum float64, count int, dh, dEmb *tensor.Matrix) {
 	if h.Rows != len(targets) {
 		panic(fmt.Sprintf("model: %d hidden rows, %d targets", h.Rows, len(targets)))
 	}
 	v := outEmb.Rows
 	logits := ws.take(h.Rows, v)
-	be.MatMulABT(logits, h, outEmb)
+	tensor.MatMulABT(logits, h, outEmb)
 
 	count = len(targets)
 	var dlogits *tensor.Matrix
@@ -57,9 +51,9 @@ func fullSoftmaxLoss(ws *workspace, be tensor.Backend, h *tensor.Matrix, outEmb 
 		return lossSum, count, nil, nil
 	}
 	dh = ws.take(h.Rows, h.Cols)
-	be.MatMul(dh, dlogits, outEmb)
+	tensor.MatMul(dh, dlogits, outEmb)
 	dEmb = ws.take(v, h.Cols)
-	be.MatMulATB(dEmb, dlogits, h)
+	tensor.MatMulATB(dEmb, dlogits, h)
 	return lossSum, count, dh, dEmb
 }
 
@@ -94,14 +88,10 @@ type sampledSoftmaxResult struct {
 // sampledSoftmaxLoss scores only the candidate set drawn by the rank's
 // sampler (§II-A): S negatives from the log-uniform distribution plus the
 // batch's target words, with the standard log-expected-count logit
-// correction so the sampled loss estimates the full loss. be selects the
-// compute backend (nil: the serial reference). Like fullSoftmaxLoss it works
-// in ws, the result's matrices included; only the candidate list is the
-// sampler's own.
-func sampledSoftmaxLoss(ws *workspace, be tensor.Backend, h *tensor.Matrix, outEmb *tensor.Matrix, targets []int, s sampling.CandidateSampler, nSamples int) sampledSoftmaxResult {
-	if be == nil {
-		be = tensor.Serial{}
-	}
+// correction so the sampled loss estimates the full loss. Like
+// fullSoftmaxLoss it works in ws, the result's matrices included; only the
+// candidate list is the sampler's own.
+func sampledSoftmaxLoss(ws *workspace, h *tensor.Matrix, outEmb *tensor.Matrix, targets []int, s sampling.CandidateSampler, nSamples int) sampledSoftmaxResult {
 	if h.Rows != len(targets) {
 		panic(fmt.Sprintf("model: %d hidden rows, %d targets", h.Rows, len(targets)))
 	}
@@ -120,7 +110,7 @@ func sampledSoftmaxLoss(ws *workspace, be tensor.Backend, h *tensor.Matrix, outE
 	candEmb := ws.take(nc, outEmb.Cols)
 	tensor.GatherRows(candEmb, outEmb, candidates)
 	logits := ws.take(h.Rows, nc)
-	be.MatMulABT(logits, h, candEmb)
+	tensor.MatMulABT(logits, h, candEmb)
 
 	// Subtract log(S·Q(c)) per candidate column.
 	corr := ws.take(1, nc).Data
@@ -146,8 +136,8 @@ func sampledSoftmaxLoss(ws *workspace, be tensor.Backend, h *tensor.Matrix, outE
 	}
 
 	res.DH = ws.take(h.Rows, h.Cols)
-	be.MatMul(res.DH, dlogits, candEmb)
+	tensor.MatMul(res.DH, dlogits, candEmb)
 	res.DEmb = ws.take(nc, outEmb.Cols)
-	be.MatMulATB(res.DEmb, dlogits, h)
+	tensor.MatMulATB(res.DEmb, dlogits, h)
 	return res
 }

@@ -12,7 +12,7 @@ import (
 // workload, caches off — only the batch bound changes. Batched serving must
 // beat sequential single-stream tokens/s because every step streams the
 // V×D output embedding (and the recurrent weights) once for the whole
-// batch instead of once per sequence (tensor.MatMulABTStream).
+// batch instead of once per sequence (tensor.MatMulABT).
 
 func benchModel() *model.LM {
 	return model.NewLM(model.Config{Vocab: 2000, Dim: 64, Hidden: 96, RNN: model.KindLSTM, Seed: 4})

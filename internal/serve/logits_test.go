@@ -24,11 +24,11 @@ type countingBackend struct {
 	rows  atomic.Int64
 }
 
-func (c *countingBackend) MatMulABTStream(dst, a, b *tensor.Matrix) {
+func (c *countingBackend) MatMulABT(dst, a, b *tensor.Matrix) {
 	if b.Rows == c.vocab {
 		c.rows.Add(int64(dst.Rows))
 	}
-	c.Backend.MatMulABTStream(dst, a, b)
+	c.Backend.MatMulABT(dst, a, b)
 }
 
 func (c *countingBackend) MatMulABTStreamQ8(dst, a *tensor.Matrix, b *tensor.QMatrix) {

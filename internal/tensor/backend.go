@@ -7,33 +7,25 @@ import (
 	"time"
 )
 
-// Backend is the pluggable compute engine behind the matmul kernels: the
-// model layers call these methods instead of the package functions, so one
-// knob swaps the whole forward/backward/serving compute path. Every
-// implementation is bit-identical to the serial reference — the repository's
-// correctness contracts (resume, overlap, serving-vs-sequential) are all
-// stated in exact bits, so a backend that "only" changes low-order float
-// bits would break them.
+// Backend is the compute engine of the serving decoder: the two products a
+// Stepper runs per token — MatMulABT on FP32 weights, MatMulABTStreamQ8 on
+// int8 ones — and For, which spreads independent calls over the engine's
+// workers (the batcher's per-sequence sampling, the trainer's ranks and
+// elementwise stripes). Training passes call the package kernels directly.
+// Every implementation is bit-identical to the serial reference — the
+// repository's correctness contracts (resume, served vs sequential decode)
+// are all stated in exact bits, so a backend that "only" changes low-order
+// float bits would break them.
 type Backend interface {
-	// MatMul computes dst = a @ b (see the package function).
-	MatMul(dst, a, b *Matrix)
-	// MatMulATB computes dst = aᵀ @ b.
-	MatMulATB(dst, a, b *Matrix)
-	// MatMulATBAcc computes dst += aᵀ @ b (fused gradient accumulation).
-	MatMulATBAcc(dst, a, b *Matrix)
-	// MatMulABT computes dst = a @ bᵀ.
+	// MatMulABT computes dst = a @ bᵀ (see the package function).
 	MatMulABT(dst, a, b *Matrix)
-	// MatMulABTStream computes dst = a @ bᵀ under the name the serving path
-	// calls (the same kernel as MatMulABT).
-	MatMulABTStream(dst, a, b *Matrix)
 	// MatMulABTStreamQ8 computes dst = a @ dequant(b)ᵀ against int8 weights
 	// (the quantized serving hot path; see the package function).
 	MatMulABTStreamQ8(dst, a *Matrix, b *QMatrix)
 	// For calls fn(i) once for every i in [0, n), on the backend's workers
 	// when it has several, and returns when all calls have. The calls must
 	// be independent of one another and must not use the backend; a panic
-	// in one is raised again on the caller. The serving batcher samples its
-	// sequences through this.
+	// in one is raised again on the caller.
 	For(n int, fn func(i int))
 	// Workers reports how many goroutines the backend computes on, the
 	// caller's included: 1 for Serial.
@@ -44,23 +36,20 @@ type Backend interface {
 // goroutine. Its zero value is ready to use.
 type Serial struct{}
 
-// MatMul implements Backend.
-func (Serial) MatMul(dst, a, b *Matrix) { MatMul(dst, a, b) }
-
-// MatMulATB implements Backend.
-func (Serial) MatMulATB(dst, a, b *Matrix) { MatMulATB(dst, a, b) }
-
-// MatMulATBAcc implements Backend.
-func (Serial) MatMulATBAcc(dst, a, b *Matrix) { MatMulATBAcc(dst, a, b) }
-
 // MatMulABT implements Backend.
 func (Serial) MatMulABT(dst, a, b *Matrix) { MatMulABT(dst, a, b) }
 
-// MatMulABTStream implements Backend.
-func (Serial) MatMulABTStream(dst, a, b *Matrix) { MatMulABTStream(dst, a, b) }
-
 // MatMulABTStreamQ8 implements Backend.
 func (Serial) MatMulABTStreamQ8(dst, a *Matrix, b *QMatrix) { MatMulABTStreamQ8(dst, a, b) }
+
+// MatMul is the package function, kept as a method for benchmark/ladder.go.
+func (Serial) MatMul(dst, a, b *Matrix) { MatMul(dst, a, b) }
+
+// MatMulATBAcc is the package function, kept as a method for benchmark/ladder.go.
+func (Serial) MatMulATBAcc(dst, a, b *Matrix) { MatMulATBAcc(dst, a, b) }
+
+// MatMulABTStream is MatMulABT under the name benchmark/ladder.go calls.
+func (Serial) MatMulABTStream(dst, a, b *Matrix) { MatMulABT(dst, a, b) }
 
 // For implements Backend.
 func (Serial) For(n int, fn func(i int)) {
@@ -81,10 +70,11 @@ func New(n int) Backend {
 	return NewParallel(n)
 }
 
-// parallelMinWork is the fused-multiply-add count below which dispatching
-// tiles costs more than it saves; smaller calls run serially on the caller.
-// The cut keeps the per-token serving path (tiny batches against small
-// weights) on the zero-overhead kernel while training-sized products tile.
+// parallelMinWork is the multiply-add count below which dispatching tiles
+// costs more than it saves; smaller calls run serially on the caller. Only
+// the decoder's products tile, and the cut keeps its tiniest ones (a few
+// rows against small weights) on the zero-overhead kernel. The value has not
+// been measured on the decode shapes.
 const parallelMinWork = 1 << 15
 
 // ElementwiseMinWork is parallelMinWork's counterpart for elementwise passes
@@ -160,9 +150,7 @@ type Parallel struct {
 type kernelKind uint8
 
 const (
-	kkMatMul kernelKind = iota
-	kkATBAcc
-	kkABT
+	kkABT kernelKind = iota
 	kkABTStreamQ8
 	kkFor
 )
@@ -316,10 +304,6 @@ func (j *parallelJob) runTile(t int) {
 		return
 	}
 	switch j.kind {
-	case kkMatMul:
-		matMulRange(j.dst, j.a, j.b, j.span(lo, hi))
-	case kkATBAcc:
-		matMulATBAccRange(j.dst, j.a, j.b, j.span(lo, hi))
 	case kkABT:
 		matMulABTRange(j.dst, j.a, j.b, j.span(lo, hi))
 	case kkABTStreamQ8:
@@ -372,33 +356,6 @@ func (p *Parallel) serialCutoff(m, k, n int) bool {
 	return p.workers == 1 || m*k*n < parallelMinWork || m == 0 || n == 0
 }
 
-// MatMul implements Backend.
-func (p *Parallel) MatMul(dst, a, b *Matrix) {
-	checkMatMul(dst, a, b)
-	if p.serialCutoff(a.Rows, a.Cols, b.Cols) {
-		matMulRange(dst, a, b, whole(dst))
-		return
-	}
-	p.dispatch(tileWork{kind: kkMatMul, dst: dst, a: a, b: b}, a.Rows, b.Cols)
-}
-
-// MatMulATB implements Backend.
-func (p *Parallel) MatMulATB(dst, a, b *Matrix) {
-	checkMatMulATB(dst, a, b)
-	dst.Zero()
-	p.MatMulATBAcc(dst, a, b)
-}
-
-// MatMulATBAcc implements Backend.
-func (p *Parallel) MatMulATBAcc(dst, a, b *Matrix) {
-	checkMatMulATB(dst, a, b)
-	if p.serialCutoff(a.Cols, a.Rows, b.Cols) {
-		matMulATBAccRange(dst, a, b, whole(dst))
-		return
-	}
-	p.dispatch(tileWork{kind: kkATBAcc, dst: dst, a: a, b: b}, a.Cols, b.Cols)
-}
-
 // MatMulABT implements Backend.
 func (p *Parallel) MatMulABT(dst, a, b *Matrix) {
 	checkMatMulABT(dst, a, b)
@@ -408,9 +365,6 @@ func (p *Parallel) MatMulABT(dst, a, b *Matrix) {
 	}
 	p.dispatch(tileWork{kind: kkABT, dst: dst, a: a, b: b}, a.Rows, b.Rows)
 }
-
-// MatMulABTStream implements Backend.
-func (p *Parallel) MatMulABTStream(dst, a, b *Matrix) { p.MatMulABT(dst, a, b) }
 
 // MatMulABTStreamQ8 implements Backend. The cutoff judges the same
 // fused-multiply-add count as the FP32 kernels — the int8 path does the same

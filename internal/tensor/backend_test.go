@@ -51,56 +51,23 @@ func bitsEqual(t *testing.T, ctx string, got, want *Matrix) {
 	}
 }
 
-// TestBackendBitIdentity is the backend contract: every kernel, at every
-// worker count, over every shape — including degenerate and unaligned ones —
-// produces exactly the bits the serial reference produces.
+// TestBackendBitIdentity is the backend contract for the FP32 product, at
+// every worker count, over every shape — including degenerate and unaligned
+// ones: exactly the bits the serial reference produces. (The int8 product's
+// twin is in TestQ8KernelBitIdentity.)
 func TestBackendBitIdentity(t *testing.T) {
 	r := rng.New(99)
 	for _, shape := range backendShapes {
 		m, k, n := shape[0], shape[1], shape[2]
-
-		// Operands per kernel orientation (see the package functions).
-		a := randMatrix(r, m, k)  // MatMul, ABT, Stream
-		at := randMatrix(r, k, m) // ATB, ATBAcc (transposed-left operand)
-		b := randMatrix(r, k, n)  // MatMul, ATB, ATBAcc
-		bt := randMatrix(r, n, k) // ABT, Stream (transposed-right operand)
-		acc := randMatrix(r, m, n)
-
-		wantMM := NewMatrix(m, n)
-		MatMul(wantMM, a, b)
-		wantATB := NewMatrix(m, n)
-		MatMulATB(wantATB, at, b)
-		wantAcc := NewMatrix(m, n)
-		copy(wantAcc.Data, acc.Data)
-		MatMulATBAcc(wantAcc, at, b)
-		wantABT := NewMatrix(m, n)
-		MatMulABT(wantABT, a, bt)
-		wantStream := NewMatrix(m, n)
-		MatMulABTStream(wantStream, a, bt)
+		a, bt := randMatrix(r, m, k), randMatrix(r, n, k)
+		want := NewMatrix(m, n)
+		MatMulABT(want, a, bt)
 
 		for _, workers := range backendWorkerCounts {
 			be := New(workers)
-			ctx := fmt.Sprintf("shape %dx%dx%d workers %d", m, k, n, workers)
-
 			got := NewMatrix(m, n)
-			be.MatMul(got, a, b)
-			bitsEqual(t, ctx+" MatMul", got, wantMM)
-
-			got.Zero()
-			be.MatMulATB(got, at, b)
-			bitsEqual(t, ctx+" MatMulATB", got, wantATB)
-
-			copy(got.Data, acc.Data)
-			be.MatMulATBAcc(got, at, b)
-			bitsEqual(t, ctx+" MatMulATBAcc", got, wantAcc)
-
-			got.Zero()
 			be.MatMulABT(got, a, bt)
-			bitsEqual(t, ctx+" MatMulABT", got, wantABT)
-
-			got.Zero()
-			be.MatMulABTStream(got, a, bt)
-			bitsEqual(t, ctx+" MatMulABTStream", got, wantStream)
+			bitsEqual(t, fmt.Sprintf("shape %dx%dx%d workers %d MatMulABT", m, k, n, workers), got, want)
 
 			if p, ok := be.(*Parallel); ok {
 				p.Close()
@@ -119,26 +86,24 @@ func TestBackendSharedAcrossCalls(t *testing.T) {
 	defer p.Close()
 	for trial := 0; trial < 20; trial++ {
 		m, k, n := r.Intn(40)+1, r.Intn(40)+1, r.Intn(40)+1
-		a, b := randMatrix(r, m, k), randMatrix(r, k, n)
+		a, bt := randMatrix(r, m, k), randMatrix(r, n, k)
 		want := NewMatrix(m, n)
-		MatMul(want, a, b)
+		MatMulABT(want, a, bt)
 		got := NewMatrix(m, n)
-		p.MatMul(got, a, b)
+		p.MatMulABT(got, a, bt)
 		bitsEqual(t, fmt.Sprintf("trial %d (%dx%dx%d)", trial, m, k, n), got, want)
 	}
 }
 
 // TestBackendNaNInfPropagation is the regression test for the zero-skip
-// poison bug: the kernels skip the inner loop when a[i][k] == 0, but IEEE
-// 0×Inf and 0×NaN are NaN, so skipping a b-row that carries Inf/NaN silently
-// dropped the poison instead of propagating it. The skip is now gated on the
-// b-row being finite; NaN and Inf must reach the output — and identically
-// through every backend.
+// poison bug: MatMul and MatMulATBAcc skip the inner loop when a[i][k] == 0,
+// but IEEE 0×Inf and 0×NaN are NaN, so skipping a b-row that carries Inf/NaN
+// silently dropped the poison instead of propagating it. The skip is now
+// gated on the b-row being finite; NaN and Inf must reach the output.
 func TestBackendNaNInfPropagation(t *testing.T) {
 	poisons := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
 	for pi, poison := range poisons {
 		r := rng.New(uint64(1000 + pi))
-		// Shape large enough to dispatch tiles at workers > 1.
 		m, k, n := 17, 33, 64
 
 		a := randMatrix(r, m, k)
@@ -177,23 +142,6 @@ func TestBackendNaNInfPropagation(t *testing.T) {
 		if !sawPoison {
 			t.Fatalf("serial MatMulATBAcc dropped %v entirely", poison)
 		}
-
-		for _, workers := range backendWorkerCounts {
-			be := New(workers)
-			ctx := fmt.Sprintf("poison %v workers %d", poison, workers)
-
-			got := NewMatrix(m, n)
-			be.MatMul(got, a, b)
-			bitsEqual(t, ctx+" MatMul", got, want)
-
-			got = NewMatrix(m, n)
-			be.MatMulATBAcc(got, at, b)
-			bitsEqual(t, ctx+" MatMulATBAcc", got, wantAcc)
-
-			if p, ok := be.(*Parallel); ok {
-				p.Close()
-			}
-		}
 	}
 }
 
@@ -217,11 +165,11 @@ func TestAllFinite(t *testing.T) {
 }
 
 // TestParallelDispatchZeroAlloc guards the persistent-pool design: once the
-// helpers exist, a kernel call must not allocate — the serving hot loop and
-// the per-timestep training matmuls run through this path. AllocsPerRun
-// warms up once before measuring, so the pool spawn in NewParallel is
-// excluded. The race detector instruments channel ops with allocations, so
-// the measurement is meaningless under -race.
+// helpers exist, a kernel call must not allocate — the batched decoder's
+// FP32 products run through this path (TestQ8DispatchZeroAlloc holds the
+// int8 ones). AllocsPerRun warms up once before measuring, so the pool spawn
+// in NewParallel is excluded. The race detector instruments channel ops with
+// allocations, so the measurement is meaningless under -race.
 func TestParallelDispatchZeroAlloc(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts are distorted under the race detector")
@@ -230,19 +178,10 @@ func TestParallelDispatchZeroAlloc(t *testing.T) {
 	defer p.Close()
 	r := rng.New(5)
 	a := randMatrix(r, 64, 64)
-	b := randMatrix(r, 64, 64)
 	bt := randMatrix(r, 64, 64)
 	dst := NewMatrix(64, 64)
-	kernels := map[string]func(){
-		"MatMul":          func() { p.MatMul(dst, a, b) },
-		"MatMulATBAcc":    func() { p.MatMulATBAcc(dst, a, b) },
-		"MatMulABT":       func() { p.MatMulABT(dst, a, bt) },
-		"MatMulABTStream": func() { p.MatMulABTStream(dst, a, bt) },
-	}
-	for name, fn := range kernels {
-		if allocs := testing.AllocsPerRun(50, fn); allocs != 0 {
-			t.Errorf("%s: %v allocations per call through the parallel backend, want 0", name, allocs)
-		}
+	if allocs := testing.AllocsPerRun(50, func() { p.MatMulABT(dst, a, bt) }); allocs != 0 {
+		t.Errorf("MatMulABT: %v allocations per call through the parallel backend, want 0", allocs)
 	}
 }
 
@@ -353,19 +292,15 @@ func TestBackendConstructors(t *testing.T) {
 // close ones. Swept over random shapes (some large enough to tile), with a
 // non-zero starting dst and the inputs the skip rule of mulAddRows judges:
 // zero multipliers, whole zero rows, signed zeros, and NaN/Inf in rows whose
-// multiplier is zero (a skipped row must still poison dst). Both backends,
-// and across them.
+// multiplier is zero (a skipped row must still poison dst).
 func TestMatMulATBAccStackedEqualsBlocks(t *testing.T) {
-	par := NewParallel(4)
-	defer par.Close()
-	backends := []Backend{Serial{}, par}
 	specials := []float32{0, float32(math.Copysign(0, -1)), float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
 
 	r := rng.New(2024)
 	for trial := 0; trial < 60; trial++ {
 		m, n := 1+r.Intn(70), 1+r.Intn(70)
 		if trial%3 == 0 {
-			m, n = 40+r.Intn(40), 40+r.Intn(40) // m·k·n past parallelMinWork
+			m, n = 40+r.Intn(40), 40+r.Intn(40) // wide enough for every vector block width
 		}
 		blocks := 1 + r.Intn(6)
 		var as, bs []*Matrix
@@ -405,20 +340,13 @@ func TestMatMulATBAccStackedEqualsBlocks(t *testing.T) {
 		}
 		start := randMatrix(r, m, n)
 
-		var first *Matrix
-		for bi, be := range backends {
-			perBlock, stacked := start.Clone(), start.Clone()
-			for i := range as {
-				be.MatMulATBAcc(perBlock, as[i], bs[i])
-			}
-			be.MatMulATBAcc(stacked, sa, sb)
-			ctx := fmt.Sprintf("trial %d (%d blocks, %d rows, dst %dx%d) backend %d", trial, blocks, total, m, n, bi)
-			bitsEqual(t, ctx+": stacked vs per-block", stacked, perBlock)
-			if first == nil {
-				first = stacked
-			}
-			bitsEqual(t, ctx+": vs serial", stacked, first)
+		perBlock, stacked := start.Clone(), start.Clone()
+		for i := range as {
+			MatMulATBAcc(perBlock, as[i], bs[i])
 		}
+		MatMulATBAcc(stacked, sa, sb)
+		ctx := fmt.Sprintf("trial %d (%d blocks, %d rows, dst %dx%d)", trial, blocks, total, m, n)
+		bitsEqual(t, ctx+": stacked vs per-block", stacked, perBlock)
 	}
 }
 
@@ -525,11 +453,11 @@ func TestDispatchWakesParkedHelpers(t *testing.T) {
 	before := poolHelpers()
 	p := NewParallel(3)
 	defer p.Close()
-	a, b := randMatrix(r, 64, 64), randMatrix(r, 64, 64)
+	a, bt := randMatrix(r, 64, 64), randMatrix(r, 64, 64)
 	want := NewMatrix(64, 64)
-	MatMul(want, a, b)
+	MatMulABT(want, a, bt)
 	got := NewMatrix(64, 64)
-	p.MatMul(got, a, b)
+	p.MatMulABT(got, a, bt)
 	bitsEqual(t, "before parking", got, want)
 	// A helper blocked in await's final select reports "[select"; one that
 	// is polling is running or runnable.
@@ -551,6 +479,6 @@ func TestDispatchWakesParkedHelpers(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	got.Zero()
-	p.MatMul(got, a, b)
+	p.MatMulABT(got, a, bt)
 	bitsEqual(t, "after parking", got, want)
 }

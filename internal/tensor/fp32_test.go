@@ -356,25 +356,25 @@ var fp32Shapes = []struct {
 	kernel  string
 	m, k, n int
 }{
-	{"MatMulABT", 80, 64, 512},        // x·Wxᵀ: 80×64·(512×64)ᵀ
-	{"MatMulABT", 4, 128, 512},        // h·Whᵀ: 4×128·(512×128)ᵀ
-	{"MatMulABT", 80, 128, 64},        // projection: 80×128·(64×128)ᵀ
-	{"MatMulABT", 80, 64, 208},        // sampled logits: 80×64·(208×64)ᵀ
-	{"MatMulABT", 5, 67, 131},         //
-	{"MatMul", 80, 512, 64},           // dx = dz·Wx: 80×512·512×64
-	{"MatMul", 4, 512, 128},           // dz·Wh: 4×512·512×128
-	{"MatMul", 3, 129, 77},            //
-	{"MatMulATBAcc", 512, 80, 64},     // gWx += dzᵀ·x: 512×64 += (80×512)ᵀ·80×64
-	{"MatMulATBAcc", 512, 80, 128},    // gWh += dzᵀ·h: 512×128 += (80×512)ᵀ·80×128
-	{"MatMulATBAcc", 67, 5, 131},      //
-	{"MatMulABTStream", 8, 128, 8000}, // logits: 8×128·(8000×128)ᵀ
-	{"MatMulABT", 1, 256, 256},        // char LM, batch 1: s·Rᵀ
-	{"MatMul", 1, 256, 256},           // char LM: dz·R
-	{"MatMulATBAcc", 256, 1, 256},     // char LM: gR += dzᵀ·s
-	{"MatMulABTStream", 7, 33, 101},   //
-	{"MatMulABTStream", 1, 128, 1024}, // serving, batch 1: x·Wxᵀ
-	{"MatMulABTStream", 1, 256, 1024}, // serving, batch 1: h·Whᵀ
-	{"MatMulABTStream", 1, 128, 8000}, // serving, batch 1: logits
+	{"MatMulABT", 80, 64, 512},     // x·Wxᵀ: 80×64·(512×64)ᵀ
+	{"MatMulABT", 4, 128, 512},     // h·Whᵀ: 4×128·(512×128)ᵀ
+	{"MatMulABT", 80, 128, 64},     // projection: 80×128·(64×128)ᵀ
+	{"MatMulABT", 80, 64, 208},     // sampled logits: 80×64·(208×64)ᵀ
+	{"MatMulABT", 5, 67, 131},      //
+	{"MatMul", 80, 512, 64},        // dx = dz·Wx: 80×512·512×64
+	{"MatMul", 4, 512, 128},        // dz·Wh: 4×512·512×128
+	{"MatMul", 3, 129, 77},         //
+	{"MatMulATBAcc", 512, 80, 64},  // gWx += dzᵀ·x: 512×64 += (80×512)ᵀ·80×64
+	{"MatMulATBAcc", 512, 80, 128}, // gWh += dzᵀ·h: 512×128 += (80×512)ᵀ·80×128
+	{"MatMulATBAcc", 67, 5, 131},   //
+	{"MatMulABT", 8, 128, 8000},    // logits: 8×128·(8000×128)ᵀ
+	{"MatMulABT", 1, 256, 256},     // char LM, batch 1: s·Rᵀ
+	{"MatMul", 1, 256, 256},        // char LM: dz·R
+	{"MatMulATBAcc", 256, 1, 256},  // char LM: gR += dzᵀ·s
+	{"MatMulABT", 7, 33, 101},      //
+	{"MatMulABT", 1, 128, 1024},    // serving, batch 1: x·Wxᵀ
+	{"MatMulABT", 1, 256, 1024},    // serving, batch 1: h·Whᵀ
+	{"MatMulABT", 1, 128, 8000},    // serving, batch 1: logits
 }
 
 // fp32Case is one shape's operands in the orientation its kernel takes, the
@@ -397,9 +397,6 @@ func newFP32Case(r *rng.RNG, kernel string, m, k, n int) fp32Case {
 	case "MatMulABT":
 		c.a, c.b, c.bt = randMatrix(r, m, k), randMatrix(r, n, k), true
 		c.call = func() { MatMulABT(c.dst, c.a, c.b) }
-	case "MatMulABTStream":
-		c.a, c.b, c.bt = randMatrix(r, m, k), randMatrix(r, n, k), true
-		c.call = func() { MatMulABTStream(c.dst, c.a, c.b) }
 	default:
 		panic("unknown kernel " + kernel)
 	}
@@ -470,7 +467,7 @@ func TestFP32PortableMatchesAsmEndToEnd(t *testing.T) {
 	shapes := append([][3]int{{4, 64, 512}, {17, 33, 64}, {512, 4, 64}}, backendShapes...)
 	for _, shape := range shapes {
 		m, k, n := shape[0], shape[1], shape[2]
-		for _, kernel := range []string{"MatMul", "MatMulATBAcc", "MatMulABT", "MatMulABTStream"} {
+		for _, kernel := range []string{"MatMul", "MatMulATBAcc", "MatMulABT"} {
 			c := newFP32Case(r, kernel, m, k, n)
 			// A third of the multipliers are ±0 so runs break and resume.
 			for i := range c.a.Data {

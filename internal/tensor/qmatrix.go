@@ -128,7 +128,7 @@ func checkMatMulABTQ8(dst, a *Matrix, b *QMatrix) {
 }
 
 // MatMulABTStreamQ8 computes dst = a @ dequant(b)ᵀ without materializing the
-// dequantized matrix: the quantized serving analogue of MatMulABTStream, for
+// dequantized matrix: the quantized serving analogue of MatMulABT, for
 // any number of a rows (a single-sequence decode step is the one-row case).
 // Each output element is one qdot (see qdotGo), whose order is a pure function
 // of the shapes, independent of tiling, so every backend and worker count

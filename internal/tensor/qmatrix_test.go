@@ -123,7 +123,7 @@ func TestQ8KernelBitIdentity(t *testing.T) {
 		// sanity check here (TestQ8KernelsAgainstFloat64 has the real bound).
 		deq := b.dequantize()
 		loose := NewMatrix(m, n)
-		MatMulABTStream(loose, a, deq)
+		MatMulABT(loose, a, deq)
 		for i := range want.Data {
 			d := math.Abs(float64(want.Data[i]) - float64(loose.Data[i]))
 			if d > 1e-2*(1+math.Abs(float64(loose.Data[i]))) {

@@ -8,16 +8,16 @@
 // Every kernel is defined by a portable Go loop, and that loop fixes the
 // arithmetic: which products are formed, in which order they are added, and
 // that each multiply and each add is rounded on its own (never fused into an
-// FMA, which would change the rounding). The repository's contracts —
-// Serial vs Parallel, checkpoint resume, served vs sequential decode — are
-// stated in exact bits and rest on that definition:
+// FMA, which would change the rounding). The repository's contracts — the
+// tiled decoder vs the serial one, checkpoint resume, served vs sequential
+// decode — are stated in exact bits and rest on that definition:
 //
 //   - axpy family (axpyGo, axpyRunGo, addGo; behind MatMul, MatMulATBAcc,
 //     Axpy, AddInPlace, ScatterAddRows): elementwise dst[i] += alpha·src[i],
 //     rows added in ascending k. A zero multiplier's row is skipped only if
 //     the whole row is finite, so NaN/Inf still propagate and signed zeros
 //     survive.
-//   - Dot family (dotGo, dot2Go; behind Dot, MatMulABT, MatMulABTStream):
+//   - Dot family (dotGo, dot2Go; behind Dot and MatMulABT):
 //     four strided partials (partial j sums the products at indices i ≡ j
 //     mod 4), combined as (s0+s1)+(s2+s3), then a sequential tail.
 //   - qdot (qdotGo; behind the int8 kernel of qmatrix.go): sixteen strided
@@ -128,7 +128,11 @@ func (m *Matrix) RandomizeUniform(r *rng.RNG, bound float64) {
 // times b's rows in ascending k, so b and dst are both read along rows.
 func MatMul(dst, a, b *Matrix) {
 	checkMatMul(dst, a, b)
-	matMulRange(dst, a, b, whole(dst))
+	for i := 0; i < dst.Rows; i++ {
+		dr := dst.Row(i)
+		clear(dr)
+		mulAddRows(dr, a.Data, i*a.Cols, 1, b)
+	}
 }
 
 // span is a block of an output matrix, rows [rlo, rhi) × columns [clo, chi):
@@ -145,42 +149,26 @@ func checkMatMul(dst, a, b *Matrix) {
 	}
 }
 
-// matMulRange is the MatMul kernel over one span of dst. Each output element
-// depends only on a's matching row and b's matching column and accumulates
-// over k in ascending order whatever the span, so any partition of rows or
-// columns computes every element with exactly the serial pass's operations
-// in the same order.
-func matMulRange(dst, a, b *Matrix, s span) {
-	for i := s.rlo; i < s.rhi; i++ {
-		dr := dst.Data[i*dst.Cols+s.clo : i*dst.Cols+s.chi]
-		for j := range dr {
-			dr[j] = 0
-		}
-		mulAddRows(dr, a.Data, i*a.Cols, 1, b, s.clo)
-	}
-}
-
 // mulAddRows is the inner product-by-rows loop MatMul and MatMulATBAcc share:
-// dr[j] += Σ_k m[m0+k·ms] · b[k][clo+j] for k ascending over b's rows.
+// dr[j] += Σ_k m[m0+k·ms] · b[k][j] for k ascending over b's rows.
 //
 // A zero multiplier's step is skipped, which saves the axpy for sparse
 // multipliers (dropout-masked gradients), but IEEE 0×Inf and 0×NaN are NaN,
 // not 0 — skipping a poisoned b row would silently erase a diverged
-// activation. The skip therefore also requires the whole b row (not just the
-// columns of this range: a tile must decide as the serial kernel would) to be
-// finite; the finiteness scan only runs when a multiplier is zero, so fully
-// dense inputs pay nothing.
-func mulAddRows(dr, m []float32, m0, ms int, b *Matrix, clo int) {
+// activation. The skip therefore also requires the b row to be finite; the
+// finiteness scan only runs when a multiplier is zero, so fully dense inputs
+// pay nothing.
+func mulAddRows(dr, m []float32, m0, ms int, b *Matrix) {
 	if len(dr) == 0 {
 		return
 	}
 	for k := 0; k < b.Rows; k++ {
-		k += axpyRun(dr, m[m0+k*ms:], ms, b.Data[k*b.Cols+clo:], b.Cols, b.Rows-k)
+		k += axpyRun(dr, m[m0+k*ms:], ms, b.Data[k*b.Cols:], b.Cols, b.Rows-k)
 		if k == b.Rows {
 			return
 		}
 		if br := b.Row(k); !allFinite(br) {
-			axpy(m[m0+k*ms], dr, br[clo:clo+len(dr)])
+			axpy(m[m0+k*ms], dr, br)
 		}
 	}
 }
@@ -198,28 +186,21 @@ func MatMulATB(dst, a, b *Matrix) {
 // MatMulATB into a scratch matrix followed by AddInPlace, it touches dst
 // once instead of writing, re-reading, and adding a full scratch matrix —
 // the dominant memory traffic of weight-gradient accumulation.
+//
+// dst row i accumulates a[k][i]·b.Row(k) for k in ascending order, so one call
+// over row-stacked operands performs exactly the adds of one call per block in
+// block order — what the model's sequence-level backward rests on.
 func MatMulATBAcc(dst, a, b *Matrix) {
 	checkMatMulATB(dst, a, b)
-	matMulATBAccRange(dst, a, b, whole(dst))
+	for i := 0; i < dst.Rows; i++ {
+		mulAddRows(dst.Row(i), a.Data, i, a.Cols, b)
+	}
 }
 
 func checkMatMulATB(dst, a, b *Matrix) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulATB shape mismatch (%dx%d)T@(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
-	}
-}
-
-// matMulATBAccRange is the MatMulATBAcc kernel over one span of dst (dst
-// rows are a's columns). dst row i accumulates a[k][i]·b.Row(k) for k in
-// ascending order, and that per-element order is independent of how the
-// output is partitioned, so any tiling is bit-identical to the serial pass
-// with no reduction step and no atomics. (Partitioning over k instead —
-// per-worker accumulators plus a final reduce — would regroup the float adds
-// and change low bits, which is why the parallel backend tiles the output.)
-func matMulATBAccRange(dst, a, b *Matrix, s span) {
-	for i := s.rlo; i < s.rhi; i++ {
-		mulAddRows(dst.Data[i*dst.Cols+s.clo:i*dst.Cols+s.chi], a.Data, i, a.Cols, b, s.clo)
 	}
 }
 
@@ -271,14 +252,6 @@ func checkMatMulABT(dst, a, b *Matrix) {
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
 }
-
-// MatMulABTStream computes dst = a @ bᵀ, the batched-inference product: a
-// is the B×D batch of activations, b a weight or embedding matrix shared by
-// the whole batch. It is MatMulABT under the name the serving path calls.
-// Every element is one Dot in the canonical order, so a batch row computes
-// the same bits it would in a batch of one — the serving layer's
-// correctness contract.
-func MatMulABTStream(dst, a, b *Matrix) { MatMulABT(dst, a, b) }
 
 // matMulABTRange is the MatMulABT kernel over one span of dst (dst columns
 // are b's rows). Every element is an independent full-length Dot, so any

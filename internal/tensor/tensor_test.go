@@ -265,27 +265,6 @@ func TestRowIsView(t *testing.T) {
 	}
 }
 
-// TestMatMulABTStreamBitIdentical: the streaming traversal must produce the
-// exact float32 bit pattern of MatMulABT for every shape — the batched
-// inference path's correctness contract rides on this.
-func TestMatMulABTStreamBitIdentical(t *testing.T) {
-	r := rng.New(11)
-	for _, shape := range [][3]int{{1, 16, 7}, {3, 5, 9}, {8, 33, 100}, {16, 64, 257}} {
-		m, k, n := shape[0], shape[1], shape[2]
-		a := randMatrix(r, m, k)
-		b := randMatrix(r, n, k)
-		want := NewMatrix(m, n)
-		got := NewMatrix(m, n)
-		MatMulABT(want, a, b)
-		MatMulABTStream(got, a, b)
-		for i := range want.Data {
-			if want.Data[i] != got.Data[i] {
-				t.Fatalf("shape %v: element %d differs: %v vs %v", shape, i, want.Data[i], got.Data[i])
-			}
-		}
-	}
-}
-
 func BenchmarkScatterAdd(b *testing.B) {
 	r := rng.New(2)
 	dst := NewMatrix(1000, 64)

@@ -1,7 +1,11 @@
-// Command zipflm-generate loads a model checkpoint written by zipflm-train
-// (plus, optionally, the matching vocabulary) and samples continuations,
-// running its one request through the serving layer (internal/serve) on a
-// one-slot server — the tokens sequential model.GenerateOpts draws.
+// Command zipflm-generate loads a checkpoint written by zipflm-train (plus,
+// optionally, the matching vocabulary) and samples continuations, running
+// its one request through the serving layer (internal/serve) on a one-slot
+// server — the tokens sequential model.GenerateOpts draws.
+//
+// -model is a checkpoint file (zipflm-train -save) or a checkpoint
+// directory (-ckpt-dir; its newest checkpoint is read), opened through
+// internal/ckpt as zipflm-serve opens it.
 //
 // Usage:
 //
@@ -23,15 +27,15 @@ import (
 	"strconv"
 	"strings"
 
+	"zipflm/internal/ckpt"
 	"zipflm/internal/corpus"
-	"zipflm/internal/model"
 	"zipflm/internal/sampling"
 	"zipflm/internal/serve"
 )
 
 func main() {
 	var (
-		modelPath = flag.String("model", "", "model checkpoint (required)")
+		modelPath = flag.String("model", "", "checkpoint file or checkpoint directory (required)")
 		vocabPath = flag.String("vocab", "", "vocabulary file (enables -prompt text)")
 		prompt    = flag.String("prompt", "", "text prompt (requires -vocab)")
 		promptIDs = flag.String("prompt-ids", "", "comma-separated token ids as the prompt")
@@ -51,12 +55,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "zipflm-generate: -model is required")
 		os.Exit(1)
 	}
-	mf, err := os.Open(*modelPath)
+	st, err := ckpt.Open(*modelPath)
 	if err != nil {
 		fatal(err)
 	}
-	defer mf.Close()
-	m, err := model.Load(mf)
+	m, err := st.LM()
 	if err != nil {
 		fatal(err)
 	}

@@ -7,13 +7,18 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
+	"zipflm/internal/ckpt"
+	"zipflm/internal/core"
+	"zipflm/internal/corpus"
 	"zipflm/internal/model"
 	"zipflm/internal/rng"
 	"zipflm/internal/sampling"
+	"zipflm/internal/trainer"
 )
 
 // buildGenerate compiles the command into a temporary directory.
@@ -26,18 +31,15 @@ func buildGenerate(t *testing.T) string {
 	return bin
 }
 
-// saveModel writes m to dir/name and returns the path.
+// saveModel writes m to dir/name as a checkpoint and returns the path.
 func saveModel(t *testing.T, dir, name string, m *model.LM) string {
 	t.Helper()
-	path := filepath.Join(dir, name)
-	f, err := os.Create(path)
+	mb, err := m.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	path := filepath.Join(dir, name)
+	if err := ckpt.WriteFile(path, &ckpt.State{Ranks: 1, ModelBytes: mb}); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -129,6 +131,78 @@ func TestRemovedFlagsExitTwo(t *testing.T) {
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(stderr.String(), "flag provided but not defined: "+args[0]) {
 			t.Errorf("%v: got %v, want exit status 2 naming the flag; stderr:\n%s", args, err, stderr.String())
+		}
+	}
+}
+
+// TestRefusesDamagedAndBareWeightFiles: the command reads what zipflm-train
+// -save writes (a trainer's captured state through ckpt.WriteFile), and it
+// refuses, exiting 1 with the path in its error, the same file with one
+// weight byte flipped and the model's bytes written on their own — the old
+// -save format, which carries no checksum to catch the flip.
+func TestRefusesDamagedAndBareWeightFiles(t *testing.T) {
+	bin := buildGenerate(t)
+	dir := t.TempDir()
+	gen := corpus.NewMarkovGenerator(corpus.MarkovConfig{VocabSize: 49, Branching: 6, ZipfExponent: 1.1, Seed: 3})
+	train, valid := corpus.Split(gen.Stream(4000), 10, 50, 3)
+	tr, err := trainer.New(trainer.Config{
+		Model:        model.Config{Vocab: 50, Dim: 8, Hidden: 12, RNN: model.KindLSTM, Seed: 5},
+		Ranks:        2,
+		BatchPerRank: 2,
+		SeqLen:       6,
+		LR:           0.3,
+		Exchange:     core.UniqueExchange{},
+		SeedStrategy: sampling.AllDifferent,
+		BaseSeed:     7,
+	}, train, valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Steps(2); err != nil {
+		t.Fatal(err)
+	}
+	st, err := tr.CaptureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := filepath.Join(dir, "model.ckpt")
+	if err := ckpt.WriteFile(saved, st); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	weights := bytes.Index(raw, st.ModelBytes)
+	if weights < 0 {
+		t.Fatal("the checkpoint does not hold the model's bytes")
+	}
+	flipped := slices.Clone(raw)
+	flipped[weights+len(st.ModelBytes)-100] ^= 0x01 // inside the dense slab
+	bare := st.ModelBytes
+	if _, err := model.Unmarshal(flipped[weights : weights+len(bare)]); err != nil {
+		t.Fatalf("the flip must leave a model file that decodes on its own: %v", err)
+	}
+
+	run := func(path string) (string, error) {
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(bin, "-model", path, "-prompt-ids", "3,1,4", "-n", "8")
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		return stdout.String() + stderr.String(), err
+	}
+	if out, err := run(saved); err != nil {
+		t.Fatalf("the -save file: %v\n%s", err, out)
+	}
+	for name, content := range map[string][]byte{"flipped.ckpt": flipped, "bare.ckpt": bare} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, err := run(path)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(out, path) {
+			t.Errorf("%s: got %v, want exit status 1 naming %s; output:\n%s", name, err, path, out)
 		}
 	}
 }

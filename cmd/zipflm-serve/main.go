@@ -21,8 +21,10 @@
 //	go tool pprof http://<metrics-addr>/debug/pprof/profile
 //	zipflm-top -addr <metrics-addr>
 //
-// -model also accepts a full-state checkpoint file or a checkpoint
-// *directory* written by zipflm-train -ckpt-dir; with -watch the server
+// -model is a checkpoint file (zipflm-train -save) or a checkpoint
+// *directory* (zipflm-train -ckpt-dir), read through internal/ckpt: a
+// directory serves its newest checkpoint, and a file that is not a whole,
+// current checkpoint is refused. With -watch the server
 // polls that directory and hot-reloads whenever training publishes a newer
 // checkpoint — in-flight generations finish on the weights that admitted
 // them, new requests get the new weights, nothing is dropped.
@@ -63,7 +65,7 @@ import (
 
 func main() {
 	var (
-		modelPath = flag.String("model", "", "model checkpoint, full-state checkpoint, or checkpoint directory (required)")
+		modelPath = flag.String("model", "", "checkpoint file or checkpoint directory (required)")
 		vocabPath = flag.String("vocab", "", "vocabulary file (enables text prompts and word responses)")
 		addr      = flag.String("addr", ":8080", "HTTP listen address")
 		workers   = flag.Int("workers", 1, "model replicas (one batcher each)")
@@ -252,35 +254,16 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return false
 }
 
-// loadWeights loads serving weights from a bare model checkpoint, a
-// full-state checkpoint, or a checkpoint directory (newest checkpoint).
-// The returned step is -1 when the source carries no training step.
+// loadWeights loads serving weights from a checkpoint file or a checkpoint
+// directory (its newest checkpoint), with the training step they were
+// captured at.
 func loadWeights(path string) (*model.LM, int, error) {
-	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
-		d, err := ckpt.NewDir(path, 0, 0)
-		if err != nil {
-			return nil, 0, err
-		}
-		st, err := d.Latest()
-		if err != nil {
-			return nil, 0, err
-		}
-		m, err := st.LM()
-		return m, st.Step, err
-	}
-	if st, err := ckpt.Open(path); err == nil {
-		m, err := st.LM()
-		return m, st.Step, err
-	} else if !errors.Is(err, ckpt.ErrNotCheckpoint) {
-		return nil, 0, err
-	}
-	f, err := os.Open(path)
+	st, err := ckpt.Open(path)
 	if err != nil {
 		return nil, 0, err
 	}
-	defer f.Close()
-	m, err := model.Load(f)
-	return m, -1, err
+	m, err := st.LM()
+	return m, st.Step, err
 }
 
 // weightsInfo tracks the provenance of the currently-served weights for
@@ -289,7 +272,7 @@ func loadWeights(path string) (*model.LM, int, error) {
 type weightsInfo struct {
 	mu     sync.Mutex
 	source string
-	step   int // training step of the checkpoint, -1 if unknown
+	step   int // training step of the checkpoint
 	at     time.Time
 }
 

@@ -59,7 +59,7 @@ func newAPI(t testing.TB, metricsAddr string) *api {
 	srv := serve.New(model.NewLM(testArch(24)), serve.Config{
 		Workers: 1, MaxBatch: 4, Telemetry: obs.Registry, Flight: obs.Flight,
 	})
-	weights := &weightsInfo{source: "memory", step: -1}
+	weights := &weightsInfo{source: "memory"}
 	ts := httptest.NewServer(newMux(srv, nil, weights, obs))
 	t.Cleanup(func() {
 		ts.Close()
@@ -290,6 +290,64 @@ func TestGenerateDefaultsAndTinyTemperature(t *testing.T) {
 	}
 }
 
+// writeCheckpoint writes m's weights to path as a checkpoint of the given
+// step, the frame zipflm-train -save writes.
+func writeCheckpoint(t *testing.T, path string, step int, m *model.LM) []byte {
+	t.Helper()
+	mb, err := m.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ckpt.WriteFile(path, &ckpt.State{Step: step, Ranks: 1, ModelBytes: mb}); err != nil {
+		t.Fatal(err)
+	}
+	return mb
+}
+
+// TestLoadWeightsReadsOnlyCheckpoints: -model and /v1/reload load a
+// checkpoint file with its step, and a checkpoint directory's newest step.
+// They refuse, with the path in the error, the file with one weight byte
+// flipped and the model's bytes written on their own — the old -save
+// format, which carries no checksum to catch the flip.
+func TestLoadWeightsReadsOnlyCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	saved := filepath.Join(dir, "model.ckpt")
+	mb := writeCheckpoint(t, saved, 7, model.NewLM(testArch(24)))
+	run := filepath.Join(dir, "run")
+	if err := os.Mkdir(run, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []int{3, 9} {
+		writeCheckpoint(t, filepath.Join(run, fmt.Sprintf("step-%012d.ckpt", step)), step, model.NewLM(testArch(24)))
+	}
+	for path, want := range map[string]int{saved: 7, run: 9} {
+		m, step, err := loadWeights(path)
+		if err != nil || step != want {
+			t.Fatalf("%s: step %d, %v; want step %d", path, step, err, want)
+		}
+		if got, _ := m.Marshal(); path == saved && !bytes.Equal(got, mb) {
+			t.Errorf("%s: the loaded weights differ from the saved ones", path)
+		}
+	}
+
+	raw, err := os.ReadFile(saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	weights := bytes.Index(raw, mb)
+	flipped := slices.Clone(raw)
+	flipped[weights+len(mb)-100] ^= 0x01 // inside the dense slab
+	for name, content := range map[string][]byte{"flipped.ckpt": flipped, "bare.ckpt": mb} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if m, _, err := loadWeights(path); m != nil || err == nil || !strings.Contains(err.Error(), path) {
+			t.Errorf("%s: loaded %v, error %v; want a refusal naming the path", name, m != nil, err)
+		}
+	}
+}
+
 func TestFailedReloadsChangeNothingAndAreCounted(t *testing.T) {
 	a := newAPI(t, "")
 	const gen = `{"prompt_ids":[3,1,4],"n":10,"temperature":0.8,"seed":7}`
@@ -297,16 +355,7 @@ func TestFailedReloadsChangeNothingAndAreCounted(t *testing.T) {
 
 	dir := t.TempDir()
 	mismatched := filepath.Join(dir, "wider.ckpt")
-	f, err := os.Create(mismatched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := model.NewLM(testArch(32)).Save(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeCheckpoint(t, mismatched, 1, model.NewLM(testArch(32)))
 
 	if status, raw := a.post(t, "/v1/reload", fmt.Sprintf(`{"path":%q}`, filepath.Join(dir, "missing.ckpt"))); status != http.StatusBadRequest {
 		t.Errorf("reload of a missing path: status %d, want 400 (%s)", status, raw)

@@ -24,6 +24,7 @@ import (
 	"math"
 	"os"
 
+	"zipflm/internal/ckpt"
 	"zipflm/internal/collective"
 	"zipflm/internal/core"
 	"zipflm/internal/corpus"
@@ -196,17 +197,11 @@ func main() {
 	}
 
 	if *savePath != "" {
-		f, err := os.Create(*savePath)
+		st, err := tr.CaptureState()
+		if err == nil {
+			err = ckpt.WriteFile(*savePath, st)
+		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "zipflm-train: %v\n", err)
-			os.Exit(1)
-		}
-		if err := tr.Model(0).Save(f); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "zipflm-train: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "zipflm-train: %v\n", err)
 			os.Exit(1)
 		}

@@ -97,7 +97,10 @@
 // travel as slabs of little-endian float32 in the order the model declares
 // its dense tensors, streamed through the running CRC into the file, so a
 // checkpoint costs about one copy of what it writes. Files of earlier
-// versions are refused. trainer.Resume
+// versions are refused. The frame is the only weights file: zipflm-train
+// -save writes one with ckpt.WriteFile, and zipflm-serve and
+// zipflm-generate read a file or a directory's newest through ckpt.Open.
+// trainer.Resume
 // restores it so exactly that checkpoint-then-resume is bit-identical to
 // never having stopped: replicas, wire-byte counters, and validation loss
 // all match an uninterrupted run across every optimizer × exchange ×
@@ -146,7 +149,7 @@
 // one backend decision: the trainer's pool has one worker per core, a
 // server's backend comes from zipflm-serve -compute-workers /
 // serve.Config.ComputeWorkers (0 and 1 are Serial), and every other model
-// — model.NewLM, model.Load — is built on Serial. Speedup requires
+// — model.NewLM, model.Unmarshal behind ckpt.State.LM — is built on Serial. Speedup requires
 // GOMAXPROCS > 1; on a single-core host the tiled counts measure dispatch
 // overhead.
 //

@@ -5,10 +5,11 @@ package zipflm
 // optimization enabled, checkpoint, reload, and generate — in one test.
 
 import (
-	"bytes"
 	"math"
+	"path/filepath"
 	"testing"
 
+	"zipflm/internal/ckpt"
 	"zipflm/internal/core"
 	"zipflm/internal/corpus"
 	"zipflm/internal/half"
@@ -66,12 +67,20 @@ func TestEndToEndWorkflow(t *testing.T) {
 		t.Error("run statistics incomplete")
 	}
 
-	// 3. Checkpoint round trip.
-	var buf bytes.Buffer
-	if err := tr.Model(0).Save(&buf); err != nil {
+	// 3. Checkpoint round trip, as zipflm-train -save writes it and the
+	// serving commands read it.
+	path := filepath.Join(t.TempDir(), "model.ckpt")
+	st, err := tr.CaptureState()
+	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := model.Load(&buf)
+	if err := ckpt.WriteFile(path, st); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = ckpt.Open(path); err != nil {
+		t.Fatal(err)
+	}
+	m, err := st.LM()
 	if err != nil {
 		t.Fatal(err)
 	}

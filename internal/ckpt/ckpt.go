@@ -16,7 +16,9 @@
 // header, a length-prefixed payload, and a trailing CRC-32C over
 // everything before it, so bit rot, truncation, and version skew are all
 // detected on Open (never a panic, never a half-initialized state). Files
-// are written atomically (tmp + rename) by WriteFile and the Dir store.
+// are written atomically (tmp + rename) by WriteFile and the Dir store. It
+// is the only weights file: zipflm-train -save writes one, and every reader
+// opens a file or a directory's newest checkpoint through Open.
 //
 // Inside the payload only the small things are gob; every tensor — the
 // model file, the optimizer moments, carried recurrent state — travels as
@@ -58,11 +60,6 @@ const headLen = 8 + 4 + 8
 // crcTable is CRC-32C (Castagnoli), the polynomial storage systems use.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrNotCheckpoint is returned by Open/Decode when the input does not start
-// with the checkpoint magic — callers that accept both full-state
-// checkpoints and bare model.Save files key their fallback on it.
-var ErrNotCheckpoint = errors.New("ckpt: not a checkpoint file (bad magic)")
-
 // State is the complete training state at a global-step boundary. The
 // ranks share one set of weights and one optimizer (the §II-B invariant),
 // so one copy of each is stored; RNG streams and carried recurrent state
@@ -80,7 +77,7 @@ type State struct {
 	// the buffer the frame was read into.
 	ModelBytes []byte
 	// Opt is the dense-optimizer state (Adam's moment slabs + step
-	// counter; empty Kind means the optimizer declared no state).
+	// counter; SGD's is its Kind alone).
 	Opt optim.State
 	// RNG holds each rank's model RNG stream (dropout masks), in rank
 	// order.
@@ -216,7 +213,7 @@ func decode(raw []byte) (*State, error) {
 		return nil, fmt.Errorf("ckpt: truncated: %d bytes is shorter than the smallest checkpoint", len(raw))
 	}
 	if !bytes.Equal(raw[:8], magic[:]) {
-		return nil, ErrNotCheckpoint
+		return nil, errors.New("ckpt: not a checkpoint file (bad magic)")
 	}
 	version := binary.LittleEndian.Uint32(raw[8:12])
 	if version != Version {
@@ -304,9 +301,12 @@ func WriteFile(path string, st *State) error {
 	return nil
 }
 
-// Open reads and validates the checkpoint at path. The file is read in one
-// allocation of its size.
+// Open reads and validates the checkpoint at path, or a directory's newest
+// checkpoint (Dir.Latest), reading the file in one allocation of its size.
 func Open(path string) (*State, error) {
+	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
+		return (&Dir{path: path}).Latest()
+	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: %w", err)

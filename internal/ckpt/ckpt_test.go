@@ -26,8 +26,8 @@ import (
 func testState(t *testing.T, step int) *State {
 	t.Helper()
 	m := model.NewLM(model.Config{Vocab: 40, Dim: 6, Hidden: 8, RNN: model.KindLSTM, Seed: 3})
-	var mb bytes.Buffer
-	if err := m.Save(&mb); err != nil {
+	mb, err := m.Marshal()
+	if err != nil {
 		t.Fatal(err)
 	}
 	return &State{
@@ -35,7 +35,7 @@ func testState(t *testing.T, step int) *State {
 		LR:         0.173,
 		NextDecay:  200,
 		Ranks:      2,
-		ModelBytes: mb.Bytes(),
+		ModelBytes: mb,
 		Opt: optim.State{
 			Kind: "adam",
 			T:    step,
@@ -228,14 +228,14 @@ func TestOpenRejectsCorruptInputs(t *testing.T) {
 	for _, v := range []uint32{Version + 1, 3} {
 		check(fmt.Sprintf("version-%d", v), withVersion(good, v))
 	}
-	// Foreign content: a bare model.Save file is not a full checkpoint.
+	// Foreign content: a model file on its own is not a checkpoint.
 	{
 		m := model.NewLM(model.Config{Vocab: 10, Dim: 4, Hidden: 4, RNN: model.KindLSTM, Seed: 1})
-		var mb bytes.Buffer
-		if err := m.Save(&mb); err != nil {
+		mb, err := m.Marshal()
+		if err != nil {
 			t.Fatal(err)
 		}
-		check("model-file", mb.Bytes())
+		check("model-file", mb)
 	}
 	check("garbage", []byte("definitely not a checkpoint, much too short to be"))
 
@@ -370,7 +370,7 @@ func TestOpenReportsNotCheckpointForForeignMagic(t *testing.T) {
 	raw := bytes.Repeat([]byte{'x'}, 64)
 	_, err := Decode(bytes.NewReader(raw))
 	if err == nil || !bytes.Contains([]byte(err.Error()), []byte("bad magic")) {
-		t.Fatalf("want ErrNotCheckpoint, got %v", err)
+		t.Fatalf("want a bad-magic error, got %v", err)
 	}
 }
 
@@ -429,6 +429,10 @@ func TestDirSaveLoadAndRetention(t *testing.T) {
 	if st.Step != 60 {
 		t.Fatalf("latest is step %d", st.Step)
 	}
+	// Open on the directory is its newest checkpoint.
+	if st, err := Open(d.Path()); err != nil || st.Step != 60 {
+		t.Fatalf("Open(dir): %v, want step 60", err)
+	}
 	if _, err := d.Load(40); err != nil {
 		t.Fatalf("archived checkpoint unloadable: %v", err)
 	}
@@ -441,6 +445,9 @@ func TestDirLatestEmpty(t *testing.T) {
 	}
 	if _, err := d.Latest(); err == nil {
 		t.Fatal("Latest on an empty directory must error")
+	}
+	if _, err := Open(d.Path()); !errors.Is(err, ErrEmpty) {
+		t.Fatalf("Open on an empty directory: %v, want ErrEmpty", err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"io"
 
 	"zipflm/internal/tensor"
 )
@@ -60,28 +59,7 @@ func (m *LM) Marshal() ([]byte, error) {
 	return out, nil
 }
 
-// Save writes Marshal's bytes to w.
-func (m *LM) Save(w io.Writer) error {
-	b, err := m.Marshal()
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(b); err != nil {
-		return fmt.Errorf("model: save: %w", err)
-	}
-	return nil
-}
-
-// Load reads a whole checkpoint from r and decodes it with Unmarshal.
-func Load(r io.Reader) (*LM, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("model: load: %w", err)
-	}
-	return Unmarshal(raw)
-}
-
-// Unmarshal decodes a checkpoint written by Marshal or Save into a fresh
+// Unmarshal decodes a checkpoint written by Marshal into a fresh
 // model with those weights. The embedded Config fully determines the
 // architecture. Corrupt, truncated, padded, older- or future-version inputs
 // return an error; Unmarshal never returns a half-initialized model, and it

@@ -19,11 +19,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	m.InEmb.Data[3] = 42
 	m.DenseParams()[0].Value[0] = -7
 
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	raw, err := m.Marshal()
+	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
+	loaded, err := Unmarshal(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +49,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 func TestCheckpointRHN(t *testing.T) {
 	cfg := Config{Vocab: 20, Dim: 4, Hidden: 6, RNN: KindRHN, RHNDepth: 3, Stateful: true, Seed: 2}
 	m := NewLM(cfg)
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	raw, err := m.Marshal()
+	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
+	loaded, err := Unmarshal(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestCheckpointRHN(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(strings.NewReader("not a checkpoint")); err == nil {
+	if _, err := Unmarshal([]byte("not a checkpoint")); err == nil {
 		t.Fatal("garbage must fail to load")
 	}
 }
@@ -73,22 +73,23 @@ func TestLoadRejectsGarbage(t *testing.T) {
 // files — the property the ckpt store's CRC/content-hash layer relies on.
 func TestSaveDeterministicBytes(t *testing.T) {
 	cfg := Config{Vocab: 30, Dim: 6, Hidden: 8, RNN: KindRHN, RHNDepth: 3, Seed: 11}
-	var a, b, c bytes.Buffer
 	m := NewLM(cfg)
-	if err := m.Save(&a); err != nil {
+	a, err := m.Marshal()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Save(&b); err != nil {
+	b, err := m.Marshal()
+	if err != nil {
 		t.Fatal(err)
 	}
-	twin := NewLM(cfg)
-	if err := twin.Save(&c); err != nil {
+	c, err := NewLM(cfg).Marshal()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if !bytes.Equal(a, b) {
 		t.Fatal("two saves of the same model differ")
 	}
-	if !bytes.Equal(a.Bytes(), c.Bytes()) {
+	if !bytes.Equal(a, c) {
 		t.Fatal("saves of identically-constructed models differ")
 	}
 }
@@ -98,7 +99,7 @@ func TestSaveDeterministicBytes(t *testing.T) {
 // with the tensor section must error, and no damaged input of any kind —
 // including arbitrary bit flips, which nothing here can always detect (full
 // integrity is the ckpt package's CRC framing) — may panic, yield a
-// half-initialized model, or make Load allocate from a length the input does
+// half-initialized model, or make Unmarshal allocate from a length the input does
 // not back.
 func TestLoadRejectsDamagedCheckpoints(t *testing.T) {
 	m := NewLM(Config{Vocab: 25, Dim: 5, Hidden: 6, RNN: KindLSTM, Sampled: 4, Seed: 8})
@@ -111,21 +112,20 @@ func TestLoadRejectsDamagedCheckpoints(t *testing.T) {
 		t.Helper()
 		defer func() {
 			if r := recover(); r != nil {
-				t.Fatalf("%s: Load panicked: %v", name, r)
+				t.Fatalf("%s: Unmarshal panicked: %v", name, r)
 			}
 		}()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		lm, err := Load(bytes.NewReader(raw))
+		lm, err := Unmarshal(raw)
 		runtime.ReadMemStats(&m1)
 		if mustErr && err == nil {
-			t.Errorf("%s: Load accepted damaged input", name)
+			t.Errorf("%s: Unmarshal accepted damaged input", name)
 		}
 		if (lm == nil) == (err == nil) {
-			t.Errorf("%s: Load returned model=%v err=%v", name, lm != nil, err)
+			t.Errorf("%s: Unmarshal returned model=%v err=%v", name, lm != nil, err)
 		}
-		// A refused input costs its own bytes (io.ReadAll) plus the gob
-		// machinery, never a tensor sized from a hostile header.
+		// A refused input costs the gob machinery, never a tensor sized from a hostile header.
 		if alloc := m1.TotalAlloc - m0.TotalAlloc; err != nil && alloc > uint64(4*len(raw))+1<<20 {
 			t.Errorf("%s: refusing %d bytes allocated %d", name, len(raw), alloc)
 		}
@@ -154,7 +154,7 @@ func TestLoadRejectsDamagedCheckpoints(t *testing.T) {
 		return append(buf.Bytes(), tail...)
 	}
 	tryLoad("re-encoded header", with(func(*fileHeader) {}, tensors), false)
-	if _, err := Load(bytes.NewReader(with(func(*fileHeader) {}, tensors))); err != nil {
+	if _, err := Unmarshal(with(func(*fileHeader) {}, tensors)); err != nil {
 		t.Fatalf("the unedited re-encoding must load: %v", err)
 	}
 
@@ -288,7 +288,7 @@ func TestParamFloatsMatchesNewLM(t *testing.T) {
 
 // FuzzLoad hammers the model-file parser with arbitrary bytes and mutations
 // of real files, among them headers in the name order and under the version
-// number of format 3. Load must never panic, and a model it does return must
+// number of format 3. Unmarshal must never panic, and a model it does return must
 // be whole: it saves, and the save loads back to the same weights.
 func FuzzLoad(f *testing.F) {
 	for _, cfg := range []Config{
@@ -310,10 +310,10 @@ func FuzzLoad(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("not a checkpoint"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := Load(bytes.NewReader(data))
+		m, err := Unmarshal(data)
 		if err != nil {
 			if m != nil {
-				t.Fatal("Load returned a model with an error")
+				t.Fatal("Unmarshal returned a model with an error")
 			}
 			return
 		}

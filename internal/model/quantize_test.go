@@ -1,7 +1,6 @@
 package model
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -37,15 +36,15 @@ func sameQ(t *testing.T, name string, a, b *tensor.QMatrix) {
 func TestQuantizeDeterministicBytes(t *testing.T) {
 	for name, cfg := range testConfigs() {
 		m := NewLM(cfg)
-		var buf bytes.Buffer
-		if err := m.Save(&buf); err != nil {
+		raw, err := m.Marshal()
+		if err != nil {
 			t.Fatalf("%s: save: %v", name, err)
 		}
-		m1, err := Load(bytes.NewReader(buf.Bytes()))
+		m1, err := Unmarshal(raw)
 		if err != nil {
 			t.Fatalf("%s: load: %v", name, err)
 		}
-		m2, err := Load(bytes.NewReader(buf.Bytes()))
+		m2, err := Unmarshal(raw)
 		if err != nil {
 			t.Fatalf("%s: load: %v", name, err)
 		}

@@ -26,11 +26,19 @@ import (
 	"zipflm/internal/tensor"
 )
 
-// Optimizer updates dense parameters from their accumulated gradients.
+// Optimizer updates dense parameters from their accumulated gradients, and
+// carries its internal state through a checkpoint/resume cycle.
 type Optimizer interface {
 	// Step applies one update at the given learning rate and clears
 	// nothing — callers zero gradients between steps.
 	Step(params []model.Param, lr float32)
+	// Snapshot deep-copies the optimizer's state, so later Steps cannot
+	// mutate a captured state.
+	Snapshot() State
+	// Restore deep-copies a snapshot back, so one State can be restored
+	// again after later Steps (a trainer recovering from a fault restores
+	// its last checkpoint). It refuses another optimizer's state.
+	Restore(State) error
 }
 
 // State is a serializable optimizer snapshot for the checkpoint subsystem.
@@ -48,20 +56,10 @@ type State struct {
 	M, V []float32
 }
 
-// Snapshotter is implemented by optimizers whose internal state must
-// survive a checkpoint/resume cycle. Snapshot deep-copies, so later Steps
-// cannot mutate a captured state; Restore deep-copies back, so one State
-// can be restored again after later Steps (a trainer recovering from a fault
-// restores its last checkpoint).
-type Snapshotter interface {
-	Snapshot() State
-	Restore(State) error
-}
-
-// Snapshot implements Snapshotter: SGD is stateless.
+// Snapshot implements Optimizer: SGD is stateless.
 func (SGD) Snapshot() State { return State{Kind: "sgd"} }
 
-// Restore implements Snapshotter.
+// Restore implements Optimizer.
 func (SGD) Restore(s State) error {
 	if s.Kind != "sgd" {
 		return fmt.Errorf("optim: resuming SGD from a %q checkpoint", s.Kind)
@@ -69,13 +67,13 @@ func (SGD) Restore(s State) error {
 	return nil
 }
 
-// Snapshot implements Snapshotter: the step counter plus both moment slabs,
+// Snapshot implements Optimizer: the step counter plus both moment slabs,
 // deep-copied.
 func (a *Adam) Snapshot() State {
 	return State{Kind: "adam", T: a.t, M: slices.Clone(a.m), V: slices.Clone(a.v)}
 }
 
-// Restore implements Snapshotter.
+// Restore implements Optimizer.
 func (a *Adam) Restore(s State) error {
 	if s.Kind != "adam" {
 		return fmt.Errorf("optim: resuming Adam from a %q checkpoint", s.Kind)

@@ -464,9 +464,7 @@ func (t *Trainer) CaptureState() (*ckpt.State, error) {
 		NextDecay:  t.nextDecay,
 		Ranks:      t.cfg.Ranks,
 		ModelBytes: mb,
-	}
-	if sn, ok := t.opt.(optim.Snapshotter); ok {
-		st.Opt = sn.Snapshot()
+		Opt:        t.opt.Snapshot(),
 	}
 	for r := 0; r < t.cfg.Ranks; r++ {
 		st.RNG = append(st.RNG, t.models[r].RNGState())
@@ -497,21 +495,17 @@ func (t *Trainer) RestoreState(st *ckpt.State) error {
 		return fmt.Errorf("trainer: checkpoint model %+v does not match configured %+v", lm.Cfg, t.models[0].Cfg)
 	}
 	opt := t.newOptimizer()
-	if sn, ok := opt.(optim.Snapshotter); ok {
-		// Restore refuses another optimizer's kind, no state ("") included.
-		if err := sn.Restore(st.Opt); err != nil {
-			return fmt.Errorf("trainer: restore: %w", err)
+	// Restore refuses another optimizer's kind, no state ("") included.
+	if err := opt.Restore(st.Opt); err != nil {
+		return fmt.Errorf("trainer: restore: %w", err)
+	}
+	// The moment slabs must be exactly as long as the model's dense slab,
+	// or absent, as in the state New captures before the first step:
+	// Step refuses any other length.
+	if o := st.Opt; len(o.M) != 0 || len(o.V) != 0 || o.T != 0 {
+		if n := len(lm.DenseGrads()); len(o.M) != n || len(o.V) != n {
+			return fmt.Errorf("trainer: checkpoint holds %d/%d optimizer moments, the model has %d dense values", len(o.M), len(o.V), n)
 		}
-		// The moment slabs must be exactly as long as the model's dense slab,
-		// or absent, as in the state New captures before the first step:
-		// Step refuses any other length.
-		if o := st.Opt; len(o.M) != 0 || len(o.V) != 0 || o.T != 0 {
-			if n := len(lm.DenseGrads()); len(o.M) != n || len(o.V) != n {
-				return fmt.Errorf("trainer: checkpoint holds %d/%d optimizer moments, the model has %d dense values", len(o.M), len(o.V), n)
-			}
-		}
-	} else if st.Opt.Kind != "" {
-		return fmt.Errorf("trainer: checkpoint carries %q optimizer state but the configured optimizer cannot restore it", st.Opt.Kind)
 	}
 	carried := 0
 	if t.cfg.Model.Stateful {

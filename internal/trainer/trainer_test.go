@@ -340,7 +340,7 @@ func TestAbortedStepLeavesOptimizersUntouched(t *testing.T) {
 		capture := func() []rankState {
 			out := make([]rankState, cfg.Ranks)
 			for r := range out {
-				out[r].opt = tr.opt.(optim.Snapshotter).Snapshot()
+				out[r].opt = tr.opt.Snapshot()
 				for _, p := range tr.models[r].Weights() {
 					out[r].weights = append(out[r].weights, slices.Clone(p.Value))
 				}

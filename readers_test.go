@@ -4,7 +4,6 @@ package zipflm
 // a reader. The kinds of reader:
 //   - dash: a zipflm-top panel (internal/dash/dash.go names the family);
 //   - ci: a CI assertion (.github/workflows/ci.yml names the family);
-//   - slo: an SLO's published state (telemetry.SLO.Publish);
 //   - stats: a serve.Snapshot field, and with it /v1/stats;
 //   - failure: a failure count, the first thing read after an incident.
 //
@@ -49,10 +48,10 @@ var metricReaders = map[string]string{
 	"zipflm_serve_seq_steps_total":         "stats",
 	"zipflm_serve_reload_failures_total":   "failure",
 	"zipflm_slo_burn_rate":                 "dash",
-	"zipflm_slo_compliant":                 "slo",
-	"zipflm_slo_current":                   "slo",
-	"zipflm_slo_target":                    "slo",
-	"zipflm_slo_budget_used":               "slo",
+	"zipflm_slo_compliant":                 "ci",
+	"zipflm_slo_current":                   "dash",
+	"zipflm_slo_target":                    "dash",
+	"zipflm_slo_budget_used":               "dash",
 	"zipflm_train_tokens_total":            "dash",
 	"zipflm_train_compute_seconds":         "dash",
 	"zipflm_train_sync_seconds":            "dash",

@@ -160,7 +160,10 @@
 // which order, each multiply and add rounded separately, never fused — and
 // the assembly reproduces it bit for bit (TestFP32AsmMatchesGo), so the
 // kernels change wall-clock only: axpy goes eight lanes wide, the Dot
-// family keeps its four-partial order and blocks over outputs instead.
+// family keeps its four-partial order and blocks over outputs instead. On
+// a host with AVX-512 (cpu.AVX512) a ZMM tier, gated by useFP32AVX512,
+// takes axpy runs sixteen lanes wide and Dot four a rows per pass, with
+// the same bits as the AVX kernels.
 //
 // The dense-gradient path after backward follows the same rule. The FP16
 // wire (half.Scaler.RoundTrip) is defined by the portable FromFloat32 and

@@ -276,7 +276,10 @@ func decode(raw []byte) (*State, error) {
 // WriteFile writes st to path atomically: the bytes land in a temporary
 // file in the same directory, are synced, and are renamed into place, so a
 // crash mid-write can never leave a half-written checkpoint under the
-// final name.
+// final name. The file is readable by everyone and writable by its owner
+// (0644), as os.Create leaves a file under the usual umask, so a server
+// running under another account can load it; os.CreateTemp alone would
+// leave it 0600.
 func WriteFile(path string, st *State) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".tmp-"+filepath.Base(path)+"-*")
@@ -284,6 +287,10 @@ func WriteFile(path string, st *State) error {
 		return fmt.Errorf("ckpt: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	if err := tmp.Chmod(0o644); err != nil {
+		tmp.Close()
+		return fmt.Errorf("ckpt: chmod: %w", err)
+	}
 	if err := Encode(tmp, st); err != nil {
 		tmp.Close()
 		return err

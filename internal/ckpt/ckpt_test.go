@@ -397,6 +397,37 @@ func TestWriteFileIsAtomic(t *testing.T) {
 	}
 }
 
+// TestWrittenFilesAreWorldReadable: WriteFile (behind zipflm-train -save)
+// and Dir.Save (behind -ckpt-dir) leave a checkpoint another account can
+// read, mode 0644, not the 0600 of the temporary file it starts as.
+func TestWrittenFilesAreWorldReadable(t *testing.T) {
+	if runtime.GOOS == "windows" {
+		t.Skip("no Unix permission bits on windows")
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "model.ckpt")
+	if err := WriteFile(path, testState(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDir(filepath.Join(dir, "ckpts"), 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved, err := d.Save(testState(t, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{path, saved} {
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fi.Mode().Perm(); got != 0o644 {
+			t.Errorf("%s: mode %v, want -rw-r--r--", p, got)
+		}
+	}
+}
+
 func TestDirSaveLoadAndRetention(t *testing.T) {
 	d, err := NewDir(t.TempDir(), 2, 40)
 	if err != nil {

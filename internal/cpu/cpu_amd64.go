@@ -7,16 +7,18 @@ package cpu
 // faults without OSXSAVE).
 func cpuid1() (ecx, ebx7, xcr0 uint32)
 
-var featECX, featEBX7, featXCR0 = cpuid1()
+var feat = decode(cpuid1())
 
 var (
-	// AVX reports AVX with YMM state the OS saves across context switches
-	// (CPUID.1:ECX bit 28, XCR0 bits 1 and 2).
-	AVX = featECX&(1<<28) != 0 && featXCR0&6 == 6
-	// F16C reports the VCVTPS2PH/VCVTPH2PS conversions (CPUID.1:ECX bit 29),
-	// which are VEX-encoded and so need AVX as well.
-	F16C = AVX && featECX&(1<<29) != 0
-	// AVX2 reports the 256-bit integer instructions (CPUID.7.0:EBX bit 5),
-	// under the same OS-enabled YMM state as AVX.
-	AVX2 = AVX && featEBX7&(1<<5) != 0
+	// AVX reports AVX with YMM state the OS saves across context switches.
+	AVX = feat.avx
+	// F16C reports the VCVTPS2PH/VCVTPH2PS conversions, which are
+	// VEX-encoded and so need AVX as well.
+	F16C = feat.f16c
+	// AVX2 reports the 256-bit integer instructions, under the same
+	// OS-enabled YMM state as AVX.
+	AVX2 = feat.avx2
+	// AVX512 reports AVX-512 F, BW and VL with the opmask and all 32 ZMM
+	// registers saved by the OS, on top of AVX2.
+	AVX512 = feat.avx512
 )

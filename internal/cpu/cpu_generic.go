@@ -4,7 +4,8 @@ package cpu
 
 // No assembly kernels exist for this architecture, so no feature is reported.
 const (
-	AVX  = false
-	F16C = false
-	AVX2 = false
+	AVX    = false
+	F16C   = false
+	AVX2   = false
+	AVX512 = false
 )

@@ -8,6 +8,8 @@
 // too — running value first in every add, multiplier (a) first in every
 // multiply — so the routines agree with one another on NaN payloads. Every
 // routine ends with VZEROUPPER: the Go code around them is legacy-encoded SSE.
+// The *AVX512 routines are the ZMM tier (gate useFP32AVX512); they use only
+// Z0–Z15, whose upper halves VZEROUPPER clears too, and the opmasks K1–K3.
 
 // func addAVX(dst, src *float32, n int)
 //
@@ -158,16 +160,17 @@ scaleDone:
 	VZEROUPPER
 	RET
 
-// RUNSTEP opens one k step of axpyRunAVX: leave the loop at the end of the
-// run (R13 == R10), or cut the run short at a ±0 multiplier (bits<<1 == 0),
-// else broadcast the multiplier into Y15.
-#define RUNSTEP(done, zero) \
+// RUNSTEP opens one k step of axpyRunAVX and axpyRunAVX512: leave the loop
+// at the end of the run (R13 == R10), or cut the run short at a ±0
+// multiplier (bits<<1 == 0), else broadcast the multiplier into mul (Y15 or
+// Z15).
+#define RUNSTEP(done, zero, mul) \
 	CMPQ	R13, R10; \
 	JGE	done; \
 	MOVL	(R11), DX; \
 	ADDL	DX, DX; \
 	JZ	zero; \
-	VBROADCASTSS	(R11), Y15
+	VBROADCASTSS	(R11), mul
 
 // RUNNEXT closes the k step: next multiplier, next b row.
 #define RUNNEXT(loop) \
@@ -212,7 +215,7 @@ run64:
 	MOVQ	BX, SI
 	XORQ	R13, R13
 run64k:
-	RUNSTEP(run64done, run64zero)
+	RUNSTEP(run64done, run64zero, Y15)
 	AXPY8(0, Y8, Y0)
 	AXPY8(32, Y9, Y1)
 	AXPY8(64, Y10, Y2)
@@ -249,7 +252,7 @@ run32:
 	MOVQ	BX, SI
 	XORQ	R13, R13
 run32k:
-	RUNSTEP(run32done, run32zero)
+	RUNSTEP(run32done, run32zero, Y15)
 	AXPY8(0, Y8, Y0)
 	AXPY8(32, Y9, Y1)
 	AXPY8(64, Y10, Y2)
@@ -275,7 +278,7 @@ run8:
 	MOVQ	BX, SI
 	XORQ	R13, R13
 run8k:
-	RUNSTEP(run8done, run8zero)
+	RUNSTEP(run8done, run8zero, Y15)
 	AXPY8(0, Y8, Y0)
 	RUNNEXT(run8k)
 run8zero:
@@ -295,7 +298,7 @@ run1:
 	MOVQ	BX, SI
 	XORQ	R13, R13
 run1k:
-	RUNSTEP(run1done, run1zero)
+	RUNSTEP(run1done, run1zero, Y15)
 	VMULSS	(SI), X15, X8
 	VADDSS	X8, X0, X0
 	RUNNEXT(run1k)
@@ -309,6 +312,103 @@ run1done:
 	JMP	run1
 
 runRet:
+	MOVQ	R10, ret+56(FP)
+	VZEROUPPER
+	RET
+
+// AXPY16(off, prod, acc): acc += Z15 * src[off:off+16], AXPY8 sixteen lanes
+// wide.
+#define AXPY16(off, prod, acc) \
+	VMULPS	off(SI), Z15, prod; \
+	VADDPS	prod, acc, acc
+
+// func axpyRunAVX512(dst *float32, n int, a *float32, astride int, b *float32, bstride, k int) int
+//
+// axpyRunAVX over n columns, n a positive multiple of 64, sixteen lanes
+// wide: blocks of 128 columns keep their running sums in eight ZMM
+// registers and a last block of 64 in four, each block taking the same
+// multiplies and adds, in the same order and with the same operands first,
+// as axpyRunAVX's blocks of 64, and meeting a ±0 multiplier the same way.
+// axpyRun hands the 32/8/1-column tail of a run to axpyRunAVX, with k cut to
+// the steps this routine took.
+TEXT ·axpyRunAVX512(SB), NOSPLIT, $0-64
+	MOVQ	dst+0(FP), DI
+	MOVQ	n+8(FP), CX
+	MOVQ	a+16(FP), AX
+	MOVQ	astride+24(FP), R8
+	MOVQ	b+32(FP), BX
+	MOVQ	bstride+40(FP), R9
+	MOVQ	k+48(FP), R10
+	SHLQ	$2, R8
+	SHLQ	$2, R9
+
+zrun128:
+	CMPQ	CX, $128
+	JL	zrun64
+	VMOVUPS	(DI), Z0
+	VMOVUPS	64(DI), Z1
+	VMOVUPS	128(DI), Z2
+	VMOVUPS	192(DI), Z3
+	VMOVUPS	256(DI), Z4
+	VMOVUPS	320(DI), Z5
+	VMOVUPS	384(DI), Z6
+	VMOVUPS	448(DI), Z7
+	MOVQ	AX, R11
+	MOVQ	BX, SI
+	XORQ	R13, R13
+zrun128k:
+	RUNSTEP(zrun128done, zrun128zero, Z15)
+	AXPY16(0, Z8, Z0)
+	AXPY16(64, Z9, Z1)
+	AXPY16(128, Z10, Z2)
+	AXPY16(192, Z11, Z3)
+	AXPY16(256, Z12, Z4)
+	AXPY16(320, Z13, Z5)
+	AXPY16(384, Z14, Z6)
+	AXPY16(448, Z8, Z7)
+	RUNNEXT(zrun128k)
+zrun128zero:
+	MOVQ	R13, R10
+zrun128done:
+	VMOVUPS	Z0, (DI)
+	VMOVUPS	Z1, 64(DI)
+	VMOVUPS	Z2, 128(DI)
+	VMOVUPS	Z3, 192(DI)
+	VMOVUPS	Z4, 256(DI)
+	VMOVUPS	Z5, 320(DI)
+	VMOVUPS	Z6, 384(DI)
+	VMOVUPS	Z7, 448(DI)
+	ADDQ	$512, DI
+	ADDQ	$512, BX
+	SUBQ	$128, CX
+	JMP	zrun128
+
+zrun64:
+	TESTQ	CX, CX
+	JLE	zrunRet
+	VMOVUPS	(DI), Z0
+	VMOVUPS	64(DI), Z1
+	VMOVUPS	128(DI), Z2
+	VMOVUPS	192(DI), Z3
+	MOVQ	AX, R11
+	MOVQ	BX, SI
+	XORQ	R13, R13
+zrun64k:
+	RUNSTEP(zrun64done, zrun64zero, Z15)
+	AXPY16(0, Z8, Z0)
+	AXPY16(64, Z9, Z1)
+	AXPY16(128, Z10, Z2)
+	AXPY16(192, Z11, Z3)
+	RUNNEXT(zrun64k)
+zrun64zero:
+	MOVQ	R13, R10
+zrun64done:
+	VMOVUPS	Z0, (DI)
+	VMOVUPS	Z1, 64(DI)
+	VMOVUPS	Z2, 128(DI)
+	VMOVUPS	Z3, 192(DI)
+
+zrunRet:
 	MOVQ	R10, ret+56(FP)
 	VZEROUPPER
 	RET
@@ -825,5 +925,153 @@ maxDone:
 	VPERMILPS	$0xb1, X0, X1
 	VMAXPS	X1, X0, X0
 	VMOVSS	X0, ret+16(FP)
+	VZEROUPPER
+	RET
+
+// HADD16(b, a, dst): VHADDPS b, a, dst at sixteen lanes, which VHADDPS has no
+// encoding for. Within each 128-bit lane dst = [a0+a1, a2+a3, b0+b1, b2+b3];
+// VSHUFPS gathers the even and the odd elements of the pairs and one VADDPS
+// adds them, the even element first, as VHADDPS does. Z14 and Z15 are
+// clobbered.
+#define HADD16(b, a, dst) \
+	VSHUFPS	$0x88, b, a, Z14; \
+	VSHUFPS	$0xdd, b, a, Z15; \
+	VADDPS	Z15, Z14, dst
+
+// func dotRows4AVX512(dst *float32, dstride, n int, a, b *float32, k int)
+//
+// dst[r*dstride+j] = Dot(a row r, b row j) for r in [0, 4) and j in [0, n),
+// n a positive multiple of 8, a holding four rows of k elements back to
+// back: Z8 is a0[i:i+4] | a1[i:i+4] | a2[i:i+4] | a3[i:i+4], so each b load
+// is one VBROADCASTF32X4 into all four lanes and accumulator m (Z0–Z7)
+// holds column j+m of all four rows. HADD16 combines them as dotRows2AVX's
+// VHADDPS do, and the len%4 tail is added to the combined sums the same
+// way, so every output takes the same operations in the same order, with
+// the same operands first. A combined register's lane r is row r's four
+// columns. b walks by row cursors as in dotRows2AVX (BX, R14); a by AX,
+// which steps with them, and its rows are (AX)(R9*r) with R9 the row
+// length in bytes.
+TEXT ·dotRows4AVX512(SB), NOSPLIT, $0-48
+	MOVQ	dst+0(FP), DI
+	MOVQ	dstride+8(FP), R13
+	SHLQ	$2, R13
+	MOVQ	n+16(FP), CX
+	MOVQ	a+24(FP), DX
+	MOVQ	b+32(FP), R8
+	MOVQ	k+40(FP), R10
+	MOVQ	R10, R9
+	SHLQ	$2, R9
+	LEAQ	(R9)(R9*2), R12
+	MOVQ	R10, R11
+	ANDQ	$-4, R11
+	SHLQ	$2, R11
+	SHLQ	$2, R10
+	MOVL	$0x00f0, BX
+	KMOVW	BX, K1             // lane 1
+	MOVL	$0x0f00, BX
+	KMOVW	BX, K2             // lane 2
+	MOVL	$0xf000, BX
+	KMOVW	BX, K3             // lane 3
+
+z4col8:
+	TESTQ	CX, CX
+	JLE	z4ret
+	VXORPS	Z0, Z0, Z0
+	VXORPS	Z1, Z1, Z1
+	VXORPS	Z2, Z2, Z2
+	VXORPS	Z3, Z3, Z3
+	VXORPS	Z4, Z4, Z4
+	VXORPS	Z5, Z5, Z5
+	VXORPS	Z6, Z6, Z6
+	VXORPS	Z7, Z7, Z7
+	MOVQ	DX, AX
+	MOVQ	R8, BX
+	LEAQ	(R8)(R9*4), R14
+	XORQ	SI, SI
+z4col8k:
+	CMPQ	SI, R11
+	JGE	z4col8sum
+	VMOVUPS	(AX), X8
+	VINSERTF32X4	$1, (AX)(R9*1), Z8, Z8
+	VINSERTF32X4	$2, (AX)(R9*2), Z8, Z8
+	VINSERTF32X4	$3, (AX)(R12*1), Z8, Z8
+	VBROADCASTF32X4	(BX), Z9
+	VMULPS	Z9, Z8, Z9
+	VADDPS	Z9, Z0, Z0
+	VBROADCASTF32X4	(BX)(R9*1), Z10
+	VMULPS	Z10, Z8, Z10
+	VADDPS	Z10, Z1, Z1
+	VBROADCASTF32X4	(BX)(R9*2), Z11
+	VMULPS	Z11, Z8, Z11
+	VADDPS	Z11, Z2, Z2
+	VBROADCASTF32X4	(BX)(R12*1), Z12
+	VMULPS	Z12, Z8, Z12
+	VADDPS	Z12, Z3, Z3
+	VBROADCASTF32X4	(R14), Z9
+	VMULPS	Z9, Z8, Z9
+	VADDPS	Z9, Z4, Z4
+	VBROADCASTF32X4	(R14)(R9*1), Z10
+	VMULPS	Z10, Z8, Z10
+	VADDPS	Z10, Z5, Z5
+	VBROADCASTF32X4	(R14)(R9*2), Z11
+	VMULPS	Z11, Z8, Z11
+	VADDPS	Z11, Z6, Z6
+	VBROADCASTF32X4	(R14)(R12*1), Z12
+	VMULPS	Z12, Z8, Z12
+	VADDPS	Z12, Z7, Z7
+	ADDQ	$16, SI
+	ADDQ	$16, AX
+	ADDQ	$16, BX
+	ADDQ	$16, R14
+	JMP	z4col8k
+z4col8sum:
+	HADD16(Z1, Z0, Z0)
+	HADD16(Z3, Z2, Z2)
+	HADD16(Z2, Z0, Z0)         // lane r: row r, columns j…j+3
+	HADD16(Z5, Z4, Z4)
+	HADD16(Z7, Z6, Z6)
+	HADD16(Z6, Z4, Z4)         // lane r: row r, columns j+4…j+7
+z4col8tail:
+	CMPQ	SI, R10
+	JGE	z4col8done
+	VBROADCASTSS	(AX), Z8
+	VBROADCASTSS	(AX)(R9*1), K1, Z8
+	VBROADCASTSS	(AX)(R9*2), K2, Z8
+	VBROADCASTSS	(AX)(R12*1), K3, Z8
+	VMOVSS	(BX), X9
+	VINSERTPS	$0x10, (BX)(R9*1), X9, X9
+	VINSERTPS	$0x20, (BX)(R9*2), X9, X9
+	VINSERTPS	$0x30, (BX)(R12*1), X9, X9
+	VSHUFF32X4	$0, Z9, Z9, Z9     // b rows j…j+3 in every lane
+	VMULPS	Z9, Z8, Z9
+	VADDPS	Z9, Z0, Z0
+	VMOVSS	(R14), X10
+	VINSERTPS	$0x10, (R14)(R9*1), X10, X10
+	VINSERTPS	$0x20, (R14)(R9*2), X10, X10
+	VINSERTPS	$0x30, (R14)(R12*1), X10, X10
+	VSHUFF32X4	$0, Z10, Z10, Z10
+	VMULPS	Z10, Z8, Z10
+	VADDPS	Z10, Z4, Z4
+	ADDQ	$4, SI
+	ADDQ	$4, AX
+	ADDQ	$4, BX
+	ADDQ	$4, R14
+	JMP	z4col8tail
+z4col8done:
+	LEAQ	(DI)(R13*2), BX
+	VMOVUPS	X0, (DI)
+	VMOVUPS	X4, 16(DI)
+	VEXTRACTF32X4	$1, Z0, (DI)(R13*1)
+	VEXTRACTF32X4	$1, Z4, 16(DI)(R13*1)
+	VEXTRACTF32X4	$2, Z0, (BX)
+	VEXTRACTF32X4	$2, Z4, 16(BX)
+	VEXTRACTF32X4	$3, Z0, (BX)(R13*1)
+	VEXTRACTF32X4	$3, Z4, 16(BX)(R13*1)
+	ADDQ	$32, DI
+	LEAQ	(R8)(R9*8), R8
+	SUBQ	$8, CX
+	JMP	z4col8
+
+z4ret:
 	VZEROUPPER
 	RET

@@ -6,6 +6,9 @@ package tensor
 // kernels, which define the canonical accumulation order, always run.
 var useFP32Asm = false
 
+// useFP32AVX512: no ZMM tier either.
+var useFP32AVX512 = false
+
 func addAVX(dst, src *float32, n int) { panic("tensor: addAVX unavailable on this architecture") }
 
 func axpyAVX(alpha float32, dst, src *float32, n int) {
@@ -20,12 +23,20 @@ func axpyRunAVX(dst *float32, n int, a *float32, astride int, b *float32, bstrid
 	panic("tensor: axpyRunAVX unavailable on this architecture")
 }
 
+func axpyRunAVX512(dst *float32, n int, a *float32, astride int, b *float32, bstride, k int) int {
+	panic("tensor: axpyRunAVX512 unavailable on this architecture")
+}
+
 func dotRows1AVX(dst *float32, n int, a, b *float32, k int) {
 	panic("tensor: dotRows1AVX unavailable on this architecture")
 }
 
 func dotRows2AVX(dst0, dst1 *float32, n int, a0, a1, b *float32, k int) {
 	panic("tensor: dotRows2AVX unavailable on this architecture")
+}
+
+func dotRows4AVX512(dst *float32, dstride, n int, a, b *float32, k int) {
+	panic("tensor: dotRows4AVX512 unavailable on this architecture")
 }
 
 func allFiniteAVX(x *float32, n int) bool {

@@ -6,16 +6,88 @@ import (
 	"math"
 	"testing"
 
+	"zipflm/internal/cpu"
 	"zipflm/internal/rng"
 )
 
-// withFP32Asm runs fn with the assembly gate forced off (on=false) or left as
-// CPUID set it (on=true; a host without the kernels stays portable).
-func withFP32Asm(on bool, fn func()) {
-	old := useFP32Asm
-	useFP32Asm = on && old
-	defer func() { useFP32Asm = old }()
+// fp32Tier is one instruction tier of the FP32 kernels: the Go loops that
+// define them, the AVX assembly, or the AVX assembly with axpyRun and the
+// Dot family in ZMM registers.
+type fp32Tier int
+
+const (
+	tierGo fp32Tier = iota
+	tierAVX
+	tierZMM
+)
+
+var fp32Tiers = []fp32Tier{tierZMM, tierAVX, tierGo}
+
+func (tier fp32Tier) String() string { return [...]string{"go", "avx", "zmm"}[tier] }
+
+// available reports whether this build and host run the tier's kernels.
+func (tier fp32Tier) available() bool {
+	return tier == tierGo || tier == tierAVX && cpu.AVX || tier == tierZMM && cpu.AVX512
+}
+
+// set switches the FP32 kernels to the tier, never above what CPUID allows;
+// the caller restores the gates (with and forFP32Twins do).
+func (tier fp32Tier) set() {
+	useFP32Asm = tier >= tierAVX && cpu.AVX
+	useFP32AVX512 = tier >= tierZMM && cpu.AVX512
+}
+
+// with runs fn with the FP32 kernels at the tier, then restores the gates.
+func (tier fp32Tier) with(fn func()) {
+	defer restoreFP32Gates()()
+	tier.set()
 	fn()
+}
+
+// restoreFP32Gates returns a function that puts the gates back as they are
+// now.
+func restoreFP32Gates() func() {
+	asm, avx512 := useFP32Asm, useFP32AVX512
+	return func() { useFP32Asm, useFP32AVX512 = asm, avx512 }
+}
+
+// fp32Twin is a pair of tiers a twin test holds to each other.
+type fp32Twin struct{ got, want fp32Tier }
+
+// fp32Twins: each assembly tier against the Go definition, and the ZMM tier
+// against the AVX one.
+var fp32Twins = []fp32Twin{{tierZMM, tierGo}, {tierAVX, tierGo}, {tierZMM, tierAVX}}
+
+func (tw fp32Twin) String() string { return tw.got.String() + "-vs-" + tw.want.String() }
+
+// same is the equality the pair is held to: sameFloat against the Go loops,
+// whose NaN payloads are the compiler's choice, and every bit, NaN payloads
+// included, between two assembly tiers, which both fix their operand order.
+func (tw fp32Twin) same(x, y float32) bool {
+	if tw.want == tierGo {
+		return sameFloat(x, y)
+	}
+	return math.Float32bits(x) == math.Float32bits(y)
+}
+
+func (tw fp32Twin) sameFloats(t *testing.T, ctx string, got, want []float32) {
+	t.Helper()
+	sameFloatsBy(t, ctx, got, want, tw.same)
+}
+
+// forFP32Twins runs fn as one subtest per twin, with the gates restored
+// after each. A twin whose tier this build or host lacks is skipped with the
+// reason logged.
+func forFP32Twins(t *testing.T, fn func(t *testing.T, tw fp32Twin)) {
+	for _, tw := range fp32Twins {
+		t.Run(tw.String(), func(t *testing.T) {
+			if !tw.got.available() {
+				t.Skipf("no %s FP32 kernels on this build or host", tw.got)
+			}
+			defer restoreFP32Gates()()
+			fn(t, tw)
+		})
+	}
 }
 
 // sameFloat is bit equality, except that any NaN equals any NaN: when both
@@ -28,26 +100,33 @@ func sameFloat(x, y float32) bool {
 
 func sameFloats(t *testing.T, ctx string, got, want []float32) {
 	t.Helper()
+	sameFloatsBy(t, ctx, got, want, sameFloat)
+}
+
+func sameFloatsBy(t *testing.T, ctx string, got, want []float32, same func(x, y float32) bool) {
+	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: length %d, want %d", ctx, len(got), len(want))
 	}
 	for i := range want {
-		if !sameFloat(got[i], want[i]) {
-			t.Fatalf("%s: element %d: asm %v (%#08x) != go %v (%#08x)", ctx, i,
+		if !same(got[i], want[i]) {
+			t.Fatalf("%s: element %d: %v (%#08x) != %v (%#08x)", ctx, i,
 				got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
 		}
 	}
 }
 
 // fp32Lengths covers every loop of every kernel: the scalar tails (0–7),
-// each block width and its neighbours (8, 32, 64 and ±1), sums of blocks, and
-// long runs of the widest block with and without a tail.
+// each block width and its neighbours (8, 32, 64, 128 and ±1), sums of
+// blocks — a ZMM block of 128 followed by each AVX tail (191–193) and by the
+// ZMM block of 64 and each tail (255–257) — and long runs of the widest block
+// with and without a tail.
 func fp32Lengths() []int {
 	var ns []int
 	for n := 0; n <= 70; n++ {
 		ns = append(ns, n)
 	}
-	return append(ns, 127, 128, 129, 512, 513)
+	return append(ns, 127, 128, 129, 191, 192, 193, 255, 256, 257, 512, 513)
 }
 
 // fp32Vec returns n values at offset off of a fresh buffer (off 1 and 3
@@ -126,116 +205,141 @@ func TestAllFiniteAsmMatchesGo(t *testing.T) {
 	}
 }
 
-// TestFP32AsmMatchesGo holds each AVX kernel to its portable twin bit for
-// bit. Every other bit-identity suite in the repository (Serial vs Parallel,
-// resume, served vs sequential) runs the same kernel on both sides, so a
-// wrong kernel would pass them all; this is the test that compares the two
-// instruction encodings. Skipped where the asm does not run.
+// TestFP32AsmMatchesGo holds each assembly kernel to its portable twin bit
+// for bit, and the ZMM tier to the AVX one (see fp32Twins). Every other
+// bit-identity suite in the repository (Serial vs Parallel, resume, served
+// vs sequential) runs the same kernel on both sides, so a wrong kernel would
+// pass them all; this is the test that compares the instruction encodings.
+// Each side runs the public wrapper at its tier.
 func TestFP32AsmMatchesGo(t *testing.T) {
-	if !useFP32Asm {
-		t.Skip("no AVX FP32 kernels on this build or host")
-	}
-	r := rng.New(71)
-	alphas := []float32{1.5, -0.3, 0, float32(math.Copysign(0, -1)), float32(math.NaN()), float32(math.Inf(1)), 1e-40}
-	for _, n := range fp32Lengths() {
-		for _, off := range []int{0, 1, 3} {
-			for _, special := range []bool{false, true} {
-				ctx := fmt.Sprintf("n=%d off=%d special=%v", n, off, special)
-				src, dst := fp32Vec(r, n, off, special), fp32Vec(r, n, off, special)
+	forFP32Twins(t, func(t *testing.T, tw fp32Twin) {
+		r := rng.New(71)
+		alphas := []float32{1.5, -0.3, 0, float32(math.Copysign(0, -1)), float32(math.NaN()), float32(math.Inf(1)), 1e-40}
+		for _, n := range fp32Lengths() {
+			for _, off := range []int{0, 1, 3} {
+				for _, special := range []bool{false, true} {
+					ctx := fmt.Sprintf("n=%d off=%d special=%v", n, off, special)
+					src, dst := fp32Vec(r, n, off, special), fp32Vec(r, n, off, special)
 
-				got, want := newGuarded(dst), cloneVec(dst)
-				AddInPlace(got.v, src)
-				addGo(want, src)
-				sameFloats(t, ctx+" add", got.v, want)
-				got.check(t, ctx+" add")
+					got, want := newGuarded(dst), cloneVec(dst)
+					tw.got.set()
+					AddInPlace(got.v, src)
+					tw.want.set()
+					AddInPlace(want, src)
+					tw.sameFloats(t, ctx+" add", got.v, want)
+					got.check(t, ctx+" add")
 
-				for _, alpha := range alphas {
-					got, want = newGuarded(dst), cloneVec(dst)
-					axpy(alpha, got.v, src)
-					axpyGo(alpha, want, src)
-					actx := fmt.Sprintf("%s axpy alpha=%v", ctx, alpha)
-					sameFloats(t, actx, got.v, want)
-					got.check(t, actx)
+					for _, alpha := range alphas {
+						got, want = newGuarded(dst), cloneVec(dst)
+						tw.got.set()
+						axpy(alpha, got.v, src)
+						tw.want.set()
+						axpy(alpha, want, src)
+						actx := fmt.Sprintf("%s axpy alpha=%v", ctx, alpha)
+						tw.sameFloats(t, actx, got.v, want)
+						got.check(t, actx)
 
-					got, want = newGuarded(dst), cloneVec(dst)
-					Scale(got.v, alpha)
-					scaleGo(want, alpha)
-					actx = fmt.Sprintf("%s Scale alpha=%v", ctx, alpha)
-					sameFloats(t, actx, got.v, want)
-					got.check(t, actx)
-				}
+						got, want = newGuarded(dst), cloneVec(dst)
+						tw.got.set()
+						Scale(got.v, alpha)
+						tw.want.set()
+						Scale(want, alpha)
+						actx = fmt.Sprintf("%s Scale alpha=%v", ctx, alpha)
+						tw.sameFloats(t, actx, got.v, want)
+						got.check(t, actx)
+					}
 
-				if g, w := dot(dst, src), dotGo(dst, src); !sameFloat(g, w) {
-					t.Fatalf("%s Dot: asm %v (%#08x) != go %v (%#08x)", ctx, g, math.Float32bits(g), w, math.Float32bits(w))
-				}
+					tw.got.set()
+					g := dot(dst, src)
+					tw.want.set()
+					if w := dot(dst, src); !tw.same(g, w) {
+						t.Fatalf("%s Dot: %v (%#08x) != %v (%#08x)", ctx, g, math.Float32bits(g), w, math.Float32bits(w))
+					}
 
-				// axpyRun: k rows of b (row stride bs ≥ n) scaled by
-				// multipliers as apart; a zero multiplier ends the run.
-				for _, k := range []int{1, 2, 5} {
-					for _, as := range []int{1, 3} {
-						bs := n + off
-						b := fp32Vec(r, k*bs+n, off, special)
-						a := fp32Vec(r, (k-1)*as+1, off, false)
-						for zeroAt := -1; zeroAt < k; zeroAt++ {
-							a2 := cloneVec(a)
-							if zeroAt >= 0 {
-								a2[zeroAt*as] = float32(math.Copysign(0, float64(zeroAt%2)-0.5))
+					// axpyRun: k rows of b (row stride bs ≥ n) scaled by
+					// multipliers as apart; a zero multiplier ends the run.
+					for _, k := range []int{1, 2, 5} {
+						for _, as := range []int{1, 3} {
+							bs := n + off
+							b := fp32Vec(r, k*bs+n, off, special)
+							a := fp32Vec(r, (k-1)*as+1, off, false)
+							for zeroAt := -1; zeroAt < k; zeroAt++ {
+								a2 := cloneVec(a)
+								if zeroAt >= 0 {
+									a2[zeroAt*as] = float32(math.Copysign(0, float64(zeroAt%2)-0.5))
+								}
+								got, want = newGuarded(dst), cloneVec(dst)
+								tw.got.set()
+								gk := axpyRun(got.v, a2, as, b, bs, k)
+								tw.want.set()
+								wk := axpyRun(want, a2, as, b, bs, k)
+								rctx := fmt.Sprintf("%s axpyRun k=%d as=%d zeroAt=%d", ctx, k, as, zeroAt)
+								if gk != wk {
+									t.Fatalf("%s: ran %d rows, want %d", rctx, gk, wk)
+								}
+								tw.sameFloats(t, rctx, got.v, want)
+								got.check(t, rctx)
 							}
-							got, want = newGuarded(dst), cloneVec(dst)
-							gk := axpyRun(got.v, a2, as, b, bs, k)
-							wk := axpyRunGo(want, a2, as, b, bs, k)
-							rctx := fmt.Sprintf("%s axpyRun k=%d as=%d zeroAt=%d", ctx, k, as, zeroAt)
-							if gk != wk {
-								t.Fatalf("%s: asm ran %d rows, go %d", rctx, gk, wk)
-							}
-							sameFloats(t, rctx, got.v, want)
-							got.check(t, rctx)
+						}
+					}
+
+					// The Dot family: k = n elements per row against 0–23 b
+					// rows (every column loop of every routine: the eight-wide
+					// pass once and twice, each followed by every remainder
+					// through the four- and one-column passes). dotRows4 takes
+					// a0, a1, b's first row (src where b has none) and src.
+					a0, a1 := src, dst
+					for cols := 0; cols <= 23; cols++ {
+						b := fp32Vec(r, cols*n, off, special)
+						w0, w1 := make([]float32, cols), make([]float32, cols)
+						g0, g1 := newGuarded(w0), newGuarded(w1)
+						dctx := fmt.Sprintf("%s dotRows cols=%d", ctx, cols)
+						tw.got.set()
+						dotRows1(g0.v, a0, b)
+						tw.want.set()
+						dotRows1(w0, a0, b)
+						tw.sameFloats(t, dctx+" one row", g0.v, w0)
+						tw.got.set()
+						dotRows2(g0.v, g1.v, a0, a1, b)
+						tw.want.set()
+						dotRows2(w0, w1, a0, a1, b)
+						tw.sameFloats(t, dctx+" two rows, row 0", g0.v, w0)
+						tw.sameFloats(t, dctx+" two rows, row 1", g1.v, w1)
+						g0.check(t, dctx)
+						g1.check(t, dctx)
+						third := append(cloneVec(b[:min(n, len(b))]), src...)[:n]
+						a4 := append(append(append(cloneVec(a0), a1...), third...), src...)
+						tw.got.set()
+						g4 := dotRows4Strided(t, dctx+" four rows", a4, b, cols)
+						tw.want.set()
+						w4 := dotRows4Strided(t, dctx+" four rows", a4, b, cols)
+						for r := range g4 {
+							tw.sameFloats(t, fmt.Sprintf("%s four rows, row %d", dctx, r), g4[r], w4[r])
 						}
 					}
 				}
-
-				// The Dot family: k = n elements per row against 0–23 b rows
-				// (every column loop of both routines: the eight-wide pass
-				// once and twice, each followed by every remainder through
-				// the four- and one-column passes).
-				a0, a1 := src, dst
-				for cols := 0; cols <= 23; cols++ {
-					b := fp32Vec(r, cols*n, off, special)
-					w0, w1 := make([]float32, cols), make([]float32, cols)
-					g0, g1 := newGuarded(w0), newGuarded(w1)
-					dctx := fmt.Sprintf("%s dotRows cols=%d", ctx, cols)
-					dotRows1(g0.v, a0, b)
-					for j := range w0 {
-						w0[j] = dotGo(a0, b[j*n:(j+1)*n])
-					}
-					sameFloats(t, dctx+" one row", g0.v, w0)
-					dotRows2(g0.v, g1.v, a0, a1, b)
-					for j := range w0 {
-						w0[j], w1[j] = dot2Go(a0, a1, b[j*n:(j+1)*n])
-					}
-					sameFloats(t, dctx+" two rows, row 0", g0.v, w0)
-					sameFloats(t, dctx+" two rows, row 1", g1.v, w1)
-					g0.check(t, dctx)
-					g1.check(t, dctx)
-				}
 			}
 		}
-	}
+	})
 }
 
-// FuzzDotRowsMatchesGo feeds arbitrary bit patterns to the Dot family:
-// dotRows1 and dotRows2 must agree with dotGo and dot2Go bit for bit (a NaN
-// with a NaN: which operand's payload the Go loops keep is the compiler's
-// choice, see sameFloat). The assembly fixes its operand order, so among
-// its own routines the payloads must agree too: every column of dotRows1
-// equals dotRows2's row 0 and dotRows1 over that column alone, whichever
-// lane and pass width computed it. k and the column count come from the
-// input, so every loop and remainder of both routines is reached; the values
-// fill a0, a1 and b in turn, cycling through the input's floats when it is
-// short.
+// FuzzDotRowsMatchesGo feeds arbitrary bit patterns to the Dot family at
+// each assembly tier the host has: dotRows1 and dotRows2 must agree with
+// dotGo and dot2Go bit for bit (a NaN with a NaN: which operand's payload
+// the Go loops keep is the compiler's choice, see sameFloat). The assembly
+// fixes its operand order, so among its own routines the payloads must
+// agree too: at each tier every column of dotRows1 equals dotRows2's row 0
+// and dotRows1 over that column alone, whichever lane and pass width
+// computed it, and the ZMM tier's three outputs equal the AVX tier's. k and
+// the column count come from the input, so every loop and remainder of every
+// routine is reached; the values fill a0, a1 and b in turn, cycling through
+// the input's floats when it is short.
 func FuzzDotRowsMatchesGo(f *testing.F) {
 	if !useFP32Asm {
 		f.Skip("no AVX FP32 kernels on this build or host")
+	}
+	if !useFP32AVX512 {
+		f.Log("no AVX-512 on this host: the ZMM tier is not fuzzed")
 	}
 	f.Add(uint8(0), uint8(0), []byte{})
 	f.Add(uint8(7), uint8(9), []byte("\x00\x00\x80\x3f\x01\x00\xc0\x7f\x00\x00\x80\xff\x02\x00\xc0\xff"))
@@ -253,40 +357,149 @@ func FuzzDotRowsMatchesGo(f *testing.F) {
 	// other payload than dotRows1 does.
 	nans := []byte("\x01\x00\xc0\x7f\x02\x00\xc0\x7f\x03\x00\xc0\xff")
 	f.Add(uint8(10), uint8(23), nans)
+	// Four payloads, one per partial of each output, so each add of the
+	// (s0+s1)+(s2+s3) combine meets two NaNs of different payloads: a
+	// combine that puts the other operand first keeps the other payload.
+	f.Add(uint8(4), uint8(16), []byte("\x01\x00\xc0\x7f\x02\x00\xc0\x7f\x03\x00\xc0\x7f\x04\x00\xc0\x7f"))
+	defer restoreFP32Gates()()
 	f.Fuzz(func(t *testing.T, kb, colsb uint8, raw []byte) {
 		k, cols := int(kb)%72, int(colsb)%24
-		vals := make([]float32, (2+cols)*k)
+		vals := make([]float32, (4+cols)*k)
 		if m := len(raw) / 4; m > 0 {
 			for i := range vals {
 				vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*(i%m):]))
 			}
 		}
-		a0, a1, b := vals[:k], vals[k:2*k], vals[2*k:]
-		one := newGuarded(make([]float32, cols))
-		g0, g1 := newGuarded(make([]float32, cols)), newGuarded(make([]float32, cols))
-		dotRows1(one.v, a0, b)
-		dotRows2(g0.v, g1.v, a0, a1, b)
-		one.check(t, "fuzz one row")
-		g0.check(t, "fuzz two rows, row 0")
-		g1.check(t, "fuzz two rows, row 1")
-		for j := 0; j < cols; j++ {
-			bj := b[j*k : (j+1)*k]
-			w0, w1 := dot2Go(a0, a1, bj)
-			for _, c := range []struct {
-				what      string
-				got, want float32
-				payload   bool
-			}{
-				{"dotRows1 vs dotGo", one.v[j], dotGo(a0, bj), false},
-				{"dotRows2 row 0 vs dot2Go", g0.v[j], w0, false},
-				{"dotRows2 row 1 vs dot2Go", g1.v[j], w1, false},
-				{"dotRows1 vs dotRows2 row 0", one.v[j], g0.v[j], true},
-				{"dotRows1 vs itself on one column", one.v[j], dot(a0, bj), true},
-			} {
-				if math.Float32bits(c.got) != math.Float32bits(c.want) && (c.payload || !sameFloat(c.got, c.want)) {
-					t.Fatalf("k=%d cols=%d column %d, %s: %#08x != %#08x", k, cols, j, c.what,
-						math.Float32bits(c.got), math.Float32bits(c.want))
+		a0, a1, b := vals[:k], vals[k:2*k], vals[4*k:]
+		a := vals[:4*k] // dotRows4's four rows: a0, a1, then two more
+		// payload: compare NaN payloads too (both sides are assembly).
+		type dotCheck struct {
+			what      string
+			got, want float32
+			payload   bool
+		}
+		type outputs struct {
+			one, r0, r1 []float32
+			four        [4][]float32
+		}
+		var avx outputs
+		for _, tier := range []fp32Tier{tierAVX, tierZMM} {
+			if !tier.available() {
+				continue
+			}
+			tier.set()
+			one := newGuarded(make([]float32, cols))
+			g0, g1 := newGuarded(make([]float32, cols)), newGuarded(make([]float32, cols))
+			dotRows1(one.v, a0, b)
+			dotRows2(g0.v, g1.v, a0, a1, b)
+			one.check(t, tier.String()+" one row")
+			g0.check(t, tier.String()+" two rows, row 0")
+			g1.check(t, tier.String()+" two rows, row 1")
+			four := dotRows4Strided(t, tier.String()+" four rows", a, b, cols)
+			if tier == tierAVX {
+				avx = outputs{one.v, g0.v, g1.v, four}
+			}
+			for j := 0; j < cols; j++ {
+				bj := b[j*k : (j+1)*k]
+				w0, w1 := dot2Go(a0, a1, bj)
+				checks := []dotCheck{
+					{"dotRows1 vs dotGo", one.v[j], dotGo(a0, bj), false},
+					{"dotRows2 row 0 vs dot2Go", g0.v[j], w0, false},
+					{"dotRows2 row 1 vs dot2Go", g1.v[j], w1, false},
+					{"dotRows1 vs dotRows2 row 0", one.v[j], g0.v[j], true},
+					{"dotRows1 vs itself on one column", one.v[j], dot(a0, bj), true},
+					{"dotRows4 row 0 vs dotRows1", four[0][j], one.v[j], true},
+					{"dotRows4 row 1 vs dotRows2 row 1", four[1][j], g1.v[j], true},
+					{"dotRows4 row 2 vs dotGo", four[2][j], dotGo(a[2*k:3*k], bj), false},
+					{"dotRows4 row 3 vs dotGo", four[3][j], dotGo(a[3*k:], bj), false},
+					{"dotRows4 row 3 vs dotRows1", four[3][j], dot(a[3*k:], bj), true},
 				}
+				if tier == tierZMM {
+					checks = append(checks, []dotCheck{
+						{"dotRows1 zmm vs avx", one.v[j], avx.one[j], true},
+						{"dotRows2 row 0 zmm vs avx", g0.v[j], avx.r0[j], true},
+						{"dotRows2 row 1 zmm vs avx", g1.v[j], avx.r1[j], true},
+						{"dotRows4 row 2 zmm vs avx", four[2][j], avx.four[2][j], true},
+						{"dotRows4 row 3 zmm vs avx", four[3][j], avx.four[3][j], true},
+					}...)
+				}
+				for _, c := range checks {
+					if math.Float32bits(c.got) != math.Float32bits(c.want) && (c.payload || !sameFloat(c.got, c.want)) {
+						t.Fatalf("%s: k=%d cols=%d column %d, %s: %#08x != %#08x", tier, k, cols, j, c.what,
+							math.Float32bits(c.got), math.Float32bits(c.want))
+					}
+				}
+			}
+		}
+	})
+}
+
+// FuzzAxpyRunMatchesGo feeds arbitrary bit patterns to axpyRun at each
+// assembly tier the host has: dst, the multipliers and the b rows cycle
+// through the input's floats, and the length (up to 271 columns: a ZMM block
+// of 128 or 64 followed by any AVX tail), the run length k, both strides and
+// the position and sign of a forced zero multiplier come from the input.
+// Each tier must run as many rows as axpyRunGo and agree with it bit for bit
+// (NaN payloads aside, see sameFloat), and the ZMM tier with the AVX one,
+// NaN payloads included.
+func FuzzAxpyRunMatchesGo(f *testing.F) {
+	if !useFP32Asm {
+		f.Skip("no AVX FP32 kernels on this build or host")
+	}
+	if !useFP32AVX512 {
+		f.Log("no AVX-512 on this host: the ZMM tier is not fuzzed")
+	}
+	f.Add(uint16(0), uint8(0), uint8(0), uint8(0), uint8(0), []byte{})
+	seed := make([]byte, 4*41)
+	for i := range seed {
+		seed[i] = byte(i * 41)
+	}
+	// zb/2 is the forced zero's step (none when it is k or more), zb&1 its
+	// sign bit clear.
+	f.Add(uint16(193), uint8(5), uint8(2), uint8(3), uint8(16), seed)
+	f.Add(uint16(257), uint8(4), uint8(0), uint8(1), uint8(5), seed) // +0 at step 2
+	// NaN payloads in dst, the multipliers and b, and no zero multiplier: an
+	// operand swapped in a VMULPS or a VADDPS keeps the other payload.
+	f.Add(uint16(64), uint8(3), uint8(1), uint8(0), uint8(16), []byte("\x01\x00\xc0\x7f\x02\x00\xc0\x7f\x03\x00\xc0\xff"))
+	// dst finite where the first multiplier and its b element are NaNs of
+	// different payloads (every third column, with n = 64 and as = 3): the
+	// product's payload reaches dst only if the multiplier stays first.
+	f.Add(uint16(64), uint8(3), uint8(2), uint8(0), uint8(16), []byte("\x00\x00\x80\x3f\x01\x00\xc0\x7f\x02\x00\xc0\xff"))
+	defer restoreFP32Gates()()
+	f.Fuzz(func(t *testing.T, nb uint16, kb, asb, bsb, zb uint8, raw []byte) {
+		n, k := int(nb)%272, int(kb)%9
+		as, bs := 1+int(asb)%4, n+int(bsb)%5
+		vals := make([]float32, n+max(k-1, 0)*(as+bs)+1+n)
+		if m := len(raw) / 4; m > 0 {
+			for i := range vals {
+				vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*(i%m):]))
+			}
+		}
+		dst, a, b := vals[:n], vals[n:n+max(k-1, 0)*as+1], vals[n+max(k-1, 0)*as+1:]
+		a = cloneVec(a)
+		if z := int(zb>>1) % 9; z < k {
+			a[z*as] = float32(math.Copysign(0, float64(zb&1)-0.5))
+		}
+		want := cloneVec(dst)
+		wk := axpyRunGo(want, a, as, b, bs, k)
+		var avx []float32
+		for _, tier := range []fp32Tier{tierAVX, tierZMM} {
+			if !tier.available() {
+				continue
+			}
+			tier.set()
+			got := newGuarded(dst)
+			gk := axpyRun(got.v, a, as, b, bs, k)
+			ctx := fmt.Sprintf("%s: n=%d k=%d as=%d bs=%d", tier, n, k, as, bs)
+			got.check(t, ctx)
+			if gk != wk {
+				t.Fatalf("%s: ran %d rows, go %d", ctx, gk, wk)
+			}
+			sameFloats(t, ctx+" vs go", got.v, want)
+			if tier == tierAVX {
+				avx = got.v
+			} else {
+				fp32Twin{tierZMM, tierAVX}.sameFloats(t, ctx+" vs avx", got.v, avx)
 			}
 		}
 	})
@@ -298,6 +511,33 @@ func dot(a, b []float32) float32 {
 	var r [1]float32
 	dotRows1(r[:], a, b)
 	return r[0]
+}
+
+// dotRows4Strided runs dotRows4 for the four rows of a (back to back) into
+// an output with a row stride of cols+3, a sentinel in every gap between the
+// rows and one on each side, fails if any of them is overwritten, and
+// returns the four output rows.
+func dotRows4Strided(t *testing.T, ctx string, a, b []float32, cols int) [4][]float32 {
+	t.Helper()
+	ds := cols + 3
+	g := newGuarded(make([]float32, 3*ds+cols))
+	for i := range g.v {
+		if i%ds >= cols {
+			g.v[i] = fp32Sentinel
+		}
+	}
+	dotRows4(g.v, ds, a, b)
+	g.check(t, ctx)
+	var rows [4][]float32
+	for i := range g.v {
+		if i%ds >= cols && g.v[i] != fp32Sentinel {
+			t.Fatalf("%s: dotRows4 stored between rows, at %d", ctx, i)
+		}
+	}
+	for r := range rows {
+		rows[r] = g.v[r*ds : r*ds+cols]
+	}
+	return rows
 }
 
 // TestFP32WrapperBounds pins the asm boundary: the wrappers bound every
@@ -316,6 +556,8 @@ func TestFP32WrapperBounds(t *testing.T) {
 		"dotRows2 short d1":   func() { dotRows2(v(3), v(2), v(8), v(8), v(24)) },
 		"dotRows2 short a1":   func() { dotRows2(v(3), v(3), v(8), v(7), v(24)) },
 		"dotRows2 short b":    func() { dotRows2(v(3), v(3), v(8), v(8), v(23)) },
+		"dotRows4 short b":    func() { dotRows4(v(3*8+8), 8, v(32), v(63)) },
+		"dotRows4 short d":    func() { dotRows4(v(3*8-1), 8, v(32), v(64)) },
 	} {
 		func() {
 			defer func() {
@@ -342,6 +584,12 @@ func TestFP32WrapperBounds(t *testing.T) {
 	dotRows2(d0, d1, nil, nil, nil) // zero-length rows: every Dot is 0
 	if d0[0] != 0 || d1[1] != 0 {
 		t.Error("Dot over zero-length rows must write 0")
+	}
+	d4 := v(3*3 + 2)
+	d4[0], d4[9+1] = 9, 9
+	dotRows4(d4, 3, nil, nil)
+	if d4[0] != 0 || d4[9+1] != 0 {
+		t.Error("dotRows4 over zero-length rows must write 0")
 	}
 }
 
@@ -409,10 +657,14 @@ func newFP32Case(r *rng.RNG, kernel string, m, k, n int) fp32Case {
 // oracle accumulates in float64; the bound is the textbook one for a
 // float32 sum of t rounded products in any order, |err| ≤ γ·Σ|aᵢbᵢ| with
 // γ = t·2⁻²⁴/(1 − t·2⁻²⁴) (t = k, plus one for MatMulATBAcc's prior dst),
-// which both the asm and the portable path must meet.
+// which every tier must meet.
 func TestFP32KernelsAgainstFloat64(t *testing.T) {
-	for _, asm := range []bool{true, false} {
-		withFP32Asm(asm, func() {
+	for _, tier := range fp32Tiers {
+		if !tier.available() {
+			t.Logf("no %s FP32 kernels on this build or host", tier)
+			continue
+		}
+		tier.with(func() {
 			r := rng.New(23)
 			for _, s := range fp32Shapes {
 				c := newFP32Case(r, s.kernel, s.m, s.k, s.n)
@@ -445,8 +697,8 @@ func TestFP32KernelsAgainstFloat64(t *testing.T) {
 							mag += math.Abs(p)
 						}
 						if got := float64(dst.At(i, j)); math.Abs(got-want) > gamma*mag {
-							t.Fatalf("%s %dx%dx%d asm=%v: element (%d,%d) = %v, float64 oracle %v, error %.3g > bound %.3g",
-								s.kernel, s.m, s.k, s.n, useFP32Asm, i, j, got, want, math.Abs(got-want), gamma*mag)
+							t.Fatalf("%s %dx%dx%d %s: element (%d,%d) = %v, float64 oracle %v, error %.3g > bound %.3g",
+								s.kernel, s.m, s.k, s.n, tier, i, j, got, want, math.Abs(got-want), gamma*mag)
 						}
 					}
 				}
@@ -456,53 +708,48 @@ func TestFP32KernelsAgainstFloat64(t *testing.T) {
 }
 
 // TestFP32PortableMatchesAsmEndToEnd runs the public matmuls over every
-// backend shape with the gate on and off: one set of semantics, two
-// instruction encodings, including the zero-multiplier skip and the signed
-// zeros it preserves.
+// backend shape at each pair of tiers (see fp32Twins): one set of semantics,
+// three instruction encodings, including the zero-multiplier skip and the
+// signed zeros it preserves.
 func TestFP32PortableMatchesAsmEndToEnd(t *testing.T) {
-	if !useFP32Asm {
-		t.Skip("no AVX FP32 kernels on this build or host")
-	}
-	r := rng.New(131)
-	shapes := append([][3]int{{4, 64, 512}, {17, 33, 64}, {512, 4, 64}}, backendShapes...)
-	for _, shape := range shapes {
-		m, k, n := shape[0], shape[1], shape[2]
-		for _, kernel := range []string{"MatMul", "MatMulATBAcc", "MatMulABT"} {
-			c := newFP32Case(r, kernel, m, k, n)
-			// A third of the multipliers are ±0 so runs break and resume.
-			for i := range c.a.Data {
-				if r.Intn(3) == 0 {
-					c.a.Data[i] = float32(math.Copysign(0, float64(r.Intn(2))-0.5))
+	forFP32Twins(t, func(t *testing.T, tw fp32Twin) {
+		r := rng.New(131)
+		shapes := append([][3]int{{4, 64, 512}, {17, 33, 64}, {512, 4, 64}, {6, 40, 193}}, backendShapes...)
+		for _, shape := range shapes {
+			m, k, n := shape[0], shape[1], shape[2]
+			for _, kernel := range []string{"MatMul", "MatMulATBAcc", "MatMulABT"} {
+				c := newFP32Case(r, kernel, m, k, n)
+				// A third of the multipliers are ±0 so runs break and resume.
+				for i := range c.a.Data {
+					if r.Intn(3) == 0 {
+						c.a.Data[i] = float32(math.Copysign(0, float64(r.Intn(2))-0.5))
+					}
 				}
+				prior := c.dst.Clone()
+				tw.got.with(c.call)
+				got := c.dst.Clone()
+				copy(c.dst.Data, prior.Data)
+				tw.want.with(c.call)
+				tw.sameFloats(t, fmt.Sprintf("%s %dx%dx%d", kernel, m, k, n), got.Data, c.dst.Data)
 			}
-			prior := c.dst.Clone()
-			c.call()
-			got := c.dst.Clone()
-			copy(c.dst.Data, prior.Data)
-			withFP32Asm(false, c.call)
-			sameFloats(t, fmt.Sprintf("%s %dx%dx%d", kernel, m, k, n), got.Data, c.dst.Data)
 		}
-	}
+	})
 }
 
 var fp32Sink float32
 
-// BenchmarkFP32Kernels times the matmuls at the shapes the models issue, on
-// the asm path and on the portable path, and reports GFLOP/s (2·m·k·n per
+// BenchmarkFP32Kernels times the matmuls at the shapes the models issue, at
+// each tier the host has (zmm, avx, go), and reports GFLOP/s (2·m·k·n per
 // call) — ROADMAP item 1's tensor rung under `go test -bench`.
 func BenchmarkFP32Kernels(b *testing.B) {
 	for _, s := range fp32Shapes {
-		for _, asm := range []bool{true, false} {
-			path := "go"
-			if asm {
-				if !useFP32Asm {
-					continue
-				}
-				path = "asm"
+		for _, tier := range fp32Tiers {
+			if !tier.available() {
+				continue
 			}
-			b.Run(fmt.Sprintf("%s/%dx%dx%d/%s", s.kernel, s.m, s.k, s.n, path), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/%dx%dx%d/%s", s.kernel, s.m, s.k, s.n, tier), func(b *testing.B) {
 				c := newFP32Case(rng.New(1), s.kernel, s.m, s.k, s.n)
-				withFP32Asm(asm, func() {
+				tier.with(func() {
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						c.call()

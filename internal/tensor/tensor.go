@@ -45,10 +45,15 @@
 // p[8..15]) and expSum its eight as one; Dot and qdot get their speed from
 // computing several outputs per pass instead (Dot: eight b rows per pass
 // against one a row or two, two outputs to a YMM register, one per 128-bit
-// lane). The softmax maximum is one VMAXPS pass (maxAVX), rescanned by the
-// Go loop when it comes out ±0. TestFP32AsmMatchesGo, TestQ8AsmMatchesGo,
-// TestTransAsmMatchesGo and TestRowMaxMatchesGo hold the twins to the Go
-// definitions bit for bit; other architectures run the Go loops.
+// lane). Where CPUID also reports AVX-512 F, BW and VL with OS-enabled ZMM
+// state (cpu.AVX512), a ZMM tier, gated by useFP32AVX512, takes the two hot
+// routines with the same bits as the AVX ones: axpyRun sixteen lanes wide
+// for whole blocks of 64 columns, and a Dot pass of four a rows, one per
+// 128-bit lane, against eight b rows (dotRows4). The softmax maximum is one
+// VMAXPS pass (maxAVX), rescanned by the Go loop when it comes out ±0.
+// TestFP32AsmMatchesGo, TestQ8AsmMatchesGo, TestTransAsmMatchesGo and
+// TestRowMaxMatchesGo hold the twins to the Go definitions bit for bit, and
+// the ZMM tier to the AVX one; other architectures run the Go loops.
 package tensor
 
 import (
@@ -256,13 +261,15 @@ func checkMatMulABT(dst, a, b *Matrix) {
 // matMulABTRange is the MatMulABT kernel over one span of dst (dst columns
 // are b's rows). Every element is an independent full-length Dot, so any
 // partition of rows or columns is trivially bit-identical to the serial
-// pass. a's rows are taken two at a time so each loaded b element feeds two
-// outputs; the pairing never changes a value (dot2Go computes each row
-// exactly as dotGo would), only how fast it arrives. A lone or odd last row
-// goes to dotRows1, which fills both lanes of its registers with b rows
-// instead. Both take eight b rows per pass, so a block of b rows is a
-// multiple of four: the last four of a block are one pass of four (rounding
-// blocks down to a multiple of eight measured no faster).
+// pass. a's rows are taken four at a time (dotRows4: on the ZMM tier one
+// loaded b element feeds four outputs, elsewhere two dotRows2 calls), then
+// two (dotRows2: each loaded b element feeds two outputs); the grouping never
+// changes a value (dot2Go computes each row exactly as dotGo would), only how
+// fast it arrives. A lone or odd last row goes to dotRows1, which fills both
+// lanes of its registers with b rows instead. All take eight b rows per
+// pass, so a block of b rows is a multiple of four: the last four of a block
+// are one pass of four (rounding blocks down to a multiple of eight measured
+// no faster on the AVX tier).
 func matMulABTRange(dst, a, b *Matrix, s span) {
 	k, n := a.Cols, dst.Cols
 	// All of a's rows visit one block of b rows before the next block is
@@ -282,6 +289,9 @@ func matMulABTRange(dst, a, b *Matrix, s span) {
 		}
 		bb := b.Data[c*k : ce*k]
 		i := s.rlo
+		for ; i+4 <= s.rhi; i += 4 {
+			dotRows4(dst.Data[i*n+c:(i+3)*n+ce], n, a.Data[i*k:(i+4)*k], bb)
+		}
 		for ; i+2 <= s.rhi; i += 2 {
 			dotRows2(dst.Data[i*n+c:i*n+ce], dst.Data[(i+1)*n+c:(i+1)*n+ce],
 				a.Data[i*k:(i+1)*k], a.Data[(i+1)*k:(i+2)*k], bb)
@@ -328,6 +338,30 @@ func dotRows2(d0, d1, a0, a1, b []float32) {
 	for j := range d0 {
 		d0[j], d1[j] = dot2Go(a0, a1, b[j*k:(j+1)*k])
 	}
+}
+
+// dotRows4 is dotRows1 for four a rows at once, a holding them back to
+// back: d[r·ds+j] = Dot(a row r, row j of b) for r < 4, d spanning the four
+// rows at stride ds and len(d) − 3·ds columns. The ZMM tier computes 32
+// outputs per pass, eight b rows against all four a rows, one a row to each
+// 128-bit lane of a register; elsewhere, and for the last 1–7 columns, it is
+// two dotRows2 calls.
+func dotRows4(d []float32, ds int, a, b []float32) {
+	k := len(a) / 4
+	cols := len(d) - 3*ds
+	a = a[:4*k]
+	b = b[:cols*k]
+	m := 0
+	if useFP32Asm && useFP32AVX512 && cols >= 8 && k > 0 {
+		m = cols &^ 7
+		dotRows4AVX512(&d[0], ds, m, &a[0], &b[0], k)
+		if m == cols {
+			return
+		}
+	}
+	b = b[m*k:]
+	dotRows2(d[m:cols], d[ds+m:ds+cols], a[:k], a[k:2*k], b)
+	dotRows2(d[2*ds+m:2*ds+cols], d[3*ds+m:], a[2*k:3*k], a[3*k:], b)
 }
 
 // dot2Go computes two inner products against one shared vector, loading each
@@ -420,12 +454,21 @@ func axpyGo(alpha float32, dst, src []float32) {
 // dst += a[kk·as] · b[kk·bs : kk·bs+len(dst)]. It returns the number of rows
 // added, so the caller can judge the zero step and resume after it. One call
 // per run instead of one axpy per row is what lets the vector kernel keep
-// dst in registers across the run.
+// dst in registers across the run. The ZMM tier takes the columns in whole
+// blocks of 64 and the AVX kernel the rest, over the steps the first took.
 func axpyRun(dst, a []float32, as int, b []float32, bs, k int) int {
 	if useFP32Asm && len(dst) > 0 && k > 0 {
 		_ = a[(k-1)*as]
 		_ = b[(k-1)*bs+len(dst)-1]
-		return axpyRunAVX(&dst[0], len(dst), &a[0], as, &b[0], bs, k)
+		n, m := len(dst), 0
+		if useFP32AVX512 && n >= 64 {
+			m = n &^ 63
+			k = axpyRunAVX512(&dst[0], m, &a[0], as, &b[0], bs, k)
+			if m == n || k == 0 {
+				return k
+			}
+		}
+		return axpyRunAVX(&dst[m], n-m, &a[0], as, &b[m], bs, k)
 	}
 	return axpyRunGo(dst, a, as, b, bs, k)
 }

@@ -403,7 +403,7 @@ func rowMaxVsGo(x []float32) string {
 	}
 	want := make([]float32, len(x))
 	var wm, ws float32
-	withFP32Asm(false, func() { wm, ws = ExpSumRow(want, x) })
+	tierGo.with(func() { wm, ws = ExpSumRow(want, x) })
 	got, inPlace := newGuarded(x), newGuarded(x)
 	gm, gs := ExpSumRow(got.v, x)
 	pm, ps := ExpSumRow(inPlace.v, inPlace.v)

@@ -46,6 +46,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -90,8 +91,7 @@ func main() {
 	flag.Parse()
 
 	if *modelPath == "" {
-		fmt.Fprintln(os.Stderr, "zipflm-serve: -model is required")
-		os.Exit(1)
+		fatal(errors.New("-model is required"))
 	}
 	m, step, err := loadWeights(*modelPath)
 	if err != nil {
@@ -160,7 +160,7 @@ func main() {
 		}
 		stopWatch := make(chan struct{})
 		defer close(stopWatch)
-		go watchLoop(srv, weights, d, *watch, stopWatch)
+		go watchLoop(srv, weights, d, *watch, stopWatch, os.Stderr)
 	}
 
 	mode := "fp32"
@@ -288,9 +288,9 @@ func (wi *weightsInfo) get() (string, int, time.Time) {
 	return wi.source, wi.step, wi.at
 }
 
-// watchLoop polls a checkpoint directory and hot-reloads whenever a newer
-// step appears — the serving side of continuous training.
-func watchLoop(srv *serve.Server, weights *weightsInfo, d *ckpt.Dir, every time.Duration, stop <-chan struct{}) {
+// watchLoop hot-reloads each newer step of a checkpoint directory, listing
+// the steps every poll and reading only a newer one's file; it logs to out.
+func watchLoop(srv *serve.Server, weights *weightsInfo, d *ckpt.Dir, every time.Duration, stop <-chan struct{}, out io.Writer) {
 	_, lastStep, _ := weights.get()
 	lastFailure := "" // an unreadable checkpoint stays on disk: report it once, not every poll
 	ticker := time.NewTicker(every)
@@ -301,30 +301,33 @@ func watchLoop(srv *serve.Server, weights *weightsInfo, d *ckpt.Dir, every time.
 			return
 		case <-ticker.C:
 		}
-		st, err := d.Latest()
-		if errors.Is(err, ckpt.ErrEmpty) || (err == nil && st.Step <= lastStep) {
+		steps, err := d.Steps()
+		if err == nil && (len(steps) == 0 || steps[len(steps)-1] <= lastStep) {
 			continue
 		}
+		var st *ckpt.State
 		var m *model.LM
 		if err == nil {
-			m, err = st.LM()
+			if st, err = d.Load(steps[len(steps)-1]); err == nil {
+				m, err = st.LM()
+			}
 		}
 		if err != nil {
 			if msg := err.Error(); msg != lastFailure {
 				lastFailure = msg
 				srv.ReloadFailed(fmt.Errorf("watch: %w", err))
-				fmt.Fprintf(os.Stderr, "zipflm-serve: watch: newest checkpoint unreadable: %v\n", err)
+				fmt.Fprintf(out, "zipflm-serve: watch: newest checkpoint unreadable: %v\n", err)
 			}
 			continue
 		}
 		lastStep = st.Step // a rejected step is not retried: the same file would be rejected again
 		v, err := srv.Reload(m)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "zipflm-serve: watch: reload rejected: %v\n", err)
+			fmt.Fprintf(out, "zipflm-serve: watch: reload rejected: %v\n", err)
 			continue
 		}
 		weights.set(d.Path(), st.Step)
-		fmt.Fprintf(os.Stderr, "zipflm-serve: hot-reloaded checkpoint step %d (weights v%d)\n", st.Step, v)
+		fmt.Fprintf(out, "zipflm-serve: hot-reloaded checkpoint step %d (weights v%d)\n", st.Step, v)
 	}
 }
 
@@ -383,14 +386,11 @@ func handleGenerate(w http.ResponseWriter, r *http.Request, srv *serve.Server, v
 	res, err := srv.Submit(req)
 	switch {
 	case err == nil:
-	case err == serve.ErrOverloaded:
+	case err == serve.ErrOverloaded || err == serve.ErrShutdown:
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	case err == serve.ErrDeadlineExceeded:
 		http.Error(w, err.Error(), http.StatusGatewayTimeout)
-		return
-	case err == serve.ErrShutdown:
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	default:
 		http.Error(w, err.Error(), http.StatusBadRequest)

@@ -41,7 +41,9 @@ func testArch(hidden int) model.Config {
 
 type api struct {
 	*httptest.Server
-	obs *telemetry.Observers
+	obs     *telemetry.Observers
+	srv     *serve.Server
+	weights *weightsInfo
 }
 
 // newAPI serves a fresh random model with no vocabulary file behind newMux,
@@ -66,7 +68,7 @@ func newAPI(t testing.TB, metricsAddr string) *api {
 		srv.Close()
 		obs.Stop()
 	})
-	return &api{Server: ts, obs: obs}
+	return &api{Server: ts, obs: obs, srv: srv, weights: weights}
 }
 
 // post sends body to path and returns the status and the response body.
@@ -414,16 +416,20 @@ func TestFailedReloadsChangeNothingAndAreCounted(t *testing.T) {
 	}
 
 	// Every failure is on /metrics and in the flight ring, with its cause.
-	resp, err := http.Get(a.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	countsFour := func(when string) {
+		t.Helper()
+		resp, err := http.Get(a.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var metrics bytes.Buffer
+		metrics.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if !strings.Contains(metrics.String(), "\nzipflm_serve_reload_failures_total 4\n") {
+			t.Errorf("%s: /metrics does not count four reload failures:\n%s", when, metrics.String())
+		}
 	}
-	var metrics bytes.Buffer
-	metrics.ReadFrom(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(metrics.String(), "\nzipflm_serve_reload_failures_total 4\n") {
-		t.Errorf("/metrics does not count four reload failures:\n%s", metrics.String())
-	}
+	countsFour("after the failed reloads")
 	var ring bytes.Buffer
 	a.obs.Flight.Dump(&ring)
 	for _, cause := range []string{"missing.ckpt", "does not match serving", "truncated", "version 3"} {
@@ -431,6 +437,50 @@ func TestFailedReloadsChangeNothingAndAreCounted(t *testing.T) {
 			t.Errorf("flight ring lacks the %q failure:\n%s", cause, ring.String())
 		}
 	}
+
+	// -watch hot-reloads a newer step and then reads no file of a step it
+	// has served: step 9's file overwritten with garbage once it is served
+	// is never opened, so the polls after it count no failure and log
+	// nothing.
+	watched := filepath.Join(dir, "watched")
+	if err := os.Mkdir(watched, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	step9 := filepath.Join(watched, "step-000000000009.ckpt")
+	writeCheckpoint(t, step9, 9, model.NewLM(other))
+	d, err := ckpt.NewDir(watched, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logged bytes.Buffer // written by the watch goroutine until done is closed
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		watchLoop(a.srv, a.weights, d, time.Millisecond, stop, &logged)
+	}()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, step, _ := a.weights.get(); step == 9 {
+			break
+		}
+		if time.Now().After(deadline) {
+			close(stop)
+			t.Fatal("the watch did not serve step 9")
+		}
+	}
+	if err := os.WriteFile(step9, []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond) // dozens of polls
+	close(stop)
+	<-done
+	if want := "zipflm-serve: hot-reloaded checkpoint step 9 (weights v2)\n"; logged.String() != want {
+		t.Errorf("watch logged %q, want only %q", logged.String(), want)
+	}
+	a.stats(t, &stats)
+	if stats.WeightsVersion != 2 || stats.Reloads != 1 {
+		t.Errorf("/v1/stats after the watched reload: %+v", stats)
+	}
+	countsFour("after the watch")
 }
 
 // TestPprofOnlyOnObserverListener: /debug/pprof/ is served by the

@@ -13,31 +13,28 @@ import (
 var ErrEmpty = errors.New("ckpt: no checkpoints in directory")
 
 // Dir is an on-disk checkpoint store: one file per checkpointed step,
-// written atomically, with a retention policy applied after every save.
-//
-// Retention follows the production convention: keep the most recent
-// KeepLast checkpoints for rollback, and additionally keep every
-// checkpoint whose step is a multiple of KeepEvery as a permanent archive
-// (0 disables archiving). Everything else is deleted.
+// written atomically, keeping the KeepLast most recent checkpoints for
+// rollback after every save. Everything older is deleted.
 type Dir struct {
-	path      string
-	keepLast  int
-	keepEvery int
+	path     string
+	keepLast int
 }
 
 // NewDir opens (creating if needed) a checkpoint directory. keepLast ≤ 0
-// defaults to 3; keepEvery 0 disables the archive tier.
+// defaults to 3. keepEvery must be 0: it is kept only because the
+// repository benchmark's harness (benchmark/train.go) passes it, and the
+// archive tier it once enabled is gone.
 func NewDir(path string, keepLast, keepEvery int) (*Dir, error) {
 	if keepLast <= 0 {
 		keepLast = 3
 	}
-	if keepEvery < 0 {
-		return nil, fmt.Errorf("ckpt: negative KeepEvery %d", keepEvery)
+	if keepEvery != 0 {
+		return nil, fmt.Errorf("ckpt: KeepEvery is no longer supported and must be 0, got %d", keepEvery)
 	}
 	if err := os.MkdirAll(path, 0o755); err != nil {
 		return nil, fmt.Errorf("ckpt: %w", err)
 	}
-	return &Dir{path: path, keepLast: keepLast, keepEvery: keepEvery}, nil
+	return &Dir{path: path, keepLast: keepLast}, nil
 }
 
 // Path returns the directory path.
@@ -118,8 +115,7 @@ func (d *Dir) Latest() (*State, error) {
 	return d.Load(steps[len(steps)-1])
 }
 
-// retain deletes checkpoints that are neither among the KeepLast most
-// recent nor on the KeepEvery archive grid.
+// retain deletes every checkpoint but the KeepLast most recent.
 func (d *Dir) retain() error {
 	steps, err := d.Steps()
 	if err != nil {
@@ -129,9 +125,6 @@ func (d *Dir) retain() error {
 		return nil
 	}
 	for _, step := range steps[:len(steps)-d.keepLast] {
-		if d.keepEvery > 0 && step%d.keepEvery == 0 {
-			continue
-		}
 		if err := os.Remove(d.fileFor(step)); err != nil && !os.IsNotExist(err) {
 			return fmt.Errorf("ckpt: retention: %w", err)
 		}

@@ -63,11 +63,8 @@ type recurrent interface {
 	// quantizeWeights builds int8 shadows for the inference step path
 	// (see quantize.go).
 	quantizeWeights(chunk int)
-	// Stateful-training hooks (see state.go).
-	SetCarry(bool)
-	ResetState()
-	SnapshotState() any
-	RestoreState(any)
+	// carried is the layer's stateful-training carry (see state.go).
+	carried() *carry
 }
 
 // LM is a full language model replica: input embedding → RNN → projection →
@@ -147,7 +144,7 @@ func newLM(cfg Config, r *rng.RNG, in, out, values []float32, be tensor.Backend)
 	}
 	m.proj = newLinear(cfg.Hidden, cfg.Dim, r, c)
 	m.layers, m.dense = []Layer{m.rnn, m.proj}, c.since(0)
-	m.rnn.SetCarry(cfg.Stateful)
+	m.rnn.carried().on = cfg.Stateful
 	m.drop = newDropout(cfg.Dropout, cfg.Seed^0x5bd1e995)
 	return m
 }
@@ -302,10 +299,13 @@ func (m *LM) EvalLoss(stream []int, seqLen int) (lossSum float64, count int) {
 	}
 	// Borrow the RNN without disturbing training state; within the
 	// evaluation the state carries across chunks so long-range context is
-	// scored fairly.
-	saved := m.rnn.SnapshotState()
-	m.rnn.ResetState()
-	defer m.rnn.RestoreState(saved)
+	// scored fairly. The training state moves out and back: the evaluation
+	// starts from the zero value, so keep allocates its own slices rather
+	// than writing into the saved ones when a training batch is also 1 wide.
+	k := m.rnn.carried()
+	saved := k.state
+	k.state = CarriedState{}
+	defer func() { k.state = saved }()
 	ws := &m.ws
 	for lo := 0; lo+1 < len(stream); lo += seqLen {
 		hi := lo + seqLen
@@ -329,10 +329,6 @@ func (m *LM) EvalLoss(stream []int, seqLen int) (lossSum float64, count int) {
 	return lossSum, count
 }
 
-// ResetRNNState zeroes the carried recurrent state (used at epoch
-// boundaries in stateful training).
-func (m *LM) ResetRNNState() { m.rnn.ResetState() }
-
 // RNGState returns the model's private RNG stream state (the dropout mask
 // generator — the only stochastic consumer inside a training step). The
 // checkpoint subsystem persists it per rank so a resumed run draws the
@@ -341,54 +337,3 @@ func (m *LM) RNGState() [4]uint64 { return m.drop.r.State() }
 
 // SetRNGState restores a stream captured by RNGState.
 func (m *LM) SetRNGState(s [4]uint64) { m.drop.r.SetState(s) }
-
-// CarriedState is the serializable form of the stateful-training recurrent
-// state (truncated-BPTT carry). A zero value (nil H) means "no carried
-// state": the next forward pass starts from zeros.
-type CarriedState struct {
-	// H and C are the carried hidden/cell matrices in row-major order
-	// (C is nil for RHN, which has no cell state).
-	H, C []float32
-	// Rows and Cols are the matrix shape (batch × hidden).
-	Rows, Cols int
-}
-
-// CarriedRNNState exports the current carried recurrent state.
-func (m *LM) CarriedRNNState() CarriedState {
-	snap, _ := m.rnn.SnapshotState().(*carriedState)
-	if snap == nil || snap.H == nil {
-		return CarriedState{}
-	}
-	cs := CarriedState{
-		H:    append([]float32(nil), snap.H.Data...),
-		Rows: snap.H.Rows,
-		Cols: snap.H.Cols,
-	}
-	if snap.C != nil {
-		cs.C = append([]float32(nil), snap.C.Data...)
-	}
-	return cs
-}
-
-// SetCarriedRNNState restores a state exported by CarriedRNNState. A zero
-// value clears the carry (equivalent to ResetRNNState).
-func (m *LM) SetCarriedRNNState(cs CarriedState) error {
-	if cs.H == nil {
-		m.rnn.ResetState()
-		return nil
-	}
-	if cs.Rows <= 0 || cs.Cols != m.Cfg.Hidden || len(cs.H) != cs.Rows*cs.Cols {
-		return fmt.Errorf("model: carried state %d×%d does not match %d hidden values of width %d", cs.Rows, cs.Cols, len(cs.H), m.Cfg.Hidden)
-	}
-	if cs.C != nil && len(cs.C) != cs.Rows*cs.Cols {
-		return fmt.Errorf("model: carried cell state has %d values, want %d", len(cs.C), cs.Rows*cs.Cols)
-	}
-	st := &carriedState{H: tensor.NewMatrix(cs.Rows, cs.Cols)}
-	copy(st.H.Data, cs.H)
-	if cs.C != nil {
-		st.C = tensor.NewMatrix(cs.Rows, cs.Cols)
-		copy(st.C.Data, cs.C)
-	}
-	m.rnn.RestoreState(st)
-	return nil
-}

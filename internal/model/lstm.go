@@ -38,9 +38,7 @@ type LSTM struct {
 	h, c     *tensor.Matrix // hidden and cell states
 	batch    int
 
-	// stateful training (see state.go)
-	carry   bool
-	carried *carriedState
+	carry // stateful training (see state.go)
 }
 
 // newLSTM returns an LSTM whose weights and gradients c carves, with caches
@@ -105,7 +103,7 @@ func (l *LSTM) forward(ws *workspace, x *tensor.Matrix, batch int) *tensor.Matri
 	l.tc = ws.take(n, hd)
 	l.h = ws.take(n+batch, hd)
 	l.c = ws.take(n+batch, hd)
-	initialState(l.carry, l.carried, ws.rows(l.h, n, batch), ws.rows(l.c, n, batch))
+	l.start(ws.rows(l.h, n, batch), ws.rows(l.c, n, batch))
 
 	tensor.MatMulABT(l.z, l.x, l.Wx)
 	zh := ws.take(batch, 4*hd)
@@ -118,9 +116,9 @@ func (l *LSTM) forward(ws *workspace, x *tensor.Matrix, batch int) *tensor.Matri
 			l.gates(l.z.Row(r), zh.Row(b), l.c.Row(r+batch), l.c.Row(r), l.tc.Row(r), l.h.Row(r))
 		}
 	}
-	if l.carry {
+	if l.on {
 		// Detach the final state for the next batch (truncated BPTT).
-		l.carried = detach(l.carried, ws.rows(l.h, 0, batch), ws.rows(l.c, 0, batch))
+		l.keep(ws.rows(l.h, 0, batch), ws.rows(l.c, 0, batch))
 	}
 	hs := ws.take(n, hd)
 	reverseBlocks(hs, ws.rows(l.h, 0, n), batch)

@@ -29,11 +29,11 @@ type oracleRNN interface {
 // oracleInitialState returns the starting (h0, c0) for a forward pass of the
 // given batch size: the carried state when enabled and shape-compatible,
 // zeros otherwise. The returned matrices are owned by the caller.
-func oracleInitialState(carry bool, carried *carriedState, batch, hidden int, needC bool) (h0, c0 *tensor.Matrix) {
-	if carry && carried != nil && carried.H != nil && carried.H.Rows == batch && carried.H.Cols == hidden {
-		h0 = carried.H.Clone()
-		if needC && carried.C != nil {
-			c0 = carried.C.Clone()
+func oracleInitialState(k *carry, batch, hidden int, needC bool) (h0, c0 *tensor.Matrix) {
+	if s := k.state; k.on && s.H != nil && s.Rows == batch && s.Cols == hidden {
+		h0 = tensor.NewMatrixFrom(batch, hidden, slices.Clone(s.H))
+		if needC && s.C != nil {
+			c0 = tensor.NewMatrixFrom(batch, hidden, slices.Clone(s.C))
 		}
 	}
 	if h0 == nil {
@@ -69,7 +69,7 @@ func (l *lstmOracle) Forward(xs []*tensor.Matrix) []*tensor.Matrix {
 	l.cs = make([]*tensor.Matrix, t)
 	l.zs = make([]*tensor.Matrix, t)
 	l.tcs = make([]*tensor.Matrix, t)
-	l.h0, l.c0 = oracleInitialState(l.carry, l.carried, batch, h, true)
+	l.h0, l.c0 = oracleInitialState(&l.carry, batch, h, true)
 
 	hPrev, cPrev := l.h0, l.c0
 	zh := tensor.NewMatrix(batch, 4*h)
@@ -88,9 +88,9 @@ func (l *lstmOracle) Forward(xs []*tensor.Matrix) []*tensor.Matrix {
 		l.hs[step], l.cs[step] = ht, ct
 		hPrev, cPrev = ht, ct
 	}
-	if l.carry {
+	if l.on {
 		// Detach the final state for the next batch (truncated BPTT).
-		l.carried = &carriedState{H: hPrev.Clone(), C: cPrev.Clone()}
+		l.state = CarriedState{H: slices.Clone(hPrev.Data), C: slices.Clone(cPrev.Data), Rows: batch, Cols: h}
 	}
 	return l.hs
 }
@@ -193,7 +193,7 @@ func (l *rhnOracle) Forward(xs []*tensor.Matrix) []*tensor.Matrix {
 	l.hGate = make([][]*tensor.Matrix, t)
 	l.tGate = make([][]*tensor.Matrix, t)
 
-	sPrev, _ := oracleInitialState(l.carry, l.carried, batch, h, false)
+	sPrev, _ := oracleInitialState(&l.carry, batch, h, false)
 	outs := make([]*tensor.Matrix, t)
 
 	zxh := tensor.NewMatrix(batch, h)
@@ -227,9 +227,9 @@ func (l *rhnOracle) Forward(xs []*tensor.Matrix) []*tensor.Matrix {
 		outs[step] = s
 		sPrev = s
 	}
-	if l.carry {
+	if l.on {
 		// Detach the final state for the next batch (truncated BPTT).
-		l.carried = &carriedState{H: sPrev.Clone()}
+		l.state = CarriedState{H: slices.Clone(sPrev.Data), Rows: batch, Cols: l.Hidden}
 	}
 	return outs
 }
@@ -398,9 +398,10 @@ func (o *lmOracle) ForwardBackward(inputs, targets [][]int, sampler sampling.Can
 
 func (o *lmOracle) EvalLoss(stream []int, seqLen int) (lossSum float64, count int) {
 	m := o.m
-	saved := m.rnn.SnapshotState()
-	m.rnn.ResetState()
-	defer m.rnn.RestoreState(saved)
+	k := m.rnn.carried()
+	saved := k.state.clone()
+	k.state = CarriedState{}
+	defer func() { k.state = saved }()
 	for lo := 0; lo+1 < len(stream); lo += seqLen {
 		hi := lo + seqLen
 		if hi+1 > len(stream) {

@@ -58,9 +58,7 @@ type RHN struct {
 	dh, dt []*tensor.Matrix // backward's pre-activation gradients, same layout
 	batch  int
 
-	// stateful training (see state.go)
-	carry   bool
-	carried *carriedState
+	carry // stateful training (see state.go)
 }
 
 // newRHN returns an RHN layer whose weights and gradients c carves, with
@@ -154,7 +152,7 @@ func (l *RHN) forward(ws *workspace, x *tensor.Matrix, batch int) *tensor.Matrix
 	}
 	l.sIn[0] = ws.rows(l.s[last], batch, n)
 	copy(l.sIn[1:], l.s)
-	initialState(l.carry, l.carried, ws.rows(l.s[last], n, batch), nil)
+	l.start(ws.rows(l.s[last], n, batch), nil)
 
 	zxh := ws.take(n, h)
 	zxt := ws.take(n, h)
@@ -179,9 +177,9 @@ func (l *RHN) forward(ws *workspace, x *tensor.Matrix, batch int) *tensor.Matrix
 			s = sNext
 		}
 	}
-	if l.carry {
+	if l.on {
 		// Detach the final state for the next batch (truncated BPTT).
-		l.carried = detach(l.carried, ws.rows(l.s[last], 0, batch), nil)
+		l.keep(ws.rows(l.s[last], 0, batch), nil)
 	}
 	outs := ws.take(n, h)
 	reverseBlocks(outs, ws.rows(l.s[last], 0, n), batch)

@@ -1,117 +1,108 @@
 package model
 
-import "zipflm/internal/tensor"
+import (
+	"fmt"
+	"slices"
+
+	"zipflm/internal/tensor"
+)
 
 // Stateful training support. Real LM training feeds each batch lane a
 // contiguous slice of the corpus and carries the RNN state across batches
 // (truncated BPTT): gradients stop at the batch boundary but the forward
 // state flows on, so the model can exploit context longer than one
-// sequence. The recurrent layers implement this with a carried-state flag:
+// sequence. LSTM and RHN each embed a carry, switched on once from
+// Config.Stateful: a forward pass starts from its state and leaves its final
+// state there (detached: backward never propagates into it).
 //
-//	layer.SetCarry(true)
-//	out1 := layer.forward(ws, batch1, b) // from zero state
-//	out2 := layer.forward(ws, batch2, b) // from batch1's final state (detached)
-//
-// backward never propagates into the carried state — the standard
-// truncation. ResetState returns to a zero initial state (used at epoch
-// boundaries); Snapshot/Restore let evaluation borrow the layer without
-// disturbing training state.
+// CarriedState is the only form that state takes, in the layer, in
+// CarriedRNNState's copies and in a checkpoint. The zero value means "no
+// carried state": the next forward starts from zeros, as it does after
+// ResetRNNState at an epoch boundary. EvalLoss borrows the layer by moving
+// the value out and back.
 
-// carriedState is the detached recurrent state shared by LSTM (h and c) and
-// RHN (s only; C stays nil).
-type carriedState struct {
-	H, C *tensor.Matrix
-}
-
-func cloneMat(m *tensor.Matrix) *tensor.Matrix {
-	if m == nil {
-		return nil
-	}
-	return m.Clone()
+// CarriedState is a recurrent layer's carried state (truncated-BPTT carry).
+// A zero value (nil H) means no carried state.
+type CarriedState struct {
+	// H and C are the carried hidden/cell matrices in row-major order
+	// (C is nil for RHN, which has no cell state).
+	H, C []float32
+	// Rows and Cols are the matrix shape (batch × hidden).
+	Rows, Cols int
 }
 
 // clone deep-copies the state.
-func (s *carriedState) clone() *carriedState {
-	if s == nil {
-		return nil
-	}
-	return &carriedState{H: cloneMat(s.H), C: cloneMat(s.C)}
+func (s CarriedState) clone() CarriedState {
+	s.H, s.C = slices.Clone(s.H), slices.Clone(s.C)
+	return s
 }
 
-// SetCarry enables or disables state carry-over on the LSTM. Disabling also
-// clears any held state.
-func (l *LSTM) SetCarry(on bool) {
-	l.carry = on
-	if !on {
-		l.carried = nil
-	}
+// carry is the stateful-training part of a recurrent layer.
+type carry struct {
+	on    bool
+	state CarriedState
 }
 
-// ResetState zeroes the carried state (the next forward starts fresh).
-func (l *LSTM) ResetState() { l.carried = nil }
+// carried gives the model its layer's carry.
+func (k *carry) carried() *carry { return k }
 
-// SnapshotState returns an opaque copy of the carried state.
-func (l *LSTM) SnapshotState() any { return l.carried.clone() }
-
-// RestoreState reinstates a state from SnapshotState.
-func (l *LSTM) RestoreState(s any) {
-	if s == nil {
-		l.carried = nil
-		return
-	}
-	l.carried = s.(*carriedState).clone()
-}
-
-// SetCarry enables or disables state carry-over on the RHN.
-func (l *RHN) SetCarry(on bool) {
-	l.carry = on
-	if !on {
-		l.carried = nil
-	}
-}
-
-// ResetState zeroes the carried state.
-func (l *RHN) ResetState() { l.carried = nil }
-
-// SnapshotState returns an opaque copy of the carried state.
-func (l *RHN) SnapshotState() any { return l.carried.clone() }
-
-// RestoreState reinstates a state from SnapshotState.
-func (l *RHN) RestoreState(s any) {
-	if s == nil {
-		l.carried = nil
-		return
-	}
-	l.carried = s.(*carriedState).clone()
-}
-
-// initialState fills h0 (and c0, nil for the RHN) with the state a forward
-// pass starts from: the carried state when enabled and shape-compatible,
-// zeros otherwise.
-func initialState(carry bool, carried *carriedState, h0, c0 *tensor.Matrix) {
+// start fills h0 (and c0, nil for the RHN) with the state a forward pass
+// starts from: the carried state when on and of h0's shape, zeros otherwise.
+func (k *carry) start(h0, c0 *tensor.Matrix) {
 	h0.Zero()
 	if c0 != nil {
 		c0.Zero()
 	}
-	if carry && carried != nil && carried.H != nil && carried.H.Rows == h0.Rows && carried.H.Cols == h0.Cols {
-		copy(h0.Data, carried.H.Data)
-		if c0 != nil && carried.C != nil {
-			copy(c0.Data, carried.C.Data)
+	if s := &k.state; k.on && s.Rows == h0.Rows && s.Cols == h0.Cols {
+		copy(h0.Data, s.H)
+		if c0 != nil {
+			copy(c0.Data, s.C)
 		}
 	}
 }
 
-// detach copies a pass's final state (c nil for the RHN) out of the workspace
-// for the next pass to start from, into carried's own storage when the shape
-// repeats.
-func detach(carried *carriedState, h, c *tensor.Matrix) *carriedState {
-	if carried == nil || carried.H == nil || carried.H.Rows != h.Rows || carried.H.Cols != h.Cols ||
-		(carried.C == nil) != (c == nil) {
-		return &carriedState{H: h.Clone(), C: cloneMat(c)}
+// keep copies a pass's final state (c nil for the RHN) out of the workspace
+// for the next pass to start from, into the state's own slices when the
+// shape repeats.
+func (k *carry) keep(h, c *tensor.Matrix) {
+	s := &k.state
+	if s.Rows != h.Rows || s.Cols != h.Cols || (s.C == nil) != (c == nil) {
+		*s = CarriedState{H: make([]float32, len(h.Data)), Rows: h.Rows, Cols: h.Cols}
+		if c != nil {
+			s.C = make([]float32, len(c.Data))
+		}
 	}
-	copy(carried.H.Data, h.Data)
+	copy(s.H, h.Data)
 	if c != nil {
-		copy(carried.C.Data, c.Data)
+		copy(s.C, c.Data)
 	}
-	return carried
+}
+
+// ResetRNNState zeroes the carried recurrent state (used at epoch
+// boundaries in stateful training).
+func (m *LM) ResetRNNState() { m.rnn.carried().state = CarriedState{} }
+
+// CarriedRNNState returns a copy of the carried recurrent state.
+func (m *LM) CarriedRNNState() CarriedState { return m.rnn.carried().state.clone() }
+
+// SetCarriedRNNState installs a copy of a state exported by CarriedRNNState.
+// The zero value clears the carry (as ResetRNNState does). Any other value
+// must be Rows × Hidden, with a cell state exactly when the layer is an
+// LSTM: a state that could not be restored exactly is refused.
+func (m *LM) SetCarriedRNNState(cs CarriedState) error {
+	if cs.H != nil || cs.C != nil || cs.Rows != 0 || cs.Cols != 0 {
+		n := cs.Rows * cs.Cols
+		if cs.Rows <= 0 || cs.Cols != m.Cfg.Hidden || len(cs.H) != n {
+			return fmt.Errorf("model: carried state %d×%d does not match %d hidden values of width %d", cs.Rows, cs.Cols, len(cs.H), m.Cfg.Hidden)
+		}
+		wantC := 0 // an RHN has no cell state
+		if m.Cfg.RNN == KindLSTM {
+			wantC = n
+		}
+		if len(cs.C) != wantC || (cs.C == nil) != (wantC == 0) {
+			return fmt.Errorf("model: carried cell state has %d values, want %d", len(cs.C), wantC)
+		}
+	}
+	m.rnn.carried().state = cs.clone()
+	return nil
 }

@@ -1,7 +1,9 @@
 package model
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"zipflm/internal/rng"
@@ -25,7 +27,7 @@ func TestLSTMCarryEqualsConcat(t *testing.T) {
 	r := rng.New(1)
 	whole := newLSTM(4, 6, rng.New(9), testCarver())
 	chunked := newLSTM(4, 6, rng.New(9), testCarver())
-	chunked.SetCarry(true)
+	chunked.on = true
 
 	xs := randSeq(r, 8, 3, 4)
 	want := forwardSteps(whole, xs)
@@ -47,7 +49,7 @@ func TestRHNCarryEqualsConcat(t *testing.T) {
 	r := rng.New(2)
 	whole := newRHN(4, 5, 3, rng.New(11), testCarver())
 	chunked := newRHN(4, 5, 3, rng.New(11), testCarver())
-	chunked.SetCarry(true)
+	chunked.on = true
 
 	xs := randSeq(r, 6, 2, 4)
 	want := forwardSteps(whole, xs)
@@ -63,101 +65,141 @@ func TestRHNCarryEqualsConcat(t *testing.T) {
 	}
 }
 
-func TestResetStateRestoresZeroStart(t *testing.T) {
-	r := rng.New(3)
-	l := newLSTM(4, 6, rng.New(5), testCarver())
-	l.SetCarry(true)
-	xs := randSeq(r, 4, 2, 4)
-	first := forwardSteps(l, xs)
-	firstCopy := make([]float32, len(first[0].Data))
-	copy(firstCopy, first[0].Data)
+// sameFloats reports whether a and b hold the same float32s bit for bit.
+func sameFloats(a, b []float32) bool {
+	return slices.EqualFunc(a, b, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
+}
 
-	forwardSteps(l, xs) // state now non-zero
-	l.ResetState()
-	again := forwardSteps(l, xs)
-	for i := range firstCopy {
-		if again[0].Data[i] != firstCopy[i] {
-			t.Fatal("ResetState did not restore zero-state behaviour")
+// carryModels are stateful configurations of each recurrent kind.
+var carryModels = []struct {
+	name string
+	cfg  Config
+}{
+	{"lstm", Config{Vocab: 30, Dim: 6, Hidden: 8, RNN: KindLSTM, Stateful: true, Seed: 2}},
+	{"rhn", Config{Vocab: 30, Dim: 6, Hidden: 8, RNN: KindRHN, RHNDepth: 2, Stateful: true, Seed: 2}},
+}
+
+// TestCarriedRNNStateRoundTrip: CarriedRNNState is a copy that later passes
+// do not touch, SetCarriedRNNState installs a copy that a pass starts from
+// exactly (again and again), and the zero value and ResetRNNState both
+// return to a zero start.
+func TestCarriedRNNStateRoundTrip(t *testing.T) {
+	for _, tc := range carryModels {
+		t.Run(tc.name, func(t *testing.T) {
+			r := rng.New(4)
+			xs, other := randSeq(r, 3, 2, tc.cfg.Dim), randSeq(r, 3, 2, tc.cfg.Dim)
+			first := func(m *LM) []float32 { return forwardSteps(m.rnn, xs)[0].Data }
+
+			// ref: the outputs of a pass from zero and of the pass after it.
+			ref := NewLM(tc.cfg)
+			fromZero := first(ref)
+			fromS1 := first(ref)
+
+			m := NewLM(tc.cfg)
+			first(m)
+			s1 := m.CarriedRNNState()
+			forwardSteps(m.rnn, other) // the state moves on; s1 must not
+			if sameFloats(first(m), fromS1) {
+				t.Fatal("the perturbing pass left the state where it was")
+			}
+			for i := 0; i < 2; i++ {
+				if err := m.SetCarriedRNNState(s1); err != nil {
+					t.Fatal(err)
+				}
+				if !sameFloats(first(m), fromS1) {
+					t.Fatalf("restore %d: the pass did not start from the exported state", i)
+				}
+			}
+			if err := m.SetCarriedRNNState(CarriedState{}); err != nil {
+				t.Fatal(err)
+			}
+			if !sameFloats(first(m), fromZero) {
+				t.Fatal("the zero CarriedState did not clear the carry")
+			}
+			m.ResetRNNState()
+			if !sameFloats(first(m), fromZero) {
+				t.Fatal("ResetRNNState did not clear the carry")
+			}
+		})
+	}
+}
+
+// TestSetCarriedRNNStateRefusesInexact: a state that could not be restored
+// exactly is an error and leaves the carry as it was — an LSTM state without
+// its cell state, an RHN state with one, and shapes that disagree.
+func TestSetCarriedRNNStateRefusesInexact(t *testing.T) {
+	lstm, rhn := NewLM(carryModels[0].cfg), NewLM(carryModels[1].cfg)
+	hid := lstm.Cfg.Hidden
+	h := make([]float32, 2*hid)
+	for _, tc := range []struct {
+		name string
+		m    *LM
+		cs   CarriedState
+	}{
+		{"lstm without C", lstm, CarriedState{H: h, Rows: 2, Cols: hid}},
+		{"lstm short C", lstm, CarriedState{H: h, C: h[:hid], Rows: 2, Cols: hid}},
+		{"rhn with C", rhn, CarriedState{H: h, C: h, Rows: 2, Cols: hid}},
+		{"rhn empty C", rhn, CarriedState{H: h, C: []float32{}, Rows: 2, Cols: hid}},
+		{"short H", rhn, CarriedState{H: h[1:], Rows: 2, Cols: hid}},
+		{"wrong width", rhn, CarriedState{H: h, Rows: 1, Cols: 2 * hid}},
+		{"shape without H", rhn, CarriedState{Rows: 2, Cols: hid}},
+		{"C without H", lstm, CarriedState{C: h}},
+	} {
+		if err := tc.m.SetCarriedRNNState(tc.cs); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+		if got := tc.m.CarriedRNNState(); got.H != nil || got.C != nil || got.Rows != 0 {
+			t.Errorf("%s: a refused state was installed: %+v", tc.name, got)
+		}
+	}
+	for _, tc := range []struct {
+		m  *LM
+		cs CarriedState
+	}{{lstm, CarriedState{H: h, C: h, Rows: 2, Cols: hid}}, {rhn, CarriedState{H: h, Rows: 2, Cols: hid}}} {
+		if err := tc.m.SetCarriedRNNState(tc.cs); err != nil {
+			t.Errorf("%v: %v", tc.m.Cfg.RNN, err)
 		}
 	}
 }
 
-func TestSnapshotRestoreState(t *testing.T) {
-	r := rng.New(4)
-	l := newRHN(3, 4, 2, rng.New(6), testCarver())
-	l.SetCarry(true)
-	xs := randSeq(r, 3, 2, 3)
-	forwardSteps(l, xs)
-	snap := l.SnapshotState()
-
-	// Perturb the state, then restore.
-	other := randSeq(r, 3, 2, 3)
-	forwardSteps(l, other)
-	afterPerturb := forwardSteps(l, xs)[0].Clone()
-	l.RestoreState(snap)
-	afterRestore := forwardSteps(l, xs)[0]
-
-	same := true
-	for i := range afterRestore.Data {
-		if afterRestore.Data[i] != afterPerturb.Data[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("snapshot/restore had no effect (states identical by accident?)")
-	}
-
-	// Restoring the snapshot again must reproduce afterRestore exactly.
-	l.RestoreState(snap)
-	again := forwardSteps(l, xs)[0]
-	for i := range again.Data {
-		if again.Data[i] != afterRestore.Data[i] {
-			t.Fatal("RestoreState not reproducible")
-		}
-	}
-}
-
-func TestDisablingCarryClearsState(t *testing.T) {
-	r := rng.New(5)
-	l := newLSTM(3, 4, rng.New(7), testCarver())
-	l.SetCarry(true)
-	xs := randSeq(r, 3, 2, 3)
-	zeroStart := forwardSteps(l, xs)[0].Clone()
-	l.SetCarry(false)
-	l.SetCarry(true)
-	fresh := forwardSteps(l, xs)[0]
-	for i := range fresh.Data {
-		if fresh.Data[i] != zeroStart.Data[i] {
-			t.Fatal("SetCarry(false) did not clear carried state")
-		}
-	}
-}
-
-// TestStatefulEvalDoesNotDisturbTraining: EvalLoss must snapshot and restore
-// the carried state around its own forwards.
+// TestStatefulEvalDoesNotDisturbTraining: EvalLoss runs from a zero state
+// and hands the training carry back bit for bit, for both cells and for a
+// training batch as wide as the evaluation's (1), where the carry's slices
+// would otherwise be reused for the evaluation's state.
 func TestStatefulEvalDoesNotDisturbTraining(t *testing.T) {
-	cfg := Config{Vocab: 30, Dim: 6, Hidden: 8, RNN: KindLSTM, Stateful: true, Seed: 2}
-	m := NewLM(cfg)
-	inputs := [][]int{{1, 2}, {3, 4}, {5, 6}}
-	targets := [][]int{{2, 3}, {4, 5}, {6, 7}}
-	m.ZeroGrads()
-	m.ForwardBackward(inputs, targets, nil) // leaves carried state
-
 	stream := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
-	l1, _ := m.EvalLoss(stream, 4)
+	for _, tc := range carryModels {
+		for _, batch := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/batch=%d", tc.name, batch), func(t *testing.T) {
+				inputs, targets := make([][]int, 3), make([][]int, 3)
+				for step := range inputs {
+					for b := 0; b < batch; b++ {
+						inputs[step] = append(inputs[step], 1+step+5*b)
+						targets[step] = append(targets[step], 2+step+5*b)
+					}
+				}
+				m := NewLM(tc.cfg)
+				fresh := NewLM(tc.cfg)
+				wantLoss, _ := fresh.EvalLoss(stream, 4)
+				m.ForwardBackward(inputs, targets, nil) // leaves a carried state
+				before := m.CarriedRNNState()
+				if loss, _ := m.EvalLoss(stream, 4); loss != wantLoss {
+					t.Fatalf("evaluation did not start from zero: loss %v, want %v", loss, wantLoss)
+				}
+				after := m.CarriedRNNState()
+				if after.Rows != batch || !sameFloats(after.H, before.H) || !sameFloats(after.C, before.C) {
+					t.Fatalf("evaluation disturbed the training carry: %d rows, want %d", after.Rows, batch)
+				}
 
-	// Running the same step again must produce the same result whether or
-	// not an eval happened in between (state restored).
-	ref := m.Clone()
-	ref.ZeroGrads()
-	ref.ForwardBackward(inputs, targets, nil)
-	refStep := ref.ForwardBackward(inputs, targets, nil)
-
-	m.ZeroGrads()
-	_ = l1
-	mStep := m.ForwardBackward(inputs, targets, nil)
-	if math.Abs(mStep.LossSum-refStep.LossSum) > 1e-9 {
-		t.Fatalf("eval disturbed training state: %v vs %v", mStep.LossSum, refStep.LossSum)
+				// The next step runs as it would have without the evaluation.
+				ref := m.Clone()
+				ref.ForwardBackward(inputs, targets, nil)
+				want := ref.ForwardBackward(inputs, targets, nil).LossSum
+				if got := m.ForwardBackward(inputs, targets, nil).LossSum; got != want {
+					t.Fatalf("eval disturbed training state: %v vs %v", got, want)
+				}
+			})
+		}
 	}
 }
 

@@ -361,6 +361,12 @@ func TestRestoreRejectsWithoutWriting(t *testing.T) {
 			last := &st.RNN[len(st.RNN)-1]
 			last.H = last.H[:len(last.H)-1]
 		}},
+		{"carried state of fewer lanes than BatchPerRank", func(st *ckpt.State) {
+			last := &st.RNN[len(st.RNN)-1]
+			n := (last.Rows - 1) * last.Cols
+			last.H, last.C, last.Rows = last.H[:n], last.C[:n], last.Rows-1
+		}},
+		{"carried LSTM state without its cell state", func(st *ckpt.State) { st.RNN[len(st.RNN)-1].C = nil }},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			src, err := New(base, train, valid)

@@ -431,11 +431,7 @@ func New(cfg Config, train, valid []int) (*Trainer, error) {
 // the checkpointing run's for the resumed trajectory to be bit-identical
 // to an uninterrupted one.
 func Resume(cfg Config, dir string, train, valid []int) (*Trainer, error) {
-	d, err := ckpt.NewDir(dir, cfg.CheckpointKeepLast, 0)
-	if err != nil {
-		return nil, fmt.Errorf("trainer: %w", err)
-	}
-	st, err := d.Latest()
+	st, err := ckpt.Open(dir)
 	if err != nil {
 		return nil, fmt.Errorf("trainer: %w", err)
 	}
@@ -518,10 +514,14 @@ func (t *Trainer) RestoreState(st *ckpt.State) error {
 	models, units := replicate(lm, g)
 	for r, m := range models {
 		m.SetRNGState(st.RNG[r])
-		if carried > 0 {
-			if err := m.SetCarriedRNNState(st.RNN[r]); err != nil {
-				return fmt.Errorf("trainer: restore rank %d: %w", r, err)
-			}
+	}
+	for r, cs := range st.RNN { // one per rank when stateful, none otherwise
+		err := models[r].SetCarriedRNNState(cs)
+		if err == nil && cs.Rows != 0 && cs.Rows != t.cfg.BatchPerRank {
+			err = fmt.Errorf("carried state of %d lanes, BatchPerRank is %d", cs.Rows, t.cfg.BatchPerRank)
+		}
+		if err != nil {
+			return fmt.Errorf("trainer: restore rank %d: %w", r, err)
 		}
 	}
 	t.models, t.units, t.opt = models, units, opt

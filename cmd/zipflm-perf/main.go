@@ -12,16 +12,17 @@
 //	zipflm-perf bench.txt                               # list extracted metrics
 //
 // A diff compares every metric present in both the baseline and the
-// current inputs. Direction comes from the unit (ns/op, B/op, allocs/op
-// regress upward; tok/s, req/s, MB/s regress downward; unknown units are
-// reported but never gate). A current value that is not finite (NaN, ±Inf)
+// current inputs; a baseline metric the run lacks (a benchmark renamed,
+// deleted or failed) fails the gate. Direction comes from the unit (ns/op,
+// B/op, allocs/op regress upward; tok/s, req/s, MB/s regress downward;
+// unknown units are reported but never gate). A current value that is not finite (NaN, ±Inf)
 // regresses whatever its unit: no run measures one, so it means the
 // benchmark broke. The allowed delta per metric is
 // max(-threshold, 2·spread): when a benchmark ran multiple times
 // (-count), the observed relative spread across runs widens the bound, so
 // a noisy benchmark cannot flap the gate. Exit codes: 0 no regression,
-// 2 regression, 1 usage or input error — the same convention as
-// zipflm-trace -diff.
+// 2 regression or missing metric, 1 usage or input error — the same
+// convention as zipflm-trace -diff.
 //
 // Updating a baseline when a performance change is intentional is the
 // same command that created it: rerun -baseline and commit the file.
@@ -356,7 +357,7 @@ func run(args []string, out, errOut io.Writer) int {
 			fmt.Fprintf(out, "note: %s\n", warn)
 		}
 		tab := metrics.NewTable("perf diff:", "metric", "unit", "baseline", "current", "delta", "allowed", "verdict")
-		regressions, gated := 0, 0
+		regressions, gated, missing := 0, 0, 0
 		for _, r := range rows {
 			switch r.verdict {
 			case vRegressed:
@@ -364,6 +365,8 @@ func run(args []string, out, errOut io.Writer) int {
 				gated++
 			case vOK, vImproved:
 				gated++
+			case vGone:
+				missing++
 			}
 			baseS, curS, deltaS, allowedS := "-", "-", "-", "-"
 			if r.verdict != vNoBaseline {
@@ -382,8 +385,13 @@ func run(args []string, out, errOut io.Writer) int {
 		}
 		fmt.Fprint(out, tab)
 		fmt.Fprintf(out, "gated %d metric(s), %d regression(s)\n", gated, regressions)
+		if missing > 0 {
+			fmt.Fprintf(out, "MISSING: %d baseline metric(s) absent from the run\n", missing)
+		}
 		if regressions > 0 {
 			fmt.Fprintf(out, "REGRESSION: %d metric(s) beyond their allowed delta\n", regressions)
+		}
+		if regressions+missing > 0 {
 			return 2
 		}
 		fmt.Fprintln(out, "no regression")

@@ -116,6 +116,35 @@ func TestDirectionByUnit(t *testing.T) {
 	}
 }
 
+// TestMissingBaselineMetricFails: a baseline metric the run does not hold —
+// its benchmark renamed, deleted or failing before it printed a result —
+// fails the gate, even when nothing else is left to compare.
+func TestMissingBaselineMetricFails(t *testing.T) {
+	dir := t.TempDir()
+	buf, _ := json.Marshal(&Baseline{Metrics: map[string]Metric{
+		"BenchmarkX ns/op": {Value: 1000, Unit: "ns/op"},
+		"BenchmarkY ns/op": {Value: 1000, Unit: "ns/op"},
+	}})
+	base := filepath.Join(dir, "base.json")
+	if err := os.WriteFile(base, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, run1 := range map[string]string{
+		"renamed": "BenchmarkZ-2 100 1000 ns/op\n",
+		"partial": "BenchmarkX-2 100 1000 ns/op\n",
+	} {
+		src := filepath.Join(dir, name+".txt")
+		if err := os.WriteFile(src, []byte(run1), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out, errb bytes.Buffer
+		code := run([]string{"-diff", base, "-threshold", "1.0", src}, &out, &errb)
+		if code != 2 || !strings.Contains(out.String(), "missing") || !strings.Contains(out.String(), "MISSING") {
+			t.Errorf("%s: -diff exit %d, want 2 naming the missing metric:\n%s", name, code, out.String())
+		}
+	}
+}
+
 // TestNonFiniteCurrentRegresses: a run that reports NaN or ±Inf — a broken
 // benchmark, not a measurement — regresses against a finite baseline in
 // either direction and with an unknown unit, exits 2 from -diff, and

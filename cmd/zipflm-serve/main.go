@@ -78,8 +78,6 @@ func main() {
 		window    = flag.Duration("batch-window", 0, "linger this long assembling a fresh batch")
 		quantized = flag.Bool("quantized", false, "serve on int8 weights (deterministic; faster memory-bound decode)")
 		watch     = flag.Duration("watch", 0, "poll the -model checkpoint directory at this interval and hot-reload new checkpoints (0 disables)")
-		sloP99    = flag.Duration("slo-p99", 500*time.Millisecond, "p99 latency SLO target (0 disables the latency objective)")
-		sloAvail  = flag.Float64("slo-availability", 0.99, "availability SLO target in (0,1) (0 disables)")
 		loadN     = flag.Int("loadgen", 0, "run N closed-loop requests in-process instead of serving HTTP")
 		clients   = flag.Int("clients", 8, "loadgen concurrency")
 		tokens    = flag.Int("tokens", 24, "loadgen tokens per request")
@@ -127,19 +125,17 @@ func main() {
 		}
 	}()
 	srv := serve.New(m, serve.Config{
-		Workers:         *workers,
-		ComputeWorkers:  *computeW,
-		MaxBatch:        *maxBatch,
-		QueueDepth:      *queue,
-		CacheEntries:    *cache,
-		PrefixEntries:   *prefixes,
-		BatchWindow:     *window,
-		Quantized:       *quantized,
-		Telemetry:       obs.Registry,
-		Tracer:          obs.Tracer,
-		Flight:          obs.Flight,
-		SLOTargetP99:    *sloP99,
-		SLOAvailability: *sloAvail,
+		Workers:        *workers,
+		ComputeWorkers: *computeW,
+		MaxBatch:       *maxBatch,
+		QueueDepth:     *queue,
+		CacheEntries:   *cache,
+		PrefixEntries:  *prefixes,
+		BatchWindow:    *window,
+		Quantized:      *quantized,
+		Telemetry:      obs.Registry,
+		Tracer:         obs.Tracer,
+		Flight:         obs.Flight,
 	})
 	defer srv.Close()
 
@@ -484,7 +480,6 @@ func statsJSON(s serve.Snapshot, weights *weightsInfo, build telemetry.BuildInfo
 		"weights_version":   s.WeightsVersion,
 		"reloads":           s.Reloads,
 		"quantized":         s.Quantized,
-		"slo":               s.SLO,
 		"checkpoint": map[string]any{
 			"source":    source,
 			"step":      step,
@@ -510,7 +505,7 @@ func runLoadgen(srv *serve.Server, m *model.LM, requests, clients, tokens int, z
 	tab.SetUnits("", "", "tok/s", "req/s", "ms", "ms", "seq/step", "%")
 	tab.AddRow(
 		fmt.Sprintf("%d", rep.Completed),
-		fmt.Sprintf("%d", rep.Shed+rep.Expired),
+		fmt.Sprintf("%d", rep.Shed),
 		fmt.Sprintf("%.0f", rep.TokensPerSecond()),
 		fmt.Sprintf("%.1f", rep.RequestsPerSecond()),
 		fmt.Sprintf("%.2f", float64(snap.LatencyP50)/float64(time.Millisecond)),

@@ -2,7 +2,7 @@
 // exporting /metrics: it polls the endpoint's JSON snapshot (selected via
 // Accept-header content negotiation), computes rates and windowed means
 // from successive snapshots, and renders sparkline trends for throughput,
-// latency, queue depth, cache hit rate and SLO burn — plain ANSI.
+// latency, queue depth, cache hit rate and shed requests — plain ANSI.
 //
 // Usage:
 //

@@ -59,7 +59,7 @@ func main() {
 		lrDecay   = flag.Float64("lr-decay", 0.9, "per-epoch learning-rate decay (paper: 0.85-0.95; 1 disables)")
 		epochs    = flag.Int("epochs", 2, "training epochs")
 		adam      = flag.Bool("adam", false, "use Adam instead of SGD for dense parameters")
-		overlap   = flag.Bool("overlap", false, "reduce the dense gradients a layer per call, priced as overlapping backprop on the virtual clock (same weights and wire bytes, less waiting)")
+		overlap   = flag.Bool("overlap", false, "reduce the dense gradients a layer per call instead of a tensor per call (same weights and wire bytes; fewer collective spans in a -trace; no virtual clock runs here, so nothing is priced as overlapped)")
 		stateful  = flag.Bool("stateful", false, "carry RNN state across batches (truncated BPTT)")
 		dropout   = flag.Float64("dropout", 0, "training dropout probability on RNN outputs")
 		savePath  = flag.String("save", "", "write the trained model checkpoint to this file")

@@ -229,26 +229,25 @@
 // serving snapshot — /v1/stats reads from the registry) observe without
 // perturbing: the bit-identity suites rerun with telemetry on and assert
 // identical weights, losses and tokens. Every metric family has a reader
-// (a zipflm-top panel, an SLO, a CI assertion, a serve.Snapshot field or a
-// failure count), which TestMetricFamiliesHaveReaders holds. Surfaces:
+// (a zipflm-top panel, a CI assertion, a serve.Snapshot field or a failure
+// count), which TestMetricFamiliesHaveReaders holds. Surfaces:
 // zipflm-serve GET /metrics, the -metrics-addr observer listener of
 // zipflm-serve and zipflm-train (/metrics, net/http/pprof), -trace on all
 // three commands.
 //
-// Three analysis layers sit on top. Traces carry each step's phases, a
+// Two analysis layers sit on top. Traces carry each step's phases, a
 // span per collective operation and phase 1's per-rank compute, and
 // internal/traceview computes the per-step critical path on the virtual
 // clock — compute, sync, wire and update seconds — with totals that
 // reconcile bitwise against the trainer's accounting through the JSON
 // file; cmd/zipflm-trace is the CLI (summary, top spans, -diff with a
-// nonzero exit on regression). telemetry.SLO evaluates declared objectives (p99 latency,
-// availability) straight off the registry's histograms and counters with
-// multi-window error-budget burn rates, published as zipflm_slo_* gauges
-// and on the serving /v1/stats snapshot. telemetry.Flight is an always-on
-// lock-free ring of pre-rendered log/slog records — the last N anomalies
-// — dumped on trainer fault rollback, serve overload shed, or SIGQUIT.
-// All three inherit the layer's contract: the bit-identity suites run
-// with tracing, SLOs and flight recording enabled simultaneously. A reload
+// nonzero exit on regression). telemetry.Flight is an always-on lock-free
+// ring of pre-rendered log/slog records — the last N anomalies — dumped on
+// trainer fault rollback, serve overload shed, or SIGQUIT. Both inherit the
+// layer's contract: the bit-identity suites run with tracing and flight
+// recording enabled. Service-level objectives are not evaluated in process:
+// a scraper computes them, burn rates included, from the cumulative latency
+// buckets and outcome counters /metrics exports. A reload
 // the serving layer could not install — unreadable source, unparseable
 // checkpoint, mismatched architecture — is counted
 // (zipflm_serve_reload_failures_total) and recorded in the ring with its

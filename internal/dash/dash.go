@@ -1,15 +1,15 @@
-// Package dash renders a live terminal dashboard over the telemetry
-// layer: successive registry snapshots become windowed rates and trends,
-// drawn as aligned rows with Unicode sparklines using nothing but ANSI
-// escapes — no terminal library, no dependencies. cmd/zipflm-top drives
-// the Board, polling the JSON snapshot of any /metrics endpoint — the
-// public -addr of zipflm-serve or the -metrics-addr observer listener of
-// zipflm-serve and zipflm-train.
+// Package dash answers one question: what is a running process doing now,
+// and which way is it trending? It derives windowed rates and means from
+// successive polls of a /metrics snapshot and draws them as aligned rows
+// with Unicode sparklines, using nothing but ANSI escapes.
+// Cumulative questions (a quantile against a target, an error budget) are
+// answered by whatever scrapes /metrics, from the same series.
+// cmd/zipflm-top drives the Board against the public -addr of zipflm-serve
+// or the -metrics-addr observer listener of zipflm-serve and zipflm-train.
 package dash
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -78,24 +78,9 @@ func gaugeRatio(a, b string) func(prev, cur telemetry.Snapshot, dt float64) (flo
 	}
 }
 
-// burnMax reads the maximum SLO burn-rate gauge across every objective
-// and window — the single number that says "an SLO is burning budget".
-func burnMax(prev, cur telemetry.Snapshot, dt float64) (float64, bool) {
-	max, found := 0.0, false
-	for name, v := range cur.Gauges {
-		if strings.HasPrefix(name, "zipflm_slo_burn_rate{") {
-			found = true
-			if v > max {
-				max = v
-			}
-		}
-	}
-	return max, found
-}
-
 // specs is the board's panel catalog, in display order: the serving rows,
-// the training rows, then the cross-cutting SLO row. Histogram units in a
-// Snapshot are already exported (seconds), hence the 1e3 scales to ms.
+// then the training rows. Histogram units in a Snapshot are already
+// exported (seconds), hence the 1e3 scales to ms.
 var specs = []spec{
 	{"serve tok/s", "tok/s", rate("zipflm_serve_tokens_total")},
 	{"serve req/s", "req/s", rate("zipflm_serve_completed_total")},
@@ -109,7 +94,6 @@ var specs = []spec{
 	{"step sync", "ms", wmean("zipflm_train_sync_seconds", 1e3)},
 	{"goodput", "", gauge("zipflm_train_goodput_ratio", 1)},
 	{"sim clock", "s", gauge("zipflm_train_sim_seconds", 1)},
-	{"SLO burn max", "×", burnMax},
 }
 
 // sparkLevels are the eight block heights a sparkline cell can take.
@@ -167,7 +151,6 @@ type panel struct {
 type Board struct {
 	width  int
 	panels []*panel
-	slo    []string
 
 	havePrev bool
 	prevAt   time.Time
@@ -213,34 +196,7 @@ func (b *Board) Observe(at time.Time, snap telemetry.Snapshot) {
 			}
 		}
 	}
-	b.slo = sloLines(snap)
 	b.prev, b.prevAt, b.havePrev = snap, at, true
-}
-
-// sloLines summarizes the per-objective SLO gauges for the footer.
-func sloLines(snap telemetry.Snapshot) []string {
-	var names []string
-	for name := range snap.Gauges {
-		if rest, ok := strings.CutPrefix(name, `zipflm_slo_compliant{slo="`); ok {
-			if obj, _, ok := strings.Cut(rest, `"`); ok {
-				names = append(names, obj)
-			}
-		}
-	}
-	sort.Strings(names)
-	var out []string
-	for _, obj := range names {
-		verdict := "MET"
-		if snap.Gauges[fmt.Sprintf(`zipflm_slo_compliant{slo=%q}`, obj)] == 0 {
-			verdict = "VIOLATED"
-		}
-		cur := snap.Gauges[fmt.Sprintf(`zipflm_slo_current{slo=%q}`, obj)]
-		target := snap.Gauges[fmt.Sprintf(`zipflm_slo_target{slo=%q}`, obj)]
-		budget := snap.Gauges[fmt.Sprintf(`zipflm_slo_budget_used{slo=%q}`, obj)]
-		out = append(out, fmt.Sprintf("SLO %-16s %-8s current %.4g target %.4g budget %.0f%%",
-			obj, verdict, cur, target, 100*budget))
-	}
-	return out
 }
 
 // ansi sequences: clear screen once, then home + erase per frame, so the
@@ -284,12 +240,6 @@ func (b *Board) Frame(title string, ansi bool) string {
 	}
 	if shown == 0 {
 		out.WriteString("  (waiting for two samples to compute trends)" + eol)
-	}
-	if len(b.slo) > 0 {
-		out.WriteString(eol)
-		for _, line := range b.slo {
-			out.WriteString("  " + line + eol)
-		}
 	}
 	if ansi {
 		out.WriteString(ansiEraseRest)

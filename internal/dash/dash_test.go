@@ -96,26 +96,6 @@ func TestBoardWindowedLatencyMean(t *testing.T) {
 	}
 }
 
-func TestBoardSLOFooter(t *testing.T) {
-	b := New(8)
-	snap := snapshotOf(func(r *telemetry.Registry) {
-		r.Gauge(`zipflm_slo_compliant{slo="latency_p99"}`).Set(0)
-		r.Gauge(`zipflm_slo_current{slo="latency_p99"}`).Set(0.8)
-		r.Gauge(`zipflm_slo_target{slo="latency_p99"}`).Set(0.5)
-		r.Gauge(`zipflm_slo_budget_used{slo="latency_p99"}`).Set(2.5)
-		r.Gauge(`zipflm_slo_burn_rate{slo="latency_p99",window="1m0s"}`).Set(3)
-	})
-	b.Observe(time.Unix(1000, 0), snap)
-	b.Observe(time.Unix(1001, 0), snap)
-	frame := b.Frame("test", false)
-	if !strings.Contains(frame, "latency_p99") || !strings.Contains(frame, "VIOLATED") {
-		t.Errorf("SLO footer missing violation:\n%s", frame)
-	}
-	if !strings.Contains(frame, "SLO burn max") {
-		t.Errorf("burn-rate panel missing:\n%s", frame)
-	}
-}
-
 func TestFrameANSIAndPlain(t *testing.T) {
 	b := New(4)
 	b.Observe(time.Unix(1000, 0), telemetry.Snapshot{})

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"slices"
+
 	"zipflm/internal/core"
+	"zipflm/internal/corpus"
 	"zipflm/internal/perfmodel"
 	"zipflm/internal/rng"
 	"zipflm/internal/sampling"
@@ -197,13 +200,14 @@ func (w scalingWorkload) updateBW(g int) float64 {
 
 // measuredUnique draws the real per-rank token streams and sampled-softmax
 // candidate sets for one step at full scale and merges them exactly as the
-// unique exchange does. Returns per-rank locally-unique input counts, the
-// global input unique count, per-rank candidate counts, and the global
-// output unique count under the given seeding strategy.
-func measuredUnique(w scalingWorkload, g int, strat sampling.Strategy, seed uint64) (uiIn []int, ugIn int, candPerRank []int, ugOut int) {
+// unique exchange does. Returns the largest per-rank locally-unique input
+// count, the global input unique count, the largest per-rank candidate
+// count (the output exchange's rows per rank), and the global output unique
+// count under the given seeding strategy.
+func measuredUnique(w scalingWorkload, g int, strat sampling.Strategy, seed uint64) (uiMax, ugIn, kc, ugOut int) {
 	root := rng.New(seed)
 	inSets := make([][]int, g)
-	uiIn = make([]int, g)
+	uiIn := make([]int, g)
 	for r := 0; r < g; r++ {
 		z := rng.NewZipf(root.Fork(), w.Vocab, w.ZipfExponent)
 		toks := make([]int, w.K)
@@ -211,16 +215,16 @@ func measuredUnique(w scalingWorkload, g int, strat sampling.Strategy, seed uint
 			toks[i] = z.Next()
 		}
 		inSets[r] = toks
-		uiIn[r] = countUnique(toks)
+		uiIn[r] = corpus.CountTypes(toks)
 	}
 	ugIn = sampling.UniqueAcross(inSets)
 
 	if w.Samples == 0 {
-		return uiIn, ugIn, nil, 0
+		return slices.Max(uiIn), ugIn, 0, 0
 	}
 	seeds := sampling.Assign(strat, g, seed+1)
 	outSets := make([][]int, g)
-	candPerRank = make([]int, g)
+	candPerRank := make([]int, g)
 	for r := 0; r < g; r++ {
 		s := sampling.NewSampler(w.Vocab, seeds[r])
 		cands := s.Sample(w.Samples, inSets[r])
@@ -228,25 +232,7 @@ func measuredUnique(w scalingWorkload, g int, strat sampling.Strategy, seed uint
 		candPerRank[r] = len(cands)
 	}
 	ugOut = sampling.UniqueAcross(outSets)
-	return uiIn, ugIn, candPerRank, ugOut
-}
-
-func countUnique(xs []int) int {
-	seen := make(map[int]struct{}, len(xs))
-	for _, x := range xs {
-		seen[x] = struct{}{}
-	}
-	return len(seen)
-}
-
-func maxInt(xs []int) int {
-	m := 0
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
+	return slices.Max(uiIn), ugIn, slices.Max(candPerRank), ugOut
 }
 
 // stackKind enumerates the cumulative optimization stacks of Figure 6.
@@ -280,7 +266,7 @@ func stepCost(w scalingWorkload, g int, stack stackKind, seed uint64) perfmodel.
 	if stack >= stackSeeded && w.Samples > 0 {
 		strat = sampling.ZipfFreq
 	}
-	uiIn, ugIn, candPerRank, ugOut := measuredUnique(w, g, strat, seed)
+	uiMax, ugIn, kc, ugOut := measuredUnique(w, g, strat, seed)
 	fp16 := stack >= stackCompressed
 
 	cost := perfmodel.StepCost{
@@ -297,8 +283,6 @@ func stepCost(w scalingWorkload, g int, stack stackKind, seed uint64) perfmodel.
 	denseBytes := 2 * int64(g-1) * w.DenseParams * elem / int64(g)
 	cost.WireBytes += denseBytes
 	cost.WireHops += 2 * (g - 1)
-
-	kc := maxInt(candPerRank) // output-exchange rows per rank
 
 	if stack == stackBaseline {
 		// Input embedding: ALLGATHER of dense K×D blocks.
@@ -329,7 +313,7 @@ func stepCost(w scalingWorkload, g int, stack stackKind, seed uint64) perfmodel.
 	}
 
 	// Unique exchange for the input embedding.
-	in := core.UniqueCost(g, w.K, maxInt(uiIn), ugIn, w.D, fp16)
+	in := core.UniqueCost(g, w.K, uiMax, ugIn, w.D, fp16)
 	cost.WireBytes += in.WireBytes
 	cost.WireHops += (g - 1) + 2*(g-1)
 	rows := int64(ugIn)
@@ -353,8 +337,7 @@ func peakMemory(w scalingWorkload, g int, stack stackKind, seed uint64) int64 {
 	if stack >= stackSeeded && w.Samples > 0 {
 		strat = sampling.ZipfFreq
 	}
-	uiIn, ugIn, candPerRank, ugOut := measuredUnique(w, g, strat, seed)
-	kc := maxInt(candPerRank)
+	uiMax, ugIn, kc, ugOut := measuredUnique(w, g, strat, seed)
 
 	if stack == stackBaseline {
 		scratch := core.BaselineCost(g, w.K, w.D, false).ScratchBytes
@@ -363,7 +346,7 @@ func peakMemory(w scalingWorkload, g int, stack stackKind, seed uint64) int64 {
 		}
 		return w.BaseMemory + int64(float64(scratch)*w.BaselineStaging)
 	}
-	scratch := core.UniqueCost(g, w.K, maxInt(uiIn), ugIn, w.D, false).ScratchBytes
+	scratch := core.UniqueCost(g, w.K, uiMax, ugIn, w.D, false).ScratchBytes
 	if w.Samples > 0 {
 		scratch += core.UniqueCost(g, kc, kc, ugOut, w.D, false).ScratchBytes
 	}

@@ -36,16 +36,10 @@ type LoadConfig struct {
 	ZipfS float64
 	// Vocab bounds the synthesized prompt tokens; must match the model.
 	Vocab int
-	// MinPromptLen/MaxPromptLen bound the ragged prompt lengths
-	// (defaults 2 and 8).
-	MinPromptLen, MaxPromptLen int
 	// Tokens is N per request (default 16).
 	Tokens int
 	// Opts is the decode configuration every request uses.
 	Opts sampling.DecodeOpts
-	// Deadline, when positive, is attached to every request as
-	// now.Add(Deadline).
-	Deadline time.Duration
 	// Seed makes the whole load deterministic.
 	Seed uint64
 }
@@ -60,17 +54,14 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	if c.ZipfS == 0 {
 		c.ZipfS = 1.1
 	}
-	if c.MinPromptLen <= 0 {
-		c.MinPromptLen = 2
-	}
-	if c.MaxPromptLen < c.MinPromptLen {
-		c.MaxPromptLen = c.MinPromptLen + 6
-	}
 	if c.Tokens <= 0 {
 		c.Tokens = 16
 	}
 	return c
 }
+
+// Prompts are ragged: minPromptLen to maxPromptLen tokens.
+const minPromptLen, maxPromptLen = 2, 8
 
 // PromptForRank synthesizes rank r's prompt deterministically: length and
 // tokens depend only on (cfg.Seed, r), so replays of a rank are exact
@@ -81,7 +72,7 @@ func (c LoadConfig) PromptForRank(rank int) []int {
 		panic("serve: LoadConfig.Vocab must be set to the model's vocabulary size")
 	}
 	r := rng.New(c.Seed ^ (0x9e3779b97f4a7c15 * uint64(rank+1)))
-	n := c.MinPromptLen + r.Intn(c.MaxPromptLen-c.MinPromptLen+1)
+	n := minPromptLen + r.Intn(maxPromptLen-minPromptLen+1)
 	p := make([]int, n)
 	for i := range p {
 		p[i] = r.Intn(c.Vocab)
@@ -100,9 +91,9 @@ type LoadReport struct {
 	// Wall is the whole run's duration; Issued the requests submitted.
 	Wall   time.Duration
 	Issued int
-	// Completed / Shed / Expired partition the outcomes; Failed counts
-	// unexpected errors (should be zero).
-	Completed, Shed, Expired, Failed int
+	// Completed / Shed partition the outcomes; Failed counts unexpected
+	// errors (should be zero).
+	Completed, Shed, Failed int
 	// TokensOut sums delivered tokens (cache hits included).
 	TokensOut int
 	// CacheHits / PrefixHits count per-request flags on completions.
@@ -175,9 +166,6 @@ func RunLoad(s *Server, cfg LoadConfig) LoadReport {
 					Opts:   cfg.Opts,
 					Seed:   cfg.SeedForRank(rank),
 				}
-				if cfg.Deadline > 0 {
-					req.Deadline = time.Now().Add(cfg.Deadline)
-				}
 				res, err := s.Submit(req)
 
 				mu.Lock()
@@ -195,8 +183,6 @@ func RunLoad(s *Server, cfg LoadConfig) LoadReport {
 					}
 				case err == ErrOverloaded:
 					report.Shed++
-				case err == ErrDeadlineExceeded:
-					report.Expired++
 				default:
 					report.Failed++
 				}

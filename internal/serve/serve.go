@@ -136,15 +136,6 @@ type Config struct {
 	// decode) and shed/expire instants. Purely observational: responses
 	// are bit-identical with tracing on or off.
 	Tracer *telemetry.Tracer
-	// SLOTargetP99, when positive, declares a latency objective: the p99
-	// completion latency must stay at or below this. Evaluated from the
-	// registry's latency histogram, surfaced in Stats().SLO and published
-	// to /metrics as zipflm_slo_* gauges.
-	SLOTargetP99 time.Duration
-	// SLOAvailability, when in (0,1), declares an availability objective:
-	// at least this fraction of requests must complete (sheds and expiries
-	// are the bad events).
-	SLOAvailability float64
 	// Flight, when non-nil, is the structured flight recorder overload
 	// anomalies are logged into: sheds and expiries record context, and a
 	// queue-full shed triggers a (rate-limited) ring dump. Purely
@@ -198,7 +189,6 @@ type Server struct {
 	stats   *statsCollector
 	reg     *telemetry.Registry
 	tracer  *telemetry.Tracer
-	slo     *telemetry.SLO
 	flight  *telemetry.Flight
 	results *lruCache
 	prefix  *lruCache
@@ -261,26 +251,6 @@ func New(m *model.LM, cfg Config) *Server {
 		rMisses.SetInt(int64(miss))
 		weightVer.SetInt(int64(s.version.Load()))
 	})
-	if cfg.SLOTargetP99 > 0 || (cfg.SLOAvailability > 0 && cfg.SLOAvailability < 1) {
-		s.slo = telemetry.NewSLO()
-		if cfg.SLOTargetP99 > 0 {
-			s.slo.Add(telemetry.Objective{
-				Name:          "latency_p99",
-				Hist:          s.stats.lat,
-				Quantile:      0.99,
-				TargetSeconds: cfg.SLOTargetP99.Seconds(),
-			})
-		}
-		if cfg.SLOAvailability > 0 && cfg.SLOAvailability < 1 {
-			s.slo.Add(telemetry.Objective{
-				Name:   "availability",
-				Good:   []*telemetry.Counter{s.stats.completed},
-				Bad:    []*telemetry.Counter{s.stats.shed, s.stats.expired},
-				Target: cfg.SLOAvailability,
-			})
-		}
-		s.slo.Publish(reg)
-	}
 	s.backend = tensor.New(cfg.ComputeWorkers)
 	served := s.clone(m)
 	for i := 0; i < cfg.Workers; i++ {
@@ -458,15 +428,9 @@ func (s *Server) Submit(req Request) (*Result, error) {
 	return res, nil
 }
 
-// Stats returns current serving telemetry, including the evaluation of any
-// declared SLOs (Snapshot.SLO).
+// Stats returns current serving telemetry.
 func (s *Server) Stats() Snapshot {
 	snap := s.stats.snapshot()
-	if s.slo != nil {
-		now := time.Now()
-		s.slo.Tick(now)
-		snap.SLO = s.slo.Evaluate(now)
-	}
 	snap.ResultHits, snap.ResultMisses, snap.ResultEvicted, snap.ResultEntries = s.results.counters()
 	snap.PrefixHits, snap.PrefixMisses, snap.PrefixEvicted, snap.PrefixEntries = s.prefix.counters()
 	snap.WeightsVersion = s.version.Load()

@@ -131,9 +131,6 @@ type Snapshot struct {
 	Reloads        int64
 	// Quantized reports whether the server serves int8 weights.
 	Quantized bool
-	// SLO holds the evaluation of every declared objective (nil when the
-	// server was configured without SLOs).
-	SLO []telemetry.Status
 }
 
 // HitRate returns result-cache hits / lookups, 0 when no lookups happened.

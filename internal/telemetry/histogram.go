@@ -30,8 +30,8 @@ const (
 // allocation-free: one atomic add each to count, sum, and the bucket.
 // A nil Histogram ignores observations.
 //
-// Unit and Factor describe how raw observations scale to the exported
-// unit: duration histograms store nanoseconds with Unit "s", Factor 1e-9.
+// unit and factor describe how raw observations scale to the exported
+// unit: duration histograms store nanoseconds with unit "s", factor 1e-9.
 type Histogram struct {
 	count   atomic.Int64
 	sum     atomic.Int64
@@ -49,14 +49,6 @@ func NewHistogram(unit string, factor float64) *Histogram {
 		factor = 1
 	}
 	return &Histogram{unit: unit, factor: factor}
-}
-
-// Factor returns the raw-to-exported multiplier.
-func (h *Histogram) Factor() float64 {
-	if h == nil {
-		return 1
-	}
-	return h.factor
 }
 
 // bucketIndex maps an observation to its bucket.
@@ -175,26 +167,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 		}
 	}
 	return 0 // unreachable: total > 0
-}
-
-// CountAbove returns how many observations landed in buckets whose lower
-// bound is at least v — the "bad event" count an SLO latency objective
-// burns budget with. The answer is exact when v is a bucket boundary;
-// otherwise observations sharing v's bucket are excluded, so the count is
-// within one bucket (≤1/subCount ≈ 3% relative) of the true value.
-func (h *Histogram) CountAbove(v int64) int64 {
-	if h == nil {
-		return 0
-	}
-	first := bucketIndex(v)
-	if lo, _ := bucketBounds(first); lo < v {
-		first++ // v splits its bucket: count only buckets entirely ≥ v
-	}
-	var n int64
-	for i := first; i < nBuckets; i++ {
-		n += h.buckets[i].Load()
-	}
-	return n
 }
 
 // P50, P99 and P999 are the latency quantiles every dashboard wants.

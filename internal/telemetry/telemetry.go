@@ -23,9 +23,11 @@
 // Commands attach the observers in one place (observe.go):
 // Options.RegisterFlags declares the observer flags, Start runs them, and
 // the listener behind -metrics-addr serves /metrics and net/http/pprof's
-// /debug/pprof/. Every metric family has a reader — a dash panel, an SLO,
-// a CI assertion, a serve.Snapshot field or a failure count — and the root
-// package's TestMetricFamiliesHaveReaders keeps it that way.
+// /debug/pprof/. Every metric family has a reader — a dash panel, a CI
+// assertion, a serve.Snapshot field or a failure count — and the root
+// package's TestMetricFamiliesHaveReaders keeps it that way. Service-level
+// objectives are evaluated by the scraper from the exported series, not
+// here.
 package telemetry
 
 import (

@@ -122,7 +122,9 @@ type chromeEventArgs struct {
 	VClockDurS float64 `json:"vclock_dur_s"`
 }
 
-type chromeTrace struct {
+// ChromeTrace is the trace file: the document WriteChromeTrace encodes and
+// traceview decodes, so the two sides share one set of JSON tags.
+type ChromeTrace struct {
 	TraceEvents     []chromeEvent `json:"traceEvents"`
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 	Dropped         int64         `json:"zipflmDroppedEvents,omitempty"`
@@ -142,7 +144,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	dropped := t.dropped
 	t.mu.Unlock()
 
-	out := chromeTrace{
+	out := ChromeTrace{
 		TraceEvents:     make([]chromeEvent, 0, len(events)),
 		DisplayTimeUnit: "ms",
 		Dropped:         dropped,

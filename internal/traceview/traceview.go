@@ -1,5 +1,6 @@
 // Package traceview analyzes the Chrome trace_event JSON timelines the
-// telemetry.Tracer writes: it reconstructs each training step from the
+// telemetry.Tracer writes, decoding them through the writer's own
+// telemetry.ChromeTrace: it reconstructs each training step from the
 // trainer's step spans, splits the step's sync phase into wire and update
 // time, and aggregates per-collective-op traffic. cmd/zipflm-trace is the
 // CLI over this package.
@@ -18,6 +19,8 @@ import (
 	"io"
 	"os"
 	"sort"
+
+	"zipflm/internal/telemetry"
 )
 
 // Span is one parsed trace event. TS/Dur are wall microseconds relative to
@@ -40,28 +43,9 @@ type Trace struct {
 	Dropped int64
 }
 
-// fileEvent / fileTrace mirror telemetry's chromeEvent JSON shape.
-type fileEvent struct {
-	Name string  `json:"name"`
-	Cat  string  `json:"cat"`
-	Ph   string  `json:"ph"`
-	Tid  int     `json:"tid"`
-	TS   float64 `json:"ts"`
-	Dur  float64 `json:"dur"`
-	Args struct {
-		VClockS    float64 `json:"vclock_s"`
-		VClockDurS float64 `json:"vclock_dur_s"`
-	} `json:"args"`
-}
-
-type fileTrace struct {
-	TraceEvents []fileEvent `json:"traceEvents"`
-	Dropped     int64       `json:"zipflmDroppedEvents"`
-}
-
 // Parse reads a Chrome trace_event JSON document.
 func Parse(r io.Reader) (*Trace, error) {
-	var ft fileTrace
+	var ft telemetry.ChromeTrace
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&ft); err != nil {
 		return nil, fmt.Errorf("traceview: parsing trace: %w", err)

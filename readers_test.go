@@ -15,7 +15,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"zipflm/internal/ckpt"
 	"zipflm/internal/core"
@@ -47,11 +46,6 @@ var metricReaders = map[string]string{
 	"zipflm_serve_steps_total":             "stats",
 	"zipflm_serve_seq_steps_total":         "stats",
 	"zipflm_serve_reload_failures_total":   "failure",
-	"zipflm_slo_burn_rate":                 "dash",
-	"zipflm_slo_compliant":                 "ci",
-	"zipflm_slo_current":                   "dash",
-	"zipflm_slo_target":                    "dash",
-	"zipflm_slo_budget_used":               "dash",
 	"zipflm_train_tokens_total":            "dash",
 	"zipflm_train_compute_seconds":         "dash",
 	"zipflm_train_sync_seconds":            "dash",
@@ -63,7 +57,7 @@ var metricReaders = map[string]string{
 
 // TestMetricFamiliesHaveReaders shares one registry between a trainer with
 // every observed feature on (Hardware, Faults, on-disk checkpoints, a
-// tracer) and a server with both caches and both SLOs, runs both, and walks
+// tracer) and a server with both caches, runs both, and walks
 // the registry's snapshot. It fails on a family missing from
 // metricReaders, on a row that never registers, and on a dash or ci row
 // whose reader does not name the family.
@@ -100,7 +94,6 @@ func TestMetricFamiliesHaveReaders(t *testing.T) {
 
 	srv := serve.New(tr.Model(0), serve.Config{
 		Workers: 1, CacheEntries: 4, PrefixEntries: 4, Telemetry: reg,
-		SLOTargetP99: time.Second, SLOAvailability: 0.99,
 	})
 	defer srv.Close()
 	for i := 0; i < 2; i++ { // the second is a result-cache hit
@@ -109,7 +102,6 @@ func TestMetricFamiliesHaveReaders(t *testing.T) {
 		}
 	}
 
-	reg.Snapshot() // the SLOs publish burn rates from their second tick on
 	snap := reg.Snapshot()
 	registered := map[string]bool{}
 	for _, names := range [][]string{keys(snap.Counters), keys(snap.Gauges), keys(snap.Histograms)} {

@@ -129,19 +129,24 @@ func TestMissingBaselineMetricFails(t *testing.T) {
 	if err := os.WriteFile(base, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for name, run1 := range map[string]string{
-		"renamed": "BenchmarkZ-2 100 1000 ns/op\n",
-		"partial": "BenchmarkX-2 100 1000 ns/op\n",
+	for _, c := range []struct{ name, run string }{
+		{"renamed", "BenchmarkZ-2 100 1000 ns/op\n"},
+		{"partial", "BenchmarkX-2 100 1000 ns/op\n"},
+		// A benchmark that panics leaves a FAIL block where its result
+		// line would be; the -diff input is whatever go test printed.
+		{"panicked", "BenchmarkX-2 100 1000 ns/op\n--- FAIL: BenchmarkY-2\npanic: boom\nFAIL\tzipflm/x\t0.1s\n"},
 	} {
-		src := filepath.Join(dir, name+".txt")
-		if err := os.WriteFile(src, []byte(run1), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		var out, errb bytes.Buffer
-		code := run([]string{"-diff", base, "-threshold", "1.0", src}, &out, &errb)
-		if code != 2 || !strings.Contains(out.String(), "missing") || !strings.Contains(out.String(), "MISSING") {
-			t.Errorf("%s: -diff exit %d, want 2 naming the missing metric:\n%s", name, code, out.String())
-		}
+		t.Run(c.name, func(t *testing.T) {
+			src := filepath.Join(dir, c.name+".txt")
+			if err := os.WriteFile(src, []byte(c.run), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var out, errb bytes.Buffer
+			code := run([]string{"-diff", base, "-threshold", "1.0", src}, &out, &errb)
+			if code != 2 || !strings.Contains(out.String(), "missing") || !strings.Contains(out.String(), "MISSING") {
+				t.Errorf("-diff exit %d, want 2 naming the missing metric:\n%s", code, out.String())
+			}
+		})
 	}
 }
 

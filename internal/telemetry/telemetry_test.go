@@ -149,6 +149,89 @@ func TestWritePrometheusFormat(t *testing.T) {
 	}
 }
 
+// TestExpositionCountsAboveThreshold: a latency objective is evaluated by
+// the scraper from the cumulative buckets alone. The observations at or
+// above a target are the +Inf count minus the count at the largest le not
+// above the target. The answer is exact where the target is a bucket
+// bound; a bucket that straddles the target counts whole as above, so a
+// scraper never undercounts the bad events.
+func TestExpositionCountsAboveThreshold(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("zipflm_wait", "", 1)
+	obs := []int64{0, 1, 5, 10, 31, 100, 1000}
+	for _, v := range obs {
+		h.Record(v)
+	}
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	total, good := int64(-1), map[float64]int64{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		rest, ok := strings.CutPrefix(line, `zipflm_wait_bucket{le="`)
+		if !ok {
+			continue
+		}
+		le, n, _ := strings.Cut(rest, `"} `)
+		cum, err := strconv.ParseInt(n, 10, 64)
+		if err != nil {
+			t.Fatalf("parse %q: %v", line, err)
+		}
+		if le == "+Inf" {
+			total = cum
+			continue
+		}
+		bound, err := strconv.ParseFloat(le, 64)
+		if err != nil {
+			t.Fatalf("parse %q: %v", line, err)
+		}
+		good[bound] = cum
+	}
+	if total != int64(len(obs)) {
+		t.Fatalf(`le="+Inf" = %d, want %d:\n%s`, total, len(obs), buf.String())
+	}
+	above := func(target float64) int64 {
+		var best float64 = -1
+		for le := range good {
+			if le <= target && le > best {
+				best = le
+			}
+		}
+		if best < 0 {
+			return total
+		}
+		return total - good[best]
+	}
+
+	for _, c := range []struct {
+		target float64
+		want   int64
+	}{
+		{0, 7},    // everything
+		{1, 6},    // all but the 0
+		{11, 3},   // 31, 100, 1000 (11 is an exact unit bucket bound)
+		{33, 2},   // 100, 1000: 31's bucket [31, 32) ends below the target
+		{101, 2},  // 100 shares the log bucket [100, 102) and counts as above
+		{2000, 0}, // above everything
+	} {
+		t.Run(fmt.Sprintf("target=%g", c.target), func(t *testing.T) {
+			got := above(c.target)
+			if got != c.want {
+				t.Errorf("above %g = %d, want %d", c.target, got, c.want)
+			}
+			var exact int64
+			for _, v := range obs {
+				if float64(v) >= c.target {
+					exact++
+				}
+			}
+			if got < exact {
+				t.Errorf("above %g = %d undercounts the %d observations at or above it", c.target, got, exact)
+			}
+		})
+	}
+}
+
 func TestSnapshotJSON(t *testing.T) {
 	r := buildTestRegistry()
 	var buf bytes.Buffer

@@ -13,9 +13,9 @@
 //	curl -s localhost:8080/metrics
 //	curl -s -X POST localhost:8080/v1/reload -d '{"path":"model-v2.ckpt"}'
 //
-// /metrics serves the shared telemetry registry in Prometheus text format
-// (?format=json for a JSON snapshot). -metrics-addr is the observer
-// listener (internal/telemetry's Start): the same endpoint plus
+// /metrics serves the shared telemetry registry in Prometheus text format,
+// whatever the request's Accept header asks for. -metrics-addr is the
+// observer listener (internal/telemetry's Start): the same endpoint plus
 // net/http/pprof's /debug/pprof/, which the public -addr never serves —
 //
 //	go tool pprof http://<metrics-addr>/debug/pprof/profile

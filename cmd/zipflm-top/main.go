@@ -1,8 +1,8 @@
 // Command zipflm-top is a live terminal dashboard over any zipflm process
-// exporting /metrics: it polls the endpoint's JSON snapshot (selected via
-// Accept-header content negotiation), computes rates and windowed means
-// from successive snapshots, and renders sparkline trends for throughput,
-// latency, queue depth, cache hit rate and shed requests — plain ANSI.
+// exporting /metrics: it polls the endpoint's Prometheus text, parses it
+// with telemetry.ParseText, computes rates and windowed means from
+// successive polls, and renders sparkline trends for throughput, latency,
+// queue depth, cache hit rate and shed requests — plain ANSI.
 //
 // Usage:
 //
@@ -22,7 +22,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -65,46 +64,40 @@ func run(args []string, out, errOut io.Writer) int {
 	url = strings.TrimSuffix(url, "/") + "/metrics"
 	client := &http.Client{Timeout: 10 * time.Second}
 
-	poll := func() (telemetry.Snapshot, error) {
-		req, err := http.NewRequest(http.MethodGet, url, nil)
+	poll := func() (map[string]float64, error) {
+		resp, err := client.Get(url)
 		if err != nil {
-			return telemetry.Snapshot{}, err
-		}
-		// Content negotiation: one endpoint, Accept picks the JSON view.
-		req.Header.Set("Accept", "application/json")
-		resp, err := client.Do(req)
-		if err != nil {
-			return telemetry.Snapshot{}, err
+			return nil, err
 		}
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			return telemetry.Snapshot{}, fmt.Errorf("%s: %s", url, resp.Status)
+			return nil, fmt.Errorf("%s: %s", url, resp.Status)
 		}
-		var snap telemetry.Snapshot
-		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-			return telemetry.Snapshot{}, fmt.Errorf("decoding %s: %w", url, err)
+		series, err := telemetry.ParseText(resp.Body)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", url, err)
 		}
-		return snap, nil
+		return series, nil
 	}
 
 	title := "zipflm-top — " + *addr
 	board := dash.New(*width)
 
-	snap, err := poll()
+	series, err := poll()
 	if err != nil {
 		fmt.Fprintf(errOut, "zipflm-top: %v\n", err)
 		return 1
 	}
-	board.Observe(time.Now(), snap)
+	board.Observe(time.Now(), series)
 
 	if *once {
 		time.Sleep(*interval)
-		snap, err := poll()
+		series, err := poll()
 		if err != nil {
 			fmt.Fprintf(errOut, "zipflm-top: %v\n", err)
 			return 1
 		}
-		board.Observe(time.Now(), snap)
+		board.Observe(time.Now(), series)
 		fmt.Fprint(out, board.Frame(title, false))
 		return 0
 	}
@@ -123,7 +116,7 @@ func run(args []string, out, errOut io.Writer) int {
 			fmt.Fprintln(out)
 			return 0
 		case now := <-ticker.C:
-			snap, err := poll()
+			series, err := poll()
 			if err != nil {
 				// A restarting server should not kill the dashboard;
 				// persistent failure should.
@@ -134,7 +127,7 @@ func run(args []string, out, errOut io.Writer) int {
 				continue
 			}
 			misses = 0
-			board.Observe(now, snap)
+			board.Observe(now, series)
 			fmt.Fprint(out, board.Frame(title, ansi))
 		}
 	}

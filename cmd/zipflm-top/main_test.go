@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -10,8 +12,8 @@ import (
 )
 
 // TestOncePollsLiveEndpoint runs a full -once cycle against a live
-// telemetry.Handler: two polls through the Accept-negotiated JSON view,
-// one rendered frame, exit 0 — exactly what the CI dashboard smoke runs.
+// telemetry.Handler: two polls of the text exposition, one rendered frame,
+// exit 0 — exactly what the CI dashboard smoke runs.
 func TestOncePollsLiveEndpoint(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Counter("zipflm_serve_tokens_total").Add(5000)
@@ -34,6 +36,23 @@ func TestOncePollsLiveEndpoint(t *testing.T) {
 	}
 	if !strings.Contains(frame, "queue depth") {
 		t.Errorf("frame missing gauge panel:\n%s", frame)
+	}
+}
+
+// TestMalformedExpositionFails: an endpoint whose text does not parse
+// fails the poll, and the error names the offending line.
+func TestMalformedExpositionFails(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		io.WriteString(w, "zipflm_serve_queue_depth 3\nzipflm_serve_tokens_total lots\n")
+	}))
+	defer srv.Close()
+
+	var out, errb bytes.Buffer
+	if code := run([]string{"-addr", srv.URL, "-once"}, &out, &errb); code != 1 {
+		t.Fatalf("exit %d, want 1", code)
+	}
+	if !strings.Contains(errb.String(), "zipflm_serve_tokens_total lots") {
+		t.Errorf("stderr does not name the bad line: %s", errb.String())
 	}
 }
 

@@ -218,16 +218,17 @@
 // internal/telemetry gives every subsystem one metrics and tracing layer
 // built for nanosecond hot paths: atomic counters and gauges, lock-free
 // log-scale histograms (32 sub-buckets per octave, ≤1.6% relative quantile
-// error) with p50/p99/p999, all zero-allocation on record and no-ops when
+// error) with p50/p99, all zero-allocation on record and no-ops when
 // nil — telemetry off costs one branch. A Registry exports Prometheus text
 // exposition (labeled families like
-// zipflm_serve_batch_steps_total{batch="4"}) and JSON snapshots; telemetry.Tracer records bounded span/instant timelines as
-// Chrome trace_event JSON whose simulated-cluster spans carry the virtual
-// clock next to wall time — summing a trace's per-phase virtual durations
-// reproduces the trainer's SimComputeSeconds/SimSyncSeconds bitwise. The
-// instrumented paths (trainer step phases and fault counters, the whole
-// serving snapshot — /v1/stats reads from the registry) observe without
-// perturbing: the bit-identity suites rerun with telemetry on and assert
+// zipflm_serve_batch_steps_total{batch="4"}), its one format, which
+// telemetry.ParseText reads back; telemetry.Tracer records bounded
+// span/instant timelines as Chrome trace_event JSON whose simulated-cluster
+// spans carry the virtual clock next to wall time — summing a trace's
+// per-phase virtual durations reproduces the trainer's
+// SimComputeSeconds/SimSyncSeconds bitwise. The instrumented paths
+// (trainer step phases and fault counters, the whole serving snapshot —
+// /v1/stats reads from the registry) observe without perturbing: the bit-identity suites rerun with telemetry on and assert
 // identical weights, losses and tokens. Every metric family has a reader
 // (a zipflm-top panel, a CI assertion, a serve.Snapshot field or a failure
 // count), which TestMetricFamiliesHaveReaders holds. Surfaces:

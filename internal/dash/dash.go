@@ -1,7 +1,8 @@
 // Package dash answers one question: what is a running process doing now,
 // and which way is it trending? It derives windowed rates and means from
-// successive polls of a /metrics snapshot and draws them as aligned rows
-// with Unicode sparklines, using nothing but ANSI escapes.
+// successive polls of /metrics, parsed by telemetry.ParseText, and draws
+// them as aligned rows with Unicode sparklines, using nothing but ANSI
+// escapes.
 // Cumulative questions (a quantile against a target, an error budget) are
 // answered by whatever scrapes /metrics, from the same series.
 // cmd/zipflm-top drives the Board against the public -addr of zipflm-serve
@@ -12,65 +13,68 @@ import (
 	"fmt"
 	"strings"
 	"time"
-
-	"zipflm/internal/telemetry"
 )
 
-// spec declares one dashboard panel: a display name, a unit, and a
-// derivation from two successive snapshots. A panel only appears once its
-// derivation has succeeded (its metrics exist), so one board serves both
-// the trainer's and the server's metric families without configuration.
+// derive computes a panel's reading from the previous and current poll
+// of /metrics, dt wall-seconds apart (dt > 0); each poll maps a series, as
+// telemetry.ParseText reads it, to its value.
+type derive func(prev, cur map[string]float64, dt float64) (float64, bool)
+
+// spec declares one dashboard panel: a display name, a unit, and its
+// derivation. A panel only appears once its derivation has succeeded (its
+// series exist), so one board serves both the trainer's and the server's
+// metric families without configuration.
 type spec struct {
-	name string
-	unit string
-	// value derives the panel's current reading from the previous and
-	// current snapshot, dt wall-seconds apart (dt > 0).
-	value func(prev, cur telemetry.Snapshot, dt float64) (float64, bool)
+	name  string
+	unit  string
+	value derive
+}
+
+// delta is a series' change between two polls; not ok unless both carry it.
+func delta(prev, cur map[string]float64, name string) (float64, bool) {
+	p, okP := prev[name]
+	c, okC := cur[name]
+	return c - p, okP && okC
 }
 
 // rate derives a per-second rate from a counter's delta.
-func rate(counter string) func(prev, cur telemetry.Snapshot, dt float64) (float64, bool) {
-	return func(prev, cur telemetry.Snapshot, dt float64) (float64, bool) {
-		p, okP := prev.Counters[counter]
-		c, okC := cur.Counters[counter]
-		if !okP || !okC {
-			return 0, false
-		}
-		return float64(c-p) / dt, true
+func rate(counter string) derive {
+	return func(prev, cur map[string]float64, dt float64) (float64, bool) {
+		d, ok := delta(prev, cur, counter)
+		return d / dt, ok
 	}
 }
 
 // gauge reads a gauge as-is.
-func gauge(name string, scale float64) func(prev, cur telemetry.Snapshot, dt float64) (float64, bool) {
-	return func(_, cur telemetry.Snapshot, _ float64) (float64, bool) {
-		v, ok := cur.Gauges[name]
-		return v * scale, ok
+func gauge(name string) derive {
+	return func(_, cur map[string]float64, _ float64) (float64, bool) {
+		v, ok := cur[name]
+		return v, ok
 	}
 }
 
-// wmean derives a histogram's windowed mean (delta sum over delta count)
-// in exported units times scale; falls back to not-ok when the window saw
-// no observations.
-func wmean(hist string, scale float64) func(prev, cur telemetry.Snapshot, dt float64) (float64, bool) {
-	return func(prev, cur telemetry.Snapshot, _ float64) (float64, bool) {
-		p, okP := prev.Histograms[hist]
-		c, okC := cur.Histograms[hist]
-		if !okP || !okC || c.Count <= p.Count {
+// wmean derives a histogram's windowed mean (delta _sum over delta _count)
+// in exported units times scale; not ok when the window saw no
+// observations.
+func wmean(hist string, scale float64) derive {
+	return func(prev, cur map[string]float64, _ float64) (float64, bool) {
+		n, ok := delta(prev, cur, hist+"_count")
+		if !ok || n <= 0 {
 			return 0, false
 		}
-		return (c.Sum - p.Sum) / float64(c.Count-p.Count) * scale, true
+		sum, _ := delta(prev, cur, hist+"_sum")
+		return sum / n * scale, true
 	}
 }
 
 // gaugeRatio derives 100·a/(a+b) from the deltas of two gauges that count
 // monotonically (the serve layer folds cache counters into gauges).
-func gaugeRatio(a, b string) func(prev, cur telemetry.Snapshot, dt float64) (float64, bool) {
-	return func(prev, cur telemetry.Snapshot, _ float64) (float64, bool) {
-		da := cur.Gauges[a] - prev.Gauges[a]
-		db := cur.Gauges[b] - prev.Gauges[b]
-		if _, ok := cur.Gauges[a]; !ok {
+func gaugeRatio(a, b string) derive {
+	return func(prev, cur map[string]float64, _ float64) (float64, bool) {
+		if _, ok := cur[a]; !ok {
 			return 0, false
 		}
+		da, db := cur[a]-prev[a], cur[b]-prev[b]
 		if da+db <= 0 {
 			return 0, false
 		}
@@ -79,21 +83,21 @@ func gaugeRatio(a, b string) func(prev, cur telemetry.Snapshot, dt float64) (flo
 }
 
 // specs is the board's panel catalog, in display order: the serving rows,
-// then the training rows. Histogram units in a Snapshot are already
-// exported (seconds), hence the 1e3 scales to ms.
+// then the training rows. Histogram sums are exported in seconds, hence
+// the 1e3 scales to ms.
 var specs = []spec{
 	{"serve tok/s", "tok/s", rate("zipflm_serve_tokens_total")},
 	{"serve req/s", "req/s", rate("zipflm_serve_completed_total")},
 	{"latency", "ms", wmean("zipflm_serve_latency_seconds", 1e3)},
-	{"queue depth", "", gauge("zipflm_serve_queue_depth", 1)},
-	{"batch occupancy", "seq", gauge("zipflm_serve_batch_occupancy", 1)},
+	{"queue depth", "", gauge("zipflm_serve_queue_depth")},
+	{"batch occupancy", "seq", gauge("zipflm_serve_batch_occupancy")},
 	{"cache hit rate", "%", gaugeRatio("zipflm_serve_result_cache_hits", "zipflm_serve_result_cache_misses")},
 	{"shed/s", "req/s", rate("zipflm_serve_shed_total")},
 	{"train tok/s", "tok/s", rate("zipflm_train_tokens_total")},
 	{"step compute", "ms", wmean("zipflm_train_compute_seconds", 1e3)},
 	{"step sync", "ms", wmean("zipflm_train_sync_seconds", 1e3)},
-	{"goodput", "", gauge("zipflm_train_goodput_ratio", 1)},
-	{"sim clock", "s", gauge("zipflm_train_sim_seconds", 1)},
+	{"goodput", "", gauge("zipflm_train_goodput_ratio")},
+	{"sim clock", "s", gauge("zipflm_train_sim_seconds")},
 }
 
 // sparkLevels are the eight block heights a sparkline cell can take.
@@ -146,7 +150,7 @@ type panel struct {
 	last   float64
 }
 
-// Board accumulates snapshots and renders frames. Not safe for concurrent
+// Board accumulates polls and renders frames. Not safe for concurrent
 // use; drive it from one goroutine.
 type Board struct {
 	width  int
@@ -154,12 +158,12 @@ type Board struct {
 
 	havePrev bool
 	prevAt   time.Time
-	prev     telemetry.Snapshot
+	prev     map[string]float64
 	start    time.Time
 	frames   int
 }
 
-// DefaultWidth is the sparkline width when Config leaves it zero.
+// DefaultWidth is the sparkline width New takes for a width <= 0.
 const DefaultWidth = 36
 
 // New returns an empty board with the given sparkline width (<=0 takes
@@ -175,8 +179,8 @@ func New(width int) *Board {
 	return b
 }
 
-// Observe feeds the next snapshot, stamped at its collection time.
-func (b *Board) Observe(at time.Time, snap telemetry.Snapshot) {
+// Observe feeds the next poll's series, stamped at its collection time.
+func (b *Board) Observe(at time.Time, series map[string]float64) {
 	if b.frames == 0 {
 		b.start = at
 	}
@@ -185,7 +189,7 @@ func (b *Board) Observe(at time.Time, snap telemetry.Snapshot) {
 		dt := at.Sub(b.prevAt).Seconds()
 		if dt > 0 {
 			for _, p := range b.panels {
-				if v, ok := p.value(b.prev, snap, dt); ok {
+				if v, ok := p.value(b.prev, series, dt); ok {
 					p.seen = true
 					p.last = v
 					p.series = append(p.series, v)
@@ -196,7 +200,7 @@ func (b *Board) Observe(at time.Time, snap telemetry.Snapshot) {
 			}
 		}
 	}
-	b.prev, b.prevAt, b.havePrev = snap, at, true
+	b.prev, b.prevAt, b.havePrev = series, at, true
 }
 
 // ansi sequences: clear screen once, then home + erase per frame, so the

@@ -1,6 +1,7 @@
 package dash
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -8,11 +9,21 @@ import (
 	"zipflm/internal/telemetry"
 )
 
-// snapAt builds a snapshot the way a poller would see one.
-func snapshotOf(build func(r *telemetry.Registry)) telemetry.Snapshot {
+// seriesOf builds a registry and returns its exposition the way a
+// poller sees it: written as text and parsed back.
+func seriesOf(t *testing.T, build func(r *telemetry.Registry)) map[string]float64 {
+	t.Helper()
 	r := telemetry.NewRegistry()
 	build(r)
-	return r.Snapshot()
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	series, err := telemetry.ParseText(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return series
 }
 
 func TestSparkline(t *testing.T) {
@@ -37,13 +48,13 @@ func TestBoardDerivesRatesAndTrends(t *testing.T) {
 	b := New(8)
 	t0 := time.Unix(1000, 0)
 
-	b.Observe(t0, snapshotOf(func(r *telemetry.Registry) {
+	b.Observe(t0, seriesOf(t, func(r *telemetry.Registry) {
 		r.Counter("zipflm_serve_tokens_total").Add(100)
 		r.Gauge("zipflm_serve_queue_depth").SetInt(2)
 		h := r.Duration("zipflm_serve_latency_seconds")
 		h.Observe(10 * time.Millisecond)
 	}))
-	b.Observe(t0.Add(2*time.Second), snapshotOf(func(r *telemetry.Registry) {
+	b.Observe(t0.Add(2*time.Second), seriesOf(t, func(r *telemetry.Registry) {
 		r.Counter("zipflm_serve_tokens_total").Add(300)
 		r.Gauge("zipflm_serve_queue_depth").SetInt(5)
 		h := r.Duration("zipflm_serve_latency_seconds")
@@ -73,10 +84,10 @@ func TestBoardDerivesRatesAndTrends(t *testing.T) {
 func TestBoardWindowedLatencyMean(t *testing.T) {
 	b := New(8)
 	t0 := time.Unix(1000, 0)
-	b.Observe(t0, snapshotOf(func(r *telemetry.Registry) {
+	b.Observe(t0, seriesOf(t, func(r *telemetry.Registry) {
 		r.Duration("zipflm_serve_latency_seconds").Observe(100 * time.Millisecond)
 	}))
-	b.Observe(t0.Add(time.Second), snapshotOf(func(r *telemetry.Registry) {
+	b.Observe(t0.Add(time.Second), seriesOf(t, func(r *telemetry.Registry) {
 		h := r.Duration("zipflm_serve_latency_seconds")
 		h.Observe(100 * time.Millisecond) // the pre-window observation
 		h.Observe(20 * time.Millisecond)
@@ -98,7 +109,7 @@ func TestBoardWindowedLatencyMean(t *testing.T) {
 
 func TestFrameANSIAndPlain(t *testing.T) {
 	b := New(4)
-	b.Observe(time.Unix(1000, 0), telemetry.Snapshot{})
+	b.Observe(time.Unix(1000, 0), nil)
 	plain := b.Frame("t", false)
 	if strings.Contains(plain, "\x1b") {
 		t.Error("plain frame contains escape sequences")

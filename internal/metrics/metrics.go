@@ -74,18 +74,11 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// Headers returns the column headers.
-func (t *Table) Headers() []string {
-	out := make([]string, len(t.headers))
-	copy(out, t.headers)
-	return out
-}
-
 // SetUnits annotates the columns with units ("ms", "tok/s", "nats"; ""
 // for dimensionless columns). Units beyond the header count are dropped,
-// missing units are empty. The rendered header becomes "name [unit]" and
-// the JSON emitters carry the units alongside the headers, so a consumer
-// never has to guess a column's dimension. Returns the table for chaining.
+// missing units are empty. The rendered header becomes "name [unit]", so
+// a reader never has to guess a column's dimension. Returns the table for
+// chaining.
 func (t *Table) SetUnits(units ...string) *Table {
 	t.units = make([]string, len(t.headers))
 	for i := range t.units {
@@ -94,17 +87,6 @@ func (t *Table) SetUnits(units ...string) *Table {
 		}
 	}
 	return t
-}
-
-// Units returns the per-column units set by SetUnits, or nil when the
-// table carries none.
-func (t *Table) Units() []string {
-	if t.units == nil {
-		return nil
-	}
-	out := make([]string, len(t.units))
-	copy(out, t.units)
-	return out
 }
 
 // headerCells returns the headers as rendered: "name [unit]" for columns
@@ -119,18 +101,6 @@ func (t *Table) headerCells() []string {
 		}
 	}
 	return cells
-}
-
-// Rows returns a copy of the accumulated rows, each padded to the header
-// count — the machine-readable view the -json experiment output uses.
-func (t *Table) Rows() [][]string {
-	out := make([][]string, len(t.rows))
-	for i, row := range t.rows {
-		cp := make([]string, len(row))
-		copy(cp, row)
-		out[i] = cp
-	}
-	return out
 }
 
 // String renders the table.

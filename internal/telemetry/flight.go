@@ -36,7 +36,6 @@ type Flight struct {
 
 	lastTrigger atomic.Int64 // unix nanos of the last accepted trigger
 	minGap      int64        // nanos between accepted triggers
-	recorded    atomic.Int64 // total events ever recorded
 }
 
 // flightEntry is one recorded line plus its claim sequence.
@@ -104,7 +103,6 @@ func (f *Flight) Record(level slog.Level, msg string, args ...any) {
 func (f *Flight) publish(line []byte) {
 	e := &flightEntry{line: append([]byte(nil), line...)}
 	e.seq = f.next.Add(1) - 1
-	f.recorded.Add(1)
 	f.slots[e.seq%uint64(len(f.slots))].Store(e)
 }
 
@@ -128,7 +126,7 @@ func (f *Flight) Recorded() int64 {
 	if f == nil {
 		return 0
 	}
-	return f.recorded.Load()
+	return int64(f.next.Load())
 }
 
 // Dump writes the ring's events to w in record order (oldest first) and

@@ -30,25 +30,24 @@ const (
 // allocation-free: one atomic add each to count, sum, and the bucket.
 // A nil Histogram ignores observations.
 //
-// unit and factor describe how raw observations scale to the exported
-// unit: duration histograms store nanoseconds with unit "s", factor 1e-9.
+// factor scales raw observations to the exported unit: duration
+// histograms store nanoseconds and export seconds, factor 1e-9.
 type Histogram struct {
 	count   atomic.Int64
 	sum     atomic.Int64
 	buckets [nBuckets]atomic.Int64
 
-	unit   string
 	factor float64
 }
 
 // NewHistogram returns a histogram whose exported values are raw
-// observations multiplied by factor, labelled with unit. factor <= 0 means
-// 1 (raw values exported as-is).
-func NewHistogram(unit string, factor float64) *Histogram {
+// observations multiplied by factor. factor <= 0 means 1 (raw values
+// exported as-is).
+func NewHistogram(factor float64) *Histogram {
 	if factor <= 0 {
 		factor = 1
 	}
-	return &Histogram{unit: unit, factor: factor}
+	return &Histogram{factor: factor}
 }
 
 // bucketIndex maps an observation to its bucket.
@@ -110,18 +109,6 @@ func (h *Histogram) Sum() int64 {
 	return h.sum.Load()
 }
 
-// Mean returns the raw mean observation (0 before any observation).
-func (h *Histogram) Mean() float64 {
-	if h == nil {
-		return 0
-	}
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.sum.Load()) / float64(n)
-}
-
 // snapshot copies the bucket counts and their total. Loads are not
 // mutually atomic; under concurrent writers the snapshot is a consistent
 // recent view, which is all a quantile needs.
@@ -169,7 +156,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return 0 // unreachable: total > 0
 }
 
-// P50, P99 and P999 are the latency quantiles every dashboard wants.
-func (h *Histogram) P50() int64  { return h.Quantile(0.50) }
-func (h *Histogram) P99() int64  { return h.Quantile(0.99) }
-func (h *Histogram) P999() int64 { return h.Quantile(0.999) }
+// P50 and P99 are the latency quantiles serve.Stats reports.
+func (h *Histogram) P50() int64 { return h.Quantile(0.50) }
+func (h *Histogram) P99() int64 { return h.Quantile(0.99) }

@@ -83,7 +83,7 @@ func quantileDistributions() map[string][]int64 {
 func TestQuantileErrorBounds(t *testing.T) {
 	qs := []float64{0, 0.25, 0.5, 0.9, 0.99, 0.999, 1}
 	for name, values := range quantileDistributions() {
-		h := NewHistogram("", 1)
+		h := NewHistogram(1)
 		for _, v := range values {
 			h.Record(v)
 		}
@@ -110,8 +110,8 @@ func TestQuantileErrorBounds(t *testing.T) {
 	}
 }
 
-func TestHistogramCountSumMean(t *testing.T) {
-	h := NewHistogram("", 1)
+func TestHistogramCountSum(t *testing.T) {
+	h := NewHistogram(1)
 	var sum int64
 	for v := int64(0); v < 1000; v++ {
 		h.Record(v)
@@ -123,14 +123,11 @@ func TestHistogramCountSumMean(t *testing.T) {
 	if h.Sum() != sum {
 		t.Fatalf("sum %d, want %d", h.Sum(), sum)
 	}
-	if want := float64(sum) / 1000; h.Mean() != want {
-		t.Fatalf("mean %g, want %g", h.Mean(), want)
-	}
 }
 
 func TestHistogramEmptyAndNegative(t *testing.T) {
-	h := NewHistogram("", 1)
-	if h.Quantile(0.5) != 0 || h.P99() != 0 || h.Mean() != 0 {
+	h := NewHistogram(1)
+	if h.Quantile(0.5) != 0 || h.P99() != 0 || h.Sum() != 0 {
 		t.Fatal("empty histogram must report zeros")
 	}
 	h.Record(-50) // clamps to 0
@@ -175,7 +172,7 @@ func TestBucketIndexBoundsRoundTrip(t *testing.T) {
 // goroutines; totals must balance exactly. Runs in the -race matrix.
 func TestHistogramConcurrentWriters(t *testing.T) {
 	const writers, perWriter = 8, 10_000
-	h := NewHistogram("", 1)
+	h := NewHistogram(1)
 	var wg sync.WaitGroup
 	for wtr := 0; wtr < writers; wtr++ {
 		wg.Add(1)

@@ -186,7 +186,7 @@ func TestStartListenerError(t *testing.T) {
 }
 
 // TestObserversHandleServesMetricsOnly: Handle registers the registry's
-// /metrics endpoint, in both formats, and nothing under it — there is no
+// /metrics endpoint and nothing under it — there is no
 // metrics history to serve.
 func TestObserversHandleServesMetricsOnly(t *testing.T) {
 	obs, err := Start("observe-test", Options{Exported: true})
@@ -201,9 +201,8 @@ func TestObserversHandleServesMetricsOnly(t *testing.T) {
 		code int
 		body string
 	}{
-		"/metrics":             {http.StatusOK, "zipflm_handled_total 1\n"},
-		"/metrics?format=json": {http.StatusOK, `"zipflm_handled_total": 1`},
-		"/metrics/history":     {http.StatusNotFound, ""},
+		"/metrics":         {http.StatusOK, "zipflm_handled_total 1\n"},
+		"/metrics/history": {http.StatusNotFound, ""},
 	} {
 		rec := httptest.NewRecorder()
 		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))

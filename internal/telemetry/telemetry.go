@@ -1,8 +1,8 @@
 // Package telemetry is the unified observability layer: a metrics registry
-// of atomic counters, gauges and log-scale histograms, two exporters
-// (Prometheus text exposition and a JSON snapshot), and a span tracer that
-// stamps events with both wall time and the simulator's virtual clock
-// (trace.go), exporting Chrome trace_event JSON.
+// of atomic counters, gauges and log-scale histograms, one exporter
+// (Prometheus text exposition) and the parser its readers use, and a span
+// tracer that stamps events with both wall time and the simulator's
+// virtual clock (trace.go), exporting Chrome trace_event JSON.
 //
 // The design contract mirrors the repository's exact-bits discipline:
 //
@@ -141,10 +141,10 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it with the given unit
-// and export factor if needed (see NewHistogram). An existing histogram's
-// unit/factor are not altered.
-func (r *Registry) Histogram(name, unit string, factor float64) *Histogram {
+// Histogram returns the named histogram, creating it with the given export
+// factor if needed (see NewHistogram). An existing histogram's factor is
+// not altered.
+func (r *Registry) Histogram(name string, factor float64) *Histogram {
 	if r == nil {
 		return nil
 	}
@@ -152,7 +152,7 @@ func (r *Registry) Histogram(name, unit string, factor float64) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
-		h = NewHistogram(unit, factor)
+		h = NewHistogram(factor)
 		r.hists[name] = h
 	}
 	return h
@@ -161,7 +161,7 @@ func (r *Registry) Histogram(name, unit string, factor float64) *Histogram {
 // Duration returns the named histogram configured for time.Duration
 // observations: nanosecond storage exported in seconds.
 func (r *Registry) Duration(name string) *Histogram {
-	return r.Histogram(name, "s", 1e-9)
+	return r.Histogram(name, 1e-9)
 }
 
 // OnCollect registers a callback run before every export, for metrics

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http/httptest"
 	"regexp"
 	"runtime"
@@ -33,12 +34,9 @@ func TestNilRegistryAndInstruments(t *testing.T) {
 		t.Fatal("nil instruments must read as zero")
 	}
 	r.OnCollect(func() { t.Fatal("collector must not run on nil registry") })
-	if err := r.WritePrometheus(&bytes.Buffer{}); err != nil {
-		t.Fatalf("nil WritePrometheus: %v", err)
-	}
-	snap := r.Snapshot()
-	if len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms) != 0 {
-		t.Fatal("nil registry snapshot must be empty")
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil || buf.Len() != 0 {
+		t.Fatalf("nil WritePrometheus wrote %q, %v; want nothing", buf.String(), err)
 	}
 }
 
@@ -50,7 +48,7 @@ func TestRegistrySharesInstruments(t *testing.T) {
 	if r.Gauge("y") != r.Gauge("y") {
 		t.Fatal("same name must return the same gauge")
 	}
-	if r.Histogram("z", "s", 1e-9) != r.Duration("z") {
+	if r.Histogram("z", 1e-9) != r.Duration("z") {
 		t.Fatal("same name must return the same histogram")
 	}
 }
@@ -157,38 +155,30 @@ func TestWritePrometheusFormat(t *testing.T) {
 // scraper never undercounts the bad events.
 func TestExpositionCountsAboveThreshold(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("zipflm_wait", "", 1)
+	h := r.Histogram("zipflm_wait", 1)
 	obs := []int64{0, 1, 5, 10, 31, 100, 1000}
 	for _, v := range obs {
 		h.Record(v)
 	}
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
 	total, good := int64(-1), map[float64]int64{}
-	for _, line := range strings.Split(buf.String(), "\n") {
-		rest, ok := strings.CutPrefix(line, `zipflm_wait_bucket{le="`)
+	for series, v := range scrape(t, r) {
+		le, ok := strings.CutPrefix(series, `zipflm_wait_bucket{le="`)
 		if !ok {
 			continue
 		}
-		le, n, _ := strings.Cut(rest, `"} `)
-		cum, err := strconv.ParseInt(n, 10, 64)
-		if err != nil {
-			t.Fatalf("parse %q: %v", line, err)
-		}
+		le = strings.TrimSuffix(le, `"}`)
 		if le == "+Inf" {
-			total = cum
+			total = int64(v)
 			continue
 		}
 		bound, err := strconv.ParseFloat(le, 64)
 		if err != nil {
-			t.Fatalf("parse %q: %v", line, err)
+			t.Fatalf("parse %q: %v", series, err)
 		}
-		good[bound] = cum
+		good[bound] = int64(v)
 	}
 	if total != int64(len(obs)) {
-		t.Fatalf(`le="+Inf" = %d, want %d:\n%s`, total, len(obs), buf.String())
+		t.Fatalf(`le="+Inf" = %d, want %d`, total, len(obs))
 	}
 	above := func(target float64) int64 {
 		var best float64 = -1
@@ -232,42 +222,13 @@ func TestExpositionCountsAboveThreshold(t *testing.T) {
 	}
 }
 
-func TestSnapshotJSON(t *testing.T) {
-	r := buildTestRegistry()
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
-		t.Fatalf("snapshot is not valid JSON: %v", err)
-	}
-	if snap.Counters["zipflm_requests_total"] != 7 {
-		t.Errorf("counter in snapshot = %d, want 7", snap.Counters["zipflm_requests_total"])
-	}
-	if snap.Gauges["zipflm_queue_depth"] != 3 {
-		t.Errorf("gauge in snapshot = %g, want 3", snap.Gauges["zipflm_queue_depth"])
-	}
-	h := snap.Histograms["zipflm_latency_seconds"]
-	if h.Count != 2 || h.Unit != "s" {
-		t.Errorf("histogram snapshot = %+v", h)
-	}
-	if h.Sum != 0.025 {
-		t.Errorf("histogram sum = %g, want 0.025 (seconds)", h.Sum)
-	}
-	if h.P50 <= 0 || h.P99 < h.P50 {
-		t.Errorf("quantiles disordered: %+v", h)
-	}
-}
-
 func TestOnCollect(t *testing.T) {
 	r := NewRegistry()
 	backing := int64(41)
 	r.OnCollect(func() { r.Gauge("derived").SetInt(backing) })
 	backing = 42
-	snap := r.Snapshot()
-	if snap.Gauges["derived"] != 42 {
-		t.Fatalf("collector must run at export time: got %g", snap.Gauges["derived"])
+	if got := scrape(t, r)["derived"]; got != 42 {
+		t.Fatalf("collector must run at export time: got %g", got)
 	}
 }
 
@@ -284,57 +245,16 @@ func TestHandler(t *testing.T) {
 		t.Errorf("text body missing counter:\n%s", rec.Body.String())
 	}
 
+	// One format, whatever the client asks for.
+	req := httptest.NewRequest("GET", "/metrics", nil)
+	req.Header.Set("Accept", "application/json")
 	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?format=json", nil))
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-		t.Errorf("JSON Content-Type = %q", ct)
+	h.ServeHTTP(rec, req)
+	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+		t.Errorf("Accept: application/json got Content-Type %q, want text", ct)
 	}
-	var snap Snapshot
-	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
-		t.Fatalf("JSON body: %v", err)
-	}
-}
-
-// TestHandlerContentNegotiation: one endpoint, two formats — the Accept
-// header selects JSON, anything else gets Prometheus text, and the
-// ?format=json alias keeps working (and beats Accept when both appear).
-func TestHandlerContentNegotiation(t *testing.T) {
-	r := buildTestRegistry()
-	h := Handler(r)
-
-	cases := []struct {
-		name, query, accept string
-		wantJSON            bool
-	}{
-		{"bare GET is text", "", "", false},
-		{"accept json", "", "application/json", true},
-		{"accept json with params", "", "application/json; q=0.9", true},
-		{"accept list", "", "text/html, application/json", true},
-		{"accept other", "", "text/plain", false},
-		{"format alias", "?format=json", "", true},
-		{"format text beats accept", "?format=prometheus", "application/json", false},
-		{"format json beats accept", "?format=json", "text/plain", true},
-	}
-	for _, tc := range cases {
-		req := httptest.NewRequest("GET", "/metrics"+tc.query, nil)
-		if tc.accept != "" {
-			req.Header.Set("Accept", tc.accept)
-		}
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		ct := rec.Header().Get("Content-Type")
-		if tc.wantJSON {
-			if ct != "application/json" {
-				t.Errorf("%s: Content-Type = %q, want application/json", tc.name, ct)
-				continue
-			}
-			var snap Snapshot
-			if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
-				t.Errorf("%s: body not a JSON snapshot: %v", tc.name, err)
-			}
-		} else if !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-			t.Errorf("%s: Content-Type = %q, want Prometheus text", tc.name, ct)
-		}
+	if !strings.Contains(rec.Body.String(), "zipflm_requests_total 7\n") {
+		t.Errorf("Accept: application/json body is not the text exposition:\n%s", rec.Body.String())
 	}
 }
 
@@ -357,11 +277,16 @@ func TestScrapeWhileRegistering(t *testing.T) {
 		if err := r.WritePrometheus(io.Discard); err != nil {
 			t.Fatal(err)
 		}
-		r.Snapshot()
 	}
 	<-done
-	if got := len(r.Snapshot().Histograms); got != 200 {
-		t.Fatalf("snapshot has %d histograms, want 200", got)
+	hists := 0
+	for series := range scrape(t, r) {
+		if strings.HasSuffix(series, "_count") {
+			hists++
+		}
+	}
+	if hists != 200 {
+		t.Fatalf("exposition has %d histograms, want 200", hists)
 	}
 }
 
@@ -402,65 +327,105 @@ func TestScrapeRegistersNothing(t *testing.T) {
 		if buf.Len() != 0 {
 			t.Fatalf("scrape %d of an empty registry wrote:\n%s", i, buf.String())
 		}
-		if s := r.Snapshot(); len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
-			t.Fatalf("snapshot %d of an empty registry: %+v", i, s)
-		}
 	}
 	r.Counter("zipflm_a_total").Inc()
 	r.Gauge("zipflm_b").Set(1)
 	r.Duration("zipflm_c_seconds").Observe(time.Millisecond)
+	// a, b, and c's bucket, +Inf bucket, _sum and _count.
 	for i := 0; i < 3; i++ {
-		r.WritePrometheus(io.Discard)
-		if s := r.Snapshot(); len(s.Counters) != 1 || len(s.Gauges) != 1 || len(s.Histograms) != 1 {
-			t.Fatalf("scrape %d grew the registry: %+v", i, s)
+		if series := scrape(t, r); len(series) != 6 {
+			t.Fatalf("scrape %d exported %d series, want 6: %v", i, len(series), series)
 		}
 	}
 }
 
-// TestSnapshotAgreesWithExposition: the JSON snapshot and the Prometheus
-// text carry the same series with the same values.
-func TestSnapshotAgreesWithExposition(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("zipflm_req_total").Add(3)
-	r.Counter(Label("zipflm_bytes_total", "op", "get")).Add(7)
-	r.Counter(Label("zipflm_bytes_total", "op", "put")).Add(9)
-	r.Gauge("zipflm_depth").Set(2.5)
-	h := r.Duration("zipflm_wait_seconds")
-	h.Observe(2 * time.Millisecond)
-	h.Observe(4 * time.Millisecond)
-
+// scrape writes r's exposition and parses it back, as a scraper would.
+func scrape(t *testing.T, r *Registry) map[string]float64 {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	text := buf.String()
-	snap := r.Snapshot()
-	for name, v := range snap.Counters {
-		if want := fmt.Sprintf("%s %d\n", name, v); !strings.Contains(text, want) {
-			t.Errorf("counter %q missing from exposition:\n%s", want, text)
+	series, err := ParseText(&buf)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, buf.String())
+	}
+	return series
+}
+
+// TestParseTextRoundTrip: every series the writer emits parses back to the
+// registry's value under its name as written — label values with a space,
+// an escaped quote or an escaped newline included, and a NaN gauge.
+func TestParseTextRoundTrip(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("zipflm_req_total").Add(3)
+	want := map[string]float64{"zipflm_req_total": 3}
+	for i, v := range []string{"GET /a b", "x 9", `say "hi"`, "two\nlines"} {
+		name := Label("zipflm_path_total", "path", v)
+		r.Counter(name).Add(int64(10 + i))
+		want[name] = float64(10 + i)
+	}
+	r.Gauge("zipflm_ratio").Set(math.NaN())
+	h := r.Duration("zipflm_wait_seconds")
+	obs := []time.Duration{time.Millisecond, 2 * time.Millisecond, 2 * time.Millisecond, 50 * time.Millisecond}
+	for _, d := range obs {
+		h.Observe(d)
+	}
+	want["zipflm_wait_seconds_count"] = float64(h.Count())
+	want["zipflm_wait_seconds_sum"] = float64(h.Sum()) * 1e-9
+	want[`zipflm_wait_seconds_bucket{le="+Inf"}`] = float64(h.Count())
+
+	got := scrape(t, r)
+	for name, v := range want {
+		if g, ok := got[name]; !ok || g != v {
+			t.Errorf("%s = %g (present %v), want %g", name, g, ok, v)
 		}
 	}
-	for name, v := range snap.Gauges {
-		if want := fmt.Sprintf("%s %s\n", name, formatFloat(v)); !strings.Contains(text, want) {
-			t.Errorf("gauge %q missing from exposition:\n%s", want, text)
+	if v, ok := got["zipflm_ratio"]; !ok || !math.IsNaN(v) {
+		t.Errorf("zipflm_ratio = %g (present %v), want NaN", v, ok)
+	}
+	buckets := 0
+	for name, v := range got {
+		le, ok := strings.CutPrefix(name, `zipflm_wait_seconds_bucket{le="`)
+		if !ok || le == `+Inf"}` {
+			continue
+		}
+		buckets++
+		bound, err := strconv.ParseFloat(strings.TrimSuffix(le, `"}`), 64)
+		if err != nil {
+			t.Fatalf("bucket %q: %v", name, err)
+		}
+		var below int
+		for _, d := range obs {
+			if d.Seconds() <= bound {
+				below++
+			}
+		}
+		if v != float64(below) {
+			t.Errorf("%s = %g, want %d observations at or below %g s", name, v, below, bound)
 		}
 	}
-	for name, hs := range snap.Histograms {
-		if want := fmt.Sprintf("%s_count %d\n", name, hs.Count); !strings.Contains(text, want) {
-			t.Errorf("histogram %q missing from exposition:\n%s", want, text)
-		}
-		if want := fmt.Sprintf("%s_sum %s\n", name, formatFloat(hs.Sum)); !strings.Contains(text, want) {
-			t.Errorf("histogram %q missing from exposition:\n%s", want, text)
-		}
+	if buckets != 3 {
+		t.Errorf("%d finite buckets, want 3 (one per distinct observation)", buckets)
 	}
-	samples := 0
-	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
-		if !strings.HasPrefix(line, "#") && !strings.Contains(line, "_bucket{") {
-			samples++
-		}
+	if n := len(want) + 1 + buckets; len(got) != n {
+		t.Errorf("parsed %d series, want %d: %v", len(got), n, got)
 	}
-	// Four counter and gauge samples, and a _sum and _count per histogram.
-	if want := len(snap.Counters) + len(snap.Gauges) + 2*len(snap.Histograms); samples != want || want != 6 {
-		t.Errorf("exposition has %d samples, snapshot %d (want 6):\n%s", samples, want, text)
+}
+
+// TestParseTextNamesMalformedLines: a line without a series or a value, or
+// with a value that is not a number, fails the parse and the error names
+// the line.
+func TestParseTextNamesMalformedLines(t *testing.T) {
+	for _, bad := range []string{"zipflm_x", "zipflm_x x", " 1", "zipflm_x{a=\"b c\"} "} {
+		text := "# TYPE zipflm_ok counter\nzipflm_ok 1\n" + bad + "\n"
+		_, err := ParseText(strings.NewReader(text))
+		if err == nil {
+			t.Errorf("%q parsed without error", bad)
+			continue
+		}
+		if !strings.Contains(err.Error(), strconv.Quote(bad)) || !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("%q: error %q does not name the line", bad, err)
+		}
 	}
 }

@@ -70,13 +70,15 @@ func TestStepsLeaveNoGoroutine(t *testing.T) {
 		cfg     func() Config
 		steps   int
 		wantErr bool
+		// capacity, when > 0, bounds every device's memory after New.
+		capacity int64
 	}{
-		{"sync", func() Config { return smallConfig(3, core.UniqueExchange{}) }, 3, false},
+		{"sync", func() Config { return smallConfig(3, core.UniqueExchange{}) }, 3, false, 0},
 		{"overlap", func() Config {
 			cfg := smallConfig(3, core.UniqueExchange{})
 			cfg.Overlap = true
 			return cfg
-		}, 3, false},
+		}, 3, false, 0},
 		{"overlap-hardware", func() Config {
 			cfg := smallConfig(3, core.UniqueExchange{})
 			cfg.Model = wideModel
@@ -85,7 +87,7 @@ func TestStepsLeaveNoGoroutine(t *testing.T) {
 			cfg.Hardware = &hw
 			cfg.SimFLOPsPerStep = 1e9
 			return cfg
-		}, 3, false},
+		}, 3, false, 0},
 		{"wide-adam-fp16-overlap", func() Config {
 			cfg := smallConfig(3, core.UniqueExchange{})
 			cfg.Model = wideModel
@@ -93,21 +95,20 @@ func TestStepsLeaveNoGoroutine(t *testing.T) {
 			cfg.Wire = half.NewScaler(512)
 			cfg.Overlap = true
 			return cfg
-		}, 3, false},
+		}, 3, false, 0},
 		{"exchange-failure-on-rank-1", func() Config {
 			return smallConfig(3, failOnRank{core.UniqueExchange{}, 1, armed})
-		}, 1, true},
+		}, 1, true, 0},
 		{"exchange-failure-on-rank-1-overlap", func() Config {
 			cfg := smallConfig(3, failOnRank{core.UniqueExchange{}, 1, armed})
 			cfg.Overlap = true
 			return cfg
-		}, 1, true},
+		}, 1, true, 0},
 		{"oom", func() Config {
 			cfg := smallConfig(3, core.BaselineAllGather{})
 			cfg.Model.Sampled = 10
-			cfg.DeviceCapacity = 600 // below the baseline's Θ(G·K·D) scratch
 			return cfg
-		}, 1, true},
+		}, 1, true, 600}, // below the baseline's Θ(G·K·D) scratch
 	}
 	// steps runs Steps(n) on a goroutine of its own and checks its error.
 	steps := func(t *testing.T, tr *Trainer, n int, wantErr bool) {
@@ -132,6 +133,11 @@ func TestStepsLeaveNoGoroutine(t *testing.T) {
 				tr, err := New(cfg, train, valid)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if tc.capacity > 0 {
+					for _, d := range tr.Cluster().Devices {
+						d.Capacity = tc.capacity
+					}
 				}
 				if !tc.wantErr {
 					if err := tr.Steps(1); err != nil { // warm up

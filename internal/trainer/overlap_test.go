@@ -1,8 +1,10 @@
 package trainer
 
 import (
+	"errors"
 	"testing"
 
+	"zipflm/internal/cluster"
 	"zipflm/internal/core"
 	"zipflm/internal/half"
 	"zipflm/internal/israce"
@@ -176,18 +178,21 @@ func TestOverlapOOMAbortDrainsAsync(t *testing.T) {
 	cfg := smallConfig(3, core.BaselineAllGather{})
 	cfg.Model.Sampled = 10
 	cfg.Overlap = true
-	cfg.DeviceCapacity = 600 // below the baseline's Θ(G·K·D) scratch
 	tr, err := New(cfg, train, valid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Steps(1); err == nil {
-		t.Fatal("expected an OOM abort from the baseline exchange")
+	for _, d := range tr.Cluster().Devices {
+		d.Capacity = 600 // below the baseline's Θ(G·K·D) scratch
+	}
+	var oom *cluster.ErrOutOfMemory
+	if err := tr.Steps(1); !errors.As(err, &oom) {
+		t.Fatalf("got %v, want an OOM abort from the baseline exchange", err)
 	}
 	// A second attempt on the same trainer must fail the same way — no
 	// half-finished ring left behind.
-	if err := tr.Steps(1); err == nil {
-		t.Fatal("expected the retry to abort as well")
+	if err := tr.Steps(1); !errors.As(err, &oom) {
+		t.Fatalf("retry got %v, want the same OOM abort", err)
 	}
 }
 

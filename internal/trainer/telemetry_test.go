@@ -192,9 +192,8 @@ func TestTraceviewReconcilesThroughFile(t *testing.T) {
 }
 
 // TestObservatoryBitIdentity: the same run with the registry scraped every
-// millisecond from another goroutine, in both exposition formats, must
-// produce bit-identical weights and losses to the uninstrumented run —
-// scraping only reads.
+// millisecond from another goroutine must produce bit-identical weights and
+// losses to the uninstrumented run — scraping only reads.
 func TestObservatoryBitIdentity(t *testing.T) {
 	train, valid := smallData(60, 8000, 1)
 	run := func(reg *telemetry.Registry) (Result, *Trainer) {
@@ -221,7 +220,6 @@ func TestObservatoryBitIdentity(t *testing.T) {
 			if err := reg.WritePrometheus(io.Discard); err != nil {
 				t.Error(err)
 			}
-			reg.Snapshot()
 			select {
 			case <-done:
 				scraped <- n
@@ -247,7 +245,7 @@ func TestObservatoryBitIdentity(t *testing.T) {
 	}
 
 	// The registry saw every step.
-	if got := reg.Snapshot().Histograms["zipflm_train_compute_seconds"].Count; got != int64(obsRes.Stats.Steps) {
+	if got := reg.Duration("zipflm_train_compute_seconds").Count(); got != int64(obsRes.Stats.Steps) {
 		t.Fatalf("compute histogram has %d observations, want %d", got, obsRes.Stats.Steps)
 	}
 }
@@ -322,11 +320,10 @@ func TestFailureCountersMatchFaultStats(t *testing.T) {
 	if fs.Faults != 2 || fs.LostSteps <= 0 {
 		t.Fatalf("fault stats %+v, want 2 faults that lost steps", fs)
 	}
-	snap := reg.Snapshot()
-	if got := snap.Counters["zipflm_train_faults_total"]; got != int64(fs.Faults) {
+	if got := reg.Counter("zipflm_train_faults_total").Value(); got != int64(fs.Faults) {
 		t.Errorf("zipflm_train_faults_total = %d, want %d", got, fs.Faults)
 	}
-	if got := snap.Counters["zipflm_train_lost_steps_total"]; got != int64(fs.LostSteps) {
+	if got := reg.Counter("zipflm_train_lost_steps_total").Value(); got != int64(fs.LostSteps) {
 		t.Errorf("zipflm_train_lost_steps_total = %d, want %d", got, fs.LostSteps)
 	}
 }

@@ -94,8 +94,6 @@ type Config struct {
 	// serial kernels and the step's pool parallelises over ranks; New
 	// rejects any value above 1.
 	Workers int
-	// DeviceCapacity bounds per-rank memory (0 = unlimited).
-	DeviceCapacity int64
 	// ClipNorm, when > 0, clips each dense gradient tensor's L2 norm.
 	ClipNorm float64
 	// Overlap prices the dense-gradient reduction off the step's critical
@@ -360,7 +358,7 @@ func New(cfg Config, train, valid []int) (*Trainer, error) {
 	}
 	t := &Trainer{
 		cfg:   cfg,
-		clu:   cluster.New(cfg.Ranks, cfg.DeviceCapacity),
+		clu:   cluster.New(cfg.Ranks, 0),
 		comm:  collective.New(cfg.Ranks),
 		be:    tensor.New(runtime.GOMAXPROCS(0)),
 		valid: valid,

@@ -10,6 +10,7 @@ package zipflm
 // A family no reader uses is deleted, not added to the table.
 
 import (
+	"bytes"
 	"os"
 	"regexp"
 	"sort"
@@ -57,8 +58,8 @@ var metricReaders = map[string]string{
 
 // TestMetricFamiliesHaveReaders shares one registry between a trainer with
 // every observed feature on (Hardware, Faults, on-disk checkpoints, a
-// tracer) and a server with both caches, runs both, and walks
-// the registry's snapshot. It fails on a family missing from
+// tracer) and a server with both caches, runs both, and lists the families
+// in the parsed exposition, which is what a scraper sees. It fails on a family missing from
 // metricReaders, on a row that never registers, and on a dash or ci row
 // whose reader does not name the family.
 func TestMetricFamiliesHaveReaders(t *testing.T) {
@@ -102,13 +103,31 @@ func TestMetricFamiliesHaveReaders(t *testing.T) {
 		}
 	}
 
-	snap := reg.Snapshot()
-	registered := map[string]bool{}
-	for _, names := range [][]string{keys(snap.Counters), keys(snap.Gauges), keys(snap.Histograms)} {
-		for _, name := range names {
-			family, _, _ := strings.Cut(name, "{")
-			registered[family] = true
+	var text bytes.Buffer
+	if err := reg.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	series, err := telemetry.ParseText(&text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A histogram family exports _bucket, _sum and _count series.
+	hists := map[string]bool{}
+	for name := range series {
+		family, _, _ := strings.Cut(name, "{")
+		if base, ok := strings.CutSuffix(family, "_bucket"); ok && strings.HasSuffix(name, `le="+Inf"}`) {
+			hists[base] = true
 		}
+	}
+	registered := map[string]bool{}
+	for name := range series {
+		family, _, _ := strings.Cut(name, "{")
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			if base, ok := strings.CutSuffix(family, suffix); ok && hists[base] {
+				family = base
+			}
+		}
+		registered[family] = true
 	}
 	for _, family := range keys(registered) {
 		if _, ok := metricReaders[family]; !ok {

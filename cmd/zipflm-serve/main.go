@@ -339,14 +339,16 @@ type genRequest struct {
 	TimeoutMS   int     `json:"timeout_ms,omitempty"`
 }
 
-// genResponse is the /v1/generate response body.
+// genResponse is the /v1/generate response body. latency_ms is in fractional
+// milliseconds, as /v1/stats reports its quantiles, so a request served in
+// under a millisecond does not read 0.
 type genResponse struct {
-	Tokens         []int  `json:"tokens"`
-	Text           string `json:"text,omitempty"`
-	CacheHit       bool   `json:"cache_hit"`
-	PrefixHit      bool   `json:"prefix_hit"`
-	LatencyMS      int64  `json:"latency_ms"`
-	WeightsVersion uint64 `json:"weights_version"`
+	Tokens         []int   `json:"tokens"`
+	Text           string  `json:"text,omitempty"`
+	CacheHit       bool    `json:"cache_hit"`
+	PrefixHit      bool    `json:"prefix_hit"`
+	LatencyMS      float64 `json:"latency_ms"`
+	WeightsVersion uint64  `json:"weights_version"`
 }
 
 func handleGenerate(w http.ResponseWriter, r *http.Request, srv *serve.Server, vocab *corpus.Vocabulary) {
@@ -397,7 +399,7 @@ func handleGenerate(w http.ResponseWriter, r *http.Request, srv *serve.Server, v
 		Tokens:         res.Tokens,
 		CacheHit:       res.CacheHit,
 		PrefixHit:      res.PrefixHit,
-		LatencyMS:      res.Latency.Milliseconds(),
+		LatencyMS:      float64(res.Latency) / float64(time.Millisecond),
 		WeightsVersion: res.WeightsVersion,
 	}
 	if vocab != nil {

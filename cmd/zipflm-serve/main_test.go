@@ -292,6 +292,25 @@ func TestGenerateDefaultsAndTinyTemperature(t *testing.T) {
 	}
 }
 
+// TestGenerateLatencyIsFractional: latency_ms is in fractional milliseconds,
+// so a request served in under a millisecond reads above 0 rather than
+// truncating to it. One-token requests on the test model take tens of
+// microseconds; the test skips, saying so, if none of them finished in under
+// a millisecond on a loaded host.
+func TestGenerateLatencyIsFractional(t *testing.T) {
+	a := newAPI(t, "")
+	for seed := 0; seed < 20; seed++ {
+		lat := a.generate(t, fmt.Sprintf(`{"prompt_ids":[3,1,4],"n":1,"seed":%d}`, seed)).LatencyMS
+		if lat <= 0 {
+			t.Fatalf("seed %d: latency_ms %v, want > 0", seed, lat)
+		}
+		if lat < 1 {
+			return
+		}
+	}
+	t.Skip("no request finished in under a millisecond on this host")
+}
+
 // writeCheckpoint writes m's weights to path as a checkpoint of the given
 // step, the frame zipflm-train -save writes.
 func writeCheckpoint(t *testing.T, path string, step int, m *model.LM) []byte {

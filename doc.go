@@ -75,10 +75,13 @@
 // scaled int8 (tensor.QMatrix: scale = maxAbs/127 per chunk, codes rounded
 // to nearest on a symmetric grid); one kernel, MatMulABTStreamQ8, takes every batch size
 // and dequantizes in-register, on amd64 with AVX2 through assembly that
-// converts each code once for four activation rows and whose accumulation
-// order is exactly the portable definition's (which older amd64 and other
-// architectures run), so quantized results are bit-identical across
-// Serial, Parallel, worker counts, and the asm/Go boundary. After each
+// converts each code once for up to four activation rows (a batch's two or
+// three leftover rows take one grouped pass, a single row its own routine)
+// and whose accumulation order is exactly the portable definition's (which
+// older amd64 and other architectures run). With AVX-512 a ZMM tier holds a
+// row's sixteen partials in one register instead of two. Quantized results
+// are bit-identical across Serial, Parallel, worker counts, both tiers and
+// the asm/Go boundary. After each
 // batched step the serving batcher samples the sequences side by side on
 // the same worker pool (tensor.Backend.For); every sequence owns its RNG,
 // so that changes no token either. Int8 serving surfaces on zipflm-serve

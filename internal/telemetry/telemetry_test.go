@@ -353,28 +353,40 @@ func scrape(t *testing.T, r *Registry) map[string]float64 {
 	return series
 }
 
-// TestParseTextRoundTrip: every series the writer emits parses back to the
-// registry's value under its name as written — label values with a space,
-// an escaped quote or an escaped newline included, and a NaN gauge.
-func TestParseTextRoundTrip(t *testing.T) {
-	r := NewRegistry()
+// roundTripLabels are the label values roundTripRegistry exports: a space,
+// an escaped quote and an escaped newline among them.
+var roundTripLabels = []string{"GET /a b", "x 9", `say "hi"`, "two\nlines"}
+
+// roundTripRegistry is the registry TestParseTextRoundTrip exports: a
+// counter, a labelled counter family, a NaN gauge and a histogram with obs
+// recorded. want holds every series but the NaN gauge and the finite
+// buckets, at the values a scrape must read.
+func roundTripRegistry() (r *Registry, want map[string]float64, obs []time.Duration) {
+	r = NewRegistry()
 	r.Counter("zipflm_req_total").Add(3)
-	want := map[string]float64{"zipflm_req_total": 3}
-	for i, v := range []string{"GET /a b", "x 9", `say "hi"`, "two\nlines"} {
+	want = map[string]float64{"zipflm_req_total": 3}
+	for i, v := range roundTripLabels {
 		name := Label("zipflm_path_total", "path", v)
 		r.Counter(name).Add(int64(10 + i))
 		want[name] = float64(10 + i)
 	}
 	r.Gauge("zipflm_ratio").Set(math.NaN())
 	h := r.Duration("zipflm_wait_seconds")
-	obs := []time.Duration{time.Millisecond, 2 * time.Millisecond, 2 * time.Millisecond, 50 * time.Millisecond}
+	obs = []time.Duration{time.Millisecond, 2 * time.Millisecond, 2 * time.Millisecond, 50 * time.Millisecond}
 	for _, d := range obs {
 		h.Observe(d)
 	}
 	want["zipflm_wait_seconds_count"] = float64(h.Count())
 	want["zipflm_wait_seconds_sum"] = float64(h.Sum()) * 1e-9
 	want[`zipflm_wait_seconds_bucket{le="+Inf"}`] = float64(h.Count())
+	return r, want, obs
+}
 
+// TestParseTextRoundTrip: every series the writer emits parses back to the
+// registry's value under its name as written — label values with a space,
+// an escaped quote or an escaped newline included, and a NaN gauge.
+func TestParseTextRoundTrip(t *testing.T) {
+	r, want, obs := roundTripRegistry()
 	got := scrape(t, r)
 	for name, v := range want {
 		if g, ok := got[name]; !ok || g != v {
@@ -428,4 +440,44 @@ func TestParseTextNamesMalformedLines(t *testing.T) {
 			t.Errorf("%q: error %q does not name the line", bad, err)
 		}
 	}
+}
+
+// FuzzParseText feeds ParseText arbitrary bytes, which must never panic it
+// (it reads what zipflm-top fetches over the network), and exports a registry
+// built from the fuzzed label value, counter, gauge and observations, whose
+// exposition must parse back to the registry's values. Seeded with
+// roundTripRegistry's exposition and label values.
+func FuzzParseText(f *testing.F) {
+	r, _, _ := roundTripRegistry()
+	var seed bytes.Buffer
+	if err := r.WritePrometheus(&seed); err != nil {
+		f.Fatal(err)
+	}
+	for i, label := range roundTripLabels {
+		f.Add(seed.Bytes(), label, int64(10+i), math.NaN(), int64(time.Millisecond), int64(50*time.Millisecond))
+	}
+	f.Add([]byte("zipflm_x{a=\"b c\"} \n# TYPE\n\nzipflm_y +Inf\n"), `\\"`, int64(-1), math.Inf(-1), int64(-5), int64(1)<<62)
+	f.Fuzz(func(t *testing.T, text []byte, label string, count int64, gauge float64, d0, d1 int64) {
+		ParseText(bytes.NewReader(text))
+
+		r := NewRegistry()
+		counter := Label("zipflm_path_total", "path", label)
+		r.Counter(counter).Add(count)
+		r.Gauge("zipflm_ratio").Set(gauge)
+		h := r.Duration("zipflm_wait_seconds")
+		h.Record(d0)
+		h.Record(d1)
+		got := scrape(t, r)
+		for name, v := range map[string]float64{
+			counter:                                 float64(count),
+			"zipflm_ratio":                          gauge,
+			"zipflm_wait_seconds_count":             2,
+			"zipflm_wait_seconds_sum":               float64(h.Sum()) * 1e-9,
+			`zipflm_wait_seconds_bucket{le="+Inf"}`: 2,
+		} {
+			if g, ok := got[name]; !ok || g != v && !(math.IsNaN(g) && math.IsNaN(v)) {
+				t.Errorf("%q = %g (present %v), want %g", name, g, ok, v)
+			}
+		}
+	})
 }

@@ -51,43 +51,59 @@ func restoreFP32Gates() func() {
 	return func() { useFP32Asm, useFP32AVX512 = asm, avx512 }
 }
 
-// fp32Twin is a pair of tiers a twin test holds to each other.
-type fp32Twin struct{ got, want fp32Tier }
+// kernelTier is one instruction tier of a kernel family (fp32Tier, q8Tier);
+// its zero value is the family's Go definition.
+type kernelTier interface {
+	comparable
+	fmt.Stringer
+	available() bool
+	set()
+}
 
-// fp32Twins: each assembly tier against the Go definition, and the ZMM tier
-// against the AVX one.
-var fp32Twins = []fp32Twin{{tierZMM, tierGo}, {tierAVX, tierGo}, {tierZMM, tierAVX}}
+// twin is a pair of tiers a twin test holds to each other.
+type twin[T kernelTier] struct{ got, want T }
 
-func (tw fp32Twin) String() string { return tw.got.String() + "-vs-" + tw.want.String() }
+func (tw twin[T]) String() string { return tw.got.String() + "-vs-" + tw.want.String() }
 
 // same is the equality the pair is held to: sameFloat against the Go loops,
 // whose NaN payloads are the compiler's choice, and every bit, NaN payloads
 // included, between two assembly tiers, which both fix their operand order.
-func (tw fp32Twin) same(x, y float32) bool {
-	if tw.want == tierGo {
+func (tw twin[T]) same(x, y float32) bool {
+	var goTier T
+	if tw.want == goTier {
 		return sameFloat(x, y)
 	}
 	return math.Float32bits(x) == math.Float32bits(y)
 }
 
-func (tw fp32Twin) sameFloats(t *testing.T, ctx string, got, want []float32) {
+func (tw twin[T]) sameFloats(t *testing.T, ctx string, got, want []float32) {
 	t.Helper()
 	sameFloatsBy(t, ctx, got, want, tw.same)
 }
 
-// forFP32Twins runs fn as one subtest per twin, with the gates restored
-// after each. A twin whose tier this build or host lacks is skipped with the
-// reason logged.
-func forFP32Twins(t *testing.T, fn func(t *testing.T, tw fp32Twin)) {
-	for _, tw := range fp32Twins {
+// forTwins runs fn as one subtest per twin, putting the gates back with
+// restore after each. A twin whose tier this build or host lacks is skipped
+// with the reason logged.
+func forTwins[T kernelTier](t *testing.T, twins []twin[T], restore func() func(), fn func(t *testing.T, tw twin[T])) {
+	for _, tw := range twins {
 		t.Run(tw.String(), func(t *testing.T) {
 			if !tw.got.available() {
-				t.Skipf("no %s FP32 kernels on this build or host", tw.got)
+				t.Skipf("the %s tier does not run on this build or host", tw.got)
 			}
-			defer restoreFP32Gates()()
+			defer restore()()
 			fn(t, tw)
 		})
 	}
+}
+
+type fp32Twin = twin[fp32Tier]
+
+// fp32Twins: each assembly tier against the Go definition, and the ZMM tier
+// against the AVX one.
+var fp32Twins = []fp32Twin{{tierZMM, tierGo}, {tierAVX, tierGo}, {tierZMM, tierAVX}}
+
+func forFP32Twins(t *testing.T, fn func(t *testing.T, tw fp32Twin)) {
+	forTwins(t, fp32Twins, restoreFP32Gates, fn)
 }
 
 // sameFloat is bit equality, except that any NaN equals any NaN: when both

@@ -171,29 +171,38 @@ const q8BlockBytes = 16 << 10
 // dot(a, dequant(codes)) chunk by chunk: one byte loaded per weight instead of
 // four, one scale multiply per chunk instead of one per element. qdotGo
 // defines it and is what hosts without the assembly run. On amd64 with AVX2
-// the kernels of qdot_amd64.s do the same arithmetic in the same order eight
-// lanes at a time, bit-identical by construction (TestQ8AsmMatchesGo holds
-// them to that), and take a's rows four at a time so each code is converted
-// once for four outputs; the 1-row routine serves batch-1 decode and the rows
-// left over. The grouping never changes a value, only how fast it arrives.
+// the kernels of qdot_amd64.s do the same arithmetic in the same order, a
+// row's sixteen partials in two YMM registers or, with AVX-512, one ZMM
+// register, bit-identical by construction (TestQ8AsmMatchesGo holds them to
+// that). They take a's rows four at a time so each code is converted once for
+// four outputs; the two or three rows left over take one more grouped pass,
+// and a single row (batch-1 decode, one left over) its own routine, which
+// wastes no lanes. The grouping never changes a value, only how fast it
+// arrives.
 func qdotRows(d []float32, ds int, a []float32, rows int, codes []int8, scales []float32, chunk int) {
 	k, n := len(a)/rows, len(d)-(rows-1)*ds
 	cpr := (k + chunk - 1) / chunk
 	a, codes, scales = a[:rows*k], codes[:n*k], scales[:n*cpr]
-	asm, r := useQdotAsm && len(codes) > 0, 0
-	if asm {
-		for ; r+4 <= rows; r += 4 {
-			q8Rows4AVX2(&d[r*ds], ds, &a[r*k], &codes[0], &scales[0], n, k, chunk)
+	if !useQdotAsm || len(codes) == 0 {
+		for r := 0; r < rows; r++ {
+			dr, ar := d[r*ds:r*ds+n], a[r*k:(r+1)*k]
+			for j := range dr {
+				dr[j] = qdotGo(ar, codes[j*k:(j+1)*k], scales[j*cpr:(j+1)*cpr], chunk)
+			}
 		}
+		return
 	}
-	for ; r < rows; r++ {
-		dr, ar := d[r*ds:r*ds+n], a[r*k:(r+1)*k]
-		if asm {
-			q8Rows1AVX2(&dr[0], &ar[0], &codes[0], &scales[0], n, k, chunk)
-			continue
-		}
-		for j := range dr {
-			dr[j] = qdotGo(ar, codes[j*k:(j+1)*k], scales[j*cpr:(j+1)*cpr], chunk)
+	for r := 0; r < rows; r += 4 {
+		g, dr, ar := min(rows-r, 4), &d[r*ds], &a[r*k]
+		switch {
+		case g == 1 && useQdotAVX512:
+			q8Rows1AVX512(dr, ar, &codes[0], &scales[0], n, k, chunk)
+		case g == 1:
+			q8Rows1AVX2(dr, ar, &codes[0], &scales[0], n, k, chunk)
+		case useQdotAVX512:
+			q8Rows4AVX512(dr, ds, ar, g, &codes[0], &scales[0], n, k, chunk)
+		default:
+			q8Rows4AVX2(dr, ds, ar, g, &codes[0], &scales[0], n, k, chunk)
 		}
 	}
 }
@@ -218,8 +227,9 @@ func qdotGo(a []float32, codes []int8, scales []float32, chunk int) float32 {
 
 // qdotChunkGo computes one chunk's unscaled sum in the canonical order. The
 // group structure (four partials per group, four groups per 16-wide block)
-// mirrors the two YMM accumulators of the assembly kernels: p[0..7] are the
-// lanes of one, p[8..15] of the other, and c[j] adds the four 128-bit halves.
+// mirrors the accumulators of the assembly kernels: p[0..15] are the lanes of
+// one ZMM register, or p[0..7] of one YMM register and p[8..15] of another,
+// and c[j] adds the four 128-bit quarters.
 func qdotChunkGo(ac []float32, qc []int8) float32 {
 	var p [16]float32
 	n := len(qc) &^ 15

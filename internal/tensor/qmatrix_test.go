@@ -115,7 +115,7 @@ func TestQ8KernelBitIdentity(t *testing.T) {
 		want := NewMatrix(m, n)
 		MatMulABTStreamQ8(want, a, b)
 		portable := NewMatrix(m, n)
-		withQdotAsm(false, func() { MatMulABTStreamQ8(portable, a, b) })
+		q8Go.with(func() { MatMulABTStreamQ8(portable, a, b) })
 		bitsEqual(t, fmt.Sprintf("(%d,%d,%d) portable path vs this host's", m, k, n), portable, want)
 
 		// The per-chunk scaling orders the sums differently from the FP32

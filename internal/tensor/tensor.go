@@ -42,7 +42,8 @@
 // transcendentals go eight lanes wide because they are elementwise; the Dot
 // family keeps its four partials as the four lanes of one 128-bit
 // accumulator, qdot its sixteen as two YMM accumulators (p[0..7] and
-// p[8..15]) and expSum its eight as one; Dot and qdot get their speed from
+// p[8..15]), or one ZMM accumulator where AVX-512 is there (gate
+// useQdotAVX512), and expSum its eight as one; Dot and qdot get their speed from
 // computing several outputs per pass instead (Dot: eight b rows per pass
 // against one a row or two, two outputs to a YMM register, one per 128-bit
 // lane). Where CPUID also reports AVX-512 F, BW and VL with OS-enabled ZMM

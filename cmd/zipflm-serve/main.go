@@ -75,7 +75,6 @@ func main() {
 		queue     = flag.Int("queue", 64, "admission queue depth (full queue sheds)")
 		cache     = flag.Int("cache", 1024, "result cache entries (0 disables)")
 		prefixes  = flag.Int("prefix-cache", 256, "prefix cache entries (0 disables)")
-		window    = flag.Duration("batch-window", 0, "linger this long assembling a fresh batch")
 		quantized = flag.Bool("quantized", false, "serve on int8 weights (deterministic; faster memory-bound decode)")
 		watch     = flag.Duration("watch", 0, "poll the -model checkpoint directory at this interval and hot-reload new checkpoints (0 disables)")
 		loadN     = flag.Int("loadgen", 0, "run N closed-loop requests in-process instead of serving HTTP")
@@ -131,7 +130,6 @@ func main() {
 		QueueDepth:     *queue,
 		CacheEntries:   *cache,
 		PrefixEntries:  *prefixes,
-		BatchWindow:    *window,
 		Quantized:      *quantized,
 		Telemetry:      obs.Registry,
 		Tracer:         obs.Tracer,

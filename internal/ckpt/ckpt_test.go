@@ -527,10 +527,6 @@ func TestFaultPlanCursor(t *testing.T) {
 	if p.next != 2 {
 		t.Fatalf("injected %d", p.next)
 	}
-	p.Reset()
-	if p.next != 0 {
-		t.Fatal("Reset must rewind the cursor")
-	}
 }
 
 func TestYoungDaly(t *testing.T) {

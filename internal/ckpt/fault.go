@@ -71,10 +71,6 @@ func (p *FaultPlan) Next(now float64) (Fault, bool) {
 	return f, true
 }
 
-// Reset rewinds the consumption cursor so the same plan can replay another
-// run.
-func (p *FaultPlan) Reset() { p.next = 0 }
-
 // YoungDaly returns the classic optimal checkpoint interval
 // τ = √(2·δ·M) for checkpoint write cost δ and mean time between failures
 // M, both in seconds (the first-order optimum of periodic-checkpoint

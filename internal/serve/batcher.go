@@ -126,7 +126,7 @@ func (w *worker) loop() {
 				// admitting so this request gets the new weights.
 				w.maybeSwap()
 				w.admit(t)
-				w.coalesce()
+				w.fill()
 			case <-w.s.stop:
 				w.drain()
 				return
@@ -166,65 +166,6 @@ func (w *worker) fill() {
 			return
 		}
 	}
-}
-
-// coalesce optionally lingers up to BatchWindow after starting a fresh
-// batch, trading first-token latency for batch occupancy. A reload arriving
-// mid-linger ends it: the sooner the batch drains, the sooner the new
-// weights install. Deadlines are honored during the linger too — the
-// worker wakes at the soonest in-flight deadline and sheds it there,
-// rather than letting an expired sequence wait out the window only to be
-// discarded at the first step.
-func (w *worker) coalesce() {
-	if w.s.cfg.BatchWindow <= 0 {
-		w.fill()
-		return
-	}
-	window := time.NewTimer(w.s.cfg.BatchWindow)
-	defer window.Stop()
-	for len(w.active) < w.s.cfg.MaxBatch && w.pending.Load() == nil {
-		var (
-			expiry   <-chan time.Time
-			expTimer *time.Timer
-		)
-		if d, ok := w.soonestDeadline(); ok {
-			expTimer = time.NewTimer(time.Until(d))
-			expiry = expTimer.C
-		}
-		select {
-		case t := <-w.s.queue:
-			w.admit(t)
-		case <-expiry:
-			w.expire(time.Now())
-			if len(w.active) == 0 {
-				return
-			}
-		case <-window.C:
-			if expTimer != nil {
-				expTimer.Stop()
-			}
-			return
-		case <-w.s.stop:
-			if expTimer != nil {
-				expTimer.Stop()
-			}
-			return
-		}
-		if expTimer != nil {
-			expTimer.Stop()
-		}
-	}
-}
-
-// soonestDeadline returns the earliest deadline among active sequences.
-func (w *worker) soonestDeadline() (time.Time, bool) {
-	var min time.Time
-	for _, q := range w.active {
-		if d := q.t.req.Deadline; !d.IsZero() && (min.IsZero() || d.Before(min)) {
-			min = d
-		}
-	}
-	return min, !min.IsZero()
 }
 
 // admit turns a task into an active sequence — unless its deadline already

@@ -1,9 +1,9 @@
 package serve
 
 import (
+	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"zipflm/internal/model"
 	"zipflm/internal/rng"
@@ -22,125 +22,45 @@ func reloadModels() (v1, v2 *model.LM) {
 	return v1, v2
 }
 
-// TestReloadBitIdenticalAcrossBoundary is the hot-reload acceptance
-// contract: requests issued concurrently with a Reload must each be
-// bit-identical to sequential generation on whichever weights generation
-// admitted them (reported in Result.WeightsVersion), with zero sheds
-// attributable to the reload. Run under -race in CI, this also proves the
-// swap is properly synchronized with the batchers.
-func TestReloadBitIdenticalAcrossBoundary(t *testing.T) {
+// TestReloadRacingRequestsStayOnOneGeneration: requests in flight while a
+// Reload installs other weights are each answered on one generation alone —
+// exactly as sequential generation on the weights of the version the result
+// reports — and none is shed. It takes other weights because a sequence
+// that crossed to the same weights would look untouched; the reload cells
+// of TestServedTokensLedger cover a Reload between requests.
+func TestReloadRacingRequestsStayOnOneGeneration(t *testing.T) {
 	m1, m2 := reloadModels()
-	s := New(m1, Config{Workers: 2, MaxBatch: 4, QueueDepth: 256, CacheEntries: 64, PrefixEntries: 32})
+	s := New(m1, Config{Workers: 2, MaxBatch: 4, QueueDepth: 64})
 	defer s.Close()
-
-	makeReqs := func(n int, seedBase uint64) []Request {
-		r := rng.New(seedBase)
-		reqs := make([]Request, n)
-		for i := range reqs {
-			prompt := make([]int, 1+r.Intn(5))
-			for j := range prompt {
-				prompt[j] = r.Intn(m1.Cfg.Vocab)
-			}
-			opts := sampling.DecodeOpts{}
-			if i%3 == 1 {
-				opts.Temperature = 0.9
-			}
-			reqs[i] = Request{Prompt: prompt, N: 2 + r.Intn(8), Opts: opts, Seed: seedBase + uint64(i)}
-		}
-		return reqs
-	}
-
-	check := func(t *testing.T, req Request, res *Result) {
-		t.Helper()
-		var ref []int
-		switch res.WeightsVersion {
-		case 1:
-			ref = m1.GenerateOpts(req.Prompt, req.N, req.Opts, rng.New(req.Seed))
-		case 2:
-			ref = m2.GenerateOpts(req.Prompt, req.N, req.Opts, rng.New(req.Seed))
-		default:
-			t.Errorf("unknown weights version %d", res.WeightsVersion)
-			return
-		}
-		if len(res.Tokens) != len(ref) {
-			t.Errorf("v%d: got %d tokens, want %d", res.WeightsVersion, len(res.Tokens), len(ref))
-			return
-		}
-		for i := range ref {
-			if res.Tokens[i] != ref[i] {
-				t.Errorf("v%d: token %d differs from sequential generation", res.WeightsVersion, i)
-				return
-			}
-		}
-	}
-
-	// Wave 1 races with the Reload: each response may legitimately land on
-	// either generation and must match that generation exactly.
-	wave1 := makeReqs(48, 1000)
+	reqs := raggedRequests(m1.Cfg.Vocab, 48, 1000)
+	results := make([]*Result, len(reqs))
+	errs := make([]error, len(reqs))
+	answered := make(chan struct{}, len(reqs))
 	var wg sync.WaitGroup
-	results1 := make([]*Result, len(wave1))
-	for i, req := range wave1 {
+	for i, req := range reqs {
 		wg.Add(1)
 		go func(i int, req Request) {
 			defer wg.Done()
-			res, err := s.Submit(req)
-			if err != nil {
-				t.Errorf("wave1 request %d shed: %v", i, err)
-				return
-			}
-			results1[i] = res
+			results[i], errs[i] = s.Submit(req)
+			answered <- struct{}{}
 		}(i, req)
 	}
-	time.Sleep(time.Millisecond)
-	v, err := s.Reload(m2)
-	if err != nil {
+	<-answered // the first answer is out; most requests are queued or in flight
+	if _, err := s.Reload(m2); err != nil {
 		t.Fatal(err)
 	}
-	if v != 2 {
-		t.Fatalf("reload returned version %d", v)
-	}
 	wg.Wait()
-	for i, res := range results1 {
-		if res != nil {
-			check(t, wave1[i], res)
+	weights := map[uint64]*model.LM{1: m1, 2: m2}
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatalf("req %d failed: %v", i, errs[i])
+		}
+		if m, ok := weights[res.WeightsVersion]; !ok || !slices.Equal(res.Tokens, reference(m, reqs[i])) {
+			t.Errorf("req %d: served %v on weights v%d, not what that generation generates", i, res.Tokens, res.WeightsVersion)
 		}
 	}
-
-	// Wave 2 is submitted strictly after Reload returned: a worker never
-	// admits on old weights once its pending swap is set, so every
-	// response must carry version 2 — including repeats of wave-1
-	// requests, which must not be served from the stale result cache.
-	wave2 := append(makeReqs(24, 2000), wave1[:8]...)
-	results2 := make([]*Result, len(wave2))
-	for i, req := range wave2 {
-		wg.Add(1)
-		go func(i int, req Request) {
-			defer wg.Done()
-			res, err := s.Submit(req)
-			if err != nil {
-				t.Errorf("wave2 request %d shed: %v", i, err)
-				return
-			}
-			results2[i] = res
-		}(i, req)
-	}
-	wg.Wait()
-	for i, res := range results2 {
-		if res == nil {
-			continue
-		}
-		if res.WeightsVersion != 2 {
-			t.Errorf("wave2 request %d served by weights v%d after reload", i, res.WeightsVersion)
-		}
-		check(t, wave2[i], res)
-	}
-
-	snap := s.Stats()
-	if snap.Shed != 0 || snap.Expired != 0 {
-		t.Errorf("reload shed traffic: %d shed, %d expired", snap.Shed, snap.Expired)
-	}
-	if snap.WeightsVersion != 2 || snap.Reloads != 1 {
-		t.Errorf("stats report version %d after %d reloads", snap.WeightsVersion, snap.Reloads)
+	if snap := s.Stats(); snap.Shed != 0 || snap.Expired != 0 || snap.Reloads != 1 || snap.WeightsVersion != 2 {
+		t.Errorf("stats after the reload: %d shed, %d expired, %d reloads, version %d", snap.Shed, snap.Expired, snap.Reloads, snap.WeightsVersion)
 	}
 }
 

@@ -117,10 +117,6 @@ type Config struct {
 	// MaxPromptLen caps prompt length (default 4096), bounding prefill
 	// work per request.
 	MaxPromptLen int
-	// BatchWindow, when positive, lets a worker starting a fresh batch
-	// wait up to this long for more arrivals to coalesce (0: step
-	// immediately with whatever is queued).
-	BatchWindow time.Duration
 	// Quantized converts the served weights' inference path to int8
 	// (model.LM.QuantizeWeights) — single-token decode is memory-bound, so
 	// 4× smaller weight reads raise tok/s. Responses remain deterministic

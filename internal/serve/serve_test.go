@@ -68,57 +68,36 @@ func raggedRequests(vocab, n int, seedBase uint64) []Request {
 	return reqs
 }
 
-// submitAll runs every request concurrently and checks each response
-// bit-for-bit against ref.
-func submitAll(t *testing.T, s *Server, ref *model.LM, reqs []Request, tag string) {
+// submitConcurrently submits every request at once, each from its own
+// goroutine, and returns the responses in request order.
+func submitConcurrently(t *testing.T, s *Server, reqs []Request) []*Result {
 	t.Helper()
 	var wg sync.WaitGroup
 	errs := make([]error, len(reqs))
-	got := make([][]int, len(reqs))
+	results := make([]*Result, len(reqs))
 	for i, req := range reqs {
 		wg.Add(1)
 		go func(i int, req Request) {
 			defer wg.Done()
-			res, err := s.Submit(req)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			got[i] = res.Tokens
+			results[i], errs[i] = s.Submit(req)
 		}(i, req)
 	}
 	wg.Wait()
-	for i, req := range reqs {
-		if errs[i] != nil {
-			t.Fatalf("%s req %d failed: %v", tag, i, errs[i])
-		}
-		want := reference(ref, req)
-		if len(got[i]) != len(want) {
-			t.Fatalf("%s req %d: %d tokens, want %d", tag, i, len(got[i]), len(want))
-		}
-		for j := range want {
-			if got[i][j] != want[j] {
-				t.Fatalf("%s req %d token %d: served %d != sequential %d", tag, i, j, got[i][j], want[j])
-			}
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("req %d failed: %v", i, err)
 		}
 	}
+	return results
 }
 
-// TestServeQuantizedBitIdentical: a Quantized server answers every request
-// exactly as sequential generation on the quantized model would — the q8
-// serving path inherits the full bit-identity contract, with the quantized
-// model (not the FP32 source) as the reference.
-func TestServeQuantizedBitIdentical(t *testing.T) {
-	for name, m := range map[string]*model.LM{"lstm": lstmModel(), "rhn": rhnModel()} {
-		ref := m.Quantize()
-		for _, maxBatch := range []int{1, 4} {
-			s := New(m, Config{Quantized: true, MaxBatch: maxBatch, QueueDepth: 64,
-				CacheEntries: 16, PrefixEntries: 8})
-			submitAll(t, s, ref, raggedRequests(m.Cfg.Vocab, 20, 100), name)
-			if !s.Stats().Quantized {
-				t.Fatalf("%s: snapshot does not report quantized serving", name)
-			}
-			s.Close()
+// submitAll runs every request concurrently and checks each response
+// bit-for-bit against ref.
+func submitAll(t *testing.T, s *Server, ref *model.LM, reqs []Request, tag string) {
+	t.Helper()
+	for i, res := range submitConcurrently(t, s, reqs) {
+		if want := reference(ref, reqs[i]); !slices.Equal(res.Tokens, want) {
+			t.Fatalf("%s req %d: served %v != sequential %v", tag, i, res.Tokens, want)
 		}
 	}
 }
@@ -126,66 +105,24 @@ func TestServeQuantizedBitIdentical(t *testing.T) {
 // TestServeBitIdenticalToSequential is the subsystem's acceptance contract:
 // many concurrent requests — ragged prompts, mixed temperatures and
 // filters, both architectures, several batch bounds — each answered exactly
-// as sequential model.Generate would answer it.
+// as sequential model.Generate would answer it. A Quantized server inherits
+// the contract with the quantized model, m.Quantize(), not the FP32 source,
+// as the reference.
 func TestServeBitIdenticalToSequential(t *testing.T) {
 	for name, m := range map[string]*model.LM{"lstm": lstmModel(), "rhn": rhnModel()} {
-		for _, maxBatch := range []int{1, 3, 8} {
-			s := New(m, Config{MaxBatch: maxBatch, QueueDepth: 64, CacheEntries: 32, PrefixEntries: 16})
-
-			var reqs []Request
-			r := rng.New(77)
-			for i := 0; i < 24; i++ {
-				plen := 1 + r.Intn(6)
-				prompt := make([]int, plen)
-				for j := range prompt {
-					prompt[j] = r.Intn(m.Cfg.Vocab)
-				}
-				opts := sampling.DecodeOpts{}
-				switch i % 4 {
-				case 1:
-					opts.Temperature = 0.9
-				case 2:
-					opts.Temperature = 1.1
-					opts.TopK = 10
-				case 3:
-					opts.Temperature = 0.8
-					opts.TopP = 0.9
-				}
-				reqs = append(reqs, Request{Prompt: prompt, N: 1 + r.Intn(10), Opts: opts, Seed: uint64(i) + 1})
+		for _, quantized := range []bool{false, true} {
+			ref := m
+			if quantized {
+				ref = m.Quantize()
 			}
-
-			var wg sync.WaitGroup
-			errs := make([]error, len(reqs))
-			got := make([][]int, len(reqs))
-			for i, req := range reqs {
-				wg.Add(1)
-				go func(i int, req Request) {
-					defer wg.Done()
-					res, err := s.Submit(req)
-					if err != nil {
-						errs[i] = err
-						return
-					}
-					got[i] = res.Tokens
-				}(i, req)
-			}
-			wg.Wait()
-			s.Close()
-
-			for i, req := range reqs {
-				if errs[i] != nil {
-					t.Fatalf("%s maxBatch=%d req %d failed: %v", name, maxBatch, i, errs[i])
+			for _, maxBatch := range []int{1, 3, 8} {
+				tag := fmt.Sprintf("%s quantized=%v maxBatch=%d", name, quantized, maxBatch)
+				s := New(m, Config{Quantized: quantized, MaxBatch: maxBatch, QueueDepth: 64, CacheEntries: 32, PrefixEntries: 16})
+				submitAll(t, s, ref, raggedRequests(m.Cfg.Vocab, 24, 77), tag)
+				if got := s.Stats().Quantized; got != quantized {
+					t.Fatalf("%s: snapshot reports Quantized %v", tag, got)
 				}
-				want := reference(m, req)
-				if len(got[i]) != len(want) {
-					t.Fatalf("%s maxBatch=%d req %d: %d tokens, want %d", name, maxBatch, i, len(got[i]), len(want))
-				}
-				for j := range want {
-					if got[i][j] != want[j] {
-						t.Fatalf("%s maxBatch=%d req %d token %d: served %d != sequential %d",
-							name, maxBatch, i, j, got[i][j], want[j])
-					}
-				}
+				s.Close()
 			}
 		}
 	}

@@ -104,7 +104,7 @@ type Snapshot struct {
 	// their deadline pass before or during service.
 	Completed, Shed, Expired uint64
 	// ExpiredInFlight is the subset of Expired that had already started
-	// generating (abandoned at a step boundary or mid-linger);
+	// generating (abandoned at a step boundary);
 	// DiscardedTokens is the partial output those sequences discarded —
 	// the compute wasted on callers that stopped waiting.
 	ExpiredInFlight, DiscardedTokens uint64

@@ -83,7 +83,9 @@ func TestTelemetryRegistryParity(t *testing.T) {
 
 // TestTelemetryPrometheusExposition: the shared registry serves the cache /
 // queue gauges (folded in at collect time) and the serve counters in
-// Prometheus text format.
+// Prometheus text format, among them the inputs of a latency and an
+// availability objective: the cumulative latency buckets and the outcome
+// counters.
 func TestTelemetryPrometheusExposition(t *testing.T) {
 	m := lstmModel()
 	reg := telemetry.NewRegistry()
@@ -109,6 +111,9 @@ func TestTelemetryPrometheusExposition(t *testing.T) {
 		"zipflm_serve_queue_depth 0",
 		"zipflm_serve_weights_version 1",
 		"zipflm_serve_latency_seconds_count 2",
+		`zipflm_serve_latency_seconds_bucket{le="+Inf"} 2`,
+		"zipflm_serve_shed_total 0",
+		"zipflm_serve_expired_total 0",
 		`zipflm_serve_batch_steps_total{batch="1"}`,
 	} {
 		if !strings.Contains(text, want) {
@@ -118,11 +123,13 @@ func TestTelemetryPrometheusExposition(t *testing.T) {
 }
 
 // TestTelemetryRequestSpans: every generated (non-cache-hit) completion
-// leaves a queue + prefill + decode span triple; expiries leave instants.
+// leaves a queue + prefill + decode span triple; expiries leave instants
+// and flight records.
 func TestTelemetryRequestSpans(t *testing.T) {
 	m := lstmModel()
-	tracer := telemetry.NewTracer(0)
-	s := New(m, Config{Workers: 1, Tracer: tracer})
+	tracer, flight := telemetry.NewTracer(0), telemetry.NewFlight(32)
+	flight.SetSink(io.Discard)
+	s := New(m, Config{Workers: 1, Tracer: tracer, Flight: flight})
 	for i := 0; i < 4; i++ {
 		req := Request{Prompt: []int{i + 1, i + 2}, N: 3, Seed: uint64(i)}
 		if _, err := s.Submit(req); err != nil {
@@ -153,60 +160,8 @@ func TestTelemetryRequestSpans(t *testing.T) {
 	if byName["expired"] != 1 {
 		t.Errorf("expired instant recorded %d times, want 1", byName["expired"])
 	}
-}
-
-// TestFlightBitIdentity: with flight recording and tracing both enabled
-// the served tokens stay bit-identical to the sequential reference, /metrics
-// exports the series an SLO is evaluated from, and overload anomalies land
-// in the flight ring — observation never perturbs.
-func TestFlightBitIdentity(t *testing.T) {
-	m := lstmModel()
-	flight := telemetry.NewFlight(32)
-	var dump strings.Builder
-	flight.SetSink(&dump)
-	s := New(m, Config{
-		Workers: 1,
-		Tracer:  telemetry.NewTracer(0),
-		Flight:  flight,
-	})
-	defer s.Close()
-
-	req := Request{Prompt: []int{3, 1, 4}, N: 6, Opts: sampling.DecodeOpts{Temperature: 0.8, TopK: 12}, Seed: 42}
-	want := reference(m, req)
-	res, err := s.Submit(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j, tok := range res.Tokens {
-		if tok != want[j] {
-			t.Fatalf("token %d = %d, want %d (flight recording perturbed generation)", j, tok, want[j])
-		}
-	}
-
-	// /metrics carries the inputs of a latency and an availability
-	// objective: the cumulative latency buckets and the outcome counters.
-	var b strings.Builder
-	if err := s.reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range []string{
-		`zipflm_serve_latency_seconds_bucket{le="+Inf"} 1`,
-		"zipflm_serve_completed_total 1",
-		"zipflm_serve_shed_total 0",
-		"zipflm_serve_expired_total 0",
-	} {
-		if !strings.Contains(b.String(), line+"\n") {
-			t.Errorf("/metrics missing %q:\n%s", line, b.String())
-		}
-	}
-
-	// An admission-expired request records into the flight ring.
-	_, err = s.Submit(Request{Prompt: []int{1}, N: 1, Seed: 1, Deadline: time.Now().Add(-time.Second)})
-	if err != ErrDeadlineExceeded {
-		t.Fatalf("want ErrDeadlineExceeded, got %v", err)
-	}
 	if flight.Recorded() == 0 {
-		t.Fatal("expiry did not record into the flight ring")
+		t.Error("the expiry did not record into the flight ring")
 	}
 }
 
@@ -230,53 +185,5 @@ func TestSnapshotFieldParity(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Snapshot fields changed:\n got %v\nwant %v", got, want)
-	}
-}
-
-// TestObservatoryBitIdentity: with the serving registry scraped every
-// millisecond from another goroutine, generated tokens stay bit-identical to the sequential reference, and the
-// registry saw the run.
-func TestObservatoryBitIdentity(t *testing.T) {
-	m := lstmModel()
-	reg := telemetry.NewRegistry()
-	s := New(m, Config{Workers: 1, MaxBatch: 4, CacheEntries: 8, Telemetry: reg})
-	defer s.Close()
-
-	done, scraped := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(scraped)
-		tick := time.NewTicker(time.Millisecond)
-		defer tick.Stop()
-		for {
-			if err := reg.WritePrometheus(io.Discard); err != nil {
-				t.Error(err)
-			}
-			select {
-			case <-done:
-				return
-			case <-tick.C:
-			}
-		}
-	}()
-
-	req := Request{Prompt: []int{3, 1, 4}, N: 6, Opts: sampling.DecodeOpts{Temperature: 0.8, TopK: 12}, Seed: 42}
-	want := reference(m, req)
-	for i := 0; i < 3; i++ { // generate once, then hit the result cache
-		res, err := s.Submit(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j, tok := range res.Tokens {
-			if tok != want[j] {
-				t.Fatalf("submit %d: token %d = %d, want %d (observatory perturbed generation)", i, j, tok, want[j])
-			}
-		}
-	}
-
-	close(done)
-	<-scraped
-
-	if got := reg.Counter("zipflm_serve_completed_total").Value(); got != 3 {
-		t.Fatalf("completed=%d, want 3", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -104,10 +105,12 @@ func formatFloat(v float64) string {
 // map from each series — its name and label set exactly as written — to
 // its value. Comment and blank lines are skipped. A sample line splits at
 // its last space, since a label value may itself contain one; a line with
-// no name, no value or an unparsable value is an error that names it.
+// no name, no value or an unparsable value is an error that names it. A
+// line may be of any length, as a label value may.
 func ParseText(r io.Reader) (map[string]float64, error) {
 	series := make(map[string]float64)
 	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, math.MaxInt)
 	for n := 1; sc.Scan(); n++ {
 		line := sc.Text()
 		if line == "" || line[0] == '#' {

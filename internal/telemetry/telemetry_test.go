@@ -425,6 +425,18 @@ func TestParseTextRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseTextReadsLongLines: a 70 000-byte label value makes an
+// exposition line longer than a bufio.Scanner's default 64 KiB limit, and
+// it parses back under its name all the same.
+func TestParseTextReadsLongLines(t *testing.T) {
+	r := NewRegistry()
+	name := Label("zipflm_path_total", "path", strings.Repeat("a/", 35000))
+	r.Counter(name).Add(7)
+	if got := scrape(t, r); len(got) != 1 || got[name] != 7 {
+		t.Fatalf("parsed %d series, want only the 70 000-byte label's at 7", len(got))
+	}
+}
+
 // TestParseTextNamesMalformedLines: a line without a series or a value, or
 // with a value that is not a number, fails the parse and the error names
 // the line.

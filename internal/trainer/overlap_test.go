@@ -9,106 +9,7 @@ import (
 	"zipflm/internal/half"
 	"zipflm/internal/israce"
 	"zipflm/internal/model"
-	"zipflm/internal/sampling"
 )
-
-// runPair trains the same workload twice — synchronous dense reduction vs
-// the overlapped per-layer path — and returns both trainers after identical
-// step counts.
-func runPair(t *testing.T, cfg Config, train, valid []int, steps int) (syncTr, overlapTr *Trainer) {
-	t.Helper()
-	cfgSync := cfg
-	cfgSync.Overlap = false
-	cfgOv := cfg
-	cfgOv.Overlap = true
-	syncTr, err := New(cfgSync, train, valid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	overlapTr, err = New(cfgOv, train, valid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := syncTr.Steps(steps); err != nil {
-		t.Fatal(err)
-	}
-	if err := overlapTr.Steps(steps); err != nil {
-		t.Fatal(err)
-	}
-	return syncTr, overlapTr
-}
-
-// requireIdenticalModels asserts every parameter of both rank-0 replicas is
-// bit-identical.
-func requireIdenticalModels(t *testing.T, tag string, a, b *model.LM) {
-	t.Helper()
-	for i := range a.InEmb.Data {
-		if a.InEmb.Data[i] != b.InEmb.Data[i] {
-			t.Fatalf("%s: input embedding differs at %d: %v vs %v", tag, i, a.InEmb.Data[i], b.InEmb.Data[i])
-		}
-	}
-	for i := range a.OutEmb.Data {
-		if a.OutEmb.Data[i] != b.OutEmb.Data[i] {
-			t.Fatalf("%s: output embedding differs at %d: %v vs %v", tag, i, a.OutEmb.Data[i], b.OutEmb.Data[i])
-		}
-	}
-	ap, bp := a.DenseParams(), b.DenseParams()
-	for pi := range ap {
-		for i := range ap[pi].Value {
-			if ap[pi].Value[i] != bp[pi].Value[i] {
-				t.Fatalf("%s: %s differs at %d: %v vs %v", tag, ap[pi].Name, i, ap[pi].Value[i], bp[pi].Value[i])
-			}
-		}
-	}
-}
-
-// TestOverlapBitIdenticalToSync is the acceptance test of overlap mode:
-// reducing dense gradients one fused call per layer must change nothing
-// but how the reductions are priced. Across cluster sizes, softmax
-// modes, FP16 wire and exchange engines, the overlapped
-// run produces bit-identical model replicas (every rank in sync, and rank 0
-// equal to the synchronous run's rank 0) and bit-identical per-rank
-// wire-byte counters.
-func TestOverlapBitIdenticalToSync(t *testing.T) {
-	train, valid := smallData(60, 12000, 9)
-	cases := []struct {
-		name    string
-		ranks   int
-		sampled int
-		fp16    bool
-		ex      core.Exchanger
-	}{
-		{name: "g2-full-softmax", ranks: 2},
-		{name: "g3-sampled", ranks: 3, sampled: 12},
-		{name: "g4-sampled-fp16", ranks: 4, sampled: 12, fp16: true},
-		{name: "g4-full-fp16", ranks: 4, fp16: true},
-		{name: "g2-baseline-engine", ranks: 2, sampled: 12, ex: core.BaselineAllGather{}},
-		{name: "g1-degenerate", ranks: 1, sampled: 12},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := smallConfig(tc.ranks, tc.ex)
-			cfg.Model.Sampled = tc.sampled
-			if tc.fp16 {
-				cfg.Wire = half.NewScaler(512)
-			}
-			syncTr, overlapTr := runPair(t, cfg, train, valid, 4)
-			if err := overlapTr.ReplicasInSync(); err != nil {
-				t.Fatalf("overlap replicas diverged: %v", err)
-			}
-			if err := syncTr.ReplicasInSync(); err != nil {
-				t.Fatalf("sync replicas diverged: %v", err)
-			}
-			requireIdenticalModels(t, tc.name, syncTr.Model(0), overlapTr.Model(0))
-			for r := 0; r < tc.ranks; r++ {
-				ss, os := syncTr.Comm().RankStats(r), overlapTr.Comm().RankStats(r)
-				if ss != os {
-					t.Fatalf("rank %d wire stats diverge:\n sync    %+v\n overlap %+v", r, ss, os)
-				}
-			}
-		})
-	}
-}
 
 // TestOverlapStepAllocsIndependentOfDepth: an overlapped step hands the side
 // lane part lists built once in New, so what it allocates (the per-step
@@ -193,20 +94,5 @@ func TestOverlapOOMAbortDrainsAsync(t *testing.T) {
 	// half-finished ring left behind.
 	if err := tr.Steps(1); !errors.As(err, &oom) {
 		t.Fatalf("retry got %v, want the same OOM abort", err)
-	}
-}
-
-// TestOverlapWithOptimizersAndClip covers the post-reduction pipeline
-// (averaging, clipping, Adam state) staying bit-identical under overlap.
-func TestOverlapWithOptimizersAndClip(t *testing.T) {
-	train, valid := smallData(60, 10000, 5)
-	cfg := smallConfig(3, core.UniqueExchange{})
-	cfg.Model.Sampled = 10
-	cfg.ClipNorm = 0.5
-	cfg.SeedStrategy = sampling.AllSame
-	syncTr, overlapTr := runPair(t, cfg, train, valid, 5)
-	requireIdenticalModels(t, "clip", syncTr.Model(0), overlapTr.Model(0))
-	if err := overlapTr.ReplicasInSync(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -130,7 +130,9 @@ func TestOverlapPricedOnVirtualClock(t *testing.T) {
 			ranks := ovTr.cfg.Ranks
 
 			// Pricing never touches arithmetic or accounting.
-			requireIdenticalModels(t, "overlap+hardware", syncTr.Model(0), ovTr.Model(0))
+			if modelDigest(syncTr.Model(0)) != modelDigest(ovTr.Model(0)) {
+				t.Fatal("overlap moved the weights")
+			}
 			for r := 0; r < ranks; r++ {
 				if ss, os := syncTr.Comm().RankStats(r), ovTr.Comm().RankStats(r); ss != os {
 					t.Fatalf("rank %d wire stats diverge:\n sync    %+v\n overlap %+v", r, ss, os)

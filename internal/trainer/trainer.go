@@ -33,7 +33,6 @@ package trainer
 import (
 	"fmt"
 	"log/slog"
-	"math"
 	"runtime"
 	"time"
 
@@ -769,22 +768,7 @@ func (t *Trainer) Run(epochs int, evalsPerEpoch int) (Result, error) {
 	lastEval := t.step - evalEvery
 	for t.step < target {
 		step := t.step
-		lr := t.lrForStep()
-		t.resetStateAtEpoch()
-		stats, err := t.trainStep(lr)
-		if err != nil {
-			return res, err
-		}
-		t.step++
-		res.Stats.Steps++
-		res.Stats.InputUniqueGlobal += int64(stats.inUnique)
-		res.Stats.OutputUniqueGlobal += int64(stats.outUnique)
-		res.Stats.ComputeTime += stats.computeTime
-		res.Stats.SyncTime += stats.syncTime
-		res.Stats.SimComputeSeconds += stats.simCompute
-		res.Stats.SimSyncSeconds += stats.simSync
-
-		rolled, err := t.afterStep()
+		rolled, err := t.commitStep(&res.Stats)
 		if err != nil {
 			return res, err
 		}
@@ -834,18 +818,35 @@ func (t *Trainer) Run(epochs int, evalsPerEpoch int) (Result, error) {
 // from step zero. Under failure injection, rolled-back steps are replayed
 // until the commit target is reached (FaultStats reports the lost work).
 func (t *Trainer) Steps(n int) error {
-	target := t.step + n
-	for t.step < target {
-		t.resetStateAtEpoch()
-		if _, err := t.trainStep(t.lrForStep()); err != nil {
-			return err
-		}
-		t.step++
-		if _, err := t.afterStep(); err != nil {
+	var stats StepStats
+	for target := t.step + n; t.step < target; {
+		if _, err := t.commitStep(&stats); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// commitStep is the one path by which Run and Steps train: it resets
+// carried state on an epoch boundary, takes one step at the schedule's
+// learning rate, commits it, adds its measurements to stats, and runs the
+// checkpoint and fault bookkeeping. It reports whether a fault rolled the
+// run back; stats keeps the rolled-back steps, which were executed.
+func (t *Trainer) commitStep(stats *StepStats) (rolledBack bool, err error) {
+	t.resetStateAtEpoch()
+	st, err := t.trainStep(t.lrForStep())
+	if err != nil {
+		return false, err
+	}
+	t.step++
+	stats.Steps++
+	stats.InputUniqueGlobal += int64(st.inUnique)
+	stats.OutputUniqueGlobal += int64(st.outUnique)
+	stats.ComputeTime += st.computeTime
+	stats.SyncTime += st.syncTime
+	stats.SimComputeSeconds += st.simCompute
+	stats.SimSyncSeconds += st.simSync
+	return t.afterStep()
 }
 
 type stepStats struct {
@@ -1117,16 +1118,7 @@ func (t *Trainer) trainStep(lrNow float64) (stepStats, error) {
 }
 
 // Validate computes mean validation loss (nats) on rank 0's replica.
-func (t *Trainer) Validate() float64 {
-	if len(t.valid) < 2 {
-		return math.NaN()
-	}
-	lossSum, count := t.models[0].EvalLoss(t.valid, t.cfg.SeqLen)
-	if count == 0 {
-		return math.NaN()
-	}
-	return lossSum / float64(count)
-}
+func (t *Trainer) Validate() float64 { return t.models[0].Score(t.valid, t.cfg.SeqLen) }
 
 // ReplicasInSync checks §II-B's invariant that every rank holds the same
 // parameters. The ranks share one set of weights, so what it checks is that

@@ -27,12 +27,13 @@ func runFig6(opts Options) (*Report, error) {
 		"GPUs", "stack", "speedup (paper)", "speedup (model)", "epoch hrs (model)")
 	notes := []string{}
 	for _, g := range []int{16, 24} {
-		baseCost := stepCost(w, g, stackBaseline, opts.Seed)
-		baseHours := hw.EpochTime(g, w.K, w.TokensPerEpoch, baseCost)
-		prev := 0.0
+		var baseHours, prev float64
 		for _, stack := range []stackKind{stackBaseline, stackUnique, stackSeeded, stackCompressed} {
 			cost := stepCost(w, g, stack, opts.Seed)
 			hours := hw.EpochTime(g, w.K, w.TokensPerEpoch, cost)
+			if stack == stackBaseline {
+				baseHours = hours
+			}
 			speedup := baseHours / hours
 			tab.AddRow(fmt.Sprintf("%d", g), stack.String(),
 				fmt.Sprintf("%.1f", paper[g][stack]),

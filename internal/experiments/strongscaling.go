@@ -55,7 +55,7 @@ func runScaling(w scalingWorkload, paper paperScaling, opts Options) (*Report, e
 		"ours hrs (paper)", "ours hrs (model)", "ours eff")
 
 	// Efficiency is relative to the first GPU count each stack ran at.
-	var baseHours0, oursHours0 float64
+	var baseHours0, oursHours0, oursHours float64
 	var baseG0, oursG0 int
 	notes := []string{}
 	for i, g := range paper.gpus {
@@ -75,7 +75,7 @@ func runScaling(w scalingWorkload, paper paperScaling, opts Options) (*Report, e
 		}
 
 		cost := stepCost(w, g, stackCompressed, opts.Seed)
-		oursHours := hw.EpochTime(g, w.K, w.TokensPerEpoch, cost)
+		oursHours = hw.EpochTime(g, w.K, w.TokensPerEpoch, cost)
 		if oursG0 == 0 {
 			oursHours0, oursG0 = oursHours, g
 		}
@@ -98,15 +98,10 @@ func runScaling(w scalingWorkload, paper paperScaling, opts Options) (*Report, e
 		}
 	}
 
-	first, last := paper.gpus[0], paper.gpus[len(paper.gpus)-1]
-	costFirst := stepCost(w, first, stackCompressed, opts.Seed)
-	costLast := stepCost(w, last, stackCompressed, opts.Seed)
-	speedup := perfmodel.Speedup(
-		hw.EpochTime(first, w.K, w.TokensPerEpoch, costFirst),
-		hw.EpochTime(last, w.K, w.TokensPerEpoch, costLast))
+	// The loop leaves oursHours at the last GPU count's epoch.
 	notes = append(notes, fmt.Sprintf(
 		"model speedup %d→%d GPUs: %.1f× (paper: %.1f× word / %.1f× char with 8× more GPUs)",
-		first, last, speedup, 14.6/4.5, 23.2/3.5))
+		oursG0, paper.gpus[len(paper.gpus)-1], perfmodel.Speedup(oursHours0, oursHours), 14.6/4.5, 23.2/3.5))
 
 	return &Report{Tables: []*metrics.Table{tab}, Notes: notes}, nil
 }

@@ -10,7 +10,6 @@ import (
 	"zipflm/internal/core"
 	"zipflm/internal/half"
 	"zipflm/internal/metrics"
-	"zipflm/internal/rng"
 	"zipflm/internal/sampling"
 	"zipflm/internal/tensor"
 	"zipflm/internal/vclock"
@@ -84,31 +83,9 @@ func runWeakStep(w scalingWorkload, g int, baseline, unlimitedMem bool, seed uin
 		wire = half.NewScaler(512)
 	}
 
-	// The same token/candidate draws the offline cost model measures
-	// (workloads.go), so unique structure matches across experiments.
-	root := rng.New(seed)
-	inIdx := make([][]int, g)
-	for r := 0; r < g; r++ {
-		z := rng.NewZipf(root.Fork(), w.Vocab, w.ZipfExponent)
-		toks := make([]int, w.K)
-		for i := range toks {
-			toks[i] = z.Next()
-		}
-		inIdx[r] = toks
-	}
-	var outIdx [][]int
-	maxKc := 0
-	if w.Samples > 0 {
-		seeds := sampling.Assign(strat, g, seed+1)
-		outIdx = make([][]int, g)
-		for r := 0; r < g; r++ {
-			s := sampling.NewSampler(w.Vocab, seeds[r])
-			outIdx[r] = s.Sample(w.Samples, inIdx[r])
-			if len(outIdx[r]) > maxKc {
-				maxKc = len(outIdx[r])
-			}
-		}
-	}
+	// The same draws the closed-form tables price (drawStep), so unique
+	// structure matches across experiments.
+	inIdx, outIdx := drawStep(w, g, strat, seed)
 
 	// Phase: sparse exchanges, online, every rank's in one call. Gradient
 	// values are irrelevant to cost, so rows stay zero; bytes, scratch and
@@ -156,10 +133,12 @@ func runWeakStep(w scalingWorkload, g int, baseline, unlimitedMem bool, seed uin
 	}
 
 	run := weakRun{ugIn: inStats[0].UniqueGlobal, ugOut: outStats[0].UniqueGlobal}
+	kc := 0 // the output exchange's rows per rank
 	for r := 0; r < g; r++ {
 		if b := inStats[r].WireBytes + outStats[r].WireBytes; b > run.sparseWire {
 			run.sparseWire = b
 		}
+		kc = max(kc, outStats[r].Tokens)
 	}
 
 	// Phase: dense RNN/projection gradients — accounted, not materialized:
@@ -178,24 +157,9 @@ func runWeakStep(w scalingWorkload, g int, baseline, unlimitedMem bool, seed uin
 	afterCompute := clock.Now()
 	run.computeSec = afterCompute - run.commSec
 
-	// Phase: embedding update. The baseline scatter-adds all G·K (+ G·Kc)
-	// token rows under §II-B row locking at the staged update bandwidth;
-	// the unique engines apply one conflict-free row per unique word at
-	// device bandwidth.
-	var rows int64
-	ser := 1.0
-	if baseline {
-		rows = int64(g) * int64(w.K)
-		if w.Samples > 0 {
-			rows += int64(g) * int64(maxKc)
-		}
-		if w.DupSerialization && run.ugIn > 0 {
-			ser = float64(int64(g)*int64(w.K)) / float64(run.ugIn)
-		}
-		ser *= hw.MemBW / w.updateBW(g)
-	} else {
-		rows = int64(run.ugIn) + int64(run.ugOut)
-	}
+	// Phase: embedding update, charged as the closed-form tables charge it
+	// (updateCharge), rounded to whole bytes of memory traffic.
+	rows, ser := w.updateCharge(g, baseline, kc, run.ugIn, run.ugOut)
 	updateBytes := int64(float64(2*rows*int64(w.D)*4) * ser)
 	clock.Advance(hw.MemorySeconds(updateBytes))
 	run.updateSec = clock.Now() - afterCompute

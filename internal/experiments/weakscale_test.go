@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"zipflm/internal/sampling"
 )
 
 // quickWeakWorkload mirrors runWeakScale's Quick miniature for direct
@@ -98,6 +100,27 @@ func TestWeakStepQualitativeStory(t *testing.T) {
 	// Different seed must still run (and generally lands elsewhere).
 	if _, err := runWeakStep(w, g1, false, true, 43); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWeakStepSeesTheClosedFormStep ties the online sweep to the
+// closed-form tables: at every quick weakscale G, each engine's exchanges
+// report the global unique counts measuredUnique counts on the same draws
+// under that engine's seeding strategy.
+func TestWeakStepSeesTheClosedFormStep(t *testing.T) {
+	w := quickWeakWorkload()
+	for _, g := range []int{2, 4, 8} {
+		for baseline, strat := range map[bool]sampling.Strategy{true: sampling.AllDifferent, false: sampling.ZipfFreq} {
+			run, err := runWeakStep(w, g, baseline, true, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, ugIn, _, ugOut := measuredUnique(w, g, strat, 42)
+			if run.ugIn != ugIn || run.ugOut != ugOut {
+				t.Errorf("G=%d baseline=%v: online U_g (%d, %d), closed form (%d, %d)",
+					g, baseline, run.ugIn, run.ugOut, ugIn, ugOut)
+			}
+		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"slices"
-
 	"zipflm/internal/core"
 	"zipflm/internal/corpus"
 	"zipflm/internal/perfmodel"
@@ -18,9 +16,10 @@ import (
 // use; only the translation of volumes into seconds uses the calibrated
 // hardware model.
 
-// wordWorkload is the §IV-B word LM: LSTM 2048 cells, projection/embedding
-// D = 512, batch 32 × sequence 20 = 640 tokens per GPU, vocabulary 100K,
-// sampled softmax with 1024 samples per GPU.
+// scalingWorkload is one full-scale training workload of the scaling
+// experiments: the step shape each rank draws and the calibration
+// constants that price it. wordLM, charLM and tiebaLM return the §IV-B
+// workloads of Tables III, IV and V.
 type scalingWorkload struct {
 	Name string
 	// K is tokens per rank per step.
@@ -71,7 +70,9 @@ type scalingWorkload struct {
 	BaseMemoryOurs  int64
 }
 
-// wordLM returns the Table III workload.
+// wordLM returns the Table III workload: LSTM 2048 cells, projection and
+// embedding D = 512, batch 32 × sequence 20 = 640 tokens per GPU,
+// vocabulary 100K, sampled softmax with 1024 samples per GPU.
 func wordLM() scalingWorkload {
 	return scalingWorkload{
 		Name:    "word-LM (1B dataset)",
@@ -198,41 +199,67 @@ func (w scalingWorkload) updateBW(g int) float64 {
 	return w.UpdateBWInter
 }
 
-// measuredUnique draws the real per-rank token streams and sampled-softmax
-// candidate sets for one step at full scale and merges them exactly as the
-// unique exchange does. Returns the largest per-rank locally-unique input
-// count, the global input unique count, the largest per-rank candidate
-// count (the output exchange's rows per rank), and the global output unique
-// count under the given seeding strategy.
-func measuredUnique(w scalingWorkload, g int, strat sampling.Strategy, seed uint64) (uiMax, ugIn, kc, ugOut int) {
+// drawStep draws one step at full scale: each rank's K Zipf tokens (the
+// input embedding's rows) and, under sampled softmax, each rank's sampler
+// candidates (the output embedding's rows) under the given seeding
+// strategy. Every scaling experiment prices or runs these same index sets.
+func drawStep(w scalingWorkload, g int, strat sampling.Strategy, seed uint64) (in, out [][]int) {
 	root := rng.New(seed)
-	inSets := make([][]int, g)
-	uiIn := make([]int, g)
-	for r := 0; r < g; r++ {
+	in = make([][]int, g)
+	for r := range in {
 		z := rng.NewZipf(root.Fork(), w.Vocab, w.ZipfExponent)
-		toks := make([]int, w.K)
-		for i := range toks {
-			toks[i] = z.Next()
+		in[r] = make([]int, w.K)
+		for i := range in[r] {
+			in[r][i] = z.Next()
 		}
-		inSets[r] = toks
-		uiIn[r] = corpus.CountTypes(toks)
 	}
-	ugIn = sampling.UniqueAcross(inSets)
-
 	if w.Samples == 0 {
-		return slices.Max(uiIn), ugIn, 0, 0
+		return in, nil
 	}
 	seeds := sampling.Assign(strat, g, seed+1)
-	outSets := make([][]int, g)
-	candPerRank := make([]int, g)
-	for r := 0; r < g; r++ {
-		s := sampling.NewSampler(w.Vocab, seeds[r])
-		cands := s.Sample(w.Samples, inSets[r])
-		outSets[r] = cands
-		candPerRank[r] = len(cands)
+	out = make([][]int, g)
+	for r := range out {
+		out[r] = sampling.NewSampler(w.Vocab, seeds[r]).Sample(w.Samples, in[r])
 	}
-	ugOut = sampling.UniqueAcross(outSets)
-	return slices.Max(uiIn), ugIn, slices.Max(candPerRank), ugOut
+	return in, out
+}
+
+// measuredUnique merges drawStep's sets exactly as the unique exchange
+// does. Returns the largest per-rank locally-unique input count, the global
+// input unique count, the largest per-rank candidate count (the output
+// exchange's rows per rank), and the global output unique count.
+func measuredUnique(w scalingWorkload, g int, strat sampling.Strategy, seed uint64) (uiMax, ugIn, kc, ugOut int) {
+	in, out := drawStep(w, g, strat, seed)
+	for _, toks := range in {
+		uiMax = max(uiMax, corpus.CountTypes(toks))
+	}
+	for _, cands := range out {
+		kc = max(kc, len(cands))
+	}
+	return uiMax, sampling.UniqueAcross(in), kc, sampling.UniqueAcross(out)
+}
+
+// updateCharge returns the embedding update's rows at scale g and the
+// factor on their device-bandwidth time. The unique engines apply one
+// conflict-free row per unique word at device bandwidth (§III-A). The
+// baseline scatter-adds all G·K (+ G·kc) token rows under §II-B row
+// locking: duplicate rows serialize (G·K/U_g, DupSerialization only) on
+// the staged path's calibrated bandwidth, folded in as MemBW/updateBW(g)
+// so perfmodel's MemBW baseline stays uniform.
+func (w scalingWorkload) updateCharge(g int, baseline bool, kc, ugIn, ugOut int) (rows int64, ser float64) {
+	if !baseline {
+		return int64(ugIn) + int64(ugOut), 1
+	}
+	tokens := int64(g) * int64(w.K)
+	rows, ser = tokens, 1
+	if w.Samples > 0 {
+		rows += int64(g) * int64(kc)
+	}
+	if w.DupSerialization && ugIn > 0 {
+		ser = float64(tokens) / float64(ugIn)
+	}
+	slow := perfmodel.TitanX().MemBW / w.updateBW(g)
+	return rows, ser * slow
 }
 
 // stackKind enumerates the cumulative optimization stacks of Figure 6.
@@ -259,21 +286,28 @@ func (s stackKind) String() string {
 	return "?"
 }
 
+// strategy returns the stack's sampler seeding: one seed per rank until
+// §III-B's Zipf's-law seeding joins the stack.
+func (s stackKind) strategy() sampling.Strategy {
+	if s >= stackSeeded {
+		return sampling.ZipfFreq
+	}
+	return sampling.AllDifferent
+}
+
 // stepCost assembles the perfmodel StepCost for one configuration. It is
 // the quantitative heart of Tables III/IV/V and Figure 6.
 func stepCost(w scalingWorkload, g int, stack stackKind, seed uint64) perfmodel.StepCost {
-	strat := sampling.AllDifferent
-	if stack >= stackSeeded && w.Samples > 0 {
-		strat = sampling.ZipfFreq
-	}
-	uiMax, ugIn, kc, ugOut := measuredUnique(w, g, strat, seed)
+	uiMax, ugIn, kc, ugOut := measuredUnique(w, g, stack.strategy(), seed)
 	fp16 := stack >= stackCompressed
 
 	cost := perfmodel.StepCost{
 		ComputeFLOPs: w.FLOPsPerStep,
 		AchievedFrac: w.AchievedFrac,
+		UpdateDim:    w.D,
 		OverheadSec:  w.OverheadBase + w.OverheadLin*float64(g) + w.OverheadQuad*float64(g)*float64(g),
 	}
+	cost.UpdateRows, cost.UpdateSerialization = w.updateCharge(g, stack == stackBaseline, kc, ugIn, ugOut)
 
 	// Dense RNN/projection gradients: ring all-reduce every step.
 	elem := int64(4)
@@ -289,26 +323,11 @@ func stepCost(w scalingWorkload, g int, stack stackKind, seed uint64) perfmodel.
 		in := core.BaselineCost(g, w.K, w.D, fp16)
 		cost.WireBytes += in.WireBytes
 		cost.WireHops += g - 1
-		rows := int64(g) * int64(w.K)
 		if w.Samples > 0 {
 			out := core.BaselineCost(g, kc, w.D, fp16)
 			cost.WireBytes += out.WireBytes
 			cost.WireHops += g - 1
-			rows += int64(g) * int64(kc)
 		}
-		cost.UpdateRows = rows
-		cost.UpdateDim = w.D
-		if w.DupSerialization && ugIn > 0 {
-			cost.UpdateSerialization = float64(int64(g)*int64(w.K)) / float64(ugIn)
-		}
-		// The locked scatter-add path runs at the (calibrated) staged
-		// update bandwidth; fold the ratio into the serialization factor
-		// so perfmodel's MemBW baseline stays uniform.
-		slow := perfmodel.TitanX().MemBW / w.updateBW(g)
-		if cost.UpdateSerialization < 1 {
-			cost.UpdateSerialization = 1
-		}
-		cost.UpdateSerialization *= slow
 		return cost
 	}
 
@@ -316,28 +335,18 @@ func stepCost(w scalingWorkload, g int, stack stackKind, seed uint64) perfmodel.
 	in := core.UniqueCost(g, w.K, uiMax, ugIn, w.D, fp16)
 	cost.WireBytes += in.WireBytes
 	cost.WireHops += (g - 1) + 2*(g-1)
-	rows := int64(ugIn)
 	if w.Samples > 0 {
 		out := core.UniqueCost(g, kc, kc, ugOut, w.D, fp16)
 		cost.WireBytes += out.WireBytes
 		cost.WireHops += (g - 1) + 2*(g-1)
-		rows += int64(ugOut)
 	}
-	// Conflict-free update at full device bandwidth (§III-A).
-	cost.UpdateRows = rows
-	cost.UpdateDim = w.D
-	cost.UpdateSerialization = 1
 	return cost
 }
 
 // peakMemory models the per-GPU peak for one configuration, calibrated per
 // workload (see scalingWorkload fields).
 func peakMemory(w scalingWorkload, g int, stack stackKind, seed uint64) int64 {
-	strat := sampling.AllDifferent
-	if stack >= stackSeeded && w.Samples > 0 {
-		strat = sampling.ZipfFreq
-	}
-	uiMax, ugIn, kc, ugOut := measuredUnique(w, g, strat, seed)
+	uiMax, ugIn, kc, ugOut := measuredUnique(w, g, stack.strategy(), seed)
 
 	if stack == stackBaseline {
 		scratch := core.BaselineCost(g, w.K, w.D, false).ScratchBytes

@@ -75,14 +75,29 @@ func TestComputeAndMemorySeconds(t *testing.T) {
 }
 
 // TestStepTimeMatchesLinkDecomposition ties the offline aggregate model to
-// the online providers: for a pure-communication StepCost, StepTime must
-// equal what the per-link α–β decomposition gives.
+// the online providers: StepTime must be, bit for bit, ComputeSeconds plus
+// the RingLink α–β charge (none on one rank) plus the read-modify-write
+// update with its serialization factor clamped to 1, plus the overhead.
 func TestStepTimeMatchesLinkDecomposition(t *testing.T) {
 	hw := TitanX()
-	g := 16
-	c := StepCost{WireBytes: 1 << 20, WireHops: 2 * (g - 1)}
-	want := hw.RingLink(g).HopSeconds(0)*float64(c.WireHops) + float64(c.WireBytes)/hw.RingBW(g)
-	if got := hw.StepTime(g, c); !almostEq(got, want) {
-		t.Fatalf("StepTime = %v, link decomposition = %v", got, want)
+	for _, g := range []int{1, 8, 16} {
+		for _, ser := range []float64{0.5, 3} {
+			c := StepCost{
+				ComputeFLOPs: 136e9, AchievedFrac: 0.4,
+				WireBytes: 1<<20 + 7, WireHops: 3 * (g - 1),
+				UpdateRows: 10_240, UpdateDim: 512, UpdateSerialization: ser,
+				OverheadSec: 0.2754,
+			}
+			comm := 0.0
+			if g > 1 {
+				link := hw.RingLink(g)
+				comm = float64(c.WireBytes)/link.BytesPerSec + float64(c.WireHops)*link.Alpha
+			}
+			update := 2 * float64(c.UpdateRows) * float64(c.UpdateDim) * 4 * math.Max(ser, 1) / hw.MemBW
+			want := hw.ComputeSeconds(c.ComputeFLOPs, c.AchievedFrac) + comm + update + c.OverheadSec
+			if got := hw.StepTime(g, c); got != want {
+				t.Errorf("g=%d ser=%v: StepTime = %v, decomposition = %v", g, ser, got, want)
+			}
+		}
 	}
 }

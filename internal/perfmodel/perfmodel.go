@@ -106,30 +106,21 @@ type StepCost struct {
 
 // StepTime returns the modeled duration of one synchronous training step on
 // a cluster of g ranks. Compute, communication and the embedding update are
-// serialized, as in the paper's TF-1.4 synchronous workflow.
+// serialized, as in the paper's TF-1.4 synchronous workflow; compute and the
+// α–β link are the ones the online clock charges (ComputeSeconds, RingLink).
 func (h Hardware) StepTime(g int, c StepCost) float64 {
-	compute := 0.0
-	if c.ComputeFLOPs > 0 {
-		frac := c.AchievedFrac
-		if frac <= 0 {
-			frac = 1
-		}
-		compute = c.ComputeFLOPs / (h.PeakFLOPS * frac)
-	}
 	comm := 0.0
 	if g > 1 {
-		comm = float64(c.WireBytes)/h.RingBW(g) + float64(c.WireHops)*h.HopLatency
+		link := h.RingLink(g)
+		comm = float64(c.WireBytes)/link.BytesPerSec + float64(c.WireHops)*link.Alpha
 	}
 	update := 0.0
 	if c.UpdateRows > 0 {
-		ser := c.UpdateSerialization
-		if ser < 1 {
-			ser = 1
-		}
-		// Read-modify-write: 2× row bytes through memory.
-		update = 2 * float64(c.UpdateRows) * float64(c.UpdateDim) * 4 * ser / h.MemBW
+		// Read-modify-write: 2× row bytes through memory, serialized by a
+		// factor of at least 1.
+		update = 2 * float64(c.UpdateRows) * float64(c.UpdateDim) * 4 * max(c.UpdateSerialization, 1) / h.MemBW
 	}
-	return compute + comm + update + c.OverheadSec
+	return h.ComputeSeconds(c.ComputeFLOPs, c.AchievedFrac) + comm + update + c.OverheadSec
 }
 
 // EpochTime returns hours per epoch given tokens per epoch and the global

@@ -183,10 +183,12 @@ func (s *Sampler) Sample(n int, targets []int) []int {
 	return out
 }
 
-// LogExpectedCount returns log(n · Q(w)), the sampled-softmax logit
-// correction for a candidate w when n negatives are drawn from the
-// log-uniform distribution. Subtracting it from the raw logit makes the
-// sampled loss an unbiased estimate of the full softmax loss.
+// LogExpectedCount returns log(n · Q(w)), the log of the expected number
+// of copies of w among n negatives drawn from the log-uniform
+// distribution; the sampled softmax subtracts it from w's raw logit.
+// Sampled softmax is biased under any such correction (Bengio & Senécal
+// 2008), and for the deduplicated set Sample returns the matching term is
+// log P(w included) = log(1 − (1 − Q(w))ⁿ), not this one (ROADMAP item 21).
 func (s *Sampler) LogExpectedCount(n int, w int) float64 {
 	return math.Log(float64(n) * s.lu.Prob(w))
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -89,6 +90,30 @@ func TestOutputMatchesGenerateOpts(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRefusesNonFiniteWeights: a checkpoint with one NaN weight — what a
+// diverged run's -save writes — is refused: exit status 1, the tensor named
+// on stderr, and nothing on stdout, where it would print a token stream.
+func TestRefusesNonFiniteWeights(t *testing.T) {
+	bin := buildGenerate(t)
+	m := model.NewLM(model.Config{Vocab: 60, Dim: 16, Hidden: 24, RNN: model.KindLSTM, Seed: 3})
+	w := m.Weights()
+	bad := w[len(w)-1]
+	bad.Value[0] = float32(math.NaN())
+	path := saveModel(t, t.TempDir(), "nan.ckpt", m)
+
+	var stdout, stderr bytes.Buffer
+	cmd := exec.Command(bin, "-model", path, "-prompt-ids", "3,1,4", "-n", "8")
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(stderr.String(), fmt.Sprintf("%q", bad.Name)) {
+		t.Errorf("got %v, want exit status 1 naming %q; stderr:\n%s", err, bad.Name, stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("stdout %q, want nothing", stdout.String())
 	}
 }
 

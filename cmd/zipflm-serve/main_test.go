@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -419,6 +420,17 @@ func TestFailedReloadsChangeNothingAndAreCounted(t *testing.T) {
 	if status, raw := a.post(t, "/v1/reload", fmt.Sprintf(`{"path":%q}`, preV4)); status != http.StatusBadRequest || !strings.Contains(string(raw), "version 3") {
 		t.Errorf("reload of a version-3 checkpoint: status %d, want 400 naming the version (%s)", status, raw)
 	}
+	// A whole, current checkpoint of the served architecture with one NaN
+	// weight, what a diverged run saves.
+	diverged := model.NewLM(other)
+	w := diverged.Weights()
+	bad := w[len(w)-1]
+	bad.Value[0] = float32(math.NaN())
+	nanPath := filepath.Join(dir, "nan.ckpt")
+	writeCheckpoint(t, nanPath, 6, diverged)
+	if status, raw := a.post(t, "/v1/reload", fmt.Sprintf(`{"path":%q}`, nanPath)); status != http.StatusBadRequest || !strings.Contains(string(raw), fmt.Sprintf("%q", bad.Name)) {
+		t.Errorf("reload of a checkpoint with a NaN weight: status %d, want 400 naming %q (%s)", status, bad.Name, raw)
+	}
 
 	after := a.generate(t, gen)
 	if after.WeightsVersion != before.WeightsVersion || !reflect.DeepEqual(after.Tokens, before.Tokens) {
@@ -431,11 +443,11 @@ func TestFailedReloadsChangeNothingAndAreCounted(t *testing.T) {
 	}
 	a.stats(t, &stats)
 	if stats.WeightsVersion != 1 || stats.Reloads != 0 {
-		t.Errorf("/v1/stats after four failed reloads: %+v", stats)
+		t.Errorf("/v1/stats after five failed reloads: %+v", stats)
 	}
 
 	// Every failure is on /metrics and in the flight ring, with its cause.
-	countsFour := func(when string) {
+	countsFive := func(when string) {
 		t.Helper()
 		resp, err := http.Get(a.URL + "/metrics")
 		if err != nil {
@@ -444,14 +456,14 @@ func TestFailedReloadsChangeNothingAndAreCounted(t *testing.T) {
 		var metrics bytes.Buffer
 		metrics.ReadFrom(resp.Body)
 		resp.Body.Close()
-		if !strings.Contains(metrics.String(), "\nzipflm_serve_reload_failures_total 4\n") {
-			t.Errorf("%s: /metrics does not count four reload failures:\n%s", when, metrics.String())
+		if !strings.Contains(metrics.String(), "\nzipflm_serve_reload_failures_total 5\n") {
+			t.Errorf("%s: /metrics does not count five reload failures:\n%s", when, metrics.String())
 		}
 	}
-	countsFour("after the failed reloads")
+	countsFive("after the failed reloads")
 	var ring bytes.Buffer
 	a.obs.Flight.Dump(&ring)
-	for _, cause := range []string{"missing.ckpt", "does not match serving", "truncated", "version 3"} {
+	for _, cause := range []string{"missing.ckpt", "does not match serving", "truncated", "version 3", "NaN or infinite"} {
 		if !strings.Contains(ring.String(), cause) {
 			t.Errorf("flight ring lacks the %q failure:\n%s", cause, ring.String())
 		}
@@ -499,7 +511,7 @@ func TestFailedReloadsChangeNothingAndAreCounted(t *testing.T) {
 	if stats.WeightsVersion != 2 || stats.Reloads != 1 {
 		t.Errorf("/v1/stats after the watched reload: %+v", stats)
 	}
-	countsFour("after the watch")
+	countsFive("after the watch")
 }
 
 // TestPprofOnlyOnObserverListener: /debug/pprof/ is served by the

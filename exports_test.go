@@ -31,6 +31,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -443,5 +444,52 @@ func TestExportsHaveReaders(t *testing.T) {
 		t.Errorf("%d exported symbols under internal/ have no reader outside their own package's tests "+
 			"(delete them, unexport them, or move them into a _test.go file):\n  %s",
 			len(unread), strings.Join(unread, "\n  "))
+	}
+}
+
+// TestCommandsAreExercised: every command under cmd/ is run by something —
+// a _test.go of its own, or a step of the CI workflow whose shell names
+// ./cmd/<name> (YAML and shell comments do not count). A command nothing
+// runs can stop building or drift from what it claims unnoticed; delete it,
+// or test it.
+func TestCommandsAreExercised(t *testing.T) {
+	ci, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The shell of every step: a `run:` line's value, or the lines of its
+	// block indented deeper than the key.
+	var shell strings.Builder
+	lines := strings.Split(string(ci), "\n")
+	indent := func(s string) int { return len(s) - len(strings.TrimLeft(s, " ")) }
+	for i := 0; i < len(lines); i++ {
+		body, ok := strings.CutPrefix(strings.TrimSpace(lines[i]), "run:")
+		if !ok {
+			continue
+		}
+		shell.WriteString(body + "\n")
+		for key := indent(lines[i]); i+1 < len(lines) && (strings.TrimSpace(lines[i+1]) == "" || indent(lines[i+1]) > key); i++ {
+			if !strings.HasPrefix(strings.TrimSpace(lines[i+1]), "#") {
+				shell.WriteString(lines[i+1] + "\n")
+			}
+		}
+	}
+
+	dirs, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dirs {
+		if !d.IsDir() {
+			continue
+		}
+		tests, err := filepath.Glob(filepath.Join("cmd", d.Name(), "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ran := regexp.MustCompile(`\./cmd/` + regexp.QuoteMeta(d.Name()) + `([^\w-]|$)`).MatchString(shell.String())
+		if len(tests) == 0 && !ran {
+			t.Errorf("cmd/%s has no _test.go and no CI step runs it", d.Name())
+		}
 	}
 }

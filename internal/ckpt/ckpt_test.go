@@ -332,6 +332,36 @@ func TestRefusedVersionIsNamed(t *testing.T) {
 	}
 }
 
+// TestNonFiniteWeightsAreNotLoaded: a checkpoint whose frame is whole but
+// whose model holds one NaN or ±Inf weight opens, and State.LM refuses it
+// with an error naming the tensor — every loader (-model, /v1/reload,
+// -watch, zipflm-generate, Resume) decodes through it.
+func TestNonFiniteWeightsAreNotLoaded(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, which := range []int{0, 1, -1} { // InEmb, OutEmb, the last dense tensor
+			m := model.NewLM(model.Config{Vocab: 40, Dim: 6, Hidden: 8, RNN: model.KindLSTM, Seed: 3})
+			w := m.Weights()
+			p := w[(which+len(w))%len(w)]
+			p.Value[len(p.Value)/2] = float32(bad)
+			mb, err := m.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "model.ckpt")
+			if err := WriteFile(path, &State{Step: 1, Ranks: 1, ModelBytes: mb}); err != nil {
+				t.Fatal(err)
+			}
+			st, err := Open(path)
+			if err != nil {
+				t.Fatalf("%v in %s: Open: %v", bad, p.Name, err)
+			}
+			if lm, err := st.LM(); lm != nil || err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", p.Name)) {
+				t.Errorf("%v in %s: LM returned a model %v, error %v; want a refusal naming the tensor", bad, p.Name, lm != nil, err)
+			}
+		}
+	}
+}
+
 // TestDecodeNeverOutgrowsItsInput: refusing or accepting, decode allocates
 // at most its input's size plus the gob machinery — a tensor length is
 // checked against the bytes that remain before anything is made for it.

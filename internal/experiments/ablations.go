@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"zipflm/internal/core"
 	"zipflm/internal/corpus"
 	"zipflm/internal/half"
 	"zipflm/internal/metrics"
@@ -126,14 +125,8 @@ func runAblSampler(opts Options) (*Report, error) {
 		perRank = 4_000
 		epochs = 1
 	}
-	gen := corpus.NewMarkovGenerator(corpus.MarkovConfig{
-		VocabSize:    399,
-		Branching:    16,
-		ZipfExponent: 1.2,
-		Seed:         opts.Seed,
-	})
-	stream := gen.Stream(perRank*4 + perRank)
-	train, valid := corpus.Split(stream, 10, 100, opts.Seed)
+	train, valid := markovSplit(corpus.MarkovConfig{VocabSize: 399, Branching: 16, ZipfExponent: 1.2, Seed: opts.Seed},
+		perRank*4+perRank, opts.Seed)
 
 	type variant struct {
 		name string
@@ -157,7 +150,6 @@ func runAblSampler(opts Options) (*Report, error) {
 			SeqLen:       12,
 			LR:           0.3,
 			ClipNorm:     1.0,
-			Exchange:     core.UniqueExchange{},
 			SeedStrategy: sampling.ZipfFreq,
 			NewSampler:   v.mk,
 			BaseSeed:     opts.Seed,

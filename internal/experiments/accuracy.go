@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"zipflm/internal/core"
 	"zipflm/internal/corpus"
 	"zipflm/internal/metrics"
 	"zipflm/internal/model"
@@ -36,6 +35,14 @@ type convergenceConfig struct {
 	paperGap string
 }
 
+// markovSplit draws n tokens from a Markov generator — sequential structure,
+// so validation perplexity falls over epochs the way the paper's curves do —
+// and splits them 10:1 in blocks of 100: the corpus every Markov-trained
+// report trains on.
+func markovSplit(cfg corpus.MarkovConfig, n int, seed uint64) (train, valid []int) {
+	return corpus.Split(corpus.NewMarkovGenerator(cfg).Stream(n), 10, 100, seed)
+}
+
 // runConvergence trains one model per rank count on the same total corpus
 // (strong scaling: global batch grows with ranks, as in the paper) and
 // tabulates the validation perplexity trajectory.
@@ -49,17 +56,9 @@ func runConvergence(cc convergenceConfig, opts Options) (*Report, error) {
 	}
 	maxRanks := cc.ranks[len(cc.ranks)-1]
 	total := cc.perRank * maxRanks
-	// Markov streams give the corpus sequential structure (entropy rate
-	// below unigram entropy), so validation perplexity falls over epochs
-	// the way the paper's curves do.
-	gen := corpus.NewMarkovGenerator(corpus.MarkovConfig{
-		VocabSize:    cc.modelCfg.Vocab - 1,
-		Branching:    cc.branching,
-		ZipfExponent: cc.zipfExp,
-		Seed:         opts.Seed,
-	})
-	stream := gen.Stream(total + total/10)
-	train, valid := corpus.Split(stream, 10, 100, opts.Seed)
+	train, valid := markovSplit(corpus.MarkovConfig{
+		VocabSize: cc.modelCfg.Vocab - 1, Branching: cc.branching, ZipfExponent: cc.zipfExp, Seed: opts.Seed,
+	}, total+total/10, opts.Seed)
 
 	type trace struct {
 		ranks int
@@ -80,7 +79,6 @@ func runConvergence(cc convergenceConfig, opts Options) (*Report, error) {
 			// stability at the scaled rate.
 			LR:           cc.lrBase * float64(ranks) / float64(cc.ranks[0]),
 			ClipNorm:     1.0,
-			Exchange:     core.UniqueExchange{},
 			SeedStrategy: sampling.ZipfFreq,
 			BaseSeed:     opts.Seed,
 		}
@@ -193,14 +191,8 @@ func runFig7(opts Options) (*Report, error) {
 		perRank = 4_000
 		epochs = 1
 	}
-	gen := corpus.NewMarkovGenerator(corpus.MarkovConfig{
-		VocabSize:    499,
-		Branching:    16,
-		ZipfExponent: 1.2,
-		Seed:         opts.Seed,
-	})
-	stream := gen.Stream(perRank*ranks + perRank)
-	train, valid := corpus.Split(stream, 10, 100, opts.Seed)
+	train, valid := markovSplit(corpus.MarkovConfig{VocabSize: 499, Branching: 16, ZipfExponent: 1.2, Seed: opts.Seed},
+		perRank*ranks+perRank, opts.Seed)
 
 	strategies := append([]sampling.Strategy{}, sampling.Strategies()...)
 	strategies = append(strategies, sampling.AllSame)
@@ -222,7 +214,6 @@ func runFig7(opts Options) (*Report, error) {
 			BatchPerRank: 2,
 			SeqLen:       12,
 			LR:           0.25,
-			Exchange:     core.UniqueExchange{},
 			SeedStrategy: strat,
 			BaseSeed:     opts.Seed,
 		}
@@ -273,16 +264,10 @@ func runBPC(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	gen := corpus.NewMarkovGenerator(corpus.MarkovConfig{
-		VocabSize:    d.CharVocab,
-		Branching:    8,
-		ZipfExponent: 1.0,
-		Seed:         opts.Seed,
-	})
-	stream := gen.Stream(perRank*4 + perRank)
 	// The paper splits ar 1000:1; at sample scale that leaves no usable
 	// validation set, so the stand-in uses 10:1.
-	train, valid := corpus.Split(stream, 10, 100, opts.Seed)
+	train, valid := markovSplit(corpus.MarkovConfig{VocabSize: d.CharVocab, Branching: 8, ZipfExponent: 1.0, Seed: opts.Seed},
+		perRank*4+perRank, opts.Seed)
 
 	cfg := trainer.Config{
 		Model: model.Config{
@@ -292,7 +277,6 @@ func runBPC(opts Options) (*Report, error) {
 		BatchPerRank: 2,
 		SeqLen:       16,
 		LR:           0.1,
-		Exchange:     core.UniqueExchange{},
 		BaseSeed:     opts.Seed,
 	}
 	tr, err := trainer.New(cfg, train, valid)

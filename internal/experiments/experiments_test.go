@@ -33,6 +33,19 @@ func quickReport(t *testing.T, id string) *Report {
 	return rep
 }
 
+// epochHours is the epoch time the scaling tables print for the stack at g
+// GPUs, seed 42.
+func epochHours(w scalingWorkload, g int, stack stackKind) float64 {
+	cost, _ := priceStep(w, g, stack, 42)
+	return w.hardware().EpochTime(g, w.K, w.TokensPerEpoch, cost)
+}
+
+// peakAt is the per-GPU peak the scaling tables hold to the device budget.
+func peakAt(w scalingWorkload, g int, stack stackKind) int64 {
+	_, peak := priceStep(w, g, stack, 42)
+	return peak
+}
+
 // TestTablesLedger holds every experiment's report at quickOpts to the
 // SHA-256 digest of its text checked in as testdata/tables.json. Every table
 // is a pure function of the seed — the same bytes on every run, at every
@@ -163,12 +176,12 @@ func TestTab3ReproducesShape(t *testing.T) {
 
 	// OOM boundary.
 	for _, g := range []int{8, 16, 24} {
-		if peakMemory(w, g, stackBaseline, 42) > hw.MemBytes {
+		if peakAt(w, g, stackBaseline) > hw.MemBytes {
 			t.Errorf("baseline must fit at %d GPUs", g)
 		}
 	}
 	for _, g := range []int{32, 64} {
-		if peakMemory(w, g, stackBaseline, 42) <= hw.MemBytes {
+		if peakAt(w, g, stackBaseline) <= hw.MemBytes {
 			t.Errorf("baseline must OOM at %d GPUs", g)
 		}
 	}
@@ -176,8 +189,7 @@ func TestTab3ReproducesShape(t *testing.T) {
 	// Paper's "ours" hours within 15%.
 	paper := map[int]float64{8: 14.6, 16: 8.1, 24: 6.4, 32: 5.4, 64: 4.5}
 	for g, want := range paper {
-		cost := stepCost(w, g, stackCompressed, 42)
-		got := hw.EpochTime(g, w.K, w.TokensPerEpoch, cost)
+		got := epochHours(w, g, stackCompressed)
 		if got < want*0.85 || got > want*1.15 {
 			t.Errorf("ours at %d GPUs: model %.1f h, paper %.1f h", g, got, want)
 		}
@@ -185,8 +197,8 @@ func TestTab3ReproducesShape(t *testing.T) {
 
 	// Baseline is dramatically slower than ours at every runnable size.
 	for _, g := range []int{8, 16, 24} {
-		base := hw.EpochTime(g, w.K, w.TokensPerEpoch, stepCost(w, g, stackBaseline, 42))
-		ours := hw.EpochTime(g, w.K, w.TokensPerEpoch, stepCost(w, g, stackCompressed, 42))
+		base := epochHours(w, g, stackBaseline)
+		ours := epochHours(w, g, stackCompressed)
 		if base < 2*ours {
 			t.Errorf("at %d GPUs baseline %.1f h not well above ours %.1f h", g, base, ours)
 		}
@@ -198,25 +210,25 @@ func TestTab4ReproducesShape(t *testing.T) {
 	w := charLM()
 	hw := w.hardware()
 	for _, g := range []int{8, 16, 24} {
-		if peakMemory(w, g, stackBaseline, 42) > hw.MemBytes {
+		if peakAt(w, g, stackBaseline) > hw.MemBytes {
 			t.Errorf("char baseline must fit at %d GPUs", g)
 		}
 	}
 	for _, g := range []int{32, 64} {
-		if peakMemory(w, g, stackBaseline, 42) <= hw.MemBytes {
+		if peakAt(w, g, stackBaseline) <= hw.MemBytes {
 			t.Errorf("char baseline must OOM at %d GPUs", g)
 		}
 	}
 	paper := map[int]float64{8: 23.2, 16: 12.9, 24: 8.2, 32: 6.8, 64: 3.5}
 	for g, want := range paper {
-		got := hw.EpochTime(g, w.K, w.TokensPerEpoch, stepCost(w, g, stackCompressed, 42))
+		got := epochHours(w, g, stackCompressed)
 		if got < want*0.8 || got > want*1.2 {
 			t.Errorf("char ours at %d GPUs: model %.1f h, paper %.1f h", g, got, want)
 		}
 	}
 	// §V-B headline: 6.6× speedup with 8× more GPUs.
-	s8 := hw.EpochTime(8, w.K, w.TokensPerEpoch, stepCost(w, 8, stackCompressed, 42))
-	s64 := hw.EpochTime(64, w.K, w.TokensPerEpoch, stepCost(w, 64, stackCompressed, 42))
+	s8 := epochHours(w, 8, stackCompressed)
+	s64 := epochHours(w, 64, stackCompressed)
 	if sp := s8 / s64; sp < 6.0 || sp > 7.3 {
 		t.Errorf("char speedup = %.1f×, paper says 6.6×", sp)
 	}
@@ -226,12 +238,11 @@ func TestTab4ReproducesShape(t *testing.T) {
 // uniqueness dominates, as in the paper's bars.
 func TestFig6LadderMonotone(t *testing.T) {
 	w := wordLM()
-	hw := w.hardware()
 	for _, g := range []int{16, 24} {
 		var prevSpeedup float64
-		base := hw.EpochTime(g, w.K, w.TokensPerEpoch, stepCost(w, g, stackBaseline, 42))
+		base := epochHours(w, g, stackBaseline)
 		for _, stack := range []stackKind{stackBaseline, stackUnique, stackSeeded, stackCompressed} {
-			hours := hw.EpochTime(g, w.K, w.TokensPerEpoch, stepCost(w, g, stack, 42))
+			hours := epochHours(w, g, stack)
 			speedup := base / hours
 			if speedup+1e-9 < prevSpeedup {
 				t.Errorf("g=%d: %v regressed (%.2f after %.2f)", g, stack, speedup, prevSpeedup)
@@ -239,15 +250,14 @@ func TestFig6LadderMonotone(t *testing.T) {
 			prevSpeedup = speedup
 		}
 		// Uniqueness alone contributes several-fold.
-		uniq := base / hw.EpochTime(g, w.K, w.TokensPerEpoch, stepCost(w, g, stackUnique, 42))
+		uniq := base / epochHours(w, g, stackUnique)
 		if uniq < 3 {
 			t.Errorf("g=%d: uniqueness speedup %.1f, paper says ≥4×", g, uniq)
 		}
 	}
 	// 24-GPU total beats 16-GPU total (paper: 6.3 vs 5.1).
 	s := func(g int) float64 {
-		return hw.EpochTime(g, w.K, w.TokensPerEpoch, stepCost(w, g, stackBaseline, 42)) /
-			hw.EpochTime(g, w.K, w.TokensPerEpoch, stepCost(w, g, stackCompressed, 42))
+		return epochHours(w, g, stackBaseline) / epochHours(w, g, stackCompressed)
 	}
 	if s(24) <= s(16) {
 		t.Errorf("total speedup must grow with G: %.1f at 16 vs %.1f at 24", s(16), s(24))
@@ -260,18 +270,18 @@ func TestMemReproducesPaper(t *testing.T) {
 	w := wordLM()
 	paper := map[int]float64{8: 3.9e9, 16: 7.1e9, 24: 10.3e9}
 	for g, want := range paper {
-		got := float64(peakMemory(w, g, stackBaseline, 42))
+		got := float64(peakAt(w, g, stackBaseline))
 		if got < want*0.9 || got > want*1.1 {
 			t.Errorf("baseline memory at %d GPUs: %.2f GB, paper %.2f GB", g, got/1e9, want/1e9)
 		}
 	}
 	for _, g := range []int{8, 24, 64} {
-		ours := float64(peakMemory(w, g, stackCompressed, 42))
+		ours := float64(peakAt(w, g, stackCompressed))
 		if ours < 1.1e9 || ours > 1.35e9 {
 			t.Errorf("ours memory at %d GPUs: %.2f GB, paper ~1.2 GB", g, ours/1e9)
 		}
 	}
-	red := float64(peakMemory(w, 24, stackBaseline, 42)) / float64(peakMemory(w, 24, stackCompressed, 42))
+	red := float64(peakAt(w, 24, stackBaseline)) / float64(peakAt(w, 24, stackCompressed))
 	if red < 7.5 || red > 9.5 {
 		t.Errorf("24-GPU memory reduction %.1f×, paper 8.6×", red)
 	}
@@ -283,7 +293,8 @@ func TestTab5TimeModel(t *testing.T) {
 	w := tiebaLM()
 	hw := w.hardware()
 	hours := func(g int, chars float64) float64 {
-		return hw.EpochTime(g, w.K, int64(chars*1e9), stepCost(w, g, stackCompressed, 42))
+		cost, _ := priceStep(w, g, stackCompressed, 42)
+		return hw.EpochTime(g, w.K, int64(chars*1e9), cost)
 	}
 	h6 := hours(6, 1.07)
 	h24 := hours(24, 4.29)
@@ -408,14 +419,14 @@ func TestTiebaHeroRunFits(t *testing.T) {
 	w := tiebaLM()
 	hw := w.hardware()
 	for _, g := range []int{6, 24, 192} {
-		mem := peakMemory(w, g, stackCompressed, 42)
+		mem := peakAt(w, g, stackCompressed)
 		if mem > hw.MemBytes {
 			t.Errorf("tieba ours at %d GPUs needs %d bytes, exceeding the 12 GiB budget", g, mem)
 		}
 	}
 	// The baseline ALLGATHER at 192 GPUs would need Θ(G·K·D) ≈ 26 GB of
 	// gather scratch alone — impossible on any Table II GPU.
-	base := peakMemory(w, 192, stackBaseline, 42)
+	base := peakAt(w, 192, stackBaseline)
 	if base <= hw.MemBytes {
 		t.Errorf("baseline at 192 GPUs implausibly fits: %d bytes", base)
 	}

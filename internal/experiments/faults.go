@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"zipflm/internal/ckpt"
-	"zipflm/internal/core"
 	"zipflm/internal/corpus"
 	"zipflm/internal/metrics"
 	"zipflm/internal/model"
@@ -82,7 +81,6 @@ func runFaults(opts Options) (*Report, error) {
 			BatchPerRank:    2,
 			SeqLen:          8,
 			LR:              0.1,
-			Exchange:        core.UniqueExchange{},
 			SeedStrategy:    sampling.ZipfFreq,
 			BaseSeed:        opts.Seed,
 			Hardware:        &hw,

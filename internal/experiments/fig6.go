@@ -29,7 +29,7 @@ func runFig6(opts Options) (*Report, error) {
 	for _, g := range []int{16, 24} {
 		var baseHours, prev float64
 		for _, stack := range []stackKind{stackBaseline, stackUnique, stackSeeded, stackCompressed} {
-			cost := stepCost(w, g, stack, opts.Seed)
+			cost, _ := priceStep(w, g, stack, opts.Seed)
 			hours := hw.EpochTime(g, w.K, w.TokensPerEpoch, cost)
 			if stack == stackBaseline {
 				baseHours = hours

@@ -27,8 +27,8 @@ func runMem(opts Options) (*Report, error) {
 	notes := []string{}
 	var red24 float64
 	for _, g := range []int{8, 16, 24, 32, 64} {
-		base := peakMemory(w, g, stackBaseline, opts.Seed)
-		ours := peakMemory(w, g, stackCompressed, opts.Seed)
+		_, base := priceStep(w, g, stackBaseline, opts.Seed)
+		_, ours := priceStep(w, g, stackCompressed, opts.Seed)
 		baseStr := metrics.HumanBytes(base)
 		if base > hw.MemBytes {
 			baseStr += " *(OOM)"

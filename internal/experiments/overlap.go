@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"zipflm/internal/core"
 	"zipflm/internal/corpus"
 	"zipflm/internal/metrics"
 	"zipflm/internal/model"
@@ -68,7 +67,6 @@ func runOverlap(opts Options) (*Report, error) {
 			BatchPerRank:    batch,
 			SeqLen:          seqLen,
 			LR:              0.1,
-			Exchange:        core.UniqueExchange{},
 			SeedStrategy:    sampling.ZipfFreq,
 			BaseSeed:        opts.Seed,
 			Overlap:         overlap,

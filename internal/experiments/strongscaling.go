@@ -62,11 +62,9 @@ func runScaling(w scalingWorkload, paper paperScaling, opts Options) (*Report, e
 		// Baseline column: OOM when Θ(G·K·D) scratch exceeds the 12 GB
 		// budget, exactly the "*" rows of the paper.
 		baseStr, baseEff := "*(OOM)", "-"
-		mem := peakMemory(w, g, stackBaseline, opts.Seed)
-		var baseHours float64
+		baseCost, mem := priceStep(w, g, stackBaseline, opts.Seed)
 		if mem <= hw.MemBytes {
-			cost := stepCost(w, g, stackBaseline, opts.Seed)
-			baseHours = hw.EpochTime(g, w.K, w.TokensPerEpoch, cost)
+			baseHours := hw.EpochTime(g, w.K, w.TokensPerEpoch, baseCost)
 			if baseG0 == 0 {
 				baseHours0, baseG0 = baseHours, g
 			}
@@ -74,7 +72,7 @@ func runScaling(w scalingWorkload, paper paperScaling, opts Options) (*Report, e
 			baseEff = fmt.Sprintf("%.0f%%", 100*perfmodel.ParallelEfficiency(baseHours0, baseG0, baseHours, g))
 		}
 
-		cost := stepCost(w, g, stackCompressed, opts.Seed)
+		cost, _ := priceStep(w, g, stackCompressed, opts.Seed)
 		oursHours = hw.EpochTime(g, w.K, w.TokensPerEpoch, cost)
 		if oursG0 == 0 {
 			oursHours0, oursG0 = oursHours, g
@@ -99,9 +97,10 @@ func runScaling(w scalingWorkload, paper paperScaling, opts Options) (*Report, e
 	}
 
 	// The loop leaves oursHours at the last GPU count's epoch.
-	notes = append(notes, fmt.Sprintf(
-		"model speedup %d→%d GPUs: %.1f× (paper: %.1f× word / %.1f× char with 8× more GPUs)",
-		oursG0, paper.gpus[len(paper.gpus)-1], perfmodel.Speedup(oursHours0, oursHours), 14.6/4.5, 23.2/3.5))
+	last := len(paper.gpus) - 1
+	notes = append(notes, fmt.Sprintf("model speedup %d→%d GPUs: %.1f× (paper: %.1f×)",
+		oursG0, paper.gpus[last], perfmodel.Speedup(oursHours0, oursHours),
+		perfmodel.Speedup(paper.oursHours[0], paper.oursHours[last])))
 
 	return &Report{Tables: []*metrics.Table{tab}, Notes: notes}, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"zipflm/internal/core"
 	"zipflm/internal/corpus"
 	"zipflm/internal/metrics"
 	"zipflm/internal/model"
@@ -47,7 +46,7 @@ func runTab5(opts Options) (*Report, error) {
 		"Chars (B)", "Corpus", "GPUs", "Batch", "hrs (paper)", "hrs (model)", "time vs 6-GPU")
 	var baseHours float64
 	for _, r := range paper {
-		cost := stepCost(w, r.gpus, stackCompressed, opts.Seed)
+		cost, _ := priceStep(w, r.gpus, stackCompressed, opts.Seed)
 		tokens := int64(r.chars * 1e9)
 		hours := hw.EpochTime(r.gpus, w.K, tokens, cost)
 		if baseHours == 0 {
@@ -89,14 +88,9 @@ func runTab5(opts Options) (*Report, error) {
 	}
 	for i, mult := range ratios {
 		ranks := ranksBase * mult
-		gen := corpus.NewMarkovGenerator(corpus.MarkovConfig{
-			VocabSize:    vocab - 1,
-			Branching:    10,
-			ZipfExponent: d.ZipfExponent,
-			Seed:         opts.Seed + uint64(i),
-		})
-		stream := gen.Stream(perRank*ranks + perRank/4)
-		train, valid := corpus.Split(stream, 10, 100, opts.Seed)
+		train, valid := markovSplit(corpus.MarkovConfig{
+			VocabSize: vocab - 1, Branching: 10, ZipfExponent: d.ZipfExponent, Seed: opts.Seed + uint64(i),
+		}, perRank*ranks+perRank/4, opts.Seed)
 		cfg := trainer.Config{
 			Model: model.Config{
 				Vocab: vocab, Dim: 16, Hidden: 24,
@@ -112,7 +106,6 @@ func runTab5(opts Options) (*Report, error) {
 			// stability at the scaled rate.
 			LR:           0.15 * (1 + math.Log(float64(ranks))),
 			ClipNorm:     1.0,
-			Exchange:     core.UniqueExchange{},
 			SeedStrategy: sampling.ZipfFreq,
 			BaseSeed:     opts.Seed,
 		}
@@ -143,11 +136,9 @@ func runTab5(opts Options) (*Report, error) {
 	)
 	// Compression-ratio cross-check (§V-C): perplexity 11.1 at 2.71
 	// bytes/char → ratio ≈ 6.3 vs [21]'s 6.8.
-	bpc := metrics.BPC(logOf(11.1))
+	bpc := metrics.BPC(math.Log(11.1))
 	cr := metrics.CompressionRatio(2.71, bpc)
 	notes = append(notes, fmt.Sprintf("compression ratio at paper's ppl 11.1: %.1f (paper: 6.3; [21]: 6.8)", cr))
 
 	return &Report{Tables: []*metrics.Table{timeTab, accTab}, Notes: notes}, nil
 }
-
-func logOf(x float64) float64 { return math.Log(x) }

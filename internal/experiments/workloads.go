@@ -295,13 +295,17 @@ func (s stackKind) strategy() sampling.Strategy {
 	return sampling.AllDifferent
 }
 
-// stepCost assembles the perfmodel StepCost for one configuration. It is
-// the quantitative heart of Tables III/IV/V and Figure 6.
-func stepCost(w scalingWorkload, g int, stack stackKind, seed uint64) perfmodel.StepCost {
+// priceStep draws one step of the stack at scale g and prices it: the
+// perfmodel StepCost behind the hours of Tables III/IV/V and Figure 6, and
+// the per-GPU peak memory, calibrated per workload (see scalingWorkload's
+// fields), that sets the baseline's OOM boundary. A core.Cost's scratch
+// does not depend on the wire width, so one set of exchange costs gives
+// both.
+func priceStep(w scalingWorkload, g int, stack stackKind, seed uint64) (cost perfmodel.StepCost, peak int64) {
 	uiMax, ugIn, kc, ugOut := measuredUnique(w, g, stack.strategy(), seed)
 	fp16 := stack >= stackCompressed
 
-	cost := perfmodel.StepCost{
+	cost = perfmodel.StepCost{
 		ComputeFLOPs: w.FLOPsPerStep,
 		AchievedFrac: w.AchievedFrac,
 		UpdateDim:    w.D,
@@ -314,50 +318,34 @@ func stepCost(w scalingWorkload, g int, stack stackKind, seed uint64) perfmodel.
 	if fp16 {
 		elem = 2
 	}
-	denseBytes := 2 * int64(g-1) * w.DenseParams * elem / int64(g)
-	cost.WireBytes += denseBytes
-	cost.WireHops += 2 * (g - 1)
+	cost.WireBytes = 2 * int64(g-1) * w.DenseParams * elem / int64(g)
+	cost.WireHops = 2 * (g - 1)
 
+	// Embedding exchanges, the input's and under sampled softmax the
+	// output's. The baseline ALLGATHERs dense K×D blocks in one ring pass;
+	// the unique exchange gathers indices, then all-reduces the U_g×D
+	// matrix in two.
+	hops := 3 * (g - 1)
 	if stack == stackBaseline {
-		// Input embedding: ALLGATHER of dense K×D blocks.
-		in := core.BaselineCost(g, w.K, w.D, fp16)
-		cost.WireBytes += in.WireBytes
-		cost.WireHops += g - 1
-		if w.Samples > 0 {
-			out := core.BaselineCost(g, kc, w.D, fp16)
-			cost.WireBytes += out.WireBytes
-			cost.WireHops += g - 1
+		hops = g - 1
+	}
+	var scratch int64
+	exchange := func(k, ui, ug int) {
+		c := core.UniqueCost(g, k, ui, ug, w.D, fp16)
+		if stack == stackBaseline {
+			c = core.BaselineCost(g, k, w.D, fp16)
 		}
-		return cost
+		cost.WireBytes += c.WireBytes
+		cost.WireHops += hops
+		scratch += c.ScratchBytes
 	}
-
-	// Unique exchange for the input embedding.
-	in := core.UniqueCost(g, w.K, uiMax, ugIn, w.D, fp16)
-	cost.WireBytes += in.WireBytes
-	cost.WireHops += (g - 1) + 2*(g-1)
+	exchange(w.K, uiMax, ugIn)
 	if w.Samples > 0 {
-		out := core.UniqueCost(g, kc, kc, ugOut, w.D, fp16)
-		cost.WireBytes += out.WireBytes
-		cost.WireHops += (g - 1) + 2*(g-1)
+		exchange(kc, kc, ugOut)
 	}
-	return cost
-}
-
-// peakMemory models the per-GPU peak for one configuration, calibrated per
-// workload (see scalingWorkload fields).
-func peakMemory(w scalingWorkload, g int, stack stackKind, seed uint64) int64 {
-	uiMax, ugIn, kc, ugOut := measuredUnique(w, g, stack.strategy(), seed)
-
 	if stack == stackBaseline {
-		scratch := core.BaselineCost(g, w.K, w.D, false).ScratchBytes
-		if w.Samples > 0 {
-			scratch += core.BaselineCost(g, kc, w.D, false).ScratchBytes
-		}
-		return w.BaseMemory + int64(float64(scratch)*w.BaselineStaging)
+		// TF-1.4 replicates the gathered gradients' staging.
+		return cost, w.BaseMemory + int64(float64(scratch)*w.BaselineStaging)
 	}
-	scratch := core.UniqueCost(g, w.K, uiMax, ugIn, w.D, false).ScratchBytes
-	if w.Samples > 0 {
-		scratch += core.UniqueCost(g, kc, kc, ugOut, w.D, false).ScratchBytes
-	}
-	return w.BaseMemoryOurs + scratch
+	return cost, w.BaseMemoryOurs + scratch
 }

@@ -62,8 +62,10 @@ func (m *LM) Marshal() ([]byte, error) {
 // Unmarshal decodes a checkpoint written by Marshal into a fresh
 // model with those weights. The embedded Config fully determines the
 // architecture. Corrupt, truncated, padded, older- or future-version inputs
-// return an error; Unmarshal never returns a half-initialized model, and it
-// sizes nothing from a Config the input's own size does not bear out.
+// return an error, and so does a file with a NaN or ±Inf weight, naming its
+// tensor: nothing non-finite is loaded, so nothing non-finite is served.
+// Unmarshal never returns a half-initialized model, and it sizes nothing
+// from a Config the input's own size does not bear out.
 func Unmarshal(raw []byte) (*LM, error) {
 	// bytes.Reader is an io.ByteReader, so gob reads its value and not one
 	// byte more: what is left in r afterwards is the tensor section.
@@ -103,6 +105,11 @@ func Unmarshal(raw []byte) (*LM, error) {
 	for _, dst := range [][]float32{m.InEmb.Data, m.OutEmb.Data, m.values} {
 		tensor.GetFloat32s(dst, rest)
 		rest = rest[4*len(dst):]
+	}
+	for _, p := range m.Weights() {
+		if !tensor.AllFinite(p.Value) {
+			return nil, fmt.Errorf("model: checkpoint tensor %q holds a NaN or infinite weight", p.Name)
+		}
 	}
 	return m, nil
 }

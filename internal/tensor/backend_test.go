@@ -147,18 +147,18 @@ func TestBackendNaNInfPropagation(t *testing.T) {
 
 // TestAllFinite pins the finiteness scan the skip gate relies on.
 func TestAllFinite(t *testing.T) {
-	if !allFinite(nil) || !allFinite([]float32{}) {
+	if !AllFinite(nil) || !AllFinite([]float32{}) {
 		t.Fatal("empty slices are vacuously finite")
 	}
-	if !allFinite([]float32{1, -2, 0, 3.5, -0.25}) {
+	if !AllFinite([]float32{1, -2, 0, 3.5, -0.25}) {
 		t.Fatal("finite slice misreported")
 	}
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for pos := 0; pos < 6; pos++ { // cover unrolled body and tail
 			x := []float32{1, 2, 3, 4, 5, 6}
 			x[pos] = float32(bad)
-			if allFinite(x) {
-				t.Fatalf("allFinite missed %v at index %d", bad, pos)
+			if AllFinite(x) {
+				t.Fatalf("AllFinite missed %v at index %d", bad, pos)
 			}
 		}
 	}

@@ -203,7 +203,7 @@ func TestAllFiniteAsmMatchesGo(t *testing.T) {
 	for n := 0; n <= 70; n++ {
 		for _, off := range []int{0, 1, 3} {
 			x := fp32Vec(r, n, off, false)
-			if got, want := allFinite(x), allFiniteGo(x); got != want || !want {
+			if got, want := AllFinite(x), allFiniteGo(x); got != want || !want {
 				t.Fatalf("n=%d off=%d finite: asm %v, go %v, want true", n, off, got, want)
 			}
 			for pos := 0; pos < n; pos++ {
@@ -211,7 +211,7 @@ func TestAllFiniteAsmMatchesGo(t *testing.T) {
 					keep := x[pos]
 					x[pos] = v
 					finite := !math.IsNaN(float64(v)) && !math.IsInf(float64(v), 0)
-					if got, want := allFinite(x), allFiniteGo(x); got != want || want != finite {
+					if got, want := AllFinite(x), allFiniteGo(x); got != want || want != finite {
 						t.Fatalf("n=%d off=%d x[%d]=%v (%#08x): asm %v, go %v, want %v", n, off, pos, v, math.Float32bits(v), got, want, finite)
 					}
 					x[pos] = keep

@@ -173,7 +173,7 @@ func mulAddRows(dr, m []float32, m0, ms int, b *Matrix) {
 		if k == b.Rows {
 			return
 		}
-		if br := b.Row(k); !allFinite(br) {
+		if br := b.Row(k); !AllFinite(br) {
 			axpy(m[m0+k*ms], dr, br)
 		}
 	}
@@ -210,11 +210,12 @@ func checkMatMulATB(dst, a, b *Matrix) {
 	}
 }
 
-// allFinite reports whether every element is finite (no NaN or ±Inf). It is
-// the scan mulAddRows runs over a whole b row for every zero multiplier, so
-// whole blocks of eight go to the vector kernel; being a predicate, any
-// implementation that returns allFiniteGo's boolean changes no bit.
-func allFinite(x []float32) bool {
+// AllFinite reports whether every element is finite (no NaN or ±Inf). It is
+// the scan mulAddRows runs over a whole b row for every zero multiplier, and
+// the one model.Unmarshal runs over every weight it loads, so whole blocks
+// of eight go to the vector kernel; being a predicate, any implementation
+// that returns allFiniteGo's boolean changes no bit.
+func AllFinite(x []float32) bool {
 	if useFP32Asm && len(x) >= 8 {
 		n := len(x) &^ 7
 		if !allFiniteAVX(&x[0], n) {
